@@ -203,16 +203,67 @@ func run(args []string, stdout io.Writer) (err error) {
 		storeOpts = store.Options{Sync: policy, SyncEvery: every, SnapshotEvery: *snapEvery}
 	}
 
+	// The metrics registry is created before the cluster so durable stores
+	// can record drp_store_* counters from their very first replayed record.
+	// An SLO gate needs the latency instruments even without an endpoint.
+	var reg *metrics.Registry
+	if *listenMetrics != "" || slo != nil {
+		reg = metrics.NewRegistry()
+		netnode.RegisterMetricFamilies(reg)
+		store.RegisterMetricFamilies(reg)
+		storeOpts.Metrics = reg
+	}
+
+	// boot is the one way a run gets its cluster: start it over the member
+	// set (durable when -data-dir is set), apply the transport knobs, attach
+	// tracing and the registry, and bring the metrics endpoint up. stop
+	// honours -serve-for, then shuts the endpoint and the cluster down.
+	boot := func(members []int) (c *netnode.Cluster, stop func(), err error) {
+		if *dataDir != "" {
+			c, err = netnode.StartDurableView(p, *dataDir, storeOpts, members)
+		} else {
+			c, err = netnode.StartView(p, members)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if *retries > 1 {
+			rp := netnode.DefaultRetry()
+			rp.Attempts = *retries
+			c.SetRetry(rp)
+		}
+		if *reqTimeout > 0 {
+			c.SetRequestTimeout(*reqTimeout)
+		}
+		c.EnableTracing(tracer)
+		c.EnableMetrics(reg)
+		if *listenMetrics == "" {
+			return c, c.Close, nil
+		}
+		srv, err := metrics.Serve(*listenMetrics, reg)
+		if err != nil {
+			c.Close()
+			return nil, nil, err
+		}
+		fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", srv.Addr())
+		return c, func() {
+			time.Sleep(*serveFor)
+			srv.Close()
+			c.Close()
+		}, nil
+	}
+	allSites := make([]int, p.Sites())
+	for i := range allSites {
+		allSites[i] = i
+	}
+
 	if reshaping {
 		founding, err := parseSiteList(*members, p.Sites())
 		if err != nil {
 			return fmt.Errorf("-members: %w", err)
 		}
 		if founding == nil {
-			founding = make([]int, p.Sites())
-			for i := range founding {
-				founding[i] = i
-			}
+			founding = allSites
 		}
 		sort.Ints(founding)
 		joins, err := parseSiteList(*join, p.Sites())
@@ -232,8 +283,7 @@ func run(args []string, stdout io.Writer) (err error) {
 				return fmt.Errorf("-join: site %d is already a founding member", s)
 			}
 		}
-		return runMembership(p, founding, joins, leaves, *dataDir, storeOpts,
-			*retries, *reqTimeout, *listenMetrics, *serveFor, *planOut, tracer, stdout)
+		return runMembership(p, founding, joins, leaves, *dataDir, storeOpts, boot, *planOut, tracer, stdout)
 	}
 
 	var scheme *drp.Scheme
@@ -256,58 +306,11 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 
-	// The metrics registry is created before the cluster so durable stores
-	// can record drp_store_* counters from their very first replayed record.
-	// An SLO gate needs the latency instruments even without an endpoint.
-	var reg *metrics.Registry
-	if *listenMetrics != "" || slo != nil {
-		reg = metrics.NewRegistry()
-		netnode.RegisterMetricFamilies(reg)
-		store.RegisterMetricFamilies(reg)
+	cluster, stop, err := boot(allSites)
+	if err != nil {
+		return err
 	}
-
-	var cluster *netnode.Cluster
-	if *dataDir != "" {
-		storeOpts.Metrics = reg
-		cluster, err = netnode.StartDurable(p, *dataDir, storeOpts)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		cluster, err = netnode.StartLocal(p)
-		if err != nil {
-			return err
-		}
-	}
-	defer cluster.Close()
-
-	if *retries > 1 {
-		rp := netnode.DefaultRetry()
-		rp.Attempts = *retries
-		cluster.SetRetry(rp)
-	}
-	if *reqTimeout > 0 {
-		cluster.SetRequestTimeout(*reqTimeout)
-	}
-	if tracer != nil {
-		cluster.EnableTracing(tracer)
-	}
-
-	if reg != nil {
-		cluster.EnableMetrics(reg)
-		if *listenMetrics != "" {
-			srv, err := metrics.Serve(*listenMetrics, reg)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", srv.Addr())
-			if *serveFor > 0 {
-				defer time.Sleep(*serveFor)
-			}
-		}
-	}
+	defer stop()
 
 	fmt.Fprintf(stdout, "booted %d TCP sites on loopback (e.g. site 0 at %s)\n",
 		p.Sites(), cluster.Node(0).Addr())
@@ -319,8 +322,12 @@ func run(args []string, stdout io.Writer) (err error) {
 			}
 		}
 		if recovered > 0 {
+			replicas := -p.Objects() // primary copies are not replicas
+			for _, sites := range cluster.Plan().Placement {
+				replicas += len(sites)
+			}
 			fmt.Fprintf(stdout, "recovered %d of %d sites from %s: %d replicas already deployed\n",
-				recovered, cluster.Sites(), *dataDir, cluster.Scheme().TotalReplicas())
+				recovered, cluster.Sites(), *dataDir, replicas)
 		} else {
 			fmt.Fprintf(stdout, "persisting to %s (fsync %s)\n", *dataDir, *fsync)
 		}
@@ -462,19 +469,11 @@ func runFaulted(cluster *netnode.Cluster, p *drp.Problem, scheme *drp.Scheme, pl
 // a rerun finds the last recorded plan, boots its member set and resumes
 // any unfinished migration instead of replaying the scenario.
 func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string, storeOpts store.Options,
-	retries int, reqTimeout time.Duration, listenMetrics string, serveFor time.Duration,
-	planOut string, tracer *spans.Tracer, stdout io.Writer) error {
+	boot func(members []int) (*netnode.Cluster, func(), error), planOut string, tracer *spans.Tracer, stdout io.Writer) error {
 	pcost := func(i, j int) int64 { return p.Cost(i, j) }
 
-	var reg *metrics.Registry
-	if listenMetrics != "" {
-		reg = metrics.NewRegistry()
-		netnode.RegisterMetricFamilies(reg)
-		store.RegisterMetricFamilies(reg)
-		storeOpts.Metrics = reg
-	}
-
 	var journal *store.Journal
+	resuming := false
 	if dataDir != "" {
 		var err error
 		journal, err = store.OpenJournal(filepath.Join(dataDir, "coordinator"), storeOpts)
@@ -491,58 +490,29 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 			}
 			fmt.Fprintf(stdout, "journal holds plan epoch %d over members %v; resuming it (the -members/-join/-leave scenario already ran)\n",
 				target.Epoch, target.View.Members)
-			c, err := netnode.StartDurableView(p, dataDir, storeOpts, target.View.Members)
-			if err != nil {
-				return err
-			}
-			defer c.Close()
-			c.AttachJournal(journal)
-			applyNet(c, retries, reqTimeout)
-			if tracer != nil {
-				c.EnableTracing(tracer)
-			}
-			stop, err := serveMetricsEndpoint(c, reg, listenMetrics, serveFor, stdout)
-			if err != nil {
-				return err
-			}
-			defer stop()
-			rep, resumed, err := c.ResumeMigration(pcost)
-			if err != nil {
-				return fmt.Errorf("resume journaled migration: %w", err)
-			}
-			if resumed {
-				fmt.Fprintf(stdout, "resumed migration to plan epoch %d: %d remaining steps, migration cost %d\n",
-					c.Plan().Epoch, rep.Completed, rep.MigrationNTC)
-			}
-			return serveViewTraffic(p, c, pcost, planOut, stdout)
+			founding, resuming = target.View.Members, true
 		}
 	}
 
-	var (
-		c   *netnode.Cluster
-		err error
-	)
-	if dataDir != "" {
-		c, err = netnode.StartDurableView(p, dataDir, storeOpts, founding)
-	} else {
-		c, err = netnode.StartView(p, founding)
-	}
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if journal != nil {
-		c.AttachJournal(journal)
-	}
-	applyNet(c, retries, reqTimeout)
-	if tracer != nil {
-		c.EnableTracing(tracer)
-	}
-	stop, err := serveMetricsEndpoint(c, reg, listenMetrics, serveFor, stdout)
+	c, stop, err := boot(founding)
 	if err != nil {
 		return err
 	}
 	defer stop()
+	if journal != nil {
+		c.AttachJournal(journal)
+	}
+	if resuming {
+		rep, resumed, err := c.ResumeMigration(pcost)
+		if err != nil {
+			return fmt.Errorf("resume journaled migration: %w", err)
+		}
+		if resumed {
+			fmt.Fprintf(stdout, "resumed migration to plan epoch %d: %d remaining steps, migration cost %d\n",
+				c.Plan().Epoch, rep.Completed, rep.MigrationNTC)
+		}
+		return serveViewTraffic(p, c, pcost, planOut, stdout)
+	}
 	fmt.Fprintf(stdout, "booted %d-member view %v over a %d-site universe (e.g. site %d at %s)\n",
 		len(founding), founding, p.Sites(), founding[0], c.Node(founding[0]).Addr())
 
@@ -615,39 +585,6 @@ func serveViewTraffic(p *drp.Problem, c *netnode.Cluster, pcost plan.CostFn, pla
 		fmt.Fprintln(stdout, "  WARNING: model and wire disagree")
 	}
 	return writePlanFile(c, planOut, stdout)
-}
-
-// applyNet pushes the transport knobs to every live node.
-func applyNet(c *netnode.Cluster, retries int, reqTimeout time.Duration) {
-	if retries > 1 {
-		rp := netnode.DefaultRetry()
-		rp.Attempts = retries
-		c.SetRetry(rp)
-	}
-	if reqTimeout > 0 {
-		c.SetRequestTimeout(reqTimeout)
-	}
-}
-
-// serveMetricsEndpoint enables the cluster instruments and serves the
-// registry; the returned stop function honours -serve-for then shuts the
-// endpoint down. With no registry both are no-ops.
-func serveMetricsEndpoint(c *netnode.Cluster, reg *metrics.Registry, listen string, serveFor time.Duration, stdout io.Writer) (func(), error) {
-	if reg == nil {
-		return func() {}, nil
-	}
-	c.EnableMetrics(reg)
-	srv, err := metrics.Serve(listen, reg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", srv.Addr())
-	return func() {
-		if serveFor > 0 {
-			time.Sleep(serveFor)
-		}
-		srv.Close()
-	}, nil
 }
 
 // writePlanFile writes the deployed plan's canonical JSON encoding.

@@ -147,6 +147,54 @@ func mulNonNeg(a, b int64) (int64, bool) {
 	return prod, prod/a == b && prod >= 0
 }
 
+// NTCBoundOverflow is the worst-case NTC gate every problem model passes at
+// construction: any scheme's eq. 4 cost is at most
+// Σ_k (1 + Rtot_k + (M+1)·Wtot_k)·o_k·maxC (reads from the farthest
+// replica, every site a replicator paying the full update fan-in, plus
+// one object-transfer term covering migration accounting). If that bound
+// fits int64, every cost the evaluators, delta evaluators and cluster
+// simulator can compute fits too — so they never need per-term checks. It
+// returns the first object at which the bound leaves int64, or -1 when it
+// fits; sizes and per-object read/write totals must be non-negative.
+func NTCBoundOverflow(dist *netsim.DistMatrix, size, totalReads, totalWrites []int64) int {
+	m := dist.Sites()
+	var maxC int64
+	for i := 0; i < m; i++ {
+		for _, c := range dist.Row(i) {
+			if c > maxC {
+				maxC = c
+			}
+		}
+	}
+	var bound int64
+	for k, sz := range size {
+		fanIn, ok := mulNonNeg(int64(m)+1, totalWrites[k])
+		if !ok {
+			return k
+		}
+		traffic, ok := addNonNeg(totalReads[k], fanIn)
+		if !ok {
+			return k
+		}
+		traffic, ok = addNonNeg(traffic, 1)
+		if !ok {
+			return k
+		}
+		vol, ok := mulNonNeg(traffic, sz)
+		if !ok {
+			return k
+		}
+		cost, ok := mulNonNeg(vol, maxC)
+		if !ok {
+			return k
+		}
+		if bound, ok = addNonNeg(bound, cost); !ok {
+			return k
+		}
+	}
+	return -1
+}
+
 func (p *Problem) buildCaches() error {
 	p.totalReads = make([]int64, p.n)
 	p.totalWrites = make([]int64, p.n)
@@ -162,45 +210,8 @@ func (p *Problem) buildCaches() error {
 			}
 		}
 	}
-	// Worst-case NTC bound: any scheme's eq. 4 cost is at most
-	// Σ_k (1 + Rtot_k + (M+1)·Wtot_k)·o_k·maxC (reads from the farthest
-	// replica, every site a replicator paying the full update fan-in, plus
-	// one object-transfer term covering migration accounting). If that bound
-	// fits int64, every cost the evaluators, delta evaluator and cluster
-	// simulator can compute fits too — so they never need per-term checks.
-	var maxC int64
-	for i := 0; i < p.m; i++ {
-		for _, c := range p.dist.Row(i) {
-			if c > maxC {
-				maxC = c
-			}
-		}
-	}
-	var bound int64
-	for k := 0; k < p.n; k++ {
-		fanIn, ok := mulNonNeg(int64(p.m)+1, p.totalWrites[k])
-		if !ok {
-			return errMagnitude(k)
-		}
-		traffic, ok := addNonNeg(p.totalReads[k], fanIn)
-		if !ok {
-			return errMagnitude(k)
-		}
-		traffic, ok = addNonNeg(traffic, 1)
-		if !ok {
-			return errMagnitude(k)
-		}
-		vol, ok := mulNonNeg(traffic, p.size[k])
-		if !ok {
-			return errMagnitude(k)
-		}
-		cost, ok := mulNonNeg(vol, maxC)
-		if !ok {
-			return errMagnitude(k)
-		}
-		if bound, ok = addNonNeg(bound, cost); !ok {
-			return errMagnitude(k)
-		}
+	if k := NTCBoundOverflow(p.dist, p.size, p.totalReads, p.totalWrites); k >= 0 {
+		return errMagnitude(k)
 	}
 	mean := p.dist.MeanRowSum()
 	p.propWeight = make([]float64, p.m)

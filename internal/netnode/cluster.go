@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"drp/internal/core"
@@ -17,17 +16,17 @@ import (
 )
 
 // Cluster manages one node per member site on the loopback interface and
-// plays the coordinator (monitor) role: deploying replication schemes and
+// plays the coordinator (monitor) role: migrating the data plane between
 // placement plans, driving traffic, and — under faults — flushing queued
 // writes and reconciling stale replicas. The node slice is
 // universe-indexed; a site that has not joined (or has left) is a nil
-// slot.
+// slot. A full-membership cluster is simply the view cluster whose view
+// is every site.
 type Cluster struct {
 	p       *core.Problem
 	nodes   []*Node
-	current *core.Scheme // nil when the deployed plan has no scheme form
-	members []int        // member sites, ascending
-	plan    *plan.Plan   // deployed placement plan
+	members []int      // member sites, ascending
+	plan    *plan.Plan // deployed placement plan
 
 	dial       Dialer        // coordinator's outbound dialer (fault seam)
 	retry      RetryPolicy   // coordinator command retries
@@ -49,31 +48,41 @@ func SiteDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("site-%03d", i))
 }
 
-// StartLocal boots one node per site on 127.0.0.1 ephemeral ports, wires
-// the address tables and deploys the primaries-only scheme.
+// StartLocal boots one memory-backed node per site on 127.0.0.1 ephemeral
+// ports, wires the address tables and deploys the primaries-only scheme.
 func StartLocal(p *core.Problem) (*Cluster, error) {
-	c := &Cluster{
-		p:       p,
-		current: core.NewScheme(p),
-		retry:   RetryPolicy{Attempts: 1},
-		rng:     xrand.New(0x10ad),
+	return StartView(p, allSites(p))
+}
+
+// StartDurable boots one durable node per site, each opening — and
+// therefore replaying — a WAL-backed store in root/site-NNN. On a fresh
+// root this is StartLocal with persistence; on a root that has seen a
+// crash, every node restarts with exactly the state it had acknowledged,
+// and the deployed plan is reconstructed from the recovered holdings so
+// the next Deploy diffs against what the disks actually hold.
+func StartDurable(p *core.Problem, root string, opts store.Options) (*Cluster, error) {
+	return StartDurableView(p, root, opts, allSites(p))
+}
+
+// StartView boots a memory-backed cluster over the member subset of the
+// universe problem. Members must include every universe primary site (a
+// memory node bootstraps holding exactly the objects primaried at it);
+// the initial plan is the primaries-only placement over that view.
+func StartView(p *core.Problem, members []int) (*Cluster, error) {
+	return start(p, members, "", store.Options{})
+}
+
+// StartDurableView boots a durable cluster over the member subset, each
+// member replaying its WAL from root/site-NNN. A universe primary site
+// may be absent as long as every object still has a member holder and a
+// member primary (i.e. it was drained by an earlier plan before leaving);
+// if a journal is attached afterwards, ResumeMigration finishes any
+// migration the previous incarnation had journaled but not completed.
+func StartDurableView(p *core.Problem, root string, opts store.Options, members []int) (*Cluster, error) {
+	if root == "" {
+		return nil, errors.New("netnode: a durable cluster needs a data directory")
 	}
-	addrs := make([]string, p.Sites())
-	for i := 0; i < p.Sites(); i++ {
-		node, err := Listen(p, i, "127.0.0.1:0")
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.nodes = append(c.nodes, node)
-		addrs[i] = node.Addr()
-	}
-	for _, node := range c.nodes {
-		node.SetPeers(addrs)
-	}
-	c.members = allSites(p)
-	c.plan = plan.FromScheme(c.current)
-	return c, nil
+	return start(p, members, root, opts)
 }
 
 // allSites returns every universe site index, ascending.
@@ -85,81 +94,78 @@ func allSites(p *core.Problem) []int {
 	return ms
 }
 
-// StartDurable boots one durable node per site, each opening — and
-// therefore replaying — a WAL-backed store in root/site-NNN. On a fresh
-// root this is StartLocal with persistence; on a root that has seen a
-// crash, every node restarts with exactly the state it had acknowledged,
-// and the coordinator's notion of the deployed scheme is reconstructed
-// from the recovered holdings so the next Deploy diffs against what the
-// disks actually hold.
-func StartDurable(p *core.Problem, root string, opts store.Options) (*Cluster, error) {
-	if root == "" {
-		return nil, errors.New("netnode: StartDurable needs a data directory")
+// start is the one boot path: a node per member (memory-backed when root
+// is ""), the address tables, and the deployed plan read back from what
+// the nodes hold — the primaries-only placement on a fresh boot, the
+// recovered placement after a replay. A site left over capacity by an
+// interrupted migration is tolerated: the next Deploy, ApplyPlan or
+// ResumeMigration drops the surplus.
+func start(p *core.Problem, members []int, root string, opts store.Options) (*Cluster, error) {
+	ms, err := checkMembers(p, members)
+	if err != nil {
+		return nil, err
 	}
 	c := &Cluster{
 		p:         p,
+		nodes:     make([]*Node, p.Sites()),
+		members:   ms,
 		retry:     RetryPolicy{Attempts: 1},
 		rng:       xrand.New(0x10ad),
 		dataDir:   root,
 		storeOpts: opts,
 	}
-	addrs := make([]string, p.Sites())
-	for i := 0; i < p.Sites(); i++ {
-		st, err := store.Open(SiteDir(root, i), i, primaries(p), opts)
-		if err != nil {
+	for _, i := range ms {
+		if c.nodes[i], err = c.bootNode(i); err != nil {
 			c.Close()
 			return nil, err
 		}
-		node, err := ListenStore(p, i, "127.0.0.1:0", st)
-		if err != nil {
-			_ = st.Close()
+	}
+	c.rewirePeers()
+	c.plan = c.actualPlan()
+	for k := 0; k < p.Objects(); k++ {
+		if len(c.plan.Placement[k]) == 0 {
 			c.Close()
-			return nil, err
+			return nil, fmt.Errorf("netnode: no member holds object %d; its primary site %d must be in the member set or the object migrated before it left", k, p.Primary(k))
 		}
-		c.nodes = append(c.nodes, node)
-		addrs[i] = node.Addr()
+		if !c.isMember(c.plan.Primaries[k]) {
+			c.Close()
+			return nil, fmt.Errorf("netnode: recovered primary of object %d is site %d, which is not a member", k, c.plan.Primaries[k])
+		}
 	}
-	for _, node := range c.nodes {
-		node.SetPeers(addrs)
-	}
-	cur, err := c.recoveredScheme()
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.current = cur
-	c.members = allSites(p)
-	c.plan = plan.FromScheme(c.current)
 	return c, nil
 }
 
-// recoveredScheme rebuilds the deployed scheme from the nodes' (possibly
-// replayed) holdings.
-func (c *Cluster) recoveredScheme() (*core.Scheme, error) {
-	cur := core.NewScheme(c.p)
-	for i, node := range c.nodes {
-		if node == nil {
-			continue
-		}
-		for k := 0; k < c.p.Objects(); k++ {
-			if !node.Holds(k) || cur.Has(i, k) {
-				continue
-			}
-			if err := cur.Add(i, k); err != nil {
-				return nil, fmt.Errorf("netnode: recovered holdings of site %d are inconsistent: object %d: %w", i, k, err)
-			}
-		}
+// bootNode starts site i's node: its store is opened from the site's data
+// directory — replaying the log — or, when the cluster has none, in
+// memory (store.Open's empty-dir case), a fresh listener starts, and the
+// cluster's retry policy, request timeout, metrics registry and tracer
+// are applied. Fault middleware is not (re-Attach or re-register the new
+// address with the injector, since the injector middleware holds the old
+// dialer).
+func (c *Cluster) bootNode(i int) (*Node, error) {
+	dir := ""
+	if c.dataDir != "" {
+		dir = SiteDir(c.dataDir, i)
 	}
-	return cur, nil
+	st, err := store.Open(dir, i, primaries(c.p), c.storeOpts)
+	if err != nil {
+		return nil, err
+	}
+	node, err := ListenStore(c.p, i, "127.0.0.1:0", st)
+	if err != nil {
+		_ = st.Close()
+		return nil, err
+	}
+	node.SetRetry(c.retry)
+	node.SetRequestTimeout(c.reqTimeout)
+	node.SetMetrics(c.metricsReg)
+	node.SetTracer(c.tracer)
+	return node, nil
 }
 
 // RestartNode brings site i back after a Kill (or Close): its store is
-// reopened from the site's data directory — replaying the log — a fresh
-// listener starts, and every node's address table is rewired. The
-// cluster's retry policy, request timeout and metrics registry are
-// re-applied; fault middleware is not (re-Attach or re-register the new
-// address with the injector, since the injector middleware holds the old
-// dialer).
+// reopened from the site's data directory, a fresh listener starts, and
+// every node's address table is rewired.
 func (c *Cluster) RestartNode(i int) (*Node, error) {
 	if c.dataDir == "" {
 		return nil, errors.New("netnode: RestartNode needs a durable cluster")
@@ -171,22 +177,9 @@ func (c *Cluster) RestartNode(i int) (*Node, error) {
 		return nil, fmt.Errorf("netnode: site %d is not a member", i)
 	}
 	_ = c.nodes[i].Kill() // idempotent: a no-op after Kill or Close
-	st, err := store.Open(SiteDir(c.dataDir, i), i, primaries(c.p), c.storeOpts)
+	node, err := c.bootNode(i)
 	if err != nil {
 		return nil, err
-	}
-	node, err := ListenStore(c.p, i, "127.0.0.1:0", st)
-	if err != nil {
-		_ = st.Close()
-		return nil, err
-	}
-	node.SetRetry(c.retry)
-	node.SetRequestTimeout(c.reqTimeout)
-	if c.metricsReg != nil {
-		node.SetMetrics(c.metricsReg)
-	}
-	if c.tracer != nil {
-		node.SetTracer(c.tracer)
 	}
 	c.nodes[i] = node
 	c.rewirePeers()
@@ -200,8 +193,11 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 func (c *Cluster) Sites() int { return c.p.Sites() }
 
 // TotalNTC sums the transfer cost accounted by every live node since it
-// started — deploy, serve and migration traffic alike. Load harnesses
-// diff it around a run to attribute cost to that run alone.
+// started: the cost of the requests it served and of the writes it flushed
+// and replicas it reconciled. Migration is not in this ledger — placing a
+// replica accounts nothing at the node; its cost is a-priori (Deploy's
+// return value, ApplyReport.MigrationNTC). Load harnesses diff TotalNTC
+// around a run to attribute cost to that run alone.
 func (c *Cluster) TotalNTC() int64 {
 	var total int64
 	for _, node := range c.nodes {
@@ -212,14 +208,11 @@ func (c *Cluster) TotalNTC() int64 {
 	return total
 }
 
-// Scheme returns the currently deployed scheme, or nil when the deployed
-// plan has moved a primary (or drained a universe primary site) and so
-// has no scheme representation — use Plan then.
+// Scheme returns the deployed plan as a scheme, or nil when it has no
+// scheme form — a primary moved off (or drained from) its universe site,
+// or an interrupted migration left a site over capacity. Use Plan then.
 func (c *Cluster) Scheme() *core.Scheme {
-	if c.current == nil {
-		return nil
-	}
-	return c.current.Clone()
+	return schemeOfPlan(c.p, c.plan)
 }
 
 // SetCommandDialer routes the coordinator's own commands through d (nil
@@ -262,82 +255,27 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Deploy diffs the current scheme against next and realises it: placing
-// and dropping replicas, refreshing each primary's replicator registry,
-// every site's nearest-replica records and every site's replicator list
-// (the read-failover ranking). Returns the migration transfer cost (each
-// new replica fetched from the nearest prior holder).
-func (c *Cluster) Deploy(next *core.Scheme) (migration int64, err error) {
-	if c.current == nil {
-		return 0, errors.New("netnode: deployed plan has no scheme form; use ApplyPlan")
-	}
-	nextPlan, err := plan.FromSchemeView(next, membership.View{Epoch: c.plan.View.Epoch, Members: c.members})
+// Deploy migrates the data plane to the scheme next over the current
+// member set — the scheme-typed entry to the engine ApplyPlan runs, with
+// the problem's own cost function and primaries (so a primary an earlier
+// plan promoted elsewhere is promoted back). Returns the migration
+// transfer cost (each new replica fetched from the nearest prior holder).
+func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
+	target, err := plan.FromSchemeView(next, membership.View{Epoch: c.plan.View.Epoch, Members: c.members})
 	if err != nil {
 		return 0, err
 	}
-	nextPlan.Epoch = c.plan.Epoch
-	migration = c.current.MigrationCost(next)
-	added, removed := c.current.Diff(next)
-	root := c.tracer.Root("deploy")
-	defer func() {
-		root.SetErr(err)
-		root.Finish()
-	}()
-	for _, pl := range added {
-		// New replicas start at the primary's current version: placing a
-		// replica is a fetch of the latest copy.
-		version := c.nodes[c.p.Primary(pl.Object)].Version(pl.Object)
-		if err := c.command(pl.Site, message{Op: "place", Object: pl.Object, Version: version}, root); err != nil {
-			return 0, err
-		}
+	target.Epoch = c.plan.Epoch
+	rep, err := c.migrate(c.tracer.Root("deploy"), target, c.p.Cost, false)
+	if err != nil {
+		return 0, err
 	}
-	for _, pl := range removed {
-		if err := c.command(pl.Site, message{Op: "drop", Object: pl.Object}, root); err != nil {
-			return 0, err
-		}
-	}
-	// Refresh primary registries, nearest tables and replicator lists for
-	// every object whose replicator set changed.
-	touched := make(map[int]bool)
-	for _, pl := range added {
-		touched[pl.Object] = true
-	}
-	for _, pl := range removed {
-		touched[pl.Object] = true
-	}
-	nearest := core.NewNearestTable(next)
-	objs := make([]int, 0, len(touched))
-	for k := range touched {
-		objs = append(objs, k)
-	}
-	sort.Ints(objs)
-	for _, k := range objs {
-		repl := next.Replicators(k)
-		if err := c.command(c.p.Primary(k), message{Op: "registry", Object: k, Sites: repl}, root); err != nil {
-			return 0, err
-		}
-		for _, i := range c.members {
-			if err := c.command(i, message{Op: "nearest", Object: k, Site: nearest.Nearest(i, k)}, root); err != nil {
-				return 0, err
-			}
-			if err := c.command(i, message{Op: "replicas", Object: k, Sites: repl}, root); err != nil {
-				return 0, err
-			}
-		}
-	}
-	// The migration cost is computed analytically (each new replica
-	// fetched from the nearest prior holder); attribute it to the
-	// deploy's root span.
-	root.SetNTC(migration)
-	c.current = next.Clone()
-	c.plan = nextPlan
-	return migration, nil
+	return rep.MigrationNTC, nil
 }
 
-// command sends one coordinator request to a site, retrying transport
-// failures per the coordinator's retry policy. parent, when non-nil,
-// receives one rpc child span per attempt (the coordinator-side mirror
-// of Node.call).
+// command sends one coordinator request to a site and turns a rejection
+// into an error. parent, when non-nil, receives one rpc child span per
+// attempt.
 func (c *Cluster) command(site int, msg message, parent *spans.Span) error {
 	resp, err := c.exchange(site, msg, parent)
 	if err != nil {
@@ -349,36 +287,14 @@ func (c *Cluster) command(site int, msg message, parent *spans.Span) error {
 	return nil
 }
 
+// exchange runs one coordinator request against a member site under the
+// coordinator's dialer, retry policy and deadline.
 func (c *Cluster) exchange(site int, msg message, parent *spans.Span) (reply, error) {
 	if c.nodes[site] == nil {
 		return reply{}, fmt.Errorf("netnode: site %d is not a member", site)
 	}
-	addr := c.nodes[site].Addr()
-	attempts := c.retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			if d := c.retry.backoff(a-1, c.rng); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		att := parent.Child("rpc." + msg.Op)
-		att.SetPeer(site)
-		att.SetAttempt(a)
-		msg.Trace, msg.Span = att.Context()
-		resp, err := callOnce(c.dial, addr, msg, c.reqTimeout)
-		if err == nil {
-			att.Finish()
-			return resp, nil
-		}
-		att.SetErr(err)
-		att.Finish()
-		lastErr = err
-	}
-	return reply{}, lastErr
+	backoff := func(retry int) time.Duration { return c.retry.backoff(retry, c.rng) }
+	return exchange(c.dial, c.reqTimeout, c.retry.Attempts, backoff, nil, c.nodes[site].Addr(), site, msg, parent)
 }
 
 // TrafficReport summarises one measurement period driven under faults.

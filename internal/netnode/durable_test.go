@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"drp/internal/core"
+	"drp/internal/netsim"
 	"drp/internal/sra"
 	"drp/internal/store"
 )
@@ -161,5 +162,80 @@ func TestSnapshotMidTrafficIsTransparent(t *testing.T) {
 	}
 	if got := node.Store().EncodeState(); !bytes.Equal(got, want) {
 		t.Fatalf("snapshot+tail recovery differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// Regression: a redeploy sends every copy before any drop, so a crash in
+// between leaves a site holding more than its capacity. The recovered
+// cluster must boot on that state anyway (recovery used to rebuild a
+// core.Scheme, whose capacity check refused it) and the interrupted
+// redeploy, run again, must converge.
+func TestDurableBootToleratesInterruptedRedeploy(t *testing.T) {
+	// Three sites on a line, one 4-unit object primaried at each, room for
+	// exactly one replica per site.
+	topo := netsim.NewTopology(3)
+	for _, l := range [][2]int{{0, 1}, {1, 2}} {
+		if err := topo.AddLink(l[0], l[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dist, err := topo.Distances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProblem(core.Config{
+		Sizes:      []int64{4, 4, 4},
+		Capacities: []int64{8, 8, 8},
+		Primaries:  []int{0, 1, 2},
+		Reads:      [][]int64{{3, 5, 7}, {2, 3, 1}, {6, 1, 3}},
+		Writes:     [][]int64{{1, 0, 1}, {0, 1, 0}, {1, 1, 1}},
+		Dist:       dist,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := core.NewScheme(p), core.NewScheme(p)
+	if err := a.Add(0, 1); err != nil { // A: site 0 replicates object 1
+		t.Fatal(err)
+	}
+	if err := b.Add(0, 2); err != nil { // B: site 0 replicates object 2 instead
+		t.Fatal(err)
+	}
+
+	root := t.TempDir()
+	c := startDurable(t, p, root, testStoreOpts())
+	if _, err := c.Deploy(a); err != nil {
+		t.Fatal(err)
+	}
+	// The A→B redeploy, interrupted: its copy landed, its drop never ran.
+	if err := c.command(0, message{Op: "place", Object: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	r, err := StartDurable(p, root, testStoreOpts())
+	if err != nil {
+		t.Fatalf("boot on an interrupted redeploy: %v", err)
+	}
+	t.Cleanup(r.Close)
+	if !r.Plan().Has(0, 1) || !r.Plan().Has(0, 2) {
+		t.Fatalf("recovered plan %v lost the over-capacity holdings of site 0", r.Plan().Placement)
+	}
+	if _, err := r.Deploy(b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < p.Sites(); i++ {
+		for k := 0; k < p.Objects(); k++ {
+			if r.Node(i).Holds(k) != b.Has(i, k) {
+				t.Fatalf("site %d holds(%d)=%v, scheme B says %v", i, k, r.Node(i).Holds(k), b.Has(i, k))
+			}
+		}
+	}
+	total, err := r.DriveTraffic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := b.Cost(); total != want {
+		t.Fatalf("traffic cost %d after convergence != eq.4 D %d", total, want)
 	}
 }

@@ -1,6 +1,7 @@
 package netnode
 
 import (
+	"slices"
 	"time"
 
 	"drp/internal/metrics"
@@ -44,9 +45,18 @@ func newNodeMetrics(reg *metrics.Registry) *nodeMetrics {
 	}
 }
 
+// wireOps are the protocol's ops, and so the only values the served-message
+// counter's op label takes from the wire.
+var wireOps = []string{"read", "update", "sync", "place", "drop", "version", "registry", "nearest", "replicas", "primary", "reconcile"}
+
 // message op → served-message counter; get-or-create per message is one
-// mutex-guarded map lookup, noise next to a loopback round trip.
+// mutex-guarded map lookup, noise next to a loopback round trip. The op
+// string is outside input: anything that is not a protocol op counts under
+// one "unknown" series, so a peer cannot grow the registry.
 func (nm *nodeMetrics) served(op string) {
+	if !slices.Contains(wireOps, op) {
+		op = "unknown"
+	}
 	nm.reg.Counter("drp_net_messages_total", "Wire protocol messages served, by op.", metrics.Labels{"op": op}).Inc()
 }
 
@@ -85,7 +95,7 @@ func RegisterMetricFamilies(reg *metrics.Registry) {
 		return
 	}
 	nm := newNodeMetrics(reg)
-	for _, op := range []string{"read", "update", "sync", "place", "drop", "version", "registry", "nearest", "replicas", "reconcile"} {
+	for _, op := range wireOps {
 		nm.reg.Counter("drp_net_messages_total", "Wire protocol messages served, by op.", metrics.Labels{"op": op})
 	}
 	for _, op := range []string{"read", "update", "sync"} {

@@ -1,6 +1,7 @@
 package netnode
 
 import (
+	"fmt"
 	"testing"
 
 	"drp/internal/metrics"
@@ -100,5 +101,41 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 		reg.Counter("drp_net_replica_reads_total", "", metrics.Labels{"source": "remote"}).Value()
 	if reads != 0 {
 		t.Fatalf("detached nodes still recorded %d reads", reads)
+	}
+}
+
+// Regression: the served-message counter used to take its op label
+// straight from the wire, so every distinct bogus op minted a new series.
+// Unrecognised ops share one "unknown" series, each still refused with
+// CodeBadOp, and known ops keep their own counts.
+func TestUnknownOpsShareOneSeries(t *testing.T) {
+	p := gen(t, 2, 2, 0.05, 0.5, 41)
+	c := startCluster(t, p)
+	reg := metrics.NewRegistry()
+	c.EnableMetrics(reg)
+	addr := c.Node(0).Addr()
+	const bogus = 100
+	for i := 0; i < bogus; i++ {
+		// Odd ones also carry an out-of-range object, which is refused
+		// before the op is even looked at.
+		resp, err := callOnce(nil, addr, message{Op: fmt.Sprintf("bogus-%d", i), Object: -(i % 2)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{CodeBadOp, CodeBadObject}[i%2]; resp.OK || resp.Code != want {
+			t.Fatalf("bogus op %d answered %+v, want code %q", i, resp, want)
+		}
+	}
+	if _, err := callOnce(nil, addr, message{Op: "version", Object: 0}, 0); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]float64{}
+	for _, in := range reg.Snapshot().Instruments {
+		if in.Name == "drp_net_messages_total" {
+			series[in.Labels["op"]] = in.Value
+		}
+	}
+	if len(series) != 2 || series["unknown"] != bogus || series["version"] != 1 {
+		t.Fatalf("served-message series = %v, want unknown=%d and version=1 only", series, bogus)
 	}
 }

@@ -2,8 +2,8 @@
 // sockets: every site is a server holding object replicas, reads are
 // forwarded to the requester's nearest replica, writes ship to the primary
 // copy which broadcasts the new version to the other replicators, and a
-// coordinator (the paper's monitor site) deploys replication schemes by
-// diffing placements into place/drop commands.
+// coordinator (the paper's monitor site) migrates the cluster between
+// placements by diffing them into copy, promote and drop steps.
 //
 // Object payloads are not materialised — a transfer of object k between
 // sites i and j is accounted as o_k·C(i,j) transfer-cost units, exactly as
@@ -465,15 +465,11 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		if n.st.PrimaryOf(msg.Object) != n.site {
 			return reply{Code: CodeNotPrimary, Err: fmt.Sprintf("site %d is not the primary of object %d", n.site, msg.Object)}
 		}
-		ws := walSpan(sv, n.st, "bump_version")
-		version, err := n.st.BumpVersion(msg.Object)
-		ws.SetErr(err)
-		ws.Finish()
-		if err != nil {
+		version, cost, stale, err := n.applyWrite(msg.Object, msg.From, sv)
+		switch {
+		case err != nil && version == 0:
 			return storageReply(err)
-		}
-		cost, stale, err := n.broadcast(msg.Object, msg.From, version, sv)
-		if err != nil {
+		case err != nil:
 			return errorReply(err)
 		}
 		return reply{OK: true, Cost: cost, Version: version, Stale: stale}
@@ -599,6 +595,48 @@ func errorReply(err error) reply {
 	return reply{Err: err.Error()}
 }
 
+// applyWrite is the primary's half of every write, local or shipped: the
+// version stamp hits the log before anything is acknowledged or
+// broadcast, then the new version goes to every replicator but the
+// writer. A zero version with an error means the stamp itself failed —
+// nothing was logged, nothing was sent.
+func (n *Node) applyWrite(obj, writer int, parent *spans.Span) (version, cost int64, stale []int, err error) {
+	ws := walSpan(parent, n.st, "bump_version")
+	version, err = n.st.BumpVersion(obj)
+	ws.SetErr(err)
+	ws.Finish()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	cost, stale, err = n.broadcast(obj, writer, version, parent)
+	return version, cost, stale, err
+}
+
+// syncReplica pushes version of obj to the replica at site j under its
+// own sync span and returns the transfer cost once the replica has
+// acknowledged. The error is either a transport failure — the replica is,
+// or stays, stale — or the peer's typed rejection (*ReplyError).
+func (n *Node) syncReplica(obj, j int, version int64, addr string, parent *spans.Span) (int64, error) {
+	ss := parent.Child("sync")
+	ss.SetSite(n.site)
+	ss.SetPeer(j)
+	ss.SetObject(obj)
+	defer ss.Finish()
+	resp, err := n.call(addr, message{Op: "sync", Object: obj, Version: version}, ss)
+	if err != nil {
+		ss.SetErr(err)
+		ss.SetVerdict("stale")
+		return 0, err
+	}
+	if !resp.OK {
+		ss.SetErrText(resp.Err)
+		return 0, &ReplyError{Code: resp.Code, Msg: fmt.Sprintf("sync to site %d: %s", j, resp.Err)}
+	}
+	cost := n.p.Size(obj) * n.p.Cost(n.site, j)
+	ss.SetNTC(cost)
+	return cost, nil
+}
+
 // broadcast pushes the updated object to every replicator except the
 // writer and the primary itself. Replicators that cannot be reached are
 // marked stale for later reconciliation instead of failing the write; the
@@ -619,26 +657,16 @@ func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (in
 		if j < 0 || j >= len(peers) {
 			return 0, nil, fmt.Errorf("replicator %d has no known address", j)
 		}
-		ss := parent.Child("sync")
-		ss.SetSite(n.site)
-		ss.SetPeer(j)
-		ss.SetObject(obj)
-		resp, err := n.call(peers[j], message{Op: "sync", Object: obj, Version: version}, ss)
+		c, err := n.syncReplica(obj, j, version, peers[j], parent)
+		var rejected *ReplyError
+		if errors.As(err, &rejected) {
+			return 0, nil, err
+		}
 		if err != nil {
-			ss.SetErr(err)
-			ss.SetVerdict("stale")
-			ss.Finish()
 			missed = append(missed, j)
 			continue
 		}
-		if !resp.OK {
-			ss.SetErrText(resp.Err)
-			ss.Finish()
-			return 0, nil, &ReplyError{Code: resp.Code, Msg: fmt.Sprintf("sync to site %d: %s", j, resp.Err)}
-		}
-		cost += n.p.Size(obj) * n.p.Cost(n.site, j)
-		ss.SetNTC(n.p.Size(obj) * n.p.Cost(n.site, j))
-		ss.Finish()
+		cost += c
 		if err := n.st.ClearStale(obj, j); err != nil {
 			return 0, nil, err
 		}
@@ -656,7 +684,7 @@ func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (in
 
 // reconcile re-syncs the stale replicas of an object primaried here,
 // returning the transfer cost of the copies that shipped and the sites
-// that remain unreachable.
+// that remain stale (unreachable, or refusing the sync).
 func (n *Node) reconcile(obj int, parent *spans.Span) (int64, []int, error) {
 	targets := n.st.StaleSites(obj)
 	version := n.st.Version(obj)
@@ -670,25 +698,12 @@ func (n *Node) reconcile(obj int, parent *spans.Span) (int64, []int, error) {
 			remaining = append(remaining, j)
 			continue
 		}
-		ss := parent.Child("sync")
-		ss.SetSite(n.site)
-		ss.SetPeer(j)
-		ss.SetObject(obj)
-		resp, err := n.call(peers[j], message{Op: "sync", Object: obj, Version: version}, ss)
-		if err != nil || !resp.OK {
-			if err != nil {
-				ss.SetErr(err)
-			} else {
-				ss.SetErrText(resp.Err)
-			}
-			ss.SetVerdict("stale")
-			ss.Finish()
+		c, err := n.syncReplica(obj, j, version, peers[j], parent)
+		if err != nil {
 			remaining = append(remaining, j)
 			continue
 		}
-		cost += n.p.Size(obj) * n.p.Cost(n.site, j)
-		ss.SetNTC(n.p.Size(obj) * n.p.Cost(n.site, j))
-		ss.Finish()
+		cost += c
 		if err := n.st.ClearStale(obj, j); err != nil {
 			return cost, remaining, err
 		}
@@ -822,19 +837,13 @@ func (n *Node) Write(obj int) (cost int64, err error) {
 		root.Finish()
 	}()
 	if sp == n.site {
-		// Local primary: no shipping; bump the version and broadcast.
-		ws := walSpan(root, n.st, "bump_version")
-		version, err := n.st.BumpVersion(obj)
-		ws.SetErr(err)
-		ws.Finish()
-		if err != nil {
+		// Local primary: no shipping.
+		if _, cost, _, err = n.applyWrite(obj, n.site, root); err != nil {
 			return 0, err
 		}
-		bcast, _, err := n.broadcast(obj, n.site, version, root)
-		if err != nil {
+		if err := n.st.AddNTC(cost); err != nil {
 			return 0, err
 		}
-		cost = bcast
 	} else {
 		n.mu.Lock()
 		peers := n.peers
@@ -842,12 +851,8 @@ func (n *Node) Write(obj int) (cost int64, err error) {
 		if sp >= len(peers) {
 			return 0, fmt.Errorf("netnode: no address for primary site %d", sp)
 		}
-		ship := root.Child("write.ship")
-		ship.SetPeer(sp)
-		resp, err := n.call(peers[sp], message{Op: "update", Object: obj, From: n.site}, ship)
-		if err != nil {
-			ship.SetErr(err)
-			ship.Finish()
+		var reached bool
+		if cost, reached, err = n.shipWrite(obj, sp, peers[sp], root); !reached {
 			// Primary unreachable: queue-and-flag. The write is not lost —
 			// it is logged before ErrWriteQueued is returned, and
 			// FlushPending replays it once the primary is back.
@@ -867,27 +872,46 @@ func (n *Node) Write(obj int) (cost int64, err error) {
 			root.SetVerdict("queued")
 			return 0, fmt.Errorf("%w: object %d: %v", ErrWriteQueued, obj, err)
 		}
-		if !resp.OK {
-			ship.SetErrText(resp.Err)
-			ship.Finish()
-			return 0, &ReplyError{Code: resp.Code, Msg: resp.Err}
-		}
-		ship.SetNTC(n.p.Size(obj) * n.p.Cost(n.site, sp))
-		ship.Finish()
-		cost = n.p.Size(obj)*n.p.Cost(n.site, sp) + resp.Cost
-		// The broadcast skips the writer (it produced the new version), so
-		// a writer that is itself a replicator adopts the version locally.
-		if _, _, err := n.st.AdoptVersion(obj, resp.Version); err != nil {
+		if err != nil {
 			return 0, err
 		}
-	}
-	if err := n.st.AddNTC(cost); err != nil {
-		return 0, err
 	}
 	if nm != nil {
 		nm.write(sp == n.site, cost, time.Since(start))
 	}
 	return cost, nil
+}
+
+// shipWrite ships one write of obj to its primary sp under a write.ship
+// span and, once the primary has serialised and broadcast it, adopts the
+// new version locally (the broadcast skips the writer, so a writer that
+// is itself a replicator catches up here) and accounts the cost: the
+// shipping plus the part of the broadcast that landed. reached is false
+// when the primary could not be reached — nothing happened and err is the
+// transport failure; otherwise err is the primary's typed rejection or a
+// local storage failure.
+func (n *Node) shipWrite(obj, sp int, addr string, root *spans.Span) (cost int64, reached bool, err error) {
+	ship := root.Child("write.ship")
+	ship.SetPeer(sp)
+	resp, err := n.call(addr, message{Op: "update", Object: obj, From: n.site}, ship)
+	if err != nil {
+		ship.SetErr(err)
+		ship.Finish()
+		return 0, false, err
+	}
+	if !resp.OK {
+		ship.SetErrText(resp.Err)
+		ship.Finish()
+		return 0, true, &ReplyError{Code: resp.Code, Msg: resp.Err}
+	}
+	shipping := n.p.Size(obj) * n.p.Cost(n.site, sp)
+	ship.SetNTC(shipping)
+	ship.Finish()
+	if _, _, err := n.st.AdoptVersion(obj, resp.Version); err != nil {
+		return 0, true, err
+	}
+	cost = shipping + resp.Cost
+	return cost, true, n.st.AddNTC(cost)
 }
 
 // FlushPending replays the writes queued while the primary was down, in
@@ -913,39 +937,18 @@ func (n *Node) FlushPending() (int64, error) {
 			root.SetSite(n.site)
 			root.SetObject(obj)
 			root.SetPeer(sp)
-			ship := root.Child("write.ship")
-			ship.SetPeer(sp)
-			resp, err := n.call(peers[sp], message{Op: "update", Object: obj, From: n.site}, ship)
-			if err != nil {
-				ship.SetErr(err)
-				ship.Finish()
-				root.SetErr(err)
-				root.Finish()
+			cost, reached, err := n.shipWrite(obj, sp, peers[sp], root)
+			if err == nil {
+				err = n.st.Dequeue(obj)
+			}
+			root.SetErr(err)
+			root.Finish()
+			if !reached {
 				break // still unreachable; keep the remainder queued
 			}
-			if !resp.OK {
-				ship.SetErrText(resp.Err)
-				ship.Finish()
-				root.SetErrText(resp.Err)
-				root.Finish()
-				return total, &ReplyError{Code: resp.Code, Msg: resp.Err}
-			}
-			ship.SetNTC(n.p.Size(obj) * n.p.Cost(n.site, sp))
-			ship.Finish()
-			cost := n.p.Size(obj)*n.p.Cost(n.site, sp) + resp.Cost
-			if err := n.st.Dequeue(obj); err != nil {
-				root.Finish()
+			if err != nil {
 				return total, err
 			}
-			if err := n.st.AddNTC(cost); err != nil {
-				root.Finish()
-				return total, err
-			}
-			if _, _, err := n.st.AdoptVersion(obj, resp.Version); err != nil {
-				root.Finish()
-				return total, err
-			}
-			root.Finish()
 			total += cost
 			if nm != nil {
 				nm.flushed(cost)
@@ -955,12 +958,9 @@ func (n *Node) FlushPending() (int64, error) {
 	return total, nil
 }
 
-// call dials addr, sends one request and reads one reply, retrying
-// transport failures per the node's RetryPolicy with capped, jittered
-// exponential backoff. Protocol rejections are returned as replies, never
-// retried. Each attempt gets its own rpc span under parent, and the
-// attempt's span IDs ride the wire so the peer's serve span nests under
-// the exact attempt that reached it.
+// call runs one outbound exchange under the node's dialer, retry policy,
+// deadline and metrics. The caller's span (hop, ship, sync) already names
+// the peer, so the attempts carry none.
 func (n *Node) call(addr string, msg message, parent *spans.Span) (reply, error) {
 	n.mu.Lock()
 	dial := n.dial
@@ -968,7 +968,23 @@ func (n *Node) call(addr string, msg message, parent *spans.Span) (reply, error)
 	timeout := n.reqTimeout
 	nm := n.metrics
 	n.mu.Unlock()
-	attempts := rp.Attempts
+	backoff := func(retry int) time.Duration {
+		n.mu.Lock() // the jitter source is shared by every request goroutine
+		defer n.mu.Unlock()
+		return rp.backoff(retry, n.rng)
+	}
+	return exchange(dial, timeout, rp.Attempts, backoff, nm, addr, -1, msg, parent)
+}
+
+// exchange is the one RPC loop, shared by nodes and the coordinator: dial
+// addr, send one request and read one reply, retrying transport failures
+// up to attempts times with the backoff the caller's policy prescribes.
+// Protocol rejections are returned as replies, never retried. Each
+// attempt gets its own rpc span under parent (labelled with peer when
+// that is a site index), and the attempt's span IDs ride the wire so the
+// peer's serve span nests under the exact attempt that reached it. nm,
+// when non-nil, counts retries and deadline misses.
+func exchange(dial Dialer, timeout time.Duration, attempts int, backoff func(retry int) time.Duration, nm *nodeMetrics, addr string, peer int, msg message, parent *spans.Span) (reply, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
@@ -978,14 +994,12 @@ func (n *Node) call(addr string, msg message, parent *spans.Span) (reply, error)
 			if nm != nil {
 				nm.retry(msg.Op)
 			}
-			n.mu.Lock()
-			d := rp.backoff(a-1, n.rng)
-			n.mu.Unlock()
-			if d > 0 {
+			if d := backoff(a - 1); d > 0 {
 				time.Sleep(d)
 			}
 		}
 		att := parent.Child("rpc." + msg.Op)
+		att.SetPeer(peer)
 		att.SetAttempt(a)
 		msg.Trace, msg.Span = att.Context()
 		resp, err := callOnce(dial, addr, msg, timeout)
@@ -1033,9 +1047,4 @@ func callOnce(dial Dialer, addr string, msg message, timeout time.Duration) (rep
 		return reply{}, fmt.Errorf("netnode: recv: %w", err)
 	}
 	return resp, nil
-}
-
-// call is the coordinator-side one-shot exchange with no node state.
-func call(addr string, msg message) (reply, error) {
-	return callOnce(nil, addr, msg, 0)
 }

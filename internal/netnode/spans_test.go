@@ -10,7 +10,7 @@ import (
 
 // TestTracedDeployAndRequests walks one traced deploy-read-write cycle
 // over real TCP and checks the shape the analyzer depends on: the deploy
-// root carries the migration NTC, a remote read stitches serve spans
+// trace sums to the migration NTC, a remote read stitches serve spans
 // under the exact rpc attempt that reached the replica, and a write trace
 // sums to the accounted write cost.
 func TestTracedDeployAndRequests(t *testing.T) {
@@ -28,8 +28,8 @@ func TestTracedDeployAndRequests(t *testing.T) {
 	if len(traces) != 1 || traces[0].Root().Name != "deploy" {
 		t.Fatalf("deploy produced %d traces, want one deploy root", len(traces))
 	}
-	if got := traces[0].Root().NTC; got != migration {
-		t.Fatalf("deploy root NTC %d, want migration cost %d", got, migration)
+	if got := traces[0].NTC(); got != migration {
+		t.Fatalf("deploy trace NTC %d, want migration cost %d", got, migration)
 	}
 	col.Reset()
 

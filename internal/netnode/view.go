@@ -3,6 +3,7 @@ package netnode
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -11,20 +12,20 @@ import (
 	"drp/internal/plan"
 	"drp/internal/spans"
 	"drp/internal/store"
-	"drp/internal/xrand"
 )
 
 // This file is the data-plane half of the control/data-plane split: a
 // Cluster whose member set changes at runtime (Join/Leave) and whose
-// placement moves by applying versioned plans (ApplyPlan) instead of raw
-// scheme diffs. The node slice stays universe-indexed — a non-member site
-// is simply a nil slot — so site indices on the wire never need
-// translation.
+// placement moves through one migration engine (migrate), entered with a
+// versioned plan (ApplyPlan), the journaled plan after a crash
+// (ResumeMigration) or a scheme (Deploy). The node slice stays
+// universe-indexed — a non-member site is simply a nil slot — so site
+// indices on the wire never need translation.
 //
 // Invariants:
-//   - the initial member set contains every universe primary site, so a
-//     later joiner bootstraps empty (no object is universe-primaried at
-//     it) and a rejoining site is resynchronised by Join;
+//   - every object always has a member holder and a member primary, so a
+//     later joiner bootstraps with nothing the plan routes to and a
+//     rejoining site is resynchronised by Join;
 //   - plans are journaled before the first migration step executes, so a
 //     coordinator restart resumes the remainder by diffing the journaled
 //     target against what the sites actually hold (ResumeMigration);
@@ -32,7 +33,7 @@ import (
 //     replicas copy in before anything routes to them, and a departing
 //     site keeps serving (drains) until the plan stops placing on it.
 
-// ApplyReport accounts one ApplyPlan or ResumeMigration run.
+// ApplyReport accounts one run of the migration engine.
 type ApplyReport struct {
 	// Steps is the length of the migration step list the plan diff
 	// produced; Completed counts the steps that executed.
@@ -46,97 +47,6 @@ type ApplyReport struct {
 // replicas (or a primary) on. Apply a plan that migrates the site empty
 // first.
 var ErrNotDrained = errors.New("netnode: site not drained")
-
-// StartView boots a memory-backed cluster over the member subset of the
-// universe problem. Members must include every universe primary site; the
-// initial plan is the primaries-only placement over that view.
-func StartView(p *core.Problem, members []int) (*Cluster, error) {
-	ms, err := checkMembers(p, members)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkPrimariesCovered(p, ms); err != nil {
-		return nil, err
-	}
-	c := &Cluster{
-		p:       p,
-		nodes:   make([]*Node, p.Sites()),
-		members: ms,
-		retry:   RetryPolicy{Attempts: 1},
-		rng:     xrand.New(0x10ad),
-	}
-	for _, i := range ms {
-		node, err := Listen(p, i, "127.0.0.1:0")
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.nodes[i] = node
-	}
-	c.rewirePeers()
-	c.current = core.NewScheme(p)
-	c.plan, err = plan.FromSchemeView(c.current, membership.View{Members: ms})
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// StartDurableView boots a durable cluster over the member subset, each
-// member replaying its WAL from root/site-NNN. The deployed plan is
-// reconstructed from the recovered holdings and primary records — a
-// universe primary site may be absent as long as every object still has
-// a member holder and a member primary (i.e. it was drained by an
-// earlier plan before leaving); if a journal is attached afterwards,
-// ResumeMigration finishes any migration the previous incarnation had
-// journaled but not completed.
-func StartDurableView(p *core.Problem, root string, opts store.Options, members []int) (*Cluster, error) {
-	if root == "" {
-		return nil, errors.New("netnode: StartDurableView needs a data directory")
-	}
-	ms, err := checkMembers(p, members)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{
-		p:         p,
-		nodes:     make([]*Node, p.Sites()),
-		members:   ms,
-		retry:     RetryPolicy{Attempts: 1},
-		rng:       xrand.New(0x10ad),
-		dataDir:   root,
-		storeOpts: opts,
-	}
-	for _, i := range ms {
-		st, err := store.Open(SiteDir(root, i), i, primaries(p), opts)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		node, err := ListenStore(p, i, "127.0.0.1:0", st)
-		if err != nil {
-			_ = st.Close()
-			c.Close()
-			return nil, err
-		}
-		c.nodes[i] = node
-	}
-	c.rewirePeers()
-	c.plan = c.actualPlan()
-	for k := 0; k < p.Objects(); k++ {
-		if len(c.plan.Placement[k]) == 0 {
-			c.Close()
-			return nil, fmt.Errorf("netnode: no member holds object %d; its primary site %d must be in the member set or the object migrated before it left", k, p.Primary(k))
-		}
-		if !c.isMember(c.plan.Primaries[k]) {
-			c.Close()
-			return nil, fmt.Errorf("netnode: recovered primary of object %d is site %d, which is not a member", k, c.plan.Primaries[k])
-		}
-	}
-	c.current = schemeOfPlan(p, c.plan)
-	return c, nil
-}
 
 // checkMembers validates and normalises an initial member set.
 func checkMembers(p *core.Problem, members []int) ([]int, error) {
@@ -154,22 +64,6 @@ func checkMembers(p *core.Problem, members []int) ([]int, error) {
 		}
 	}
 	return ms, nil
-}
-
-// checkPrimariesCovered requires every universe primary site to be a
-// member — the condition for a fresh (empty-store) boot, where each
-// object's only replica bootstraps at its universe primary.
-func checkPrimariesCovered(p *core.Problem, members []int) error {
-	in := make(map[int]bool, len(members))
-	for _, m := range members {
-		in[m] = true
-	}
-	for k := 0; k < p.Objects(); k++ {
-		if !in[p.Primary(k)] {
-			return fmt.Errorf("netnode: members must cover every primary site; object %d is primaried at absent site %d", k, p.Primary(k))
-		}
-	}
-	return nil
 }
 
 // rewirePeers rebuilds the universe-indexed address table and pushes it
@@ -208,8 +102,8 @@ func (c *Cluster) Plan() *plan.Plan {
 func (c *Cluster) AttachJournal(j *store.Journal) { c.journal = j }
 
 // SetStepHook installs fn to run immediately before every migration step
-// ApplyPlan or ResumeMigration executes. The chaos tests use it to kill
-// nodes at exact points of a migration.
+// Deploy, ApplyPlan or ResumeMigration executes. The chaos tests use it
+// to kill nodes at exact points of a migration.
 func (c *Cluster) SetStepHook(fn func(plan.Step)) { c.stepHook = fn }
 
 // Join adds a site to the cluster: boot its node (replaying its WAL in
@@ -226,28 +120,9 @@ func (c *Cluster) Join(site int, cost plan.CostFn) (*Node, error) {
 	if c.isMember(site) {
 		return nil, fmt.Errorf("netnode: site %d is already a member", site)
 	}
-	var st *store.Store
-	var err error
-	if c.dataDir != "" {
-		st, err = store.Open(SiteDir(c.dataDir, site), site, primaries(c.p), c.storeOpts)
-	} else {
-		st = store.Memory(site, primaries(c.p))
-	}
+	node, err := c.bootNode(site)
 	if err != nil {
 		return nil, err
-	}
-	node, err := ListenStore(c.p, site, "127.0.0.1:0", st)
-	if err != nil {
-		_ = st.Close()
-		return nil, err
-	}
-	node.SetRetry(c.retry)
-	node.SetRequestTimeout(c.reqTimeout)
-	if c.metricsReg != nil {
-		node.SetMetrics(c.metricsReg)
-	}
-	if c.tracer != nil {
-		node.SetTracer(c.tracer)
 	}
 	c.nodes[site] = node
 	c.members = append(c.members, site)
@@ -340,38 +215,71 @@ func (c *Cluster) isMember(site int) bool {
 // the report covers the completed prefix and ResumeMigration (after the
 // fault clears) finishes the remainder.
 func (c *Cluster) ApplyPlan(next *plan.Plan, cost plan.CostFn) (*ApplyReport, error) {
-	if err := next.Validate(c.p); err != nil {
+	root := c.tracer.Root("plan.apply")
+	root.SetAttr("epoch", strconv.Itoa(next.Epoch))
+	return c.migrate(root, next.Clone(), cost, false)
+}
+
+// migrate is the one migration engine behind Deploy, ApplyPlan and
+// ResumeMigration: validate the target, diff it against the deployed plan
+// — or, on resume, against what the sites actually hold — journal it, run
+// the ordered steps under root and adopt the target (which the cluster
+// then owns) as the deployed plan. It finishes root. An empty diff sends
+// nothing.
+func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, cost plan.CostFn, resume bool) (rep *ApplyReport, err error) {
+	defer func() {
+		root.SetErr(err)
+		root.Finish()
+	}()
+	if err := target.Validate(c.p); err != nil {
 		return nil, err
 	}
-	for _, m := range next.View.Members {
+	for _, m := range target.View.Members {
 		if !c.isMember(m) {
-			return nil, fmt.Errorf("netnode: plan epoch %d places on site %d which has not joined", next.Epoch, m)
+			return nil, fmt.Errorf("netnode: plan epoch %d places on site %d which has not joined", target.Epoch, m)
 		}
 	}
-	steps, err := plan.Diff(c.plan, next, c.p, cost)
+	from, touched := c.plan, make(map[int]bool)
+	if resume {
+		// The interrupted run may have fully migrated objects that the
+		// remainder diff no longer touches, leaving their routing records at
+		// the pre-migration state — refresh everything, not just the
+		// remainder's objects.
+		from = c.actualPlan()
+		for k := range target.Placement {
+			touched[k] = true
+		}
+	} else {
+		// A crash between a copy and the routing refresh leaves a holder its
+		// primary does not broadcast to. The deployed plan, read back from
+		// the holdings at boot, cannot show that; the primary's registry does.
+		for k, sites := range from.Placement {
+			if !slices.Equal(c.nodes[from.Primaries[k]].st.Registry(k), sites) {
+				touched[k] = true
+			}
+		}
+	}
+	steps, err := plan.Diff(from, target, c.p, cost)
 	if err != nil {
 		return nil, err
 	}
-	if c.journal != nil {
-		data, err := next.Marshal()
+	for _, s := range steps {
+		touched[s.Object] = true
+	}
+	if c.journal != nil && !resume {
+		data, err := target.Marshal()
 		if err != nil {
 			return nil, err
 		}
-		if err := c.journal.RecordPlan(next.Epoch, data); err != nil {
+		if err := c.journal.RecordPlan(target.Epoch, data); err != nil {
 			return nil, fmt.Errorf("netnode: journal plan: %w", err)
 		}
 	}
-	rep := &ApplyReport{Steps: len(steps)}
-	root := c.tracer.Root("plan.apply")
-	root.SetAttr("epoch", strconv.Itoa(next.Epoch))
-	if err := c.runSteps(steps, c.plan, next, cost, rep, root); err != nil {
-		root.SetErr(err)
-		root.Finish()
+	rep = &ApplyReport{Steps: len(steps)}
+	if err := c.runSteps(steps, touched, from, target, cost, rep, root); err != nil {
 		return rep, err
 	}
-	root.Finish()
-	c.plan = next.Clone()
-	c.current = schemeOfPlan(c.p, c.plan)
+	c.plan = target
 	return rep, nil
 }
 
@@ -379,11 +287,7 @@ func (c *Cluster) ApplyPlan(next *plan.Plan, cost plan.CostFn) (*ApplyReport, er
 // (copies, promotes, drops); the routing refresh for every touched object
 // runs after the promotes so no drop happens while a nearest record still
 // points at the dropping site.
-func (c *Cluster) runSteps(steps []plan.Step, old, next *plan.Plan, cost plan.CostFn, rep *ApplyReport, parent *spans.Span) error {
-	touched := make(map[int]bool)
-	for _, s := range steps {
-		touched[s.Object] = true
-	}
+func (c *Cluster) runSteps(steps []plan.Step, touched map[int]bool, old, next *plan.Plan, cost plan.CostFn, rep *ApplyReport, parent *spans.Span) error {
 	refreshed := false
 	for _, s := range steps {
 		if s.Kind == plan.Drop && !refreshed {
@@ -396,7 +300,7 @@ func (c *Cluster) runSteps(steps []plan.Step, old, next *plan.Plan, cost plan.Co
 			c.stepHook(s)
 		}
 		ss := parent.Child("plan.step")
-		ss.SetAttr("kind", stepKind(s.Kind))
+		ss.SetAttr("kind", s.Kind.String())
 		ss.SetPeer(s.Site)
 		ss.SetObject(s.Object)
 		if err := c.runStep(s, old, ss); err != nil {
@@ -414,24 +318,9 @@ func (c *Cluster) runSteps(steps []plan.Step, old, next *plan.Plan, cost plan.Co
 		ss.Finish()
 	}
 	if !refreshed {
-		if err := c.refreshRouting(touched, next, cost, parent); err != nil {
-			return err
-		}
+		return c.refreshRouting(touched, next, cost, parent)
 	}
 	return nil
-}
-
-// stepKind names a migration step kind for span attributes.
-func stepKind(k plan.StepKind) string {
-	switch k {
-	case plan.Copy:
-		return "copy"
-	case plan.Promote:
-		return "promote"
-	case plan.Drop:
-		return "drop"
-	}
-	return "unknown"
 }
 
 func (c *Cluster) runStep(s plan.Step, old *plan.Plan, parent *spans.Span) error {
@@ -519,42 +408,26 @@ func nearestOf(pl *plan.Plan, i, k int, cost plan.CostFn) int {
 // actualPlan reconstructs the placement the data plane actually holds:
 // replica sets from the members' (possibly just replayed) holdings and
 // primaries from their routing records. Where members disagree on a
-// primary — a crash landed mid-promotion — the dissenting value is kept,
-// which forces the resume diff to re-broadcast the promotion (the
-// "primary" op is idempotent).
+// primary — a crash landed mid-promotion — the lowest recorded site is
+// kept: deterministic, and different from at least one member's record,
+// which forces the next diff to re-broadcast the promotion (the "primary"
+// op is idempotent).
 func (c *Cluster) actualPlan() *plan.Plan {
 	pl := &plan.Plan{
 		View:      membership.View{Members: append([]int(nil), c.members...)},
 		Primaries: make([]int, c.p.Objects()),
 		Placement: make([][]int, c.p.Objects()),
 	}
-	for k := 0; k < c.p.Objects(); k++ {
-		var sites []int
-		for _, m := range c.members {
-			if c.nodes[m] != nil && c.nodes[m].Holds(k) {
-				sites = append(sites, m)
-			}
-		}
-		pl.Placement[k] = sites
+	for k := range pl.Placement {
 		sp := -1
 		for _, m := range c.members {
-			if c.nodes[m] == nil {
-				continue
+			st := c.nodes[m].st
+			if st.Holds(k) {
+				pl.Placement[k] = append(pl.Placement[k], m)
 			}
-			v := c.nodes[m].st.PrimaryOf(k)
-			if sp < 0 {
+			if v := st.PrimaryOf(k); sp < 0 || v < sp {
 				sp = v
-			} else if v != sp {
-				// Disagreement: prefer a value that differs from any one
-				// member's, so the promote re-runs. Keeping the smaller site
-				// is deterministic.
-				if v < sp {
-					sp = v
-				}
 			}
-		}
-		if sp < 0 {
-			sp = c.p.Primary(k)
 		}
 		pl.Primaries[k] = sp
 	}
@@ -565,9 +438,10 @@ func (c *Cluster) actualPlan() *plan.Plan {
 // journaled target plan is diffed against what the members actually hold
 // and the remainder executes. Returns (report, resumed): resumed is false
 // when no journal is attached, the journal holds no plan, or the target
-// is already fully realised. The completed prefix of the original run is
-// never re-executed or re-accounted — the diff starts from the actual
-// holdings.
+// is rejected before a step runs. The completed prefix of the original
+// run is never re-executed or re-accounted — the diff starts from the
+// actual holdings — and a fully realised target still has its routing
+// state re-asserted and is adopted as the deployed plan (epoch, view).
 func (c *Cluster) ResumeMigration(cost plan.CostFn) (*ApplyReport, bool, error) {
 	if c.journal == nil {
 		return nil, false, nil
@@ -580,64 +454,20 @@ func (c *Cluster) ResumeMigration(cost plan.CostFn) (*ApplyReport, bool, error) 
 	if err != nil {
 		return nil, false, fmt.Errorf("netnode: journaled plan: %w", err)
 	}
-	if err := target.Validate(c.p); err != nil {
-		return nil, false, fmt.Errorf("netnode: journaled plan: %w", err)
-	}
-	for _, m := range target.View.Members {
-		if !c.isMember(m) {
-			return nil, false, fmt.Errorf("netnode: journaled plan places on site %d which has not joined", m)
-		}
-	}
-	actual := c.actualPlan()
-	steps, err := plan.Diff(actual, target, c.p, cost)
-	if err != nil {
-		return nil, false, err
-	}
-	rep := &ApplyReport{Steps: len(steps)}
 	root := c.tracer.Root("plan.resume")
 	root.SetAttr("epoch", strconv.Itoa(target.Epoch))
-	defer root.Finish()
-	if len(steps) == 0 {
-		// Nothing left to move; still adopt the target as the deployed
-		// plan (epoch, view) and make sure the routing state matches it.
-		all := make(map[int]bool)
-		for k := 0; k < c.p.Objects(); k++ {
-			all[k] = true
-		}
-		if err := c.refreshRouting(all, target, cost, root); err != nil {
-			root.SetErr(err)
-			return rep, true, err
-		}
-		c.plan = target
-		c.current = schemeOfPlan(c.p, c.plan)
-		return rep, true, nil
+	rep, err := c.migrate(root, target, cost, true)
+	if rep == nil {
+		return nil, false, fmt.Errorf("netnode: journaled plan: %w", err)
 	}
-	if err := c.runSteps(steps, actual, target, cost, rep, root); err != nil {
-		root.SetErr(err)
-		return rep, true, err
-	}
-	// The interrupted run may have fully migrated objects that the
-	// remainder diff no longer touches, leaving their routing records at
-	// the pre-migration state — refresh everything, not just the
-	// remainder's objects.
-	all := make(map[int]bool)
-	for k := 0; k < c.p.Objects(); k++ {
-		all[k] = true
-	}
-	if err := c.refreshRouting(all, target, cost, root); err != nil {
-		root.SetErr(err)
-		return rep, true, err
-	}
-	c.plan = target
-	c.current = schemeOfPlan(c.p, c.plan)
-	return rep, true, nil
+	return rep, true, err
 }
 
-// schemeOfPlan rebuilds the legacy scheme representation of a plan, used
-// by the scheme-diff Deploy path and Scheme accessor. A plan that moved a
-// primary off its universe site (or drained that site) cannot be a
-// core.Scheme — those invariants are exactly what the plan type relaxes —
-// so the result is nil and the scheme-based API reports unavailability.
+// schemeOfPlan rebuilds the scheme representation of a plan for the Scheme
+// accessor. A plan that moved a primary off its universe site (or drained
+// that site, or overfills a site) cannot be a core.Scheme — those
+// invariants are exactly what the plan type relaxes — so the result is
+// nil.
 func schemeOfPlan(p *core.Problem, pl *plan.Plan) *core.Scheme {
 	s := core.NewScheme(p)
 	for k := 0; k < p.Objects(); k++ {

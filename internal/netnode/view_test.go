@@ -354,3 +354,58 @@ func TestViewClusterResumeAfterCrashMidMigration(t *testing.T) {
 		t.Fatalf("post-resume driven NTC %d, solver cost %d", got, targetCost)
 	}
 }
+
+// TestDeployPromotesPrimaryBack: a plan may move a primary off its
+// universe site, which a core.Scheme cannot express; Deploy of a scheme
+// on top of such a plan used to be refused. It now runs the same engine:
+// the universe primary gets its copy back, is promoted, and the cluster
+// converges on the scheme at exactly eq. 4's cost.
+func TestDeployPromotesPrimaryBack(t *testing.T) {
+	p := viewProblem(t)
+	c, err := StartView(p, []int{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pcost := func(i, j int) int64 { return p.Cost(i, j) }
+
+	moved := c.Plan()
+	moved.Epoch = 1
+	moved.Primaries[0] = 1
+	moved.Placement[0] = []int{1} // object 0 leaves its universe primary, site 0
+	if _, err := c.ApplyPlan(moved, pcost); err != nil {
+		t.Fatal(err)
+	}
+	if c.Scheme() != nil || c.Node(0).Holds(0) {
+		t.Fatal("object 0 still sits on its universe primary after the promotion plan")
+	}
+
+	scheme := sra.Run(p, sra.Options{}).Scheme
+	migration, err := c.Deploy(scheme)
+	if err != nil {
+		t.Fatalf("deploy over a promoted primary: %v", err)
+	}
+	if migration < p.Size(0)*p.Cost(1, 0) {
+		t.Fatalf("migration cost %d does not cover copying object 0 back to site 0", migration)
+	}
+	if got := c.Plan().Primaries[0]; got != 0 {
+		t.Fatalf("object 0 primary is site %d after the deploy, want 0", got)
+	}
+	if !c.Scheme().Equal(scheme) {
+		t.Fatal("deployed scheme differs from the one requested")
+	}
+	for i := 0; i < p.Sites(); i++ {
+		for k := 0; k < p.Objects(); k++ {
+			if c.Node(i).Holds(k) != scheme.Has(i, k) {
+				t.Fatalf("site %d holds(%d)=%v, scheme says %v", i, k, c.Node(i).Holds(k), scheme.Has(i, k))
+			}
+		}
+	}
+	total, err := c.DriveTraffic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := scheme.Cost(); total != want {
+		t.Fatalf("traffic cost %d != eq.4 D %d", total, want)
+	}
+}

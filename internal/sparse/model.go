@@ -30,6 +30,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"drp/internal/core"
 	"drp/internal/netsim"
@@ -170,8 +171,7 @@ func NewModel(cfg Config) (*Model, error) {
 	}
 	var sizeSum int64
 	for k, sz := range mo.size {
-		var ok bool
-		if sizeSum, ok = addNonNeg(sizeSum, sz); !ok {
+		if sizeSum += sz; sizeSum < 0 {
 			return nil, fmt.Errorf("sparse: object sizes overflow int64 at object %d", k)
 		}
 	}
@@ -200,36 +200,20 @@ func NewModel(cfg Config) (*Model, error) {
 	return mo, nil
 }
 
-// addNonNeg returns a+b and whether the sum of two non-negative values
-// stayed within int64 (core.NewProblem's helper, mirrored).
-func addNonNeg(a, b int64) (int64, bool) {
-	s := a + b
-	return s, s >= a
-}
-
-// mulNonNeg returns a·b and whether the product of two non-negative values
-// stayed within int64.
-func mulNonNeg(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	prod := a * b
-	return prod, prod/a == b && prod >= 0
-}
-
-// satAdd and satMul are the saturating variants used only by the candidate
-// scorer: a saturated saving bound keeps the site as a candidate (the
-// conservative direction), so pruning stays sound on extreme instances.
+// satAdd and satMul are saturating arithmetic on non-negative values, used
+// only by the candidate scorer: a saturated saving bound keeps the site as
+// a candidate (the conservative direction), so pruning stays sound on
+// extreme instances.
 func satAdd(a, b int64) int64 {
-	if s, ok := addNonNeg(a, b); ok {
+	if s := a + b; s >= a {
 		return s
 	}
 	return math.MaxInt64
 }
 
 func satMul(a, b int64) int64 {
-	if p, ok := mulNonNeg(a, b); ok {
-		return p
+	if hi, lo := bits.Mul64(uint64(a), uint64(b)); hi == 0 && lo <= math.MaxInt64 {
+		return int64(lo)
 	}
 	return math.MaxInt64
 }
@@ -240,58 +224,22 @@ func (mo *Model) buildCaches() error {
 	for k := 0; k < mo.n; k++ {
 		ro, re := mo.reads.Range(k)
 		for idx := ro; idx < re; idx++ {
-			var ok bool
-			if mo.totalReads[k], ok = addNonNeg(mo.totalReads[k], mo.reads.Cnt[idx]); !ok {
+			if mo.totalReads[k] += mo.reads.Cnt[idx]; mo.totalReads[k] < 0 {
 				return fmt.Errorf("sparse: read total for object %d overflows int64", k)
 			}
 		}
 		wo, we := mo.writes.Range(k)
 		for idx := wo; idx < we; idx++ {
-			var ok bool
-			if mo.totalWrites[k], ok = addNonNeg(mo.totalWrites[k], mo.writes.Cnt[idx]); !ok {
+			if mo.totalWrites[k] += mo.writes.Cnt[idx]; mo.totalWrites[k] < 0 {
 				return fmt.Errorf("sparse: write total for object %d overflows int64", k)
 			}
 		}
 	}
-	// Worst-case NTC gate, identical to core.NewProblem's: if
-	// Σ_k (1 + Rtot_k + (M+1)·Wtot_k)·o_k·maxC fits int64, every cost any
-	// evaluator, delta evaluator or merge in this package can compute fits
-	// too — so the hot paths never need per-term overflow checks, even at
-	// N=1e6 where a 53-bit float mantissa or an unchecked product would
-	// silently wrap.
-	var maxC int64
-	for i := 0; i < mo.m; i++ {
-		for _, c := range mo.dist.Row(i) {
-			if c > maxC {
-				maxC = c
-			}
-		}
-	}
-	var bound int64
-	for k := 0; k < mo.n; k++ {
-		fanIn, ok := mulNonNeg(int64(mo.m)+1, mo.totalWrites[k])
-		if !ok {
-			return errMagnitude(k)
-		}
-		traffic, ok := addNonNeg(mo.totalReads[k], fanIn)
-		if !ok {
-			return errMagnitude(k)
-		}
-		traffic, ok = addNonNeg(traffic, 1)
-		if !ok {
-			return errMagnitude(k)
-		}
-		vol, ok := mulNonNeg(traffic, mo.size[k])
-		if !ok {
-			return errMagnitude(k)
-		}
-		cost, ok := mulNonNeg(vol, maxC)
-		if !ok {
-			return errMagnitude(k)
-		}
-		if bound, ok = addNonNeg(bound, cost); !ok {
-			return errMagnitude(k)
-		}
+	// core's worst-case NTC gate: past it the hot paths never need per-term
+	// overflow checks, even at N=1e6 where a 53-bit float mantissa or an
+	// unchecked product would silently wrap.
+	if k := core.NTCBoundOverflow(mo.dist, mo.size, mo.totalReads, mo.totalWrites); k >= 0 {
+		return errMagnitude(k)
 	}
 	mo.vPrime = make([]int64, mo.n)
 	for k := 0; k < mo.n; k++ {
