@@ -24,39 +24,34 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
+	"drp/internal/cli"
 	"drp/internal/experiments"
 	"drp/internal/metrics"
 	"drp/internal/report"
-	"drp/internal/solver"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "drpbench:", err)
-		os.Exit(1)
-	}
+	cli.Main("drpbench", func(args []string, stdout io.Writer) error { return run(args, stdout, os.Stderr) })
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("drpbench", flag.ContinueOnError)
+	var caps cli.Caps
+	caps.Register(fs)
+	var tel cli.Telemetry
+	tel.Register(fs, "metrics-out", "events")
 	var (
-		fig        = fs.String("fig", "all", "figure id (1a..4d) or 'all'")
-		preset     = fs.String("preset", "quick", "campaign preset: quick | paper | tiny")
-		networks   = fs.Int("networks", 0, "override: networks averaged per point")
-		gens       = fs.Int("gens", 0, "override: GRA generations")
-		pop        = fs.Int("pop", 0, "override: GRA population size")
-		seed       = fs.Uint64("seed", 0, "override: campaign seed")
-		par        = fs.Int("par", 0, "worker count for sweep cells (0 = all cores, 1 = serial); results are identical at any setting")
-		timeout    = fs.Duration("timeout", 0, "wall-clock cap per GA run; capped runs report their best scheme so far (0 = none)")
-		budget     = fs.Int("budget", 0, "cost-model evaluation cap per GA run (0 = none)")
-		progress   = fs.Bool("progress", false, "stream per-generation solver progress to stderr")
-		csv        = fs.Bool("csv", false, "emit CSV instead of tables")
-		svgDir     = fs.String("svg", "", "also write each figure as an SVG chart into this directory")
-		quiet      = fs.Bool("q", false, "suppress progress output")
-		metricsOut = fs.String("metrics-out", "", "write a JSON metrics snapshot of the campaign's solver instruments to this file")
-		eventsOut  = fs.String("events", "", "append structured JSONL solver events to this file")
+		fig      = fs.String("fig", "all", "figure id (1a..4d) or 'all'")
+		preset   = fs.String("preset", "quick", "campaign preset: quick | paper | tiny")
+		networks = fs.Int("networks", 0, "override: networks averaged per point")
+		gens     = fs.Int("gens", 0, "override: GRA generations")
+		pop      = fs.Int("pop", 0, "override: GRA population size")
+		seed     = fs.Uint64("seed", 0, "override: campaign seed")
+		par      = fs.Int("par", 0, "worker count for sweep cells (0 = all cores, 1 = serial); results are identical at any setting")
+		csv      = fs.Bool("csv", false, "emit CSV instead of tables")
+		svgDir   = fs.String("svg", "", "also write each figure as an SVG chart into this directory")
+		quiet    = fs.Bool("q", false, "suppress progress output")
 
 		sparseBench   = fs.Bool("sparse-bench", false, "run the sparse-core scaling benchmark instead of the figure campaign")
 		sparseSites   = fs.Int("sparse-sites", 100, "sparse bench: site count M")
@@ -66,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sparseAdapt   = fs.Float64("sparse-adapt", 0.01, "sparse bench: fraction of accessed objects perturbed for the adaptive round (0 = skip)")
 		sparseOut     = fs.String("sparse-out", "", "sparse bench: write the JSON report to this file (default: stdout)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, caps.Check, tel.Check); err != nil {
 		return err
 	}
 	if *sparseBench {
@@ -112,34 +107,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if set["par"] {
 		cfg.Parallelism = *par
 	}
-	cfg.CellTimeout = *timeout
-	cfg.CellBudget = *budget
-	if *progress {
-		// Cells run concurrently, so the observer must be synchronized.
-		cfg.Observer = solver.Synchronized(solver.ObserverFunc(func(pr solver.Progress) {
-			fmt.Fprintf(stderr, "%s it=%d best=%.4f evals=%d elapsed=%v\n",
-				pr.Algorithm, pr.Iteration, pr.BestFitness, pr.Evaluations, pr.Elapsed.Round(time.Millisecond))
-		}))
+	// Cells run concurrently: the -progress observer is synchronized and
+	// the telemetry bridge is concurrency-safe by construction.
+	if err := tel.Open(stdout); err != nil {
+		return err
 	}
-	var reg *metrics.Registry
-	if *metricsOut != "" {
-		reg = metrics.NewRegistry()
-	}
-	var events *metrics.EventLog
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		events = metrics.NewEventLog(f)
-	}
-	if reg != nil || events != nil {
-		// The bridge is concurrency-safe by construction; only the chained
-		// -progress observer (if any) needs the Synchronized wrapper it
-		// already has.
-		cfg.Observer = metrics.BridgeObserver(reg, events, cfg.Observer)
-	}
+	defer cli.CloseInto(&err, tel.Close)
+	cellRun := caps.Run(stderr)
+	cfg.CellTimeout, cfg.CellBudget = cellRun.Timeout, cellRun.Budget
+	cfg.Observer = metrics.BridgeObserver(tel.Reg, tel.Events, cellRun.Observer)
 
 	logFn := func(format string, a ...interface{}) {
 		if !*quiet {
@@ -177,8 +153,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return report.SVG(result, f)
 	}
 	for _, id := range ids {
-		switch id {
-		case "summary":
+		if id == "summary" {
 			result, err := experiments.RunSummary(cfg, logFn)
 			if err != nil {
 				return err
@@ -187,44 +162,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 			continue
-		case "conv":
-			result, err := experiments.RunConvergence(cfg, logFn)
-			if err != nil {
-				return err
-			}
-			if err := writeSVG(result); err != nil {
-				return err
-			}
-			if *csv {
-				if err := result.RenderCSV(stdout); err != nil {
-					return err
-				}
-			} else if err := result.Render(stdout); err != nil {
-				return err
-			}
-			continue
 		}
-		result, err := campaign.Figure(id)
+		var result *experiments.FigureResult
+		if id == "conv" {
+			result, err = experiments.RunConvergence(cfg, logFn)
+		} else {
+			result, err = campaign.Figure(id)
+		}
 		if err != nil {
 			return err
 		}
 		if err := writeSVG(result); err != nil {
 			return err
 		}
+		render := result.Render
 		if *csv {
-			if err := result.RenderCSV(stdout); err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout)
-			continue
+			render = result.RenderCSV
 		}
-		if err := result.Render(stdout); err != nil {
+		if err := render(stdout); err != nil {
 			return err
 		}
-	}
-	if *metricsOut != "" {
-		if err := metrics.WriteSnapshotFile(reg, *metricsOut); err != nil {
-			return err
+		if *csv && id != "conv" {
+			fmt.Fprintln(stdout) // the campaign's figures are blank-line separated
 		}
 	}
 	return nil

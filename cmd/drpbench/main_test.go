@@ -105,6 +105,9 @@ func TestBenchRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-fig", "9z"}, &out, &errOut); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
+	if err := run([]string{"-preset", "tiny", "-fig", "3b", "-timeout", "-1s"}, &out, &errOut); err == nil || !strings.Contains(err.Error(), "-timeout") {
+		t.Fatalf("negative -timeout: %v", err)
+	}
 }
 
 func TestBenchProgressGoesToStderr(t *testing.T) {

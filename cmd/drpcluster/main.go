@@ -30,9 +30,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"drp/internal/agra"
+	"drp/internal/cli"
 	"drp/internal/cluster"
 	"drp/internal/core"
 	"drp/internal/fault"
@@ -40,32 +40,27 @@ import (
 	"drp/internal/metrics"
 	"drp/internal/netnode"
 	"drp/internal/plan"
-	"drp/internal/spans"
 	"drp/internal/sra"
 	"drp/internal/store"
 	"drp/internal/workload"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "drpcluster:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("drpcluster", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("drpcluster", flag.ContinueOnError)
+	prob := cli.Problem{Sites: 20, Objects: 60}
+	prob.Register(fs, "sites", "objects", "update", "capacity", "seed")
+	tel := cli.Telemetry{Noun: "epoch"}
+	tel.Register(fs, "listen-metrics", "serve-for", "metrics-out", "events", "block-profile-rate", "mutex-profile-fraction", "trace-out", "trace-sample", "trace-clock")
+	var dur cli.Durability
+	dur.Register(fs)
 	var (
-		sites     = fs.Int("sites", 20, "number of sites")
-		objects   = fs.Int("objects", 60, "number of objects")
-		update    = fs.Float64("update", 0.05, "update ratio U")
-		capacity  = fs.Float64("capacity", 0.15, "capacity ratio C")
 		epochs    = fs.Int("epochs", 6, "measurement periods to simulate")
 		policy    = fs.String("policy", "agra+mini", "monitor policy: none | sra | agra | agra+mini | gra")
 		drift     = fs.Float64("drift", 0.2, "share of objects changing pattern each epoch (0 disables)")
 		driftCh   = fs.Float64("drift-ch", 6.0, "pattern change magnitude (6.0 = +600%)")
 		driftR    = fs.Float64("drift-reads", 0.5, "share of drifting objects whose reads (vs updates) grow")
-		seed      = fs.Uint64("seed", 1, "simulation seed")
 		adaptTO   = fs.Duration("adapt-timeout", 0, "wall-clock cap per epoch re-optimisation; a missed deadline keeps the current scheme (0 = none)")
 		adaptBud  = fs.Int("adapt-budget", 0, "cost-model evaluation cap per epoch re-optimisation (0 = none)")
 		failSite  = fs.Int("fail-site", -1, "site to take offline (-1 disables)")
@@ -73,81 +68,50 @@ func run(args []string, stdout io.Writer) (err error) {
 		failTo    = fs.Int("fail-to", 0, "one past the last failed epoch")
 		faultPlan = fs.String("fault-plan", "", "derive site outages from this fault plan JSON (crash events map to epoch windows; other kinds are wire-level and ignored here)")
 		compare   = fs.Bool("compare", false, "run every policy on identical traffic and print a comparison table")
-
-		dataDir   = fs.String("data-dir", "", "journal the monitor's deployed scheme after every epoch to this directory; a rerun resumes from the last recorded scheme instead of re-seeding")
-		fsync     = fs.String("fsync", "always", `journal fsync policy: "always", "never" or "every:N" (requires -data-dir)`)
-		snapEvery = fs.Int("snapshot-every", 0, "compact the journal every N recorded epochs (0 = never; requires -data-dir)")
-
-		listenMetrics = fs.String("listen-metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:0)")
-		serveFor      = fs.Duration("serve-for", 0, "keep the metrics endpoint up this long after the run (0 = exit immediately)")
-		metricsOut    = fs.String("metrics-out", "", "write a JSON metrics snapshot to this file")
-		eventsOut     = fs.String("events", "", "append structured JSONL events to this file")
-		planOut       = fs.String("plan-out", "", "write the scheme in force after the last epoch as a canonical placement-plan JSON to this file")
-		blockRate     = fs.Int("block-profile-rate", 0, "sample goroutine blocking events at this rate (ns) for /debug/pprof/block (0 = off; requires -listen-metrics)")
-		mutexFrac     = fs.Int("mutex-profile-fraction", 0, "sample 1/N mutex contention events for /debug/pprof/mutex (0 = off; requires -listen-metrics)")
-
-		traceOut    = fs.String("trace-out", "", "record one JSON span per line to this file: an epoch root with adapt and serve children per measurement period (analyse with drptrace)")
-		traceSample = fs.Int64("trace-sample", 1, "trace every nth epoch (deterministic counter, not probability; requires -trace-out)")
-		traceClock  = fs.String("trace-clock", "logical", `span timestamp source: "logical" (deterministic ticks) or "wall" (real durations; requires -trace-out)`)
+		planOut   = fs.String("plan-out", "", "write the scheme in force after the last epoch as a canonical placement-plan JSON to this file")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := validateFlags(flagState{
-		sites: *sites, drift: *drift, driftR: *driftR,
-		failSite: *failSite, failFrom: *failFrom, failTo: *failTo,
-		dataDir: *dataDir, fsync: *fsync, snapEvery: *snapEvery,
-		listenMetrics: *listenMetrics, serveFor: *serveFor,
-		compare: *compare, planOut: *planOut,
-		blockRate: *blockRate, mutexFrac: *mutexFrac,
-		traceOut: *traceOut, traceSample: *traceSample, traceClock: *traceClock,
-	}); err != nil {
+	if err := cli.Parse(fs, args, tel.Check, dur.Check); err != nil {
 		return err
 	}
 
-	policies := map[string]cluster.Policy{
-		"none":      cluster.PolicyNone,
-		"sra":       cluster.PolicySRA,
-		"agra":      cluster.PolicyAGRA,
-		"agra+mini": cluster.PolicyAGRAMini,
-		"gra":       cluster.PolicyGRA,
+	// Reject flag combinations that would otherwise be silently ignored or
+	// quietly do something other than what was asked.
+	switch {
+	case *drift < 0 || *drift > 1:
+		return fmt.Errorf("-drift %g: the share of drifting objects must be within [0, 1]", *drift)
+	case *driftR < 0 || *driftR > 1:
+		return fmt.Errorf("-drift-reads %g: the read share must be within [0, 1]", *driftR)
+	case *failSite < 0 && (*failFrom != 0 || *failTo != 0):
+		return fmt.Errorf("-fail-from/-fail-to schedule an outage window and need -fail-site")
+	case *failSite >= prob.Sites:
+		return fmt.Errorf("-fail-site %d is outside the %d-site system", *failSite, prob.Sites)
+	case *failSite >= 0 && *failTo <= *failFrom:
+		return fmt.Errorf("-fail-site %d has an empty outage window [%d, %d); -fail-to must exceed -fail-from", *failSite, *failFrom, *failTo)
+	case *compare && dur.Dir != "":
+		return fmt.Errorf("-compare runs every policy on the same traffic and cannot journal a single scheme history; drop -data-dir")
+	case *compare && *planOut != "":
+		return fmt.Errorf("-compare produces one scheme per policy; -plan-out needs a single-policy run")
+	case *compare && tel.TraceOut != "":
+		return fmt.Errorf("-compare interleaves every policy's epochs; -trace-out needs a single-policy run")
 	}
-	pol, ok := policies[*policy]
-	if !ok {
+
+	// -policy names one of the monitor policies, -compare runs them all.
+	all := []cluster.Policy{cluster.PolicyNone, cluster.PolicySRA, cluster.PolicyAGRA, cluster.PolicyAGRAMini, cluster.PolicyGRA}
+	var pol cluster.Policy
+	for _, candidate := range all {
+		if candidate.String() == *policy {
+			pol = candidate
+		}
+	}
+	if pol == 0 {
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
 
-	p, err := workload.Generate(workload.NewSpec(*sites, *objects, *update, *capacity), *seed)
+	p, err := prob.Load()
 	if err != nil {
 		return err
 	}
 	initial := sra.Run(p, sra.Options{}).Scheme
-
-	var journal *store.Journal
-	if *dataDir != "" {
-		syncPolicy, every, err := store.ParseSyncPolicy(*fsync)
-		if err != nil {
-			return err
-		}
-		journal, err = store.OpenJournal(*dataDir, store.Options{
-			Sync:          syncPolicy,
-			SyncEvery:     every,
-			SnapshotEvery: *snapEvery,
-		})
-		if err != nil {
-			return err
-		}
-		defer journal.Close()
-		if epoch, repl, ok := journal.Latest(); ok {
-			resumed, err := schemeFromReplicators(p, repl)
-			if err != nil {
-				return fmt.Errorf("journal %s: %w", *dataDir, err)
-			}
-			initial = resumed
-			fmt.Fprintf(stdout, "resuming from journal: scheme of epoch %d (%d replicas)\n",
-				epoch, initial.TotalReplicas())
-		}
-	}
 
 	graParams := gra.DefaultParams()
 	graParams.PopSize = 20
@@ -158,7 +122,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		Threshold:    2.0,
 		GRAParams:    graParams,
 		AGRAParams:   agra.DefaultParams(),
-		Seed:         *seed,
+		Seed:         prob.Seed,
 		EpochTimeout: *adaptTO,
 		AdaptBudget:  *adaptBud,
 	}
@@ -168,17 +132,36 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *failSite >= 0 {
 		cfg.Failures = []cluster.Failure{{Site: *failSite, From: *failFrom, To: *failTo}}
 	}
-	if journal != nil {
-		cfg.OnEpoch = func(epoch int, scheme *core.Scheme, _ *cluster.EpochStats) error {
-			repl := make([][]int, p.Objects())
-			for k := range repl {
-				repl[k] = scheme.Replicators(k)
+
+	// The journal holds one placement plan per epoch, the format drpnet's
+	// coordinator journals too; a rerun resumes from the latest.
+	if dur.Dir != "" {
+		journal, err := store.OpenJournal(dur.Dir, dur.Store)
+		if err != nil {
+			return err
+		}
+		defer journal.Close()
+		if epoch, data, ok := journal.LatestPlan(); ok {
+			pl, err := plan.Unmarshal(data)
+			if err == nil {
+				initial, err = pl.Scheme(p)
 			}
-			return journal.Record(epoch, repl)
+			if err != nil {
+				return fmt.Errorf("journal %s: %w", dur.Dir, err)
+			}
+			fmt.Fprintf(stdout, "resuming from journal: scheme of epoch %d (%d replicas)\n",
+				epoch, initial.TotalReplicas())
+		}
+		cfg.OnEpoch = func(epoch int, scheme *core.Scheme, _ *cluster.EpochStats) error {
+			data, err := plan.FromScheme(scheme).Marshal()
+			if err != nil {
+				return err
+			}
+			return journal.RecordPlan(epoch, data)
 		}
 	}
 	if *faultPlan != "" {
-		plan, err := fault.LoadPlan(*faultPlan, p.Sites())
+		fp, err := fault.LoadPlan(*faultPlan, p.Sites())
 		if err != nil {
 			return err
 		}
@@ -186,14 +169,14 @@ func run(args []string, stdout io.Writer) (err error) {
 		// step, so crash windows translate directly: [Step, Until) epochs.
 		// An open-ended crash (Until 0) lasts to the end of the run unless a
 		// restart event closes it.
-		for _, e := range plan.Events {
+		for _, e := range fp.Events {
 			if e.Kind != fault.KindCrash {
 				continue
 			}
 			to := int(e.Until)
 			if to == 0 {
 				to = *epochs
-				for _, r := range plan.Events {
+				for _, r := range fp.Events {
 					if r.Kind == fault.KindRestart && r.Site == e.Site && r.Step >= e.Step && int(r.Step) < to {
 						to = int(r.Step)
 					}
@@ -203,57 +186,19 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 
-	var reg *metrics.Registry
-	if *listenMetrics != "" || *metricsOut != "" {
-		reg = metrics.NewRegistry()
-		cfg.Metrics = reg
+	// A live endpoint exposes the full metric surface from the first scrape:
+	// families a quiet run never touches still appear, at zero.
+	err = tel.Open(stdout,
+		func(reg *metrics.Registry) { metrics.RegisterSolverFamilies(reg, pol.String()) },
+		cluster.RegisterMetricFamilies, netnode.RegisterMetricFamilies)
+	if err != nil {
+		return err
 	}
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		cfg.Events = metrics.NewEventLog(f)
-	}
-	if *traceOut != "" {
-		// Spans stream to the JSONL file and, when -events is also set,
-		// interleave into the event sink as "span" records.
-		tracer, closeTrace, terr := spans.OpenFile(*traceOut, *traceSample, *traceClock, spans.NewEventExporter(cfg.Events))
-		if terr != nil {
-			return terr
-		}
-		defer func() {
-			if cerr := closeTrace(); cerr != nil && err == nil {
-				err = fmt.Errorf("trace file %s: %w", *traceOut, cerr)
-			}
-		}()
-		cfg.Tracer = tracer
-		fmt.Fprintf(stdout, "tracing epochs to %s (sample 1/%d, %s clock)\n", *traceOut, *traceSample, *traceClock)
-	}
-	if *listenMetrics != "" {
-		metrics.EnableRuntimeProfiles(*blockRate, *mutexFrac)
-		// Expose the full metric surface from the first scrape: families a
-		// quiet run never touches still appear, at zero.
-		metrics.RegisterSolverFamilies(reg, pol.String())
-		cluster.RegisterMetricFamilies(reg)
-		netnode.RegisterMetricFamilies(reg)
-		srv, err := metrics.Serve(*listenMetrics, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", srv.Addr())
-		if *serveFor > 0 {
-			defer time.Sleep(*serveFor)
-		}
-	}
+	defer cli.CloseInto(&err, tel.Close)
+	cfg.Metrics, cfg.Events, cfg.Tracer = tel.Reg, tel.Events, tel.Tracer
 
 	if *compare {
-		cmp, err := cluster.Compare(p, initial, cfg, []cluster.Policy{
-			cluster.PolicyNone, cluster.PolicySRA, cluster.PolicyAGRA,
-			cluster.PolicyAGRAMini, cluster.PolicyGRA,
-		})
+		cmp, err := cluster.Compare(p, initial, cfg, all)
 		if err != nil {
 			return err
 		}
@@ -266,7 +211,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	fmt.Fprintf(stdout, "cluster: %d sites, %d objects, policy=%s, drift=%.0f%%/epoch\n\n",
-		*sites, *objects, pol, 100**drift)
+		prob.Sites, prob.Objects, pol, 100**drift)
 	fmt.Fprintf(stdout, "%5s %9s %8s %12s %12s %7s %9s %8s %8s %8s %8s %9s\n",
 		"epoch", "reads", "writes", "serveNTC", "modelNTC", "saved%", "meanRead", "p50Read", "p95Read", "migrate", "changed", "failures")
 	degraded := 0
@@ -285,11 +230,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	if degraded > 0 {
 		fmt.Fprintf(stdout, "adapt misses (*): %d epoch(s) kept the previous scheme after hitting the re-optimisation cap\n", degraded)
 	}
-	if *metricsOut != "" {
-		if err := metrics.WriteSnapshotFile(reg, *metricsOut); err != nil {
-			return err
-		}
-	}
 	if *planOut != "" {
 		data, err := plan.FromScheme(res.FinalScheme).Marshal()
 		if err != nil {
@@ -301,105 +241,4 @@ func run(args []string, stdout io.Writer) (err error) {
 		fmt.Fprintf(stdout, "wrote final scheme as a placement plan to %s\n", *planOut)
 	}
 	return nil
-}
-
-// flagState carries the parsed flags validateFlags cross-checks.
-type flagState struct {
-	sites              int
-	drift, driftR      float64
-	failSite, failFrom int
-	failTo             int
-	dataDir, fsync     string
-	snapEvery          int
-	listenMetrics      string
-	serveFor           time.Duration
-	compare            bool
-	planOut            string
-	blockRate          int
-	mutexFrac          int
-	traceOut           string
-	traceSample        int64
-	traceClock         string
-}
-
-// validateFlags rejects flag combinations that would otherwise be
-// silently ignored or quietly do something other than what was asked.
-func validateFlags(f flagState) error {
-	if f.drift < 0 || f.drift > 1 {
-		return fmt.Errorf("-drift %g: the share of drifting objects must be within [0, 1]", f.drift)
-	}
-	if f.driftR < 0 || f.driftR > 1 {
-		return fmt.Errorf("-drift-reads %g: the read share must be within [0, 1]", f.driftR)
-	}
-	if f.failSite < 0 && (f.failFrom != 0 || f.failTo != 0) {
-		return fmt.Errorf("-fail-from/-fail-to schedule an outage window and need -fail-site")
-	}
-	if f.failSite >= f.sites {
-		return fmt.Errorf("-fail-site %d is outside the %d-site system", f.failSite, f.sites)
-	}
-	if f.failSite >= 0 && f.failTo <= f.failFrom {
-		return fmt.Errorf("-fail-site %d has an empty outage window [%d, %d); -fail-to must exceed -fail-from", f.failSite, f.failFrom, f.failTo)
-	}
-	if f.dataDir == "" {
-		if f.snapEvery > 0 {
-			return fmt.Errorf("-snapshot-every compacts the journal and needs -data-dir")
-		}
-		if f.fsync != "always" {
-			return fmt.Errorf("-fsync sets the journal sync policy and needs -data-dir")
-		}
-	}
-	if f.compare {
-		if f.dataDir != "" {
-			return fmt.Errorf("-compare runs every policy on the same traffic and cannot journal a single scheme history; drop -data-dir")
-		}
-		if f.planOut != "" {
-			return fmt.Errorf("-compare produces one scheme per policy; -plan-out needs a single-policy run")
-		}
-	}
-	if f.serveFor > 0 && f.listenMetrics == "" {
-		return fmt.Errorf("-serve-for keeps the metrics endpoint alive and needs -listen-metrics")
-	}
-	if f.listenMetrics == "" && (f.blockRate > 0 || f.mutexFrac > 0) {
-		return fmt.Errorf("-block-profile-rate/-mutex-profile-fraction feed /debug/pprof and need -listen-metrics")
-	}
-	if f.blockRate < 0 || f.mutexFrac < 0 {
-		return fmt.Errorf("profile sampling rates cannot be negative")
-	}
-	if f.traceOut == "" {
-		if f.traceSample != 1 {
-			return fmt.Errorf("-trace-sample selects traced epochs and needs -trace-out")
-		}
-		if f.traceClock != "logical" {
-			return fmt.Errorf("-trace-clock sets the span clock and needs -trace-out")
-		}
-	}
-	if f.compare && f.traceOut != "" {
-		return fmt.Errorf("-compare interleaves every policy's epochs; -trace-out needs a single-policy run")
-	}
-	return nil
-}
-
-// schemeFromReplicators rebuilds a deployed scheme from the journal's
-// per-object replicator lists, validating against the current problem: a
-// journal recorded for a different workload shape is rejected rather than
-// silently mis-deployed.
-func schemeFromReplicators(p *core.Problem, repl [][]int) (*core.Scheme, error) {
-	if len(repl) != p.Objects() {
-		return nil, fmt.Errorf("recorded scheme covers %d objects, problem has %d", len(repl), p.Objects())
-	}
-	s := core.NewScheme(p)
-	for k, sites := range repl {
-		for _, i := range sites {
-			if i < 0 || i >= p.Sites() {
-				return nil, fmt.Errorf("recorded scheme places object %d at site %d, out of range", k, i)
-			}
-			if s.Has(i, k) {
-				continue // the primary, which NewScheme already placed
-			}
-			if err := s.Add(i, k); err != nil {
-				return nil, fmt.Errorf("recorded scheme places object %d at site %d: %w", k, i, err)
-			}
-		}
-	}
-	return s, nil
 }

@@ -286,3 +286,68 @@ func TestClusterFaultPlanRejectsBadPlan(t *testing.T) {
 		t.Fatal("out-of-range fault plan accepted")
 	}
 }
+
+// TestClusterRejectsLegacyJournal: a -data-dir whose journal was written
+// in the retired per-object replicator format (the fixture is a parent-
+// commit journal) must stop the run with a clear error, never re-seed.
+func TestClusterRejectsLegacyJournal(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-journal", "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.log"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run([]string{"-sites", "6", "-objects", "8", "-epochs", "2", "-policy", "agra", "-data-dir", dir}, &out)
+	if err == nil || !strings.Contains(err.Error(), "holds no placement plan") {
+		t.Fatalf("legacy journal: error %v, want one naming the missing plan\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "summary:") {
+		t.Fatalf("run went ahead on a re-seeded scheme:\n%s", out.String())
+	}
+}
+
+// TestClusterJournalOfAnotherProblem: a journaled plan that does not fit
+// the problem the flags describe is rejected, not mis-deployed.
+func TestClusterJournalOfAnotherProblem(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-epochs", "1", "-policy", "none", "-data-dir", dir}
+	if err := run(append(base, "-sites", "6", "-objects", "8"), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	err := run(append(base, "-sites", "6", "-objects", "9"), &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "journal "+dir) {
+		t.Fatalf("mismatched journal: %v", err)
+	}
+}
+
+// TestClusterRejectsNegativeDurations: -serve-for used to be accepted and
+// ignored; -adapt-timeout is rejected by the simulator's own validation.
+func TestClusterRejectsNegativeDurations(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-adapt-timeout", "-1s"}, "negative epoch timeout"},
+		{[]string{"-listen-metrics", "127.0.0.1:0", "-serve-for", "-1s"}, "-serve-for"},
+	} {
+		err := run(append([]string{"-sites", "6", "-objects", "8", "-epochs", "1"}, c.args...), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want one containing %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestClusterFullDiskFailsTheRun: every write to /dev/full fails with
+// ENOSPC, which the -events sink used to swallow with exit status 0.
+func TestClusterFullDiskFailsTheRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	err := run([]string{"-sites", "6", "-objects", "8", "-epochs", "1", "-events", "/dev/full"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "-events") {
+		t.Fatalf("full disk under -events: error %v", err)
+	}
+}

@@ -13,24 +13,17 @@ import (
 	"os"
 
 	"drp"
+	"drp/internal/cli"
 	"drp/internal/trace"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "drpgen:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("drpgen", run) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("drpgen", flag.ContinueOnError)
+	prob := cli.Problem{Sites: 50, Objects: 200}
+	prob.Register(fs, "sites", "objects", "update", "capacity", "seed")
 	var (
-		sites    = fs.Int("sites", 50, "number of sites (M)")
-		objects  = fs.Int("objects", 200, "number of objects (N)")
-		update   = fs.Float64("update", 0.05, "update ratio U (updates as a fraction of reads)")
-		capacity = fs.Float64("capacity", 0.15, "capacity ratio C (site storage as a fraction of total object size)")
-		seed     = fs.Uint64("seed", 1, "workload seed (identical seeds reproduce instances)")
 		zipf     = fs.Float64("zipf", 0, "Zipf popularity skew (0 = the paper's uniform reads)")
 		out      = fs.String("o", "", "output file (default: stdout)")
 		traceOut = fs.String("trace", "", "also write a timestamped request trace (JSON lines) to this file")
@@ -43,9 +36,9 @@ func run(args []string, stdout io.Writer) error {
 		err error
 	)
 	if *zipf > 0 {
-		p, err = drp.GenerateZipf(drp.NewZipfSpec(*sites, *objects, *update, *capacity, *zipf), *seed)
+		p, err = drp.GenerateZipf(drp.NewZipfSpec(prob.Sites, prob.Objects, prob.Update, prob.Capacity, *zipf), prob.Seed)
 	} else {
-		p, err = drp.Generate(drp.NewSpec(*sites, *objects, *update, *capacity), *seed)
+		p, err = prob.Load()
 	}
 	if err != nil {
 		return err
@@ -68,11 +61,11 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer tf.Close()
-		if err := trace.Generate(p, *seed+1).Encode(tf); err != nil {
+		if err := trace.Generate(p, prob.Seed+1).Encode(tf); err != nil {
 			return fmt.Errorf("encode trace: %w", err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "drpgen: M=%d N=%d U=%.1f%% C=%.1f%% seed=%d D'=%d\n",
-		*sites, *objects, 100**update, 100**capacity, *seed, p.DPrime())
+		prob.Sites, prob.Objects, 100*prob.Update, 100*prob.Capacity, prob.Seed, p.DPrime())
 	return nil
 }

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"drp"
+	"drp/internal/cli"
 	"drp/internal/fault"
 	"drp/internal/load"
 	"drp/internal/metrics"
@@ -40,28 +41,17 @@ import (
 	"drp/internal/store"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "drpload:", err)
-		os.Exit(1)
-	}
-}
-
-// errGate marks a run that completed but failed its gate — distinct from
-// harness errors only in the message; both exit non-zero.
-func gateErr(format string, args ...any) error { return fmt.Errorf(format, args...) }
+func main() { cli.Main("drpload", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("drpload", flag.ContinueOnError)
+	prob := cli.Problem{Sites: 4, Objects: 40}
+	prob.Register(fs, "sites", "objects", "update", "capacity", "seed", "in")
+	tel := cli.Telemetry{Noun: "request"}
+	tel.Register(fs, "metrics-out", "trace-out")
 	var (
-		sites    = fs.Int("sites", 4, "number of sites (ignored with -in)")
-		objects  = fs.Int("objects", 40, "number of objects (ignored with -in)")
-		update   = fs.Float64("update", 0.05, "update ratio U for the generated problem")
-		capacity = fs.Float64("capacity", 0.15, "capacity ratio C for the generated problem")
-		seed     = fs.Uint64("seed", 1, "seed for problem generation, placement and the arrival schedule")
-		in       = fs.String("in", "", "problem JSON (default: generate)")
-		algo     = fs.String("algo", "sra", "placement algorithm: none | sra | gra")
-		scheme   = fs.String("scheme", "", "replication scheme JSON (overrides -algo)")
+		algo   = fs.String("algo", "sra", "placement algorithm: none | sra | gra")
+		scheme = fs.String("scheme", "", "replication scheme JSON (overrides -algo)")
 
 		rate      = fs.Float64("rate", 500, "offered arrival rate in requests per second")
 		duration  = fs.Duration("duration", 2*time.Second, "schedule length")
@@ -77,35 +67,31 @@ func run(args []string, stdout io.Writer) (err error) {
 		geo       = fs.String("geo", load.GeoNone, "injected link-latency profile: none | lan | wan3")
 		profile   = fs.String("profile", "", "load profile JSON (overrides the schedule flags)")
 
-		sloExpr    = fs.String("slo", "", `SLO gate, e.g. "p99<250ms,err<1%,tput>90%" (read./write. prefixes scope latency terms)`)
-		out        = fs.String("out", "", "write the canonical report JSON (BENCH_load.json) to this file")
-		compare    = fs.String("compare", "", `A/B mode: two comma-separated placements ("none,sra", "sra,gra", or two scheme files) replaying the identical schedule`)
-		metricsOut = fs.String("metrics-out", "", "write the cluster's drp_net_* snapshot after the run (cross-checkable against the report)")
-		traceOut   = fs.String("trace-out", "", "record one JSON span per line to this file (analyse with drptrace)")
+		sloExpr = fs.String("slo", "", `SLO gate, e.g. "p99<250ms,err<1%,tput>90%" (read./write. prefixes scope latency terms)`)
+		out     = fs.String("out", "", "write the canonical report JSON (BENCH_load.json) to this file")
+		compare = fs.String("compare", "", `A/B mode: two comma-separated placements ("none,sra", "sra,gra", or two scheme files) replaying the identical schedule`)
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, tel.Check); err != nil {
 		return err
 	}
+	tel.TraceClock = "wall" // latencies are the point of a load run; there is no -trace-clock
 
 	slo, err := load.ParseSLO(*sloExpr)
 	if err != nil {
 		return err
 	}
-	if *compare != "" && *scheme != "" {
+	// -compare drives two clusters; one scheme, one span file or one
+	// registry snapshot cannot describe both.
+	switch {
+	case *compare != "" && *scheme != "":
 		return fmt.Errorf("-compare names its own placements; drop -scheme")
+	case *compare != "" && tel.TraceOut != "":
+		return fmt.Errorf("-compare runs two clusters; -trace-out needs a single-placement run")
+	case *compare != "" && tel.MetricsOut != "":
+		return fmt.Errorf("-compare runs two clusters; -metrics-out needs a single-placement run")
 	}
 
-	var p *drp.Problem
-	if *in != "" {
-		f, err2 := os.Open(*in)
-		if err2 != nil {
-			return err2
-		}
-		defer f.Close()
-		p, err = drp.ReadProblem(f)
-	} else {
-		p, err = drp.Generate(drp.NewSpec(*sites, *objects, *update, *capacity), *seed)
-	}
+	p, err := prob.Load()
 	if err != nil {
 		return err
 	}
@@ -118,7 +104,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	} else {
 		pr = load.DefaultProfile()
-		pr.Seed = *seed
+		pr.Seed = prob.Seed
 		pr.Rate = *rate
 		pr.DurationMS = duration.Milliseconds()
 		pr.Arrival = *arrival
@@ -145,34 +131,19 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("schedule is empty: rate %.3g req/s over %s produced no arrivals", pr.Rate, *duration)
 	}
 
-	var tracer *spans.Tracer
-	if *traceOut != "" {
-		var closeTrace func() error
-		tracer, closeTrace, err = spans.OpenFile(*traceOut, 1, "wall")
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := closeTrace(); cerr != nil && err == nil {
-				err = fmt.Errorf("trace file %s: %w", *traceOut, cerr)
-			}
-		}()
-	}
-
 	if *compare != "" {
 		names := strings.Split(*compare, ",")
 		if len(names) != 2 {
 			return fmt.Errorf("-compare wants exactly two placements, got %q", *compare)
 		}
-		repA, err := runScheme(p, strings.TrimSpace(names[0]), *seed, pr, sched, *workers, slo, nil, "", stdout)
-		if err != nil {
-			return err
+		var reps [2]*load.Report
+		for i, name := range names {
+			reps[i], err = runScheme(p, strings.TrimSpace(name), prob.Seed, pr, sched, *workers, slo, nil, metrics.NewRegistry(), stdout)
+			if err != nil {
+				return err
+			}
 		}
-		repB, err := runScheme(p, strings.TrimSpace(names[1]), *seed, pr, sched, *workers, slo, nil, "", stdout)
-		if err != nil {
-			return err
-		}
-		cmp := load.NewCompare(repA, repB)
+		cmp := load.NewCompare(reps[0], reps[1])
 		fmt.Fprint(stdout, cmp.Text())
 		if *out != "" {
 			data, err := cmp.Canonical()
@@ -185,16 +156,24 @@ func run(args []string, stdout io.Writer) (err error) {
 			fmt.Fprintf(stdout, "wrote comparison to %s\n", *out)
 		}
 		if !cmp.SameSchedule {
-			return gateErr("comparison drove different schedules (digests %.12s… vs %.12s…)", repA.ScheduleDigest, repB.ScheduleDigest)
+			return fmt.Errorf("comparison drove different schedules (digests %.12s… vs %.12s…)", reps[0].ScheduleDigest, reps[1].ScheduleDigest)
 		}
-		return gateCheck(repA, repB)
+		return gateCheck(reps[:]...)
 	}
+
+	// The cross-check needs the cluster's counters with or without
+	// -metrics-out; the flag only decides whether they are also written.
+	tel.Reg = metrics.NewRegistry()
+	if err := tel.Open(stdout); err != nil {
+		return err
+	}
+	defer cli.CloseInto(&err, tel.Close)
 
 	schemeName := *algo
 	if *scheme != "" {
 		schemeName = *scheme
 	}
-	rep, err := runScheme(p, schemeName, *seed, pr, sched, *workers, slo, tracer, *metricsOut, stdout)
+	rep, err := runScheme(p, schemeName, prob.Seed, pr, sched, *workers, slo, tel.Tracer, tel.Reg, stdout)
 	if err != nil {
 		return err
 	}
@@ -216,10 +195,10 @@ func run(args []string, stdout io.Writer) (err error) {
 func gateCheck(reps ...*load.Report) error {
 	for _, rep := range reps {
 		if rep.Metrics != nil && !rep.Metrics.Match {
-			return gateErr("scheme %s: metrics cross-check mismatch: %s", rep.Scheme, rep.Metrics.Describe())
+			return fmt.Errorf("scheme %s: metrics cross-check mismatch: %s", rep.Scheme, rep.Metrics.Describe())
 		}
 		if !rep.SLO.Pass {
-			return gateErr("scheme %s: SLO %q not met", rep.Scheme, rep.SLO.Expr)
+			return fmt.Errorf("scheme %s: SLO %q not met", rep.Scheme, rep.SLO.Expr)
 		}
 	}
 	return nil
@@ -229,13 +208,12 @@ func gateCheck(reps ...*load.Report) error {
 // the profile's link latency, replays the schedule open loop and returns
 // the cross-checked report.
 func runScheme(p *drp.Problem, name string, seed uint64, pr load.Profile, sched *load.Schedule,
-	workers int, slo *load.SLO, tracer *spans.Tracer, metricsOut string, stdout io.Writer) (*load.Report, error) {
-	scheme, err := resolveScheme(p, name, seed)
+	workers int, slo *load.SLO, tracer *spans.Tracer, reg *metrics.Registry, stdout io.Writer) (*load.Report, error) {
+	scheme, err := cli.ResolvePlacement(p, name, seed, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 
-	reg := metrics.NewRegistry()
 	netnode.RegisterMetricFamilies(reg)
 	store.RegisterMetricFamilies(reg)
 
@@ -273,12 +251,6 @@ func runScheme(p *drp.Problem, name string, seed uint64, pr load.Profile, sched 
 		return nil, err
 	}
 	mc := load.CrossCheck(res, reg, before)
-	if metricsOut != "" {
-		if err := metrics.WriteSnapshotFile(reg, metricsOut); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(stdout, "wrote metrics snapshot to %s\n", metricsOut)
-	}
 	return load.BuildReport(name, pr, sched, res, slo, &mc), nil
 }
 
@@ -287,31 +259,6 @@ func geoLabel(pr load.Profile) string {
 		return "matrix"
 	}
 	return pr.Geo
-}
-
-// resolveScheme maps a placement name — an algorithm or a scheme file —
-// to a concrete replication scheme.
-func resolveScheme(p *drp.Problem, name string, seed uint64) (*drp.Scheme, error) {
-	switch name {
-	case "none":
-		return drp.NoReplication(p), nil
-	case "sra":
-		return drp.SRA(p).Scheme, nil
-	case "gra":
-		params := drp.DefaultGRAParams()
-		params.Seed = seed
-		res, err := drp.GRA(p, params)
-		if err != nil {
-			return nil, err
-		}
-		return res.Scheme, nil
-	}
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, fmt.Errorf("placement %q is not an algorithm (none|sra|gra) or a readable scheme file: %w", name, err)
-	}
-	defer f.Close()
-	return drp.ReadScheme(p, f)
 }
 
 // parseWeights parses "1,0,2.5" into origin weights.

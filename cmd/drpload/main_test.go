@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"drp/internal/load"
+	"drp/internal/metrics"
 	"drp/internal/spans"
 )
 
@@ -174,5 +175,39 @@ func TestLoadRejectsBadFlags(t *testing.T) {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestLoadCompareRejectsSingleRunSinks: -compare used to accept -trace-out
+// (leaving an empty span file) and -metrics-out (writing nothing).
+func TestLoadCompareRejectsSingleRunSinks(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ flag, path string }{
+		{"-trace-out", filepath.Join(dir, "t.jsonl")},
+		{"-metrics-out", filepath.Join(dir, "m.json")},
+	} {
+		err := run([]string{"-sites", "3", "-objects", "8", "-rate", "100", "-duration", "200ms",
+			"-compare", "none,sra", c.flag, c.path}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("-compare with %s: error %v, want one naming the flag", c.flag, err)
+		}
+		if _, statErr := os.Stat(c.path); statErr == nil {
+			t.Errorf("-compare with %s left %s behind", c.flag, c.path)
+		}
+	}
+}
+
+func TestLoadMetricsOutWritesSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	var buf bytes.Buffer
+	if err := run([]string{"-sites", "3", "-objects", "8", "-rate", "100", "-duration", "200ms", "-metrics-out", path}, &buf); err != nil {
+		t.Fatalf("%v\n%s", err, buf.String())
+	}
+	snap, err := metrics.ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := snap.CounterValue("drp_net_replica_reads_total", map[string]string{"source": "local"}); !ok || v == 0 {
+		t.Errorf("snapshot local-read counter = %d, %v", v, ok)
 	}
 }

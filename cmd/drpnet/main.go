@@ -49,9 +49,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"drp"
+	"drp/internal/cli"
 	ctrl "drp/internal/cluster"
 	"drp/internal/fault"
 	"drp/internal/load"
@@ -64,51 +64,33 @@ import (
 	"drp/internal/store"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "drpnet:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("drpnet", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("drpnet", flag.ContinueOnError)
+	prob := cli.Problem{Sites: 10, Objects: 20}
+	prob.Register(fs, "sites", "objects", "update", "capacity", "seed", "in")
+	tel := cli.Telemetry{Noun: "request"}
+	tel.Register(fs, "listen-metrics", "serve-for", "block-profile-rate", "mutex-profile-fraction", "trace-out", "trace-sample", "trace-clock")
+	var dur cli.Durability
+	dur.Register(fs)
 	var (
-		sites    = fs.Int("sites", 10, "number of sites (ignored with -in)")
-		objects  = fs.Int("objects", 20, "number of objects (ignored with -in)")
-		update   = fs.Float64("update", 0.05, "update ratio U")
-		capacity = fs.Float64("capacity", 0.15, "capacity ratio C")
-		seed     = fs.Uint64("seed", 1, "workload / algorithm seed")
-		in       = fs.String("in", "", "problem JSON (default: generate)")
-		algo     = fs.String("algo", "sra", "placement algorithm: none | sra | gra")
-		pop      = fs.Int("pop", 16, "GRA population size")
-		gens     = fs.Int("gens", 15, "GRA generations")
+		algo = fs.String("algo", "sra", "placement algorithm: none | sra | gra")
+		pop  = fs.Int("pop", 16, "GRA population size")
+		gens = fs.Int("gens", 15, "GRA generations")
 
 		sloExpr = fs.String("slo", "", `gate the run on client-observed wire latency, e.g. "p99<5ms" (latency terms of the drpload SLO grammar; exits non-zero when unmet)`)
-
-		listenMetrics = fs.String("listen-metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:0)")
-		serveFor      = fs.Duration("serve-for", 0, "keep the metrics endpoint up this long after the run (0 = exit immediately)")
-		blockRate     = fs.Int("block-profile-rate", 0, "sample goroutine blocking events at this rate (ns) for /debug/pprof/block (0 = off; requires -listen-metrics)")
-		mutexFrac     = fs.Int("mutex-profile-fraction", 0, "sample 1/N mutex contention events for /debug/pprof/mutex (0 = off; requires -listen-metrics)")
-
-		traceOut    = fs.String("trace-out", "", "record one JSON span per line to this file: a trace per client request, deploy and migration (analyse with drptrace)")
-		traceSample = fs.Int64("trace-sample", 1, "trace every nth request (deterministic counter, not probability; requires -trace-out)")
-		traceClock  = fs.String("trace-clock", "logical", `span timestamp source: "logical" (deterministic ticks) or "wall" (real durations; requires -trace-out)`)
 
 		faultPlan  = fs.String("fault-plan", "", "inject faults from this plan JSON (see internal/fault); degraded requests are reported, then queued writes flush and stale replicas reconcile")
 		retries    = fs.Int("retry", 1, "transport attempts per request (1 = no retrying)")
 		reqTimeout = fs.Duration("req-timeout", 0, "per-request deadline for dial plus round trip (0 = none)")
-
-		dataDir   = fs.String("data-dir", "", "persist each site's state to a write-ahead log under this directory; a rerun on the same directory recovers the deployed scheme, versions and queued writes from disk")
-		snapEvery = fs.Int("snapshot-every", 0, "snapshot each site's state and truncate its log every N appended records (0 = never; requires -data-dir)")
-		fsync     = fs.String("fsync", "always", `WAL fsync policy: "always", "never" or "every:N" (requires -data-dir)`)
 
 		members = fs.String("members", "", "comma-separated founding member sites (membership scenario; must cover every primary site)")
 		join    = fs.String("join", "", "comma-separated sites that join after the founding plan deploys, each followed by a re-optimised plan and incremental migration")
 		leave   = fs.String("leave", "", "comma-separated sites to drain and remove after the joins, each preceded by a plan that migrates the site empty")
 		planOut = fs.String("plan-out", "", "write the final deployed placement plan as canonical JSON to this file")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, tel.Check, dur.Check); err != nil {
 		return err
 	}
 
@@ -118,139 +100,60 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if slo.HasNonLatency() {
+	switch {
+	case slo.HasNonLatency():
 		return fmt.Errorf("-slo on drpnet supports latency terms only; err/tput gates need drpload's open-loop accounting")
-	}
-	if slo != nil && reshaping {
+	case slo != nil && reshaping:
 		return fmt.Errorf("-slo cannot combine with the membership scenario; gate a separate drpload run instead")
-	}
-	if *serveFor > 0 && *listenMetrics == "" {
-		return fmt.Errorf("-serve-for keeps the metrics endpoint alive and needs -listen-metrics")
-	}
-	if *listenMetrics == "" && (*blockRate > 0 || *mutexFrac > 0) {
-		return fmt.Errorf("-block-profile-rate/-mutex-profile-fraction feed /debug/pprof and need -listen-metrics")
-	}
-	if *blockRate < 0 || *mutexFrac < 0 {
-		return fmt.Errorf("profile sampling rates cannot be negative")
-	}
-	if *traceOut == "" {
-		if *traceSample != 1 {
-			return fmt.Errorf("-trace-sample selects traced requests and needs -trace-out")
-		}
-		if *traceClock != "logical" {
-			return fmt.Errorf("-trace-clock sets the span clock and needs -trace-out")
-		}
-	}
-	if *dataDir == "" {
-		if *snapEvery > 0 {
-			return fmt.Errorf("-snapshot-every needs -data-dir")
-		}
-		if *fsync != "always" {
-			return fmt.Errorf("-fsync sets the WAL sync policy and needs -data-dir")
-		}
-	}
-	if reshaping {
-		if *faultPlan != "" {
-			return fmt.Errorf("-fault-plan cannot combine with the membership scenario (-members/-join/-leave); run a chaos pass and a reshape pass separately")
-		}
-		if *algo != "sra" {
-			return fmt.Errorf("-algo %q conflicts with the membership scenario: its control plane picks placements itself (SRA founding solve, AGRA adaptation); drop -algo", *algo)
-		}
+	case *retries < 1:
+		return fmt.Errorf("-retry %d: a request needs at least one transport attempt", *retries)
+	case *reqTimeout < 0:
+		return fmt.Errorf("-req-timeout %v cannot be negative", *reqTimeout)
+	case reshaping && *faultPlan != "":
+		return fmt.Errorf("-fault-plan cannot combine with the membership scenario (-members/-join/-leave); run a chaos pass and a reshape pass separately")
+	case reshaping && *algo != "sra":
+		return fmt.Errorf("-algo %q conflicts with the membership scenario: its control plane picks placements itself (SRA founding solve, AGRA adaptation); drop -algo", *algo)
 	}
 
-	if *listenMetrics != "" {
-		metrics.EnableRuntimeProfiles(*blockRate, *mutexFrac)
-	}
-
-	// The trace file flushes span by span; the deferred close reports the
-	// first write error so a full disk cannot truncate a run silently.
-	var tracer *spans.Tracer
-	if *traceOut != "" {
-		var closeTrace func() error
-		tracer, closeTrace, err = spans.OpenFile(*traceOut, *traceSample, *traceClock)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := closeTrace(); cerr != nil && err == nil {
-				err = fmt.Errorf("trace file %s: %w", *traceOut, cerr)
-			}
-		}()
-		fmt.Fprintf(stdout, "tracing requests to %s (sample 1/%d, %s clock)\n", *traceOut, *traceSample, *traceClock)
-	}
-
-	var p *drp.Problem
-	if *in != "" {
-		f, err2 := os.Open(*in)
-		if err2 != nil {
-			return err2
-		}
-		defer f.Close()
-		p, err = drp.ReadProblem(f)
-	} else {
-		p, err = drp.Generate(drp.NewSpec(*sites, *objects, *update, *capacity), *seed)
-	}
+	p, err := prob.Load()
 	if err != nil {
 		return err
 	}
 
-	var storeOpts store.Options
-	if *dataDir != "" {
-		policy, every, err := store.ParseSyncPolicy(*fsync)
-		if err != nil {
-			return err
-		}
-		storeOpts = store.Options{Sync: policy, SyncEvery: every, SnapshotEvery: *snapEvery}
+	// The registry exists before the cluster so durable stores can record
+	// drp_store_* counters from their very first replayed record. An SLO
+	// gate needs the latency instruments even without an endpoint.
+	if slo != nil {
+		tel.Reg = metrics.NewRegistry()
 	}
-
-	// The metrics registry is created before the cluster so durable stores
-	// can record drp_store_* counters from their very first replayed record.
-	// An SLO gate needs the latency instruments even without an endpoint.
-	var reg *metrics.Registry
-	if *listenMetrics != "" || slo != nil {
-		reg = metrics.NewRegistry()
-		netnode.RegisterMetricFamilies(reg)
-		store.RegisterMetricFamilies(reg)
-		storeOpts.Metrics = reg
+	if err := tel.Open(stdout, netnode.RegisterMetricFamilies, store.RegisterMetricFamilies); err != nil {
+		return err
 	}
+	defer cli.CloseInto(&err, tel.Close)
+	reg := tel.Reg
+	dur.Store.Metrics = reg
 
 	// boot is the one way a run gets its cluster: start it over the member
-	// set (durable when -data-dir is set), apply the transport knobs, attach
-	// tracing and the registry, and bring the metrics endpoint up. stop
-	// honours -serve-for, then shuts the endpoint and the cluster down.
-	boot := func(members []int) (c *netnode.Cluster, stop func(), err error) {
-		if *dataDir != "" {
-			c, err = netnode.StartDurableView(p, *dataDir, storeOpts, members)
+	// set (durable when -data-dir is set), apply the transport knobs and
+	// attach tracing and the registry.
+	boot := func(members []int) (c *netnode.Cluster, err error) {
+		if dur.Dir != "" {
+			c, err = netnode.StartDurableView(p, dur.Dir, dur.Store, members)
 		} else {
 			c, err = netnode.StartView(p, members)
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if *retries > 1 {
 			rp := netnode.DefaultRetry()
 			rp.Attempts = *retries
 			c.SetRetry(rp)
 		}
-		if *reqTimeout > 0 {
-			c.SetRequestTimeout(*reqTimeout)
-		}
-		c.EnableTracing(tracer)
+		c.SetRequestTimeout(*reqTimeout)
+		c.EnableTracing(tel.Tracer)
 		c.EnableMetrics(reg)
-		if *listenMetrics == "" {
-			return c, c.Close, nil
-		}
-		srv, err := metrics.Serve(*listenMetrics, reg)
-		if err != nil {
-			c.Close()
-			return nil, nil, err
-		}
-		fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", srv.Addr())
-		return c, func() {
-			time.Sleep(*serveFor)
-			srv.Close()
-			c.Close()
-		}, nil
+		return c, nil
 	}
 	allSites := make([]int, p.Sites())
 	for i := range allSites {
@@ -283,38 +186,23 @@ func run(args []string, stdout io.Writer) (err error) {
 				return fmt.Errorf("-join: site %d is already a founding member", s)
 			}
 		}
-		return runMembership(p, founding, joins, leaves, *dataDir, storeOpts, boot, *planOut, tracer, stdout)
+		return runMembership(p, founding, joins, leaves, dur.Dir, dur.Store, boot, *planOut, tel.Tracer, stdout)
 	}
 
-	var scheme *drp.Scheme
-	switch *algo {
-	case "none":
-		scheme = drp.NoReplication(p)
-	case "sra":
-		scheme = drp.SRA(p).Scheme
-	case "gra":
-		params := drp.DefaultGRAParams()
-		params.PopSize = *pop
-		params.Generations = *gens
-		params.Seed = *seed
-		res, err := drp.GRA(p, params)
-		if err != nil {
-			return err
-		}
-		scheme = res.Scheme
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
-	}
-
-	cluster, stop, err := boot(allSites)
+	scheme, err := cli.ResolvePlacement(p, *algo, prob.Seed, *pop, *gens)
 	if err != nil {
 		return err
 	}
-	defer stop()
+
+	cluster, err := boot(allSites)
+	if err != nil {
+		return err
+	}
+	defer cluster.Close()
 
 	fmt.Fprintf(stdout, "booted %d TCP sites on loopback (e.g. site 0 at %s)\n",
 		p.Sites(), cluster.Node(0).Addr())
-	if *dataDir != "" {
+	if dur.Dir != "" {
 		recovered := 0
 		for i := 0; i < cluster.Sites(); i++ {
 			if cluster.Node(i).Store().Recovered() {
@@ -327,9 +215,9 @@ func run(args []string, stdout io.Writer) (err error) {
 				replicas += len(sites)
 			}
 			fmt.Fprintf(stdout, "recovered %d of %d sites from %s: %d replicas already deployed\n",
-				recovered, cluster.Sites(), *dataDir, replicas)
+				recovered, cluster.Sites(), dur.Dir, replicas)
 		} else {
-			fmt.Fprintf(stdout, "persisting to %s (fsync %s)\n", *dataDir, *fsync)
+			fmt.Fprintf(stdout, "persisting to %s (fsync %s)\n", dur.Dir, dur.Fsync)
 		}
 	}
 
@@ -344,27 +232,23 @@ func run(args []string, stdout io.Writer) (err error) {
 		if err := runFaulted(cluster, p, scheme, *faultPlan, reg, stdout); err != nil {
 			return err
 		}
-		if err := gateSLO(slo, reg, stdout); err != nil {
+	} else {
+		total, err := cluster.DriveTraffic()
+		if err != nil {
 			return err
 		}
-		return writePlanFile(cluster, *planOut, stdout)
+		model := scheme.Cost()
+		fmt.Fprintf(stdout, "served one measurement period over TCP:\n")
+		fmt.Fprintf(stdout, "  accounted transfer cost: %d\n", total)
+		fmt.Fprintf(stdout, "  eq.4 model prediction:   %d\n", model)
+		fmt.Fprintf(stdout, "  savings vs primaries:    %.2f%%\n", p.Savings(total))
+		if total == model {
+			fmt.Fprintln(stdout, "  model and wire agree exactly ✓")
+		} else {
+			fmt.Fprintln(stdout, "  WARNING: model and wire disagree")
+		}
+		printLatency(reg, stdout)
 	}
-
-	total, err := cluster.DriveTraffic()
-	if err != nil {
-		return err
-	}
-	model := scheme.Cost()
-	fmt.Fprintf(stdout, "served one measurement period over TCP:\n")
-	fmt.Fprintf(stdout, "  accounted transfer cost: %d\n", total)
-	fmt.Fprintf(stdout, "  eq.4 model prediction:   %d\n", model)
-	fmt.Fprintf(stdout, "  savings vs primaries:    %.2f%%\n", p.Savings(total))
-	if total == model {
-		fmt.Fprintln(stdout, "  model and wire agree exactly ✓")
-	} else {
-		fmt.Fprintln(stdout, "  WARNING: model and wire disagree")
-	}
-	printLatency(reg, stdout)
 	if err := gateSLO(slo, reg, stdout); err != nil {
 		return err
 	}
@@ -469,7 +353,7 @@ func runFaulted(cluster *netnode.Cluster, p *drp.Problem, scheme *drp.Scheme, pl
 // a rerun finds the last recorded plan, boots its member set and resumes
 // any unfinished migration instead of replaying the scenario.
 func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string, storeOpts store.Options,
-	boot func(members []int) (*netnode.Cluster, func(), error), planOut string, tracer *spans.Tracer, stdout io.Writer) error {
+	boot func(members []int) (*netnode.Cluster, error), planOut string, tracer *spans.Tracer, stdout io.Writer) error {
 	pcost := func(i, j int) int64 { return p.Cost(i, j) }
 
 	var journal *store.Journal
@@ -494,11 +378,11 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 		}
 	}
 
-	c, stop, err := boot(founding)
+	c, err := boot(founding)
 	if err != nil {
 		return err
 	}
-	defer stop()
+	defer c.Close()
 	if journal != nil {
 		c.AttachJournal(journal)
 	}

@@ -154,3 +154,21 @@ func TestNetRunSLOGate(t *testing.T) {
 		t.Fatal("-slo with membership scenario accepted")
 	}
 }
+
+// TestNetRejectsIgnoredValues: values the parent accepted and ignored.
+func TestNetRejectsIgnoredValues(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-retry", "0"}, "-retry"},
+		{[]string{"-retry", "-2"}, "-retry"},
+		{[]string{"-req-timeout", "-1s"}, "-req-timeout"},
+		{[]string{"-listen-metrics", "127.0.0.1:0", "-serve-for", "-1s"}, "-serve-for"},
+	} {
+		err := run(append([]string{"-sites", "4", "-objects", "6"}, c.args...), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want one naming %s", c.args, err, c.want)
+		}
+	}
+}

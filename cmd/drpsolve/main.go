@@ -32,16 +32,12 @@ import (
 	"time"
 
 	"drp"
+	"drp/internal/cli"
 	"drp/internal/metrics"
 	"drp/internal/trace"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "drpsolve:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("drpsolve", run) }
 
 // flagsFor maps each algorithm to the flags it consumes, beyond the common
 // set; setting any other flag is an error, not a silent no-op.
@@ -79,28 +75,27 @@ func checkFlags(fs *flag.FlagSet, algo string) error {
 	return nil
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("drpsolve", flag.ContinueOnError)
+	prob := cli.Problem{Stdin: os.Stdin}
+	prob.Register(fs, "in", "seed")
+	var caps cli.Caps
+	caps.Register(fs)
+	var tel cli.Telemetry
+	tel.Register(fs, "metrics-out", "events")
 	var (
 		algo       = fs.String("algo", "sra", "algorithm: sra | gra | hill | random | readonly | none | optimal")
-		in         = fs.String("in", "", "problem JSON (default: stdin)")
 		out        = fs.String("out", "", "write the scheme as JSON to this file")
-		seed       = fs.Uint64("seed", 1, "algorithm seed (gra, random)")
 		pop        = fs.Int("pop", 50, "GRA population size Np")
 		gens       = fs.Int("gens", 80, "GRA generations Ng")
 		par        = fs.Int("par", 0, "GRA evaluation workers (0 = all cores, 1 = serial)")
 		sparseCore = fs.Bool("sparse", false, "GRA: solve on the sparse/sharded core instead of the genetic search")
 		shards     = fs.Int("shards", 0, "GRA sparse shard count (0 = -par, then all cores); requires -sparse")
 		maxBits    = fs.Int("maxbits", 24, "optimal: maximum free placement bits")
-		timeout    = fs.Duration("timeout", 0, "wall-clock limit; the best scheme so far is reported (0 = none)")
-		budget     = fs.Int("budget", 0, "cost-model evaluation limit (0 = none)")
-		progress   = fs.Bool("progress", false, "stream per-iteration progress to stderr")
 		replay     = fs.String("replay", "", "replay a request trace (JSON lines) against the solved scheme")
-		metricsOut = fs.String("metrics-out", "", "write a JSON metrics snapshot to this file")
-		eventsOut  = fs.String("events", "", "append structured JSONL events to this file")
 		manifest   = fs.String("manifest", "", "write a run manifest (JSON) to this file")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, caps.Check, tel.Check); err != nil {
 		return err
 	}
 	if err := checkFlags(fs, *algo); err != nil {
@@ -110,49 +105,22 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("flag -shards requires -sparse")
 	}
 
-	var reg *metrics.Registry
-	if *metricsOut != "" {
-		reg = metrics.NewRegistry()
-	}
-	var events *metrics.EventLog
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		events = metrics.NewEventLog(f)
-	}
-
-	var r io.Reader = os.Stdin
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	p, err := drp.ReadProblem(r)
-	if err != nil {
+	if err := tel.Open(stdout); err != nil {
 		return err
 	}
+	defer cli.CloseInto(&err, tel.Close)
+	runOpts := caps.Run(os.Stderr)
+	runOpts.Observer = metrics.BridgeObserver(tel.Reg, tel.Events, runOpts.Observer)
 
-	runOpts := drp.RunOptions{Timeout: *timeout, Budget: *budget}
-	if *progress {
-		runOpts.Observer = drp.ObserverFunc(func(pr drp.SolverProgress) {
-			fmt.Fprintf(os.Stderr, "%s it=%d best=%.4f cost=%d evals=%d elapsed=%v\n",
-				pr.Algorithm, pr.Iteration, pr.BestFitness, pr.BestCost, pr.Evaluations, pr.Elapsed.Round(time.Millisecond))
-		})
-	}
-	if reg != nil || events != nil {
-		runOpts.Observer = metrics.BridgeObserver(reg, events, runOpts.Observer)
+	p, err := prob.Load()
+	if err != nil {
+		return err
 	}
 
 	var man *metrics.Manifest
 	if *manifest != "" {
 		man = metrics.NewManifest("drpsolve", args)
-		man.Seed = *seed
+		man.Seed = prob.Seed
 		man.Sites = p.Sites()
 		man.Objects = p.Objects()
 		man.Algorithm = *algo
@@ -170,7 +138,7 @@ func run(args []string, stdout io.Writer) error {
 		params := drp.DefaultGRAParams()
 		params.PopSize = *pop
 		params.Generations = *gens
-		params.Seed = *seed
+		params.Seed = prob.Seed
 		params.Parallelism = *par
 		params.Sparse = *sparseCore
 		params.Shards = *shards
@@ -181,7 +149,7 @@ func run(args []string, stdout io.Writer) error {
 		scheme, stats = res.Scheme, &res.Stats
 		sparseRan = res.Sparse
 	case "random":
-		scheme = drp.RandomPlacement(p, *seed)
+		scheme = drp.RandomPlacement(p, prob.Seed)
 	case "readonly":
 		scheme = drp.ReadOnlyGreedy(p)
 	case "hill":
@@ -213,15 +181,7 @@ func run(args []string, stdout io.Writer) error {
 	if stats != nil {
 		fmt.Fprintf(stdout, "evaluations: %d\n", stats.Evaluations)
 		fmt.Fprintf(stdout, "stopped:     %s\n", stats.Stopped)
-	}
-
-	if stats != nil && (reg != nil || events != nil) {
-		metrics.RecordStats(reg, *algo, *stats, events)
-	}
-	if *metricsOut != "" {
-		if err := metrics.WriteSnapshotFile(reg, *metricsOut); err != nil {
-			return err
-		}
+		metrics.RecordStats(tel.Reg, *algo, *stats, tel.Events)
 	}
 	if man != nil {
 		terms := scheme.CostTerms()

@@ -160,6 +160,11 @@ func TestSolveAnytimeFlags(t *testing.T) {
 	if !strings.Contains(out.String(), "NTC savings") {
 		t.Fatalf("interrupted run printed no scheme summary:\n%s", out.String())
 	}
+
+	// A negative cap is a typo, not "already expired".
+	if err := run([]string{"-algo", "sra", "-timeout", "-1s", "-in", path}, &out); err == nil || !strings.Contains(err.Error(), "-timeout") {
+		t.Fatalf("negative -timeout: %v", err)
+	}
 }
 
 func TestSolveParFlagDeterministic(t *testing.T) {

@@ -23,16 +23,12 @@ import (
 	"os"
 	"strings"
 
+	"drp/internal/cli"
 	"drp/internal/fault"
 	"drp/internal/spans"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "drptrace:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("drptrace", run) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("drptrace", flag.ContinueOnError)

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"drp/internal/cli"
 	"drp/internal/core"
 	"drp/internal/solver"
 	"drp/internal/verify"
@@ -32,12 +33,7 @@ import (
 // shrinking, reporting, reproducer output — end to end; main never sets it.
 var testCost func(*core.Scheme) int64
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "drpverify:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("drpverify", run) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("drpverify", flag.ContinueOnError)

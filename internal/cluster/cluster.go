@@ -4,14 +4,13 @@
 // statistics each epoch and re-optimising the replication scheme, object
 // migration with its own transfer costs, and site-failure injection.
 //
-// The simulator is a discrete-event system driven by drp/internal/simevent.
-// Its transfer-cost accounting follows the paper's policy mechanically —
-// each read is served from the nearest replica, each write ships to the
-// primary which broadcasts to the other replicas — so with the full traffic
-// of a measurement period and a static scheme, the measured NTC equals the
-// analytic D of eq. 4 exactly. That equivalence is tested, closing the loop
-// between the cost model the optimisers minimise and the system behaviour
-// a deployment would observe.
+// The simulator's transfer-cost accounting follows the paper's policy
+// mechanically — each read is served from the nearest replica, each write
+// ships to the primary which broadcasts to the other replicas — so with the
+// full traffic of a measurement period and a static scheme, the measured
+// NTC equals the analytic D of eq. 4 exactly. That equivalence is tested,
+// closing the loop between the cost model the optimisers minimise and the
+// system behaviour a deployment would observe.
 package cluster
 
 import (

@@ -10,15 +10,10 @@ import (
 	"drp/internal/core"
 	"drp/internal/gra"
 	"drp/internal/metrics"
-	"drp/internal/simevent"
 	"drp/internal/solver"
 	"drp/internal/sra"
 	"drp/internal/workload"
-	"drp/internal/xrand"
 )
-
-// epochTicks is the virtual duration of one measurement period.
-const epochTicks = 1_000_000
 
 // Run simulates cfg.Epochs measurement periods of the distributed system
 // starting from the given problem and scheme.
@@ -40,19 +35,15 @@ func Run(p *core.Problem, initial *core.Scheme, cfg Config) (*Result, error) {
 
 	sim := &sim{
 		cfg:     cfg,
-		sched:   simevent.New(),
-		rng:     xrand.New(cfg.Seed),
 		problem: p,
 		scheme:  initial.Clone(),
 		down:    make([]bool, p.Sites()),
 	}
-	if cfg.Metrics != nil || cfg.Events != nil {
-		sim.observer = metrics.BridgeObserver(cfg.Metrics, cfg.Events, nil)
-	}
+	sim.observer = metrics.BridgeObserver(cfg.Metrics, cfg.Events, nil)
 	if cfg.Metrics != nil {
 		sim.ins = newClusterInstruments(cfg.Metrics)
 	}
-	sim.rebuildNearest()
+	sim.nearest = core.NewNearestTable(sim.scheme)
 	sim.snapshotTunedTotals()
 
 	res := &Result{}
@@ -72,11 +63,9 @@ func Run(p *core.Problem, initial *core.Scheme, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// sim is the mutable simulation state shared by the event handlers.
+// sim is the mutable simulation state carried from epoch to epoch.
 type sim struct {
 	cfg     Config
-	sched   *simevent.Scheduler
-	rng     *xrand.Source
 	problem *core.Problem // patterns for the CURRENT epoch
 	scheme  *core.Scheme
 	nearest *core.NearestTable
@@ -98,14 +87,6 @@ type sim struct {
 	// instruments of cfg.Metrics (nil likewise).
 	observer solver.Observer
 	ins      *clusterInstruments
-}
-
-func (s *sim) setPopulation(pop []*bitset.Set) { s.population = pop }
-
-func (s *sim) rawPopulation() []*bitset.Set { return s.population }
-
-func (s *sim) rebuildNearest() {
-	s.nearest = core.NewNearestTable(s.scheme)
 }
 
 func (s *sim) snapshotTunedTotals() {
@@ -137,7 +118,7 @@ func (s *sim) runEpoch(epoch int) (*EpochStats, error) {
 			return nil, fmt.Errorf("cluster: rebind after drift: %w", err)
 		}
 		s.scheme = rebound
-		s.rebuildNearest()
+		s.nearest = core.NewNearestTable(s.scheme)
 	}
 
 	// 2. The monitor adapts (it has just received the previous night's
@@ -171,8 +152,7 @@ func (s *sim) runEpoch(epoch int) (*EpochStats, error) {
 	// 4. Generate and serve the epoch's traffic.
 	s.readCosts = newCostHist()
 	sv := root.Child("epoch.serve")
-	s.scheduleTraffic(stats)
-	s.sched.Run()
+	s.serveTraffic(stats)
 	sv.SetAttr("reads", strconv.FormatInt(stats.Reads, 10))
 	sv.SetAttr("writes", strconv.FormatInt(stats.Writes, 10))
 	sv.SetNTC(stats.ServeNTC)
@@ -295,7 +275,7 @@ func (s *sim) adapt(epoch int, stats *EpochStats) error {
 		res, err := agra.AdaptWith(agra.Input{
 			Problem:       s.problem,
 			Current:       s.scheme,
-			GRAPopulation: s.rawPopulation(),
+			GRAPopulation: s.population,
 			Changed:       changed,
 		}, params, mini, miniGens, run)
 		if err != nil {
@@ -319,10 +299,10 @@ func (s *sim) adapt(epoch int, stats *EpochStats) error {
 
 	s.scheme = next
 	if hasPop {
-		s.setPopulation(pop)
+		s.population = pop
 	}
 	s.migrate(old, s.scheme, stats)
-	s.rebuildNearest()
+	s.nearest = core.NewNearestTable(s.scheme)
 	s.snapshotTunedTotals()
 	return nil
 }
@@ -367,19 +347,19 @@ func (s *sim) migrate(old, next *core.Scheme, stats *EpochStats) {
 	}
 }
 
-// scheduleTraffic schedules this epoch's read and write arrivals at
-// uniformly random virtual times.
-func (s *sim) scheduleTraffic(stats *EpochStats) {
+// serveTraffic serves every read and write of the epoch's patterns. The
+// order requests arrive in cannot matter: the scheme and the set of failed
+// sites are fixed within an epoch and every statistic is a sum of integer
+// costs (the float sum behind the mean is exact below 2^53).
+func (s *sim) serveTraffic(stats *EpochStats) {
 	p := s.problem
-	base := s.sched.Now()
 	for i := 0; i < p.Sites(); i++ {
 		for k := 0; k < p.Objects(); k++ {
-			site, obj := i, k
 			for r := int64(0); r < p.Reads(i, k); r++ {
-				s.sched.At(base+int64(s.rng.Intn(epochTicks)), func() { s.serveRead(site, obj, stats) })
+				s.serveRead(i, k, stats)
 			}
 			for w := int64(0); w < p.Writes(i, k); w++ {
-				s.sched.At(base+int64(s.rng.Intn(epochTicks)), func() { s.serveWrite(site, obj, stats) })
+				s.serveWrite(i, k, stats)
 			}
 		}
 	}

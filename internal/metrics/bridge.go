@@ -11,7 +11,8 @@ import (
 // into a solver.Observer: every per-iteration Progress event increments the
 // per-algorithm iteration counter, feeds the best-cost convergence
 // histogram and updates the live gauges, then forwards to next (which may
-// be nil). The bridge is safe for concurrent emitters (AGRA's micro-GA
+// be nil). With neither a registry nor an event log there is nothing to
+// bridge and next is returned as is. The bridge is safe for concurrent emitters (AGRA's micro-GA
 // fan-out) without external synchronisation — instruments are atomic and
 // the event log locks internally — so it does NOT need solver.Synchronized
 // unless next does.
@@ -23,6 +24,9 @@ import (
 // are last-writer-wins live views and are excluded by
 // Snapshot.Deterministic.
 func BridgeObserver(reg *Registry, events *EventLog, next solver.Observer) solver.Observer {
+	if reg == nil && events == nil {
+		return next
+	}
 	return &bridge{reg: reg, events: events, next: next, perAlg: make(map[string]*algInstruments)}
 }
 

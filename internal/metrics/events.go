@@ -66,8 +66,9 @@ func (l *EventLog) Emit(event string, fields map[string]any) {
 	l.w.Flush()
 }
 
-// Flush forces buffered lines out (Emit already flushes per line; Flush
-// exists for symmetry and future buffered modes).
+// Flush forces buffered lines out and reports the log's first write
+// error: Emit flushes per line but cannot return a failure, the buffered
+// writer keeps it, and this is where the owner of the sink collects it.
 func (l *EventLog) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

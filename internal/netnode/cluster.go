@@ -212,7 +212,8 @@ func (c *Cluster) TotalNTC() int64 {
 // scheme form — a primary moved off (or drained from) its universe site,
 // or an interrupted migration left a site over capacity. Use Plan then.
 func (c *Cluster) Scheme() *core.Scheme {
-	return schemeOfPlan(c.p, c.plan)
+	s, _ := c.plan.Scheme(c.p) // the error only says why there is none
+	return s
 }
 
 // SetCommandDialer routes the coordinator's own commands through d (nil

@@ -462,26 +462,3 @@ func (c *Cluster) ResumeMigration(cost plan.CostFn) (*ApplyReport, bool, error) 
 	}
 	return rep, true, err
 }
-
-// schemeOfPlan rebuilds the scheme representation of a plan for the Scheme
-// accessor. A plan that moved a primary off its universe site (or drained
-// that site, or overfills a site) cannot be a core.Scheme — those
-// invariants are exactly what the plan type relaxes — so the result is
-// nil.
-func schemeOfPlan(p *core.Problem, pl *plan.Plan) *core.Scheme {
-	s := core.NewScheme(p)
-	for k := 0; k < p.Objects(); k++ {
-		if pl.Primaries[k] != p.Primary(k) || !pl.Has(p.Primary(k), k) {
-			return nil
-		}
-		for _, site := range pl.Placement[k] {
-			if site == p.Primary(k) {
-				continue
-			}
-			if err := s.Add(site, k); err != nil {
-				return nil
-			}
-		}
-	}
-	return s
-}

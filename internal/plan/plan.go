@@ -104,6 +104,33 @@ func Lift(view membership.View, restricted *core.Scheme) *Plan {
 	return pl
 }
 
+// Scheme returns the plan's scheme form over the universe problem p. Only
+// a valid plan that keeps every primary at its universe site has one — the
+// plan type exists to relax exactly that — so a plan recorded for another
+// problem shape, overfilling a site, or with a moved or drained primary is
+// an error.
+func (pl *Plan) Scheme(p *core.Problem) (*core.Scheme, error) {
+	if err := pl.Validate(p); err != nil {
+		return nil, err
+	}
+	s := core.NewScheme(p)
+	for k, sites := range pl.Placement {
+		sp := p.Primary(k)
+		if pl.Primaries[k] != sp {
+			return nil, fmt.Errorf("plan: object %d's primary copy is at site %d, not its universe site %d; the plan has no scheme form", k, pl.Primaries[k], sp)
+		}
+		for _, site := range sites {
+			if site == sp {
+				continue
+			}
+			if err := s.Add(site, k); err != nil {
+				return nil, fmt.Errorf("plan: object %d on site %d: %w", k, site, err)
+			}
+		}
+	}
+	return s, nil
+}
+
 // Clone returns a deep copy.
 func (pl *Plan) Clone() *Plan {
 	c := &Plan{

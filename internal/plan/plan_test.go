@@ -318,3 +318,43 @@ func TestRestrictLiftRoundTrip(t *testing.T) {
 		t.Fatal("Restrict accepted a non-member primary")
 	}
 }
+
+// TestSchemeInvertsFromScheme: a plan lifted from a scheme gives the scheme
+// back, across the codec; a plan with no scheme form, or recorded for
+// another problem, is an error rather than a mis-deployed scheme.
+func TestSchemeInvertsFromScheme(t *testing.T) {
+	p := genProblem(t, 6, 12, 1)
+	s := sra.Run(p, sra.Options{}).Scheme
+	data, err := FromScheme(s).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := pl.Scheme(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Bits().Equal(s.Bits()) || back.Cost() != s.Cost() {
+		t.Fatalf("round trip changed the scheme: cost %d vs %d", back.Cost(), s.Cost())
+	}
+
+	moved := pl.Clone()
+	moved.Primaries[0] = (p.Primary(0) + 1) % p.Sites()
+	outside := pl.Clone()
+	outside.Placement[0] = append(outside.Placement[0], p.Sites())
+	overfull := pl.Clone()
+	for k := range overfull.Placement {
+		overfull.Placement[k] = append([]int(nil), pl.View.Members...)
+	}
+	for name, bad := range map[string]*Plan{"moved primary": moved, "site outside the universe": outside, "over capacity": overfull} {
+		if _, err := bad.Scheme(p); err == nil {
+			t.Errorf("%s: plan accepted as a scheme", name)
+		}
+	}
+	if _, err := pl.Scheme(genProblem(t, 6, 13, 1)); err == nil {
+		t.Error("plan of a 12-object problem accepted for 13 objects")
+	}
+}

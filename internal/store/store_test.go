@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"drp/internal/metrics"
@@ -396,19 +397,22 @@ func TestJournalRecordRecoverCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := j.Latest(); ok {
+	if _, _, ok := j.LatestPlan(); ok {
 		t.Fatal("fresh journal has a latest entry")
 	}
-	schemes := [][][]int{
-		{{0}, {1, 2}},
-		{{0, 1}, {1}},
-		{{0, 2}, {1, 2}},
-		{{2}, {0, 1, 2}},
+	plans := []string{
+		`{"placement":[[0],[1,2]]}`,
+		`{"placement":[[0,1],[1]]}`,
+		`{"placement":[[0,2],[1,2]]}`,
+		`{"placement":[[2],[0,1,2]]}`,
 	}
-	for e, repl := range schemes {
-		if err := j.Record(e, repl); err != nil {
+	for e, pl := range plans {
+		if err := j.RecordPlan(e, []byte(pl)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := j.RecordPlan(4, nil); err == nil {
+		t.Fatal("empty plan recorded; the journal could not be reopened")
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -419,23 +423,9 @@ func TestJournalRecordRecoverCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	epoch, repl, ok := r.Latest()
-	if !ok || epoch != 3 {
-		t.Fatalf("recovered epoch %d ok=%v, want 3", epoch, ok)
-	}
-	want := schemes[3]
-	if len(repl) != len(want) {
-		t.Fatalf("recovered %d objects, want %d", len(repl), len(want))
-	}
-	for k := range want {
-		if len(repl[k]) != len(want[k]) {
-			t.Fatalf("object %d replicators %v, want %v", k, repl[k], want[k])
-		}
-		for i := range want[k] {
-			if repl[k][i] != want[k][i] {
-				t.Fatalf("object %d replicators %v, want %v", k, repl[k], want[k])
-			}
-		}
+	epoch, got, ok := r.LatestPlan()
+	if !ok || epoch != 3 || string(got) != plans[3] {
+		t.Fatalf("recovered (%d, %s, %v), want (3, %s, true)", epoch, got, ok, plans[3])
 	}
 	// Compaction after 3 records: the log holds only the post-snapshot tail.
 	data, err := os.ReadFile(filepath.Join(dir, "journal.log"))
@@ -444,5 +434,37 @@ func TestJournalRecordRecoverCompact(t *testing.T) {
 	}
 	if len(data) > 256 {
 		t.Errorf("journal log %d bytes after compaction; truncation did not happen", len(data))
+	}
+}
+
+// TestJournalRejectsLegacyReplicatorEntries: a journal written in the
+// retired per-object replicator format must fail to open with an error
+// that says so — in the log and in the snapshot — never look empty.
+func TestJournalRejectsLegacyReplicatorEntries(t *testing.T) {
+	legacy := []byte(`{"epoch":1,"replicators":[[0,1],[1]]}`)
+	logDir := t.TempDir()
+	w, err := openWAL(filepath.Join(logDir, "journal.log"), SyncNever, 0, nil, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	snapDir := t.TempDir()
+	if _, err := writeSnapshotFile(filepath.Join(snapDir, "journal.snap"), legacy); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{logDir, snapDir} {
+		j, err := OpenJournal(dir, Options{})
+		if err == nil {
+			j.Close()
+			t.Fatalf("%s: legacy journal opened as if it were empty", dir)
+		}
+		if !strings.Contains(err.Error(), "holds no placement plan") {
+			t.Fatalf("%s: error does not name the cause: %v", dir, err)
+		}
 	}
 }
