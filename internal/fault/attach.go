@@ -4,11 +4,11 @@ import (
 	"drp/internal/netnode"
 )
 
-// Attach wires an injector into a running netnode cluster: every node's
-// outbound dials and the coordinator's commands go through the injector,
-// and the traffic driver advances the injector's logical clock once per
-// request. The cluster's addresses are registered so link-level faults
-// can attribute both endpoints.
+// Attach wires an injector into a running netnode cluster: every attempt
+// of every node's outbound calls and of the coordinator's commands asks
+// the injector first, and the traffic driver advances the injector's
+// logical clock once per request. The cluster's addresses are registered
+// so link-level faults can attribute both endpoints.
 //
 // Attach only installs middleware — retry policy and per-request timeouts
 // stay the cluster's to configure (netnode.Cluster.SetRetry /

@@ -418,6 +418,7 @@ func TestChaosBitIdenticalPerSeed(t *testing.T) {
 		versions []int64
 		drops    int64
 		refused  int64
+		stats    [5]int64
 	}
 	capture := func() snapshot {
 		c, in := chaosCluster(t, p, scheme, plan)
@@ -448,8 +449,9 @@ func TestChaosBitIdenticalPerSeed(t *testing.T) {
 				s.versions = append(s.versions, c.Node(i).Version(k))
 			}
 		}
-		_, refused, _, dropped, _ := in.Stats()
+		dials, refused, severed, dropped, delayed := in.Stats()
 		s.drops, s.refused = dropped, refused
+		s.stats = [5]int64{dials, refused, severed, dropped, delayed}
 		return s
 	}
 
@@ -475,6 +477,16 @@ func TestChaosBitIdenticalPerSeed(t *testing.T) {
 	}
 	if a.drops == 0 {
 		t.Error("drop plan never dropped a message; the scenario is vacuous")
+	}
+	// The gate keeps the verdict order and the RNG draws of the dialer it
+	// replaced: these are the counts and the report that the transport
+	// which dialled once per attempt produced on this plan (recorded at the
+	// last commit that had it), so the seeded drop sequence is the same.
+	wantStats := [5]int64{576, 6, 0, 104, 56}
+	wantRep := netnode.TrafficReport{NTC: 47024, Reads: 619, Writes: 130, QueuedWrites: 4}
+	if a.stats != wantStats || a.rep != wantRep || a.flush != 1370 {
+		t.Errorf("outcomes moved off the dial-per-attempt transport's:\n stats %v, want %v\n report %+v, want %+v\n flush %d, want 1370",
+			a.stats, wantStats, a.rep, wantRep, a.flush)
 	}
 }
 

@@ -175,48 +175,32 @@ func TestMaxStep(t *testing.T) {
 	}
 }
 
-// TestInjectorRefusesCrashedEndpoints drives the dialer directly: dials to
-// and from a crashed site fail with a transport (non-timeout) error while
-// the window is open, and succeed once it closes.
+// TestInjectorRefusesCrashedEndpoints drives the gate directly: attempts
+// to and from a crashed site fail with a transport (non-timeout) error
+// while the window is open, and pass once it closes.
 func TestInjectorRefusesCrashedEndpoints(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conn.Close()
-		}
-	}()
-
+	const addr1 = "127.0.0.1:4001"
 	in := NewInjector(Plan{Events: []Event{{Kind: KindCrash, Site: 1, Step: 1, Until: 3}}})
-	in.Register(1, ln.Addr().String())
-	dialTo1 := in.DialerFor(0)
-	dialFrom1 := in.DialerFor(1)
+	in.Register(1, addr1)
+	gateTo1 := in.DialerFor(0)
+	gateFrom1 := in.DialerFor(1)
 
 	in.Advance() // step 1: window open
-	if _, err := dialTo1(ln.Addr().String()); err == nil {
-		t.Fatal("dial to crashed site succeeded")
+	if err := gateTo1(addr1); err == nil {
+		t.Fatal("attempt to crashed site passed")
 	} else if ne, ok := err.(net.Error); !ok || ne.Timeout() {
 		t.Fatalf("want non-timeout net.Error, got %T %v", err, err)
 	}
-	if _, err := dialFrom1("127.0.0.1:1"); err == nil {
-		t.Fatal("dial from crashed site succeeded")
+	if err := gateFrom1("127.0.0.1:1"); err == nil {
+		t.Fatal("attempt from crashed site passed")
 	} else if !strings.Contains(err.Error(), "down") {
 		t.Fatalf("unexpected error from crashed client: %v", err)
 	}
 
 	in.AdvanceTo(3) // window closed
-	conn, err := dialTo1(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial after restart failed: %v", err)
+	if err := gateTo1(addr1); err != nil {
+		t.Fatalf("attempt after restart failed: %v", err)
 	}
-	conn.Close()
 
 	dials, refused, _, _, _ := in.Stats()
 	if dials != 3 || refused != 2 {
@@ -227,34 +211,16 @@ func TestInjectorRefusesCrashedEndpoints(t *testing.T) {
 // TestInjectorDropsAreSeeded replays the same drop plan twice and expects
 // the identical accept/refuse sequence from the seeded RNG.
 func TestInjectorDropsAreSeeded(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conn.Close()
-		}
-	}()
-
+	const addr1 = "127.0.0.1:4001"
 	plan := Plan{Seed: 1234, Events: []Event{{Kind: KindDrop, Site: 1, Peer: Coordinator, Step: 1, Prob: 0.5}}}
 	run := func() []bool {
 		in := NewInjector(plan)
-		in.Register(1, ln.Addr().String())
-		dial := in.DialerFor(0)
+		in.Register(1, addr1)
+		gate := in.DialerFor(0)
 		in.Advance()
 		var outcomes []bool
 		for i := 0; i < 32; i++ {
-			conn, err := dial(ln.Addr().String())
-			if err == nil {
-				conn.Close()
-			}
-			outcomes = append(outcomes, err == nil)
+			outcomes = append(outcomes, gate(addr1) == nil)
 		}
 		return outcomes
 	}

@@ -2,21 +2,24 @@ package fault
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"drp/internal/xrand"
 )
 
-// Injector realises a Plan as dialer middleware. One injector is shared
-// by every node of a cluster (and the coordinator); each participant gets
-// its own dialer from DialerFor so link-level faults know both endpoints.
+// Injector realises a Plan as a gate on call attempts. One injector is
+// shared by every node of a cluster (and the coordinator); each
+// participant gets its own gate from DialerFor so link-level faults know
+// both endpoints. The unit a fault acts on is the attempt, not the
+// connection: the nodes keep persistent links to each other, and a
+// modelled crash, blackhole or drop fails the attempt before a link is
+// picked, however healthy the pooled link to that peer is.
 //
 // The injector holds a logical step clock, advanced by the traffic driver
 // once per request (Advance). All fault decisions are pure functions of
 // (plan, step) except probabilistic drops, which consume the plan-seeded
-// RNG in dial order — deterministic under the serial traffic the chaos
+// RNG in attempt order — deterministic under the serial traffic the chaos
 // tests drive.
 type Injector struct {
 	plan Plan
@@ -26,9 +29,6 @@ type Injector struct {
 	rng      *xrand.Source
 	addrSite map[string]int
 
-	// DialTimeout bounds the underlying real dial (default 2s).
-	DialTimeout time.Duration
-
 	// Fault outcome counters, for assertions and CLI summaries.
 	dials, refused, severed, dropped, delayed int64
 }
@@ -36,17 +36,16 @@ type Injector struct {
 // NewInjector builds an injector for the plan.
 func NewInjector(plan Plan) *Injector {
 	return &Injector{
-		plan:        plan,
-		rng:         xrand.New(plan.Seed),
-		addrSite:    make(map[string]int),
-		DialTimeout: 2 * time.Second,
+		plan:     plan,
+		rng:      xrand.New(plan.Seed),
+		addrSite: make(map[string]int),
 	}
 }
 
 // Plan returns the injector's fault plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Register maps a peer address to its site index so dials can be
+// Register maps a peer address to its site index so attempts can be
 // attributed to links.
 func (in *Injector) Register(site int, addr string) {
 	in.mu.Lock()
@@ -78,9 +77,10 @@ func (in *Injector) Step() int64 {
 	return in.step
 }
 
-// Stats reports the injector's fault outcome counts: total dials seen,
-// dials refused because an endpoint was crashed, severed by a blackhole,
-// dropped probabilistically, and delayed by latency spikes.
+// Stats reports the injector's fault outcome counts: total attempts seen
+// (still named dials: one per attempt, as when every attempt dialled),
+// attempts refused because an endpoint was crashed, severed by a
+// blackhole, dropped probabilistically, and delayed by latency spikes.
 func (in *Injector) Stats() (dials, refused, severed, dropped, delayed int64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -89,6 +89,7 @@ func (in *Injector) Stats() (dials, refused, severed, dropped, delayed int64) {
 
 // faultError is the transport error the injector synthesises; it mimics a
 // net.OpError so retry classification treats it like a real dial failure.
+// Its texts still say "dial": span files and reports quote them.
 type faultError struct {
 	msg string
 }
@@ -97,11 +98,13 @@ func (e *faultError) Error() string   { return e.msg }
 func (e *faultError) Timeout() bool   { return false }
 func (e *faultError) Temporary() bool { return true }
 
-// DialerFor returns the dialer for one participant: a site index, or
-// Coordinator for the cluster coordinator. The returned function is safe
-// for concurrent use.
-func (in *Injector) DialerFor(client int) func(addr string) (net.Conn, error) {
-	return func(addr string) (net.Conn, error) {
+// DialerFor returns the gate for one participant: a site index, or
+// Coordinator for the cluster coordinator. The participant calls it once
+// before each attempt (netnode.Dialer); a fault verdict fails the
+// attempt, a latency verdict delays it. The returned function is safe for
+// concurrent use.
+func (in *Injector) DialerFor(client int) func(addr string) error {
+	return func(addr string) error {
 		in.mu.Lock()
 		step := in.step
 		target, known := in.addrSite[addr]
@@ -132,15 +135,11 @@ func (in *Injector) DialerFor(client int) func(addr string) (net.Conn, error) {
 				}
 			}
 		}
-		timeout := in.DialTimeout
 		in.mu.Unlock()
 
-		if verdict != nil {
-			return nil, verdict
-		}
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		return net.DialTimeout("tcp", addr, timeout)
+		return verdict
 	}
 }

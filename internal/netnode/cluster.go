@@ -28,11 +28,9 @@ type Cluster struct {
 	members []int      // member sites, ascending
 	plan    *plan.Plan // deployed placement plan
 
-	dial       Dialer        // coordinator's outbound dialer (fault seam)
-	retry      RetryPolicy   // coordinator command retries
-	reqTimeout time.Duration // coordinator per-command deadline
-	rng        *xrand.Source // backoff jitter for coordinator retries
-	hook       func()        // called before every driven request
+	opts  callOpts  // coordinator commands: gate (fault seam), retries, deadline
+	links transport // the coordinator's own links to the member sites
+	hook  func()    // called before every driven request
 
 	journal  *store.Journal  // coordinator journal (plan persistence)
 	stepHook func(plan.Step) // chaos seam: runs before each migration step
@@ -109,8 +107,8 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 		p:         p,
 		nodes:     make([]*Node, p.Sites()),
 		members:   ms,
-		retry:     RetryPolicy{Attempts: 1},
-		rng:       xrand.New(0x10ad),
+		opts:      callOpts{retry: RetryPolicy{Attempts: 1}},
+		links:     transport{rng: xrand.New(0x10ad)},
 		dataDir:   root,
 		storeOpts: opts,
 	}
@@ -139,9 +137,8 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 // directory — replaying the log — or, when the cluster has none, in
 // memory (store.Open's empty-dir case), a fresh listener starts, and the
 // cluster's retry policy, request timeout, metrics registry and tracer
-// are applied. Fault middleware is not (re-Attach or re-register the new
-// address with the injector, since the injector middleware holds the old
-// dialer).
+// are applied. Fault middleware is not: register the new address with the
+// injector and install the site's gate again.
 func (c *Cluster) bootNode(i int) (*Node, error) {
 	dir := ""
 	if c.dataDir != "" {
@@ -156,8 +153,8 @@ func (c *Cluster) bootNode(i int) (*Node, error) {
 		_ = st.Close()
 		return nil, err
 	}
-	node.SetRetry(c.retry)
-	node.SetRequestTimeout(c.reqTimeout)
+	node.SetRetry(c.opts.retry)
+	node.SetRequestTimeout(c.opts.timeout)
 	node.SetMetrics(c.metricsReg)
 	node.SetTracer(c.tracer)
 	return node, nil
@@ -216,9 +213,11 @@ func (c *Cluster) Scheme() *core.Scheme {
 	return s
 }
 
-// SetCommandDialer routes the coordinator's own commands through d (nil
-// restores the default TCP dialer). Fault middleware hooks in here.
-func (c *Cluster) SetCommandDialer(d Dialer) { c.dial = d }
+// SetCommandDialer installs d as the gate every attempt of the
+// coordinator's own commands must pass (nil removes it). Fault middleware
+// hooks in here. Like Node.SetDialer it kept its name when the seam moved
+// from the dial to the attempt, for its callers outside this module.
+func (c *Cluster) SetCommandDialer(d Dialer) { c.opts.gate = d }
 
 // SetRequestHook installs fn to run immediately before every request
 // driven by DriveTraffic / DriveTrafficReport. Fault injectors use it to
@@ -228,7 +227,7 @@ func (c *Cluster) SetRequestHook(fn func()) { c.hook = fn }
 // SetRetry applies one retry policy to every node's client calls and to
 // the coordinator's commands.
 func (c *Cluster) SetRetry(rp RetryPolicy) {
-	c.retry = rp
+	c.opts.retry = rp
 	for _, node := range c.nodes {
 		if node != nil {
 			node.SetRetry(rp)
@@ -239,7 +238,7 @@ func (c *Cluster) SetRetry(rp RetryPolicy) {
 // SetRequestTimeout applies one per-request deadline to every node's
 // client calls and to the coordinator's commands.
 func (c *Cluster) SetRequestTimeout(d time.Duration) {
-	c.reqTimeout = d
+	c.opts.timeout = d
 	for _, node := range c.nodes {
 		if node != nil {
 			node.SetRequestTimeout(d)
@@ -247,8 +246,9 @@ func (c *Cluster) SetRequestTimeout(d time.Duration) {
 	}
 }
 
-// Close shuts every node down.
+// Close shuts every node down, after the coordinator's links to them.
 func (c *Cluster) Close() {
+	c.links.close()
 	for _, node := range c.nodes {
 		if node != nil {
 			_ = node.Close()
@@ -289,13 +289,12 @@ func (c *Cluster) command(site int, msg message, parent *spans.Span) error {
 }
 
 // exchange runs one coordinator request against a member site under the
-// coordinator's dialer, retry policy and deadline.
+// coordinator's gate, retry policy and deadline.
 func (c *Cluster) exchange(site int, msg message, parent *spans.Span) (reply, error) {
 	if c.nodes[site] == nil {
 		return reply{}, fmt.Errorf("netnode: site %d is not a member", site)
 	}
-	backoff := func(retry int) time.Duration { return c.retry.backoff(retry, c.rng) }
-	return exchange(c.dial, c.reqTimeout, c.retry.Attempts, backoff, nil, c.nodes[site].Addr(), site, msg, parent)
+	return c.links.exchange(c.opts, nil, c.nodes[site].Addr(), site, msg, parent)
 }
 
 // TrafficReport summarises one measurement period driven under faults.

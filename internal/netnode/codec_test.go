@@ -91,7 +91,7 @@ func TestWireCodecEdgeCases(t *testing.T) {
 
 	// The abuse above must not have wedged the node: a well-formed request
 	// on a fresh connection still gets served.
-	resp, err := callOnce(nil, primaryAddr, message{Op: "version", Object: 0}, 0)
+	resp, err := callOnce(primaryAddr, message{Op: "version", Object: 0}, 0)
 	if err != nil {
 		t.Fatalf("node unusable after codec abuse: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestCallPeerClosesMidReply(t *testing.T) {
 				}
 				conn.Close()
 			}()
-			_, err = callOnce(nil, ln.Addr().String(), message{Op: "read", Object: 0}, 5*time.Second)
+			_, err = callOnce(ln.Addr().String(), message{Op: "read", Object: 0}, 5*time.Second)
 			if err == nil {
 				t.Fatal("call against a peer that closed mid-reply returned no error")
 			}
@@ -202,7 +202,7 @@ func TestUnknownOpTypedReplyRegression(t *testing.T) {
 	k := 0
 	nonHolder := (p.Primary(k) + 1) % p.Sites()
 
-	resp, err := callOnce(nil, c.Node(0).Addr(), message{Op: "mystery", Object: k}, 0)
+	resp, err := callOnce(c.Node(0).Addr(), message{Op: "mystery", Object: k}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestUnknownOpTypedReplyRegression(t *testing.T) {
 		t.Errorf("unknown op reply = %+v, want Code=%q naming the op", resp, CodeBadOp)
 	}
 
-	resp, err = callOnce(nil, c.Node(nonHolder).Addr(), message{Op: "sync", Object: k, Version: 7}, 0)
+	resp, err = callOnce(c.Node(nonHolder).Addr(), message{Op: "sync", Object: k, Version: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

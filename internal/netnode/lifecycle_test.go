@@ -120,7 +120,7 @@ func TestSendReplyHonoursDeadline(t *testing.T) {
 	defer server.Close()
 	done := make(chan error, 1)
 	go func() {
-		done <- n.sendReply(server, json.NewEncoder(server), reply{Code: CodeBadJSON, Err: "x"})
+		done <- n.sendReply(server, json.NewEncoder(server), &reply{Code: CodeBadJSON, Err: "x"})
 	}()
 	select {
 	case err := <-done:
@@ -143,13 +143,13 @@ func TestServeRejectsBadFrames(t *testing.T) {
 	defer n.Close()
 	n.SetRequestTimeout(time.Second)
 
-	// The oversized payload is sized to a multiple of the server's 4096-byte
-	// read buffer so every sent byte is consumed before the reply: unread
-	// bytes at close would RST the connection and could discard the reply.
+	// The oversized payload is sized to a multiple of the server's read
+	// buffer so every sent byte is consumed before the reply: unread bytes
+	// at close would RST the connection and could discard the reply.
 	tests := []struct {
 		name, payload, code string
 	}{
-		{"oversized", strings.Repeat("x", maxLineBytes+4096), CodeOversized},
+		{"oversized", strings.Repeat("x", maxLineBytes+linkBufBytes), CodeOversized},
 		{"malformed", "{not json}\n", CodeBadJSON},
 	}
 	for _, tc := range tests {

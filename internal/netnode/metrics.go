@@ -25,6 +25,7 @@ type nodeMetrics struct {
 	failovers     *metrics.Counter
 	ntcFailover   *metrics.Counter
 	ntcFlush      *metrics.Counter
+	dials         *metrics.Counter
 }
 
 func newNodeMetrics(reg *metrics.Registry) *nodeMetrics {
@@ -42,6 +43,7 @@ func newNodeMetrics(reg *metrics.Registry) *nodeMetrics {
 		failovers:     reg.Counter("drp_net_read_failovers_total", "Reads served by a farther replica after the nearest was unreachable.", nil),
 		ntcFailover:   reg.Counter("drp_net_ntc_degraded_total", "Transfer cost accounted to degraded-path requests.", metrics.Labels{"op": "read_failover"}),
 		ntcFlush:      reg.Counter("drp_net_ntc_degraded_total", "Transfer cost accounted to degraded-path requests.", metrics.Labels{"op": "write_flush"}),
+		dials:         reg.Counter("drp_net_dials_total", "Connections nodes accepted: every dial by a peer, the coordinator or a client. Link reuse is 1 - dials/messages.", nil),
 	}
 }
 
@@ -131,13 +133,11 @@ func (nm *nodeMetrics) write(primary bool, cost int64, elapsed time.Duration) {
 // latency histograms, replica-hit and NTC counters, and server-side
 // message counters. Call before driving traffic; nil detaches.
 func (n *Node) SetMetrics(reg *metrics.Registry) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if reg == nil {
-		n.metrics = nil
-		return
+	var nm *nodeMetrics
+	if reg != nil {
+		nm = newNodeMetrics(reg)
 	}
-	n.metrics = newNodeMetrics(reg)
+	n.configure(func(c *nodeConfig) { c.metrics = nm })
 }
 
 // EnableMetrics attaches one shared registry to every node of the cluster

@@ -118,7 +118,7 @@ func TestUnknownOpsShareOneSeries(t *testing.T) {
 	for i := 0; i < bogus; i++ {
 		// Odd ones also carry an out-of-range object, which is refused
 		// before the op is even looked at.
-		resp, err := callOnce(nil, addr, message{Op: fmt.Sprintf("bogus-%d", i), Object: -(i % 2)}, 0)
+		resp, err := callOnce(addr, message{Op: fmt.Sprintf("bogus-%d", i), Object: -(i % 2)}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestUnknownOpsShareOneSeries(t *testing.T) {
 			t.Fatalf("bogus op %d answered %+v, want code %q", i, resp, want)
 		}
 	}
-	if _, err := callOnce(nil, addr, message{Op: "version", Object: 0}, 0); err != nil {
+	if _, err := callOnce(addr, message{Op: "version", Object: 0}, 0); err != nil {
 		t.Fatal(err)
 	}
 	series := map[string]float64{}

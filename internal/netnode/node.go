@@ -13,15 +13,16 @@
 // traffic the cluster's accounted NTC equals eq. 4's D exactly; the tests
 // assert it.
 //
-// The serving path tolerates faults. Every outbound call goes through an
-// injectable dialer (see drp/internal/fault) with a per-request deadline
-// and capped, jittered exponential backoff. Reads that cannot reach the
-// recorded nearest replica fail over to the next-nearest live replica,
-// walking the cost ranking exactly as eq. 4's min C(i,j) would with the
-// dead sites excluded. Writes degrade instead of failing: an unreachable
-// primary queues the write locally (flushed with FlushPending), and a
-// partial broadcast marks the missed replicas stale at the primary for
-// later version reconciliation (the "reconcile" op).
+// The serving path tolerates faults. Every outbound call travels on a
+// persistent link to the peer (link.go), passes an injectable per-attempt
+// gate first (see drp/internal/fault), and runs under a per-request
+// deadline with capped, jittered exponential backoff. Reads that cannot
+// reach the recorded nearest replica fail over to the next-nearest live
+// replica, walking the cost ranking exactly as eq. 4's min C(i,j) would
+// with the dead sites excluded. Writes degrade instead of failing: an
+// unreachable primary queues the write locally (flushed with
+// FlushPending), and a partial broadcast marks the missed replicas stale
+// at the primary for later version reconciliation (the "reconcile" op).
 //
 // Site state lives in a drp/internal/store.Store — in-memory by default,
 // or backed by a write-ahead log and snapshots when the node is opened on
@@ -41,6 +42,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drp/internal/core"
@@ -128,11 +130,6 @@ var (
 	ErrWriteQueued = errors.New("netnode: write queued, primary unreachable")
 )
 
-// Dialer opens a connection to a peer address. The default is a plain TCP
-// dial; drp/internal/fault substitutes middleware that injects crashes,
-// blackholes, latency and drops without the node code changing.
-type Dialer func(addr string) (net.Conn, error)
-
 // Node is one site: a TCP server plus the site-local replication state the
 // paper prescribes (its replica holdings, the nearest-replica record per
 // object, and — for objects primaried here — the full replication scheme).
@@ -144,20 +141,35 @@ type Node struct {
 	ln   net.Listener
 	st   *store.Store
 
-	mu      sync.Mutex
-	peers   []string
-	metrics *nodeMetrics  // telemetry instruments; nil when disabled
-	tracer  *spans.Tracer // request tracing; nil when disabled
+	cfg   atomic.Pointer[nodeConfig] // what requests run under; never nil
+	links transport                  // persistent links to the peers
 
-	dial       Dialer
-	retry      RetryPolicy
-	reqTimeout time.Duration
-	rng        *xrand.Source // backoff jitter only; never touches accounting
+	mu    sync.Mutex            // serialises the setters and guards conns
+	conns map[net.Conn]struct{} // accepted connections, for shutdown
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
+}
+
+// nodeConfig is everything the request path reads that a setter can
+// change. It is immutable: a setter publishes a modified copy, so a
+// request loads one pointer and takes no lock.
+type nodeConfig struct {
+	peers   []string
+	metrics *nodeMetrics  // telemetry instruments; nil when disabled
+	tracer  *spans.Tracer // request tracing; nil when disabled
+	callOpts
+}
+
+// configure publishes a copy of the configuration with edit applied.
+func (n *Node) configure(edit func(*nodeConfig)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	cfg := *n.cfg.Load()
+	edit(&cfg)
+	n.cfg.Store(&cfg)
 }
 
 // primaries returns the primary site of every object, the store's
@@ -205,10 +217,10 @@ func ListenStore(p *core.Problem, site int, addr string, st *store.Store) (*Node
 		site:   site,
 		ln:     ln,
 		st:     st,
-		retry:  RetryPolicy{Attempts: 1},
-		rng:    xrand.New(uint64(site) + 1),
+		links:  transport{rng: xrand.New(uint64(site) + 1)},
 		closed: make(chan struct{}),
 	}
+	n.cfg.Store(&nodeConfig{callOpts: callOpts{retry: RetryPolicy{Attempts: 1}}})
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -223,36 +235,36 @@ func (n *Node) Site() int { return n.site }
 // Store returns the node's state store.
 func (n *Node) Store() *store.Store { return n.st }
 
-// SetPeers wires the full address table (indexed by site).
+// SetPeers wires the full address table (indexed by site) and closes the
+// node's idle links: a new table starts without any, so no link to an
+// address that left it — or to a peer that restarted on the port it had —
+// is used again.
 func (n *Node) SetPeers(addrs []string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.peers = append([]string(nil), addrs...)
+	peers := append([]string(nil), addrs...)
+	n.configure(func(c *nodeConfig) { c.peers = peers })
+	n.links.reset()
 }
 
-// SetDialer routes the node's outbound calls through d (nil restores the
-// default TCP dialer). Fault-injection middleware hooks in here.
+// SetDialer installs d as the gate every outbound attempt of the node must
+// pass (nil removes it). Fault-injection middleware hooks in here. The
+// method kept its name when the seam moved from the dial to the attempt —
+// calls no longer dial — because callers outside this module use it.
 func (n *Node) SetDialer(d Dialer) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dial = d
+	n.configure(func(c *nodeConfig) { c.gate = d })
 }
 
 // SetRetry configures transport-level retries for the node's outbound
 // calls. The zero policy (Attempts ≤ 1) disables retrying.
 func (n *Node) SetRetry(rp RetryPolicy) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.retry = rp
+	n.configure(func(c *nodeConfig) { c.retry = rp })
 }
 
-// SetRequestTimeout bounds each outbound call (dial plus round trip) and
-// each reply write; 0 disables the outbound deadline (reply writes then
-// fall back to a conservative default).
+// SetRequestTimeout bounds each outbound attempt (opening a link when
+// none is idle, then the round trip) and each reply write; 0 disables the
+// outbound deadline (reply writes then fall back to a conservative
+// default).
 func (n *Node) SetRequestTimeout(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.reqTimeout = d
+	n.configure(func(c *nodeConfig) { c.timeout = d })
 }
 
 // Version returns the local version of object k (0 if not held). Versions
@@ -275,33 +287,36 @@ func (n *Node) PendingWrites() int { return n.st.TotalPending() }
 // that missed a sync broadcast and still await reconciliation.
 func (n *Node) StaleReplicas(k int) []int { return n.st.StaleSites(k) }
 
-// Close shuts the listener down, waits for in-flight handlers and closes
-// the store (flushing its log). Close is idempotent: concurrent or
-// repeated calls all return the first outcome.
-func (n *Node) Close() error {
-	n.closeOnce.Do(func() {
-		close(n.closed)
-		err := n.ln.Close()
-		n.wg.Wait()
-		if serr := n.st.Close(); err == nil {
-			err = serr
-		}
-		n.closeErr = err
-	})
-	return n.closeErr
-}
+// Close shuts the node down — its links, its listener and the connections
+// it accepted — waits for in-flight handlers and closes the store
+// (flushing its log). Close is idempotent: concurrent or repeated calls
+// all return the first outcome.
+func (n *Node) Close() error { return n.shutdown(n.st.Close) }
 
-// Kill crash-stops the node: the listener closes and the store's log is
-// abandoned without a flush or snapshot — the SIGKILL-equivalent stop.
-// A node restarted from the same data directory recovers purely by
+// Kill crash-stops the node: it stops serving like Close, but the store's
+// log is abandoned without a flush or snapshot — the SIGKILL-equivalent
+// stop. A node restarted from the same data directory recovers purely by
 // replay. Kill and Close share the once-guard, so either may follow the
 // other harmlessly.
-func (n *Node) Kill() error {
+func (n *Node) Kill() error { return n.shutdown(n.st.Crash) }
+
+// shutdown stops serving and then stops the store with stop. Peers keep
+// their links to this node open between requests, so the serve loops would
+// block in their next read forever: an expired read deadline wakes the
+// idle ones, while a handler in mid-request still writes its reply before
+// its loop meets the same deadline.
+func (n *Node) shutdown(stop func() error) error {
 	n.closeOnce.Do(func() {
 		close(n.closed)
+		n.links.close()
 		err := n.ln.Close()
+		n.mu.Lock()
+		for conn := range n.conns {
+			_ = conn.SetReadDeadline(time.Now())
+		}
+		n.mu.Unlock()
 		n.wg.Wait()
-		if serr := n.st.Crash(); err == nil {
+		if serr := stop(); err == nil {
 			err = serr
 		}
 		n.closeErr = err
@@ -327,7 +342,13 @@ func (n *Node) acceptLoop() {
 				continue
 			}
 		}
-		n.wg.Add(1)
+		if !n.track(conn) {
+			conn.Close()
+			continue
+		}
+		if nm := n.cfg.Load().metrics; nm != nil {
+			nm.dials.Inc()
+		}
 		go func() {
 			defer n.wg.Done()
 			n.serve(conn)
@@ -335,13 +356,29 @@ func (n *Node) acceptLoop() {
 	}
 }
 
+// track registers an accepted connection with the node's shutdown and
+// reserves its serve goroutine; false means shutdown has already begun.
+func (n *Node) track(conn net.Conn) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	select {
+	case <-n.closed:
+		return false
+	default:
+	}
+	if n.conns == nil {
+		n.conns = make(map[net.Conn]struct{})
+	}
+	n.conns[conn] = struct{}{}
+	n.wg.Add(1)
+	return true
+}
+
 // replyTimeout bounds one reply write: the configured request timeout, or
 // a conservative default so no reply write can stall unboundedly.
 func (n *Node) replyTimeout() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.reqTimeout > 0 {
-		return n.reqTimeout
+	if d := n.cfg.Load().timeout; d > 0 {
+		return d
 	}
 	return defaultReplyTimeout
 }
@@ -350,7 +387,7 @@ func (n *Node) replyTimeout() time.Duration {
 // normal replies get the same treatment: a stalled client makes the write
 // miss its deadline and the connection dies, instead of pinning the
 // handler goroutine past Close.
-func (n *Node) sendReply(conn net.Conn, enc *json.Encoder, resp reply) error {
+func (n *Node) sendReply(conn net.Conn, enc *json.Encoder, resp *reply) error {
 	if d := n.replyTimeout(); d > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(d))
 		defer conn.SetWriteDeadline(time.Time{})
@@ -358,17 +395,28 @@ func (n *Node) sendReply(conn net.Conn, enc *json.Encoder, resp reply) error {
 	return enc.Encode(resp)
 }
 
-// serve handles one connection: a sequence of JSON-line requests. Framing
+// serve handles one connection: a sequence of JSON-line requests, one
+// reply each, for as long as the peer keeps its link open. Framing
 // violations (oversized or malformed lines) get a typed error reply and
 // close the connection, since the stream can no longer be trusted.
 func (n *Node) serve(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
+	defer func() {
+		n.mu.Lock()
+		delete(n.conns, conn)
+		n.mu.Unlock()
+		conn.Close()
+	}()
+	r := bufio.NewReaderSize(conn, linkBufBytes)
 	enc := json.NewEncoder(conn)
+	// The codec takes pointers; one request and one reply per connection,
+	// reset per line, keep them off the heap.
+	var msg message
+	var resp reply
 	for {
 		line, err := readLine(r, maxLineBytes)
 		if err == errOversized {
-			_ = n.sendReply(conn, enc, reply{Code: CodeOversized, Err: "request line exceeds limit"})
+			resp = reply{Code: CodeOversized, Err: "request line exceeds limit"}
+			_ = n.sendReply(conn, enc, &resp)
 			return
 		}
 		if err != nil {
@@ -377,13 +425,14 @@ func (n *Node) serve(conn net.Conn) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var msg message
+		msg = message{}
 		if err := json.Unmarshal(line, &msg); err != nil {
-			_ = n.sendReply(conn, enc, reply{Code: CodeBadJSON, Err: fmt.Sprintf("malformed request: %v", err)})
+			resp = reply{Code: CodeBadJSON, Err: fmt.Sprintf("malformed request: %v", err)}
+			_ = n.sendReply(conn, enc, &resp)
 			return
 		}
-		resp := n.handle(msg)
-		if err := n.sendReply(conn, enc, resp); err != nil {
+		resp = n.handle(msg)
+		if err := n.sendReply(conn, enc, &resp); err != nil {
 			return
 		}
 	}
@@ -391,25 +440,24 @@ func (n *Node) serve(conn net.Conn) {
 
 // readLine reads one newline-terminated line of at most max bytes. A line
 // exceeding the cap returns errOversized; EOF before any byte returns the
-// underlying error.
+// underlying error. A line that fits the reader's buffer is returned in
+// place and is valid until the next read.
 func readLine(r *bufio.Reader, max int) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		line = append(line, chunk...)
-		if len(line) > max {
-			return nil, errOversized
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		line = append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull && len(line) <= max {
+			var chunk []byte
+			chunk, err = r.ReadSlice('\n')
+			line = append(line, chunk...)
 		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err != nil {
-			// io.EOF with a partial line is a truncated request: surface it
-			// as a plain read error so the connection closes without a reply.
-			return line, err
-		}
-		return line, nil
 	}
+	if len(line) > max {
+		return nil, errOversized
+	}
+	// io.EOF with a partial line is a truncated request: surface it as a
+	// plain read error so the connection closes without a reply.
+	return line, err
 }
 
 // storageReply converts a store append failure into a typed rejection: the
@@ -422,14 +470,14 @@ func storageReply(err error) reply {
 // carries wire trace context and this node has a tracer attached; the
 // span nests under the caller's exact rpc attempt span.
 func (n *Node) handle(msg message) reply {
-	n.mu.Lock()
-	nm := n.metrics
-	tr := n.tracer
-	n.mu.Unlock()
-	if nm != nil {
-		nm.served(msg.Op)
+	cfg := n.cfg.Load()
+	if cfg.metrics != nil {
+		cfg.metrics.served(msg.Op)
 	}
-	sv := tr.StartRemote(msg.Trace, msg.Span, "serve."+msg.Op)
+	var sv *spans.Span
+	if msg.Trace != "" { // an untraced request does not pay for the name
+		sv = cfg.tracer.StartRemote(msg.Trace, msg.Span, "serve."+msg.Op)
+	}
 	sv.SetSite(n.site)
 	sv.SetObject(msg.Object)
 	resp := n.serveOp(msg, sv)
@@ -644,10 +692,8 @@ func (n *Node) syncReplica(obj, j int, version int64, addr string, parent *spans
 // log before the write is acknowledged.
 func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (int64, []int, error) {
 	targets := n.st.Registry(obj)
-	n.mu.Lock()
-	peers := n.peers
-	nm := n.metrics
-	n.mu.Unlock()
+	cfg := n.cfg.Load()
+	peers, nm := cfg.peers, cfg.metrics
 	var cost int64
 	var missed []int
 	for _, j := range targets {
@@ -688,9 +734,7 @@ func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (in
 func (n *Node) reconcile(obj int, parent *spans.Span) (int64, []int, error) {
 	targets := n.st.StaleSites(obj)
 	version := n.st.Version(obj)
-	n.mu.Lock()
-	peers := n.peers
-	n.mu.Unlock()
+	peers := n.cfg.Load().peers
 	var cost int64
 	var remaining []int
 	for _, j := range targets {
@@ -748,12 +792,9 @@ func (n *Node) Read(obj int) (cost int64, err error) {
 	local := n.st.Holds(obj)
 	target := n.st.Nearest(obj)
 	replicas := n.st.Replicas(obj)
-	n.mu.Lock()
-	peers := n.peers
-	nm := n.metrics
-	tr := n.tracer
-	n.mu.Unlock()
-	root := tr.Root("read")
+	cfg := n.cfg.Load()
+	peers, nm := cfg.peers, cfg.metrics
+	root := cfg.tracer.Root("read")
 	root.SetSite(n.site)
 	root.SetObject(obj)
 	defer func() {
@@ -823,12 +864,10 @@ func (n *Node) Write(obj int) (cost int64, err error) {
 	if obj < 0 || obj >= n.p.Objects() {
 		return 0, fmt.Errorf("netnode: object %d out of range", obj)
 	}
-	n.mu.Lock()
-	nm := n.metrics
-	tr := n.tracer
-	n.mu.Unlock()
+	cfg := n.cfg.Load()
+	peers, nm := cfg.peers, cfg.metrics
 	sp := n.st.PrimaryOf(obj)
-	root := tr.Root("write")
+	root := cfg.tracer.Root("write")
 	root.SetSite(n.site)
 	root.SetObject(obj)
 	root.SetPeer(sp)
@@ -845,9 +884,6 @@ func (n *Node) Write(obj int) (cost int64, err error) {
 			return 0, err
 		}
 	} else {
-		n.mu.Lock()
-		peers := n.peers
-		n.mu.Unlock()
 		if sp >= len(peers) {
 			return 0, fmt.Errorf("netnode: no address for primary site %d", sp)
 		}
@@ -920,11 +956,8 @@ func (n *Node) shipWrite(obj, sp int, addr string, root *spans.Span) (cost int64
 // flushing that object and moves on to the next.
 func (n *Node) FlushPending() (int64, error) {
 	objs := n.st.PendingObjects()
-	n.mu.Lock()
-	peers := n.peers
-	nm := n.metrics
-	tr := n.tracer
-	n.mu.Unlock()
+	cfg := n.cfg.Load()
+	peers, nm, tr := cfg.peers, cfg.metrics, cfg.tracer
 	sort.Ints(objs)
 	var total int64
 	for _, obj := range objs {
@@ -958,93 +991,10 @@ func (n *Node) FlushPending() (int64, error) {
 	return total, nil
 }
 
-// call runs one outbound exchange under the node's dialer, retry policy,
+// call runs one outbound exchange under the node's gate, retry policy,
 // deadline and metrics. The caller's span (hop, ship, sync) already names
 // the peer, so the attempts carry none.
 func (n *Node) call(addr string, msg message, parent *spans.Span) (reply, error) {
-	n.mu.Lock()
-	dial := n.dial
-	rp := n.retry
-	timeout := n.reqTimeout
-	nm := n.metrics
-	n.mu.Unlock()
-	backoff := func(retry int) time.Duration {
-		n.mu.Lock() // the jitter source is shared by every request goroutine
-		defer n.mu.Unlock()
-		return rp.backoff(retry, n.rng)
-	}
-	return exchange(dial, timeout, rp.Attempts, backoff, nm, addr, -1, msg, parent)
-}
-
-// exchange is the one RPC loop, shared by nodes and the coordinator: dial
-// addr, send one request and read one reply, retrying transport failures
-// up to attempts times with the backoff the caller's policy prescribes.
-// Protocol rejections are returned as replies, never retried. Each
-// attempt gets its own rpc span under parent (labelled with peer when
-// that is a site index), and the attempt's span IDs ride the wire so the
-// peer's serve span nests under the exact attempt that reached it. nm,
-// when non-nil, counts retries and deadline misses.
-func exchange(dial Dialer, timeout time.Duration, attempts int, backoff func(retry int) time.Duration, nm *nodeMetrics, addr string, peer int, msg message, parent *spans.Span) (reply, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			if nm != nil {
-				nm.retry(msg.Op)
-			}
-			if d := backoff(a - 1); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		att := parent.Child("rpc." + msg.Op)
-		att.SetPeer(peer)
-		att.SetAttempt(a)
-		msg.Trace, msg.Span = att.Context()
-		resp, err := callOnce(dial, addr, msg, timeout)
-		if err == nil {
-			att.Finish()
-			return resp, nil
-		}
-		att.SetErr(err)
-		att.Finish()
-		if nm != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				nm.timeout(msg.Op)
-			}
-		}
-		lastErr = err
-	}
-	return reply{}, lastErr
-}
-
-// callOnce performs one dial + request + reply exchange with an optional
-// deadline covering the whole round trip.
-func callOnce(dial Dialer, addr string, msg message, timeout time.Duration) (reply, error) {
-	var conn net.Conn
-	var err error
-	if dial != nil {
-		conn, err = dial(addr)
-	} else if timeout > 0 {
-		conn, err = net.DialTimeout("tcp", addr, timeout)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
-	if err != nil {
-		return reply{}, fmt.Errorf("netnode: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(timeout))
-	}
-	if err := json.NewEncoder(conn).Encode(msg); err != nil {
-		return reply{}, fmt.Errorf("netnode: send: %w", err)
-	}
-	var resp reply
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		return reply{}, fmt.Errorf("netnode: recv: %w", err)
-	}
-	return resp, nil
+	cfg := n.cfg.Load()
+	return n.links.exchange(cfg.callOpts, cfg.metrics, addr, -1, msg, parent)
 }

@@ -11,9 +11,7 @@ import (
 // requests mint serve spans stitched under the caller's attempt. A nil
 // tracer disables tracing (the default).
 func (n *Node) SetTracer(tr *spans.Tracer) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tracer = tr
+	n.configure(func(c *nodeConfig) { c.tracer = tr })
 }
 
 // EnableTracing attaches one shared tracer to every node and to the

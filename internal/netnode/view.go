@@ -68,8 +68,10 @@ func checkMembers(p *core.Problem, members []int) ([]int, error) {
 
 // rewirePeers rebuilds the universe-indexed address table and pushes it
 // to every live node. Absent sites keep an empty address, which dials
-// fail on — exactly like a dead site.
+// fail on — exactly like a dead site. Nodes drop their idle links with
+// the old table, and so does the coordinator.
 func (c *Cluster) rewirePeers() {
+	c.links.reset()
 	addrs := make([]string, len(c.nodes))
 	for i, n := range c.nodes {
 		if n != nil {
