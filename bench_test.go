@@ -19,6 +19,8 @@ import (
 
 	"drp"
 	"drp/internal/experiments"
+	"drp/internal/gra"
+	"drp/internal/xrand"
 )
 
 // benchFigure runs one figure's sweep per iteration and reports the last
@@ -131,37 +133,32 @@ func BenchmarkSRALarge(b *testing.B) {
 	}
 }
 
-// BenchmarkGRAGeneration measures GRA cost per generation (population 50,
-// one generation, amortising the SRA seeding out via ResetTimer).
-func BenchmarkGRAGeneration(b *testing.B) {
+// benchGRAGeneration measures one GRA generation (population 50) from an
+// SRA-seeded population built once, outside the timer: an iteration is the
+// seed population's evaluation plus one generation's variation, offspring
+// evaluation and selection — no SRA runs.
+func benchGRAGeneration(b *testing.B, parallelism int) {
 	p := benchProblem(b, 50, 200, 0.05)
 	params := drp.DefaultGRAParams()
 	params.Generations = 1
+	params.Parallelism = parallelism
+	seeded := gra.SeedSRA(p, params.PopSize, xrand.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		params.Seed = uint64(i + 1)
-		if _, err := drp.GRA(p, params); err != nil {
+		if _, err := drp.GRAWithPopulation(p, params, seeded); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkGRAGeneration is the serial generation.
+func BenchmarkGRAGeneration(b *testing.B) { benchGRAGeneration(b, 1) }
+
 // BenchmarkGRAGenerationParallel is BenchmarkGRAGeneration with the
 // evaluation pool set to every core; the ratio of the two is the
 // realised speedup of the parallel evaluation layer (≈1 on one core).
-func BenchmarkGRAGenerationParallel(b *testing.B) {
-	p := benchProblem(b, 50, 200, 0.05)
-	params := drp.DefaultGRAParams()
-	params.Generations = 1
-	params.Parallelism = 0 // all cores
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		params.Seed = uint64(i + 1)
-		if _, err := drp.GRA(p, params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkGRAGenerationParallel(b *testing.B) { benchGRAGeneration(b, 0) }
 
 // BenchmarkAGRAObject measures one per-object micro-GA (Ap=10, Ag=50), the
 // unit of adaptive work.

@@ -247,6 +247,10 @@ type chromosome struct {
 	bits   *bitset.Set
 	usage  []int64
 	degree []int
+
+	// RepairExact's pricing scratch, built on its first eviction candidate.
+	ev            *core.Evaluator
+	with, without []int32
 }
 
 func newChromosome(p *core.Problem, bits *bitset.Set) *chromosome {
@@ -356,9 +360,10 @@ func (ch *chromosome) pickVictim(i int, strategy Repair, rng *xrand.Source) int 
 func (ch *chromosome) removalDegradation(i, k int) int64 {
 	p := ch.p
 	n := p.Objects()
-	ev := core.NewEvaluator(p)
-	with := make([]int32, 0, ch.degree[k])
-	without := make([]int32, 0, ch.degree[k]-1)
+	if ch.ev == nil {
+		ch.ev = core.NewEvaluator(p)
+	}
+	with, without := ch.with[:0], ch.without[:0]
 	for site := 0; site < p.Sites(); site++ {
 		if ch.bits.Test(site*n + k) {
 			with = append(with, int32(site))
@@ -367,5 +372,6 @@ func (ch *chromosome) removalDegradation(i, k int) int64 {
 			}
 		}
 	}
-	return ev.ObjectCost(k, without) - ev.ObjectCost(k, with)
+	ch.with, ch.without = with, without
+	return ch.ev.ObjectCost(k, without) - ch.ev.ObjectCost(k, with)
 }

@@ -98,3 +98,44 @@ func BenchmarkDeltaVsFullEval(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkObjectCost measures one V_k — the unit the delta evaluator and
+// AGRA's micro-GAs pay per move — on the 50×200 shape at three replica
+// degrees: primary only, a well-replicated object, and M/2, where the
+// micro-GA's random half of the population sits.
+func BenchmarkObjectCost(b *testing.B) {
+	p := benchProblem(b, 50, 200)
+	ev := core.NewEvaluator(p)
+	for _, degree := range []int{1, 8, p.Sites() / 2} {
+		// One replica list per object: the primary plus the next sites.
+		lists := make([][]int32, p.Objects())
+		for k := range lists {
+			for j := 0; j < degree; j++ {
+				lists[k] = append(lists[k], int32((p.Primary(k)+j)%p.Sites()))
+			}
+		}
+		b.Run(fmt.Sprintf("degree%d", degree), func(b *testing.B) {
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				k := i % len(lists)
+				sink += ev.ObjectCost(k, lists[k])
+			}
+			_ = sink
+		})
+	}
+}
+
+// BenchmarkNewProblem measures instance construction on the 50×200 shape:
+// validation, the magnitude gate and every derived table, the evaluator's
+// object-major read copy included.
+func BenchmarkNewProblem(b *testing.B) {
+	p := benchProblem(b, 50, 200)
+	reads, writes := p.ReadMatrix(), p.WriteMatrix()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.WithPatterns(reads, writes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

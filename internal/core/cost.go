@@ -21,15 +21,34 @@ import (
 // primary, which keeps eq. 4 consistent with eqs. 1–2 (the broadcast
 // excludes the writer itself).
 //
-// Because link costs are positive, min_j C(i,j) over the replicators is zero
-// exactly when i is itself a replicator, which lets the evaluator branch on
-// the computed minimum instead of probing the bit matrix per (i,k) pair.
+// The evaluator prices one object at a time through a re-association of
+// eq. 4 that is exact over the integers. Write d(i) = min{C(i,j) : j ∈ R_k}
+// for the replicator set R_k. Link costs are positive off the diagonal and
+// zero on it, so d(i) = 0 exactly when i ∈ R_k: a replicator's read term
+// vanishes by itself, and adding the ship cost w_k(i)·C(i,SP_k) of *every*
+// site turns a replicator's fan-in Wtot_k·C(i,SP_k) into the correction
+// (Wtot_k − w_k(i))·C(i,SP_k). Hence
+//
+//	V_k = o_k·[ Σ_i r_k(i)·d(i) + Σ_i w_k(i)·C(i,SP_k)
+//	            + Σ_{j∈R_k} (Wtot_k − w_k(j))·C(j,SP_k) ]
+//
+// The middle sum is the per-object constant Problem.ship. Only the first
+// needs a pass over the sites, and since the matrix is symmetric d is the
+// element-wise minimum of the replicators' own rows — contiguous loads
+// against the object-major read row Problem.readsT, no branch per site.
+//
+// Magnitudes: the three bracketed sums are non-negative and at most
+// Rtot_k·maxC, Wtot_k·maxC and M·Wtot_k·maxC, so they and their o_k-multiples
+// stay under the per-object bound (1 + Rtot_k + (M+1)·Wtot_k)·o_k·maxC that
+// NTCBoundOverflow admitted at construction; no partial sum can leave int64.
 
 // Evaluator computes D for raw site-major bit matrices (GA chromosomes)
 // while reusing internal buffers. It is not safe for concurrent use; create
 // one per goroutine.
 type Evaluator struct {
 	p *Problem
+	// dmin is the M-long nearest-replica distance scratch of objectTerms.
+	dmin []int64
 	// replicators[k] is scratch for the replica list of object k.
 	replicators [][]int32
 	// meter, when set, is incremented once per Cost/ObjectCost call — the
@@ -41,6 +60,7 @@ type Evaluator struct {
 func NewEvaluator(p *Problem) *Evaluator {
 	return &Evaluator{
 		p:           p,
+		dmin:        make([]int64, p.m),
 		replicators: make([][]int32, p.n),
 	}
 }
@@ -56,8 +76,13 @@ func (e *Evaluator) gather(x *bitset.Set) {
 	for k := range e.replicators {
 		e.replicators[k] = e.replicators[k][:0]
 	}
+	site, base := int32(0), 0
 	for pos := x.NextSet(0); pos >= 0; pos = x.NextSet(pos + 1) {
-		e.replicators[pos%n] = append(e.replicators[pos%n], int32(pos/n))
+		for pos >= base+n {
+			site++
+			base += n
+		}
+		e.replicators[pos-base] = append(e.replicators[pos-base], site)
 	}
 }
 
@@ -69,72 +94,84 @@ func (e *Evaluator) Cost(x *bitset.Set) int64 {
 	if e.meter != nil {
 		e.meter.Add(1)
 	}
+	return e.terms(x).Total()
+}
+
+// terms is Cost split into eq. 4's three summands.
+func (e *Evaluator) terms(x *bitset.Set) CostTerms {
 	e.gather(x)
-	var total int64
-	for k := 0; k < e.p.n; k++ {
-		total += e.objectCost(k, e.replicators[k])
+	var t CostTerms
+	for k, repl := range e.replicators {
+		v := e.objectTerms(k, repl)
+		t.ReadNTC += v.ReadNTC
+		t.WriteNTC += v.WriteNTC
+		t.UpdateNTC += v.UpdateNTC
 	}
-	return total
+	return t
 }
 
 // ObjectCost returns V_k, the NTC attributable to object k, for the
-// replicator set given as site indices. Used by AGRA, whose chromosomes
-// describe a single object's replication scheme.
+// replicator set given as site indices — a set: order is irrelevant and a
+// repeated site counts once; the empty set prices as {SP_k}, i.e. V′_k.
+// Used by AGRA, whose chromosomes describe a single object's replication
+// scheme.
 func (e *Evaluator) ObjectCost(k int, replicators []int32) int64 {
 	if e.meter != nil {
 		e.meter.Add(1)
 	}
-	return e.objectCost(k, replicators)
+	return e.objectTerms(k, replicators).Total()
 }
 
-func (e *Evaluator) objectCost(k int, repl []int32) int64 {
+// objectTerms is eq. 4 for one object, in the re-associated form above: the
+// package's only transcription of the cost model. Everything else — Cost,
+// ObjectCost, CostTerms, the delta evaluator, V′ and D′ — sums its results.
+func (e *Evaluator) objectTerms(k int, repl []int32) CostTerms {
 	p := e.p
-	sp := p.primary[k]
-	ok := p.size[k]
-	wTot := p.totalWrites[k]
 	if len(repl) == 0 {
-		// Treat as primaries-only (degenerate input).
-		return p.vPrime[k]
+		repl = []int32{int32(p.primary[k])}
 	}
-	spRow := p.dist.Row(sp)
-	var total int64
-	for i := 0; i < p.m; i++ {
-		row := p.dist.Row(i)
-		dmin := row[repl[0]]
-		for _, j := range repl[1:] {
-			if d := row[j]; d < dmin {
-				dmin = d
-				if d == 0 {
-					break
-				}
-			}
-		}
-		if dmin == 0 {
-			// i is a replicator: it receives every update from the primary
-			// (its own updates ship to the primary via the x=i term).
-			total += wTot * ok * spRow[i]
-		} else {
-			total += p.reads[i*p.n+k]*ok*dmin + p.writes[i*p.n+k]*ok*spRow[i]
+	dmin := e.dmin
+	copy(dmin, p.dist.Row(int(repl[0])))
+	for _, j := range repl[1:] {
+		for i, d := range p.dist.Row(int(j))[:len(dmin)] {
+			dmin[i] = min(dmin[i], d)
 		}
 	}
-	return total
+	var read int64
+	for i, r := range p.readsT[k*p.m:][:len(dmin)] {
+		read += r * dmin[i]
+	}
+	// The replicators' corrections; writes is site-major, so these |R_k|
+	// loads are the kernel's only strided ones. dmin[j] is zero for every
+	// replicator — overwriting it once j is charged makes a repeated site in
+	// repl charge once, as it does in the min above.
+	toPrimary := p.dist.Row(p.primary[k])
+	var fanIn, own int64
+	for _, j := range repl {
+		if dmin[j] != 0 {
+			continue
+		}
+		dmin[j] = 1
+		fanIn += toPrimary[j]
+		own += p.writes[int(j)*p.n+k] * toPrimary[j]
+	}
+	ok := p.size[k]
+	return CostTerms{
+		ReadNTC:   ok * read,
+		WriteNTC:  ok * (p.ship[k] - own),
+		UpdateNTC: ok * p.totalWrites[k] * fanIn,
+	}
 }
 
 // Cost returns the exact NTC (eq. 4) of the scheme.
-func (s *Scheme) Cost() int64 {
-	return NewEvaluator(s.p).Cost(s.x)
-}
+func (s *Scheme) Cost() int64 { return s.CostTerms().Total() }
 
 // ObjectCost returns V_k for object k under this scheme.
 func (s *Scheme) ObjectCost(k int) int64 {
-	e := NewEvaluator(s.p)
-	repl := make([]int32, 0, 8)
-	for i := 0; i < s.p.m; i++ {
-		if s.Has(i, k) {
-			repl = append(repl, int32(i))
-		}
-	}
-	return e.ObjectCost(k, repl)
+	e := s.p.evals.Get().(*Evaluator)
+	defer s.p.evals.Put(e)
+	e.replicators[k] = s.appendReplicators(e.replicators[k][:0], k)
+	return e.objectTerms(k, e.replicators[k]).Total()
 }
 
 // CostTerms is eq. 4's D split into its three summands: the read traffic of
@@ -154,43 +191,9 @@ func (t CostTerms) Total() int64 { return t.ReadNTC + t.WriteNTC + t.UpdateNTC }
 // CostTerms returns the scheme's NTC broken into eq. 4's three terms — the
 // per-run manifest's cost decomposition.
 func (s *Scheme) CostTerms() CostTerms {
-	p := s.p
-	var t CostTerms
-	repl := make([]int32, 0, 8)
-	for k := 0; k < p.n; k++ {
-		repl = repl[:0]
-		for i := 0; i < p.m; i++ {
-			if s.Has(i, k) {
-				repl = append(repl, int32(i))
-			}
-		}
-		sp := p.primary[k]
-		ok := p.size[k]
-		wTot := p.totalWrites[k]
-		spRow := p.dist.Row(sp)
-		for i := 0; i < p.m; i++ {
-			row := p.dist.Row(i)
-			dmin := int64(-1)
-			for _, j := range repl {
-				if d := row[j]; dmin < 0 || d < dmin {
-					dmin = d
-					if d == 0 {
-						break
-					}
-				}
-			}
-			if dmin == 0 {
-				t.UpdateNTC += wTot * ok * spRow[i]
-			} else {
-				if dmin < 0 {
-					dmin = row[sp] // degenerate replica-free object: primary only
-				}
-				t.ReadNTC += p.reads[i*p.n+k] * ok * dmin
-				t.WriteNTC += p.writes[i*p.n+k] * ok * spRow[i]
-			}
-		}
-	}
-	return t
+	e := s.p.evals.Get().(*Evaluator)
+	defer s.p.evals.Put(e)
+	return e.terms(s.x)
 }
 
 // Savings converts a cost into the paper's quality metric:

@@ -84,12 +84,7 @@ func (d *DeltaEvaluator) refresh(k int) {
 }
 
 func (d *DeltaEvaluator) objectCost(k int) int64 {
-	d.repl = d.repl[:0]
-	for i := 0; i < d.p.m; i++ {
-		if d.scheme.Has(i, k) {
-			d.repl = append(d.repl, int32(i))
-		}
-	}
+	d.repl = d.scheme.appendReplicators(d.repl[:0], k)
 	return d.ev.ObjectCost(k, d.repl)
 }
 

@@ -1,0 +1,244 @@
+package core_test
+
+// Kernel tests: the evaluator prices objects through a re-associated form of
+// eq. 4 (see cost.go) over an object-major table and an M-long scratch.
+// These check it against the literal oracle of oracle_test.go on the shapes
+// such a kernel gets wrong — single-site and single-object instances, table
+// dimensions either side of a 64-lane block, saturated and empty schemes,
+// objects nobody reads or writes, and magnitudes at the int64 gate — and
+// pin the replica-list contract of the exported ObjectCost.
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"drp/internal/core"
+	"drp/internal/netsim"
+	"drp/internal/xrand"
+)
+
+// shapeConfig draws an M×N instance by hand (workload.Generate cannot make
+// one-site networks). Capacities hold every object, so any placement is
+// feasible; cold and readOnly name objects that get no traffic at all and
+// no writes.
+func shapeConfig(m, n int, seed uint64, cold, readOnly map[int]bool) core.Config {
+	rng := xrand.New(seed)
+	dm := netsim.NewDistMatrix(m)
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			dm.Set(i, j, 1+int64(rng.Intn(20)))
+		}
+	}
+	cfg := core.Config{
+		Sizes:      make([]int64, n),
+		Capacities: make([]int64, m),
+		Primaries:  make([]int, n),
+		Reads:      make([][]int64, m),
+		Writes:     make([][]int64, m),
+		Dist:       dm,
+	}
+	var total int64
+	for k := range cfg.Sizes {
+		cfg.Sizes[k] = 1 + int64(rng.Intn(9))
+		cfg.Primaries[k] = rng.Intn(m)
+		total += cfg.Sizes[k]
+	}
+	for i := 0; i < m; i++ {
+		cfg.Capacities[i] = total
+		cfg.Reads[i] = make([]int64, n)
+		cfg.Writes[i] = make([]int64, n)
+		for k := 0; k < n; k++ {
+			if cold[k] {
+				continue
+			}
+			cfg.Reads[i][k] = int64(rng.Intn(50))
+			if !readOnly[k] && rng.Intn(3) == 0 {
+				cfg.Writes[i][k] = int64(rng.Intn(12))
+			}
+		}
+	}
+	return cfg
+}
+
+// checkAgainstOracle prices s every way the package offers and compares
+// each with the literal eq. 4.
+func checkAgainstOracle(t *testing.T, what string, p *core.Problem, s *core.Scheme) {
+	t.Helper()
+	want := naiveTerms(p, s)
+	if got := s.CostTerms(); got != want {
+		t.Fatalf("%s: CostTerms = %+v, literal eq. 4 = %+v", what, got, want)
+	}
+	if got := s.Cost(); got != want.Total() {
+		t.Fatalf("%s: Cost = %d, literal eq. 4 = %d", what, got, want.Total())
+	}
+	if got := core.NewEvaluator(p).Cost(s.Bits()); got != want.Total() {
+		t.Fatalf("%s: Evaluator.Cost = %d, literal eq. 4 = %d", what, got, want.Total())
+	}
+	var sum int64
+	for k := 0; k < p.Objects(); k++ {
+		sum += s.ObjectCost(k)
+	}
+	if sum != want.Total() {
+		t.Fatalf("%s: Σ ObjectCost = %d, literal eq. 4 = %d", what, sum, want.Total())
+	}
+	if got := core.NewDeltaEvaluator(s).Cost(); got != want.Total() {
+		t.Fatalf("%s: DeltaEvaluator.Cost = %d, literal eq. 4 = %d", what, got, want.Total())
+	}
+}
+
+// checkSchemes runs checkAgainstOracle on the primaries-only scheme, the
+// saturated one (every site holds every object) and a few random ones.
+func checkSchemes(t *testing.T, what string, p *core.Problem, seed uint64) {
+	t.Helper()
+	checkAgainstOracle(t, what+", primaries only", p, core.NewScheme(p))
+	if want := naiveCost(p, core.NewScheme(p)); p.DPrime() != want {
+		t.Fatalf("%s: D′ = %d, literal eq. 4 of the primaries-only scheme = %d", what, p.DPrime(), want)
+	}
+	full := core.NewScheme(p)
+	for i := 0; i < p.Sites(); i++ {
+		for k := 0; k < p.Objects(); k++ {
+			if i != p.Primary(k) {
+				if err := full.Add(i, k); err != nil {
+					t.Fatalf("%s: saturating (%d,%d): %v", what, i, k, err)
+				}
+			}
+		}
+	}
+	checkAgainstOracle(t, what+", every site replicating", p, full)
+	rng := xrand.New(seed)
+	for trial := 0; trial < 4; trial++ {
+		s := core.NewScheme(p)
+		for tries := rng.Intn(p.Sites()*p.Objects() + 1); tries > 0; tries-- {
+			_ = s.Add(rng.Intn(p.Sites()), rng.Intn(p.Objects())) // duplicates just skip
+		}
+		checkAgainstOracle(t, fmt.Sprintf("%s, random scheme %d", what, trial), p, s)
+	}
+}
+
+func TestKernelMatchesOracleOnEdgeShapes(t *testing.T) {
+	shapes := []struct{ m, n int }{
+		{1, 1}, {1, 7}, {6, 1}, {2, 2},
+		{65, 3}, {7, 63}, {7, 64}, {7, 65}, {65, 65},
+	}
+	for x, sh := range shapes {
+		what := fmt.Sprintf("M=%d N=%d", sh.m, sh.n)
+		p, err := core.NewProblem(shapeConfig(sh.m, sh.n, uint64(100+x), nil, nil))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		checkSchemes(t, what, p, uint64(200+x))
+	}
+}
+
+func TestKernelMatchesOracleOnSilentObjects(t *testing.T) {
+	// Objects 0 and 3 see no traffic at all, 1 and 4 are never written.
+	cold := map[int]bool{0: true, 3: true}
+	readOnly := map[int]bool{1: true, 4: true}
+	p, err := core.NewProblem(shapeConfig(9, 6, 31, cold, readOnly))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSchemes(t, "silent objects", p, 32)
+	for k := range cold {
+		if p.VPrime(k) != 0 {
+			t.Fatalf("V′ of zero-traffic object %d = %d", k, p.VPrime(k))
+		}
+	}
+}
+
+// TestKernelAtTheMagnitudeGate builds the heaviest instance NewProblem
+// admits — one more read and NTCBoundOverflow rejects it — and checks that
+// the kernel's re-associated partial sums (all reads against the farthest
+// replica; every site's ship cost plus every replicator's correction)
+// still land on the literal eq. 4.
+func TestKernelAtTheMagnitudeGate(t *testing.T) {
+	const m = 5
+	build := func(reads int64) (*core.Problem, error) {
+		dm := netsim.NewDistMatrix(m)
+		for i := 0; i < m; i++ {
+			for j := i + 1; j < m; j++ {
+				dm.Set(i, j, int64(1+(i+2*j)%7))
+			}
+		}
+		cfg := core.Config{
+			Sizes:      []int64{3, 1},
+			Capacities: make([]int64, m),
+			Primaries:  []int{2, 0},
+			Reads:      make([][]int64, m),
+			Writes:     make([][]int64, m),
+			Dist:       dm,
+		}
+		for i := 0; i < m; i++ {
+			cfg.Capacities[i] = 4
+			cfg.Reads[i] = []int64{1 << 40, 5}
+			cfg.Writes[i] = []int64{1 << 50, 2}
+		}
+		cfg.Reads[4][0] = reads
+		return core.NewProblem(cfg)
+	}
+	// Largest accepted read count at site 4, by bisection.
+	lo, hi := int64(0), int64(math.MaxInt64/2)
+	if _, err := build(lo); err != nil {
+		t.Fatalf("base instance rejected: %v", err)
+	}
+	for lo < hi {
+		mid := lo + (hi-lo+1)/2
+		if _, err := build(mid); err == nil {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	if lo < 1<<55 {
+		t.Fatalf("gate closed at %d reads: the instance is not near the int64 range", lo)
+	}
+	if _, err := build(lo + 1); err == nil {
+		t.Fatalf("%d reads accepted, but bisection stopped at %d", lo+1, lo)
+	}
+	p, err := build(lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSchemes(t, "at the magnitude gate", p, 77)
+	if p.DPrime() <= 0 {
+		t.Fatalf("D′ = %d wrapped", p.DPrime())
+	}
+}
+
+// TestObjectCostReplicaListIsASet pins the list contract of the exported
+// ObjectCost: order does not matter, a repeated site counts once, and the
+// empty list prices as the primary alone — which is V′_k, for every object.
+func TestObjectCostReplicaListIsASet(t *testing.T) {
+	p, err := core.NewProblem(shapeConfig(8, 10, 5, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := core.NewEvaluator(p)
+	primaries := core.NewScheme(p)
+	for k := 0; k < p.Objects(); k++ {
+		sp := int32(p.Primary(k))
+		vPrime := p.VPrime(k)
+		if got := ev.ObjectCost(k, nil); got != vPrime {
+			t.Fatalf("object %d: empty list prices %d, V′ = %d", k, got, vPrime)
+		}
+		if got := ev.ObjectCost(k, []int32{sp}); got != vPrime {
+			t.Fatalf("object %d: {SP} prices %d, V′ = %d", k, got, vPrime)
+		}
+		if got := primaries.ObjectCost(k); got != vPrime {
+			t.Fatalf("object %d: primaries-only scheme prices %d, V′ = %d", k, got, vPrime)
+		}
+		a, b := (sp+1)%8, (sp+3)%8
+		want := ev.ObjectCost(k, []int32{sp, a, b})
+		for _, list := range [][]int32{
+			{b, sp, a},
+			{sp, a, b, a},
+			{sp, sp, a, b, b, sp},
+			{a, a, b, sp},
+		} {
+			if got := ev.ObjectCost(k, list); got != want {
+				t.Fatalf("object %d: list %v prices %d, the set {%d,%d,%d} prices %d", k, list, got, sp, a, b, want)
+			}
+		}
+	}
+}

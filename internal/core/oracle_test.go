@@ -13,9 +13,10 @@ import (
 	"drp/internal/xrand"
 )
 
-// naiveCost is eq. 4, written as directly as possible.
-func naiveCost(p *core.Problem, s *core.Scheme) int64 {
-	var d int64
+// naiveTerms is eq. 4, written as directly as possible, with its three
+// summands kept apart.
+func naiveTerms(p *core.Problem, s *core.Scheme) core.CostTerms {
+	var d core.CostTerms
 	for i := 0; i < p.Sites(); i++ {
 		for k := 0; k < p.Objects(); k++ {
 			sp := p.Primary(k)
@@ -25,7 +26,7 @@ func naiveCost(p *core.Problem, s *core.Scheme) int64 {
 				for x := 0; x < p.Sites(); x++ {
 					wTot += p.Writes(x, k)
 				}
-				d += wTot * p.Size(k) * p.Cost(i, sp)
+				d.UpdateNTC += wTot * p.Size(k) * p.Cost(i, sp)
 				continue
 			}
 			// r_k(i)·o_k·min{C(i,j) : X_jk = 1} + w_k(i)·o_k·C(i,SP_k)
@@ -37,11 +38,15 @@ func naiveCost(p *core.Problem, s *core.Scheme) int64 {
 					}
 				}
 			}
-			d += p.Reads(i, k)*p.Size(k)*minC + p.Writes(i, k)*p.Size(k)*p.Cost(i, sp)
+			d.ReadNTC += p.Reads(i, k) * p.Size(k) * minC
+			d.WriteNTC += p.Writes(i, k) * p.Size(k) * p.Cost(i, sp)
 		}
 	}
 	return d
 }
+
+// naiveCost is D, the sum of eq. 4's terms.
+func naiveCost(p *core.Problem, s *core.Scheme) int64 { return naiveTerms(p, s).Total() }
 
 // randomScheme adds random replicas until several placements in a row fail.
 func randomScheme(p *core.Problem, rng *xrand.Source) *core.Scheme {

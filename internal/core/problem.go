@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"drp/internal/netsim"
 )
@@ -33,9 +34,16 @@ type Problem struct {
 	// Derived caches, computed once in NewProblem.
 	totalReads  []int64   // Σ_i r_k(i) per object
 	totalWrites []int64   // Σ_i w_k(i) per object
+	readsT      []int64   // object-major r_k(i): readsT[k*M+i], the eq. 4 kernel's read row
+	ship        []int64   // Σ_i w_k(i)·C(i,SP_k) per object: every site shipping its writes
 	propWeight  []float64 // Σ_x C(i,x) / mean row sum, per site (eq. 6 denominator)
 	dPrime      int64     // D of the primaries-only allocation
 	vPrime      []int64   // per-object NTC of the primaries-only allocation
+
+	// evals recycles the (unmetered) evaluators behind Scheme.Cost,
+	// ObjectCost and CostTerms, so pricing a scheme does not allocate scratch
+	// per call and stays safe from several goroutines at once.
+	evals sync.Pool
 }
 
 // Config carries the raw inputs of a DRP instance into NewProblem.
@@ -223,17 +231,29 @@ func (p *Problem) buildCaches() error {
 			p.propWeight[i] = 1
 		}
 	}
-	p.vPrime = make([]int64, p.n)
-	for k := 0; k < p.n; k++ {
-		sp := p.primary[k]
-		var v int64
-		for i := 0; i < p.m; i++ {
-			c := p.dist.At(i, sp)
-			v += (p.reads[i*p.n+k] + p.writes[i*p.n+k]) * p.size[k] * c
+	// The kernel's tables (cost.go), filled site by site so the site-major
+	// patterns are read in storage order. The magnitude gate above bounds
+	// every ship[k] by Wtot_k·maxC.
+	p.readsT = make([]int64, p.m*p.n)
+	p.ship = make([]int64, p.n)
+	for i := 0; i < p.m; i++ {
+		toSite := p.dist.Row(i)
+		row := p.reads[i*p.n : (i+1)*p.n]
+		wrow := p.writes[i*p.n : (i+1)*p.n]
+		for k, sp := range p.primary {
+			p.readsT[k*p.m+i] = row[k]
+			p.ship[k] += wrow[k] * toSite[sp]
 		}
-		p.vPrime[k] = v
-		p.dPrime += v
 	}
+	// V′_k is the kernel's price of the replicator set {SP_k}, which is how
+	// it reads an empty list.
+	p.vPrime = make([]int64, p.n)
+	e := NewEvaluator(p)
+	for k := range p.vPrime {
+		p.vPrime[k] = e.objectTerms(k, nil).Total()
+		p.dPrime += p.vPrime[k]
+	}
+	p.evals.New = func() any { return NewEvaluator(p) }
 	return nil
 }
 

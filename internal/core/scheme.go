@@ -120,6 +120,17 @@ func (s *Scheme) Replicators(k int) []int {
 	return out
 }
 
+// appendReplicators appends the sites holding object k to dst, ascending,
+// in the evaluator's list form.
+func (s *Scheme) appendReplicators(dst []int32, k int) []int32 {
+	for i, pos := 0, k; i < s.p.m; i, pos = i+1, pos+s.p.n {
+		if s.x.Test(pos) {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
+}
+
 // ReplicaDegree returns |R_k|, the number of replicas of object k.
 func (s *Scheme) ReplicaDegree(k int) int {
 	deg := 0

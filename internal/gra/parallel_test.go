@@ -122,3 +122,27 @@ func TestValidateRejectsNegativeParallelism(t *testing.T) {
 		t.Fatal("negative parallelism accepted")
 	}
 }
+
+// TestTrajectoryPinnedOnAdaptiveTestCase pins the search itself on the
+// paper's adaptive test case (M=50, N=200, U=5%, C=15%, the benchmark's
+// solve_dense instance): default parameters end at cost 16 064 740 after
+// exactly 8 050 evaluations, at every worker count. The evaluator is free
+// to change how it computes eq. 4 but not what — one wrong integer or one
+// extra meter tick moves a selection and this number with it.
+func TestTrajectoryPinnedOnAdaptiveTestCase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full-size GRA runs")
+	}
+	p := gen(t, 50, 200, 0.05, 0.15, 1)
+	for _, par := range []int{1, 2, 8} {
+		params := DefaultParams()
+		params.Parallelism = par
+		res, err := Run(p, params)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		if res.Cost != 16064740 || res.Evaluations != 8050 {
+			t.Fatalf("par=%d: cost %d after %d evaluations, recorded 16064740 after 8050", par, res.Cost, res.Evaluations)
+		}
+	}
+}
