@@ -162,29 +162,40 @@ func TestBenchSVGOutput(t *testing.T) {
 	}
 }
 
+// The -sparse-shards help promises identical results at any setting; this is
+// also the one place sparse.Adapt runs at more than one worker count.
 func TestBenchSparseMode(t *testing.T) {
-	outPath := filepath.Join(t.TempDir(), "BENCH_sparse.json")
-	var out, errOut bytes.Buffer
-	err := run([]string{"-sparse-bench", "-sparse-sites", "12", "-sparse-objects", "400",
-		"-sparse-shards", "2", "-sparse-out", outPath}, &out, &errOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep sparseBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, data)
-	}
-	if rep.Schema != "drp-bench-sparse/1" || rep.N != 400 || rep.M != 12 {
-		t.Fatalf("unexpected report header: %+v", rep)
-	}
-	if rep.SolveCost > rep.DPrime || rep.SolveEvals == 0 || rep.PeakRSSBytes <= 0 {
-		t.Fatalf("implausible report: %+v", rep)
-	}
-	if rep.AdaptEvals == 0 || rep.AdaptCost <= 0 {
-		t.Fatalf("adapt round missing from report: %+v", rep)
+	var ref sparseBenchReport
+	for _, shards := range []string{"2", "1", "8"} {
+		outPath := filepath.Join(t.TempDir(), "BENCH_sparse.json")
+		var out, errOut bytes.Buffer
+		err := run([]string{"-sparse-bench", "-sparse-sites", "12", "-sparse-objects", "400",
+			"-sparse-shards", shards, "-sparse-out", outPath}, &out, &errOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep sparseBenchReport
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatalf("report is not valid JSON: %v\n%s", err, data)
+		}
+		if rep.Schema != "drp-bench-sparse/1" || rep.N != 400 || rep.M != 12 {
+			t.Fatalf("unexpected report header: %+v", rep)
+		}
+		if rep.SolveCost > rep.DPrime || rep.SolveEvals == 0 || rep.PeakRSSBytes <= 0 {
+			t.Fatalf("implausible report: %+v", rep)
+		}
+		if rep.AdaptEvals == 0 || rep.AdaptCost <= 0 {
+			t.Fatalf("adapt round missing from report: %+v", rep)
+		}
+		if ref.Schema == "" {
+			ref = rep
+		} else if rep.SolveCost != ref.SolveCost || rep.SolveReplicas != ref.SolveReplicas || rep.SolveEvals != ref.SolveEvals ||
+			rep.AdaptCost != ref.AdaptCost || rep.AdaptEvals != ref.AdaptEvals {
+			t.Fatalf("-sparse-shards %s changed the result:\n%+v\nvs\n%+v", shards, rep, ref)
+		}
 	}
 }

@@ -83,7 +83,7 @@ func run(args []string, stdout io.Writer) (err error) {
 
 		faultPlan  = fs.String("fault-plan", "", "inject faults from this plan JSON (see internal/fault); degraded requests are reported, then queued writes flush and stale replicas reconcile")
 		retries    = fs.Int("retry", 1, "transport attempts per request (1 = no retrying)")
-		reqTimeout = fs.Duration("req-timeout", 0, "per-request deadline for dial plus round trip (0 = none)")
+		reqTimeout = fs.Duration("req-timeout", 0, "deadline for each round trip on a peer link, and for opening one (0 = none)")
 
 		members = fs.String("members", "", "comma-separated founding member sites (membership scenario; must cover every primary site)")
 		join    = fs.String("join", "", "comma-separated sites that join after the founding plan deploys, each followed by a re-optimised plan and incremental migration")

@@ -5,10 +5,10 @@
 // Usage:
 //
 //	drpsolve -algo gra -in problem.json -out scheme.json
-//	drpsolve -algo sra -in problem.json
+//	drpsolve -algo sparse -par 4 -in problem.json
 //	drpsolve -algo gra -timeout 2s -budget 100000 -progress -in problem.json
 //
-// Algorithms: sra, gra, random, readonly, none, optimal (tiny instances).
+// Algorithms are flagsFor's keys (-h lists them); optimal takes tiny instances only.
 //
 // Anytime controls: -timeout caps wall-clock time, -budget caps cost-model
 // evaluations, -progress streams per-iteration status to stderr. An
@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"drp"
@@ -39,11 +40,12 @@ import (
 
 func main() { cli.Main("drpsolve", run) }
 
-// flagsFor maps each algorithm to the flags it consumes, beyond the common
-// set; setting any other flag is an error, not a silent no-op.
+// flagsFor maps each algorithm to the flags it consumes beyond the common set
+// (any other is an error, not a silent no-op); its keys are the only name list.
 var flagsFor = map[string]map[string]bool{
 	"sra":      {"timeout": true, "budget": true, "progress": true},
-	"gra":      {"seed": true, "pop": true, "gens": true, "par": true, "sparse": true, "shards": true, "timeout": true, "budget": true, "progress": true},
+	"gra":      {"seed": true, "pop": true, "gens": true, "par": true, "timeout": true, "budget": true, "progress": true},
+	"sparse":   {"par": true, "timeout": true, "budget": true, "progress": true},
 	"hill":     {"timeout": true, "budget": true, "progress": true},
 	"optimal":  {"maxbits": true, "timeout": true, "budget": true},
 	"random":   {"seed": true},
@@ -56,11 +58,20 @@ var commonFlags = map[string]bool{
 	"metrics-out": true, "events": true, "manifest": true,
 }
 
+func algorithms() string {
+	names := make([]string, 0, len(flagsFor))
+	for name := range flagsFor {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return strings.Join(names, " | ")
+}
+
 // checkFlags rejects explicitly-set flags the chosen algorithm ignores.
 func checkFlags(fs *flag.FlagSet, algo string) error {
 	spec, ok := flagsFor[algo]
 	if !ok {
-		return fmt.Errorf("unknown algorithm %q", algo)
+		return fmt.Errorf("unknown algorithm %q (have %s)", algo, algorithms())
 	}
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
@@ -84,25 +95,20 @@ func run(args []string, stdout io.Writer) (err error) {
 	var tel cli.Telemetry
 	tel.Register(fs, "metrics-out", "events")
 	var (
-		algo       = fs.String("algo", "sra", "algorithm: sra | gra | hill | random | readonly | none | optimal")
-		out        = fs.String("out", "", "write the scheme as JSON to this file")
-		pop        = fs.Int("pop", 50, "GRA population size Np")
-		gens       = fs.Int("gens", 80, "GRA generations Ng")
-		par        = fs.Int("par", 0, "GRA evaluation workers (0 = all cores, 1 = serial)")
-		sparseCore = fs.Bool("sparse", false, "GRA: solve on the sparse/sharded core instead of the genetic search")
-		shards     = fs.Int("shards", 0, "GRA sparse shard count (0 = -par, then all cores); requires -sparse")
-		maxBits    = fs.Int("maxbits", 24, "optimal: maximum free placement bits")
-		replay     = fs.String("replay", "", "replay a request trace (JSON lines) against the solved scheme")
-		manifest   = fs.String("manifest", "", "write a run manifest (JSON) to this file")
+		algo     = fs.String("algo", "sra", "algorithm: "+algorithms())
+		out      = fs.String("out", "", "write the scheme as JSON to this file")
+		pop      = fs.Int("pop", 50, "GRA population size Np")
+		gens     = fs.Int("gens", 80, "GRA generations Ng")
+		par      = fs.Int("par", 0, "GRA evaluation workers / sparse proposal workers (0 = all cores, 1 = serial); results identical at any setting")
+		maxBits  = fs.Int("maxbits", 24, "optimal: maximum free placement bits")
+		replay   = fs.String("replay", "", "replay a request trace (JSON lines) against the solved scheme")
+		manifest = fs.String("manifest", "", "write a run manifest (JSON) to this file")
 	)
 	if err := cli.Parse(fs, args, caps.Check, tel.Check); err != nil {
 		return err
 	}
 	if err := checkFlags(fs, *algo); err != nil {
 		return err
-	}
-	if *shards != 0 && !*sparseCore {
-		return fmt.Errorf("flag -shards requires -sparse")
 	}
 
 	if err := tel.Open(stdout); err != nil {
@@ -129,7 +135,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	start := time.Now()
 	var scheme *drp.Scheme
 	var stats *drp.SolverStats
-	var sparseRan bool
 	switch *algo {
 	case "sra":
 		res := drp.SRAWithOptions(p, drp.SRAOptions{Run: runOpts})
@@ -140,14 +145,16 @@ func run(args []string, stdout io.Writer) (err error) {
 		params.Generations = *gens
 		params.Seed = prob.Seed
 		params.Parallelism = *par
-		params.Sparse = *sparseCore
-		params.Shards = *shards
 		res, err := drp.GRAWith(p, params, runOpts)
 		if err != nil {
 			return err
 		}
 		scheme, stats = res.Scheme, &res.Stats
-		sparseRan = res.Sparse
+	case "sparse":
+		stats = new(drp.SolverStats)
+		if scheme, *stats, err = drp.SparseGreedy(p, *par, runOpts); err != nil {
+			return err
+		}
 	case "random":
 		scheme = drp.RandomPlacement(p, prob.Seed)
 	case "readonly":
@@ -168,9 +175,6 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	cost := scheme.Cost()
 	fmt.Fprintf(stdout, "algorithm:   %s\n", *algo)
-	if sparseRan {
-		fmt.Fprintf(stdout, "core:        sparse\n")
-	}
 	fmt.Fprintf(stdout, "sites:       %d\n", p.Sites())
 	fmt.Fprintf(stdout, "objects:     %d\n", p.Objects())
 	fmt.Fprintf(stdout, "D' (no repl): %d\n", p.DPrime())

@@ -16,9 +16,14 @@ import (
 	"drp"
 )
 
-func writeProblem(t *testing.T) string {
+func writeProblem(t *testing.T) string { return writeProblemOf(t, 6, 8, 0.2) }
+
+// writeTinyProblem is small enough (8 free placement bits) for -algo optimal.
+func writeTinyProblem(t *testing.T) string { return writeProblemOf(t, 3, 4, 0.2) }
+
+func writeProblemOf(t *testing.T, sites, objects int, capacity float64) string {
 	t.Helper()
-	p, err := drp.Generate(drp.NewSpec(6, 8, 0.05, 0.2), 1)
+	p, err := drp.Generate(drp.NewSpec(sites, objects, 0.05, capacity), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,29 +39,10 @@ func writeProblem(t *testing.T) string {
 	return path
 }
 
-func TestSolveAlgorithms(t *testing.T) {
-	path := writeProblem(t)
-	for _, algo := range []string{"sra", "random", "readonly", "none"} {
-		var out bytes.Buffer
-		if err := run([]string{"-algo", algo, "-in", path}, &out); err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if !strings.Contains(out.String(), "NTC savings") {
-			t.Fatalf("%s output missing savings:\n%s", algo, out.String())
-		}
-	}
-}
-
-func TestSolveGRAWithSchemeOutput(t *testing.T) {
-	path := writeProblem(t)
-	schemePath := filepath.Join(t.TempDir(), "scheme.json")
-	var out bytes.Buffer
-	err := run([]string{"-algo", "gra", "-pop", "8", "-gens", "5", "-in", path, "-out", schemePath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The scheme must load back against the problem.
-	pf, err := os.Open(path)
+// readScheme loads a scheme drpsolve wrote with -out back against its problem.
+func readScheme(t *testing.T, problemPath, schemePath string) *drp.Scheme {
+	t.Helper()
+	pf, err := os.Open(problemPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +56,38 @@ func TestSolveGRAWithSchemeOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sf.Close()
-	if _, err := drp.ReadScheme(p, sf); err != nil {
+	scheme, err := drp.ReadScheme(p, sf)
+	if err != nil {
 		t.Fatalf("scheme output unreadable: %v", err)
 	}
+	return scheme
+}
+
+// Every algorithm the flag table names runs end to end and prints its own
+// name: the table and the switch in run cannot drift apart.
+func TestSolveAlgorithms(t *testing.T) {
+	path := writeTinyProblem(t)
+	for algo := range flagsFor {
+		var out bytes.Buffer
+		if err := run([]string{"-algo", algo, "-in", path}, &out); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if !strings.Contains(out.String(), "algorithm:   "+algo+"\n") || !strings.Contains(out.String(), "NTC savings") {
+			t.Fatalf("%s output missing its name or savings:\n%s", algo, out.String())
+		}
+	}
+}
+
+func TestSolveGRAWithSchemeOutput(t *testing.T) {
+	path := writeProblem(t)
+	schemePath := filepath.Join(t.TempDir(), "scheme.json")
+	var out bytes.Buffer
+	err := run([]string{"-algo", "gra", "-pop", "8", "-gens", "5", "-in", path, "-out", schemePath}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The scheme must load back against the problem.
+	readScheme(t, path, schemePath)
 }
 
 func TestSolveOptimalGate(t *testing.T) {
@@ -85,8 +100,14 @@ func TestSolveOptimalGate(t *testing.T) {
 
 func TestSolveUnknownAlgorithm(t *testing.T) {
 	path := writeProblem(t)
-	if err := run([]string{"-algo", "magic", "-in", path}, &bytes.Buffer{}); err == nil {
+	err := run([]string{"-algo", "magic", "-in", path}, &bytes.Buffer{})
+	if err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+	for algo := range flagsFor {
+		if !strings.Contains(err.Error(), algo) {
+			t.Errorf("error %q does not offer %q", err, algo)
+		}
 	}
 }
 
@@ -109,24 +130,28 @@ func TestSolveHillClimb(t *testing.T) {
 
 func TestSolveRejectsInapplicableFlags(t *testing.T) {
 	path := writeProblem(t)
-	bad := [][]string{
-		{"-algo", "sra", "-pop", "10", "-in", path},
-		{"-algo", "sra", "-seed", "2", "-in", path},
-		{"-algo", "gra", "-maxbits", "10", "-in", path},
-		{"-algo", "random", "-timeout", "1s", "-in", path},
-		{"-algo", "readonly", "-budget", "5", "-in", path},
-		{"-algo", "none", "-progress", "-in", path},
-		{"-algo", "optimal", "-progress", "-in", path},
-		{"-algo", "hill", "-gens", "3", "-in", path},
+	// A value for every algorithm-specific flag; each (algorithm, flag) pair
+	// outside flagsFor must be refused by name.
+	values := map[string]string{
+		"seed": "2", "pop": "10", "gens": "3", "par": "2", "maxbits": "10",
+		"timeout": "1s", "budget": "5", "progress": "true",
 	}
-	for _, args := range bad {
-		err := run(args, &bytes.Buffer{})
-		if err == nil {
-			t.Errorf("args %v accepted", args)
-			continue
+	for algo, spec := range flagsFor {
+		for name := range spec {
+			if _, ok := values[name]; !ok {
+				t.Fatalf("flagsFor[%q] names -%s, which this test has no value for", algo, name)
+			}
 		}
-		if !strings.Contains(err.Error(), "does not apply") {
-			t.Errorf("args %v: unexpected error %v", args, err)
+		for name, v := range values {
+			if spec[name] {
+				continue
+			}
+			args := []string{"-algo", algo, "-" + name + "=" + v, "-in", path}
+			err := run(args, &bytes.Buffer{})
+			want := fmt.Sprintf("flag -%s does not apply to algorithm %q", name, algo)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("args %v: got %v, want %q", args, err, want)
+			}
 		}
 	}
 	// The same flags at their defaults (unset) are fine.
@@ -175,15 +200,7 @@ func TestSolveParFlagDeterministic(t *testing.T) {
 		if err := run([]string{"-algo", "gra", "-pop", "8", "-gens", "5", "-par", par, "-in", path}, &out); err != nil {
 			t.Fatal(err)
 		}
-		// Strip the timing lines, which legitimately vary.
-		var kept []string
-		for _, line := range strings.Split(out.String(), "\n") {
-			if strings.HasPrefix(line, "elapsed:") {
-				continue
-			}
-			kept = append(kept, line)
-		}
-		outputs = append(outputs, strings.Join(kept, "\n"))
+		outputs = append(outputs, stable(out.String()))
 	}
 	if outputs[0] != outputs[1] {
 		t.Fatalf("-par changed the result:\n%s\nvs\n%s", outputs[0], outputs[1])
@@ -299,27 +316,116 @@ func TestSolveReplaysTrace(t *testing.T) {
 	}
 }
 
+// stable drops the one line of drpsolve's report that varies run to run.
+func stable(out string) string {
+	var kept []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "elapsed:") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
+}
+
+// -algo sparse on drpgen's defaults (M=50, N=200, seed 1) prints what the
+// removed `-algo gra -sparse` printed, under its own name, at any -par, and
+// the scheme it writes re-prices to the same D on the dense evaluator.
 func TestSolveGRASparse(t *testing.T) {
-	path := writeProblem(t)
-	var out bytes.Buffer
-	if err := run([]string{"-algo", "gra", "-sparse", "-shards", "2", "-in", path}, &out); err != nil {
-		t.Fatal(err)
+	path := writeProblemOf(t, 50, 200, 0.15)
+	schemePath := filepath.Join(t.TempDir(), "scheme.json")
+	var ref string
+	for _, par := range []string{"1", "2", "8"} {
+		var out bytes.Buffer
+		if err := run([]string{"-algo", "sparse", "-par", par, "-in", path, "-out", schemePath}, &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			"algorithm:   sparse\n", "D (solved):  16492911\n", "replicas:    287 beyond primaries\n",
+			"evaluations: 1407\n", "stopped:     completed\n",
+		} {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("-par %s: output missing %q:\n%s", par, want, out.String())
+			}
+		}
+		if ref == "" {
+			ref = stable(out.String())
+		} else if got := stable(out.String()); got != ref {
+			t.Fatalf("-par %s changed the report:\n%s\nvs\n%s", par, got, ref)
+		}
 	}
-	if !strings.Contains(out.String(), "core:        sparse") {
-		t.Fatalf("output missing sparse core line:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "NTC savings") {
-		t.Fatalf("output missing savings:\n%s", out.String())
+	if got := readScheme(t, path, schemePath).Cost(); got != 16492911 {
+		t.Fatalf("-out scheme re-prices to %d on the dense evaluator, want 16492911", got)
 	}
 }
 
+// The anytime flags act on -algo sparse and a negative worker count is an
+// error (TestSolveRejectsInapplicableFlags covers the GA's flags).
 func TestSolveSparseFlagValidation(t *testing.T) {
 	path := writeProblem(t)
 	var out bytes.Buffer
-	if err := run([]string{"-algo", "gra", "-shards", "2", "-in", path}, &out); err == nil {
-		t.Fatal("-shards without -sparse accepted")
+	if err := run([]string{"-algo", "sparse", "-budget", "5", "-timeout", "1m", "-progress", "-in", path}, &out); err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"-algo", "sra", "-sparse", "-in", path}, &out); err == nil {
-		t.Fatal("-sparse with -algo sra accepted")
+	if !strings.Contains(out.String(), "stopped:     budget") || !strings.Contains(out.String(), "NTC savings") {
+		t.Fatalf("budget-stopped sparse run printed no stop reason or scheme:\n%s", out.String())
+	}
+	if err := run([]string{"-algo", "sparse", "-par", "-1", "-in", path}, &out); err == nil {
+		t.Error("-par -1 accepted")
+	}
+}
+
+// One run leaves three artifacts; each names the algorithm, and only it.
+func TestSolveArtifactsNameOneAlgorithm(t *testing.T) {
+	path := writeTinyProblem(t)
+	type named struct {
+		Algorithm string `json:"algorithm"`
+	}
+	for _, algo := range []string{"sra", "gra", "hill", "optimal", "sparse"} {
+		dir := t.TempDir()
+		metricsPath := filepath.Join(dir, "metrics.json")
+		eventsPath := filepath.Join(dir, "events.jsonl")
+		manifestPath := filepath.Join(dir, "manifest.json")
+		err := run([]string{"-algo", algo, "-in", path,
+			"-metrics-out", metricsPath, "-events", eventsPath, "-manifest", manifestPath}, &bytes.Buffer{})
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		carried := map[string]bool{}
+		see := func(artifact, name string) {
+			carried[artifact] = true
+			if name != algo {
+				t.Errorf("-algo %s: %s names algorithm %q", algo, artifact, name)
+			}
+		}
+		snap, err := metrics.ReadSnapshotFile(metricsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, is := range snap.Instruments {
+			see("metrics", is.Labels["algorithm"])
+		}
+		eventsData, err := os.ReadFile(eventsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(eventsData)), "\n") {
+			var ev named
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("%s: event %q: %v", algo, line, err)
+			}
+			see("events", ev.Algorithm)
+		}
+		manifestData, err := os.ReadFile(manifestPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man named
+		if err := json.Unmarshal(manifestData, &man); err != nil {
+			t.Fatal(err)
+		}
+		see("manifest", man.Algorithm)
+		if len(carried) != 3 {
+			t.Errorf("-algo %s: only %v carry a name", algo, carried)
+		}
 	}
 }

@@ -5,6 +5,7 @@ package drp_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"drp"
@@ -214,6 +215,35 @@ func TestHillClimbFacade(t *testing.T) {
 	}
 	if improved.Cost() > start.Cost() {
 		t.Fatal("hill climb made SRA's scheme worse")
+	}
+}
+
+func TestSparseGreedyFacade(t *testing.T) {
+	p := facadeProblem(t, 10, 30, 0.05, 0.15, 9)
+	scheme, stats, err := drp.SparseGreedy(p, 2, drp.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scheme.Validate() != nil || scheme.Cost() > p.DPrime() {
+		t.Fatalf("sparse greedy scheme invalid or worse than no replication (D %d, D′ %d)", scheme.Cost(), p.DPrime())
+	}
+	if stats.Stopped != drp.StopCompleted || stats.Evaluations == 0 {
+		t.Fatalf("stats %+v: want a completed run with evaluations counted", stats)
+	}
+
+	// A run cancelled before it starts still returns a valid scheme.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	scheme, stats, err = drp.SparseGreedy(p, 2, drp.RunOptions{Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Stopped != drp.StopCancelled || scheme.Validate() != nil {
+		t.Fatalf("cancelled run: stopped %v, valid %v", stats.Stopped, scheme.Validate() == nil)
+	}
+
+	if _, _, err := drp.SparseGreedy(p, -1, drp.RunOptions{}); err == nil {
+		t.Fatal("negative worker count accepted")
 	}
 }
 

@@ -58,10 +58,6 @@ type Result struct {
 	// a valid scheme — the micro results computed so far are transcribed
 	// and the best transcription is realised directly, skipping the polish.
 	Stats solver.Stats
-	// Sparse reports that the internal/sparse core performed the
-	// adaptation (via Params.Sparse or the SparseAuto threshold); Objects
-	// and Population are then nil.
-	Sparse bool
 }
 
 // Adapt runs the full AGRA pipeline: one micro-GA per changed object, then
@@ -93,9 +89,6 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 	}
 	if in.Problem == nil || in.Current == nil {
 		return nil, fmt.Errorf("agra: nil problem or current scheme")
-	}
-	if params.sparseEnabled(in.Problem.Sites(), in.Problem.Objects()) {
-		return adaptSparse(in, params, run)
 	}
 	if miniParams.PopSize < 2 {
 		return nil, fmt.Errorf("agra: mini-GRA population size %d < 2", miniParams.PopSize)

@@ -61,20 +61,6 @@ type Params struct {
 	// so results are bit-identical at any setting. 0 means GOMAXPROCS;
 	// 1 runs fully serial.
 	Parallelism int
-
-	// Sparse switches adaptation onto the internal/sparse solver core: the
-	// changed objects are stripped and re-placed by the sharded greedy over
-	// the candidate-pruned representation, leaving untouched objects
-	// bit-identical, instead of running micro-GAs plus transcription.
-	// Result.Sparse reports which core ran.
-	Sparse bool
-	// SparseAuto, when positive, flips to the sparse core automatically
-	// once M·N reaches it.
-	SparseAuto int
-	// Shards is the sparse core's worker count (0 falls back to
-	// Parallelism, then GOMAXPROCS). Sparse adaptations are bit-identical
-	// at any shard count.
-	Shards int
 }
 
 // DefaultParams returns the paper's micro-GA parameters.
@@ -105,10 +91,6 @@ func (pr Params) validate() error {
 		return fmt.Errorf("agra: elite period %d < 1", pr.EliteEvery)
 	case pr.Parallelism < 0:
 		return fmt.Errorf("agra: negative parallelism %d", pr.Parallelism)
-	case pr.SparseAuto < 0:
-		return fmt.Errorf("agra: negative sparse auto-threshold %d", pr.SparseAuto)
-	case pr.Shards < 0:
-		return fmt.Errorf("agra: negative shard count %d", pr.Shards)
 	}
 	return nil
 }

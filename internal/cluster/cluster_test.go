@@ -332,6 +332,29 @@ func TestReadCostPercentiles(t *testing.T) {
 	}
 }
 
+// percentile never understates: against a sorted copy of the samples it is
+// the smallest cost with at least q of them at or below it (rounding the rank
+// to nearest returned the 10th of 11 samples for q = 0.95: 90.9 %).
+func TestCostHistPercentileNeverUnderstates(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		h := newCostHist()
+		sorted := make([]int64, n)
+		for i := n - 1; i >= 0; i-- {
+			sorted[i] = int64(3*i + 1)
+			h.add(sorted[i])
+		}
+		for _, pct := range []int{50, 95} {
+			rank := 1
+			for rank*100 < pct*n {
+				rank++
+			}
+			if got, want := h.percentile(float64(pct)/100), sorted[rank-1]; got != want {
+				t.Errorf("n=%d p%d = %d, want %d (rank %d)", n, pct, got, want, rank)
+			}
+		}
+	}
+}
+
 func TestCostHist(t *testing.T) {
 	h := newCostHist()
 	if h.percentile(0.5) != 0 || h.max() != 0 {

@@ -1,6 +1,9 @@
 package cluster
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // costHist accumulates per-read transfer costs so percentiles can be
 // reported without retaining every sample. Costs are small integers
@@ -31,7 +34,7 @@ func (h *costHist) percentile(q float64) int64 {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	threshold := int64(q*float64(h.total) + 0.5)
+	threshold := int64(math.Ceil(q * float64(h.total)))
 	if threshold < 1 {
 		threshold = 1
 	}

@@ -92,21 +92,6 @@ type Params struct {
 	// results are reduced in input order; runs are therefore bit-identical
 	// at any setting. 0 means GOMAXPROCS; 1 runs fully serial.
 	Parallelism int
-
-	// Sparse switches the run onto the internal/sparse solver core: the
-	// problem is converted to the compressed candidate-pruned
-	// representation and solved by the sharded greedy (see internal/sparse)
-	// instead of the genetic search. Budgets, deadlines, cancellation and
-	// observers work identically; Result.Sparse reports which core ran.
-	Sparse bool
-	// SparseAuto, when positive, flips to the sparse core automatically
-	// once M·N reaches it — the auto-threshold companion to the explicit
-	// Sparse switch. DESIGN.md §13 discusses choosing it.
-	SparseAuto int
-	// Shards is the sparse core's proposal-phase worker count (0 falls
-	// back to Parallelism, which itself falls back to GOMAXPROCS). Sparse
-	// results are bit-identical at any shard count.
-	Shards int
 }
 
 // DefaultParams returns the paper's tuned parameters.
@@ -159,10 +144,6 @@ func (pr Params) validate() error {
 		return fmt.Errorf("gra: negative patience %d", pr.Patience)
 	case pr.Parallelism < 0:
 		return fmt.Errorf("gra: negative parallelism %d", pr.Parallelism)
-	case pr.SparseAuto < 0:
-		return fmt.Errorf("gra: negative sparse auto-threshold %d", pr.SparseAuto)
-	case pr.Shards < 0:
-		return fmt.Errorf("gra: negative shard count %d", pr.Shards)
 	}
 	return nil
 }
@@ -197,12 +178,8 @@ type Result struct {
 	// seeding.
 	Elapsed time.Duration
 	// Population is the final population's chromosomes, exposed because
-	// AGRA transcribes per-object schemes into them. Nil when the sparse
-	// core ran (it is population-free).
+	// AGRA transcribes per-object schemes into them.
 	Population []*bitset.Set
-	// Sparse reports that the internal/sparse core produced this result
-	// (via Params.Sparse or the SparseAuto threshold).
-	Sparse bool
 }
 
 // Run executes GRA with the paper's SRA-based population seeding (or the
@@ -221,9 +198,6 @@ func Run(p *core.Problem, params Params) (*Result, error) {
 func RunWith(p *core.Problem, params Params, run solver.Run) (*Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
-	}
-	if params.sparseEnabled(p.Sites(), p.Objects()) {
-		return runSparse(p, params, run)
 	}
 	params = params.normalized()
 	rng := xrand.New(params.Seed)
@@ -252,9 +226,6 @@ func RunWithPopulation(p *core.Problem, params Params, init []*bitset.Set) (*Res
 func ContinueWith(p *core.Problem, params Params, init []*bitset.Set, run solver.Run) (*Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
-	}
-	if params.sparseEnabled(p.Sites(), p.Objects()) {
-		return nil, fmt.Errorf("gra: the sparse core is population-free and cannot continue from a dense population")
 	}
 	if len(init) == 0 {
 		return nil, fmt.Errorf("gra: empty initial population")

@@ -71,7 +71,8 @@ func (r StopReason) Interrupted() bool { return r != StopCompleted }
 // algorithm does not track (e.g. fitness for SRA's greedy site visits) are
 // zero.
 type Progress struct {
-	// Algorithm names the emitting solver ("sra", "gra", "agra", "hill").
+	// Algorithm names the emitting solver: "sra", "gra", "agra", "hill",
+	// "optimal" or "sparse".
 	Algorithm string
 	// Iteration is the boundary just completed: the generation index for the
 	// GAs, the site-visit count for SRA, the accepted-move count for hill
