@@ -58,7 +58,6 @@ import (
 	"drp/internal/membership"
 	"drp/internal/metrics"
 	"drp/internal/netnode"
-	"drp/internal/netsim"
 	"drp/internal/plan"
 	"drp/internal/spans"
 	"drp/internal/store"
@@ -400,7 +399,7 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 	fmt.Fprintf(stdout, "booted %d-member view %v over a %d-site universe (e.g. site %d at %s)\n",
 		len(founding), founding, p.Sites(), founding[0], c.Node(founding[0]).Addr())
 
-	tr, err := membership.NewTracker(netsim.Complete(p.Dist()), founding)
+	tr, err := membership.NewTracker(p.Sites(), founding)
 	if err != nil {
 		return err
 	}

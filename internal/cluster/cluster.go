@@ -78,7 +78,9 @@ type Config struct {
 	// Threshold is the pattern-change detection factor: an object is
 	// reported to the adaptive monitor when its observed read or write
 	// total grew or shrank by at least this factor since the scheme was
-	// last tuned for it (e.g. 2.0). Only used by the AGRA policies.
+	// last tuned for it (e.g. 2.0; agra.DetectChanges). 0 means never,
+	// at or below 1 any moved total counts. Only used by the AGRA
+	// policies.
 	Threshold float64
 	// Failures lists injected site outages.
 	Failures []Failure

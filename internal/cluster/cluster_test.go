@@ -110,6 +110,27 @@ func TestPolicyNoneStableAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestNoDriftNoChange: a pattern that never moved is never reported to the
+// adaptive monitor, at any detection threshold.
+func TestNoDriftNoChange(t *testing.T) {
+	p := gen(t, 8, 12, 0.05, 0.15, 3)
+	scheme := sra.Run(p, sra.Options{}).Scheme
+	for _, threshold := range []float64{0.5, 1, 2} {
+		cfg := testConfig(PolicyAGRA)
+		cfg.Threshold = threshold
+		res, err := Run(p, scheme, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Epochs {
+			if e.Changed != 0 || e.Migrations != 0 {
+				t.Fatalf("threshold %v epoch %d: %d objects changed, %d migrations under static patterns",
+					threshold, e.Epoch, e.Changed, e.Migrations)
+			}
+		}
+	}
+}
+
 func TestDriftDegradesStaleScheme(t *testing.T) {
 	p := gen(t, 12, 20, 0.05, 0.15, 4)
 	scheme := sra.Run(p, sra.Options{}).Scheme

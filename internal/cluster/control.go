@@ -99,8 +99,7 @@ func NewControlPlane(p *core.Problem, tracker *membership.Tracker, opts ControlO
 			return nil, fmt.Errorf("cluster: founding view misses primary site %d of object %d", cp.prim[k], k)
 		}
 	}
-	sub, _ := tracker.SubMatrix()
-	rp, err := plan.Restrict(p, view, cp.prim, sub)
+	rp, err := plan.Restrict(p, view, cp.prim)
 	if err != nil {
 		return nil, err
 	}
@@ -234,9 +233,8 @@ func memberDelta(old, next []int) (joined, departed []int) {
 
 // reassignPrimaries hands every primary on a departing site to the
 // nearest surviving member with spare primary capacity. Distance is the
-// universe metric between the old and candidate primary (the tracker no
-// longer prices the departed site); ties break on the lower site index,
-// so the assignment is deterministic.
+// problem's C(i,j) between the old and candidate primary; ties break on
+// the lower site index, so the assignment is deterministic.
 func (cp *ControlPlane) reassignPrimaries(v membership.View, departed []int) error {
 	gone := make(map[int]bool, len(departed))
 	for _, s := range departed {
@@ -314,11 +312,7 @@ func (cp *ControlPlane) changedObjects(joined, departed []int) []int {
 // problem with the AGRA pipeline, seeded with the current plan projected
 // onto the view, and lifts the result back to a universe plan.
 func (cp *ControlPlane) solve(v membership.View, changed []int) (*plan.Plan, error) {
-	sub, siteMap := cp.tracker.SubMatrix()
-	if len(siteMap) != len(v.Members) {
-		return nil, fmt.Errorf("cluster: tracker advanced past view epoch %d mid-replan", v.Epoch)
-	}
-	rp, err := plan.Restrict(cp.p, v, cp.prim, sub)
+	rp, err := plan.Restrict(cp.p, v, cp.prim)
 	if err != nil {
 		return nil, err
 	}

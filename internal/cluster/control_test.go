@@ -54,7 +54,7 @@ func controlProblem(t *testing.T) *core.Problem {
 
 func newControlPlane(t *testing.T, p *core.Problem, journal *store.Journal) (*ControlPlane, *membership.Tracker) {
 	t.Helper()
-	tr, err := membership.NewTracker(netsim.Complete(p.Dist()), []int{0, 1, 2, 3})
+	tr, err := membership.NewTracker(p.Sites(), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestControlPlaneCapacityAwareReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := membership.NewTracker(netsim.Complete(p.Dist()), []int{0, 1, 2})
+	tr, err := membership.NewTracker(p.Sites(), []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

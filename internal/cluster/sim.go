@@ -36,6 +36,7 @@ func Run(p *core.Problem, initial *core.Scheme, cfg Config) (*Result, error) {
 	sim := &sim{
 		cfg:     cfg,
 		problem: p,
+		tuned:   p,
 		scheme:  initial.Clone(),
 		down:    make([]bool, p.Sites()),
 	}
@@ -44,7 +45,6 @@ func Run(p *core.Problem, initial *core.Scheme, cfg Config) (*Result, error) {
 		sim.ins = newClusterInstruments(cfg.Metrics)
 	}
 	sim.nearest = core.NewNearestTable(sim.scheme)
-	sim.snapshotTunedTotals()
 
 	res := &Result{}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -67,15 +67,13 @@ func Run(p *core.Problem, initial *core.Scheme, cfg Config) (*Result, error) {
 type sim struct {
 	cfg     Config
 	problem *core.Problem // patterns for the CURRENT epoch
+	// tuned holds the patterns the current scheme was last optimised
+	// against; the monitor's change detector compares the current
+	// patterns' per-object totals with its.
+	tuned   *core.Problem
 	scheme  *core.Scheme
 	nearest *core.NearestTable
 	down    []bool
-
-	// tunedReads/tunedWrites are the per-object totals the current scheme
-	// was last optimised against; the monitor's change detector compares
-	// observed totals against them.
-	tunedReads  []int64
-	tunedWrites []int64
 
 	// population is the last GA population, carried across epochs for the
 	// AGRA policies.
@@ -87,16 +85,6 @@ type sim struct {
 	// instruments of cfg.Metrics (nil likewise).
 	observer solver.Observer
 	ins      *clusterInstruments
-}
-
-func (s *sim) snapshotTunedTotals() {
-	n := s.problem.Objects()
-	s.tunedReads = make([]int64, n)
-	s.tunedWrites = make([]int64, n)
-	for k := 0; k < n; k++ {
-		s.tunedReads[k] = s.problem.TotalReads(k)
-		s.tunedWrites[k] = s.problem.TotalWrites(k)
-	}
 }
 
 // runEpoch drives one measurement period: drift, adaptation, traffic.
@@ -226,7 +214,7 @@ func (s *sim) record(stats *EpochStats) {
 // the epoch's deadline or evaluation budget fires mid-optimisation, the
 // monitor degrades gracefully: the partial result is discarded, the current
 // scheme keeps serving (so no migration cost is charged and eq. 4
-// accounting is unaffected), the change detector's tuned totals are left
+// accounting is unaffected), the change detector's tuned patterns are left
 // alone so the shift is re-flagged next epoch, and the miss is recorded in
 // the epoch's stats.
 func (s *sim) adapt(epoch int, stats *EpochStats) error {
@@ -258,7 +246,11 @@ func (s *sim) adapt(epoch int, stats *EpochStats) error {
 		st = res.Stats
 
 	case PolicyAGRA, PolicyAGRAMini:
-		changed := s.detectChanges()
+		// Threshold 0 means the detector never fires.
+		var changed []int
+		if s.cfg.Threshold > 0 {
+			changed = agra.DetectChanges(s.tuned, s.problem, s.cfg.Threshold)
+		}
 		stats.Changed = len(changed)
 		if len(changed) == 0 {
 			stats.AdaptTime = time.Since(start)
@@ -301,50 +293,14 @@ func (s *sim) adapt(epoch int, stats *EpochStats) error {
 	if hasPop {
 		s.population = pop
 	}
-	s.migrate(old, s.scheme, stats)
+	// Each new replica is fetched from the nearest site that held the
+	// object under the old scheme; deallocations are free.
+	added, _ := old.Diff(next)
+	stats.Migrations = len(added)
+	stats.MigrationNTC = old.MigrationCost(next)
 	s.nearest = core.NewNearestTable(s.scheme)
-	s.snapshotTunedTotals()
+	s.tuned = s.problem
 	return nil
-}
-
-// detectChanges returns the objects whose observed totals moved beyond the
-// threshold factor since the scheme was last tuned.
-func (s *sim) detectChanges() []int {
-	if s.cfg.Threshold <= 0 {
-		return nil
-	}
-	var out []int
-	for k := 0; k < s.problem.Objects(); k++ {
-		if exceeds(s.problem.TotalReads(k), s.tunedReads[k], s.cfg.Threshold) ||
-			exceeds(s.problem.TotalWrites(k), s.tunedWrites[k], s.cfg.Threshold) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func exceeds(now, was int64, factor float64) bool {
-	if was == 0 {
-		return now > 0
-	}
-	ratio := float64(now) / float64(was)
-	return ratio >= factor || ratio <= 1/factor
-}
-
-// migrate accounts for the transfer cost of realising the new scheme: each
-// new replica is fetched from the nearest site that held the object under
-// the old scheme. Deallocations are free.
-func (s *sim) migrate(old, next *core.Scheme, stats *EpochStats) {
-	p := s.problem
-	oldNearest := core.NewNearestTable(old)
-	for i := 0; i < p.Sites(); i++ {
-		for k := 0; k < p.Objects(); k++ {
-			if next.Has(i, k) && !old.Has(i, k) {
-				stats.Migrations++
-				stats.MigrationNTC += p.Size(k) * oldNearest.Dist(i, k)
-			}
-		}
-	}
 }
 
 // serveTraffic serves every read and write of the epoch's patterns. The

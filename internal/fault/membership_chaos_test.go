@@ -71,17 +71,11 @@ func churnProblem(t *testing.T) *core.Problem {
 func churnSolve(t *testing.T, p *core.Problem, members []int, epoch int) (*plan.Plan, int64) {
 	t.Helper()
 	view := membership.View{Epoch: epoch, Members: members}
-	sub := netsim.NewDistMatrix(len(members))
-	for a, i := range members {
-		for b, j := range members {
-			sub.Set(a, b, p.Cost(i, j))
-		}
-	}
 	prim := make([]int, p.Objects())
 	for k := range prim {
 		prim[k] = p.Primary(k)
 	}
-	rp, err := plan.Restrict(p, view, prim, sub)
+	rp, err := plan.Restrict(p, view, prim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,16 @@
 // Package membership maintains the control plane's notion of which sites
 // are part of the cluster: an epoch-numbered View over a fixed universe of
-// potential sites, mutated by Join and Leave events, with the
-// member-to-member transfer-cost matrix C(i,j) kept up to date
-// incrementally as the view changes.
-//
-// The universe is a netsim.Topology: the set of sites that could ever
-// exist, with the physical links between them. A View selects the subset
-// that is currently serving; distances between members are shortest paths
-// through the member-induced subgraph, so a departed site also stops
-// forwarding traffic. Joins only ever shorten paths and are absorbed with
-// one single-source shortest-path pass plus an all-pairs relaxation;
-// leaves re-run the pass only from sources whose shortest path could have
-// crossed the departed site. The incremental matrix is always identical to
-// a from-scratch recomputation (tested), it just does less work.
+// n potential sites, mutated by JoinSite and LeaveSite. It is a set, not a
+// router: the transfer costs C(i,j) between members belong to the
+// core.Problem (the paper's a-priori cheapest-path matrix, §2.1), which
+// does not change when a site joins or leaves; plan.Restrict slices it to
+// a view's rows.
 package membership
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"drp/internal/netsim"
 )
 
 // View is one epoch of cluster membership: the sorted universe indices of
@@ -56,20 +46,6 @@ func (v View) Equal(o View) bool {
 	return true
 }
 
-// SameMembers reports whether two views contain the same sites, ignoring
-// their epochs.
-func (v View) SameMembers(o View) bool {
-	if len(v.Members) != len(o.Members) {
-		return false
-	}
-	for i, m := range v.Members {
-		if o.Members[i] != m {
-			return false
-		}
-	}
-	return true
-}
-
 // Index returns the dense index of every member: Index()[site] is the row
 // the site occupies in a view-restricted problem.
 func (v View) Index() map[int]int {
@@ -84,105 +60,44 @@ func (v View) String() string {
 	return fmt.Sprintf("view{epoch %d, members %v}", v.Epoch, v.Members)
 }
 
-// EventKind distinguishes membership transitions.
-type EventKind int
-
-// Membership transitions.
-const (
-	Join EventKind = iota + 1
-	Leave
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case Join:
-		return "join"
-	case Leave:
-		return "leave"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one membership transition, stamped with the epoch of the view
-// it produced.
-type Event struct {
-	Kind  EventKind
-	Site  int
-	Epoch int
-}
-
-// unreachable marks a pair with no path inside the member subgraph (or a
-// pair touching a non-member). Kept well below overflow so relaxations
-// cannot wrap.
-const unreachable = int64(1) << 60
-
-// Tracker owns the view and its distance matrix. All methods are safe for
-// concurrent use; subscriber callbacks run synchronously inside JoinSite /
-// LeaveSite — in subscription order, every view exactly once, epochs
-// ascending — but outside the state lock, so a callback may read the
-// tracker (View, Cost, SubMatrix). A callback must not mutate membership
-// reentrantly.
+// Tracker owns the view. All methods are safe for concurrent use;
+// subscriber callbacks run synchronously inside JoinSite / LeaveSite — in
+// subscription order, every view exactly once, epochs ascending — but
+// outside the state lock, so a callback may read the tracker. A callback
+// must not mutate membership reentrantly.
 type Tracker struct {
 	// eventMu serialises membership mutations end-to-end (state change +
 	// notification), which is what keeps subscriber callbacks in epoch
 	// order without holding mu across them.
 	eventMu sync.Mutex
 
-	mu   sync.Mutex
-	topo *netsim.Topology
-	view View
-	// dist is universe-shaped (M×M); entries are valid only when both
-	// endpoints are members, and unreachable otherwise.
-	dist []int64
-	subs []func(View)
-
-	// sourcePasses counts single-source shortest-path runs, so tests can
-	// assert the incremental maintenance does less work than recomputing.
-	sourcePasses int
+	mu       sync.Mutex
+	universe int
+	view     View
+	subs     []func(View)
 }
 
-// NewTracker builds a tracker over the universe topology with the given
-// initial members (which must induce a connected subgraph). The initial
-// view has epoch 0.
-func NewTracker(topo *netsim.Topology, members []int) (*Tracker, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("membership: nil topology")
-	}
+// NewTracker builds a tracker over a universe of sites 0..universe-1 with
+// the given initial members. The initial view has epoch 0.
+func NewTracker(universe int, members []int) (*Tracker, error) {
 	ms := append([]int(nil), members...)
 	sort.Ints(ms)
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("membership: need at least one initial member")
 	}
 	for i, m := range ms {
-		if m < 0 || m >= topo.Sites {
-			return nil, fmt.Errorf("membership: member %d outside universe of %d sites", m, topo.Sites)
+		if m < 0 || m >= universe {
+			return nil, fmt.Errorf("membership: member %d outside universe of %d sites", m, universe)
 		}
 		if i > 0 && ms[i-1] == m {
 			return nil, fmt.Errorf("membership: duplicate member %d", m)
 		}
 	}
-	t := &Tracker{
-		topo: topo,
-		view: View{Epoch: 0, Members: ms},
-		dist: make([]int64, topo.Sites*topo.Sites),
-	}
-	for i := range t.dist {
-		t.dist[i] = unreachable
-	}
-	member := t.memberSet()
-	for _, src := range ms {
-		row := t.dijkstra(src, member)
-		t.setRow(src, row)
-	}
-	if err := t.checkConnected(ms); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return &Tracker{universe: universe, view: View{Epoch: 0, Members: ms}}, nil
 }
 
 // Universe returns the number of sites that could ever join.
-func (t *Tracker) Universe() int { return t.topo.Sites }
+func (t *Tracker) Universe() int { return t.universe }
 
 // View returns the current view.
 func (t *Tracker) View() View {
@@ -191,52 +106,9 @@ func (t *Tracker) View() View {
 	return t.view.Clone()
 }
 
-// Cost returns the current member-to-member transfer cost C(i,j), or -1
-// when either endpoint is not a member.
-func (t *Tracker) Cost(i, j int) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || j < 0 || i >= t.topo.Sites || j >= t.topo.Sites {
-		return -1
-	}
-	if d := t.dist[i*t.topo.Sites+j]; d < unreachable {
-		return d
-	}
-	return -1
-}
-
-// SourcePasses returns the number of single-source shortest-path passes
-// run since construction (construction itself runs one per initial
-// member).
-func (t *Tracker) SourcePasses() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sourcePasses
-}
-
-// SubMatrix returns the dense member-to-member distance matrix together
-// with the dense→universe site map (SubMatrix row d is universe site
-// map[d]). The matrix is a snapshot; later membership events do not touch
-// it.
-func (t *Tracker) SubMatrix() (*netsim.DistMatrix, []int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ms := append([]int(nil), t.view.Members...)
-	sub := netsim.NewDistMatrix(len(ms))
-	for a, i := range ms {
-		for b, j := range ms {
-			if a == b {
-				continue
-			}
-			sub.Set(a, b, t.dist[i*t.topo.Sites+j])
-		}
-	}
-	return sub, ms
-}
-
 // Subscribe registers fn to be called with every view emitted by a later
-// Join or Leave. Callbacks run synchronously inside the membership event,
-// so by the time Join/Leave returns every subscriber has seen the view.
+// JoinSite or LeaveSite. Callbacks run synchronously inside the membership
+// event, so by the time it returns every subscriber has seen the view.
 func (t *Tracker) Subscribe(fn func(View)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -255,10 +127,7 @@ func (t *Tracker) notify(v View) {
 	}
 }
 
-// JoinSite adds a site to the view, incrementally extending the distance
-// matrix: one shortest-path pass from the joining site over the new member
-// subgraph, then a relaxation of every member pair through it (joins can
-// only shorten paths). Returns the new view.
+// JoinSite adds a site to the view and returns the new view.
 func (t *Tracker) JoinSite(site int) (View, error) {
 	t.eventMu.Lock()
 	defer t.eventMu.Unlock()
@@ -273,46 +142,20 @@ func (t *Tracker) JoinSite(site int) (View, error) {
 func (t *Tracker) joinLocked(site int) (View, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m := t.topo.Sites
-	if site < 0 || site >= m {
-		return View{}, fmt.Errorf("membership: join of site %d outside universe of %d sites", site, m)
+	if site < 0 || site >= t.universe {
+		return View{}, fmt.Errorf("membership: join of site %d outside universe of %d sites", site, t.universe)
 	}
 	if t.view.Has(site) {
 		return View{}, fmt.Errorf("membership: site %d is already a member", site)
 	}
 	members := append(append([]int(nil), t.view.Members...), site)
 	sort.Ints(members)
-	memberSet := make([]bool, m)
-	for _, s := range members {
-		memberSet[s] = true
-	}
-	row := t.dijkstra(site, memberSet)
-	for _, s := range t.view.Members {
-		if row[s] >= unreachable {
-			return View{}, fmt.Errorf("membership: site %d cannot reach member %d; the view must stay connected", site, s)
-		}
-	}
-	t.setRow(site, row)
-	// Relax every member pair through the new site. Distances only shrink,
-	// so no path information is invalidated.
-	for _, i := range t.view.Members {
-		di := t.dist[i*m+site]
-		for _, j := range t.view.Members {
-			if v := di + t.dist[site*m+j]; v < t.dist[i*m+j] {
-				t.dist[i*m+j] = v
-			}
-		}
-	}
 	t.view = View{Epoch: t.view.Epoch + 1, Members: members}
 	return t.view.Clone(), nil
 }
 
-// LeaveSite removes a site from the view. Shortest paths that may have
-// crossed it are recomputed: a source i needs a fresh pass only if some
-// d(i,j) equals d(i,site)+d(site,j) — the necessary condition for the
-// departed site to lie on i's shortest path tree. The view must stay
-// connected and non-empty; a violating leave is rejected with the matrix
-// untouched.
+// LeaveSite removes a site from the view and returns the new view. The
+// view must stay non-empty.
 func (t *Tracker) LeaveSite(site int) (View, error) {
 	t.eventMu.Lock()
 	defer t.eventMu.Unlock()
@@ -333,129 +176,12 @@ func (t *Tracker) leaveLocked(site int) (View, error) {
 	if len(t.view.Members) == 1 {
 		return View{}, fmt.Errorf("membership: cannot remove the last member")
 	}
-	m := t.topo.Sites
 	survivors := make([]int, 0, len(t.view.Members)-1)
 	for _, s := range t.view.Members {
 		if s != site {
 			survivors = append(survivors, s)
 		}
 	}
-	memberSet := make([]bool, m)
-	for _, s := range survivors {
-		memberSet[s] = true
-	}
-	// Conservative affected-source test: if no pair from i routes through
-	// the departed site, i's whole row survives verbatim.
-	fresh := make(map[int][]int64)
-	for _, i := range survivors {
-		affected := false
-		di := t.dist[i*m+site]
-		for _, j := range survivors {
-			if i != j && di+t.dist[site*m+j] == t.dist[i*m+j] {
-				affected = true
-				break
-			}
-		}
-		if affected {
-			fresh[i] = t.dijkstra(i, memberSet)
-		}
-	}
-	// Commit only after the connectivity check passes.
-	for i, row := range fresh {
-		for _, j := range survivors {
-			if row[j] >= unreachable {
-				return View{}, fmt.Errorf("membership: removing site %d disconnects members %d and %d", site, i, j)
-			}
-		}
-	}
-	for i, row := range fresh {
-		for _, j := range survivors {
-			t.dist[i*m+j] = row[j]
-			t.dist[j*m+i] = row[j]
-		}
-	}
-	for j := 0; j < m; j++ {
-		t.dist[site*m+j] = unreachable
-		t.dist[j*m+site] = unreachable
-	}
 	t.view = View{Epoch: t.view.Epoch + 1, Members: survivors}
 	return t.view.Clone(), nil
-}
-
-func (t *Tracker) memberSet() []bool {
-	set := make([]bool, t.topo.Sites)
-	for _, s := range t.view.Members {
-		set[s] = true
-	}
-	return set
-}
-
-func (t *Tracker) setRow(src int, row []int64) {
-	m := t.topo.Sites
-	for j, d := range row {
-		t.dist[src*m+j] = d
-		t.dist[j*m+src] = d
-	}
-}
-
-func (t *Tracker) checkConnected(members []int) error {
-	m := t.topo.Sites
-	for _, i := range members {
-		for _, j := range members {
-			if t.dist[i*m+j] >= unreachable {
-				return fmt.Errorf("membership: members %d and %d are disconnected in the member subgraph", i, j)
-			}
-		}
-	}
-	return nil
-}
-
-// dijkstra runs one single-source pass from src over the subgraph induced
-// by member (src itself is always traversable). Returns a universe-sized
-// row with unreachable for sites outside the subgraph.
-func (t *Tracker) dijkstra(src int, member []bool) []int64 {
-	t.sourcePasses++
-	m := t.topo.Sites
-	adj := make([][]netsim.Link, m)
-	for _, l := range t.topo.Links {
-		adj[l.From] = append(adj[l.From], l)
-		adj[l.To] = append(adj[l.To], netsim.Link{From: l.To, To: l.From, Cost: l.Cost})
-	}
-	dist := make([]int64, m)
-	for i := range dist {
-		dist[i] = unreachable
-	}
-	dist[src] = 0
-	// Binary-heap-free priority queue would be overkill at these sizes; a
-	// simple lazy heap via sorted scans keeps this dependency-light.
-	type item struct {
-		site int
-		d    int64
-	}
-	queue := []item{{src, 0}}
-	for len(queue) > 0 {
-		// Pop the minimum.
-		best := 0
-		for i := 1; i < len(queue); i++ {
-			if queue[i].d < queue[best].d {
-				best = i
-			}
-		}
-		cur := queue[best]
-		queue[best] = queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if cur.d > dist[cur.site] {
-			continue
-		}
-		for _, l := range adj[cur.site] {
-			if !member[l.To] && l.To != src {
-				continue
-			}
-			if v := cur.d + l.Cost; v < dist[l.To] {
-				dist[l.To] = v
-				queue = append(queue, item{l.To, v})
-			}
-		}
-	}
-	return dist
 }

@@ -1,150 +1,17 @@
 package membership
 
 import (
-	"math/rand"
+	"reflect"
 	"testing"
-
-	"drp/internal/netsim"
 )
 
-// ringTopo builds a ring of m sites with distinct link costs so shortest
-// paths are sensitive to which sites are members.
-func ringTopo(m int) *netsim.Topology {
-	t := netsim.NewTopology(m)
-	for i := 0; i < m; i++ {
-		t.Links = append(t.Links, netsim.Link{From: i, To: (i + 1) % m, Cost: int64(1 + i%3)})
-	}
-	return t
-}
-
-// freshMatrix computes member-to-member distances from scratch through the
-// member-induced subgraph — the oracle the incremental tracker must match.
-func freshMatrix(t *testing.T, topo *netsim.Topology, members []int) map[[2]int]int64 {
-	t.Helper()
-	sub := netsim.NewTopology(topo.Sites)
-	in := make([]bool, topo.Sites)
-	for _, s := range members {
-		in[s] = true
-	}
-	for _, l := range topo.Links {
-		if in[l.From] && in[l.To] {
-			sub.Links = append(sub.Links, l)
-		}
-	}
-	d, err := sub.Distances()
-	if err != nil {
-		// Disconnected because non-members have no links: compute pairwise
-		// reachability by hand via Dijkstra-like relaxation instead.
-		return floydMembers(sub, members)
-	}
-	out := make(map[[2]int]int64)
-	for _, i := range members {
-		for _, j := range members {
-			out[[2]int{i, j}] = d.At(i, j)
-		}
-	}
-	return out
-}
-
-func floydMembers(sub *netsim.Topology, members []int) map[[2]int]int64 {
-	const inf = int64(1) << 60
-	m := sub.Sites
-	d := make([]int64, m*m)
-	for i := range d {
-		d[i] = inf
-	}
-	for i := 0; i < m; i++ {
-		d[i*m+i] = 0
-	}
-	for _, l := range sub.Links {
-		if l.Cost < d[l.From*m+l.To] {
-			d[l.From*m+l.To] = l.Cost
-			d[l.To*m+l.From] = l.Cost
-		}
-	}
-	for k := 0; k < m; k++ {
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				if v := d[i*m+k] + d[k*m+j]; v < d[i*m+j] {
-					d[i*m+j] = v
-				}
-			}
-		}
-	}
-	out := make(map[[2]int]int64)
-	for _, i := range members {
-		for _, j := range members {
-			out[[2]int{i, j}] = d[i*m+j]
-		}
-	}
-	return out
-}
-
-func assertMatches(t *testing.T, tr *Tracker, topo *netsim.Topology) {
-	t.Helper()
-	view := tr.View()
-	want := freshMatrix(t, topo, view.Members)
-	for _, i := range view.Members {
-		for _, j := range view.Members {
-			if got := tr.Cost(i, j); got != want[[2]int{i, j}] {
-				t.Fatalf("epoch %d: Cost(%d,%d) = %d, fresh recompute says %d",
-					view.Epoch, i, j, got, want[[2]int{i, j}])
-			}
-		}
-	}
-}
-
-func TestTrackerChurnMatchesFreshRecompute(t *testing.T) {
-	const m = 12
-	topo := ringTopo(m)
-	// Add chords so leaves do not disconnect the ring trivially.
-	for i := 0; i < m; i += 2 {
-		topo.Links = append(topo.Links, netsim.Link{From: i, To: (i + 5) % m, Cost: int64(4 + i)})
-	}
-	tr, err := NewTracker(topo, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
-	}
-	assertMatches(t, tr, topo)
-
-	rng := rand.New(rand.NewSource(7))
-	for step := 0; step < 120; step++ {
-		view := tr.View()
-		if rng.Intn(2) == 0 && len(view.Members) < m {
-			// Join a random non-member.
-			var outs []int
-			for s := 0; s < m; s++ {
-				if !view.Has(s) {
-					outs = append(outs, s)
-				}
-			}
-			site := outs[rng.Intn(len(outs))]
-			if _, err := tr.JoinSite(site); err != nil {
-				// Joins disconnected from the member subgraph are rejected;
-				// the matrix must be untouched.
-				assertMatches(t, tr, topo)
-				continue
-			}
-		} else if len(view.Members) > 2 {
-			site := view.Members[rng.Intn(len(view.Members))]
-			if _, err := tr.LeaveSite(site); err != nil {
-				// Leaves that would disconnect the view are rejected; the
-				// matrix must be untouched.
-				assertMatches(t, tr, topo)
-				continue
-			}
-		} else {
-			continue
-		}
-		assertMatches(t, tr, topo)
-	}
-}
-
 func TestTrackerEpochsAndEvents(t *testing.T) {
-	topo := netsim.Complete(lineMatrix(t, 5))
-	tr, err := NewTracker(topo, []int{0, 1, 2})
+	tr, err := NewTracker(5, []int{2, 0, 1})
 	if err != nil {
 		t.Fatalf("NewTracker: %v", err)
+	}
+	if v := tr.View(); v.Epoch != 0 || !reflect.DeepEqual(v.Members, []int{0, 1, 2}) || tr.Universe() != 5 {
+		t.Fatalf("founding view = %v over universe %d", v, tr.Universe())
 	}
 	var seen []View
 	tr.Subscribe(func(v View) { seen = append(seen, v) })
@@ -160,59 +27,78 @@ func TestTrackerEpochsAndEvents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	if v.Epoch != 2 || v.Has(0) {
+	if v.Epoch != 2 || v.Has(0) || !reflect.DeepEqual(v.Members, []int{1, 2, 4}) {
 		t.Fatalf("leave view = %v", v)
 	}
-	if len(seen) != 2 || seen[0].Epoch != 1 || seen[1].Epoch != 2 {
+	if len(seen) != 2 || seen[0].Epoch != 1 || seen[1].Epoch != 2 || !seen[1].Equal(tr.View()) {
 		t.Fatalf("subscriber saw %v", seen)
 	}
-	// Cost must report -1 for the departed and never-joined sites.
-	if c := tr.Cost(0, 1); c != -1 {
-		t.Fatalf("Cost(departed) = %d, want -1", c)
+}
+
+// TestSubscriberOrder: every subscriber sees every view exactly once, in
+// subscription order within an event and epoch order across events, and a
+// callback may read the tracker.
+func TestSubscriberOrder(t *testing.T) {
+	tr, err := NewTracker(6, []int{0})
+	if err != nil {
+		t.Fatalf("NewTracker: %v", err)
 	}
-	if c := tr.Cost(3, 1); c != -1 {
-		t.Fatalf("Cost(non-member) = %d, want -1", c)
+	type call struct{ sub, epoch int }
+	var calls []call
+	for sub := 0; sub < 2; sub++ {
+		sub := sub
+		tr.Subscribe(func(v View) {
+			if !v.Equal(tr.View()) {
+				t.Errorf("subscriber %d handed %v while the tracker holds %v", sub, v, tr.View())
+			}
+			calls = append(calls, call{sub, v.Epoch})
+		})
+	}
+	for _, site := range []int{3, 5} {
+		if _, err := tr.JoinSite(site); err != nil {
+			t.Fatalf("join %d: %v", site, err)
+		}
+	}
+	if _, err := tr.LeaveSite(3); err != nil {
+		t.Fatalf("leave: %v", err)
+	}
+	want := []call{{0, 1}, {1, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("callbacks ran as %v, want %v", calls, want)
 	}
 }
 
 func TestTrackerRejections(t *testing.T) {
-	topo := ringTopo(6)
-	if _, err := NewTracker(topo, nil); err == nil {
+	if _, err := NewTracker(6, nil); err == nil {
 		t.Fatal("empty initial membership accepted")
 	}
-	if _, err := NewTracker(topo, []int{0, 0, 1}); err == nil {
+	if _, err := NewTracker(6, []int{0, 0, 1}); err == nil {
 		t.Fatal("duplicate initial member accepted")
 	}
-	if _, err := NewTracker(topo, []int{0, 6}); err == nil {
+	if _, err := NewTracker(6, []int{0, 6}); err == nil {
 		t.Fatal("out-of-universe member accepted")
 	}
-	// 0 and 3 are opposite ends of the ring: with only those two members the
-	// member subgraph has no links at all.
-	if _, err := NewTracker(topo, []int{0, 3}); err == nil {
-		t.Fatal("disconnected initial membership accepted")
+	if _, err := NewTracker(6, []int{-1}); err == nil {
+		t.Fatal("negative member accepted")
 	}
 
-	tr, err := NewTracker(topo, []int{0, 1, 2})
+	tr, err := NewTracker(6, []int{0, 1, 2})
 	if err != nil {
 		t.Fatalf("NewTracker: %v", err)
 	}
+	seen := 0
+	tr.Subscribe(func(View) { seen++ })
 	if _, err := tr.JoinSite(1); err == nil {
 		t.Fatal("double join accepted")
 	}
 	if _, err := tr.JoinSite(9); err == nil {
 		t.Fatal("out-of-universe join accepted")
 	}
-	// Site 4 touches only ring neighbours 3 and 5, neither a member.
-	if _, err := tr.JoinSite(4); err == nil {
-		t.Fatal("disconnected join accepted")
-	}
-	// Removing the middle of the member chain 0–1–2 disconnects 0 from 2.
-	if _, err := tr.LeaveSite(1); err == nil {
-		t.Fatal("disconnecting leave accepted")
-	}
-	assertMatches(t, tr, topo) // rejected leave must not corrupt the matrix
 	if _, err := tr.LeaveSite(5); err == nil {
 		t.Fatal("leave of non-member accepted")
+	}
+	if v := tr.View(); v.Epoch != 0 || seen != 0 {
+		t.Fatalf("rejected events moved the view to %v and notified %d times", v, seen)
 	}
 	if _, err := tr.LeaveSite(0); err != nil {
 		t.Fatalf("legal leave rejected: %v", err)
@@ -223,97 +109,4 @@ func TestTrackerRejections(t *testing.T) {
 	if _, err := tr.LeaveSite(2); err == nil {
 		t.Fatal("leave of last member accepted")
 	}
-}
-
-// TestTrackerIncrementality pins that joins cost one shortest-path pass
-// and leaves only re-run passes from affected sources, instead of
-// recomputing every row on every event.
-func TestTrackerIncrementality(t *testing.T) {
-	const m = 16
-	topo := ringTopo(m)
-	members := make([]int, m)
-	for i := range members {
-		members[i] = i
-	}
-	tr, err := NewTracker(topo, members)
-	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
-	}
-	base := tr.SourcePasses()
-	if base != m {
-		t.Fatalf("construction ran %d passes, want one per member (%d)", base, m)
-	}
-	// A join is exactly one pass.
-	if _, err := tr.LeaveSite(3); err != nil {
-		t.Fatalf("leave: %v", err)
-	}
-	afterLeave := tr.SourcePasses() - base
-	if afterLeave >= m {
-		t.Fatalf("leave re-ran %d passes, want fewer than full recompute (%d)", afterLeave, m)
-	}
-	mark := tr.SourcePasses()
-	if _, err := tr.JoinSite(3); err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	if got := tr.SourcePasses() - mark; got != 1 {
-		t.Fatalf("join ran %d passes, want exactly 1", got)
-	}
-}
-
-func TestSubMatrixRestriction(t *testing.T) {
-	topo := ringTopo(8)
-	tr, err := NewTracker(topo, []int{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
-	}
-	sub, siteMap := tr.SubMatrix()
-	if sub.Sites() != 5 || len(siteMap) != 5 {
-		t.Fatalf("SubMatrix dims: %d sites, map %v", sub.Sites(), siteMap)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("SubMatrix invalid: %v", err)
-	}
-	for a, i := range siteMap {
-		for b, j := range siteMap {
-			if a == b {
-				continue
-			}
-			if sub.At(a, b) != tr.Cost(i, j) {
-				t.Fatalf("SubMatrix(%d,%d)=%d, Cost(%d,%d)=%d",
-					a, b, sub.At(a, b), i, j, tr.Cost(i, j))
-			}
-		}
-	}
-}
-
-func TestCompleteTopologyPreservesMetric(t *testing.T) {
-	d := lineMatrix(t, 6)
-	topo := netsim.Complete(d)
-	tr, err := NewTracker(topo, []int{0, 2, 5})
-	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
-	}
-	// A metric's complete graph keeps pairwise distances intact under any
-	// restriction: the direct link is always a shortest path.
-	for _, pair := range [][2]int{{0, 2}, {0, 5}, {2, 5}} {
-		if got := tr.Cost(pair[0], pair[1]); got != d.At(pair[0], pair[1]) {
-			t.Fatalf("Cost(%d,%d) = %d, want metric entry %d",
-				pair[0], pair[1], got, d.At(pair[0], pair[1]))
-		}
-	}
-}
-
-// lineMatrix is the shortest-path matrix of a line graph with unit hop
-// cost i+1 between sites i and i+1 — a valid metric.
-func lineMatrix(t *testing.T, m int) *netsim.DistMatrix {
-	t.Helper()
-	topo := netsim.NewTopology(m)
-	for i := 0; i+1 < m; i++ {
-		topo.Links = append(topo.Links, netsim.Link{From: i, To: i + 1, Cost: int64(i + 1)})
-	}
-	d, err := topo.Distances()
-	if err != nil {
-		t.Fatalf("Distances: %v", err)
-	}
-	return d
 }

@@ -65,9 +65,9 @@ func universePrimaries(p *core.Problem) []int {
 
 // solveView runs the static greedy over the view-restricted problem and
 // lifts the result to a universe plan with the given epoch.
-func solveView(t *testing.T, p *core.Problem, view membership.View, primaries []int, sub *netsim.DistMatrix, epoch int) (*plan.Plan, int64) {
+func solveView(t *testing.T, p *core.Problem, view membership.View, primaries []int, epoch int) (*plan.Plan, int64) {
 	t.Helper()
-	rp, err := plan.Restrict(p, view, primaries, sub)
+	rp, err := plan.Restrict(p, view, primaries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,19 +80,6 @@ func solveView(t *testing.T, p *core.Problem, view membership.View, primaries []
 	return pl, res.Scheme.Cost()
 }
 
-// subFor builds the member-to-member distance matrix of a view straight
-// from the universe metric (valid here because the universe distances
-// obey the triangle inequality, so restricting sites does not reroute).
-func subFor(p *core.Problem, members []int) *netsim.DistMatrix {
-	sub := netsim.NewDistMatrix(len(members))
-	for a, i := range members {
-		for b, j := range members {
-			sub.Set(a, b, p.Cost(i, j))
-		}
-	}
-	return sub
-}
-
 // TestViewClusterJoinMigrateLeave is the end-to-end membership scenario:
 // a 4-site durable cluster serves its solved placement, a 5th site joins
 // and a re-solved plan migrates replicas onto it while reads keep being
@@ -102,7 +89,7 @@ func subFor(p *core.Problem, members []int) *netsim.DistMatrix {
 func TestViewClusterJoinMigrateLeave(t *testing.T) {
 	p := viewProblem(t)
 	root := t.TempDir()
-	tr, err := membership.NewTracker(netsim.Complete(p.Dist()), []int{0, 1, 2, 3})
+	tr, err := membership.NewTracker(p.Sites(), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +106,9 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 	c.AttachJournal(j)
 
 	// Stage 1: solve and deploy over the founding four members.
-	sub4, siteMap := tr.SubMatrix()
 	view4 := tr.View()
-	if len(siteMap) != 4 {
-		t.Fatalf("site map %v", siteMap)
-	}
-	pl4, cost4 := solveView(t, p, view4, universePrimaries(p), sub4, 1)
-	if _, err := c.ApplyPlan(pl4, tr.Cost); err != nil {
+	pl4, cost4 := solveView(t, p, view4, universePrimaries(p), 1)
+	if _, err := c.ApplyPlan(pl4, p.Cost); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.DriveTraffic()
@@ -141,12 +124,11 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 	if _, err := tr.JoinSite(4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Join(4, tr.Cost); err != nil {
+	if _, err := c.Join(4, p.Cost); err != nil {
 		t.Fatal(err)
 	}
-	sub5, _ := tr.SubMatrix()
-	pl5, cost5 := solveView(t, p, tr.View(), universePrimaries(p), sub5, 2)
-	steps, err := plan.Diff(c.Plan(), pl5, p, tr.Cost)
+	pl5, cost5 := solveView(t, p, tr.View(), universePrimaries(p), 2)
+	steps, err := plan.Diff(c.Plan(), pl5, p, p.Cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +141,7 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 			migrationReads++
 		}
 	})
-	rep, err := c.ApplyPlan(pl5, tr.Cost)
+	rep, err := c.ApplyPlan(pl5, p.Cost)
 	c.SetStepHook(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +174,7 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 		}
 	}
 	pcost := func(i, j int) int64 { return p.Cost(i, j) }
-	pl4b, cost4b := solveView(t, p, view4b, prim4b, subFor(p, members4b), 3)
+	pl4b, cost4b := solveView(t, p, view4b, prim4b, 3)
 	if _, err := c.ApplyPlan(pl4b, pcost); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +245,7 @@ func TestViewClusterResumeAfterCrashMidMigration(t *testing.T) {
 	c.AttachJournal(j)
 	pcost := func(i, j int) int64 { return p.Cost(i, j) }
 	view := membership.View{Epoch: 1, Members: members}
-	target, targetCost := solveView(t, p, view, universePrimaries(p), subFor(p, members), 1)
+	target, targetCost := solveView(t, p, view, universePrimaries(p), 1)
 	steps, err := plan.Diff(c.Plan(), target, p, pcost)
 	if err != nil {
 		t.Fatal(err)

@@ -22,9 +22,8 @@ import (
 	"drp/internal/membership"
 )
 
-// CostFn reports the transfer cost C(i,j) between two universe sites. A
-// membership.Tracker's Cost method satisfies it, as does a universe
-// Problem's Cost when the whole universe is serving.
+// CostFn reports the transfer cost C(i,j) between two universe sites: a
+// universe Problem's Cost method.
 type CostFn func(i, j int) int64
 
 // Plan is one epoch of placement intent. Placement and Primaries are

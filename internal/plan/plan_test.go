@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math/rand"
 	"testing"
 
 	"drp/internal/core"
@@ -250,7 +251,6 @@ func TestServeCostMatchesEquation4(t *testing.T) {
 // reproduces the same dense problem.
 func TestRestrictLiftRoundTrip(t *testing.T) {
 	p := genProblem(t, 8, 10, 3)
-	topo := netsim.Complete(p.Dist())
 	// Keep every primary in the initial membership (required by the data
 	// plane); drop two non-primary sites.
 	inUse := make(map[int]bool)
@@ -269,22 +269,12 @@ func TestRestrictLiftRoundTrip(t *testing.T) {
 	if dropped == 0 {
 		t.Skip("every site is a primary for this seed")
 	}
-	tr, err := membership.NewTracker(topo, members)
-	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
-	}
-	view := tr.View()
-	sub, siteMap := tr.SubMatrix()
-	for d, s := range siteMap {
-		if view.Members[d] != s {
-			t.Fatalf("SubMatrix site map %v disagrees with view %v", siteMap, view.Members)
-		}
-	}
+	view := membership.View{Members: members}
 	prims := make([]int, p.Objects())
 	for k := range prims {
 		prims[k] = p.Primary(k)
 	}
-	rp, err := Restrict(p, view, prims, sub)
+	rp, err := Restrict(p, view, prims)
 	if err != nil {
 		t.Fatalf("Restrict: %v", err)
 	}
@@ -303,7 +293,7 @@ func TestRestrictLiftRoundTrip(t *testing.T) {
 	}
 	// The dense solve's cost equals the universe-side plan accounting: the
 	// restricted evaluator and ServeCost over the view are the same sum.
-	if got, want := ServeCost(p, pl, tr.Cost), s.Cost(); got != want {
+	if got, want := ServeCost(p, pl, p.Cost), s.Cost(); got != want {
 		t.Fatalf("ServeCost over view = %d, restricted evaluator = %d", got, want)
 	}
 	// Primaries outside the view must be rejected.
@@ -314,8 +304,58 @@ func TestRestrictLiftRoundTrip(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Restrict(p, view, bad, sub); err == nil {
+	if _, err := Restrict(p, view, bad); err == nil {
 		t.Fatal("Restrict accepted a non-member primary")
+	}
+}
+
+// TestRestrictSlicesProblemDist: whatever sequence of joins and leaves
+// produced a view, the restricted problem's C(i,j) is the universe
+// problem's at the view's rows and columns, entry for entry.
+func TestRestrictSlicesProblemDist(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		p := genProblem(t, 9, 8, seed)
+		prims := make([]int, p.Objects())
+		pinned := make(map[int]bool)
+		for k := range prims {
+			prims[k] = p.Primary(k)
+			pinned[prims[k]] = true
+		}
+		founding := make([]int, 0, len(pinned))
+		for s := range pinned {
+			founding = append(founding, s)
+		}
+		tr, err := membership.NewTracker(p.Sites(), founding)
+		if err != nil {
+			t.Fatalf("NewTracker: %v", err)
+		}
+		rng := rand.New(rand.NewSource(int64(seed)))
+		for step := 0; step < 40; step++ {
+			site := rng.Intn(p.Sites())
+			var view membership.View
+			switch {
+			case pinned[site]:
+				continue
+			case tr.View().Has(site):
+				view, err = tr.LeaveSite(site)
+			default:
+				view, err = tr.JoinSite(site)
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d site %d: %v", seed, step, site, err)
+			}
+			rp, err := Restrict(p, view, prims)
+			if err != nil {
+				t.Fatalf("seed %d step %d: Restrict: %v", seed, step, err)
+			}
+			for a, i := range view.Members {
+				for b, j := range view.Members {
+					if got, want := rp.Dist().At(a, b), p.Dist().At(i, j); got != want {
+						t.Fatalf("seed %d %v: restricted C(%d,%d) = %d, problem C(%d,%d) = %d", seed, view, a, b, got, i, j, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -10,17 +10,14 @@ import (
 
 // Restrict builds the dense sub-problem a solver sees for one view: rows
 // for member sites only, in view order, with the given universe-indexed
-// primaries mapped to dense indices and sub as the member-to-member
-// distance matrix (a membership.Tracker's SubMatrix, whose site map is
-// exactly view.Members). Demand at non-member sites is gone — a departed
-// site issues no reads or writes. Solve the result with any of the
-// static/adaptive algorithms, then Lift the scheme back to universe
+// primaries mapped to dense indices and p's C(i,j) sliced to the members'
+// rows and columns — a transfer between two members costs what it always
+// did, whoever else is serving. Demand at non-member sites is gone — a
+// departed site issues no reads or writes. Solve the result with any of
+// the static/adaptive algorithms, then Lift the scheme back to universe
 // coordinates.
-func Restrict(p *core.Problem, view membership.View, primaries []int, sub *netsim.DistMatrix) (*core.Problem, error) {
+func Restrict(p *core.Problem, view membership.View, primaries []int) (*core.Problem, error) {
 	m := len(view.Members)
-	if sub.Sites() != m {
-		return nil, fmt.Errorf("plan: sub-matrix has %d sites for a view of %d members", sub.Sites(), m)
-	}
 	if len(primaries) != p.Objects() {
 		return nil, fmt.Errorf("plan: %d primaries for %d objects", len(primaries), p.Objects())
 	}
@@ -37,6 +34,7 @@ func Restrict(p *core.Problem, view membership.View, primaries []int, sub *netsi
 	for k := range sizes {
 		sizes[k] = p.Size(k)
 	}
+	sub := netsim.NewDistMatrix(m)
 	caps := make([]int64, m)
 	reads := make([][]int64, m)
 	writes := make([][]int64, m)
@@ -47,6 +45,9 @@ func Restrict(p *core.Problem, view membership.View, primaries []int, sub *netsi
 		for k := 0; k < p.Objects(); k++ {
 			reads[d][k] = p.Reads(site, k)
 			writes[d][k] = p.Writes(site, k)
+		}
+		for e := d + 1; e < m; e++ {
+			sub.Set(d, e, p.Cost(site, view.Members[e]))
 		}
 	}
 	return core.NewProblem(core.Config{

@@ -130,48 +130,6 @@ func (a *Assignment) Remove(i, k int) error {
 	return nil
 }
 
-// SetReplicators replaces object k's whole replica set (ascending site
-// list, primary included), adjusting usage. Used by AGRA transcription;
-// fails with the matching core sentinel if the list is malformed or the
-// swap would overflow a site.
-func (a *Assignment) SetReplicators(k int, sites []int32) error {
-	prev := int32(-1)
-	hasPrimary := false
-	for _, s := range sites {
-		if s <= prev {
-			return fmt.Errorf("sparse: replica list for object %d not strictly ascending", k)
-		}
-		if s < 0 || int(s) >= a.mo.m {
-			return fmt.Errorf("sparse: replica list for object %d references site %d of %d", k, s, a.mo.m)
-		}
-		prev = s
-		if s == a.mo.primary[k] {
-			hasPrimary = true
-		}
-	}
-	if !hasPrimary {
-		return core.ErrPrimary
-	}
-	// Adjust usage as remove-all + add-all; check capacity before mutating.
-	delta := make(map[int32]int64, len(sites)+len(a.repl[k]))
-	for _, s := range a.repl[k] {
-		delta[s] -= a.mo.size[k]
-	}
-	for _, s := range sites {
-		delta[s] += a.mo.size[k]
-	}
-	for s, d := range delta {
-		if d > 0 && a.Free(int(s)) < d {
-			return core.ErrCapacity
-		}
-	}
-	for s, d := range delta {
-		a.used[s] += d
-	}
-	a.repl[k] = append(a.repl[k][:0:0], sites...)
-	return nil
-}
-
 // Clone returns a deep copy.
 func (a *Assignment) Clone() *Assignment {
 	out := &Assignment{

@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"sync/atomic"
-
-	"drp/internal/parallel"
-)
+import "sync/atomic"
 
 // Evaluator computes eq. 4's D over the sparse representation. Where the
 // dense core.Evaluator walks all M sites per object, this one touches only
@@ -15,7 +11,8 @@ import (
 // commutative, so the reordered sum is bit-identical; the sparse-eval
 // differential check in internal/verify holds the two paths equal.
 //
-// Not safe for concurrent use; create one per goroutine (EvalPool does).
+// An Evaluator holds no scratch, so it is safe for concurrent use (Adapt
+// prices its start cost with one evaluator across its shard workers).
 type Evaluator struct {
 	mo    *Model
 	meter *atomic.Int64
@@ -90,70 +87,6 @@ func (e *Evaluator) objectCost(k int, repl []int32) int64 {
 			continue
 		}
 		total += wc[idx] * ok * spRow[j]
-	}
-	return total
-}
-
-// EvalPool fans sparse cost evaluations out across per-goroutine
-// Evaluators, mirroring core.EvalPool: results are written by task index,
-// so the reduction order — and every downstream decision — is identical at
-// any worker count.
-type EvalPool struct {
-	workers int
-	evs     []*Evaluator
-}
-
-// NewEvalPool returns a pool for mo. parallelism follows the solvers'
-// convention: 0 means GOMAXPROCS, 1 is fully serial.
-func NewEvalPool(mo *Model, parallelism int) *EvalPool {
-	w := parallel.Workers(parallelism)
-	evs := make([]*Evaluator, w)
-	for i := range evs {
-		evs[i] = NewEvaluator(mo)
-	}
-	return &EvalPool{workers: w, evs: evs}
-}
-
-// SetMeter attaches one shared evaluation counter to every worker's
-// evaluator; nil detaches.
-func (pl *EvalPool) SetMeter(meter *atomic.Int64) {
-	for _, ev := range pl.evs {
-		ev.SetMeter(meter)
-	}
-}
-
-// Workers returns the pool's worker count.
-func (pl *EvalPool) Workers() int { return pl.workers }
-
-// Evaluator returns worker 0's evaluator for inline use on the caller's
-// goroutine (never concurrently with Each).
-func (pl *EvalPool) Evaluator() *Evaluator { return pl.evs[0] }
-
-// Each runs fn(ev, i) for every i in [0, n) across the pool, handing each
-// invocation a worker-private Evaluator. fn must write its result into an
-// index-addressed slot and must not touch shared mutable state.
-func (pl *EvalPool) Each(n int, fn func(ev *Evaluator, i int)) {
-	parallel.ForWorker(n, pl.workers, func(w, i int) { fn(pl.evs[w], i) })
-}
-
-// ObjectCosts evaluates V_k for every object of the assignment in parallel
-// and returns them in object order (their sum is D).
-func (pl *EvalPool) ObjectCosts(a *Assignment) []int64 {
-	out := make([]int64, a.mo.n)
-	pl.Each(a.mo.n, func(ev *Evaluator, k int) { out[k] = ev.objectCost(k, a.repl[k]) })
-	if len(pl.evs) > 0 && pl.evs[0].meter != nil {
-		pl.evs[0].meter.Add(1) // one full-assignment evaluation
-	}
-	return out
-}
-
-// Cost evaluates D for the assignment with per-object parallelism — the
-// million-object full evaluation the bench trajectory times.
-func (pl *EvalPool) Cost(a *Assignment) int64 {
-	costs := pl.ObjectCosts(a)
-	var total int64
-	for _, v := range costs {
-		total += v
 	}
 	return total
 }

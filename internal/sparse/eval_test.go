@@ -98,38 +98,6 @@ func TestDeltaMatchesDense(t *testing.T) {
 	}
 }
 
-// TestEvalPoolParity holds the pooled per-object costs identical at worker
-// counts 1/2/8 and equal to the serial evaluator.
-func TestEvalPoolParity(t *testing.T) {
-	mo := testModel(t, 12, 60, 3)
-	a := NewAssignment(mo)
-	rng := xrand.New(99)
-	for step := 0; step < 40; step++ {
-		k := rng.Intn(mo.Objects())
-		cand := mo.Candidates(k)
-		_ = a.Add(int(cand[rng.Intn(len(cand))]), k)
-	}
-	serial := NewEvaluator(mo)
-	want := make([]int64, mo.Objects())
-	var wantTotal int64
-	for k := range want {
-		want[k] = serial.ObjectCost(k, a.Replicators(k))
-		wantTotal += want[k]
-	}
-	for _, workers := range []int{1, 2, 8} {
-		pool := NewEvalPool(mo, workers)
-		got := pool.ObjectCosts(a)
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("workers %d: V_%d = %d, want %d", workers, k, got[k], want[k])
-			}
-		}
-		if total := pool.Cost(a); total != wantTotal {
-			t.Fatalf("workers %d: total %d, want %d", workers, total, wantTotal)
-		}
-	}
-}
-
 func TestEvaluatorMeter(t *testing.T) {
 	mo := testModel(t, 8, 10, 1)
 	a := NewAssignment(mo)
@@ -140,12 +108,6 @@ func TestEvaluatorMeter(t *testing.T) {
 	ev.ObjectCost(0, a.Replicators(0))
 	if got := meter.Load(); got != 2 {
 		t.Fatalf("meter %d after Cost+ObjectCost, want 2", got)
-	}
-	pool := NewEvalPool(mo, 4)
-	pool.SetMeter(&meter)
-	pool.Cost(a)
-	if got := meter.Load(); got != 3 {
-		t.Fatalf("meter %d after pooled Cost, want 3 (one charge per full evaluation)", got)
 	}
 }
 

@@ -419,9 +419,6 @@ func (mo *Model) Capacity(i int) int64 { return mo.cap[i] }
 // Primary returns SP_k.
 func (mo *Model) Primary(k int) int32 { return mo.primary[k] }
 
-// PrimaryLoad returns the storage the primary copies pin at site i.
-func (mo *Model) PrimaryLoad(i int) int64 { return mo.primaryLoad[i] }
-
 // TotalReads returns Σ_i r_k(i).
 func (mo *Model) TotalReads(k int) int64 { return mo.totalReads[k] }
 

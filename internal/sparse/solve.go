@@ -35,10 +35,11 @@ import (
 // charges the evaluation meter — so budgets, deadlines and observers work
 // exactly as they do for the dense solvers.
 
-// DefaultMaxReplicas caps the greedy descent per object. Unlimited descent
-// on a million-object instance multiplies work by the replica count for
-// near-zero marginal saving; 8 replicas on ~100 sites matches the paper's
-// observed replica degrees.
+// DefaultMaxReplicas caps the greedy descent per object at this many
+// replicas, primary included. Unlimited descent on a million-object
+// instance multiplies work by the replica count for near-zero marginal
+// saving; 8 replicas on ~100 sites matches the paper's observed replica
+// degrees.
 const DefaultMaxReplicas = 8
 
 // SolveParams configures the sharded solve.
@@ -46,9 +47,6 @@ type SolveParams struct {
 	// Shards is the worker count for the proposal fan-out: 0 means
 	// GOMAXPROCS, 1 is serial. Results are bit-identical at any value.
 	Shards int
-	// MaxReplicas caps replicas per object (primary included): 0 means
-	// DefaultMaxReplicas, negative means unlimited.
-	MaxReplicas int
 }
 
 // Result is a sharded solve's outcome.
@@ -109,12 +107,19 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 			objects = append(objects, k)
 		}
 	}
-	pool := NewEvalPool(mo, params.Shards)
-	pool.SetMeter(c.Meter())
-	cost := pool.Cost(a)
+	// Start cost: V_k of every object in parallel, written by index so the
+	// sum is the same at any shard count; one full-assignment evaluation.
+	ev := NewEvaluator(mo)
+	costs := make([]int64, mo.n)
+	parallel.For(mo.n, parallel.Workers(params.Shards), func(k int) { costs[k] = ev.objectCost(k, a.repl[k]) })
+	c.Charge(1)
+	var cost int64
+	for _, v := range costs {
+		cost += v
+	}
 	// Strip the changed objects to primary-only; the cost moves to their
 	// V′_k and the ledger releases their storage.
-	ev := pool.Evaluator()
+	ev.SetMeter(c.Meter())
 	for _, k := range objects {
 		cost += mo.vPrime[k] - ev.ObjectCost(k, a.repl[k])
 		repl := append([]int32(nil), a.repl[k]...)
@@ -139,15 +144,7 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 // against the shared ledger — so a proposal is a pure function of its
 // object and the shard count cannot influence it.
 func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *solver.Controller) {
-	maxAdds := params.MaxReplicas
-	switch {
-	case maxAdds == 0:
-		maxAdds = DefaultMaxReplicas - 1
-	case maxAdds < 0:
-		maxAdds = mo.m
-	default:
-		maxAdds--
-	}
+	const maxAdds = DefaultMaxReplicas - 1 // the primary is already placed
 	workers := parallel.Workers(params.Shards)
 	type scratch struct {
 		dmin   []int64 // per-reader nearest-replica distance

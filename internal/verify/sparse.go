@@ -2,9 +2,9 @@ package verify
 
 // Differential and property checks for the internal/sparse solver core.
 // Wherever the dense and sparse paths both apply they must agree
-// bit-for-bit: full evaluation, delta evaluation and pooled evaluation are
-// compared against the dense implementations on random schemes and mutation
-// walks, the sharded solve is held shard-count-invariant, and the candidate
+// bit-for-bit: full evaluation and delta evaluation are compared against
+// the dense implementations on random schemes and mutation walks, the
+// sharded solve is held shard-count-invariant, and the candidate
 // pruning is checked against the exhaustive optimum (soundness) and under
 // site relabelling (equivariance). Registering the checks here puts the
 // sparse core under the same drpverify soak + ddmin shrinker as eq. 4
@@ -19,13 +19,8 @@ import (
 	"drp/internal/sparse"
 )
 
-// sparseWorkerCounts are the pool fan-outs the sparse-eval check compares
-// against serial sparse evaluation (and against the dense evaluator).
-var sparseWorkerCounts = []int{1, 2, 8}
-
-// checkSparseEval: the sparse evaluator — serial and pooled at several
-// worker counts — agrees with the dense evaluator on random schemes, object
-// by object and in total.
+// checkSparseEval: the sparse evaluator agrees with the dense evaluator on
+// random schemes, object by object and in total.
 func checkSparseEval(cx *Ctx) error {
 	p := cx.P
 	mo, err := sparse.FromProblem(p)
@@ -47,17 +42,6 @@ func checkSparseEval(cx *Ctx) error {
 			dense := s.ObjectCost(k)
 			if got := ev.ObjectCost(k, a.Replicators(k)); got != dense {
 				return fmt.Errorf("trial %d: object %d sparse V=%d != dense %d", trial, k, got, dense)
-			}
-		}
-		for _, w := range sparseWorkerCounts {
-			pool := sparse.NewEvalPool(mo, w)
-			if got := pool.Cost(a); got != want {
-				return fmt.Errorf("trial %d: pooled sparse cost %d != dense %d at %d workers", trial, got, want, w)
-			}
-			for k, v := range pool.ObjectCosts(a) {
-				if dense := s.ObjectCost(k); v != dense {
-					return fmt.Errorf("trial %d: pooled object %d V=%d != dense %d at %d workers", trial, k, v, dense, w)
-				}
 			}
 		}
 	}

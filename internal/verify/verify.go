@@ -95,7 +95,7 @@ func Checks() []Check {
 		{Name: "solver-sanity", Doc: "SRA/GRA/AGRA schemes validate, beat no-replication, and are seed-deterministic", Run: checkSolverSanity},
 		{Name: "optimal-gap", Doc: "heuristic costs are never below the exhaustive optimum", Small: true, Run: checkOptimalGap},
 		{Name: "optimal-capacity", Doc: "relaxing capacities never worsens the exhaustive optimum", Small: true, Run: checkOptimalCapacity},
-		{Name: "sparse-eval", Doc: "sparse evaluator (serial and pooled) is bit-identical to the dense evaluator", Run: checkSparseEval},
+		{Name: "sparse-eval", Doc: "sparse evaluator is bit-identical to the dense evaluator", Run: checkSparseEval},
 		{Name: "sparse-delta", Doc: "sparse delta evaluator matches the dense one along random mutation walks", Run: checkSparseDelta},
 		{Name: "sparse-shards", Doc: "sharded sparse solve is bit-identical at shard counts 1/2/8", Run: checkSparseShards},
 		{Name: "sparse-prune", Doc: "candidate pruning keeps every site the exhaustive optimum uses", Small: true, Run: checkSparsePrune},
