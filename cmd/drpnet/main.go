@@ -254,16 +254,21 @@ func run(args []string, stdout io.Writer) (err error) {
 	return writePlanFile(cluster, *planOut, stdout)
 }
 
+// wireLatency returns the drp_net_request_seconds histograms the nodes
+// observe client requests into.
+func wireLatency(reg *metrics.Registry) (read, write *metrics.Histogram) {
+	return reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": "read"}),
+		reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": "write"})
+}
+
 // gateSLO evaluates a latency SLO against the drp_net_request_seconds
 // histograms and fails the run when it is unmet.
 func gateSLO(slo *load.SLO, reg *metrics.Registry, stdout io.Writer) error {
 	if slo == nil {
 		return nil
 	}
-	out := slo.EvalQuantiles(func(op string, p float64) int64 {
-		h := reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": op})
-		return int64(h.Quantile(p) * 1e9)
-	})
+	read, write := wireLatency(reg)
+	out := slo.Eval(&load.Result{ReadHist: read, WriteHist: write})
 	verdict := "PASS"
 	if !out.Pass {
 		verdict = "FAIL"
@@ -288,8 +293,7 @@ func printLatency(reg *metrics.Registry, stdout io.Writer) {
 	if reg == nil {
 		return
 	}
-	read := reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": "read"})
-	write := reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": "write"})
+	read, write := wireLatency(reg)
 	if read.Count()+write.Count() == 0 {
 		return
 	}
@@ -353,7 +357,6 @@ func runFaulted(cluster *netnode.Cluster, p *drp.Problem, scheme *drp.Scheme, pl
 // any unfinished migration instead of replaying the scenario.
 func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string, storeOpts store.Options,
 	boot func(members []int) (*netnode.Cluster, error), planOut string, tracer *spans.Tracer, stdout io.Writer) error {
-	pcost := func(i, j int) int64 { return p.Cost(i, j) }
 
 	var journal *store.Journal
 	resuming := false
@@ -386,7 +389,7 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 		c.AttachJournal(journal)
 	}
 	if resuming {
-		rep, resumed, err := c.ResumeMigration(pcost)
+		rep, resumed, err := c.ResumeMigration()
 		if err != nil {
 			return fmt.Errorf("resume journaled migration: %w", err)
 		}
@@ -394,7 +397,7 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 			fmt.Fprintf(stdout, "resumed migration to plan epoch %d: %d remaining steps, migration cost %d\n",
 				c.Plan().Epoch, rep.Completed, rep.MigrationNTC)
 		}
-		return serveViewTraffic(p, c, pcost, planOut, stdout)
+		return serveViewTraffic(p, c, planOut, stdout)
 	}
 	fmt.Fprintf(stdout, "booted %d-member view %v over a %d-site universe (e.g. site %d at %s)\n",
 		len(founding), founding, p.Sites(), founding[0], c.Node(founding[0]).Addr())
@@ -414,7 +417,7 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 			return fmt.Errorf("control plane: %w", err)
 		}
 		pl := cp.Plan()
-		rep, err := c.ApplyPlan(pl, pcost)
+		rep, err := c.ApplyPlan(pl)
 		if err != nil {
 			return fmt.Errorf("%s: %w", stage, err)
 		}
@@ -426,7 +429,7 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 		return err
 	}
 	for _, s := range joins {
-		if _, err := c.Join(s, pcost); err != nil {
+		if _, err := c.Join(s); err != nil {
 			return err
 		}
 		if _, err := tr.JoinSite(s); err != nil {
@@ -448,17 +451,17 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 		}
 		fmt.Fprintf(stdout, "site %d left: view is now %v\n", s, c.Members())
 	}
-	return serveViewTraffic(p, c, pcost, planOut, stdout)
+	return serveViewTraffic(p, c, planOut, stdout)
 }
 
 // serveViewTraffic drives one measurement period over the deployed plan
 // and checks the wire accounting against the plan's eq. 4 serve cost.
-func serveViewTraffic(p *drp.Problem, c *netnode.Cluster, pcost plan.CostFn, planOut string, stdout io.Writer) error {
+func serveViewTraffic(p *drp.Problem, c *netnode.Cluster, planOut string, stdout io.Writer) error {
 	total, err := c.DriveTraffic()
 	if err != nil {
 		return err
 	}
-	model := plan.ServeCost(p, c.Plan(), pcost)
+	model := plan.ServeCost(p, c.Plan())
 	fmt.Fprintf(stdout, "served one measurement period over TCP:\n")
 	fmt.Fprintf(stdout, "  accounted transfer cost: %d\n", total)
 	fmt.Fprintf(stdout, "  eq.4 model prediction:   %d\n", model)

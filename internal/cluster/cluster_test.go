@@ -353,51 +353,6 @@ func TestReadCostPercentiles(t *testing.T) {
 	}
 }
 
-// percentile never understates: against a sorted copy of the samples it is
-// the smallest cost with at least q of them at or below it (rounding the rank
-// to nearest returned the 10th of 11 samples for q = 0.95: 90.9 %).
-func TestCostHistPercentileNeverUnderstates(t *testing.T) {
-	for n := 1; n <= 40; n++ {
-		h := newCostHist()
-		sorted := make([]int64, n)
-		for i := n - 1; i >= 0; i-- {
-			sorted[i] = int64(3*i + 1)
-			h.add(sorted[i])
-		}
-		for _, pct := range []int{50, 95} {
-			rank := 1
-			for rank*100 < pct*n {
-				rank++
-			}
-			if got, want := h.percentile(float64(pct)/100), sorted[rank-1]; got != want {
-				t.Errorf("n=%d p%d = %d, want %d (rank %d)", n, pct, got, want, rank)
-			}
-		}
-	}
-}
-
-func TestCostHist(t *testing.T) {
-	h := newCostHist()
-	if h.percentile(0.5) != 0 || h.max() != 0 {
-		t.Fatal("empty histogram not zero")
-	}
-	for _, v := range []int64{1, 1, 2, 3, 10} {
-		h.add(v)
-	}
-	if got := h.percentile(0.5); got != 2 {
-		t.Fatalf("p50 = %d, want 2", got)
-	}
-	if got := h.percentile(1.0); got != 10 {
-		t.Fatalf("p100 = %d, want 10", got)
-	}
-	if got := h.percentile(0.2); got != 1 {
-		t.Fatalf("p20 = %d, want 1", got)
-	}
-	if h.max() != 10 {
-		t.Fatalf("max = %d", h.max())
-	}
-}
-
 func TestCompareRanksPolicies(t *testing.T) {
 	p := gen(t, 10, 15, 0.05, 0.15, 14)
 	initial := sra.Run(p, sra.Options{}).Scheme

@@ -79,7 +79,7 @@ type sim struct {
 	// AGRA policies.
 	population []*bitset.Set
 	// readCosts histograms the current epoch's per-read transfer costs.
-	readCosts *costHist
+	readCosts *metrics.Histogram
 	// observer bridges the monitor's solver progress into cfg.Metrics /
 	// cfg.Events; nil when telemetry is off. ins caches the epoch
 	// instruments of cfg.Metrics (nil likewise).
@@ -138,7 +138,7 @@ func (s *sim) runEpoch(epoch int) (*EpochStats, error) {
 	}
 
 	// 4. Generate and serve the epoch's traffic.
-	s.readCosts = newCostHist()
+	s.readCosts = new(metrics.Histogram)
 	sv := root.Child("epoch.serve")
 	s.serveTraffic(stats)
 	sv.SetAttr("reads", strconv.FormatInt(stats.Reads, 10))
@@ -149,10 +149,10 @@ func (s *sim) runEpoch(epoch int) (*EpochStats, error) {
 	// 5. Bookkeeping: eq. 4 prediction, latency percentiles and savings.
 	stats.ModelNTC = s.scheme.Cost()
 	if stats.Reads > 0 {
-		stats.MeanReadCost /= float64(stats.Reads)
-		stats.ReadCostP50 = s.readCosts.percentile(0.50)
-		stats.ReadCostP95 = s.readCosts.percentile(0.95)
-		stats.ReadCostMax = s.readCosts.max()
+		stats.MeanReadCost = s.readCosts.Sum() / float64(stats.Reads)
+		stats.ReadCostP50 = int64(s.readCosts.Quantile(0.50))
+		stats.ReadCostP95 = int64(s.readCosts.Quantile(0.95))
+		stats.ReadCostMax = int64(s.readCosts.Max())
 	}
 	dPrime := s.problem.DPrime()
 	if dPrime > 0 {
@@ -337,8 +337,7 @@ func (s *sim) serveRead(site, obj int, stats *EpochStats) {
 	cost := p.Size(obj) * dist
 	stats.ServeNTC += cost
 	stats.ReadNTC += cost
-	stats.MeanReadCost += float64(cost)
-	s.readCosts.add(cost)
+	s.readCosts.Observe(float64(cost))
 }
 
 // serveWrite ships the update to the primary, which broadcasts the new

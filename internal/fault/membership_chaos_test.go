@@ -108,7 +108,6 @@ func holdingsPlan(p *core.Problem, c *netnode.Cluster) *plan.Plan {
 func TestMembershipChurnKillMidMigration(t *testing.T) {
 	p := churnProblem(t)
 	root := t.TempDir()
-	pcost := func(i, j int) int64 { return p.Cost(i, j) }
 
 	c, err := netnode.StartDurableView(p, root, store.Options{Sync: store.SyncNever}, []int{0, 1, 2, 3})
 	if err != nil {
@@ -134,12 +133,12 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 	c.SetRequestTimeout(2 * time.Second)
 
 	pl4, _ := churnSolve(t, p, []int{0, 1, 2, 3}, 1)
-	if _, err := c.ApplyPlan(pl4, pcost); err != nil {
+	if _, err := c.ApplyPlan(pl4); err != nil {
 		t.Fatal(err)
 	}
 
 	// Site 4 joins; its node must route through the injector too.
-	node4, err := c.Join(4, pcost)
+	node4, err := c.Join(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +146,7 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 	node4.SetDialer(in.DialerFor(4))
 
 	target, targetCost := churnSolve(t, p, []int{0, 1, 2, 3, 4}, 2)
-	steps, err := plan.Diff(c.Plan(), target, p, pcost)
+	steps, err := plan.Diff(c.Plan(), target, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 		}
 		stepIdx++
 	})
-	rep1, err := c.ApplyPlan(target, pcost)
+	rep1, err := c.ApplyPlan(target)
 	c.SetStepHook(nil)
 	if err == nil {
 		t.Fatal("migration survived a killed copy destination")
@@ -192,11 +191,11 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 
 	// Resume from the journaled plan: the remainder is the diff against
 	// the actual holdings, executed exactly once.
-	remainder, err := plan.Diff(holdingsPlan(p, c), target, p, pcost)
+	remainder, err := plan.Diff(holdingsPlan(p, c), target, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, resumed, err := c.ResumeMigration(pcost)
+	rep2, resumed, err := c.ResumeMigration()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,171 +2,26 @@ package load
 
 import (
 	"fmt"
-	"math/bits"
-	"time"
+
+	"drp/internal/metrics"
 )
 
-// subBits sets the recorder's log-linear resolution: each power-of-two
-// band of the value range splits into 2^subBits linear sub-buckets, so a
-// recorded value is off from the true one by at most a factor of
-// 1 + 2^-subBits (HDR histograms call this "significant figures"). With
-// subBits = 7 the relative quantile error is bounded by 1/128 ≈ 0.8%.
-const subBits = 7
-
-// maxRecordable caps recorded values so the bucket index stays in range;
-// an hour in nanoseconds is far beyond any latency this harness can see.
-const maxRecordable = int64(time.Hour)
-
-// numBuckets covers values in [0, maxRecordable] at subBits resolution.
-// Index layout (see bucketIndex): values below 2^(subBits+1) are exact,
-// above that each doubling adds 2^subBits buckets.
-var numBuckets = bucketIndex(maxRecordable) + 1
-
-// Hist is an HDR-style log-linear histogram of non-negative int64 values
-// (latencies in nanoseconds). Values are exact below 2^(subBits+1) and
-// bucketed with bounded relative error above. A Hist is owned by one
-// goroutine; concurrent load workers each record into their own and the
-// runner merges them, so recording needs no locks and stays cheap enough
-// to sit on the request hot path.
-type Hist struct {
-	counts []int64
-	total  int64
-	sum    int64
-	min    int64
-	max    int64
-}
+// Hist is the repository's one histogram (metrics.Histogram) behind the
+// int64 recording surface bench/ compiles against; a value is whatever
+// unit the caller records, nanoseconds there. Nothing else uses it: the
+// runner observes seconds straight into metrics.Histogram.
+type Hist struct{ *metrics.Histogram }
 
 // NewHist returns an empty histogram.
-func NewHist() *Hist {
-	return &Hist{counts: make([]int64, numBuckets), min: -1}
-}
+func NewHist() Hist { return Hist{new(metrics.Histogram)} }
 
-// bucketIndex maps a value to its bucket. Values below 2^subBits use
-// exp = 0 and map to themselves; a value with more bits shifts down so
-// its top subBits+1 bits select a linear sub-bucket within its
-// power-of-two band. The resulting index is monotone in v and contiguous
-// across bands.
-func bucketIndex(v int64) int {
-	if v < 0 {
-		v = 0
-	}
-	exp := bits.Len64(uint64(v)) - 1 - subBits
-	if exp < 0 {
-		exp = 0
-	}
-	return exp<<subBits + int(v>>uint(exp))
-}
+// Record adds one value.
+func (h Hist) Record(v int64) { h.Observe(float64(v)) }
 
-// bucketBounds returns the half-open value range [lo, hi) of bucket idx.
-func bucketBounds(idx int) (lo, hi int64) {
-	exp := idx>>subBits - 1
-	if exp < 1 {
-		return int64(idx), int64(idx) + 1
-	}
-	base := int64(idx - (exp+1)<<subBits) // linear sub-bucket within the band
-	lo = (base + 1<<subBits) << uint(exp)
-	return lo, lo + 1<<uint(exp)
-}
-
-// Record adds one value. Negative values clamp to zero and values beyond
-// maxRecordable clamp to it, so the histogram never drops an observation.
-func (h *Hist) Record(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	if v > maxRecordable {
-		v = maxRecordable
-	}
-	h.counts[bucketIndex(v)]++
-	h.total++
-	h.sum += v
-	if h.min < 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of recorded values.
-func (h *Hist) Count() int64 { return h.total }
-
-// Sum returns the sum of recorded values.
-func (h *Hist) Sum() int64 { return h.sum }
-
-// Max returns the largest recorded value (0 when empty).
-func (h *Hist) Max() int64 { return h.max }
-
-// Min returns the smallest recorded value (0 when empty).
-func (h *Hist) Min() int64 {
-	if h.min < 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Mean returns the average recorded value (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Quantile returns an upper bound on the p-quantile of the recorded
-// values: the exclusive upper edge of the bucket holding the value of
-// rank ⌈p·n⌉ (1-indexed). The estimate q satisfies
-//
-//	true ≤ q ≤ true·(1 + 2^-subBits) + 1
-//
-// so it never understates a latency — the property the coordinated-
-// omission tests lean on. p outside (0,1] clamps; an empty histogram
-// reports 0.
-func (h *Hist) Quantile(p float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	if p <= 0 {
-		p = 1 / float64(h.total) // smallest value's rank
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := int64(p * float64(h.total))
-	if float64(rank) < p*float64(h.total) {
-		rank++ // ceil
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for idx, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			_, hi := bucketBounds(idx)
-			return hi
-		}
-	}
-	return h.max // unreachable: total > 0 guarantees the loop hits rank
-}
-
-// Merge adds other's observations into h.
-func (h *Hist) Merge(other *Hist) {
-	if other == nil || other.total == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	if h.min < 0 || (other.min >= 0 && other.min < h.min) {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
+// Quantile is metrics.Histogram.Quantile in the recorded unit. Bucket
+// edges above 256 are integers and the maximum is a recorded value, so
+// the conversion is exact.
+func (h Hist) Quantile(p float64) int64 { return int64(h.Histogram.Quantile(p)) }
 
 // Summary is the fixed quantile ladder a report prints for one op.
 type Summary struct {
@@ -179,18 +34,21 @@ type Summary struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-// Summarize freezes the histogram into the report's quantile ladder.
-func (h *Hist) Summarize() Summary {
-	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-	return Summary{
-		Count:  h.total,
-		MeanMS: h.Mean() / 1e6,
-		P50MS:  ms(h.Quantile(0.50)),
-		P90MS:  ms(h.Quantile(0.90)),
-		P99MS:  ms(h.Quantile(0.99)),
-		P999MS: ms(h.Quantile(0.999)),
-		MaxMS:  ms(h.max),
+// summarize freezes a histogram of latencies in seconds into the report's
+// quantile ladder.
+func summarize(h *metrics.Histogram) Summary {
+	s := Summary{
+		Count:  int64(h.Count()),
+		P50MS:  h.Quantile(0.50) * 1e3,
+		P90MS:  h.Quantile(0.90) * 1e3,
+		P99MS:  h.Quantile(0.99) * 1e3,
+		P999MS: h.Quantile(0.999) * 1e3,
+		MaxMS:  h.Max() * 1e3,
 	}
+	if s.Count > 0 {
+		s.MeanMS = h.Sum() / float64(s.Count) * 1e3
+	}
+	return s
 }
 
 // String renders the summary for terminal output.

@@ -5,52 +5,32 @@ import (
 	"sort"
 	"testing"
 
+	"drp/internal/metrics"
 	"drp/internal/xrand"
 )
 
+// The histogram itself is tested where it lives (internal/metrics:
+// TestQuantileAgainstSortedOracle and its neighbours). These tests hold
+// the int64 surface bench/ records nanoseconds through to the same
+// contract, and go when that surface does.
+
 // exactQuantile is the oracle: the value of rank ⌈p·n⌉ in the sorted
-// sample — precisely the element Quantile's bucket walk lands on.
+// sample.
 func exactQuantile(sorted []int64, p float64) int64 {
 	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
+	rank = min(max(rank, 1), len(sorted))
 	return sorted[rank-1]
 }
 
-// quantileBoundsOK checks the histogram's advertised error contract:
-// true ≤ estimate ≤ true·(1 + 2^-subBits) + 1.
-func quantileBoundsOK(t *testing.T, name string, estimate, exact int64) {
-	t.Helper()
-	if estimate < exact {
-		t.Errorf("%s: estimate %d understates exact %d", name, estimate, exact)
-	}
-	upper := float64(exact)*(1+1.0/(1<<subBits)) + 1
-	if float64(estimate) > upper {
-		t.Errorf("%s: estimate %d exceeds bound %.1f (exact %d)", name, estimate, upper, exact)
-	}
-}
-
-// TestQuantileAgainstSortedOracle drives the histogram with several
-// latency-shaped distributions and checks every quantile the report uses
-// against the exact sorted-sample answer, at the documented relative
-// error bound.
+// TestQuantileAgainstSortedOracle checks true ≤ q ≤ min(max, true·(1+2^-7))
+// through Record and the int64 Quantile on latency-shaped samples.
 func TestQuantileAgainstSortedOracle(t *testing.T) {
 	const n = 20_000
 	quantiles := []float64{0.01, 0.25, 0.50, 0.90, 0.99, 0.999, 1.0}
 	dists := map[string]func(rng *xrand.Source) int64{
-		"uniform_1ms": func(rng *xrand.Source) int64 { return int64(rng.Float64() * 1e6) },
-		"exponential": func(rng *xrand.Source) int64 { return int64(-math.Log1p(-rng.Float64()) * 5e5) },
-		"heavy_tail": func(rng *xrand.Source) int64 {
-			v := int64(1e3 / math.Pow(1-rng.Float64(), 1.5))
-			if v > maxRecordable {
-				v = maxRecordable // keep the oracle and the recorder in the same domain
-			}
-			return v
-		},
+		"uniform_1ms":  func(rng *xrand.Source) int64 { return int64(rng.Float64() * 1e6) },
+		"exponential":  func(rng *xrand.Source) int64 { return int64(-math.Log1p(-rng.Float64()) * 5e5) },
+		"heavy_tail":   func(rng *xrand.Source) int64 { return int64(1e3 / math.Pow(1-rng.Float64(), 1.5)) },
 		"small_values": func(rng *xrand.Source) int64 { return int64(rng.Float64() * 100) },
 		"constant":     func(rng *xrand.Source) int64 { return 42_000 },
 	}
@@ -58,47 +38,39 @@ func TestQuantileAgainstSortedOracle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := xrand.New(7)
 			h := NewHist()
-			values := make([]int64, 0, n)
-			for i := 0; i < n; i++ {
-				v := gen(rng)
-				h.Record(v)
-				values = append(values, v)
+			values := make([]int64, n)
+			for i := range values {
+				values[i] = gen(rng)
+				h.Record(values[i])
 			}
 			sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
-			for _, p := range quantiles {
-				quantileBoundsOK(t, name, h.Quantile(p), exactQuantile(values, p))
-			}
 			if h.Count() != n {
 				t.Fatalf("count = %d, want %d", h.Count(), n)
 			}
-			var sum int64
-			for _, v := range values {
-				sum += v
-			}
-			if h.Sum() != sum {
-				t.Fatalf("sum = %d, want %d", h.Sum(), sum)
-			}
-			if h.Min() != values[0] || h.Max() != values[n-1] {
-				t.Fatalf("min/max = %d/%d, want %d/%d", h.Min(), h.Max(), values[0], values[n-1])
+			for _, p := range quantiles {
+				got, exact := h.Quantile(p), exactQuantile(values, p)
+				bound := min(float64(values[n-1]), float64(exact)*(1+1.0/128))
+				if got < exact || float64(got) > bound {
+					t.Errorf("p=%g: %d outside [%d, %.1f]", p, got, exact, bound)
+				}
 			}
 		})
 	}
 }
 
-// TestQuantileExactBelowLinearRange checks that small values (the
-// all-exact band below 2^(subBits+1)) report quantiles with zero bucket
-// error beyond the +1 upper-edge offset.
+// TestQuantileExactBelowLinearRange: integers below 256 come back as
+// recorded (the recorder this replaced returned the exclusive upper edge,
+// one above).
 func TestQuantileExactBelowLinearRange(t *testing.T) {
 	h := NewHist()
 	for v := int64(0); v < 100; v++ {
 		h.Record(v)
 	}
-	// Rank ⌈0.5·100⌉ = 50 → value 49 (0-indexed rank 49), upper edge 50.
-	if got := h.Quantile(0.50); got != 50 {
-		t.Fatalf("p50 = %d, want 50 (exclusive upper edge of value 49)", got)
+	if got := h.Quantile(0.50); got != 49 { // rank ⌈0.5·100⌉ = 50 is the value 49
+		t.Fatalf("p50 = %d, want 49", got)
 	}
-	if got := h.Quantile(1.0); got != 100 {
-		t.Fatalf("p100 = %d, want 100", got)
+	if got := h.Quantile(1.0); got != 99 {
+		t.Fatalf("p100 = %d, want 99", got)
 	}
 }
 
@@ -106,45 +78,25 @@ func TestQuantileExactBelowLinearRange(t *testing.T) {
 func TestRecordClamps(t *testing.T) {
 	h := NewHist()
 	h.Record(-5)
-	h.Record(maxRecordable + 12345)
+	h.Record(1 << 60) // far beyond the bucket range
 	if h.Count() != 2 {
 		t.Fatalf("count = %d, want 2 (clamped, not dropped)", h.Count())
 	}
-	if h.Min() != 0 {
-		t.Fatalf("min = %d, want 0", h.Min())
+	if got := h.Quantile(0.5); got != 0 {
+		t.Fatalf("p50 = %d, want 0 (a negative value records as zero)", got)
 	}
-	if h.Max() != maxRecordable {
-		t.Fatalf("max = %d, want maxRecordable", h.Max())
-	}
-}
-
-// TestBucketIndexMonotoneAndAligned walks the value range checking the
-// index is monotone and every value lands inside its bucket's bounds.
-func TestBucketIndexMonotoneAndAligned(t *testing.T) {
-	prev := -1
-	for v := int64(0); v < 1<<20; v += 97 {
-		idx := bucketIndex(v)
-		if idx < prev {
-			t.Fatalf("bucketIndex(%d) = %d < previous %d", v, idx, prev)
-		}
-		prev = idx
-		lo, hi := bucketBounds(idx)
-		if v < lo || v >= hi {
-			t.Fatalf("value %d outside bucket %d bounds [%d, %d)", v, idx, lo, hi)
-		}
-	}
-	if idx := bucketIndex(maxRecordable); idx >= numBuckets {
-		t.Fatalf("maxRecordable index %d out of range %d", idx, numBuckets)
+	if got := h.Quantile(1); got != 1<<60 {
+		t.Fatalf("p100 = %d, want the recorded maximum", got)
 	}
 }
 
 // TestMergeMatchesSingleHistogram splits one sample across eight
-// histograms (as the worker pool does) and checks the merge is
-// indistinguishable from recording into one.
+// histograms and checks the merge is indistinguishable from recording
+// into one.
 func TestMergeMatchesSingleHistogram(t *testing.T) {
 	rng := xrand.New(3)
-	single := NewHist()
-	parts := make([]*Hist, 8)
+	single, merged := NewHist(), NewHist()
+	parts := make([]Hist, 8)
 	for i := range parts {
 		parts[i] = NewHist()
 	}
@@ -153,14 +105,11 @@ func TestMergeMatchesSingleHistogram(t *testing.T) {
 		single.Record(v)
 		parts[i%len(parts)].Record(v)
 	}
-	merged := NewHist()
 	for _, p := range parts {
-		merged.Merge(p)
+		merged.Merge(p.Histogram)
 	}
-	merged.Merge(NewHist()) // empty merge is a no-op
-	if merged.Count() != single.Count() || merged.Sum() != single.Sum() ||
-		merged.Min() != single.Min() || merged.Max() != single.Max() {
-		t.Fatalf("merge diverged: count %d/%d sum %d/%d", merged.Count(), single.Count(), merged.Sum(), single.Sum())
+	if merged.Count() != single.Count() || merged.Sum() != single.Sum() || merged.Max() != single.Max() {
+		t.Fatalf("merge diverged: count %d/%d sum %g/%g", merged.Count(), single.Count(), merged.Sum(), single.Sum())
 	}
 	for _, p := range []float64{0.5, 0.9, 0.99, 0.999} {
 		if merged.Quantile(p) != single.Quantile(p) {
@@ -171,12 +120,21 @@ func TestMergeMatchesSingleHistogram(t *testing.T) {
 
 // TestEmptyHistogram checks the zero-observation edge cases.
 func TestEmptyHistogram(t *testing.T) {
-	h := NewHist()
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h := NewHist(); h.Quantile(0.99) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
-	s := h.Summarize()
-	if s.Count != 0 || s.P99MS != 0 {
+	if s := summarize(new(metrics.Histogram)); s != (Summary{}) {
 		t.Fatalf("empty summary: %+v", s)
+	}
+}
+
+// A summary's quantiles are ordered and none exceeds its max.
+func TestSummarizeQuantilesWithinMax(t *testing.T) {
+	h := new(metrics.Histogram)
+	h.Observe(4.640e-3)
+	h.Observe(4.643e-3)
+	s := summarize(h)
+	if s.P50MS > s.P999MS || s.P999MS > s.MaxMS || s.MaxMS != h.Max()*1e3 {
+		t.Fatalf("summary out of order: %s", s)
 	}
 }

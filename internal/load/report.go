@@ -66,8 +66,8 @@ func BuildReport(scheme string, pr Profile, sched *Schedule, res *Result, slo *S
 		Objects:        sched.Objects,
 		Profile:        pr,
 		ScheduleDigest: res.Digest,
-		Read:           res.ReadHist.Summarize(),
-		Write:          res.WriteHist.Summarize(),
+		Read:           summarize(res.ReadHist),
+		Write:          summarize(res.WriteHist),
 		OfferedRPS:     res.Offered,
 		AchievedRPS:    res.Achieved,
 		ElapsedMS:      float64(res.Elapsed.Nanoseconds()) / 1e6,

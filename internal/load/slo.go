@@ -27,7 +27,7 @@ type sloTerm struct {
 	kind     string  // "latency", "err", "tput"
 	op       string  // "read", "write", "" = both (latency only)
 	quantile float64 // latency only
-	bound    float64 // ns for latency, fraction for err/tput
+	bound    float64 // seconds for latency, fraction for err/tput
 }
 
 // quantileNames maps term prefixes to quantiles.
@@ -97,7 +97,7 @@ func parseLatencyTerm(term string) (sloTerm, error) {
 		return t, fmt.Errorf("load: SLO term %q: bad latency bound %q", term, bound)
 	}
 	t.quantile = q
-	t.bound = float64(d.Nanoseconds())
+	t.bound = d.Seconds()
 	return t, nil
 }
 
@@ -149,44 +149,12 @@ func (s *SLO) HasNonLatency() bool {
 	return false
 }
 
-// EvalQuantiles checks the expression's latency terms against an
-// external quantile source — fn returns the measured quantile in
-// nanoseconds for op "read" or "write" — so a tool holding only
-// drp_net_request_seconds histograms can reuse the same gate grammar.
-// Unprefixed terms take the worse of the two ops; err/tput terms fail
-// (callers reject them up front via HasNonLatency).
-func (s *SLO) EvalQuantiles(fn func(op string, p float64) int64) SLOResult {
-	if s == nil {
-		return SLOResult{Pass: true}
-	}
-	out := SLOResult{Expr: s.Expr, Pass: true}
-	for _, t := range s.terms {
-		tr := TermResult{Term: t.raw}
-		if t.kind == "latency" {
-			var ns int64
-			switch t.op {
-			case "read", "write":
-				ns = fn(t.op, t.quantile)
-			default:
-				ns = fn("read", t.quantile)
-				if w := fn("write", t.quantile); w > ns {
-					ns = w
-				}
-			}
-			tr.Actual = float64(ns) / 1e6
-			tr.Bound = t.bound / 1e6
-			tr.Pass = float64(ns) < t.bound
-		}
-		if !tr.Pass {
-			out.Pass = false
-		}
-		out.Terms = append(out.Terms, tr)
-	}
-	return out
-}
-
-// Eval checks every term against the result. A nil SLO passes vacuously
-// with no terms.
+// Eval checks every term against the result. Latency terms read only
+// res.ReadHist and res.WriteHist (seconds; an unprefixed term takes the
+// worse of the two ops), so a tool holding just the registry's
+// drp_net_request_seconds histograms passes those in a Result — its
+// err/tput terms it rejects up front via HasNonLatency. A nil SLO passes
+// vacuously with no terms.
 func (s *SLO) Eval(res *Result) SLOResult {
 	if s == nil {
 		return SLOResult{Pass: true}
@@ -196,21 +164,18 @@ func (s *SLO) Eval(res *Result) SLOResult {
 		tr := TermResult{Term: t.raw}
 		switch t.kind {
 		case "latency":
-			var ns int64
+			var sec float64
 			switch t.op {
 			case "read":
-				ns = res.ReadHist.Quantile(t.quantile)
+				sec = res.ReadHist.Quantile(t.quantile)
 			case "write":
-				ns = res.WriteHist.Quantile(t.quantile)
+				sec = res.WriteHist.Quantile(t.quantile)
 			default:
-				ns = res.ReadHist.Quantile(t.quantile)
-				if w := res.WriteHist.Quantile(t.quantile); w > ns {
-					ns = w
-				}
+				sec = max(res.ReadHist.Quantile(t.quantile), res.WriteHist.Quantile(t.quantile))
 			}
-			tr.Actual = float64(ns) / 1e6
-			tr.Bound = t.bound / 1e6
-			tr.Pass = float64(ns) < t.bound
+			tr.Actual = sec * 1e3
+			tr.Bound = t.bound * 1e3
+			tr.Pass = sec < t.bound
 		case "err":
 			total := res.Requests()
 			frac := 0.0

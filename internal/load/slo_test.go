@@ -3,19 +3,20 @@ package load
 import (
 	"strings"
 	"testing"
-	"time"
+
+	"drp/internal/metrics"
 )
 
 // resultWithLatencies builds a result whose read/write histograms hold
 // the given millisecond samples.
 func resultWithLatencies(readMS, writeMS []int64, failed, queued, unexplained int64) *Result {
-	res := &Result{ReadHist: NewHist(), WriteHist: NewHist()}
+	res := &Result{ReadHist: new(metrics.Histogram), WriteHist: new(metrics.Histogram)}
 	for _, ms := range readMS {
-		res.ReadHist.Record(ms * int64(time.Millisecond))
+		res.ReadHist.Observe(float64(ms) / 1e3)
 		res.ReadsOK++
 	}
 	for _, ms := range writeMS {
-		res.WriteHist.Record(ms * int64(time.Millisecond))
+		res.WriteHist.Observe(float64(ms) / 1e3)
 		res.WritesOK++
 	}
 	res.ReadsFailed = failed
@@ -63,8 +64,6 @@ func TestSLOEvalLatencyGates(t *testing.T) {
 		readMS[i] = 1
 	}
 	readMS = append(readMS, 100, 100, 100)
-	// Writes stay at 1ms: a 2ms sample's bucket upper edge slightly
-	// exceeds 2ms, which would trip the joint p50<2ms case below.
 	res := resultWithLatencies(readMS, []int64{1, 1, 1}, 0, 0, 0)
 
 	cases := []struct {

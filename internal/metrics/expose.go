@@ -33,10 +33,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s%s %s\n", e.name, e.labelStr, formatFloat(e.gauge.Value()))
 		case KindHistogram:
 			h := e.hist
-			var cum uint64
-			for i, bound := range h.bounds {
-				cum += h.counts[i].Load()
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", e.name, withLE(e.labels, formatFloat(bound)), cum)
+			for i, cum := range h.cumulative(e.ladder) {
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", e.name, withLE(e.labels, formatFloat(e.ladder[i])), cum)
 			}
 			fmt.Fprintf(&b, "%s_bucket%s %d\n", e.name, withLE(e.labels, "+Inf"), h.Count())
 			fmt.Fprintf(&b, "%s_sum%s %s\n", e.name, e.labelStr, formatFloat(h.Sum()))

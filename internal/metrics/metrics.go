@@ -1,6 +1,6 @@
 // Package metrics is the repository's zero-dependency telemetry layer: a
 // concurrency-safe registry of named instruments (monotonic counters,
-// last-value gauges, fixed-bound histograms) with Prometheus text-format
+// last-value gauges, log-linear histograms) with Prometheus text-format
 // exposition, expvar publication, deterministic JSON snapshots, a JSONL
 // structured-event sink and a bridge from the solver runtime's progress
 // events.
@@ -21,6 +21,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,25 +84,101 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into fixed buckets with ascending upper
-// bounds (an implicit +Inf bucket catches the rest), tracking count and sum.
-// Safe for concurrent use.
-type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
-	count   atomic.Uint64
-	sumBits atomic.Uint64
+// The histogram's resolution and range. Each power-of-two band of the
+// value range splits into 2^subBits linear sub-buckets, so a bucket's
+// upper edge is within a factor 1 + 2^-subBits (under 0.8 %) of any value
+// in it, and every integer below 2^(subBits+1) = 256 has a bucket of its
+// own. The bands run from 2^minExp (under a nanosecond, when the unit is
+// seconds) to 2^maxExp (over an hour in nanoseconds, and above any NTC an
+// int64 instance produces per request).
+const (
+	subBits   = 7
+	minExp    = -30
+	maxExp    = 42
+	mantShift = 52 - subBits
+
+	// firstKey is a float64's exponent and top subBits mantissa bits at
+	// 2^minExp. Bucket 0 holds v ≤ 0, bucket 1 holds (0, 2^minExp],
+	// buckets 2 … overflow-1 are the log-linear ones and the overflow
+	// bucket holds everything above 2^maxExp.
+	firstKey   = (1023 + minExp) << subBits
+	overflow   = (maxExp-minExp)<<subBits + 2
+	numBuckets = overflow + 1
+)
+
+// bucketOf maps a value to its bucket. Buckets are upper-inclusive, (lo,
+// hi], so that a cumulative count at an edge is exactly Prometheus's le:
+// the bits of the next float64 below v, shifted down to exponent and
+// leading mantissa bits, index the bucket directly.
+func bucketOf(v float64) int {
+	if !(v > 0) {
+		return 0
+	}
+	idx := int((math.Float64bits(v)-1)>>mantShift) - firstKey + 2
+	if idx < 1 {
+		return 1
+	}
+	if idx > overflow {
+		return overflow
+	}
+	return idx
 }
 
-// Observe records one value.
+// upperEdge returns the inclusive upper edge of a bucket.
+func upperEdge(idx int) float64 {
+	switch {
+	case idx == 0:
+		return 0
+	case idx >= overflow:
+		return math.Inf(1)
+	}
+	return math.Float64frombits(uint64(firstKey+idx-1) << mantShift)
+}
+
+// Histogram is the repository's one recorder of a distribution: a
+// log-linear histogram of non-negative values, whatever their unit —
+// request latencies in seconds or nanoseconds, per-read transfer costs,
+// scheme costs. It tracks count, sum and maximum beside the buckets. The
+// zero value is empty and ready to use; all methods are safe for
+// concurrent use.
+type Histogram struct {
+	counts  [numBuckets]atomic.Uint64
+	count   atomic.Uint64
+	sumBits atomic.Uint64
+	maxBits atomic.Uint64
+}
+
+// Observe records one value. Negative values and NaN record as zero, and
+// values beyond the bucket range land in an overflow bucket that reports
+// the maximum, so no observation is dropped or understated.
 func (h *Histogram) Observe(v float64) {
-	idx := sort.SearchFloat64s(h.bounds, v) // first bound with v <= bound
-	h.counts[idx].Add(1)
+	if !(v > 0) {
+		v = 0
+	}
+	// Maximum first, count last: a reader that sees an observation in a
+	// bucket also sees a maximum that covers it, and never a count ahead
+	// of the buckets.
+	h.raiseMax(v)
+	h.counts[bucketOf(v)].Add(1)
+	h.addSum(v)
 	h.count.Add(1)
+}
+
+// raiseMax lifts the maximum to v; the bits of non-negative floats order
+// as the values do.
+func (h *Histogram) raiseMax(v float64) {
+	for bits := math.Float64bits(v); ; {
+		old := h.maxBits.Load()
+		if bits <= old || h.maxBits.CompareAndSwap(old, bits) {
+			return
+		}
+	}
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
@@ -113,77 +190,87 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Bounds returns the histogram's upper bucket bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
+// Max returns the largest observed value (0 when empty).
+func (h *Histogram) Max() float64 { return math.Float64frombits(h.maxBits.Load()) }
 
-// Quantile estimates the p-quantile (p in [0,1]) of the observed values by
-// linear interpolation inside the containing bucket. Mass in the +Inf
-// bucket clamps to the highest finite bound — the estimate never invents
-// values beyond the ladder — and an empty histogram reports 0. Concurrent
-// observers may move individual buckets mid-read; like Prometheus's
-// histogram_quantile, the estimate is only as consistent as the scrape.
+// Quantile returns an upper bound on the p-quantile of the observed
+// values: the upper edge of the bucket holding the value of rank ⌈p·n⌉
+// (1-indexed), clamped to the maximum. With t the true value of that rank,
+//
+//	t ≤ Quantile(p) ≤ min(Max, t·(1 + 2^-7))
+//
+// so it never understates and never reports a value that was not reached;
+// integers below 256 come back exactly. p outside (0, 1] clamps and an
+// empty histogram reports 0. Observers running during the call may or may
+// not be counted.
 func (h *Histogram) Quantile(p float64) float64 {
-	cum := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-		cum[i] = total
-	}
-	return bucketQuantile(h.bounds, cum, p)
-}
-
-// bucketQuantile interpolates the p-quantile from cumulative bucket counts.
-// cum has len(bounds)+1 entries; the last is the +Inf bucket. The first
-// finite bucket interpolates from a lower edge of 0, matching the
-// all-positive ladders ExponentialBuckets builds.
-func bucketQuantile(bounds []float64, cum []uint64, p float64) float64 {
-	if len(cum) == 0 || cum[len(cum)-1] == 0 || len(bounds) == 0 {
+	n := h.count.Load()
+	if n == 0 {
 		return 0
 	}
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
+	rank := uint64(1)
+	if p >= 1 {
+		rank = n
+	} else if p > 0 {
+		rank = max(1, uint64(math.Ceil(p*float64(n))))
 	}
-	rank := p * float64(cum[len(cum)-1])
-	idx := sort.Search(len(cum), func(i int) bool { return float64(cum[i]) >= rank })
-	if idx >= len(bounds) {
-		return bounds[len(bounds)-1]
+	var seen uint64
+	for idx := range h.counts {
+		if seen += h.counts[idx].Load(); seen >= rank {
+			return min(upperEdge(idx), h.Max())
+		}
 	}
-	lo, below := 0.0, uint64(0)
-	if idx > 0 {
-		lo, below = bounds[idx-1], cum[idx-1]
-	}
-	in := cum[idx] - below
-	if in == 0 {
-		return bounds[idx]
-	}
-	return lo + (bounds[idx]-lo)*(rank-float64(below))/float64(in)
+	return h.Max()
 }
 
-// ExponentialBuckets returns count ascending bounds start, start·factor,
-// start·factor², … — the fixed exponential ladders every histogram in this
-// repository uses. start must be positive and factor > 1.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	if start <= 0 || factor <= 1 || count < 1 {
-		panic(fmt.Sprintf("metrics: bad exponential buckets (start=%v factor=%v count=%d)", start, factor, count))
+// Merge adds other's observations into h. other must not be observed
+// into during the call.
+func (h *Histogram) Merge(other *Histogram) {
+	for idx := range other.counts {
+		if c := other.counts[idx].Load(); c > 0 {
+			h.counts[idx].Add(c)
+		}
 	}
-	out := make([]float64, count)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
+	h.raiseMax(other.Max())
+	h.addSum(other.Sum())
+	h.count.Add(other.count.Load())
+}
+
+// cumulative projects the buckets onto a ladder of ascending bucket edges:
+// out[i] is the number of observations ≤ ladder[i], exactly.
+func (h *Histogram) cumulative(ladder []float64) []uint64 {
+	out := make([]uint64, len(ladder))
+	var cum uint64
+	next := 0
+	for i, bound := range ladder {
+		for end := bucketOf(bound); next <= end; next++ {
+			cum += h.counts[next].Load()
+		}
+		out[i] = cum
 	}
 	return out
 }
 
-// LatencyBuckets spans 100µs .. ~3.3s in doublings — request latencies and
-// adaptation wall times in seconds.
-func LatencyBuckets() []float64 { return ExponentialBuckets(100e-6, 2, 16) }
+// powersOfTwo returns the count ascending bounds 2^exp, 2^(exp+step), … —
+// each a bucket edge, which is what makes a ladder's cumulative counts
+// exact.
+func powersOfTwo(exp, step, count int) []float64 {
+	out := make([]float64, count)
+	for i := range out {
+		out[i] = math.Ldexp(1, exp+i*step)
+	}
+	return out
+}
 
-// CostBuckets spans 1 .. ~2.7e11 NTC units in powers of four — per-request
-// transfer costs and best-so-far scheme costs.
-func CostBuckets() []float64 { return ExponentialBuckets(1, 4, 20) }
+// LatencyBuckets is the exposition ladder for durations in seconds —
+// request latencies and adaptation wall times: 2^-20 s (0.95 µs) to 4 s in
+// doublings.
+func LatencyBuckets() []float64 { return powersOfTwo(-20, 1, 23) }
+
+// CostBuckets is the exposition ladder for NTC units — per-request
+// transfer costs and best-so-far scheme costs: 1 to 2^38 (~2.7e11) in
+// powers of four.
+func CostBuckets() []float64 { return powersOfTwo(0, 2, 20) }
 
 // entry is one registered instrument.
 type entry struct {
@@ -196,6 +283,7 @@ type entry struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
+	ladder  []float64 // histograms: the le bounds of exposition and snapshots
 }
 
 // Registry holds named instruments. Instrument getters are get-or-create:
@@ -227,7 +315,10 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 }
 
 // Histogram returns the histogram registered under name+labels, creating it
-// with the given bucket bounds on first use. Later calls may pass nil
+// on first use. bounds is the short ascending ladder /metrics and snapshots
+// project the histogram onto as cumulative le buckets; quantiles do not
+// use it. Every bound must be a bucket edge (powers of two and integers
+// below 256 are) so the projection is exact. Later calls may pass nil
 // bounds; non-nil bounds that disagree with the registered ones panic.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels) *Histogram {
 	r.mu.Lock()
@@ -237,7 +328,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels)
 		if e.kind != KindHistogram {
 			panic(fmt.Sprintf("metrics: %s already registered as %s", key, e.kind))
 		}
-		if bounds != nil && !equalBounds(bounds, e.hist.bounds) {
+		if bounds != nil && !slices.Equal(bounds, e.ladder) {
 			panic(fmt.Sprintf("metrics: %s re-registered with different bounds", key))
 		}
 		return e.hist
@@ -248,11 +339,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels)
 	if !sort.Float64sAreSorted(bounds) {
 		panic(fmt.Sprintf("metrics: histogram %s bounds not ascending", key))
 	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
+	for _, b := range bounds {
+		if upperEdge(bucketOf(b)) != b {
+			panic(fmt.Sprintf("metrics: histogram %s bound %v is not a bucket edge", key, b))
+		}
 	}
-	r.register(key, &entry{name: name, help: help, labels: copyLabels(labels), labelStr: renderLabels(labels), kind: KindHistogram, hist: h})
+	h := new(Histogram)
+	r.register(key, &entry{name: name, help: help, labels: copyLabels(labels), labelStr: renderLabels(labels), kind: KindHistogram, hist: h, ladder: slices.Clone(bounds)})
 	return h
 }
 
@@ -381,16 +474,4 @@ func checkName(name string) {
 			panic(fmt.Sprintf("metrics: invalid name %q", name))
 		}
 	}
-}
-
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

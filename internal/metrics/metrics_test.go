@@ -106,18 +106,20 @@ func TestInvalidNamePanics(t *testing.T) {
 }
 
 func TestExponentialBuckets(t *testing.T) {
-	got := ExponentialBuckets(1, 4, 4)
+	got := powersOfTwo(0, 2, 4)
 	want := []float64{1, 4, 16, 64}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("bucket %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if n := len(LatencyBuckets()); n != 16 {
-		t.Fatalf("latency buckets = %d, want 16", n)
+	lat := LatencyBuckets()
+	if n := len(lat); n != 23 || lat[0] != 1.0/(1<<20) || lat[n-1] != 4 {
+		t.Fatalf("latency ladder = %d bounds %v..%v, want 23 from 2^-20 to 4", n, lat[0], lat[n-1])
 	}
-	if n := len(CostBuckets()); n != 20 {
-		t.Fatalf("cost buckets = %d, want 20", n)
+	cost := CostBuckets()
+	if n := len(cost); n != 20 || cost[0] != 1 || cost[n-1] != 1<<38 {
+		t.Fatalf("cost ladder = %d bounds %v..%v, want 20 from 1 to 2^38", n, cost[0], cost[n-1])
 	}
 }
 
@@ -265,36 +267,38 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatalf("empty histogram p50 = %v, want 0", got)
 	}
 
-	// 10 observations spread evenly through the first bucket (0,10].
 	for i := 1; i <= 10; i++ {
 		h.Observe(float64(i))
 	}
-	// p50 ranks 5 of 10 into [0,10): linear interpolation gives 5.
+	// p50 is the value of rank ⌈0.5·10⌉ = 5; small integers are exact.
 	if got := h.Quantile(0.5); got != 5 {
 		t.Fatalf("p50 = %v, want 5", got)
 	}
 	if got := h.Quantile(1); got != 10 {
-		t.Fatalf("p100 = %v, want bucket bound 10, got %v", got, got)
+		t.Fatalf("p100 = %v, want 10", got)
 	}
 
-	// Add 10 observations in (20,40]: 20 total, half below 10.
 	for i := 0; i < 10; i++ {
 		h.Observe(30)
 	}
-	// p75 ranks 15 of 20 → 5 into the (20,40] bucket of mass 10 → 30.
+	// p75 is rank 15 of 20: the registration ladder (10, 20, 40) plays no
+	// part, so it is 30 and not an interpolation across (20, 40].
 	if got := h.Quantile(0.75); got != 30 {
 		t.Fatalf("p75 = %v, want 30", got)
 	}
 
-	// +Inf mass clamps to the highest finite bound.
+	// Mass above the ladder is still resolved, up to the maximum.
 	h.Observe(1e9)
-	if got := h.Quantile(1); got != 40 {
-		t.Fatalf("p100 with +Inf mass = %v, want clamp to 40", got)
+	if got := h.Quantile(1); got != 1e9 {
+		t.Fatalf("p100 = %v, want the maximum 1e9", got)
 	}
 
-	// Out-of-range p clamps rather than panicking.
-	if got := h.Quantile(-1); got != 0 {
-		t.Fatalf("p(-1) = %v, want 0", got)
+	// Out-of-range p clamps to the smallest and largest rank.
+	if got := h.Quantile(-1); got != 1 {
+		t.Fatalf("p(-1) = %v, want the minimum 1", got)
+	}
+	if got := h.Quantile(2); got != 1e9 {
+		t.Fatalf("p(2) = %v, want the maximum 1e9", got)
 	}
 }
 

@@ -258,8 +258,8 @@ func (c *Cluster) Close() {
 
 // Deploy migrates the data plane to the scheme next over the current
 // member set — the scheme-typed entry to the engine ApplyPlan runs, with
-// the problem's own cost function and primaries (so a primary an earlier
-// plan promoted elsewhere is promoted back). Returns the migration
+// the problem's own primaries (so a primary an earlier plan promoted
+// elsewhere is promoted back). Returns the migration
 // transfer cost (each new replica fetched from the nearest prior holder).
 func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
 	target, err := plan.FromSchemeView(next, membership.View{Epoch: c.plan.View.Epoch, Members: c.members})
@@ -267,7 +267,7 @@ func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
 		return 0, err
 	}
 	target.Epoch = c.plan.Epoch
-	rep, err := c.migrate(c.tracer.Root("deploy"), target, c.p.Cost, false)
+	rep, err := c.migrate(c.tracer.Root("deploy"), target, false)
 	if err != nil {
 		return 0, err
 	}

@@ -3,6 +3,7 @@ package netnode
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"drp/internal/metrics"
 	"drp/internal/sra"
@@ -137,5 +138,31 @@ func TestUnknownOpsShareOneSeries(t *testing.T) {
 	}
 	if len(series) != 2 || series["unknown"] != bogus || series["version"] != 1 {
 		t.Fatalf("served-message series = %v, want unknown=%d and version=1 only", series, bogus)
+	}
+}
+
+// A remote read on a warm link takes ~14 µs; drp_net_request_seconds must
+// resolve that (a 100 µs first bucket reported 50 µs for any such run),
+// and its exposition ladder must reach below it without leaking the fine
+// buckets.
+func TestRequestSecondsResolvesMicroseconds(t *testing.T) {
+	reg := metrics.NewRegistry()
+	RegisterMetricFamilies(reg)
+	nm := newNodeMetrics(reg)
+	const lat = 14 * time.Microsecond
+	for i := 0; i < 1000; i++ {
+		nm.read(false, 0, lat)
+	}
+	p50 := nm.readSeconds.Quantile(0.50)
+	if p50 < lat.Seconds() || p50 > lat.Seconds()*(1+1.0/128) {
+		t.Fatalf("p50 = %gs, want within 1/128 above %gs", p50, lat.Seconds())
+	}
+	for _, is := range reg.Snapshot().Instruments {
+		if is.Name != "drp_net_request_seconds" {
+			continue
+		}
+		if n := len(is.Buckets) + 1; n > 24 || is.Buckets[0].LE >= 1e-4 { // +1: the +Inf row
+			t.Fatalf("%v: %d le rows from %g, want ≤ 24 starting below 1e-04", is.Labels, n, is.Buckets[0].LE)
+		}
 	}
 }

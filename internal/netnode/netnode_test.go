@@ -6,6 +6,7 @@ import (
 
 	"drp/internal/core"
 	"drp/internal/sra"
+	"drp/internal/store"
 	"drp/internal/workload"
 )
 
@@ -16,6 +17,12 @@ func gen(t testing.TB, m, n int, u, c float64, seed uint64) *core.Problem {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// Listen starts a memory-backed node for the site on addr, holding exactly
+// the objects primaried at it; peers are wired with SetPeers.
+func Listen(p *core.Problem, site int, addr string) (*Node, error) {
+	return ListenStore(p, site, addr, store.Memory(site, primaries(p)))
 }
 
 func startCluster(t *testing.T, p *core.Problem) *Cluster {

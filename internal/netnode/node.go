@@ -182,17 +182,6 @@ func primaries(p *core.Problem) []int {
 	return out
 }
 
-// Listen starts a memory-backed node for the given site on addr (use
-// "127.0.0.1:0" for an ephemeral port). The node initially holds exactly
-// the objects primaried at it; peers must be wired with SetPeers before
-// serving remote traffic.
-func Listen(p *core.Problem, site int, addr string) (*Node, error) {
-	if site < 0 || site >= p.Sites() {
-		return nil, fmt.Errorf("netnode: site %d out of range", site)
-	}
-	return ListenStore(p, site, addr, store.Memory(site, primaries(p)))
-}
-
 // ListenStore starts a node whose state lives in st — typically a durable
 // store opened (and therefore replayed) from the site's data directory.
 // The lifecycle is open → replay → serve: by the time the listener accepts

@@ -112,10 +112,10 @@ func (c *Cluster) SetStepHook(fn func(plan.Step)) { c.stepHook = fn }
 // durable mode), rewire the address tables, and resynchronise its routing
 // state with the deployed plan — the current primary of every object, a
 // drop of any replica the plan no longer places at it (a rejoining former
-// primary), and the nearest/replicas tables under the given cost
-// function. The placement itself does not change: the control plane
-// migrates replicas onto the joiner with a subsequent plan.
-func (c *Cluster) Join(site int, cost plan.CostFn) (*Node, error) {
+// primary), and the nearest/replicas tables. The placement itself does
+// not change: the control plane migrates replicas onto the joiner with a
+// subsequent plan.
+func (c *Cluster) Join(site int) (*Node, error) {
 	if site < 0 || site >= c.p.Sites() {
 		return nil, fmt.Errorf("netnode: site %d outside universe", site)
 	}
@@ -130,14 +130,14 @@ func (c *Cluster) Join(site int, cost plan.CostFn) (*Node, error) {
 	c.members = append(c.members, site)
 	sort.Ints(c.members)
 	c.rewirePeers()
-	if err := c.syncJoined(site, cost); err != nil {
+	if err := c.syncJoined(site); err != nil {
 		return node, fmt.Errorf("netnode: join sync for site %d: %w", site, err)
 	}
 	return node, nil
 }
 
 // syncJoined pushes the deployed plan's routing state to a joined site.
-func (c *Cluster) syncJoined(site int, cost plan.CostFn) (err error) {
+func (c *Cluster) syncJoined(site int) (err error) {
 	node := c.nodes[site]
 	root := c.tracer.Root("join.sync")
 	root.SetPeer(site)
@@ -160,7 +160,7 @@ func (c *Cluster) syncJoined(site int, cost plan.CostFn) (err error) {
 				return err
 			}
 		}
-		if err := c.command(site, message{Op: "nearest", Object: k, Site: nearestOf(c.plan, site, k, cost)}, root); err != nil {
+		if err := c.command(site, message{Op: "nearest", Object: k, Site: nearestOf(c.p, c.plan, site, k)}, root); err != nil {
 			return err
 		}
 		if err := c.command(site, message{Op: "replicas", Object: k, Sites: c.plan.Placement[k]}, root); err != nil {
@@ -216,10 +216,10 @@ func (c *Cluster) isMember(site int) bool {
 // routing still points at. Returns the migration accounting; on error
 // the report covers the completed prefix and ResumeMigration (after the
 // fault clears) finishes the remainder.
-func (c *Cluster) ApplyPlan(next *plan.Plan, cost plan.CostFn) (*ApplyReport, error) {
+func (c *Cluster) ApplyPlan(next *plan.Plan) (*ApplyReport, error) {
 	root := c.tracer.Root("plan.apply")
 	root.SetAttr("epoch", strconv.Itoa(next.Epoch))
-	return c.migrate(root, next.Clone(), cost, false)
+	return c.migrate(root, next.Clone(), false)
 }
 
 // migrate is the one migration engine behind Deploy, ApplyPlan and
@@ -228,7 +228,7 @@ func (c *Cluster) ApplyPlan(next *plan.Plan, cost plan.CostFn) (*ApplyReport, er
 // the ordered steps under root and adopt the target (which the cluster
 // then owns) as the deployed plan. It finishes root. An empty diff sends
 // nothing.
-func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, cost plan.CostFn, resume bool) (rep *ApplyReport, err error) {
+func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, resume bool) (rep *ApplyReport, err error) {
 	defer func() {
 		root.SetErr(err)
 		root.Finish()
@@ -261,7 +261,7 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, cost plan.CostFn,
 			}
 		}
 	}
-	steps, err := plan.Diff(from, target, c.p, cost)
+	steps, err := plan.Diff(from, target, c.p)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +278,7 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, cost plan.CostFn,
 		}
 	}
 	rep = &ApplyReport{Steps: len(steps)}
-	if err := c.runSteps(steps, touched, from, target, cost, rep, root); err != nil {
+	if err := c.runSteps(steps, touched, from, target, rep, root); err != nil {
 		return rep, err
 	}
 	c.plan = target
@@ -289,11 +289,11 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, cost plan.CostFn,
 // (copies, promotes, drops); the routing refresh for every touched object
 // runs after the promotes so no drop happens while a nearest record still
 // points at the dropping site.
-func (c *Cluster) runSteps(steps []plan.Step, touched map[int]bool, old, next *plan.Plan, cost plan.CostFn, rep *ApplyReport, parent *spans.Span) error {
+func (c *Cluster) runSteps(steps []plan.Step, touched map[int]bool, old, next *plan.Plan, rep *ApplyReport, parent *spans.Span) error {
 	refreshed := false
 	for _, s := range steps {
 		if s.Kind == plan.Drop && !refreshed {
-			if err := c.refreshRouting(touched, next, cost, parent); err != nil {
+			if err := c.refreshRouting(touched, next, parent); err != nil {
 				return err
 			}
 			refreshed = true
@@ -320,7 +320,7 @@ func (c *Cluster) runSteps(steps []plan.Step, touched map[int]bool, old, next *p
 		ss.Finish()
 	}
 	if !refreshed {
-		return c.refreshRouting(touched, next, cost, parent)
+		return c.refreshRouting(touched, next, parent)
 	}
 	return nil
 }
@@ -355,7 +355,7 @@ func (c *Cluster) runStep(s plan.Step, old *plan.Plan, parent *spans.Span) error
 // refreshRouting pushes the next plan's routing state for the touched
 // objects: the registry to each object's primary, and the nearest record
 // plus failover ranking to every member.
-func (c *Cluster) refreshRouting(touched map[int]bool, next *plan.Plan, cost plan.CostFn, parent *spans.Span) error {
+func (c *Cluster) refreshRouting(touched map[int]bool, next *plan.Plan, parent *spans.Span) error {
 	rs := parent.Child("plan.refresh")
 	defer rs.Finish()
 	objs := make([]int, 0, len(touched))
@@ -370,7 +370,7 @@ func (c *Cluster) refreshRouting(touched map[int]bool, next *plan.Plan, cost pla
 			return err
 		}
 		for _, m := range c.members {
-			if err := c.command(m, message{Op: "nearest", Object: k, Site: nearestOf(next, m, k, cost)}, rs); err != nil {
+			if err := c.command(m, message{Op: "nearest", Object: k, Site: nearestOf(c.p, next, m, k)}, rs); err != nil {
 				rs.SetErr(err)
 				return err
 			}
@@ -384,25 +384,18 @@ func (c *Cluster) refreshRouting(touched map[int]bool, next *plan.Plan, cost pla
 }
 
 // nearestOf returns the plan's nearest replica of object k from site i
-// (itself, when it holds one), ties broken by lowest site index.
-func nearestOf(pl *plan.Plan, i, k int, cost plan.CostFn) int {
+// (itself, when it holds one), ties broken by lowest site index. A valid
+// plan places every object somewhere and C(i,j) is never negative, so
+// there is always one.
+func nearestOf(p *core.Problem, pl *plan.Plan, i, k int) int {
 	if pl.Has(i, k) {
 		return i
 	}
 	best, bestCost := -1, int64(0)
 	for _, j := range pl.Placement[k] {
-		d := cost(i, j)
-		if d < 0 {
-			continue
-		}
-		if best < 0 || d < bestCost {
+		if d := p.Cost(i, j); best < 0 || d < bestCost {
 			best, bestCost = j, d
 		}
-	}
-	if best < 0 {
-		// No member-reachable replica (disconnected cost function); fall
-		// back to the first holder so the record stays in range.
-		return pl.Placement[k][0]
 	}
 	return best
 }
@@ -444,7 +437,7 @@ func (c *Cluster) actualPlan() *plan.Plan {
 // run is never re-executed or re-accounted — the diff starts from the
 // actual holdings — and a fully realised target still has its routing
 // state re-asserted and is adopted as the deployed plan (epoch, view).
-func (c *Cluster) ResumeMigration(cost plan.CostFn) (*ApplyReport, bool, error) {
+func (c *Cluster) ResumeMigration() (*ApplyReport, bool, error) {
 	if c.journal == nil {
 		return nil, false, nil
 	}
@@ -458,7 +451,7 @@ func (c *Cluster) ResumeMigration(cost plan.CostFn) (*ApplyReport, bool, error) 
 	}
 	root := c.tracer.Root("plan.resume")
 	root.SetAttr("epoch", strconv.Itoa(target.Epoch))
-	rep, err := c.migrate(root, target, cost, true)
+	rep, err := c.migrate(root, target, true)
 	if rep == nil {
 		return nil, false, fmt.Errorf("netnode: journaled plan: %w", err)
 	}

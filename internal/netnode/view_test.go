@@ -108,7 +108,7 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 	// Stage 1: solve and deploy over the founding four members.
 	view4 := tr.View()
 	pl4, cost4 := solveView(t, p, view4, universePrimaries(p), 1)
-	if _, err := c.ApplyPlan(pl4, p.Cost); err != nil {
+	if _, err := c.ApplyPlan(pl4); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.DriveTraffic()
@@ -124,11 +124,11 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 	if _, err := tr.JoinSite(4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Join(4, p.Cost); err != nil {
+	if _, err := c.Join(4); err != nil {
 		t.Fatal(err)
 	}
 	pl5, cost5 := solveView(t, p, tr.View(), universePrimaries(p), 2)
-	steps, err := plan.Diff(c.Plan(), pl5, p, p.Cost)
+	steps, err := plan.Diff(c.Plan(), pl5, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 			migrationReads++
 		}
 	})
-	rep, err := c.ApplyPlan(pl5, p.Cost)
+	rep, err := c.ApplyPlan(pl5)
 	c.SetStepHook(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -173,9 +173,8 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 			prim4b[k] = 1
 		}
 	}
-	pcost := func(i, j int) int64 { return p.Cost(i, j) }
 	pl4b, cost4b := solveView(t, p, view4b, prim4b, 3)
-	if _, err := c.ApplyPlan(pl4b, pcost); err != nil {
+	if _, err := c.ApplyPlan(pl4b); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Leave(0); err != nil {
@@ -243,10 +242,9 @@ func TestViewClusterResumeAfterCrashMidMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AttachJournal(j)
-	pcost := func(i, j int) int64 { return p.Cost(i, j) }
 	view := membership.View{Epoch: 1, Members: members}
 	target, targetCost := solveView(t, p, view, universePrimaries(p), 1)
-	steps, err := plan.Diff(c.Plan(), target, p, pcost)
+	steps, err := plan.Diff(c.Plan(), target, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +259,7 @@ func TestViewClusterResumeAfterCrashMidMigration(t *testing.T) {
 		}
 		stepIdx++
 	})
-	rep1, err := c.ApplyPlan(target, pcost)
+	rep1, err := c.ApplyPlan(target)
 	c.SetStepHook(nil)
 	if err == nil {
 		t.Fatal("migration survived a killed destination")
@@ -291,11 +289,11 @@ func TestViewClusterResumeAfterCrashMidMigration(t *testing.T) {
 	// What the sites actually hold after the crash — the a-priori basis
 	// for the resumed remainder.
 	actual := c2.Plan()
-	remainder, err := plan.Diff(actual, target, p, pcost)
+	remainder, err := plan.Diff(actual, target, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, resumed, err := c2.ResumeMigration(pcost)
+	rep2, resumed, err := c2.ResumeMigration()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +318,7 @@ func TestViewClusterResumeAfterCrashMidMigration(t *testing.T) {
 	}
 
 	// A second resume finds the target realised: zero steps.
-	rep3, resumed, err := c2.ResumeMigration(pcost)
+	rep3, resumed, err := c2.ResumeMigration()
 	if err != nil || !resumed {
 		t.Fatalf("idempotent resume: %v (resumed %v)", err, resumed)
 	}
@@ -349,13 +347,12 @@ func TestDeployPromotesPrimaryBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	pcost := func(i, j int) int64 { return p.Cost(i, j) }
 
 	moved := c.Plan()
 	moved.Epoch = 1
 	moved.Primaries[0] = 1
 	moved.Placement[0] = []int{1} // object 0 leaves its universe primary, site 0
-	if _, err := c.ApplyPlan(moved, pcost); err != nil {
+	if _, err := c.ApplyPlan(moved); err != nil {
 		t.Fatal(err)
 	}
 	if c.Scheme() != nil || c.Node(0).Holds(0) {

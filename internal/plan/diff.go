@@ -61,10 +61,9 @@ func (s Step) String() string {
 // when it holds the sole copy), ties broken by lowest site index. Then
 // primary promotions, then drops — so replicas copy in before anything
 // serves from them, and a departing site drains (keeps serving as a
-// source) before its replicas are dropped. The cost function must be
-// valid for every pair of sites in old.View ∪ next.View; p supplies
-// object sizes.
-func Diff(old, next *Plan, p *core.Problem, cost CostFn) ([]Step, error) {
+// source) before its replicas are dropped. p supplies C(i,j) and object
+// sizes.
+func Diff(old, next *Plan, p *core.Problem) ([]Step, error) {
 	if len(old.Placement) != len(next.Placement) {
 		return nil, fmt.Errorf("plan: diff over %d vs %d objects", len(old.Placement), len(next.Placement))
 	}
@@ -74,7 +73,7 @@ func Diff(old, next *Plan, p *core.Problem, cost CostFn) ([]Step, error) {
 			if old.Has(site, k) {
 				continue
 			}
-			from, c, err := bestSource(old, next, k, site, cost)
+			from, c, err := bestSource(old, next, p, k, site)
 			if err != nil {
 				return nil, err
 			}
@@ -109,17 +108,16 @@ func Diff(old, next *Plan, p *core.Problem, cost CostFn) ([]Step, error) {
 
 // bestSource picks where a new replica of object k at dst is fetched
 // from: the min-cost holder under old, preferring holders that remain
-// members of next's view.
-func bestSource(old, next *Plan, k, dst int, cost CostFn) (int, int64, error) {
+// members of next's view. C(i,j) is never negative (netsim builds it from
+// positive link costs and ReadProblem validates it), so every other
+// holder is a candidate.
+func bestSource(old, next *Plan, p *core.Problem, k, dst int) (int, int64, error) {
 	best, bestCost, bestSurvives := -1, int64(0), false
 	for _, src := range old.Placement[k] {
 		if src == dst {
 			continue
 		}
-		c := cost(src, dst)
-		if c < 0 {
-			continue
-		}
+		c := p.Cost(src, dst)
 		survives := next.View.Has(src)
 		better := best < 0 ||
 			(survives && !bestSurvives) ||
@@ -129,7 +127,7 @@ func bestSource(old, next *Plan, k, dst int, cost CostFn) (int, int64, error) {
 		}
 	}
 	if best < 0 {
-		return 0, 0, fmt.Errorf("plan: no reachable source for object %d at site %d", k, dst)
+		return 0, 0, fmt.Errorf("plan: no source for object %d at site %d", k, dst)
 	}
 	return best, bestCost, nil
 }
@@ -149,8 +147,8 @@ func TotalCost(steps []Step) int64 {
 // i costs size × C(i, nearest replica); a write from member i ships
 // size × C(i, primary) to the primary, which broadcasts size × C(primary,
 // j) to every other replicator except the writer. Demand at non-member
-// sites does not exist. The cost function must cover all member pairs.
-func ServeCost(p *core.Problem, pl *Plan, cost CostFn) int64 {
+// sites does not exist.
+func ServeCost(p *core.Problem, pl *Plan) int64 {
 	var total int64
 	for _, i := range pl.View.Members {
 		for k := 0; k < p.Objects(); k++ {
@@ -159,7 +157,7 @@ func ServeCost(p *core.Problem, pl *Plan, cost CostFn) int64 {
 				for _, j := range pl.Placement[k] {
 					c := int64(0)
 					if j != i {
-						c = cost(i, j)
+						c = p.Cost(i, j)
 					}
 					if best < 0 || c < best {
 						best = c
@@ -171,13 +169,13 @@ func ServeCost(p *core.Problem, pl *Plan, cost CostFn) int64 {
 				sp := pl.Primaries[k]
 				per := int64(0)
 				if i != sp {
-					per = p.Size(k) * cost(i, sp)
+					per = p.Size(k) * p.Cost(i, sp)
 				}
 				for _, j := range pl.Placement[k] {
 					if j == i || j == sp {
 						continue
 					}
-					per += p.Size(k) * cost(sp, j)
+					per += p.Size(k) * p.Cost(sp, j)
 				}
 				total += w * per
 			}

@@ -22,10 +22,6 @@ import (
 	"drp/internal/membership"
 )
 
-// CostFn reports the transfer cost C(i,j) between two universe sites: a
-// universe Problem's Cost method.
-type CostFn func(i, j int) int64
-
 // Plan is one epoch of placement intent. Placement and Primaries are
 // universe-indexed: Placement[k] lists the universe sites holding object
 // k (sorted ascending), Primaries[k] is the universe site owning k's

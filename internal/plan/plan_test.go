@@ -151,7 +151,7 @@ func TestDiffOrderingAndRouting(t *testing.T) {
 		Primaries: []int{1, 3},
 		Placement: [][]int{{1, 2}, {2, 3}},
 	}
-	steps, err := Diff(old, next, p, p.Cost)
+	steps, err := Diff(old, next, p)
 	if err != nil {
 		t.Fatalf("Diff: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestDiffSourcePrefersSurvivorEvenWhenFarther(t *testing.T) {
 		Primaries: []int{3, 3},
 		Placement: [][]int{{0, 3}, {3}},
 	}
-	steps, err := Diff(old, next, p, p.Cost)
+	steps, err := Diff(old, next, p)
 	if err != nil {
 		t.Fatalf("Diff: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestDiffSourcePrefersSurvivorEvenWhenFarther(t *testing.T) {
 		Primaries: []int{3, 3},
 		Placement: [][]int{{3}, {3}},
 	}
-	steps, err = Diff(soleOld, soleNext, p, p.Cost)
+	steps, err = Diff(soleOld, soleNext, p)
 	if err != nil {
 		t.Fatalf("Diff sole-copy: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestServeCostMatchesEquation4(t *testing.T) {
 		p := genProblem(t, 7, 15, seed)
 		s := sra.Run(p, sra.Options{}).Scheme
 		pl := FromScheme(s)
-		if got, want := ServeCost(p, pl, p.Cost), s.Cost(); got != want {
+		if got, want := ServeCost(p, pl), s.Cost(); got != want {
 			t.Fatalf("seed %d: ServeCost = %d, evaluator = %d", seed, got, want)
 		}
 	}
@@ -293,7 +293,7 @@ func TestRestrictLiftRoundTrip(t *testing.T) {
 	}
 	// The dense solve's cost equals the universe-side plan accounting: the
 	// restricted evaluator and ServeCost over the view are the same sum.
-	if got, want := ServeCost(p, pl, p.Cost), s.Cost(); got != want {
+	if got, want := ServeCost(p, pl), s.Cost(); got != want {
 		t.Fatalf("ServeCost over view = %d, restricted evaluator = %d", got, want)
 	}
 	// Primaries outside the view must be rejected.

@@ -3,6 +3,7 @@ package spans
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 )
@@ -184,19 +185,15 @@ func Edges(traces []*Trace) []EdgeStat {
 	return out
 }
 
-// rankQuantile is the nearest-rank quantile of an ascending slice.
+// rankQuantile is the exact quantile of an ascending slice by the rule
+// metrics.Histogram uses over buckets: the value of rank ⌈p·n⌉, so it
+// never understates.
 func rankQuantile(sorted []int64, p float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	rank := int(math.Ceil(p * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // Slowest returns up to n traces ordered by root duration, longest

@@ -284,3 +284,27 @@ func TestEventExporterEmitsSpans(t *testing.T) {
 		}
 	}
 }
+
+// rankQuantile takes the ceiling rank, as metrics.Histogram does: p99 of
+// 160 samples is the 159th (rounding the rank half-up picked the 158th,
+// with only 98.75 % of the sample at or below it).
+func TestRankQuantileCeilingRank(t *testing.T) {
+	sorted := make([]int64, 160)
+	for i := range sorted {
+		sorted[i] = int64(i + 1)
+	}
+	for _, c := range []struct {
+		p    float64
+		want int64
+	}{{0.99, 159}, {0.50, 80}, {0, 1}, {1, 160}} {
+		if got := rankQuantile(sorted, c.p); got != c.want {
+			t.Errorf("p=%g: %d, want %d", c.p, got, c.want)
+		}
+	}
+	if got := rankQuantile(sorted[:11], 0.95); got != 11 {
+		t.Errorf("p95 of 11 = %d, want 11", got)
+	}
+	if got := rankQuantile(nil, 0.5); got != 0 {
+		t.Errorf("empty = %d, want 0", got)
+	}
+}
