@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -14,7 +15,7 @@ import (
 
 	"drp"
 	"drp/internal/cli"
-	"drp/internal/trace"
+	"drp/internal/load"
 )
 
 func main() { cli.Main("drpgen", run) }
@@ -26,7 +27,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		zipf     = fs.Float64("zipf", 0, "Zipf popularity skew (0 = the paper's uniform reads)")
 		out      = fs.String("o", "", "output file (default: stdout)")
-		traceOut = fs.String("trace", "", "also write a timestamped request trace (JSON lines) to this file")
+		traceOut = fs.String("trace", "", "also write the period's requests, one \"<offset-ns> <site> <obj> <r|w>\" line each, to this file (drpsolve -replay reads it)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,7 +62,12 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer tf.Close()
-		if err := trace.Generate(p, prob.Seed+1).Encode(tf); err != nil {
+		bw := bufio.NewWriter(tf)
+		err = load.FromCounts(p, prob.Seed+1).EncodeTo(bw)
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
 			return fmt.Errorf("encode trace: %w", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"drp"
+	"drp/internal/load"
 )
 
 func TestRunWritesValidProblem(t *testing.T) {
@@ -57,12 +58,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 func TestRunWritesTrace(t *testing.T) {
 	dir := t.TempDir()
 	problemPath := filepath.Join(dir, "p.json")
-	tracePath := filepath.Join(dir, "t.jsonl")
+	tracePath := filepath.Join(dir, "t.trace")
 	if err := run([]string{"-sites", "4", "-objects", "5", "-o", problemPath, "-trace", tracePath}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(tracePath); err != nil || fi.Size() == 0 {
-		t.Fatalf("trace file missing or empty: %v", err)
+	tf, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tf.Close()
+	sched, err := load.ReadSchedule(tf, 4, 5)
+	if err != nil {
+		t.Fatalf("trace unreadable: %v", err)
+	}
+	if len(sched.Requests) == 0 {
+		t.Fatal("trace is empty")
 	}
 }
 

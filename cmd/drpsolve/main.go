@@ -34,8 +34,9 @@ import (
 
 	"drp"
 	"drp/internal/cli"
+	"drp/internal/core"
+	"drp/internal/load"
 	"drp/internal/metrics"
-	"drp/internal/trace"
 )
 
 func main() { cli.Main("drpsolve", run) }
@@ -101,7 +102,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		gens     = fs.Int("gens", 80, "GRA generations Ng")
 		par      = fs.Int("par", 0, "GRA evaluation workers / sparse proposal workers (0 = all cores, 1 = serial); results identical at any setting")
 		maxBits  = fs.Int("maxbits", 24, "optimal: maximum free placement bits")
-		replay   = fs.String("replay", "", "replay a request trace (JSON lines) against the solved scheme")
+		replay   = fs.String("replay", "", "price each request of a drpgen -trace schedule (\"<offset-ns> <site> <obj> <r|w>\" lines) under the solved scheme")
 		manifest = fs.String("manifest", "", "write a run manifest (JSON) to this file")
 	)
 	if err := cli.Parse(fs, args, caps.Check, tel.Check); err != nil {
@@ -213,12 +214,17 @@ func run(args []string, stdout io.Writer) (err error) {
 			return err
 		}
 		defer f.Close()
-		tr, err := trace.Decode(p, f)
+		sched, err := load.ReadSchedule(f, p.Sites(), p.Objects())
 		if err != nil {
-			return err
+			return fmt.Errorf("-replay %s: %w", *replay, err)
 		}
-		st := trace.Replay(scheme, tr)
-		fmt.Fprintf(stdout, "replayed:    %d reads, %d writes -> measured NTC %d\n", st.Reads, st.Writes, st.NTC)
+		nearest := core.NewNearestTable(scheme)
+		var ntc int64
+		for _, r := range sched.Requests {
+			c, _ := nearest.Price(r.Site, r.Obj, r.Write, nil) // every site is up: always served
+			ntc += c.Total()
+		}
+		fmt.Fprintf(stdout, "replayed:    %d reads, %d writes -> measured NTC %d\n", sched.Reads, sched.Writes, ntc)
 	}
 
 	if *out != "" {

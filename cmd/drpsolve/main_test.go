@@ -3,8 +3,8 @@ package main
 import (
 	"fmt"
 
+	"drp/internal/load"
 	"drp/internal/metrics"
-	"drp/internal/trace"
 
 	"bytes"
 	"encoding/json"
@@ -292,14 +292,13 @@ func TestSolveReplaysTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf.Close()
-	tf, err := os.Create(tracePath)
-	if err != nil {
+	var sched bytes.Buffer
+	if err := load.FromCounts(p, 4).EncodeTo(&sched); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Generate(p, 4).Encode(tf); err != nil {
+	if err := os.WriteFile(tracePath, sched.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tf.Close()
 
 	var out bytes.Buffer
 	if err := run([]string{"-algo", "sra", "-in", problemPath, "-replay", tracePath}, &out); err != nil {
@@ -313,6 +312,20 @@ func TestSolveReplaysTrace(t *testing.T) {
 	want := fmt.Sprintf("measured NTC %d", scheme.Cost())
 	if !strings.Contains(out.String(), want) {
 		t.Fatalf("replay NTC does not match model (%s):\n%s", want, out.String())
+	}
+}
+
+// TestSolveRefusesLegacyTrace: a JSON-lines trace (the fixture is one
+// drpgen -trace wrote before traces became schedule lines) is refused with
+// the message that says how to get a readable one, and nothing is replayed.
+func TestSolveRefusesLegacyTrace(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-in", writeProblemOf(t, 3, 2, 0.15), "-replay", filepath.Join("testdata", "legacy-trace.jsonl")}, &out)
+	if err == nil || !strings.Contains(err.Error(), "JSON-lines request traces are no longer read; regenerate with drpgen -trace") {
+		t.Fatalf("legacy trace: error %v, want the regenerate message", err)
+	}
+	if strings.Contains(out.String(), "replayed:") {
+		t.Fatalf("legacy trace replayed:\n%s", out.String())
 	}
 }
 

@@ -44,7 +44,6 @@ func Run(p *core.Problem, initial *core.Scheme, cfg Config) (*Result, error) {
 	if cfg.Metrics != nil {
 		sim.ins = newClusterInstruments(cfg.Metrics)
 	}
-	sim.nearest = core.NewNearestTable(sim.scheme)
 
 	res := &Result{}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -70,10 +69,9 @@ type sim struct {
 	// tuned holds the patterns the current scheme was last optimised
 	// against; the monitor's change detector compares the current
 	// patterns' per-object totals with its.
-	tuned   *core.Problem
-	scheme  *core.Scheme
-	nearest *core.NearestTable
-	down    []bool
+	tuned  *core.Problem
+	scheme *core.Scheme
+	down   []bool
 
 	// population is the last GA population, carried across epochs for the
 	// AGRA policies.
@@ -106,7 +104,6 @@ func (s *sim) runEpoch(epoch int) (*EpochStats, error) {
 			return nil, fmt.Errorf("cluster: rebind after drift: %w", err)
 		}
 		s.scheme = rebound
-		s.nearest = core.NewNearestTable(s.scheme)
 	}
 
 	// 2. The monitor adapts (it has just received the previous night's
@@ -298,82 +295,43 @@ func (s *sim) adapt(epoch int, stats *EpochStats) error {
 	added, _ := old.Diff(next)
 	stats.Migrations = len(added)
 	stats.MigrationNTC = old.MigrationCost(next)
-	s.nearest = core.NewNearestTable(s.scheme)
 	s.tuned = s.problem
 	return nil
 }
 
-// serveTraffic serves every read and write of the epoch's patterns. The
-// order requests arrive in cannot matter: the scheme and the set of failed
-// sites are fixed within an epoch and every statistic is a sum of integer
-// costs (the float sum behind the mean is exact below 2^53).
+// serveTraffic serves every read and write of the epoch's patterns, each
+// charged what core prices it at with the epoch's failed sites down; a
+// write's ship and broadcast both count as WriteNTC. The order requests
+// arrive in cannot matter: the scheme and the set of failed sites are fixed
+// within an epoch and every statistic is a sum of integer costs (the float
+// sum behind the mean is exact below 2^53).
 func (s *sim) serveTraffic(stats *EpochStats) {
-	p := s.problem
+	p, nearest := s.problem, core.NewNearestTable(s.scheme)
+	serve := func(site, obj int, write bool) {
+		c, ok := nearest.Price(site, obj, write, s.down)
+		switch {
+		case !ok && write:
+			stats.FailedWrites++
+		case !ok:
+			stats.FailedReads++
+		case write:
+			stats.Writes++
+			stats.WriteNTC += c.Total()
+		default:
+			stats.Reads++
+			stats.ReadNTC += c.ReadNTC
+			s.readCosts.Observe(float64(c.ReadNTC))
+		}
+		stats.ServeNTC += c.Total()
+	}
 	for i := 0; i < p.Sites(); i++ {
 		for k := 0; k < p.Objects(); k++ {
-			for r := int64(0); r < p.Reads(i, k); r++ {
-				s.serveRead(i, k, stats)
+			for r := p.Reads(i, k); r > 0; r-- {
+				serve(i, k, false)
 			}
-			for w := int64(0); w < p.Writes(i, k); w++ {
-				s.serveWrite(i, k, stats)
+			for w := p.Writes(i, k); w > 0; w-- {
+				serve(i, k, true)
 			}
 		}
 	}
-}
-
-// serveRead routes a read to the nearest live replica.
-func (s *sim) serveRead(site, obj int, stats *EpochStats) {
-	p := s.problem
-	target := s.nearest.Nearest(site, obj)
-	dist := s.nearest.Dist(site, obj)
-	if s.down[target] {
-		target, dist = s.nearestLive(site, obj)
-		if target < 0 {
-			stats.FailedReads++
-			return
-		}
-	}
-	stats.Reads++
-	cost := p.Size(obj) * dist
-	stats.ServeNTC += cost
-	stats.ReadNTC += cost
-	s.readCosts.Observe(float64(cost))
-}
-
-// serveWrite ships the update to the primary, which broadcasts the new
-// version to every other live replicator.
-func (s *sim) serveWrite(site, obj int, stats *EpochStats) {
-	p := s.problem
-	sp := p.Primary(obj)
-	if s.down[sp] {
-		stats.FailedWrites++
-		return
-	}
-	stats.Writes++
-	ship := p.Size(obj) * p.Cost(site, sp)
-	stats.ServeNTC += ship
-	stats.WriteNTC += ship
-	for _, j := range s.scheme.Replicators(obj) {
-		if j == site || j == sp || s.down[j] {
-			continue
-		}
-		bcast := p.Size(obj) * p.Cost(sp, j)
-		stats.ServeNTC += bcast
-		stats.WriteNTC += bcast
-	}
-}
-
-// nearestLive scans for the closest replicator that is up.
-func (s *sim) nearestLive(site, obj int) (int, int64) {
-	p := s.problem
-	best, bestD := -1, int64(0)
-	for _, j := range s.scheme.Replicators(obj) {
-		if s.down[j] {
-			continue
-		}
-		if d := p.Cost(site, j); best < 0 || d < bestD {
-			best, bestD = j, d
-		}
-	}
-	return best, bestD
 }

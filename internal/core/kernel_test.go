@@ -85,6 +85,9 @@ func checkAgainstOracle(t *testing.T, what string, p *core.Problem, s *core.Sche
 	if got := core.NewDeltaEvaluator(s).Cost(); got != want.Total() {
 		t.Fatalf("%s: DeltaEvaluator.Cost = %d, literal eq. 4 = %d", what, got, want.Total())
 	}
+	if got := priceSum(t, p, s, nil); got != want {
+		t.Fatalf("%s: Σ NearestTable.Price = %+v, literal eq. 4 = %+v", what, got, want)
+	}
 }
 
 // checkSchemes runs checkAgainstOracle on the primaries-only scheme, the

@@ -6,7 +6,7 @@ package core
 // two-field record at every site; SRA consults and incrementally updates it
 // after each placement.
 type NearestTable struct {
-	p *Problem
+	s *Scheme // the scheme described, whose replica sets Price reads
 	// site[i*N+k] = SN_k(i); dist[i*N+k] = C(i, SN_k(i)).
 	site []int32
 	dist []int64
@@ -17,7 +17,7 @@ type NearestTable struct {
 func NewNearestTable(s *Scheme) *NearestTable {
 	p := s.p
 	t := &NearestTable{
-		p:    p,
+		s:    s,
 		site: make([]int32, p.m*p.n),
 		dist: make([]int64, p.m*p.n),
 	}
@@ -28,18 +28,18 @@ func NewNearestTable(s *Scheme) *NearestTable {
 }
 
 // Nearest returns SN_k(i).
-func (t *NearestTable) Nearest(i, k int) int { return int(t.site[i*t.p.n+k]) }
+func (t *NearestTable) Nearest(i, k int) int { return int(t.site[i*t.s.p.n+k]) }
 
 // Dist returns C(i, SN_k(i)).
-func (t *NearestTable) Dist(i, k int) int64 { return t.dist[i*t.p.n+k] }
+func (t *NearestTable) Dist(i, k int) int64 { return t.dist[i*t.s.p.n+k] }
 
 // Add updates the table after a replica of object k is placed at site j:
 // every site whose current nearest replica is farther than j switches to j.
 // O(M).
 func (t *NearestTable) Add(j, k int) {
-	n := t.p.n
-	row := t.p.dist.Row(j)
-	for i := 0; i < t.p.m; i++ {
+	n := t.s.p.n
+	row := t.s.p.dist.Row(j)
+	for i := 0; i < t.s.p.m; i++ {
 		if d := row[i]; d < t.dist[i*n+k] {
 			t.dist[i*n+k] = d
 			t.site[i*n+k] = int32(j)
@@ -52,6 +52,56 @@ func (t *NearestTable) Add(j, k int) {
 // already reflect the removal).
 func (t *NearestTable) Remove(s *Scheme, k int) {
 	t.recomputeObject(s, k)
+}
+
+// Price is eq. 4's charge for one request from site for object obj under
+// the table's scheme, split into eq. 4's terms. Sites marked in down cannot
+// serve; a nil down means every site is up. A read costs o_k·C(site, j) for
+// the nearest live replica j, ties to the lower site index, and with no
+// live replica it is not served. A write is not served while the primary
+// SP_k is down; otherwise it ships o_k·C(site, SP_k) to the primary, which
+// broadcasts o_k·C(SP_k, j) to every live replicator j other than the
+// writer and itself. A read is ReadNTC and a broadcast UpdateNTC; the ship
+// is WriteNTC unless the writer holds a replica, whose ship eq. 4 counts
+// in that replica's fan-in, UpdateNTC. So with every site up, Price summed
+// over every request the problem counts is Scheme.CostTerms, term for
+// term. The table must be current with its scheme, as Add and Remove keep
+// it.
+func (t *NearestTable) Price(site, obj int, write bool, down []bool) (CostTerms, bool) {
+	p, s := t.s.p, t.s
+	size := p.size[obj]
+	if !write {
+		d := t.dist[site*p.n+obj]
+		if down != nil && down[t.site[site*p.n+obj]] {
+			row, live := p.dist.Row(site), -1
+			for j := 0; j < p.m; j++ {
+				if s.Has(j, obj) && !down[j] && (live < 0 || row[j] < d) {
+					live, d = j, row[j]
+				}
+			}
+			if live < 0 {
+				return CostTerms{}, false
+			}
+		}
+		return CostTerms{ReadNTC: size * d}, true
+	}
+	sp := p.primary[obj]
+	if down != nil && down[sp] {
+		return CostTerms{}, false
+	}
+	var c CostTerms
+	if ship := size * p.dist.At(site, sp); s.Has(site, obj) {
+		c.UpdateNTC = ship
+	} else {
+		c.WriteNTC = ship
+	}
+	row := p.dist.Row(sp)
+	for j := 0; j < p.m; j++ {
+		if j != site && j != sp && s.Has(j, obj) && (down == nil || !down[j]) {
+			c.UpdateNTC += size * row[j]
+		}
+	}
+	return c, true
 }
 
 // RankReplicas orders an object's replica sites for a reader at site
@@ -95,7 +145,7 @@ func sortReplicas(sites []int, row []int64) {
 }
 
 func (t *NearestTable) recomputeObject(s *Scheme, k int) {
-	p := t.p
+	p := t.s.p
 	repl := s.Replicators(k)
 	for i := 0; i < p.m; i++ {
 		row := p.dist.Row(i)

@@ -1,14 +1,20 @@
 package load
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sort"
+	"strconv"
+	"strings"
 	"time"
 
+	"drp/internal/core"
 	"drp/internal/xrand"
 )
 
@@ -25,8 +31,10 @@ type Request struct {
 	Write bool
 }
 
-// Schedule is a fully materialised arrival schedule. It is a pure
-// function of (profile, sites, objects): building it twice yields
+// Schedule is a fully materialised arrival schedule: the one request
+// stream drpload drives over the wire and drpsolve -replay prices. It is a
+// pure function of its inputs — (profile, sites, objects) for
+// BuildSchedule, (problem, seed) for FromCounts: building it twice yields
 // byte-identical encodings, which is what makes A/B comparison honest —
 // both placements face exactly the same request stream.
 type Schedule struct {
@@ -131,6 +139,32 @@ func BuildSchedule(m, n int, pr Profile) (*Schedule, error) {
 	return sched, nil
 }
 
+// FromCounts expands the problem's per-period counts into a schedule of
+// exactly r_k(i) reads and w_k(i) writes from every site i of every object
+// k, each at a seeded uniform offset in one period of a second (drawn at
+// microsecond resolution), stable-sorted by offset. Equal seeds give
+// identical schedules.
+func FromCounts(p *core.Problem, seed uint64) *Schedule {
+	rng := xrand.New(seed)
+	s := &Schedule{Sites: p.Sites(), Objects: p.Objects()}
+	add := func(n int64, site, obj int, write bool) {
+		for ; n > 0; n-- {
+			at := time.Duration(rng.Intn(1_000_000)) * time.Microsecond
+			s.Requests = append(s.Requests, Request{At: at, Site: site, Obj: obj, Write: write})
+		}
+	}
+	for i := 0; i < p.Sites(); i++ {
+		for k := 0; k < p.Objects(); k++ {
+			s.Reads += p.Reads(i, k)
+			s.Writes += p.Writes(i, k)
+			add(p.Reads(i, k), i, k, false)
+			add(p.Writes(i, k), i, k, true)
+		}
+	}
+	sort.SliceStable(s.Requests, func(a, b int) bool { return s.Requests[a].At < s.Requests[b].At })
+	return s
+}
+
 // pickIndex samples an index from a cumulative weight ladder.
 func pickIndex(cum []float64, rng *xrand.Source) int {
 	u := rng.Float64() * cum[len(cum)-1]
@@ -165,6 +199,59 @@ func (s *Schedule) EncodeTo(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// ReadSchedule decodes what EncodeTo wrote for a cluster of the given
+// sites and objects; the result has the encoded schedule's Digest. A line
+// that is not "<offset-ns> <site> <obj> <r|w>" is an error: a field count
+// other than four, a field that is not an integer, a negative offset or
+// one below the previous line's, a site or object out of range, or an op
+// other than r or w.
+func ReadSchedule(r io.Reader, sites, objects int) (*Schedule, error) {
+	s := &Schedule{Sites: sites, Objects: objects}
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		req, err := parseRequest(sc.Text(), sites, objects)
+		if err == nil && len(s.Requests) > 0 && req.At < s.Requests[len(s.Requests)-1].At {
+			err = fmt.Errorf("offset %d precedes the previous line's", req.At.Nanoseconds())
+		}
+		if err != nil {
+			return nil, fmt.Errorf("load: schedule line %d: %w", line, err)
+		}
+		if req.Write {
+			s.Writes++
+		} else {
+			s.Reads++
+		}
+		s.Requests = append(s.Requests, req)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("load: read schedule: %w", err)
+	}
+	return s, nil
+}
+
+// parseRequest decodes one EncodeTo line.
+func parseRequest(line string, sites, objects int) (Request, error) {
+	if strings.HasPrefix(strings.TrimSpace(line), "{") {
+		return Request{}, errors.New("JSON-lines request traces are no longer read; regenerate with drpgen -trace")
+	}
+	f := strings.Fields(line)
+	if len(f) != 4 {
+		return Request{}, fmt.Errorf("%d fields, want 4: <offset-ns> <site> <obj> <r|w>", len(f))
+	}
+	var v [3]int64
+	for x, limit := range [3]int64{math.MaxInt64, int64(sites), int64(objects)} {
+		n, err := strconv.ParseInt(f[x], 10, 64)
+		if err != nil || n < 0 || n >= limit {
+			return Request{}, fmt.Errorf("%s %q is not an integer in [0, %d)", [3]string{"offset", "site", "object"}[x], f[x], limit)
+		}
+		v[x] = n
+	}
+	if f[3] != "r" && f[3] != "w" {
+		return Request{}, fmt.Errorf("op %q is neither r nor w", f[3])
+	}
+	return Request{At: time.Duration(v[0]), Site: int(v[1]), Obj: int(v[2]), Write: f[3] == "w"}, nil
 }
 
 // Digest returns a hex SHA-256 over the schedule's canonical binary

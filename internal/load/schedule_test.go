@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"drp/internal/core"
+	"drp/internal/workload"
 )
 
 // TestScheduleDeterministic is the reproducibility contract: equal
@@ -140,6 +143,132 @@ func TestBurstyScheduleConcentratesLoad(t *testing.T) {
 	}
 	if float64(hotCount) < 0.5*float64(inBurst) {
 		t.Fatalf("hottest object %d got only %d of %d burst requests — no focus", hot, hotCount, inBurst)
+	}
+}
+
+func countsProblem(t *testing.T, m, n int, seed uint64) *core.Problem {
+	t.Helper()
+	p, err := workload.Generate(workload.NewSpec(m, n, 0.1, 0.2), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestFromCountsMatchesCounts: the schedule re-aggregates to r_k(i) and
+// w_k(i) exactly, and its Reads/Writes are the problem's totals.
+func TestFromCountsMatchesCounts(t *testing.T) {
+	p := countsProblem(t, 8, 12, 1)
+	s := FromCounts(p, 7)
+	reads := make([]int64, p.Sites()*p.Objects())
+	writes := make([]int64, p.Sites()*p.Objects())
+	var nr, nw int64
+	for _, r := range s.Requests {
+		if r.Write {
+			writes[r.Site*p.Objects()+r.Obj]++
+			nw++
+		} else {
+			reads[r.Site*p.Objects()+r.Obj]++
+			nr++
+		}
+	}
+	for i := 0; i < p.Sites(); i++ {
+		for k := 0; k < p.Objects(); k++ {
+			if got := reads[i*p.Objects()+k]; got != p.Reads(i, k) {
+				t.Fatalf("(%d,%d): %d reads scheduled, r = %d", i, k, got, p.Reads(i, k))
+			}
+			if got := writes[i*p.Objects()+k]; got != p.Writes(i, k) {
+				t.Fatalf("(%d,%d): %d writes scheduled, w = %d", i, k, got, p.Writes(i, k))
+			}
+		}
+	}
+	if nr != s.Reads || nw != s.Writes || s.Sites != p.Sites() || s.Objects != p.Objects() {
+		t.Fatalf("schedule says %d/%d over %dx%d; it holds %d/%d", s.Reads, s.Writes, s.Sites, s.Objects, nr, nw)
+	}
+}
+
+// TestFromCountsTimeOrdered: offsets never decrease and stay inside the
+// one-second period.
+func TestFromCountsTimeOrdered(t *testing.T) {
+	s := FromCounts(countsProblem(t, 6, 8, 2), 3)
+	for i, r := range s.Requests {
+		if r.At < 0 || r.At >= time.Second || i > 0 && r.At < s.Requests[i-1].At {
+			t.Fatalf("request %d at %v after %v", i, r.At, s.Requests[max(i-1, 0)].At)
+		}
+	}
+}
+
+// TestFromCountsDeterministic: equal seeds give equal digests, different
+// seeds different ones.
+func TestFromCountsDeterministic(t *testing.T) {
+	p := countsProblem(t, 6, 8, 7)
+	if a, b := FromCounts(p, 9).Digest(), FromCounts(p, 9).Digest(); a != b {
+		t.Fatalf("same seed, digests %s vs %s", a, b)
+	}
+	if FromCounts(p, 9).Digest() == FromCounts(p, 10).Digest() {
+		t.Fatal("different seeds gave equal digests")
+	}
+}
+
+// TestScheduleRoundTrip: ReadSchedule inverts EncodeTo — same Digest, same
+// counts — for a counts expansion and a profile schedule.
+func TestScheduleRoundTrip(t *testing.T) {
+	built, err := BuildSchedule(4, 30, DefaultProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Schedule{FromCounts(countsProblem(t, 5, 6, 4), 5), built} {
+		var buf bytes.Buffer
+		if err := s.EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadSchedule(&buf, s.Sites, s.Objects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Digest() != s.Digest() || back.Reads != s.Reads || back.Writes != s.Writes {
+			t.Fatalf("round trip: digest %s reads %d writes %d, want %s %d %d",
+				back.Digest(), back.Reads, back.Writes, s.Digest(), s.Reads, s.Writes)
+		}
+	}
+	if s, err := ReadSchedule(strings.NewReader(""), 3, 3); err != nil || len(s.Requests) != 0 {
+		t.Fatalf("empty input: %v, %v", s, err)
+	}
+}
+
+// TestReadScheduleValidation: every malformed line is refused with an
+// error naming its line and what is wrong, and a JSON-lines trace is
+// refused with the message that says how to get a readable one.
+func TestReadScheduleValidation(t *testing.T) {
+	const legacy = "JSON-lines request traces are no longer read; regenerate with drpgen -trace"
+	cases := []struct{ name, in, want string }{
+		{"three fields", "5 0 0\n", "line 1: 3 fields"},
+		{"five fields", "5 0 0 r 1\n", "line 1: 5 fields"},
+		{"blank line", "5 0 0 r\n\n", "line 2: 0 fields"},
+		{"fractional offset", "5.5 0 0 r\n", `offset "5.5"`},
+		{"word site", "5 a 0 r\n", `site "a"`},
+		{"word object", "5 0 b r\n", `object "b"`},
+		{"negative offset", "-5 0 0 r\n", `offset "-5"`},
+		{"decreasing offset", "9 0 0 r\n9 1 1 w\n5 0 0 r\n", "line 3: offset 5 precedes"},
+		{"site past the end", "5 3 0 r\n", `site "3" is not an integer in [0, 3)`},
+		{"negative site", "5 -1 0 r\n", `site "-1"`},
+		{"object past the end", "5 0 3 w\n", `object "3" is not an integer in [0, 3)`},
+		{"op spelled out", "5 0 0 read\n", `op "read"`},
+		{"unknown op", "5 0 0 x\n", `op "x"`},
+		{"json without site", `{"obj":3,"op":"read"}` + "\n", legacy},
+		{"json with extra field", `{"t":-5,"site":0,"obj":0,"op":"read","extra":1}` + "\n", legacy},
+		{"json decreasing", `{"t":5,"site":0,"obj":0,"op":"read"}` + "\n" + `{"t":1,"site":0,"obj":0,"op":"write"}` + "\n", legacy},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := ReadSchedule(strings.NewReader(tc.in), 3, 3)
+			if err == nil {
+				t.Fatalf("accepted: %d requests", len(s.Requests))
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"drp/internal/bitset"
 	"drp/internal/core"
 )
 
@@ -142,44 +143,23 @@ func TotalCost(steps []Step) int64 {
 	return sum
 }
 
-// ServeCost evaluates eq. 4 for the plan over its view, with exactly the
-// accounting the netnode data plane uses on the wire: a read from member
-// i costs size × C(i, nearest replica); a write from member i ships
-// size × C(i, primary) to the primary, which broadcasts size × C(primary,
-// j) to every other replicator except the writer. Demand at non-member
-// sites does not exist.
+// ServeCost is eq. 4 for the plan over its view — what the netnode data
+// plane accounts on the wire for one measurement period: the plan's
+// placement priced by the core kernel on the view-restricted problem, so
+// demand at non-member sites does not exist and a moved primary is served
+// where the plan put it. pl must be valid for p (Plan.Validate); an invalid
+// plan has no serve cost and panics.
 func ServeCost(p *core.Problem, pl *Plan) int64 {
-	var total int64
-	for _, i := range pl.View.Members {
-		for k := 0; k < p.Objects(); k++ {
-			if r := p.Reads(i, k); r > 0 {
-				best := int64(-1)
-				for _, j := range pl.Placement[k] {
-					c := int64(0)
-					if j != i {
-						c = p.Cost(i, j)
-					}
-					if best < 0 || c < best {
-						best = c
-					}
-				}
-				total += r * p.Size(k) * best
-			}
-			if w := p.Writes(i, k); w > 0 {
-				sp := pl.Primaries[k]
-				per := int64(0)
-				if i != sp {
-					per = p.Size(k) * p.Cost(i, sp)
-				}
-				for _, j := range pl.Placement[k] {
-					if j == i || j == sp {
-						continue
-					}
-					per += p.Size(k) * p.Cost(sp, j)
-				}
-				total += w * per
-			}
+	rp, err := Restrict(p, pl.View, pl.Primaries)
+	if err != nil {
+		panic(fmt.Sprintf("plan: ServeCost of an invalid plan: %v", err))
+	}
+	idx := pl.View.Index()
+	x := bitset.New(rp.Sites() * rp.Objects())
+	for k, sites := range pl.Placement {
+		for _, site := range sites {
+			x.Set(idx[site]*rp.Objects() + k)
 		}
 	}
-	return total
+	return core.NewEvaluator(rp).Cost(x)
 }

@@ -7,11 +7,6 @@
 // trace reproduces the exact accounted cost the chaos suite asserts
 // a priori (DESIGN.md §14 states the attribution rule).
 //
-// Not to be confused with drp/internal/trace, which holds *workload*
-// traces — replayable request-count streams fed to the adaptive
-// algorithms. This package records *request* spans: the live causal
-// structure of individual reads and writes.
-//
 // Determinism: with the logical Clock and serial traffic, span IDs,
 // timestamps and export order are pure functions of the seed and fault
 // plan, so two identical runs produce byte-identical span files
