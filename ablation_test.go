@@ -1,40 +1,28 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: GRA
-// population seeding, selection scheme, crossover operator, elite
-// re-injection period, and the AGRA transcription repair rule. Each
-// benchmark reports the achieved fitness (% NTC saved / 100) alongside the
-// runtime, so `go test -bench Ablation` doubles as a quality comparison.
+// Ablation benchmark for GRA's one tunable design choice beyond the
+// paper's rates: the elite re-injection period. Each benchmark reports the
+// achieved fitness (% NTC saved / 100) alongside the runtime, so
+// `go test -bench Ablation` doubles as a quality comparison. The operator
+// ablations (seeding, selection, crossover, AGRA repair) are recorded in
+// EXPERIMENTS.md; their variants are no longer in the code.
 package drp_test
 
 import (
 	"testing"
 
 	"drp"
-	"drp/internal/agra"
 	"drp/internal/gra"
-	"drp/internal/sra"
 )
 
-func ablationProblem(b *testing.B) *drp.Problem {
-	b.Helper()
+func benchGRAVariant(b *testing.B, mutate func(*gra.Params)) {
 	p, err := drp.Generate(drp.NewSpec(30, 80, 0.05, 0.15), 5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p
-}
-
-func ablationParams() gra.Params {
-	params := gra.DefaultParams()
-	params.PopSize = 20
-	params.Generations = 20
-	return params
-}
-
-func benchGRAVariant(b *testing.B, mutate func(*gra.Params)) {
-	p := ablationProblem(b)
 	var fitness float64
 	for i := 0; i < b.N; i++ {
-		params := ablationParams()
+		params := gra.DefaultParams()
+		params.PopSize = 20
+		params.Generations = 20
 		params.Seed = uint64(i + 1)
 		mutate(&params)
 		res, err := gra.Run(p, params)
@@ -46,33 +34,6 @@ func benchGRAVariant(b *testing.B, mutate func(*gra.Params)) {
 	b.ReportMetric(fitness/float64(b.N), "fitness")
 }
 
-// Seeding: the paper's SRA warm start versus random initial populations.
-func BenchmarkAblationSeedingSRA(b *testing.B) {
-	benchGRAVariant(b, func(p *gra.Params) { p.Seeding = gra.SeedingSRA })
-}
-
-func BenchmarkAblationSeedingRandom(b *testing.B) {
-	benchGRAVariant(b, func(p *gra.Params) { p.Seeding = gra.SeedingRandom })
-}
-
-// Selection: (µ+λ) + stochastic remainder versus Holland's simple GA.
-func BenchmarkAblationSelectionMuPlusLambda(b *testing.B) {
-	benchGRAVariant(b, func(p *gra.Params) { p.Selection = gra.SelectionMuPlusLambda })
-}
-
-func BenchmarkAblationSelectionSGA(b *testing.B) {
-	benchGRAVariant(b, func(p *gra.Params) { p.Selection = gra.SelectionSGA })
-}
-
-// Crossover: two-point with gene repair versus one-point.
-func BenchmarkAblationCrossoverTwoPoint(b *testing.B) {
-	benchGRAVariant(b, func(p *gra.Params) { p.Crossover = gra.CrossoverTwoPoint })
-}
-
-func BenchmarkAblationCrossoverOnePoint(b *testing.B) {
-	benchGRAVariant(b, func(p *gra.Params) { p.Crossover = gra.CrossoverOnePoint })
-}
-
 // Elite re-injection period: every generation versus the paper's every-5.
 func BenchmarkAblationEliteEvery1(b *testing.B) {
 	benchGRAVariant(b, func(p *gra.Params) { p.EliteEvery = 1 })
@@ -81,27 +42,3 @@ func BenchmarkAblationEliteEvery1(b *testing.B) {
 func BenchmarkAblationEliteEvery5(b *testing.B) {
 	benchGRAVariant(b, func(p *gra.Params) { p.EliteEvery = 5 })
 }
-
-// AGRA transcription repair: estimator (paper) vs random vs exact ΔV.
-func benchRepairVariant(b *testing.B, strategy agra.Repair) {
-	p := ablationProblem(b)
-	current := sra.Run(p, sra.Options{}).Scheme
-	changed := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	mini := ablationParams()
-	var savings float64
-	for i := 0; i < b.N; i++ {
-		params := agra.DefaultParams()
-		params.Seed = uint64(i + 1)
-		params.RepairStrategy = strategy
-		res, err := agra.Adapt(agra.Input{Problem: p, Current: current, Changed: changed}, params, mini, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		savings += res.Savings
-	}
-	b.ReportMetric(savings/float64(b.N), "%savings")
-}
-
-func BenchmarkAblationRepairEstimator(b *testing.B) { benchRepairVariant(b, agra.RepairEstimator) }
-func BenchmarkAblationRepairRandom(b *testing.B)    { benchRepairVariant(b, agra.RepairRandom) }
-func BenchmarkAblationRepairExact(b *testing.B)     { benchRepairVariant(b, agra.RepairExact) }

@@ -19,8 +19,6 @@ import (
 
 	"drp"
 	"drp/internal/experiments"
-	"drp/internal/gra"
-	"drp/internal/xrand"
 )
 
 // benchFigure runs one figure's sweep per iteration and reports the last
@@ -142,7 +140,15 @@ func benchGRAGeneration(b *testing.B, parallelism int) {
 	params := drp.DefaultGRAParams()
 	params.Generations = 1
 	params.Parallelism = parallelism
-	seeded := gra.SeedSRA(p, params.PopSize, xrand.New(1))
+	// A zero-generation run returns its SRA-seeded population.
+	seedParams := params
+	seedParams.Generations = 0
+	seedParams.Seed = 1
+	seed, err := drp.GRA(p, seedParams)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeded := seed.Population
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		params.Seed = uint64(i + 1)
@@ -196,15 +202,5 @@ func BenchmarkHillClimb(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = drp.HillClimb(p, nil, 0)
-	}
-}
-
-// BenchmarkDistributedSRA measures the token-passing protocol including
-// its goroutine fan-out and channel traffic.
-func BenchmarkDistributedSRA(b *testing.B) {
-	p := benchProblem(b, 30, 60, 0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = drp.SRADistributed(p)
 	}
 }

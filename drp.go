@@ -127,9 +127,6 @@ type (
 	AdaptInput = agra.Input
 	// AdaptResult is the adaptation outcome.
 	AdaptResult = agra.Result
-	// DistSRAResult is the distributed (token-passing) SRA outcome with
-	// protocol-message accounting.
-	DistSRAResult = sra.DistResult
 	// HillClimbResult is the local-search outcome with move and evaluation
 	// accounting.
 	HillClimbResult = baseline.HillClimbResult
@@ -263,12 +260,6 @@ func SRAWithOptions(p *Problem, opts SRAOptions) *SRAResult {
 	return sra.Run(p, opts)
 }
 
-// SRADistributed runs the token-passing distributed SRA over one goroutine
-// per site, producing the same scheme as SRA plus protocol-message counts.
-func SRADistributed(p *Problem) *DistSRAResult {
-	return sra.RunDistributed(p)
-}
-
 // ClusterRun simulates the distributed system serving the problem's traffic
 // under the given replication scheme and monitor policy (discrete-event,
 // with optional pattern drift and failure injection). A nil initial scheme
@@ -295,8 +286,9 @@ func GRAWith(p *Problem, params GRAParams, run RunOptions) (*GRAResult, error) {
 
 // GRAWithPopulation runs GRA from a caller-supplied initial population of
 // placement matrices (as produced by Scheme.Bits or a previous GRAResult).
+// An invalid chromosome is rejected by index before the run starts.
 func GRAWithPopulation(p *Problem, params GRAParams, init []*PlacementBits) (*GRAResult, error) {
-	return gra.RunWithPopulation(p, params, init)
+	return gra.ContinueWith(p, params, init, solver.Run{})
 }
 
 // GRAContinue is GRAWithPopulation under anytime controls.

@@ -120,18 +120,6 @@ func TestEndToEndClusterSimulation(t *testing.T) {
 	}
 }
 
-func TestDistributedSRAFacade(t *testing.T) {
-	p := facadeProblem(t, 8, 12, 0.05, 0.15, 5)
-	dist := drp.SRADistributed(p)
-	central := drp.SRA(p)
-	if !dist.Scheme.Equal(central.Scheme) {
-		t.Fatal("distributed SRA differs from centralized via facade")
-	}
-	if dist.Messages == 0 {
-		t.Fatal("no protocol messages counted")
-	}
-}
-
 func TestSerializationThroughFacade(t *testing.T) {
 	p := facadeProblem(t, 6, 8, 0.05, 0.2, 6)
 	var buf bytes.Buffer
@@ -272,21 +260,5 @@ func TestSchemeDiffFacade(t *testing.T) {
 	}
 	if a.MigrationCost(b) <= 0 && len(added) > 0 {
 		t.Fatal("migration cost zero despite added replicas")
-	}
-}
-
-func TestGRAPatienceFacade(t *testing.T) {
-	p := facadeProblem(t, 8, 10, 0.05, 0.15, 12)
-	params := drp.DefaultGRAParams()
-	params.PopSize = 8
-	params.Generations = 500
-	params.Patience = 3
-	params.Seed = 12
-	res, err := drp.GRA(p, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) >= 501 {
-		t.Fatal("patience ignored through the facade")
 	}
 }

@@ -97,11 +97,6 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 	rng := xrand.New(params.Seed)
 	p := in.Problem
 
-	repair := params.RepairStrategy
-	if repair == 0 {
-		repair = RepairEstimator
-	}
-
 	res := &Result{}
 	// The micro-GAs are independent by construction, so they fan out
 	// across params.Parallelism workers. Every RNG fork happens here on
@@ -134,7 +129,7 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 	}
 	res.MicroElapsed = c.Elapsed()
 
-	pop := transcribe(p, in, objResults, miniParams.PopSize, repair, rng)
+	pop := transcribe(p, in, objResults, miniParams.PopSize, rng)
 
 	stop, halted := c.Check()
 	if miniGenerations > 0 && !halted {
@@ -177,7 +172,7 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 // first half (including the elite) while random members of the micro-GA's
 // final population overwrite the second half. Capacity violations are
 // repaired by deallocating the lowest-E replicas at the violating site.
-func transcribe(p *core.Problem, in Input, objs []*ObjectResult, popSize int, repair Repair, rng *xrand.Source) []*bitset.Set {
+func transcribe(p *core.Problem, in Input, objs []*ObjectResult, popSize int, rng *xrand.Source) []*bitset.Set {
 	pop := make([]*chromosome, 0, popSize)
 	pop = append(pop, newChromosome(p, in.Current.Bits()))
 	for c := 1; c < popSize; c++ {
@@ -207,7 +202,7 @@ func transcribe(p *core.Problem, in Input, objs []*ObjectResult, popSize int, re
 				repl = or.Best
 			}
 			ch.setColumn(or.Object, repl)
-			ch.repair(repair, rng)
+			ch.repair(rng)
 		}
 	}
 
@@ -240,10 +235,6 @@ type chromosome struct {
 	bits   *bitset.Set
 	usage  []int64
 	degree []int
-
-	// RepairExact's pricing scratch, built on its first eviction candidate.
-	ev            *core.Evaluator
-	with, without []int32
 }
 
 func newChromosome(p *core.Problem, bits *bitset.Set) *chromosome {
@@ -286,14 +277,14 @@ func (ch *chromosome) setColumn(k int, repl []int) {
 	}
 }
 
-// repair deallocates replicas at over-capacity sites using the selected
-// strategy. Primaries are never touched. rng breaks exact ties and drives
-// random eviction.
-func (ch *chromosome) repair(strategy Repair, rng *xrand.Source) {
+// repair deallocates replicas at over-capacity sites, lowest estimated
+// benefit E (eq. 6) first. Primaries are never touched. rng breaks exact
+// ties.
+func (ch *chromosome) repair(rng *xrand.Source) {
 	p := ch.p
 	for i := 0; i < p.Sites(); i++ {
 		for ch.usage[i] > p.Capacity(i) {
-			victim := ch.pickVictim(i, strategy, rng)
+			victim := ch.pickVictim(i, rng)
 			if victim < 0 {
 				// Only primaries remain; problem construction guarantees
 				// they fit, so this indicates an infeasible instance. Leave
@@ -307,64 +298,23 @@ func (ch *chromosome) repair(strategy Repair, rng *xrand.Source) {
 	}
 }
 
-// pickVictim selects the replica to evict from site i, or -1 if only
-// primaries remain.
-func (ch *chromosome) pickVictim(i int, strategy Repair, rng *xrand.Source) int {
+// pickVictim selects the replica to evict from site i — the one with the
+// lowest replica benefit estimate — or -1 if only primaries remain.
+func (ch *chromosome) pickVictim(i int, rng *xrand.Source) int {
 	p := ch.p
 	n := p.Objects()
 	victim := -1
 	var victimScore float64
-	count := 0
 	for pos := ch.bits.NextSet(i * n); pos >= 0 && pos < (i+1)*n; pos = ch.bits.NextSet(pos + 1) {
 		k := pos - i*n
 		if p.Primary(k) == i {
 			continue
 		}
-		count++
-		var score float64
-		switch strategy {
-		case RepairRandom:
-			// Reservoir sampling over the eligible replicas.
-			if rng.Intn(count) == 0 {
-				victim = k
-			}
-			continue
-		case RepairExact:
-			// Degradation of the object-local NTC if the replica goes:
-			// smaller is better to evict.
-			score = float64(ch.removalDegradation(i, k))
-		default: // RepairEstimator
-			// Lower replica benefit estimate → evict first.
-			score = p.Estimate(i, k, ch.degree[k])
-		}
+		score := p.Estimate(i, k, ch.degree[k])
 		if victim < 0 || score < victimScore || (score == victimScore && rng.Bool(0.5)) {
 			victim = k
 			victimScore = score
 		}
 	}
 	return victim
-}
-
-// removalDegradation computes V_k(without replica at i) − V_k(with), the
-// exact NTC impact of evicting object k's replica from site i. Only object
-// k's cost changes, so this is O(M·|R_k|), far below the paper's quoted
-// O(M²N) full-D recomputation but still the most expensive of the repair
-// strategies.
-func (ch *chromosome) removalDegradation(i, k int) int64 {
-	p := ch.p
-	n := p.Objects()
-	if ch.ev == nil {
-		ch.ev = core.NewEvaluator(p)
-	}
-	with, without := ch.with[:0], ch.without[:0]
-	for site := 0; site < p.Sites(); site++ {
-		if ch.bits.Test(site*n + k) {
-			with = append(with, int32(site))
-			if site != i {
-				without = append(without, int32(site))
-			}
-		}
-	}
-	ch.with, ch.without = with, without
-	return ch.ev.ObjectCost(k, without) - ch.ev.ObjectCost(k, with)
 }

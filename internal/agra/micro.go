@@ -4,8 +4,9 @@
 // replication scheme for that object alone, ignoring the storage constraint
 // (the Knapsack component of the DRP). The winning schemes are then
 // *transcribed* into a GRA population — capacity violations repaired with
-// the rapid replica-benefit estimator E (eq. 6) — and either realised
-// directly or polished by a few generations of mini-GRA.
+// the rapid replica-benefit estimator E (eq. 6), the paper's one repair
+// rule — and either realised directly or polished by a few generations of
+// mini-GRA.
 package agra
 
 import (
@@ -19,27 +20,6 @@ import (
 	"drp/internal/xrand"
 )
 
-// Repair selects the deallocation rule used when a transcription overflows
-// a site's storage. The paper proposes the rapid estimator E (eq. 6) as a
-// compromise between random eviction and exact impact computation; all
-// three are implemented for ablation.
-type Repair int
-
-// Repair strategies.
-const (
-	// RepairEstimator deallocates the replica with the lowest E value
-	// (the paper's method, O(M) per candidate... O(1) with cached totals).
-	RepairEstimator Repair = iota + 1
-	// RepairRandom deallocates uniformly at random — the strawman the
-	// paper mentions ("randomly deallocating objects until the constraint
-	// is satisfied").
-	RepairRandom
-	// RepairExact deallocates the replica whose removal degrades the
-	// object-local NTC least — the accurate method the paper rejects as
-	// too slow for an online algorithm.
-	RepairExact
-)
-
 // Params are the micro-GA control parameters. The paper keeps them small —
 // Ap=10, Ag=50, single-point crossover at 0.8, mutation at 0.01 — because
 // the algorithm must run online.
@@ -50,10 +30,6 @@ type Params struct {
 	MutationRate  float64 // constant 0.01 in the paper
 	EliteEvery    int     // elite re-injection period (as in GRA)
 	Seed          uint64
-
-	// RepairStrategy selects the transcription deallocation rule; the zero
-	// value means RepairEstimator (the paper's choice).
-	RepairStrategy Repair
 
 	// Parallelism caps how many per-object micro-GAs Adapt runs
 	// concurrently. The micro-GAs are independent by construction (each
@@ -75,9 +51,6 @@ func DefaultParams() Params {
 }
 
 func (pr Params) validate() error {
-	if pr.RepairStrategy < 0 || pr.RepairStrategy > RepairExact {
-		return fmt.Errorf("agra: unknown repair strategy %d", int(pr.RepairStrategy))
-	}
 	switch {
 	case pr.PopSize < 2:
 		return fmt.Errorf("agra: population size %d < 2", pr.PopSize)

@@ -24,49 +24,11 @@ import (
 	"drp/internal/xrand"
 )
 
-// Selection picks the GA sampling scheme. The paper adopts (µ+λ) selection
-// with the stochastic remainder technique; Holland's simple GA (plain
-// generational roulette) is kept as an ablation baseline.
-type Selection int
-
-// Selection schemes.
-const (
-	// SelectionMuPlusLambda pools parents with both offspring
-	// subpopulations and selects by stochastic remainder (the paper's
-	// choice).
-	SelectionMuPlusLambda Selection = iota + 1
-	// SelectionSGA is Holland's simple GA: plain roulette over parents,
-	// offspring replace the generation wholesale.
-	SelectionSGA
-)
-
-// Crossover picks the recombination operator.
-type Crossover int
-
-// Crossover operators.
-const (
-	// CrossoverTwoPoint is the paper's choice.
-	CrossoverTwoPoint Crossover = iota + 1
-	// CrossoverOnePoint is the single-point ablation variant.
-	CrossoverOnePoint
-)
-
-// Seeding picks how the initial population is built.
-type Seeding int
-
-// Seeding strategies.
-const (
-	// SeedingSRA seeds from randomised SRA runs, half perturbed (paper).
-	SeedingSRA Seeding = iota + 1
-	// SeedingRandom seeds from random valid schemes, quantifying how much
-	// the greedy warm start buys.
-	SeedingRandom
-)
-
 // Params are the GRA control parameters. The paper fixes Np=50, Ng=80,
 // µc=0.9, µm=0.01 after tuning, with the elite copied back every 5
-// generations. The Selection/Crossover/Seeding knobs default to the
-// paper's choices and exist for the ablation benchmarks.
+// generations. The operators themselves are not parameters: seeding is
+// always SRA-based, selection (µ+λ) stochastic remainder and crossover
+// two-point with gene repair, as in the paper.
 type Params struct {
 	PopSize       int     // Np
 	Generations   int     // Ng
@@ -74,16 +36,6 @@ type Params struct {
 	MutationRate  float64 // µm
 	EliteEvery    int     // elite re-injection period, in generations
 	Seed          uint64  // RNG seed; identical seeds reproduce runs exactly
-
-	Selection Selection // zero value = SelectionMuPlusLambda
-	Crossover Crossover // zero value = CrossoverTwoPoint
-	Seeding   Seeding   // zero value = SeedingSRA
-
-	// Patience, when positive, stops the run early once the best-so-far
-	// fitness has not improved for that many consecutive generations — an
-	// extension for online use where the generation budget is a ceiling,
-	// not a target.
-	Patience int
 
 	// Parallelism sizes the evaluation worker pool. Chromosome cost
 	// evaluations — the dominant work unit — fan out across this many
@@ -105,30 +57,7 @@ func DefaultParams() Params {
 	}
 }
 
-// normalized fills the ablation knobs' zero values with the paper's
-// defaults.
-func (pr Params) normalized() Params {
-	if pr.Selection == 0 {
-		pr.Selection = SelectionMuPlusLambda
-	}
-	if pr.Crossover == 0 {
-		pr.Crossover = CrossoverTwoPoint
-	}
-	if pr.Seeding == 0 {
-		pr.Seeding = SeedingSRA
-	}
-	return pr
-}
-
 func (pr Params) validate() error {
-	switch {
-	case pr.Selection < 0 || pr.Selection > SelectionSGA:
-		return fmt.Errorf("gra: unknown selection scheme %d", int(pr.Selection))
-	case pr.Crossover < 0 || pr.Crossover > CrossoverOnePoint:
-		return fmt.Errorf("gra: unknown crossover %d", int(pr.Crossover))
-	case pr.Seeding < 0 || pr.Seeding > SeedingRandom:
-		return fmt.Errorf("gra: unknown seeding %d", int(pr.Seeding))
-	}
 	switch {
 	case pr.PopSize < 2:
 		return fmt.Errorf("gra: population size %d < 2", pr.PopSize)
@@ -140,8 +69,6 @@ func (pr Params) validate() error {
 		return fmt.Errorf("gra: mutation rate %v outside [0,1]", pr.MutationRate)
 	case pr.EliteEvery < 1:
 		return fmt.Errorf("gra: elite period %d < 1", pr.EliteEvery)
-	case pr.Patience < 0:
-		return fmt.Errorf("gra: negative patience %d", pr.Patience)
 	case pr.Parallelism < 0:
 		return fmt.Errorf("gra: negative parallelism %d", pr.Parallelism)
 	}
@@ -182,8 +109,7 @@ type Result struct {
 	Population []*bitset.Set
 }
 
-// Run executes GRA with the paper's SRA-based population seeding (or the
-// ablation seeding selected in params).
+// Run executes GRA with the paper's SRA-based population seeding.
 func Run(p *core.Problem, params Params) (*Result, error) {
 	return RunWith(p, params, solver.Run{})
 }
@@ -199,30 +125,18 @@ func RunWith(p *core.Problem, params Params, run solver.Run) (*Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
-	params = params.normalized()
 	rng := xrand.New(params.Seed)
 	c := solver.Start("gra", run)
-	var init []*bitset.Set
-	switch params.Seeding {
-	case SeedingSRA:
-		init = SeedSRA(p, params.PopSize, rng)
-	case SeedingRandom:
-		init = SeedRandom(p, params.PopSize, rng)
-	}
-	return evolve(p, params, init, rng, c)
+	return evolve(p, params, seedSRA(p, params.PopSize, rng), rng, c)
 }
 
-// RunWithPopulation executes GRA from a caller-supplied initial population
-// (AGRA transcription, "Current + GRA" policies). Chromosomes must be valid
-// site-major bit matrices; fewer than PopSize are padded with perturbed
-// clones, extras are truncated.
-func RunWithPopulation(p *core.Problem, params Params, init []*bitset.Set) (*Result, error) {
-	return ContinueWith(p, params, init, solver.Run{})
-}
-
-// ContinueWith is RunWithPopulation under anytime controls (see RunWith for
-// the interruption contract). AGRA uses it to hand its remaining deadline
-// and budget to the mini-GRA polish.
+// ContinueWith executes GRA from a caller-supplied initial population (AGRA
+// transcription, "Current + GRA" policies) under anytime controls (see
+// RunWith for the interruption contract); AGRA uses it to hand its
+// remaining deadline and budget to the mini-GRA polish. Every chromosome
+// must be a valid site-major bit matrix and is checked before any work is
+// done; fewer than PopSize are padded with perturbed clones, extras are
+// truncated.
 func ContinueWith(p *core.Problem, params Params, init []*bitset.Set, run solver.Run) (*Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
@@ -230,37 +144,35 @@ func ContinueWith(p *core.Problem, params Params, init []*bitset.Set, run solver
 	if len(init) == 0 {
 		return nil, fmt.Errorf("gra: empty initial population")
 	}
-	params = params.normalized()
+	seeds := make([]*core.Scheme, 0, params.PopSize)
+	for i, bits := range init {
+		s, err := core.SchemeFromBits(p, bits)
+		if err != nil {
+			return nil, fmt.Errorf("gra: seed chromosome %d invalid: %w", i, err)
+		}
+		if len(seeds) < params.PopSize {
+			seeds = append(seeds, s)
+		}
+	}
 	rng := xrand.New(params.Seed)
 	c := solver.Start("gra", run)
 
-	pop := make([]*bitset.Set, 0, params.PopSize)
-	for _, bits := range init {
-		if bits.Len() != p.Sites()*p.Objects() {
-			return nil, fmt.Errorf("gra: chromosome length %d, want %d", bits.Len(), p.Sites()*p.Objects())
-		}
-		if len(pop) == params.PopSize {
-			break
-		}
-		pop = append(pop, bits.Clone())
-	}
-	for len(pop) < params.PopSize {
-		src := pop[rng.Intn(len(pop))]
-		s, err := core.SchemeFromBits(p, src)
-		if err != nil {
-			return nil, fmt.Errorf("gra: invalid seed chromosome: %w", err)
-		}
+	for len(seeds) < params.PopSize {
+		s := seeds[rng.Intn(len(seeds))].Clone()
 		Perturb(s, 0.25, rng)
-		pop = append(pop, s.Bits())
+		seeds = append(seeds, s)
 	}
-
+	pop := make([]*bitset.Set, len(seeds))
+	for i, s := range seeds {
+		pop[i] = s.Bits()
+	}
 	return evolve(p, params, pop, rng, c)
 }
 
-// SeedSRA builds the paper's initial population: PopSize SRA runs with
+// seedSRA builds the paper's initial population: PopSize SRA runs with
 // random site orders, the second half perturbed on a quarter of their bits
 // while keeping both DRP constraints intact.
-func SeedSRA(p *core.Problem, popSize int, rng *xrand.Source) []*bitset.Set {
+func seedSRA(p *core.Problem, popSize int, rng *xrand.Source) []*bitset.Set {
 	pop := make([]*bitset.Set, popSize)
 	for c := 0; c < popSize; c++ {
 		res := sra.Run(p, sra.Options{RandomOrder: true, RNG: rng.Split()})
@@ -268,28 +180,6 @@ func SeedSRA(p *core.Problem, popSize int, rng *xrand.Source) []*bitset.Set {
 			Perturb(res.Scheme, 0.25, rng)
 		}
 		pop[c] = res.Scheme.Bits()
-	}
-	return pop
-}
-
-// SeedRandom builds an initial population of random valid schemes: each
-// chromosome starts from the primaries-only allocation and receives random
-// placements until several consecutive attempts fail. It is the ablation
-// counterpart of SeedSRA.
-func SeedRandom(p *core.Problem, popSize int, rng *xrand.Source) []*bitset.Set {
-	pop := make([]*bitset.Set, popSize)
-	for c := range pop {
-		s := core.NewScheme(p)
-		failures := 0
-		limit := 2 * (p.Sites() + p.Objects())
-		for failures < limit {
-			if s.Add(rng.Intn(p.Sites()), rng.Intn(p.Objects())) != nil {
-				failures++
-			} else {
-				failures = 0
-			}
-		}
-		pop[c] = s.Bits()
 	}
 	return pop
 }
@@ -338,36 +228,26 @@ func evolve(p *core.Problem, params Params, init []*bitset.Set, rng *xrand.Sourc
 	record(0)
 
 	stop := solver.StopCompleted
-	stale := 0
 	lastGen := 0
 	for gen := 1; gen <= params.Generations; gen++ {
 		if reason, halt := c.Check(); halt {
 			stop = reason
 			break
 		}
-		prevElite := elite.Fitness
-		switch params.Selection {
-		case SelectionSGA:
-			pop = ev.sgaGeneration(pop, params, rng)
-			if b := ga.Best(pop); pop[b].Fitness > elite.Fitness {
-				elite = pop[b].Clone()
-			}
-		default: // SelectionMuPlusLambda
-			crossPop := ev.crossoverSubpop(pop, params, rng)
-			mutPop := ev.mutationSubpop(pop, params, rng)
+		crossPop := ev.crossoverSubpop(pop, params, rng)
+		mutPop := ev.mutationSubpop(pop, params, rng)
 
-			// (µ+λ): parents and both offspring subpopulations compete for
-			// the Np slots of the next generation.
-			pool := make([]ga.Individual, 0, len(pop)+len(crossPop)+len(mutPop))
-			pool = append(pool, pop...)
-			pool = append(pool, crossPop...)
-			pool = append(pool, mutPop...)
+		// (µ+λ): parents and both offspring subpopulations compete for the
+		// Np slots of the next generation.
+		pool := make([]ga.Individual, 0, len(pop)+len(crossPop)+len(mutPop))
+		pool = append(pool, pop...)
+		pool = append(pool, crossPop...)
+		pool = append(pool, mutPop...)
 
-			if b := ga.Best(pool); pool[b].Fitness > elite.Fitness {
-				elite = pool[b].Clone()
-			}
-			pop = ga.StochasticRemainder(pool, params.PopSize, rng)
+		if b := ga.Best(pool); pool[b].Fitness > elite.Fitness {
+			elite = pool[b].Clone()
 		}
+		pop = ga.StochasticRemainder(pool, params.PopSize, rng)
 
 		// Elitism with delayed re-injection to avoid premature convergence.
 		if gen%params.EliteEvery == 0 {
@@ -375,14 +255,6 @@ func evolve(p *core.Problem, params Params, init []*bitset.Set, rng *xrand.Sourc
 		}
 		record(gen)
 		lastGen = gen
-
-		if params.Patience > 0 {
-			if elite.Fitness > prevElite {
-				stale = 0
-			} else if stale++; stale >= params.Patience {
-				break
-			}
-		}
 	}
 
 	scheme, err := core.SchemeFromBits(p, elite.Bits)

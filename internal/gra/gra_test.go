@@ -1,9 +1,12 @@
 package gra
 
 import (
+	"strings"
 	"testing"
 
+	"drp/internal/bitset"
 	"drp/internal/core"
+	"drp/internal/solver"
 	"drp/internal/sra"
 	"drp/internal/workload"
 	"drp/internal/xrand"
@@ -132,10 +135,10 @@ func TestHistoryMonotoneBestFitness(t *testing.T) {
 func TestRunWithPopulation(t *testing.T) {
 	p := gen(t, 8, 10, 0.05, 0.15, 6)
 	cur := core.NewScheme(p)
-	init := SeedSRA(p, 4, xrand.New(1))
+	init := seedSRA(p, 4, xrand.New(1))
 	init = append(init, cur.Bits())
 	params := smallParams(17)
-	res, err := RunWithPopulation(p, params, init)
+	res, err := ContinueWith(p, params, init, solver.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +160,39 @@ func TestRunWithPopulation(t *testing.T) {
 
 func TestRunWithPopulationRejectsBadInput(t *testing.T) {
 	p := gen(t, 5, 5, 0.05, 0.15, 7)
-	if _, err := RunWithPopulation(p, smallParams(1), nil); err == nil {
+	if _, err := ContinueWith(p, smallParams(1), nil, solver.Run{}); err == nil {
 		t.Fatal("empty population accepted")
 	}
-	wrong := SeedSRA(gen(t, 6, 5, 0.05, 0.15, 8), 2, xrand.New(2))
-	if _, err := RunWithPopulation(p, smallParams(1), wrong); err == nil {
+	wrong := seedSRA(gen(t, 6, 5, 0.05, 0.15, 8), 2, xrand.New(2))
+	if _, err := ContinueWith(p, smallParams(1), wrong, solver.Run{}); err == nil {
 		t.Fatal("wrong-length chromosomes accepted")
+	}
+
+	// A bad seed is rejected by index before any generation runs, whether
+	// it lacks a primary copy or overflows a site.
+	q := gen(t, 6, 8, 0.05, 0.15, 9)
+	noPrimary := seedSRA(q, 4, xrand.New(3))
+	noPrimary[3].Clear(q.Primary(0) * q.Objects()) // object 0 at its primary site
+	overfull := seedSRA(q, 4, xrand.New(3))
+	for pos := 0; pos < q.Objects(); pos++ {
+		overfull[3].Set(pos) // every object at site 0
+	}
+	if _, err := core.SchemeFromBits(q, overfull[3]); err == nil {
+		t.Fatal("fixture: site 0 holds every object without overflowing")
+	}
+	for name, init := range map[string][]*bitset.Set{"missing primary": noPrimary, "over capacity": overfull} {
+		params := smallParams(1)
+		params.Generations = 0
+		_, err := ContinueWith(q, params, init, solver.Run{})
+		if err == nil || !strings.Contains(err.Error(), "gra: seed chromosome 3 invalid") {
+			t.Errorf("%s: err = %v, want it to name seed chromosome 3", name, err)
+		}
 	}
 }
 
 func TestSeedSRAProducesValidChromosomes(t *testing.T) {
 	p := gen(t, 10, 12, 0.05, 0.15, 9)
-	pop := SeedSRA(p, 10, xrand.New(3))
+	pop := seedSRA(p, 10, xrand.New(3))
 	if len(pop) != 10 {
 		t.Fatalf("seed population size %d", len(pop))
 	}

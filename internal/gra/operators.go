@@ -88,7 +88,7 @@ func (ev *evaluator) crossoverSubpop(pop []ga.Individual, params Params, rng *xr
 		a := pop[order[idx]].Bits.Clone()
 		b := pop[order[idx+1]].Bits.Clone()
 		if rng.Bool(params.CrossoverRate) {
-			ev.cross(a, b, params, rng)
+			ev.repairCrossover(a, b, ga.TwoPoint(a, b, rng))
 		}
 		cand = append(cand, a, b)
 	}
@@ -98,43 +98,6 @@ func (ev *evaluator) crossoverSubpop(pop []ga.Individual, params Params, rng *xr
 		out = append(out, pop[order[len(order)-1]].Clone())
 	}
 	return out
-}
-
-// cross applies the configured crossover operator in place, with gene
-// repair.
-func (ev *evaluator) cross(a, b *bitset.Set, params Params, rng *xrand.Source) {
-	if params.Crossover == CrossoverOnePoint {
-		span := ga.OnePoint(a, b, rng)
-		ev.repairCrossover(a, b, []ga.CrossSpan{span})
-		return
-	}
-	spans := ga.TwoPoint(a, b, rng)
-	ev.repairCrossover(a, b, spans)
-}
-
-// sgaGeneration implements Holland's simple GA as an ablation baseline:
-// plain-roulette parent selection, crossover and mutation transform the
-// selected set, offspring replace the generation wholesale.
-func (ev *evaluator) sgaGeneration(pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
-	weights := make([]float64, len(pop))
-	for i := range pop {
-		weights[i] = pop[i].Fitness
-	}
-	next := make([]ga.Individual, len(pop))
-	for i := range next {
-		next[i] = pop[ga.RouletteIndex(weights, rng)].Clone()
-	}
-	order := rng.Perm(len(next))
-	for idx := 0; idx+1 < len(order); idx += 2 {
-		if rng.Bool(params.CrossoverRate) {
-			ev.cross(next[order[idx]].Bits, next[order[idx+1]].Bits, params, rng)
-		}
-	}
-	cand := make([]*bitset.Set, len(next))
-	for i := range next {
-		cand[i] = ev.mutate(next[i].Bits, params, rng)
-	}
-	return ev.evaluateAll(cand)
 }
 
 // repairCrossover restores gene validity after a two-point crossover. Only

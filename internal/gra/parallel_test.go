@@ -3,6 +3,7 @@ package gra
 import (
 	"testing"
 
+	"drp/internal/solver"
 	"drp/internal/xrand"
 )
 
@@ -54,12 +55,12 @@ func TestRunParallelBitIdentical(t *testing.T) {
 // point (mini-GRA, Current+GRA policies) at several worker counts.
 func TestRunWithPopulationParallelBitIdentical(t *testing.T) {
 	p := gen(t, 9, 12, 0.05, 0.15, 22)
-	init := SeedSRA(p, 6, xrand.New(5))
+	init := seedSRA(p, 6, xrand.New(5))
 	var ref *Result
 	for _, par := range []int{1, 2, 8} {
 		params := smallParams(37)
 		params.Parallelism = par
-		res, err := RunWithPopulation(p, params, init)
+		res, err := ContinueWith(p, params, init, solver.Run{})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -69,29 +70,6 @@ func TestRunWithPopulationParallelBitIdentical(t *testing.T) {
 		}
 		if res.Cost != ref.Cost || res.Fitness != ref.Fitness || !res.Scheme.Equal(ref.Scheme) {
 			t.Fatalf("par=%d diverged from serial", par)
-		}
-	}
-}
-
-// TestRunSGAParallelBitIdentical pins the ablation (Holland SGA) path too,
-// since it batches evaluation through the same pool.
-func TestRunSGAParallelBitIdentical(t *testing.T) {
-	p := gen(t, 8, 10, 0.05, 0.15, 23)
-	var ref *Result
-	for _, par := range []int{1, 4} {
-		params := smallParams(41)
-		params.Selection = SelectionSGA
-		params.Parallelism = par
-		res, err := Run(p, params)
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.Cost != ref.Cost || !res.Scheme.Equal(ref.Scheme) {
-			t.Fatalf("SGA par=%d diverged from serial", par)
 		}
 	}
 }
