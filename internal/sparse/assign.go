@@ -185,7 +185,7 @@ func (a *Assignment) ToScheme(p *core.Problem) (*core.Scheme, error) {
 }
 
 // FromScheme converts a dense scheme into a sparse assignment over mo
-// (dimensions must agree). Replicas outside the candidate lists are
+// (dimensions must agree). Replicas outside the candidate sets are
 // accepted: pruning constrains what the solver proposes, not what the
 // representation can hold or evaluate, so schemes produced by the dense
 // algorithms always convert.

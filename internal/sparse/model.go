@@ -7,13 +7,16 @@
 //
 //   - CSR-style access vectors: per-object (site, count) lists for reads and
 //     writes, pooled into four flat arrays, so an N=1e6 × M=100 instance
-//     with ~10 accessing sites per object costs ~100 MB instead of the
-//     ~1.6 GB two dense matrices would need;
+//     with ~7 access entries per object holds ~170 MiB of live heap,
+//     candidate sets included, where two dense int64 matrices alone would
+//     need 1.5 GiB; `drpbench -sparse-bench` (that instance plus its 1 %
+//     perturbation, solved and adapted) peaks at ~570 MiB RSS;
 //   - candidate-site pruning: per object, the sites at which a replica could
 //     ever pay for its update fan-in (plus the primary), computed from a
 //     sound upper bound on the achievable saving and from capacity
-//     reachability — the solver never considers a pruned (site, object)
-//     pair, and internal/verify proves the dense optimum survives pruning;
+//     reachability and held as a ⌈M/64⌉-word bitmask — the solver never
+//     considers a pruned (site, object) pair, and internal/verify proves
+//     the dense optimum survives pruning;
 //   - object-space sharding: objects couple only through per-site capacity,
 //     so per-object search fans out across workers and a deterministic
 //     capacity-ledger merge reconciles the proposals (solve.go).
@@ -102,7 +105,7 @@ type Config struct {
 
 // Model is an immutable sparse DRP instance: the same eq. 4 problem as
 // core.Problem, stored object-major in CSR form with per-object candidate
-// site lists precomputed.
+// site sets precomputed.
 type Model struct {
 	m, n    int
 	size    []int64
@@ -118,16 +121,18 @@ type Model struct {
 	dPrime      int64
 	primaryLoad []int64 // Σ o_k over objects with SP_k = i: the floor of any valid usage
 
-	// Candidate lists, pooled: object k may hold replicas only at
-	// candSite[candOff[k]:candOff[k+1]] (ascending, primary always present).
-	candOff  []int32
-	candSite []int32
+	// Candidate sets, pooled: object k may hold replicas only at the sites
+	// set in its candWords-word bitmask candidateMask(k) (site i is bit
+	// i%64 of word i/64; the primary's bit is always set).
+	candWords int
+	candMask  []uint64
+	candCount int
 }
 
 // NewModel validates cfg and builds the instance: the same gates as
 // core.NewProblem (positive sizes, primary fit, the worst-case-NTC int64
 // overflow bound) plus CSR well-formedness, then the derived caches and the
-// pruned candidate lists.
+// pruned candidate sets.
 func NewModel(cfg Config) (*Model, error) {
 	if cfg.Dist == nil {
 		return nil, fmt.Errorf("sparse: nil distance matrix")
@@ -264,7 +269,8 @@ func errMagnitude(k int) error {
 	return fmt.Errorf("sparse: traffic volume of object %d overflows the int64 cost range", k)
 }
 
-// buildCandidates computes the pruned candidate-site list of every object.
+// buildCandidates computes the pruned candidate-site bitmask of every
+// object.
 //
 // Site i ≠ SP_k is pruned when either
 //
@@ -292,16 +298,17 @@ func errMagnitude(k int) error {
 // Saturating arithmetic on the saving side only ever keeps a candidate, so
 // extreme magnitudes degrade pruning, never correctness.
 func (mo *Model) buildCandidates() {
-	lists := make([][]int32, mo.n)
+	mo.candWords = (mo.m + 63) / 64
+	mo.candMask = make([]uint64, mo.n*mo.candWords)
 	workers := parallel.Workers(0)
 	type scratch struct {
-		rAt     []int64
-		wAt     []int64
-		touched []int32
+		rAt  []int64
+		wAt  []int64
+		mask []uint64 // the object's words, copied out once it is scored
 	}
 	scratches := make([]scratch, workers)
 	for w := range scratches {
-		scratches[w] = scratch{rAt: make([]int64, mo.m), wAt: make([]int64, mo.m)}
+		scratches[w] = scratch{rAt: make([]int64, mo.m), wAt: make([]int64, mo.m), mask: lineWords(mo.candWords)}
 	}
 	parallel.ForWorker(mo.n, workers, func(w, k int) {
 		sc := &scratches[w]
@@ -309,23 +316,19 @@ func (mo *Model) buildCandidates() {
 		spCol := mo.dist.Row(sp) // C(sp,·) = C(·,sp); the matrix is symmetric
 		ro, re := mo.reads.Range(k)
 		wo, we := mo.writes.Range(k)
-		sc.touched = sc.touched[:0]
 		for idx := ro; idx < re; idx++ {
-			site := mo.reads.Site[idx]
-			sc.rAt[site] = mo.reads.Cnt[idx]
-			sc.touched = append(sc.touched, site)
+			sc.rAt[mo.reads.Site[idx]] = mo.reads.Cnt[idx]
 		}
 		for idx := wo; idx < we; idx++ {
-			site := mo.writes.Site[idx]
-			sc.wAt[site] = mo.writes.Cnt[idx]
-			sc.touched = append(sc.touched, site)
+			sc.wAt[mo.writes.Site[idx]] = mo.writes.Cnt[idx]
 		}
 		wTot := mo.totalWrites[k]
 		sz := mo.size[k]
-		cand := make([]int32, 0, 8)
+		mask := sc.mask
+		clear(mask)
 		for i := 0; i < mo.m; i++ {
 			if i == sp {
-				cand = append(cand, int32(i))
+				mask[i>>6] |= 1 << (i & 63)
 				continue
 			}
 			if mo.primaryLoad[i]+sz > mo.cap[i] {
@@ -345,26 +348,27 @@ func (mo *Model) buildCandidates() {
 				}
 			}
 			if saving > fanIn {
-				cand = append(cand, int32(i))
+				mask[i>>6] |= 1 << (i & 63)
 			}
 		}
-		lists[k] = cand
-		for _, site := range sc.touched {
-			sc.rAt[site] = 0
-			sc.wAt[site] = 0
+		copy(mo.candidateMask(k), mask)
+		for idx := ro; idx < re; idx++ {
+			sc.rAt[mo.reads.Site[idx]] = 0
+		}
+		for idx := wo; idx < we; idx++ {
+			sc.wAt[mo.writes.Site[idx]] = 0
 		}
 	})
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	mo.candOff = make([]int32, mo.n+1)
-	mo.candSite = make([]int32, 0, total)
-	for k, l := range lists {
-		mo.candSite = append(mo.candSite, l...)
-		mo.candOff[k+1] = int32(len(mo.candSite))
+	for _, word := range mo.candMask {
+		mo.candCount += bits.OnesCount64(word)
 	}
 }
+
+// lineWords returns n zeroed words of per-worker scratch whose backing
+// array fills whole 64-byte cache lines. Workers write these words per
+// site; an 8-byte allocation would share a line with another worker's
+// and every bit set would bounce it between cores.
+func lineWords(n int) []uint64 { return make([]uint64, n, (n+7)&^7) }
 
 // FromProblem converts a dense instance into the sparse representation
 // (zero read/write entries dropped), revalidating through NewModel. The
@@ -435,14 +439,26 @@ func (mo *Model) VPrime(k int) int64 { return mo.vPrime[k] }
 func (mo *Model) Dist() *netsim.DistMatrix { return mo.dist }
 
 // Candidates returns object k's candidate sites, ascending, primary
-// included — a view into the pooled array; callers must not modify it.
+// included, in a new slice built from the object's bitmask.
 func (mo *Model) Candidates(k int) []int32 {
-	return mo.candSite[mo.candOff[k]:mo.candOff[k+1]]
+	var out []int32
+	for wi, word := range mo.candidateMask(k) {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(wi<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	return out
 }
 
-// CandidateCount returns the total candidate-list length across objects
-// (the solver's search-space size after pruning).
-func (mo *Model) CandidateCount() int { return len(mo.candSite) }
+// candidateMask returns object k's candidate bitmask, a view into the
+// pooled array.
+func (mo *Model) candidateMask(k int) []uint64 {
+	return mo.candMask[k*mo.candWords : (k+1)*mo.candWords]
+}
+
+// CandidateCount returns the total candidate count across objects (the
+// solver's search-space size after pruning).
+func (mo *Model) CandidateCount() int { return mo.candCount }
 
 // ReadEntries returns object k's reader sites and counts as views into the
 // pooled CSR arrays.

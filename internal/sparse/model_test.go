@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -307,6 +308,62 @@ func TestCandidatePruningEquivariance(t *testing.T) {
 					t.Fatalf("seed %d: object %d candidates %v, want relabelled %v", seed, k, got, mapped)
 				}
 			}
+		}
+	}
+}
+
+// TestCandidatesMultiWord checks candidate bitmasks that span two and three
+// words (M = 65 and 130) against the pruning rule written out directly, and
+// CandidateCount against the listed sets.
+func TestCandidatesMultiWord(t *testing.T) {
+	for _, m := range []int{65, 130} {
+		mo := testModel(t, m, 400, 3)
+		load := make([]int64, m)
+		for k := 0; k < mo.Objects(); k++ {
+			load[mo.Primary(k)] += mo.Size(k)
+		}
+		at := func(sites []int32, cnts []int64, i int) int64 {
+			for idx, s := range sites {
+				if int(s) == i {
+					return cnts[idx]
+				}
+			}
+			return 0
+		}
+		total, top := 0, int32(0)
+		for k := 0; k < mo.Objects(); k++ {
+			sp := int(mo.Primary(k))
+			rs, rc := mo.ReadEntries(k)
+			ws, wc := mo.WriteEntries(k)
+			var want []int32
+			for i := 0; i < m; i++ {
+				keep := i == sp
+				if !keep && load[i]+mo.Size(k) <= mo.Capacity(i) {
+					c := mo.Dist().At(i, sp)
+					saving := (at(rs, rc, i) + at(ws, wc, i)) * c
+					for idx, j := range rs {
+						if int(j) != i {
+							saving += rc[idx] * max(0, mo.Dist().At(int(j), sp)-mo.Dist().At(int(j), i))
+						}
+					}
+					keep = saving > mo.TotalWrites(k)*c
+				}
+				if keep {
+					want = append(want, int32(i))
+				}
+			}
+			got := mo.Candidates(k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("M=%d object %d: candidates %v, rule gives %v", m, k, got, want)
+			}
+			total += len(got)
+			top = max(top, got[len(got)-1])
+		}
+		if total != mo.CandidateCount() {
+			t.Fatalf("M=%d: CandidateCount %d, lists hold %d", m, mo.CandidateCount(), total)
+		}
+		if top != int32(m-1) {
+			t.Fatalf("M=%d: highest candidate site %d; the last word's top bit is never exercised", m, top)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package sparse
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"drp/internal/parallel"
 	"drp/internal/solver"
@@ -13,15 +14,17 @@ import (
 // search splits into two phases:
 //
 //  1. Propose — every object is searched independently: a greedy descent
-//     over its pruned candidate sites, each step adding the replica with
-//     the most negative exact cost delta (computed from cached per-reader
+//     over its pruned candidate sites (the set bits of its bitmask, in
+//     ascending site order), each step adding the replica with the most
+//     negative exact cost delta (computed from cached per-reader
 //     nearest-replica distances in O(|cand|·|readers|) per step). Objects
 //     fan out across shard workers via parallel.ForWorker; proposals are
-//     pure functions of the object written into index-addressed slots, so
-//     the shard count only groups work and never changes any result.
+//     pure functions of the object written into fixed-size, index-addressed
+//     slots, so the shard count only groups work and never changes any
+//     result, and no step allocates.
 //
 //  2. Merge — a single deterministic capacity-ledger pass reconciles the
-//     proposals: all first steps enter a max-heap ordered by benefit
+//     proposals: all first steps enter a typed max-heap ordered by benefit
 //     density (saving per storage unit, then absolute saving, then object
 //     index — a total order), and steps are applied best-first while
 //     capacity admits them. The first rejected step of an object truncates
@@ -67,11 +70,13 @@ type Result struct {
 	Stats solver.Stats
 }
 
-// proposal is one object's greedy descent: sites to add in order, with the
-// exact cost delta of each step given the previous steps applied.
+// proposal is one object's greedy descent: the first n slots hold the sites
+// to add in order, with the exact cost delta of each step given the
+// previous steps applied.
 type proposal struct {
-	sites  []int32
-	deltas []int64
+	n      int
+	sites  [DefaultMaxReplicas - 1]int32
+	deltas [DefaultMaxReplicas - 1]int64
 }
 
 // Solve runs the sharded greedy from the primaries-only allocation.
@@ -122,9 +127,10 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 	ev.SetMeter(c.Meter())
 	for _, k := range objects {
 		cost += mo.vPrime[k] - ev.ObjectCost(k, a.repl[k])
-		repl := append([]int32(nil), a.repl[k]...)
-		for _, i := range repl {
-			if i != mo.primary[k] {
+		// Back to front: a removal shifts only the entries after it.
+		repl := a.repl[k]
+		for idx := len(repl) - 1; idx >= 0; idx-- {
+			if i := repl[idx]; i != mo.primary[k] {
 				if err := a.Remove(int(i), k); err != nil {
 					return nil, err
 				}
@@ -144,25 +150,29 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 // against the shared ledger — so a proposal is a pure function of its
 // object and the shard count cannot influence it.
 func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *solver.Controller) {
-	const maxAdds = DefaultMaxReplicas - 1 // the primary is already placed
 	workers := parallel.Workers(params.Shards)
 	type scratch struct {
-		dmin   []int64 // per-reader nearest-replica distance
-		inRepl []bool  // candidate-indexed: already added this descent
+		dmin []int64  // per-reader nearest-replica distance
+		left []uint64 // candidate bitmask minus the sites already placed
 	}
 	scratches := make([]scratch, workers)
+	for w := range scratches {
+		scratches[w].left = lineWords(mo.candWords)
+	}
 	parallel.ForWorker(len(objects), workers, func(w, idx int) {
 		if _, stop := c.Check(); stop {
 			return // remaining objects keep empty proposals
 		}
 		sc := &scratches[w]
 		k := objects[idx]
-		cand := mo.Candidates(k)
-		if len(cand) <= 1 {
+		sp := int(mo.primary[k])
+		left := sc.left
+		copy(left, mo.candidateMask(k))
+		left[sp>>6] &^= 1 << (sp & 63)
+		if !slices.ContainsFunc(left, func(word uint64) bool { return word != 0 }) {
 			c.Charge(1)
 			return // only the primary: nothing to propose
 		}
-		sp := int(mo.primary[k])
 		ok := mo.size[k]
 		wTot := mo.totalWrites[k]
 		spRow := mo.dist.Row(sp)
@@ -175,65 +185,58 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 		for j, site := range rs {
 			dmin[j] = spRow[site]
 		}
-		if cap(sc.inRepl) < len(cand) {
-			sc.inRepl = make([]bool, len(cand))
-		}
-		inRepl := sc.inRepl[:len(cand)]
-		for ci := range inRepl {
-			inRepl[ci] = cand[ci] == int32(sp)
-		}
-		var sites []int32
-		var deltas []int64
+		var p proposal
 		rounds := 1
-		for len(sites) < maxAdds {
-			bestCI := -1
+		for p.n < len(p.sites) {
+			best := int32(-1)
 			var bestDelta int64
-			for ci, x := range cand {
-				if inRepl[ci] {
-					continue
-				}
-				row := mo.dist.Row(int(x))
-				// Fan-in the new replica starts paying, minus the write
-				// shipping and read traffic site x stops paying, minus the
-				// read-distance drops of the other non-replicator readers.
-				delta := wTot * ok * spRow[x]
-				for j, site := range rs {
-					if site == x {
-						delta -= rc[j] * ok * dmin[j]
-						continue
+			for wi, word := range left {
+				for ; word != 0; word &= word - 1 {
+					x := int32(wi<<6 | bits.TrailingZeros64(word))
+					row := mo.dist.Row(int(x))
+					// Fan-in the new replica starts paying, minus the write
+					// shipping and read traffic site x stops paying, minus the
+					// read-distance drops of the other non-replicator readers.
+					delta := wTot * ok * spRow[x]
+					for j, site := range rs {
+						if site == x {
+							delta -= rc[j] * ok * dmin[j]
+							continue
+						}
+						if drop := dmin[j] - row[site]; drop > 0 {
+							// Readers that are replicators have dmin 0, so they
+							// never contribute here.
+							delta -= rc[j] * ok * drop
+						}
 					}
-					if drop := dmin[j] - row[site]; drop > 0 {
-						// Readers that are replicators have dmin 0, so they
-						// never contribute here.
-						delta -= rc[j] * ok * drop
+					for j, site := range ws {
+						if site == x {
+							delta -= wc[j] * ok * spRow[x]
+							break // sites are unique within the CSR row
+						}
 					}
-				}
-				for j, site := range ws {
-					if site == x {
-						delta -= wc[j] * ok * spRow[x]
-						break // sites are unique within the CSR row
+					// Bits come out ascending, so strict < keeps ties at the
+					// lowest site.
+					if best < 0 || delta < bestDelta {
+						best, bestDelta = x, delta
 					}
-				}
-				if bestCI < 0 || delta < bestDelta {
-					bestCI, bestDelta = ci, delta
 				}
 			}
 			rounds++
-			if bestCI < 0 || bestDelta >= 0 {
+			if best < 0 || bestDelta >= 0 {
 				break
 			}
-			x := cand[bestCI]
-			inRepl[bestCI] = true
-			row := mo.dist.Row(int(x))
+			left[best>>6] &^= 1 << (best & 63)
+			row := mo.dist.Row(int(best))
 			for j, site := range rs {
 				if d := row[site]; d < dmin[j] {
 					dmin[j] = d
 				}
 			}
-			sites = append(sites, x)
-			deltas = append(deltas, bestDelta)
+			p.sites[p.n], p.deltas[p.n] = best, bestDelta
+			p.n++
 		}
-		props[idx] = proposal{sites: sites, deltas: deltas}
+		props[idx] = p
 		// One charge per greedy scan round — the sparse analogue of a
 		// cost-model evaluation, so budgets bite proportionally.
 		c.Charge(rounds)
@@ -248,25 +251,62 @@ type ledgerEntry struct {
 	benefit int64   // −delta
 }
 
+// ledgerHeap is the merge's max-heap of pending steps under before.
 type ledgerHeap []ledgerEntry
 
-func (h ledgerHeap) Len() int { return len(h) }
-func (h ledgerHeap) Less(a, b int) bool {
-	if h[a].density != h[b].density {
-		return h[a].density > h[b].density
+// before is the merge order: higher benefit density first, then higher
+// absolute benefit, then lower object index — a total order, since an
+// object has at most one pending step, so the pop sequence is fixed.
+func before(a, b *ledgerEntry) bool {
+	if a.density != b.density {
+		return a.density > b.density
 	}
-	if h[a].benefit != h[b].benefit {
-		return h[a].benefit > h[b].benefit
+	if a.benefit != b.benefit {
+		return a.benefit > b.benefit
 	}
-	return h[a].obj < h[b].obj
+	return a.obj < b.obj
 }
-func (h ledgerHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *ledgerHeap) Push(x interface{}) { *h = append(*h, x.(ledgerEntry)) }
-func (h *ledgerHeap) Pop() interface{} {
+
+func (h *ledgerHeap) push(e ledgerEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+func (h *ledgerHeap) pop() ledgerEntry {
 	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	top, last := old[0], len(old)-1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return top
+}
+
+func (h ledgerHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(&h[i], &h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (h ledgerHeap) down(i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			return
+		}
+		if right := child + 1; right < len(h) && before(&h[right], &h[child]) {
+			child = right
+		}
+		if !before(&h[child], &h[i]) {
+			return
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
 }
 
 const (
@@ -282,39 +322,41 @@ func merge(mo *Model, a *Assignment, startCost int64, objects []int, props []pro
 	cost := startCost
 	h := make(ledgerHeap, 0, len(props))
 	for idx := range props {
-		res.Proposed += len(props[idx].sites)
-		if len(props[idx].sites) > 0 {
+		res.Proposed += props[idx].n
+		if props[idx].n > 0 {
 			h = append(h, entryFor(mo, objects, props, idx, 0))
 		}
 	}
-	heap.Init(&h)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	// Sample the controller once up front: a run interrupted during the
 	// propose phase (which leaves later objects with empty proposals) must
 	// report its stop reason even when nothing reaches the heap.
 	stopped, _ := c.Check()
 	steps := 0
-	for stopped == solver.StopCompleted && h.Len() > 0 {
+	for stopped == solver.StopCompleted && len(h) > 0 {
 		if steps%mergeCheckEvery == 0 {
 			if reason, stop := c.Check(); stop {
 				stopped = reason
 				break
 			}
 		}
-		e := heap.Pop(&h).(ledgerEntry)
+		e := h.pop()
 		k := objects[e.obj]
 		p := &props[e.obj]
 		site := int(p.sites[e.step])
 		if err := a.Add(site, k); err != nil {
 			// Capacity: this and every later step of the object assumed the
 			// add succeeded, so the whole tail is invalid.
-			res.Truncated += len(p.sites) - e.step
+			res.Truncated += p.n - e.step
 			continue
 		}
 		cost += -e.benefit
 		res.Applied++
 		steps++
-		if e.step+1 < len(p.sites) {
-			heap.Push(&h, entryFor(mo, objects, props, e.obj, e.step+1))
+		if e.step+1 < p.n {
+			h.push(entryFor(mo, objects, props, e.obj, e.step+1))
 		}
 		if steps%mergeObserveEvery == 0 {
 			c.Observe(steps, 0, 0, cost)
@@ -323,9 +365,8 @@ func merge(mo *Model, a *Assignment, startCost int64, objects []int, props []pro
 	if stopped.Interrupted() {
 		// Anything left pending stays unapplied; the assignment and cost
 		// remain exact for what was applied.
-		for h.Len() > 0 {
-			e := heap.Pop(&h).(ledgerEntry)
-			res.Truncated += len(props[e.obj].sites) - e.step
+		for _, e := range h {
+			res.Truncated += props[e.obj].n - e.step
 		}
 	}
 	res.Cost = cost

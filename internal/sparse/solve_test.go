@@ -2,6 +2,9 @@ package sparse
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"drp/internal/solver"
@@ -59,6 +62,68 @@ func TestSolveShardDeterminism(t *testing.T) {
 				t.Fatalf("seed %d shards %d: evaluations %d, serial %d", seed, shards,
 					res.Stats.Evaluations, base.Stats.Evaluations)
 			}
+		}
+	}
+}
+
+// assignmentDigest is the first 16 hex characters of sha256 over every
+// object's replica list, k ascending.
+func assignmentDigest(a *Assignment) string {
+	h := sha256.New()
+	for k := 0; k < a.Model().Objects(); k++ {
+		fmt.Fprint(h, a.Replicators(k), ";")
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestSolvePinned pins the sparse trajectory — night Solve, then Adapt of
+// the night placement on a 5 % perturbation — at shard counts 1, 2 and 8:
+// costs, evaluation counts, merge counters and the placement itself. Any
+// change to candidate pruning, the greedy's tie rule, proposal bookkeeping
+// or the merge order moves at least one of these numbers.
+func TestSolvePinned(t *testing.T) {
+	spec := NewWorkloadSpec(64, 3000)
+	night, err := GenerateWorkload(spec, 1)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	day, changed, err := PerturbWorkload(night, spec, 0.05, 1)
+	if err != nil {
+		t.Fatalf("perturb: %v", err)
+	}
+	for _, shards := range []int{1, 2, 8} {
+		params := SolveParams{Shards: shards}
+		solved, err := Solve(night, params, solver.Run{})
+		if err != nil {
+			t.Fatalf("shards %d: solve: %v", shards, err)
+		}
+		got := [...]int{int(solved.Cost), solved.Stats.Evaluations, solved.Proposed, solved.Applied, solved.Truncated}
+		if want := [...]int{5793614, 18572, 13532, 13474, 58}; got != want {
+			t.Errorf("shards %d: Solve cost/evals/proposed/applied/truncated %v, want %v", shards, got, want)
+		}
+		if d := assignmentDigest(solved.Assignment); d != "b8ce4e7203c903df" {
+			t.Errorf("shards %d: Solve placement digest %s", shards, d)
+		}
+		carried := NewAssignment(day)
+		for k := 0; k < day.Objects(); k++ {
+			for _, i := range solved.Assignment.Replicators(k) {
+				if i != day.Primary(k) {
+					if err := carried.Add(int(i), k); err != nil {
+						t.Fatalf("shards %d: rebind object %d: %v", shards, k, err)
+					}
+				}
+			}
+		}
+		adapted, err := Adapt(day, carried, changed, params, solver.Run{})
+		if err != nil {
+			t.Fatalf("shards %d: adapt: %v", shards, err)
+		}
+		got2 := [...]int{int(adapted.Cost), adapted.Stats.Evaluations, adapted.Applied, adapted.Truncated}
+		if want := [...]int{5839885, 1125, 660, 26}; got2 != want {
+			t.Errorf("shards %d: Adapt cost/evals/applied/truncated %v, want %v", shards, got2, want)
+		}
+		if d := assignmentDigest(adapted.Assignment); d != "37bc79c5c778d633" {
+			t.Errorf("shards %d: Adapt placement digest %s", shards, d)
 		}
 	}
 }
