@@ -317,9 +317,9 @@ func AdaptWith(in AdaptInput, params AGRAParams, mini GRAParams, miniGenerations
 
 // SparseGreedy solves p with the sharded greedy of internal/sparse over the
 // candidate-pruned CSR form of p. Objects propose replica moves on workers
-// goroutines (0 = all cores, 1 = serial; the result is identical at any
-// setting) and a capacity ledger merges them; an interrupted run returns the
-// valid scheme merged so far. A *Problem is already dense, so this door is
+// goroutines (0 = all cores, 1 = serial; a run that finishes returns the
+// same scheme at any setting) and a capacity ledger merges them; an
+// interrupted run returns the valid scheme merged so far. A *Problem is already dense, so this door is
 // for comparing algorithms: drpbench -sparse-bench builds the large instances.
 func SparseGreedy(p *Problem, workers int, run RunOptions) (*Scheme, SolverStats, error) {
 	if workers < 0 {

@@ -28,15 +28,28 @@ type Assignment struct {
 // an N=1e6 instance allocates two slabs, not a million slivers; lists that
 // grow past their slot migrate to their own storage on first append.
 func NewAssignment(mo *Model) *Assignment {
-	backing := make([]int32, mo.n)
+	return newAssignment(mo, func(int) int { return 0 })
+}
+
+// newAssignment is NewAssignment with room(k) spare slots after object k's
+// slot in the backing array, so that many adds to k allocate nothing.
+func newAssignment(mo *Model, room func(k int) int) *Assignment {
+	total := mo.n
+	for k := range mo.n {
+		total += room(k)
+	}
+	backing := make([]int32, total)
 	a := &Assignment{
 		mo:   mo,
 		repl: make([][]int32, mo.n),
 		used: make([]int64, mo.m),
 	}
-	for k := 0; k < mo.n; k++ {
-		backing[k] = mo.primary[k]
-		a.repl[k] = backing[k : k+1 : k+1]
+	off := 0
+	for k := range mo.n {
+		end := off + 1 + room(k)
+		backing[off] = mo.primary[k]
+		a.repl[k] = backing[off : off+1 : end]
+		off = end
 	}
 	copy(a.used, mo.primaryLoad)
 	return a

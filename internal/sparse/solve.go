@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -17,26 +18,33 @@ import (
 //     over its pruned candidate sites (the set bits of its bitmask, in
 //     ascending site order), each step adding the replica with the most
 //     negative exact cost delta (computed from cached per-reader
-//     nearest-replica distances in O(|cand|·|readers|) per step). Objects
+//     nearest-replica distances in O(|cand|·|readers|) per step). Within
+//     one descent the nearest-replica distances only fall, so a
+//     candidate's delta only rises: a candidate whose delta is already
+//     non-negative can never win a later step and leaves the scan. Objects
 //     fan out across shard workers via parallel.ForWorker; proposals are
 //     pure functions of the object written into fixed-size, index-addressed
-//     slots, so the shard count only groups work and never changes any
-//     result, and no step allocates.
+//     slots, so in an uninterrupted run the shard count only groups work
+//     and never changes any result, and no step allocates.
 //
 //  2. Merge — a single deterministic capacity-ledger pass reconciles the
-//     proposals: all first steps enter a typed max-heap ordered by benefit
-//     density (saving per storage unit, then absolute saving, then object
-//     index — a total order), and steps are applied best-first while
-//     capacity admits them. The first rejected step of an object truncates
-//     the object's remaining steps, because each later delta was computed
-//     assuming the earlier replicas exist; truncation keeps the running
-//     cost exact (start cost plus applied deltas, verified against a full
-//     re-evaluation in tests).
+//     proposals: every proposed step is sorted by benefit density (saving
+//     per storage unit, then absolute saving, then object index, then step
+//     — a total order), and steps are applied best-first while capacity
+//     admits them. Rising deltas make each object's steps already sorted,
+//     so one sort yields exactly the order a best-first merge of the
+//     per-object lists would. The first rejected step of an object
+//     truncates the object's remaining steps, because each later delta was
+//     computed assuming the earlier replicas exist; truncation keeps the
+//     running cost exact (start cost plus applied deltas, verified against
+//     a full re-evaluation in tests).
 //
 // Both phases honour the anytime runtime: proposals check the controller
 // per object, the merge at fixed step intervals, and every greedy step
 // charges the evaluation meter — so budgets, deadlines and observers work
-// exactly as they do for the dense solvers.
+// exactly as they do for the dense solvers. An interrupted run keeps the
+// proposals finished before the stop, and which ones those are depends on
+// the shard count.
 
 // DefaultMaxReplicas caps the greedy descent per object at this many
 // replicas, primary included. Unlimited descent on a million-object
@@ -48,7 +56,8 @@ const DefaultMaxReplicas = 8
 // SolveParams configures the sharded solve.
 type SolveParams struct {
 	// Shards is the worker count for the proposal fan-out: 0 means
-	// GOMAXPROCS, 1 is serial. Results are bit-identical at any value.
+	// GOMAXPROCS, 1 is serial. Uninterrupted runs are bit-identical at
+	// any value.
 	Shards int
 }
 
@@ -82,13 +91,13 @@ type proposal struct {
 // Solve runs the sharded greedy from the primaries-only allocation.
 func Solve(mo *Model, params SolveParams, run solver.Run) (*Result, error) {
 	c := solver.Start("sparse", run)
-	a := NewAssignment(mo)
 	props := make([]proposal, mo.n)
 	objects := make([]int, mo.n)
 	for k := range objects {
 		objects[k] = k
 	}
 	propose(mo, objects, props, params, c)
+	a := newAssignment(mo, func(k int) int { return props[k].n })
 	c.Observe(0, 0, 0, mo.dPrime)
 	res := merge(mo, a, mo.dPrime, objects, props, c)
 	return res, nil
@@ -153,11 +162,12 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 	workers := parallel.Workers(params.Shards)
 	type scratch struct {
 		dmin []int64  // per-reader nearest-replica distance
-		left []uint64 // candidate bitmask minus the sites already placed
+		wAt  []int64  // the object's write count per site, zero elsewhere
+		left []uint64 // candidate bitmask minus the sites placed or out of the running
 	}
 	scratches := make([]scratch, workers)
 	for w := range scratches {
-		scratches[w].left = lineWords(mo.candWords)
+		scratches[w] = scratch{dmin: make([]int64, mo.m), wAt: make([]int64, mo.m), left: lineWords(mo.candWords)}
 	}
 	parallel.ForWorker(len(objects), workers, func(w, idx int) {
 		if _, stop := c.Check(); stop {
@@ -178,52 +188,45 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 		spRow := mo.dist.Row(sp)
 		rs, rc := mo.ReadEntries(k)
 		ws, wc := mo.WriteEntries(k)
-		if cap(sc.dmin) < len(rs) {
-			sc.dmin = make([]int64, len(rs))
-		}
 		dmin := sc.dmin[:len(rs)]
 		for j, site := range rs {
 			dmin[j] = spRow[site]
 		}
+		for j, site := range ws {
+			sc.wAt[site] = wc[j]
+		}
 		var p proposal
 		rounds := 1
 		for p.n < len(p.sites) {
-			best := int32(-1)
-			var bestDelta int64
+			best, bestDelta := int32(-1), int64(0)
 			for wi, word := range left {
 				for ; word != 0; word &= word - 1 {
-					x := int32(wi<<6 | bits.TrailingZeros64(word))
-					row := mo.dist.Row(int(x))
-					// Fan-in the new replica starts paying, minus the write
-					// shipping and read traffic site x stops paying, minus the
-					// read-distance drops of the other non-replicator readers.
-					delta := wTot * ok * spRow[x]
+					b := bits.TrailingZeros64(word)
+					x := wi<<6 | b
+					row := mo.dist.Row(x)
+					// δ(x)/o_k is the fan-in a replica at x starts paying minus
+					// what it saves: x's own write shipping and every reader's
+					// drop to C(x,·). C(x,x) = 0 (NewModel validates the
+					// matrix), so x's own reads drop by all of dmin, and a
+					// replicator reader, whose dmin is 0, drops by nothing.
+					gain := sc.wAt[x] * spRow[x]
 					for j, site := range rs {
-						if site == x {
-							delta -= rc[j] * ok * dmin[j]
-							continue
-						}
-						if drop := dmin[j] - row[site]; drop > 0 {
-							// Readers that are replicators have dmin 0, so they
-							// never contribute here.
-							delta -= rc[j] * ok * drop
-						}
+						gain += rc[j] * max(dmin[j]-row[site], 0)
 					}
-					for j, site := range ws {
-						if site == x {
-							delta -= wc[j] * ok * spRow[x]
-							break // sites are unique within the CSR row
-						}
-					}
-					// Bits come out ascending, so strict < keeps ties at the
-					// lowest site.
-					if best < 0 || delta < bestDelta {
-						best, bestDelta = x, delta
+					delta := ok * (wTot*spRow[x] - gain)
+					if delta >= 0 {
+						// dmin only falls, so δ(x) only rises: x can never
+						// win a later round of this descent.
+						left[wi] &^= 1 << b
+					} else if delta < bestDelta {
+						// Bits come out ascending, so strict < keeps ties at
+						// the lowest site.
+						best, bestDelta = int32(x), delta
 					}
 				}
 			}
 			rounds++
-			if best < 0 || bestDelta >= 0 {
+			if best < 0 {
 				break
 			}
 			left[best>>6] &^= 1 << (best & 63)
@@ -236,6 +239,9 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 			p.sites[p.n], p.deltas[p.n] = best, bestDelta
 			p.n++
 		}
+		for _, site := range ws {
+			sc.wAt[site] = 0
+		}
 		props[idx] = p
 		// One charge per greedy scan round — the sparse analogue of a
 		// cost-model evaluation, so budgets bite proportionally.
@@ -243,70 +249,11 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 	})
 }
 
-// ledgerEntry is one pending merge step: objects[obj]'s step-th greedy add.
+// ledgerEntry is one proposed step: objects[obj]'s step-th greedy add. It
+// is 16 bytes; the benefit that breaks a density tie is read from props.
 type ledgerEntry struct {
-	obj     int // index into the objects/props slices
-	step    int
-	density float64 // saving per storage unit of this step
-	benefit int64   // −delta
-}
-
-// ledgerHeap is the merge's max-heap of pending steps under before.
-type ledgerHeap []ledgerEntry
-
-// before is the merge order: higher benefit density first, then higher
-// absolute benefit, then lower object index — a total order, since an
-// object has at most one pending step, so the pop sequence is fixed.
-func before(a, b *ledgerEntry) bool {
-	if a.density != b.density {
-		return a.density > b.density
-	}
-	if a.benefit != b.benefit {
-		return a.benefit > b.benefit
-	}
-	return a.obj < b.obj
-}
-
-func (h *ledgerHeap) push(e ledgerEntry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *ledgerHeap) pop() ledgerEntry {
-	old := *h
-	top, last := old[0], len(old)-1
-	old[0] = old[last]
-	*h = old[:last]
-	h.down(0)
-	return top
-}
-
-func (h ledgerHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(&h[i], &h[parent]) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h ledgerHeap) down(i int) {
-	for {
-		child := 2*i + 1
-		if child >= len(h) {
-			return
-		}
-		if right := child + 1; right < len(h) && before(&h[right], &h[child]) {
-			child = right
-		}
-		if !before(&h[child], &h[i]) {
-			return
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
+	density   float64 // saving per storage unit of this step
+	obj, step int32   // obj indexes the objects/props slices
 }
 
 const (
@@ -315,58 +262,73 @@ const (
 )
 
 // merge applies the proposals best-density-first against the shared
-// capacity ledger. startCost must be the exact cost of a as passed in; the
-// returned cost is startCost plus every applied delta.
+// capacity ledger, truncating props[obj].n at an object's first rejected
+// step. startCost must be the exact cost of a as passed in; the returned
+// cost is startCost plus every applied delta.
 func merge(mo *Model, a *Assignment, startCost int64, objects []int, props []proposal, c *solver.Controller) *Result {
 	res := &Result{Assignment: a}
 	cost := startCost
-	h := make(ledgerHeap, 0, len(props))
 	for idx := range props {
 		res.Proposed += props[idx].n
-		if props[idx].n > 0 {
-			h = append(h, entryFor(mo, objects, props, idx, 0))
+	}
+	steps := make([]ledgerEntry, 0, res.Proposed)
+	for idx := range props {
+		p := &props[idx]
+		size := float64(mo.size[objects[idx]])
+		for s := range p.n {
+			steps = append(steps, ledgerEntry{float64(-p.deltas[s]) / size, int32(idx), int32(s)})
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
+	// Higher density first, then higher benefit (lower delta), then lower
+	// object index, then earlier step: a total order. An object's deltas
+	// never fall, so its steps already come in step order, and this is the
+	// order a best-first merge of the per-object lists would pop.
+	slices.SortFunc(steps, func(x, y ledgerEntry) int {
+		if x.density != y.density {
+			return cmp.Compare(y.density, x.density)
+		}
+		if dx, dy := props[x.obj].deltas[x.step], props[y.obj].deltas[y.step]; dx != dy {
+			return cmp.Compare(dx, dy)
+		}
+		return cmp.Or(cmp.Compare(x.obj, y.obj), cmp.Compare(x.step, y.step))
+	})
 	// Sample the controller once up front: a run interrupted during the
 	// propose phase (which leaves later objects with empty proposals) must
-	// report its stop reason even when nothing reaches the heap.
+	// report its stop reason even when no step is applied.
 	stopped, _ := c.Check()
-	steps := 0
-	for stopped == solver.StopCompleted && len(h) > 0 {
-		if steps%mergeCheckEvery == 0 {
+	next := 0
+	for ; stopped == solver.StopCompleted && next < len(steps); next++ {
+		e := steps[next]
+		p := &props[e.obj]
+		if int(e.step) >= p.n {
+			continue // behind the object's rejected step
+		}
+		if res.Applied%mergeCheckEvery == 0 {
 			if reason, stop := c.Check(); stop {
 				stopped = reason
 				break
 			}
 		}
-		e := h.pop()
-		k := objects[e.obj]
-		p := &props[e.obj]
-		site := int(p.sites[e.step])
-		if err := a.Add(site, k); err != nil {
+		if err := a.Add(int(p.sites[e.step]), objects[e.obj]); err != nil {
 			// Capacity: this and every later step of the object assumed the
 			// add succeeded, so the whole tail is invalid.
-			res.Truncated += p.n - e.step
+			res.Truncated += p.n - int(e.step)
+			p.n = int(e.step)
 			continue
 		}
-		cost += -e.benefit
+		cost += p.deltas[e.step]
 		res.Applied++
-		steps++
-		if e.step+1 < p.n {
-			h.push(entryFor(mo, objects, props, e.obj, e.step+1))
-		}
-		if steps%mergeObserveEvery == 0 {
-			c.Observe(steps, 0, 0, cost)
+		if res.Applied%mergeObserveEvery == 0 {
+			c.Observe(res.Applied, 0, 0, cost)
 		}
 	}
 	if stopped.Interrupted() {
 		// Anything left pending stays unapplied; the assignment and cost
 		// remain exact for what was applied.
-		for _, e := range h {
-			res.Truncated += props[e.obj].n - e.step
+		for _, e := range steps[next:] {
+			if int(e.step) < props[e.obj].n {
+				res.Truncated++
+			}
 		}
 	}
 	res.Cost = cost
@@ -374,15 +336,4 @@ func merge(mo *Model, a *Assignment, startCost int64, objects []int, props []pro
 	res.Stats = c.Finish(res.Applied, stopped)
 	c.Observe(res.Applied, 0, 0, cost)
 	return res
-}
-
-func entryFor(mo *Model, objects []int, props []proposal, idx, step int) ledgerEntry {
-	k := objects[idx]
-	benefit := -props[idx].deltas[step]
-	return ledgerEntry{
-		obj:     idx,
-		step:    step,
-		density: float64(benefit) / float64(mo.size[k]),
-		benefit: benefit,
-	}
 }

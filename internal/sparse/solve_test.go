@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 
 	"drp/internal/solver"
+	"drp/internal/workload"
 )
 
 func TestSolveValid(t *testing.T) {
@@ -125,6 +127,138 @@ func TestSolvePinned(t *testing.T) {
 		if d := assignmentDigest(adapted.Assignment); d != "37bc79c5c778d633" {
 			t.Errorf("shards %d: Adapt placement digest %s", shards, d)
 		}
+	}
+}
+
+// naiveProposal is the greedy descent written from the definition: each
+// round prices every candidate not yet placed by a full V_k evaluation of
+// the list plus that site, ascending with strict <, so the most negative
+// delta wins and ties go to the lowest site; it stops at the first round
+// without a negative delta or at DefaultMaxReplicas−1 adds.
+func naiveProposal(ev *Evaluator, mo *Model, k int) proposal {
+	var p proposal
+	repl := []int32{mo.Primary(k)}
+	cur := ev.ObjectCost(k, repl)
+	for p.n < DefaultMaxReplicas-1 {
+		best, bestDelta := int32(-1), int64(0)
+		for _, x := range mo.Candidates(k) {
+			idx, placed := slices.BinarySearch(repl, x)
+			if placed {
+				continue
+			}
+			if d := ev.ObjectCost(k, slices.Insert(slices.Clone(repl), idx, x)) - cur; d < bestDelta {
+				best, bestDelta = x, d
+			}
+		}
+		if best < 0 {
+			break
+		}
+		idx, _ := slices.BinarySearch(repl, best)
+		repl = slices.Insert(repl, idx, best)
+		cur += bestDelta
+		p.sites[p.n], p.deltas[p.n] = best, bestDelta
+		p.n++
+	}
+	return p
+}
+
+// TestProposeMatchesNaiveGreedy holds every proposal to naiveProposal,
+// site for site and delta for delta, on one-, two- and three-word
+// candidate masks and on dense workload instances, and checks the
+// invariant the merge's single sort rests on: within a proposal the deltas
+// are negative and non-decreasing.
+func TestProposeMatchesNaiveGreedy(t *testing.T) {
+	var models []*Model
+	for _, dims := range [][2]int{{12, 300}, {65, 200}, {130, 120}} {
+		models = append(models, testModel(t, dims[0], dims[1], 3))
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		p, err := workload.Generate(workload.NewSpec(50, 200, 0.05, 0.15), seed)
+		if err != nil {
+			t.Fatalf("seed %d: generate: %v", seed, err)
+		}
+		mo, err := FromProblem(p)
+		if err != nil {
+			t.Fatalf("seed %d: FromProblem: %v", seed, err)
+		}
+		models = append(models, mo)
+	}
+	for mi, mo := range models {
+		objects := make([]int, mo.Objects())
+		for k := range objects {
+			objects[k] = k
+		}
+		props := make([]proposal, len(objects))
+		propose(mo, objects, props, SolveParams{}, solver.Start("sparse", solver.Run{}))
+		ev := NewEvaluator(mo)
+		steps := 0
+		for k, got := range props {
+			if want := naiveProposal(ev, mo, k); got != want {
+				t.Fatalf("model %d (M=%d) object %d: proposal %v %v, naive greedy %v %v", mi, mo.Sites(), k,
+					got.sites[:got.n], got.deltas[:got.n], want.sites[:want.n], want.deltas[:want.n])
+			}
+			for s := 0; s < got.n; s++ {
+				if got.deltas[s] >= 0 || (s > 0 && got.deltas[s] < got.deltas[s-1]) {
+					t.Fatalf("model %d object %d: deltas %v are not negative and non-decreasing", mi, k, got.deltas[:got.n])
+				}
+			}
+			steps += got.n
+		}
+		if steps == 0 {
+			t.Fatalf("model %d proposes nothing; it does not exercise the greedy", mi)
+		}
+	}
+}
+
+// TestSolveInterruptedPinned pins what an interrupted merge leaves behind:
+// a cancel at the 65 536th applied step (the first Observe), on an instance
+// whose sites have room and on one whose sites have already rejected
+// steps by then, at shard counts 1 and 2; and a budget spent during the
+// propose phase. The cost stays exact.
+func TestSolveInterruptedPinned(t *testing.T) {
+	tight := NewWorkloadSpec(64, 20000)
+	tight.CapacityRatio = 0.08
+	crowded, err := GenerateWorkload(tight, 1)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	for _, tc := range []struct {
+		mo   *Model
+		cost int
+	}{{testModel(t, 64, 20000, 1), 47523242}, {crowded, 51272939}} {
+		for _, shards := range []int{1, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			stopAt := solver.ObserverFunc(func(p solver.Progress) {
+				if p.Iteration >= 65536 {
+					cancel()
+				}
+			})
+			res, err := Solve(tc.mo, SolveParams{Shards: shards}, solver.Run{Context: ctx, Observer: stopAt})
+			cancel()
+			if err != nil {
+				t.Fatalf("shards %d: solve: %v", shards, err)
+			}
+			if res.Stats.Stopped != solver.StopCancelled {
+				t.Fatalf("shards %d: stopped %v, want cancelled", shards, res.Stats.Stopped)
+			}
+			got := [...]int{int(res.Cost), res.Proposed, res.Applied, res.Truncated}
+			if want := [...]int{tc.cost, 90115, 65536, 24579}; got != want {
+				t.Errorf("shards %d: cost/proposed/applied/truncated %v, want %v", shards, got, want)
+			}
+			if full := NewEvaluator(tc.mo).Cost(res.Assignment); full != res.Cost {
+				t.Errorf("shards %d: cost %d, full re-eval %d", shards, res.Cost, full)
+			}
+		}
+	}
+
+	small := testModel(t, 12, 150, 4)
+	res, err := Solve(small, SolveParams{Shards: 1}, solver.Run{Budget: 20})
+	if err != nil {
+		t.Fatalf("budget: solve: %v", err)
+	}
+	got := [...]int{int(res.Cost), res.Proposed, res.Applied, res.Truncated}
+	if want := [...]int{1557212, 18, 0, 18}; got != want {
+		t.Errorf("budget 20: cost/proposed/applied/truncated %v, want %v", got, want)
 	}
 }
 
