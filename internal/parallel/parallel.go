@@ -38,7 +38,9 @@ func For(n, workers int, fn func(i int)) {
 // w in [0, workers). A worker identity is held by exactly one goroutine at
 // a time, so callers can hand each worker private scratch state (e.g. a
 // core.Evaluator). Tasks are handed out by an atomic counter, which keeps
-// the workers busy even when task costs are skewed.
+// the workers busy even when task costs are skewed. The counter hands out
+// one index at a time, so callers batch sub-microsecond tasks into chunks,
+// as sparse.Adapt does for its start cost.
 func ForWorker(n, workers int, fn func(worker, task int)) {
 	if workers > n {
 		workers = n

@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -17,10 +16,11 @@ import (
 //  1. Propose — every object is searched independently: a greedy descent
 //     over its pruned candidate sites (the set bits of its bitmask, in
 //     ascending site order), each step adding the replica with the most
-//     negative exact cost delta (computed from cached per-reader
-//     nearest-replica distances in O(|cand|·|readers|) per step). Within
-//     one descent the nearest-replica distances only fall, so a
-//     candidate's delta only rises: a candidate whose delta is already
+//     negative exact cost delta. The first round prices every candidate
+//     against every reader; after that each add moves only the gains of
+//     the readers it brings closer, so a later round prices a candidate in
+//     O(1). Within one descent the nearest-replica distances only fall, so
+//     a candidate's delta only rises: a candidate whose delta is already
 //     non-negative can never win a later step and leaves the scan. Objects
 //     fan out across shard workers via parallel.ForWorker; proposals are
 //     pure functions of the object written into fixed-size, index-addressed
@@ -28,16 +28,18 @@ import (
 //     and never changes any result, and no step allocates.
 //
 //  2. Merge — a single deterministic capacity-ledger pass reconciles the
-//     proposals: every proposed step is sorted by benefit density (saving
-//     per storage unit, then absolute saving, then object index, then step
-//     — a total order), and steps are applied best-first while capacity
-//     admits them. Rising deltas make each object's steps already sorted,
-//     so one sort yields exactly the order a best-first merge of the
-//     per-object lists would. The first rejected step of an object
-//     truncates the object's remaining steps, because each later delta was
-//     computed assuming the earlier replicas exist; truncation keeps the
-//     running cost exact (start cost plus applied deltas, verified against
-//     a full re-evaluation in tests).
+//     proposals: every proposed step becomes a self-contained ledger entry
+//     (object, site, and its exact integer saving per storage unit), the
+//     entries are ordered by saving per unit, then size, then object
+//     position, then step — a total order, reached by two stable radix
+//     passes over a list built in (object, step) order — and steps are
+//     applied best-first while capacity admits them. Rising deltas make
+//     each object's steps already sorted, so this is exactly the order a
+//     best-first merge of the per-object lists would pop. The first
+//     rejected step of an object kills the object's remaining steps,
+//     because each later delta was computed assuming the earlier replicas
+//     exist; the running cost stays exact (start cost plus applied deltas,
+//     verified against a full re-evaluation in tests).
 //
 // Both phases honour the anytime runtime: proposals check the controller
 // per object, the merge at fixed step intervals, and every greedy step
@@ -98,10 +100,15 @@ func Solve(mo *Model, params SolveParams, run solver.Run) (*Result, error) {
 	}
 	propose(mo, objects, props, params, c)
 	a := newAssignment(mo, func(k int) int { return props[k].n })
+	steps := ledger(mo, objects, props)
 	c.Observe(0, 0, 0, mo.dPrime)
-	res := merge(mo, a, mo.dPrime, objects, props, c)
-	return res, nil
+	return merge(mo, a, mo.dPrime, objects, steps, c), nil
 }
+
+// startChunk is how many objects one task of Adapt's start-cost pass
+// prices: a V_k takes well under a microsecond, so one task per object
+// would spend the pass on handing out indices.
+const startChunk = 4096
 
 // Adapt re-optimises only the changed objects of an existing assignment:
 // their replicas (beyond the primary) are stripped, fresh proposals are
@@ -121,15 +128,22 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 			objects = append(objects, k)
 		}
 	}
-	// Start cost: V_k of every object in parallel, written by index so the
-	// sum is the same at any shard count; one full-assignment evaluation.
+	// Start cost: V_k of every object, summed per chunk into index-addressed
+	// slots so the total is the same at any shard count; one full-assignment
+	// evaluation.
 	ev := NewEvaluator(mo)
-	costs := make([]int64, mo.n)
-	parallel.For(mo.n, parallel.Workers(params.Shards), func(k int) { costs[k] = ev.objectCost(k, a.repl[k]) })
+	sums := make([]int64, (mo.n+startChunk-1)/startChunk)
+	parallel.For(len(sums), parallel.Workers(params.Shards), func(ch int) {
+		var sum int64
+		for k := ch * startChunk; k < min((ch+1)*startChunk, mo.n); k++ {
+			sum += ev.objectCost(k, a.repl[k])
+		}
+		sums[ch] = sum
+	})
 	c.Charge(1)
 	var cost int64
-	for _, v := range costs {
-		cost += v
+	for _, sum := range sums {
+		cost += sum
 	}
 	// Strip the changed objects to primary-only; the cost moves to their
 	// V′_k and the ledger releases their storage.
@@ -148,9 +162,9 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 	}
 	props := make([]proposal, len(objects))
 	propose(mo, objects, props, params, c)
+	steps := ledger(mo, objects, props)
 	c.Observe(0, 0, 0, cost)
-	res := merge(mo, a, cost, objects, props, c)
-	return res, nil
+	return merge(mo, a, cost, objects, steps, c), nil
 }
 
 // propose computes the greedy descent of every listed object into
@@ -163,11 +177,12 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 	type scratch struct {
 		dmin []int64  // per-reader nearest-replica distance
 		wAt  []int64  // the object's write count per site, zero elsewhere
+		gain []int64  // per candidate site: δ's saving term, kept current
 		left []uint64 // candidate bitmask minus the sites placed or out of the running
 	}
 	scratches := make([]scratch, workers)
 	for w := range scratches {
-		scratches[w] = scratch{dmin: make([]int64, mo.m), wAt: make([]int64, mo.m), left: lineWords(mo.candWords)}
+		scratches[w] = scratch{dmin: make([]int64, mo.m), wAt: make([]int64, mo.m), gain: make([]int64, mo.m), left: lineWords(mo.candWords)}
 	}
 	parallel.ForWorker(len(objects), workers, func(w, idx int) {
 		if _, stop := c.Check(); stop {
@@ -195,25 +210,35 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 		for j, site := range ws {
 			sc.wAt[site] = wc[j]
 		}
+		// δ(x) = o_k·(Wtot·C(x,SP) − gain[x]): the fan-in a replica at x
+		// starts paying minus what it saves, x's own write shipping and
+		// every reader's drop to C(x,·). C(x,x) = 0 (NewModel validates the
+		// matrix), so x's own reads drop by all of dmin, and a replicator
+		// reader, whose dmin is 0, drops by nothing.
+		gain := sc.gain
+		for wi, word := range left {
+			for ; word != 0; word &= word - 1 {
+				x := wi<<6 | bits.TrailingZeros64(word)
+				row := mo.dist.Row(x)
+				g := sc.wAt[x] * spRow[x]
+				for j, site := range rs {
+					g += rc[j] * max(dmin[j]-row[site], 0)
+				}
+				gain[x] = g
+			}
+		}
+		for _, site := range ws {
+			sc.wAt[site] = 0
+		}
 		var p proposal
 		rounds := 1
-		for p.n < len(p.sites) {
+		for {
 			best, bestDelta := int32(-1), int64(0)
 			for wi, word := range left {
 				for ; word != 0; word &= word - 1 {
 					b := bits.TrailingZeros64(word)
 					x := wi<<6 | b
-					row := mo.dist.Row(x)
-					// δ(x)/o_k is the fan-in a replica at x starts paying minus
-					// what it saves: x's own write shipping and every reader's
-					// drop to C(x,·). C(x,x) = 0 (NewModel validates the
-					// matrix), so x's own reads drop by all of dmin, and a
-					// replicator reader, whose dmin is 0, drops by nothing.
-					gain := sc.wAt[x] * spRow[x]
-					for j, site := range rs {
-						gain += rc[j] * max(dmin[j]-row[site], 0)
-					}
-					delta := ok * (wTot*spRow[x] - gain)
+					delta := ok * (wTot*spRow[x] - gain[x])
 					if delta >= 0 {
 						// dmin only falls, so δ(x) only rises: x can never
 						// win a later round of this descent.
@@ -230,17 +255,29 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 				break
 			}
 			left[best>>6] &^= 1 << (best & 63)
-			row := mo.dist.Row(int(best))
-			for j, site := range rs {
-				if d := row[site]; d < dmin[j] {
-					dmin[j] = d
-				}
-			}
 			p.sites[p.n], p.deltas[p.n] = best, bestDelta
 			p.n++
-		}
-		for _, site := range ws {
-			sc.wAt[site] = 0
+			if p.n == len(p.sites) {
+				break
+			}
+			// Each reader the new replica brings closer, from old to nd,
+			// saves less at every remaining x. C is symmetric, so C(x,s_j)
+			// is row s_j at x.
+			row := mo.dist.Row(int(best))
+			for j, site := range rs {
+				old, nd := dmin[j], row[site]
+				if nd >= old {
+					continue
+				}
+				dmin[j] = nd
+				col := mo.dist.Row(int(site))
+				for wi, word := range left {
+					for ; word != 0; word &= word - 1 {
+						x := wi<<6 | bits.TrailingZeros64(word)
+						gain[x] -= rc[j] * (max(old-col[x], 0) - max(nd-col[x], 0))
+					}
+				}
+			}
 		}
 		props[idx] = p
 		// One charge per greedy scan round — the sparse analogue of a
@@ -249,11 +286,74 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 	})
 }
 
-// ledgerEntry is one proposed step: objects[obj]'s step-th greedy add. It
-// is 16 bytes; the benefit that breaks a density tie is read from props.
+// ledgerEntry is one proposed step, self-contained: add a replica of
+// object obj at site. saving is the step's cost reduction per storage
+// unit, −δ/o_k, and exact: every eq. 4 term of δ carries o_k.
 type ledgerEntry struct {
-	density   float64 // saving per storage unit of this step
-	obj, step int32   // obj indexes the objects/props slices
+	saving    int64
+	obj, site int32
+}
+
+// ledger lists every proposed step in (position in objects, step) order,
+// the order the merge's stable sort keeps among equal keys.
+func ledger(mo *Model, objects []int, props []proposal) []ledgerEntry {
+	n := 0
+	for idx := range props {
+		n += props[idx].n
+	}
+	steps := make([]ledgerEntry, 0, n)
+	for idx := range props {
+		p := &props[idx]
+		k := objects[idx]
+		for s := range p.n {
+			steps = append(steps, ledgerEntry{-p.deltas[s] / mo.size[k], int32(k), p.sites[s]})
+		}
+	}
+	return steps
+}
+
+// radixBits is the digit width of the ledger sort: six 11-bit digits cover
+// a uint64 key, and one digit's 2 048 counters fit in L1.
+const (
+	radixBits   = 11
+	radixDigits = (64 + radixBits - 1) / radixBits
+	radixMask   = 1<<radixBits - 1
+)
+
+// sortLedger stably sorts src ascending by key with one counting pass per
+// digit, least significant first, skipping every digit all keys share.
+// spare must be as long as src; the sorted entries come back in one of the
+// two buffers and the other is returned as spare.
+func sortLedger(src, spare []ledgerEntry, key func(*ledgerEntry) uint64) ([]ledgerEntry, []ledgerEntry) {
+	if len(src) == 0 {
+		return src, spare
+	}
+	var counts [radixDigits][1 << radixBits]int
+	for i := range src {
+		v := key(&src[i])
+		for d := range counts {
+			counts[d][v>>(d*radixBits)&radixMask]++
+		}
+	}
+	first := key(&src[0])
+	for d := range counts {
+		shift := d * radixBits
+		count := &counts[d]
+		if count[first>>shift&radixMask] == len(src) {
+			continue
+		}
+		next := 0
+		for b, n := range count {
+			count[b], next = next, next+n
+		}
+		for i := range src {
+			b := key(&src[i]) >> shift & radixMask
+			spare[count[b]] = src[i]
+			count[b]++
+		}
+		src, spare = spare, src
+	}
+	return src, spare
 }
 
 const (
@@ -261,46 +361,29 @@ const (
 	mergeObserveEvery = 65536
 )
 
-// merge applies the proposals best-density-first against the shared
-// capacity ledger, truncating props[obj].n at an object's first rejected
-// step. startCost must be the exact cost of a as passed in; the returned
-// cost is startCost plus every applied delta.
-func merge(mo *Model, a *Assignment, startCost int64, objects []int, props []proposal, c *solver.Controller) *Result {
-	res := &Result{Assignment: a}
+// merge applies the ledger's steps best-density-first against the shared
+// capacity ledger; an object's first rejected step kills its later ones.
+// steps must come from ledger; objects lists the proposing objects, whose
+// replica lists the merge appends to and sorts once at the end. startCost
+// must be the exact cost of a as passed in; the returned cost is startCost
+// plus every applied delta.
+func merge(mo *Model, a *Assignment, startCost int64, objects []int, steps []ledgerEntry, c *solver.Controller) *Result {
+	res := &Result{Assignment: a, Proposed: len(steps)}
 	cost := startCost
-	for idx := range props {
-		res.Proposed += props[idx].n
-	}
-	steps := make([]ledgerEntry, 0, res.Proposed)
-	for idx := range props {
-		p := &props[idx]
-		size := float64(mo.size[objects[idx]])
-		for s := range p.n {
-			steps = append(steps, ledgerEntry{float64(-p.deltas[s]) / size, int32(idx), int32(s)})
-		}
-	}
-	// Higher density first, then higher benefit (lower delta), then lower
-	// object index, then earlier step: a total order. An object's deltas
-	// never fall, so its steps already come in step order, and this is the
-	// order a best-first merge of the per-object lists would pop.
-	slices.SortFunc(steps, func(x, y ledgerEntry) int {
-		if x.density != y.density {
-			return cmp.Compare(y.density, x.density)
-		}
-		if dx, dy := props[x.obj].deltas[x.step], props[y.obj].deltas[y.step]; dx != dy {
-			return cmp.Compare(dx, dy)
-		}
-		return cmp.Or(cmp.Compare(x.obj, y.obj), cmp.Compare(x.step, y.step))
-	})
+	// Higher saving per unit first, then larger object (higher benefit),
+	// then the ledger's (object position, step) order: a total order. An
+	// object's deltas never fall, so its steps stay in step order, and this
+	// is the order a best-first merge of the per-object lists would pop.
+	steps, spare := sortLedger(steps, make([]ledgerEntry, len(steps)), func(e *ledgerEntry) uint64 { return ^uint64(mo.size[e.obj]) })
+	steps, _ = sortLedger(steps, spare, func(e *ledgerEntry) uint64 { return ^uint64(e.saving) })
+	dead := make([]bool, mo.n)
 	// Sample the controller once up front: a run interrupted during the
 	// propose phase (which leaves later objects with empty proposals) must
 	// report its stop reason even when no step is applied.
 	stopped, _ := c.Check()
-	next := 0
-	for ; stopped == solver.StopCompleted && next < len(steps); next++ {
-		e := steps[next]
-		p := &props[e.obj]
-		if int(e.step) >= p.n {
+	for i := 0; stopped == solver.StopCompleted && i < len(steps); i++ {
+		e := steps[i]
+		if dead[e.obj] {
 			continue // behind the object's rejected step
 		}
 		if res.Applied%mergeCheckEvery == 0 {
@@ -309,28 +392,30 @@ func merge(mo *Model, a *Assignment, startCost int64, objects []int, props []pro
 				break
 			}
 		}
-		if err := a.Add(int(p.sites[e.step]), objects[e.obj]); err != nil {
+		size := mo.size[e.obj]
+		if a.Free(int(e.site)) < size {
 			// Capacity: this and every later step of the object assumed the
 			// add succeeded, so the whole tail is invalid.
-			res.Truncated += p.n - int(e.step)
-			p.n = int(e.step)
+			dead[e.obj] = true
 			continue
 		}
-		cost += p.deltas[e.step]
+		a.used[e.site] += size
+		a.repl[e.obj] = append(a.repl[e.obj], e.site)
+		cost -= e.saving * size
 		res.Applied++
 		if res.Applied%mergeObserveEvery == 0 {
 			c.Observe(res.Applied, 0, 0, cost)
 		}
 	}
-	if stopped.Interrupted() {
-		// Anything left pending stays unapplied; the assignment and cost
-		// remain exact for what was applied.
-		for _, e := range steps[next:] {
-			if int(e.step) < props[e.obj].n {
-				res.Truncated++
-			}
+	for _, k := range objects {
+		if repl := a.repl[k]; len(repl) > 1 {
+			slices.Sort(repl)
 		}
 	}
+	// Everything not applied was rejected, behind a rejection, or left
+	// pending by an interrupt; the assignment and cost remain exact for
+	// what was applied.
+	res.Truncated = res.Proposed - res.Applied
 	res.Cost = cost
 	res.Savings = mo.Savings(cost)
 	res.Stats = c.Finish(res.Applied, stopped)
