@@ -191,6 +191,15 @@ func TestBenchSparseMode(t *testing.T) {
 		if rep.AdaptEvals == 0 || rep.AdaptCost <= 0 {
 			t.Fatalf("adapt round missing from report: %+v", rep)
 		}
+		// A timing, so only its presence is checked: 400 objects generate
+		// in well under a millisecond.
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(data, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields["gen_millis"]; !ok {
+			t.Fatalf("report lacks gen_millis:\n%s", data)
+		}
 		if ref.Schema == "" {
 			ref = rep
 		} else if rep.SolveCost != ref.SolveCost || rep.SolveReplicas != ref.SolveReplicas || rep.SolveEvals != ref.SolveEvals ||

@@ -42,6 +42,7 @@ type sparseBenchReport struct {
 	ReadNNZ    int    `json:"read_nnz"`
 	WriteNNZ   int    `json:"write_nnz"`
 	Candidates int    `json:"candidates"`
+	GenMillis  int64  `json:"gen_millis"` // GenerateWorkload, candidate pruning included
 
 	DPrime        int64   `json:"d_prime"`
 	SolveCost     int64   `json:"solve_cost"`
@@ -69,9 +70,10 @@ func runSparseBench(opts sparseBenchOpts, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("generate: %w", err)
 	}
+	genElapsed := time.Since(genStart)
 	readNNZ, writeNNZ := mo.AccessEntries()
 	logf("generated in %v: %d read entries, %d write entries, %d candidate sites",
-		time.Since(genStart).Round(time.Millisecond), readNNZ, writeNNZ, mo.CandidateCount())
+		genElapsed.Round(time.Millisecond), readNNZ, writeNNZ, mo.CandidateCount())
 
 	logf("solving with %d shards…", opts.shards)
 	solveStart := time.Now()
@@ -93,6 +95,7 @@ func runSparseBench(opts sparseBenchOpts, stdout, stderr io.Writer) error {
 		ReadNNZ:       readNNZ,
 		WriteNNZ:      writeNNZ,
 		Candidates:    mo.CandidateCount(),
+		GenMillis:     genElapsed.Milliseconds(),
 		DPrime:        mo.DPrime(),
 		SolveCost:     res.Cost,
 		SolveSavings:  mo.Savings(res.Cost),

@@ -43,6 +43,30 @@ func denseFormObjectCost(mo *Model, k int, repl []int32, dmin []int64) int64 {
 
 var benchSink int64
 
+// BenchmarkNewModel times NewModel — validation, derived caches and
+// candidate pruning — on one pre-generated instance of 200 000 objects at
+// each M, in ns per object.
+//
+//	go test -run '^$' -bench NewModel -cpu 1,2 ./internal/sparse
+func BenchmarkNewModel(b *testing.B) {
+	const objects = 200000
+	for _, sites := range []int{64, 100} {
+		mo, err := GenerateWorkload(NewWorkloadSpec(sites, objects), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := Config{Sizes: mo.size, Capacities: mo.cap, Primaries: mo.primary, Reads: mo.reads, Writes: mo.writes, Dist: mo.dist}
+		b.Run(fmt.Sprintf("M=%d", sites), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := NewModel(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/objects, "ns/object")
+		})
+	}
+}
+
 // BenchmarkEvalDenseFormOnCSR times one full eq. 4 evaluation of
 // sparse.Solve's assignment with the package's CSR kernel and with the
 // dense kernel's form run on the same CSR model, after asserting the two

@@ -10,7 +10,7 @@
 //     with ~7 access entries per object holds ~170 MiB of live heap,
 //     candidate sets included, where two dense int64 matrices alone would
 //     need 1.5 GiB; `drpbench -sparse-bench` (that instance plus its 1 %
-//     perturbation, solved and adapted) peaks at ~570 MiB RSS;
+//     perturbation, solved and adapted) peaks at ~580 MiB RSS;
 //   - candidate-site pruning: per object, the sites at which a replica could
 //     ever pay for its update fan-in (plus the primary), computed from a
 //     sound upper bound on the achievable saving and from capacity
@@ -205,24 +205,6 @@ func NewModel(cfg Config) (*Model, error) {
 	return mo, nil
 }
 
-// satAdd and satMul are saturating arithmetic on non-negative values, used
-// only by the candidate scorer: a saturated saving bound keeps the site as
-// a candidate (the conservative direction), so pruning stays sound on
-// extreme instances.
-func satAdd(a, b int64) int64 {
-	if s := a + b; s >= a {
-		return s
-	}
-	return math.MaxInt64
-}
-
-func satMul(a, b int64) int64 {
-	if hi, lo := bits.Mul64(uint64(a), uint64(b)); hi == 0 && lo <= math.MaxInt64 {
-		return int64(lo)
-	}
-	return math.MaxInt64
-}
-
 func (mo *Model) buildCaches() error {
 	mo.totalReads = make([]int64, mo.n)
 	mo.totalWrites = make([]int64, mo.n)
@@ -269,106 +251,104 @@ func errMagnitude(k int) error {
 	return fmt.Errorf("sparse: traffic volume of object %d overflows the int64 cost range", k)
 }
 
+// objectChunk is how many consecutive objects one task of a per-object
+// pass takes (candidate pruning, Adapt's start cost): an object takes well
+// under a microsecond, so one task per object would spend the pass on
+// handing out indices.
+const objectChunk = 4096
+
+// readGain returns Σ_j r_j·max(dmin_j − row[s_j], 0): what the readers
+// rs, with counts rc and nearest-replica distances dmin, save when a
+// replica whose distance row is row joins. It is the first-round kernel of
+// propose and the pricing of buildCandidates.
+func readGain(row []int64, rs []int32, rc, dmin []int64) int64 {
+	var g int64
+	for j, site := range rs {
+		g += rc[j] * max(dmin[j]-row[site], 0)
+	}
+	return g
+}
+
 // buildCandidates computes the pruned candidate-site bitmask of every
-// object.
+// object. Site x ≠ SP_k is kept iff both
 //
-// Site i ≠ SP_k is pruned when either
+//   - capacity reachability: o_k ≤ s(x) − primaryLoad(x) — otherwise the
+//     primaries pinned to x leave no room, and no valid scheme can ever
+//     place k there; and
 //
-//   - capacity reachability: primaryLoad(i) + o_k > s(i) — the primaries
-//     pinned to i already leave no room, so no valid scheme can ever place
-//     k there; or
+//   - the benefit bound: propose's first-round δ(x) — a replica at x added
+//     to the primaries-only scheme, so dmin_j = C(s_j,SP_k) — is negative;
+//     with o_k divided out,
 //
-//   - the benefit bound: the largest saving a replica at i can contribute
-//     to ANY replica set never exceeds the update fan-in it must pay,
+//     Wtot_k·C(x,SP_k) − w_k(x)·C(x,SP_k) − readGain(C(x,·), …) < 0.
 //
-//     (r_k(i)+w_k(i))·C(i,SP_k) + Σ_{j≠i} r_k(j)·max(0, C(j,SP_k)−C(j,i))
-//     ≤ Wtot_k·C(i,SP_k)
-//
-//     (common factor o_k divided out). The left side bounds the saving
-//     because every reader's nearest-replica distance is at most
-//     C(j,SP_k) — the primary is always a replicator — and a new replica
-//     can lower it to no less than C(j,i); the right side is exact and
-//     unavoidable. With ≤, adding i to any set never strictly lowers D, so
+//     Every reader's nearest-replica distance is at most C(j,SP_k) — the
+//     primary is always a replicator — so the saving is the most a replica
+//     at x can contribute to ANY replica set, while the fan-in is exact and
+//     unavoidable. A pruned x therefore never strictly lowers D, so
 //     baseline.Optimal — which enumerates bit-off before bit-on and only
 //     replaces its best on a strict improvement — can never return a scheme
 //     using a pruned pair; the sparse-prune verify check asserts exactly
-//     that. The rule depends only on relabelling-invariant quantities, so
-//     candidate sets are permutation-equivariant like eq. 4 itself.
+//     that. x's own reads enter through C(x,x) = 0, which NewModel
+//     validates. The rule depends only on relabelling-invariant
+//     quantities, so candidate sets are permutation-equivariant like eq. 4
+//     itself.
 //
-// Saturating arithmetic on the saving side only ever keeps a candidate, so
-// extreme magnitudes degrade pruning, never correctness.
+// No sum overflows: a saving is at most (R_k + W_k)·maxC, and NewModel
+// admits only instances with o_k·(R_k + (M+1)·W_k + 1)·maxC ≤ MaxInt64,
+// o_k ≥ 1. Both tests are sign bits, so a word is packed without a branch.
 func (mo *Model) buildCandidates() {
 	mo.candWords = (mo.m + 63) / 64
 	mo.candMask = make([]uint64, mo.n*mo.candWords)
+	slack := make([]int64, mo.m)
+	for x := range slack {
+		slack[x] = mo.cap[x] - mo.primaryLoad[x]
+	}
 	workers := parallel.Workers(0)
 	type scratch struct {
-		rAt  []int64
-		wAt  []int64
-		mask []uint64 // the object's words, copied out once it is scored
+		dmin []int64 // per reader: C(s_j, SP_k)
+		wAt  []int64 // the object's write count per site, zero elsewhere
 	}
 	scratches := make([]scratch, workers)
 	for w := range scratches {
-		scratches[w] = scratch{rAt: make([]int64, mo.m), wAt: make([]int64, mo.m), mask: lineWords(mo.candWords)}
+		scratches[w] = scratch{dmin: make([]int64, mo.m), wAt: make([]int64, mo.m)}
 	}
-	parallel.ForWorker(mo.n, workers, func(w, k int) {
+	// Chunks are contiguous, so workers share a mask cache line only where
+	// two chunks meet.
+	parallel.ForWorker((mo.n+objectChunk-1)/objectChunk, workers, func(w, ch int) {
 		sc := &scratches[w]
-		sp := int(mo.primary[k])
-		spCol := mo.dist.Row(sp) // C(sp,·) = C(·,sp); the matrix is symmetric
-		ro, re := mo.reads.Range(k)
-		wo, we := mo.writes.Range(k)
-		for idx := ro; idx < re; idx++ {
-			sc.rAt[mo.reads.Site[idx]] = mo.reads.Cnt[idx]
-		}
-		for idx := wo; idx < we; idx++ {
-			sc.wAt[mo.writes.Site[idx]] = mo.writes.Cnt[idx]
-		}
-		wTot := mo.totalWrites[k]
-		sz := mo.size[k]
-		mask := sc.mask
-		clear(mask)
-		for i := 0; i < mo.m; i++ {
-			if i == sp {
-				mask[i>>6] |= 1 << (i & 63)
-				continue
+		for k := ch * objectChunk; k < min((ch+1)*objectChunk, mo.n); k++ {
+			sp := int(mo.primary[k])
+			spRow := mo.dist.Row(sp)
+			rs, rc := mo.ReadEntries(k)
+			ws, wc := mo.WriteEntries(k)
+			dmin := sc.dmin[:len(rs)]
+			for j, site := range rs {
+				dmin[j] = spRow[site]
 			}
-			if mo.primaryLoad[i]+sz > mo.cap[i] {
-				continue
+			for j, site := range ws {
+				sc.wAt[site] = wc[j]
 			}
-			cSP := spCol[i]
-			fanIn := wTot * cSP // bounded by the NTC gate; exact
-			saving := satMul(sc.rAt[i]+sc.wAt[i], cSP)
-			rowI := mo.dist.Row(i)
-			for idx := ro; idx < re; idx++ {
-				j := mo.reads.Site[idx]
-				if int(j) == i {
-					continue
+			wTot, sz := mo.totalWrites[k], mo.size[k]
+			mask := mo.candidateMask(k)
+			for wi := range mask {
+				var word uint64
+				for x := wi << 6; x < min(wi<<6+64, mo.m); x++ {
+					g := sc.wAt[x]*spRow[x] + readGain(mo.dist.Row(x), rs, rc, dmin)
+					word |= uint64((wTot*spRow[x]-g)&^(slack[x]-sz)) >> 63 << (x & 63)
 				}
-				if drop := spCol[j] - rowI[j]; drop > 0 {
-					saving = satAdd(saving, satMul(mo.reads.Cnt[idx], drop))
-				}
+				mask[wi] = word
 			}
-			if saving > fanIn {
-				mask[i>>6] |= 1 << (i & 63)
+			mask[sp>>6] |= 1 << (sp & 63)
+			for _, site := range ws {
+				sc.wAt[site] = 0
 			}
-		}
-		copy(mo.candidateMask(k), mask)
-		for idx := ro; idx < re; idx++ {
-			sc.rAt[mo.reads.Site[idx]] = 0
-		}
-		for idx := wo; idx < we; idx++ {
-			sc.wAt[mo.writes.Site[idx]] = 0
 		}
 	})
 	for _, word := range mo.candMask {
 		mo.candCount += bits.OnesCount64(word)
 	}
 }
-
-// lineWords returns n zeroed words of per-worker scratch whose backing
-// array fills whole 64-byte cache lines. Workers write these words per
-// site; an 8-byte allocation would share a line with another worker's
-// and every bit set would bounce it between cores.
-func lineWords(n int) []uint64 { return make([]uint64, n, (n+7)&^7) }
 
 // FromProblem converts a dense instance into the sparse representation
 // (zero read/write entries dropped), revalidating through NewModel. The

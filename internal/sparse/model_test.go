@@ -1,7 +1,10 @@
 package sparse
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/big"
 	"slices"
 	"strings"
 	"testing"
@@ -365,6 +368,137 @@ func TestCandidatesMultiWord(t *testing.T) {
 		if top != int32(m-1) {
 			t.Fatalf("M=%d: highest candidate site %d; the last word's top bit is never exercised", m, top)
 		}
+	}
+}
+
+// TestCandidatesPinned pins the candidate bitmasks of three generated
+// instances, one, two and three mask words per object, by count and by an
+// FNV-1a digest of the pooled words.
+func TestCandidatesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		sites  int
+		count  int
+		digest uint64
+	}{
+		{64, 884170, 0x82ceec7eb319e1d9},
+		{100, 1324157, 0x1a2c9d72e66a8a23},
+		{130, 1598987, 0xcff4cc3eac1a2e9b},
+	} {
+		mo := testModel(t, tc.sites, 20000, 1)
+		h := fnv.New64a()
+		if err := binary.Write(h, binary.LittleEndian, mo.candMask); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Sum64(); mo.CandidateCount() != tc.count || got != tc.digest {
+			t.Errorf("M=%d: %d candidates, mask digest %#x; pinned %d, %#x", tc.sites, mo.CandidateCount(), got, tc.count, tc.digest)
+		}
+	}
+}
+
+// TestCandidatesAtMagnitudeGate prunes single-object instances one read
+// unit under NewModel's magnitude gate — o_k = 1, C up to 2^40 and the
+// largest read and write counts the gate admits, so the pruning sums come
+// as close to the int64 edge as any admitted instance lets them — and
+// holds every mask to the rule evaluated in math/big.
+func TestCandidatesAtMagnitudeGate(t *testing.T) {
+	const m = 4
+	maxC := int64(1) << 40
+	d := netsim.NewDistMatrix(m)
+	for _, e := range []struct {
+		i, j int
+		c    int64
+	}{{0, 1, maxC}, {0, 2, maxC / 2}, {0, 3, 3}, {1, 2, maxC - 1}, {1, 3, maxC / 3}, {2, 3, 7}} {
+		d.Set(e.i, e.j, e.c)
+	}
+	// The gate admits (R + (M+1)·W + 1)·maxC ≤ MaxInt64; budget is the
+	// largest R + (M+1)·W it lets through.
+	budget := math.MaxInt64/maxC - 1
+	u := budget / (m + 1) / 8
+	shapes := []struct{ writes, reads [m]int64 }{
+		{[m]int64{0, 0, 0, 0}, [m]int64{1, 1, 1, 1}},
+		// Every read at site 1, maxC from site 0: at primary 0 the saving
+		// of a replica at 1 is R·maxC, within 2^41 of MaxInt64.
+		{[m]int64{0, 0, 0, 0}, [m]int64{0, 1, 0, 0}},
+		{[m]int64{0, 4 * u, 0, 0}, [m]int64{1, 2, 3, 4}},
+		{[m]int64{u, 2 * u, 3 * u, u}, [m]int64{5, 0, 1, 9}},
+		{[m]int64{0, 0, 7 * u, 0}, [m]int64{0, 1, 0, 0}},
+	}
+	csr := func(cnt [m]int64) CSR {
+		c := CSR{Off: []int32{0, 0}}
+		for i, n := range cnt {
+			if n > 0 {
+				c.Site = append(c.Site, int32(i))
+				c.Cnt = append(c.Cnt, n)
+			}
+		}
+		c.Off[1] = int32(len(c.Site))
+		return c
+	}
+	kept, pruned := 0, 0
+	for _, sh := range shapes {
+		var wTot, weights int64
+		for i := range m {
+			wTot += sh.writes[i]
+			weights += sh.reads[i]
+		}
+		// Share the read volume the gate leaves by the shape's weights; the
+		// rounding remainder goes to the last reader.
+		rTot := budget - (m+1)*wTot
+		var reads [m]int64
+		var placed int64
+		last := 0
+		for i, w := range sh.reads {
+			reads[i] = rTot * w / weights
+			placed += reads[i]
+			if w > 0 {
+				last = i
+			}
+		}
+		reads[last] += rTot - placed
+		for sp := range int32(m) {
+			caps := []int64{1, 1, 1, 1}
+			caps[(sp+2)%m] = 0 // no room for the object: pruned by reachability
+			model := func(reads [m]int64) (*Model, error) {
+				return NewModel(Config{Sizes: []int64{1}, Capacities: caps, Primaries: []int32{sp}, Reads: csr(reads), Writes: csr(sh.writes), Dist: d})
+			}
+			mo, err := model(reads)
+			if err != nil {
+				t.Fatalf("writes %v, primary %d: instance under the gate rejected: %v", sh.writes, sp, err)
+			}
+			over := reads
+			over[last]++
+			if _, err := model(over); err == nil || !strings.Contains(err.Error(), "overflows") {
+				t.Fatalf("writes %v, primary %d: one read unit more is not rejected by the gate: %v", sh.writes, sp, err)
+			}
+			var want []int32
+			for i := range m {
+				keep := i == int(sp)
+				if !keep && caps[i] >= 1 {
+					c := big.NewInt(d.At(i, int(sp)))
+					saving := new(big.Int).Mul(big.NewInt(reads[i]+sh.writes[i]), c)
+					for j := range m {
+						if drop := d.At(j, int(sp)) - d.At(j, i); j != i && drop > 0 {
+							saving.Add(saving, new(big.Int).Mul(big.NewInt(reads[j]), big.NewInt(drop)))
+						}
+					}
+					keep = saving.Cmp(new(big.Int).Mul(big.NewInt(wTot), c)) > 0
+					if keep {
+						kept++
+					} else {
+						pruned++
+					}
+				}
+				if keep {
+					want = append(want, int32(i))
+				}
+			}
+			if got := mo.Candidates(0); !slices.Equal(got, want) {
+				t.Fatalf("writes %v, reads %v, primary %d: candidates %v, exact rule gives %v", sh.writes, reads, sp, got, want)
+			}
+		}
+	}
+	if kept == 0 || pruned == 0 {
+		t.Fatalf("the benefit rule kept %d and pruned %d reachable sites; the instances do not exercise both outcomes", kept, pruned)
 	}
 }
 

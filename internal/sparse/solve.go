@@ -105,11 +105,6 @@ func Solve(mo *Model, params SolveParams, run solver.Run) (*Result, error) {
 	return merge(mo, a, mo.dPrime, objects, steps, c), nil
 }
 
-// startChunk is how many objects one task of Adapt's start-cost pass
-// prices: a V_k takes well under a microsecond, so one task per object
-// would spend the pass on handing out indices.
-const startChunk = 4096
-
 // Adapt re-optimises only the changed objects of an existing assignment:
 // their replicas (beyond the primary) are stripped, fresh proposals are
 // computed against the residual capacity ledger, and the merge reconciles
@@ -132,10 +127,10 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 	// slots so the total is the same at any shard count; one full-assignment
 	// evaluation.
 	ev := NewEvaluator(mo)
-	sums := make([]int64, (mo.n+startChunk-1)/startChunk)
+	sums := make([]int64, (mo.n+objectChunk-1)/objectChunk)
 	parallel.For(len(sums), parallel.Workers(params.Shards), func(ch int) {
 		var sum int64
-		for k := ch * startChunk; k < min((ch+1)*startChunk, mo.n); k++ {
+		for k := ch * objectChunk; k < min((ch+1)*objectChunk, mo.n); k++ {
 			sum += ev.objectCost(k, a.repl[k])
 		}
 		sums[ch] = sum
@@ -166,6 +161,12 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 	c.Observe(0, 0, 0, cost)
 	return merge(mo, a, cost, objects, steps, c), nil
 }
+
+// lineWords returns n zeroed words of per-worker scratch whose backing
+// array fills whole 64-byte cache lines. Workers write these words per
+// site; an 8-byte allocation would share a line with another worker's
+// and every bit set would bounce it between cores.
+func lineWords(n int) []uint64 { return make([]uint64, n, (n+7)&^7) }
 
 // propose computes the greedy descent of every listed object into
 // props[idx] (parallel, index-addressed, RNG-free). Capacity is not
@@ -219,12 +220,7 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 		for wi, word := range left {
 			for ; word != 0; word &= word - 1 {
 				x := wi<<6 | bits.TrailingZeros64(word)
-				row := mo.dist.Row(x)
-				g := sc.wAt[x] * spRow[x]
-				for j, site := range rs {
-					g += rc[j] * max(dmin[j]-row[site], 0)
-				}
-				gain[x] = g
+				gain[x] = sc.wAt[x]*spRow[x] + readGain(mo.dist.Row(x), rs, rc, dmin)
 			}
 		}
 		for _, site := range ws {
