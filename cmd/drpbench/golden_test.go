@@ -1,16 +1,18 @@
 package main
 
-// Golden determinism test: the quick-preset Figure 1a campaign is pinned
-// byte for byte. Any change to the generator, the solvers, the parallel
-// sweep reduction or the CSV renderer that moves a single digit fails here
-// — and the -par 1 vs -par 8 comparison pins that the worker fan-out is
-// pure plumbing, not a source of nondeterminism.
+// Golden determinism tests: the quick-preset Figure 1a campaign and every
+// deterministic figure of a two-network tiny campaign are pinned byte for
+// byte. Any change to the generator, the solvers, the parallel sweep
+// reduction or the CSV renderer that moves a single digit fails here — and
+// the comparisons across -par settings pin that the worker fan-out is pure
+// plumbing, not a source of nondeterminism.
 
 import (
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"drp/internal/metrics"
@@ -62,5 +64,54 @@ func TestQuickFig1aMatchesGoldenAtAnyParallelism(t *testing.T) {
 	}
 	if serialMetrics == `{"instruments":null}` || serialMetrics == `{"instruments":[]}` {
 		t.Error("instrumented campaign produced an empty deterministic snapshot")
+	}
+}
+
+// tinyTimeAxes is what the runtime figures of the two-network tiny campaign
+// pin: their values are wall-clock times, so only each header and x column.
+const tinyTimeAxes = `sites,SRA U=2%,SRA U=10%
+8
+12
+
+sites,GRA U=2%,GRA U=10%
+8
+12
+
+% objects changed,Current+AGRA,AGRA+5GRA,AGRA+10GRA,Current+8GRA,Current+10GRA,10GRA
+20
+
+`
+
+// TestTinyFiguresMatchGoldenAtAnyParallelism runs every sweep of the tiny
+// preset on two networks (Tiny's one would leave the cell fan-out idle) at
+// -par 1, 8 and 0 (GOMAXPROCS).
+func TestTinyFiguresMatchGoldenAtAnyParallelism(t *testing.T) {
+	goldenPath := filepath.Join("testdata", "tiny-figs.golden.csv")
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvAt := func(par, figs string) string {
+		var out, errOut bytes.Buffer
+		if err := run([]string{"-preset", "tiny", "-networks", "2", "-fig", figs, "-csv", "-q", "-par", par}, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	for _, par := range []string{"1", "8", "0"} {
+		if got := csvAt(par, "1a,1b,1c,1d,3a,3b,4a,4b,4c,conv"); got != string(golden) {
+			t.Errorf("-par %s output deviates from %s:\ngot:\n%s\nwant:\n%s", par, goldenPath, got, golden)
+		}
+		// A line after a blank one is a figure's header; every other line
+		// keeps only its x value.
+		lines := strings.Split(csvAt(par, "2a,2b,4d"), "\n")
+		for i := 1; i < len(lines); i++ {
+			if lines[i-1] != "" {
+				lines[i], _, _ = strings.Cut(lines[i], ",")
+			}
+		}
+		if got := strings.Join(lines, "\n"); got != tinyTimeAxes {
+			t.Errorf("-par %s runtime figures' headers and x columns:\ngot:\n%s\nwant:\n%s", par, got, tinyTimeAxes)
+		}
 	}
 }

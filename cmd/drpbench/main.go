@@ -28,7 +28,6 @@ import (
 	"drp/internal/cli"
 	"drp/internal/experiments"
 	"drp/internal/metrics"
-	"drp/internal/report"
 )
 
 func main() {
@@ -150,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 		defer f.Close()
-		return report.SVG(result, f)
+		return result.RenderSVG(f)
 	}
 	for _, id := range ids {
 		if id == "summary" {

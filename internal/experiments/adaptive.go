@@ -8,9 +8,12 @@ import (
 	"drp/internal/bitset"
 	"drp/internal/core"
 	"drp/internal/gra"
-	"drp/internal/parallel"
 	"drp/internal/workload"
 )
+
+// currentSeries is the adaptive instance's first policy: the stale static
+// scheme, which costs nothing to compute.
+const currentSeries = 0
 
 // Policy names for Figure 4, parameterised by the configured budgets so the
 // labels stay honest when the campaign is scaled down.
@@ -26,55 +29,31 @@ func (cfg Config) policyNames() []string {
 	}
 }
 
-// AdaptSweep holds Figure 4 measurements: per x point and policy, the mean
-// % NTC savings under the new patterns and the mean policy runtime.
-type AdaptSweep struct {
-	X        []float64
-	Policies []string
-	Savings  map[string][]float64
-	TimeMS   map[string][]float64
-}
-
-// adaptCell is one Figure 4 sweep point: a pattern-change setting plus the
-// progress line announcing it.
-type adaptCell struct {
-	tag                    uint64
-	objectShare, readShare float64
-	desc                   string
-}
-
 // adaptInstance evaluates all Section 6.3 policies on the net-th random
-// network of a cell, returning one savings and one runtime value per
-// policy. The seed is a pure function of (cell, net), so instances are
-// independent and safe to run on any worker in any order.
-func (cfg Config) adaptInstance(cell adaptCell, net int) (map[string]float64, map[string]float64, error) {
-	polNames := cfg.policyNames()
-	sav := make(map[string]float64, len(polNames))
-	ms := make(map[string]float64, len(polNames))
-	record := func(name string, savings, elapsedMS float64) {
-		sav[name] = savings
-		ms[name] = elapsedMS
-	}
-
-	seed := cfg.pointSeed(cell.tag, math.Float64bits(cell.objectShare), math.Float64bits(cell.readShare), uint64(net))
+// network of a cell and returns one measurement (savings and runtime) per
+// policy, in policyNames order. The seed is a pure function of (tag, cell,
+// net), so instances are independent and safe to run on any worker in any
+// order.
+func (cfg Config) adaptInstance(tag uint64, at cell, net int) ([]measure, error) {
+	seed := cfg.pointSeed(tag, math.Float64bits(at.objectShare), math.Float64bits(at.readShare), uint64(net))
 	old, err := workload.Generate(workload.NewSpec(cfg.AdaptSites, cfg.AdaptObjects, cfg.BaseUpdateRatio, cfg.BaseCapacityRatio), seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The network's current scheme comes from a static GRA run on the
 	// old (night-time) patterns; its population is retained, as the
 	// paper's monitor site would.
 	staticRes, err := gra.RunWith(old, cfg.graParams(seed+1), cfg.cellRun())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	newP, changes, err := workload.ApplyChange(old, workload.ChangeSpec{
 		Ch:          cfg.Ch,
-		ObjectShare: cell.objectShare,
-		ReadShare:   cell.readShare,
+		ObjectShare: at.objectShare,
+		ReadShare:   at.readShare,
 	}, seed+2)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	changed := make([]int, len(changes))
 	for i, c := range changes {
@@ -82,12 +61,12 @@ func (cfg Config) adaptInstance(cell adaptCell, net int) (map[string]float64, ma
 	}
 	current, err := core.SchemeFromBits(newP, staticRes.Scheme.Bits())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Policy: Current — the stale static scheme evaluated against the
 	// new patterns.
-	record(polNames[0], newP.Savings(current.Cost()), 0)
+	out := []measure{currentSeries: {savings: newP.Savings(current.Cost())}}
 
 	// Policies: Current+AGRA, AGRA+5GRA, AGRA+10GRA.
 	for i, miniGens := range []int{0, 5, 10} {
@@ -99,9 +78,9 @@ func (cfg Config) adaptInstance(cell adaptCell, net int) (map[string]float64, ma
 			Changed:       changed,
 		}, cfg.agraParams(seed+7+uint64(i)), mini, miniGens, cfg.cellRun())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		record(polNames[1+i], res.Savings, float64(res.Elapsed.Microseconds())/1000)
+		out = append(out, measure{savings: res.Savings, ms: millis(res.Elapsed)})
 	}
 
 	// Policies: Current+MedGRA and Current+LongGRA — re-run the static
@@ -112,9 +91,9 @@ func (cfg Config) adaptInstance(cell adaptCell, net int) (map[string]float64, ma
 		params.Generations = gens
 		res, err := gra.ContinueWith(newP, params, seedPop, cfg.cellRun())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		record(polNames[4+i], res.Scheme.Savings(), float64(res.Elapsed.Microseconds())/1000)
+		out = append(out, measure{savings: res.Scheme.Savings(), ms: millis(res.Elapsed)})
 	}
 
 	// Policy: LongGRA from scratch (fresh SRA-seeded population).
@@ -122,128 +101,7 @@ func (cfg Config) adaptInstance(cell adaptCell, net int) (map[string]float64, ma
 	params.Generations = cfg.LongGens
 	res, err := gra.RunWith(newP, params, cfg.cellRun())
 	if err != nil {
-		return nil, nil, err
-	}
-	record(polNames[6], res.Scheme.Savings(), float64(res.Elapsed.Microseconds())/1000)
-
-	return sav, ms, nil
-}
-
-// runAdaptCells fans the cells × cfg.Networks instances out across the
-// campaign worker pool and reduces each cell's per-policy means in input
-// order.
-func (cfg Config) runAdaptCells(cells []adaptCell, log logf) ([]map[string]float64, []map[string]float64, error) {
-	log = syncLogf(log)
-	nets := cfg.Networks
-	type sample struct{ sav, ms map[string]float64 }
-	samples := make([]sample, len(cells)*nets)
-	errs := make([]error, len(samples))
-	parallel.For(len(samples), parallel.Workers(cfg.Parallelism), func(ti int) {
-		ci, net := ti/nets, ti%nets
-		if net == 0 {
-			log("%s", cells[ci].desc)
-		}
-		samples[ti].sav, samples[ti].ms, errs[ti] = cfg.adaptInstance(cells[ci], net)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	polNames := cfg.policyNames()
-	sav := make([]map[string]float64, len(cells))
-	ms := make([]map[string]float64, len(cells))
-	acc := make([]float64, nets)
-	for ci := range cells {
-		sav[ci] = make(map[string]float64, len(polNames))
-		ms[ci] = make(map[string]float64, len(polNames))
-		for _, name := range polNames {
-			for net := 0; net < nets; net++ {
-				acc[net] = samples[ci*nets+net].sav[name]
-			}
-			sav[ci][name] = mean(acc)
-			for net := 0; net < nets; net++ {
-				acc[net] = samples[ci*nets+net].ms[name]
-			}
-			ms[ci][name] = mean(acc)
-		}
-	}
-	return sav, ms, nil
-}
-
-// runAdaptSweep produces Figures 4(a)/4(b)/4(d): the object-share sweep at
-// a fixed read share (1.0 → reads increase; 0.0 → updates increase).
-func (cfg Config) runAdaptSweep(tag uint64, readShare float64, what string, log logf) (*AdaptSweep, error) {
-	sweep := &AdaptSweep{
-		Policies: cfg.policyNames(),
-		Savings:  make(map[string][]float64),
-		TimeMS:   make(map[string][]float64),
-	}
-	var cells []adaptCell
-	for xi, oc := range cfg.OChSweep {
-		sweep.X = append(sweep.X, 100*oc)
-		cells = append(cells, adaptCell{
-			tag: tag, objectShare: oc, readShare: readShare,
-			desc: fmt.Sprintf("fig4 (%s): OCh=%.0f%% (%d/%d)", what, 100*oc, xi+1, len(cfg.OChSweep)),
-		})
-	}
-	sav, ms, err := cfg.runAdaptCells(cells, log)
-	if err != nil {
 		return nil, err
 	}
-	for ci := range cells {
-		for _, name := range sweep.Policies {
-			sweep.Savings[name] = append(sweep.Savings[name], sav[ci][name])
-			sweep.TimeMS[name] = append(sweep.TimeMS[name], ms[ci][name])
-		}
-	}
-	return sweep, nil
-}
-
-// runMixSweep produces Figure 4(c): object share fixed, the read/update mix
-// of the changes swept from all-updates to all-reads.
-func (cfg Config) runMixSweep(log logf) (*AdaptSweep, error) {
-	sweep := &AdaptSweep{
-		Policies: cfg.policyNames(),
-		Savings:  make(map[string][]float64),
-		TimeMS:   make(map[string][]float64),
-	}
-	var cells []adaptCell
-	for xi, mix := range cfg.MixSweep {
-		sweep.X = append(sweep.X, 100*mix)
-		cells = append(cells, adaptCell{
-			tag: 0x4c0, objectShare: cfg.MixObjectShare, readShare: mix,
-			desc: fmt.Sprintf("fig4c: read share=%.0f%% (%d/%d)", 100*mix, xi+1, len(cfg.MixSweep)),
-		})
-	}
-	sav, ms, err := cfg.runAdaptCells(cells, log)
-	if err != nil {
-		return nil, err
-	}
-	for ci := range cells {
-		for _, name := range sweep.Policies {
-			sweep.Savings[name] = append(sweep.Savings[name], sav[ci][name])
-			sweep.TimeMS[name] = append(sweep.TimeMS[name], ms[ci][name])
-		}
-	}
-	return sweep, nil
-}
-
-func (s *AdaptSweep) figure(id, title, xLabel string, times bool) *FigureResult {
-	yLabel := "% NTC savings"
-	if times {
-		yLabel = "execution time (ms)"
-	}
-	fig := &FigureResult{ID: id, Title: title, XLabel: xLabel, YLabel: yLabel, X: s.X}
-	for _, name := range s.Policies {
-		src := s.Savings[name]
-		if times {
-			if name == "Current" {
-				continue // the stale scheme costs nothing to "compute"
-			}
-			src = s.TimeMS[name]
-		}
-		fig.Series = append(fig.Series, Series{Name: name, Y: src})
-	}
-	return fig
+	return append(out, measure{savings: res.Scheme.Savings(), ms: millis(res.Elapsed)}), nil
 }

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -21,24 +21,53 @@ func syncLogf(log logf) logf {
 	}
 }
 
+// figureRow is one figure of the paper's Section 6: one column of one
+// sweep, filtered to some of its series.
+type figureRow struct {
+	id, title, xLabel, yLabel string
+	sweep                     int
+	col                       column
+	keep                      func(index int) bool // by index in the instance's vector; nil keeps all
+}
+
+var figures = []figureRow{
+	{"1a", "Savings in network cost versus the number of sites", "sites", "% NTC savings", bySites, savings, nil},
+	{"1b", "Number of replicas generated versus the number of sites", "sites", "replicas", bySites, replicas, nil},
+	{"1c", "Savings in network cost versus the number of objects", "objects", "% NTC savings", byObjects, savings, nil},
+	{"1d", "Number of replicas generated versus the number of objects", "objects", "replicas", byObjects, replicas, nil},
+	{"2a", "Execution time of SRA versus the number of sites", "sites", "time (ms)", bySites, ms, only(sraSeries)},
+	{"2b", "Execution time of GRA versus the number of sites", "sites", "time (ms)", bySites, ms, only(graSeries)},
+	{"3a", "Savings in network cost versus the update ratio", "update ratio %", "% NTC savings", byUpdate, savings, nil},
+	{"3b", "Savings in network cost versus the capacity of sites", "capacity %", "% NTC savings", byCapacity, savings, nil},
+	{"4a", "Savings versus the share of objects with reads increased", "% objects changed", "% NTC savings", adaptReads, savings, nil},
+	{"4b", "Savings versus the share of objects with updates increased", "% objects changed", "% NTC savings", adaptWrites, savings, nil},
+	{"4c", "Savings versus the kind of pattern change (read share of changes)", "% of changes toward reads", "% NTC savings", adaptMix, savings, nil},
+	{"4d", "Execution time of the adaptation policies", "% objects changed", "execution time (ms)", adaptReads, ms, except(currentSeries)},
+}
+
+func only(i int) func(int) bool   { return func(j int) bool { return j == i } }
+func except(i int) func(int) bool { return func(j int) bool { return j != i } }
+
 // FigureIDs lists every figure of the paper's evaluation section that the
 // harness reproduces, in paper order.
-var FigureIDs = []string{"1a", "1b", "1c", "1d", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "4d"}
+var FigureIDs = func() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}()
+
+// ValidFigure reports whether id names a reproduced figure.
+func ValidFigure(id string) bool { return slices.Contains(FigureIDs, id) }
 
 // Campaign lazily runs the sweeps behind the paper's figures, caching each
 // sweep so figure groups (1a/1b/2a/2b all come from one sweep) are computed
 // once.
 type Campaign struct {
-	cfg Config
-	log logf
-
-	sites     *StaticSweep
-	objects   *StaticSweep
-	updates   *StaticSweep
-	capacity  *StaticSweep
-	adaptRead *AdaptSweep
-	adaptWr   *AdaptSweep
-	adaptMix  *AdaptSweep
+	cfg    Config
+	log    logf
+	sweeps [len(sweepTable)]*sweep
 }
 
 // NewCampaign validates cfg and returns a campaign. logFn may be nil.
@@ -52,194 +81,26 @@ func NewCampaign(cfg Config, logFn func(format string, args ...interface{})) (*C
 	return &Campaign{cfg: cfg, log: logFn}, nil
 }
 
-func (c *Campaign) sitesSweep() (*StaticSweep, error) {
-	if c.sites == nil {
-		s, err := c.cfg.runSitesSweep(c.log)
-		if err != nil {
-			return nil, err
-		}
-		c.sites = s
-	}
-	return c.sites, nil
-}
-
-func (c *Campaign) objectsSweep() (*StaticSweep, error) {
-	if c.objects == nil {
-		s, err := c.cfg.runObjectsSweep(c.log)
-		if err != nil {
-			return nil, err
-		}
-		c.objects = s
-	}
-	return c.objects, nil
-}
-
-func (c *Campaign) updatesSweep() (*StaticSweep, error) {
-	if c.updates == nil {
-		s, err := c.cfg.runUpdateSweep(c.log)
-		if err != nil {
-			return nil, err
-		}
-		c.updates = s
-	}
-	return c.updates, nil
-}
-
-func (c *Campaign) capacitySweep() (*StaticSweep, error) {
-	if c.capacity == nil {
-		s, err := c.cfg.runCapacitySweep(c.log)
-		if err != nil {
-			return nil, err
-		}
-		c.capacity = s
-	}
-	return c.capacity, nil
-}
-
-func (c *Campaign) adaptReadSweep() (*AdaptSweep, error) {
-	if c.adaptRead == nil {
-		s, err := c.cfg.runAdaptSweep(0x4a0, 1.0, "reads up", c.log)
-		if err != nil {
-			return nil, err
-		}
-		c.adaptRead = s
-	}
-	return c.adaptRead, nil
-}
-
-func (c *Campaign) adaptWriteSweep() (*AdaptSweep, error) {
-	if c.adaptWr == nil {
-		s, err := c.cfg.runAdaptSweep(0x4b0, 0.0, "updates up", c.log)
-		if err != nil {
-			return nil, err
-		}
-		c.adaptWr = s
-	}
-	return c.adaptWr, nil
-}
-
-func (c *Campaign) adaptMixSweep() (*AdaptSweep, error) {
-	if c.adaptMix == nil {
-		s, err := c.cfg.runMixSweep(c.log)
-		if err != nil {
-			return nil, err
-		}
-		c.adaptMix = s
-	}
-	return c.adaptMix, nil
-}
-
 // Figure reproduces one figure by ID (see FigureIDs).
 func (c *Campaign) Figure(id string) (*FigureResult, error) {
-	pickSavings := func(v Variant) ([]float64, bool) { return v.Savings, true }
-	pickReplicas := func(v Variant) ([]float64, bool) { return v.Replicas, true }
-	pickTimePrefix := func(prefix string) func(Variant) ([]float64, bool) {
-		return func(v Variant) ([]float64, bool) {
-			if len(v.Label) >= len(prefix) && v.Label[:len(prefix)] == prefix {
-				return v.TimeMS, true
-			}
-			return nil, false
-		}
-	}
-	switch id {
-	case "1a":
-		s, err := c.sitesSweep()
-		if err != nil {
-			return nil, err
-		}
-		return figureFrom(s, "1a", "Savings in network cost versus the number of sites", "sites", "% NTC savings", pickSavings), nil
-	case "1b":
-		s, err := c.sitesSweep()
-		if err != nil {
-			return nil, err
-		}
-		return figureFrom(s, "1b", "Number of replicas generated versus the number of sites", "sites", "replicas", pickReplicas), nil
-	case "1c":
-		s, err := c.objectsSweep()
-		if err != nil {
-			return nil, err
-		}
-		return figureFrom(s, "1c", "Savings in network cost versus the number of objects", "objects", "% NTC savings", pickSavings), nil
-	case "1d":
-		s, err := c.objectsSweep()
-		if err != nil {
-			return nil, err
-		}
-		return figureFrom(s, "1d", "Number of replicas generated versus the number of objects", "objects", "replicas", pickReplicas), nil
-	case "2a":
-		s, err := c.sitesSweep()
-		if err != nil {
-			return nil, err
-		}
-		return figureFrom(s, "2a", "Execution time of SRA versus the number of sites", "sites", "time (ms)", pickTimePrefix("SRA")), nil
-	case "2b":
-		s, err := c.sitesSweep()
-		if err != nil {
-			return nil, err
-		}
-		return figureFrom(s, "2b", "Execution time of GRA versus the number of sites", "sites", "time (ms)", pickTimePrefix("GRA")), nil
-	case "3a":
-		s, err := c.updatesSweep()
-		if err != nil {
-			return nil, err
-		}
-		return figureFrom(s, "3a", "Savings in network cost versus the update ratio", "update ratio %", "% NTC savings", pickSavings), nil
-	case "3b":
-		s, err := c.capacitySweep()
-		if err != nil {
-			return nil, err
-		}
-		return figureFrom(s, "3b", "Savings in network cost versus the capacity of sites", "capacity %", "% NTC savings", pickSavings), nil
-	case "4a":
-		s, err := c.adaptReadSweep()
-		if err != nil {
-			return nil, err
-		}
-		return s.figure("4a", "Savings versus the share of objects with reads increased", "% objects changed", false), nil
-	case "4b":
-		s, err := c.adaptWriteSweep()
-		if err != nil {
-			return nil, err
-		}
-		return s.figure("4b", "Savings versus the share of objects with updates increased", "% objects changed", false), nil
-	case "4c":
-		s, err := c.adaptMixSweep()
-		if err != nil {
-			return nil, err
-		}
-		return s.figure("4c", "Savings versus the kind of pattern change (read share of changes)", "% of changes toward reads", false), nil
-	case "4d":
-		s, err := c.adaptReadSweep()
-		if err != nil {
-			return nil, err
-		}
-		return s.figure("4d", "Execution time of the adaptation policies", "% objects changed", true), nil
-	default:
+	i := slices.Index(FigureIDs, id)
+	if i < 0 {
 		return nil, fmt.Errorf("experiments: unknown figure %q (want one of %v)", id, FigureIDs)
 	}
-}
-
-// All reproduces every figure, sharing sweeps between related figures.
-func (c *Campaign) All() ([]*FigureResult, error) {
-	out := make([]*FigureResult, 0, len(FigureIDs))
-	for _, id := range FigureIDs {
-		fig, err := c.Figure(id)
-		if err != nil {
+	f := figures[i]
+	s := c.sweeps[f.sweep]
+	if s == nil {
+		var err error
+		if s, err = sweepTable[f.sweep].run(c.cfg, c.log); err != nil {
 			return nil, err
 		}
-		out = append(out, fig)
+		c.sweeps[f.sweep] = s
 	}
-	return out, nil
+	fig := &FigureResult{ID: f.id, Title: f.title, XLabel: f.xLabel, YLabel: f.yLabel, X: s.x}
+	for _, cv := range s.series {
+		if f.keep == nil || f.keep(cv.index) {
+			fig.Series = append(fig.Series, Series{Name: cv.name, Y: cv.y[f.col]})
+		}
+	}
+	return fig, nil
 }
-
-// ValidFigure reports whether id names a reproduced figure.
-func ValidFigure(id string) bool {
-	i := sort.SearchStrings(sortedIDs, id)
-	return i < len(sortedIDs) && sortedIDs[i] == id
-}
-
-var sortedIDs = func() []string {
-	ids := append([]string(nil), FigureIDs...)
-	sort.Strings(ids)
-	return ids
-}()

@@ -57,7 +57,7 @@ func TestTinyCampaignAllFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs, err := c.All()
+	figs, err := all(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestTinyCampaignAllFigures(t *testing.T) {
 	// figure 1(a) (allowing a whisker of GA noise at tiny budgets).
 	fig1a := figs[0]
 	for _, u := range []string{"U=2%", "U=10%"} {
-		sra := fig1a.Get("SRA " + u)
-		gra := fig1a.Get("GRA " + u)
+		sra := get(fig1a, "SRA "+u)
+		gra := get(fig1a, "GRA "+u)
 		if sra == nil || gra == nil {
 			t.Fatalf("figure 1a missing series for %s: have %v", u, names(fig1a))
 		}
@@ -92,6 +92,29 @@ func TestTinyCampaignAllFigures(t *testing.T) {
 			}
 		}
 	}
+}
+
+// all reproduces every figure, sharing sweeps between related figures.
+func all(c *Campaign) ([]*FigureResult, error) {
+	out := make([]*FigureResult, 0, len(FigureIDs))
+	for _, id := range FigureIDs {
+		fig, err := c.Figure(id)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, fig)
+	}
+	return out, nil
+}
+
+// get returns the series of f with the given name, or nil.
+func get(f *FigureResult, name string) *Series {
+	for i := range f.Series {
+		if f.Series[i].Name == name {
+			return &f.Series[i]
+		}
+	}
+	return nil
 }
 
 func names(f *FigureResult) []string {
@@ -143,7 +166,7 @@ func TestFigureRender(t *testing.T) {
 
 func TestFigureGet(t *testing.T) {
 	fig := &FigureResult{Series: []Series{{Name: "a"}, {Name: "b"}}}
-	if fig.Get("b") == nil || fig.Get("c") != nil {
+	if get(fig, "b") == nil || get(fig, "c") != nil {
 		t.Fatal("Get lookup broken")
 	}
 }
@@ -263,36 +286,5 @@ func TestSummaryRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := RunConvergence(cfg, nil); err == nil {
 		t.Fatal("bad config accepted by convergence")
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if stddev(nil) != 0 || stddev([]float64{5}) != 0 {
-		t.Fatal("degenerate stddev not zero")
-	}
-	// {2,4,4,4,5,5,7,9} has population stddev 2.
-	got := stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if got < 1.999 || got > 2.001 {
-		t.Fatalf("stddev = %v, want 2", got)
-	}
-}
-
-func TestSavingsStdRecorded(t *testing.T) {
-	cfg := Tiny()
-	cfg.Networks = 2
-	cfg.UpdateSweep = []float64{0.05}
-	sweep, err := cfg.runUpdateSweep(func(string, ...interface{}) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range sweep.Variants {
-		if len(v.SavingsStd) != len(v.Savings) {
-			t.Fatalf("variant %s: %d std values for %d points", v.Label, len(v.SavingsStd), len(v.Savings))
-		}
-		for _, s := range v.SavingsStd {
-			if s < 0 {
-				t.Fatalf("negative stddev %v", s)
-			}
-		}
 	}
 }

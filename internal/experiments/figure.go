@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -21,16 +20,6 @@ type FigureResult struct {
 	YLabel string
 	X      []float64
 	Series []Series
-}
-
-// Get returns the series with the given name, or nil.
-func (f *FigureResult) Get(name string) *Series {
-	for i := range f.Series {
-		if f.Series[i].Name == name {
-			return &f.Series[i]
-		}
-	}
-	return nil
 }
 
 // Render writes the figure as an aligned ASCII table.
@@ -129,20 +118,6 @@ func trimFloat(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.3f", v), "0"), ".")
-}
-
-// stddev returns the population standard deviation of xs (0 for fewer
-// than two samples).
-func stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := mean(xs)
-	var ss float64
-	for _, x := range xs {
-		ss += (x - m) * (x - m)
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // mean returns the arithmetic mean of xs (0 for an empty slice).

@@ -16,72 +16,17 @@ func parCfg(par int) Config {
 	return cfg
 }
 
-// TestUpdateSweepParallelBitIdentical pins the campaign determinism
-// guarantee on a static sweep: savings, deviations and replica counts are
-// bit-identical at any worker count (timings are excluded — wall-clock is
-// never deterministic).
-func TestUpdateSweepParallelBitIdentical(t *testing.T) {
-	ref, err := parCfg(1).runUpdateSweep(func(string, ...interface{}) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 8} {
-		sweep, err := parCfg(par).runUpdateSweep(func(string, ...interface{}) {})
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		if len(sweep.Variants) != len(ref.Variants) {
-			t.Fatalf("par=%d: %d variants, want %d", par, len(sweep.Variants), len(ref.Variants))
-		}
-		for vi, v := range sweep.Variants {
-			rv := ref.Variants[vi]
-			if v.Label != rv.Label {
-				t.Fatalf("par=%d: variant %d label %q, want %q", par, vi, v.Label, rv.Label)
-			}
-			for xi := range v.Savings {
-				if v.Savings[xi] != rv.Savings[xi] || v.SavingsStd[xi] != rv.SavingsStd[xi] || v.Replicas[xi] != rv.Replicas[xi] {
-					t.Fatalf("par=%d: %s point %d diverged from serial", par, v.Label, xi)
-				}
-			}
-		}
-	}
-}
-
-// TestAdaptSweepParallelBitIdentical pins the same guarantee on the
-// Figure 4 policy sweep.
-func TestAdaptSweepParallelBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("adaptive sweep in -short mode")
-	}
-	nolog := func(string, ...interface{}) {}
-	ref, err := parCfg(1).runAdaptSweep(0x4a0, 1.0, "reads up", nolog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep, err := parCfg(4).runAdaptSweep(0x4a0, 1.0, "reads up", nolog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range ref.Policies {
-		for xi := range ref.Savings[name] {
-			if sweep.Savings[name][xi] != ref.Savings[name][xi] {
-				t.Fatalf("policy %s point %d diverged from serial", name, xi)
-			}
-		}
-	}
-}
-
 // TestRunStaticCellsLogsEveryCell checks the worker-side progress lines:
 // each cell announces itself exactly once through the serialised logger.
 func TestRunStaticCellsLogsEveryCell(t *testing.T) {
 	cfg := parCfg(4)
 	var buf bytes.Buffer
-	// The sink is deliberately not goroutine-safe: runStaticCells' own
+	// The sink is deliberately not goroutine-safe: the sweep engine's own
 	// serialisation is what keeps the race detector quiet here.
 	log := func(format string, args ...interface{}) {
 		fmt.Fprintf(&buf, format+"\n", args...)
 	}
-	if _, err := cfg.runCapacitySweep(log); err != nil {
+	if _, err := sweepTable[byCapacity].run(cfg, log); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

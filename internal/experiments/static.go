@@ -5,243 +5,32 @@ import (
 	"math"
 
 	"drp/internal/gra"
-	"drp/internal/parallel"
 	"drp/internal/sra"
 	"drp/internal/workload"
 )
 
-// Variant is one algorithm/parameter combination tracked through a sweep.
-type Variant struct {
-	Label      string
-	Savings    []float64 // % NTC saved, mean over networks, per x point
-	SavingsStd []float64 // standard deviation of the savings across networks
-	Replicas   []float64 // replicas created beyond primaries
-	TimeMS     []float64 // execution time in milliseconds
-}
+// The static instance's series, in the order of its vector.
+const sraSeries, graSeries = 0, 1
 
-// StaticSweep holds the measurements behind Figures 1–3: for each x-axis
-// point, the per-variant mean savings, replica counts and runtimes.
-type StaticSweep struct {
-	X        []float64
-	Variants []*Variant
-}
-
-func (s *StaticSweep) variant(label string) *Variant {
-	for _, v := range s.Variants {
-		if v.Label == label {
-			return v
-		}
-	}
-	v := &Variant{Label: label}
-	s.Variants = append(s.Variants, v)
-	return v
-}
-
-// staticCell is one sweep point: a problem shape plus the progress line
-// announcing it.
-type staticCell struct {
-	tag  uint64
-	m, n int
-	u, c float64
-	desc string
-}
+var staticSeries = []string{sraSeries: "SRA", graSeries: "GRA"}
 
 // staticInstance runs SRA and GRA on the net-th random network of a cell
-// and returns the raw sample
-// (sraSav, graSav, sraRepl, graRepl, sraMS, graMS).
-// The seed is a pure function of (cell, net), so instances are independent
-// and safe to run on any worker in any order.
-func (cfg Config) staticInstance(cell staticCell, net int) ([6]float64, error) {
-	seed := cfg.pointSeed(cell.tag, uint64(cell.m), uint64(cell.n), math.Float64bits(cell.u), math.Float64bits(cell.c), uint64(net))
-	p, err := workload.Generate(workload.NewSpec(cell.m, cell.n, cell.u, cell.c), seed)
+// and returns one measurement per staticSeries entry. The seed is a pure
+// function of (tag, cell, net), so instances are independent and safe to
+// run on any worker in any order.
+func (cfg Config) staticInstance(tag uint64, at cell, net int) ([]measure, error) {
+	seed := cfg.pointSeed(tag, uint64(at.m), uint64(at.n), math.Float64bits(at.u), math.Float64bits(at.c), uint64(net))
+	p, err := workload.Generate(workload.NewSpec(at.m, at.n, at.u, at.c), seed)
 	if err != nil {
-		return [6]float64{}, fmt.Errorf("experiments: generate M=%d N=%d: %w", cell.m, cell.n, err)
+		return nil, fmt.Errorf("experiments: generate M=%d N=%d: %w", at.m, at.n, err)
 	}
 	sraRes := sra.Run(p, sra.Options{})
 	graRes, err := gra.RunWith(p, cfg.graParams(seed+1), cfg.cellRun())
 	if err != nil {
-		return [6]float64{}, fmt.Errorf("experiments: gra M=%d N=%d: %w", cell.m, cell.n, err)
+		return nil, fmt.Errorf("experiments: gra M=%d N=%d: %w", at.m, at.n, err)
 	}
-	return [6]float64{
-		p.Savings(sraRes.Scheme.Cost()),
-		graRes.Scheme.Savings(),
-		float64(sraRes.Scheme.TotalReplicas()),
-		float64(graRes.Scheme.TotalReplicas()),
-		float64(sraRes.Elapsed.Microseconds()) / 1000,
-		float64(graRes.Elapsed.Microseconds()) / 1000,
+	return []measure{
+		sraSeries: {savings: p.Savings(sraRes.Scheme.Cost()), replicas: float64(sraRes.Scheme.TotalReplicas()), ms: millis(sraRes.Elapsed)},
+		graSeries: {savings: graRes.Scheme.Savings(), replicas: float64(graRes.Scheme.TotalReplicas()), ms: millis(graRes.Elapsed)},
 	}, nil
-}
-
-// runStaticCells fans the cells × cfg.Networks instances out across the
-// campaign worker pool and reduces each cell's statistics in input order:
-// (sraSav, graSav, sraRepl, graRepl, sraMS, graMS, sraSavStd, graSavStd).
-func (cfg Config) runStaticCells(cells []staticCell, log logf) ([][8]float64, error) {
-	log = syncLogf(log)
-	nets := cfg.Networks
-	samples := make([][6]float64, len(cells)*nets)
-	errs := make([]error, len(samples))
-	parallel.For(len(samples), parallel.Workers(cfg.Parallelism), func(ti int) {
-		ci, net := ti/nets, ti%nets
-		if net == 0 {
-			log("%s", cells[ci].desc)
-		}
-		samples[ti], errs[ti] = cfg.staticInstance(cells[ci], net)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([][8]float64, len(cells))
-	acc := make([]float64, nets)
-	for ci := range cells {
-		for col := 0; col < 6; col++ {
-			for net := 0; net < nets; net++ {
-				acc[net] = samples[ci*nets+net][col]
-			}
-			out[ci][col] = mean(acc)
-			if col < 2 {
-				out[ci][6+col] = stddev(acc)
-			}
-		}
-	}
-	return out, nil
-}
-
-// runSitesSweep produces the data behind Figures 1(a), 1(b), 2(a), 2(b):
-// object count fixed at Fig1Objects, sites swept, one SRA and one GRA
-// variant per update ratio.
-func (cfg Config) runSitesSweep(log logf) (*StaticSweep, error) {
-	sweep := &StaticSweep{}
-	for _, m := range cfg.SitesSweep {
-		sweep.X = append(sweep.X, float64(m))
-	}
-	var cells []staticCell
-	for _, u := range cfg.UpdateRatios {
-		for xi, m := range cfg.SitesSweep {
-			cells = append(cells, staticCell{
-				tag: 0x516, m: m, n: cfg.Fig1Objects, u: u, c: cfg.BaseCapacityRatio,
-				desc: fmt.Sprintf("fig1/2: sites=%d U=%.0f%% (%d/%d)", m, 100*u, xi+1, len(cfg.SitesSweep)),
-			})
-		}
-	}
-	vals, err := cfg.runStaticCells(cells, log)
-	if err != nil {
-		return nil, err
-	}
-	ci := 0
-	for _, u := range cfg.UpdateRatios {
-		for range cfg.SitesSweep {
-			cfg.appendPoint(sweep, u, vals[ci])
-			ci++
-		}
-	}
-	return sweep, nil
-}
-
-// runObjectsSweep produces the data behind Figures 1(c) and 1(d): sites
-// fixed at Fig1cSites, objects swept.
-func (cfg Config) runObjectsSweep(log logf) (*StaticSweep, error) {
-	sweep := &StaticSweep{}
-	for _, n := range cfg.ObjectsSweep {
-		sweep.X = append(sweep.X, float64(n))
-	}
-	var cells []staticCell
-	for _, u := range cfg.UpdateRatios {
-		for xi, n := range cfg.ObjectsSweep {
-			cells = append(cells, staticCell{
-				tag: 0x0b7, m: cfg.Fig1cSites, n: n, u: u, c: cfg.BaseCapacityRatio,
-				desc: fmt.Sprintf("fig1c/d: objects=%d U=%.0f%% (%d/%d)", n, 100*u, xi+1, len(cfg.ObjectsSweep)),
-			})
-		}
-	}
-	vals, err := cfg.runStaticCells(cells, log)
-	if err != nil {
-		return nil, err
-	}
-	ci := 0
-	for _, u := range cfg.UpdateRatios {
-		for range cfg.ObjectsSweep {
-			cfg.appendPoint(sweep, u, vals[ci])
-			ci++
-		}
-	}
-	return sweep, nil
-}
-
-func (cfg Config) appendPoint(sweep *StaticSweep, u float64, vals [8]float64) {
-	uLabel := fmt.Sprintf("U=%s%%", trimFloat(100*u))
-	appendVals(sweep.variant("SRA "+uLabel), sweep.variant("GRA "+uLabel), vals)
-}
-
-// appendVals pushes one staticPoint result onto the SRA/GRA variant pair.
-func appendVals(sraV, graV *Variant, vals [8]float64) {
-	sraV.Savings = append(sraV.Savings, vals[0])
-	graV.Savings = append(graV.Savings, vals[1])
-	sraV.Replicas = append(sraV.Replicas, vals[2])
-	graV.Replicas = append(graV.Replicas, vals[3])
-	sraV.TimeMS = append(sraV.TimeMS, vals[4])
-	graV.TimeMS = append(graV.TimeMS, vals[5])
-	sraV.SavingsStd = append(sraV.SavingsStd, vals[6])
-	graV.SavingsStd = append(graV.SavingsStd, vals[7])
-}
-
-// runUpdateSweep produces Figure 3(a): savings versus update ratio at the
-// adaptive test-case shape.
-func (cfg Config) runUpdateSweep(log logf) (*StaticSweep, error) {
-	sweep := &StaticSweep{}
-	sraV := sweep.variant("SRA")
-	graV := sweep.variant("GRA")
-	var cells []staticCell
-	for xi, u := range cfg.UpdateSweep {
-		sweep.X = append(sweep.X, 100*u)
-		cells = append(cells, staticCell{
-			tag: 0x3a0, m: cfg.Fig3Sites, n: cfg.Fig3Objects, u: u, c: cfg.BaseCapacityRatio,
-			desc: fmt.Sprintf("fig3a: U=%.1f%% (%d/%d)", 100*u, xi+1, len(cfg.UpdateSweep)),
-		})
-	}
-	vals, err := cfg.runStaticCells(cells, log)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range vals {
-		appendVals(sraV, graV, v)
-	}
-	return sweep, nil
-}
-
-// runCapacitySweep produces Figure 3(b): savings versus capacity ratio at
-// the base update ratio (paper: U=5%).
-func (cfg Config) runCapacitySweep(log logf) (*StaticSweep, error) {
-	sweep := &StaticSweep{}
-	sraV := sweep.variant("SRA")
-	graV := sweep.variant("GRA")
-	var cells []staticCell
-	for xi, c := range cfg.CapacitySweep {
-		sweep.X = append(sweep.X, 100*c)
-		cells = append(cells, staticCell{
-			tag: 0x3b0, m: cfg.Fig3Sites, n: cfg.Fig3Objects, u: cfg.BaseUpdateRatio, c: c,
-			desc: fmt.Sprintf("fig3b: C=%.0f%% (%d/%d)", 100*c, xi+1, len(cfg.CapacitySweep)),
-		})
-	}
-	vals, err := cfg.runStaticCells(cells, log)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range vals {
-		appendVals(sraV, graV, v)
-	}
-	return sweep, nil
-}
-
-// figureFrom projects one measurement (savings, replicas, or runtime of a
-// label subset) of a sweep into a FigureResult.
-func figureFrom(sweep *StaticSweep, id, title, xLabel, yLabel string, pick func(Variant) ([]float64, bool)) *FigureResult {
-	fig := &FigureResult{ID: id, Title: title, XLabel: xLabel, YLabel: yLabel, X: sweep.X}
-	for _, v := range sweep.Variants {
-		if ys, ok := pick(*v); ok {
-			fig.Series = append(fig.Series, Series{Name: v.Label, Y: ys})
-		}
-	}
-	return fig
 }
