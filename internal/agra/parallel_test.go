@@ -1,10 +1,15 @@
 package agra
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
+	"drp/internal/bitset"
 	"drp/internal/core"
 	"drp/internal/gra"
+	"drp/internal/solver"
 	"drp/internal/workload"
 )
 
@@ -154,4 +159,82 @@ func TestTrajectoryPinnedOnAdaptiveTestCase(t *testing.T) {
 			t.Fatalf("par=%d: cost %d after %d evaluations, recorded 21727410 after 20620", par, res.Cost, res.Stats.Evaluations)
 		}
 	}
+}
+
+// TestHistoryPinnedOnAdaptiveTestCase pins the mini-GRA of the adaptation
+// above beyond its elite: every generation's progress event (generation,
+// best cost, the bit patterns of best and mean fitness) and the retained
+// population's bits, as one FNV-1a digest, at every worker count.
+func TestHistoryPinnedOnAdaptiveTestCase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full-size GRA run and three adaptations")
+	}
+	night := gen(t, 50, 200, 0.05, 0.15, 1)
+	day, changes, err := workload.ApplyChange(night, workload.ChangeSpec{Ch: 6, ObjectShare: 0.2, ReadShare: 0.7}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := make([]int, len(changes))
+	for i, c := range changes {
+		changed[i] = c.Object
+	}
+	static, err := gra.Run(night, gra.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, err := core.SchemeFromBits(day, static.Scheme.Bits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 8} {
+		params := DefaultParams()
+		params.Parallelism = par
+		mini := gra.DefaultParams()
+		mini.PopSize = 20
+		mini.Parallelism = par
+		// The micro-GAs report as "agra" from worker goroutines; the
+		// mini-GRA reports as "gra", in order, from the coordinator.
+		var rows []solver.Progress
+		observer := solver.Synchronized(solver.ObserverFunc(func(pr solver.Progress) {
+			if pr.Algorithm == "gra" {
+				rows = append(rows, pr)
+			}
+		}))
+		in := Input{Problem: day, Current: current, GRAPopulation: static.Population, Changed: changed}
+		res, err := AdaptWith(in, params, mini, 5, solver.Run{Observer: observer})
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		if len(rows) != 6 {
+			t.Fatalf("par=%d: %d mini-GRA progress events, want 6", par, len(rows))
+		}
+		if got := historyDigest(rows, res.Population); got != 0xcd3de5cea3e4c3ae {
+			t.Fatalf("par=%d: mini-GRA history and population digest %#x, recorded %#x", par, got, uint64(0xcd3de5cea3e4c3ae))
+		}
+	}
+}
+
+// historyDigest is the FNV-1a digest of every row's iteration, best cost and
+// the bit patterns of its best and mean fitness, followed by the set
+// positions of every chromosome, each chromosome closed by an all-ones word.
+func historyDigest(rows []solver.Progress, pop []*bitset.Set) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, r := range rows {
+		put(uint64(r.Iteration))
+		put(uint64(r.BestCost))
+		put(math.Float64bits(r.BestFitness))
+		put(math.Float64bits(r.MeanFitness))
+	}
+	for _, bits := range pop {
+		for pos := bits.NextSet(0); pos >= 0; pos = bits.NextSet(pos + 1) {
+			put(uint64(pos))
+		}
+		put(^uint64(0))
+	}
+	return h.Sum64()
 }

@@ -1,8 +1,12 @@
 package gra
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
+	"drp/internal/bitset"
 	"drp/internal/solver"
 	"drp/internal/xrand"
 )
@@ -123,4 +127,52 @@ func TestTrajectoryPinnedOnAdaptiveTestCase(t *testing.T) {
 			t.Fatalf("par=%d: cost %d after %d evaluations, recorded 16064740 after 8050", par, res.Cost, res.Evaluations)
 		}
 	}
+}
+
+// TestHistoryPinnedOnAdaptiveTestCase pins more of the same run than the
+// elite's cost: every History row (mean fitness depends on the cost of every
+// individual, not just the best) and the final population's bits, as one
+// FNV-1a digest, at every worker count. A wrong V_k anywhere in the
+// population moves it even when the elite survives.
+func TestHistoryPinnedOnAdaptiveTestCase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full-size GRA runs")
+	}
+	p := gen(t, 50, 200, 0.05, 0.15, 1)
+	for _, par := range []int{1, 2, 8} {
+		params := DefaultParams()
+		params.Parallelism = par
+		res, err := Run(p, params)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		if got := historyDigest(res.History, res.Population); got != 0x8cca6994bae4769d {
+			t.Fatalf("par=%d: history and population digest %#x, recorded %#x", par, got, uint64(0x8cca6994bae4769d))
+		}
+	}
+}
+
+// historyDigest is the FNV-1a digest of every row's Gen, BestCost and the
+// bit patterns of BestFitness and MeanFitness, followed by the set positions
+// of every chromosome, each chromosome closed by an all-ones word.
+func historyDigest(history []GenStats, pop []*bitset.Set) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, g := range history {
+		put(uint64(g.Gen))
+		put(uint64(g.BestCost))
+		put(math.Float64bits(g.BestFitness))
+		put(math.Float64bits(g.MeanFitness))
+	}
+	for _, bits := range pop {
+		for pos := bits.NextSet(0); pos >= 0; pos = bits.NextSet(pos + 1) {
+			put(uint64(pos))
+		}
+		put(^uint64(0))
+	}
+	return h.Sum64()
 }
