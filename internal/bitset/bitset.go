@@ -194,6 +194,38 @@ func (s *Set) NextSet(i int) int {
 	return -1
 }
 
+// NextDiff returns the index of the first bit at or after i in which s and
+// other differ, or -1 if there is none. Both sets must have the same length.
+// It compares a word at a time, so walking the differences of two similar
+// sets costs one XOR per word plus one step per differing bit.
+func (s *Set) NextDiff(other *Set, i int) int {
+	if s.n != other.n {
+		panic("bitset: length mismatch in NextDiff")
+	}
+	if i < 0 {
+		i = 0
+	}
+	if i >= s.n {
+		return -1
+	}
+	w := i / wordBits
+	if x := (s.words[w] ^ other.words[w]) >> (uint(i) % wordBits); x != 0 {
+		if idx := i + bits.TrailingZeros64(x); idx < s.n {
+			return idx
+		}
+		return -1
+	}
+	for w++; w < len(s.words); w++ {
+		if x := s.words[w] ^ other.words[w]; x != 0 {
+			if idx := w*wordBits + bits.TrailingZeros64(x); idx < s.n {
+				return idx
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
 // OnesInto appends the indices of all set bits in [from, to) to dst and
 // returns the extended slice. It is allocation-free when dst has capacity.
 func (s *Set) OnesInto(dst []int, from, to int) []int {

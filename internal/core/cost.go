@@ -49,60 +49,106 @@ type Evaluator struct {
 	p *Problem
 	// dmin is the M-long nearest-replica distance scratch of objectTerms.
 	dmin []int64
-	// replicators[k] is scratch for the replica list of object k.
-	replicators [][]int32
-	// meter, when set, is incremented once per Cost/ObjectCost call — the
-	// solver runtime's central evaluation counter for budget accounting.
+	// repl and nrepl hold gather's per-object replica lists: object k's
+	// sites are repl[k·M : k·M+nrepl[k]]. One flat array keeps the
+	// bucketing free of slice-header (pointer) writes.
+	repl  []int32
+	nrepl []int32
+	// objects is Cost's scratch vector of V_k.
+	objects []int64
+	// meter, when set, is incremented once per Cost/Reprice/ObjectCost call
+	// — the solver runtime's central evaluation counter for budget
+	// accounting.
 	meter *atomic.Int64
 }
 
 // NewEvaluator returns an evaluator for p.
 func NewEvaluator(p *Problem) *Evaluator {
 	return &Evaluator{
-		p:           p,
-		dmin:        make([]int64, p.m),
-		replicators: make([][]int32, p.n),
+		p:       p,
+		dmin:    make([]int64, p.m),
+		repl:    make([]int32, p.n*p.m),
+		nrepl:   make([]int32, p.n),
+		objects: make([]int64, p.n),
 	}
 }
 
-// SetMeter attaches an evaluation counter: every subsequent Cost and
-// ObjectCost call adds one to it. The counter may be shared across
+// SetMeter attaches an evaluation counter: every subsequent Cost, Reprice
+// and ObjectCost call adds one to it. The counter may be shared across
 // evaluators (and goroutines); nil detaches.
 func (e *Evaluator) SetMeter(meter *atomic.Int64) { e.meter = meter }
 
-// gather buckets the set bits of x into per-object replicator lists.
-func (e *Evaluator) gather(x *bitset.Set) {
-	n := e.p.n
-	for k := range e.replicators {
-		e.replicators[k] = e.replicators[k][:0]
+// gather buckets the set bits of x into per-object replicator lists, for
+// the objects set in dirty (nil: every object). A full gather walks the set
+// bits once; a partial one walks only the dirty objects' columns, M bits
+// each, and leaves the other lists stale.
+func (e *Evaluator) gather(x, dirty *bitset.Set) {
+	m, n := e.p.m, e.p.n
+	if dirty != nil {
+		for k := dirty.NextSet(0); k >= 0; k = dirty.NextSet(k + 1) {
+			repl, cnt := e.repl[k*m:][:m], int32(0)
+			for i := range repl {
+				repl[cnt] = int32(i)
+				if x.Test(i*n + k) {
+					cnt++
+				}
+			}
+			e.nrepl[k] = cnt
+		}
+		return
 	}
+	clear(e.nrepl)
 	site, base := int32(0), 0
 	for pos := x.NextSet(0); pos >= 0; pos = x.NextSet(pos + 1) {
 		for pos >= base+n {
 			site++
 			base += n
 		}
-		e.replicators[pos-base] = append(e.replicators[pos-base], site)
+		k := pos - base
+		e.repl[k*m+int(e.nrepl[k])] = site
+		e.nrepl[k]++
 	}
+}
+
+// replicators returns object k's replica list as gathered.
+func (e *Evaluator) replicators(k int) []int32 {
+	m := e.p.m
+	return e.repl[k*m : k*m+int(e.nrepl[k])]
 }
 
 // Cost returns D for the placement encoded by x. The bitset must be
 // site-major with length M·N. Objects with no replica at all contribute as
 // if only the primary existed (the GA repairs such chromosomes separately);
 // in well-formed schemes the primary bit is always present.
-func (e *Evaluator) Cost(x *bitset.Set) int64 {
+func (e *Evaluator) Cost(x *bitset.Set) int64 { return e.Reprice(x, nil, e.objects) }
+
+// Reprice is Cost for a placement whose V_k are partly known. It writes V_k
+// of x into v[k] for every object k set in the N-bit mask dirty (nil: every
+// object), leaves the other entries of v as they are and returns Σ_k v[k] —
+// D of x, provided those entries already hold x's V_k, as they do when x
+// shares object k's column (its bits at all M sites) with the placement v
+// was priced for. It counts one evaluation, however many objects it prices.
+func (e *Evaluator) Reprice(x, dirty *bitset.Set, v []int64) int64 {
 	if e.meter != nil {
 		e.meter.Add(1)
 	}
-	return e.terms(x).Total()
+	e.gather(x, dirty)
+	var d int64
+	for k := range v[:e.p.n] {
+		if dirty == nil || dirty.Test(k) {
+			v[k] = e.objectTerms(k, e.replicators(k)).Total()
+		}
+		d += v[k]
+	}
+	return d
 }
 
 // terms is Cost split into eq. 4's three summands.
 func (e *Evaluator) terms(x *bitset.Set) CostTerms {
-	e.gather(x)
+	e.gather(x, nil)
 	var t CostTerms
-	for k, repl := range e.replicators {
-		v := e.objectTerms(k, repl)
+	for k := range e.nrepl {
+		v := e.objectTerms(k, e.replicators(k))
 		t.ReadNTC += v.ReadNTC
 		t.WriteNTC += v.WriteNTC
 		t.UpdateNTC += v.UpdateNTC
@@ -170,8 +216,7 @@ func (s *Scheme) Cost() int64 { return s.CostTerms().Total() }
 func (s *Scheme) ObjectCost(k int) int64 {
 	e := s.p.evals.Get().(*Evaluator)
 	defer s.p.evals.Put(e)
-	e.replicators[k] = s.appendReplicators(e.replicators[k][:0], k)
-	return e.objectTerms(k, e.replicators[k]).Total()
+	return e.objectTerms(k, s.appendReplicators(e.repl[:0], k)).Total()
 }
 
 // CostTerms is eq. 4's D split into its three summands: the read traffic of

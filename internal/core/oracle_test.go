@@ -6,8 +6,10 @@ package core_test
 // generated instances and schemes.
 
 import (
+	"sync/atomic"
 	"testing"
 
+	"drp/internal/bitset"
 	"drp/internal/core"
 	"drp/internal/workload"
 	"drp/internal/xrand"
@@ -95,6 +97,77 @@ func TestCostIsSumOfObjectCosts(t *testing.T) {
 	}
 	if got := s.Cost(); got != sum {
 		t.Fatalf("Cost = %d, Σ ObjectCost = %d", got, sum)
+	}
+}
+
+// TestRepriceMatchesCost prices one scheme in full, then a second one with
+// only the objects whose columns differ marked dirty: each vector entry is
+// that scheme's V_k, the returned sum its D, entries outside the mask are
+// left alone, and every call ticks the meter once.
+func TestRepriceMatchesCost(t *testing.T) {
+	p, err := workload.Generate(workload.NewSpec(10, 15, 0.05, 0.2), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := randomScheme(p, xrand.New(17)), randomScheme(p, xrand.New(18))
+	ev := core.NewEvaluator(p)
+	var meter atomic.Int64
+	ev.SetMeter(&meter)
+	check := func(what string, s *core.Scheme, v []int64) {
+		t.Helper()
+		for k, vk := range v {
+			if want := s.ObjectCost(k); vk != want {
+				t.Fatalf("%s: v[%d] = %d, V_k = %d", what, k, vk, want)
+			}
+		}
+	}
+
+	v := make([]int64, p.Objects())
+	if d := ev.Reprice(a.Bits(), nil, v); d != a.Cost() {
+		t.Fatalf("full reprice = %d, Cost = %d", d, a.Cost())
+	}
+	check("full reprice", a, v)
+
+	dirty := bitset.New(p.Objects())
+	for k := 0; k < p.Objects(); k++ {
+		for i := 0; i < p.Sites(); i++ {
+			if a.Has(i, k) != b.Has(i, k) {
+				dirty.Set(k)
+			}
+		}
+	}
+	if c := dirty.Count(); c == 0 || c == p.Objects() {
+		t.Fatalf("fixture: %d of %d columns differ, want some but not all", c, p.Objects())
+	}
+	if d := ev.Reprice(b.Bits(), dirty, v); d != b.Cost() {
+		t.Fatalf("partial reprice = %d, Cost = %d", d, b.Cost())
+	}
+	check("partial reprice", b, v)
+
+	const sentinel = -7
+	for k := range v {
+		if !dirty.Test(k) {
+			v[k] = sentinel
+		}
+	}
+	var want int64
+	for k := range v {
+		if dirty.Test(k) {
+			want += b.ObjectCost(k)
+		} else {
+			want += sentinel
+		}
+	}
+	if d := ev.Reprice(b.Bits(), dirty, v); d != want {
+		t.Fatalf("reprice over untouched entries = %d, want %d", d, want)
+	}
+	for k, vk := range v {
+		if !dirty.Test(k) && vk != sentinel {
+			t.Fatalf("clean entry v[%d] overwritten with %d", k, vk)
+		}
+	}
+	if got := meter.Load(); got != 3 {
+		t.Fatalf("three reprices ticked the meter %d times", got)
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // The pool itself must not be shared between concurrently running batches;
 // one pool per solver run is the intended shape.
 type EvalPool struct {
-	workers int
-	evs     []*Evaluator
+	evs []*Evaluator // one per worker
 }
 
 // NewEvalPool returns a pool for p. parallelism follows the solvers'
@@ -30,7 +29,7 @@ func NewEvalPool(p *Problem, parallelism int) *EvalPool {
 	for i := range evs {
 		evs[i] = NewEvaluator(p)
 	}
-	return &EvalPool{workers: w, evs: evs}
+	return &EvalPool{evs: evs}
 }
 
 // SetMeter attaches one shared evaluation counter to every worker's
@@ -41,18 +40,11 @@ func (pl *EvalPool) SetMeter(meter *atomic.Int64) {
 	}
 }
 
-// Workers returns the pool's worker count.
-func (pl *EvalPool) Workers() int { return pl.workers }
-
-// Evaluator returns worker 0's evaluator for inline, single-chromosome use
-// on the caller's goroutine (never concurrently with Each).
-func (pl *EvalPool) Evaluator() *Evaluator { return pl.evs[0] }
-
 // Each runs fn(ev, i) for every i in [0, n) across the pool, handing each
 // invocation a worker-private Evaluator. fn must write its result into an
 // index-addressed slot and must not touch shared mutable state.
 func (pl *EvalPool) Each(n int, fn func(ev *Evaluator, i int)) {
-	parallel.ForWorker(n, pl.workers, func(w, i int) { fn(pl.evs[w], i) })
+	parallel.ForWorker(n, len(pl.evs), func(w, i int) { fn(pl.evs[w], i) })
 }
 
 // Costs evaluates each placement matrix and returns their NTCs in input

@@ -5,6 +5,7 @@ import (
 
 	"drp/internal/bitset"
 	"drp/internal/netsim"
+	"drp/internal/parallel"
 	"drp/internal/xrand"
 )
 
@@ -80,14 +81,14 @@ func TestEvalPoolCostsMatchSerial(t *testing.T) {
 
 func TestEvalPoolWorkerResolution(t *testing.T) {
 	p, _ := poolProblem(t, 3, 3, 1)
-	if w := NewEvalPool(p, 3).Workers(); w != 3 {
-		t.Fatalf("explicit parallelism resolved to %d workers", w)
-	}
-	if w := NewEvalPool(p, 1).Workers(); w != 1 {
-		t.Fatalf("serial pool has %d workers", w)
-	}
-	if NewEvalPool(p, 0).Workers() < 1 {
-		t.Fatal("GOMAXPROCS pool has no workers")
+	for _, par := range []int{3, 1, 0} {
+		want := parallel.Workers(par)
+		if par > 0 && want != par || want < 1 {
+			t.Fatalf("parallelism %d resolved to %d workers", par, want)
+		}
+		if got := len(NewEvalPool(p, par).evs); got != want {
+			t.Fatalf("parallelism %d: pool holds %d evaluators, want one per worker (%d)", par, got, want)
+		}
 	}
 }
 

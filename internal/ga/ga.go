@@ -6,6 +6,7 @@ package ga
 
 import (
 	"math"
+	"slices"
 
 	"drp/internal/bitset"
 	"drp/internal/xrand"
@@ -17,11 +18,15 @@ type Individual struct {
 	Bits    *bitset.Set
 	Cost    int64
 	Fitness float64
+	// Objects, when the solver keeps it (GRA does), holds the per-object
+	// terms V_k whose sum is Cost, so offspring can inherit the terms of the
+	// objects they did not change; nil otherwise.
+	Objects []int64
 }
 
 // Clone deep-copies the individual.
 func (ind Individual) Clone() Individual {
-	return Individual{Bits: ind.Bits.Clone(), Cost: ind.Cost, Fitness: ind.Fitness}
+	return Individual{Bits: ind.Bits.Clone(), Cost: ind.Cost, Fitness: ind.Fitness, Objects: slices.Clone(ind.Objects)}
 }
 
 // Best returns the index of the highest-fitness individual, or -1 for an
@@ -93,7 +98,7 @@ func StochasticRemainder(pool []Individual, count int, rng *xrand.Source) []Indi
 		}
 	}
 	for len(out) < count {
-		idx := RouletteIndex(fracs, rng)
+		idx := rouletteIndex(fracs, rng)
 		out = append(out, pool[idx].Clone())
 		// Each fractional part buys at most one extra offspring.
 		fracs[idx] = 0
@@ -101,12 +106,12 @@ func StochasticRemainder(pool []Individual, count int, rng *xrand.Source) []Indi
 	return out
 }
 
-// RouletteIndex picks an index with probability proportional to the
+// rouletteIndex picks an index with probability proportional to the
 // non-negative weights. NaN and negative weights are treated as zero — a
 // NaN in the running total would otherwise poison every comparison and
 // silently bias the pick to the last index. All-zero (or otherwise
 // degenerate) totals fall back to a uniform pick.
-func RouletteIndex(weights []float64, rng *xrand.Source) int {
+func rouletteIndex(weights []float64, rng *xrand.Source) int {
 	total := 0.0
 	for _, w := range weights {
 		if w > 0 {

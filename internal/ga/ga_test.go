@@ -34,14 +34,21 @@ func TestBestWorstMean(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	ind := Individual{Bits: bitset.New(4), Cost: 7, Fitness: 0.5}
+	ind := Individual{Bits: bitset.New(4), Cost: 7, Fitness: 0.5, Objects: []int64{3, 4}}
 	c := ind.Clone()
 	c.Bits.Set(0)
+	c.Objects[0] = 5
 	if ind.Bits.Test(0) {
 		t.Fatal("clone shares bits with original")
 	}
-	if c.Cost != 7 || c.Fitness != 0.5 {
+	if ind.Objects[0] != 3 {
+		t.Fatal("clone shares its per-object costs with original")
+	}
+	if c.Cost != 7 || c.Fitness != 0.5 || c.Objects[1] != 4 {
 		t.Fatal("clone lost metadata")
+	}
+	if (Individual{Bits: bitset.New(4)}).Clone().Objects != nil {
+		t.Fatal("clone of an individual without per-object costs grew some")
 	}
 }
 
@@ -119,7 +126,7 @@ func TestRouletteIndex(t *testing.T) {
 	rng := xrand.New(5)
 	counts := make([]int, 3)
 	for i := 0; i < 30000; i++ {
-		counts[RouletteIndex([]float64{1, 2, 7}, rng)]++
+		counts[rouletteIndex([]float64{1, 2, 7}, rng)]++
 	}
 	for i, want := range []float64{0.1, 0.2, 0.7} {
 		got := float64(counts[i]) / 30000
@@ -128,7 +135,7 @@ func TestRouletteIndex(t *testing.T) {
 		}
 	}
 	// All-zero weights: uniform fallback, must not panic.
-	idx := RouletteIndex([]float64{0, 0}, rng)
+	idx := rouletteIndex([]float64{0, 0}, rng)
 	if idx < 0 || idx > 1 {
 		t.Fatalf("zero-weight roulette index %d", idx)
 	}
@@ -266,7 +273,7 @@ func TestRouletteIndexDegenerateWeights(t *testing.T) {
 	// back to a uniform pick.
 	counts := make([]int, 3)
 	for i := 0; i < 3000; i++ {
-		counts[RouletteIndex([]float64{math.NaN(), -1, math.NaN()}, rng)]++
+		counts[rouletteIndex([]float64{math.NaN(), -1, math.NaN()}, rng)]++
 	}
 	for i, c := range counts {
 		if c == 0 {
@@ -275,7 +282,7 @@ func TestRouletteIndexDegenerateWeights(t *testing.T) {
 	}
 	// A NaN weight must not absorb probability mass from valid ones.
 	for i := 0; i < 1000; i++ {
-		if idx := RouletteIndex([]float64{math.NaN(), 1, math.Inf(-1)}, rng); idx != 1 {
+		if idx := rouletteIndex([]float64{math.NaN(), 1, math.Inf(-1)}, rng); idx != 1 {
 			t.Fatalf("the only valid weight lost the roulette to index %d", idx)
 		}
 	}

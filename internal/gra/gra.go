@@ -10,6 +10,10 @@
 // Two-point crossover can only invalidate the genes containing the cut
 // points, and validity is restored by swapping the uncrossed remainder of
 // those genes (after which each gene comes whole from one valid parent).
+// Every evaluated individual carries its per-object costs V_k (eq. 4 is
+// their sum): a child copies V_k of each object whose column — its bits at
+// all M sites — it shares with a parent, and re-prices only the objects
+// whose column matches neither; seeds are priced in full.
 package gra
 
 import (
@@ -127,7 +131,7 @@ func RunWith(p *core.Problem, params Params, run solver.Run) (*Result, error) {
 	}
 	rng := xrand.New(params.Seed)
 	c := solver.Start("gra", run)
-	return evolve(p, params, seedSRA(p, params.PopSize, rng), rng, c)
+	return evolve(newEvaluator(p, params.Parallelism), params, seedSRA(p, params.PopSize, rng), rng, c)
 }
 
 // ContinueWith executes GRA from a caller-supplied initial population (AGRA
@@ -166,7 +170,7 @@ func ContinueWith(p *core.Problem, params Params, init []*bitset.Set, run solver
 	for i, s := range seeds {
 		pop[i] = s.Bits()
 	}
-	return evolve(p, params, pop, rng, c)
+	return evolve(newEvaluator(p, params.Parallelism), params, pop, rng, c)
 }
 
 // seedSRA builds the paper's initial population: PopSize SRA runs with
@@ -201,18 +205,23 @@ func Perturb(s *core.Scheme, fraction float64, rng *xrand.Source) {
 	}
 }
 
-// evolve runs the generational loop over an initial population of bitsets.
-// Variation is serial (all randomness on this goroutine); only the cost
-// evaluations fan out across the params.Parallelism worker pool. The
-// controller is consulted exactly once per generation, at the top of the
-// loop, before any randomness is drawn — so breaking there leaves the run
-// in precisely the state a shorter Generations setting would have produced.
-func evolve(p *core.Problem, params Params, init []*bitset.Set, rng *xrand.Source, c *solver.Controller) (*Result, error) {
-	ev := newEvaluator(p, params.Parallelism)
+// evolve runs the generational loop over an initial population of bitsets,
+// priced in full (seeds have no parents to inherit V_k from). Variation is
+// serial (all randomness on this goroutine); only the cost evaluations fan
+// out across ev's worker pool. The controller is consulted exactly once per
+// generation, at the top of the loop, before any randomness is drawn — so
+// breaking there leaves the run in precisely the state a shorter
+// Generations setting would have produced.
+func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source, c *solver.Controller) (*Result, error) {
+	p := ev.p
 	ev.pool.SetMeter(c.Meter())
 	res := &Result{}
 
-	pop := ev.evaluateAll(init)
+	seeds := make([]child, len(init))
+	for i, bits := range init {
+		seeds[i] = child{bits: bits}
+	}
+	pop := ev.evaluateAll(seeds)
 
 	elite := pop[ga.Best(pop)].Clone()
 	record := func(gen int) {

@@ -1,6 +1,9 @@
 package gra
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"drp/internal/bitset"
 	"drp/internal/core"
 	"drp/internal/ga"
@@ -9,35 +12,63 @@ import (
 
 // evaluator wraps the cost model with the GRA fitness rules: f = (D′−D)/D′,
 // and chromosomes with negative fitness are overwritten with the initial
-// (primaries-only) allocation at fitness zero. Batched evaluations fan out
-// across a pool of per-goroutine core.Evaluators; each task touches only
-// its own chromosome (plus the read-only primal template), so any worker
-// count produces the same individuals as a serial pass.
+// (primaries-only) allocation at fitness zero. Every individual it scores
+// carries its per-object costs V_k, and a child re-prices only the objects
+// whose column differs from every parent's. Batched evaluations fan out
+// across a pool of per-goroutine core.Evaluators; each task touches only its
+// own chromosome (plus its read-only parents and the primal template), so
+// any worker count produces the same individuals as a serial pass.
 type evaluator struct {
 	p       *core.Problem
 	pool    *core.EvalPool
 	primal  *bitset.Set // the primaries-only chromosome, read-only
 	geneLen int
+	// masks pools the N-bit scratch masks of inherit, two per evaluation.
+	masks sync.Pool
+	// priced counts the objects the kernel priced, for tests.
+	priced atomic.Int64
 }
 
 func newEvaluator(p *core.Problem, parallelism int) *evaluator {
-	primal := bitset.New(p.Sites() * p.Objects())
-	for k := 0; k < p.Objects(); k++ {
-		primal.Set(p.Primary(k)*p.Objects() + k)
+	n := p.Objects()
+	primal := bitset.New(p.Sites() * n)
+	for k := 0; k < n; k++ {
+		primal.Set(p.Primary(k)*n + k)
 	}
-	return &evaluator{
+	ev := &evaluator{
 		p:       p,
 		pool:    core.NewEvalPool(p, parallelism),
 		primal:  primal,
-		geneLen: p.Objects(),
+		geneLen: n,
 	}
+	ev.masks.New = func() any { return &[2]*bitset.Set{bitset.New(n), bitset.New(n)} }
+	return ev
+}
+
+// child is a chromosome awaiting evaluation with the evaluated individuals
+// it was bred from: two for a crossover child, one for a mutant, none for a
+// seed.
+type child struct {
+	bits    *bitset.Set
+	parents []ga.Individual
 }
 
 // evaluateWith scores one chromosome using the given (worker-private) cost
-// evaluator. It makes no RNG calls, which is what lets callers split
-// variation from evaluation without perturbing the random streams.
-func (ev *evaluator) evaluateWith(cost *core.Evaluator, bits *bitset.Set) ga.Individual {
-	d := cost.Cost(bits)
+// evaluator. The child inherits V_k from a parent whose column k it shares
+// and prices the remaining objects — all of them without a parent — in one
+// metered evaluation. It makes no RNG calls, which is what lets callers
+// split variation from evaluation without perturbing the random streams.
+func (ev *evaluator) evaluateWith(cost *core.Evaluator, c child) ga.Individual {
+	v := make([]int64, ev.geneLen)
+	masks := ev.masks.Get().(*[2]*bitset.Set)
+	dirty := ev.inherit(v, c, masks[0], masks[1])
+	d := cost.Reprice(c.bits, dirty, v)
+	if dirty == nil {
+		ev.priced.Add(int64(ev.geneLen))
+	} else {
+		ev.priced.Add(int64(dirty.Count()))
+	}
+	ev.masks.Put(masks)
 	dPrime := ev.p.DPrime()
 	f := 0.0
 	if dPrime > 0 {
@@ -46,16 +77,64 @@ func (ev *evaluator) evaluateWith(cost *core.Evaluator, bits *bitset.Set) ga.Ind
 	if f < 0 {
 		// Rare: a scheme worse than no replication. Reset to the initial
 		// allocation, per the paper.
-		bits.CopyFrom(ev.primal)
+		c.bits.CopyFrom(ev.primal)
+		for k := range v {
+			v[k] = ev.p.VPrime(k)
+		}
 		d = dPrime
 		f = 0
 	}
-	return ga.Individual{Bits: bits, Cost: d, Fitness: f}
+	return ga.Individual{Bits: c.bits, Cost: d, Fitness: f, Objects: v}
+}
+
+// inherit copies into v the V_k of every object whose column — its bits at
+// all M sites — the child shares with a parent, and returns the N-bit mask
+// of the objects it shares with none: the ones left to price. Without
+// parents it returns nil, every object. dirty and differs are scratch
+// masks; the result is dirty.
+func (ev *evaluator) inherit(v []int64, c child, dirty, differs *bitset.Set) *bitset.Set {
+	if len(c.parents) == 0 {
+		return nil
+	}
+	n := ev.geneLen
+	dirty.Reset()
+	foldDiff(dirty, c.bits, c.parents[0].Bits, n)
+	for k, vk := range c.parents[0].Objects {
+		if !dirty.Test(k) {
+			v[k] = vk
+		}
+	}
+	if len(c.parents) == 1 || dirty.NextSet(0) < 0 {
+		return dirty
+	}
+	for _, par := range c.parents[1:] {
+		differs.Reset()
+		foldDiff(differs, c.bits, par.Bits, n)
+		for k := dirty.NextSet(0); k >= 0; k = dirty.NextSet(k + 1) {
+			if !differs.Test(k) {
+				v[k] = par.Objects[k]
+				dirty.Clear(k)
+			}
+		}
+	}
+	return dirty
+}
+
+// foldDiff sets bit k of mask for every object k whose column differs
+// between the site-major chromosomes a and b (genes of n bits).
+func foldDiff(mask, a, b *bitset.Set, n int) {
+	base := 0
+	for pos := a.NextDiff(b, 0); pos >= 0; pos = a.NextDiff(b, pos+1) {
+		for pos >= base+n {
+			base += n
+		}
+		mask.Set(pos - base)
+	}
 }
 
 // evaluateAll scores a batch of chromosomes across the worker pool and
 // returns the individuals in input order.
-func (ev *evaluator) evaluateAll(cand []*bitset.Set) []ga.Individual {
+func (ev *evaluator) evaluateAll(cand []child) []ga.Individual {
 	out := make([]ga.Individual, len(cand))
 	ev.pool.Each(len(cand), func(cost *core.Evaluator, i int) {
 		out[i] = ev.evaluateWith(cost, cand[i])
@@ -83,14 +162,16 @@ func (ev *evaluator) geneValid(bits *bitset.Set, g int) bool {
 // coordinator; the offspring are then batch-evaluated across the pool.
 func (ev *evaluator) crossoverSubpop(pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
 	order := rng.Perm(len(pop))
-	cand := make([]*bitset.Set, 0, len(pop))
+	cand := make([]child, 0, len(pop))
 	for idx := 0; idx+1 < len(order); idx += 2 {
-		a := pop[order[idx]].Bits.Clone()
-		b := pop[order[idx+1]].Bits.Clone()
+		pa, pb := pop[order[idx]], pop[order[idx+1]]
+		a, b := pa.Bits.Clone(), pb.Bits.Clone()
 		if rng.Bool(params.CrossoverRate) {
 			ev.repairCrossover(a, b, ga.TwoPoint(a, b, rng))
 		}
-		cand = append(cand, a, b)
+		cand = append(cand,
+			child{bits: a, parents: []ga.Individual{pa, pb}},
+			child{bits: b, parents: []ga.Individual{pb, pa}})
 	}
 	out := ev.evaluateAll(cand)
 	if len(order)%2 == 1 {
@@ -167,9 +248,9 @@ func swapGeneComplement(a, b *bitset.Set, g, n int, spans []ga.CrossSpan) {
 // mutationSubpop builds the λ/2 mutation offspring: each parent is cloned
 // and mutated on the coordinator, then the clones are batch-evaluated.
 func (ev *evaluator) mutationSubpop(pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
-	cand := make([]*bitset.Set, len(pop))
+	cand := make([]child, len(pop))
 	for idx := range pop {
-		cand[idx] = ev.mutate(pop[idx].Bits.Clone(), params, rng)
+		cand[idx] = child{bits: ev.mutate(pop[idx].Bits.Clone(), params, rng), parents: pop[idx : idx+1]}
 	}
 	return ev.evaluateAll(cand)
 }
