@@ -191,15 +191,16 @@ func transcribe(p *core.Problem, in Input, objs []*ObjectResult, popSize int, rn
 	if half < 1 {
 		half = 1
 	}
+	best := bitset.New(p.Sites())
 	for _, or := range objs {
+		best.Reset()
+		for _, i := range or.Best {
+			best.Set(i)
+		}
 		for c, ch := range pop {
-			var repl []int
-			if c < half {
-				repl = or.Best
-			} else if len(or.Population) > 0 {
-				repl = sites(or.Population[rng.Intn(len(or.Population))])
-			} else {
-				repl = or.Best
+			repl := best
+			if c >= half && len(or.Population) > 0 {
+				repl = or.Population[rng.Intn(len(or.Population))]
 			}
 			ch.setColumn(or.Object, repl)
 			ch.repair(rng)
@@ -252,24 +253,21 @@ func newChromosome(p *core.Problem, bits *bitset.Set) *chromosome {
 	return ch
 }
 
-// setColumn rewrites object k's replicator set, keeping the primary bit.
-func (ch *chromosome) setColumn(k int, repl []int) {
+// setColumn rewrites object k's replicator set to the sites set in the
+// M-bit repl, keeping the primary bit.
+func (ch *chromosome) setColumn(k int, repl *bitset.Set) {
 	p := ch.p
 	n := p.Objects()
-	want := make(map[int]bool, len(repl)+1)
-	want[p.Primary(k)] = true
-	for _, i := range repl {
-		want[i] = true
-	}
 	for i := 0; i < p.Sites(); i++ {
 		pos := i*n + k
+		want := repl.Test(i) || i == p.Primary(k)
 		has := ch.bits.Test(pos)
 		switch {
-		case want[i] && !has:
+		case want && !has:
 			ch.bits.Set(pos)
 			ch.usage[i] += p.Size(k)
 			ch.degree[k]++
-		case !want[i] && has:
+		case !want && has:
 			ch.bits.Clear(pos)
 			ch.usage[i] -= p.Size(k)
 			ch.degree[k]--

@@ -100,13 +100,15 @@ func BenchmarkDeltaVsFullEval(b *testing.B) {
 }
 
 // BenchmarkObjectCost measures one V_k — the unit the delta evaluator and
-// AGRA's micro-GAs pay per move — on the 50×200 shape at three replica
-// degrees: primary only, a well-replicated object, and M/2, where the
-// micro-GA's random half of the population sits.
+// AGRA's micro-GAs pay per move — on the 50×200 shape at these replica
+// degrees: primary only (V′_k), a part group (2), either side of the ends of
+// the kernel's first two groups of four rows (4, 5, 8, 9; 8 is also GRA's
+// typical degree), and M/2, where the micro-GA's random half of the
+// population sits.
 func BenchmarkObjectCost(b *testing.B) {
 	p := benchProblem(b, 50, 200)
 	ev := core.NewEvaluator(p)
-	for _, degree := range []int{1, 8, p.Sites() / 2} {
+	for _, degree := range []int{1, 2, 4, 5, 8, 9, p.Sites() / 2} {
 		// One replica list per object: the primary plus the next sites.
 		lists := make([][]int32, p.Objects())
 		for k := range lists {

@@ -36,6 +36,11 @@ import (
 // needs a pass over the sites, and since the matrix is symmetric d is the
 // element-wise minimum of the replicators' own rows — contiguous loads
 // against the object-major read row Problem.readsT, no branch per site.
+// The kernel folds those rows four at a time and folds the last group
+// straight into the dot product with the read row: ⌈|R_k|/4⌉ passes over
+// the sites, and with at most four replicas d is never stored at all. min
+// is exact and idempotent on int64, so every grouping yields the same
+// integer, a repeated row included.
 //
 // Magnitudes: the three bracketed sums are non-negative and at most
 // Rtot_k·maxC, Wtot_k·maxC and M·Wtot_k·maxC, so they and their o_k-multiples
@@ -47,11 +52,18 @@ import (
 // one per goroutine.
 type Evaluator struct {
 	p *Problem
-	// dmin is the M-long nearest-replica distance scratch of objectTerms.
+	// dmin is the M-long nearest-replica distance scratch objectTerms folds
+	// all groups of rows but the last into.
 	dmin []int64
+	// charged[j] == epoch marks site j as charged its correction in the
+	// current objectTerms call, so a repeated site is charged once.
+	charged []uint32
+	epoch   uint32
 	// repl and nrepl hold gather's per-object replica lists: object k's
 	// sites are repl[k·M : k·M+nrepl[k]]. One flat array keeps the
-	// bucketing free of slice-header (pointer) writes.
+	// bucketing free of slice-header (pointer) writes. They are allocated
+	// on first use, so an evaluator that only prices single objects never
+	// holds the M·N words.
 	repl  []int32
 	nrepl []int32
 	// objects is Cost's scratch vector of V_k.
@@ -67,9 +79,16 @@ func NewEvaluator(p *Problem) *Evaluator {
 	return &Evaluator{
 		p:       p,
 		dmin:    make([]int64, p.m),
-		repl:    make([]int32, p.n*p.m),
-		nrepl:   make([]int32, p.n),
+		charged: make([]uint32, p.m),
 		objects: make([]int64, p.n),
+	}
+}
+
+// replicaLists allocates the replica lists on first use.
+func (e *Evaluator) replicaLists() {
+	if e.repl == nil {
+		e.repl = make([]int32, e.p.n*e.p.m)
+		e.nrepl = make([]int32, e.p.n)
 	}
 }
 
@@ -83,6 +102,7 @@ func (e *Evaluator) SetMeter(meter *atomic.Int64) { e.meter = meter }
 // bits once; a partial one walks only the dirty objects' columns, M bits
 // each, and leaves the other lists stale.
 func (e *Evaluator) gather(x, dirty *bitset.Set) {
+	e.replicaLists()
 	m, n := e.p.m, e.p.n
 	if dirty != nil {
 		for k := dirty.NextSet(0); k >= 0; k = dirty.NextSet(k + 1) {
@@ -170,34 +190,29 @@ func (e *Evaluator) ObjectCost(k int, replicators []int32) int64 {
 
 // objectTerms is eq. 4 for one object, in the re-associated form above: the
 // package's only transcription of the cost model. Everything else — Cost,
-// ObjectCost, CostTerms, the delta evaluator, V′ and D′ — sums its results.
+// Reprice, ObjectCost, CostTerms, the delta evaluator, V′ and D′ — sums its
+// results.
 func (e *Evaluator) objectTerms(k int, repl []int32) CostTerms {
 	p := e.p
 	if len(repl) == 0 {
 		repl = []int32{int32(p.primary[k])}
 	}
-	dmin := e.dmin
-	copy(dmin, p.dist.Row(int(repl[0])))
-	for _, j := range repl[1:] {
-		for i, d := range p.dist.Row(int(j))[:len(dmin)] {
-			dmin[i] = min(dmin[i], d)
-		}
-	}
-	var read int64
-	for i, r := range p.readsT[k*p.m:][:len(dmin)] {
-		read += r * dmin[i]
-	}
+	read := e.readTerm(p.readsT[k*p.m:][:p.m], repl)
 	// The replicators' corrections; writes is site-major, so these |R_k|
-	// loads are the kernel's only strided ones. dmin[j] is zero for every
-	// replicator — overwriting it once j is charged makes a repeated site in
-	// repl charge once, as it does in the min above.
+	// loads are the kernel's only strided ones. A site repeated in repl is
+	// charged once, as it counts once in the min.
 	toPrimary := p.dist.Row(p.primary[k])
+	e.epoch++
+	if e.epoch == 0 {
+		clear(e.charged)
+		e.epoch = 1
+	}
 	var fanIn, own int64
 	for _, j := range repl {
-		if dmin[j] != 0 {
+		if e.charged[j] == e.epoch {
 			continue
 		}
-		dmin[j] = 1
+		e.charged[j] = e.epoch
 		fanIn += toPrimary[j]
 		own += p.writes[int(j)*p.n+k] * toPrimary[j]
 	}
@@ -209,6 +224,100 @@ func (e *Evaluator) objectTerms(k int, repl []int32) CostTerms {
 	}
 }
 
+// readTerm returns Σ_i r[i]·d(i), d(i) = min{C(i,j) : j ∈ repl}, for a
+// non-empty repl. Every group of four rows but the last is folded into
+// dmin, and the last group, with dmin if it was written, into the dot
+// product with r.
+func (e *Evaluator) readTerm(r []int64, repl []int32) int64 {
+	dist := e.p.dist
+	if len(repl) == 1 {
+		return dot(r, dist.Row(int(repl[0])))
+	}
+	var rows [5][]int64
+	held := 0
+	if len(repl) > 4 {
+		last := (len(repl) - 1) &^ 3
+		for g := 0; g < last; g += 4 {
+			held = 0
+			if g > 0 {
+				rows[0], held = e.dmin, 1
+			}
+			for _, j := range repl[g : g+4] {
+				rows[held], held = dist.Row(int(j)), held+1
+			}
+			minInto(e.dmin, rows[:held])
+		}
+		rows[0], held = e.dmin, 1
+		repl = repl[last:]
+	}
+	for _, j := range repl {
+		rows[held], held = dist.Row(int(j)), held+1
+	}
+	return minDot(r, rows[:held])
+}
+
+// minInto sets dst[i] to the minimum of rows[·][i] over four or five rows,
+// each at least as long as dst; dst may be one of them.
+func minInto(dst []int64, rows [][]int64) {
+	a, b, c, d := rows[0][:len(dst)], rows[1][:len(dst)], rows[2][:len(dst)], rows[3][:len(dst)]
+	if len(rows) == 4 {
+		for i := range dst {
+			dst[i] = min(a[i], b[i], c[i], d[i])
+		}
+		return
+	}
+	f := rows[4][:len(dst)]
+	for i := range dst {
+		dst[i] = min(a[i], b[i], c[i], d[i], f[i])
+	}
+}
+
+// dot returns Σ_i r[i]·a[i]. It is the whole read term of a single replica
+// — every V′_k and every primaries-only object — so it takes two elements
+// per iteration to halve the loop overhead.
+func dot(r, a []int64) int64 {
+	a = a[:len(r)]
+	var s, t int64
+	i := 0
+	for ; i+1 < len(r); i += 2 {
+		s += r[i] * a[i]
+		t += r[i+1] * a[i+1]
+	}
+	if i < len(r) {
+		s += r[i] * a[i]
+	}
+	return s + t
+}
+
+// minDot returns Σ_i r[i]·min{rows[·][i]} over two to five rows, each at
+// least as long as r. One loop per count keeps every load a row's own.
+func minDot(r []int64, rows [][]int64) int64 {
+	var s int64
+	a, b := rows[0][:len(r)], rows[1][:len(r)]
+	switch len(rows) {
+	case 2:
+		for i, x := range r {
+			s += x * min(a[i], b[i])
+		}
+	case 3:
+		c := rows[2][:len(r)]
+		for i, x := range r {
+			s += x * min(a[i], b[i], c[i])
+		}
+	case 4:
+		c, d := rows[2][:len(r)], rows[3][:len(r)]
+		for i, x := range r {
+			s += x * min(a[i], b[i], c[i], d[i])
+		}
+	default:
+		c, d, f := rows[2][:len(r)], rows[3][:len(r)], rows[4][:len(r)]
+		for i, x := range r {
+			s += x * min(a[i], b[i], c[i], d[i], f[i])
+		}
+	}
+	return s
+}
+
 // Cost returns the exact NTC (eq. 4) of the scheme.
 func (s *Scheme) Cost() int64 { return s.CostTerms().Total() }
 
@@ -216,6 +325,7 @@ func (s *Scheme) Cost() int64 { return s.CostTerms().Total() }
 func (s *Scheme) ObjectCost(k int) int64 {
 	e := s.p.evals.Get().(*Evaluator)
 	defer s.p.evals.Put(e)
+	e.replicaLists()
 	return e.objectTerms(k, s.appendReplicators(e.repl[:0], k)).Total()
 }
 

@@ -13,6 +13,7 @@ import (
 	"math"
 	"testing"
 
+	"drp/internal/bitset"
 	"drp/internal/core"
 	"drp/internal/netsim"
 	"drp/internal/xrand"
@@ -206,6 +207,76 @@ func TestKernelAtTheMagnitudeGate(t *testing.T) {
 	checkSchemes(t, "at the magnitude gate", p, 77)
 	if p.DPrime() <= 0 {
 		t.Fatalf("D′ = %d wrapped", p.DPrime())
+	}
+}
+
+// TestObjectCostEveryDegree prices an object at every replica degree 0…M —
+// so either side of every group of rows the kernel folds at once — against
+// the literal eq. 4, at M within one 64-site word (5, 50) and just past one
+// and two (65, 130): a random set of distinct sites, the same set shuffled,
+// the set plus as many again of its sites drawn at random, in random order,
+// and one Reprice of a chromosome whose object k has degree k. The empty
+// list prices as {SP_k}.
+func TestObjectCostEveryDegree(t *testing.T) {
+	int32s := func(sites []int) []int32 {
+		out := make([]int32, len(sites))
+		for i, j := range sites {
+			out[i] = int32(j)
+		}
+		return out
+	}
+	for _, m := range []int{5, 50, 65, 130} {
+		n := m + 1
+		p, err := core.NewProblem(shapeConfig(m, n, uint64(m), nil, nil))
+		if err != nil {
+			t.Fatalf("M=%d: %v", m, err)
+		}
+		rng := xrand.New(uint64(1000 + m))
+		ev := core.NewEvaluator(p)
+		x := bitset.New(m * n)
+		want := make([]int64, n)
+		for degree := 0; degree <= m; degree++ {
+			k := degree
+			sites := rng.Perm(m)[:degree]
+			holds := make([]bool, m)
+			for _, j := range sites {
+				holds[j] = true
+				x.Set(j*n + k)
+			}
+			if degree == 0 {
+				holds[p.Primary(k)] = true
+			}
+			want[k] = naiveObjectTerms(p, k, func(j int) bool { return holds[j] }).Total()
+
+			shuffled := append([]int(nil), sites...)
+			rng.Shuffle(shuffled)
+			repeated := append([]int(nil), sites...)
+			for range degree {
+				repeated = append(repeated, sites[rng.Intn(degree)])
+			}
+			rng.Shuffle(repeated)
+			for _, list := range []struct {
+				what  string
+				sites []int
+			}{{"distinct", sites}, {"shuffled", shuffled}, {"with repeats", repeated}} {
+				if got := ev.ObjectCost(k, int32s(list.sites)); got != want[k] {
+					t.Fatalf("M=%d degree %d, %s list %v: ObjectCost = %d, literal eq. 4 = %d", m, degree, list.what, list.sites, got, want[k])
+				}
+			}
+		}
+		v := make([]int64, n)
+		var total int64
+		for k := range want {
+			total += want[k]
+		}
+		if d := ev.Reprice(x, nil, v); d != total {
+			t.Fatalf("M=%d: Reprice of every degree = %d, literal eq. 4 = %d", m, d, total)
+		}
+		for k := range v {
+			if v[k] != want[k] {
+				t.Fatalf("M=%d: Reprice v[%d] (degree %d) = %d, literal eq. 4 = %d", m, k, k, v[k], want[k])
+			}
+		}
 	}
 }
 

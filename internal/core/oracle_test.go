@@ -19,30 +19,40 @@ import (
 // summands kept apart.
 func naiveTerms(p *core.Problem, s *core.Scheme) core.CostTerms {
 	var d core.CostTerms
+	for k := 0; k < p.Objects(); k++ {
+		v := naiveObjectTerms(p, k, func(j int) bool { return s.Has(j, k) })
+		d.ReadNTC += v.ReadNTC
+		d.WriteNTC += v.WriteNTC
+		d.UpdateNTC += v.UpdateNTC
+	}
+	return d
+}
+
+// naiveObjectTerms is object k's share of eq. 4 when X_jk = holds(j).
+func naiveObjectTerms(p *core.Problem, k int, holds func(j int) bool) core.CostTerms {
+	var d core.CostTerms
+	sp := p.Primary(k)
 	for i := 0; i < p.Sites(); i++ {
-		for k := 0; k < p.Objects(); k++ {
-			sp := p.Primary(k)
-			if s.Has(i, k) {
-				// Σ_x w_k(x) · o_k · C(i, SP_k)
-				var wTot int64
-				for x := 0; x < p.Sites(); x++ {
-					wTot += p.Writes(x, k)
-				}
-				d.UpdateNTC += wTot * p.Size(k) * p.Cost(i, sp)
-				continue
+		if holds(i) {
+			// Σ_x w_k(x) · o_k · C(i, SP_k)
+			var wTot int64
+			for x := 0; x < p.Sites(); x++ {
+				wTot += p.Writes(x, k)
 			}
-			// r_k(i)·o_k·min{C(i,j) : X_jk = 1} + w_k(i)·o_k·C(i,SP_k)
-			minC := int64(-1)
-			for j := 0; j < p.Sites(); j++ {
-				if s.Has(j, k) {
-					if c := p.Cost(i, j); minC < 0 || c < minC {
-						minC = c
-					}
-				}
-			}
-			d.ReadNTC += p.Reads(i, k) * p.Size(k) * minC
-			d.WriteNTC += p.Writes(i, k) * p.Size(k) * p.Cost(i, sp)
+			d.UpdateNTC += wTot * p.Size(k) * p.Cost(i, sp)
+			continue
 		}
+		// r_k(i)·o_k·min{C(i,j) : X_jk = 1} + w_k(i)·o_k·C(i,SP_k)
+		minC := int64(-1)
+		for j := 0; j < p.Sites(); j++ {
+			if holds(j) {
+				if c := p.Cost(i, j); minC < 0 || c < minC {
+					minC = c
+				}
+			}
+		}
+		d.ReadNTC += p.Reads(i, k) * p.Size(k) * minC
+		d.WriteNTC += p.Writes(i, k) * p.Size(k) * p.Cost(i, sp)
 	}
 	return d
 }

@@ -43,10 +43,11 @@ type Params struct {
 
 	// Parallelism sizes the evaluation worker pool. Chromosome cost
 	// evaluations — the dominant work unit — fan out across this many
-	// goroutines, each with a private core.Evaluator, while all selection
-	// and variation randomness stays on the coordinator goroutine and
-	// results are reduced in input order; runs are therefore bit-identical
-	// at any setting. 0 means GOMAXPROCS; 1 runs fully serial.
+	// goroutines, each with a private core.Evaluator, and so does applying
+	// a mutant's flips to a copy of its parent. Every random draw
+	// (selection, crossover, the flip positions) stays on the coordinator
+	// goroutine and results are reduced in input order; runs are therefore
+	// bit-identical at any setting. 0 means GOMAXPROCS; 1 runs fully serial.
 	Parallelism int
 }
 
@@ -206,12 +207,12 @@ func Perturb(s *core.Scheme, fraction float64, rng *xrand.Source) {
 }
 
 // evolve runs the generational loop over an initial population of bitsets,
-// priced in full (seeds have no parents to inherit V_k from). Variation is
-// serial (all randomness on this goroutine); only the cost evaluations fan
-// out across ev's worker pool. The controller is consulted exactly once per
-// generation, at the top of the loop, before any randomness is drawn — so
-// breaking there leaves the run in precisely the state a shorter
-// Generations setting would have produced.
+// priced in full (seeds have no parents to inherit V_k from). Every random
+// draw of variation is made on this goroutine; breeding the mutants from
+// those draws and the cost evaluations fan out across ev's worker pool. The
+// controller is consulted exactly once per generation, at the top of the
+// loop, before any randomness is drawn — so breaking there leaves the run in
+// precisely the state a shorter Generations setting would have produced.
 func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source, c *solver.Controller) (*Result, error) {
 	p := ev.p
 	ev.pool.SetMeter(c.Meter())

@@ -16,8 +16,9 @@ import (
 // carries its per-object costs V_k, and a child re-prices only the objects
 // whose column differs from every parent's. Batched evaluations fan out
 // across a pool of per-goroutine core.Evaluators; each task touches only its
-// own chromosome (plus its read-only parents and the primal template), so
-// any worker count produces the same individuals as a serial pass.
+// own chromosome — a mutant's is bred in the task from its parent and its
+// drawn flips — plus its read-only parents and the primal template, so any
+// worker count produces the same individuals as a serial pass.
 type evaluator struct {
 	p       *core.Problem
 	pool    *core.EvalPool
@@ -25,6 +26,9 @@ type evaluator struct {
 	geneLen int
 	// masks pools the N-bit scratch masks of inherit, two per evaluation.
 	masks sync.Pool
+	// flips is the slab of one mutation subpopulation's drawn flip
+	// positions, reused every generation.
+	flips []int
 	// priced counts the objects the kernel priced, for tests.
 	priced atomic.Int64
 }
@@ -47,18 +51,24 @@ func newEvaluator(p *core.Problem, parallelism int) *evaluator {
 
 // child is a chromosome awaiting evaluation with the evaluated individuals
 // it was bred from: two for a crossover child, one for a mutant, none for a
-// seed.
+// seed. A mutant arrives unbred: bits is nil and flips holds the positions
+// drawn for its parent.
 type child struct {
 	bits    *bitset.Set
 	parents []ga.Individual
+	flips   []int
 }
 
-// evaluateWith scores one chromosome using the given (worker-private) cost
-// evaluator. The child inherits V_k from a parent whose column k it shares
-// and prices the remaining objects — all of them without a parent — in one
-// metered evaluation. It makes no RNG calls, which is what lets callers
-// split variation from evaluation without perturbing the random streams.
+// evaluateWith breeds a mutant and scores one chromosome using the given
+// (worker-private) cost evaluator. The child inherits V_k from a parent
+// whose column k it shares and prices the remaining objects — all of them
+// without a parent — in one metered evaluation. It makes no RNG calls,
+// which is what lets callers split variation from evaluation without
+// perturbing the random streams.
 func (ev *evaluator) evaluateWith(cost *core.Evaluator, c child) ga.Individual {
+	if c.bits == nil {
+		c.bits = ev.mutant(c.parents[0].Bits, c.flips)
+	}
 	v := make([]int64, ev.geneLen)
 	masks := ev.masks.Get().(*[2]*bitset.Set)
 	dirty := ev.inherit(v, c, masks[0], masks[1])
@@ -245,42 +255,48 @@ func swapGeneComplement(a, b *bitset.Set, g, n int, spans []ga.CrossSpan) {
 	}
 }
 
-// mutationSubpop builds the λ/2 mutation offspring: each parent is cloned
-// and mutated on the coordinator, then the clones are batch-evaluated.
+// mutationSubpop builds the λ/2 mutation offspring: the coordinator draws
+// every bit flip (probability µm per bit) for each parent, and the pool
+// breeds and evaluates the mutants.
 func (ev *evaluator) mutationSubpop(pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
-	cand := make([]child, len(pop))
+	flips, ends := ev.flips[:0], make([]int, len(pop))
 	for idx := range pop {
-		cand[idx] = child{bits: ev.mutate(pop[idx].Bits.Clone(), params, rng), parents: pop[idx : idx+1]}
+		ga.MutateBits(pop[idx].Bits.Len(), params.MutationRate, rng, func(pos int) { flips = append(flips, pos) })
+		ends[idx] = len(flips)
+	}
+	ev.flips = flips
+	cand := make([]child, len(pop))
+	from := 0
+	for idx, end := range ends {
+		cand[idx] = child{parents: pop[idx : idx+1], flips: flips[from:end]}
+		from = end
 	}
 	return ev.evaluateAll(cand)
 }
 
-// mutate flips every bit with probability µm in place; flips that would
-// drop a primary copy or overflow a site are reverted (the paper's
-// constraint check). Returns bits for chaining.
-func (ev *evaluator) mutate(bits *bitset.Set, params Params, rng *xrand.Source) *bitset.Set {
+// mutant returns a copy of parent with the bits at flips flipped in order,
+// skipping a flip that would drop a primary copy or overflow a site (the
+// paper's constraint check).
+func (ev *evaluator) mutant(parent *bitset.Set, flips []int) *bitset.Set {
 	p := ev.p
 	n := ev.geneLen
-	var usage []int64
-	ga.MutateBits(bits.Len(), params.MutationRate, rng, func(pos int) {
-		if usage == nil {
-			usage = chromosomeUsage(p, bits)
-		}
+	bits := parent.Clone()
+	if len(flips) == 0 {
+		return bits
+	}
+	usage := chromosomeUsage(p, bits)
+	for _, pos := range flips {
 		site, obj := pos/n, pos%n
 		if bits.Test(pos) {
-			if p.Primary(obj) == site {
-				return // primary-copy constraint
+			if p.Primary(obj) != site { // primary-copy constraint
+				bits.Clear(pos)
+				usage[site] -= p.Size(obj)
 			}
-			bits.Clear(pos)
-			usage[site] -= p.Size(obj)
-			return
+		} else if usage[site]+p.Size(obj) <= p.Capacity(site) { // storage constraint
+			bits.Set(pos)
+			usage[site] += p.Size(obj)
 		}
-		if usage[site]+p.Size(obj) > p.Capacity(site) {
-			return // storage constraint
-		}
-		bits.Set(pos)
-		usage[site] += p.Size(obj)
-	})
+	}
 	return bits
 }
 

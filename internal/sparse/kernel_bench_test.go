@@ -7,12 +7,13 @@ import (
 	"drp/internal/solver"
 )
 
-// denseFormObjectCost is core.(*Evaluator).objectTerms transplanted onto the
-// CSR model: min over the replicators' whole distance rows into an M-wide
-// scratch, then gather the object's reader and writer entries from it
-// (replicators sit at distance zero, so they drop out of both sums). It
-// lives in this test file only — the benchmark below is why it is not the
-// package's kernel.
+// denseFormObjectCost runs the dense kernel's form on the CSR model: min
+// over the replicators' whole distance rows into an M-wide scratch, one
+// pass per row (core.(*Evaluator).objectTerms folds four rows per pass),
+// then gather the object's reader and writer entries from it (replicators
+// sit at distance zero, so they drop out of both sums). It lives in this
+// test file only — the benchmark below is why it is not the package's
+// kernel.
 func denseFormObjectCost(mo *Model, k int, repl []int32, dmin []int64) int64 {
 	if len(repl) == 0 {
 		return mo.vPrime[k]
