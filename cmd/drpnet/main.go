@@ -402,21 +402,11 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 	fmt.Fprintf(stdout, "booted %d-member view %v over a %d-site universe (e.g. site %d at %s)\n",
 		len(founding), founding, p.Sites(), founding[0], c.Node(founding[0]).Addr())
 
-	tr, err := membership.NewTracker(p.Sites(), founding)
+	cp, err := ctrl.NewControlPlane(p, founding, ctrl.ControlOptions{Tracer: tracer})
 	if err != nil {
 		return err
 	}
-	cp, err := ctrl.NewControlPlane(p, tr, ctrl.ControlOptions{Tracer: tracer})
-	if err != nil {
-		return err
-	}
-	cp.Bind()
-
-	apply := func(stage string) error {
-		if err := cp.Err(); err != nil {
-			return fmt.Errorf("control plane: %w", err)
-		}
-		pl := cp.Plan()
+	apply := func(stage string, pl *plan.Plan) error {
 		rep, err := c.ApplyPlan(pl)
 		if err != nil {
 			return fmt.Errorf("%s: %w", stage, err)
@@ -425,25 +415,36 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 			stage, pl.Epoch, pl.View.Members, rep.Completed, rep.MigrationNTC)
 		return nil
 	}
-	if err := apply("founding plan"); err != nil {
+	// react hands the next view to the control plane and migrates the
+	// data plane to the plan it returns.
+	react := func(stage string, view membership.View) error {
+		pl, err := cp.React(view)
+		if err != nil {
+			return fmt.Errorf("control plane: %w", err)
+		}
+		return apply(stage, pl)
+	}
+	first := cp.Plan()
+	view := first.View
+	if err := apply("founding plan", first); err != nil {
 		return err
 	}
 	for _, s := range joins {
+		if view, err = view.Join(p.Sites(), s); err != nil {
+			return err
+		}
 		if _, err := c.Join(s); err != nil {
 			return err
 		}
-		if _, err := tr.JoinSite(s); err != nil {
-			return err
-		}
-		if err := apply(fmt.Sprintf("join site %d", s)); err != nil {
+		if err := react(fmt.Sprintf("join site %d", s), view); err != nil {
 			return err
 		}
 	}
 	for _, s := range leaves {
-		if _, err := tr.LeaveSite(s); err != nil {
+		if view, err = view.Leave(s); err != nil {
 			return err
 		}
-		if err := apply(fmt.Sprintf("drain site %d", s)); err != nil {
+		if err := react(fmt.Sprintf("drain site %d", s), view); err != nil {
 			return err
 		}
 		if err := c.Leave(s); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"drp/internal/core"
 	"drp/internal/gra"
+	"drp/internal/solver"
 	"drp/internal/sra"
 	"drp/internal/workload"
 	"drp/internal/xrand"
@@ -39,10 +40,16 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 	}
 }
 
+// microAlone runs object k's micro-GA from the primary-only scheme,
+// without a GRA population, under a controller of its own.
+func microAlone(p *core.Problem, k int, params Params, rng *xrand.Source) (*ObjectResult, error) {
+	return runObject(p, k, nil, nil, params, rng, solver.Start("agra", solver.Run{}))
+}
+
 func TestRunObjectKeepsPrimary(t *testing.T) {
 	p := gen(t, 15, 10, 0.05, 0.15, 1)
 	for k := 0; k < 3; k++ {
-		res, err := RunObject(p, k, nil, nil, microParams(uint64(k)), xrand.New(uint64(k)))
+		res, err := microAlone(p, k, microParams(uint64(k)), xrand.New(uint64(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +72,7 @@ func TestRunObjectKeepsPrimary(t *testing.T) {
 
 func TestRunObjectFitnessNonNegative(t *testing.T) {
 	p := gen(t, 12, 8, 0.10, 0.15, 2)
-	res, err := RunObject(p, 0, nil, nil, microParams(5), xrand.New(5))
+	res, err := microAlone(p, 0, microParams(5), xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func TestRunObjectUnconstrainedBeatsPrimaryOnly(t *testing.T) {
 	// On a read-heavy object the unconstrained micro-GA must find a scheme
 	// strictly better than primary-only.
 	p := gen(t, 15, 10, 0.01, 0.15, 3)
-	res, err := RunObject(p, 0, nil, nil, microParams(7), xrand.New(7))
+	res, err := microAlone(p, 0, microParams(7), xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +102,15 @@ func TestRunObjectUnconstrainedBeatsPrimaryOnly(t *testing.T) {
 
 func TestRunObjectValidatesInput(t *testing.T) {
 	p := gen(t, 5, 5, 0.05, 0.15, 4)
-	if _, err := RunObject(p, -1, nil, nil, microParams(1), xrand.New(1)); err == nil {
+	if _, err := microAlone(p, -1, microParams(1), xrand.New(1)); err == nil {
 		t.Fatal("negative object accepted")
 	}
-	if _, err := RunObject(p, 5, nil, nil, microParams(1), xrand.New(1)); err == nil {
+	if _, err := microAlone(p, 5, microParams(1), xrand.New(1)); err == nil {
 		t.Fatal("out-of-range object accepted")
 	}
 	bad := microParams(1)
 	bad.PopSize = 1
-	if _, err := RunObject(p, 0, nil, nil, bad, xrand.New(1)); err == nil {
+	if _, err := microAlone(p, 0, bad, xrand.New(1)); err == nil {
 		t.Fatal("bad params accepted")
 	}
 }

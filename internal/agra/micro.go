@@ -89,22 +89,19 @@ type ObjectResult struct {
 	Stopped     solver.StopReason
 }
 
-// RunObject evolves a replication scheme for object k against problem p
+// runObject evolves a replication scheme for object k against problem p
 // (which carries the *new* read/write patterns).
 //
 // Seeding follows the paper: half the population is random; the other half
 // comes from the last static GRA population (column k of its chromosomes),
 // with the current network scheme of k always present, standing in for the
 // highest-fitness GRA solution. graPop may be nil.
-func RunObject(p *core.Problem, k int, current []int, graPop []*bitset.Set, params Params, rng *xrand.Source) (*ObjectResult, error) {
-	return runObject(p, k, current, graPop, params, rng, solver.Start("agra", solver.Run{}))
-}
-
-// runObject is RunObject under a caller-owned controller: Adapt hands every
-// micro-GA the same one, so they share a single evaluation meter (and hence
-// one budget) and each checks the shared controls at its own generation
-// boundaries. The controller's Check/Charge/Observe are goroutine-safe, so
-// the fan-out can run micro-GAs concurrently.
+//
+// The controller is the caller's: Adapt hands every micro-GA the same
+// one, so they share a single evaluation meter (and hence one budget) and
+// each checks the shared controls at its own generation boundaries. The
+// controller's Check/Charge/Observe are goroutine-safe, so the fan-out can
+// run micro-GAs concurrently.
 func runObject(p *core.Problem, k int, current []int, graPop []*bitset.Set, params Params, rng *xrand.Source, c *solver.Controller) (*ObjectResult, error) {
 	if err := params.validate(); err != nil {
 		return nil, err

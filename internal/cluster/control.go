@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -13,35 +14,29 @@ import (
 	"drp/internal/plan"
 	"drp/internal/spans"
 	"drp/internal/sra"
-	"drp/internal/store"
 )
 
-// ControlPlane is the monitor's membership-aware half: it consumes the
-// view stream of a membership.Tracker and emits an epoch-numbered
-// placement plan per view. Each plan is solved over the view-restricted
-// sub-problem — a join or leave never re-solves the whole instance;
-// instead the AGRA pipeline re-optimises only the objects the membership
-// event can have affected (objects with demand at the changed site, plus
-// — on a departure — objects placed or primaried there). Primaries on a
-// departing site are handed to the surviving member nearest to it that
-// still has primary capacity, deterministically. Emitted plans are
-// journaled (when a journal is attached) before subscribers see them, so
-// a coordinator restart replays intent, not guesswork.
+// ControlPlane is the monitor's membership-aware half: the coordinator
+// calls React with each new membership view and gets back the next
+// epoch-numbered placement plan. Each plan is solved over the
+// view-restricted sub-problem — a join or leave never re-solves the whole
+// instance; instead the AGRA pipeline re-optimises only the objects the
+// membership event can have affected (objects with demand at the changed
+// site, plus — on a departure — objects placed or primaried there).
+// Primaries on a departing site are handed to the surviving member
+// nearest to it that still has primary capacity, deterministically.
 //
-// The data plane (netnode.Cluster.ApplyPlan) is deliberately decoupled:
-// subscribers receive plans and decide when and how to realise them.
+// The control plane holds no journal and drives no data plane: the caller
+// realises each plan (netnode.Cluster.ApplyPlan), whose coordinator
+// journal records it before the first migration step.
 type ControlPlane struct {
-	mu      sync.Mutex
-	p       *core.Problem
-	tracker *membership.Tracker
-	journal *store.Journal
-	opts    ControlOptions
+	mu   sync.Mutex
+	p    *core.Problem
+	opts ControlOptions
 
 	epoch   int        // plan epoch counter (plans emitted so far)
 	prim    []int      // universe-indexed current primary assignment
 	current *plan.Plan // last emitted plan
-	subs    []func(*plan.Plan)
-	err     error // first re-planning failure, sticky
 }
 
 // ControlOptions configure the control plane's solvers.
@@ -56,22 +51,21 @@ type ControlOptions struct {
 	Micro           agra.Params
 	Mini            gra.Params
 	MiniGenerations int
-	// Journal, when non-nil, persists every emitted plan before
-	// subscribers observe it.
-	Journal *store.Journal
 	// Tracer, when non-nil, records a span per control-plane decision:
 	// a control.found root for the founding solve and a control.replan
 	// root (with reassign and solve children) per membership event.
 	Tracer *spans.Tracer
 }
 
-// NewControlPlane solves the founding view with the static greedy and
-// returns a control plane holding plan epoch 1. Every universe primary
-// must be a member of the founding view. Call Bind to start consuming
-// membership events.
-func NewControlPlane(p *core.Problem, tracker *membership.Tracker, opts ControlOptions) (*ControlPlane, error) {
-	if p.Sites() != tracker.Universe() {
-		return nil, fmt.Errorf("cluster: problem has %d sites, tracker universe %d", p.Sites(), tracker.Universe())
+// NewControlPlane founds the view of the given members (membership.NewView
+// over p's sites), solves it with the static greedy and returns a control
+// plane holding plan epoch 1 over view epoch 0. Every universe primary
+// must be a member. Derive later views from Plan().View with Join and
+// Leave and hand each to React.
+func NewControlPlane(p *core.Problem, members []int, opts ControlOptions) (*ControlPlane, error) {
+	view, err := membership.NewView(p.Sites(), members)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Micro.PopSize == 0 {
 		opts.Micro = agra.DefaultParams()
@@ -86,13 +80,10 @@ func NewControlPlane(p *core.Problem, tracker *membership.Tracker, opts ControlO
 		opts.MiniGenerations = 0
 	}
 	cp := &ControlPlane{
-		p:       p,
-		tracker: tracker,
-		journal: opts.Journal,
-		opts:    opts,
-		prim:    make([]int, p.Objects()),
+		p:    p,
+		opts: opts,
+		prim: make([]int, p.Objects()),
 	}
-	view := tracker.View()
 	for k := 0; k < p.Objects(); k++ {
 		cp.prim[k] = p.Primary(k)
 		if !view.Has(cp.prim[k]) {
@@ -117,34 +108,6 @@ func NewControlPlane(p *core.Problem, tracker *membership.Tracker, opts ControlO
 	return cp, nil
 }
 
-// Bind subscribes the control plane to its tracker: every subsequent
-// membership event produces (and journals, and publishes) a new plan.
-// A re-planning failure is sticky — later events are ignored and Err
-// reports it — because emitting plans past a gap would desynchronise
-// plan epochs from view epochs.
-func (cp *ControlPlane) Bind() {
-	cp.tracker.Subscribe(func(v membership.View) {
-		cp.mu.Lock()
-		failed := cp.err != nil
-		cp.mu.Unlock()
-		if failed {
-			return
-		}
-		if _, err := cp.React(v); err != nil {
-			cp.mu.Lock()
-			cp.err = err
-			cp.mu.Unlock()
-		}
-	})
-}
-
-// Err returns the first re-planning failure since Bind, if any.
-func (cp *ControlPlane) Err() error {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.err
-}
-
 // Plan returns the last emitted plan.
 func (cp *ControlPlane) Plan() *plan.Plan {
 	cp.mu.Lock()
@@ -152,30 +115,19 @@ func (cp *ControlPlane) Plan() *plan.Plan {
 	return cp.current.Clone()
 }
 
-// Primaries returns the current universe-indexed primary assignment.
-func (cp *ControlPlane) Primaries() []int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return append([]int(nil), cp.prim...)
-}
-
-// Subscribe registers fn to receive every plan emitted after this call,
-// in epoch order, synchronously from the membership event.
-func (cp *ControlPlane) Subscribe(fn func(*plan.Plan)) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	cp.subs = append(cp.subs, fn)
-}
-
-// React computes and emits the plan for a new view. Bind calls it from
-// the tracker's event stream; tests may call it directly with a view
-// obtained from JoinSite / LeaveSite.
+// React computes and emits the plan for a new view, one membership event
+// after the current plan's. On an error nothing changes: the current plan
+// and primary assignment stay as they were.
 func (cp *ControlPlane) React(v membership.View) (pl *plan.Plan, err error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	root := cp.opts.Tracer.Root("control.replan")
 	root.SetAttr("view", strconv.Itoa(v.Epoch))
+	prim := slices.Clone(cp.prim)
 	defer func() {
+		if err != nil {
+			cp.prim = prim
+		}
 		root.SetErr(err)
 		root.Finish()
 	}()
@@ -357,26 +309,14 @@ func (cp *ControlPlane) projectCurrent(rp *core.Problem, v membership.View) (*co
 	return s, nil
 }
 
-// emit stamps, journals and publishes a plan. Callers hold cp.mu (or are
-// the constructor).
+// emit stamps a plan with the next plan epoch, validates it and adopts
+// it as the current plan. Callers hold cp.mu (or are the constructor).
 func (cp *ControlPlane) emit(pl *plan.Plan) error {
-	cp.epoch++
-	pl.Epoch = cp.epoch
+	pl.Epoch = cp.epoch + 1
 	if err := pl.Validate(cp.p); err != nil {
 		return fmt.Errorf("cluster: plan for view epoch %d invalid: %w", pl.View.Epoch, err)
 	}
-	if cp.journal != nil {
-		data, err := pl.Marshal()
-		if err != nil {
-			return err
-		}
-		if err := cp.journal.RecordPlan(pl.Epoch, data); err != nil {
-			return fmt.Errorf("cluster: journal plan epoch %d: %w", pl.Epoch, err)
-		}
-	}
+	cp.epoch = pl.Epoch
 	cp.current = pl.Clone()
-	for _, fn := range cp.subs {
-		fn(pl.Clone())
-	}
 	return nil
 }

@@ -1,14 +1,12 @@
 package cluster
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
 	"drp/internal/core"
-	"drp/internal/membership"
 	"drp/internal/netsim"
 	"drp/internal/plan"
-	"drp/internal/store"
 )
 
 // controlProblem builds a 5-site universe whose primaries live on sites
@@ -52,37 +50,61 @@ func controlProblem(t *testing.T) *core.Problem {
 	return p
 }
 
-func newControlPlane(t *testing.T, p *core.Problem, journal *store.Journal) (*ControlPlane, *membership.Tracker) {
+func newControlPlane(t *testing.T, p *core.Problem) *ControlPlane {
 	t.Helper()
-	tr, err := membership.NewTracker(p.Sites(), []int{0, 1, 2, 3})
+	cp, err := NewControlPlane(p, []int{0, 1, 2, 3}, ControlOptions{MiniGenerations: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewControlPlane(p, tr, ControlOptions{MiniGenerations: -1, Journal: journal})
+	return cp
+}
+
+// react moves the control plane's current view on by one join (a site
+// not in the view) or leave (a member) and returns the plan it emits.
+func react(t *testing.T, cp *ControlPlane, site int) *plan.Plan {
+	t.Helper()
+	v := cp.Plan().View
+	var err error
+	if v.Has(site) {
+		v, err = v.Leave(site)
+	} else {
+		v, err = v.Join(cp.p.Sites(), site)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cp, tr
+	pl, err := cp.React(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// checkFingerprints pins each plan of a sequence to its Fingerprint.
+func checkFingerprints(t *testing.T, plans []*plan.Plan, want []string) {
+	t.Helper()
+	if len(plans) != len(want) {
+		t.Fatalf("%d plans, want %d", len(plans), len(want))
+	}
+	for i, pl := range plans {
+		if got := pl.Fingerprint(); got != want[i] {
+			t.Errorf("plan %d (epoch %d, view %v) has fingerprint %s, want %s", i, pl.Epoch, pl.View, got, want[i])
+		}
+	}
 }
 
 // TestControlPlaneEmitsPlanPerView drives a join and a leave through the
-// tracker and checks the control plane's reactions: one valid plan per
-// view in epoch order, incremental adaptation (an object without demand
-// at the joined site keeps its placement), deterministic primary
-// reassignment off the departed site, and journal persistence of the
-// latest plan.
+// control plane and checks its reactions: one valid plan per view in
+// epoch order, incremental adaptation (an object without demand at the
+// joined site keeps its placement) and deterministic primary reassignment
+// off the departed site.
 func TestControlPlaneEmitsPlanPerView(t *testing.T) {
 	p := controlProblem(t)
-	dir := t.TempDir()
-	j, err := store.OpenJournal(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, tr := newControlPlane(t, p, j)
+	cp := newControlPlane(t, p)
 
 	first := cp.Plan()
-	if first.Epoch != 1 {
-		t.Fatalf("founding plan has epoch %d, want 1", first.Epoch)
+	if first.Epoch != 1 || first.View.Epoch != 0 {
+		t.Fatalf("founding plan has epoch %d over view epoch %d, want 1 over 0", first.Epoch, first.View.Epoch)
 	}
 	if err := first.Validate(p); err != nil {
 		t.Fatal(err)
@@ -91,51 +113,23 @@ func TestControlPlaneEmitsPlanPerView(t *testing.T) {
 		t.Fatal("founding plan includes the absent site")
 	}
 
-	var emitted []*plan.Plan
-	cp.Subscribe(func(pl *plan.Plan) { emitted = append(emitted, pl) })
-	cp.Bind()
-
 	// Join: site 4 enters; only objects with demand there may move.
-	if _, err := tr.JoinSite(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(emitted) != 1 {
-		t.Fatalf("join emitted %d plans", len(emitted))
-	}
-	joinPlan := emitted[0]
-	if joinPlan.Epoch != 2 || !joinPlan.View.Has(4) {
-		t.Fatalf("join plan epoch %d view %v", joinPlan.Epoch, joinPlan.View.Members)
+	joinPlan := react(t, cp, 4)
+	if joinPlan.Epoch != 2 || joinPlan.View.Epoch != 1 || !joinPlan.View.Has(4) {
+		t.Fatalf("join plan epoch %d view %v", joinPlan.Epoch, joinPlan.View)
 	}
 	if err := joinPlan.Validate(p); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := joinPlan.Placement[1], first.Placement[1]; len(got) != len(want) {
+	if got, want := joinPlan.Placement[1], first.Placement[1]; !slices.Equal(got, want) {
 		t.Fatalf("object 1 (no demand at site 4) moved: %v -> %v", want, got)
-	} else {
-		for x := range got {
-			if got[x] != want[x] {
-				t.Fatalf("object 1 (no demand at site 4) moved: %v -> %v", want, got)
-			}
-		}
 	}
 
 	// Leave: site 0 departs; its primary (object 0) must land on site 1,
 	// the nearest survivor with capacity, and nothing may remain on 0.
-	if _, err := tr.LeaveSite(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(emitted) != 2 {
-		t.Fatalf("leave emitted %d plans total", len(emitted))
-	}
-	leavePlan := emitted[1]
-	if leavePlan.Epoch != 3 || leavePlan.View.Has(0) {
-		t.Fatalf("leave plan epoch %d view %v", leavePlan.Epoch, leavePlan.View.Members)
+	leavePlan := react(t, cp, 0)
+	if leavePlan.Epoch != 3 || leavePlan.View.Epoch != 2 || leavePlan.View.Has(0) {
+		t.Fatalf("leave plan epoch %d view %v", leavePlan.Epoch, leavePlan.View)
 	}
 	if err := leavePlan.Validate(p); err != nil {
 		t.Fatal(err)
@@ -148,59 +142,29 @@ func TestControlPlaneEmitsPlanPerView(t *testing.T) {
 			t.Fatalf("leave plan still places object %d on the departed site", k)
 		}
 	}
-
-	// The journal holds the latest emitted plan, recoverable cold.
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	if !cp.Plan().Equal(leavePlan) {
+		t.Fatalf("Plan() = %+v, want the last emitted plan %+v", cp.Plan(), leavePlan)
 	}
-	r, err := store.OpenJournal(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	epoch, data, ok := r.LatestPlan()
-	if !ok || epoch != 3 {
-		t.Fatalf("journal LatestPlan epoch %d ok %v", epoch, ok)
-	}
-	want, err := leavePlan.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, want) {
-		t.Fatalf("journaled plan differs from emitted:\n  %s\n  %s", data, want)
-	}
+	checkFingerprints(t, []*plan.Plan{first, joinPlan, leavePlan},
+		[]string{"cda726760e763d8e", "6707d5ebd7ca0348", "772e5d973a95994a"})
 }
 
 // TestControlPlaneDeterministic replays the same membership history
-// through two independent control planes and requires identical plans.
+// through two independent control planes and requires identical plans,
+// pinned to their fingerprints.
 func TestControlPlaneDeterministic(t *testing.T) {
 	p := controlProblem(t)
 	run := func() []*plan.Plan {
-		cp, tr := newControlPlane(t, p, nil)
-		var plans []*plan.Plan
-		cp.Subscribe(func(pl *plan.Plan) { plans = append(plans, pl) })
-		cp.Bind()
-		plans = append(plans, cp.Plan())
-		if _, err := tr.JoinSite(4); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tr.LeaveSite(2); err != nil {
-			t.Fatal(err)
-		}
-		if err := cp.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return plans
+		cp := newControlPlane(t, p)
+		return []*plan.Plan{cp.Plan(), react(t, cp, 4), react(t, cp, 2)}
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("runs emitted %d vs %d plans", len(a), len(b))
-	}
 	for i := range a {
 		if a[i].Fingerprint() != b[i].Fingerprint() {
 			t.Fatalf("plan %d diverged across identical replays:\n  %s\n  %s", i, a[i].Fingerprint(), b[i].Fingerprint())
 		}
 	}
+	checkFingerprints(t, a, []string{"cda726760e763d8e", "6707d5ebd7ca0348", "044d18dfb8e8b069"})
 }
 
 // TestControlPlaneCapacityAwareReassignment pins the reassignment rule:
@@ -234,22 +198,60 @@ func TestControlPlaneCapacityAwareReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := membership.NewTracker(p.Sites(), []int{0, 1, 2})
+	cp, err := NewControlPlane(p, []int{0, 1, 2}, ControlOptions{MiniGenerations: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewControlPlane(p, tr, ControlOptions{MiniGenerations: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Bind()
-	if _, err := tr.LeaveSite(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cp.Primaries()[0]; got != 2 {
+	if got := react(t, cp, 0).Primaries[0]; got != 2 {
 		t.Fatalf("object 0's primary went to site %d, want capacity-feasible site 2", got)
+	}
+
+}
+
+// TestControlPlaneRefusedViewChangesNothing: a view the control plane
+// cannot plan for — site 0's second primary fits nowhere once the first
+// has taken site 1's room — is refused without a trace, so the next event
+// plans from the last emitted plan, original primaries included.
+func TestControlPlaneRefusedViewChangesNothing(t *testing.T) {
+	topo := netsim.NewTopology(4)
+	for _, l := range [][3]int64{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}} {
+		if err := topo.AddLink(int(l[0]), int(l[1]), l[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dist, err := topo.Distances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProblem(core.Config{
+		Sizes:      []int64{3, 4, 5},
+		Capacities: []int64{7, 3, 5, 20},
+		Primaries:  []int{0, 0, 2},
+		Reads:      [][]int64{{5, 5, 1}, {2, 1, 1}, {1, 1, 5}, {1, 2, 3}},
+		Writes:     [][]int64{{1, 1, 0}, {0, 0, 0}, {0, 0, 1}, {0, 1, 1}},
+		Dist:       dist,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := NewControlPlane(p, []int{0, 1, 2}, ControlOptions{MiniGenerations: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cp.Plan()
+	v, err := before.View.Leave(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl, err := cp.React(v); err == nil {
+		t.Fatalf("a view without primary capacity produced plan %+v", pl)
+	}
+	if !cp.Plan().Equal(before) {
+		t.Fatalf("a refused view moved the plan from %+v to %+v", before, cp.Plan())
+	}
+	pl := react(t, cp, 3)
+	if pl.Epoch != before.Epoch+1 || !slices.Equal(pl.Primaries, before.Primaries) {
+		t.Fatalf("after a refused view, a join gave plan epoch %d with primaries %v, want epoch %d with %v",
+			pl.Epoch, pl.Primaries, before.Epoch+1, before.Primaries)
 	}
 }

@@ -5,108 +5,86 @@ import (
 	"testing"
 )
 
-func TestTrackerEpochsAndEvents(t *testing.T) {
-	tr, err := NewTracker(5, []int{2, 0, 1})
+func TestViewEpochsAndEvents(t *testing.T) {
+	founding := []int{2, 0, 1}
+	v0, err := NewView(5, founding)
 	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
+		t.Fatalf("NewView: %v", err)
 	}
-	if v := tr.View(); v.Epoch != 0 || !reflect.DeepEqual(v.Members, []int{0, 1, 2}) || tr.Universe() != 5 {
-		t.Fatalf("founding view = %v over universe %d", v, tr.Universe())
+	if v0.Epoch != 0 || !reflect.DeepEqual(v0.Members, []int{0, 1, 2}) {
+		t.Fatalf("founding view = %v", v0)
 	}
-	var seen []View
-	tr.Subscribe(func(v View) { seen = append(seen, v) })
+	if !reflect.DeepEqual(founding, []int{2, 0, 1}) {
+		t.Fatalf("NewView sorted its argument in place: %v", founding)
+	}
 
-	v, err := tr.JoinSite(4)
+	v1, err := v0.Join(5, 4)
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	if v.Epoch != 1 || !v.Has(4) {
-		t.Fatalf("join view = %v", v)
+	if v1.Epoch != 1 || !reflect.DeepEqual(v1.Members, []int{0, 1, 2, 4}) {
+		t.Fatalf("join view = %v", v1)
 	}
-	v, err = tr.LeaveSite(0)
+	v2, err := v1.Leave(0)
 	if err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	if v.Epoch != 2 || v.Has(0) || !reflect.DeepEqual(v.Members, []int{1, 2, 4}) {
-		t.Fatalf("leave view = %v", v)
+	if v2.Epoch != 2 || v2.Has(0) || !reflect.DeepEqual(v2.Members, []int{1, 2, 4}) {
+		t.Fatalf("leave view = %v", v2)
 	}
-	if len(seen) != 2 || seen[0].Epoch != 1 || seen[1].Epoch != 2 || !seen[1].Equal(tr.View()) {
-		t.Fatalf("subscriber saw %v", seen)
-	}
-}
-
-// TestSubscriberOrder: every subscriber sees every view exactly once, in
-// subscription order within an event and epoch order across events, and a
-// callback may read the tracker.
-func TestSubscriberOrder(t *testing.T) {
-	tr, err := NewTracker(6, []int{0})
+	v3, err := v2.Join(5, 3)
 	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
+		t.Fatalf("join: %v", err)
 	}
-	type call struct{ sub, epoch int }
-	var calls []call
-	for sub := 0; sub < 2; sub++ {
-		sub := sub
-		tr.Subscribe(func(v View) {
-			if !v.Equal(tr.View()) {
-				t.Errorf("subscriber %d handed %v while the tracker holds %v", sub, v, tr.View())
-			}
-			calls = append(calls, call{sub, v.Epoch})
-		})
+	if v3.Epoch != 3 || !reflect.DeepEqual(v3.Members, []int{1, 2, 3, 4}) {
+		t.Fatalf("join view = %v", v3)
 	}
-	for _, site := range []int{3, 5} {
-		if _, err := tr.JoinSite(site); err != nil {
-			t.Fatalf("join %d: %v", site, err)
+	// Transitions are pure: every earlier view is still what it was.
+	for _, c := range []struct {
+		v    View
+		want []int
+	}{{v0, []int{0, 1, 2}}, {v1, []int{0, 1, 2, 4}}, {v2, []int{1, 2, 4}}} {
+		if !reflect.DeepEqual(c.v.Members, c.want) {
+			t.Fatalf("a later transition changed %v, want members %v", c.v, c.want)
 		}
 	}
-	if _, err := tr.LeaveSite(3); err != nil {
-		t.Fatalf("leave: %v", err)
-	}
-	want := []call{{0, 1}, {1, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}}
-	if !reflect.DeepEqual(calls, want) {
-		t.Fatalf("callbacks ran as %v, want %v", calls, want)
-	}
 }
 
-func TestTrackerRejections(t *testing.T) {
-	if _, err := NewTracker(6, nil); err == nil {
-		t.Fatal("empty initial membership accepted")
-	}
-	if _, err := NewTracker(6, []int{0, 0, 1}); err == nil {
-		t.Fatal("duplicate initial member accepted")
-	}
-	if _, err := NewTracker(6, []int{0, 6}); err == nil {
-		t.Fatal("out-of-universe member accepted")
-	}
-	if _, err := NewTracker(6, []int{-1}); err == nil {
-		t.Fatal("negative member accepted")
+func TestViewRejections(t *testing.T) {
+	for _, members := range [][]int{nil, {0, 0, 1}, {0, 6}, {-1}} {
+		if v, err := NewView(6, members); err == nil {
+			t.Fatalf("founding members %v accepted as %v", members, v)
+		}
 	}
 
-	tr, err := NewTracker(6, []int{0, 1, 2})
+	v, err := NewView(6, []int{0, 1, 2})
 	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
+		t.Fatalf("NewView: %v", err)
 	}
-	seen := 0
-	tr.Subscribe(func(View) { seen++ })
-	if _, err := tr.JoinSite(1); err == nil {
+	if _, err := v.Join(6, 1); err == nil {
 		t.Fatal("double join accepted")
 	}
-	if _, err := tr.JoinSite(9); err == nil {
-		t.Fatal("out-of-universe join accepted")
+	for _, site := range []int{6, 9, -1} {
+		if _, err := v.Join(6, site); err == nil {
+			t.Fatalf("out-of-universe join of %d accepted", site)
+		}
 	}
-	if _, err := tr.LeaveSite(5); err == nil {
+	if _, err := v.Leave(5); err == nil {
 		t.Fatal("leave of non-member accepted")
 	}
-	if v := tr.View(); v.Epoch != 0 || seen != 0 {
-		t.Fatalf("rejected events moved the view to %v and notified %d times", v, seen)
+	if v.Epoch != 0 || !reflect.DeepEqual(v.Members, []int{0, 1, 2}) {
+		t.Fatalf("rejected events moved the view to %v", v)
 	}
-	if _, err := tr.LeaveSite(0); err != nil {
+	if v, err = v.Leave(0); err != nil {
 		t.Fatalf("legal leave rejected: %v", err)
 	}
-	if _, err := tr.LeaveSite(1); err != nil {
+	if v, err = v.Leave(1); err != nil {
 		t.Fatalf("legal leave rejected: %v", err)
 	}
-	if _, err := tr.LeaveSite(2); err == nil {
+	if _, err := v.Leave(2); err == nil {
 		t.Fatal("leave of last member accepted")
+	}
+	if v.Epoch != 2 || !reflect.DeepEqual(v.Members, []int{2}) {
+		t.Fatalf("last-member view = %v", v)
 	}
 }

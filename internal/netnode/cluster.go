@@ -23,10 +23,10 @@ import (
 // slot. A full-membership cluster is simply the view cluster whose view
 // is every site.
 type Cluster struct {
-	p       *core.Problem
-	nodes   []*Node
-	members []int      // member sites, ascending
-	plan    *plan.Plan // deployed placement plan
+	p     *core.Problem
+	nodes []*Node
+	view  membership.View // member sites; Join and Leave move it on
+	plan  *plan.Plan      // deployed placement plan
 
 	opts  callOpts  // coordinator commands: gate (fault seam), retries, deadline
 	links transport // the coordinator's own links to the member sites
@@ -41,8 +41,8 @@ type Cluster struct {
 	tracer     *spans.Tracer     // shared request tracer; re-applied to restarted nodes
 }
 
-// SiteDir returns the data directory of site i under a cluster root.
-func SiteDir(root string, i int) string {
+// siteDir returns the data directory of site i under a cluster root.
+func siteDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("site-%03d", i))
 }
 
@@ -99,20 +99,20 @@ func allSites(p *core.Problem) []int {
 // interrupted migration is tolerated: the next Deploy, ApplyPlan or
 // ResumeMigration drops the surplus.
 func start(p *core.Problem, members []int, root string, opts store.Options) (*Cluster, error) {
-	ms, err := checkMembers(p, members)
+	view, err := membership.NewView(p.Sites(), members)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
 		p:         p,
 		nodes:     make([]*Node, p.Sites()),
-		members:   ms,
+		view:      view,
 		opts:      callOpts{retry: RetryPolicy{Attempts: 1}},
 		links:     transport{rng: xrand.New(0x10ad)},
 		dataDir:   root,
 		storeOpts: opts,
 	}
-	for _, i := range ms {
+	for _, i := range view.Members {
 		if c.nodes[i], err = c.bootNode(i); err != nil {
 			c.Close()
 			return nil, err
@@ -125,7 +125,7 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 			c.Close()
 			return nil, fmt.Errorf("netnode: no member holds object %d; its primary site %d must be in the member set or the object migrated before it left", k, p.Primary(k))
 		}
-		if !c.isMember(c.plan.Primaries[k]) {
+		if !view.Has(c.plan.Primaries[k]) {
 			c.Close()
 			return nil, fmt.Errorf("netnode: recovered primary of object %d is site %d, which is not a member", k, c.plan.Primaries[k])
 		}
@@ -142,7 +142,7 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 func (c *Cluster) bootNode(i int) (*Node, error) {
 	dir := ""
 	if c.dataDir != "" {
-		dir = SiteDir(c.dataDir, i)
+		dir = siteDir(c.dataDir, i)
 	}
 	st, err := store.Open(dir, i, primaries(c.p), c.storeOpts)
 	if err != nil {
@@ -262,7 +262,7 @@ func (c *Cluster) Close() {
 // elsewhere is promoted back). Returns the migration
 // transfer cost (each new replica fetched from the nearest prior holder).
 func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
-	target, err := plan.FromSchemeView(next, membership.View{Epoch: c.plan.View.Epoch, Members: c.members})
+	target, err := plan.FromSchemeView(next, membership.View{Epoch: c.plan.View.Epoch, Members: c.view.Members})
 	if err != nil {
 		return 0, err
 	}
@@ -333,7 +333,7 @@ func (c *Cluster) DriveTrafficReport() (*TrafficReport, error) {
 
 func (c *Cluster) driveTraffic(tolerate bool) (*TrafficReport, error) {
 	rep := &TrafficReport{}
-	for _, i := range c.members {
+	for _, i := range c.view.Members {
 		for k := 0; k < c.p.Objects(); k++ {
 			for r := int64(0); r < c.p.Reads(i, k); r++ {
 				if c.hook != nil {

@@ -41,13 +41,14 @@ func rawExchange(t *testing.T, addr string, payload []byte, closeWrite bool) (re
 func TestWireCodecEdgeCases(t *testing.T) {
 	p := gen(t, 3, 3, 0.3, 0.5, 1)
 	c := startCluster(t, p)
-	addr := c.Node(0).Addr()
+	prim := p.Primary(0)
+	other := (prim + 1) % p.Sites() // holds no copy of object 0
 
-	primaryAddr := c.Node(p.Primary(0)).Addr()
 	oversized := `{"op":"read","obj":0,"pad":"` + strings.Repeat("x", maxLineBytes) + `"}` + "\n"
 
 	cases := []struct {
 		name       string
+		site       int // the node the payload is sent to
 		payload    string
 		closeWrite bool
 		wantCode   string
@@ -59,15 +60,20 @@ func TestWireCodecEdgeCases(t *testing.T) {
 		{name: "truncated request", payload: `{"op":"read","obj`, closeWrite: true, wantClosed: true},
 		{name: "object out of range", payload: `{"op":"read","obj":99}` + "\n", wantCode: CodeBadObject},
 		{name: "negative object", payload: `{"op":"read","obj":-1}` + "\n", wantCode: CodeBadObject},
-		{name: "empty line then valid request", payload: "\n" + `{"op":"version","obj":0}` + "\n"},
+		{name: "empty line then valid request", site: prim, payload: "\n" + `{"op":"version","obj":0}` + "\n"},
+		{name: "nearest site out of range", payload: `{"op":"nearest","obj":0,"site":3}` + "\n", wantCode: CodeBadSite},
+		{name: "nearest site negative", payload: `{"op":"nearest","obj":0,"site":-1}` + "\n", wantCode: CodeBadSite},
+		{name: "primary site out of range", payload: `{"op":"primary","obj":0,"site":3}` + "\n", wantCode: CodeBadSite},
+		{name: "replicas site out of range", payload: `{"op":"replicas","obj":0,"sites":[0,3]}` + "\n", wantCode: CodeBadSite},
+		{name: "registry site out of range", site: prim, payload: `{"op":"registry","obj":0,"sites":[-1]}` + "\n", wantCode: CodeBadSite},
+		{name: "update to a non-primary", site: other, payload: `{"op":"update","obj":0}` + "\n", wantCode: CodeNotPrimary},
+		{name: "registry to a non-primary", site: other, payload: `{"op":"registry","obj":0,"sites":[0]}` + "\n", wantCode: CodeNotPrimary},
+		{name: "reconcile to a non-primary", site: other, payload: `{"op":"reconcile","obj":0}` + "\n", wantCode: CodeNotPrimary},
+		{name: "drop of a primary copy", site: prim, payload: `{"op":"drop","obj":0}` + "\n", wantCode: CodeNotPrimary},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			target := addr
-			if tc.wantCode == "" && !tc.wantClosed {
-				target = primaryAddr // the version probe needs a holder
-			}
-			resp, err := rawExchange(t, target, []byte(tc.payload), tc.closeWrite)
+			resp, err := rawExchange(t, c.Node(tc.site).Addr(), []byte(tc.payload), tc.closeWrite)
 			if tc.wantClosed {
 				if err == nil {
 					t.Fatalf("expected the node to close the stream without replying, got %+v", resp)
@@ -89,14 +95,47 @@ func TestWireCodecEdgeCases(t *testing.T) {
 		})
 	}
 
-	// The abuse above must not have wedged the node: a well-formed request
-	// on a fresh connection still gets served.
-	resp, err := callOnce(primaryAddr, message{Op: "version", Object: 0}, 0)
+	// The abuse above must not have wedged the node, nor moved object 0:
+	// a well-formed request on a fresh connection still gets served by
+	// the primary it always had, at the version it always had.
+	resp, err := callOnce(c.Node(prim).Addr(), message{Op: "version", Object: 0}, 0)
 	if err != nil {
 		t.Fatalf("node unusable after codec abuse: %v", err)
 	}
-	if !resp.OK {
-		t.Fatalf("version request rejected after codec abuse: %+v", resp)
+	if !resp.OK || resp.Version != 0 {
+		t.Fatalf("version request after codec abuse: %+v", resp)
+	}
+	for i := 0; i < p.Sites(); i++ {
+		if got := c.Node(i).Store().PrimaryOf(0); got != prim {
+			t.Fatalf("site %d routes object 0 to primary %d after rejected requests, want %d", i, got, prim)
+		}
+	}
+	if !c.Node(prim).Holds(0) || c.Node(other).Holds(0) {
+		t.Fatalf("rejected requests moved object 0's copies")
+	}
+
+	// A crash-stopped store refuses every mutation: the node answers
+	// CodeStorage rather than acknowledge what never reached the log.
+	for _, tc := range []struct {
+		site int
+		msg  message
+	}{
+		{prim, message{Op: "update", Object: 0, From: other}},
+		{prim, message{Op: "sync", Object: 0, Version: 1}},
+		{prim, message{Op: "registry", Object: 0, Sites: []int{prim}}},
+		{other, message{Op: "place", Object: 0, Version: 1}},
+		{other, message{Op: "drop", Object: 0}},
+		{other, message{Op: "replicas", Object: 0, Sites: []int{prim}}},
+		{other, message{Op: "nearest", Object: 0, Site: prim}},
+		{other, message{Op: "primary", Object: 0, Site: other}},
+	} {
+		n := c.Node(tc.site)
+		if err := n.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		if resp := n.handle(tc.msg); resp.OK || resp.Code != CodeStorage {
+			t.Errorf("%s at crash-stopped site %d: reply %+v, want code %q", tc.msg.Op, tc.site, resp, CodeStorage)
+		}
 	}
 }
 

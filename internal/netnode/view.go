@@ -48,24 +48,6 @@ type ApplyReport struct {
 // first.
 var ErrNotDrained = errors.New("netnode: site not drained")
 
-// checkMembers validates and normalises an initial member set.
-func checkMembers(p *core.Problem, members []int) ([]int, error) {
-	ms := append([]int(nil), members...)
-	sort.Ints(ms)
-	if len(ms) == 0 {
-		return nil, errors.New("netnode: need at least one member")
-	}
-	for i, m := range ms {
-		if m < 0 || m >= p.Sites() {
-			return nil, fmt.Errorf("netnode: member %d outside universe of %d sites", m, p.Sites())
-		}
-		if i > 0 && ms[i-1] == m {
-			return nil, fmt.Errorf("netnode: duplicate member %d", m)
-		}
-	}
-	return ms, nil
-}
-
 // rewirePeers rebuilds the universe-indexed address table and pushes it
 // to every live node. Absent sites keep an empty address, which dials
 // fail on — exactly like a dead site. Nodes drop their idle links with
@@ -87,7 +69,7 @@ func (c *Cluster) rewirePeers() {
 
 // Members returns the current member sites, ascending.
 func (c *Cluster) Members() []int {
-	return append([]int(nil), c.members...)
+	return append([]int(nil), c.view.Members...)
 }
 
 // Plan returns the currently deployed placement plan.
@@ -116,19 +98,16 @@ func (c *Cluster) SetStepHook(fn func(plan.Step)) { c.stepHook = fn }
 // not change: the control plane migrates replicas onto the joiner with a
 // subsequent plan.
 func (c *Cluster) Join(site int) (*Node, error) {
-	if site < 0 || site >= c.p.Sites() {
-		return nil, fmt.Errorf("netnode: site %d outside universe", site)
-	}
-	if c.isMember(site) {
-		return nil, fmt.Errorf("netnode: site %d is already a member", site)
+	view, err := c.view.Join(c.p.Sites(), site)
+	if err != nil {
+		return nil, err
 	}
 	node, err := c.bootNode(site)
 	if err != nil {
 		return nil, err
 	}
 	c.nodes[site] = node
-	c.members = append(c.members, site)
-	sort.Ints(c.members)
+	c.view = view
 	c.rewirePeers()
 	if err := c.syncJoined(site); err != nil {
 		return node, fmt.Errorf("netnode: join sync for site %d: %w", site, err)
@@ -175,11 +154,9 @@ func (c *Cluster) syncJoined(site int) (err error) {
 // its log, which in durable mode preserves its directory for a later
 // rejoin) and its slot goes nil.
 func (c *Cluster) Leave(site int) error {
-	if !c.isMember(site) {
-		return fmt.Errorf("netnode: site %d is not a member", site)
-	}
-	if len(c.members) == 1 {
-		return errors.New("netnode: cannot remove the last member")
+	view, err := c.view.Leave(site)
+	if err != nil {
+		return err
 	}
 	for k := 0; k < c.p.Objects(); k++ {
 		if c.plan.Primaries[k] == site {
@@ -189,22 +166,11 @@ func (c *Cluster) Leave(site int) error {
 			return fmt.Errorf("%w: site %d still holds object %d", ErrNotDrained, site, k)
 		}
 	}
-	err := c.nodes[site].Close()
+	err = c.nodes[site].Close()
 	c.nodes[site] = nil
-	keep := c.members[:0]
-	for _, m := range c.members {
-		if m != site {
-			keep = append(keep, m)
-		}
-	}
-	c.members = keep
+	c.view = view
 	c.rewirePeers()
 	return err
-}
-
-func (c *Cluster) isMember(site int) bool {
-	i := sort.SearchInts(c.members, site)
-	return i < len(c.members) && c.members[i] == site
 }
 
 // ApplyPlan migrates the data plane from the deployed plan to next: the
@@ -237,7 +203,7 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, resume bool) (rep
 		return nil, err
 	}
 	for _, m := range target.View.Members {
-		if !c.isMember(m) {
+		if !c.view.Has(m) {
 			return nil, fmt.Errorf("netnode: plan epoch %d places on site %d which has not joined", target.Epoch, m)
 		}
 	}
@@ -339,7 +305,7 @@ func (c *Cluster) runStep(s plan.Step, old *plan.Plan, parent *spans.Span) error
 	case plan.Promote:
 		// Every member learns the new primary, so writes route correctly
 		// no matter where they originate.
-		for _, m := range c.members {
+		for _, m := range c.view.Members {
 			if err := c.command(m, message{Op: "primary", Object: s.Object, Site: s.Site}, parent); err != nil {
 				return err
 			}
@@ -369,7 +335,7 @@ func (c *Cluster) refreshRouting(touched map[int]bool, next *plan.Plan, parent *
 			rs.SetErr(err)
 			return err
 		}
-		for _, m := range c.members {
+		for _, m := range c.view.Members {
 			if err := c.command(m, message{Op: "nearest", Object: k, Site: nearestOf(c.p, next, m, k)}, rs); err != nil {
 				rs.SetErr(err)
 				return err
@@ -409,13 +375,13 @@ func nearestOf(p *core.Problem, pl *plan.Plan, i, k int) int {
 // op is idempotent).
 func (c *Cluster) actualPlan() *plan.Plan {
 	pl := &plan.Plan{
-		View:      membership.View{Members: append([]int(nil), c.members...)},
+		View:      membership.View{Members: append([]int(nil), c.view.Members...)},
 		Primaries: make([]int, c.p.Objects()),
 		Placement: make([][]int, c.p.Objects()),
 	}
 	for k := range pl.Placement {
 		sp := -1
-		for _, m := range c.members {
+		for _, m := range c.view.Members {
 			st := c.nodes[m].st
 			if st.Holds(k) {
 				pl.Placement[k] = append(pl.Placement[k], m)

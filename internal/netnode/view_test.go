@@ -2,7 +2,9 @@ package netnode
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"drp/internal/core"
@@ -89,7 +91,7 @@ func solveView(t *testing.T, p *core.Problem, view membership.View, primaries []
 func TestViewClusterJoinMigrateLeave(t *testing.T) {
 	p := viewProblem(t)
 	root := t.TempDir()
-	tr, err := membership.NewTracker(p.Sites(), []int{0, 1, 2, 3})
+	view4, err := membership.NewView(p.Sites(), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,6 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 	c.AttachJournal(j)
 
 	// Stage 1: solve and deploy over the founding four members.
-	view4 := tr.View()
 	pl4, cost4 := solveView(t, p, view4, universePrimaries(p), 1)
 	if _, err := c.ApplyPlan(pl4); err != nil {
 		t.Fatal(err)
@@ -121,13 +122,14 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 
 	// Stage 2: site 4 joins; re-solve over five members and migrate.
 	// Reads must keep serving at every step of the migration.
-	if _, err := tr.JoinSite(4); err != nil {
+	view5, err := view4.Join(p.Sites(), 4)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Join(4); err != nil {
 		t.Fatal(err)
 	}
-	pl5, cost5 := solveView(t, p, tr.View(), universePrimaries(p), 2)
+	pl5, cost5 := solveView(t, p, view5, universePrimaries(p), 2)
 	steps, err := plan.Diff(c.Plan(), pl5, p)
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +167,11 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 	// Stage 3: drain site 0 — its primaries move to site 1 (the nearest
 	// survivor), a plan over the remaining four members migrates
 	// everything off it, and only then does it leave.
-	members4b := []int{1, 2, 3, 4}
-	view4b := membership.View{Epoch: view4.Epoch + 2, Members: members4b}
+	view4b, err := view5.Leave(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members4b := view4b.Members
 	prim4b := universePrimaries(p)
 	for k, sp := range prim4b {
 		if sp == 0 {
@@ -386,5 +391,88 @@ func TestDeployPromotesPrimaryBack(t *testing.T) {
 	}
 	if want := scheme.Cost(); total != want {
 		t.Fatalf("traffic cost %d != eq.4 D %d", total, want)
+	}
+}
+
+// TestViewClusterMembershipRejections pins the cluster's side of the
+// membership rules: a join of a member or of a site outside the universe,
+// a leave of a non-member or of the last member, and a leave of a site
+// the deployed plan still routes a primary or places a replica on
+// (ErrNotDrained) are all refused, and none of them moves Members().
+func TestViewClusterMembershipRejections(t *testing.T) {
+	p := viewProblem(t)
+	c, err := StartView(p, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	unchanged := func(what string, want ...int) {
+		t.Helper()
+		if got := c.Members(); !slices.Equal(got, want) {
+			t.Fatalf("%s moved the members to %v, want %v", what, got, want)
+		}
+	}
+	for _, site := range []int{1, 5, -1} {
+		if _, err := c.Join(site); err == nil {
+			t.Fatalf("join of site %d accepted", site)
+		}
+		unchanged("a refused join", 0, 1, 2, 3)
+	}
+	if err := c.Leave(4); err == nil || errors.Is(err, ErrNotDrained) {
+		t.Fatalf("leave of a non-member: %v", err)
+	}
+	if err := c.Leave(0); !errors.Is(err, ErrNotDrained) {
+		t.Fatalf("leave of the primary of object 0: %v, want ErrNotDrained", err)
+	}
+	unchanged("leaving a primary site", 0, 1, 2, 3)
+
+	if _, err := c.Join(4); err != nil {
+		t.Fatal(err)
+	}
+	next := c.Plan()
+	next.Epoch = 1
+	next.View = membership.View{Epoch: 1, Members: []int{0, 1, 2, 3, 4}}
+	next.Placement[0] = []int{0, 4}
+	if _, err := c.ApplyPlan(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave(4); !errors.Is(err, ErrNotDrained) {
+		t.Fatalf("leave of a replica holder: %v, want ErrNotDrained", err)
+	}
+	unchanged("leaving a replica holder", 0, 1, 2, 3, 4)
+	if c.Node(4) == nil || !c.Node(4).Holds(0) {
+		t.Fatal("a refused leave shut the site down")
+	}
+
+	// A one-member cluster: the member holds everything, yet cannot leave.
+	topo := netsim.NewTopology(2)
+	if err := topo.AddLink(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	dist, err := topo.Distances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := core.NewProblem(core.Config{
+		Sizes:      []int64{1},
+		Capacities: []int64{1, 1},
+		Primaries:  []int{0},
+		Reads:      [][]int64{{1}, {1}},
+		Writes:     [][]int64{{0}, {0}},
+		Dist:       dist,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := StartView(solo, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	if err := one.Leave(0); err == nil || errors.Is(err, ErrNotDrained) {
+		t.Fatalf("leave of the last member: %v", err)
+	}
+	if got := one.Members(); !slices.Equal(got, []int{0}) {
+		t.Fatalf("a refused leave moved the members to %v", got)
 	}
 }

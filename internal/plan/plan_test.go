@@ -325,21 +325,20 @@ func TestRestrictSlicesProblemDist(t *testing.T) {
 		for s := range pinned {
 			founding = append(founding, s)
 		}
-		tr, err := membership.NewTracker(p.Sites(), founding)
+		view, err := membership.NewView(p.Sites(), founding)
 		if err != nil {
-			t.Fatalf("NewTracker: %v", err)
+			t.Fatalf("NewView: %v", err)
 		}
 		rng := rand.New(rand.NewSource(int64(seed)))
 		for step := 0; step < 40; step++ {
 			site := rng.Intn(p.Sites())
-			var view membership.View
 			switch {
 			case pinned[site]:
 				continue
-			case tr.View().Has(site):
-				view, err = tr.LeaveSite(site)
+			case view.Has(site):
+				view, err = view.Leave(site)
 			default:
-				view, err = tr.JoinSite(site)
+				view, err = view.Join(p.Sites(), site)
 			}
 			if err != nil {
 				t.Fatalf("seed %d step %d site %d: %v", seed, step, site, err)
