@@ -313,7 +313,7 @@ type TrafficReport struct {
 
 // DriveTraffic issues every read and write of the problem's measurement
 // period through the TCP cluster and returns the total accounted transfer
-// cost. With correct nearest tables and no faults this equals eq. 4's D
+// cost. With current replica sets and no faults this equals eq. 4's D
 // for the deployed scheme. Any request failure aborts with its error.
 func (c *Cluster) DriveTraffic() (int64, error) {
 	rep, err := c.driveTraffic(false)

@@ -60,14 +60,14 @@ func TestWireCodecEdgeCases(t *testing.T) {
 		{name: "truncated request", payload: `{"op":"read","obj`, closeWrite: true, wantClosed: true},
 		{name: "object out of range", payload: `{"op":"read","obj":99}` + "\n", wantCode: CodeBadObject},
 		{name: "negative object", payload: `{"op":"read","obj":-1}` + "\n", wantCode: CodeBadObject},
-		{name: "empty line then valid request", site: prim, payload: "\n" + `{"op":"version","obj":0}` + "\n"},
-		{name: "nearest site out of range", payload: `{"op":"nearest","obj":0,"site":3}` + "\n", wantCode: CodeBadSite},
-		{name: "nearest site negative", payload: `{"op":"nearest","obj":0,"site":-1}` + "\n", wantCode: CodeBadSite},
+		{name: "empty line then valid request", site: prim, payload: "\n" + `{"op":"read","obj":0}` + "\n"},
+		{name: "retired op nearest", payload: `{"op":"nearest","obj":0,"site":0}` + "\n", wantCode: CodeBadOp},
+		{name: "retired op registry", site: prim, payload: `{"op":"registry","obj":0,"sites":[0]}` + "\n", wantCode: CodeBadOp},
+		{name: "retired op version", site: prim, payload: `{"op":"version","obj":0}` + "\n", wantCode: CodeBadOp},
 		{name: "primary site out of range", payload: `{"op":"primary","obj":0,"site":3}` + "\n", wantCode: CodeBadSite},
 		{name: "replicas site out of range", payload: `{"op":"replicas","obj":0,"sites":[0,3]}` + "\n", wantCode: CodeBadSite},
-		{name: "registry site out of range", site: prim, payload: `{"op":"registry","obj":0,"sites":[-1]}` + "\n", wantCode: CodeBadSite},
+		{name: "replicas site negative", site: prim, payload: `{"op":"replicas","obj":0,"sites":[-1]}` + "\n", wantCode: CodeBadSite},
 		{name: "update to a non-primary", site: other, payload: `{"op":"update","obj":0}` + "\n", wantCode: CodeNotPrimary},
-		{name: "registry to a non-primary", site: other, payload: `{"op":"registry","obj":0,"sites":[0]}` + "\n", wantCode: CodeNotPrimary},
 		{name: "reconcile to a non-primary", site: other, payload: `{"op":"reconcile","obj":0}` + "\n", wantCode: CodeNotPrimary},
 		{name: "drop of a primary copy", site: prim, payload: `{"op":"drop","obj":0}` + "\n", wantCode: CodeNotPrimary},
 	}
@@ -98,12 +98,12 @@ func TestWireCodecEdgeCases(t *testing.T) {
 	// The abuse above must not have wedged the node, nor moved object 0:
 	// a well-formed request on a fresh connection still gets served by
 	// the primary it always had, at the version it always had.
-	resp, err := callOnce(c.Node(prim).Addr(), message{Op: "version", Object: 0}, 0)
+	resp, err := callOnce(c.Node(prim).Addr(), message{Op: "read", Object: 0}, 0)
 	if err != nil {
 		t.Fatalf("node unusable after codec abuse: %v", err)
 	}
 	if !resp.OK || resp.Version != 0 {
-		t.Fatalf("version request after codec abuse: %+v", resp)
+		t.Fatalf("read request after codec abuse: %+v", resp)
 	}
 	for i := 0; i < p.Sites(); i++ {
 		if got := c.Node(i).Store().PrimaryOf(0); got != prim {
@@ -122,11 +122,9 @@ func TestWireCodecEdgeCases(t *testing.T) {
 	}{
 		{prim, message{Op: "update", Object: 0, From: other}},
 		{prim, message{Op: "sync", Object: 0, Version: 1}},
-		{prim, message{Op: "registry", Object: 0, Sites: []int{prim}}},
 		{other, message{Op: "place", Object: 0, Version: 1}},
 		{other, message{Op: "drop", Object: 0}},
 		{other, message{Op: "replicas", Object: 0, Sites: []int{prim}}},
-		{other, message{Op: "nearest", Object: 0, Site: prim}},
 		{other, message{Op: "primary", Object: 0, Site: other}},
 	} {
 		n := c.Node(tc.site)
@@ -172,7 +170,7 @@ func TestFramingViolationClosesConn(t *testing.T) {
 				t.Fatalf("no error reply before close: %v", err)
 			}
 			// Second request on the same connection.
-			if _, err := conn.Write([]byte(`{"op":"version","obj":0}` + "\n")); err != nil {
+			if _, err := conn.Write([]byte(`{"op":"read","obj":0}` + "\n")); err != nil {
 				if tc.wantClose {
 					return // write failed because the node closed: fine
 				}

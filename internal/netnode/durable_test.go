@@ -2,6 +2,7 @@ package netnode
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"drp/internal/core"
@@ -237,5 +238,58 @@ func TestDurableBootToleratesInterruptedRedeploy(t *testing.T) {
 	}
 	if want := b.Cost(); total != want {
 		t.Fatalf("traffic cost %d after convergence != eq.4 D %d", total, want)
+	}
+}
+
+// Fail each coordinator command of one Deploy in turn, restart the whole
+// cluster from its directories and deploy again: the routing state the
+// restarted cluster serves with must be exactly the scheme's, whichever
+// command the first attempt died on. The primary's replicas record is
+// written last, so it is the commit point the redeploy reads.
+func TestDurableRestartAfterFailedRefresh(t *testing.T) {
+	p := gen(t, 5, 8, 0.2, 0.6, 32)
+	scheme := sra.Run(p, sra.Options{}).Scheme
+	want := scheme.Cost()
+
+	// One undisturbed Deploy counts the commands to fail.
+	c := startDurable(t, p, t.TempDir(), testStoreOpts())
+	commands := 0
+	c.SetCommandDialer(func(string) error { commands++; return nil })
+	if _, err := c.Deploy(scheme); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if commands == 0 {
+		t.Fatal("the deploy sent no commands")
+	}
+
+	for fail := 0; fail < commands; fail++ {
+		root := t.TempDir()
+		c := startDurable(t, p, root, testStoreOpts())
+		sent := 0
+		c.SetCommandDialer(func(string) error {
+			sent++
+			if sent-1 == fail {
+				return errors.New("injected command failure")
+			}
+			return nil
+		})
+		if _, err := c.Deploy(scheme); err == nil {
+			t.Fatalf("command %d: the deploy survived its failure", fail)
+		}
+		c.Close()
+
+		r := startDurable(t, p, root, testStoreOpts())
+		if _, err := r.Deploy(scheme); err != nil {
+			t.Fatalf("command %d: redeploy after restart: %v", fail, err)
+		}
+		total, err := r.DriveTraffic()
+		if err != nil {
+			t.Fatalf("command %d: %v", fail, err)
+		}
+		if total != want {
+			t.Errorf("command %d failed, restarted: traffic cost %d != eq.4 D %d", fail, total, want)
+		}
+		r.Close()
 	}
 }

@@ -90,7 +90,7 @@ func TestCloseWithIdleClient(t *testing.T) {
 			}
 			defer conn.Close()
 			// One served request proves the connection is past accept.
-			if _, err := conn.Write([]byte(`{"op":"version","obj":0}` + "\n")); err != nil {
+			if _, err := conn.Write([]byte(`{"op":"read","obj":0}` + "\n")); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
@@ -280,9 +280,6 @@ func TestSetPeersDropsLinksToRestartedPeer(t *testing.T) {
 	table := make([]string, 2)
 	table[reader], table[holder] = a.Addr(), b.Addr()
 	a.SetPeers(table)
-	if err := a.Store().SetNearest(k, holder); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := a.Read(k); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +388,7 @@ func TestLinksDieWithTheirCluster(t *testing.T) {
 // re-framed, the client because the server did.
 func TestFramingViolationDropsLink(t *testing.T) {
 	p := gen(t, 2, 2, 0.05, 0.5, 67)
-	n, err := Listen(p, 0, "127.0.0.1:0")
+	n, err := Listen(p, p.Primary(0), "127.0.0.1:0") // holds object 0, so a read of it succeeds
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +397,7 @@ func TestFramingViolationDropsLink(t *testing.T) {
 	defer tr.close()
 	opts := callOpts{timeout: 10 * time.Second}
 
-	if resp, err := tr.exchange(opts, nil, n.Addr(), 0, message{Op: "nearest", Object: 0}, nil); err != nil || !resp.OK {
+	if resp, err := tr.exchange(opts, nil, n.Addr(), 0, message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
 		t.Fatalf("well-formed request: %+v, %v", resp, err)
 	}
 	if idleLinks(&tr) != 1 || accepted(n) != 1 {
@@ -420,7 +417,7 @@ func TestFramingViolationDropsLink(t *testing.T) {
 		t.Fatalf("the client kept %d links after a framing rejection", got)
 	}
 	eventually(t, "the server dropping the connection", func() bool { return accepted(n) == 0 })
-	if resp, err := tr.exchange(opts, nil, n.Addr(), 0, message{Op: "nearest", Object: 0}, nil); err != nil || !resp.OK {
+	if resp, err := tr.exchange(opts, nil, n.Addr(), 0, message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
 		t.Fatalf("request after the rejection: %+v, %v", resp, err)
 	}
 }

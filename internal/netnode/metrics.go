@@ -49,7 +49,7 @@ func newNodeMetrics(reg *metrics.Registry) *nodeMetrics {
 
 // wireOps are the protocol's ops, and so the only values the served-message
 // counter's op label takes from the wire.
-var wireOps = []string{"read", "update", "sync", "place", "drop", "version", "registry", "nearest", "replicas", "primary", "reconcile"}
+var wireOps = []string{"read", "update", "sync", "place", "drop", "replicas", "primary", "reconcile"}
 
 // message op → served-message counter; get-or-create per message is one
 // mutex-guarded map lookup, noise next to a loopback round trip. The op

@@ -127,7 +127,7 @@ func TestUnknownOpsShareOneSeries(t *testing.T) {
 			t.Fatalf("bogus op %d answered %+v, want code %q", i, resp, want)
 		}
 	}
-	if _, err := callOnce(addr, message{Op: "version", Object: 0}, 0); err != nil {
+	if _, err := callOnce(addr, message{Op: "read", Object: 0}, 0); err != nil {
 		t.Fatal(err)
 	}
 	series := map[string]float64{}
@@ -136,8 +136,8 @@ func TestUnknownOpsShareOneSeries(t *testing.T) {
 			series[in.Labels["op"]] = in.Value
 		}
 	}
-	if len(series) != 2 || series["unknown"] != bogus || series["version"] != 1 {
-		t.Fatalf("served-message series = %v, want unknown=%d and version=1 only", series, bogus)
+	if len(series) != 2 || series["unknown"] != bogus || series["read"] != 1 {
+		t.Fatalf("served-message series = %v, want unknown=%d and read=1 only", series, bogus)
 	}
 }
 

@@ -1,6 +1,7 @@
 package netnode
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -169,19 +170,16 @@ func TestReadFromNonHolderFails(t *testing.T) {
 	c := startCluster(t, p)
 	k := 0
 	nonHolder := (p.Primary(k) + 1) % p.Sites()
-	// Point site 2's nearest at a non-holder and read: must error loudly,
-	// not silently serve.
+	// Give the third site a replica set naming only the non-holder and
+	// read: must error loudly, not silently serve from the primary.
 	reader := (nonHolder + 1) % p.Sites()
-	if reader == p.Primary(k) {
-		reader = nonHolder
-	}
-	if err := c.command(reader, message{Op: "nearest", Object: k, Site: nonHolder}, nil); err != nil {
+	if err := c.command(reader, message{Op: "replicas", Object: k, Sites: []int{nonHolder}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if nonHolder != reader {
-		if _, err := c.Node(reader).Read(k); err == nil {
-			t.Fatal("read from a non-holder succeeded")
-		}
+	_, err := c.Node(reader).Read(k)
+	var re *ReplyError
+	if !errors.As(err, &re) || re.Code != CodeNotHolder {
+		t.Fatalf("read through a replica set naming a non-holder: %v, want a %q rejection", err, CodeNotHolder)
 	}
 }
 

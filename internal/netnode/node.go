@@ -1,7 +1,7 @@
 // Package netnode runs the paper's replication policy over real TCP
 // sockets: every site is a server holding object replicas, reads are
 // forwarded to the requester's nearest replica, writes ship to the primary
-// copy which broadcasts the new version to the other replicators, and a
+// copy which broadcasts the new version to the other replicas, and a
 // coordinator (the paper's monitor site) migrates the cluster between
 // placements by diffing them into copy, promote and drop steps.
 //
@@ -16,10 +16,10 @@
 // The serving path tolerates faults. Every outbound call travels on a
 // persistent link to the peer (link.go), passes an injectable per-attempt
 // gate first (see drp/internal/fault), and runs under a per-request
-// deadline with capped, jittered exponential backoff. Reads that cannot
-// reach the recorded nearest replica fail over to the next-nearest live
-// replica, walking the cost ranking exactly as eq. 4's min C(i,j) would
-// with the dead sites excluded. Writes degrade instead of failing: an
+// deadline with capped, jittered exponential backoff. A read walks the
+// object's replica set in cost order (core.RankReplicas), so it lands on
+// the nearest live replica exactly as eq. 4's min C(i,j) would with the
+// dead sites excluded. Writes degrade instead of failing: an
 // unreachable primary queues the write locally (flushed with
 // FlushPending), and a partial broadcast marks the missed replicas stale
 // at the primary for later version reconciliation (the "reconcile" op).
@@ -131,10 +131,11 @@ var (
 )
 
 // Node is one site: a TCP server plus the site-local replication state the
-// paper prescribes (its replica holdings, the nearest-replica record per
-// object, and — for objects primaried here — the full replication scheme).
-// The state itself lives in a store.Store: memory-backed by Listen,
-// WAL-backed by ListenStore.
+// paper prescribes — its replica holdings and, per object, the current
+// primary (where writes ship) and the replica set R_k: reads rank R_k to
+// find SN_k(i), and at the primary writes broadcast over it. The state
+// itself lives in a store.Store: memory-backed by Listen, WAL-backed by
+// ListenStore.
 type Node struct {
 	p    *core.Problem
 	site int
@@ -537,45 +538,15 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		}
 		return reply{OK: true}
 
-	case "version":
-		holds, version := n.st.Replica(msg.Object)
-		if !holds {
-			return reply{Code: CodeNotHolder, Err: fmt.Sprintf("site %d does not hold object %d", n.site, msg.Object)}
-		}
-		return reply{OK: true, Version: version}
-
-	case "registry":
-		// The coordinator updates the primary's replicator list. Stale
-		// marks for sites no longer replicating the object are dropped —
-		// there is nothing left to reconcile at them. One log record
-		// covers both (store.SetRegistry).
-		if n.st.PrimaryOf(msg.Object) != n.site {
-			return reply{Code: CodeNotPrimary, Err: "registry update sent to a non-primary"}
-		}
-		if code, err := checkSites(msg.Sites, n.p.Sites()); err != nil {
-			return reply{Code: code, Err: err.Error()}
-		}
-		if err := n.st.SetRegistry(msg.Object, msg.Sites); err != nil {
-			return storageReply(err)
-		}
-		return reply{OK: true}
-
 	case "replicas":
-		// The coordinator pushes the object's full replicator set to every
-		// site; reads fail over along this list when the nearest dies.
+		// The coordinator pushes the object's replica set R_k to every
+		// member, the primary last. Reads rank it; the primary broadcasts
+		// over it, and stale marks for sites that left it are dropped in
+		// the same log record — there is nothing left to reconcile there.
 		if code, err := checkSites(msg.Sites, n.p.Sites()); err != nil {
 			return reply{Code: code, Err: err.Error()}
 		}
 		if err := n.st.SetReplicas(msg.Object, msg.Sites); err != nil {
-			return storageReply(err)
-		}
-		return reply{OK: true}
-
-	case "nearest":
-		if msg.Site < 0 || msg.Site >= n.p.Sites() {
-			return reply{Code: CodeBadSite, Err: "nearest site out of range"}
-		}
-		if err := n.st.SetNearest(msg.Object, msg.Site); err != nil {
 			return storageReply(err)
 		}
 		return reply{OK: true}
@@ -674,13 +645,13 @@ func (n *Node) syncReplica(obj, j int, version int64, addr string, parent *spans
 	return cost, nil
 }
 
-// broadcast pushes the updated object to every replicator except the
-// writer and the primary itself. Replicators that cannot be reached are
-// marked stale for later reconciliation instead of failing the write; the
-// returned cost covers only the syncs that landed. Stale marks hit the
-// log before the write is acknowledged.
+// broadcast pushes the updated object to every site of its replica set
+// except the writer and the primary itself. Replicas that cannot be
+// reached are marked stale for later reconciliation instead of failing the
+// write; the returned cost covers only the syncs that landed. Stale marks
+// hit the log before the write is acknowledged.
 func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (int64, []int, error) {
-	targets := n.st.Registry(obj)
+	targets := n.st.Replicas(obj)
 	cfg := n.cfg.Load()
 	peers, nm := cfg.peers, cfg.metrics
 	var cost int64
@@ -744,43 +715,17 @@ func (n *Node) reconcile(obj int, parent *spans.Span) (int64, []int, error) {
 	return cost, remaining, nil
 }
 
-// readCandidates returns the replicas to try for a read of obj: the
-// recorded nearest first (it is the policy's authoritative SN_k(i)
-// record), then the remaining replicators in core.RankReplicas order —
-// ascending transfer cost from this site, ties broken by site index.
-// Sites with no peer address (departed from the membership view) are
-// skipped entirely, so the failover order over the surviving replicas is
-// deterministic.
-func (n *Node) readCandidates(obj, nearest int, replicas []int, peers []string) []int {
-	inView := func(j int) bool {
-		return j != n.site && j < len(peers) && peers[j] != ""
-	}
-	ranked := core.RankReplicas(n.p, n.site, replicas, inView)
-	out := make([]int, 0, len(ranked)+1)
-	if nearest >= 0 && inView(nearest) {
-		out = append(out, nearest)
-	}
-	for _, j := range ranked {
-		if j != nearest {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Read performs a client read from this node: served locally if a replica
-// is held, otherwise fetched from the recorded nearest replica over TCP,
-// failing over to the next-nearest live replica when sites are down.
-// Returns the transfer cost incurred. ErrNoReplica reports that every
-// replica was unreachable.
+// is held, otherwise fetched over TCP from the nearest replica of the
+// object's replica set, failing over to the next-nearest live replica
+// when sites are down. Returns the transfer cost incurred. ErrNoReplica
+// reports that every replica was unreachable.
 func (n *Node) Read(obj int) (cost int64, err error) {
 	start := time.Now()
 	if obj < 0 || obj >= n.p.Objects() {
 		return 0, fmt.Errorf("netnode: object %d out of range", obj)
 	}
 	local := n.st.Holds(obj)
-	target := n.st.Nearest(obj)
-	replicas := n.st.Replicas(obj)
 	cfg := n.cfg.Load()
 	peers, nm := cfg.peers, cfg.metrics
 	root := cfg.tracer.Root("read")
@@ -797,8 +742,13 @@ func (n *Node) Read(obj int) (cost int64, err error) {
 		}
 		return 0, nil
 	}
+	// The replica set in core.RankReplicas order — ascending C(i,j), ties
+	// to the lower site — puts SN_k(i) first. The site itself and sites
+	// with no peer address (departed from the membership view) are
+	// skipped, so the failover order over the survivors is deterministic.
+	inView := func(j int) bool { return j != n.site && j < len(peers) && peers[j] != "" }
 	var lastErr error
-	for idx, j := range n.readCandidates(obj, target, replicas, peers) {
+	for idx, j := range core.RankReplicas(n.p, n.site, n.st.Replicas(obj), inView) {
 		hop := root.Child("read.hop")
 		hop.SetPeer(j)
 		hop.SetHop(idx)
@@ -811,8 +761,8 @@ func (n *Node) Read(obj int) (cost int64, err error) {
 		}
 		if !resp.OK {
 			// A live peer refusing the read is a coordination bug (e.g. a
-			// stale nearest record pointing at a non-holder): fail loudly
-			// rather than silently serving from elsewhere.
+			// stale replica set naming a non-holder): fail loudly rather
+			// than silently serving from elsewhere.
 			hop.SetErrText(resp.Err)
 			hop.Finish()
 			return 0, &ReplyError{Code: resp.Code, Msg: resp.Err}

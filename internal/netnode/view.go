@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 
-	"drp/internal/core"
 	"drp/internal/membership"
 	"drp/internal/plan"
 	"drp/internal/spans"
@@ -94,7 +93,7 @@ func (c *Cluster) SetStepHook(fn func(plan.Step)) { c.stepHook = fn }
 // durable mode), rewire the address tables, and resynchronise its routing
 // state with the deployed plan — the current primary of every object, a
 // drop of any replica the plan no longer places at it (a rejoining former
-// primary), and the nearest/replicas tables. The placement itself does
+// primary), and every object's replica set. The placement itself does
 // not change: the control plane migrates replicas onto the joiner with a
 // subsequent plan.
 func (c *Cluster) Join(site int) (*Node, error) {
@@ -139,9 +138,6 @@ func (c *Cluster) syncJoined(site int) (err error) {
 				return err
 			}
 		}
-		if err := c.command(site, message{Op: "nearest", Object: k, Site: nearestOf(c.p, c.plan, site, k)}, root); err != nil {
-			return err
-		}
 		if err := c.command(site, message{Op: "replicas", Object: k, Sites: c.plan.Placement[k]}, root); err != nil {
 			return err
 		}
@@ -176,12 +172,12 @@ func (c *Cluster) Leave(site int) error {
 // ApplyPlan migrates the data plane from the deployed plan to next: the
 // target is journaled first (when a journal is attached), then the
 // ordered diff executes — copies along min-cost paths, primary
-// promotions broadcast to every member, a routing refresh (registries,
-// nearest tables, failover rankings), and finally the drops. Reads keep
-// serving throughout: a site never loses a replica another site's
-// routing still points at. Returns the migration accounting; on error
-// the report covers the completed prefix and ResumeMigration (after the
-// fault clears) finishes the remainder.
+// promotions broadcast to every member, a routing refresh (each touched
+// object's replica set to every member, its primary last), and finally
+// the drops. Reads keep serving throughout: a site never loses a replica
+// another site's replica set still names. Returns the migration
+// accounting; on error the report covers the completed prefix and
+// ResumeMigration (after the fault clears) finishes the remainder.
 func (c *Cluster) ApplyPlan(next *plan.Plan) (*ApplyReport, error) {
 	root := c.tracer.Root("plan.apply")
 	root.SetAttr("epoch", strconv.Itoa(next.Epoch))
@@ -220,9 +216,11 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, resume bool) (rep
 	} else {
 		// A crash between a copy and the routing refresh leaves a holder its
 		// primary does not broadcast to. The deployed plan, read back from
-		// the holdings at boot, cannot show that; the primary's registry does.
+		// the holdings at boot, cannot show that; the primary's replica set
+		// does. The refresh writes the primary's record last, so once it
+		// matches, every member's does too.
 		for k, sites := range from.Placement {
-			if !slices.Equal(c.nodes[from.Primaries[k]].st.Registry(k), sites) {
+			if !slices.Equal(c.nodes[from.Primaries[k]].st.Replicas(k), sites) {
 				touched[k] = true
 			}
 		}
@@ -253,8 +251,8 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, resume bool) (rep
 
 // runSteps executes an ordered step list. The list arrives phase-ordered
 // (copies, promotes, drops); the routing refresh for every touched object
-// runs after the promotes so no drop happens while a nearest record still
-// points at the dropping site.
+// runs after the promotes so no drop happens while a replica set still
+// names the dropping site.
 func (c *Cluster) runSteps(steps []plan.Step, touched map[int]bool, old, next *plan.Plan, rep *ApplyReport, parent *spans.Span) error {
 	refreshed := false
 	for _, s := range steps {
@@ -318,9 +316,10 @@ func (c *Cluster) runStep(s plan.Step, old *plan.Plan, parent *spans.Span) error
 	}
 }
 
-// refreshRouting pushes the next plan's routing state for the touched
-// objects: the registry to each object's primary, and the nearest record
-// plus failover ranking to every member.
+// refreshRouting pushes the next plan's replica set of every touched
+// object to every member, the object's primary last: the primary's record
+// is the commit point migrate checks after a restart, so it may only
+// match the plan once every other member's does.
 func (c *Cluster) refreshRouting(touched map[int]bool, next *plan.Plan, parent *spans.Span) error {
 	rs := parent.Child("plan.refresh")
 	defer rs.Finish()
@@ -330,40 +329,22 @@ func (c *Cluster) refreshRouting(touched map[int]bool, next *plan.Plan, parent *
 	}
 	sort.Ints(objs)
 	for _, k := range objs {
-		repl := next.Placement[k]
-		if err := c.command(next.Primaries[k], message{Op: "registry", Object: k, Sites: repl}, rs); err != nil {
+		msg, sp := message{Op: "replicas", Object: k, Sites: next.Placement[k]}, next.Primaries[k]
+		for _, m := range c.view.Members {
+			if m == sp {
+				continue
+			}
+			if err := c.command(m, msg, rs); err != nil {
+				rs.SetErr(err)
+				return err
+			}
+		}
+		if err := c.command(sp, msg, rs); err != nil {
 			rs.SetErr(err)
 			return err
 		}
-		for _, m := range c.view.Members {
-			if err := c.command(m, message{Op: "nearest", Object: k, Site: nearestOf(c.p, next, m, k)}, rs); err != nil {
-				rs.SetErr(err)
-				return err
-			}
-			if err := c.command(m, message{Op: "replicas", Object: k, Sites: repl}, rs); err != nil {
-				rs.SetErr(err)
-				return err
-			}
-		}
 	}
 	return nil
-}
-
-// nearestOf returns the plan's nearest replica of object k from site i
-// (itself, when it holds one), ties broken by lowest site index. A valid
-// plan places every object somewhere and C(i,j) is never negative, so
-// there is always one.
-func nearestOf(p *core.Problem, pl *plan.Plan, i, k int) int {
-	if pl.Has(i, k) {
-		return i
-	}
-	best, bestCost := -1, int64(0)
-	for _, j := range pl.Placement[k] {
-		if d := p.Cost(i, j); best < 0 || d < bestCost {
-			best, bestCost = j, d
-		}
-	}
-	return best
 }
 
 // actualPlan reconstructs the placement the data plane actually holds:

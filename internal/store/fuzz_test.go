@@ -23,7 +23,7 @@ func buildSeedWAL(tb testing.TB) []byte {
 		s.AddNTC(41),
 		s.Queue(2),
 		s.SetReplicas(1, []int{0, 1, 2}),
-		s.SetRegistry(0, []int{0, 3}),
+		s.SetReplicas(0, []int{0, 3}),
 		s.Drop(1),
 	} {
 		if err != nil {

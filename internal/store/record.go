@@ -15,10 +15,17 @@ const (
 	opClear    uint8 = 5  // obj, arg=site: clear one stale mark
 	opQueue    uint8 = 6  // obj, arg=±1: queue / dequeue a pending write
 	opNTC      uint8 = 7  // arg=delta: account transfer cost
-	opNearest  uint8 = 8  // obj, arg=site: nearest-replica record
-	opReplicas uint8 = 9  // obj, sites: read-failover replica ranking
-	opRegistry uint8 = 10 // obj, sites: primary's replicator list (trims stale)
+	opReplicas uint8 = 9  // obj, sites: the replica set R_k (trims stale marks)
 	opPrimary  uint8 = 11 // obj, arg=site: current primary after a promotion
+)
+
+// Retired opcodes. Logs written before the replica set became a site's
+// only routing record also carry these; their numbers stay reserved and
+// replay refuses them (Store.applyPayload) instead of reading them as
+// corruption.
+const (
+	opRetiredNearest  uint8 = 8  // obj, arg=site: nearest-replica record
+	opRetiredRegistry uint8 = 10 // obj, sites: primary's replicator list
 )
 
 // record is one logical mutation. Versions and cost deltas ride in arg;

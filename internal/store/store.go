@@ -24,8 +24,10 @@ type Options struct {
 }
 
 // Store is one site's replication state: replica holdings, primary-stamped
-// versions, the nearest-replica and failover tables, the primary-side
-// replicator registries and stale marks, queued writes and accounted NTC.
+// versions, each object's current primary and replica set R_k, the
+// primary's stale marks, queued writes and accounted NTC. R_k is the one
+// record reads and broadcasts route by: a read walks it nearest first
+// (core.RankReplicas) and the primary broadcasts a write over it.
 //
 // In durable mode (Open with a directory) every mutation appends one WAL
 // record before it is visible to the caller, so an acknowledgement implies
@@ -51,9 +53,7 @@ type Store struct {
 
 	holds    []bool
 	versions []int64
-	nearest  []int
 	replicas [][]int
-	registry [][]int
 	stale    []map[int]bool
 	pending  []int
 	ntc      int64
@@ -68,8 +68,8 @@ type Store struct {
 var ErrClosed = errors.New("store: closed")
 
 // Memory builds a memory-only store bootstrapped for site: every object's
-// nearest replica and failover list point at its primary, and objects
-// primaried at site are held at version 0 with a singleton registry.
+// replica set is its primary alone, and objects primaried at site are held
+// at version 0.
 func Memory(site int, primaries []int) *Store {
 	s := &Store{site: site, primary: append([]int(nil), primaries...)}
 	s.bootstrap()
@@ -80,19 +80,15 @@ func (s *Store) bootstrap() {
 	n := len(s.primary)
 	s.holds = make([]bool, n)
 	s.versions = make([]int64, n)
-	s.nearest = make([]int, n)
 	s.replicas = make([][]int, n)
-	s.registry = make([][]int, n)
 	s.stale = make([]map[int]bool, n)
 	s.pending = make([]int, n)
 	s.ntc = 0
 	s.curPrimary = append([]int(nil), s.primary...)
 	for k, sp := range s.primary {
-		s.nearest[k] = sp
 		s.replicas[k] = []int{sp}
 		if sp == s.site {
 			s.holds[k] = true
-			s.registry[k] = []int{s.site}
 		}
 	}
 }
@@ -180,11 +176,16 @@ func Open(dir string, site int, primaries []int, opts Options) (*Store, error) {
 }
 
 // applyPayload decodes and applies one replayed WAL record; undecodable
-// payloads end the valid prefix.
+// payloads end the valid prefix. A whole record with a retired opcode was
+// written by an older format: it aborts the open rather than be truncated
+// away as a torn tail, which would silently drop its site's history.
 func (s *Store) applyPayload(payload []byte) error {
 	rec, err := decodeRecord(payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errCorruptRecord, err)
+	}
+	if rec.op == opRetiredNearest || rec.op == opRetiredRegistry {
+		return fmt.Errorf("store: %s holds a record with retired opcode %d (it predates the single replica-set routing record); start from a fresh directory", s.dir, rec.op)
 	}
 	if rec.op == opNTC {
 		if rec.obj != -1 {
@@ -206,7 +207,6 @@ func (s *Store) apply(rec record) {
 	case opPlace:
 		s.holds[k] = true
 		s.versions[k] = rec.arg
-		s.nearest[k] = s.site
 	case opDrop:
 		s.holds[k] = false
 		s.versions[k] = 0
@@ -232,17 +232,13 @@ func (s *Store) apply(rec record) {
 		}
 	case opNTC:
 		s.ntc += rec.arg
-	case opNearest:
-		s.nearest[k] = int(rec.arg)
-	case opReplicas:
-		s.replicas[k] = intsOf(rec.sites)
 	case opPrimary:
 		s.curPrimary[k] = int(rec.arg)
-	case opRegistry:
-		s.registry[k] = intsOf(rec.sites)
+	case opReplicas:
+		s.replicas[k] = intsOf(rec.sites)
 		// A site no longer replicating the object has nothing left to
-		// reconcile: trim its stale mark with the registry update, in one
-		// record, so replay and live execution agree.
+		// reconcile: trim its stale mark with the replica-set update, in
+		// one record, so replay and live execution agree.
 		if marks := s.stale[k]; marks != nil {
 			keep := make(map[int]bool, len(rec.sites))
 			for _, j := range rec.sites {
@@ -349,26 +345,11 @@ func (s *Store) Replica(k int) (bool, int64) {
 	return s.holds[k], s.versions[k]
 }
 
-// Nearest returns the recorded nearest-replica site for object k.
-func (s *Store) Nearest(k int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nearest[k]
-}
-
-// Replicas returns a copy of object k's replicator list (failover order
-// source).
+// Replicas returns a copy of object k's replica set R_k.
 func (s *Store) Replicas(k int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]int(nil), s.replicas[k]...)
-}
-
-// Registry returns a copy of the primary-side replicator registry for k.
-func (s *Store) Registry(k int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int(nil), s.registry[k]...)
 }
 
 // StaleSites returns the sites marked stale for object k, sorted.
@@ -426,8 +407,7 @@ func (s *Store) NTC() int64 {
 
 // --- mutators (append before the new state is observable) ---
 
-// Place stores a replica of k at version ver and points the nearest-replica
-// record at the site itself.
+// Place stores a replica of k at version ver.
 func (s *Store) Place(k int, ver int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -518,14 +498,8 @@ func (s *Store) AddNTC(d int64) error {
 	return s.commit(record{op: opNTC, obj: -1, arg: d})
 }
 
-// SetNearest repoints the nearest-replica record for k.
-func (s *Store) SetNearest(k, site int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.commit(record{op: opNearest, obj: int32(k), arg: int64(site)})
-}
-
-// SetReplicas replaces the read-failover replicator list for k.
+// SetReplicas replaces object k's replica set R_k and trims stale marks for
+// sites that left it (one record covers both).
 func (s *Store) SetReplicas(k int, sites []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -543,25 +517,17 @@ func (s *Store) SetPrimary(k, site int) error {
 	return s.commit(record{op: opPrimary, obj: int32(k), arg: int64(site)})
 }
 
-// SetRegistry replaces the primary's replicator registry for k and trims
-// stale marks for sites that left the set (one record covers both).
-func (s *Store) SetRegistry(k int, sites []int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.commit(record{op: opRegistry, obj: int32(k), sites: int32sOf(sites)})
-}
-
 // --- snapshots, shutdown, inspection ---
 
 // snapState is the canonical full-state encoding: slices indexed by object
 // with stale sets sorted, so identical states encode to identical bytes.
+// Snapshots written before the replica set became the only routing record
+// also carry "nearest" and "registry" tables; loading ignores them.
 type snapState struct {
 	Site     int     `json:"site"`
 	Holds    []bool  `json:"holds"`
 	Versions []int64 `json:"versions"`
-	Nearest  []int   `json:"nearest"`
 	Replicas [][]int `json:"replicas"`
-	Registry [][]int `json:"registry"`
 	Stale    [][]int `json:"stale"`
 	Pending  []int   `json:"pending"`
 	NTC      int64   `json:"ntc"`
@@ -576,9 +542,7 @@ func (s *Store) encodeStateLocked() []byte {
 		Site:     s.site,
 		Holds:    s.holds,
 		Versions: s.versions,
-		Nearest:  s.nearest,
 		Replicas: s.replicas,
-		Registry: s.registry,
 		Stale:    make([][]int, len(s.stale)),
 		Pending:  s.pending,
 		NTC:      s.ntc,
@@ -612,8 +576,7 @@ func (s *Store) loadSnapshot(payload []byte) error {
 	}
 	n := len(s.primary)
 	if st.Site != s.site || len(st.Holds) != n || len(st.Versions) != n ||
-		len(st.Nearest) != n || len(st.Replicas) != n || len(st.Registry) != n ||
-		len(st.Stale) != n || len(st.Pending) != n ||
+		len(st.Replicas) != n || len(st.Stale) != n || len(st.Pending) != n ||
 		(st.Primary != nil && len(st.Primary) != n) {
 		return fmt.Errorf("store: snapshot shape does not match site %d with %d objects", s.site, n)
 	}
@@ -624,9 +587,7 @@ func (s *Store) loadSnapshot(payload []byte) error {
 	}
 	s.holds = st.Holds
 	s.versions = st.Versions
-	s.nearest = st.Nearest
 	s.replicas = st.Replicas
-	s.registry = st.Registry
 	s.stale = make([]map[int]bool, n)
 	for k, sites := range st.Stale {
 		if len(sites) == 0 {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,9 +47,8 @@ func driveOps(t *testing.T, s *Store) {
 	must(s.Dequeue(3))
 	must(s.AddNTC(123))
 	must(s.AddNTC(77))
-	must(s.SetNearest(2, 4))
 	must(s.SetReplicas(2, []int{0, 4, 1}))
-	must(s.SetRegistry(0, []int{0, 2, 3}))
+	must(s.SetReplicas(0, []int{0, 2, 3}))
 	must(s.SetPrimary(0, 2))
 	must(s.SetPrimary(3, 1))
 	must(s.Drop(2))
@@ -61,15 +61,27 @@ func TestMemoryBootstrap(t *testing.T) {
 		if s.Holds(k) != wantHold {
 			t.Errorf("holds(%d) = %v, want %v", k, s.Holds(k), wantHold)
 		}
-		if got, want := s.Nearest(k), k%3; got != want {
-			t.Errorf("nearest(%d) = %d, want %d", k, got, want)
+		if got := s.Replicas(k); len(got) != 1 || got[0] != k%3 {
+			t.Errorf("replicas(%d) = %v, want [%d]", k, got, k%3)
 		}
-	}
-	if got := s.Registry(4); len(got) != 1 || got[0] != 1 {
-		t.Errorf("registry(4) = %v, want [1]", got)
 	}
 	if s.Recovered() {
 		t.Error("fresh memory store claims to be recovered")
+	}
+}
+
+// A site that leaves R_k has nothing left to reconcile: the replica-set
+// record trims its stale mark and keeps the others.
+func TestSetReplicasTrimsStaleMarks(t *testing.T) {
+	s := Memory(0, primariesRR(4, 4))
+	if err := s.MarkStale(0, []int{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetReplicas(0, []int{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.StaleSites(0); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("stale sites after R_0 = [0 2]: %v, want [2]", got)
 	}
 }
 
@@ -130,6 +142,60 @@ func TestReplayIsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(states[0], states[1]) {
 		t.Error("identical histories produced different states")
+	}
+}
+
+// A log written before the replica set became the only routing record
+// holds opcodes 8 and 10. Replay must refuse it loudly — Open fails and
+// names the format change — and must not truncate the record away as if
+// it were a torn tail: the file stays byte-for-byte as it was.
+func TestReplayRefusesRetiredOpcodes(t *testing.T) {
+	prim := primariesRR(4, 6)
+	for _, rec := range []record{
+		{op: opRetiredNearest, obj: 2, arg: 1},
+		{op: opRetiredRegistry, obj: 0, sites: []int32{0, 3}},
+	} {
+		dir := t.TempDir()
+		s, err := Open(dir, 0, prim, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Place(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w, err := openWAL(walPath(dir, 1), SyncNever, 0, nil, func([]byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.append(rec.encode()); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(walPath(dir, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := Open(dir, 0, prim, Options{Sync: SyncNever})
+		if err == nil {
+			r.Close()
+			t.Fatalf("opcode %d: a log with a retired record opened", rec.op)
+		}
+		if errors.Is(err, errCorruptRecord) || !strings.Contains(err.Error(), "retired opcode") {
+			t.Fatalf("opcode %d: error does not name the format change: %v", rec.op, err)
+		}
+		after, err := os.ReadFile(walPath(dir, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("opcode %d: the refused open rewrote the log (%d -> %d bytes)", rec.op, len(before), len(after))
+		}
 	}
 }
 
