@@ -14,9 +14,13 @@
 // model, migrations, failures and savings, then a one-line summary.
 //
 // With -data-dir the monitor journals its deployed scheme after every epoch
-// (see drp/internal/store.Journal); a rerun on the same directory starts
-// from the last recorded scheme instead of the greedy seed, so a monitor
-// killed between epochs loses no placement decision.
+// as one record, dir/journal.snap, replaced atomically (see
+// drp/internal/store.Journal); a rerun on the same directory starts from
+// the recorded scheme instead of the greedy seed, so a monitor killed
+// between epochs loses no placement decision. A damaged record, or a
+// journal.log left by the retired log format, stops the run instead of
+// re-seeding. The journal has nothing to tune: drpcluster takes no -fsync
+// or -snapshot-every (those tune drpnet's site logs).
 //
 // Observability: -listen-metrics serves live Prometheus text at /metrics
 // (plus /debug/vars and /debug/pprof) while the simulation runs; -serve-for
@@ -54,7 +58,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	tel := cli.Telemetry{Noun: "epoch"}
 	tel.Register(fs, "listen-metrics", "serve-for", "metrics-out", "events", "block-profile-rate", "mutex-profile-fraction", "trace-out", "trace-sample", "trace-clock")
 	var dur cli.Durability
-	dur.Register(fs)
+	dur.Register(fs, "data-dir")
 	var (
 		epochs    = fs.Int("epochs", 6, "measurement periods to simulate")
 		policy    = fs.String("policy", "agra+mini", "monitor policy: none | sra | agra | agra+mini | gra")
@@ -133,14 +137,13 @@ func run(args []string, stdout io.Writer) (err error) {
 		cfg.Failures = []cluster.Failure{{Site: *failSite, From: *failFrom, To: *failTo}}
 	}
 
-	// The journal holds one placement plan per epoch, the format drpnet's
-	// coordinator journals too; a rerun resumes from the latest.
+	// The journal holds the latest epoch's placement plan, the format
+	// drpnet's coordinator journals too; a rerun resumes from it.
 	if dur.Dir != "" {
-		journal, err := store.OpenJournal(dur.Dir, dur.Store)
+		journal, err := store.OpenJournal(dur.Dir)
 		if err != nil {
 			return err
 		}
-		defer journal.Close()
 		if epoch, data, ok := journal.LatestPlan(); ok {
 			pl, err := plan.Unmarshal(data)
 			if err == nil {

@@ -197,7 +197,7 @@ func TestClusterJournalResumes(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
 		"-sites", "8", "-objects", "12", "-epochs", "2", "-policy", "agra",
-		"-drift", "0.2", "-data-dir", dir, "-fsync", "never", "-snapshot-every", "4",
+		"-drift", "0.2", "-data-dir", dir,
 	}
 
 	var first bytes.Buffer
@@ -220,6 +220,13 @@ func TestClusterJournalResumes(t *testing.T) {
 	if !strings.Contains(second.String(), "total NTC") {
 		t.Fatalf("resumed run incomplete:\n%s", second.String())
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "journal.snap" {
+		t.Fatalf("data directory holds %v, want only journal.snap", entries)
+	}
 }
 
 func TestClusterJournalFlagConflicts(t *testing.T) {
@@ -227,13 +234,13 @@ func TestClusterJournalFlagConflicts(t *testing.T) {
 		"-compare", "-data-dir", t.TempDir()}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-compare with -data-dir accepted")
 	}
-	if err := run([]string{"-sites", "6", "-objects", "8", "-epochs", "1",
-		"-snapshot-every", "4"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-snapshot-every without -data-dir accepted")
-	}
-	if err := run([]string{"-sites", "6", "-objects", "8", "-epochs", "1",
-		"-data-dir", t.TempDir(), "-fsync", "sometimes"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("bad fsync policy accepted")
+	// -fsync and -snapshot-every tune drpnet's site logs; the journal is
+	// one atomically replaced record and takes neither.
+	for _, flag := range [][]string{{"-snapshot-every", "4"}, {"-fsync", "never"}} {
+		err := run(append([]string{"-sites", "6", "-objects", "8", "-epochs", "1", "-data-dir", t.TempDir()}, flag...), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%v: error %v, want an undefined-flag error", flag, err)
+		}
 	}
 }
 
@@ -301,7 +308,7 @@ func TestClusterRejectsLegacyJournal(t *testing.T) {
 	}
 	var out bytes.Buffer
 	err = run([]string{"-sites", "6", "-objects", "8", "-epochs", "2", "-policy", "agra", "-data-dir", dir}, &out)
-	if err == nil || !strings.Contains(err.Error(), "holds no placement plan") {
+	if err == nil || !strings.Contains(err.Error(), "journal.log is a plan log of the retired journal format") {
 		t.Fatalf("legacy journal: error %v, want one naming the missing plan\n%s", err, out.String())
 	}
 	if strings.Contains(out.String(), "summary:") {

@@ -15,7 +15,8 @@
 // With -data-dir every site's state (replica holdings, versions, stale
 // marks, queued writes, accounted NTC) lives in a per-site write-ahead
 // log under the directory; a rerun on the same directory replays the logs
-// and continues from the recovered state instead of re-seeding.
+// and continues from the recovered state instead of re-seeding. -fsync and
+// -snapshot-every tune those site logs.
 //
 // With -fault-plan the measurement period is served under injected faults
 // (site crashes, link blackholes, latency spikes, message drops — see
@@ -29,10 +30,11 @@
 // plan for every join and leave, and the data plane migrates
 // incrementally — replicas copy in before anything routes to them, and a
 // departing site keeps serving until the plan drains it. Combined with
-// -data-dir the coordinator journals each plan before migrating; a rerun
-// on the same directory boots the reshaped member set recorded in the
-// journal and resumes any unfinished migration instead of replaying the
-// scenario. -plan-out writes the final deployed plan as canonical JSON.
+// -data-dir the coordinator journals each plan before migrating, as one
+// atomically replaced record (coordinator/journal.snap); a rerun on the
+// same directory boots the reshaped member set recorded in the journal and
+// resumes any unfinished migration instead of replaying the scenario.
+// -plan-out writes the final deployed plan as canonical JSON.
 //
 // Observability: -listen-metrics serves the nodes' shared drp_net_* request
 // instruments (latency histograms, replica-hit and NTC counters) as
@@ -72,7 +74,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	tel := cli.Telemetry{Noun: "request"}
 	tel.Register(fs, "listen-metrics", "serve-for", "block-profile-rate", "mutex-profile-fraction", "trace-out", "trace-sample", "trace-clock")
 	var dur cli.Durability
-	dur.Register(fs)
+	dur.Register(fs, "data-dir", "fsync", "snapshot-every")
 	var (
 		algo = fs.String("algo", "sra", "placement algorithm: none | sra | gra")
 		pop  = fs.Int("pop", 16, "GRA population size")
@@ -185,7 +187,7 @@ func run(args []string, stdout io.Writer) (err error) {
 				return fmt.Errorf("-join: site %d is already a founding member", s)
 			}
 		}
-		return runMembership(p, founding, joins, leaves, dur.Dir, dur.Store, boot, *planOut, tel.Tracer, stdout)
+		return runMembership(p, founding, joins, leaves, dur.Dir, boot, *planOut, tel.Tracer, stdout)
 	}
 
 	scheme, err := cli.ResolvePlacement(p, *algo, prob.Seed, *pop, *gens)
@@ -355,18 +357,17 @@ func runFaulted(cluster *netnode.Cluster, p *drp.Problem, scheme *drp.Scheme, pl
 // directory the coordinator journal makes the whole sequence resumable:
 // a rerun finds the last recorded plan, boots its member set and resumes
 // any unfinished migration instead of replaying the scenario.
-func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string, storeOpts store.Options,
+func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string,
 	boot func(members []int) (*netnode.Cluster, error), planOut string, tracer *spans.Tracer, stdout io.Writer) error {
 
 	var journal *store.Journal
 	resuming := false
 	if dataDir != "" {
 		var err error
-		journal, err = store.OpenJournal(filepath.Join(dataDir, "coordinator"), storeOpts)
+		journal, err = store.OpenJournal(filepath.Join(dataDir, "coordinator"))
 		if err != nil {
 			return err
 		}
-		defer journal.Close()
 		if _, data, ok := journal.LatestPlan(); ok {
 			// The journal outranks the scenario flags: the recorded plan
 			// names the member set the cluster was last migrating toward.

@@ -142,24 +142,29 @@ func ResolvePlacement(p *core.Problem, name string, seed uint64, pop, gens int) 
 	return core.ReadScheme(p, f)
 }
 
-// Durability is -data-dir -fsync -snapshot-every. Check fills Store with
-// the options the flags select: zero, the in-memory store, without -data-dir.
+// Durability is -data-dir -fsync -snapshot-every; the last two tune the
+// sites' write-ahead logs. Check fills Store with the options the flags
+// select: zero, the in-memory store, without -data-dir.
 type Durability struct {
 	Dir, Fsync    string
 	SnapshotEvery int
 	Store         store.Options
 }
 
-// Register declares the group's three flags on fs.
-func (d *Durability) Register(fs *flag.FlagSet) {
+// Register declares the named flags of the group on dst.
+func (d *Durability) Register(dst *flag.FlagSet, names ...string) {
+	fs := flag.NewFlagSet("durability", flag.ContinueOnError)
 	fs.StringVar(&d.Dir, "data-dir", "", "persist the run's state (each site's write-ahead log, the coordinator's or monitor's plan journal) under this directory; a rerun on the same directory resumes from it")
-	fs.StringVar(&d.Fsync, "fsync", "always", `log fsync policy: "always", "never" or "every:N" (requires -data-dir)`)
-	fs.IntVar(&d.SnapshotEvery, "snapshot-every", 0, "snapshot and truncate the log every N appended records (0 = never; requires -data-dir)")
+	fs.StringVar(&d.Fsync, "fsync", "always", `site log fsync policy: "always", "never" or "every:N" (requires -data-dir)`)
+	fs.IntVar(&d.SnapshotEvery, "snapshot-every", 0, "snapshot and truncate each site's log every N appended records (0 = never; requires -data-dir)")
+	pick(dst, fs, names)
 }
 
 // Check reports the first violated rule of the group.
 func (d *Durability) Check() (err error) {
 	switch {
+	case d.SnapshotEvery < 0:
+		err = fmt.Errorf("-snapshot-every %d cannot be negative", d.SnapshotEvery)
 	case d.Dir != "":
 		d.Store.SnapshotEvery = d.SnapshotEvery
 		d.Store.Sync, d.Store.SyncEvery, err = store.ParseSyncPolicy(d.Fsync)

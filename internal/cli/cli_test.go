@@ -30,7 +30,7 @@ func (g *groups) parse(args ...string) error {
 	g.tel.Noun = "request"
 	g.tel.Register(fs, "metrics-out", "events", "listen-metrics", "serve-for", "block-profile-rate", "mutex-profile-fraction",
 		"trace-out", "trace-sample", "trace-clock")
-	g.dur.Register(fs)
+	g.dur.Register(fs, "data-dir", "fsync", "snapshot-every")
 	g.caps.Register(fs)
 	return Parse(fs, args, g.tel.Check, g.dur.Check, g.caps.Check)
 }
@@ -55,6 +55,8 @@ func TestGroupRules(t *testing.T) {
 		{[]string{"-snapshot-every", "4"}, "-snapshot-every needs -data-dir", []string{"-data-dir", dir}},
 		{[]string{"-fsync", "never"}, "-fsync needs -data-dir", []string{"-data-dir", dir}},
 		{[]string{"-fsync", "sometimes", "-data-dir", dir}, "fsync policy", nil},
+		{[]string{"-snapshot-every", "-1"}, "-snapshot-every -1 cannot be negative", nil},
+		{[]string{"-snapshot-every", "-1", "-data-dir", dir}, "-snapshot-every -1 cannot be negative", nil},
 		{[]string{"-timeout", "-1s"}, "-timeout", nil},
 	} {
 		err := new(groups).parse(c.bad...)
@@ -82,15 +84,22 @@ func TestRegisterSubset(t *testing.T) {
 	tel.Register(fs, "metrics-out", "events", "trace-out")
 	prob := Problem{Sites: 7, Objects: 9}
 	prob.Register(fs, "sites", "objects", "seed")
+	var dur Durability
+	dur.Register(fs, "data-dir")
 	for _, args := range [][]string{
 		{"-serve-for", "1s"}, {"-listen-metrics", ":0"}, {"-trace-clock", "wall"}, {"-trace-sample", "2"}, {"-in", "p.json"}, {"-update", "0.1"},
+		{"-fsync", "never"}, {"-snapshot-every", "4"},
 	} {
-		if err := Parse(fs, args, tel.Check); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		if err := Parse(fs, args, tel.Check, dur.Check); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: error %v, want an undefined-flag error", args, err)
 		}
 	}
-	if err := Parse(fs, []string{"-metrics-out", "m.json", "-trace-out", "t.jsonl", "-sites", "3"}, tel.Check); err != nil {
+	dir := t.TempDir()
+	if err := Parse(fs, []string{"-metrics-out", "m.json", "-trace-out", "t.jsonl", "-sites", "3", "-data-dir", dir}, tel.Check, dur.Check); err != nil {
 		t.Fatal(err)
+	}
+	if dur.Dir != dir || dur.Store != (store.Options{Sync: store.SyncAlways}) {
+		t.Errorf("durability defaults lost: %+v", dur)
 	}
 	if tel.MetricsOut != "m.json" || tel.TraceOut != "t.jsonl" || tel.TraceSample != 1 || tel.TraceClock != "logical" {
 		t.Errorf("parsed %+v", tel)

@@ -114,11 +114,10 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	j, err := store.OpenJournal(filepath.Join(root, "coord"), store.Options{Sync: store.SyncNever})
+	j, err := store.OpenJournal(filepath.Join(root, "coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = j.Close() })
 	c.AttachJournal(j)
 
 	// Every dial involving site 2 rides a 1ms latency spike for the whole

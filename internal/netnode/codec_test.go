@@ -38,22 +38,22 @@ func rawExchange(t *testing.T, addr string, payload []byte, closeWrite bool) (re
 	return resp, err
 }
 
-func TestWireCodecEdgeCases(t *testing.T) {
-	p := gen(t, 3, 3, 0.3, 0.5, 1)
-	c := startCluster(t, p)
-	prim := p.Primary(0)
-	other := (prim + 1) % p.Sites() // holds no copy of object 0
+// codecCase is one row of the wire-codec edge-case table. FuzzNodeLine
+// seeds its corpus with the payloads.
+type codecCase struct {
+	name       string
+	site       int // the node the payload is sent to
+	payload    string
+	closeWrite bool
+	wantCode   string
+	wantClosed bool // stream closes with no reply at all
+}
 
+// codecCases is the table for a problem whose object 0 is primaried at
+// prim and not held at other.
+func codecCases(prim, other int) []codecCase {
 	oversized := `{"op":"read","obj":0,"pad":"` + strings.Repeat("x", maxLineBytes) + `"}` + "\n"
-
-	cases := []struct {
-		name       string
-		site       int // the node the payload is sent to
-		payload    string
-		closeWrite bool
-		wantCode   string
-		wantClosed bool // stream closes with no reply at all
-	}{
+	return []codecCase{
 		{name: "bad JSON line", payload: "{op read}\n", wantCode: CodeBadJSON},
 		{name: "unknown op", payload: `{"op":"explode","obj":0}` + "\n", wantCode: CodeBadOp},
 		{name: "oversized line", payload: oversized, wantCode: CodeOversized},
@@ -71,7 +71,15 @@ func TestWireCodecEdgeCases(t *testing.T) {
 		{name: "reconcile to a non-primary", site: other, payload: `{"op":"reconcile","obj":0}` + "\n", wantCode: CodeNotPrimary},
 		{name: "drop of a primary copy", site: prim, payload: `{"op":"drop","obj":0}` + "\n", wantCode: CodeNotPrimary},
 	}
-	for _, tc := range cases {
+}
+
+func TestWireCodecEdgeCases(t *testing.T) {
+	p := gen(t, 3, 3, 0.3, 0.5, 1)
+	c := startCluster(t, p)
+	prim := p.Primary(0)
+	other := (prim + 1) % p.Sites() // holds no copy of object 0
+
+	for _, tc := range codecCases(prim, other) {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := rawExchange(t, c.Node(tc.site).Addr(), []byte(tc.payload), tc.closeWrite)
 			if tc.wantClosed {

@@ -1,0 +1,152 @@
+package netnode
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net"
+	"strings"
+	"testing"
+	"time"
+)
+
+// replyCodes is every code a rejection may carry.
+var replyCodes = map[string]bool{
+	CodeBadOp: true, CodeBadJSON: true, CodeOversized: true, CodeBadObject: true,
+	CodeBadSite: true, CodeNotPrimary: true, CodeNotHolder: true, CodeStorage: true,
+}
+
+// FuzzNodeLine feeds arbitrary bytes through serve's line decoder into
+// Node.handle, one line at a time over a net.Pipe. The node is a memory
+// site whose peer table spans the universe with every address empty, so a
+// broadcast or reconcile degrades to stale marks instead of erroring.
+// Oracles: no panic; every reply is OK or carries one of the documented
+// codes; a rejected line leaves the site's state and NTC byte-identical.
+func FuzzNodeLine(f *testing.F) {
+	p := gen(f, 4, 6, 0.3, 0.5, 1)
+	site := p.Primary(0)
+	other := (site + 1) % p.Sites()
+	for _, tc := range codecCases(site, other) {
+		f.Add([]byte(tc.payload))
+	}
+	for _, tc := range badFrames {
+		f.Add([]byte(tc.payload))
+	}
+	valid := []string{
+		`{"op":"read","obj":0}`,
+		fmt.Sprintf(`{"op":"replicas","obj":0,"sites":[%d,%d]}`, site, other),
+		fmt.Sprintf(`{"op":"update","obj":0,"from":%d,"trace":"t1","span":"s1"}`, other),
+		`{"op":"reconcile","obj":0}`,
+		`{"op":"sync","obj":0,"version":7}`,
+		`{"op":"place","obj":1,"version":2}`,
+		`{"op":"drop","obj":1}`,
+		fmt.Sprintf(`{"op":"primary","obj":1,"site":%d}`, site),
+	}
+	for _, line := range valid {
+		f.Add([]byte(line + "\n"))
+	}
+	// A session: every op in turn, a blank line, then a second reconcile.
+	f.Add([]byte(strings.Join(valid, "\n") + "\n\n" + valid[3] + "\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := Listen(p, site, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		n.SetPeers(make([]string, p.Sites()))
+
+		client, server := net.Pipe()
+		defer client.Close()
+		_ = client.SetDeadline(time.Now().Add(10 * time.Second))
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			n.serve(server)
+		}()
+		// Replies are read as they come: serve answers an oversized line
+		// before it has read the line to the end.
+		replies, stop := make(chan reply), make(chan struct{})
+		defer close(stop)
+		go func() {
+			defer close(replies)
+			dec := json.NewDecoder(client)
+			for {
+				var resp reply
+				if dec.Decode(&resp) != nil {
+					return
+				}
+				select {
+				case replies <- resp:
+				case <-stop: // the input failed before reading this reply
+					return
+				}
+			}
+		}()
+		check := func(line []byte, resp reply) {
+			if resp.OK != (resp.Code == "") || (!resp.OK && !replyCodes[resp.Code]) {
+				t.Fatalf("line %s: reply %+v is neither OK nor a documented rejection", brief(line), resp)
+			}
+		}
+		// state and ntc are the site as of the last handled line.
+		state, ntc := n.Store().EncodeState(), n.NTC()
+	lines:
+		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			wrote := make(chan error, 1)
+			go func() {
+				_, err := client.Write(line)
+				wrote <- err
+			}()
+			if line[len(line)-1] != '\n' || len(bytes.TrimSpace(line)) == 0 {
+				// serve skips a blank line and drops an unterminated tail at
+				// the end of the stream; it answers either only when it is
+				// oversized, and then closes.
+				select {
+				case resp := <-replies:
+					if resp.Code != CodeOversized {
+						t.Fatalf("unhandled line %s answered %+v", brief(line), resp)
+					}
+					break lines
+				case err := <-wrote:
+					if err != nil {
+						break lines
+					}
+				}
+				continue
+			}
+			resp, ok := <-replies
+			if !ok {
+				t.Fatalf("line %s: no reply", brief(line))
+			}
+			<-wrote
+			check(line, resp)
+			got := n.Store().EncodeState()
+			if !resp.OK && (!bytes.Equal(got, state) || n.NTC() != ntc) {
+				t.Fatalf("line %s rejected (%s) but moved the site:\nbefore %s (ntc %d)\nafter  %s (ntc %d)", brief(line), resp.Code, state, ntc, got, n.NTC())
+			}
+			state, ntc = got, n.NTC()
+			if resp.Code == CodeBadJSON || resp.Code == CodeOversized {
+				break // serve closes a stream it can no longer frame
+			}
+		}
+		client.Close()
+		for resp := range replies {
+			check(nil, resp)
+		}
+		<-served
+		if got := n.Store().EncodeState(); !bytes.Equal(got, state) || n.NTC() != ntc {
+			t.Fatalf("the end of the stream moved the site:\nbefore %s (ntc %d)\nafter  %s (ntc %d)", state, ntc, got, n.NTC())
+		}
+	})
+}
+
+// brief quotes a line for a failure message, eliding the middle of a long one.
+func brief(line []byte) string {
+	if len(line) <= 120 {
+		return fmt.Sprintf("%q", line)
+	}
+	return fmt.Sprintf("%q…%q (%d bytes)", line[:60], line[len(line)-60:], len(line))
+}

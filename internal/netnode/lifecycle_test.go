@@ -132,6 +132,17 @@ func TestSendReplyHonoursDeadline(t *testing.T) {
 	}
 }
 
+// badFrames are framing violations and the code each is rejected with.
+// The oversized payload is sized to a multiple of the server's read buffer
+// so every sent byte is consumed before the reply: unread bytes at close
+// would RST the connection and could discard the reply.
+var badFrames = []struct {
+	name, payload, code string
+}{
+	{"oversized", strings.Repeat("x", maxLineBytes+linkBufBytes), CodeOversized},
+	{"malformed", "{not json}\n", CodeBadJSON},
+}
+
 // Oversized and malformed frames get a typed error reply (under the same
 // deadline as normal replies) and the connection closes.
 func TestServeRejectsBadFrames(t *testing.T) {
@@ -143,16 +154,7 @@ func TestServeRejectsBadFrames(t *testing.T) {
 	defer n.Close()
 	n.SetRequestTimeout(time.Second)
 
-	// The oversized payload is sized to a multiple of the server's read
-	// buffer so every sent byte is consumed before the reply: unread bytes
-	// at close would RST the connection and could discard the reply.
-	tests := []struct {
-		name, payload, code string
-	}{
-		{"oversized", strings.Repeat("x", maxLineBytes+linkBufBytes), CodeOversized},
-		{"malformed", "{not json}\n", CodeBadJSON},
-	}
-	for _, tc := range tests {
+	for _, tc := range badFrames {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", n.Addr())
 			if err != nil {

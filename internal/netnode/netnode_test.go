@@ -23,7 +23,11 @@ func gen(t testing.TB, m, n int, u, c float64, seed uint64) *core.Problem {
 // Listen starts a memory-backed node for the site on addr, holding exactly
 // the objects primaried at it; peers are wired with SetPeers.
 func Listen(p *core.Problem, site int, addr string) (*Node, error) {
-	return ListenStore(p, site, addr, store.Memory(site, primaries(p)))
+	st, err := store.Open("", site, primaries(p), store.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return ListenStore(p, site, addr, st)
 }
 
 func startCluster(t *testing.T, p *core.Problem) *Cluster {

@@ -100,11 +100,10 @@ func TestViewClusterJoinMigrateLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	j, err := store.OpenJournal(filepath.Join(root, "coord"), store.Options{})
+	j, err := store.OpenJournal(filepath.Join(root, "coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
 	c.AttachJournal(j)
 
 	// Stage 1: solve and deploy over the founding four members.
@@ -242,7 +241,7 @@ func TestViewClusterResumeAfterCrashMidMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	j, err := store.OpenJournal(filepath.Join(root, "coord"), store.Options{})
+	j, err := store.OpenJournal(filepath.Join(root, "coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,19 +275,15 @@ func TestViewClusterResumeAfterCrashMidMigration(t *testing.T) {
 	// The coordinator dies with the cluster; everything restarts from
 	// disk and the journal.
 	c.Close()
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
 	c2, err := StartDurableView(p, root, store.Options{}, members)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	j2, err := store.OpenJournal(filepath.Join(root, "coord"), store.Options{})
+	j2, err := store.OpenJournal(filepath.Join(root, "coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
 	c2.AttachJournal(j2)
 
 	// What the sites actually hold after the crash — the a-priori basis

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,6 +52,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(seed[:len(walMagic)+4]) // torn frame header
 	f.Add([]byte{})               // empty file
 	f.Add([]byte("DRPWAL1\n"))    // magic only
+	f.Add([]byte("DRPW"))         // torn magic
 	f.Add([]byte("not a wal at all"))
 	corrupt := append([]byte(nil), seed...)
 	corrupt[len(corrupt)/2] ^= 0x40 // mid-log bit flip
@@ -104,22 +104,20 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// FuzzJournalReplay gives the coordinator journal the same treatment.
+// FuzzJournalReplay feeds arbitrary bytes to the journal as its record,
+// dir/journal.snap. A record either fails to open or yields a plan — it is
+// never read as an empty journal — and an opened journal accepts the next
+// record and reopens to it.
 func FuzzJournalReplay(f *testing.F) {
 	dir := f.TempDir()
-	j, err := OpenJournal(dir, Options{Sync: SyncNever})
+	j, err := OpenJournal(dir)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for e := 0; e < 4; e++ {
-		if err := j.RecordPlan(e, []byte(fmt.Sprintf(`{"epoch":%d,"placement":[[0,%d],[1]]}`, e, e))); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
+	if err := j.RecordPlan(3, []byte(`{"epoch":3,"placement":[[0,3],[1]]}`)); err != nil {
 		f.Fatal(err)
 	}
-	seed, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+	seed, err := os.ReadFile(filepath.Join(dir, "journal.snap"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -129,19 +127,27 @@ func FuzzJournalReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(jdir, "journal.log"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(jdir, "journal.snap"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := OpenJournal(jdir, Options{Sync: SyncNever})
+		j, err := OpenJournal(jdir)
 		if err != nil {
-			return // rejecting a bad magic or a plan-less entry is fine; panics are not
+			return // refusing a bad frame or a plan-less entry is fine; panics are not
 		}
-		if _, plan, ok := j.LatestPlan(); ok && plan == nil {
-			t.Fatal("journal recovered a nil plan")
+		epoch, plan, ok := j.LatestPlan()
+		if !ok || plan == nil {
+			t.Fatal("a present record opened as an empty journal")
 		}
-		if err := j.RecordPlan(99, []byte(`{"epoch":99}`)); err != nil {
+		next := max(epoch, 99)
+		if err := j.RecordPlan(next, []byte(`{"epoch":99}`)); err != nil {
 			t.Fatal(err)
 		}
-		j.Close()
+		r, err := OpenJournal(jdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, got, ok := r.LatestPlan(); !ok || e != next || string(got) != `{"epoch":99}` {
+			t.Fatalf("reopened (%d, %s, %v), want (%d, {\"epoch\":99}, true)", e, got, ok, next)
+		}
 	})
 }

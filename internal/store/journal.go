@@ -2,116 +2,90 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 )
 
-// Journal is the coordinator's durable placement log: one entry per epoch
-// recording the placement plan in force (drpcluster's monitor) or being
-// migrated to (drpnet's coordinator), so a process killed between epochs
-// restarts from its last decision instead of re-seeding. Entries are
-// self-contained (latest wins), which keeps the compaction protocol a
-// single snapshot-then-truncate with no segment bookkeeping: replaying a
-// stale record under a newer snapshot is a no-op.
+// Journal is the coordinator's durable placement record: the placement
+// plan in force (drpcluster's monitor) or being migrated to (drpnet's
+// coordinator) and the epoch it belongs to, so a process killed between
+// epochs restarts from its last decision instead of re-seeding. Only the
+// latest decision is ever acted on, so the journal is one record,
+// dir/journal.snap, replaced whole by writeSnapshotFile: temp file, fsync,
+// rename, directory fsync. The rename is the commit point — a crash at any
+// instant leaves the previous record or the new one, and a leftover temp
+// file is never read.
 type Journal struct {
-	mu      sync.Mutex
-	dir     string
-	w       *wal
-	obs     *instruments
-	snapN   int
-	appends int
-	closed  bool
-
-	epoch int
-	plan  json.RawMessage // latest recorded placement plan
+	mu     sync.Mutex
+	path   string
+	latest journalEntry // Plan is nil until one is recorded
 }
 
-// journalEntry is one record (and the snapshot payload): a placement plan
-// in its canonical encoding (see internal/plan) and the epoch it belongs to.
+// journalEntry is the record: a placement plan in its canonical encoding
+// (see internal/plan) and the epoch it belongs to.
 type journalEntry struct {
 	Epoch int             `json:"epoch"`
 	Plan  json.RawMessage `json:"plan,omitempty"`
 }
 
-// OpenJournal opens (or creates) the placement journal in dir. SnapshotEvery
-// compacts the log every that many recorded epochs.
-func OpenJournal(dir string, opts Options) (*Journal, error) {
+// OpenJournal opens the placement journal in dir, creating dir if needed.
+// A missing record is an empty journal. A record that fails its magic,
+// checksum or decode is an error, and so is a journal.log left by the
+// retired log format: an old or damaged directory is never mistaken for
+// an empty one.
+func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	j := &Journal{
-		dir:   dir,
-		obs:   newInstruments(opts.Metrics),
-		snapN: opts.SnapshotEvery,
+	legacy := filepath.Join(dir, "journal.log")
+	if _, err := os.Lstat(legacy); err == nil {
+		return nil, fmt.Errorf("store: %s is a plan log of the retired journal format; start from a fresh directory", legacy)
 	}
-	if payload, err := readSnapshotFile(j.snapFile()); err == nil {
-		if err := j.applyPayload(payload); err != nil {
-			return nil, fmt.Errorf("store: journal snapshot: %w", err)
-		}
+	j := &Journal{path: filepath.Join(dir, "journal.snap")}
+	payload, err := readSnapshotFile(j.path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return j, nil
 	}
-	every := opts.SyncEvery
-	if opts.Sync == SyncInterval && every <= 0 {
-		every = 64
-	}
-	w, err := openWAL(j.logFile(), opts.Sync, every, j.obs, j.applyPayload)
 	if err != nil {
 		return nil, err
 	}
-	j.w = w
+	if err := json.Unmarshal(payload, &j.latest); err != nil {
+		return nil, fmt.Errorf("store: %s: %w", j.path, err)
+	}
+	if j.latest.Plan == nil {
+		return nil, fmt.Errorf("store: %s: the entry for epoch %d holds no placement plan (it predates the plan format); start from a fresh directory", j.path, j.latest.Epoch)
+	}
 	return j, nil
 }
 
-func (j *Journal) logFile() string  { return filepath.Join(j.dir, "journal.log") }
-func (j *Journal) snapFile() string { return filepath.Join(j.dir, "journal.snap") }
-
-// applyPayload replays one entry. A well-formed entry without a plan was
-// written in the retired per-object replicator format; it aborts the open
-// rather than let the caller mistake the journal for an empty one.
-func (j *Journal) applyPayload(payload []byte) error {
-	var e journalEntry
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return fmt.Errorf("%w: %v", errCorruptRecord, err)
-	}
-	if e.Plan == nil {
-		return fmt.Errorf("store: journal %s: the entry for epoch %d holds no placement plan (it predates the plan format); start from a fresh directory", j.dir, e.Epoch)
-	}
-	if e.Epoch >= j.epoch { // stale replays under a newer snapshot are no-ops
-		j.epoch, j.plan = e.Epoch, e.Plan
-	}
-	return nil
-}
-
-// RecordPlan appends one placement plan in its canonical encoding,
-// compacting per SnapshotEvery. A coordinator journals the *target* plan
-// before executing a single migration step, so a restart mid-migration can
-// diff the journaled intent against the sites' actual holdings and finish
-// the remainder.
+// RecordPlan makes plan, in its canonical encoding, the record for epoch:
+// an equal or higher epoch replaces the record on disk before RecordPlan
+// returns, a lower one is a no-op. A coordinator journals the *target*
+// plan before executing a single migration step, so a restart
+// mid-migration can diff the journaled intent against the sites' actual
+// holdings and finish the remainder.
 func (j *Journal) RecordPlan(epoch int, plan []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
 	if len(plan) == 0 {
 		return fmt.Errorf("store: journal: empty plan for epoch %d", epoch)
 	}
-	payload, err := json.Marshal(journalEntry{Epoch: epoch, Plan: json.RawMessage(plan)})
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.latest.Plan != nil && epoch < j.latest.Epoch {
+		return nil
+	}
+	e := journalEntry{Epoch: epoch, Plan: append(json.RawMessage(nil), plan...)}
+	payload, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("store: journal encode: %w", err)
 	}
-	if err := j.w.append(payload); err != nil {
+	if _, err := writeSnapshotFile(j.path, payload); err != nil {
 		return err
 	}
-	if epoch >= j.epoch {
-		j.epoch = epoch
-		j.plan = append(json.RawMessage(nil), plan...)
-	}
-	j.appends++
-	if j.snapN > 0 && j.appends >= j.snapN {
-		return j.compactLocked()
-	}
+	j.latest = e
 	return nil
 }
 
@@ -120,51 +94,8 @@ func (j *Journal) RecordPlan(epoch int, plan []byte) error {
 func (j *Journal) LatestPlan() (epoch int, plan []byte, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.plan == nil {
+	if j.latest.Plan == nil {
 		return 0, nil, false
 	}
-	return j.epoch, append([]byte(nil), j.plan...), true
-}
-
-// compactLocked snapshots the latest entry and truncates the log. Crash
-// windows: before the rename the old snapshot+log pair still recovers;
-// after the rename but before the truncate the log replays entries the
-// snapshot already covers, which latest-wins absorbs.
-func (j *Journal) compactLocked() error {
-	payload, err := json.Marshal(journalEntry{Epoch: j.epoch, Plan: j.plan})
-	if err != nil {
-		return fmt.Errorf("store: journal encode: %w", err)
-	}
-	n, err := writeSnapshotFile(j.snapFile(), payload)
-	if err != nil {
-		return err
-	}
-	if j.obs != nil {
-		j.obs.snapshots.Inc()
-		j.obs.snapshotBytes.Add(n)
-		j.obs.fsyncs.Inc()
-	}
-	if err := j.w.f.Truncate(int64(len(walMagic))); err != nil {
-		return fmt.Errorf("store: journal truncate: %w", err)
-	}
-	if _, err := j.w.f.Seek(int64(len(walMagic)), 0); err != nil {
-		return fmt.Errorf("store: journal seek: %w", err)
-	}
-	j.w.size = int64(len(walMagic))
-	if j.obs != nil {
-		j.obs.truncations.Inc()
-	}
-	j.appends = 0
-	return nil
-}
-
-// Close flushes and closes the journal.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	return j.w.close()
+	return j.latest.Epoch, append([]byte(nil), j.latest.Plan...), true
 }

@@ -32,7 +32,7 @@ type Options struct {
 // In durable mode (Open with a directory) every mutation appends one WAL
 // record before it is visible to the caller, so an acknowledgement implies
 // the state change survives a crash; Open replays the directory back into
-// the identical state. In memory mode (Memory, or Open with an empty dir)
+// the identical state. In memory mode (Open with an empty dir)
 // the same state machine runs without a log.
 //
 // All methods are safe for concurrent use.
@@ -67,15 +67,9 @@ type Store struct {
 // node is shutting down or crash-stopped).
 var ErrClosed = errors.New("store: closed")
 
-// Memory builds a memory-only store bootstrapped for site: every object's
-// replica set is its primary alone, and objects primaried at site are held
-// at version 0.
-func Memory(site int, primaries []int) *Store {
-	s := &Store{site: site, primary: append([]int(nil), primaries...)}
-	s.bootstrap()
-	return s
-}
-
+// bootstrap sets the state a site starts from: every object's replica set
+// is its primary alone, and objects primaried at the site are held at
+// version 0.
 func (s *Store) bootstrap() {
 	n := len(s.primary)
 	s.holds = make([]bool, n)
@@ -96,11 +90,12 @@ func (s *Store) bootstrap() {
 // Open opens (or creates) the durable store for site in dir: bootstrap,
 // load the newest valid snapshot, replay the WAL segments after it,
 // truncate any corrupt tail, and leave the log open for appending. An
-// empty dir returns a memory-only store. The recovered state is a pure
-// function of (site, primaries, directory bytes); Recovered reports
-// whether any prior state was found.
+// empty dir returns a memory-only store, which ignores opts. The recovered
+// state is a pure function of (site, primaries, directory bytes);
+// Recovered reports whether any prior state was found.
 func Open(dir string, site int, primaries []int, opts Options) (*Store, error) {
-	s := Memory(site, primaries)
+	s := &Store{site: site, primary: append([]int(nil), primaries...)}
+	s.bootstrap()
 	if dir == "" {
 		return s, nil
 	}
@@ -134,9 +129,7 @@ func Open(dir string, site int, primaries []int, opts Options) (*Store, error) {
 		snapSeq, haveSnap = snaps[i], true
 		break
 	}
-	if haveSnap {
-		s.recov = true
-	}
+	s.recov = haveSnap
 	// Replay every segment after the snapshot, oldest first. Normally that
 	// is exactly one; an interrupted snapshot cycle can leave the fresh
 	// empty segment alongside it.
@@ -303,9 +296,6 @@ func (s *Store) Recovered() bool {
 	defer s.mu.Unlock()
 	return s.recov
 }
-
-// Dir returns the data directory ("" for a memory store).
-func (s *Store) Dir() string { return s.dir }
 
 // Durable reports whether mutations are appended to a write-ahead log
 // before acknowledgement. The tracing layer uses it to emit wal.append
@@ -654,16 +644,6 @@ func (s *Store) snapshotLocked() error {
 	s.seg++
 	s.appends = 0
 	return nil
-}
-
-// Sync forces the log to disk regardless of policy.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil || s.closed {
-		return nil
-	}
-	return s.w.sync()
 }
 
 // Close flushes and closes the log. No snapshot is taken: shutdown and

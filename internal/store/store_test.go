@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -55,7 +54,10 @@ func driveOps(t *testing.T, s *Store) {
 }
 
 func TestMemoryBootstrap(t *testing.T) {
-	s := Memory(1, primariesRR(3, 6)) // objects 1, 4 primaried at site 1
+	s, err := Open("", 1, primariesRR(3, 6), Options{}) // objects 1, 4 primaried at site 1
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := 0; k < 6; k++ {
 		wantHold := k%3 == 1
 		if s.Holds(k) != wantHold {
@@ -73,7 +75,10 @@ func TestMemoryBootstrap(t *testing.T) {
 // A site that leaves R_k has nothing left to reconcile: the replica-set
 // record trims its stale mark and keeps the others.
 func TestSetReplicasTrimsStaleMarks(t *testing.T) {
-	s := Memory(0, primariesRR(4, 4))
+	s, err := Open("", 0, primariesRR(4, 4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.MarkStale(0, []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -453,84 +458,6 @@ func TestParseSyncPolicy(t *testing.T) {
 		}
 		if c.ok && (p != c.policy || n != c.every) {
 			t.Errorf("ParseSyncPolicy(%q) = (%v,%d), want (%v,%d)", c.in, p, n, c.policy, c.every)
-		}
-	}
-}
-
-func TestJournalRecordRecoverCompact(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, Options{Sync: SyncAlways, SnapshotEvery: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := j.LatestPlan(); ok {
-		t.Fatal("fresh journal has a latest entry")
-	}
-	plans := []string{
-		`{"placement":[[0],[1,2]]}`,
-		`{"placement":[[0,1],[1]]}`,
-		`{"placement":[[0,2],[1,2]]}`,
-		`{"placement":[[2],[0,1,2]]}`,
-	}
-	for e, pl := range plans {
-		if err := j.RecordPlan(e, []byte(pl)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.RecordPlan(4, nil); err == nil {
-		t.Fatal("empty plan recorded; the journal could not be reopened")
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenJournal(dir, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	epoch, got, ok := r.LatestPlan()
-	if !ok || epoch != 3 || string(got) != plans[3] {
-		t.Fatalf("recovered (%d, %s, %v), want (3, %s, true)", epoch, got, ok, plans[3])
-	}
-	// Compaction after 3 records: the log holds only the post-snapshot tail.
-	data, err := os.ReadFile(filepath.Join(dir, "journal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) > 256 {
-		t.Errorf("journal log %d bytes after compaction; truncation did not happen", len(data))
-	}
-}
-
-// TestJournalRejectsLegacyReplicatorEntries: a journal written in the
-// retired per-object replicator format must fail to open with an error
-// that says so — in the log and in the snapshot — never look empty.
-func TestJournalRejectsLegacyReplicatorEntries(t *testing.T) {
-	legacy := []byte(`{"epoch":1,"replicators":[[0,1],[1]]}`)
-	logDir := t.TempDir()
-	w, err := openWAL(filepath.Join(logDir, "journal.log"), SyncNever, 0, nil, func([]byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.append(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
-	snapDir := t.TempDir()
-	if _, err := writeSnapshotFile(filepath.Join(snapDir, "journal.snap"), legacy); err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range []string{logDir, snapDir} {
-		j, err := OpenJournal(dir, Options{})
-		if err == nil {
-			j.Close()
-			t.Fatalf("%s: legacy journal opened as if it were empty", dir)
-		}
-		if !strings.Contains(err.Error(), "holds no placement plan") {
-			t.Fatalf("%s: error does not name the cause: %v", dir, err)
 		}
 	}
 }

@@ -128,24 +128,13 @@ func (w *wal) replay(apply func(payload []byte) error) (int64, error) {
 		return 0, fmt.Errorf("store: seek wal: %w", err)
 	}
 	magic := make([]byte, len(walMagic))
-	n, err := io.ReadFull(w.f, magic)
-	if err != nil {
-		if n == 0 {
-			// Brand-new file: stamp the magic.
-			if _, err := w.f.Write(walMagic); err != nil {
-				return 0, fmt.Errorf("store: write wal magic: %w", err)
-			}
-			return int64(len(walMagic)), nil
-		}
-		// A file shorter than the magic is a torn header: truncate to zero
-		// and restamp.
+	if _, err := io.ReadFull(w.f, magic); err != nil {
+		// A brand-new file, or one shorter than the magic (a torn header):
+		// truncate to zero and stamp the magic.
 		if err := w.f.Truncate(0); err != nil {
 			return 0, fmt.Errorf("store: reset torn wal header: %w", err)
 		}
-		if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-			return 0, err
-		}
-		if _, err := w.f.Write(walMagic); err != nil {
+		if _, err := w.f.WriteAt(walMagic, 0); err != nil {
 			return 0, fmt.Errorf("store: write wal magic: %w", err)
 		}
 		return int64(len(walMagic)), nil
