@@ -1,10 +1,13 @@
 package sparse
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"drp/internal/core"
+	"drp/internal/workload"
 	"drp/internal/xrand"
 )
 
@@ -119,4 +122,90 @@ func TestEmptyReplicatorsDegenerate(t *testing.T) {
 			t.Fatalf("object %d: empty-replicator cost %d, want V′ %d", k, got, mo.VPrime(k))
 		}
 	}
+}
+
+// TestObjectCostEveryDegree prices every object at every replica degree
+// 0…M, each degree once with the primary in the set and once without, so
+// readers and writers fall both inside and outside the set. On instances
+// converted from dense problems (M = 5, 12 and 65) it holds ObjectCost to
+// core's; on a generated CSR instance (M = 64) to denseFormObjectCost. It
+// kills a kernel that charges a replicator writer its shipping, and one
+// that seeds a reader's min from SP_k's row instead of the first
+// replicator's, which only a set without the primary can tell apart.
+func TestObjectCostEveryDegree(t *testing.T) {
+	// set draws a random ascending set of degree distinct sites that holds
+	// sp iff withPrimary; ok is false if no such set exists.
+	set := func(rng *xrand.Source, m, degree int, sp int32, withPrimary bool) (repl []int32, ok bool) {
+		if (withPrimary && degree == 0) || (!withPrimary && degree == m) {
+			return nil, false
+		}
+		if withPrimary {
+			repl = append(repl, sp)
+		}
+		for _, j := range rng.Perm(m) {
+			if len(repl) == degree {
+				break
+			}
+			if int32(j) != sp {
+				repl = append(repl, int32(j))
+			}
+		}
+		slices.Sort(repl)
+		return repl, true
+	}
+	// every prices each object of mo at every degree with price and fails
+	// on the first disagreement; it counts how often a reader and a writer
+	// other than the primary sat inside the set, so an instance that never
+	// exercises those branches fails too.
+	every := func(name string, mo *Model, seed uint64, price func(k int, repl []int32) int64) {
+		t.Helper()
+		rng := xrand.New(seed)
+		ev := NewEvaluator(mo)
+		var readersIn, writersIn int
+		for k := 0; k < mo.Objects(); k++ {
+			sp := mo.Primary(k)
+			rs, _ := mo.ReadEntries(k)
+			ws, _ := mo.WriteEntries(k)
+			for degree := 0; degree <= mo.Sites(); degree++ {
+				for _, withPrimary := range []bool{true, false} {
+					repl, ok := set(rng, mo.Sites(), degree, sp, withPrimary)
+					if !ok {
+						continue
+					}
+					if got, want := ev.ObjectCost(k, repl), price(k, repl); got != want {
+						t.Fatalf("%s: object %d, set %v (primary %d): ObjectCost = %d, want %d", name, k, repl, sp, got, want)
+					}
+					for _, j := range repl {
+						if j == sp {
+							continue
+						}
+						if slices.Contains(rs, j) {
+							readersIn++
+						}
+						if slices.Contains(ws, j) {
+							writersIn++
+						}
+					}
+				}
+			}
+		}
+		if readersIn == 0 || writersIn == 0 {
+			t.Fatalf("%s: %d readers and %d writers inside a set: the instance does not exercise the kernel", name, readersIn, writersIn)
+		}
+	}
+	for _, m := range []int{5, 12, 65} {
+		p, err := workload.Generate(workload.NewSpec(m, 2*m, 0.3, 0.2), uint64(m))
+		if err != nil {
+			t.Fatalf("M=%d: %v", m, err)
+		}
+		mo, err := FromProblem(p)
+		if err != nil {
+			t.Fatalf("M=%d: %v", m, err)
+		}
+		dense := core.NewEvaluator(p)
+		every(fmt.Sprintf("dense M=%d", m), mo, uint64(100+m), dense.ObjectCost)
+	}
+	mo := testModel(t, 64, 300, 3)
+	dmin := make([]int64, mo.Sites())
+	every("CSR M=64", mo, 7, func(k int, repl []int32) int64 { return denseFormObjectCost(mo, k, repl, dmin) })
 }

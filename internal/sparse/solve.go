@@ -108,53 +108,79 @@ func Solve(mo *Model, params SolveParams, run solver.Run) (*Result, error) {
 // Adapt re-optimises only the changed objects of an existing assignment:
 // their replicas (beyond the primary) are stripped, fresh proposals are
 // computed against the residual capacity ledger, and the merge reconciles
-// them. Untouched objects keep their placement bit-identically. The
-// assignment is mutated in place and returned in the result.
+// them. Only the placements of objects not listed in changed are kept,
+// bit-identically. Result.Cost is exact — the eq. 4 cost of the returned
+// assignment under mo — for any changed, repeats included. a must belong
+// to mo: an assignment of another model, even a same-shaped one, is
+// refused and must first be rebound (NewAssignment(mo), then one Add per
+// non-primary replica). a is mutated in place and returned in the result.
 func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solver.Run) (*Result, error) {
+	return NewEvaluator(mo).adapt(a, changed, params, run)
+}
+
+// adapt is Adapt with the evaluator that prices the start cost, so tests
+// can read how many V_k it priced.
+func (e *Evaluator) adapt(a *Assignment, changed []int, params SolveParams, run solver.Run) (*Result, error) {
+	mo := e.mo
+	if a.mo != mo {
+		return nil, fmt.Errorf("sparse: adapt: the assignment belongs to another model (%d objects); rebind its replicas onto this one first", a.mo.n)
+	}
 	c := solver.Start("sparse", run)
-	seen := make(map[int]bool, len(changed))
+	// strip marks the changed objects; it also drops repeats from changed,
+	// keeping first-seen order.
+	strip := make([]bool, mo.n)
 	objects := make([]int, 0, len(changed))
 	for _, k := range changed {
 		if k < 0 || k >= mo.n {
 			return nil, fmt.Errorf("sparse: changed object %d out of range [0,%d)", k, mo.n)
 		}
-		if !seen[k] {
-			seen[k] = true
+		if !strip[k] {
+			strip[k] = true
 			objects = append(objects, k)
 		}
 	}
-	// Start cost: V_k of every object, summed per chunk into index-addressed
-	// slots so the total is the same at any shard count; one full-assignment
-	// evaluation.
-	ev := NewEvaluator(mo)
+	// One pass over every object, in fixed chunks summed into
+	// index-addressed slots so the total is the same at any shard count.
+	// An unchanged object adds its V_k. A changed one adds V′_k and is
+	// stripped to primary-only by truncation — its list keeps its room for
+	// the merge — with the storage it releases tallied per chunk, as
+	// workers must not share the ledger. The sum is then exactly the cost
+	// of the stripped assignment.
 	sums := make([]int64, (mo.n+objectChunk-1)/objectChunk)
+	released := make([]int64, len(sums)*mo.m)
 	parallel.For(len(sums), parallel.Workers(params.Shards), func(ch int) {
+		lo, hi := ch*objectChunk, min((ch+1)*objectChunk, mo.n)
+		free := released[ch*mo.m : (ch+1)*mo.m]
 		var sum int64
-		for k := ch * objectChunk; k < min((ch+1)*objectChunk, mo.n); k++ {
-			sum += ev.objectCost(k, a.repl[k])
-		}
-		sums[ch] = sum
-	})
-	c.Charge(1)
-	var cost int64
-	for _, sum := range sums {
-		cost += sum
-	}
-	// Strip the changed objects to primary-only; the cost moves to their
-	// V′_k and the ledger releases their storage.
-	ev.SetMeter(c.Meter())
-	for _, k := range objects {
-		cost += mo.vPrime[k] - ev.ObjectCost(k, a.repl[k])
-		// Back to front: a removal shifts only the entries after it.
-		repl := a.repl[k]
-		for idx := len(repl) - 1; idx >= 0; idx-- {
-			if i := repl[idx]; i != mo.primary[k] {
-				if err := a.Remove(int(i), k); err != nil {
-					return nil, err
+		priced := hi - lo
+		for k := lo; k < hi; k++ {
+			if !strip[k] {
+				sum += e.objectCost(k, a.repl[k])
+				continue
+			}
+			sum += mo.vPrime[k]
+			priced--
+			sp := mo.primary[k]
+			for _, i := range a.repl[k] {
+				if i != sp {
+					free[i] += mo.size[k]
 				}
 			}
+			a.repl[k] = append(a.repl[k][:0], sp)
+		}
+		sums[ch] = sum
+		e.priced.Add(int64(priced))
+	})
+	var cost int64
+	for ch, sum := range sums {
+		cost += sum
+		for i, units := range released[ch*mo.m : (ch+1)*mo.m] {
+			a.used[i] -= units
 		}
 	}
+	// One evaluation for the pass and one per changed object, whose V′_k
+	// the pass read.
+	c.Charge(1 + len(objects))
 	props := make([]proposal, len(objects))
 	propose(mo, objects, props, params, c)
 	steps := ledger(mo, objects, props)

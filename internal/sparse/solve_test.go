@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"drp/internal/solver"
@@ -379,6 +380,71 @@ func TestAdaptRejectsBadObject(t *testing.T) {
 	mo := testModel(t, 8, 10, 1)
 	if _, err := Adapt(mo, NewAssignment(mo), []int{10}, SolveParams{}, solver.Run{}); err == nil {
 		t.Fatal("out-of-range changed object accepted")
+	}
+}
+
+// TestAdaptRejectsForeignAssignment: an assignment of another model is
+// refused before anything is mutated — one with fewer objects, which the
+// start pass would index past its end, and one of a same-shaped sibling
+// (the perturbed model), which would come back still bound to the old one.
+func TestAdaptRejectsForeignAssignment(t *testing.T) {
+	spec := NewWorkloadSpec(8, 40)
+	night, err := GenerateWorkload(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day, changed, err := PerturbWorkload(night, spec, 0.2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved, err := Solve(night, SolveParams{Shards: 1}, solver.Run{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mo   *Model
+		a    *Assignment
+	}{
+		{"fewer objects", night, NewAssignment(testModel(t, 8, 10, 1))},
+		{"same-shaped sibling", day, solved.Assignment},
+	} {
+		before := tc.a.Clone()
+		if _, err := Adapt(tc.mo, tc.a, changed, SolveParams{}, solver.Run{}); err == nil || !strings.Contains(err.Error(), "rebind") {
+			t.Fatalf("%s: Adapt returned %v, want an error naming the rebind", tc.name, err)
+		}
+		if !tc.a.Equal(before) {
+			t.Fatalf("%s: the refused assignment was mutated", tc.name)
+		}
+		for i := 0; i < tc.a.Model().Sites(); i++ {
+			if tc.a.Used(i) != before.Used(i) {
+				t.Fatalf("%s: site %d usage moved from %d to %d", tc.name, i, before.Used(i), tc.a.Used(i))
+			}
+		}
+	}
+}
+
+// TestAdaptPricesEachUnchangedObjectOnce: the start pass prices V_k of every
+// object not listed in changed, once, and no changed object at all — over
+// two chunks at two shards, with a repeated entry in changed — and the cost
+// it starts from is still exact.
+func TestAdaptPricesEachUnchangedObjectOnce(t *testing.T) {
+	mo := testModel(t, 8, objectChunk+37, 5)
+	solved, err := Solve(mo, SolveParams{Shards: 2}, solver.Run{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := []int{3, objectChunk + 1, 3, 17, objectChunk + 36, 17}
+	ev := NewEvaluator(mo)
+	res, err := ev.adapt(solved.Assignment, changed, SolveParams{Shards: 2}, solver.Run{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ev.priced.Load(), int64(mo.Objects()-4); got != want {
+		t.Fatalf("adapt priced %d V_k, want N − |distinct changed| = %d", got, want)
+	}
+	if full := NewEvaluator(mo).Cost(res.Assignment); full != res.Cost {
+		t.Fatalf("adapted cost %d, full re-eval %d", res.Cost, full)
 	}
 }
 
