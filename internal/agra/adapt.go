@@ -60,6 +60,31 @@ type Result struct {
 	Stats solver.Stats
 }
 
+// validate rejects input whose shapes disagree with the problem: a current
+// scheme of another size, a GRA chromosome that is not M·N bits, a changed
+// object out of range.
+func (in Input) validate() error {
+	if in.Problem == nil || in.Current == nil {
+		return fmt.Errorf("agra: nil problem or current scheme")
+	}
+	p := in.Problem
+	m, n := p.Sites(), p.Objects()
+	if cp := in.Current.Problem(); cp.Sites() != m || cp.Objects() != n {
+		return fmt.Errorf("agra: current scheme is %d sites × %d objects, problem %d × %d", cp.Sites(), cp.Objects(), m, n)
+	}
+	for i, bits := range in.GRAPopulation {
+		if bits.Len() != m*n {
+			return fmt.Errorf("agra: GRA chromosome %d has %d bits, want %d", i, bits.Len(), m*n)
+		}
+	}
+	for _, k := range in.Changed {
+		if k < 0 || k >= n {
+			return fmt.Errorf("agra: object %d out of range", k)
+		}
+	}
+	return nil
+}
+
 // Adapt runs the full AGRA pipeline: one micro-GA per changed object, then
 // transcription of the resulting per-object schemes into a GRA population
 // with E-estimator capacity repair, then — if miniGenerations > 0 — a
@@ -87,8 +112,8 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
-	if in.Problem == nil || in.Current == nil {
-		return nil, fmt.Errorf("agra: nil problem or current scheme")
+	if err := in.validate(); err != nil {
+		return nil, err
 	}
 	if miniParams.PopSize < 2 {
 		return nil, fmt.Errorf("agra: mini-GRA population size %d < 2", miniParams.PopSize)
@@ -101,9 +126,10 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 	// The micro-GAs are independent by construction, so they fan out
 	// across params.Parallelism workers. Every RNG fork happens here on
 	// the coordinator, in input order, before any goroutine starts; each
-	// runObject builds its own core.Evaluator, reads the shared problem
-	// and GRA population (both immutable during the fan-out) and writes
-	// its result by index — bit-identical to the serial loop.
+	// worker reuses one microGA (evaluator, population slabs, memo) across
+	// its objects, reads the shared problem and GRA population (both
+	// immutable during the fan-out) and writes its result by index —
+	// bit-identical to the serial loop.
 	type microTask struct {
 		current []int
 		rng     *xrand.Source
@@ -112,24 +138,22 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 	for i, k := range in.Changed {
 		tasks[i] = microTask{current: in.Current.Replicators(k), rng: rng.Split()}
 	}
-	objResults := make([]*ObjectResult, len(tasks))
-	errs := make([]error, len(tasks))
-	parallel.For(len(tasks), parallel.Workers(params.Parallelism), func(i int) {
-		objResults[i], errs[i] = runObject(p, in.Changed[i], tasks[i].current, in.GRAPopulation, params, tasks[i].rng, c)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	res.Objects = make([]ObjectResult, len(tasks))
+	workers := parallel.Workers(params.Parallelism)
+	micro := make([]*microGA, workers)
+	parallel.ForWorker(len(tasks), workers, func(w, i int) {
+		if micro[w] == nil {
+			micro[w] = newMicroGA(p, params, c)
 		}
-	}
+		res.Objects[i] = micro[w].runObject(in.Changed[i], tasks[i].current, in.GRAPopulation, tasks[i].rng)
+	})
 	iterations := 0
-	for _, or := range objResults {
-		res.Objects = append(res.Objects, *or)
+	for _, or := range res.Objects {
 		iterations += or.Generations
 	}
 	res.MicroElapsed = c.Elapsed()
 
-	pop := transcribe(p, in, objResults, miniParams.PopSize, rng)
+	pop := transcribe(p, in, res.Objects, miniParams.PopSize, rng)
 
 	stop, halted := c.Check()
 	if miniGenerations > 0 && !halted {
@@ -172,26 +196,35 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 // first half (including the elite) while random members of the micro-GA's
 // final population overwrite the second half. Capacity violations are
 // repaired by deallocating the lowest-E replicas at the violating site.
-func transcribe(p *core.Problem, in Input, objs []*ObjectResult, popSize int, rng *xrand.Source) []*bitset.Set {
+func transcribe(p *core.Problem, in Input, objs []ObjectResult, popSize int, rng *xrand.Source) []*bitset.Set {
+	// E's numerator depends on the site and the object only: evaluate it
+	// once per pair, for every repair of every chromosome.
+	m, n := p.Sites(), p.Objects()
+	num := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		for k := 0; k < n; k++ {
+			num[i*n+k] = p.EstimateNumerator(i, k)
+		}
+	}
 	pop := make([]*chromosome, 0, popSize)
-	pop = append(pop, newChromosome(p, in.Current.Bits()))
+	pop = append(pop, newChromosome(p, num, in.Current.Bits()))
 	for c := 1; c < popSize; c++ {
 		var bits *bitset.Set
-		if c-1 < len(in.GRAPopulation) && in.GRAPopulation[c-1].Len() == p.Sites()*p.Objects() {
+		if c-1 < len(in.GRAPopulation) {
 			bits = in.GRAPopulation[c-1].Clone()
 		} else {
 			s := in.Current.Clone()
 			gra.Perturb(s, 0.25, rng)
 			bits = s.Bits()
 		}
-		pop = append(pop, newChromosome(p, bits))
+		pop = append(pop, newChromosome(p, num, bits))
 	}
 
 	half := popSize / 2
 	if half < 1 {
 		half = 1
 	}
-	best := bitset.New(p.Sites())
+	best := bitset.New(m)
 	for _, or := range objs {
 		best.Reset()
 		for _, i := range or.Best {
@@ -230,17 +263,20 @@ func pickBest(p *core.Problem, pop []*bitset.Set, c *solver.Controller) (*bitset
 }
 
 // chromosome tracks a full M×N placement with per-site usage and per-object
-// replica degree, so transcription and E-repair stay cheap.
+// replica degree, so transcription and E-repair stay cheap. num holds E's
+// numerator per (site, object), site-major, shared by the population.
 type chromosome struct {
 	p      *core.Problem
+	num    []float64
 	bits   *bitset.Set
 	usage  []int64
 	degree []int
 }
 
-func newChromosome(p *core.Problem, bits *bitset.Set) *chromosome {
+func newChromosome(p *core.Problem, num []float64, bits *bitset.Set) *chromosome {
 	ch := &chromosome{
 		p:      p,
+		num:    num,
 		bits:   bits,
 		usage:  make([]int64, p.Sites()),
 		degree: make([]int, p.Objects()),
@@ -308,7 +344,7 @@ func (ch *chromosome) pickVictim(i int, rng *xrand.Source) int {
 		if p.Primary(k) == i {
 			continue
 		}
-		score := p.Estimate(i, k, ch.degree[k])
+		score := ch.num[pos] / p.EstimateDenominator(i, ch.degree[k])
 		if victim < 0 || score < victimScore || (score == victimScore && rng.Bool(0.5)) {
 			victim = k
 			victimScore = score

@@ -41,9 +41,17 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 }
 
 // microAlone runs object k's micro-GA from the primary-only scheme,
-// without a GRA population, under a controller of its own.
+// without a GRA population, under a controller of its own, after the
+// checks Adapt makes.
 func microAlone(p *core.Problem, k int, params Params, rng *xrand.Source) (*ObjectResult, error) {
-	return runObject(p, k, nil, nil, params, rng, solver.Start("agra", solver.Run{}))
+	if err := params.validate(); err != nil {
+		return nil, err
+	}
+	if err := (Input{Problem: p, Current: core.NewScheme(p), Changed: []int{k}}).validate(); err != nil {
+		return nil, err
+	}
+	res := newMicroGA(p, params, solver.Start("agra", solver.Run{})).runObject(k, nil, nil, rng)
+	return &res, nil
 }
 
 func TestRunObjectKeepsPrimary(t *testing.T) {

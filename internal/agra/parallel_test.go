@@ -117,40 +117,21 @@ func TestAdaptRejectsNegativeParallelism(t *testing.T) {
 }
 
 // TestTrajectoryPinnedOnAdaptiveTestCase pins the adaptation the benchmark's
-// solve_dense workload times: the seed-1 instance (M=50, N=200), its seed-1
-// change event (20% of objects by 600%, 70% of them towards reads), default
-// micro-GA parameters and a 20×5 mini-GRA, starting from GRA's placement and
-// population. It ends at cost 21 727 410 after exactly 20 620 evaluations at
+// solve_dense workload times (adaptiveTestCase) with default micro-GA
+// parameters and a 20×5 mini-GRA. It ends at cost 21 727 410 after exactly 20 620 evaluations at
 // every worker count — the evaluator may change how it computes eq. 4, not
 // what, nor how many meter ticks a priced object costs.
 func TestTrajectoryPinnedOnAdaptiveTestCase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full-size GRA run and three adaptations")
 	}
-	night := gen(t, 50, 200, 0.05, 0.15, 1)
-	day, changes, err := workload.ApplyChange(night, workload.ChangeSpec{Ch: 6, ObjectShare: 0.2, ReadShare: 0.7}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := make([]int, len(changes))
-	for i, c := range changes {
-		changed[i] = c.Object
-	}
-	static, err := gra.Run(night, gra.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	current, err := core.SchemeFromBits(day, static.Scheme.Bits())
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := adaptiveTestCase(t)
 	for _, par := range []int{1, 2, 8} {
 		params := DefaultParams()
 		params.Parallelism = par
 		mini := gra.DefaultParams()
 		mini.PopSize = 20
 		mini.Parallelism = par
-		in := Input{Problem: day, Current: current, GRAPopulation: static.Population, Changed: changed}
 		res, err := Adapt(in, params, mini, 5)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
@@ -169,23 +150,7 @@ func TestHistoryPinnedOnAdaptiveTestCase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full-size GRA run and three adaptations")
 	}
-	night := gen(t, 50, 200, 0.05, 0.15, 1)
-	day, changes, err := workload.ApplyChange(night, workload.ChangeSpec{Ch: 6, ObjectShare: 0.2, ReadShare: 0.7}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := make([]int, len(changes))
-	for i, c := range changes {
-		changed[i] = c.Object
-	}
-	static, err := gra.Run(night, gra.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	current, err := core.SchemeFromBits(day, static.Scheme.Bits())
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := adaptiveTestCase(t)
 	for _, par := range []int{1, 2, 8} {
 		params := DefaultParams()
 		params.Parallelism = par
@@ -200,7 +165,6 @@ func TestHistoryPinnedOnAdaptiveTestCase(t *testing.T) {
 				rows = append(rows, pr)
 			}
 		}))
-		in := Input{Problem: day, Current: current, GRAPopulation: static.Population, Changed: changed}
 		res, err := AdaptWith(in, params, mini, 5, solver.Run{Observer: observer})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)

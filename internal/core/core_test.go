@@ -125,16 +125,18 @@ func TestEstimateHandComputed(t *testing.T) {
 	p := fixture(t)
 	// E_0(1) with degree 2: num = 9+0−3+5·5/2 = 18.5; propWeight(1) = 3/4;
 	// den = 0.75·2 = 1.5 → 12.333…
-	got := p.Estimate(1, 0, 2)
-	if math.Abs(got-18.5/1.5) > 1e-9 {
-		t.Fatalf("E_0(1) = %v, want %v", got, 18.5/1.5)
+	if num := p.EstimateNumerator(1, 0); math.Abs(num-18.5) > 1e-9 {
+		t.Fatalf("numerator of E_0(1) = %v, want 18.5", num)
+	}
+	if den := p.EstimateDenominator(1, 2); math.Abs(den-1.5) > 1e-9 {
+		t.Fatalf("denominator of E_0(1) at degree 2 = %v, want 1.5", den)
 	}
 	// Degree is clamped to at least 1.
-	if p.Estimate(1, 0, 0) != p.Estimate(1, 0, 1) {
+	if p.EstimateDenominator(1, 0) != p.EstimateDenominator(1, 1) {
 		t.Fatal("degree 0 not clamped to 1")
 	}
 	// Higher replica degree must lower the benefit estimate.
-	if p.Estimate(1, 0, 3) >= p.Estimate(1, 0, 2) {
+	if p.EstimateDenominator(1, 3) <= p.EstimateDenominator(1, 2) {
 		t.Fatal("estimate not decreasing in replica degree")
 	}
 }

@@ -384,25 +384,33 @@ func (p *Problem) Benefit(i, k int, nearestDist int64) float64 {
 	return float64(reads-(fanIn-own)) / float64(ok)
 }
 
-// Estimate computes E_k(i) (eq. 6): the rapid O(M)-free replica-benefit
-// estimation AGRA uses to pick deallocation victims when a transcription
-// overflows a site. Higher values mean the replica is worth keeping;
-// deallocate ascending.
+// EstimateNumerator and EstimateDenominator are the two halves of E_k(i)
+// (eq. 6): the rapid O(M)-free replica-benefit estimation AGRA uses to pick
+// deallocation victims when a transcription overflows a site. Higher values
+// mean the replica is worth keeping; deallocate ascending.
 //
 //	        TotalReads_k + w_k(i) − TotalWrites_k + r_k(i)·s(i)/o_k
 //	E_k(i) = ------------------------------------------------------
 //	          (Σ_x C(i,x) / mean_l Σ_x C(l,x)) · ReplicaDegree_k
 //
-// replicaDegree must be ≥ 1 (the object is currently replicated at i).
-func (p *Problem) Estimate(i, k, replicaDegree int) float64 {
+// E_k(i) is EstimateNumerator(i, k) / EstimateDenominator(i, degree). The
+// numerator does not depend on the degree, so a caller that scores one
+// (site, object) pair at many degrees computes it once.
+func (p *Problem) EstimateNumerator(i, k int) float64 {
+	return float64(p.totalReads[k]+p.writes[i*p.n+k]-p.totalWrites[k]) +
+		float64(p.reads[i*p.n+k])*float64(p.cap[i])/float64(p.size[k])
+}
+
+// EstimateDenominator is the denominator of E_k(i) (eq. 6) at site i for an
+// object held by replicaDegree sites. replicaDegree must be ≥ 1 (the object
+// is currently replicated at i); smaller values count as 1.
+func (p *Problem) EstimateDenominator(i, replicaDegree int) float64 {
 	if replicaDegree < 1 {
 		replicaDegree = 1
 	}
-	num := float64(p.totalReads[k]+p.writes[i*p.n+k]-p.totalWrites[k]) +
-		float64(p.reads[i*p.n+k])*float64(p.cap[i])/float64(p.size[k])
 	den := p.propWeight[i] * float64(replicaDegree)
 	if den <= 0 {
 		den = float64(replicaDegree)
 	}
-	return num / den
+	return den
 }

@@ -65,45 +65,53 @@ func MeanFitness(pop []Individual) float64 {
 	return total / float64(len(pop))
 }
 
-// StochasticRemainder allocates count offspring from pool proportionally to
+// StochasticRemainder selects count offspring from pool proportionally to
 // fitness using the stochastic remainder technique: each individual first
 // receives floor(count·f_i/Σf) deterministic copies; the remaining slots are
 // filled by a roulette wheel over the fractional parts. This bounds the
 // sampling error that plain roulette-wheel selection (Holland's SGA)
 // suffers from. If all fitness values are zero the selection is uniform.
 //
-// Returned individuals are deep copies, safe for in-place variation.
-func StochasticRemainder(pool []Individual, count int, rng *xrand.Source) []Individual {
-	out := make([]Individual, 0, count)
+// It appends the selected pool indices to dst and returns the extended
+// slice; the caller copies or clones pool[i] for each, as its variation
+// operators require.
+func StochasticRemainder(dst []int, pool []Individual, count int, rng *xrand.Source) []int {
 	if len(pool) == 0 || count == 0 {
-		return out
+		return dst
 	}
 	total := 0.0
 	for i := range pool {
 		total += pool[i].Fitness
 	}
 	if total <= 0 {
-		for len(out) < count {
-			out = append(out, pool[rng.Intn(len(pool))].Clone())
+		for range count {
+			dst = append(dst, rng.Intn(len(pool)))
 		}
-		return out
+		return dst
 	}
-	fracs := make([]float64, len(pool))
+	// Small pools (AGRA's micro-GA) keep their fractions on the stack.
+	var buf [64]float64
+	fracs := buf[:0]
+	if len(pool) > len(buf) {
+		fracs = make([]float64, 0, len(pool))
+	}
+	selected := 0
 	for i := range pool {
 		expected := float64(count) * pool[i].Fitness / total
 		copies := int(expected)
-		fracs[i] = expected - float64(copies)
-		for c := 0; c < copies && len(out) < count; c++ {
-			out = append(out, pool[i].Clone())
+		fracs = append(fracs, expected-float64(copies))
+		for c := 0; c < copies && selected < count; c++ {
+			dst = append(dst, i)
+			selected++
 		}
 	}
-	for len(out) < count {
+	for ; selected < count; selected++ {
 		idx := rouletteIndex(fracs, rng)
-		out = append(out, pool[idx].Clone())
+		dst = append(dst, idx)
 		// Each fractional part buys at most one extra offspring.
 		fracs[idx] = 0
 	}
-	return out
+	return dst
 }
 
 // rouletteIndex picks an index with probability proportional to the
@@ -188,23 +196,26 @@ func MutateBits(length int, rate float64, rng *xrand.Source, flip func(i int)) {
 		}
 		return
 	}
-	i := nextGeometric(rate, length, rng)
+	logMiss := math.Log(1 - rate)
+	i := geometricSkip(logMiss, length, rng)
 	for i < length {
 		flip(i)
-		i += 1 + nextGeometric(rate, length, rng)
+		i += 1 + geometricSkip(logMiss, length, rng)
 	}
 }
 
-// nextGeometric returns the number of Bernoulli(rate) failures before the
+// geometricSkip returns the number of Bernoulli(rate) failures before the
 // next success, clamped to limit (any sample >= limit ends the caller's
-// skip loop, so the clamp preserves the distribution exactly).
-func nextGeometric(rate float64, limit int, rng *xrand.Source) int {
+// skip loop, so the clamp preserves the distribution exactly). It takes
+// logMiss = ln(1−rate), which MutateBits computes once per call rather
+// than once per draw.
+func geometricSkip(logMiss float64, limit int, rng *xrand.Source) int {
 	// Inverse-CDF sampling: floor(ln U / ln(1-p)).
 	u := rng.Float64()
 	for u == 0 {
 		u = rng.Float64()
 	}
-	g := math.Log(u) / math.Log(1-rate)
+	g := math.Log(u) / logMiss
 	// For rates below ~2^-53, 1-rate rounds to 1 and the sample is -Inf
 	// (ln U / +0); near rate 1 it can exceed the int range. A raw int
 	// conversion of either is platform-defined and once produced negative

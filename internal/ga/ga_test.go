@@ -17,6 +17,15 @@ func mkpop(fitness ...float64) []Individual {
 	return pop
 }
 
+// selected returns the individuals StochasticRemainder picks from pool.
+func selected(pool []Individual, count int, rng *xrand.Source) []Individual {
+	var out []Individual
+	for _, i := range StochasticRemainder(nil, pool, count, rng) {
+		out = append(out, pool[i])
+	}
+	return out
+}
+
 func TestBestWorstMean(t *testing.T) {
 	pop := mkpop(0.2, 0.9, 0.5)
 	if Best(pop) != 1 {
@@ -57,7 +66,7 @@ func TestStochasticRemainderDeterministicPart(t *testing.T) {
 	// no roulette needed, so the allocation is deterministic.
 	pop := mkpop(3, 1)
 	rng := xrand.New(1)
-	out := StochasticRemainder(pop, 4, rng)
+	out := selected(pop, 4, rng)
 	if len(out) != 4 {
 		t.Fatalf("selected %d, want 4", len(out))
 	}
@@ -76,7 +85,7 @@ func TestStochasticRemainderProportionality(t *testing.T) {
 	counts := make([]int, 3)
 	const rounds = 2000
 	for r := 0; r < rounds; r++ {
-		for _, ind := range StochasticRemainder(pop, 10, rng) {
+		for _, ind := range selected(pop, 10, rng) {
 			switch ind.Fitness {
 			case 0.7:
 				counts[0]++
@@ -98,27 +107,91 @@ func TestStochasticRemainderProportionality(t *testing.T) {
 
 func TestStochasticRemainderZeroFitness(t *testing.T) {
 	pop := mkpop(0, 0, 0)
-	out := StochasticRemainder(pop, 6, xrand.New(3))
+	out := selected(pop, 6, xrand.New(3))
 	if len(out) != 6 {
 		t.Fatalf("selected %d, want 6", len(out))
 	}
 }
 
 func TestStochasticRemainderEmpty(t *testing.T) {
-	if out := StochasticRemainder(nil, 5, xrand.New(1)); len(out) != 0 {
+	if out := selected(nil, 5, xrand.New(1)); len(out) != 0 {
 		t.Fatal("selection from empty pool returned individuals")
 	}
-	if out := StochasticRemainder(mkpop(1), 0, xrand.New(1)); len(out) != 0 {
+	if out := selected(mkpop(1), 0, xrand.New(1)); len(out) != 0 {
 		t.Fatal("zero-count selection returned individuals")
 	}
 }
 
-func TestStochasticRemainderReturnsClones(t *testing.T) {
-	pop := mkpop(1, 1)
-	out := StochasticRemainder(pop, 2, xrand.New(4))
-	out[0].Bits.Set(7)
-	if pop[0].Bits.Test(7) && pop[1].Bits.Test(7) {
-		t.Fatal("selection returned references, not clones")
+// cloningStochasticRemainder is the selection as it was when it returned
+// deep copies, kept as the reference for its index form.
+func cloningStochasticRemainder(pool []Individual, count int, rng *xrand.Source) []Individual {
+	out := make([]Individual, 0, count)
+	if len(pool) == 0 || count == 0 {
+		return out
+	}
+	total := 0.0
+	for i := range pool {
+		total += pool[i].Fitness
+	}
+	if total <= 0 {
+		for len(out) < count {
+			out = append(out, pool[rng.Intn(len(pool))].Clone())
+		}
+		return out
+	}
+	fracs := make([]float64, len(pool))
+	for i := range pool {
+		expected := float64(count) * pool[i].Fitness / total
+		copies := int(expected)
+		fracs[i] = expected - float64(copies)
+		for c := 0; c < copies && len(out) < count; c++ {
+			out = append(out, pool[i].Clone())
+		}
+	}
+	for len(out) < count {
+		idx := rouletteIndex(fracs, rng)
+		out = append(out, pool[idx].Clone())
+		fracs[idx] = 0
+	}
+	return out
+}
+
+// TestStochasticRemainderIndicesMatchClones: the selected indices are the
+// sources of the clones the copying selection returned, in order, and both
+// consume the same draws — on pools that keep their fractions on the stack
+// and pools that do not, with zero, uniform and all-zero fitness.
+func TestStochasticRemainderIndicesMatchClones(t *testing.T) {
+	rng := xrand.New(4)
+	for trial := 0; trial < 300; trial++ {
+		size := 1 + rng.Intn(150)
+		pool := make([]Individual, size)
+		for i := range pool {
+			pool[i] = Individual{Bits: bitset.New(8), Cost: int64(i)}
+			switch trial % 3 {
+			case 0:
+				pool[i].Fitness = rng.Float64()
+			case 1:
+				if rng.Bool(0.5) {
+					pool[i].Fitness = float64(rng.Intn(4))
+				}
+			}
+		}
+		count := rng.Intn(2 * size)
+		seed := rng.Uint64()
+		a, b := xrand.New(seed), xrand.New(seed)
+		idx := StochasticRemainder(nil, pool, count, a)
+		clones := cloningStochasticRemainder(pool, count, b)
+		if len(idx) != len(clones) {
+			t.Fatalf("trial %d: %d indices, %d clones", trial, len(idx), len(clones))
+		}
+		for j, i := range idx {
+			if clones[j].Cost != int64(i) {
+				t.Fatalf("trial %d: pick %d is pool[%d], the clone came from pool[%d]", trial, j, i, clones[j].Cost)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("trial %d: the two selections consumed different draws", trial)
+		}
 	}
 }
 
@@ -250,6 +323,11 @@ func TestMutateBitsTinyRate(t *testing.T) {
 			})
 		}
 	}
+}
+
+// nextGeometric is one geometricSkip draw at rate.
+func nextGeometric(rate float64, limit int, rng *xrand.Source) int {
+	return geometricSkip(math.Log(1-rate), limit, rng)
 }
 
 func TestNextGeometricClamped(t *testing.T) {

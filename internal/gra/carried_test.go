@@ -66,7 +66,7 @@ func TestCarriedObjectCostsMatchKernel(t *testing.T) {
 		if b := ga.Best(pool); pool[b].Fitness > elite.Fitness {
 			elite = pool[b].Clone()
 		}
-		pop = ga.StochasticRemainder(pool, params.PopSize, rng)
+		pop = selectNext(pool, params.PopSize, rng)
 		if gen%params.EliteEvery == 0 {
 			pop[ga.Worst(pop)] = elite.Clone()
 		}

@@ -257,7 +257,7 @@ func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source,
 		if b := ga.Best(pool); pool[b].Fitness > elite.Fitness {
 			elite = pool[b].Clone()
 		}
-		pop = ga.StochasticRemainder(pool, params.PopSize, rng)
+		pop = selectNext(pool, params.PopSize, rng)
 
 		// Elitism with delayed re-injection to avoid premature convergence.
 		if gen%params.EliteEvery == 0 {
@@ -282,4 +282,15 @@ func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source,
 	res.Evaluations = res.Stats.Evaluations
 	res.Elapsed = res.Stats.Elapsed
 	return res, nil
+}
+
+// selectNext draws the next generation from pool by stochastic remainder.
+// Every selected individual is a clone, safe for in-place variation.
+func selectNext(pool []ga.Individual, count int, rng *xrand.Source) []ga.Individual {
+	sel := ga.StochasticRemainder(make([]int, 0, count), pool, count, rng)
+	pop := make([]ga.Individual, len(sel))
+	for i, j := range sel {
+		pop[i] = pool[j].Clone()
+	}
+	return pop
 }
