@@ -58,6 +58,28 @@ func TestClusterBadWorkload(t *testing.T) {
 	}
 }
 
+// TestClusterBadTraceFlagsLeaveEventsFile: a trace flag the span sink would
+// refuse fails the run before any sink is opened, so an existing -events
+// file keeps its bytes.
+func TestClusterBadTraceFlagsLeaveEventsFile(t *testing.T) {
+	dir := t.TempDir()
+	events := filepath.Join(dir, "ev.jsonl")
+	const prior = "{\"event\":\"earlier run\"}\n"
+	for _, bad := range [][]string{{"-trace-clock", "bogus"}, {"-trace-sample", "0"}} {
+		if err := os.WriteFile(events, []byte(prior), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := append([]string{"-sites", "4", "-objects", "6", "-epochs", "1",
+			"-events", events, "-trace-out", filepath.Join(dir, "t.jsonl")}, bad...)
+		if err := run(args, io.Discard); err == nil {
+			t.Fatalf("%v accepted", bad)
+		}
+		if got, err := os.ReadFile(events); err != nil || string(got) != prior {
+			t.Fatalf("%v: -events file now %q (%v), want it untouched", bad, got, err)
+		}
+	}
+}
+
 func TestClusterSummaryAndTelemetryFiles(t *testing.T) {
 	dir := t.TempDir()
 	metricsPath := filepath.Join(dir, "metrics.json")

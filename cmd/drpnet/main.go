@@ -57,7 +57,6 @@ import (
 	ctrl "drp/internal/cluster"
 	"drp/internal/fault"
 	"drp/internal/load"
-	"drp/internal/membership"
 	"drp/internal/metrics"
 	"drp/internal/netnode"
 	"drp/internal/plan"
@@ -418,7 +417,7 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 	}
 	// react hands the next view to the control plane and migrates the
 	// data plane to the plan it returns.
-	react := func(stage string, view membership.View) error {
+	react := func(stage string, view plan.View) error {
 		pl, err := cp.React(view)
 		if err != nil {
 			return fmt.Errorf("control plane: %w", err)

@@ -244,9 +244,8 @@ func TestZipfFacade(t *testing.T) {
 	if res.Scheme.Validate() != nil {
 		t.Fatal("scheme invalid on Zipf workload")
 	}
-	stats := res.Scheme.Stats()
-	if stats.MeanDegree < 1 {
-		t.Fatalf("mean degree %v < 1", stats.MeanDegree)
+	if res.Scheme.Savings() <= 0 {
+		t.Fatalf("SRA saves %v%% on a Zipf workload", res.Scheme.Savings())
 	}
 }
 

@@ -84,26 +84,6 @@ func (s *Set) Count() int {
 	return total
 }
 
-// CountRange returns the number of set bits in [from, to).
-func (s *Set) CountRange(from, to int) int {
-	if from < 0 || to > s.n || from > to {
-		panic(fmt.Sprintf("bitset: bad range [%d,%d) for length %d", from, to, s.n))
-	}
-	total := 0
-	for i := from; i < to; {
-		w := i / wordBits
-		off := uint(i) % wordBits
-		span := wordBits - int(off)
-		if rem := to - i; rem < span {
-			span = rem
-		}
-		mask := ^uint64(0) >> (wordBits - uint(span)) << off
-		total += bits.OnesCount64(s.words[w] & mask)
-		i += span
-	}
-	return total
-}
-
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
 	out := &Set{words: make([]uint64, len(s.words)), n: s.n}

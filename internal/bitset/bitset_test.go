@@ -53,7 +53,7 @@ func TestSetTo(t *testing.T) {
 	}
 }
 
-func TestCountAndCountRange(t *testing.T) {
+func TestCount(t *testing.T) {
 	s := New(200)
 	idx := []int{0, 5, 63, 64, 100, 150, 199}
 	for _, i := range idx {
@@ -61,48 +61,6 @@ func TestCountAndCountRange(t *testing.T) {
 	}
 	if got := s.Count(); got != len(idx) {
 		t.Fatalf("Count = %d, want %d", got, len(idx))
-	}
-	tests := []struct {
-		from, to, want int
-	}{
-		{0, 200, 7},
-		{0, 0, 0},
-		{0, 1, 1},
-		{1, 5, 0},
-		{5, 64, 2},
-		{64, 65, 1},
-		{65, 199, 2},
-		{199, 200, 1},
-	}
-	for _, tt := range tests {
-		if got := s.CountRange(tt.from, tt.to); got != tt.want {
-			t.Errorf("CountRange(%d,%d) = %d, want %d", tt.from, tt.to, got, tt.want)
-		}
-	}
-}
-
-func TestCountRangeMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := New(317)
-	for i := 0; i < s.Len(); i++ {
-		if rng.Intn(3) == 0 {
-			s.Set(i)
-		}
-	}
-	for trial := 0; trial < 200; trial++ {
-		a, b := rng.Intn(s.Len()+1), rng.Intn(s.Len()+1)
-		if a > b {
-			a, b = b, a
-		}
-		want := 0
-		for i := a; i < b; i++ {
-			if s.Test(i) {
-				want++
-			}
-		}
-		if got := s.CountRange(a, b); got != want {
-			t.Fatalf("CountRange(%d,%d) = %d, want %d", a, b, got, want)
-		}
 	}
 }
 
@@ -336,7 +294,6 @@ func TestPanics(t *testing.T) {
 		fn()
 	}
 	assertPanics("New(-1)", func() { New(-1) })
-	assertPanics("CountRange reversed", func() { New(10).CountRange(5, 2) })
 	assertPanics("SwapRange length mismatch", func() { New(10).SwapRange(New(11), 0, 5) })
 	assertPanics("CopyFrom length mismatch", func() { New(10).CopyFrom(New(11)) })
 	assertPanics("SwapRange out of bounds", func() { New(10).SwapRange(New(10), 0, 11) })

@@ -264,6 +264,10 @@ func (t *Telemetry) Check() error {
 		return fmt.Errorf("-trace-sample selects the traced %ss and needs -trace-out", t.Noun)
 	case t.TraceOut == "" && t.TraceClock != "logical":
 		return fmt.Errorf("-trace-clock sets the span clock and needs -trace-out")
+	case t.TraceSample < 1:
+		return fmt.Errorf("-trace-sample %d must be at least 1", t.TraceSample)
+	case t.TraceClock != "logical" && t.TraceClock != "wall" && t.TraceClock != "":
+		return fmt.Errorf("-trace-clock %q: want logical or wall", t.TraceClock)
 	}
 	return nil
 }

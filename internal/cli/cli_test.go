@@ -52,6 +52,8 @@ func TestGroupRules(t *testing.T) {
 		{[]string{"-mutex-profile-fraction", "-1", "-listen-metrics", "127.0.0.1:0"}, "negative", nil},
 		{[]string{"-trace-sample", "2"}, "-trace-sample", []string{"-trace-out", "t.jsonl"}},
 		{[]string{"-trace-clock", "wall"}, "-trace-clock", []string{"-trace-out", "t.jsonl"}},
+		{[]string{"-trace-out", "t.jsonl", "-trace-sample", "0"}, "-trace-sample 0", nil},
+		{[]string{"-trace-out", "t.jsonl", "-trace-clock", "bogus"}, "-trace-clock \"bogus\"", nil},
 		{[]string{"-snapshot-every", "4"}, "-snapshot-every needs -data-dir", []string{"-data-dir", dir}},
 		{[]string{"-fsync", "never"}, "-fsync needs -data-dir", []string{"-data-dir", dir}},
 		{[]string{"-fsync", "sometimes", "-data-dir", dir}, "fsync policy", nil},

@@ -10,7 +10,6 @@ import (
 	"drp/internal/agra"
 	"drp/internal/core"
 	"drp/internal/gra"
-	"drp/internal/membership"
 	"drp/internal/plan"
 	"drp/internal/spans"
 	"drp/internal/sra"
@@ -57,13 +56,13 @@ type ControlOptions struct {
 	Tracer *spans.Tracer
 }
 
-// NewControlPlane founds the view of the given members (membership.NewView
+// NewControlPlane founds the view of the given members (plan.NewView
 // over p's sites), solves it with the static greedy and returns a control
 // plane holding plan epoch 1 over view epoch 0. Every universe primary
 // must be a member. Derive later views from Plan().View with Join and
 // Leave and hand each to React.
 func NewControlPlane(p *core.Problem, members []int, opts ControlOptions) (*ControlPlane, error) {
-	view, err := membership.NewView(p.Sites(), members)
+	view, err := plan.NewView(p.Sites(), members)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +117,7 @@ func (cp *ControlPlane) Plan() *plan.Plan {
 // React computes and emits the plan for a new view, one membership event
 // after the current plan's. On an error nothing changes: the current plan
 // and primary assignment stay as they were.
-func (cp *ControlPlane) React(v membership.View) (pl *plan.Plan, err error) {
+func (cp *ControlPlane) React(v plan.View) (pl *plan.Plan, err error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	root := cp.opts.Tracer.Root("control.replan")
@@ -187,7 +186,7 @@ func memberDelta(old, next []int) (joined, departed []int) {
 // nearest surviving member with spare primary capacity. Distance is the
 // problem's C(i,j) between the old and candidate primary; ties break on
 // the lower site index, so the assignment is deterministic.
-func (cp *ControlPlane) reassignPrimaries(v membership.View, departed []int) error {
+func (cp *ControlPlane) reassignPrimaries(v plan.View, departed []int) error {
 	gone := make(map[int]bool, len(departed))
 	for _, s := range departed {
 		gone[s] = true
@@ -263,7 +262,7 @@ func (cp *ControlPlane) changedObjects(joined, departed []int) []int {
 // solve re-optimises the changed objects over the view-restricted
 // problem with the AGRA pipeline, seeded with the current plan projected
 // onto the view, and lifts the result back to a universe plan.
-func (cp *ControlPlane) solve(v membership.View, changed []int) (*plan.Plan, error) {
+func (cp *ControlPlane) solve(v plan.View, changed []int) (*plan.Plan, error) {
 	rp, err := plan.Restrict(cp.p, v, cp.prim)
 	if err != nil {
 		return nil, err
@@ -290,7 +289,7 @@ func (cp *ControlPlane) solve(v membership.View, changed []int) (*plan.Plan, err
 // projectCurrent maps the current plan onto the restricted problem:
 // placements intersect the view, and every (possibly reassigned) primary
 // is forced in. This is the scheme AGRA adapts from.
-func (cp *ControlPlane) projectCurrent(rp *core.Problem, v membership.View) (*core.Scheme, error) {
+func (cp *ControlPlane) projectCurrent(rp *core.Problem, v plan.View) (*core.Scheme, error) {
 	idx := v.Index()
 	s := core.NewScheme(rp)
 	for k := 0; k < cp.p.Objects(); k++ {

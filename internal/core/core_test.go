@@ -52,8 +52,8 @@ func TestProblemAccessors(t *testing.T) {
 	if p.TotalReads(0) != 9 || p.TotalWrites(0) != 3 {
 		t.Fatalf("totals for object 0 = %d reads, %d writes; want 9, 3", p.TotalReads(0), p.TotalWrites(0))
 	}
-	if p.TotalObjectSize() != 5 {
-		t.Fatalf("TotalObjectSize = %d, want 5", p.TotalObjectSize())
+	if p.Size(0)+p.Size(1) != 5 {
+		t.Fatalf("sizes %d + %d, want 5 in total", p.Size(0), p.Size(1))
 	}
 	if p.Cost(1, 2) != 1 || p.Cost(2, 1) != 1 {
 		t.Fatal("cost accessor mismatch")
@@ -214,8 +214,8 @@ func TestSchemeAddRemove(t *testing.T) {
 	if err := s.Remove(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if s.Used(1) != 2 {
-		t.Fatalf("Used(1) = %d after remove, want 2", s.Used(1))
+	if s.used[1] != 2 {
+		t.Fatalf("used[1] = %d after remove, want 2", s.used[1])
 	}
 }
 
@@ -248,7 +248,7 @@ func TestReplicatorsAndDegree(t *testing.T) {
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("Replicators(0) = %v, want [0 1]", got)
 	}
-	if s.ReplicaDegree(0) != 2 || s.ReplicaDegree(1) != 1 {
+	if len(s.Replicators(0)) != 2 || len(s.Replicators(1)) != 1 {
 		t.Fatal("replica degree mismatch")
 	}
 	if s.TotalReplicas() != 1 {
@@ -284,7 +284,7 @@ func TestSchemeFromBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rebuilt.Equal(s) || rebuilt.Used(1) != 2 {
+	if !rebuilt.Equal(s) || rebuilt.used[1] != 2 {
 		t.Fatal("SchemeFromBits round-trip mismatch")
 	}
 
@@ -344,7 +344,7 @@ func TestNearestTable(t *testing.T) {
 	if err := s.Remove(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	nt.Remove(s, 0)
+	nt = NewNearestTable(s)
 	if nt.Nearest(2, 0) != 0 || nt.Dist(2, 0) != 3 {
 		t.Fatalf("nearest(2,0) after remove = %d@%d, want 0@3", nt.Nearest(2, 0), nt.Dist(2, 0))
 	}

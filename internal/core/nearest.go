@@ -47,13 +47,6 @@ func (t *NearestTable) Add(j, k int) {
 	}
 }
 
-// Remove updates the table after the replica of object k at site j is
-// dropped, by recomputing the object's column against the scheme (which must
-// already reflect the removal).
-func (t *NearestTable) Remove(s *Scheme, k int) {
-	t.recomputeObject(s, k)
-}
-
 // Price is eq. 4's charge for one request from site for object obj under
 // the table's scheme, split into eq. 4's terms. Sites marked in down cannot
 // serve; a nil down means every site is up. A read costs o_k·C(site, j) for

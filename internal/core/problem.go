@@ -302,15 +302,6 @@ func (p *Problem) DPrime() int64 { return p.dPrime }
 // VPrime returns the per-object NTC of the primaries-only allocation.
 func (p *Problem) VPrime(k int) int64 { return p.vPrime[k] }
 
-// TotalObjectSize returns Σ_k o_k.
-func (p *Problem) TotalObjectSize() int64 {
-	var total int64
-	for _, sz := range p.size {
-		total += sz
-	}
-	return total
-}
-
 // WithPatterns returns a copy of p sharing the network, sizes, capacities
 // and primaries but carrying new read/write patterns. It is how the
 // adaptive experiments (Section 6.3) model "the daytime pattern changed":

@@ -97,8 +97,13 @@ func TestProblemRoundTripsExactly(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if p2.DPrime() != p.DPrime() || p2.TotalObjectSize() != p.TotalObjectSize() {
+		if p2.DPrime() != p.DPrime() {
 			return false
+		}
+		for k := 0; k < p.Objects(); k++ {
+			if p2.Size(k) != p.Size(k) {
+				return false
+			}
 		}
 		for i := 0; i < p.Sites(); i++ {
 			if p2.Capacity(i) != p.Capacity(i) {

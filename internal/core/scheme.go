@@ -75,9 +75,6 @@ func (s *Scheme) Problem() *Problem { return s.p }
 // Has reports whether site i holds a replica of object k.
 func (s *Scheme) Has(i, k int) bool { return s.x.Test(i*s.p.n + k) }
 
-// Used returns the storage consumed at site i.
-func (s *Scheme) Used(i int) int64 { return s.used[i] }
-
 // Free returns the remaining capacity b(i) at site i.
 func (s *Scheme) Free(i int) int64 { return s.p.cap[i] - s.used[i] }
 
@@ -129,17 +126,6 @@ func (s *Scheme) appendReplicators(dst []int32, k int) []int32 {
 		}
 	}
 	return dst
-}
-
-// ReplicaDegree returns |R_k|, the number of replicas of object k.
-func (s *Scheme) ReplicaDegree(k int) int {
-	deg := 0
-	for i := 0; i < s.p.m; i++ {
-		if s.Has(i, k) {
-			deg++
-		}
-	}
-	return deg
 }
 
 // TotalReplicas returns the number of replicas beyond the N primary copies

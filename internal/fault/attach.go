@@ -16,14 +16,14 @@ import (
 func Attach(c *netnode.Cluster, in *Injector) {
 	for i := 0; i < c.Sites(); i++ {
 		if node := c.Node(i); node != nil {
-			in.Register(i, node.Addr())
+			in.register(i, node.Addr())
 		}
 	}
 	for i := 0; i < c.Sites(); i++ {
 		if node := c.Node(i); node != nil {
-			node.SetDialer(in.DialerFor(i))
+			node.SetDialer(in.dialerFor(i))
 		}
 	}
-	c.SetCommandDialer(in.DialerFor(Coordinator))
-	c.SetRequestHook(in.Advance)
+	c.SetCommandDialer(in.dialerFor(coordinator))
+	c.SetRequestHook(in.advance)
 }

@@ -36,7 +36,7 @@ func genProblem(t testing.TB, m, n int, u, c float64, seed uint64) *core.Problem
 // injector and configures fast retries suited to a test run.
 func chaosCluster(t *testing.T, p *core.Problem, scheme *core.Scheme, plan Plan) (*netnode.Cluster, *Injector) {
 	t.Helper()
-	if err := plan.Validate(p.Sites()); err != nil {
+	if err := plan.validate(p.Sites()); err != nil {
 		t.Fatal(err)
 	}
 	c, err := netnode.StartLocal(p)
@@ -405,8 +405,8 @@ func TestChaosBitIdenticalPerSeed(t *testing.T) {
 	scheme := sra.Run(p, sra.Options{}).Scheme
 	total := totalRequests(p)
 	plan := Plan{Seed: 99, Events: []Event{
-		{Kind: KindDrop, Site: 1, Peer: Coordinator, Step: 1, Until: total / 2, Prob: 0.4},
-		{Kind: KindLatency, Site: 2, Step: total / 4, Until: total / 2, DelayMS: 1},
+		{Kind: KindDrop, Site: 1, Peer: coordinator, Step: 1, Until: total / 2, Prob: 0.4},
+		{Kind: kindLatency, Site: 2, Step: total / 4, Until: total / 2, DelayMS: 1},
 		{Kind: KindCrash, Site: 3, Step: total / 3, Until: total / 2},
 	}}
 

@@ -14,14 +14,14 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 		{Kind: KindCrash, Site: 2, Step: 3, Until: 9},
 		{Kind: KindRestart, Site: 2, Step: 5},
 		{Kind: KindBlackhole, Site: 0, Peer: 1, Step: 1, Until: 4},
-		{Kind: KindLatency, Site: 1, Step: 2, Until: 6, DelayMS: 7},
-		{Kind: KindDrop, Site: 3, Peer: Coordinator, Step: 1, Until: 8, Prob: 0.25},
+		{Kind: kindLatency, Site: 1, Step: 2, Until: 6, DelayMS: 7},
+		{Kind: KindDrop, Site: 3, Peer: coordinator, Step: 1, Until: 8, Prob: 0.25},
 	}}
 	var buf bytes.Buffer
 	if err := p.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParsePlan(buf.Bytes())
+	got, err := parsePlan(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 }
 
 func TestParsePlanRejectsUnknownFields(t *testing.T) {
-	_, err := ParsePlan([]byte(`{"seed":1,"events":[{"kind":"crash","site":0,"step":1,"unitl":5}]}`))
+	_, err := parsePlan([]byte(`{"seed":1,"events":[{"kind":"crash","site":0,"step":1,"unitl":5}]}`))
 	if err == nil {
 		t.Fatal("typo'd field accepted silently")
 	}
@@ -49,17 +49,17 @@ func TestPlanValidate(t *testing.T) {
 		{"empty window", Event{Kind: KindCrash, Site: 0, Step: 5, Until: 5}, false},
 		{"inverted window", Event{Kind: KindCrash, Site: 0, Step: 5, Until: 2}, false},
 		{"negative step", Event{Kind: KindCrash, Site: 0, Step: -1}, false},
-		{"blackhole coordinator leg", Event{Kind: KindBlackhole, Site: Coordinator, Peer: 1, Step: 1}, true},
+		{"blackhole coordinator leg", Event{Kind: KindBlackhole, Site: coordinator, Peer: 1, Step: 1}, true},
 		{"blackhole self link", Event{Kind: KindBlackhole, Site: 1, Peer: 1, Step: 1}, false},
 		{"drop prob over 1", Event{Kind: KindDrop, Site: 0, Peer: 1, Step: 1, Prob: 1.5}, false},
-		{"drop prob in range", Event{Kind: KindDrop, Site: 0, Peer: Coordinator, Step: 1, Prob: 0.5}, true},
-		{"negative delay", Event{Kind: KindLatency, Site: 0, Step: 1, DelayMS: -3}, false},
+		{"drop prob in range", Event{Kind: KindDrop, Site: 0, Peer: coordinator, Step: 1, Prob: 0.5}, true},
+		{"negative delay", Event{Kind: kindLatency, Site: 0, Step: 1, DelayMS: -3}, false},
 		{"unknown kind", Event{Kind: Kind("meteor"), Site: 0, Step: 1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Plan{Events: []Event{tc.ev}}
-			err := p.Validate(4)
+			err := p.validate(4)
 			if tc.ok && err != nil {
 				t.Errorf("unexpected error: %v", err)
 			}
@@ -87,7 +87,7 @@ func TestCrashedWindowAndRestart(t *testing.T) {
 		{2, 100, false},
 		{0, 5, false},
 	} {
-		if got := p.Crashed(tc.site, tc.step); got != tc.want {
+		if got := p.crashed(tc.site, tc.step); got != tc.want {
 			t.Errorf("Crashed(%d, %d) = %v, want %v", tc.site, tc.step, got, tc.want)
 		}
 	}
@@ -98,7 +98,7 @@ func TestReachableAndBlackhole(t *testing.T) {
 		{Kind: KindBlackhole, Site: 0, Peer: 2, Step: 2, Until: 6},
 		{Kind: KindCrash, Site: 3, Step: 1, Until: 4},
 	}}
-	if !p.Blackholed(2, 0, 3) {
+	if !p.blackholed(2, 0, 3) {
 		t.Error("blackhole must be undirected")
 	}
 	if p.Reachable(0, 2, 3) || p.Reachable(2, 0, 3) {
@@ -107,34 +107,34 @@ func TestReachableAndBlackhole(t *testing.T) {
 	if !p.Reachable(0, 2, 6) {
 		t.Error("link still severed after window closed")
 	}
-	if p.Reachable(Coordinator, 3, 2) {
+	if p.Reachable(coordinator, 3, 2) {
 		t.Error("coordinator can reach a crashed site")
 	}
-	if !p.Reachable(Coordinator, 3, 4) {
+	if !p.Reachable(coordinator, 3, 4) {
 		t.Error("coordinator cannot reach a recovered site")
 	}
 }
 
 func TestDropProbComposes(t *testing.T) {
 	p := Plan{Events: []Event{
-		{Kind: KindDrop, Site: 0, Peer: Coordinator, Step: 1, Prob: 0.5},
+		{Kind: KindDrop, Site: 0, Peer: coordinator, Step: 1, Prob: 0.5},
 		{Kind: KindDrop, Site: 0, Peer: 1, Step: 1, Prob: 0.5},
 	}}
-	if got := p.DropProb(0, 1, 2); got != 0.75 {
+	if got := p.dropProb(0, 1, 2); got != 0.75 {
 		t.Errorf("independent drops should compose: got %v, want 0.75", got)
 	}
-	if got := p.DropProb(0, 2, 2); got != 0.5 {
+	if got := p.dropProb(0, 2, 2); got != 0.5 {
 		t.Errorf("only the site-wide event matches 0→2: got %v, want 0.5", got)
 	}
-	if got := p.DropProb(2, 3, 2); got != 0 {
+	if got := p.dropProb(2, 3, 2); got != 0 {
 		t.Errorf("unrelated link drops: got %v, want 0", got)
 	}
 }
 
 func TestLatencyAtSums(t *testing.T) {
 	p := Plan{Events: []Event{
-		{Kind: KindLatency, Site: 0, Step: 1, Until: 5, DelayMS: 2},
-		{Kind: KindLatency, Site: 1, Step: 1, Until: 5, DelayMS: 3},
+		{Kind: kindLatency, Site: 0, Step: 1, Until: 5, DelayMS: 2},
+		{Kind: kindLatency, Site: 1, Step: 1, Until: 5, DelayMS: 3},
 	}}
 	if got := p.LatencyAt(0, 1, 2); got != 5*time.Millisecond {
 		t.Errorf("LatencyAt = %v, want 5ms", got)
@@ -149,12 +149,12 @@ func TestNormalizeAlwaysValidates(t *testing.T) {
 		{Kind: KindCrash, Site: 99, Step: -4, Until: -2},
 		{Kind: KindBlackhole, Site: 5, Peer: 5, Step: 0},
 		{Kind: KindDrop, Site: -7, Peer: 42, Step: 1, Prob: 3.5},
-		{Kind: KindLatency, Site: 2, Step: 1, DelayMS: 1 << 40},
+		{Kind: kindLatency, Site: 2, Step: 1, DelayMS: 1 << 40},
 		{Kind: Kind("meteor"), Site: 0, Step: 1},
 	}}
 	for _, m := range []int{1, 2, 3, 8} {
 		got := hostile.Normalize(m, 2*time.Millisecond)
-		if err := got.Validate(m); err != nil {
+		if err := got.validate(m); err != nil {
 			t.Errorf("Normalize(%d) left an invalid plan: %v", m, err)
 		}
 		for _, e := range got.Events {
@@ -181,11 +181,11 @@ func TestMaxStep(t *testing.T) {
 func TestInjectorRefusesCrashedEndpoints(t *testing.T) {
 	const addr1 = "127.0.0.1:4001"
 	in := NewInjector(Plan{Events: []Event{{Kind: KindCrash, Site: 1, Step: 1, Until: 3}}})
-	in.Register(1, addr1)
-	gateTo1 := in.DialerFor(0)
-	gateFrom1 := in.DialerFor(1)
+	in.register(1, addr1)
+	gateTo1 := in.dialerFor(0)
+	gateFrom1 := in.dialerFor(1)
 
-	in.Advance() // step 1: window open
+	in.advance() // step 1: window open
 	if err := gateTo1(addr1); err == nil {
 		t.Fatal("attempt to crashed site passed")
 	} else if ne, ok := err.(net.Error); !ok || ne.Timeout() {
@@ -212,12 +212,12 @@ func TestInjectorRefusesCrashedEndpoints(t *testing.T) {
 // the identical accept/refuse sequence from the seeded RNG.
 func TestInjectorDropsAreSeeded(t *testing.T) {
 	const addr1 = "127.0.0.1:4001"
-	plan := Plan{Seed: 1234, Events: []Event{{Kind: KindDrop, Site: 1, Peer: Coordinator, Step: 1, Prob: 0.5}}}
+	plan := Plan{Seed: 1234, Events: []Event{{Kind: KindDrop, Site: 1, Peer: coordinator, Step: 1, Prob: 0.5}}}
 	run := func() []bool {
 		in := NewInjector(plan)
-		in.Register(1, addr1)
-		gate := in.DialerFor(0)
-		in.Advance()
+		in.register(1, addr1)
+		gate := in.dialerFor(0)
+		in.advance()
 		var outcomes []bool
 		for i := 0; i < 32; i++ {
 			outcomes = append(outcomes, gate(addr1) == nil)

@@ -30,7 +30,7 @@ func FuzzFaultPlan(f *testing.F) {
 	f.Add([]byte(`{"seed":2,"events":[{"kind":"crash","site":1,"step":1,"until":2},{"kind":"crash","site":2,"step":2,"until":3},{"kind":"blackhole","site":-1,"peer":0,"step":3,"until":4}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		plan, err := ParsePlan(data)
+		plan, err := parsePlan(data)
 		if err != nil {
 			return // not a plan; nothing to check
 		}
@@ -40,7 +40,7 @@ func FuzzFaultPlan(f *testing.F) {
 		if err := plan.Encode(&buf); err != nil {
 			t.Fatalf("parsed plan failed to encode: %v", err)
 		}
-		again, err := ParsePlan(buf.Bytes())
+		again, err := parsePlan(buf.Bytes())
 		if err != nil {
 			t.Fatalf("encoded plan failed to re-parse: %v", err)
 		}
@@ -50,7 +50,7 @@ func FuzzFaultPlan(f *testing.F) {
 
 		// Property 2: the normalized plan cannot deadlock a 3-site cluster.
 		norm := plan.Normalize(3, 2*time.Millisecond)
-		if err := norm.Validate(3); err != nil {
+		if err := norm.validate(3); err != nil {
 			t.Fatalf("Normalize left an invalid plan: %v", err)
 		}
 		done := make(chan struct{})

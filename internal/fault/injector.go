@@ -42,19 +42,16 @@ func NewInjector(plan Plan) *Injector {
 	}
 }
 
-// Plan returns the injector's fault plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
-// Register maps a peer address to its site index so attempts can be
+// register maps a peer address to its site index so attempts can be
 // attributed to links.
-func (in *Injector) Register(site int, addr string) {
+func (in *Injector) register(site int, addr string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.addrSite[addr] = site
 }
 
-// Advance moves the logical clock one step and returns the new step.
-func (in *Injector) Advance() {
+// advance moves the logical clock one step.
+func (in *Injector) advance() {
 	in.mu.Lock()
 	in.step++
 	in.mu.Unlock()
@@ -68,13 +65,6 @@ func (in *Injector) AdvanceTo(step int64) {
 		in.step = step
 	}
 	in.mu.Unlock()
-}
-
-// Step returns the current logical step.
-func (in *Injector) Step() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.step
 }
 
 // Stats reports the injector's fault outcome counts: total attempts seen
@@ -98,12 +88,12 @@ func (e *faultError) Error() string   { return e.msg }
 func (e *faultError) Timeout() bool   { return false }
 func (e *faultError) Temporary() bool { return true }
 
-// DialerFor returns the gate for one participant: a site index, or
-// Coordinator for the cluster coordinator. The participant calls it once
+// dialerFor returns the gate for one participant: a site index, or
+// coordinator for the cluster coordinator. The participant calls it once
 // before each attempt (netnode.Dialer); a fault verdict fails the
 // attempt, a latency verdict delays it. The returned function is safe for
 // concurrent use.
-func (in *Injector) DialerFor(client int) func(addr string) error {
+func (in *Injector) dialerFor(client int) func(addr string) error {
 	return func(addr string) error {
 		in.mu.Lock()
 		step := in.step
@@ -112,20 +102,20 @@ func (in *Injector) DialerFor(client int) func(addr string) error {
 		var verdict error
 		var delay time.Duration
 		if !known {
-			target = Coordinator // unknown address: only client-side faults apply
+			target = coordinator // unknown address: only client-side faults apply
 		}
 		switch {
-		case client >= 0 && in.plan.Crashed(client, step):
+		case client >= 0 && in.plan.crashed(client, step):
 			in.refused++
 			verdict = &faultError{fmt.Sprintf("fault: site %d is down (step %d)", client, step)}
-		case known && in.plan.Crashed(target, step):
+		case known && in.plan.crashed(target, step):
 			in.refused++
 			verdict = &faultError{fmt.Sprintf("fault: dial %s: site %d is down (step %d)", addr, target, step)}
-		case in.plan.Blackholed(client, target, step):
+		case in.plan.blackholed(client, target, step):
 			in.severed++
 			verdict = &faultError{fmt.Sprintf("fault: link %d↔%d blackholed (step %d)", client, target, step)}
 		default:
-			if p := in.plan.DropProb(client, target, step); p > 0 && in.rng.Float64() < p {
+			if p := in.plan.dropProb(client, target, step); p > 0 && in.rng.Float64() < p {
 				in.dropped++
 				verdict = &faultError{fmt.Sprintf("fault: message %d→%d dropped (step %d)", client, target, step)}
 			} else {

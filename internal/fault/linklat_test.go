@@ -15,7 +15,7 @@ func TestMatrixPlanBuildsLinkLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(3); err != nil {
+	if err := p.validate(3); err != nil {
 		t.Fatalf("matrix plan failed validation: %v", err)
 	}
 	if len(p.Events) != 2 {
@@ -58,10 +58,10 @@ func TestMatrixPlanRejectsBadMatrices(t *testing.T) {
 
 func TestLinkLatencyComposesWithSiteLatency(t *testing.T) {
 	p := Plan{Events: []Event{
-		{Kind: KindLinkLatency, Site: 0, Peer: 1, DelayMS: 10},
-		{Kind: KindLatency, Site: 0, Step: 5, Until: 10, DelayMS: 3},
+		{Kind: kindLinkLatency, Site: 0, Peer: 1, DelayMS: 10},
+		{Kind: kindLatency, Site: 0, Step: 5, Until: 10, DelayMS: 3},
 	}}
-	if err := p.Validate(2); err != nil {
+	if err := p.validate(2); err != nil {
 		t.Fatal(err)
 	}
 	if d := p.LatencyAt(0, 1, 0); d != 10*time.Millisecond {
@@ -71,25 +71,25 @@ func TestLinkLatencyComposesWithSiteLatency(t *testing.T) {
 		t.Fatalf("during the spike: %v, want 13ms (link + site)", d)
 	}
 	// The site-scoped spike alone covers dials not on the 0↔1 link.
-	if d := p.LatencyAt(0, Coordinator, 7); d != 3*time.Millisecond {
+	if d := p.LatencyAt(0, coordinator, 7); d != 3*time.Millisecond {
 		t.Fatalf("coordinator dial during spike: %v, want 3ms", d)
 	}
 }
 
 func TestLinkLatencyValidateRejectsSelfLink(t *testing.T) {
-	p := Plan{Events: []Event{{Kind: KindLinkLatency, Site: 1, Peer: 1, DelayMS: 2}}}
-	if err := p.Validate(3); err == nil {
+	p := Plan{Events: []Event{{Kind: kindLinkLatency, Site: 1, Peer: 1, DelayMS: 2}}}
+	if err := p.validate(3); err == nil {
 		t.Fatal("self-link latency event passed validation")
 	}
 }
 
 func TestNormalizeKeepsLinkLatencyValid(t *testing.T) {
 	p := Plan{Events: []Event{
-		{Kind: KindLinkLatency, Site: 9, Peer: 9, DelayMS: -4, Step: -2},
-		{Kind: KindLinkLatency, Site: -7, Peer: 2, DelayMS: 500},
+		{Kind: kindLinkLatency, Site: 9, Peer: 9, DelayMS: -4, Step: -2},
+		{Kind: kindLinkLatency, Site: -7, Peer: 2, DelayMS: 500},
 	}}
 	norm := p.Normalize(3, 5*time.Millisecond)
-	if err := norm.Validate(3); err != nil {
+	if err := norm.validate(3); err != nil {
 		t.Fatalf("Normalize left an invalid plan: %v", err)
 	}
 	for _, e := range norm.Events {

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"drp/internal/core"
-	"drp/internal/membership"
 	"drp/internal/netnode"
 	"drp/internal/netsim"
 	"drp/internal/plan"
@@ -70,7 +69,7 @@ func churnProblem(t *testing.T) *core.Problem {
 // churnSolve solves the view-restricted problem and lifts the scheme.
 func churnSolve(t *testing.T, p *core.Problem, members []int, epoch int) (*plan.Plan, int64) {
 	t.Helper()
-	view := membership.View{Epoch: epoch, Members: members}
+	view := plan.View{Epoch: epoch, Members: members}
 	prim := make([]int, p.Objects())
 	for k := range prim {
 		prim[k] = p.Primary(k)
@@ -90,7 +89,7 @@ func churnSolve(t *testing.T, p *core.Problem, members []int, epoch int) (*plan.
 func holdingsPlan(p *core.Problem, c *netnode.Cluster) *plan.Plan {
 	members := c.Members()
 	pl := &plan.Plan{
-		View:      membership.View{Members: members},
+		View:      plan.View{Members: members},
 		Primaries: make([]int, p.Objects()),
 		Placement: make([][]int, p.Objects()),
 	}
@@ -122,8 +121,8 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 
 	// Every dial involving site 2 rides a 1ms latency spike for the whole
 	// run — churn happens under degraded, not pristine, conditions.
-	fp := Plan{Seed: 7, Events: []Event{{Kind: KindLatency, Site: 2, Step: 0, DelayMS: 1}}}
-	if err := fp.Validate(p.Sites()); err != nil {
+	fp := Plan{Seed: 7, Events: []Event{{Kind: kindLatency, Site: 2, Step: 0, DelayMS: 1}}}
+	if err := fp.validate(p.Sites()); err != nil {
 		t.Fatal(err)
 	}
 	in := NewInjector(fp)
@@ -141,8 +140,8 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Register(4, node4.Addr())
-	node4.SetDialer(in.DialerFor(4))
+	in.register(4, node4.Addr())
+	node4.SetDialer(in.dialerFor(4))
 
 	target, targetCost := churnSolve(t, p, []int{0, 1, 2, 3, 4}, 2)
 	steps, err := plan.Diff(c.Plan(), target, p)
@@ -185,8 +184,8 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 	if got := node.Store().EncodeState(); !bytes.Equal(got, killed) {
 		t.Fatalf("victim %d replayed to different state:\n  %s\n  %s", victim, killed, got)
 	}
-	in.Register(victim, node.Addr())
-	node.SetDialer(in.DialerFor(victim))
+	in.register(victim, node.Addr())
+	node.SetDialer(in.dialerFor(victim))
 
 	// Resume from the journaled plan: the remainder is the diff against
 	// the actual holdings, executed exactly once.

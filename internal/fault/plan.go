@@ -37,24 +37,24 @@ const (
 	// KindBlackhole drops all traffic between Site and Peer, both
 	// directions, for the window.
 	KindBlackhole Kind = "blackhole"
-	// KindLatency delays connection establishment involving Site by
+	// kindLatency delays connection establishment involving Site by
 	// DelayMS for the window.
-	KindLatency Kind = "latency"
-	// KindLinkLatency delays connection establishment on the Site↔Peer
-	// link, both directions, by DelayMS for the window. Unlike KindLatency
+	kindLatency Kind = "latency"
+	// kindLinkLatency delays connection establishment on the Site↔Peer
+	// link, both directions, by DelayMS for the window. Unlike kindLatency
 	// it is per-link, so a matrix of link delays (a geo-latency profile)
 	// is a set of these events; see MatrixPlan.
-	KindLinkLatency Kind = "linklat"
+	kindLinkLatency Kind = "linklat"
 	// KindDrop makes dials involving Site (or the Site↔Peer link when
 	// Peer ≥ 0) fail with probability Prob during the window, driven by
 	// the plan's seeded RNG.
 	KindDrop Kind = "drop"
 )
 
-// Coordinator is the pseudo-site index of the cluster coordinator for
+// coordinator is the pseudo-site index of the cluster coordinator for
 // link-level events (it originates deploy/reconcile commands but serves
 // no traffic and cannot crash).
-const Coordinator = -1
+const coordinator = -1
 
 // Event is one scheduled fault. Step/Until delimit the half-open logical
 // window [Step, Until); Until == 0 means "until cancelled" (for crashes, a
@@ -71,8 +71,8 @@ type Event struct {
 	Prob float64 `json:"prob,omitempty"`
 }
 
-// Delay returns the latency-spike magnitude as a duration.
-func (e Event) Delay() time.Duration { return time.Duration(e.DelayMS) * time.Millisecond }
+// delay returns the latency-spike magnitude as a duration.
+func (e Event) delay() time.Duration { return time.Duration(e.DelayMS) * time.Millisecond }
 
 // active reports whether the event's window covers step.
 func (e Event) active(step int64) bool {
@@ -88,8 +88,8 @@ type Plan struct {
 	Events []Event `json:"events"`
 }
 
-// Validate checks the plan against a cluster of m sites.
-func (p *Plan) Validate(m int) error {
+// validate checks the plan against a cluster of m sites.
+func (p *Plan) validate(m int) error {
 	for i, e := range p.Events {
 		prefix := fmt.Sprintf("fault: event %d (%s)", i, e.Kind)
 		if e.Step < 0 || e.Until < 0 {
@@ -99,12 +99,12 @@ func (p *Plan) Validate(m int) error {
 			return fmt.Errorf("%s: empty step window [%d,%d)", prefix, e.Step, e.Until)
 		}
 		switch e.Kind {
-		case KindCrash, KindRestart, KindLatency:
+		case KindCrash, KindRestart, kindLatency:
 			if e.Site < 0 || e.Site >= m {
 				return fmt.Errorf("%s: site %d out of range [0,%d)", prefix, e.Site, m)
 			}
-		case KindBlackhole, KindLinkLatency:
-			if e.Site < Coordinator || e.Site >= m || e.Peer < Coordinator || e.Peer >= m {
+		case KindBlackhole, kindLinkLatency:
+			if e.Site < coordinator || e.Site >= m || e.Peer < coordinator || e.Peer >= m {
 				return fmt.Errorf("%s: endpoints %d↔%d out of range", prefix, e.Site, e.Peer)
 			}
 			if e.Site == e.Peer {
@@ -114,7 +114,7 @@ func (p *Plan) Validate(m int) error {
 			if e.Site < 0 || e.Site >= m {
 				return fmt.Errorf("%s: site %d out of range [0,%d)", prefix, e.Site, m)
 			}
-			if e.Peer < Coordinator || e.Peer >= m {
+			if e.Peer < coordinator || e.Peer >= m {
 				return fmt.Errorf("%s: peer %d out of range", prefix, e.Peer)
 			}
 			if e.Prob < 0 || e.Prob > 1 {
@@ -139,18 +139,18 @@ func (p *Plan) Normalize(m int, maxDelay time.Duration) Plan {
 	maxMS := maxDelay.Milliseconds()
 	for _, e := range p.Events {
 		switch e.Kind {
-		case KindCrash, KindRestart, KindLatency, KindBlackhole, KindDrop, KindLinkLatency:
+		case KindCrash, KindRestart, kindLatency, KindBlackhole, KindDrop, kindLinkLatency:
 		default:
 			continue
 		}
-		linkKind := e.Kind == KindBlackhole || e.Kind == KindLinkLatency
+		linkKind := e.Kind == KindBlackhole || e.Kind == kindLinkLatency
 		e.Site = wrapSite(e.Site, m, linkKind)
 		e.Peer = wrapSite(e.Peer, m, linkKind || e.Kind == KindDrop)
 		if e.Kind == KindDrop && e.Site < 0 {
 			e.Site = 0
 		}
 		if linkKind && e.Site == e.Peer {
-			if e.Site == Coordinator {
+			if e.Site == coordinator {
 				e.Peer = 0
 			} else {
 				e.Peer = (e.Site + 1) % m
@@ -188,7 +188,7 @@ func (p *Plan) Normalize(m int, maxDelay time.Duration) Plan {
 // wrapSite folds an arbitrary site index into [0,m) — or [-1,m) when the
 // coordinator is an allowed endpoint.
 func wrapSite(s, m int, allowCoordinator bool) int {
-	if allowCoordinator && s == Coordinator {
+	if allowCoordinator && s == coordinator {
 		return s
 	}
 	if s >= 0 && s < m {
@@ -204,9 +204,9 @@ func wrapSite(s, m int, allowCoordinator bool) int {
 	return s
 }
 
-// Crashed reports whether site is down at step: some crash window covers
+// crashed reports whether site is down at step: some crash window covers
 // the step and no restart for the site landed in between.
-func (p *Plan) Crashed(site int, step int64) bool {
+func (p *Plan) crashed(site int, step int64) bool {
 	for _, e := range p.Events {
 		if e.Kind != KindCrash || e.Site != site || !e.active(step) {
 			continue
@@ -225,9 +225,9 @@ func (p *Plan) Crashed(site int, step int64) bool {
 	return false
 }
 
-// Blackholed reports whether the a↔b link is severed at step (either
-// endpoint may be Coordinator).
-func (p *Plan) Blackholed(a, b int, step int64) bool {
+// blackholed reports whether the a↔b link is severed at step (either
+// endpoint may be coordinator).
+func (p *Plan) blackholed(a, b int, step int64) bool {
 	for _, e := range p.Events {
 		if e.Kind != KindBlackhole || !e.active(step) {
 			continue
@@ -239,18 +239,18 @@ func (p *Plan) Blackholed(a, b int, step int64) bool {
 	return false
 }
 
-// Reachable reports whether a dial from client a (Coordinator allowed) to
+// Reachable reports whether a dial from client a (coordinator allowed) to
 // site b can succeed at step, ignoring probabilistic drops: neither
 // endpoint crashed and the link not blackholed. This is the reachability
 // relation the chaos tests' a-priori cost model uses.
 func (p *Plan) Reachable(a, b int, step int64) bool {
-	if a >= 0 && p.Crashed(a, step) {
+	if a >= 0 && p.crashed(a, step) {
 		return false
 	}
-	if b >= 0 && p.Crashed(b, step) {
+	if b >= 0 && p.crashed(b, step) {
 		return false
 	}
-	return !p.Blackholed(a, b, step)
+	return !p.blackholed(a, b, step)
 }
 
 // LatencyAt returns the total connection-establishment delay injected on
@@ -263,13 +263,13 @@ func (p *Plan) LatencyAt(a, b int, step int64) time.Duration {
 			continue
 		}
 		switch e.Kind {
-		case KindLatency:
+		case kindLatency:
 			if e.Site == a || e.Site == b {
-				d += e.Delay()
+				d += e.delay()
 			}
-		case KindLinkLatency:
+		case kindLinkLatency:
 			if (e.Site == a && e.Peer == b) || (e.Site == b && e.Peer == a) {
-				d += e.Delay()
+				d += e.delay()
 			}
 		}
 	}
@@ -302,23 +302,23 @@ func MatrixPlan(delayMS [][]int64) (Plan, error) {
 				return Plan{}, fmt.Errorf("fault: latency matrix asymmetric at [%d][%d]: %d vs %d", i, j, d, delayMS[j][i])
 			}
 			if i < j && d > 0 {
-				plan.Events = append(plan.Events, Event{Kind: KindLinkLatency, Site: i, Peer: j, DelayMS: d})
+				plan.Events = append(plan.Events, Event{Kind: kindLinkLatency, Site: i, Peer: j, DelayMS: d})
 			}
 		}
 	}
 	return plan, nil
 }
 
-// DropProb returns the combined drop probability for a dial from a to b
+// dropProb returns the combined drop probability for a dial from a to b
 // at step (independent drop events compose).
-func (p *Plan) DropProb(a, b int, step int64) float64 {
+func (p *Plan) dropProb(a, b int, step int64) float64 {
 	keep := 1.0
 	for _, e := range p.Events {
 		if e.Kind != KindDrop || !e.active(step) {
 			continue
 		}
 		match := false
-		if e.Peer == Coordinator {
+		if e.Peer == coordinator {
 			match = e.Site == a || e.Site == b
 		} else {
 			match = (e.Site == a && e.Peer == b) || (e.Site == b && e.Peer == a)
@@ -352,9 +352,9 @@ func (p *Plan) Encode(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// ParsePlan decodes a plan from JSON bytes, rejecting unknown fields so
+// parsePlan decodes a plan from JSON bytes, rejecting unknown fields so
 // typos in hand-written plans fail loudly.
-func ParsePlan(data []byte) (Plan, error) {
+func parsePlan(data []byte) (Plan, error) {
 	var p Plan
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -370,7 +370,7 @@ func ReadPlan(r io.Reader) (Plan, error) {
 	if err != nil {
 		return Plan{}, fmt.Errorf("fault: read plan: %w", err)
 	}
-	return ParsePlan(data)
+	return parsePlan(data)
 }
 
 // LoadPlan reads and validates a plan file against a cluster of m sites.
@@ -384,7 +384,7 @@ func LoadPlan(path string, m int) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	if err := p.Validate(m); err != nil {
+	if err := p.validate(m); err != nil {
 		return Plan{}, err
 	}
 	return p, nil

@@ -88,7 +88,7 @@ func runKillRecover(t *testing.T, p *core.Problem, scheme *core.Scheme, victim i
 	plan := Plan{Seed: 17, Events: []Event{
 		{Kind: KindCrash, Site: victim, Step: killStep, Until: restartStep},
 	}}
-	if err := plan.Validate(p.Sites()); err != nil {
+	if err := plan.validate(p.Sites()); err != nil {
 		t.Fatal(err)
 	}
 	dumpOnFailure(t, plan)
@@ -127,10 +127,10 @@ func runKillRecover(t *testing.T, p *core.Problem, scheme *core.Scheme, victim i
 				break
 			}
 			out.recovered = node.Store().EncodeState()
-			in.Register(victim, node.Addr())
-			node.SetDialer(in.DialerFor(victim))
+			in.register(victim, node.Addr())
+			node.SetDialer(in.dialerFor(victim))
 		}
-		in.Advance()
+		in.advance()
 	})
 
 	want := predict(p, scheme, plan)
@@ -308,10 +308,10 @@ func TestKillAndRecoverWithSnapshots(t *testing.T) {
 				if got := node.Store().EncodeState(); !bytes.Equal(got, killed) {
 					t.Errorf("snapshot recovery differs from killed state:\n killed    %s\n recovered %s", killed, got)
 				}
-				in.Register(victim, node.Addr())
-				node.SetDialer(in.DialerFor(victim))
+				in.register(victim, node.Addr())
+				node.SetDialer(in.dialerFor(victim))
 			}
-			in.Advance()
+			in.advance()
 		})
 		rep, err := c.DriveTrafficReport()
 		if err != nil {

@@ -26,7 +26,7 @@ func TestGateFailsAttemptsOnWarmLinks(t *testing.T) {
 	plan := Plan{Seed: 5, Events: []Event{
 		{Kind: KindCrash, Site: holder, Step: crash, Until: hole},
 		{Kind: KindBlackhole, Site: reader, Peer: holder, Step: hole, Until: drop},
-		{Kind: KindDrop, Site: holder, Peer: Coordinator, Step: drop, Until: clear, Prob: 1},
+		{Kind: KindDrop, Site: holder, Peer: coordinator, Step: drop, Until: clear, Prob: 1},
 	}}
 	c, in := chaosCluster(t, p, core.NewScheme(p), plan)
 	reg := metrics.NewRegistry()

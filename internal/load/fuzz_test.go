@@ -25,11 +25,11 @@ func FuzzLoadProfile(f *testing.F) {
 
 	const sites = 4
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pr, err := ParseProfile(data)
+		pr, err := parseProfile(data)
 		if err != nil {
 			return // malformed JSON or unknown fields: rejected, not panicked
 		}
-		if err := pr.Validate(sites); err != nil {
+		if err := pr.validate(sites); err != nil {
 			return // rejected profiles must not be usable
 		}
 
@@ -58,7 +58,7 @@ func FuzzLoadProfile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid profile failed to encode: %v", err)
 		}
-		back, err := ParseProfile(canon)
+		back, err := parseProfile(canon)
 		if err != nil {
 			t.Fatalf("canonical encoding failed to parse: %v\n%s", err, canon)
 		}

@@ -35,23 +35,23 @@ const (
 	// ArrivalUniform spaces requests exactly 1/rate apart — a metronome,
 	// useful when a test wants zero arrival jitter.
 	ArrivalUniform = "uniform"
-	// ArrivalBursty is Poisson with a flash crowd: during the burst window
+	// arrivalBursty is Poisson with a flash crowd: during the burst window
 	// the rate multiplies by BurstMult and the object popularity collapses
 	// onto the hottest objects (BurstFocus).
-	ArrivalBursty = "bursty"
+	arrivalBursty = "bursty"
 )
 
 // Geo latency profile names.
 const (
 	// GeoNone injects no latency: raw loopback.
 	GeoNone = "none"
-	// GeoLAN injects a uniform 1ms on every inter-site link — one
+	// geoLAN injects a uniform 1ms on every inter-site link — one
 	// datacenter, different racks.
-	GeoLAN = "lan"
-	// GeoWAN3 spreads the sites round-robin over three continents and
+	geoLAN = "lan"
+	// geoWAN3 spreads the sites round-robin over three continents and
 	// injects intra-region 2ms, and 40/70/90ms across region pairs — the
 	// 3-continent WAN of the delay-aware placement literature.
-	GeoWAN3 = "wan3"
+	geoWAN3 = "wan3"
 )
 
 // Profile parameterises one load run. The zero value is not runnable;
@@ -106,8 +106,8 @@ func DefaultProfile() Profile {
 	}
 }
 
-// Validate checks the profile against a cluster of m sites.
-func (pr *Profile) Validate(m int) error {
+// validate checks the profile against a cluster of m sites.
+func (pr *Profile) validate(m int) error {
 	if m <= 0 {
 		return fmt.Errorf("load: cluster has %d sites", m)
 	}
@@ -120,9 +120,9 @@ func (pr *Profile) Validate(m int) error {
 	switch pr.Arrival {
 	case ArrivalPoisson, ArrivalUniform:
 		if pr.BurstMult != 0 || pr.BurstStartMS != 0 || pr.BurstEndMS != 0 || pr.BurstFocus != 0 {
-			return fmt.Errorf("load: burst parameters need arrival %q", ArrivalBursty)
+			return fmt.Errorf("load: burst parameters need arrival %q", arrivalBursty)
 		}
-	case ArrivalBursty:
+	case arrivalBursty:
 		if !(pr.BurstMult > 1) || pr.BurstMult > 1e4 {
 			return fmt.Errorf("load: bursty arrival needs burst_mult in (1, 1e4], got %v", pr.BurstMult)
 		}
@@ -165,7 +165,7 @@ func (pr *Profile) Validate(m int) error {
 		}
 	} else {
 		switch pr.Geo {
-		case GeoNone, GeoLAN, GeoWAN3:
+		case GeoNone, geoLAN, geoWAN3:
 		default:
 			return fmt.Errorf("load: unknown geo profile %q", pr.Geo)
 		}
@@ -179,7 +179,7 @@ func (pr *Profile) Validate(m int) error {
 func (pr *Profile) LatencyPlan(m int) (fault.Plan, error) {
 	matrix := pr.MatrixMS
 	if len(matrix) == 0 {
-		matrix = GeoMatrix(pr.Geo, m)
+		matrix = geoMatrix(pr.Geo, m)
 	}
 	if len(matrix) == 0 {
 		return fault.Plan{}, nil
@@ -187,15 +187,15 @@ func (pr *Profile) LatencyPlan(m int) (fault.Plan, error) {
 	return fault.MatrixPlan(matrix)
 }
 
-// GeoMatrix returns the named profile's symmetric link-latency matrix in
+// geoMatrix returns the named profile's symmetric link-latency matrix in
 // milliseconds for m sites, or nil for GeoNone/unknown names (Validate
 // rejects the latter before anything runs).
-func GeoMatrix(name string, m int) [][]int64 {
+func geoMatrix(name string, m int) [][]int64 {
 	var link func(i, j int) int64
 	switch name {
-	case GeoLAN:
+	case geoLAN:
 		link = func(i, j int) int64 { return 1 }
-	case GeoWAN3:
+	case geoWAN3:
 		// Sites spread round-robin over three regions; cross-region delays
 		// are ballpark one-way WAN numbers (NA↔EU 40, NA↔AP 70, EU↔AP 90).
 		cross := [3][3]int64{
@@ -237,10 +237,10 @@ func (pr *Profile) Canonical() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ParseProfile decodes a profile from JSON, rejecting unknown fields so
+// parseProfile decodes a profile from JSON, rejecting unknown fields so
 // typos in hand-written profiles fail loudly. It does not validate —
 // call Validate with the cluster size.
-func ParseProfile(data []byte) (Profile, error) {
+func parseProfile(data []byte) (Profile, error) {
 	var pr Profile
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -261,11 +261,11 @@ func LoadProfile(path string, m int) (Profile, error) {
 	if err != nil {
 		return Profile{}, fmt.Errorf("load: read profile: %w", err)
 	}
-	pr, err := ParseProfile(data)
+	pr, err := parseProfile(data)
 	if err != nil {
 		return Profile{}, err
 	}
-	if err := pr.Validate(m); err != nil {
+	if err := pr.validate(m); err != nil {
 		return Profile{}, err
 	}
 	return pr, nil

@@ -83,7 +83,7 @@ func BuildReport(scheme string, pr Profile, sched *Schedule, res *Result, slo *S
 	rep.Errors.Samples = res.ErrSamples
 	rep.NTC.Read = res.NTCRead
 	rep.NTC.Write = res.NTCWrite
-	rep.NTC.Total = res.NTC()
+	rep.NTC.Total = res.ntc()
 	return rep
 }
 

@@ -72,14 +72,14 @@ type Result struct {
 	Digest string
 }
 
-// Requests returns the total number of requests that completed (served
+// requests returns the total number of requests that completed (served
 // or degraded — every scheduled request lands somewhere).
-func (r *Result) Requests() int64 {
+func (r *Result) requests() int64 {
 	return r.ReadsOK + r.WritesOK + r.ReadsFailed + r.WritesQueued + r.Unexplained
 }
 
-// NTC returns the total transfer cost accounted to the run.
-func (r *Result) NTC() int64 { return r.NTCRead + r.NTCWrite }
+// ntc returns the total transfer cost accounted to the run.
+func (r *Result) ntc() int64 { return r.NTCRead + r.NTCWrite }
 
 // worker-local tallies, merged after the pool drains.
 type tally struct {
@@ -207,12 +207,12 @@ func Run(target Target, sched *Schedule, opts Options) (*Result, error) {
 	if res.Elapsed <= 0 {
 		res.Elapsed = time.Since(start)
 	}
-	span := sched.Duration()
+	span := sched.duration()
 	if span > 0 {
 		res.Offered = float64(len(sched.Requests)) / span.Seconds()
 	}
 	if res.Elapsed > 0 {
-		res.Achieved = float64(res.Requests()) / res.Elapsed.Seconds()
+		res.Achieved = float64(res.requests()) / res.Elapsed.Seconds()
 	}
 	return res, nil
 }
@@ -274,7 +274,7 @@ func CrossCheck(res *Result, reg *metrics.Registry, before NetCounters) MetricsC
 		Writes:       deltaCheck{Load: res.WritesOK, Cluster: after.writesPrimary + after.writesRem - before.writesPrimary - before.writesRem},
 		ReadsFailed:  deltaCheck{Load: res.ReadsFailed, Cluster: after.readFailed - before.readFailed},
 		WritesQueued: deltaCheck{Load: res.WritesQueued, Cluster: after.writeQueued - before.writeQueued},
-		NTC:          deltaCheck{Load: res.NTC(), Cluster: after.ntcTot - before.ntcTot},
+		NTC:          deltaCheck{Load: res.ntc(), Cluster: after.ntcTot - before.ntcTot},
 	}
 	mc.Match = mc.Reads.Load == mc.Reads.Cluster &&
 		mc.Writes.Load == mc.Writes.Cluster &&

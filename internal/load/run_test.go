@@ -66,8 +66,8 @@ func TestOpenLoopRunAgainstCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if res.Requests() != int64(len(sched.Requests)) {
-		t.Fatalf("completed %d of %d scheduled requests", res.Requests(), len(sched.Requests))
+	if res.requests() != int64(len(sched.Requests)) {
+		t.Fatalf("completed %d of %d scheduled requests", res.requests(), len(sched.Requests))
 	}
 	if res.Unexplained != 0 {
 		t.Fatalf("%d unexplained errors: %v", res.Unexplained, res.ErrSamples)
@@ -89,8 +89,8 @@ func TestOpenLoopRunAgainstCluster(t *testing.T) {
 		t.Fatalf("metrics cross-check mismatch: %s", mc.Describe())
 	}
 	// The cluster's own NTC ledger must agree with both accountings.
-	if total := c.TotalNTC(); total != res.NTC() {
-		t.Fatalf("cluster NTC ledger %d != run accounting %d", total, res.NTC())
+	if total := c.TotalNTC(); total != res.ntc() {
+		t.Fatalf("cluster NTC ledger %d != run accounting %d", total, res.ntc())
 	}
 	if res.Digest != sched.Digest() {
 		t.Fatal("result digest does not fingerprint the driven schedule")
@@ -195,7 +195,7 @@ func TestABCompareSRABeatsPrimariesOnly(t *testing.T) {
 	// High skew concentrates the reads on hot objects, which SRA
 	// replicates everywhere at this capacity — so most reads turn local.
 	pr.Skew = 2.0
-	pr.Geo = GeoWAN3
+	pr.Geo = geoWAN3
 	sched, err := BuildSchedule(p.Sites(), p.Objects(), pr)
 	if err != nil {
 		t.Fatal(err)

@@ -46,8 +46,8 @@ type Schedule struct {
 	Reads, Writes int64
 }
 
-// Duration returns the last arrival's offset (0 for an empty schedule).
-func (s *Schedule) Duration() time.Duration {
+// duration returns the last arrival's offset (0 for an empty schedule).
+func (s *Schedule) duration() time.Duration {
 	if len(s.Requests) == 0 {
 		return 0
 	}
@@ -59,7 +59,7 @@ func (s *Schedule) Duration() time.Duration {
 // profile's seed through one xrand stream consumed in arrival order, so
 // equal inputs produce identical schedules.
 func BuildSchedule(m, n int, pr Profile) (*Schedule, error) {
-	if err := pr.Validate(m); err != nil {
+	if err := pr.validate(m); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
@@ -100,7 +100,7 @@ func BuildSchedule(m, n int, pr Profile) (*Schedule, error) {
 	burstEnd := time.Duration(pr.BurstEndMS) * time.Millisecond
 	var t time.Duration
 	for {
-		inBurst := pr.Arrival == ArrivalBursty && t >= burstStart && t < burstEnd
+		inBurst := pr.Arrival == arrivalBursty && t >= burstStart && t < burstEnd
 		rate := pr.Rate
 		if inBurst {
 			rate *= pr.BurstMult

@@ -93,8 +93,8 @@ func TestScheduleShape(t *testing.T) {
 	if reads != s.Reads || writes != s.Writes {
 		t.Fatalf("counts drifted: %d/%d vs %d/%d", reads, writes, s.Reads, s.Writes)
 	}
-	if s.Duration() >= time.Duration(pr.DurationMS)*time.Millisecond {
-		t.Fatalf("schedule overran its duration: %v", s.Duration())
+	if s.duration() >= time.Duration(pr.DurationMS)*time.Millisecond {
+		t.Fatalf("schedule overran its duration: %v", s.duration())
 	}
 	// WriteFraction 0.3 over thousands of arrivals: crude sanity band.
 	frac := float64(writes) / float64(reads+writes)
@@ -110,7 +110,7 @@ func TestBurstyScheduleConcentratesLoad(t *testing.T) {
 	pr := DefaultProfile()
 	pr.Rate = 1000
 	pr.DurationMS = 1000
-	pr.Arrival = ArrivalBursty
+	pr.Arrival = arrivalBursty
 	pr.BurstMult = 10
 	pr.BurstStartMS = 400
 	pr.BurstEndMS = 600
@@ -286,9 +286,9 @@ func TestProfileValidate(t *testing.T) {
 		{"zero duration", func(p *Profile) { p.DurationMS = 0 }, "duration"},
 		{"unknown arrival", func(p *Profile) { p.Arrival = "chaotic" }, "arrival"},
 		{"burst without bursty", func(p *Profile) { p.BurstMult = 5 }, "burst"},
-		{"bursty without mult", func(p *Profile) { p.Arrival = ArrivalBursty; p.BurstEndMS = 100 }, "burst_mult"},
+		{"bursty without mult", func(p *Profile) { p.Arrival = arrivalBursty; p.BurstEndMS = 100 }, "burst_mult"},
 		{"burst window outside", func(p *Profile) {
-			p.Arrival = ArrivalBursty
+			p.Arrival = arrivalBursty
 			p.BurstMult = 2
 			p.BurstStartMS = 1900
 			p.BurstEndMS = 2500
@@ -305,7 +305,7 @@ func TestProfileValidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pr := base
 			tc.mutate(&pr)
-			err := pr.Validate(4)
+			err := pr.validate(4)
 			if err == nil {
 				t.Fatalf("Validate accepted %+v", pr)
 			}
@@ -314,7 +314,7 @@ func TestProfileValidate(t *testing.T) {
 			}
 		})
 	}
-	if err := base.Validate(4); err != nil {
+	if err := base.validate(4); err != nil {
 		t.Fatalf("default profile rejected: %v", err)
 	}
 }
@@ -323,7 +323,7 @@ func TestProfileValidate(t *testing.T) {
 // unknown fields are rejected.
 func TestProfileCanonicalRoundTrip(t *testing.T) {
 	pr := DefaultProfile()
-	pr.Arrival = ArrivalBursty
+	pr.Arrival = arrivalBursty
 	pr.BurstMult = 4
 	pr.BurstStartMS = 100
 	pr.BurstEndMS = 300
@@ -332,7 +332,7 @@ func TestProfileCanonicalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseProfile(data)
+	back, err := parseProfile(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestProfileCanonicalRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, data2) {
 		t.Fatalf("canonical round trip drifted:\n%s\nvs\n%s", data, data2)
 	}
-	if _, err := ParseProfile([]byte(`{"rate": 5, "warp": 9}`)); err == nil {
+	if _, err := parseProfile([]byte(`{"rate": 5, "warp": 9}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 }
@@ -351,9 +351,9 @@ func TestProfileCanonicalRoundTrip(t *testing.T) {
 // TestGeoMatrixShapes checks the named profiles produce valid symmetric
 // matrices that MatrixPlan accepts.
 func TestGeoMatrixShapes(t *testing.T) {
-	for _, name := range []string{GeoLAN, GeoWAN3} {
+	for _, name := range []string{geoLAN, geoWAN3} {
 		for _, m := range []int{1, 2, 4, 7} {
-			matrix := GeoMatrix(name, m)
+			matrix := geoMatrix(name, m)
 			if len(matrix) != m {
 				t.Fatalf("%s/%d: %d rows", name, m, len(matrix))
 			}
@@ -363,7 +363,7 @@ func TestGeoMatrixShapes(t *testing.T) {
 			}
 		}
 	}
-	if GeoMatrix(GeoNone, 4) != nil {
+	if geoMatrix(GeoNone, 4) != nil {
 		t.Fatal("GeoNone must produce no matrix")
 	}
 	pr := Profile{Geo: GeoNone}

@@ -177,7 +177,7 @@ func (s *SLO) Eval(res *Result) SLOResult {
 			tr.Bound = t.bound * 1e3
 			tr.Pass = sec < t.bound
 		case "err":
-			total := res.Requests()
+			total := res.requests()
 			frac := 0.0
 			if total > 0 {
 				frac = float64(res.ReadsFailed+res.WritesQueued+res.Unexplained) / float64(total)

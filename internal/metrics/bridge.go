@@ -42,9 +42,9 @@ type bridge struct {
 type algInstruments struct {
 	iterations  *Counter
 	bestCostH   *Histogram
-	bestCost    *Gauge
-	bestFitness *Gauge
-	evaluations *Gauge
+	bestCost    *gauge
+	bestFitness *gauge
+	evaluations *gauge
 }
 
 func (b *bridge) instruments(alg string) *algInstruments {
@@ -55,10 +55,10 @@ func (b *bridge) instruments(alg string) *algInstruments {
 		l := Labels{"algorithm": alg}
 		ins = &algInstruments{
 			iterations:  b.reg.Counter("drp_solver_iterations_total", "Completed solver iteration boundaries (generations, site visits, moves).", l),
-			bestCostH:   b.reg.Histogram("drp_solver_best_ntc", "Best-so-far scheme NTC observed at each iteration boundary (convergence trajectory).", CostBuckets(), l),
-			bestCost:    b.reg.Gauge("drp_solver_best_cost", "Most recent best-so-far scheme NTC.", l),
-			bestFitness: b.reg.Gauge("drp_solver_best_fitness", "Most recent best fitness.", l),
-			evaluations: b.reg.Gauge("drp_solver_evaluations", "Evaluations consumed so far by the most recently observed run.", l),
+			bestCostH:   b.reg.Histogram("drp_solver_best_ntc", "Best-so-far scheme NTC observed at each iteration boundary (convergence trajectory).", costBuckets(), l),
+			bestCost:    b.reg.gauge("drp_solver_best_cost", "Most recent best-so-far scheme NTC.", l),
+			bestFitness: b.reg.gauge("drp_solver_best_fitness", "Most recent best fitness.", l),
+			evaluations: b.reg.gauge("drp_solver_evaluations", "Evaluations consumed so far by the most recently observed run.", l),
 		}
 		b.perAlg[alg] = ins
 	}
@@ -72,12 +72,12 @@ func (b *bridge) Progress(p solver.Progress) {
 		ins.iterations.Inc()
 		if p.BestCost > 0 {
 			ins.bestCostH.Observe(float64(p.BestCost))
-			ins.bestCost.Set(float64(p.BestCost))
+			ins.bestCost.set(float64(p.BestCost))
 		}
 		if p.BestFitness != 0 {
-			ins.bestFitness.Set(p.BestFitness)
+			ins.bestFitness.set(p.BestFitness)
 		}
-		ins.evaluations.Set(float64(p.Evaluations))
+		ins.evaluations.set(float64(p.Evaluations))
 	}
 	if b.events != nil {
 		b.events.Emit("solver.progress", map[string]any{
@@ -136,10 +136,10 @@ func RecordStats(reg *Registry, alg string, st solver.Stats, events *EventLog) {
 		runsCounter(reg, alg).Inc()
 		evalsCounter(reg, alg).Add(int64(st.Evaluations))
 		stopsCounter(reg, alg, st.Stopped.String()).Inc()
-		reg.Gauge("drp_solver_elapsed_seconds", "Wall-clock duration of the most recent run.", l).Set(st.Elapsed.Seconds())
+		reg.gauge("drp_solver_elapsed_seconds", "Wall-clock duration of the most recent run.", l).set(st.Elapsed.Seconds())
 		if st.Elapsed > 0 {
-			reg.Gauge("drp_solver_evals_per_second", "Evaluation throughput of the most recent run.", l).
-				Set(float64(st.Evaluations) / st.Elapsed.Seconds())
+			reg.gauge("drp_solver_evals_per_second", "Evaluation throughput of the most recent run.", l).
+				set(float64(st.Evaluations) / st.Elapsed.Seconds())
 		}
 	}
 	if events != nil {

@@ -30,7 +30,7 @@ func TestBridgeObserverRecordsProgress(t *testing.T) {
 	if got := r.Histogram("drp_solver_best_ntc", "", nil, Labels{"algorithm": "gra"}).Count(); got != 3 {
 		t.Fatalf("best-ntc histogram count = %d, want 3", got)
 	}
-	if got := r.Gauge("drp_solver_best_cost", "", Labels{"algorithm": "gra"}).Value(); got != 3000 {
+	if got := r.gauge("drp_solver_best_cost", "", Labels{"algorithm": "gra"}).value(); got != 3000 {
 		t.Fatalf("best-cost gauge = %v, want 3000", got)
 	}
 	if len(forwarded) != 3 {
@@ -76,7 +76,7 @@ func TestRegisterSolverFamilies(t *testing.T) {
 	r := NewRegistry()
 	RegisterSolverFamilies(r, "gra", "agra")
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"time"
 )
 
 // EventLog is a structured JSONL sink: one JSON object per line, each
@@ -14,34 +13,22 @@ import (
 // bytes). Emit is safe for concurrent use; lines are flushed as written so
 // a crashed run keeps everything emitted before the crash.
 //
-// Timestamps are optional and off by default: the solver runtime's
-// boundary-only discipline makes event *content* deterministic for
-// deterministic quantities, and omitting wall-clock stamps keeps single
-// -stream logs byte-comparable across runs. Call Timestamps(true) for
-// operational logs that need them.
+// Events carry no wall-clock stamp: the solver runtime's boundary-only
+// discipline makes event content deterministic for deterministic
+// quantities, and a log without stamps stays byte-comparable across runs.
 type EventLog struct {
-	mu    sync.Mutex
-	w     *bufio.Writer
-	seq   int64
-	stamp bool
-	now   func() time.Time
+	mu  sync.Mutex
+	w   *bufio.Writer
+	seq int64
 }
 
 // NewEventLog wraps w as a JSONL event sink.
 func NewEventLog(w io.Writer) *EventLog {
-	return &EventLog{w: bufio.NewWriter(w), now: time.Now}
-}
-
-// Timestamps toggles an RFC3339Nano "ts" field on every event.
-func (l *EventLog) Timestamps(on bool) *EventLog {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.stamp = on
-	return l
+	return &EventLog{w: bufio.NewWriter(w)}
 }
 
 // Emit writes one event line. fields must be JSON-encodable; the reserved
-// keys "seq", "event" and "ts" are overwritten if supplied.
+// keys "seq" and "event" are overwritten if supplied.
 func (l *EventLog) Emit(event string, fields map[string]any) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -52,9 +39,6 @@ func (l *EventLog) Emit(event string, fields map[string]any) {
 	}
 	obj["seq"] = l.seq
 	obj["event"] = event
-	if l.stamp {
-		obj["ts"] = l.now().Format(time.RFC3339Nano)
-	}
 	data, err := json.Marshal(obj)
 	if err != nil {
 		// A non-encodable field is a programmer error; record it without

@@ -10,12 +10,12 @@ import (
 	"sync"
 )
 
-// WritePrometheus renders every registered instrument in the Prometheus
+// writePrometheus renders every registered instrument in the Prometheus
 // text exposition format (version 0.0.4): families sorted by name, series
 // sorted by label string, histograms as cumulative _bucket/_sum/_count
 // series. The output is a pure function of the registry state, so two
 // registries with equal deterministic instruments render identically.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	var b strings.Builder
 	lastFamily := ""
 	for _, e := range r.sorted() {
@@ -27,11 +27,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			lastFamily = e.name
 		}
 		switch e.kind {
-		case KindCounter:
+		case kindCounter:
 			fmt.Fprintf(&b, "%s%s %d\n", e.name, e.labelStr, e.counter.Value())
-		case KindGauge:
-			fmt.Fprintf(&b, "%s%s %s\n", e.name, e.labelStr, formatFloat(e.gauge.Value()))
-		case KindHistogram:
+		case kindGauge:
+			fmt.Fprintf(&b, "%s%s %s\n", e.name, e.labelStr, formatFloat(e.gauge.value()))
+		case kindHistogram:
 			h := e.hist
 			for i, cum := range h.cumulative(e.ladder) {
 				fmt.Fprintf(&b, "%s_bucket%s %d\n", e.name, withLE(e.labels, formatFloat(e.ladder[i])), cum)
@@ -61,12 +61,12 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Handler serves the registry as text/plain Prometheus exposition — mount
+// handler serves the registry as text/plain Prometheus exposition — mount
 // it at /metrics.
-func (r *Registry) Handler() http.Handler {
+func (r *Registry) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		_ = r.writePrometheus(w)
 	})
 }
 
@@ -74,11 +74,11 @@ func (r *Registry) Handler() http.Handler {
 // duplicate names, and CLI tests run several instrumented runs per process.
 var expvarMu sync.Mutex
 
-// PublishExpvar publishes the registry under the given expvar name (it then
+// publishExpvar publishes the registry under the given expvar name (it then
 // appears in /debug/vars as a JSON snapshot). Publishing the same name
 // twice is a no-op — the first registry wins — because expvar's global
 // namespace cannot be unpublished.
-func (r *Registry) PublishExpvar(name string) {
+func (r *Registry) publishExpvar(name string) {
 	expvarMu.Lock()
 	defer expvarMu.Unlock()
 	if expvar.Get(name) != nil {

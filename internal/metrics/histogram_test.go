@@ -201,7 +201,7 @@ func TestLadderProjectionMatchesOracle(t *testing.T) {
 		gen    func() float64
 	}{
 		"latency": {LatencyBuckets(), func() float64 { return math.Exp(rng.Float64()*16 - 15) }},
-		"cost":    {CostBuckets(), func() float64 { return math.Floor(math.Exp(rng.Float64() * 27)) }},
+		"cost":    {costBuckets(), func() float64 { return math.Floor(math.Exp(rng.Float64() * 27)) }},
 	} {
 		r := NewRegistry()
 		h := r.Histogram("drp_x", "", c.ladder, nil)

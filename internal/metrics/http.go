@@ -30,9 +30,9 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
-	reg.PublishExpvar("drp_metrics")
+	reg.publishExpvar("drp_metrics")
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/metrics", reg.handler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

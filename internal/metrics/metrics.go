@@ -33,9 +33,9 @@ type Kind string
 
 // Instrument kinds.
 const (
-	KindCounter   Kind = "counter"
-	KindGauge     Kind = "gauge"
-	KindHistogram Kind = "histogram"
+	kindCounter   Kind = "counter"
+	kindGauge     Kind = "gauge"
+	kindHistogram Kind = "histogram"
 )
 
 // Labels attach constant dimensions to an instrument. Instruments with the
@@ -62,27 +62,16 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a last-writer-wins float value, safe for concurrent use.
-type Gauge struct {
+// gauge is a last-writer-wins float value, safe for concurrent use.
+type gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+// set stores v.
+func (g *gauge) set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add increments the gauge by d (CAS loop; gauges may go down).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+// value returns the current value.
+func (g *gauge) value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // The histogram's resolution and range. Each power-of-two band of the
 // value range splits into 2^subBits linear sub-buckets, so a bucket's
@@ -267,10 +256,10 @@ func powersOfTwo(exp, step, count int) []float64 {
 // doublings.
 func LatencyBuckets() []float64 { return powersOfTwo(-20, 1, 23) }
 
-// CostBuckets is the exposition ladder for NTC units — per-request
+// costBuckets is the exposition ladder for NTC units — per-request
 // transfer costs and best-so-far scheme costs: 1 to 2^38 (~2.7e11) in
 // powers of four.
-func CostBuckets() []float64 { return powersOfTwo(0, 2, 20) }
+func costBuckets() []float64 { return powersOfTwo(0, 2, 20) }
 
 // entry is one registered instrument.
 type entry struct {
@@ -281,7 +270,7 @@ type entry struct {
 	kind     Kind
 
 	counter *Counter
-	gauge   *Gauge
+	gauge   *gauge
 	hist    *Histogram
 	ladder  []float64 // histograms: the le bounds of exposition and snapshots
 }
@@ -303,14 +292,14 @@ func NewRegistry() *Registry {
 // Counter returns the counter registered under name+labels, creating it on
 // first use.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	e := r.get(name, help, labels, KindCounter)
+	e := r.get(name, help, labels, kindCounter)
 	return e.counter
 }
 
-// Gauge returns the gauge registered under name+labels, creating it on
+// gauge returns the gauge registered under name+labels, creating it on
 // first use.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	e := r.get(name, help, labels, KindGauge)
+func (r *Registry) gauge(name, help string, labels Labels) *gauge {
+	e := r.get(name, help, labels, kindGauge)
 	return e.gauge
 }
 
@@ -325,7 +314,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels)
 	defer r.mu.Unlock()
 	key := name + renderLabels(labels)
 	if e, ok := r.entries[key]; ok {
-		if e.kind != KindHistogram {
+		if e.kind != kindHistogram {
 			panic(fmt.Sprintf("metrics: %s already registered as %s", key, e.kind))
 		}
 		if bounds != nil && !slices.Equal(bounds, e.ladder) {
@@ -345,7 +334,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels)
 		}
 	}
 	h := new(Histogram)
-	r.register(key, &entry{name: name, help: help, labels: copyLabels(labels), labelStr: renderLabels(labels), kind: KindHistogram, hist: h, ladder: slices.Clone(bounds)})
+	r.register(key, &entry{name: name, help: help, labels: copyLabels(labels), labelStr: renderLabels(labels), kind: kindHistogram, hist: h, ladder: slices.Clone(bounds)})
 	return h
 }
 
@@ -361,10 +350,10 @@ func (r *Registry) get(name, help string, labels Labels, kind Kind) *entry {
 	}
 	e := &entry{name: name, help: help, labels: copyLabels(labels), labelStr: renderLabels(labels), kind: kind}
 	switch kind {
-	case KindCounter:
+	case kindCounter:
 		e.counter = &Counter{}
-	case KindGauge:
-		e.gauge = &Gauge{}
+	case kindGauge:
+		e.gauge = &gauge{}
 	}
 	r.register(key, e)
 	return e

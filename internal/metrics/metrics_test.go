@@ -29,11 +29,11 @@ func TestCounterNegativeAddPanics(t *testing.T) {
 	NewRegistry().Counter("test_total", "", nil).Add(-1)
 }
 
-func TestGaugeSetAdd(t *testing.T) {
-	g := NewRegistry().Gauge("test", "", nil)
-	g.Set(2.5)
-	g.Add(-1.0)
-	if got := g.Value(); got != 1.5 {
+func TestGaugeSet(t *testing.T) {
+	g := NewRegistry().gauge("test", "", nil)
+	g.set(2.5)
+	g.set(1.5)
+	if got := g.value(); got != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestKindConflictPanics(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("test", "", nil)
+	r.gauge("test", "", nil)
 }
 
 func TestFamilyKindMixPanics(t *testing.T) {
@@ -93,7 +93,7 @@ func TestFamilyKindMixPanics(t *testing.T) {
 			t.Fatal("family kind mix did not panic")
 		}
 	}()
-	r.Gauge("test", "", Labels{"a": "2"})
+	r.gauge("test", "", Labels{"a": "2"})
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -117,7 +117,7 @@ func TestExponentialBuckets(t *testing.T) {
 	if n := len(lat); n != 23 || lat[0] != 1.0/(1<<20) || lat[n-1] != 4 {
 		t.Fatalf("latency ladder = %d bounds %v..%v, want 23 from 2^-20 to 4", n, lat[0], lat[n-1])
 	}
-	cost := CostBuckets()
+	cost := costBuckets()
 	if n := len(cost); n != 20 || cost[0] != 1 || cost[n-1] != 1<<38 {
 		t.Fatalf("cost ladder = %d bounds %v..%v, want 20 from 1 to 2^38", n, cost[0], cost[n-1])
 	}
@@ -135,13 +135,13 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("drp_reqs_total", "Requests.", Labels{"op": "read"}).Add(3)
 	r.Counter("drp_reqs_total", "Requests.", Labels{"op": "write"}).Add(1)
-	r.Gauge("drp_live", "Live value.", nil).Set(0.5)
+	r.gauge("drp_live", "Live value.", nil).set(0.5)
 	h := r.Histogram("drp_lat", "Latency.", []float64{1, 2}, nil)
 	h.Observe(1)
 	h.Observe(5)
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -172,8 +172,8 @@ func TestWritePrometheus(t *testing.T) {
 func TestSnapshotDeterministicFilters(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("drp_work_total", "", nil).Inc()
-	r.Gauge("drp_live", "", nil).Set(1)
-	r.Gauge("drp_rate_per_second", "", nil).Set(9)
+	r.gauge("drp_live", "", nil).set(1)
+	r.gauge("drp_rate_per_second", "", nil).set(9)
 	r.Histogram("drp_adapt_seconds", "", []float64{1}, nil).Observe(0.2)
 	r.Histogram("drp_cost", "", []float64{1}, nil).Observe(0.5)
 
@@ -246,7 +246,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("drp_work_total", "", nil).Inc()
 				r.Histogram("drp_cost", "", []float64{1, 10}, nil).Observe(float64(j % 20))
-				r.Gauge("drp_live", "", nil).Set(float64(j))
+				r.gauge("drp_live", "", nil).set(float64(j))
 			}
 		}()
 	}

@@ -48,11 +48,11 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, e := range entries {
 		is := InstrumentSnapshot{Name: e.name, Kind: e.kind, Labels: e.labels, Help: e.help}
 		switch e.kind {
-		case KindCounter:
+		case kindCounter:
 			is.Value = float64(e.counter.Value())
-		case KindGauge:
-			is.Value = e.gauge.Value()
-		case KindHistogram:
+		case kindGauge:
+			is.Value = e.gauge.value()
+		case kindHistogram:
 			h := e.hist
 			is.Count = h.Count()
 			is.Sum = h.Sum()
@@ -74,7 +74,7 @@ func (r *Registry) Snapshot() Snapshot {
 // like drpload's cross-check use it to audit archived runs.
 func (s Snapshot) CounterValue(name string, labels map[string]string) (int64, bool) {
 	for _, is := range s.Instruments {
-		if is.Name != name || is.Kind != KindCounter || len(is.Labels) != len(labels) {
+		if is.Name != name || is.Kind != kindCounter || len(is.Labels) != len(labels) {
 			continue
 		}
 		match := true
@@ -91,9 +91,9 @@ func (s Snapshot) CounterValue(name string, labels map[string]string) (int64, bo
 	return 0, false
 }
 
-// Filter returns the snapshot restricted to instruments keep accepts,
+// filter returns the snapshot restricted to instruments keep accepts,
 // preserving order.
-func (s Snapshot) Filter(keep func(InstrumentSnapshot) bool) Snapshot {
+func (s Snapshot) filter(keep func(InstrumentSnapshot) bool) Snapshot {
 	out := Snapshot{}
 	for _, is := range s.Instruments {
 		if keep(is) {
@@ -109,8 +109,8 @@ func (s Snapshot) Filter(keep func(InstrumentSnapshot) bool) Snapshot {
 // instrumented runs of the same seeded workload produce equal Deterministic
 // snapshots at any worker count.
 func (s Snapshot) Deterministic() Snapshot {
-	return s.Filter(func(is InstrumentSnapshot) bool {
-		if is.Kind == KindGauge {
+	return s.filter(func(is InstrumentSnapshot) bool {
+		if is.Kind == kindGauge {
 			return false
 		}
 		return !timingName(is.Name)
@@ -126,8 +126,8 @@ func timingName(name string) bool {
 	return false
 }
 
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
+// writeJSON writes the snapshot as indented JSON.
+func (s Snapshot) writeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
@@ -141,7 +141,7 @@ func WriteSnapshotFile(r *Registry, path string) error {
 		return err
 	}
 	defer f.Close()
-	if err := r.Snapshot().WriteJSON(f); err != nil {
+	if err := r.Snapshot().writeJSON(f); err != nil {
 		return err
 	}
 	return f.Close()

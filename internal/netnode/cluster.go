@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"drp/internal/core"
-	"drp/internal/membership"
 	"drp/internal/metrics"
 	"drp/internal/plan"
 	"drp/internal/spans"
@@ -25,8 +24,8 @@ import (
 type Cluster struct {
 	p     *core.Problem
 	nodes []*Node
-	view  membership.View // member sites; Join and Leave move it on
-	plan  *plan.Plan      // deployed placement plan
+	view  plan.View  // member sites; Join and Leave move it on
+	plan  *plan.Plan // deployed placement plan
 
 	opts  callOpts  // coordinator commands: gate (fault seam), retries, deadline
 	links transport // the coordinator's own links to the member sites
@@ -99,7 +98,7 @@ func allSites(p *core.Problem) []int {
 // interrupted migration is tolerated: the next Deploy, ApplyPlan or
 // ResumeMigration drops the surplus.
 func start(p *core.Problem, members []int, root string, opts store.Options) (*Cluster, error) {
-	view, err := membership.NewView(p.Sites(), members)
+	view, err := plan.NewView(p.Sites(), members)
 	if err != nil {
 		return nil, err
 	}
@@ -148,15 +147,15 @@ func (c *Cluster) bootNode(i int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node, err := ListenStore(c.p, i, "127.0.0.1:0", st)
+	node, err := listenStore(c.p, i, "127.0.0.1:0", st)
 	if err != nil {
 		_ = st.Close()
 		return nil, err
 	}
-	node.SetRetry(c.opts.retry)
-	node.SetRequestTimeout(c.opts.timeout)
-	node.SetMetrics(c.metricsReg)
-	node.SetTracer(c.tracer)
+	node.setRetry(c.opts.retry)
+	node.setRequestTimeout(c.opts.timeout)
+	node.setMetrics(c.metricsReg)
+	node.setTracer(c.tracer)
 	return node, nil
 }
 
@@ -230,7 +229,7 @@ func (c *Cluster) SetRetry(rp RetryPolicy) {
 	c.opts.retry = rp
 	for _, node := range c.nodes {
 		if node != nil {
-			node.SetRetry(rp)
+			node.setRetry(rp)
 		}
 	}
 }
@@ -241,7 +240,7 @@ func (c *Cluster) SetRequestTimeout(d time.Duration) {
 	c.opts.timeout = d
 	for _, node := range c.nodes {
 		if node != nil {
-			node.SetRequestTimeout(d)
+			node.setRequestTimeout(d)
 		}
 	}
 }
@@ -251,7 +250,7 @@ func (c *Cluster) Close() {
 	c.links.close()
 	for _, node := range c.nodes {
 		if node != nil {
-			_ = node.Close()
+			_ = node.close()
 		}
 	}
 }
@@ -262,7 +261,7 @@ func (c *Cluster) Close() {
 // elsewhere is promoted back). Returns the migration
 // transfer cost (each new replica fetched from the nearest prior holder).
 func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
-	target, err := plan.FromSchemeView(next, membership.View{Epoch: c.plan.View.Epoch, Members: c.view.Members})
+	target, err := plan.FromSchemeView(next, plan.View{Epoch: c.plan.View.Epoch, Members: c.view.Members})
 	if err != nil {
 		return 0, err
 	}
@@ -283,7 +282,7 @@ func (c *Cluster) command(site int, msg message, parent *spans.Span) error {
 		return err
 	}
 	if !resp.OK {
-		return fmt.Errorf("netnode: site %d rejected %s: %w", site, msg.Op, &ReplyError{Code: resp.Code, Msg: resp.Err})
+		return fmt.Errorf("netnode: site %d rejected %s: %w", site, msg.Op, &replyError{Code: resp.Code, Msg: resp.Err})
 	}
 	return nil
 }
@@ -379,7 +378,7 @@ func (c *Cluster) FlushPending() (int64, error) {
 		if node == nil {
 			continue
 		}
-		cost, err := node.FlushPending()
+		cost, err := node.flushPending()
 		total += cost
 		if err != nil {
 			return total, err
@@ -393,7 +392,7 @@ func (c *Cluster) PendingWrites() int {
 	total := 0
 	for _, node := range c.nodes {
 		if node != nil {
-			total += node.PendingWrites()
+			total += node.pendingWrites()
 		}
 	}
 	return total
@@ -423,7 +422,7 @@ func (c *Cluster) Reconcile() (int64, int, error) {
 		if !resp.OK {
 			root.SetErrText(resp.Err)
 			root.Finish()
-			return total, remaining, fmt.Errorf("reconcile object %d: %w", k, &ReplyError{Code: resp.Code, Msg: resp.Err})
+			return total, remaining, fmt.Errorf("reconcile object %d: %w", k, &replyError{Code: resp.Code, Msg: resp.Err})
 		}
 		root.Finish()
 		total += resp.Cost

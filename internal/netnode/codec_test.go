@@ -54,22 +54,22 @@ type codecCase struct {
 func codecCases(prim, other int) []codecCase {
 	oversized := `{"op":"read","obj":0,"pad":"` + strings.Repeat("x", maxLineBytes) + `"}` + "\n"
 	return []codecCase{
-		{name: "bad JSON line", payload: "{op read}\n", wantCode: CodeBadJSON},
-		{name: "unknown op", payload: `{"op":"explode","obj":0}` + "\n", wantCode: CodeBadOp},
-		{name: "oversized line", payload: oversized, wantCode: CodeOversized},
+		{name: "bad JSON line", payload: "{op read}\n", wantCode: codeBadJSON},
+		{name: "unknown op", payload: `{"op":"explode","obj":0}` + "\n", wantCode: codeBadOp},
+		{name: "oversized line", payload: oversized, wantCode: codeOversized},
 		{name: "truncated request", payload: `{"op":"read","obj`, closeWrite: true, wantClosed: true},
-		{name: "object out of range", payload: `{"op":"read","obj":99}` + "\n", wantCode: CodeBadObject},
-		{name: "negative object", payload: `{"op":"read","obj":-1}` + "\n", wantCode: CodeBadObject},
+		{name: "object out of range", payload: `{"op":"read","obj":99}` + "\n", wantCode: codeBadObject},
+		{name: "negative object", payload: `{"op":"read","obj":-1}` + "\n", wantCode: codeBadObject},
 		{name: "empty line then valid request", site: prim, payload: "\n" + `{"op":"read","obj":0}` + "\n"},
-		{name: "retired op nearest", payload: `{"op":"nearest","obj":0,"site":0}` + "\n", wantCode: CodeBadOp},
-		{name: "retired op registry", site: prim, payload: `{"op":"registry","obj":0,"sites":[0]}` + "\n", wantCode: CodeBadOp},
-		{name: "retired op version", site: prim, payload: `{"op":"version","obj":0}` + "\n", wantCode: CodeBadOp},
-		{name: "primary site out of range", payload: `{"op":"primary","obj":0,"site":3}` + "\n", wantCode: CodeBadSite},
-		{name: "replicas site out of range", payload: `{"op":"replicas","obj":0,"sites":[0,3]}` + "\n", wantCode: CodeBadSite},
-		{name: "replicas site negative", site: prim, payload: `{"op":"replicas","obj":0,"sites":[-1]}` + "\n", wantCode: CodeBadSite},
-		{name: "update to a non-primary", site: other, payload: `{"op":"update","obj":0}` + "\n", wantCode: CodeNotPrimary},
-		{name: "reconcile to a non-primary", site: other, payload: `{"op":"reconcile","obj":0}` + "\n", wantCode: CodeNotPrimary},
-		{name: "drop of a primary copy", site: prim, payload: `{"op":"drop","obj":0}` + "\n", wantCode: CodeNotPrimary},
+		{name: "retired op nearest", payload: `{"op":"nearest","obj":0,"site":0}` + "\n", wantCode: codeBadOp},
+		{name: "retired op registry", site: prim, payload: `{"op":"registry","obj":0,"sites":[0]}` + "\n", wantCode: codeBadOp},
+		{name: "retired op version", site: prim, payload: `{"op":"version","obj":0}` + "\n", wantCode: codeBadOp},
+		{name: "primary site out of range", payload: `{"op":"primary","obj":0,"site":3}` + "\n", wantCode: codeBadSite},
+		{name: "replicas site out of range", payload: `{"op":"replicas","obj":0,"sites":[0,3]}` + "\n", wantCode: codeBadSite},
+		{name: "replicas site negative", site: prim, payload: `{"op":"replicas","obj":0,"sites":[-1]}` + "\n", wantCode: codeBadSite},
+		{name: "update to a non-primary", site: other, payload: `{"op":"update","obj":0}` + "\n", wantCode: codeNotPrimary},
+		{name: "reconcile to a non-primary", site: other, payload: `{"op":"reconcile","obj":0}` + "\n", wantCode: codeNotPrimary},
+		{name: "drop of a primary copy", site: prim, payload: `{"op":"drop","obj":0}` + "\n", wantCode: codeNotPrimary},
 	}
 }
 
@@ -123,7 +123,7 @@ func TestWireCodecEdgeCases(t *testing.T) {
 	}
 
 	// A crash-stopped store refuses every mutation: the node answers
-	// CodeStorage rather than acknowledge what never reached the log.
+	// codeStorage rather than acknowledge what never reached the log.
 	for _, tc := range []struct {
 		site int
 		msg  message
@@ -139,8 +139,8 @@ func TestWireCodecEdgeCases(t *testing.T) {
 		if err := n.Kill(); err != nil {
 			t.Fatal(err)
 		}
-		if resp := n.handle(tc.msg); resp.OK || resp.Code != CodeStorage {
-			t.Errorf("%s at crash-stopped site %d: reply %+v, want code %q", tc.msg.Op, tc.site, resp, CodeStorage)
+		if resp := n.handle(tc.msg); resp.OK || resp.Code != codeStorage {
+			t.Errorf("%s at crash-stopped site %d: reply %+v, want code %q", tc.msg.Op, tc.site, resp, codeStorage)
 		}
 	}
 }
@@ -238,8 +238,8 @@ func TestCallPeerClosesMidReply(t *testing.T) {
 }
 
 // TestUnknownOpTypedReplyRegression is the regression for the formerly
-// bare default branches: an unknown op must yield a typed CodeBadOp reply
-// naming the op, and a sync for an unheld object must yield CodeNotHolder
+// bare default branches: an unknown op must yield a typed codeBadOp reply
+// naming the op, and a sync for an unheld object must yield codeNotHolder
 // — neither silently succeeds.
 func TestUnknownOpTypedReplyRegression(t *testing.T) {
 	p := gen(t, 3, 3, 0.3, 0.5, 1)
@@ -251,16 +251,16 @@ func TestUnknownOpTypedReplyRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != CodeBadOp || !strings.Contains(resp.Err, "mystery") {
-		t.Errorf("unknown op reply = %+v, want Code=%q naming the op", resp, CodeBadOp)
+	if resp.OK || resp.Code != codeBadOp || !strings.Contains(resp.Err, "mystery") {
+		t.Errorf("unknown op reply = %+v, want Code=%q naming the op", resp, codeBadOp)
 	}
 
 	resp, err = callOnce(c.Node(nonHolder).Addr(), message{Op: "sync", Object: k, Version: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != CodeNotHolder {
-		t.Errorf("sync to non-holder reply = %+v, want Code=%q", resp, CodeNotHolder)
+	if resp.OK || resp.Code != codeNotHolder {
+		t.Errorf("sync to non-holder reply = %+v, want Code=%q", resp, codeNotHolder)
 	}
 	if got := c.Node(nonHolder).Version(k); got != 0 {
 		t.Errorf("rejected sync still bumped version to %d", got)

@@ -12,8 +12,8 @@ import (
 
 // replyCodes is every code a rejection may carry.
 var replyCodes = map[string]bool{
-	CodeBadOp: true, CodeBadJSON: true, CodeOversized: true, CodeBadObject: true,
-	CodeBadSite: true, CodeNotPrimary: true, CodeNotHolder: true, CodeStorage: true,
+	codeBadOp: true, codeBadJSON: true, codeOversized: true, codeBadObject: true,
+	codeBadSite: true, codeNotPrimary: true, codeNotHolder: true, codeStorage: true,
 }
 
 // FuzzNodeLine feeds arbitrary bytes through serve's line decoder into
@@ -53,8 +53,8 @@ func FuzzNodeLine(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer n.Close()
-		n.SetPeers(make([]string, p.Sites()))
+		defer n.close()
+		n.setPeers(make([]string, p.Sites()))
 
 		client, server := net.Pipe()
 		defer client.Close()
@@ -106,7 +106,7 @@ func FuzzNodeLine(f *testing.F) {
 				// oversized, and then closes.
 				select {
 				case resp := <-replies:
-					if resp.Code != CodeOversized {
+					if resp.Code != codeOversized {
 						t.Fatalf("unhandled line %s answered %+v", brief(line), resp)
 					}
 					break lines
@@ -128,7 +128,7 @@ func FuzzNodeLine(f *testing.F) {
 				t.Fatalf("line %s rejected (%s) but moved the site:\nbefore %s (ntc %d)\nafter  %s (ntc %d)", brief(line), resp.Code, state, ntc, got, n.NTC())
 			}
 			state, ntc = got, n.NTC()
-			if resp.Code == CodeBadJSON || resp.Code == CodeOversized {
+			if resp.Code == codeBadJSON || resp.Code == codeOversized {
 				break // serve closes a stream it can no longer frame
 			}
 		}

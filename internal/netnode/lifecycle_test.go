@@ -21,10 +21,10 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Close(); err != nil {
+	if err := n.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Close(); err != nil {
+	if err := n.close(); err != nil {
 		t.Fatalf("second Close errored: %v", err)
 	}
 
@@ -37,7 +37,7 @@ func TestCloseIdempotent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = n2.Close()
+			_ = n2.close()
 		}()
 	}
 	wg.Wait()
@@ -49,7 +49,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := n3.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if err := n3.Close(); err != nil {
+	if err := n3.close(); err != nil {
 		t.Fatalf("Close after Kill errored: %v", err)
 	}
 }
@@ -110,8 +110,8 @@ func TestSendReplyHonoursDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	n.SetRequestTimeout(50 * time.Millisecond)
+	defer n.close()
+	n.setRequestTimeout(50 * time.Millisecond)
 
 	// net.Pipe is fully synchronous: a write blocks until the far end
 	// reads, which nothing ever does here. Only the deadline can free it.
@@ -120,7 +120,7 @@ func TestSendReplyHonoursDeadline(t *testing.T) {
 	defer server.Close()
 	done := make(chan error, 1)
 	go func() {
-		done <- n.sendReply(server, json.NewEncoder(server), &reply{Code: CodeBadJSON, Err: "x"})
+		done <- n.sendReply(server, json.NewEncoder(server), &reply{Code: codeBadJSON, Err: "x"})
 	}()
 	select {
 	case err := <-done:
@@ -139,8 +139,8 @@ func TestSendReplyHonoursDeadline(t *testing.T) {
 var badFrames = []struct {
 	name, payload, code string
 }{
-	{"oversized", strings.Repeat("x", maxLineBytes+linkBufBytes), CodeOversized},
-	{"malformed", "{not json}\n", CodeBadJSON},
+	{"oversized", strings.Repeat("x", maxLineBytes+linkBufBytes), codeOversized},
+	{"malformed", "{not json}\n", codeBadJSON},
 }
 
 // Oversized and malformed frames get a typed error reply (under the same
@@ -151,8 +151,8 @@ func TestServeRejectsBadFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	n.SetRequestTimeout(time.Second)
+	defer n.close()
+	n.setRequestTimeout(time.Second)
 
 	for _, tc := range badFrames {
 		t.Run(tc.name, func(t *testing.T) {

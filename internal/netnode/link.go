@@ -179,7 +179,7 @@ func (t *transport) attempt(o callOpts, addr string, msg message) (reply, error)
 		return reply{}, fmt.Errorf("netnode: dial %s: %w", addr, err)
 	}
 	resp, err := l.roundTrip(msg, o.timeout)
-	if err != nil || resp.Code == CodeOversized || resp.Code == CodeBadJSON {
+	if err != nil || resp.Code == codeOversized || resp.Code == codeBadJSON {
 		// A framing rejection is a reply, but the peer closes the stream
 		// after sending it.
 		l.conn.Close()

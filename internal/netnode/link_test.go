@@ -77,13 +77,13 @@ func TestCloseWithIdleClient(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		stop func(*Node) error
-	}{{"Close", (*Node).Close}, {"Kill", (*Node).Kill}} {
+	}{{"Close", (*Node).close}, {"Kill", (*Node).Kill}} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, err := Listen(p, 0, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer n.Close()
+			defer n.close()
 			conn, err := net.Dial("tcp", n.Addr())
 			if err != nil {
 				t.Fatal(err)
@@ -272,29 +272,29 @@ func TestSetPeersDropsLinksToRestartedPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
+	defer a.close()
 	b, err := Listen(p, holder, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	table := make([]string, 2)
 	table[reader], table[holder] = a.Addr(), b.Addr()
-	a.SetPeers(table)
+	a.setPeers(table)
 	if _, err := a.Read(k); err != nil {
 		t.Fatal(err)
 	}
 	if got := idleLinks(&a.links); got != 1 {
 		t.Fatalf("%d idle links after one read, want 1", got)
 	}
-	if err := b.Close(); err != nil {
+	if err := b.close(); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := Listen(p, holder, table[holder])
 	if err != nil {
 		t.Skipf("the port was not free again: %v", err)
 	}
-	defer b2.Close()
-	a.SetPeers(table)
+	defer b2.close()
+	a.setPeers(table)
 	if got := idleLinks(&a.links); got != 0 {
 		t.Fatalf("SetPeers kept %d idle links", got)
 	}
@@ -343,12 +343,12 @@ func TestSettersDuringTraffic(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		for i := 0; i < p.Sites(); i++ {
 			n := c.Node(i)
-			n.SetRetry(RetryPolicy{Attempts: 1 + round%3})
-			n.SetRequestTimeout(time.Duration(round%2) * 10 * time.Second)
-			n.SetMetrics([]*metrics.Registry{nil, reg}[round%2])
+			n.setRetry(RetryPolicy{Attempts: 1 + round%3})
+			n.setRequestTimeout(time.Duration(round%2) * 10 * time.Second)
+			n.setMetrics([]*metrics.Registry{nil, reg}[round%2])
 			n.SetDialer([]Dialer{nil, pass}[round%2])
-			n.SetTracer(nil)
-			n.SetPeers(table)
+			n.setTracer(nil)
+			n.setPeers(table)
 		}
 	}
 	wg.Wait()
@@ -392,7 +392,7 @@ func TestFramingViolationDropsLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
+	defer n.close()
 	var tr transport
 	defer tr.close()
 	opts := callOpts{timeout: 10 * time.Second}
@@ -410,8 +410,8 @@ func TestFramingViolationDropsLink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no typed reply: %v", err)
 	}
-	if resp.OK || resp.Code != CodeOversized {
-		t.Fatalf("reply %+v, want code %q", resp, CodeOversized)
+	if resp.OK || resp.Code != codeOversized {
+		t.Fatalf("reply %+v, want code %q", resp, codeOversized)
 	}
 	if got := idleLinks(&tr); got != 0 {
 		t.Fatalf("the client kept %d links after a framing rejection", got)

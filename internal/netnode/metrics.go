@@ -129,10 +129,10 @@ func (nm *nodeMetrics) write(primary bool, cost int64, elapsed time.Duration) {
 	nm.writeSeconds.Observe(elapsed.Seconds())
 }
 
-// SetMetrics attaches a registry to the node: client-side Read/Write
+// setMetrics attaches a registry to the node: client-side Read/Write
 // latency histograms, replica-hit and NTC counters, and server-side
 // message counters. Call before driving traffic; nil detaches.
-func (n *Node) SetMetrics(reg *metrics.Registry) {
+func (n *Node) setMetrics(reg *metrics.Registry) {
 	var nm *nodeMetrics
 	if reg != nil {
 		nm = newNodeMetrics(reg)
@@ -146,7 +146,7 @@ func (c *Cluster) EnableMetrics(reg *metrics.Registry) {
 	c.metricsReg = reg
 	for _, node := range c.nodes {
 		if node != nil {
-			node.SetMetrics(reg)
+			node.setMetrics(reg)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c.EnableMetrics(reg)
 	for i := 0; i < p.Sites(); i++ {
-		c.Node(i).SetMetrics(nil)
+		c.Node(i).setMetrics(nil)
 	}
 	if _, err := c.DriveTraffic(); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 // Regression: the served-message counter used to take its op label
 // straight from the wire, so every distinct bogus op minted a new series.
 // Unrecognised ops share one "unknown" series, each still refused with
-// CodeBadOp, and known ops keep their own counts.
+// codeBadOp, and known ops keep their own counts.
 func TestUnknownOpsShareOneSeries(t *testing.T) {
 	p := gen(t, 2, 2, 0.05, 0.5, 41)
 	c := startCluster(t, p)
@@ -123,7 +123,7 @@ func TestUnknownOpsShareOneSeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := []string{CodeBadOp, CodeBadObject}[i%2]; resp.OK || resp.Code != want {
+		if want := []string{codeBadOp, codeBadObject}[i%2]; resp.OK || resp.Code != want {
 			t.Fatalf("bogus op %d answered %+v, want code %q", i, resp, want)
 		}
 	}

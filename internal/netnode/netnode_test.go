@@ -27,7 +27,7 @@ func Listen(p *core.Problem, site int, addr string) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ListenStore(p, site, addr, st)
+	return listenStore(p, site, addr, st)
 }
 
 func startCluster(t *testing.T, p *core.Problem) *Cluster {
@@ -181,9 +181,9 @@ func TestReadFromNonHolderFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := c.Node(reader).Read(k)
-	var re *ReplyError
-	if !errors.As(err, &re) || re.Code != CodeNotHolder {
-		t.Fatalf("read through a replica set naming a non-holder: %v, want a %q rejection", err, CodeNotHolder)
+	var re *replyError
+	if !errors.As(err, &re) || re.Code != codeNotHolder {
+		t.Fatalf("read through a replica set naming a non-holder: %v, want a %q rejection", err, codeNotHolder)
 	}
 }
 

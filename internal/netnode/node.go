@@ -26,7 +26,7 @@
 //
 // Site state lives in a drp/internal/store.Store — in-memory by default,
 // or backed by a write-ahead log and snapshots when the node is opened on
-// a data directory (ListenStore / StartDurable). In durable mode every
+// a data directory (listenStore / StartDurable). In durable mode every
 // state change is appended to the log before the request is acknowledged,
 // so a node killed at any instant restarts from its directory (open →
 // replay → serve) with exactly the versions, stale marks, queued writes
@@ -82,18 +82,18 @@ type reply struct {
 // distinguish coordination bugs from transport faults without parsing
 // error strings.
 const (
-	CodeBadOp      = "bad_op"
-	CodeBadJSON    = "bad_json"
-	CodeOversized  = "oversized"
-	CodeBadObject  = "bad_object"
-	CodeBadSite    = "bad_site"
-	CodeNotPrimary = "not_primary"
-	CodeNotHolder  = "not_holder"
-	CodeStorage    = "storage"
+	codeBadOp      = "bad_op"
+	codeBadJSON    = "bad_json"
+	codeOversized  = "oversized"
+	codeBadObject  = "bad_object"
+	codeBadSite    = "bad_site"
+	codeNotPrimary = "not_primary"
+	codeNotHolder  = "not_holder"
+	codeStorage    = "storage"
 )
 
 // maxLineBytes caps one wire request line; longer lines are rejected with
-// CodeOversized and the connection is closed (the stream can no longer be
+// codeOversized and the connection is closed (the stream can no longer be
 // trusted to be framed).
 const maxLineBytes = 1 << 20
 
@@ -105,16 +105,16 @@ const defaultReplyTimeout = 5 * time.Second
 // errOversized is returned by readLine when the cap is exceeded.
 var errOversized = errors.New("netnode: request line exceeds limit")
 
-// ReplyError is a protocol-level rejection from a peer: the transport
+// replyError is a protocol-level rejection from a peer: the transport
 // worked, but the peer refused the operation. Protocol rejections are
 // never retried or failed over — they indicate a coordination bug, not a
 // dead site.
-type ReplyError struct {
+type replyError struct {
 	Code string
 	Msg  string
 }
 
-func (e *ReplyError) Error() string {
+func (e *replyError) Error() string {
 	if e.Code == "" {
 		return "netnode: peer rejected request: " + e.Msg
 	}
@@ -135,7 +135,7 @@ var (
 // primary (where writes ship) and the replica set R_k: reads rank R_k to
 // find SN_k(i), and at the primary writes broadcast over it. The state
 // itself lives in a store.Store: memory-backed by Listen, WAL-backed by
-// ListenStore.
+// listenStore.
 type Node struct {
 	p    *core.Problem
 	site int
@@ -183,11 +183,11 @@ func primaries(p *core.Problem) []int {
 	return out
 }
 
-// ListenStore starts a node whose state lives in st — typically a durable
+// listenStore starts a node whose state lives in st — typically a durable
 // store opened (and therefore replayed) from the site's data directory.
 // The lifecycle is open → replay → serve: by the time the listener accepts
 // its first connection the state is exactly what the log prescribes.
-func ListenStore(p *core.Problem, site int, addr string, st *store.Store) (*Node, error) {
+func listenStore(p *core.Problem, site int, addr string, st *store.Store) (*Node, error) {
 	if site < 0 || site >= p.Sites() {
 		return nil, fmt.Errorf("netnode: site %d out of range", site)
 	}
@@ -219,17 +219,14 @@ func ListenStore(p *core.Problem, site int, addr string, st *store.Store) (*Node
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
-// Site returns the node's site index.
-func (n *Node) Site() int { return n.site }
-
 // Store returns the node's state store.
 func (n *Node) Store() *store.Store { return n.st }
 
-// SetPeers wires the full address table (indexed by site) and closes the
+// setPeers wires the full address table (indexed by site) and closes the
 // node's idle links: a new table starts without any, so no link to an
 // address that left it — or to a peer that restarted on the port it had —
 // is used again.
-func (n *Node) SetPeers(addrs []string) {
+func (n *Node) setPeers(addrs []string) {
 	peers := append([]string(nil), addrs...)
 	n.configure(func(c *nodeConfig) { c.peers = peers })
 	n.links.reset()
@@ -243,17 +240,17 @@ func (n *Node) SetDialer(d Dialer) {
 	n.configure(func(c *nodeConfig) { c.gate = d })
 }
 
-// SetRetry configures transport-level retries for the node's outbound
+// setRetry configures transport-level retries for the node's outbound
 // calls. The zero policy (Attempts ≤ 1) disables retrying.
-func (n *Node) SetRetry(rp RetryPolicy) {
+func (n *Node) setRetry(rp RetryPolicy) {
 	n.configure(func(c *nodeConfig) { c.retry = rp })
 }
 
-// SetRequestTimeout bounds each outbound attempt (opening a link when
+// setRequestTimeout bounds each outbound attempt (opening a link when
 // none is idle, then the round trip) and each reply write; 0 disables the
 // outbound deadline (reply writes then fall back to a conservative
 // default).
-func (n *Node) SetRequestTimeout(d time.Duration) {
+func (n *Node) setRequestTimeout(d time.Duration) {
 	n.configure(func(c *nodeConfig) { c.timeout = d })
 }
 
@@ -269,19 +266,15 @@ func (n *Node) NTC() int64 { return n.st.NTC() }
 // Holds reports whether the node currently stores object k.
 func (n *Node) Holds(k int) bool { return n.st.Holds(k) }
 
-// PendingWrites returns the number of writes queued locally because the
+// pendingWrites returns the number of writes queued locally because the
 // primary was unreachable when they were issued.
-func (n *Node) PendingWrites() int { return n.st.TotalPending() }
+func (n *Node) pendingWrites() int { return n.st.TotalPending() }
 
-// StaleReplicas returns, for an object primaried at this node, the sites
-// that missed a sync broadcast and still await reconciliation.
-func (n *Node) StaleReplicas(k int) []int { return n.st.StaleSites(k) }
-
-// Close shuts the node down — its links, its listener and the connections
+// close shuts the node down — its links, its listener and the connections
 // it accepted — waits for in-flight handlers and closes the store
 // (flushing its log). Close is idempotent: concurrent or repeated calls
 // all return the first outcome.
-func (n *Node) Close() error { return n.shutdown(n.st.Close) }
+func (n *Node) close() error { return n.shutdown(n.st.Close) }
 
 // Kill crash-stops the node: it stops serving like Close, but the store's
 // log is abandoned without a flush or snapshot — the SIGKILL-equivalent
@@ -405,7 +398,7 @@ func (n *Node) serve(conn net.Conn) {
 	for {
 		line, err := readLine(r, maxLineBytes)
 		if err == errOversized {
-			resp = reply{Code: CodeOversized, Err: "request line exceeds limit"}
+			resp = reply{Code: codeOversized, Err: "request line exceeds limit"}
 			_ = n.sendReply(conn, enc, &resp)
 			return
 		}
@@ -417,7 +410,7 @@ func (n *Node) serve(conn net.Conn) {
 		}
 		msg = message{}
 		if err := json.Unmarshal(line, &msg); err != nil {
-			resp = reply{Code: CodeBadJSON, Err: fmt.Sprintf("malformed request: %v", err)}
+			resp = reply{Code: codeBadJSON, Err: fmt.Sprintf("malformed request: %v", err)}
 			_ = n.sendReply(conn, enc, &resp)
 			return
 		}
@@ -453,7 +446,7 @@ func readLine(r *bufio.Reader, max int) ([]byte, error) {
 // storageReply converts a store append failure into a typed rejection: the
 // mutation was NOT acknowledged, because it never reached the log.
 func storageReply(err error) reply {
-	return reply{Code: CodeStorage, Err: fmt.Sprintf("storage: %v", err)}
+	return reply{Code: codeStorage, Err: fmt.Sprintf("storage: %v", err)}
 }
 
 // handle wraps the op dispatch in a server-side span when the message
@@ -483,7 +476,7 @@ func (n *Node) handle(msg message) reply {
 // reconcile's re-syncs — hang their transfer spans under it.
 func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 	if msg.Object < 0 || msg.Object >= n.p.Objects() {
-		return reply{Code: CodeBadObject, Err: fmt.Sprintf("object %d out of range", msg.Object)}
+		return reply{Code: codeBadObject, Err: fmt.Sprintf("object %d out of range", msg.Object)}
 	}
 	switch msg.Op {
 	case "read":
@@ -491,7 +484,7 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		// carries the replica's version so staleness is observable.
 		holds, version := n.st.Replica(msg.Object)
 		if !holds {
-			return reply{Code: CodeNotHolder, Err: fmt.Sprintf("site %d does not hold object %d", n.site, msg.Object)}
+			return reply{Code: codeNotHolder, Err: fmt.Sprintf("site %d does not hold object %d", n.site, msg.Object)}
 		}
 		return reply{OK: true, Holds: true, Version: version}
 
@@ -501,7 +494,7 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		// are marked stale instead of failing the write. The version stamp
 		// hits the log before anything is acknowledged or broadcast.
 		if n.st.PrimaryOf(msg.Object) != n.site {
-			return reply{Code: CodeNotPrimary, Err: fmt.Sprintf("site %d is not the primary of object %d", n.site, msg.Object)}
+			return reply{Code: codeNotPrimary, Err: fmt.Sprintf("site %d is not the primary of object %d", n.site, msg.Object)}
 		}
 		version, cost, stale, err := n.applyWrite(msg.Object, msg.From, sv)
 		switch {
@@ -519,7 +512,7 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 			return storageReply(err)
 		}
 		if !held {
-			return reply{Code: CodeNotHolder, Err: fmt.Sprintf("sync for object %d not replicated at site %d", msg.Object, n.site)}
+			return reply{Code: codeNotHolder, Err: fmt.Sprintf("sync for object %d not replicated at site %d", msg.Object, n.site)}
 		}
 		return reply{OK: true}
 
@@ -531,7 +524,7 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 
 	case "drop":
 		if n.st.PrimaryOf(msg.Object) == n.site {
-			return reply{Code: CodeNotPrimary, Err: "cannot drop a primary copy"}
+			return reply{Code: codeNotPrimary, Err: "cannot drop a primary copy"}
 		}
 		if err := n.st.Drop(msg.Object); err != nil {
 			return storageReply(err)
@@ -557,7 +550,7 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		// log before it is acknowledged. Re-asserting the current primary
 		// is a no-op, which makes plan resume idempotent.
 		if msg.Site < 0 || msg.Site >= n.p.Sites() {
-			return reply{Code: CodeBadSite, Err: "primary site out of range"}
+			return reply{Code: codeBadSite, Err: "primary site out of range"}
 		}
 		if err := n.st.SetPrimary(msg.Object, msg.Site); err != nil {
 			return storageReply(err)
@@ -570,7 +563,7 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		// of the object and is accounted as such; replicas still
 		// unreachable stay marked and are reported back.
 		if n.st.PrimaryOf(msg.Object) != n.site {
-			return reply{Code: CodeNotPrimary, Err: "reconcile sent to a non-primary"}
+			return reply{Code: codeNotPrimary, Err: "reconcile sent to a non-primary"}
 		}
 		cost, remaining, err := n.reconcile(msg.Object, sv)
 		if err != nil {
@@ -579,7 +572,7 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		return reply{OK: true, Cost: cost, Stale: remaining}
 
 	default:
-		return reply{Code: CodeBadOp, Err: fmt.Sprintf("unknown op %q", msg.Op)}
+		return reply{Code: codeBadOp, Err: fmt.Sprintf("unknown op %q", msg.Op)}
 	}
 }
 
@@ -587,7 +580,7 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 func checkSites(sites []int, m int) (string, error) {
 	for _, j := range sites {
 		if j < 0 || j >= m {
-			return CodeBadSite, fmt.Errorf("site %d out of range", j)
+			return codeBadSite, fmt.Errorf("site %d out of range", j)
 		}
 	}
 	return "", nil
@@ -596,7 +589,7 @@ func checkSites(sites []int, m int) (string, error) {
 // errorReply converts a local error into a wire reply, preserving a typed
 // code when the error is itself a protocol rejection.
 func errorReply(err error) reply {
-	var re *ReplyError
+	var re *replyError
 	if errors.As(err, &re) {
 		return reply{Code: re.Code, Err: re.Msg}
 	}
@@ -623,7 +616,7 @@ func (n *Node) applyWrite(obj, writer int, parent *spans.Span) (version, cost in
 // syncReplica pushes version of obj to the replica at site j under its
 // own sync span and returns the transfer cost once the replica has
 // acknowledged. The error is either a transport failure — the replica is,
-// or stays, stale — or the peer's typed rejection (*ReplyError).
+// or stays, stale — or the peer's typed rejection (*replyError).
 func (n *Node) syncReplica(obj, j int, version int64, addr string, parent *spans.Span) (int64, error) {
 	ss := parent.Child("sync")
 	ss.SetSite(n.site)
@@ -638,7 +631,7 @@ func (n *Node) syncReplica(obj, j int, version int64, addr string, parent *spans
 	}
 	if !resp.OK {
 		ss.SetErrText(resp.Err)
-		return 0, &ReplyError{Code: resp.Code, Msg: fmt.Sprintf("sync to site %d: %s", j, resp.Err)}
+		return 0, &replyError{Code: resp.Code, Msg: fmt.Sprintf("sync to site %d: %s", j, resp.Err)}
 	}
 	cost := n.p.Size(obj) * n.p.Cost(n.site, j)
 	ss.SetNTC(cost)
@@ -664,7 +657,7 @@ func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (in
 			return 0, nil, fmt.Errorf("replicator %d has no known address", j)
 		}
 		c, err := n.syncReplica(obj, j, version, peers[j], parent)
-		var rejected *ReplyError
+		var rejected *replyError
 		if errors.As(err, &rejected) {
 			return 0, nil, err
 		}
@@ -765,7 +758,7 @@ func (n *Node) Read(obj int) (cost int64, err error) {
 			// than silently serving from elsewhere.
 			hop.SetErrText(resp.Err)
 			hop.Finish()
-			return 0, &ReplyError{Code: resp.Code, Msg: resp.Err}
+			return 0, &replyError{Code: resp.Code, Msg: resp.Err}
 		}
 		cost := n.p.Size(obj) * n.p.Cost(n.site, j)
 		if err := n.st.AddNTC(cost); err != nil {
@@ -877,7 +870,7 @@ func (n *Node) shipWrite(obj, sp int, addr string, root *spans.Span) (cost int64
 	if !resp.OK {
 		ship.SetErrText(resp.Err)
 		ship.Finish()
-		return 0, true, &ReplyError{Code: resp.Code, Msg: resp.Err}
+		return 0, true, &replyError{Code: resp.Code, Msg: resp.Err}
 	}
 	shipping := n.p.Size(obj) * n.p.Cost(n.site, sp)
 	ship.SetNTC(shipping)
@@ -889,11 +882,11 @@ func (n *Node) shipWrite(obj, sp int, addr string, root *spans.Span) (cost int64
 	return cost, true, n.st.AddNTC(cost)
 }
 
-// FlushPending replays the writes queued while the primary was down, in
+// flushPending replays the writes queued while the primary was down, in
 // object order, and returns the transfer cost incurred. Writes whose
 // primary is still unreachable stay queued; the first such stall stops
 // flushing that object and moves on to the next.
-func (n *Node) FlushPending() (int64, error) {
+func (n *Node) flushPending() (int64, error) {
 	objs := n.st.PendingObjects()
 	cfg := n.cfg.Load()
 	peers, nm, tr := cfg.peers, cfg.metrics, cfg.tracer

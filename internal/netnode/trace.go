@@ -5,12 +5,12 @@ import (
 	"drp/internal/store"
 )
 
-// SetTracer attaches a tracer to this node: client requests issued here
+// setTracer attaches a tracer to this node: client requests issued here
 // (Read, Write, FlushPending) mint root spans, outbound calls mint
 // per-attempt rpc spans whose IDs ride the wire, and inbound traced
 // requests mint serve spans stitched under the caller's attempt. A nil
 // tracer disables tracing (the default).
-func (n *Node) SetTracer(tr *spans.Tracer) {
+func (n *Node) setTracer(tr *spans.Tracer) {
 	n.configure(func(c *nodeConfig) { c.tracer = tr })
 }
 
@@ -23,7 +23,7 @@ func (c *Cluster) EnableTracing(tr *spans.Tracer) {
 	c.tracer = tr
 	for _, n := range c.nodes {
 		if n != nil {
-			n.SetTracer(tr)
+			n.setTracer(tr)
 		}
 	}
 }

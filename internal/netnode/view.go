@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 
-	"drp/internal/membership"
 	"drp/internal/plan"
 	"drp/internal/spans"
 	"drp/internal/store"
@@ -42,10 +41,10 @@ type ApplyReport struct {
 	MigrationNTC int64
 }
 
-// ErrNotDrained reports a Leave of a site the current plan still places
+// errNotDrained reports a Leave of a site the current plan still places
 // replicas (or a primary) on. Apply a plan that migrates the site empty
 // first.
-var ErrNotDrained = errors.New("netnode: site not drained")
+var errNotDrained = errors.New("netnode: site not drained")
 
 // rewirePeers rebuilds the universe-indexed address table and pushes it
 // to every live node. Absent sites keep an empty address, which dials
@@ -61,7 +60,7 @@ func (c *Cluster) rewirePeers() {
 	}
 	for _, n := range c.nodes {
 		if n != nil {
-			n.SetPeers(addrs)
+			n.setPeers(addrs)
 		}
 	}
 }
@@ -156,13 +155,13 @@ func (c *Cluster) Leave(site int) error {
 	}
 	for k := 0; k < c.p.Objects(); k++ {
 		if c.plan.Primaries[k] == site {
-			return fmt.Errorf("%w: site %d is still the primary of object %d", ErrNotDrained, site, k)
+			return fmt.Errorf("%w: site %d is still the primary of object %d", errNotDrained, site, k)
 		}
 		if c.plan.Has(site, k) {
-			return fmt.Errorf("%w: site %d still holds object %d", ErrNotDrained, site, k)
+			return fmt.Errorf("%w: site %d still holds object %d", errNotDrained, site, k)
 		}
 	}
-	err = c.nodes[site].Close()
+	err = c.nodes[site].close()
 	c.nodes[site] = nil
 	c.view = view
 	c.rewirePeers()
@@ -356,7 +355,7 @@ func (c *Cluster) refreshRouting(touched map[int]bool, next *plan.Plan, parent *
 // op is idempotent).
 func (c *Cluster) actualPlan() *plan.Plan {
 	pl := &plan.Plan{
-		View:      membership.View{Members: append([]int(nil), c.view.Members...)},
+		View:      plan.View{Members: append([]int(nil), c.view.Members...)},
 		Primaries: make([]int, c.p.Objects()),
 		Placement: make([][]int, c.p.Objects()),
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"drp/internal/core"
-	"drp/internal/membership"
 	"drp/internal/netsim"
 	"drp/internal/plan"
 	"drp/internal/sra"
@@ -67,7 +66,7 @@ func universePrimaries(p *core.Problem) []int {
 
 // solveView runs the static greedy over the view-restricted problem and
 // lifts the result to a universe plan with the given epoch.
-func solveView(t *testing.T, p *core.Problem, view membership.View, primaries []int, epoch int) (*plan.Plan, int64) {
+func solveView(t *testing.T, p *core.Problem, view plan.View, primaries []int, epoch int) (*plan.Plan, int64) {
 	t.Helper()
 	rp, err := plan.Restrict(p, view, primaries)
 	if err != nil {
@@ -91,7 +90,7 @@ func solveView(t *testing.T, p *core.Problem, view membership.View, primaries []
 func TestViewClusterJoinMigrateLeave(t *testing.T) {
 	p := viewProblem(t)
 	root := t.TempDir()
-	view4, err := membership.NewView(p.Sites(), []int{0, 1, 2, 3})
+	view4, err := plan.NewView(p.Sites(), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestViewClusterResumeAfterCrashMidMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AttachJournal(j)
-	view := membership.View{Epoch: 1, Members: members}
+	view := plan.View{Epoch: 1, Members: members}
 	target, targetCost := solveView(t, p, view, universePrimaries(p), 1)
 	steps, err := plan.Diff(c.Plan(), target, p)
 	if err != nil {
@@ -393,7 +392,7 @@ func TestDeployPromotesPrimaryBack(t *testing.T) {
 // membership rules: a join of a member or of a site outside the universe,
 // a leave of a non-member or of the last member, and a leave of a site
 // the deployed plan still routes a primary or places a replica on
-// (ErrNotDrained) are all refused, and none of them moves Members().
+// (errNotDrained) are all refused, and none of them moves Members().
 func TestViewClusterMembershipRejections(t *testing.T) {
 	p := viewProblem(t)
 	c, err := StartView(p, []int{0, 1, 2, 3})
@@ -413,10 +412,10 @@ func TestViewClusterMembershipRejections(t *testing.T) {
 		}
 		unchanged("a refused join", 0, 1, 2, 3)
 	}
-	if err := c.Leave(4); err == nil || errors.Is(err, ErrNotDrained) {
+	if err := c.Leave(4); err == nil || errors.Is(err, errNotDrained) {
 		t.Fatalf("leave of a non-member: %v", err)
 	}
-	if err := c.Leave(0); !errors.Is(err, ErrNotDrained) {
+	if err := c.Leave(0); !errors.Is(err, errNotDrained) {
 		t.Fatalf("leave of the primary of object 0: %v, want ErrNotDrained", err)
 	}
 	unchanged("leaving a primary site", 0, 1, 2, 3)
@@ -426,12 +425,12 @@ func TestViewClusterMembershipRejections(t *testing.T) {
 	}
 	next := c.Plan()
 	next.Epoch = 1
-	next.View = membership.View{Epoch: 1, Members: []int{0, 1, 2, 3, 4}}
+	next.View = plan.View{Epoch: 1, Members: []int{0, 1, 2, 3, 4}}
 	next.Placement[0] = []int{0, 4}
 	if _, err := c.ApplyPlan(next); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Leave(4); !errors.Is(err, ErrNotDrained) {
+	if err := c.Leave(4); !errors.Is(err, errNotDrained) {
 		t.Fatalf("leave of a replica holder: %v, want ErrNotDrained", err)
 	}
 	unchanged("leaving a replica holder", 0, 1, 2, 3, 4)
@@ -464,7 +463,7 @@ func TestViewClusterMembershipRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer one.Close()
-	if err := one.Leave(0); err == nil || errors.Is(err, ErrNotDrained) {
+	if err := one.Leave(0); err == nil || errors.Is(err, errNotDrained) {
 		t.Fatalf("leave of the last member: %v", err)
 	}
 	if got := one.Members(); !slices.Equal(got, []int{0}) {

@@ -78,7 +78,7 @@ func (m *DistMatrix) Validate() error {
 
 // Distances computes the all-pairs shortest-path matrix of the topology.
 // Dense topologies (links ≥ sites²/4) use Floyd-Warshall; sparse ones run
-// Dijkstra from every source. Returns ErrDisconnected if some pair is
+// Dijkstra from every source. Returns errDisconnected if some pair is
 // unreachable.
 func (t *Topology) Distances() (*DistMatrix, error) {
 	if len(t.Links) >= t.Sites*t.Sites/4 {
@@ -120,7 +120,7 @@ func (t *Topology) floydWarshall() (*DistMatrix, error) {
 	}
 	for _, v := range m.d {
 		if v >= inf {
-			return nil, ErrDisconnected
+			return nil, errDisconnected
 		}
 	}
 	return m, nil
@@ -170,7 +170,7 @@ func (t *Topology) allDijkstra() (*DistMatrix, error) {
 		}
 		for j, v := range dist {
 			if v >= inf {
-				return nil, ErrDisconnected
+				return nil, errDisconnected
 			}
 			m.d[src*n+j] = v
 		}

@@ -27,25 +27,6 @@ func CompleteUniform(n int, minCost, maxCost int64, rng *xrand.Source) *Topology
 	return t
 }
 
-// Ring generates a cycle of n sites with uniform link costs.
-func Ring(n int, minCost, maxCost int64, rng *xrand.Source) *Topology {
-	t := NewTopology(n)
-	for i := 0; i < n; i++ {
-		cost := int64(rng.IntRange(int(minCost), int(maxCost)))
-		mustAdd(t, i, (i+1)%n, cost)
-	}
-	return t
-}
-
-// Star generates a hub-and-spoke topology with site 0 as the hub.
-func Star(n int, minCost, maxCost int64, rng *xrand.Source) *Topology {
-	t := NewTopology(n)
-	for i := 1; i < n; i++ {
-		mustAdd(t, 0, i, int64(rng.IntRange(int(minCost), int(maxCost))))
-	}
-	return t
-}
-
 // Tree generates a random recursive tree: site i > 0 attaches to a uniformly
 // chosen earlier site. Trees are the setting in which Wolfson et al.'s
 // adaptive algorithm is optimal, so they make a useful comparison topology.
@@ -54,23 +35,6 @@ func Tree(n int, minCost, maxCost int64, rng *xrand.Source) *Topology {
 	for i := 1; i < n; i++ {
 		parent := rng.Intn(i)
 		mustAdd(t, parent, i, int64(rng.IntRange(int(minCost), int(maxCost))))
-	}
-	return t
-}
-
-// Grid generates a rows×cols mesh with uniform link costs.
-func Grid(rows, cols int, minCost, maxCost int64, rng *xrand.Source) *Topology {
-	t := NewTopology(rows * cols)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				mustAdd(t, id(r, c), id(r, c+1), int64(rng.IntRange(int(minCost), int(maxCost))))
-			}
-			if r+1 < rows {
-				mustAdd(t, id(r, c), id(r+1, c), int64(rng.IntRange(int(minCost), int(maxCost))))
-			}
-		}
 	}
 	return t
 }

@@ -50,19 +50,9 @@ func (t *Topology) AddLink(from, to int, cost int64) error {
 	return nil
 }
 
-// Degree returns the number of links incident to each site.
-func (t *Topology) Degree() []int {
-	deg := make([]int, t.Sites)
-	for _, l := range t.Links {
-		deg[l.From]++
-		deg[l.To]++
-	}
-	return deg
-}
-
-// ErrDisconnected is returned when a topology does not connect every pair of
+// errDisconnected is returned when a topology does not connect every pair of
 // sites, so no finite distance matrix exists.
-var ErrDisconnected = errors.New("netsim: topology is not connected")
+var errDisconnected = errors.New("netsim: topology is not connected")
 
 // adjacency builds adjacency lists, keeping the cheapest parallel edge.
 func (t *Topology) adjacency() [][]neighbor {
@@ -77,25 +67,4 @@ func (t *Topology) adjacency() [][]neighbor {
 type neighbor struct {
 	site int
 	cost int64
-}
-
-// Connected reports whether every site can reach every other site.
-func (t *Topology) Connected() bool {
-	adj := t.adjacency()
-	seen := make([]bool, t.Sites)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nb := range adj[v] {
-			if !seen[nb.site] {
-				seen[nb.site] = true
-				count++
-				stack = append(stack, nb.site)
-			}
-		}
-	}
-	return count == t.Sites
 }

@@ -89,10 +89,7 @@ func TestDisconnected(t *testing.T) {
 	if err := topo.AddLink(2, 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if topo.Connected() {
-		t.Fatal("disconnected topology reported connected")
-	}
-	if _, err := topo.Distances(); !errors.Is(err, ErrDisconnected) {
+	if _, err := topo.Distances(); !errors.Is(err, errDisconnected) {
 		t.Fatalf("Distances error = %v, want ErrDisconnected", err)
 	}
 }
@@ -163,10 +160,7 @@ func TestGenerators(t *testing.T) {
 		wantLinks int
 	}{
 		{"complete", CompleteUniform(6, 1, 10, rng), 6, 15},
-		{"ring", Ring(5, 1, 10, rng), 5, 5},
-		{"star", Star(7, 1, 10, rng), 7, 6},
 		{"tree", Tree(9, 1, 10, rng), 9, 8},
-		{"grid", Grid(3, 4, 1, 10, rng), 12, 17},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -176,16 +170,13 @@ func TestGenerators(t *testing.T) {
 			if len(tt.topo.Links) != tt.wantLinks {
 				t.Errorf("links = %d, want %d", len(tt.topo.Links), tt.wantLinks)
 			}
-			if !tt.topo.Connected() {
-				t.Error("generator produced disconnected topology")
-			}
 			for _, l := range tt.topo.Links {
 				if l.Cost < 1 || l.Cost > 10 {
 					t.Errorf("link cost %d outside [1,10]", l.Cost)
 				}
 			}
 			if _, err := tt.topo.Distances(); err != nil {
-				t.Errorf("Distances: %v", err)
+				t.Errorf("generator produced a topology Distances refuses: %v", err)
 			}
 		})
 	}
@@ -195,21 +186,8 @@ func TestRandomTopologyConnected(t *testing.T) {
 	rng := xrand.New(2)
 	for trial := 0; trial < 20; trial++ {
 		topo := Random(15, 0.05, 1, 10, rng)
-		if !topo.Connected() {
+		if _, err := topo.Distances(); errors.Is(err, errDisconnected) {
 			t.Fatalf("trial %d: Random produced disconnected topology", trial)
-		}
-	}
-}
-
-func TestDegree(t *testing.T) {
-	topo := Star(5, 1, 1, xrand.New(1))
-	deg := topo.Degree()
-	if deg[0] != 4 {
-		t.Fatalf("hub degree = %d, want 4", deg[0])
-	}
-	for i := 1; i < 5; i++ {
-		if deg[i] != 1 {
-			t.Fatalf("spoke %d degree = %d, want 1", i, deg[i])
 		}
 	}
 }
@@ -236,35 +214,5 @@ func TestValidate(t *testing.T) {
 	dm.Set(0, 1, 3)
 	if err := dm.Validate(); err != nil {
 		t.Fatalf("valid matrix rejected: %v", err)
-	}
-}
-
-func TestDistMatrixStats(t *testing.T) {
-	topo := line(2, 3, 4) // 0-1-2-3: distances up to 9
-	dm, err := topo.Distances()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := dm.Stats()
-	if st.Diameter != 9 {
-		t.Fatalf("diameter %d, want 9", st.Diameter)
-	}
-	// Eccentricities: site0=9, site1=7, site2=5, site3=9 → radius 5 at 2.
-	if st.Radius != 5 || st.Center != 2 {
-		t.Fatalf("radius %d at %d, want 5 at 2", st.Radius, st.Center)
-	}
-	// Pairs: (0,1)=2 (0,2)=5 (0,3)=9 (1,2)=3 (1,3)=7 (2,3)=4 → mean 5.
-	if st.MeanDistance != 5 {
-		t.Fatalf("mean distance %v, want 5", st.MeanDistance)
-	}
-	if len(st.Eccentricity) != 4 || st.Eccentricity[1] != 7 {
-		t.Fatalf("eccentricities %v", st.Eccentricity)
-	}
-}
-
-func TestStatsSingleSite(t *testing.T) {
-	st := NewDistMatrix(1).Stats()
-	if st.Diameter != 0 || st.MeanDistance != 0 || st.Radius != 0 {
-		t.Fatal("single-site stats not zero")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"drp/internal/core"
-	"drp/internal/membership"
 )
 
 // Plan is one epoch of placement intent. Placement and Primaries are
@@ -27,10 +26,10 @@ import (
 // k (sorted ascending), Primaries[k] is the universe site owning k's
 // primary copy. Every listed site must belong to View.
 type Plan struct {
-	Epoch     int             `json:"epoch"`
-	View      membership.View `json:"view"`
-	Primaries []int           `json:"primaries"`
-	Placement [][]int         `json:"placement"`
+	Epoch     int     `json:"epoch"`
+	View      View    `json:"view"`
+	Primaries []int   `json:"primaries"`
+	Placement [][]int `json:"placement"`
 }
 
 // FromScheme lifts a scheme over the universe problem into a plan: the
@@ -43,7 +42,7 @@ func FromScheme(s *core.Scheme) *Plan {
 		members[i] = i
 	}
 	pl := &Plan{
-		View:      membership.View{Members: members},
+		View:      View{Members: members},
 		Primaries: make([]int, p.Objects()),
 		Placement: make([][]int, p.Objects()),
 	}
@@ -57,7 +56,7 @@ func FromScheme(s *core.Scheme) *Plan {
 // FromSchemeView lifts a universe-indexed scheme into a plan over the
 // given view, keeping the problem's primaries. Every placement (and so
 // every primary) must fall inside the view.
-func FromSchemeView(s *core.Scheme, view membership.View) (*Plan, error) {
+func FromSchemeView(s *core.Scheme, view View) (*Plan, error) {
 	p := s.Problem()
 	pl := &Plan{
 		View:      view.Clone(),
@@ -79,7 +78,7 @@ func FromSchemeView(s *core.Scheme, view membership.View) (*Plan, error) {
 // Lift maps a scheme solved over a view-restricted problem back to
 // universe coordinates: dense site d becomes view.Members[d]. The
 // restricted problem's primaries are lifted the same way.
-func Lift(view membership.View, restricted *core.Scheme) *Plan {
+func Lift(view View, restricted *core.Scheme) *Plan {
 	rp := restricted.Problem()
 	pl := &Plan{
 		View:      view.Clone(),

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"drp/internal/core"
-	"drp/internal/membership"
 	"drp/internal/netsim"
 	"drp/internal/sra"
 	"drp/internal/workload"
@@ -139,7 +138,7 @@ func TestDiffOrderingAndRouting(t *testing.T) {
 	p := line4(t)
 	old := &Plan{
 		Epoch:     1,
-		View:      membership.View{Epoch: 0, Members: []int{0, 1, 3}},
+		View:      View{Epoch: 0, Members: []int{0, 1, 3}},
 		Primaries: []int{0, 3},
 		Placement: [][]int{{0, 1}, {3}},
 	}
@@ -147,7 +146,7 @@ func TestDiffOrderingAndRouting(t *testing.T) {
 	// gains a replica at 2, object 1 gains one at 2, site 0 drains.
 	next := &Plan{
 		Epoch:     2,
-		View:      membership.View{Epoch: 2, Members: []int{1, 2, 3}},
+		View:      View{Epoch: 2, Members: []int{1, 2, 3}},
 		Primaries: []int{1, 3},
 		Placement: [][]int{{1, 2}, {2, 3}},
 	}
@@ -191,12 +190,12 @@ func TestDiffOrderingAndRouting(t *testing.T) {
 func TestDiffSourcePrefersSurvivorEvenWhenFarther(t *testing.T) {
 	p := line4(t)
 	old := &Plan{
-		View:      membership.View{Members: []int{0, 1, 3}},
+		View:      View{Members: []int{0, 1, 3}},
 		Primaries: []int{3, 3},
 		Placement: [][]int{{1, 3}, {3}},
 	}
 	next := &Plan{
-		View:      membership.View{Members: []int{0, 3}},
+		View:      View{Members: []int{0, 3}},
 		Primaries: []int{3, 3},
 		Placement: [][]int{{0, 3}, {3}},
 	}
@@ -212,12 +211,12 @@ func TestDiffSourcePrefersSurvivorEvenWhenFarther(t *testing.T) {
 	// When the departing site holds the sole copy it must still be usable
 	// as a source (drain before drop).
 	soleOld := &Plan{
-		View:      membership.View{Members: []int{1, 3}},
+		View:      View{Members: []int{1, 3}},
 		Primaries: []int{1, 3},
 		Placement: [][]int{{1}, {3}},
 	}
 	soleNext := &Plan{
-		View:      membership.View{Members: []int{3}},
+		View:      View{Members: []int{3}},
 		Primaries: []int{3, 3},
 		Placement: [][]int{{3}, {3}},
 	}
@@ -269,7 +268,7 @@ func TestRestrictLiftRoundTrip(t *testing.T) {
 	if dropped == 0 {
 		t.Skip("every site is a primary for this seed")
 	}
-	view := membership.View{Members: members}
+	view := View{Members: members}
 	prims := make([]int, p.Objects())
 	for k := range prims {
 		prims[k] = p.Primary(k)
@@ -325,7 +324,7 @@ func TestRestrictSlicesProblemDist(t *testing.T) {
 		for s := range pinned {
 			founding = append(founding, s)
 		}
-		view, err := membership.NewView(p.Sites(), founding)
+		view, err := NewView(p.Sites(), founding)
 		if err != nil {
 			t.Fatalf("NewView: %v", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"drp/internal/core"
-	"drp/internal/membership"
 	"drp/internal/netsim"
 )
 
@@ -16,7 +15,7 @@ import (
 // departed site issues no reads or writes. Solve the result with any of
 // the static/adaptive algorithms, then Lift the scheme back to universe
 // coordinates.
-func Restrict(p *core.Problem, view membership.View, primaries []int) (*core.Problem, error) {
+func Restrict(p *core.Problem, view View, primaries []int) (*core.Problem, error) {
 	m := len(view.Members)
 	if len(primaries) != p.Objects() {
 		return nil, fmt.Errorf("plan: %d primaries for %d objects", len(primaries), p.Objects())

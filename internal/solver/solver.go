@@ -64,9 +64,6 @@ func (r StopReason) String() string {
 	}
 }
 
-// Interrupted reports whether the run ended before its natural completion.
-func (r StopReason) Interrupted() bool { return r != StopCompleted }
-
 // Progress is one observation, emitted at an iteration boundary. Fields an
 // algorithm does not track (e.g. fitness for SRA's greedy site visits) are
 // zero.
@@ -216,8 +213,8 @@ func (c *Controller) Meter() *atomic.Int64 { return &c.meter }
 // through a metered evaluator (SRA's benefit scans, hill-climb deltas).
 func (c *Controller) Charge(n int) { c.meter.Add(int64(n)) }
 
-// Evaluations returns the meter's current value.
-func (c *Controller) Evaluations() int { return int(c.meter.Load()) }
+// evaluations returns the meter's current value.
+func (c *Controller) evaluations() int { return int(c.meter.Load()) }
 
 // Elapsed returns the wall-clock time since Start.
 func (c *Controller) Elapsed() time.Duration { return time.Since(c.start) }
@@ -253,7 +250,7 @@ func (c *Controller) Observe(iteration int, bestFitness, meanFitness float64, be
 		BestFitness: bestFitness,
 		MeanFitness: meanFitness,
 		BestCost:    bestCost,
-		Evaluations: c.Evaluations(),
+		Evaluations: c.evaluations(),
 		Elapsed:     c.Elapsed(),
 	})
 }
@@ -291,7 +288,7 @@ func (c *Controller) Absorb(st Stats) StopReason {
 // Finish closes the run and returns its Stats.
 func (c *Controller) Finish(iterations int, stopped StopReason) Stats {
 	return Stats{
-		Evaluations: c.Evaluations(),
+		Evaluations: c.evaluations(),
 		Iterations:  iterations,
 		Elapsed:     c.Elapsed(),
 		Stopped:     stopped,

@@ -58,8 +58,8 @@ func TestCheckBudget(t *testing.T) {
 	if reason, halt := c.Check(); !halt || reason != StopBudget {
 		t.Fatalf("got (%v, %v), want (budget, true)", reason, halt)
 	}
-	if c.Evaluations() != 10 {
-		t.Fatalf("Evaluations() = %d, want 10", c.Evaluations())
+	if c.evaluations() != 10 {
+		t.Fatalf("Evaluations() = %d, want 10", c.evaluations())
 	}
 }
 
@@ -83,8 +83,8 @@ func TestMeterSharedWithCharge(t *testing.T) {
 	c := Start("test", Run{Budget: 100})
 	c.Meter().Add(40)
 	c.Charge(2)
-	if c.Evaluations() != 42 {
-		t.Fatalf("Evaluations() = %d, want 42", c.Evaluations())
+	if c.evaluations() != 42 {
+		t.Fatalf("Evaluations() = %d, want 42", c.evaluations())
 	}
 }
 
@@ -122,8 +122,8 @@ func TestAbsorbFoldsChildStats(t *testing.T) {
 	if stop != StopBudget {
 		t.Fatalf("absorbed stop %v, want budget", stop)
 	}
-	if c.Evaluations() != 15 {
-		t.Fatalf("Evaluations() = %d, want 15", c.Evaluations())
+	if c.evaluations() != 15 {
+		t.Fatalf("Evaluations() = %d, want 15", c.evaluations())
 	}
 }
 
@@ -193,9 +193,6 @@ func TestStopReasonStrings(t *testing.T) {
 	for r, s := range want {
 		if r.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(r), r.String(), s)
-		}
-		if r.Interrupted() != (r != StopCompleted) {
-			t.Errorf("%v.Interrupted() = %v", r, r.Interrupted())
 		}
 	}
 	if StopReason(42).String() != "StopReason(?)" {

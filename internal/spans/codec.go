@@ -12,10 +12,10 @@ import (
 // adversarial input (the codec is fuzzed).
 const maxLine = 1 << 20
 
-// Validate checks the structural invariants every well-formed span
+// validate checks the structural invariants every well-formed span
 // satisfies: identity fields present, the interval ordered, NTC
 // non-negative, and topology indices at or above the -1 sentinel.
-func (s *Span) Validate() error {
+func (s *Span) validate() error {
 	switch {
 	case s == nil:
 		return fmt.Errorf("spans: nil span")
@@ -36,12 +36,12 @@ func (s *Span) Validate() error {
 }
 
 // Encode writes spans as JSONL, one compact object per line — the same
-// format the Writer exporter streams and Decode reads back.
+// format the writer exporter streams and Decode reads back.
 func Encode(w io.Writer, sps []Span) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i := range sps {
-		if err := sps[i].Validate(); err != nil {
+		if err := sps[i].validate(); err != nil {
 			return err
 		}
 		if err := enc.Encode(&sps[i]); err != nil {
@@ -73,7 +73,7 @@ func Decode(r io.Reader) ([]Span, error) {
 		if dec.More() {
 			return nil, fmt.Errorf("spans: line %d: trailing data after span object", line)
 		}
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			return nil, fmt.Errorf("spans: line %d: %w", line, err)
 		}
 		// Normalize: an empty attrs object re-encodes as absent

@@ -18,23 +18,23 @@ type Exporter interface {
 	Export(s *Span)
 }
 
-// Writer streams spans as JSONL (the cmd/drptrace input format).
+// writer streams spans as JSONL (the cmd/drptrace input format).
 // Every span is flushed through to the underlying writer so a crash
 // loses at most the span being written — mirroring the -events sink.
-type Writer struct {
+type writer struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
 	err error
 }
 
-// NewWriter wraps w in a JSONL span exporter.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriter(w)}
+// newWriter wraps w in a JSONL span exporter.
+func newWriter(w io.Writer) *writer {
+	return &writer{bw: bufio.NewWriter(w)}
 }
 
 // Export writes one span as a JSON line. The first error sticks and is
-// reported by Flush; later exports become no-ops.
-func (e *Writer) Export(s *Span) {
+// reported by flush; later exports become no-ops.
+func (e *writer) Export(s *Span) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.err != nil {
@@ -48,8 +48,8 @@ func (e *Writer) Export(s *Span) {
 	e.err = e.bw.Flush()
 }
 
-// Flush drains buffered output and returns the first write error.
-func (e *Writer) Flush() error {
+// flush drains buffered output and returns the first write error.
+func (e *writer) flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.err != nil {
@@ -102,7 +102,7 @@ func (c *Collector) Reset() {
 type EventExporter struct{ log *metrics.EventLog }
 
 // NewEventExporter wraps an event log; nil yields a nil exporter, which
-// composes with Multi.
+// composes with newMulti.
 func NewEventExporter(l *metrics.EventLog) *EventExporter {
 	if l == nil {
 		return nil
@@ -144,15 +144,15 @@ func (e *EventExporter) Export(s *Span) {
 // multi fans spans out to several exporters in order.
 type multi struct{ exps []Exporter }
 
-// Multi composes exporters; nils are dropped. Returns nil when nothing
+// newMulti composes exporters; nils are dropped. Returns nil when nothing
 // remains, which disables tracing cleanly.
-func Multi(exps ...Exporter) Exporter {
+func newMulti(exps ...Exporter) Exporter {
 	var kept []Exporter
 	for _, e := range exps {
 		switch v := e.(type) {
 		case nil:
 			continue
-		case *Writer:
+		case *writer:
 			if v == nil {
 				continue
 			}

@@ -21,7 +21,7 @@ func OpenFile(path string, sample int64, clock string, extra ...Exporter) (*Trac
 	var ck Clock
 	switch clock {
 	case "", "logical":
-		ck = NewLogicalClock()
+		ck = newLogicalClock()
 	case "wall":
 		ck = WallClock{}
 	default:
@@ -31,12 +31,12 @@ func OpenFile(path string, sample int64, clock string, extra ...Exporter) (*Trac
 	if err != nil {
 		return nil, nil, err
 	}
-	w := NewWriter(f)
-	tr := New(Multi(append([]Exporter{w}, extra...)...))
+	w := newWriter(f)
+	tr := New(newMulti(append([]Exporter{w}, extra...)...))
 	tr.SetClock(ck)
 	tr.SetSample(sample)
 	cl := func() error {
-		flushErr := w.Flush()
+		flushErr := w.flush()
 		if err := f.Close(); err != nil {
 			return err
 		}

@@ -22,7 +22,7 @@ func FuzzSpanCodec(f *testing.F) {
 			return
 		}
 		for i := range sps {
-			if verr := sps[i].Validate(); verr != nil {
+			if verr := sps[i].validate(); verr != nil {
 				t.Fatalf("decode returned invalid span: %v", verr)
 			}
 		}

@@ -141,7 +141,7 @@ func (s *Span) SetErrText(msg string) {
 	if s == nil || msg == "" {
 		return
 	}
-	s.Err = Redact(msg)
+	s.Err = redact(msg)
 	if s.Verdict == "" {
 		s.Verdict = classify(msg)
 	}
@@ -168,9 +168,9 @@ func (s *Span) SetAttr(k, v string) {
 // addrPattern matches host:port dial targets in error strings.
 var addrPattern = regexp.MustCompile(`\b\d{1,3}(?:\.\d{1,3}){3}:\d+\b`)
 
-// Redact replaces dial addresses in an error string with "addr" so span
+// redact replaces dial addresses in an error string with "addr" so span
 // bytes don't depend on the ephemeral ports a run happened to bind.
-func Redact(msg string) string {
+func redact(msg string) string {
 	return addrPattern.ReplaceAllString(msg, "addr")
 }
 

@@ -15,18 +15,18 @@ type Clock interface {
 	Now() int64
 }
 
-// LogicalClock is a strictly increasing tick counter: every reading
+// logicalClock is a strictly increasing tick counter: every reading
 // advances it by one. Under serial traffic this makes span timestamps —
 // and therefore the whole span file — a pure function of the request
 // sequence, which is what lets seeded chaos runs assert byte-identical
 // span trees.
-type LogicalClock struct{ n atomic.Int64 }
+type logicalClock struct{ n atomic.Int64 }
 
-// NewLogicalClock returns a clock starting at tick 1.
-func NewLogicalClock() *LogicalClock { return &LogicalClock{} }
+// newLogicalClock returns a clock starting at tick 1.
+func newLogicalClock() *logicalClock { return &logicalClock{} }
 
 // Now advances and returns the tick.
-func (c *LogicalClock) Now() int64 { return c.n.Add(1) }
+func (c *logicalClock) Now() int64 { return c.n.Add(1) }
 
 // WallClock reads the system clock in nanoseconds. Use it for live
 // profiling; it trades byte-determinism for real durations.
@@ -54,7 +54,7 @@ type Tracer struct {
 // no sampling (every root kept). Configure with SetClock/SetSample
 // before the first span is created.
 func New(exp Exporter) *Tracer {
-	return &Tracer{clock: NewLogicalClock(), exp: exp, sample: 1}
+	return &Tracer{clock: newLogicalClock(), exp: exp, sample: 1}
 }
 
 // SetClock replaces the span clock. Not safe to call once spans exist.

@@ -39,9 +39,9 @@ func minMallocs(runs int, fn func()) uint64 {
 func TestNewModelAllocsIndependentOfN(t *testing.T) {
 	allocs := func(n int) uint64 {
 		mo := testModel(t, 64, n, 1)
-		cfg := Config{Sizes: mo.size, Capacities: mo.cap, Primaries: mo.primary, Reads: mo.reads, Writes: mo.writes, Dist: mo.dist}
+		cfg := config{Sizes: mo.size, Capacities: mo.cap, Primaries: mo.primary, Reads: mo.reads, Writes: mo.writes, Dist: mo.dist}
 		return minMallocs(5, func() {
-			if _, err := NewModel(cfg); err != nil {
+			if _, err := newModel(cfg); err != nil {
 				t.Fatalf("N=%d: %v", n, err)
 			}
 		})
@@ -114,7 +114,7 @@ func TestMergeAllocsNothingPerStep(t *testing.T) {
 		for k, repl := range a.repl {
 			for idx := len(repl) - 1; idx >= 0; idx-- {
 				if repl[idx] != mo.primary[k] {
-					if err := a.Remove(int(repl[idx]), k); err != nil {
+					if err := a.remove(int(repl[idx]), k); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -55,11 +55,8 @@ func newAssignment(mo *Model, room func(k int) int) *Assignment {
 	return a
 }
 
-// Model returns the instance this assignment belongs to.
-func (a *Assignment) Model() *Model { return a.mo }
-
-// Has reports whether site i holds a replica of object k.
-func (a *Assignment) Has(i, k int) bool {
+// has reports whether site i holds a replica of object k.
+func (a *Assignment) has(i, k int) bool {
 	_, found := search(a.repl[k], int32(i))
 	return found
 }
@@ -79,18 +76,12 @@ func search(list []int32, site int32) (int, bool) {
 	return len(list), false
 }
 
-// Used returns the storage consumed at site i.
-func (a *Assignment) Used(i int) int64 { return a.used[i] }
-
-// Free returns the remaining capacity b(i) at site i.
-func (a *Assignment) Free(i int) int64 { return a.mo.cap[i] - a.used[i] }
+// free returns the remaining capacity b(i) at site i.
+func (a *Assignment) free(i int) int64 { return a.mo.cap[i] - a.used[i] }
 
 // Replicators returns object k's replica sites, ascending — a live view;
 // callers must not modify it.
 func (a *Assignment) Replicators(k int) []int32 { return a.repl[k] }
-
-// ReplicaDegree returns |R_k|.
-func (a *Assignment) ReplicaDegree(k int) int { return len(a.repl[k]) }
 
 // TotalReplicas returns the replica count beyond the N primary copies.
 func (a *Assignment) TotalReplicas() int {
@@ -107,7 +98,7 @@ func (a *Assignment) Add(i, k int) error {
 	if found {
 		return core.ErrDuplicate
 	}
-	if a.Free(i) < a.mo.size[k] {
+	if a.free(i) < a.mo.size[k] {
 		return core.ErrCapacity
 	}
 	list := a.repl[k]
@@ -126,9 +117,9 @@ func (a *Assignment) Add(i, k int) error {
 	return nil
 }
 
-// Remove drops the replica of object k from site i. Primary copies cannot
+// remove drops the replica of object k from site i. Primary copies cannot
 // be removed.
-func (a *Assignment) Remove(i, k int) error {
+func (a *Assignment) remove(i, k int) error {
 	idx, found := search(a.repl[k], int32(i))
 	if !found {
 		return core.ErrAbsent

@@ -28,9 +28,6 @@ func NewDeltaEvaluator(a *Assignment) *DeltaEvaluator {
 	return d
 }
 
-// Assignment returns the underlying assignment.
-func (d *DeltaEvaluator) Assignment() *Assignment { return d.p }
-
 // Cost returns the current exact NTC.
 func (d *DeltaEvaluator) Cost() int64 { return d.cost }
 
@@ -41,7 +38,7 @@ func (d *DeltaEvaluator) ObjectCost(k int) int64 { return d.objCost[k] }
 // without applying it. Returns 0, false if the placement is invalid — the
 // same guards as the dense evaluator (duplicate or over capacity).
 func (d *DeltaEvaluator) AddDelta(i, k int) (int64, bool) {
-	if d.p.Has(i, k) || d.p.Free(i) < d.p.mo.size[k] {
+	if d.p.has(i, k) || d.p.free(i) < d.p.mo.size[k] {
 		return 0, false
 	}
 	after := d.objectCostWith(k, i, true)
@@ -51,7 +48,7 @@ func (d *DeltaEvaluator) AddDelta(i, k int) (int64, bool) {
 // RemoveDelta returns the cost change of dropping the replica of k at site
 // i without applying it. Returns 0, false if the removal is invalid.
 func (d *DeltaEvaluator) RemoveDelta(i, k int) (int64, bool) {
-	if !d.p.Has(i, k) || d.p.mo.primary[k] == int32(i) {
+	if !d.p.has(i, k) || d.p.mo.primary[k] == int32(i) {
 		return 0, false
 	}
 	after := d.objectCostWith(k, i, false)
@@ -69,7 +66,7 @@ func (d *DeltaEvaluator) Add(i, k int) error {
 
 // Remove applies the removal and updates the cached cost.
 func (d *DeltaEvaluator) Remove(i, k int) error {
-	if err := d.p.Remove(i, k); err != nil {
+	if err := d.p.remove(i, k); err != nil {
 		return err
 	}
 	d.refresh(k)

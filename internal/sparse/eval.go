@@ -14,8 +14,7 @@ import "sync/atomic"
 // An Evaluator holds no scratch, so it is safe for concurrent use (Adapt
 // prices its start cost with one evaluator across its shard workers).
 type Evaluator struct {
-	mo    *Model
-	meter *atomic.Int64
+	mo *Model
 	// priced counts the V_k priced through Cost, ObjectCost and Adapt's
 	// start pass, for tests: bumped once per call or per chunk, never per
 	// object inside a worker.
@@ -25,17 +24,8 @@ type Evaluator struct {
 // NewEvaluator returns an evaluator for mo.
 func NewEvaluator(mo *Model) *Evaluator { return &Evaluator{mo: mo} }
 
-// SetMeter attaches an evaluation counter: every subsequent Cost and
-// ObjectCost call adds one to it, the same unit the dense evaluator meters,
-// so sparse runs draw from solver budgets identically. The counter may be
-// shared across evaluators (and goroutines); nil detaches.
-func (e *Evaluator) SetMeter(meter *atomic.Int64) { e.meter = meter }
-
 // Cost returns D for the assignment.
 func (e *Evaluator) Cost(a *Assignment) int64 {
-	if e.meter != nil {
-		e.meter.Add(1)
-	}
 	var total int64
 	for k := 0; k < e.mo.n; k++ {
 		total += e.objectCost(k, a.repl[k])
@@ -47,9 +37,6 @@ func (e *Evaluator) Cost(a *Assignment) int64 {
 // ObjectCost returns V_k, the NTC attributable to object k, for the
 // replicator set given as ascending site indices.
 func (e *Evaluator) ObjectCost(k int, replicators []int32) int64 {
-	if e.meter != nil {
-		e.meter.Add(1)
-	}
 	e.priced.Add(1)
 	return e.objectCost(k, replicators)
 }
@@ -62,7 +49,7 @@ func (e *Evaluator) ObjectCost(k int, replicators []int32) int64 {
 // and every other cost positive, so a reader that holds a replica finds
 // its min at zero by itself. Writers do need one, and get it from a single
 // merge walk, since both lists ascend. The products are the same int64
-// terms as the dense sum, regrouped, and the magnitude gate NewModel
+// terms as the dense sum, regrouped, and the magnitude gate newModel
 // applies bounds every partial sum.
 func (e *Evaluator) objectCost(k int, repl []int32) int64 {
 	mo := e.mo
@@ -76,7 +63,7 @@ func (e *Evaluator) objectCost(k int, repl []int32) int64 {
 		fanIn += spRow[i]
 	}
 	var read int64
-	rs, rc := mo.ReadEntries(k)
+	rs, rc := mo.readEntries(k)
 	for idx, j := range rs {
 		row := mo.dist.Row(int(j))
 		dmin := row[repl[0]]
@@ -86,7 +73,7 @@ func (e *Evaluator) objectCost(k int, repl []int32) int64 {
 		read += rc[idx] * dmin
 	}
 	var ship int64
-	ws, wc := mo.WriteEntries(k)
+	ws, wc := mo.writeEntries(k)
 	r := 0
 	for idx, j := range ws {
 		for r < len(repl) && repl[r] < j {

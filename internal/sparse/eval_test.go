@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"drp/internal/core"
@@ -101,25 +100,12 @@ func TestDeltaMatchesDense(t *testing.T) {
 	}
 }
 
-func TestEvaluatorMeter(t *testing.T) {
-	mo := testModel(t, 8, 10, 1)
-	a := NewAssignment(mo)
-	ev := NewEvaluator(mo)
-	var meter atomic.Int64
-	ev.SetMeter(&meter)
-	ev.Cost(a)
-	ev.ObjectCost(0, a.Replicators(0))
-	if got := meter.Load(); got != 2 {
-		t.Fatalf("meter %d after Cost+ObjectCost, want 2", got)
-	}
-}
-
 func TestEmptyReplicatorsDegenerate(t *testing.T) {
 	mo := testModel(t, 6, 8, 2)
 	ev := NewEvaluator(mo)
 	for k := 0; k < mo.Objects(); k++ {
-		if got := ev.ObjectCost(k, nil); got != mo.VPrime(k) {
-			t.Fatalf("object %d: empty-replicator cost %d, want V′ %d", k, got, mo.VPrime(k))
+		if got := ev.ObjectCost(k, nil); got != mo.vPrime[k] {
+			t.Fatalf("object %d: empty-replicator cost %d, want V′ %d", k, got, mo.vPrime[k])
 		}
 	}
 }
@@ -164,11 +150,11 @@ func TestObjectCostEveryDegree(t *testing.T) {
 		var readersIn, writersIn int
 		for k := 0; k < mo.Objects(); k++ {
 			sp := mo.Primary(k)
-			rs, _ := mo.ReadEntries(k)
-			ws, _ := mo.WriteEntries(k)
-			for degree := 0; degree <= mo.Sites(); degree++ {
+			rs, _ := mo.readEntries(k)
+			ws, _ := mo.writeEntries(k)
+			for degree := 0; degree <= mo.m; degree++ {
 				for _, withPrimary := range []bool{true, false} {
-					repl, ok := set(rng, mo.Sites(), degree, sp, withPrimary)
+					repl, ok := set(rng, mo.m, degree, sp, withPrimary)
 					if !ok {
 						continue
 					}
@@ -206,6 +192,6 @@ func TestObjectCostEveryDegree(t *testing.T) {
 		every(fmt.Sprintf("dense M=%d", m), mo, uint64(100+m), dense.ObjectCost)
 	}
 	mo := testModel(t, 64, 300, 3)
-	dmin := make([]int64, mo.Sites())
+	dmin := make([]int64, mo.m)
 	every("CSR M=64", mo, 7, func(k int, repl []int32) int64 { return denseFormObjectCost(mo, k, repl, dmin) })
 }

@@ -134,7 +134,7 @@ func GenerateWorkload(spec WorkloadSpec, seed uint64) (*Model, error) {
 		}
 	}
 
-	cfg := Config{
+	cfg := config{
 		Sizes:      make([]int64, n),
 		Capacities: make([]int64, m),
 		Primaries:  make([]int32, n),
@@ -192,7 +192,7 @@ func GenerateWorkload(spec WorkloadSpec, seed uint64) (*Model, error) {
 		}
 	}
 
-	return NewModel(cfg)
+	return newModel(cfg)
 }
 
 // PerturbWorkload re-draws the access patterns of a deterministic random
@@ -211,7 +211,7 @@ func PerturbWorkload(mo *Model, spec WorkloadSpec, frac float64, seed uint64) (*
 		return nil, nil, fmt.Errorf("sparse: spec is %d×%d, model is %d×%d", spec.Sites, spec.Objects, mo.m, mo.n)
 	}
 	rng := xrand.New(seed)
-	cfg := Config{
+	cfg := config{
 		Sizes:      mo.size,
 		Capacities: mo.cap,
 		Primaries:  mo.primary,
@@ -244,17 +244,17 @@ func PerturbWorkload(mo *Model, spec WorkloadSpec, frac float64, seed uint64) (*
 				}
 			}
 		} else {
-			rs, rc := mo.ReadEntries(k)
+			rs, rc := mo.readEntries(k)
 			cfg.Reads.Site = append(cfg.Reads.Site, rs...)
 			cfg.Reads.Cnt = append(cfg.Reads.Cnt, rc...)
-			ws, wc := mo.WriteEntries(k)
+			ws, wc := mo.writeEntries(k)
 			cfg.Writes.Site = append(cfg.Writes.Site, ws...)
 			cfg.Writes.Cnt = append(cfg.Writes.Cnt, wc...)
 		}
 		cfg.Reads.Off[k+1] = int32(len(cfg.Reads.Site))
 		cfg.Writes.Off[k+1] = int32(len(cfg.Writes.Site))
 	}
-	shifted, err := NewModel(cfg)
+	shifted, err := newModel(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

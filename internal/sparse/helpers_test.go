@@ -12,28 +12,28 @@ import (
 // tests.
 func denseFromModel(t *testing.T, mo *Model) *core.Problem {
 	t.Helper()
-	m, n := mo.Sites(), mo.Objects()
+	m, n := mo.m, mo.Objects()
 	cfg := core.Config{
 		Sizes:      make([]int64, n),
 		Capacities: make([]int64, m),
 		Primaries:  make([]int, n),
 		Reads:      make([][]int64, m),
 		Writes:     make([][]int64, m),
-		Dist:       mo.Dist(),
+		Dist:       mo.dist,
 	}
 	for i := 0; i < m; i++ {
-		cfg.Capacities[i] = mo.Capacity(i)
+		cfg.Capacities[i] = mo.cap[i]
 		cfg.Reads[i] = make([]int64, n)
 		cfg.Writes[i] = make([]int64, n)
 	}
 	for k := 0; k < n; k++ {
-		cfg.Sizes[k] = mo.Size(k)
+		cfg.Sizes[k] = mo.size[k]
 		cfg.Primaries[k] = int(mo.Primary(k))
-		rs, rc := mo.ReadEntries(k)
+		rs, rc := mo.readEntries(k)
 		for idx, site := range rs {
 			cfg.Reads[site][k] = rc[idx]
 		}
-		ws, wc := mo.WriteEntries(k)
+		ws, wc := mo.writeEntries(k)
 		for idx, site := range ws {
 			cfg.Writes[site][k] = wc[idx]
 		}
@@ -76,7 +76,7 @@ func randomWalk(t *testing.T, mo *Model, s *core.Scheme, a *Assignment, rng *xra
 		} else {
 			repl := a.Replicators(k)
 			site := int(repl[rng.Intn(len(repl))])
-			errS := a.Remove(site, k)
+			errS := a.remove(site, k)
 			errD := s.Remove(site, k)
 			if (errS == nil) != (errD == nil) {
 				t.Fatalf("step %d: remove(%d,%d) sparse err %v, dense err %v", step, site, k, errS, errD)

@@ -26,11 +26,11 @@ func denseFormObjectCost(mo *Model, k int, repl []int32, dmin []int64) int64 {
 	}
 	toPrimary := mo.dist.Row(int(mo.primary[k]))
 	var read, ship, fanIn int64
-	rs, rc := mo.ReadEntries(k)
+	rs, rc := mo.readEntries(k)
 	for idx, j := range rs {
 		read += rc[idx] * dmin[j]
 	}
-	ws, wc := mo.WriteEntries(k)
+	ws, wc := mo.writeEntries(k)
 	for idx, j := range ws {
 		if dmin[j] != 0 {
 			ship += wc[idx] * toPrimary[j]
@@ -44,7 +44,7 @@ func denseFormObjectCost(mo *Model, k int, repl []int32, dmin []int64) int64 {
 
 var benchSink int64
 
-// BenchmarkNewModel times NewModel — validation, derived caches and
+// BenchmarkNewModel times newModel — validation, derived caches and
 // candidate pruning — on one pre-generated instance of 200 000 objects at
 // each M, in ns per object.
 //
@@ -56,10 +56,10 @@ func BenchmarkNewModel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := Config{Sizes: mo.size, Capacities: mo.cap, Primaries: mo.primary, Reads: mo.reads, Writes: mo.writes, Dist: mo.dist}
+		cfg := config{Sizes: mo.size, Capacities: mo.cap, Primaries: mo.primary, Reads: mo.reads, Writes: mo.writes, Dist: mo.dist}
 		b.Run(fmt.Sprintf("M=%d", sites), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := NewModel(cfg); err != nil {
+				if _, err := newModel(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

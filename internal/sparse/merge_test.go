@@ -29,7 +29,7 @@ func referenceMerge(t *testing.T, mo *Model, a *Assignment, cost int64, objects 
 		}
 	}
 	delta := func(st step) int64 { return props[st.idx].deltas[st.s] }
-	density := func(st step) float64 { return float64(-delta(st)) / float64(mo.Size(objects[st.idx])) }
+	density := func(st step) float64 { return float64(-delta(st)) / float64(mo.size[objects[st.idx]]) }
 	slices.SortStableFunc(steps, func(x, y step) int {
 		return cmp.Or(cmp.Compare(density(y), density(x)), cmp.Compare(delta(x), delta(y)),
 			cmp.Compare(x.idx, y.idx), cmp.Compare(x.s, y.s))
@@ -66,7 +66,7 @@ func referenceAdapt(t *testing.T, mo *Model, a *Assignment, changed []int) (*Ass
 		objects = append(objects, k)
 		for _, i := range slices.Clone(ref.Replicators(k)) {
 			if i != mo.Primary(k) {
-				if err := ref.Remove(int(i), k); err != nil {
+				if err := ref.remove(int(i), k); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -40,22 +40,22 @@ import (
 	"drp/internal/parallel"
 )
 
-// CSR is a compressed sparse row access pattern over objects: object k's
-// entries are Site[Off[k]:Off[k+1]] (strictly ascending site indices) with
-// parallel counts Cnt[Off[k]:Off[k+1]]. Offsets are int32 — ample, since
-// even a fully dense 1e6×100 instance has 1e8 entries — to halve index
-// memory.
-type CSR struct {
+// csr is a compressed sparse row (CSR) access pattern over objects:
+// object k's entries are Site[Off[k]:Off[k+1]] (strictly ascending site
+// indices) with parallel counts Cnt[Off[k]:Off[k+1]]. Offsets are int32 —
+// ample, since even a fully dense 1e6×100 instance has 1e8 entries — to
+// halve index memory.
+type csr struct {
 	Off  []int32 // length N+1, non-decreasing, Off[0] = 0
 	Site []int32 // ascending within each object, in [0, M)
 	Cnt  []int64 // non-negative counts, parallel to Site
 }
 
-// Range returns object k's entry range.
-func (c *CSR) Range(k int) (int32, int32) { return c.Off[k], c.Off[k+1] }
+// bounds returns object k's entry range.
+func (c *csr) bounds(k int) (int32, int32) { return c.Off[k], c.Off[k+1] }
 
 // validate checks CSR well-formedness for n objects over m sites.
-func (c *CSR) validate(kind string, m, n int) error {
+func (c *csr) validate(kind string, m, n int) error {
 	if len(c.Off) != n+1 {
 		return fmt.Errorf("sparse: %s offsets have length %d, want %d", kind, len(c.Off), n+1)
 	}
@@ -91,15 +91,15 @@ func (c *CSR) validate(kind string, m, n int) error {
 	return nil
 }
 
-// Config carries the raw inputs of a sparse DRP instance into NewModel.
+// config carries the raw inputs of a sparse DRP instance into newModel.
 // Slices are retained, not copied — callers hand over ownership (the pooled
 // flat arrays are the point of this representation).
-type Config struct {
+type config struct {
 	Sizes      []int64 // o_k, positive
 	Capacities []int64 // s(i), non-negative
 	Primaries  []int32 // SP_k
-	Reads      CSR     // r_k(i) for the sites that read k
-	Writes     CSR     // w_k(i) for the sites that write k
+	Reads      csr     // r_k(i) for the sites that read k
+	Writes     csr     // w_k(i) for the sites that write k
 	Dist       *netsim.DistMatrix
 }
 
@@ -111,8 +111,8 @@ type Model struct {
 	size    []int64
 	cap     []int64
 	primary []int32
-	reads   CSR
-	writes  CSR
+	reads   csr
+	writes  csr
 	dist    *netsim.DistMatrix
 
 	totalReads  []int64
@@ -129,11 +129,11 @@ type Model struct {
 	candCount int
 }
 
-// NewModel validates cfg and builds the instance: the same gates as
+// newModel validates cfg and builds the instance: the same gates as
 // core.NewProblem (positive sizes, primary fit, the worst-case-NTC int64
 // overflow bound) plus CSR well-formedness, then the derived caches and the
 // pruned candidate sets.
-func NewModel(cfg Config) (*Model, error) {
+func newModel(cfg config) (*Model, error) {
 	if cfg.Dist == nil {
 		return nil, fmt.Errorf("sparse: nil distance matrix")
 	}
@@ -209,13 +209,13 @@ func (mo *Model) buildCaches() error {
 	mo.totalReads = make([]int64, mo.n)
 	mo.totalWrites = make([]int64, mo.n)
 	for k := 0; k < mo.n; k++ {
-		ro, re := mo.reads.Range(k)
+		ro, re := mo.reads.bounds(k)
 		for idx := ro; idx < re; idx++ {
 			if mo.totalReads[k] += mo.reads.Cnt[idx]; mo.totalReads[k] < 0 {
 				return fmt.Errorf("sparse: read total for object %d overflows int64", k)
 			}
 		}
-		wo, we := mo.writes.Range(k)
+		wo, we := mo.writes.bounds(k)
 		for idx := wo; idx < we; idx++ {
 			if mo.totalWrites[k] += mo.writes.Cnt[idx]; mo.totalWrites[k] < 0 {
 				return fmt.Errorf("sparse: write total for object %d overflows int64", k)
@@ -233,11 +233,11 @@ func (mo *Model) buildCaches() error {
 		sp := int(mo.primary[k])
 		spRow := mo.dist.Row(sp)
 		var v int64
-		ro, re := mo.reads.Range(k)
+		ro, re := mo.reads.bounds(k)
 		for idx := ro; idx < re; idx++ {
 			v += mo.reads.Cnt[idx] * mo.size[k] * spRow[mo.reads.Site[idx]]
 		}
-		wo, we := mo.writes.Range(k)
+		wo, we := mo.writes.bounds(k)
 		for idx := wo; idx < we; idx++ {
 			v += mo.writes.Cnt[idx] * mo.size[k] * spRow[mo.writes.Site[idx]]
 		}
@@ -289,12 +289,12 @@ func readGain(row []int64, rs []int32, rc, dmin []int64) int64 {
 //     baseline.Optimal — which enumerates bit-off before bit-on and only
 //     replaces its best on a strict improvement — can never return a scheme
 //     using a pruned pair; the sparse-prune verify check asserts exactly
-//     that. x's own reads enter through C(x,x) = 0, which NewModel
+//     that. x's own reads enter through C(x,x) = 0, which newModel
 //     validates. The rule depends only on relabelling-invariant
 //     quantities, so candidate sets are permutation-equivariant like eq. 4
 //     itself.
 //
-// No sum overflows: a saving is at most (R_k + W_k)·maxC, and NewModel
+// No sum overflows: a saving is at most (R_k + W_k)·maxC, and newModel
 // admits only instances with o_k·(R_k + (M+1)·W_k + 1)·maxC ≤ MaxInt64,
 // o_k ≥ 1. Both tests are sign bits, so a word is packed without a branch.
 func (mo *Model) buildCandidates() {
@@ -320,8 +320,8 @@ func (mo *Model) buildCandidates() {
 		for k := ch * objectChunk; k < min((ch+1)*objectChunk, mo.n); k++ {
 			sp := int(mo.primary[k])
 			spRow := mo.dist.Row(sp)
-			rs, rc := mo.ReadEntries(k)
-			ws, wc := mo.WriteEntries(k)
+			rs, rc := mo.readEntries(k)
+			ws, wc := mo.writeEntries(k)
 			dmin := sc.dmin[:len(rs)]
 			for j, site := range rs {
 				dmin[j] = spRow[site]
@@ -351,12 +351,12 @@ func (mo *Model) buildCandidates() {
 }
 
 // FromProblem converts a dense instance into the sparse representation
-// (zero read/write entries dropped), revalidating through NewModel. The
+// (zero read/write entries dropped), revalidating through newModel. The
 // distance matrix is shared. Differential tests assert the derived caches
 // (D′, V′_k, traffic totals) match the dense ones exactly.
 func FromProblem(p *core.Problem) (*Model, error) {
 	m, n := p.Sites(), p.Objects()
-	cfg := Config{
+	cfg := config{
 		Sizes:      make([]int64, n),
 		Capacities: make([]int64, m),
 		Primaries:  make([]int32, n),
@@ -385,20 +385,11 @@ func FromProblem(p *core.Problem) (*Model, error) {
 		cfg.Reads.Off[k+1] = int32(len(cfg.Reads.Site))
 		cfg.Writes.Off[k+1] = int32(len(cfg.Writes.Site))
 	}
-	return NewModel(cfg)
+	return newModel(cfg)
 }
-
-// Sites returns M.
-func (mo *Model) Sites() int { return mo.m }
 
 // Objects returns N.
 func (mo *Model) Objects() int { return mo.n }
-
-// Size returns o_k.
-func (mo *Model) Size(k int) int64 { return mo.size[k] }
-
-// Capacity returns s(i).
-func (mo *Model) Capacity(i int) int64 { return mo.cap[i] }
 
 // Primary returns SP_k.
 func (mo *Model) Primary(k int) int32 { return mo.primary[k] }
@@ -411,12 +402,6 @@ func (mo *Model) TotalWrites(k int) int64 { return mo.totalWrites[k] }
 
 // DPrime returns the NTC of the primaries-only allocation.
 func (mo *Model) DPrime() int64 { return mo.dPrime }
-
-// VPrime returns the per-object NTC of the primaries-only allocation.
-func (mo *Model) VPrime(k int) int64 { return mo.vPrime[k] }
-
-// Dist exposes the distance matrix (read-only by convention).
-func (mo *Model) Dist() *netsim.DistMatrix { return mo.dist }
 
 // Candidates returns object k's candidate sites, ascending, primary
 // included, in a new slice built from the object's bitmask.
@@ -440,16 +425,16 @@ func (mo *Model) candidateMask(k int) []uint64 {
 // solver's search-space size after pruning).
 func (mo *Model) CandidateCount() int { return mo.candCount }
 
-// ReadEntries returns object k's reader sites and counts as views into the
+// readEntries returns object k's reader sites and counts as views into the
 // pooled CSR arrays.
-func (mo *Model) ReadEntries(k int) ([]int32, []int64) {
-	lo, hi := mo.reads.Range(k)
+func (mo *Model) readEntries(k int) ([]int32, []int64) {
+	lo, hi := mo.reads.bounds(k)
 	return mo.reads.Site[lo:hi], mo.reads.Cnt[lo:hi]
 }
 
-// WriteEntries returns object k's writer sites and counts.
-func (mo *Model) WriteEntries(k int) ([]int32, []int64) {
-	lo, hi := mo.writes.Range(k)
+// writeEntries returns object k's writer sites and counts.
+func (mo *Model) writeEntries(k int) ([]int32, []int64) {
+	lo, hi := mo.writes.bounds(k)
 	return mo.writes.Site[lo:hi], mo.writes.Cnt[lo:hi]
 }
 

@@ -26,22 +26,22 @@ func TestFromProblemEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: FromProblem: %v", seed, err)
 		}
-		if mo.Sites() != p.Sites() || mo.Objects() != p.Objects() {
-			t.Fatalf("seed %d: dims %d×%d, want %d×%d", seed, mo.Sites(), mo.Objects(), p.Sites(), p.Objects())
+		if mo.m != p.Sites() || mo.Objects() != p.Objects() {
+			t.Fatalf("seed %d: dims %d×%d, want %d×%d", seed, mo.m, mo.Objects(), p.Sites(), p.Objects())
 		}
 		if mo.DPrime() != p.DPrime() {
 			t.Fatalf("seed %d: D′ %d, dense %d", seed, mo.DPrime(), p.DPrime())
 		}
 		for k := 0; k < p.Objects(); k++ {
-			if mo.VPrime(k) != p.VPrime(k) {
-				t.Fatalf("seed %d: V′_%d %d, dense %d", seed, k, mo.VPrime(k), p.VPrime(k))
+			if mo.vPrime[k] != p.VPrime(k) {
+				t.Fatalf("seed %d: V′_%d %d, dense %d", seed, k, mo.vPrime[k], p.VPrime(k))
 			}
 			if mo.TotalReads(k) != p.TotalReads(k) || mo.TotalWrites(k) != p.TotalWrites(k) {
 				t.Fatalf("seed %d: object %d traffic totals diverge", seed, k)
 			}
 		}
 		for i := 0; i < p.Sites(); i++ {
-			if mo.Capacity(i) != p.Capacity(i) {
+			if mo.cap[i] != p.Capacity(i) {
 				t.Fatalf("seed %d: capacity %d diverges", seed, i)
 			}
 		}
@@ -67,19 +67,19 @@ func TestModelRoundTrip(t *testing.T) {
 
 // validConfig builds a minimal well-formed 2-site, 2-object config for the
 // validation table to corrupt.
-func validConfig() Config {
+func validConfig() config {
 	d := netsim.NewDistMatrix(2)
 	d.Set(0, 1, 3)
-	return Config{
+	return config{
 		Sizes:      []int64{5, 7},
 		Capacities: []int64{20, 20},
 		Primaries:  []int32{0, 1},
-		Reads: CSR{
+		Reads: csr{
 			Off:  []int32{0, 1, 2},
 			Site: []int32{1, 0},
 			Cnt:  []int64{4, 9},
 		},
-		Writes: CSR{
+		Writes: csr{
 			Off:  []int32{0, 0, 1},
 			Site: []int32{0},
 			Cnt:  []int64{2},
@@ -89,44 +89,44 @@ func validConfig() Config {
 }
 
 func TestNewModelValidation(t *testing.T) {
-	if _, err := NewModel(validConfig()); err != nil {
+	if _, err := newModel(validConfig()); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	cases := []struct {
 		name    string
-		corrupt func(*Config)
+		corrupt func(*config)
 		want    string
 	}{
-		{"nil dist", func(c *Config) { c.Dist = nil }, "nil distance"},
-		{"no objects", func(c *Config) {
+		{"nil dist", func(c *config) { c.Dist = nil }, "nil distance"},
+		{"no objects", func(c *config) {
 			c.Sizes = nil
 			c.Primaries = nil
-			c.Reads = CSR{Off: []int32{0}}
-			c.Writes = CSR{Off: []int32{0}}
+			c.Reads = csr{Off: []int32{0}}
+			c.Writes = csr{Off: []int32{0}}
 		}, "no objects"},
-		{"capacity count", func(c *Config) { c.Capacities = c.Capacities[:1] }, "capacities"},
-		{"primary count", func(c *Config) { c.Primaries = c.Primaries[:1] }, "primaries"},
-		{"non-positive size", func(c *Config) { c.Sizes[0] = 0 }, "non-positive size"},
-		{"negative capacity", func(c *Config) { c.Capacities[1] = -1 }, "negative capacity"},
-		{"primary range", func(c *Config) { c.Primaries[0] = 5 }, "out-of-range primary"},
-		{"primary fit", func(c *Config) { c.Capacities[0] = 1 }, "infeasible"},
-		{"offset length", func(c *Config) { c.Reads.Off = c.Reads.Off[:2] }, "offsets have length"},
-		{"offset start", func(c *Config) { c.Reads.Off[0] = 1 }, "start at 0"},
-		{"offset end", func(c *Config) { c.Reads.Off[2] = 1 }, "entries exist"},
-		{"offset decrease", func(c *Config) { c.Reads.Off[1] = 2; c.Reads.Off[2] = 1 }, "entries exist"},
-		{"ragged counts", func(c *Config) { c.Writes.Cnt = c.Writes.Cnt[:0] }, "counts"},
-		{"site range", func(c *Config) { c.Reads.Site[0] = 9 }, "references site"},
-		{"site order", func(c *Config) {
+		{"capacity count", func(c *config) { c.Capacities = c.Capacities[:1] }, "capacities"},
+		{"primary count", func(c *config) { c.Primaries = c.Primaries[:1] }, "primaries"},
+		{"non-positive size", func(c *config) { c.Sizes[0] = 0 }, "non-positive size"},
+		{"negative capacity", func(c *config) { c.Capacities[1] = -1 }, "negative capacity"},
+		{"primary range", func(c *config) { c.Primaries[0] = 5 }, "out-of-range primary"},
+		{"primary fit", func(c *config) { c.Capacities[0] = 1 }, "infeasible"},
+		{"offset length", func(c *config) { c.Reads.Off = c.Reads.Off[:2] }, "offsets have length"},
+		{"offset start", func(c *config) { c.Reads.Off[0] = 1 }, "start at 0"},
+		{"offset end", func(c *config) { c.Reads.Off[2] = 1 }, "entries exist"},
+		{"offset decrease", func(c *config) { c.Reads.Off[1] = 2; c.Reads.Off[2] = 1 }, "entries exist"},
+		{"ragged counts", func(c *config) { c.Writes.Cnt = c.Writes.Cnt[:0] }, "counts"},
+		{"site range", func(c *config) { c.Reads.Site[0] = 9 }, "references site"},
+		{"site order", func(c *config) {
 			c.Reads.Off = []int32{0, 2, 2}
 			c.Reads.Site = []int32{1, 1}
 			c.Reads.Cnt = []int64{4, 9}
 		}, "strictly ascending"},
-		{"negative count", func(c *Config) { c.Reads.Cnt[0] = -4 }, "negative count"},
+		{"negative count", func(c *config) { c.Reads.Cnt[0] = -4 }, "negative count"},
 	}
 	for _, tc := range cases {
 		cfg := validConfig()
 		tc.corrupt(&cfg)
-		_, err := NewModel(cfg)
+		_, err := newModel(cfg)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -142,16 +142,16 @@ func TestNewModelValidation(t *testing.T) {
 // instances, and at the largest accepted magnitude the evaluator's sum is
 // still exact.
 func TestOverflowGateBoundary(t *testing.T) {
-	build := func(readCount int64) (Config, core.Config) {
+	build := func(readCount int64) (config, core.Config) {
 		d := netsim.NewDistMatrix(2)
 		d.Set(0, 1, 1)
 		size := int64(1) << 31
-		sc := Config{
+		sc := config{
 			Sizes:      []int64{size},
 			Capacities: []int64{size, size},
 			Primaries:  []int32{0},
-			Reads:      CSR{Off: []int32{0, 1}, Site: []int32{1}, Cnt: []int64{readCount}},
-			Writes:     CSR{Off: []int32{0, 0}},
+			Reads:      csr{Off: []int32{0, 1}, Site: []int32{1}, Cnt: []int64{readCount}},
+			Writes:     csr{Off: []int32{0, 0}},
 			Dist:       d,
 		}
 		dc := core.Config{
@@ -168,7 +168,7 @@ func TestOverflowGateBoundary(t *testing.T) {
 	// fits int64 iff 1+R ≤ 2^32−1.
 	fitsR := int64(1)<<32 - 2
 	sc, dc := build(fitsR)
-	mo, errS := NewModel(sc)
+	mo, errS := newModel(sc)
 	_, errD := core.NewProblem(dc)
 	if errS != nil || errD != nil {
 		t.Fatalf("boundary instance rejected: sparse %v, dense %v", errS, errD)
@@ -185,7 +185,7 @@ func TestOverflowGateBoundary(t *testing.T) {
 	}
 
 	sc, dc = build(fitsR + 1)
-	_, errS = NewModel(sc)
+	_, errS = newModel(sc)
 	_, errD = core.NewProblem(dc)
 	if errS == nil || errD == nil {
 		t.Fatalf("over-boundary instance accepted: sparse %v, dense %v", errS, errD)
@@ -232,7 +232,7 @@ func TestCandidatesContainOptimal(t *testing.T) {
 func TestCandidatePruningEquivariance(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		mo := testModel(t, 9, 25, seed)
-		m, n := mo.Sites(), mo.Objects()
+		m, n := mo.m, mo.Objects()
 		rng := xrand.New(seed * 77)
 		perm := rng.Perm(m) // out site a ← in site perm[a]
 		inv := make([]int32, m)
@@ -242,17 +242,17 @@ func TestCandidatePruningEquivariance(t *testing.T) {
 		d := netsim.NewDistMatrix(m)
 		for a := 0; a < m; a++ {
 			for b := a + 1; b < m; b++ {
-				d.Set(a, b, mo.Dist().At(perm[a], perm[b]))
+				d.Set(a, b, mo.dist.At(perm[a], perm[b]))
 			}
 		}
-		cfg := Config{
+		cfg := config{
 			Sizes:      mo.size,
 			Capacities: make([]int64, m),
 			Primaries:  make([]int32, n),
 			Dist:       d,
 		}
 		for a := 0; a < m; a++ {
-			cfg.Capacities[a] = mo.Capacity(perm[a])
+			cfg.Capacities[a] = mo.cap[perm[a]]
 		}
 		cfg.Reads.Off = make([]int32, n+1)
 		cfg.Writes.Off = make([]int32, n+1)
@@ -274,20 +274,20 @@ func TestCandidatePruningEquivariance(t *testing.T) {
 		}
 		for k := 0; k < n; k++ {
 			cfg.Primaries[k] = inv[mo.Primary(k)]
-			rs, rc := mo.ReadEntries(k)
+			rs, rc := mo.readEntries(k)
 			for _, e := range remap(rs, rc) {
 				cfg.Reads.Site = append(cfg.Reads.Site, e.site)
 				cfg.Reads.Cnt = append(cfg.Reads.Cnt, e.cnt)
 			}
 			cfg.Reads.Off[k+1] = int32(len(cfg.Reads.Site))
-			ws, wc := mo.WriteEntries(k)
+			ws, wc := mo.writeEntries(k)
 			for _, e := range remap(ws, wc) {
 				cfg.Writes.Site = append(cfg.Writes.Site, e.site)
 				cfg.Writes.Cnt = append(cfg.Writes.Cnt, e.cnt)
 			}
 			cfg.Writes.Off[k+1] = int32(len(cfg.Writes.Site))
 		}
-		permuted, err := NewModel(cfg)
+		permuted, err := newModel(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: permuted model: %v", seed, err)
 		}
@@ -323,7 +323,7 @@ func TestCandidatesMultiWord(t *testing.T) {
 		mo := testModel(t, m, 400, 3)
 		load := make([]int64, m)
 		for k := 0; k < mo.Objects(); k++ {
-			load[mo.Primary(k)] += mo.Size(k)
+			load[mo.Primary(k)] += mo.size[k]
 		}
 		at := func(sites []int32, cnts []int64, i int) int64 {
 			for idx, s := range sites {
@@ -336,17 +336,17 @@ func TestCandidatesMultiWord(t *testing.T) {
 		total, top := 0, int32(0)
 		for k := 0; k < mo.Objects(); k++ {
 			sp := int(mo.Primary(k))
-			rs, rc := mo.ReadEntries(k)
-			ws, wc := mo.WriteEntries(k)
+			rs, rc := mo.readEntries(k)
+			ws, wc := mo.writeEntries(k)
 			var want []int32
 			for i := 0; i < m; i++ {
 				keep := i == sp
-				if !keep && load[i]+mo.Size(k) <= mo.Capacity(i) {
-					c := mo.Dist().At(i, sp)
+				if !keep && load[i]+mo.size[k] <= mo.cap[i] {
+					c := mo.dist.At(i, sp)
 					saving := (at(rs, rc, i) + at(ws, wc, i)) * c
 					for idx, j := range rs {
 						if int(j) != i {
-							saving += rc[idx] * max(0, mo.Dist().At(int(j), sp)-mo.Dist().At(int(j), i))
+							saving += rc[idx] * max(0, mo.dist.At(int(j), sp)-mo.dist.At(int(j), i))
 						}
 					}
 					keep = saving > mo.TotalWrites(k)*c
@@ -396,7 +396,7 @@ func TestCandidatesPinned(t *testing.T) {
 }
 
 // TestCandidatesAtMagnitudeGate prunes single-object instances one read
-// unit under NewModel's magnitude gate — o_k = 1, C up to 2^40 and the
+// unit under newModel's magnitude gate — o_k = 1, C up to 2^40 and the
 // largest read and write counts the gate admits, so the pruning sums come
 // as close to the int64 edge as any admitted instance lets them — and
 // holds every mask to the rule evaluated in math/big.
@@ -423,8 +423,8 @@ func TestCandidatesAtMagnitudeGate(t *testing.T) {
 		{[m]int64{u, 2 * u, 3 * u, u}, [m]int64{5, 0, 1, 9}},
 		{[m]int64{0, 0, 7 * u, 0}, [m]int64{0, 1, 0, 0}},
 	}
-	csr := func(cnt [m]int64) CSR {
-		c := CSR{Off: []int32{0, 0}}
+	pattern := func(cnt [m]int64) csr {
+		c := csr{Off: []int32{0, 0}}
 		for i, n := range cnt {
 			if n > 0 {
 				c.Site = append(c.Site, int32(i))
@@ -459,7 +459,7 @@ func TestCandidatesAtMagnitudeGate(t *testing.T) {
 			caps := []int64{1, 1, 1, 1}
 			caps[(sp+2)%m] = 0 // no room for the object: pruned by reachability
 			model := func(reads [m]int64) (*Model, error) {
-				return NewModel(Config{Sizes: []int64{1}, Capacities: caps, Primaries: []int32{sp}, Reads: csr(reads), Writes: csr(sh.writes), Dist: d})
+				return newModel(config{Sizes: []int64{1}, Capacities: caps, Primaries: []int32{sp}, Reads: pattern(reads), Writes: pattern(sh.writes), Dist: d})
 			}
 			mo, err := model(reads)
 			if err != nil {
@@ -509,21 +509,21 @@ func TestCapacityReachabilityPrune(t *testing.T) {
 	d.Set(0, 1, 5)
 	d.Set(0, 2, 5)
 	d.Set(1, 2, 5)
-	cfg := Config{
+	cfg := config{
 		Sizes:      []int64{10, 4},
 		Capacities: []int64{10, 12, 20},
 		Primaries:  []int32{0, 1},
 		// Both objects heavily read everywhere, so traffic alone would keep
 		// every site.
-		Reads: CSR{
+		Reads: csr{
 			Off:  []int32{0, 3, 6},
 			Site: []int32{0, 1, 2, 0, 1, 2},
 			Cnt:  []int64{50, 50, 50, 50, 50, 50},
 		},
-		Writes: CSR{Off: []int32{0, 0, 0}},
+		Writes: csr{Off: []int32{0, 0, 0}},
 		Dist:   d,
 	}
-	mo, err := NewModel(cfg)
+	mo, err := newModel(cfg)
 	if err != nil {
 		t.Fatalf("model: %v", err)
 	}

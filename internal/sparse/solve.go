@@ -48,12 +48,12 @@ import (
 // proposals finished before the stop, and which ones those are depends on
 // the shard count.
 
-// DefaultMaxReplicas caps the greedy descent per object at this many
+// defaultMaxReplicas caps the greedy descent per object at this many
 // replicas, primary included. Unlimited descent on a million-object
 // instance multiplies work by the replica count for near-zero marginal
 // saving; 8 replicas on ~100 sites matches the paper's observed replica
 // degrees.
-const DefaultMaxReplicas = 8
+const defaultMaxReplicas = 8
 
 // SolveParams configures the sharded solve.
 type SolveParams struct {
@@ -86,8 +86,8 @@ type Result struct {
 // previous steps applied.
 type proposal struct {
 	n      int
-	sites  [DefaultMaxReplicas - 1]int32
-	deltas [DefaultMaxReplicas - 1]int64
+	sites  [defaultMaxReplicas - 1]int32
+	deltas [defaultMaxReplicas - 1]int64
 }
 
 // Solve runs the sharded greedy from the primaries-only allocation.
@@ -228,8 +228,8 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 		ok := mo.size[k]
 		wTot := mo.totalWrites[k]
 		spRow := mo.dist.Row(sp)
-		rs, rc := mo.ReadEntries(k)
-		ws, wc := mo.WriteEntries(k)
+		rs, rc := mo.readEntries(k)
+		ws, wc := mo.writeEntries(k)
 		dmin := sc.dmin[:len(rs)]
 		for j, site := range rs {
 			dmin[j] = spRow[site]
@@ -239,7 +239,7 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 		}
 		// δ(x) = o_k·(Wtot·C(x,SP) − gain[x]): the fan-in a replica at x
 		// starts paying minus what it saves, x's own write shipping and
-		// every reader's drop to C(x,·). C(x,x) = 0 (NewModel validates the
+		// every reader's drop to C(x,·). C(x,x) = 0 (newModel validates the
 		// matrix), so x's own reads drop by all of dmin, and a replicator
 		// reader, whose dmin is 0, drops by nothing.
 		gain := sc.gain
@@ -415,7 +415,7 @@ func merge(mo *Model, a *Assignment, startCost int64, objects []int, steps []led
 			}
 		}
 		size := mo.size[e.obj]
-		if a.Free(int(e.site)) < size {
+		if a.free(int(e.site)) < size {
 			// Capacity: this and every later step of the object assumed the
 			// add succeeded, so the whole tail is invalid.
 			dead[e.obj] = true

@@ -73,7 +73,7 @@ func TestSolveShardDeterminism(t *testing.T) {
 // object's replica list, k ascending.
 func assignmentDigest(a *Assignment) string {
 	h := sha256.New()
-	for k := 0; k < a.Model().Objects(); k++ {
+	for k := 0; k < a.mo.Objects(); k++ {
 		fmt.Fprint(h, a.Replicators(k), ";")
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
@@ -135,12 +135,12 @@ func TestSolvePinned(t *testing.T) {
 // round prices every candidate not yet placed by a full V_k evaluation of
 // the list plus that site, ascending with strict <, so the most negative
 // delta wins and ties go to the lowest site; it stops at the first round
-// without a negative delta or at DefaultMaxReplicas−1 adds.
+// without a negative delta or at defaultMaxReplicas−1 adds.
 func naiveProposal(ev *Evaluator, mo *Model, k int) proposal {
 	var p proposal
 	repl := []int32{mo.Primary(k)}
 	cur := ev.ObjectCost(k, repl)
-	for p.n < DefaultMaxReplicas-1 {
+	for p.n < defaultMaxReplicas-1 {
 		best, bestDelta := int32(-1), int64(0)
 		for _, x := range mo.Candidates(k) {
 			idx, placed := slices.BinarySearch(repl, x)
@@ -195,7 +195,7 @@ func TestProposeMatchesNaiveGreedy(t *testing.T) {
 		steps := 0
 		for k, got := range props {
 			if want := naiveProposal(ev, mo, k); got != want {
-				t.Fatalf("model %d (M=%d) object %d: proposal %v %v, naive greedy %v %v", mi, mo.Sites(), k,
+				t.Fatalf("model %d (M=%d) object %d: proposal %v %v, naive greedy %v %v", mi, mo.m, k,
 					got.sites[:got.n], got.deltas[:got.n], want.sites[:want.n], want.deltas[:want.n])
 			}
 			for s := 0; s < got.n; s++ {
@@ -416,9 +416,9 @@ func TestAdaptRejectsForeignAssignment(t *testing.T) {
 		if !tc.a.Equal(before) {
 			t.Fatalf("%s: the refused assignment was mutated", tc.name)
 		}
-		for i := 0; i < tc.a.Model().Sites(); i++ {
-			if tc.a.Used(i) != before.Used(i) {
-				t.Fatalf("%s: site %d usage moved from %d to %d", tc.name, i, before.Used(i), tc.a.Used(i))
+		for i := 0; i < tc.a.mo.m; i++ {
+			if tc.a.used[i] != before.used[i] {
+				t.Fatalf("%s: site %d usage moved from %d to %d", tc.name, i, before.used[i], tc.a.used[i])
 			}
 		}
 	}
@@ -467,8 +467,8 @@ func TestGenerateDeterminism(t *testing.T) {
 		t.Fatalf("same seed, nnz (%d,%d) vs (%d,%d)", ra, wa, rb, wb)
 	}
 	for k := 0; k < a.Objects(); k++ {
-		as, ac := a.ReadEntries(k)
-		bs, bc := b.ReadEntries(k)
+		as, ac := a.readEntries(k)
+		bs, bc := b.readEntries(k)
 		if len(as) != len(bs) {
 			t.Fatalf("object %d: reader counts differ", k)
 		}
@@ -519,8 +519,8 @@ func TestPerturbDeterminismAndIsolation(t *testing.T) {
 		if changedSet[k] {
 			continue
 		}
-		os, oc := mo.ReadEntries(k)
-		ns, nc := s1.ReadEntries(k)
+		os, oc := mo.readEntries(k)
+		ns, nc := s1.readEntries(k)
 		if len(os) != len(ns) {
 			t.Fatalf("unchanged object %d: reader count moved", k)
 		}
@@ -529,8 +529,8 @@ func TestPerturbDeterminismAndIsolation(t *testing.T) {
 				t.Fatalf("unchanged object %d: read entries moved", k)
 			}
 		}
-		if mo.VPrime(k) != s1.VPrime(k) {
-			t.Fatalf("unchanged object %d: V′ moved %d -> %d", k, mo.VPrime(k), s1.VPrime(k))
+		if mo.vPrime[k] != s1.vPrime[k] {
+			t.Fatalf("unchanged object %d: V′ moved %d -> %d", k, mo.vPrime[k], s1.vPrime[k])
 		}
 	}
 }

@@ -63,9 +63,9 @@ type Store struct {
 	curPrimary []int
 }
 
-// ErrClosed reports a mutation on a store whose log has been closed (the
+// errClosed reports a mutation on a store whose log has been closed (the
 // node is shutting down or crash-stopped).
-var ErrClosed = errors.New("store: closed")
+var errClosed = errors.New("store: closed")
 
 // bootstrap sets the state a site starts from: every object's replica set
 // is its primary alone, and objects primaried at the site are held at
@@ -272,7 +272,7 @@ func int32sOf(sites []int) []int32 {
 // only changes if the log accepted the record: append-before-ack.
 func (s *Store) commit(rec record) error {
 	if s.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if s.w != nil {
 		if err := s.w.append(rec.encode()); err != nil {
@@ -605,7 +605,7 @@ func (s *Store) Snapshot() error {
 		return nil
 	}
 	if s.closed {
-		return ErrClosed
+		return errClosed
 	}
 	return s.snapshotLocked()
 }

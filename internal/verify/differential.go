@@ -54,7 +54,7 @@ func naiveCost(p *core.Problem, s *core.Scheme) int64 {
 func checkEq4Oracle(cx *Ctx) error {
 	for trial := 0; trial < 4; trial++ {
 		s := randomScheme(cx.P, cx.RNG)
-		got, want := cx.Cost(s), naiveCost(cx.P, s)
+		got, want := cx.schemeCost(s), naiveCost(cx.P, s)
 		if got != want {
 			return fmt.Errorf("trial %d: evaluator says D=%d, literal eq.4 says %d (%d replicas)",
 				trial, got, want, s.TotalReplicas())
@@ -93,7 +93,7 @@ func checkDeltaEval(cx *Ctx) error {
 		if applyErr != nil {
 			return fmt.Errorf("step %d: delta predicted a move the scheme rejected: %v", step, applyErr)
 		}
-		full := cx.Cost(s)
+		full := cx.schemeCost(s)
 		if d.Cost() != full {
 			return fmt.Errorf("step %d (site %d, object %d): delta cost %d != full re-eval %d",
 				step, i, k, d.Cost(), full)
@@ -166,7 +166,7 @@ func checkSolverSanity(cx *Ctx) error {
 	if err := sraRes.Scheme.Validate(); err != nil {
 		return fmt.Errorf("SRA scheme invalid: %w", err)
 	}
-	if c := cx.Cost(sraRes.Scheme); c > dPrime {
+	if c := cx.schemeCost(sraRes.Scheme); c > dPrime {
 		return fmt.Errorf("SRA cost %d exceeds no-replication D′ %d", c, dPrime)
 	}
 	if again := sra.Run(p, sra.Options{}); !again.Scheme.Equal(sraRes.Scheme) {
@@ -184,7 +184,7 @@ func checkSolverSanity(cx *Ctx) error {
 	if graRes.Cost > dPrime {
 		return fmt.Errorf("GRA cost %d exceeds no-replication D′ %d", graRes.Cost, dPrime)
 	}
-	if c := cx.Cost(graRes.Scheme); c != graRes.Cost {
+	if c := cx.schemeCost(graRes.Scheme); c != graRes.Cost {
 		return fmt.Errorf("GRA reported cost %d but its scheme evaluates to %d", graRes.Cost, c)
 	}
 	graAgain, err := gra.Run(p, soakGRAParams(seed))
@@ -222,7 +222,7 @@ func checkSolverSanity(cx *Ctx) error {
 	if err := adapted.Scheme.Validate(); err != nil {
 		return fmt.Errorf("AGRA scheme invalid: %w", err)
 	}
-	if c := cx.Cost(adapted.Scheme); c != adapted.Cost {
+	if c := cx.schemeCost(adapted.Scheme); c != adapted.Cost {
 		return fmt.Errorf("AGRA reported cost %d but its scheme evaluates to %d", adapted.Cost, c)
 	}
 	replay, err := agra.Adapt(in, soakAGRAParams(aseed), mini, 3)
@@ -243,21 +243,21 @@ func checkOptimalGap(cx *Ctx) error {
 	if err != nil {
 		return nil // instance larger than the exhaustive gate; skip
 	}
-	optCost := cx.Cost(opt)
+	optCost := cx.schemeCost(opt)
 	if err := opt.Validate(); err != nil {
 		return fmt.Errorf("optimal scheme invalid: %w", err)
 	}
 	if dPrime := p.DPrime(); optCost > dPrime {
 		return fmt.Errorf("optimal cost %d exceeds no-replication D′ %d", optCost, dPrime)
 	}
-	if c := cx.Cost(sra.Run(p, sra.Options{}).Scheme); c < optCost {
+	if c := cx.schemeCost(sra.Run(p, sra.Options{}).Scheme); c < optCost {
 		return fmt.Errorf("SRA cost %d beats the exhaustive optimum %d", c, optCost)
 	}
 	graRes, err := gra.Run(p, soakGRAParams(cx.RNG.Uint64()))
 	if err != nil {
 		return fmt.Errorf("GRA: %w", err)
 	}
-	if c := cx.Cost(graRes.Scheme); c < optCost {
+	if c := cx.schemeCost(graRes.Scheme); c < optCost {
 		return fmt.Errorf("GRA cost %d beats the exhaustive optimum %d", c, optCost)
 	}
 	return nil
@@ -288,8 +288,8 @@ func checkOptimalCapacity(cx *Ctx) error {
 	if err != nil {
 		return fmt.Errorf("relaxed optimal: %w", err)
 	}
-	if cx.Cost(relaxed) > cx.Cost(tight) {
-		return fmt.Errorf("capacity relaxation worsened the optimum: %d > %d", cx.Cost(relaxed), cx.Cost(tight))
+	if cx.schemeCost(relaxed) > cx.schemeCost(tight) {
+		return fmt.Errorf("capacity relaxation worsened the optimum: %d > %d", cx.schemeCost(relaxed), cx.schemeCost(tight))
 	}
 	return nil
 }

@@ -125,7 +125,7 @@ func checkSitePermutation(cx *Ctx) error {
 	if err != nil {
 		return fmt.Errorf("permuted scheme rejected: %w", err)
 	}
-	if got, want := cx.Cost(ps), cx.Cost(s); got != want {
+	if got, want := cx.schemeCost(ps), cx.schemeCost(s); got != want {
 		return fmt.Errorf("site permutation changed D: %d != %d (perm %v)", got, want, perm)
 	}
 	return nil
@@ -174,7 +174,7 @@ func checkObjectPermutation(cx *Ctx) error {
 	if err != nil {
 		return fmt.Errorf("permuted scheme rejected: %w", err)
 	}
-	if got, want := cx.Cost(ps), cx.Cost(s); got != want {
+	if got, want := cx.schemeCost(ps), cx.schemeCost(s); got != want {
 		return fmt.Errorf("object permutation changed D: %d != %d (perm %v)", got, want, perm)
 	}
 	return nil
@@ -203,8 +203,8 @@ func checkScaleCost(cx *Ctx) error {
 	if err != nil {
 		return fmt.Errorf("rebinding scheme onto scaled instance: %w", err)
 	}
-	if got, want := cx.Cost(qs), alpha*cx.Cost(s); got != want {
-		return fmt.Errorf("scaling C by %d scaled D by %d/%d, want exact", alpha, got, cx.Cost(s))
+	if got, want := cx.schemeCost(qs), alpha*cx.schemeCost(s); got != want {
+		return fmt.Errorf("scaling C by %d scaled D by %d/%d, want exact", alpha, got, cx.schemeCost(s))
 	}
 	return nil
 }
@@ -242,7 +242,7 @@ func checkTrafficLinearity(cx *Ctx) error {
 		if err != nil {
 			return 0, err
 		}
-		return cx.Cost(qs), nil
+		return cx.schemeCost(qs), nil
 	}
 	readPart, err := costWith(reads, zero(writes))
 	if err != nil {
@@ -252,7 +252,7 @@ func checkTrafficLinearity(cx *Ctx) error {
 	if err != nil {
 		return fmt.Errorf("writes-only variant: %w", err)
 	}
-	if total := cx.Cost(s); total != readPart+writePart {
+	if total := cx.schemeCost(s); total != readPart+writePart {
 		return fmt.Errorf("D(r,w)=%d but D(r,0)+D(0,w)=%d+%d", total, readPart, writePart)
 	}
 	alpha := int64(2 + cx.RNG.Intn(3))
@@ -300,7 +300,7 @@ func checkZeroObject(cx *Ctx) error {
 	if err != nil {
 		return fmt.Errorf("extended scheme rejected: %w", err)
 	}
-	if got, want := cx.Cost(qs), cx.Cost(s); got != want {
+	if got, want := cx.schemeCost(qs), cx.schemeCost(s); got != want {
 		return fmt.Errorf("zero-traffic object moved D: %d != %d", got, want)
 	}
 	if q.DPrime() != p.DPrime() {

@@ -13,12 +13,12 @@ import (
 // cannot stall the soak; the best reduction found so far is returned.
 const maxShrinkProbes = 2000
 
-// Shrink reduces p to a (locally) minimal instance still satisfying pred.
-// pred must report true for p itself; Shrink never returns an instance for
+// shrink reduces p to a (locally) minimal instance still satisfying pred.
+// pred must report true for p itself; shrink never returns an instance for
 // which pred was not observed true. Removing a site also removes every
 // object primaried there, and candidate instances that fail validation are
 // treated as non-failing (the bug is in the cost path, not the validators).
-func Shrink(p *core.Problem, pred func(*core.Problem) bool) *core.Problem {
+func shrink(p *core.Problem, pred func(*core.Problem) bool) *core.Problem {
 	sh := &shrinker{pred: pred, budget: maxShrinkProbes}
 	cur := p
 	for {

@@ -23,7 +23,7 @@ func TestShrinkReachesDimensionFloor(t *testing.T) {
 	pred := func(q *core.Problem) bool {
 		return q.Sites() >= 3 && q.Objects() >= 2
 	}
-	out := Shrink(p, pred)
+	out := shrink(p, pred)
 	if !pred(out) {
 		t.Fatal("shrunken instance no longer satisfies the predicate")
 	}
@@ -58,7 +58,7 @@ func TestShrinkTracksPlantedObject(t *testing.T) {
 	if !pred(p) {
 		t.Fatal("predicate false on the original instance")
 	}
-	out := Shrink(p, pred)
+	out := shrink(p, pred)
 	if !pred(out) {
 		t.Fatal("shrunken instance lost the planted object")
 	}
@@ -73,8 +73,8 @@ func TestShrinkTracksPlantedObject(t *testing.T) {
 // TestShrinkIsDeterministic: identical inputs give identical reproducers.
 func TestShrinkIsDeterministic(t *testing.T) {
 	pred := func(q *core.Problem) bool { return q.Sites() >= 2 && q.Objects() >= 2 }
-	a := Shrink(genTestInstance(t, 9, 7, 11), pred)
-	b := Shrink(genTestInstance(t, 9, 7, 11), pred)
+	a := shrink(genTestInstance(t, 9, 7, 11), pred)
+	b := shrink(genTestInstance(t, 9, 7, 11), pred)
 	if a.Sites() != b.Sites() || a.Objects() != b.Objects() {
 		t.Fatalf("non-deterministic shrink: %d×%d vs %d×%d", a.Sites(), a.Objects(), b.Sites(), b.Objects())
 	}
@@ -90,7 +90,7 @@ func TestShrinkNeverReturnsUnobservedFailure(t *testing.T) {
 	pred := func(q *core.Problem) bool {
 		return q.Sites() == p.Sites() && q.Objects() == p.Objects()
 	}
-	out := Shrink(p, pred)
+	out := shrink(p, pred)
 	if out.Sites() != p.Sites() || out.Objects() != p.Objects() {
 		t.Fatalf("shrinker deviated to %d×%d despite an unshrinkable predicate", out.Sites(), out.Objects())
 	}
@@ -100,7 +100,7 @@ func TestShrinkNeverReturnsUnobservedFailure(t *testing.T) {
 // in range and within capacity — because they come out of core.NewProblem.
 func TestShrinkPreservesFeasibility(t *testing.T) {
 	p := genTestInstance(t, 10, 8, 99)
-	out := Shrink(p, func(q *core.Problem) bool { return q.Objects() >= 1 })
+	out := shrink(p, func(q *core.Problem) bool { return q.Objects() >= 1 })
 	for k := 0; k < out.Objects(); k++ {
 		if sp := out.Primary(k); sp < 0 || sp >= out.Sites() {
 			t.Fatalf("object %d primaried at out-of-range site %d", k, sp)

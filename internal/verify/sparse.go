@@ -34,7 +34,7 @@ func checkSparseEval(cx *Ctx) error {
 		if err != nil {
 			return fmt.Errorf("trial %d: scheme conversion: %w", trial, err)
 		}
-		want := cx.Cost(s)
+		want := cx.schemeCost(s)
 		if got := ev.Cost(a); got != want {
 			return fmt.Errorf("trial %d: sparse cost %d != dense %d (%d replicas)", trial, got, want, s.TotalReplicas())
 		}
@@ -91,7 +91,7 @@ func checkSparseDelta(cx *Ctx) error {
 		if denseErr != nil || sparseErr != nil {
 			return fmt.Errorf("step %d: accepted move failed to apply: dense %v, sparse %v", step, denseErr, sparseErr)
 		}
-		full := cx.Cost(s)
+		full := cx.schemeCost(s)
 		if sd.Cost() != full {
 			return fmt.Errorf("step %d (site %d, object %d): sparse running cost %d != dense re-eval %d", step, i, k, sd.Cost(), full)
 		}
@@ -133,7 +133,7 @@ func checkSparseShards(cx *Ctx) error {
 		if err != nil {
 			return fmt.Errorf("solve at %d shards: result does not convert: %w", shards, err)
 		}
-		if c := cx.Cost(s); c != res.Cost {
+		if c := cx.schemeCost(s); c != res.Cost {
 			return fmt.Errorf("solve at %d shards: reported cost %d but dense evaluator says %d", shards, res.Cost, c)
 		}
 		if first == nil {

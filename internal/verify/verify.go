@@ -15,7 +15,7 @@
 //     wall-clock deadline or a failure — built on the drp/internal/solver
 //     anytime runtime so cmd/drpverify gets deadlines, budgets and progress
 //     for free; and
-//   - a deterministic instance shrinker (Shrink) that delta-debugs any
+//   - a deterministic instance shrinker (shrink) that delta-debugs any
 //     failing instance down to a minimal reproducer over sites and objects
 //     while preserving primary placement and capacity feasibility.
 //
@@ -51,20 +51,20 @@ type Ctx struct {
 	cost func(*core.Scheme) int64
 }
 
-// NewCtx builds a check context for p. costFn overrides the production
-// evaluator; nil means Scheme.Cost. It is exported for tests and for the
-// shrinker's replay predicate.
-func NewCtx(p *core.Problem, seed uint64, costFn func(*core.Scheme) int64) *Ctx {
+// newCtx builds a check context for p. costFn overrides the production
+// evaluator (tests and the shrinker's replay predicate pass one); nil means
+// Scheme.Cost.
+func newCtx(p *core.Problem, seed uint64, costFn func(*core.Scheme) int64) *Ctx {
 	if costFn == nil {
 		costFn = func(s *core.Scheme) int64 { return s.Cost() }
 	}
 	return &Ctx{P: p, Seed: seed, RNG: xrand.New(seed), cost: costFn}
 }
 
-// Cost evaluates a scheme with the production evaluator (or the test
+// schemeCost evaluates a scheme with the production evaluator (or the test
 // override). Checks that exercise "the evaluator" route through this so a
 // deliberately broken evaluator is observable end to end.
-func (cx *Ctx) Cost(s *core.Scheme) int64 { return cx.cost(s) }
+func (cx *Ctx) schemeCost(s *core.Scheme) int64 { return cx.cost(s) }
 
 // Check is one named verification property.
 type Check struct {
@@ -103,8 +103,8 @@ func Checks() []Check {
 	}
 }
 
-// CheckNames returns the registry's names in order.
-func CheckNames() []string {
+// checkNames returns the registry's names in order.
+func checkNames() []string {
 	cs := Checks()
 	names := make([]string, len(cs))
 	for i, c := range cs {
@@ -132,7 +132,7 @@ func selectChecks(names []string) ([]Check, error) {
 		}
 		c, ok := byName[n]
 		if !ok {
-			return nil, fmt.Errorf("verify: unknown check %q (have: %s)", n, strings.Join(CheckNames(), " "))
+			return nil, fmt.Errorf("verify: unknown check %q (have: %s)", n, strings.Join(checkNames(), " "))
 		}
 		seen[n] = true
 		out = append(out, c)
@@ -326,7 +326,7 @@ func Soak(opts Options) (*Report, error) {
 				return res
 			}
 			res.ran++
-			if err := ch.Run(NewCtx(p, checkSeed(seed, idx), opts.Cost)); err != nil {
+			if err := ch.Run(newCtx(p, checkSeed(seed, idx), opts.Cost)); err != nil {
 				res.check, res.p, res.err = ch.Name, p, err
 				return res
 			}
@@ -406,14 +406,14 @@ func shrinkFailure(checks []Check, f *instanceResult, opts Options) *Failure {
 	seed := checkSeed(f.seed, idx)
 	var lastErr error
 	pred := func(q *core.Problem) bool {
-		err := check.Run(NewCtx(q, seed, opts.Cost))
+		err := check.Run(newCtx(q, seed, opts.Cost))
 		if err != nil {
 			lastErr = err
 		}
 		return err != nil
 	}
 	opts.logf("shrinking %d×%d reproducer for %q…", f.p.Sites(), f.p.Objects(), f.check)
-	out.Problem = Shrink(f.p, pred)
+	out.Problem = shrink(f.p, pred)
 	out.ShrunkErr = lastErr
 	if out.ShrunkErr == nil {
 		out.ShrunkErr = f.err

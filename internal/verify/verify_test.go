@@ -20,7 +20,7 @@ func TestSoakPassesOnHealthyCode(t *testing.T) {
 	if report.Instances != 8 {
 		t.Fatalf("verified %d instances, want 8", report.Instances)
 	}
-	for _, name := range CheckNames() {
+	for _, name := range checkNames() {
 		if report.Runs[name] != 8 {
 			t.Errorf("check %q ran %d times, want 8", name, report.Runs[name])
 		}
@@ -152,7 +152,7 @@ func TestSoakRejectsTinyCaps(t *testing.T) {
 
 // TestCheckRegistryStable pins the registry names the CLI and CI reference.
 func TestCheckRegistryStable(t *testing.T) {
-	names := CheckNames()
+	names := checkNames()
 	if len(names) != 16 {
 		t.Fatalf("registry has %d checks, want 16", len(names))
 	}

@@ -13,15 +13,15 @@ type Direction int
 
 // Pattern change directions.
 const (
-	ReadsUp Direction = iota + 1
-	WritesUp
+	readsUp Direction = iota + 1
+	writesUp
 )
 
 func (d Direction) String() string {
 	switch d {
-	case ReadsUp:
+	case readsUp:
 		return "reads-up"
-	case WritesUp:
+	case writesUp:
 		return "writes-up"
 	default:
 		return fmt.Sprintf("Direction(%d)", int(d))
@@ -89,10 +89,10 @@ func ApplyChange(p *core.Problem, spec ChangeSpec, seed uint64) (*core.Problem, 
 	for idx, k := range chosen {
 		if idx < numReadsUp {
 			added := addReads(reads, p, k, spec.Ch, rng)
-			changes = append(changes, Change{Object: k, Direction: ReadsUp, Added: added})
+			changes = append(changes, Change{Object: k, Direction: readsUp, Added: added})
 		} else {
 			added := addWrites(writes, p, k, spec.Ch, rng)
-			changes = append(changes, Change{Object: k, Direction: WritesUp, Added: added})
+			changes = append(changes, Change{Object: k, Direction: writesUp, Added: added})
 		}
 	}
 	sortChanges(changes)

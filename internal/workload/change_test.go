@@ -24,19 +24,19 @@ func TestApplyChangeCounts(t *testing.T) {
 	if len(changes) != 12 { // 30% of 40
 		t.Fatalf("%d changes, want 12", len(changes))
 	}
-	readsUp, writesUp := 0, 0
+	ups, downs := 0, 0
 	for _, c := range changes {
 		switch c.Direction {
-		case ReadsUp:
-			readsUp++
-		case WritesUp:
-			writesUp++
+		case readsUp:
+			ups++
+		case writesUp:
+			downs++
 		default:
 			t.Fatalf("bad direction %v", c.Direction)
 		}
 	}
-	if readsUp != 10 || writesUp != 2 { // 80% / 20% of 12
-		t.Fatalf("readsUp=%d writesUp=%d, want 10/2", readsUp, writesUp)
+	if ups != 10 || downs != 2 { // 80% / 20% of 12
+		t.Fatalf("%d reads up, %d writes up, want 10/2", ups, downs)
 	}
 	if next == p {
 		t.Fatal("ApplyChange returned the original problem")
@@ -50,7 +50,7 @@ func TestApplyChangeMagnitude(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range changes {
-		if c.Direction != ReadsUp {
+		if c.Direction != readsUp {
 			t.Fatal("ReadShare 1.0 yielded a write change")
 		}
 		before := p.TotalReads(c.Object)
@@ -75,7 +75,7 @@ func TestApplyChangeWritesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range changes {
-		if c.Direction != WritesUp {
+		if c.Direction != writesUp {
 			t.Fatal("ReadShare 0.0 yielded a read change")
 		}
 		grown := next.TotalWrites(c.Object) - p.TotalWrites(c.Object)
@@ -153,7 +153,7 @@ func TestApplyChangeValidation(t *testing.T) {
 }
 
 func TestDirectionString(t *testing.T) {
-	if ReadsUp.String() != "reads-up" || WritesUp.String() != "writes-up" {
+	if readsUp.String() != "reads-up" || writesUp.String() != "writes-up" {
 		t.Fatal("direction strings wrong")
 	}
 	if Direction(9).String() == "" {

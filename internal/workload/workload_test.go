@@ -99,7 +99,10 @@ func TestGenerateCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := float64(p.TotalObjectSize())
+	var s float64
+	for k := 0; k < p.Objects(); k++ {
+		s += float64(p.Size(k))
+	}
 	var total float64
 	for i := 0; i < p.Sites(); i++ {
 		total += float64(p.Capacity(i))
