@@ -6,8 +6,7 @@
 // Usage:
 //
 //	drpcluster -sites 20 -objects 60 -epochs 6 -policy agra+mini -drift 0.2
-//	drpcluster -policy none -fail-site 3 -fail-from 2 -fail-to 4
-//	drpcluster -fault-plan plan.json    # crash events become epoch outages
+//	drpcluster -policy none -fault-plan plan.json   # crash events become epoch outages
 //	drpcluster -data-dir /var/lib/drp   # journal the scheme, resume on rerun
 //
 // It prints one row per epoch: measured serving cost versus the analytic
@@ -67,9 +66,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		driftR    = fs.Float64("drift-reads", 0.5, "share of drifting objects whose reads (vs updates) grow")
 		adaptTO   = fs.Duration("adapt-timeout", 0, "wall-clock cap per epoch re-optimisation; a missed deadline keeps the current scheme (0 = none)")
 		adaptBud  = fs.Int("adapt-budget", 0, "cost-model evaluation cap per epoch re-optimisation (0 = none)")
-		failSite  = fs.Int("fail-site", -1, "site to take offline (-1 disables)")
-		failFrom  = fs.Int("fail-from", 0, "first failed epoch")
-		failTo    = fs.Int("fail-to", 0, "one past the last failed epoch")
 		faultPlan = fs.String("fault-plan", "", "derive site outages from this fault plan JSON (crash events map to epoch windows; other kinds are wire-level and ignored here)")
 		compare   = fs.Bool("compare", false, "run every policy on identical traffic and print a comparison table")
 		planOut   = fs.String("plan-out", "", "write the scheme in force after the last epoch as a canonical placement-plan JSON to this file")
@@ -85,12 +81,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("-drift %g: the share of drifting objects must be within [0, 1]", *drift)
 	case *driftR < 0 || *driftR > 1:
 		return fmt.Errorf("-drift-reads %g: the read share must be within [0, 1]", *driftR)
-	case *failSite < 0 && (*failFrom != 0 || *failTo != 0):
-		return fmt.Errorf("-fail-from/-fail-to schedule an outage window and need -fail-site")
-	case *failSite >= prob.Sites:
-		return fmt.Errorf("-fail-site %d is outside the %d-site system", *failSite, prob.Sites)
-	case *failSite >= 0 && *failTo <= *failFrom:
-		return fmt.Errorf("-fail-site %d has an empty outage window [%d, %d); -fail-to must exceed -fail-from", *failSite, *failFrom, *failTo)
 	case *compare && dur.Dir != "":
 		return fmt.Errorf("-compare runs every policy on the same traffic and cannot journal a single scheme history; drop -data-dir")
 	case *compare && *planOut != "":
@@ -132,9 +122,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	if *drift > 0 {
 		cfg.Drift = &workload.ChangeSpec{Ch: *driftCh, ObjectShare: *drift, ReadShare: *driftR}
-	}
-	if *failSite >= 0 {
-		cfg.Failures = []cluster.Failure{{Site: *failSite, From: *failFrom, To: *failTo}}
 	}
 
 	// The journal holds the latest epoch's placement plan, the format

@@ -32,17 +32,28 @@ func TestClusterRunsAllPolicies(t *testing.T) {
 	}
 }
 
+// TestClusterFailureInjection: a fault plan's bounded crash is an epoch
+// outage. Site 0 is down in epoch 1 only, so that epoch fails the requests
+// for the objects site 0 alone holds; the golden pins the whole table.
 func TestClusterFailureInjection(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(path, []byte(`{"seed":1,"events":[{"kind":"crash","site":0,"step":1,"until":2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	err := run([]string{
 		"-sites", "6", "-objects", "8", "-epochs", "2", "-policy", "none",
-		"-drift", "0", "-fail-site", "0", "-fail-from", "1", "-fail-to", "2",
+		"-drift", "0", "-fault-plan", path,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "failures") {
-		t.Fatal("missing failures column")
+	want, err := os.ReadFile(filepath.Join("testdata", "failure-injection.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(want) {
+		t.Fatalf("stdout differs from testdata/failure-injection.golden:\n%s", out.String())
 	}
 }
 

@@ -248,16 +248,3 @@ func TestZipfFacade(t *testing.T) {
 		t.Fatalf("SRA saves %v%% on a Zipf workload", res.Scheme.Savings())
 	}
 }
-
-func TestSchemeDiffFacade(t *testing.T) {
-	p := facadeProblem(t, 8, 10, 0.05, 0.2, 11)
-	a := drp.NoReplication(p)
-	b := drp.SRA(p).Scheme
-	added, removed := a.Diff(b)
-	if len(added) != b.TotalReplicas() || len(removed) != 0 {
-		t.Fatalf("diff: %d added (%d replicas), %d removed", len(added), b.TotalReplicas(), len(removed))
-	}
-	if a.MigrationCost(b) <= 0 && len(added) > 0 {
-		t.Fatal("migration cost zero despite added replicas")
-	}
-}

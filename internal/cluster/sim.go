@@ -10,6 +10,7 @@ import (
 	"drp/internal/core"
 	"drp/internal/gra"
 	"drp/internal/metrics"
+	"drp/internal/plan"
 	"drp/internal/solver"
 	"drp/internal/sra"
 	"drp/internal/workload"
@@ -290,11 +291,19 @@ func (s *sim) adapt(epoch int, stats *EpochStats) error {
 	if hasPop {
 		s.population = pop
 	}
-	// Each new replica is fetched from the nearest site that held the
-	// object under the old scheme; deallocations are free.
-	added, _ := old.Diff(next)
-	stats.Migrations = len(added)
-	stats.MigrationNTC = old.MigrationCost(next)
+	// The migration is the plan diff the wire executes: each new replica
+	// is copied from the nearest site that held the object under the old
+	// scheme, and drops are free.
+	steps, err := plan.Diff(plan.FromScheme(old), plan.FromScheme(next), s.problem)
+	if err != nil {
+		return err
+	}
+	for _, step := range steps {
+		if step.Kind == plan.Copy {
+			stats.Migrations++
+		}
+	}
+	stats.MigrationNTC = plan.TotalCost(steps)
 	s.tuned = s.problem
 	return nil
 }

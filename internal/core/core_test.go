@@ -416,10 +416,3 @@ func TestReadProblemRejectsGarbage(t *testing.T) {
 		t.Fatal("truncated distance matrix accepted")
 	}
 }
-
-// twoSiteDist builds a minimal valid 2-site distance matrix for tests.
-func twoSiteDist() *netsim.DistMatrix {
-	dm := netsim.NewDistMatrix(2)
-	dm.Set(0, 1, 1)
-	return dm
-}

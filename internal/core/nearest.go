@@ -50,8 +50,9 @@ func (t *NearestTable) Add(j, k int) {
 // Price is eq. 4's charge for one request from site for object obj under
 // the table's scheme, split into eq. 4's terms. Sites marked in down cannot
 // serve; a nil down means every site is up. A read costs o_k·C(site, j) for
-// the nearest live replica j, ties to the lower site index, and with no
-// live replica it is not served. A write is not served while the primary
+// the nearest live replica j — the head of RankReplicas over the live
+// replicators, the order a node's read fails over in — and with no live
+// replica it is not served. A write is not served while the primary
 // SP_k is down; otherwise it ships o_k·C(site, SP_k) to the primary, which
 // broadcasts o_k·C(SP_k, j) to every live replicator j other than the
 // writer and itself. A read is ReadNTC and a broadcast UpdateNTC; the ship
@@ -66,15 +67,11 @@ func (t *NearestTable) Price(site, obj int, write bool, down []bool) (CostTerms,
 	if !write {
 		d := t.dist[site*p.n+obj]
 		if down != nil && down[t.site[site*p.n+obj]] {
-			row, live := p.dist.Row(site), -1
-			for j := 0; j < p.m; j++ {
-				if s.Has(j, obj) && !down[j] && (live < 0 || row[j] < d) {
-					live, d = j, row[j]
-				}
-			}
-			if live < 0 {
+			live := RankReplicas(p, site, s.Replicators(obj), func(j int) bool { return !down[j] })
+			if len(live) == 0 {
 				return CostTerms{}, false
 			}
+			d = p.dist.At(site, live[0])
 		}
 		return CostTerms{ReadNTC: size * d}, true
 	}

@@ -261,11 +261,8 @@ func (c *Cluster) Close() {
 // elsewhere is promoted back). Returns the migration
 // transfer cost (each new replica fetched from the nearest prior holder).
 func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
-	target, err := plan.FromSchemeView(next, plan.View{Epoch: c.plan.View.Epoch, Members: c.view.Members})
-	if err != nil {
-		return 0, err
-	}
-	target.Epoch = c.plan.Epoch
+	target := plan.FromScheme(next)
+	target.Epoch, target.View = c.plan.Epoch, plan.View{Epoch: c.plan.View.Epoch, Members: c.view.Members}.Clone()
 	rep, err := c.migrate(c.tracer.Root("deploy"), target, false)
 	if err != nil {
 		return 0, err

@@ -2,10 +2,15 @@ package netnode
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
+	"drp/internal/agra"
+	"drp/internal/cluster"
 	"drp/internal/core"
+	"drp/internal/gra"
+	"drp/internal/plan"
 	"drp/internal/sra"
 	"drp/internal/store"
 	"drp/internal/workload"
@@ -68,25 +73,64 @@ func TestTCPTrafficCostEqualsEq4(t *testing.T) {
 	}
 }
 
+// TestDeployMigrationCostMatchesModel: the epoch simulator charges every
+// scheme change exactly what the wire pays for it. A drifting multi-epoch
+// cluster.Run deploys each epoch's scheme onto a live cluster; Deploy's
+// cost must equal the epoch's MigrationNTC, the copies it runs must number
+// the epoch's Migrations, and redeploying the same scheme is free.
 func TestDeployMigrationCostMatchesModel(t *testing.T) {
-	p := gen(t, 4, 5, 0.05, 0.5, 2)
-	c := startCluster(t, p)
-	scheme := sra.Run(p, sra.Options{}).Scheme
-	want := core.NewScheme(p).MigrationCost(scheme)
-	got, err := c.Deploy(scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("deploy migration cost %d, model says %d", got, want)
-	}
-	// Idempotent redeploy is free.
-	again, err := c.Deploy(scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != 0 {
-		t.Fatalf("redeploy cost %d, want 0", again)
+	p := gen(t, 8, 12, 0.05, 0.3, 2)
+	initial := sra.Run(p, sra.Options{}).Scheme
+	for _, policy := range []cluster.Policy{cluster.PolicyAGRAMini, cluster.PolicyGRA} {
+		t.Run(policy.String(), func(t *testing.T) {
+			c := startCluster(t, p)
+			if _, err := c.Deploy(initial); err != nil {
+				t.Fatal(err)
+			}
+			graParams := gra.DefaultParams()
+			graParams.PopSize, graParams.Generations = 10, 10
+			var migrated int64
+			cfg := cluster.Config{
+				Epochs:     4,
+				Policy:     policy,
+				Threshold:  2.0,
+				Drift:      &workload.ChangeSpec{Ch: 6, ObjectShare: 0.3, ReadShare: 0.5},
+				GRAParams:  graParams,
+				AGRAParams: agra.DefaultParams(),
+				Seed:       7,
+				OnEpoch: func(epoch int, scheme *core.Scheme, stats *cluster.EpochStats) error {
+					steps, err := plan.Diff(c.Plan(), plan.FromScheme(scheme), p)
+					if err != nil {
+						return err
+					}
+					copies := 0
+					for _, s := range steps {
+						if s.Kind == plan.Copy {
+							copies++
+						}
+					}
+					got, err := c.Deploy(scheme)
+					if err != nil {
+						return err
+					}
+					if got != stats.MigrationNTC || copies != stats.Migrations {
+						return fmt.Errorf("epoch %d: the wire copied %d replicas for %d, the simulator charged %d for %d",
+							epoch, copies, got, stats.Migrations, stats.MigrationNTC)
+					}
+					if again, err := c.Deploy(scheme); err != nil || again != 0 {
+						return fmt.Errorf("epoch %d: redeploy cost %d (%v), want 0", epoch, again, err)
+					}
+					migrated += got
+					return nil
+				},
+			}
+			if _, err := cluster.Run(p, initial, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if migrated == 0 {
+				t.Fatal("no epoch migrated a replica; the comparison proved nothing")
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -76,21 +75,11 @@ func (m *DistMatrix) Validate() error {
 	return nil
 }
 
-// Distances computes the all-pairs shortest-path matrix of the topology.
-// Dense topologies (links ≥ sites²/4) use Floyd-Warshall; sparse ones run
-// Dijkstra from every source. Returns errDisconnected if some pair is
-// unreachable.
+// Distances computes the all-pairs shortest-path matrix of the topology
+// by Floyd–Warshall. Returns errDisconnected if some pair is unreachable.
 func (t *Topology) Distances() (*DistMatrix, error) {
-	if len(t.Links) >= t.Sites*t.Sites/4 {
-		return t.floydWarshall()
-	}
-	return t.allDijkstra()
-}
-
-const inf = math.MaxInt64 / 4
-
-func (t *Topology) floydWarshall() (*DistMatrix, error) {
 	n := t.Sites
+	const inf = math.MaxInt64 / 4
 	m := NewDistMatrix(n)
 	for i := range m.d {
 		m.d[i] = inf
@@ -121,58 +110,6 @@ func (t *Topology) floydWarshall() (*DistMatrix, error) {
 	for _, v := range m.d {
 		if v >= inf {
 			return nil, errDisconnected
-		}
-	}
-	return m, nil
-}
-
-type pqItem struct {
-	site int
-	dist int64
-}
-
-type pq []pqItem
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
-}
-
-func (t *Topology) allDijkstra() (*DistMatrix, error) {
-	n := t.Sites
-	adj := t.adjacency()
-	m := NewDistMatrix(n)
-	dist := make([]int64, n)
-	for src := 0; src < n; src++ {
-		for i := range dist {
-			dist[i] = inf
-		}
-		dist[src] = 0
-		q := pq{{site: src}}
-		for len(q) > 0 {
-			item := heap.Pop(&q).(pqItem)
-			if item.dist > dist[item.site] {
-				continue
-			}
-			for _, nb := range adj[item.site] {
-				if v := item.dist + nb.cost; v < dist[nb.site] {
-					dist[nb.site] = v
-					heap.Push(&q, pqItem{site: nb.site, dist: v})
-				}
-			}
-		}
-		for j, v := range dist {
-			if v >= inf {
-				return nil, errDisconnected
-			}
-			m.d[src*n+j] = v
 		}
 	}
 	return m, nil

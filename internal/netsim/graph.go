@@ -53,18 +53,3 @@ func (t *Topology) AddLink(from, to int, cost int64) error {
 // errDisconnected is returned when a topology does not connect every pair of
 // sites, so no finite distance matrix exists.
 var errDisconnected = errors.New("netsim: topology is not connected")
-
-// adjacency builds adjacency lists, keeping the cheapest parallel edge.
-func (t *Topology) adjacency() [][]neighbor {
-	adj := make([][]neighbor, t.Sites)
-	for _, l := range t.Links {
-		adj[l.From] = append(adj[l.From], neighbor{site: l.To, cost: l.Cost})
-		adj[l.To] = append(adj[l.To], neighbor{site: l.From, cost: l.Cost})
-	}
-	return adj
-}
-
-type neighbor struct {
-	site int
-	cost int64
-}

@@ -101,24 +101,15 @@ func TestSingleSite(t *testing.T) {
 	}
 }
 
-func TestFloydWarshallMatchesDijkstra(t *testing.T) {
+func TestFloydWarshallMatchesBellmanFord(t *testing.T) {
 	rng := xrand.New(5)
 	for trial := 0; trial < 10; trial++ {
 		topo := Random(12, 0.3, 1, 10, rng)
-		fw, err := topo.floydWarshall()
-		if err != nil {
-			t.Fatal(err)
+		if _, err := topo.Distances(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		dj, err := topo.allDijkstra()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 12; i++ {
-			for j := 0; j < 12; j++ {
-				if fw.At(i, j) != dj.At(i, j) {
-					t.Fatalf("trial %d: FW(%d,%d)=%d, Dijkstra=%d", trial, i, j, fw.At(i, j), dj.At(i, j))
-				}
-			}
+		if err := matchesBellmanFord(topo); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }

@@ -53,28 +53,6 @@ func FromScheme(s *core.Scheme) *Plan {
 	return pl
 }
 
-// FromSchemeView lifts a universe-indexed scheme into a plan over the
-// given view, keeping the problem's primaries. Every placement (and so
-// every primary) must fall inside the view.
-func FromSchemeView(s *core.Scheme, view View) (*Plan, error) {
-	p := s.Problem()
-	pl := &Plan{
-		View:      view.Clone(),
-		Primaries: make([]int, p.Objects()),
-		Placement: make([][]int, p.Objects()),
-	}
-	for k := 0; k < p.Objects(); k++ {
-		pl.Primaries[k] = p.Primary(k)
-		pl.Placement[k] = s.Replicators(k)
-		for _, site := range pl.Placement[k] {
-			if !view.Has(site) {
-				return nil, fmt.Errorf("plan: scheme places object %d on site %d outside the view", k, site)
-			}
-		}
-	}
-	return pl, nil
-}
-
 // Lift maps a scheme solved over a view-restricted problem back to
 // universe coordinates: dense site d becomes view.Members[d]. The
 // restricted problem's primaries are lifted the same way.

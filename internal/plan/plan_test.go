@@ -185,6 +185,12 @@ func TestDiffOrderingAndRouting(t *testing.T) {
 	if got := TotalCost(steps); got != 13 {
 		t.Fatalf("TotalCost = %d, want 13", got)
 	}
+	// Plans over different object universes have no diff.
+	short := next.Clone()
+	short.Placement, short.Primaries = short.Placement[:1], short.Primaries[:1]
+	if _, err := Diff(old, short, p); err == nil {
+		t.Fatal("Diff across 2 and 1 objects succeeded")
+	}
 }
 
 func TestDiffSourcePrefersSurvivorEvenWhenFarther(t *testing.T) {

@@ -54,8 +54,8 @@ func writeSnapshotFile(path string, payload []byte) (int64, error) {
 
 // readSnapshotFile loads and validates a snapshot, returning its payload.
 // Any validation failure (bad magic, torn frame, CRC mismatch) is an
-// error: a site falls back to an older snapshot, the journal refuses to
-// open.
+// error: a site falls back to an older snapshot while the segments it
+// needs are still on disk (Open), the journal refuses to open.
 func readSnapshotFile(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"drp/internal/metrics"
@@ -88,11 +90,12 @@ func (s *Store) bootstrap() {
 }
 
 // Open opens (or creates) the durable store for site in dir: bootstrap,
-// load the newest valid snapshot, replay the WAL segments after it,
-// truncate any corrupt tail, and leave the log open for appending. An
-// empty dir returns a memory-only store, which ignores opts. The recovered
-// state is a pure function of (site, primaries, directory bytes);
-// Recovered reports whether any prior state was found.
+// load the newest valid snapshot, replay the WAL segments after it
+// (refusing the directory when one is missing), truncate any corrupt
+// tail, and leave the log open for appending. An empty dir returns a
+// memory-only store, which ignores opts. The recovered state is a pure
+// function of (site, primaries, directory bytes); Recovered reports
+// whether any prior state was found.
 func Open(dir string, site int, primaries []int, opts Options) (*Store, error) {
 	s := &Store{site: site, primary: append([]int(nil), primaries...)}
 	s.bootstrap()
@@ -117,36 +120,46 @@ func Open(dir string, site int, primaries []int, opts Options) (*Store, error) {
 	}
 	// Newest snapshot that validates wins; older ones and torn tmp files
 	// are garbage from interrupted snapshot cycles.
-	snapSeq, haveSnap := uint64(0), false
+	snapSeq, haveSnap, replayFrom := uint64(0), false, "bootstrap"
+	var rejected error
 	for i := len(snaps) - 1; i >= 0; i-- {
 		payload, err := readSnapshotFile(snapPath(dir, snaps[i]))
+		if err == nil {
+			err = s.loadSnapshot(payload)
+		}
 		if err != nil {
+			rejected = cmp.Or(rejected, err)
 			continue
 		}
-		if err := s.loadSnapshot(payload); err != nil {
-			continue
-		}
-		snapSeq, haveSnap = snaps[i], true
+		snapSeq, haveSnap, replayFrom = snaps[i], true, filepath.Base(snapPath(dir, snaps[i]))
 		break
 	}
 	s.recov = haveSnap
 	// Replay every segment after the snapshot, oldest first. Normally that
 	// is exactly one; an interrupted snapshot cycle can leave the fresh
-	// empty segment alongside it.
-	cur := snapSeq + 1
+	// empty segment alongside it. They must run contiguously from the
+	// snapshot's sequence number + 1: a gap is history lost (a damaged
+	// newest snapshot whose segment was already retired), and replaying
+	// around it would silently rewind the site.
+	var after []uint64
 	for _, seq := range wals {
-		if haveSnap && seq <= snapSeq {
-			continue
-		}
-		if seq > cur {
-			cur = seq
+		if seq > snapSeq {
+			after = append(after, seq)
 		}
 	}
-	var last *wal
-	for _, seq := range wals {
-		if (haveSnap && seq <= snapSeq) || seq > cur {
-			continue
+	for i, seq := range after {
+		if want := snapSeq + 1 + uint64(i); seq != want {
+			err := fmt.Errorf("store: %s: log segment %s is missing, so replay from %s cannot reach %s",
+				dir, filepath.Base(walPath(dir, want)), replayFrom, filepath.Base(walPath(dir, seq)))
+			if rejected != nil {
+				err = fmt.Errorf("%w (newest snapshot rejected: %v)", err, rejected)
+			}
+			return nil, err
 		}
+	}
+	cur := snapSeq + uint64(max(len(after), 1))
+	var last *wal
+	for _, seq := range after {
 		w, err := openWAL(walPath(dir, seq), s.policy, s.every, s.obs, s.applyPayload)
 		if err != nil {
 			return nil, err

@@ -365,6 +365,57 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// TestCorruptSnapshotWithRetiredSegmentRefusesToOpen: once a snapshot
+// has retired the segment it covers, that snapshot is the only record of
+// the history before it. Damaging it must stop the open, naming the
+// missing segment and the directory, instead of replaying the newer
+// segment over the bootstrap state and silently rewinding the site.
+func TestCorruptSnapshotWithRetiredSegmentRefusesToOpen(t *testing.T) {
+	dir := t.TempDir()
+	prim := primariesRR(4, 6)
+	s, err := Open(dir, 0, prim, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveOps(t, s)
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddNTC(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := snapPath(dir, 1)
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x01 // one payload byte
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(walPath(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(dir, 0, prim, Options{Sync: SyncAlways})
+	if err == nil {
+		r.Close()
+		t.Fatalf("opened with NTC %d from a damaged snapshot whose segment is gone", r.NTC())
+	}
+	for _, want := range []string{dir, "wal-00000001.log"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if after, err := os.ReadFile(walPath(dir, 2)); err != nil || !bytes.Equal(after, wal) {
+		t.Errorf("the refused open touched wal-00000002.log (%v)", err)
+	}
+}
+
 func TestClosedStoreRejectsMutations(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0, primariesRR(2, 2), Options{})
