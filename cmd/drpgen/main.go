@@ -36,7 +36,7 @@ func run(args []string, stdout io.Writer) error {
 		p   *drp.Problem
 		err error
 	)
-	if *zipf > 0 {
+	if *zipf != 0 {
 		p, err = drp.GenerateZipf(drp.NewZipfSpec(prob.Sites, prob.Objects, prob.Update, prob.Capacity, *zipf), prob.Seed)
 	} else {
 		p, err = prob.Load()

@@ -41,11 +41,18 @@ func TestRunToFile(t *testing.T) {
 }
 
 func TestRunRejectsBadSpec(t *testing.T) {
-	if err := run([]string{"-sites", "0"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("zero sites accepted")
-	}
-	if err := run([]string{"-update", "-1"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("negative update ratio accepted")
+	for _, args := range [][]string{
+		{"-sites", "0"},
+		{"-update", "-1"},
+		{"-update", "1e300"},
+		{"-capacity", "NaN"},
+		{"-capacity", "1e300"},
+		{"-zipf", "-1"},
+		{"-zipf", "NaN"},
+	} {
+		if err := run(append([]string{"-sites", "4", "-objects", "6"}, args...), &bytes.Buffer{}); err == nil {
+			t.Errorf("drpgen %v accepted", args)
+		}
 	}
 }
 

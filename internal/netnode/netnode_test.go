@@ -231,6 +231,36 @@ func TestReadFromNonHolderFails(t *testing.T) {
 	}
 }
 
+// A stale replica that no longer holds its object rejects the re-sync:
+// Reconcile fails with that rejection's code, as a write's broadcast
+// does, instead of counting the site as still stale.
+func TestReconcileRejectedByNonHolder(t *testing.T) {
+	p := gen(t, 3, 2, 0.05, 2, 7)
+	c := startCluster(t, p)
+	k := 0
+	sp := p.Primary(k)
+	j := (sp + 1) % p.Sites()
+	scheme := core.NewScheme(p)
+	if err := scheme.Add(j, k); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Deploy(scheme); err != nil {
+		t.Fatal(err)
+	}
+	// Site j missed a broadcast, then lost its copy behind the primary's back.
+	if err := c.Node(sp).Store().MarkStale(k, []int{j}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.command(j, message{Op: "drop", Object: k}, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, remaining, err := c.Reconcile()
+	var re *replyError
+	if !errors.As(err, &re) || re.Code != codeNotHolder {
+		t.Fatalf("reconcile of a non-holder: remaining %d, err %v; want a %q rejection", remaining, err, codeNotHolder)
+	}
+}
+
 func TestConcurrentReads(t *testing.T) {
 	p := gen(t, 4, 6, 0.05, 0.5, 8)
 	c := startCluster(t, p)

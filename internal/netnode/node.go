@@ -561,7 +561,8 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		// The coordinator asks the primary to re-sync every replica that
 		// missed a broadcast. Each successful re-sync is a fresh transfer
 		// of the object and is accounted as such; replicas still
-		// unreachable stay marked and are reported back.
+		// unreachable stay marked and are reported back, and a replica
+		// that rejects the sync fails the op with its reply code.
 		if n.st.PrimaryOf(msg.Object) != n.site {
 			return reply{Code: codeNotPrimary, Err: "reconcile sent to a non-primary"}
 		}
@@ -644,17 +645,43 @@ func (n *Node) syncReplica(obj, j int, version int64, addr string, parent *spans
 // write; the returned cost covers only the syncs that landed. Stale marks
 // hit the log before the write is acknowledged.
 func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (int64, []int, error) {
-	targets := n.st.Replicas(obj)
-	cfg := n.cfg.Load()
-	peers, nm := cfg.peers, cfg.metrics
+	cost, missed, err := n.syncReplicas(obj, writer, n.st.Replicas(obj), version, parent)
+	if err != nil || len(missed) == 0 {
+		return cost, missed, err
+	}
+	if err := n.st.MarkStale(obj, missed); err != nil {
+		return 0, nil, err
+	}
+	if nm := n.cfg.Load().metrics; nm != nil {
+		nm.degraded("broadcast_partial")
+	}
+	return cost, missed, nil
+}
+
+// reconcile re-syncs the stale replicas of an object primaried here at its
+// current version, returning the transfer cost of the copies that shipped
+// and the sites that remain stale.
+func (n *Node) reconcile(obj int, parent *spans.Span) (int64, []int, error) {
+	return n.syncReplicas(obj, n.site, n.st.StaleSites(obj), n.st.Version(obj), parent)
+}
+
+// syncReplicas pushes version of obj to every target but skip and this
+// site, clearing the stale mark of each replica that acknowledges. It
+// returns the transfer cost of the syncs that landed and the targets
+// missed: unreachable, or with no peer address, exactly like a dead site.
+// A typed rejection from a live replica is a coordination bug (a replica
+// set naming a non-holder) and fails the call.
+func (n *Node) syncReplicas(obj, skip int, targets []int, version int64, parent *spans.Span) (int64, []int, error) {
+	peers := n.cfg.Load().peers
 	var cost int64
 	var missed []int
 	for _, j := range targets {
-		if j == writer || j == n.site {
+		if j == skip || j == n.site {
 			continue
 		}
 		if j < 0 || j >= len(peers) {
-			return 0, nil, fmt.Errorf("replicator %d has no known address", j)
+			missed = append(missed, j)
+			continue
 		}
 		c, err := n.syncReplica(obj, j, version, peers[j], parent)
 		var rejected *replyError
@@ -670,42 +697,7 @@ func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (in
 			return 0, nil, err
 		}
 	}
-	if len(missed) > 0 {
-		if err := n.st.MarkStale(obj, missed); err != nil {
-			return 0, nil, err
-		}
-		if nm != nil {
-			nm.degraded("broadcast_partial")
-		}
-	}
 	return cost, missed, nil
-}
-
-// reconcile re-syncs the stale replicas of an object primaried here,
-// returning the transfer cost of the copies that shipped and the sites
-// that remain stale (unreachable, or refusing the sync).
-func (n *Node) reconcile(obj int, parent *spans.Span) (int64, []int, error) {
-	targets := n.st.StaleSites(obj)
-	version := n.st.Version(obj)
-	peers := n.cfg.Load().peers
-	var cost int64
-	var remaining []int
-	for _, j := range targets {
-		if j < 0 || j >= len(peers) {
-			remaining = append(remaining, j)
-			continue
-		}
-		c, err := n.syncReplica(obj, j, version, peers[j], parent)
-		if err != nil {
-			remaining = append(remaining, j)
-			continue
-		}
-		cost += c
-		if err := n.st.ClearStale(obj, j); err != nil {
-			return cost, remaining, err
-		}
-	}
-	return cost, remaining, nil
 }
 
 // Read performs a client read from this node: served locally if a replica

@@ -32,25 +32,16 @@ type Plan struct {
 	Placement [][]int `json:"placement"`
 }
 
-// FromScheme lifts a scheme over the universe problem into a plan: the
-// view is every universe site, primaries are the problem's. Use it to
-// seed a plan sequence from a static solve.
+// FromScheme lifts a scheme over the universe problem into a plan: Lift
+// over the view of every universe site, where each site is its own dense
+// index, so primaries are the problem's. Use it to seed a plan sequence
+// from a static solve.
 func FromScheme(s *core.Scheme) *Plan {
-	p := s.Problem()
-	members := make([]int, p.Sites())
+	members := make([]int, s.Problem().Sites())
 	for i := range members {
 		members[i] = i
 	}
-	pl := &Plan{
-		View:      View{Members: members},
-		Primaries: make([]int, p.Objects()),
-		Placement: make([][]int, p.Objects()),
-	}
-	for k := 0; k < p.Objects(); k++ {
-		pl.Primaries[k] = p.Primary(k)
-		pl.Placement[k] = s.Replicators(k)
-	}
-	return pl
+	return Lift(View{Members: members}, s)
 }
 
 // Lift maps a scheme solved over a view-restricted problem back to

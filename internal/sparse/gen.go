@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"drp/internal/netsim"
+	"drp/internal/workload"
 	"drp/internal/xrand"
 )
 
@@ -78,8 +79,6 @@ func (s WorkloadSpec) validate() error {
 		return fmt.Errorf("sparse: bad link cost range [%d,%d]", s.LinkMin, s.LinkMax)
 	case s.SizeMean < 1:
 		return fmt.Errorf("sparse: object size mean %d < 1", s.SizeMean)
-	case s.CapacityRatio < 0:
-		return fmt.Errorf("sparse: negative capacity ratio %v", s.CapacityRatio)
 	}
 	return nil
 }
@@ -113,6 +112,38 @@ func (s *sampler) draw(k int, rng *xrand.Source, out []int32) []int32 {
 	return out
 }
 
+// patterns draws per-object access patterns from spec: U(1, ReaderSites)
+// distinct reader sites reading U(ReadMin, ReadMax) times each, then
+// U(0, WriterSites) distinct writer sites writing U(WriteMin, WriteMax)
+// times each.
+type patterns struct {
+	spec    WorkloadSpec
+	smp     *sampler
+	scratch []int32
+}
+
+func newPatterns(spec WorkloadSpec) *patterns {
+	return &patterns{spec: spec, smp: newSampler(spec.Sites), scratch: make([]int32, 0, spec.ReaderSites+spec.WriterSites)}
+}
+
+// draw appends one object's read and write entries to cfg.
+func (p *patterns) draw(cfg *config, rng *xrand.Source) {
+	p.scratch = p.smp.draw(rng.IntRange(1, p.spec.ReaderSites), rng, p.scratch)
+	for _, site := range p.scratch {
+		cfg.Reads.Site = append(cfg.Reads.Site, site)
+		cfg.Reads.Cnt = append(cfg.Reads.Cnt, int64(rng.IntRange(p.spec.ReadMin, p.spec.ReadMax)))
+	}
+	writers := 0
+	if p.spec.WriterSites > 0 {
+		writers = rng.IntRange(0, p.spec.WriterSites)
+	}
+	p.scratch = p.smp.draw(writers, rng, p.scratch)
+	for _, site := range p.scratch {
+		cfg.Writes.Site = append(cfg.Writes.Site, site)
+		cfg.Writes.Cnt = append(cfg.Writes.Cnt, int64(rng.IntRange(p.spec.WriteMin, p.spec.WriteMax)))
+	}
+}
+
 // GenerateWorkload builds one random sparse instance. Identical seeds
 // produce identical models.
 func GenerateWorkload(spec WorkloadSpec, seed uint64) (*Model, error) {
@@ -122,23 +153,15 @@ func GenerateWorkload(spec WorkloadSpec, seed uint64) (*Model, error) {
 	rng := xrand.New(seed)
 	m, n := spec.Sites, spec.Objects
 
-	var dist *netsim.DistMatrix
-	if m == 1 {
-		dist = netsim.NewDistMatrix(1)
-	} else {
-		topo := netsim.CompleteUniform(m, int64(spec.LinkMin), int64(spec.LinkMax), rng)
-		var err error
-		dist, err = topo.Distances()
-		if err != nil {
-			return nil, fmt.Errorf("sparse: %w", err)
-		}
+	dist, err := netsim.CompleteUniform(m, int64(spec.LinkMin), int64(spec.LinkMax), rng).Distances()
+	if err != nil {
+		return nil, fmt.Errorf("sparse: %w", err)
 	}
 
 	cfg := config{
-		Sizes:      make([]int64, n),
-		Capacities: make([]int64, m),
-		Primaries:  make([]int32, n),
-		Dist:       dist,
+		Sizes:     make([]int64, n),
+		Primaries: make([]int32, n),
+		Dist:      dist,
 	}
 	cfg.Reads.Off = make([]int32, n+1)
 	cfg.Writes.Off = make([]int32, n+1)
@@ -146,52 +169,17 @@ func GenerateWorkload(spec WorkloadSpec, seed uint64) (*Model, error) {
 	cfg.Reads.Site = make([]int32, 0, n*avgNnz)
 	cfg.Reads.Cnt = make([]int64, 0, n*avgNnz)
 
-	var totalSize int64
-	smp := newSampler(m)
-	scratch := make([]int32, 0, spec.ReaderSites+spec.WriterSites)
+	pat := newPatterns(spec)
 	for k := 0; k < n; k++ {
 		cfg.Sizes[k] = int64(rng.IntRange(1, 2*spec.SizeMean-1))
-		totalSize += cfg.Sizes[k]
 		cfg.Primaries[k] = int32(rng.Intn(m))
-
-		readers := rng.IntRange(1, spec.ReaderSites)
-		scratch = smp.draw(readers, rng, scratch)
-		for _, site := range scratch {
-			cfg.Reads.Site = append(cfg.Reads.Site, site)
-			cfg.Reads.Cnt = append(cfg.Reads.Cnt, int64(rng.IntRange(spec.ReadMin, spec.ReadMax)))
-		}
+		pat.draw(&cfg, rng)
 		cfg.Reads.Off[k+1] = int32(len(cfg.Reads.Site))
-
-		writers := 0
-		if spec.WriterSites > 0 {
-			writers = rng.IntRange(0, spec.WriterSites)
-		}
-		if writers > 0 {
-			scratch = smp.draw(writers, rng, scratch)
-			for _, site := range scratch {
-				cfg.Writes.Site = append(cfg.Writes.Site, site)
-				cfg.Writes.Cnt = append(cfg.Writes.Cnt, int64(rng.IntRange(spec.WriteMin, spec.WriteMax)))
-			}
-		}
 		cfg.Writes.Off[k+1] = int32(len(cfg.Writes.Site))
 	}
-
-	base := spec.CapacityRatio * float64(totalSize)
-	for i := range cfg.Capacities {
-		cfg.Capacities[i] = int64(rng.FloatRange(base/2, 3*base/2) + 0.5)
+	if cfg.Capacities, err = workload.Capacities(m, spec.CapacityRatio, cfg.Sizes, cfg.Primaries, rng); err != nil {
+		return nil, fmt.Errorf("sparse: %w", err)
 	}
-	// Grow capacities where the draw fell short of the primaries a site must
-	// host, as the dense generator does.
-	need := make([]int64, m)
-	for k, sp := range cfg.Primaries {
-		need[sp] += cfg.Sizes[k]
-	}
-	for i := range cfg.Capacities {
-		if cfg.Capacities[i] < need[i] {
-			cfg.Capacities[i] = need[i]
-		}
-	}
-
 	return newModel(cfg)
 }
 
@@ -199,7 +187,8 @@ func GenerateWorkload(spec WorkloadSpec, seed uint64) (*Model, error) {
 // fraction of mo's objects (Section 6.3's pattern shift, sparse form) and
 // returns the shifted model plus the ascending changed-object list —
 // AGRA-style adaptation input. Sizes, primaries, capacities and the
-// topology are shared with mo; only the CSR arrays are rebuilt.
+// topology are shared with mo; only the CSR arrays are rebuilt, so spec's
+// capacity ratio plays no part.
 func PerturbWorkload(mo *Model, spec WorkloadSpec, frac float64, seed uint64) (*Model, []int, error) {
 	if frac < 0 || frac > 1 {
 		return nil, nil, fmt.Errorf("sparse: perturbation fraction %v outside [0,1]", frac)
@@ -221,28 +210,11 @@ func PerturbWorkload(mo *Model, spec WorkloadSpec, frac float64, seed uint64) (*
 	cfg.Writes.Off = make([]int32, mo.n+1)
 
 	var changed []int
-	smp := newSampler(mo.m)
-	scratch := make([]int32, 0, spec.ReaderSites+spec.WriterSites)
+	pat := newPatterns(spec)
 	for k := 0; k < mo.n; k++ {
 		if rng.Float64() < frac {
 			changed = append(changed, k)
-			readers := rng.IntRange(1, spec.ReaderSites)
-			scratch = smp.draw(readers, rng, scratch)
-			for _, site := range scratch {
-				cfg.Reads.Site = append(cfg.Reads.Site, site)
-				cfg.Reads.Cnt = append(cfg.Reads.Cnt, int64(rng.IntRange(spec.ReadMin, spec.ReadMax)))
-			}
-			writers := 0
-			if spec.WriterSites > 0 {
-				writers = rng.IntRange(0, spec.WriterSites)
-			}
-			if writers > 0 {
-				scratch = smp.draw(writers, rng, scratch)
-				for _, site := range scratch {
-					cfg.Writes.Site = append(cfg.Writes.Site, site)
-					cfg.Writes.Cnt = append(cfg.Writes.Cnt, int64(rng.IntRange(spec.WriteMin, spec.WriteMax)))
-				}
-			}
+			pat.draw(&cfg, rng)
 		} else {
 			rs, rc := mo.readEntries(k)
 			cfg.Reads.Site = append(cfg.Reads.Site, rs...)

@@ -79,13 +79,11 @@ func (in *rawInstance) build() (*core.Problem, error) {
 	})
 }
 
-// checkSitePermutation: relabelling sites by a permutation σ and permuting a
-// scheme the same way leaves D unchanged — eq. 4 has no site-order terms.
-func checkSitePermutation(cx *Ctx) error {
-	p := cx.P
+// permuteSites relabels p's sites by perm — new index a holds old site
+// perm[a] — and returns the relabelled instance with the inverse
+// permutation.
+func permuteSites(p *core.Problem, perm []int) (*core.Problem, []int, error) {
 	m, n := p.Sites(), p.Objects()
-	s := randomScheme(p, cx.RNG)
-	perm := cx.RNG.Perm(m) // new index a holds old site perm[a]
 	in := extract(p)
 	out := &rawInstance{
 		sizes:     in.sizes,
@@ -111,7 +109,21 @@ func checkSitePermutation(cx *Ctx) error {
 	}
 	q, err := out.build()
 	if err != nil {
-		return fmt.Errorf("permuted instance rejected: %w", err)
+		return nil, nil, fmt.Errorf("permuted instance rejected: %w", err)
+	}
+	return q, inv, nil
+}
+
+// checkSitePermutation: relabelling sites by a permutation σ and permuting a
+// scheme the same way leaves D unchanged — eq. 4 has no site-order terms.
+func checkSitePermutation(cx *Ctx) error {
+	p := cx.P
+	m, n := p.Sites(), p.Objects()
+	s := randomScheme(p, cx.RNG)
+	perm := cx.RNG.Perm(m) // new index a holds old site perm[a]
+	q, _, err := permuteSites(p, perm)
+	if err != nil {
+		return err
 	}
 	bits := bitset.New(m * n)
 	for a := 0; a < m; a++ {

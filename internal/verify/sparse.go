@@ -188,34 +188,10 @@ func checkSparsePrune(cx *Ctx) error {
 // nothing else.
 func checkSparsePrunePerm(cx *Ctx) error {
 	p := cx.P
-	m, n := p.Sites(), p.Objects()
-	perm := cx.RNG.Perm(m) // new index a holds old site perm[a]
-	in := extract(p)
-	out := &rawInstance{
-		sizes:     in.sizes,
-		caps:      make([]int64, m),
-		primaries: make([]int, n),
-		reads:     make([][]int64, m),
-		writes:    make([][]int64, m),
-		dist:      make([][]int64, m),
-	}
-	inv := make([]int, m)
-	for a, old := range perm {
-		inv[old] = a
-		out.caps[a] = in.caps[old]
-		out.reads[a] = in.reads[old]
-		out.writes[a] = in.writes[old]
-		out.dist[a] = make([]int64, m)
-		for b := 0; b < m; b++ {
-			out.dist[a][b] = in.dist[old][perm[b]]
-		}
-	}
-	for k := 0; k < n; k++ {
-		out.primaries[k] = inv[in.primaries[k]]
-	}
-	q, err := out.build()
+	perm := cx.RNG.Perm(p.Sites()) // new index a holds old site perm[a]
+	q, inv, err := permuteSites(p, perm)
 	if err != nil {
-		return fmt.Errorf("permuted instance rejected: %w", err)
+		return err
 	}
 	mo, err := sparse.FromProblem(p)
 	if err != nil {
@@ -225,7 +201,7 @@ func checkSparsePrunePerm(cx *Ctx) error {
 	if err != nil {
 		return fmt.Errorf("permuted sparse conversion: %w", err)
 	}
-	for k := 0; k < n; k++ {
+	for k := 0; k < p.Objects(); k++ {
 		orig := mo.Candidates(k)
 		want := make(map[int32]bool, len(orig))
 		for _, i := range orig {

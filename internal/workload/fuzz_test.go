@@ -1,0 +1,70 @@
+package workload
+
+import (
+	"math"
+	"testing"
+
+	"drp/internal/core"
+)
+
+// FuzzGenerate drives both generators with arbitrary ratios and skews over
+// small shapes (a zero skew selects Generate, as drpgen does). An accepted
+// spec must give an instance core accepts, with every object's update
+// total in its U(T/2, 3T/2) band around U% of its reads and every capacity
+// in its U(C·S/2, 3C·S/2) band or grown to hold its site's primaries. A rejected spec must have a negative or
+// non-finite ratio or skew, or a ratio whose draws cannot fit an int64.
+func FuzzGenerate(f *testing.F) {
+	f.Add(uint8(5), uint8(20), 0.05, 0.15, 0.0, uint64(1))
+	f.Add(uint8(0), uint8(0), 0.0, 0.0, 0.8, uint64(2))
+	f.Add(uint8(3), uint8(5), 0.05, math.NaN(), 0.0, uint64(3))
+	f.Add(uint8(3), uint8(5), 1e300, 0.15, 2.0, uint64(4))
+	f.Add(uint8(3), uint8(5), 0.05, 1e300, -1.0, uint64(5))
+	f.Fuzz(func(t *testing.T, sites, objects uint8, u, c, skew float64, seed uint64) {
+		m, n := 1+int(sites%9), 1+int(objects%40)
+		spec := NewZipfSpec(m, n, u, c, skew)
+		// Bounds over any draw: an object's reads total at least M and at
+		// most the whole read volume, the sizes at most N·(2·mean−1).
+		maxReads := float64(m * n * spec.ReadMax)
+		maxSizes := float64(n * (2*spec.SizeMean - 1))
+		if 1.5*u*maxReads > 1e6 && 1.5*u*float64(m) < 0x1p63 {
+			t.Skip("too many updates to draw")
+		}
+		var (
+			p   *core.Problem
+			err error
+		)
+		if skew == 0 {
+			p, err = Generate(spec.Spec, seed)
+		} else {
+			p, err = GenerateZipf(spec, seed)
+		}
+		badSkew := !(skew >= 0) || math.IsInf(skew, 1)
+		if err != nil {
+			unfit := func(r, total float64) bool { return !(r >= 0 && 1.5*r*total < 0x1p63) }
+			if !unfit(u, maxReads) && !unfit(c, maxSizes) && !badSkew {
+				t.Fatalf("M=%d N=%d U=%v C=%v skew=%v rejected: %v", m, n, u, c, skew, err)
+			}
+			return
+		}
+		if badSkew {
+			t.Fatalf("skew %v accepted", skew)
+		}
+		load := make([]int64, m)
+		var sizes float64
+		for k := 0; k < n; k++ {
+			load[p.Primary(k)] += p.Size(k)
+			sizes += float64(p.Size(k))
+			base := u * float64(p.TotalReads(k))
+			if w := float64(p.TotalWrites(k)); !(w >= base/2-0.5 && w <= 1.5*base+0.5) {
+				t.Fatalf("object %d: %v updates outside U(%v, %v)", k, w, base/2, 1.5*base)
+			}
+		}
+		base := c * sizes
+		for i, l := range load {
+			// The drawn capacity, unless the site's primaries need more.
+			if cp := p.Capacity(i); cp < l || !(float64(cp) >= base/2-0.5 && (cp == l || float64(cp) <= 1.5*base+0.5)) {
+				t.Fatalf("site %d: capacity %d outside U(%v, %v) grown to its primaries' %d", i, cp, base/2, 1.5*base, l)
+			}
+		}
+	})
+}

@@ -12,11 +12,16 @@
 //     U(T/2, 3T/2), and assigned to uniformly random sites one by one;
 //   - object sizes are uniform with mean 35 (here U(1,69));
 //   - site capacities are U(C·S/2, 3C·S/2) where S = Σ o_k and C is the
-//     capacity ratio.
+//     capacity ratio, grown where a site's primaries need more.
+//
+// Generate and GenerateZipf draw these steps from one stream in this order
+// and differ only in the read step. Capacities is the capacity step on its
+// own, shared with the sparse generator.
 package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"drp/internal/core"
 	"drp/internal/netsim"
@@ -60,10 +65,6 @@ func (s Spec) validate() error {
 		return fmt.Errorf("workload: need at least one site, got %d", s.Sites)
 	case s.Objects <= 0:
 		return fmt.Errorf("workload: need at least one object, got %d", s.Objects)
-	case s.UpdateRatio < 0:
-		return fmt.Errorf("workload: negative update ratio %v", s.UpdateRatio)
-	case s.CapacityRatio < 0:
-		return fmt.Errorf("workload: negative capacity ratio %v", s.CapacityRatio)
 	case s.ReadMin < 0 || s.ReadMax < s.ReadMin:
 		return fmt.Errorf("workload: bad read range [%d,%d]", s.ReadMin, s.ReadMax)
 	case s.LinkMin < 1 || s.LinkMax < s.LinkMin:
@@ -80,19 +81,29 @@ func Generate(spec Spec, seed uint64) (*core.Problem, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	return generate(spec, seed, func(rng *xrand.Source) [][]int64 {
+		reads := make([][]int64, spec.Sites)
+		for i := range reads {
+			reads[i] = make([]int64, spec.Objects)
+			for k := range reads[i] {
+				reads[i][k] = int64(rng.IntRange(spec.ReadMin, spec.ReadMax))
+			}
+		}
+		return reads
+	})
+}
+
+// generate draws one instance from one stream, in a fixed order: network,
+// primaries, reads, update totals, sizes, capacities. drawReads is the
+// read step, the only one the generators differ in; it returns the M×N
+// read matrix.
+func generate(spec Spec, seed uint64, drawReads func(*xrand.Source) [][]int64) (*core.Problem, error) {
 	rng := xrand.New(seed)
 	m, n := spec.Sites, spec.Objects
 
-	var dist *netsim.DistMatrix
-	if m == 1 {
-		dist = netsim.NewDistMatrix(1)
-	} else {
-		topo := netsim.CompleteUniform(m, int64(spec.LinkMin), int64(spec.LinkMax), rng)
-		var err error
-		dist, err = topo.Distances()
-		if err != nil {
-			return nil, fmt.Errorf("workload: %w", err)
-		}
+	dist, err := netsim.CompleteUniform(m, int64(spec.LinkMin), int64(spec.LinkMax), rng).Distances()
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
 
 	primaries := make([]int, n)
@@ -100,54 +111,35 @@ func Generate(spec Spec, seed uint64) (*core.Problem, error) {
 		primaries[k] = rng.Intn(m)
 	}
 
-	reads := make([][]int64, m)
-	for i := range reads {
-		reads[i] = make([]int64, n)
-		for k := range reads[i] {
-			reads[i][k] = int64(rng.IntRange(spec.ReadMin, spec.ReadMax))
+	reads := drawReads(rng)
+
+	totals := make([]int64, n)
+	for _, row := range reads {
+		for k, r := range row {
+			totals[k] += r
 		}
 	}
-
+	if err := checkRatio("update", spec.UpdateRatio, slices.Max(totals)); err != nil {
+		return nil, err
+	}
 	writes := make([][]int64, m)
 	for i := range writes {
 		writes[i] = make([]int64, n)
 	}
-	for k := 0; k < n; k++ {
-		var totalReads int64
-		for i := 0; i < m; i++ {
-			totalReads += reads[i][k]
-		}
-		base := spec.UpdateRatio * float64(totalReads)
-		// Final update total ~ U(T/2, 3T/2) around the U%-of-reads base.
-		total := int64(rng.FloatRange(base/2, 3*base/2) + 0.5)
-		for u := int64(0); u < total; u++ {
+	for k, total := range totals {
+		for u := smear(rng, spec.UpdateRatio*float64(total)); u > 0; u-- {
 			writes[rng.Intn(m)][k]++
 		}
 	}
 
 	sizes := make([]int64, n)
-	var totalSize int64
 	for k := range sizes {
 		sizes[k] = int64(rng.IntRange(1, 2*spec.SizeMean-1))
-		totalSize += sizes[k]
 	}
 
-	caps := make([]int64, m)
-	base := spec.CapacityRatio * float64(totalSize)
-	for i := range caps {
-		caps[i] = int64(rng.FloatRange(base/2, 3*base/2) + 0.5)
-	}
-	// Every primary copy must fit regardless of the random capacities, or
-	// the instance is infeasible by construction. Grow capacities where the
-	// draw fell short of the primaries a site must host.
-	need := make([]int64, m)
-	for k, sp := range primaries {
-		need[sp] += sizes[k]
-	}
-	for i := range caps {
-		if caps[i] < need[i] {
-			caps[i] = need[i]
-		}
+	caps, err := Capacities(m, spec.CapacityRatio, sizes, primaries, rng)
+	if err != nil {
+		return nil, err
 	}
 
 	return core.NewProblem(core.Config{
@@ -158,4 +150,42 @@ func Generate(spec Spec, seed uint64) (*core.Problem, error) {
 		Writes:     writes,
 		Dist:       dist,
 	})
+}
+
+// Capacities draws the site capacities of Section 6.1 from rng: site by
+// site U(C·S/2, 3C·S/2) for capacity ratio C and S = Σ sizes, each grown
+// to the primaries the site must host, so the primaries-only scheme fits
+// by construction. It rejects a ratio whose draws do not fit an int64.
+func Capacities[P int | int32](sites int, ratio float64, sizes []int64, primaries []P, rng *xrand.Source) ([]int64, error) {
+	var total int64
+	for _, o := range sizes {
+		total += o
+	}
+	if err := checkRatio("capacity", ratio, total); err != nil {
+		return nil, err
+	}
+	caps := make([]int64, sites) // each site's primary load, then its capacity
+	for k, sp := range primaries {
+		caps[sp] += sizes[k]
+	}
+	for i := range caps {
+		caps[i] = max(smear(rng, ratio*float64(total)), caps[i])
+	}
+	return caps, nil
+}
+
+// smear draws U(x/2, 3x/2) rounded to the nearest integer: the paper's
+// spread of update totals around U% of reads and of capacities around C·S.
+func smear(rng *xrand.Source, x float64) int64 {
+	return int64(rng.FloatRange(x/2, 3*x/2) + 0.5)
+}
+
+// checkRatio rejects a ratio whose smeared draws around ratio·total are
+// not all non-negative int64 values: a negative, NaN or infinite ratio, or
+// one too large for total.
+func checkRatio(name string, ratio float64, total int64) error {
+	if ratio >= 0 && 1.5*ratio*float64(total) < 0x1p63 {
+		return nil
+	}
+	return fmt.Errorf("workload: %s ratio %v is negative, not finite, or too large for a total of %d", name, ratio, total)
 }

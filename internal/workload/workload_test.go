@@ -1,8 +1,13 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"hash"
 	"math"
 	"testing"
+
+	"drp/internal/core"
 )
 
 func TestGenerateDimensions(t *testing.T) {
@@ -152,6 +157,12 @@ func TestSpecValidation(t *testing.T) {
 		{"no objects", func(s *Spec) { s.Objects = 0 }},
 		{"negative update ratio", func(s *Spec) { s.UpdateRatio = -0.1 }},
 		{"negative capacity ratio", func(s *Spec) { s.CapacityRatio = -1 }},
+		{"NaN update ratio", func(s *Spec) { s.UpdateRatio = math.NaN() }},
+		{"infinite update ratio", func(s *Spec) { s.UpdateRatio = math.Inf(1) }},
+		{"update totals overflow int64", func(s *Spec) { s.UpdateRatio = 1e300 }},
+		{"NaN capacity ratio", func(s *Spec) { s.CapacityRatio = math.NaN() }},
+		{"infinite capacity ratio", func(s *Spec) { s.CapacityRatio = math.Inf(1) }},
+		{"capacities overflow int64", func(s *Spec) { s.CapacityRatio = 1e300 }},
 		{"bad read range", func(s *Spec) { s.ReadMin = 10; s.ReadMax = 5 }},
 		{"bad link range", func(s *Spec) { s.LinkMin = 0 }},
 		{"bad size mean", func(s *Spec) { s.SizeMean = 0 }},
@@ -164,5 +175,50 @@ func TestSpecValidation(t *testing.T) {
 				t.Fatal("invalid spec accepted")
 			}
 		})
+	}
+}
+
+// TestGeneratedInstancesPinned pins the SHA-256 of every instance the two
+// Section 6.1 generators build over M = 1…9, N ∈ {1, 7, 40}, three (U, C)
+// pairs and three Zipf skews. A refactor of the generators must keep each
+// instance byte for byte. The sweep kills a reordered draw sequence (sizes
+// drawn before update totals), a dropped grow-to-fit step (C = 0 leaves
+// every primary unhoused) and a one-site network path that draws
+// differently from M ≥ 2.
+func TestGeneratedInstancesPinned(t *testing.T) {
+	uniform, zipf := sha256.New(), sha256.New()
+	pin := func(h hash.Hash, p *core.Problem, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Encode(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m := 1; m <= 9; m++ {
+		for _, n := range []int{1, 7, 40} {
+			for _, uc := range [][2]float64{{0.05, 0.15}, {0, 0}, {0.10, 0.02}} {
+				seed := uint64(100*m + n)
+				p, err := Generate(NewSpec(m, n, uc[0], uc[1]), seed)
+				pin(uniform, p, err)
+				for _, skew := range []float64{0, 0.8, 2} {
+					p, err := GenerateZipf(NewZipfSpec(m, n, uc[0], uc[1], skew), seed)
+					pin(zipf, p, err)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		h    hash.Hash
+		want string
+	}{
+		{"Generate", uniform, "d2bf65b292ac8cd7d5982b700dc9fd1a8673652b45cf9bf0df830c878be18346"},
+		{"GenerateZipf", zipf, "a09d06bd1e5ce3b4ed8e22cb16bc3b5f4fcb5e57119d6539cb65683e4eccf2e5"},
+	} {
+		if got := hex.EncodeToString(c.h.Sum(nil)); got != c.want {
+			t.Errorf("%s instances digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"drp/internal/core"
-	"drp/internal/netsim"
 	"drp/internal/xrand"
 )
 
@@ -36,94 +35,32 @@ func GenerateZipf(spec ZipfSpec, seed uint64) (*core.Problem, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	if spec.Skew < 0 {
-		return nil, fmt.Errorf("workload: negative Zipf skew %v", spec.Skew)
+	if !(spec.Skew >= 0) || math.IsInf(spec.Skew, 1) {
+		return nil, fmt.Errorf("workload: Zipf skew %v is negative or not finite", spec.Skew)
 	}
-	rng := xrand.New(seed)
 	m, n := spec.Sites, spec.Objects
-
-	var dist *netsim.DistMatrix
-	if m == 1 {
-		dist = netsim.NewDistMatrix(1)
-	} else {
-		topo := netsim.CompleteUniform(m, int64(spec.LinkMin), int64(spec.LinkMax), rng)
-		var err error
-		dist, err = topo.Distances()
-		if err != nil {
-			return nil, fmt.Errorf("workload: %w", err)
+	return generate(spec.Spec, seed, func(rng *xrand.Source) [][]int64 {
+		// Popularity weights follow a Zipf law over a random object
+		// ranking, so the hot objects are not always the low object ids.
+		rank := rng.Perm(n)
+		weights := make([]float64, n)
+		var weightSum float64
+		for k := 0; k < n; k++ {
+			weights[k] = 1 / math.Pow(float64(rank[k]+1), spec.Skew)
+			weightSum += weights[k]
 		}
-	}
 
-	primaries := make([]int, n)
-	for k := range primaries {
-		primaries[k] = rng.Intn(m)
-	}
-
-	// Popularity weights follow a Zipf law over a random object ranking,
-	// so the hot objects are not always the low object ids.
-	rank := rng.Perm(n)
-	weights := make([]float64, n)
-	var weightSum float64
-	for k := 0; k < n; k++ {
-		weights[k] = 1 / math.Pow(float64(rank[k]+1), spec.Skew)
-		weightSum += weights[k]
-	}
-
-	totalVolume := float64(m) * float64(n) * float64(spec.ReadMin+spec.ReadMax) / 2
-	reads := make([][]int64, m)
-	for i := range reads {
-		reads[i] = make([]int64, n)
-	}
-	for k := 0; k < n; k++ {
-		objReads := int64(totalVolume*weights[k]/weightSum + 0.5)
-		for r := int64(0); r < objReads; r++ {
-			reads[rng.Intn(m)][k]++
+		totalVolume := float64(m) * float64(n) * float64(spec.ReadMin+spec.ReadMax) / 2
+		reads := make([][]int64, m)
+		for i := range reads {
+			reads[i] = make([]int64, n)
 		}
-	}
-
-	writes := make([][]int64, m)
-	for i := range writes {
-		writes[i] = make([]int64, n)
-	}
-	for k := 0; k < n; k++ {
-		var totalReads int64
-		for i := 0; i < m; i++ {
-			totalReads += reads[i][k]
+		for k := 0; k < n; k++ {
+			objReads := int64(totalVolume*weights[k]/weightSum + 0.5)
+			for r := int64(0); r < objReads; r++ {
+				reads[rng.Intn(m)][k]++
+			}
 		}
-		base := spec.UpdateRatio * float64(totalReads)
-		total := int64(rng.FloatRange(base/2, 3*base/2) + 0.5)
-		for u := int64(0); u < total; u++ {
-			writes[rng.Intn(m)][k]++
-		}
-	}
-
-	sizes := make([]int64, n)
-	var totalSize int64
-	for k := range sizes {
-		sizes[k] = int64(rng.IntRange(1, 2*spec.SizeMean-1))
-		totalSize += sizes[k]
-	}
-	caps := make([]int64, m)
-	base := spec.CapacityRatio * float64(totalSize)
-	for i := range caps {
-		caps[i] = int64(rng.FloatRange(base/2, 3*base/2) + 0.5)
-	}
-	need := make([]int64, m)
-	for k, sp := range primaries {
-		need[sp] += sizes[k]
-	}
-	for i := range caps {
-		if caps[i] < need[i] {
-			caps[i] = need[i]
-		}
-	}
-
-	return core.NewProblem(core.Config{
-		Sizes:      sizes,
-		Capacities: caps,
-		Primaries:  primaries,
-		Reads:      reads,
-		Writes:     writes,
-		Dist:       dist,
+		return reads
 	})
 }

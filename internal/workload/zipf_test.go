@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"sort"
 	"testing"
 )
@@ -79,13 +80,23 @@ func TestGenerateZipfVolumeComparableToUniform(t *testing.T) {
 }
 
 func TestGenerateZipfValidation(t *testing.T) {
-	spec := NewZipfSpec(5, 5, 0.05, 0.15, -1)
-	if _, err := GenerateZipf(spec, 1); err == nil {
-		t.Fatal("negative skew accepted")
+	tests := []struct {
+		name string
+		spec ZipfSpec
+	}{
+		{"negative skew", NewZipfSpec(5, 5, 0.05, 0.15, -1)},
+		{"NaN skew", NewZipfSpec(5, 5, 0.05, 0.15, math.NaN())},
+		{"infinite skew", NewZipfSpec(5, 5, 0.05, 0.15, math.Inf(1))},
+		{"zero sites", NewZipfSpec(0, 5, 0.05, 0.15, 1)},
+		{"NaN update ratio", NewZipfSpec(5, 5, math.NaN(), 0.15, 1)},
+		{"capacities overflow int64", NewZipfSpec(5, 5, 0.05, 1e300, 1)},
 	}
-	bad := NewZipfSpec(0, 5, 0.05, 0.15, 1)
-	if _, err := GenerateZipf(bad, 1); err == nil {
-		t.Fatal("zero sites accepted")
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := GenerateZipf(tt.spec, 1); err == nil {
+				t.Fatal("invalid spec accepted")
+			}
+		})
 	}
 }
 
