@@ -110,6 +110,18 @@ func TestBenchRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestBenchSparseRejectsBadFlags: a NaN adapt fraction and a negative
+// shard count fail the run instead of being reported.
+func TestBenchSparseRejectsBadFlags(t *testing.T) {
+	for _, flags := range [][]string{{"-sparse-adapt", "NaN"}, {"-sparse-adapt", "-0.5"}, {"-sparse-shards", "-3"}} {
+		var out, errOut bytes.Buffer
+		args := append([]string{"-sparse-bench", "-sparse-sites", "6", "-sparse-objects", "40"}, flags...)
+		if err := run(args, &out, &errOut); err == nil {
+			t.Errorf("%v accepted:\n%s", flags, out.String())
+		}
+	}
+}
+
 func TestBenchProgressGoesToStderr(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-preset", "tiny", "-fig", "3b"}, &out, &errOut); err != nil {

@@ -42,7 +42,7 @@ type sparseBenchReport struct {
 	ReadNNZ    int    `json:"read_nnz"`
 	WriteNNZ   int    `json:"write_nnz"`
 	Candidates int    `json:"candidates"`
-	GenMillis  int64  `json:"gen_millis"` // GenerateWorkload, candidate pruning included
+	GenMillis  int64  `json:"gen_millis"` // GenerateWorkload alone: no candidate site is priced there
 
 	DPrime        int64   `json:"d_prime"`
 	SolveCost     int64   `json:"solve_cost"`
@@ -72,8 +72,9 @@ func runSparseBench(opts sparseBenchOpts, stdout, stderr io.Writer) error {
 	}
 	genElapsed := time.Since(genStart)
 	readNNZ, writeNNZ := mo.AccessEntries()
+	candidates := mo.CandidateCount() // a first-round pass over every object
 	logf("generated in %v: %d read entries, %d write entries, %d candidate sites",
-		genElapsed.Round(time.Millisecond), readNNZ, writeNNZ, mo.CandidateCount())
+		genElapsed.Round(time.Millisecond), readNNZ, writeNNZ, candidates)
 
 	logf("solving with %d shards…", opts.shards)
 	solveStart := time.Now()
@@ -94,7 +95,7 @@ func runSparseBench(opts sparseBenchOpts, stdout, stderr io.Writer) error {
 		Seed:          opts.seed,
 		ReadNNZ:       readNNZ,
 		WriteNNZ:      writeNNZ,
-		Candidates:    mo.CandidateCount(),
+		Candidates:    candidates,
 		GenMillis:     genElapsed.Milliseconds(),
 		DPrime:        mo.DPrime(),
 		SolveCost:     res.Cost,
@@ -107,7 +108,7 @@ func runSparseBench(opts sparseBenchOpts, stdout, stderr io.Writer) error {
 		report.EvalsPerSec = float64(res.Stats.Evaluations) / secs
 	}
 
-	if opts.adapt > 0 {
+	if opts.adapt != 0 { // NaN and negatives reach PerturbWorkload, which rejects them
 		shifted, changed, err := sparse.PerturbWorkload(mo, spec, opts.adapt, opts.seed+1)
 		if err != nil {
 			return fmt.Errorf("perturb: %w", err)

@@ -52,7 +52,6 @@
 package drp
 
 import (
-	"fmt"
 	"io"
 
 	"drp/internal/agra"
@@ -322,9 +321,6 @@ func AdaptWith(in AdaptInput, params AGRAParams, mini GRAParams, miniGenerations
 // interrupted run returns the valid scheme merged so far. A *Problem is already dense, so this door is
 // for comparing algorithms: drpbench -sparse-bench builds the large instances.
 func SparseGreedy(p *Problem, workers int, run RunOptions) (*Scheme, SolverStats, error) {
-	if workers < 0 {
-		return nil, SolverStats{}, fmt.Errorf("drp: negative sparse worker count %d", workers)
-	}
 	mo, err := sparse.FromProblem(p)
 	if err != nil {
 		return nil, SolverStats{}, err

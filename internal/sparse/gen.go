@@ -190,7 +190,7 @@ func GenerateWorkload(spec WorkloadSpec, seed uint64) (*Model, error) {
 // topology are shared with mo; only the CSR arrays are rebuilt, so spec's
 // capacity ratio plays no part.
 func PerturbWorkload(mo *Model, spec WorkloadSpec, frac float64, seed uint64) (*Model, []int, error) {
-	if frac < 0 || frac > 1 {
+	if !(frac >= 0 && frac <= 1) { // NaN fails both
 		return nil, nil, fmt.Errorf("sparse: perturbation fraction %v outside [0,1]", frac)
 	}
 	if err := spec.validate(); err != nil {

@@ -85,3 +85,38 @@ func randomWalk(t *testing.T, mo *Model, s *core.Scheme, a *Assignment, rng *xra
 		check(step)
 	}
 }
+
+// candidateRule returns the candidate rule written from its definition:
+// object k may hold a replica at its primary, and at every other site x
+// where it fits beside the primaries pinned to x and where a replica at x,
+// added to the primaries-only scheme, strictly lowers V_k as ObjectCost
+// prices it. The rule also reports how many sites it dropped for room
+// alone, though a replica there would have paid.
+func candidateRule(mo *Model) func(k int) (want []int32, unreachable int) {
+	load := make([]int64, mo.m)
+	for k := 0; k < mo.Objects(); k++ {
+		load[mo.Primary(k)] += mo.size[k]
+	}
+	ev := NewEvaluator(mo)
+	return func(k int) ([]int32, int) {
+		sp := mo.Primary(k)
+		alone := ev.ObjectCost(k, []int32{sp})
+		var want []int32
+		unreachable := 0
+		for x := range int32(mo.m) {
+			if x == sp {
+				want = append(want, x)
+				continue
+			}
+			if ev.ObjectCost(k, []int32{min(sp, x), max(sp, x)}) >= alone {
+				continue
+			}
+			if mo.size[k] > mo.cap[x]-load[x] {
+				unreachable++
+				continue
+			}
+			want = append(want, x)
+		}
+		return want, unreachable
+	}
+}

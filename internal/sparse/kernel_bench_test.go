@@ -44,11 +44,11 @@ func denseFormObjectCost(mo *Model, k int, repl []int32, dmin []int64) int64 {
 
 var benchSink int64
 
-// BenchmarkNewModel times newModel — validation, derived caches and
-// candidate pruning — on one pre-generated instance of 200 000 objects at
-// each M, in ns per object.
+// BenchmarkNewModel times newModel — validation and derived caches — and
+// the greedy's first round over every object, serially, on one
+// pre-generated instance of 200 000 objects at each M, in ns per object.
 //
-//	go test -run '^$' -bench NewModel -cpu 1,2 ./internal/sparse
+//	go test -run '^$' -bench 'NewModel|FirstRound' -cpu 1 ./internal/sparse
 func BenchmarkNewModel(b *testing.B) {
 	const objects = 200000
 	for _, sites := range []int{64, 100} {
@@ -61,6 +61,15 @@ func BenchmarkNewModel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := newModel(cfg); err != nil {
 					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/objects, "ns/object")
+		})
+		b.Run(fmt.Sprintf("FirstRound/M=%d", sites), func(b *testing.B) {
+			dmin, gain, left := make([]int64, sites), make([]int64, sites), make([]uint64, mo.candWords)
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < objects; k++ {
+					mo.firstRound(k, dmin, gain, left)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/objects, "ns/object")

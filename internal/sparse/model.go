@@ -7,16 +7,17 @@
 //
 //   - CSR-style access vectors: per-object (site, count) lists for reads and
 //     writes, pooled into four flat arrays, so an N=1e6 × M=100 instance
-//     with ~7 access entries per object holds ~170 MiB of live heap,
-//     candidate sets included, where two dense int64 matrices alone would
-//     need 1.5 GiB; `drpbench -sparse-bench` (that instance plus its 1 %
-//     perturbation, solved and adapted) peaks at ~580 MiB RSS;
+//     with ~7 access entries per object holds ~153 MiB of live heap, where
+//     two dense int64 matrices alone would need 1.5 GiB; `drpbench
+//     -sparse-bench` (that instance plus its 1 % perturbation, solved and
+//     adapted) peaks at ~600 MiB RSS;
 //   - candidate-site pruning: per object, the sites at which a replica could
 //     ever pay for its update fan-in (plus the primary), computed from a
 //     sound upper bound on the achievable saving and from capacity
-//     reachability and held as a ⌈M/64⌉-word bitmask — the solver never
-//     considers a pruned (site, object) pair, and internal/verify proves
-//     the dense optimum survives pruning;
+//     reachability as a ⌈M/64⌉-word bitmask by the greedy's first round,
+//     when the object is searched — nothing is stored per object, the
+//     solver never considers a pruned (site, object) pair, and
+//     internal/verify proves the dense optimum survives pruning;
 //   - object-space sharding: objects couple only through per-site capacity,
 //     so per-object search fans out across workers and a deterministic
 //     capacity-ledger merge reconciles the proposals (solve.go).
@@ -34,10 +35,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"drp/internal/core"
 	"drp/internal/netsim"
-	"drp/internal/parallel"
 )
 
 // csr is a compressed sparse row (CSR) access pattern over objects:
@@ -104,8 +105,7 @@ type config struct {
 }
 
 // Model is an immutable sparse DRP instance: the same eq. 4 problem as
-// core.Problem, stored object-major in CSR form with per-object candidate
-// site sets precomputed.
+// core.Problem, stored object-major in CSR form.
 type Model struct {
 	m, n    int
 	size    []int64
@@ -120,19 +120,16 @@ type Model struct {
 	vPrime      []int64
 	dPrime      int64
 	primaryLoad []int64 // Σ o_k over objects with SP_k = i: the floor of any valid usage
+	slack       []int64 // s(i) − primaryLoad(i): the room the primaries leave at i
 
-	// Candidate sets, pooled: object k may hold replicas only at the sites
-	// set in its candWords-word bitmask candidateMask(k) (site i is bit
-	// i%64 of word i/64; the primary's bit is always set).
-	candWords int
-	candMask  []uint64
-	candCount int
+	candWords int // ⌈M/64⌉, the words of a candidate bitmask (firstRound)
 }
 
 // newModel validates cfg and builds the instance: the same gates as
 // core.NewProblem (positive sizes, primary fit, the worst-case-NTC int64
-// overflow bound) plus CSR well-formedness, then the derived caches and the
-// pruned candidate sets.
+// overflow bound) plus CSR well-formedness, then the derived caches. It
+// prices no candidate site: pruning is the greedy's first round
+// (firstRound), run when an object is searched.
 func newModel(cfg config) (*Model, error) {
 	if cfg.Dist == nil {
 		return nil, fmt.Errorf("sparse: nil distance matrix")
@@ -201,7 +198,11 @@ func newModel(cfg config) (*Model, error) {
 	if err := mo.buildCaches(); err != nil {
 		return nil, err
 	}
-	mo.buildCandidates()
+	mo.slack = make([]int64, m)
+	for i := range mo.slack {
+		mo.slack[i] = mo.cap[i] - mo.primaryLoad[i]
+	}
+	mo.candWords = (m + 63) / 64
 	return mo, nil
 }
 
@@ -251,102 +252,70 @@ func errMagnitude(k int) error {
 	return fmt.Errorf("sparse: traffic volume of object %d overflows the int64 cost range", k)
 }
 
-// objectChunk is how many consecutive objects one task of a per-object
-// pass takes (candidate pruning, Adapt's start cost): an object takes well
-// under a microsecond, so one task per object would spend the pass on
-// handing out indices.
-const objectChunk = 4096
-
-// readGain returns Σ_j r_j·max(dmin_j − row[s_j], 0): what the readers
-// rs, with counts rc and nearest-replica distances dmin, save when a
-// replica whose distance row is row joins. It is the first-round kernel of
-// propose and the pricing of buildCandidates.
-func readGain(row []int64, rs []int32, rc, dmin []int64) int64 {
-	var g int64
-	for j, site := range rs {
-		g += rc[j] * max(dmin[j]-row[site], 0)
-	}
-	return g
-}
-
-// buildCandidates computes the pruned candidate-site bitmask of every
-// object. Site x ≠ SP_k is kept iff both
+// firstRound is the greedy's first round for object k and the candidate
+// rule in one pass. It sets gain[x], for every site x, to what a replica at
+// x added to the primaries-only scheme saves with o_k divided out: x's own
+// write shipping w_k(x)·C(x,SP_k) plus Σ_j r_j·max(dmin_j − C(s_j,x), 0),
+// where dmin_j = C(s_j,SP_k), which it leaves in dmin[:readers] for the
+// later rounds. C is symmetric (newModel validates the matrix), so each
+// reader adds along its own contiguous row. It returns in left, as a
+// candWords-word bitmask (site i is bit i%64 of word i/64), the candidates
+// other than the primary: x is kept iff both
 //
 //   - capacity reachability: o_k ≤ s(x) − primaryLoad(x) — otherwise the
 //     primaries pinned to x leave no room, and no valid scheme can ever
 //     place k there; and
 //
-//   - the benefit bound: propose's first-round δ(x) — a replica at x added
-//     to the primaries-only scheme, so dmin_j = C(s_j,SP_k) — is negative;
-//     with o_k divided out,
-//
-//     Wtot_k·C(x,SP_k) − w_k(x)·C(x,SP_k) − readGain(C(x,·), …) < 0.
-//
-//     Every reader's nearest-replica distance is at most C(j,SP_k) — the
-//     primary is always a replicator — so the saving is the most a replica
-//     at x can contribute to ANY replica set, while the fan-in is exact and
-//     unavoidable. A pruned x therefore never strictly lowers D, so
-//     baseline.Optimal — which enumerates bit-off before bit-on and only
-//     replaces its best on a strict improvement — can never return a scheme
-//     using a pruned pair; the sparse-prune verify check asserts exactly
-//     that. x's own reads enter through C(x,x) = 0, which newModel
-//     validates. The rule depends only on relabelling-invariant
-//     quantities, so candidate sets are permutation-equivariant like eq. 4
-//     itself.
+//   - the benefit bound: the replica's δ(x), o_k·(Wtot_k·C(x,SP_k) −
+//     gain[x]), is negative. Every reader's nearest-replica distance is at
+//     most C(j,SP_k) — the primary is always a replicator — so the saving
+//     is the most a replica at x can contribute to ANY replica set, while
+//     the fan-in is exact and unavoidable. A pruned x therefore never
+//     strictly lowers D, so baseline.Optimal — which enumerates bit-off
+//     before bit-on and only replaces its best on a strict improvement —
+//     can never return a scheme using a pruned pair; the sparse-prune
+//     verify check asserts exactly that. x's own reads enter through
+//     C(x,x) = 0, which also gives the primary δ = 0, so it is never in
+//     left. The rule depends only on relabelling-invariant quantities, so
+//     candidate sets are permutation-equivariant like eq. 4 itself.
 //
 // No sum overflows: a saving is at most (R_k + W_k)·maxC, and newModel
 // admits only instances with o_k·(R_k + (M+1)·W_k + 1)·maxC ≤ MaxInt64,
 // o_k ≥ 1. Both tests are sign bits, so a word is packed without a branch.
-func (mo *Model) buildCandidates() {
-	mo.candWords = (mo.m + 63) / 64
-	mo.candMask = make([]uint64, mo.n*mo.candWords)
-	slack := make([]int64, mo.m)
-	for x := range slack {
-		slack[x] = mo.cap[x] - mo.primaryLoad[x]
+func (mo *Model) firstRound(k int, dmin, gain []int64, left []uint64) {
+	gain = gain[:mo.m]
+	clear(gain)
+	spRow := mo.dist.Row(int(mo.primary[k]))
+	ws, wc := mo.writeEntries(k)
+	for j, site := range ws {
+		gain[site] = wc[j] * spRow[site]
 	}
-	workers := parallel.Workers(0)
-	type scratch struct {
-		dmin []int64 // per reader: C(s_j, SP_k)
-		wAt  []int64 // the object's write count per site, zero elsewhere
+	rs, rc := mo.readEntries(k)
+	for j, site := range rs {
+		dmin[j] = spRow[site]
 	}
-	scratches := make([]scratch, workers)
-	for w := range scratches {
-		scratches[w] = scratch{dmin: make([]int64, mo.m), wAt: make([]int64, mo.m)}
-	}
-	// Chunks are contiguous, so workers share a mask cache line only where
-	// two chunks meet.
-	parallel.ForWorker((mo.n+objectChunk-1)/objectChunk, workers, func(w, ch int) {
-		sc := &scratches[w]
-		for k := ch * objectChunk; k < min((ch+1)*objectChunk, mo.n); k++ {
-			sp := int(mo.primary[k])
-			spRow := mo.dist.Row(sp)
-			rs, rc := mo.readEntries(k)
-			ws, wc := mo.writeEntries(k)
-			dmin := sc.dmin[:len(rs)]
-			for j, site := range rs {
-				dmin[j] = spRow[site]
-			}
-			for j, site := range ws {
-				sc.wAt[site] = wc[j]
-			}
-			wTot, sz := mo.totalWrites[k], mo.size[k]
-			mask := mo.candidateMask(k)
-			for wi := range mask {
-				var word uint64
-				for x := wi << 6; x < min(wi<<6+64, mo.m); x++ {
-					g := sc.wAt[x]*spRow[x] + readGain(mo.dist.Row(x), rs, rc, dmin)
-					word |= uint64((wTot*spRow[x]-g)&^(slack[x]-sz)) >> 63 << (x & 63)
-				}
-				mask[wi] = word
-			}
-			mask[sp>>6] |= 1 << (sp & 63)
-			for _, site := range ws {
-				sc.wAt[site] = 0
-			}
+	// Readers go two to a pass over gain, halving its loads and stores.
+	j := len(rs) & 1
+	if j == 1 {
+		d, r, row := dmin[0], rc[0], mo.dist.Row(int(rs[0]))[:len(gain)]
+		for x := range gain {
+			gain[x] += r * max(d-row[x], 0)
 		}
-	})
-	for _, word := range mo.candMask {
-		mo.candCount += bits.OnesCount64(word)
+	}
+	for ; j < len(rs); j += 2 {
+		d0, r0, row0 := dmin[j], rc[j], mo.dist.Row(int(rs[j]))[:len(gain)]
+		d1, r1, row1 := dmin[j+1], rc[j+1], mo.dist.Row(int(rs[j+1]))[:len(gain)]
+		for x := range gain {
+			gain[x] += r0*max(d0-row0[x], 0) + r1*max(d1-row1[x], 0)
+		}
+	}
+	wTot, sz := mo.totalWrites[k], mo.size[k]
+	for wi := range left {
+		var word uint64
+		for x := wi << 6; x < min(wi<<6+64, mo.m); x++ {
+			word |= uint64((wTot*spRow[x]-gain[x])&^(mo.slack[x]-sz)) >> 63 << (x & 63)
+		}
+		left[wi] = word
 	}
 }
 
@@ -404,26 +373,41 @@ func (mo *Model) TotalWrites(k int) int64 { return mo.totalWrites[k] }
 func (mo *Model) DPrime() int64 { return mo.dPrime }
 
 // Candidates returns object k's candidate sites, ascending, primary
-// included, in a new slice built from the object's bitmask.
+// included, in a new slice. It runs the greedy's first round for the
+// object.
 func (mo *Model) Candidates(k int) []int32 {
-	var out []int32
-	for wi, word := range mo.candidateMask(k) {
+	left := make([]uint64, mo.candWords)
+	scratch := make([]int64, 2*mo.m)
+	mo.firstRound(k, scratch[:mo.m], scratch[mo.m:], left)
+	n := 1
+	for _, word := range left {
+		n += bits.OnesCount64(word)
+	}
+	out := make([]int32, 0, n)
+	for wi, word := range left {
 		for ; word != 0; word &= word - 1 {
 			out = append(out, int32(wi<<6|bits.TrailingZeros64(word)))
 		}
 	}
-	return out
-}
-
-// candidateMask returns object k's candidate bitmask, a view into the
-// pooled array.
-func (mo *Model) candidateMask(k int) []uint64 {
-	return mo.candMask[k*mo.candWords : (k+1)*mo.candWords]
+	at, _ := search(out, mo.primary[k])
+	return slices.Insert(out, at, mo.primary[k])
 }
 
 // CandidateCount returns the total candidate count across objects (the
-// solver's search-space size after pruning).
-func (mo *Model) CandidateCount() int { return mo.candCount }
+// solver's search-space size after pruning). It runs the greedy's first
+// round for every object, serially, so callers keep the result.
+func (mo *Model) CandidateCount() int {
+	scratch := make([]int64, 2*mo.m)
+	left := make([]uint64, mo.candWords)
+	total := mo.n // the primaries
+	for k := range mo.n {
+		mo.firstRound(k, scratch[:mo.m], scratch[mo.m:], left)
+		for _, word := range left {
+			total += bits.OnesCount64(word)
+		}
+	}
+	return total
+}
 
 // readEntries returns object k's reader sites and counts as views into the
 // pooled CSR arrays.

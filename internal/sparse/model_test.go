@@ -315,65 +315,47 @@ func TestCandidatePruningEquivariance(t *testing.T) {
 	}
 }
 
-// TestCandidatesMultiWord checks candidate bitmasks that span two and three
-// words (M = 65 and 130) against the pruning rule written out directly, and
-// CandidateCount against the listed sets.
-func TestCandidatesMultiWord(t *testing.T) {
-	for _, m := range []int{65, 130} {
-		mo := testModel(t, m, 400, 3)
-		load := make([]int64, m)
-		for k := 0; k < mo.Objects(); k++ {
-			load[mo.Primary(k)] += mo.size[k]
-		}
-		at := func(sites []int32, cnts []int64, i int) int64 {
-			for idx, s := range sites {
-				if int(s) == i {
-					return cnts[idx]
-				}
+// TestCandidatesMatchRule holds every object's candidate set to
+// candidateRule on generated instances of one, two and three mask words —
+// M = 65 and 130 put a candidate one bit past a word boundary — at a roomy
+// and a tight capacity ratio, and CandidateCount to the listed sets. It
+// kills a gain left over from the previous object, ≤ for <, a dropped
+// reachability test, a primary listed twice and a word-boundary slip.
+func TestCandidatesMatchRule(t *testing.T) {
+	for _, m := range []int{1, 2, 7, 64, 65, 100, 130} {
+		unreachable, top := 0, int32(0)
+		for _, ratio := range []float64{0.15, 0.01} {
+			spec := NewWorkloadSpec(m, 300)
+			spec.CapacityRatio = ratio
+			mo, err := GenerateWorkload(spec, uint64(m))
+			if err != nil {
+				t.Fatalf("M=%d C=%v: %v", m, ratio, err)
 			}
-			return 0
-		}
-		total, top := 0, int32(0)
-		for k := 0; k < mo.Objects(); k++ {
-			sp := int(mo.Primary(k))
-			rs, rc := mo.readEntries(k)
-			ws, wc := mo.writeEntries(k)
-			var want []int32
-			for i := 0; i < m; i++ {
-				keep := i == sp
-				if !keep && load[i]+mo.size[k] <= mo.cap[i] {
-					c := mo.dist.At(i, sp)
-					saving := (at(rs, rc, i) + at(ws, wc, i)) * c
-					for idx, j := range rs {
-						if int(j) != i {
-							saving += rc[idx] * max(0, mo.dist.At(int(j), sp)-mo.dist.At(int(j), i))
-						}
-					}
-					keep = saving > mo.TotalWrites(k)*c
+			rule := candidateRule(mo)
+			total := 0
+			for k := 0; k < mo.Objects(); k++ {
+				got := mo.Candidates(k)
+				want, dropped := rule(k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("M=%d C=%v object %d: candidates %v, rule gives %v", m, ratio, k, got, want)
 				}
-				if keep {
-					want = append(want, int32(i))
-				}
+				total += len(got)
+				unreachable += dropped
+				top = max(top, got[len(got)-1])
 			}
-			got := mo.Candidates(k)
-			if !slices.Equal(got, want) {
-				t.Fatalf("M=%d object %d: candidates %v, rule gives %v", m, k, got, want)
+			if total != mo.CandidateCount() {
+				t.Fatalf("M=%d C=%v: CandidateCount %d, lists hold %d", m, ratio, mo.CandidateCount(), total)
 			}
-			total += len(got)
-			top = max(top, got[len(got)-1])
 		}
-		if total != mo.CandidateCount() {
-			t.Fatalf("M=%d: CandidateCount %d, lists hold %d", m, mo.CandidateCount(), total)
-		}
-		if top != int32(m-1) {
-			t.Fatalf("M=%d: highest candidate site %d; the last word's top bit is never exercised", m, top)
+		if m > 1 && (top != int32(m-1) || unreachable == 0) {
+			t.Fatalf("M=%d: highest candidate site %d, %d sites dropped for room alone; the instances miss the last mask bit or reachability", m, top, unreachable)
 		}
 	}
 }
 
 // TestCandidatesPinned pins the candidate bitmasks of three generated
 // instances, one, two and three mask words per object, by count and by an
-// FNV-1a digest of the pooled words.
+// FNV-1a digest of the objects' masks in order, primary bit set.
 func TestCandidatesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		sites  int
@@ -386,8 +368,14 @@ func TestCandidatesPinned(t *testing.T) {
 	} {
 		mo := testModel(t, tc.sites, 20000, 1)
 		h := fnv.New64a()
-		if err := binary.Write(h, binary.LittleEndian, mo.candMask); err != nil {
-			t.Fatal(err)
+		dmin, gain, mask := make([]int64, mo.m), make([]int64, mo.m), make([]uint64, mo.candWords)
+		for k := 0; k < mo.Objects(); k++ {
+			mo.firstRound(k, dmin, gain, mask)
+			sp := mo.Primary(k)
+			mask[sp>>6] |= 1 << (sp & 63)
+			if err := binary.Write(h, binary.LittleEndian, mask); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if got := h.Sum64(); mo.CandidateCount() != tc.count || got != tc.digest {
 			t.Errorf("M=%d: %d candidates, mask digest %#x; pinned %d, %#x", tc.sites, mo.CandidateCount(), got, tc.count, tc.digest)

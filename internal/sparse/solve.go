@@ -16,16 +16,18 @@ import (
 //  1. Propose — every object is searched independently: a greedy descent
 //     over its pruned candidate sites (the set bits of its bitmask, in
 //     ascending site order), each step adding the replica with the most
-//     negative exact cost delta. The first round prices every candidate
-//     against every reader; after that each add moves only the gains of
-//     the readers it brings closer, so a later round prices a candidate in
-//     O(1). Within one descent the nearest-replica distances only fall, so
-//     a candidate's delta only rises: a candidate whose delta is already
-//     non-negative can never win a later step and leaves the scan. Objects
-//     fan out across shard workers via parallel.ForWorker; proposals are
-//     pure functions of the object written into fixed-size, index-addressed
-//     slots, so in an uninterrupted run the shard count only groups work
-//     and never changes any result, and no step allocates.
+//     negative exact cost delta. The first round (firstRound) prices every
+//     site against every reader, reader by reader along contiguous distance
+//     rows, and is the pruning itself; after that each add moves only the
+//     gains of the readers it brings closer, so a later round prices a
+//     candidate in O(1). Within one descent the nearest-replica distances
+//     only fall, so a candidate's delta only rises: a candidate whose delta
+//     is already non-negative can never win a later step and leaves the
+//     scan. Objects fan out across shard workers via parallel.ForWorker;
+//     proposals are pure functions of the object written into fixed-size,
+//     index-addressed slots, so in an uninterrupted run the shard count
+//     only groups work and never changes any result, and no step
+//     allocates.
 //
 //  2. Merge — a single deterministic capacity-ledger pass reconciles the
 //     proposals: every proposed step becomes a self-contained ledger entry
@@ -63,6 +65,13 @@ type SolveParams struct {
 	Shards int
 }
 
+func (p SolveParams) validate() error {
+	if p.Shards < 0 {
+		return fmt.Errorf("sparse: negative shard count %d", p.Shards)
+	}
+	return nil
+}
+
 // Result is a sharded solve's outcome.
 type Result struct {
 	// Assignment is the final replica placement (primary-valid, within
@@ -92,6 +101,9 @@ type proposal struct {
 
 // Solve runs the sharded greedy from the primaries-only allocation.
 func Solve(mo *Model, params SolveParams, run solver.Run) (*Result, error) {
+	if err := params.validate(); err != nil {
+		return nil, err
+	}
 	c := solver.Start("sparse", run)
 	props := make([]proposal, mo.n)
 	objects := make([]int, mo.n)
@@ -122,6 +134,9 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 // can read how many V_k it priced.
 func (e *Evaluator) adapt(a *Assignment, changed []int, params SolveParams, run solver.Run) (*Result, error) {
 	mo := e.mo
+	if err := params.validate(); err != nil {
+		return nil, err
+	}
 	if a.mo != mo {
 		return nil, fmt.Errorf("sparse: adapt: the assignment belongs to another model (%d objects); rebind its replicas onto this one first", a.mo.n)
 	}
@@ -188,6 +203,11 @@ func (e *Evaluator) adapt(a *Assignment, changed []int, params SolveParams, run 
 	return merge(mo, a, cost, objects, steps, c), nil
 }
 
+// objectChunk is how many consecutive objects one task of Adapt's start
+// pass takes: an object takes well under a microsecond, so one task per
+// object would spend the pass on handing out indices.
+const objectChunk = 4096
+
 // lineWords returns n zeroed words of per-worker scratch whose backing
 // array fills whole 64-byte cache lines. Workers write these words per
 // site; an 8-byte allocation would share a line with another worker's
@@ -203,13 +223,12 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 	workers := parallel.Workers(params.Shards)
 	type scratch struct {
 		dmin []int64  // per-reader nearest-replica distance
-		wAt  []int64  // the object's write count per site, zero elsewhere
-		gain []int64  // per candidate site: δ's saving term, kept current
+		gain []int64  // per site: δ's saving term, kept current for the candidates
 		left []uint64 // candidate bitmask minus the sites placed or out of the running
 	}
 	scratches := make([]scratch, workers)
 	for w := range scratches {
-		scratches[w] = scratch{dmin: make([]int64, mo.m), wAt: make([]int64, mo.m), gain: make([]int64, mo.m), left: lineWords(mo.candWords)}
+		scratches[w] = scratch{dmin: make([]int64, mo.m), gain: make([]int64, mo.m), left: lineWords(mo.candWords)}
 	}
 	parallel.ForWorker(len(objects), workers, func(w, idx int) {
 		if _, stop := c.Check(); stop {
@@ -217,41 +236,22 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 		}
 		sc := &scratches[w]
 		k := objects[idx]
-		sp := int(mo.primary[k])
-		left := sc.left
-		copy(left, mo.candidateMask(k))
-		left[sp>>6] &^= 1 << (sp & 63)
+		// δ(x) = o_k·(Wtot·C(x,SP) − gain[x]): the fan-in a replica at x
+		// starts paying minus what it saves, x's own write shipping and
+		// every reader's drop to C(x,·). C(x,x) = 0 (newModel validates the
+		// matrix), so x's own reads drop by all of dmin, and a replicator
+		// reader, whose dmin is 0, drops by nothing.
+		mo.firstRound(k, sc.dmin, sc.gain, sc.left)
+		left, gain := sc.left, sc.gain
 		if !slices.ContainsFunc(left, func(word uint64) bool { return word != 0 }) {
 			c.Charge(1)
 			return // only the primary: nothing to propose
 		}
 		ok := mo.size[k]
 		wTot := mo.totalWrites[k]
-		spRow := mo.dist.Row(sp)
+		spRow := mo.dist.Row(int(mo.primary[k]))
 		rs, rc := mo.readEntries(k)
-		ws, wc := mo.writeEntries(k)
 		dmin := sc.dmin[:len(rs)]
-		for j, site := range rs {
-			dmin[j] = spRow[site]
-		}
-		for j, site := range ws {
-			sc.wAt[site] = wc[j]
-		}
-		// δ(x) = o_k·(Wtot·C(x,SP) − gain[x]): the fan-in a replica at x
-		// starts paying minus what it saves, x's own write shipping and
-		// every reader's drop to C(x,·). C(x,x) = 0 (newModel validates the
-		// matrix), so x's own reads drop by all of dmin, and a replicator
-		// reader, whose dmin is 0, drops by nothing.
-		gain := sc.gain
-		for wi, word := range left {
-			for ; word != 0; word &= word - 1 {
-				x := wi<<6 | bits.TrailingZeros64(word)
-				gain[x] = sc.wAt[x]*spRow[x] + readGain(mo.dist.Row(x), rs, rc, dmin)
-			}
-		}
-		for _, site := range ws {
-			sc.wAt[site] = 0
-		}
 		var p proposal
 		rounds := 1
 		for {

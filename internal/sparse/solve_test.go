@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -383,6 +384,18 @@ func TestAdaptRejectsBadObject(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsNegativeShards: a negative shard count is an error from
+// Solve and Adapt alike, as a negative Parallelism is from gra and agra.
+func TestSolveRejectsNegativeShards(t *testing.T) {
+	mo := testModel(t, 8, 10, 1)
+	if _, err := Solve(mo, SolveParams{Shards: -3}, solver.Run{}); err == nil || !strings.Contains(err.Error(), "shard") {
+		t.Fatalf("Solve with -3 shards: %v", err)
+	}
+	if _, err := Adapt(mo, NewAssignment(mo), []int{1}, SolveParams{Shards: -1}, solver.Run{}); err == nil || !strings.Contains(err.Error(), "shard") {
+		t.Fatalf("Adapt with -1 shards: %v", err)
+	}
+}
+
 // TestAdaptRejectsForeignAssignment: an assignment of another model is
 // refused before anything is mutated — one with fewer objects, which the
 // start pass would index past its end, and one of a same-shaped sibling
@@ -531,6 +544,21 @@ func TestPerturbDeterminismAndIsolation(t *testing.T) {
 		}
 		if mo.vPrime[k] != s1.vPrime[k] {
 			t.Fatalf("unchanged object %d: V′ moved %d -> %d", k, mo.vPrime[k], s1.vPrime[k])
+		}
+	}
+}
+
+// TestPerturbRejectsBadFraction: a fraction outside [0,1], NaN included,
+// is an error, not a silent no-op perturbation.
+func TestPerturbRejectsBadFraction(t *testing.T) {
+	spec := NewWorkloadSpec(6, 20)
+	mo, err := GenerateWorkload(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		if _, _, err := PerturbWorkload(mo, spec, frac, 2); err == nil {
+			t.Errorf("fraction %v accepted", frac)
 		}
 	}
 }
