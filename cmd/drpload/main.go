@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -265,8 +266,8 @@ func geoLabel(pr load.Profile) string {
 func parseWeights(s string) ([]float64, error) {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
-		var w float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%g", &w); err != nil {
+		w, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil {
 			return nil, fmt.Errorf("bad weight %q", f)
 		}
 		out = append(out, w)

@@ -170,6 +170,10 @@ func TestLoadRejectsBadFlags(t *testing.T) {
 		{"-arrival", "chaotic"},
 		{"-rate", "0"},
 		{"-origins", "1,nope"},
+		{"-origins", "2.5x,1,1,1"},
+		{"-origins", "inf,1,1,1"},
+		{"-origins", "NaN,1,1,1"},
+		{"-origins", "1e308,1e308,1,0"},
 	} {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -145,15 +146,17 @@ func (pr *Profile) validate(m int) error {
 		if len(pr.Origins) != m {
 			return fmt.Errorf("load: %d origin weights for %d sites", len(pr.Origins), m)
 		}
+		// An infinite weight, or a sum that overflows to one, would send
+		// every request to the last origin (pickIndex).
 		var sum float64
 		for i, w := range pr.Origins {
-			if w < 0 || w != w {
-				return fmt.Errorf("load: origin weight %v for site %d (must be ≥ 0)", w, i)
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return fmt.Errorf("load: origin weight %v for site %d (must be finite and ≥ 0)", w, i)
 			}
 			sum += w
 		}
-		if !(sum > 0) {
-			return fmt.Errorf("load: origin weights sum to %v (need > 0)", sum)
+		if !(sum > 0) || math.IsInf(sum, 1) {
+			return fmt.Errorf("load: origin weights sum to %v (need finite and > 0)", sum)
 		}
 	}
 	if len(pr.MatrixMS) > 0 {

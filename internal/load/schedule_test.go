@@ -2,6 +2,7 @@ package load
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -298,6 +299,9 @@ func TestProfileValidate(t *testing.T) {
 		{"origin count", func(p *Profile) { p.Origins = []float64{1, 1} }, "origin"},
 		{"negative origin", func(p *Profile) { p.Origins = []float64{1, -1, 1, 1} }, "origin"},
 		{"all-zero origins", func(p *Profile) { p.Origins = []float64{0, 0, 0, 0} }, "origin"},
+		{"NaN origin", func(p *Profile) { p.Origins = []float64{1, math.NaN(), 1, 1} }, "origin"},
+		{"infinite origin", func(p *Profile) { p.Origins = []float64{math.Inf(1), 1, 1, 1} }, "origin"},
+		{"origins overflow", func(p *Profile) { p.Origins = []float64{1e308, 1e308, 1, 0} }, "origin"},
 		{"unknown geo", func(p *Profile) { p.Geo = "mars" }, "geo"},
 		{"ragged matrix", func(p *Profile) { p.MatrixMS = [][]int64{{0, 1}, {1}} }, "matrix"},
 	}

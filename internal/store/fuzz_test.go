@@ -43,8 +43,8 @@ func buildSeedWAL(tb testing.TB) []byte {
 // log file. Whatever the damage — truncated tails, flipped bits, random
 // garbage — recovery must never panic, must produce a state (a valid
 // prefix of whatever history the bytes encode), and must be idempotent:
-// opening the already-truncated file again yields the identical state and
-// appends still work.
+// opening the already-truncated file again yields the identical state, a
+// snapshot of it reopens to that state, and appends still work.
 func FuzzWALReplay(f *testing.F) {
 	seed := buildSeedWAL(f)
 	f.Add(seed)
@@ -83,7 +83,23 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("second open after recovery failed: %v", err)
 		}
 		if got := r.EncodeState(); !bytes.Equal(got, state) {
-			t.Fatalf("recovery not idempotent:\n first %s\nsecond %s", state, got)
+			t.Fatalf("recovery not idempotent:\n first %x\nsecond %x", state, got)
+		}
+		// The recovered state must survive its own snapshot, which is the
+		// record stream that rebuilds it from bootstrap.
+		served := observe(r)
+		if err := r.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		r, err = Open(dir, 0, prim, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatalf("open from the snapshot failed: %v", err)
+		}
+		if got := r.EncodeState(); !bytes.Equal(got, state) || observe(r) != served {
+			t.Fatalf("snapshot round trip moved the state:\nbefore %x\n after %x", state, got)
 		}
 		// The recovered prefix must accept appends and survive them.
 		if err := r.AddNTC(1); err != nil {
@@ -99,7 +115,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		defer r2.Close()
 		if got := r2.EncodeState(); !bytes.Equal(got, want) {
-			t.Fatalf("append after recovery lost:\n got %s\nwant %s", got, want)
+			t.Fatalf("append after recovery lost:\n got %x\nwant %x", got, want)
 		}
 	})
 }

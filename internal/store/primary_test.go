@@ -41,7 +41,7 @@ func TestSetPrimarySurvivesCrashReplay(t *testing.T) {
 		t.Fatalf("replayed PrimaryOf(4) = %d, want promoted 0", got)
 	}
 	if got := r.EncodeState(); !bytes.Equal(got, want) {
-		t.Fatalf("state diverged across crash:\n  %s\n  %s", want, got)
+		t.Fatalf("state diverged across crash:\n  %x\n  %x", want, got)
 	}
 	// Promotions must survive snapshot + truncation too.
 	if err := r.SetPrimary(2, 0); err != nil {
@@ -64,25 +64,5 @@ func TestSetPrimarySurvivesCrashReplay(t *testing.T) {
 	}
 	if got := r2.PrimaryOf(2); got != 0 {
 		t.Fatalf("snapshot PrimaryOf(2) = %d, want 0", got)
-	}
-}
-
-// TestLoadSnapshotWithoutPrimaries pins back-compat: a snapshot written
-// before primary promotion existed (no "primary" field) loads with the
-// bootstrap primaries intact.
-func TestLoadSnapshotWithoutPrimaries(t *testing.T) {
-	s, err := Open("", 1, primariesRR(2, 4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.loadSnapshot([]byte(`{"site":1,"holds":[false,true,false,true],` +
-		`"versions":[0,0,0,0],"nearest":[0,1,0,1],"replicas":[[0],[1],[0],[1]],` +
-		`"registry":[[],[1],[],[1]],"stale":[[],[],[],[]],"pending":[0,0,0,0],"ntc":5}`)); err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
-	}
-	for k := 0; k < 4; k++ {
-		if got := s.PrimaryOf(k); got != k%2 {
-			t.Fatalf("PrimaryOf(%d) = %d after legacy snapshot, want bootstrap %d", k, got, k%2)
-		}
 	}
 }

@@ -37,44 +37,57 @@ type record struct {
 	sites []int32
 }
 
+// recordFixedLen is a record's size before its sites.
+const recordFixedLen = 17
+
 // encode lays the record out as op(1) | obj(4) | arg(8) | nsites(4) |
 // sites(4·n), little-endian throughout. The layout is fixed-width so the
 // same mutation always produces the same bytes (byte-identical logs for
 // identical histories).
 func (r record) encode() []byte {
-	buf := make([]byte, 1+4+8+4+4*len(r.sites))
+	buf := make([]byte, recordFixedLen+4*len(r.sites))
 	buf[0] = r.op
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(r.obj))
 	binary.LittleEndian.PutUint64(buf[5:13], uint64(r.arg))
 	binary.LittleEndian.PutUint32(buf[13:17], uint32(len(r.sites)))
 	for i, s := range r.sites {
-		binary.LittleEndian.PutUint32(buf[17+4*i:], uint32(s))
+		binary.LittleEndian.PutUint32(buf[recordFixedLen+4*i:], uint32(s))
 	}
 	return buf
+}
+
+// recordLen returns the length of the record that b starts with, read
+// from its site count, or -1 when b is too short to hold one. Records are
+// self-delimiting, so a snapshot is a plain run of them (Store.loadSnapshot).
+func recordLen(b []byte) int {
+	if len(b) < recordFixedLen {
+		return -1
+	}
+	n := binary.LittleEndian.Uint32(b[13:17])
+	if n > maxRecordBytes/4 {
+		return -1
+	}
+	return recordFixedLen + 4*int(n)
 }
 
 // decodeRecord rejects anything that is not exactly one well-formed
 // record; replay treats a rejection as corruption and stops there.
 func decodeRecord(b []byte) (record, error) {
-	if len(b) < 17 {
-		return record{}, fmt.Errorf("store: record too short (%d bytes)", len(b))
+	if n := recordLen(b); n != len(b) {
+		return record{}, fmt.Errorf("store: %d bytes are not one record (length %d)", len(b), n)
 	}
 	r := record{
 		op:  b[0],
 		obj: int32(binary.LittleEndian.Uint32(b[1:5])),
 		arg: int64(binary.LittleEndian.Uint64(b[5:13])),
 	}
-	n := binary.LittleEndian.Uint32(b[13:17])
-	if n > maxRecordBytes/4 || len(b) != 17+4*int(n) {
-		return record{}, fmt.Errorf("store: record length %d does not match %d sites", len(b), n)
-	}
 	if r.op < opPlace || r.op > opPrimary {
 		return record{}, fmt.Errorf("store: unknown opcode %d", r.op)
 	}
-	if n > 0 {
+	if n := (len(b) - recordFixedLen) / 4; n > 0 {
 		r.sites = make([]int32, n)
 		for i := range r.sites {
-			r.sites[i] = int32(binary.LittleEndian.Uint32(b[17+4*i:]))
+			r.sites[i] = int32(binary.LittleEndian.Uint32(b[recordFixedLen+4*i:]))
 		}
 	}
 	return r, nil

@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"cmp"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"drp/internal/metrics"
@@ -56,7 +58,7 @@ type Store struct {
 	holds    []bool
 	versions []int64
 	replicas [][]int
-	stale    []map[int]bool
+	stale    [][]int // per object, sorted
 	pending  []int
 	ntc      int64
 	// curPrimary is the routing primary per object; it starts at the
@@ -77,7 +79,7 @@ func (s *Store) bootstrap() {
 	s.holds = make([]bool, n)
 	s.versions = make([]int64, n)
 	s.replicas = make([][]int, n)
-	s.stale = make([]map[int]bool, n)
+	s.stale = make([][]int, n)
 	s.pending = make([]int, n)
 	s.ntc = 0
 	s.curPrimary = append([]int(nil), s.primary...)
@@ -123,15 +125,19 @@ func Open(dir string, site int, primaries []int, opts Options) (*Store, error) {
 	snapSeq, haveSnap, replayFrom := uint64(0), false, "bootstrap"
 	var rejected error
 	for i := len(snaps) - 1; i >= 0; i-- {
-		payload, err := readSnapshotFile(snapPath(dir, snaps[i]))
+		path := snapPath(dir, snaps[i])
+		payload, err := readSnapshotFile(path)
 		if err == nil {
-			err = s.loadSnapshot(payload)
+			if err = s.loadSnapshot(payload); err != nil {
+				err = fmt.Errorf("store: %s: %w", path, err)
+			}
 		}
 		if err != nil {
+			s.bootstrap() // undo whatever part of it was applied
 			rejected = cmp.Or(rejected, err)
 			continue
 		}
-		snapSeq, haveSnap, replayFrom = snaps[i], true, filepath.Base(snapPath(dir, snaps[i]))
+		snapSeq, haveSnap, replayFrom = snaps[i], true, filepath.Base(path)
 		break
 	}
 	s.recov = haveSnap
@@ -181,10 +187,11 @@ func Open(dir string, site int, primaries []int, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// applyPayload decodes and applies one replayed WAL record; undecodable
-// payloads end the valid prefix. A whole record with a retired opcode was
-// written by an older format: it aborts the open rather than be truncated
-// away as a torn tail, which would silently drop its site's history.
+// applyPayload decodes and applies one record replayed from the WAL or
+// loaded from a snapshot; undecodable payloads end the valid prefix. A
+// whole record with a retired opcode was written by an older format: it
+// aborts the open rather than be truncated away as a torn tail, which
+// would silently drop its site's history.
 func (s *Store) applyPayload(payload []byte) error {
 	rec, err := decodeRecord(payload)
 	if err != nil {
@@ -219,17 +226,14 @@ func (s *Store) apply(rec record) {
 	case opSetVer:
 		s.versions[k] = rec.arg
 	case opStale:
-		marks := s.stale[k]
-		if marks == nil {
-			marks = make(map[int]bool)
-			s.stale[k] = marks
-		}
 		for _, j := range rec.sites {
-			marks[int(j)] = true
+			if i, found := slices.BinarySearch(s.stale[k], int(j)); !found {
+				s.stale[k] = slices.Insert(s.stale[k], i, int(j))
+			}
 		}
 	case opClear:
-		if marks := s.stale[k]; marks != nil {
-			delete(marks, int(rec.arg))
+		if i, found := slices.BinarySearch(s.stale[k], int(rec.arg)); found {
+			s.stale[k] = slices.Delete(s.stale[k], i, i+1)
 		}
 	case opQueue:
 		s.pending[k] += int(rec.arg)
@@ -245,17 +249,9 @@ func (s *Store) apply(rec record) {
 		// A site no longer replicating the object has nothing left to
 		// reconcile: trim its stale mark with the replica-set update, in
 		// one record, so replay and live execution agree.
-		if marks := s.stale[k]; marks != nil {
-			keep := make(map[int]bool, len(rec.sites))
-			for _, j := range rec.sites {
-				keep[int(j)] = true
-			}
-			for j := range marks {
-				if !keep[j] {
-					delete(marks, j)
-				}
-			}
-		}
+		s.stale[k] = slices.DeleteFunc(s.stale[k], func(j int) bool {
+			return !slices.Contains(s.replicas[k], j)
+		})
 	}
 }
 
@@ -282,7 +278,9 @@ func int32sOf(sites []int) []int32 {
 }
 
 // commit appends rec to the WAL (durable mode) and applies it. The state
-// only changes if the log accepted the record: append-before-ack.
+// only changes if the log accepted the record: append-before-ack. Once it
+// has, the mutation is committed: a failed automatic snapshot does not fail
+// it (the log still holds the record) and is retried on the next commit.
 func (s *Store) commit(rec record) error {
 	if s.closed {
 		return errClosed
@@ -296,7 +294,7 @@ func (s *Store) commit(rec record) error {
 	if s.w != nil {
 		s.appends++
 		if s.snapN > 0 && s.appends >= s.snapN {
-			return s.snapshotLocked()
+			_ = s.snapshotLocked() // the record is logged; a failure retries next commit
 		}
 	}
 	return nil
@@ -359,7 +357,7 @@ func (s *Store) Replicas(k int) []int {
 func (s *Store) StaleSites(k int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sortedKeys(s.stale[k])
+	return append([]int(nil), s.stale[k]...)
 }
 
 // PendingCount returns the queued-write count for object k.
@@ -468,7 +466,7 @@ func (s *Store) MarkStale(k int, sites []int) error {
 func (s *Store) ClearStale(k, site int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if marks := s.stale[k]; marks == nil || !marks[site] {
+	if _, found := slices.BinarySearch(s.stale[k], site); !found {
 		return nil // nothing marked: no record
 	}
 	return s.commit(record{op: opClear, obj: int32(k), arg: int64(site)})
@@ -522,45 +520,46 @@ func (s *Store) SetPrimary(k, site int) error {
 
 // --- snapshots, shutdown, inspection ---
 
-// snapState is the canonical full-state encoding: slices indexed by object
-// with stale sets sorted, so identical states encode to identical bytes.
-// Snapshots written before the replica set became the only routing record
-// also carry "nearest" and "registry" tables; loading ignores them.
-type snapState struct {
-	Site     int     `json:"site"`
-	Holds    []bool  `json:"holds"`
-	Versions []int64 `json:"versions"`
-	Replicas [][]int `json:"replicas"`
-	Stale    [][]int `json:"stale"`
-	Pending  []int   `json:"pending"`
-	NTC      int64   `json:"ntc"`
-	// Primary is the current routing primary per object. Omitted by
-	// snapshots written before promotions existed; loading such a snapshot
-	// keeps the bootstrap primaries.
-	Primary []int `json:"primary,omitempty"`
-}
+// stateHeaderLen is the encoded state's prefix: site and object count.
+const stateHeaderLen = 8
 
+// encodeStateLocked is the canonical full-state encoding, and a snapshot's
+// payload: the header, then the WAL records that rebuild the state from
+// bootstrap. Per object, ascending, it emits only what differs from
+// bootstrap: place or drop, the version, the replica set, the primary,
+// the stale marks (after the replica set, whose record trims them) and
+// the pending count as one queue record. One ntc record ends it.
 func (s *Store) encodeStateLocked() []byte {
-	st := snapState{
-		Site:     s.site,
-		Holds:    s.holds,
-		Versions: s.versions,
-		Replicas: s.replicas,
-		Stale:    make([][]int, len(s.stale)),
-		Pending:  s.pending,
-		NTC:      s.ntc,
-		Primary:  s.curPrimary,
+	buf := make([]byte, stateHeaderLen, stateHeaderLen+len(s.primary)*recordFixedLen)
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(s.site))
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(s.primary)))
+	emit := func(rec record) { buf = append(buf, rec.encode()...) }
+	for k, sp := range s.primary {
+		obj, ver := int32(k), int64(0)
+		if s.holds[k] && sp != s.site {
+			emit(record{op: opPlace, obj: obj, arg: s.versions[k]})
+			ver = s.versions[k]
+		} else if !s.holds[k] && sp == s.site {
+			emit(record{op: opDrop, obj: obj})
+		}
+		if s.versions[k] != ver {
+			emit(record{op: opSetVer, obj: obj, arg: s.versions[k]})
+		}
+		if r := s.replicas[k]; len(r) != 1 || r[0] != sp {
+			emit(record{op: opReplicas, obj: obj, sites: int32sOf(r)})
+		}
+		if p := s.curPrimary[k]; p != sp {
+			emit(record{op: opPrimary, obj: obj, arg: int64(p)})
+		}
+		if len(s.stale[k]) > 0 {
+			emit(record{op: opStale, obj: obj, sites: int32sOf(s.stale[k])})
+		}
+		if c := s.pending[k]; c != 0 {
+			emit(record{op: opQueue, obj: obj, arg: int64(c)})
+		}
 	}
-	for k, marks := range s.stale {
-		st.Stale[k] = sortedKeys(marks)
-	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		// Marshalling plain slices of ints cannot fail; treat it as the
-		// programming error it would be.
-		panic(fmt.Sprintf("store: encode state: %v", err))
-	}
-	return data
+	emit(record{op: opNTC, obj: -1, arg: s.ntc})
+	return buf
 }
 
 // EncodeState returns the canonical byte encoding of the full site state.
@@ -572,38 +571,27 @@ func (s *Store) EncodeState() []byte {
 	return s.encodeStateLocked()
 }
 
+// loadSnapshot applies a snapshot payload to the bootstrap state, one
+// record at a time through applyPayload, the path replay takes.
 func (s *Store) loadSnapshot(payload []byte) error {
-	var st snapState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return err
+	if bytes.HasPrefix(payload, []byte(`{"site":`)) {
+		return errors.New("snapshot holds the retired JSON state format; start from a fresh directory")
 	}
-	n := len(s.primary)
-	if st.Site != s.site || len(st.Holds) != n || len(st.Versions) != n ||
-		len(st.Replicas) != n || len(st.Stale) != n || len(st.Pending) != n ||
-		(st.Primary != nil && len(st.Primary) != n) {
-		return fmt.Errorf("store: snapshot shape does not match site %d with %d objects", s.site, n)
+	if len(payload) < stateHeaderLen ||
+		binary.LittleEndian.Uint32(payload[0:4]) != uint32(s.site) ||
+		binary.LittleEndian.Uint32(payload[4:8]) != uint32(len(s.primary)) {
+		return fmt.Errorf("snapshot header does not match site %d with %d objects", s.site, len(s.primary))
 	}
-	if st.Primary != nil {
-		s.curPrimary = st.Primary
-	} else {
-		s.curPrimary = append([]int(nil), s.primary...)
-	}
-	s.holds = st.Holds
-	s.versions = st.Versions
-	s.replicas = st.Replicas
-	s.stale = make([]map[int]bool, n)
-	for k, sites := range st.Stale {
-		if len(sites) == 0 {
-			continue
+	for rest := payload[stateHeaderLen:]; len(rest) > 0; {
+		n := recordLen(rest)
+		if n < 0 || n > len(rest) {
+			return fmt.Errorf("%w: snapshot ends inside a record", errCorruptRecord)
 		}
-		marks := make(map[int]bool, len(sites))
-		for _, j := range sites {
-			marks[j] = true
+		if err := s.applyPayload(rest[:n]); err != nil {
+			return err
 		}
-		s.stale[k] = marks
+		rest = rest[n:]
 	}
-	s.pending = st.Pending
-	s.ntc = st.NTC
 	return nil
 }
 
@@ -638,6 +626,9 @@ func (s *Store) snapshotLocked() error {
 		return errCorruptRecord // a fresh segment has no business holding records
 	})
 	if err != nil {
+		// Appends go on to the current segment, which recovery would skip
+		// behind this snapshot: withdraw it.
+		_ = os.Remove(snapPath(s.dir, s.seg))
 		return err
 	}
 	if err := s.w.close(); err != nil {
@@ -689,20 +680,4 @@ func (s *Store) Crash() error {
 		return nil
 	}
 	return s.w.abandon()
-}
-
-func sortedKeys(set map[int]bool) []int {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(set))
-	for j := range set {
-		out = append(out, j)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort: sets are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -51,6 +53,19 @@ func driveOps(t *testing.T, s *Store) {
 	must(s.SetPrimary(0, 2))
 	must(s.SetPrimary(3, 1))
 	must(s.Drop(2))
+}
+
+// observe renders a store's state through its getters alone, so a test
+// can check what a site serves without trusting EncodeState.
+func observe(s *Store) string {
+	var b strings.Builder
+	for k := 0; k < s.Objects(); k++ {
+		held, ver := s.Replica(k)
+		fmt.Fprintf(&b, "%d: held %v v%d R%v primary %d stale %v pending %d\n",
+			k, held, ver, s.Replicas(k), s.PrimaryOf(k), s.StaleSites(k), s.PendingCount(k))
+	}
+	fmt.Fprintf(&b, "ntc %d\n", s.NTC())
+	return b.String()
 }
 
 func TestMemoryBootstrap(t *testing.T) {
@@ -115,7 +130,7 @@ func TestReplayReconstructsState(t *testing.T) {
 		t.Fatal("reopened store does not report recovery")
 	}
 	if got := r.EncodeState(); !bytes.Equal(got, want) {
-		t.Errorf("recovered state differs:\n got %s\nwant %s", got, want)
+		t.Errorf("recovered state differs:\n got %x\nwant %x", got, want)
 	}
 }
 
@@ -242,6 +257,175 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTripEveryOpcode: a snapshot is the record stream that
+// rebuilds the state from bootstrap, so what it omits or orders wrongly is
+// lost. The history drops an object held at bootstrap, marks a site stale
+// outside R_k (the replica-set record trims such marks, so it must come
+// first), queues two writes and moves a primary away and back; the
+// reopened store must serve the same state, getter by getter.
+func TestSnapshotRoundTripEveryOpcode(t *testing.T) {
+	dir := t.TempDir()
+	prim := primariesRR(5, 8) // site 0 holds objects 0 and 5 at bootstrap
+	s, err := Open(dir, 0, prim, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveOps(t, s)
+	for _, err := range []error{
+		s.Drop(5),
+		s.SetReplicas(1, []int{1, 0}),
+		s.MarkStale(1, []int{3, 0}),
+		s.Queue(3),
+		s.SetPrimary(4, 0),
+		s.SetPrimary(4, 4),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.PendingCount(3) != 2 || s.Holds(5) || len(s.StaleSites(1)) != 2 {
+		t.Fatalf("history did not reach the state under test:\n%s", observe(s))
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want, wantState := observe(s), s.EncodeState()
+	if err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, 0, prim, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := observe(r); got != want {
+		t.Errorf("snapshot recovery serves a different state:\n got\n%s want\n%s", got, want)
+	}
+	if got := r.EncodeState(); !bytes.Equal(got, wantState) {
+		t.Errorf("snapshot recovery encodes differently:\n got %x\nwant %x", got, wantState)
+	}
+}
+
+// A snapshot is the log's own records; one written in the retired JSON
+// format is rejected like a damaged one. With its segment retired there
+// is no history to fall back to, so the open fails and names the format.
+func TestJSONSnapshotIsRejected(t *testing.T) {
+	dir := t.TempDir()
+	prim := primariesRR(2, 4)
+	legacy := []byte(`{"site":1,"holds":[false,true,false,true],"versions":[0,0,0,0],` +
+		`"replicas":[[0],[1],[0],[1]],"stale":[[],[],[],[]],"pending":[0,0,0,0],"ntc":5}`)
+	if _, err := writeSnapshotFile(snapPath(dir, 1), legacy); err != nil {
+		t.Fatal(err)
+	}
+	w, err := openWAL(walPath(dir, 2), SyncNever, 0, nil, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, 1, prim, Options{Sync: SyncNever})
+	if err == nil {
+		r.Close()
+		t.Fatal("a directory whose only history is a JSON snapshot opened")
+	}
+	for _, want := range []string{"retired JSON", "snap-00000001.snap", "wal-00000001.log"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
+// A mutation that reached the log is committed even when the automatic
+// snapshot after it fails: the caller gets no error for a change that
+// stays applied and recovers. The snapshot is retried on the next commit;
+// an explicit Snapshot still reports its failure.
+func TestFailedAutoSnapshotKeepsCommit(t *testing.T) {
+	dir := t.TempDir()
+	prim := primariesRR(3, 4)
+	s, err := Open(dir, 0, prim, Options{Sync: SyncNever, SnapshotEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := snapPath(dir, 1) + ".tmp"
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int64{5, 7, 11} {
+		if err := s.AddNTC(d); err != nil {
+			t.Fatalf("AddNTC(%d) failed after it was logged: %v", d, err)
+		}
+	}
+	if got := s.NTC(); got != 23 {
+		t.Fatalf("NTC %d, want 23", got)
+	}
+	if err := s.Snapshot(); err == nil {
+		t.Fatal("an explicit snapshot onto a blocked path succeeded")
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddNTC(1); err != nil { // the retry now rotates
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(snapPath(dir, 1)); err != nil {
+		t.Fatalf("the retried snapshot was not taken: %v", err)
+	}
+	want := s.EncodeState()
+	if err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, 0, prim, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.NTC(); got != 24 {
+		t.Errorf("recovered NTC %d, want 24", got)
+	}
+	if got := r.EncodeState(); !bytes.Equal(got, want) {
+		t.Errorf("recovery differs:\n got %x\nwant %x", got, want)
+	}
+}
+
+// A rotation that cannot open the next segment withdraws its snapshot:
+// appends go on to the current segment, which a snapshot of the same
+// sequence number would hide from recovery.
+func TestFailedRotationWithdrawsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	prim := primariesRR(3, 4)
+	s, err := Open(dir, 0, prim, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(walPath(dir, 2), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddNTC(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot(); err == nil {
+		t.Fatal("rotation onto a blocked segment succeeded")
+	}
+	if err := s.AddNTC(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(snapPath(dir, 1)); !os.IsNotExist(err) {
+		t.Errorf("the failed rotation left %s behind (%v)", filepath.Base(snapPath(dir, 1)), err)
+	}
+	r, err := Open(dir, 0, prim, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.NTC(); got != 7 {
+		t.Errorf("recovered NTC %d, want 7", got)
+	}
+}
+
 // TestAutoSnapshotEvery checks SnapshotEvery rotates without being asked.
 func TestAutoSnapshotEvery(t *testing.T) {
 	dir := t.TempDir()
@@ -315,7 +499,7 @@ func TestCorruptTailRecoversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := r.EncodeState(); !bytes.Equal(got, prefix) {
-		t.Errorf("corrupt tail did not recover the prefix:\n got %s\nwant %s", got, prefix)
+		t.Errorf("corrupt tail did not recover the prefix:\n got %x\nwant %x", got, prefix)
 	}
 	// The truncation must be physical: appending now and reopening again
 	// must not resurrect the damaged record.
@@ -499,6 +683,8 @@ func TestParseSyncPolicy(t *testing.T) {
 		{"never", SyncNever, 0, true},
 		{"every:16", SyncInterval, 16, true},
 		{"every:0", 0, 0, false},
+		{"every:16junk", 0, 0, false},
+		{"every: 16", 0, 0, false},
 		{"sometimes", 0, 0, false},
 	}
 	for _, c := range cases {

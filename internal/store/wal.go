@@ -24,6 +24,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 )
 
 // walMagic heads every log file; a file without it is rejected (it is not
@@ -61,9 +63,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, int, error) {
 	case "never":
 		return SyncNever, 0, nil
 	}
-	var n int
-	if _, err := fmt.Sscanf(s, "every:%d", &n); err == nil && n > 0 {
-		return SyncInterval, n, nil
+	if rest, ok := strings.CutPrefix(s, "every:"); ok {
+		if n, err := strconv.Atoi(rest); err == nil && n > 0 {
+			return SyncInterval, n, nil
+		}
 	}
 	return 0, 0, fmt.Errorf(`store: bad fsync policy %q (want "always", "never" or "every:N")`, s)
 }
