@@ -84,6 +84,8 @@ func run(args []string, stdout io.Writer) (err error) {
 	// -compare drives two clusters; one scheme, one span file or one
 	// registry snapshot cannot describe both.
 	switch {
+	case *workers < 0:
+		return fmt.Errorf("-workers %d cannot be negative", *workers)
 	case *compare != "" && *scheme != "":
 		return fmt.Errorf("-compare names its own placements; drop -scheme")
 	case *compare != "" && tel.TraceOut != "":
@@ -210,7 +212,9 @@ func gateCheck(reps ...*load.Report) error {
 // the cross-checked report.
 func runScheme(p *drp.Problem, name string, seed uint64, pr load.Profile, sched *load.Schedule,
 	workers int, slo *load.SLO, tracer *spans.Tracer, reg *metrics.Registry, stdout io.Writer) (*load.Report, error) {
-	scheme, err := cli.ResolvePlacement(p, name, seed, 0, 0)
+	params := drp.DefaultGRAParams()
+	params.Seed = seed
+	scheme, err := cli.ResolvePlacement(p, name, params)
 	if err != nil {
 		return nil, err
 	}

@@ -169,6 +169,7 @@ func TestLoadRejectsBadFlags(t *testing.T) {
 		{"-compare", "none,sra", "-scheme", "s.json"},
 		{"-arrival", "chaotic"},
 		{"-rate", "0"},
+		{"-workers", "-5"},
 		{"-origins", "1,nope"},
 		{"-origins", "2.5x,1,1,1"},
 		{"-origins", "inf,1,1,1"},

@@ -109,6 +109,10 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("-retry %d: a request needs at least one transport attempt", *retries)
 	case *reqTimeout < 0:
 		return fmt.Errorf("-req-timeout %v cannot be negative", *reqTimeout)
+	case *pop < 0:
+		return fmt.Errorf("-pop %d cannot be negative", *pop)
+	case *gens < 0:
+		return fmt.Errorf("-gens %d cannot be negative", *gens)
 	case reshaping && *faultPlan != "":
 		return fmt.Errorf("-fault-plan cannot combine with the membership scenario (-members/-join/-leave); run a chaos pass and a reshape pass separately")
 	case reshaping && *algo != "sra":
@@ -189,7 +193,9 @@ func run(args []string, stdout io.Writer) (err error) {
 		return runMembership(p, founding, joins, leaves, dur.Dir, boot, *planOut, tel.Tracer, stdout)
 	}
 
-	scheme, err := cli.ResolvePlacement(p, *algo, prob.Seed, *pop, *gens)
+	params := drp.DefaultGRAParams()
+	params.Seed, params.PopSize, params.Generations = prob.Seed, *pop, *gens
+	scheme, err := cli.ResolvePlacement(p, *algo, params)
 	if err != nil {
 		return err
 	}

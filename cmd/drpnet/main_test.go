@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"drp"
+	"drp/internal/cli"
 )
 
 func TestNetRunSRA(t *testing.T) {
@@ -35,6 +39,28 @@ func TestNetRunGRA(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "model and wire agree exactly") {
 		t.Fatalf("model/wire mismatch:\n%s", out.String())
+	}
+}
+
+// TestNetGensZeroRunsNoGeneration: -gens 0 used to fall back to GRA's
+// default 80 generations; it deploys the best of the seeded population.
+func TestNetGensZeroRunsNoGeneration(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-sites", "8", "-objects", "20", "-algo", "gra", "-gens", "0"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	p, err := (&cli.Problem{Sites: 8, Objects: 20, Update: 0.05, Capacity: 0.15, Seed: 1}).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := drp.DefaultGRAParams()
+	params.Seed, params.PopSize, params.Generations = 1, 16, 0
+	res, err := drp.GRA(p, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("eq.4 model prediction:   %d\n", res.Scheme.Cost()); !strings.Contains(out.String(), want) {
+		t.Fatalf("-gens 0 did not deploy the generation-0 scheme (%q):\n%s", want, out.String())
 	}
 }
 
@@ -164,6 +190,8 @@ func TestNetRejectsIgnoredValues(t *testing.T) {
 		{[]string{"-retry", "0"}, "-retry"},
 		{[]string{"-retry", "-2"}, "-retry"},
 		{[]string{"-req-timeout", "-1s"}, "-req-timeout"},
+		{[]string{"-gens", "-5"}, "-gens"},
+		{[]string{"-pop", "-3"}, "-pop"},
 		{[]string{"-listen-metrics", "127.0.0.1:0", "-serve-for", "-1s"}, "-serve-for"},
 	} {
 		err := run(append([]string{"-sites", "4", "-objects", "6"}, c.args...), &bytes.Buffer{})

@@ -111,23 +111,14 @@ func (p *Problem) Load() (*core.Problem, error) {
 }
 
 // ResolvePlacement maps a placement name — none, sra, gra, or the path of
-// a scheme file — to a replication scheme over p. pop and gens override
-// GRA's default population and generation counts when positive.
-func ResolvePlacement(p *core.Problem, name string, seed uint64, pop, gens int) (*core.Scheme, error) {
+// a scheme file — to a replication scheme over p; gra runs with params.
+func ResolvePlacement(p *core.Problem, name string, params gra.Params) (*core.Scheme, error) {
 	switch name {
 	case "none":
 		return core.NewScheme(p), nil
 	case "sra":
 		return sra.Run(p, sra.Options{}).Scheme, nil
 	case "gra":
-		params := gra.DefaultParams()
-		params.Seed = seed
-		if pop > 0 {
-			params.PopSize = pop
-		}
-		if gens > 0 {
-			params.Generations = gens
-		}
 		res, err := gra.Run(p, params)
 		if err != nil {
 			return nil, err

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"drp/internal/gra"
 	"drp/internal/metrics"
 	"drp/internal/store"
 )
@@ -152,17 +153,20 @@ func TestProblemLoadAndResolvePlacement(t *testing.T) {
 		t.Error("missing -in accepted")
 	}
 
-	none, err := ResolvePlacement(p, "none", 1, 0, 0)
+	params := gra.DefaultParams()
+	params.Seed = 1
+	none, err := ResolvePlacement(p, "none", params)
 	if err != nil || none.TotalReplicas() != 0 {
 		t.Fatalf("none: %v replicas, err %v", none.TotalReplicas(), err)
 	}
-	sra, err := ResolvePlacement(p, "sra", 1, 0, 0)
+	sra, err := ResolvePlacement(p, "sra", params)
 	if err != nil || sra.Cost() > none.Cost() {
 		t.Fatalf("sra: cost %d vs primaries-only %d, err %v", sra.Cost(), none.Cost(), err)
 	}
-	gra, err := ResolvePlacement(p, "gra", 1, 6, 3)
-	if err != nil || gra.Cost() > none.Cost() {
-		t.Fatalf("gra: cost %d vs primaries-only %d, err %v", gra.Cost(), none.Cost(), err)
+	params.PopSize, params.Generations = 6, 3
+	ga, err := ResolvePlacement(p, "gra", params)
+	if err != nil || ga.Cost() > none.Cost() {
+		t.Fatalf("gra: cost %d vs primaries-only %d, err %v", ga.Cost(), none.Cost(), err)
 	}
 	schemePath := filepath.Join(t.TempDir(), "s.json")
 	sf, err := os.Create(schemePath)
@@ -173,11 +177,11 @@ func TestProblemLoadAndResolvePlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf.Close()
-	file, err := ResolvePlacement(p, schemePath, 1, 0, 0)
+	file, err := ResolvePlacement(p, schemePath, params)
 	if err != nil || file.Cost() != sra.Cost() {
 		t.Fatalf("scheme file: cost %d vs %d, err %v", file.Cost(), sra.Cost(), err)
 	}
-	if _, err := ResolvePlacement(p, "nope", 1, 0, 0); err == nil || !strings.Contains(err.Error(), "none|sra|gra") {
+	if _, err := ResolvePlacement(p, "nope", params); err == nil || !strings.Contains(err.Error(), "none|sra|gra") {
 		t.Errorf("unknown placement: %v", err)
 	}
 }

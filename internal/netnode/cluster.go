@@ -55,8 +55,7 @@ func StartLocal(p *core.Problem) (*Cluster, error) {
 // therefore replaying — a WAL-backed store in root/site-NNN. On a fresh
 // root this is StartLocal with persistence; on a root that has seen a
 // crash, every node restarts with exactly the state it had acknowledged,
-// and the deployed plan is reconstructed from the recovered holdings so
-// the next Deploy diffs against what the disks actually hold.
+// and the deployed plan is read back from the recovered holdings.
 func StartDurable(p *core.Problem, root string, opts store.Options) (*Cluster, error) {
 	return StartDurableView(p, root, opts, allSites(p))
 }
@@ -95,8 +94,8 @@ func allSites(p *core.Problem) []int {
 // is ""), the address tables, and the deployed plan read back from what
 // the nodes hold — the primaries-only placement on a fresh boot, the
 // recovered placement after a replay. A site left over capacity by an
-// interrupted migration is tolerated: the next Deploy, ApplyPlan or
-// ResumeMigration drops the surplus.
+// interrupted migration is tolerated: the next migration drops the
+// surplus.
 func start(p *core.Problem, members []int, root string, opts store.Options) (*Cluster, error) {
 	view, err := plan.NewView(p.Sites(), members)
 	if err != nil {
@@ -118,7 +117,7 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 		}
 	}
 	c.rewirePeers()
-	c.plan = c.actualPlan()
+	c.plan, _ = c.holdings(nil)
 	for k := 0; k < p.Objects(); k++ {
 		if len(c.plan.Placement[k]) == 0 {
 			c.Close()
@@ -263,7 +262,7 @@ func (c *Cluster) Close() {
 func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
 	target := plan.FromScheme(next)
 	target.Epoch, target.View = c.plan.Epoch, plan.View{Epoch: c.plan.View.Epoch, Members: c.view.Members}.Clone()
-	rep, err := c.migrate(c.tracer.Root("deploy"), target, false)
+	rep, err := c.migrate(c.tracer.Root("deploy"), target)
 	if err != nil {
 		return 0, err
 	}

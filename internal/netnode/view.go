@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"drp/internal/plan"
@@ -16,17 +15,21 @@ import (
 // Cluster whose member set changes at runtime (Join/Leave) and whose
 // placement moves through one migration engine (migrate), entered with a
 // versioned plan (ApplyPlan), the journaled plan after a crash
-// (ResumeMigration) or a scheme (Deploy). The node slice stays
-// universe-indexed — a non-member site is simply a nil slot — so site
-// indices on the wire never need translation.
+// (ResumeMigration), a scheme (Deploy) or the deployed plan when a site
+// joins (Join). The node slice stays universe-indexed — a non-member site
+// is simply a nil slot — so site indices on the wire never need
+// translation.
 //
 // Invariants:
+//   - every migration starts from what the members actually hold and
+//     record, read afresh, and succeeds only once every member's
+//     holdings, replica set R_k and primary SP_k equal the target and
+//     every holder is at its primary's version: a failed migration
+//     leaves nothing the next one cannot see;
 //   - every object always has a member holder and a member primary, so a
-//     later joiner bootstraps with nothing the plan routes to and a
-//     rejoining site is resynchronised by Join;
+//     later joiner bootstraps with nothing the plan routes to;
 //   - plans are journaled before the first migration step executes, so a
-//     coordinator restart resumes the remainder by diffing the journaled
-//     target against what the sites actually hold (ResumeMigration);
+//     coordinator restart resumes the journaled target (ResumeMigration);
 //   - migration order is copies → promotes → routing refresh → drops:
 //     replicas copy in before anything routes to them, and a departing
 //     site keeps serving (drains) until the plan stops placing on it.
@@ -78,23 +81,23 @@ func (c *Cluster) Plan() *plan.Plan {
 	return c.plan.Clone()
 }
 
-// AttachJournal wires the coordinator journal in: every ApplyPlan records
+// AttachJournal wires the coordinator journal in: every migration records
 // its target plan before executing a single step, and ResumeMigration
 // finishes the remainder after a restart.
 func (c *Cluster) AttachJournal(j *store.Journal) { c.journal = j }
 
 // SetStepHook installs fn to run immediately before every migration step
-// Deploy, ApplyPlan or ResumeMigration executes. The chaos tests use it
+// Deploy, ApplyPlan, ResumeMigration or Join executes. The chaos tests use it
 // to kill nodes at exact points of a migration.
 func (c *Cluster) SetStepHook(fn func(plan.Step)) { c.stepHook = fn }
 
 // Join adds a site to the cluster: boot its node (replaying its WAL in
-// durable mode), rewire the address tables, and resynchronise its routing
-// state with the deployed plan — the current primary of every object, a
-// drop of any replica the plan no longer places at it (a rejoining former
-// primary), and every object's replica set. The placement itself does
-// not change: the control plane migrates replicas onto the joiner with a
-// subsequent plan.
+// durable mode), rewire the address tables, and migrate to the deployed
+// plan, which converges the joiner's records and drops what a rejoiner
+// still holds from before its drain; a later plan places onto the joiner.
+// After a failed migration that is the last plan adopted, so a join rolls
+// back what the failed run moved; ResumeMigration redoes the journaled
+// target.
 func (c *Cluster) Join(site int) (*Node, error) {
 	view, err := c.view.Join(c.p.Sites(), site)
 	if err != nil {
@@ -107,41 +110,12 @@ func (c *Cluster) Join(site int) (*Node, error) {
 	c.nodes[site] = node
 	c.view = view
 	c.rewirePeers()
-	if err := c.syncJoined(site); err != nil {
+	root := c.tracer.Root("join.sync")
+	root.SetPeer(site)
+	if _, err := c.migrate(root, c.plan); err != nil {
 		return node, fmt.Errorf("netnode: join sync for site %d: %w", site, err)
 	}
 	return node, nil
-}
-
-// syncJoined pushes the deployed plan's routing state to a joined site.
-func (c *Cluster) syncJoined(site int) (err error) {
-	node := c.nodes[site]
-	root := c.tracer.Root("join.sync")
-	root.SetPeer(site)
-	defer func() {
-		root.SetErr(err)
-		root.Finish()
-	}()
-	for k := 0; k < c.p.Objects(); k++ {
-		sp := c.plan.Primaries[k]
-		if node.st.PrimaryOf(k) != sp {
-			if err := c.command(site, message{Op: "primary", Object: k, Site: sp}, root); err != nil {
-				return err
-			}
-		}
-		if node.Holds(k) && !c.plan.Has(site, k) {
-			// A rejoining site that was drained while away (memory mode
-			// re-bootstraps its universe primaries; a crashed WAL can hold
-			// pre-drain state).
-			if err := c.command(site, message{Op: "drop", Object: k}, root); err != nil {
-				return err
-			}
-		}
-		if err := c.command(site, message{Op: "replicas", Object: k, Sites: c.plan.Placement[k]}, root); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Leave removes a drained site: the deployed plan must place nothing on
@@ -168,28 +142,25 @@ func (c *Cluster) Leave(site int) error {
 	return err
 }
 
-// ApplyPlan migrates the data plane from the deployed plan to next: the
-// target is journaled first (when a journal is attached), then the
-// ordered diff executes — copies along min-cost paths, primary
-// promotions broadcast to every member, a routing refresh (each touched
-// object's replica set to every member, its primary last), and finally
-// the drops. Reads keep serving throughout: a site never loses a replica
-// another site's replica set still names. Returns the migration
-// accounting; on error the report covers the completed prefix and
-// ResumeMigration (after the fault clears) finishes the remainder.
+// ApplyPlan migrates the data plane to next: the target is journaled
+// first (when a journal is attached), then the ordered diff from what the
+// members hold executes — min-cost copies, promotions broadcast to every
+// member, a refresh of every record that differs from next, the drops.
+// Reads keep serving throughout. On error the report covers the completed
+// prefix, and the next migration starts from what that prefix left.
 func (c *Cluster) ApplyPlan(next *plan.Plan) (*ApplyReport, error) {
 	root := c.tracer.Root("plan.apply")
 	root.SetAttr("epoch", strconv.Itoa(next.Epoch))
-	return c.migrate(root, next.Clone(), false)
+	return c.migrate(root, next.Clone())
 }
 
-// migrate is the one migration engine behind Deploy, ApplyPlan and
-// ResumeMigration: validate the target, diff it against the deployed plan
-// — or, on resume, against what the sites actually hold — journal it, run
-// the ordered steps under root and adopt the target (which the cluster
-// then owns) as the deployed plan. It finishes root. An empty diff sends
-// nothing.
-func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, resume bool) (rep *ApplyReport, err error) {
+// migrate is the one migration engine behind Deploy, ApplyPlan,
+// ResumeMigration and Join: validate the target, read every member's
+// records, diff the holdings against the target, journal it, run the
+// ordered steps under root and adopt the target (which the cluster then
+// owns) as the deployed plan. It finishes root. A target the members
+// already hold and record sends nothing.
+func (c *Cluster) migrate(root *spans.Span, target *plan.Plan) (rep *ApplyReport, err error) {
 	defer func() {
 		root.SetErr(err)
 		root.Finish()
@@ -202,36 +173,20 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, resume bool) (rep
 			return nil, fmt.Errorf("netnode: plan epoch %d places on site %d which has not joined", target.Epoch, m)
 		}
 	}
-	from, touched := c.plan, make(map[int]bool)
-	if resume {
-		// The interrupted run may have fully migrated objects that the
-		// remainder diff no longer touches, leaving their routing records at
-		// the pre-migration state — refresh everything, not just the
-		// remainder's objects.
-		from = c.actualPlan()
-		for k := range target.Placement {
-			touched[k] = true
-		}
-	} else {
-		// A crash between a copy and the routing refresh leaves a holder its
-		// primary does not broadcast to. The deployed plan, read back from
-		// the holdings at boot, cannot show that; the primary's replica set
-		// does. The refresh writes the primary's record last, so once it
-		// matches, every member's does too.
-		for k, sites := range from.Placement {
-			if !slices.Equal(c.nodes[from.Primaries[k]].st.Replicas(k), sites) {
-				touched[k] = true
-			}
-		}
-	}
+	from, d := c.holdings(target)
 	steps, err := plan.Diff(from, target, c.p)
 	if err != nil {
 		return nil, err
 	}
+	// An object with a step has its replica set refreshed at every member;
+	// a Promote step broadcasts the primary itself.
 	for _, s := range steps {
-		touched[s.Object] = true
+		d.replicas[s.Object] = c.view.Members
+		if s.Kind == plan.Promote {
+			d.primary[s.Object] = nil
+		}
 	}
-	if c.journal != nil && !resume {
+	if c.journal != nil {
 		data, err := target.Marshal()
 		if err != nil {
 			return nil, err
@@ -241,7 +196,7 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, resume bool) (rep
 		}
 	}
 	rep = &ApplyReport{Steps: len(steps)}
-	if err := c.runSteps(steps, touched, from, target, rep, root); err != nil {
+	if err := c.runSteps(steps, d, from, target, rep, root); err != nil {
 		return rep, err
 	}
 	c.plan = target
@@ -249,14 +204,13 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan, resume bool) (rep
 }
 
 // runSteps executes an ordered step list. The list arrives phase-ordered
-// (copies, promotes, drops); the routing refresh for every touched object
-// runs after the promotes so no drop happens while a replica set still
-// names the dropping site.
-func (c *Cluster) runSteps(steps []plan.Step, touched map[int]bool, old, next *plan.Plan, rep *ApplyReport, parent *spans.Span) error {
+// (copies, promotes, drops); the routing refresh runs after the promotes
+// so no drop happens while a replica set still names the dropping site.
+func (c *Cluster) runSteps(steps []plan.Step, d drift, old, next *plan.Plan, rep *ApplyReport, parent *spans.Span) error {
 	refreshed := false
 	for _, s := range steps {
 		if s.Kind == plan.Drop && !refreshed {
-			if err := c.refreshRouting(touched, next, parent); err != nil {
+			if err := c.refreshRouting(d, next, parent); err != nil {
 				return err
 			}
 			refreshed = true
@@ -283,7 +237,7 @@ func (c *Cluster) runSteps(steps []plan.Step, touched map[int]bool, old, next *p
 		ss.Finish()
 	}
 	if !refreshed {
-		return c.refreshRouting(touched, next, parent)
+		return c.refreshRouting(d, next, parent)
 	}
 	return nil
 }
@@ -315,74 +269,107 @@ func (c *Cluster) runStep(s plan.Step, old *plan.Plan, parent *spans.Span) error
 	}
 }
 
-// refreshRouting pushes the next plan's replica set of every touched
-// object to every member, the object's primary last: the primary's record
-// is the commit point migrate checks after a restart, so it may only
-// match the plan once every other member's does.
-func (c *Cluster) refreshRouting(touched map[int]bool, next *plan.Plan, parent *spans.Span) error {
+// drift lists, per object, the members whose routing records differ from
+// a migration's target — R_k in replicas, SP_k in primary — and so the
+// records the routing refresh sends them.
+type drift struct{ replicas, primary [][]int }
+
+// refreshRouting sends every member the routing records of next that d
+// lists for it, object by object, the object's primary last.
+func (c *Cluster) refreshRouting(d drift, next *plan.Plan, parent *spans.Span) (err error) {
 	rs := parent.Child("plan.refresh")
-	defer rs.Finish()
-	objs := make([]int, 0, len(touched))
-	for k := range touched {
-		objs = append(objs, k)
-	}
-	sort.Ints(objs)
-	for _, k := range objs {
-		msg, sp := message{Op: "replicas", Object: k, Sites: next.Placement[k]}, next.Primaries[k]
-		for _, m := range c.view.Members {
-			if m == sp {
-				continue
+	defer func() {
+		rs.SetErr(err)
+		rs.Finish()
+	}()
+	for k, sites := range next.Placement {
+		sp := next.Primaries[k]
+		refresh := func(m int) error {
+			if slices.Contains(d.primary[k], m) {
+				if err := c.command(m, message{Op: "primary", Object: k, Site: sp}, rs); err != nil {
+					return err
+				}
 			}
-			if err := c.command(m, msg, rs); err != nil {
-				rs.SetErr(err)
-				return err
+			if slices.Contains(d.replicas[k], m) {
+				return c.command(m, message{Op: "replicas", Object: k, Sites: sites}, rs)
+			}
+			return nil
+		}
+		for _, m := range c.view.Members {
+			if m != sp {
+				if err := refresh(m); err != nil {
+					return err
+				}
 			}
 		}
-		if err := c.command(sp, msg, rs); err != nil {
-			rs.SetErr(err)
+		if err := refresh(sp); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// actualPlan reconstructs the placement the data plane actually holds:
-// replica sets from the members' (possibly just replayed) holdings and
-// primaries from their routing records. Where members disagree on a
-// primary — a crash landed mid-promotion — the lowest recorded site is
-// kept: deterministic, and different from at least one member's record,
-// which forces the next diff to re-broadcast the promotion (the "primary"
-// op is idempotent).
-func (c *Cluster) actualPlan() *plan.Plan {
+// holdings reads every member's records once, each member's under one
+// store lock, into the placement the data plane actually holds: replica
+// sets from the holdings and primaries from the routing records. Where
+// members disagree on a primary (a crash mid-promotion, a rejoiner's old
+// record) a Boyer–Moore vote over the members in ascending order picks the
+// majority's, so a copy takes its version from the site most writes went
+// to. Against a non-nil target it also lists the members whose records
+// differ from it, and a replica whose version differs from the primary's
+// (a copy the primary's R_k did not name yet, a rejoiner's pre-drain
+// replica) counts as held only where the target drops it: where the target
+// keeps it, the diff copies it afresh.
+func (c *Cluster) holdings(target *plan.Plan) (*plan.Plan, drift) {
+	n, sites := c.p.Objects(), c.p.Sites()
 	pl := &plan.Plan{
 		View:      plan.View{Members: append([]int(nil), c.view.Members...)},
-		Primaries: make([]int, c.p.Objects()),
-		Placement: make([][]int, c.p.Objects()),
+		Primaries: make([]int, n),
+		Placement: make([][]int, n),
 	}
-	for k := range pl.Placement {
-		sp := -1
-		for _, m := range c.view.Members {
-			st := c.nodes[m].st
-			if st.Holds(k) {
+	d := drift{replicas: make([][]int, n), primary: make([][]int, n)}
+	votes := make([]int, n)
+	versions := make([]int64, n*sites) // [k*sites+m]: site m's version of k
+	for _, m := range c.view.Members {
+		c.nodes[m].st.Records(func(k int, holds bool, ver int64, sp int, replicas []int) {
+			if holds {
 				pl.Placement[k] = append(pl.Placement[k], m)
+				versions[k*sites+m] = ver
 			}
-			if v := st.PrimaryOf(k); sp < 0 || v < sp {
-				sp = v
+			switch {
+			case votes[k] == 0:
+				pl.Primaries[k], votes[k] = sp, 1
+			case pl.Primaries[k] == sp:
+				votes[k]++
+			default:
+				votes[k]--
 			}
-		}
-		pl.Primaries[k] = sp
+			if target == nil {
+				return
+			}
+			if sp != target.Primaries[k] {
+				d.primary[k] = append(d.primary[k], m)
+			}
+			if !slices.Equal(replicas, target.Placement[k]) {
+				d.replicas[k] = append(d.replicas[k], m)
+			}
+		})
 	}
-	return pl
+	for k, held := range pl.Placement {
+		if sp := pl.Primaries[k]; target != nil && slices.Contains(held, sp) {
+			pl.Placement[k] = slices.DeleteFunc(held, func(m int) bool {
+				return versions[k*sites+m] != versions[k*sites+sp] && target.Has(m, k)
+			})
+		}
+	}
+	return pl, d
 }
 
-// ResumeMigration finishes a migration interrupted by a crash: the
-// journaled target plan is diffed against what the members actually hold
-// and the remainder executes. Returns (report, resumed): resumed is false
-// when no journal is attached, the journal holds no plan, or the target
-// is rejected before a step runs. The completed prefix of the original
-// run is never re-executed or re-accounted — the diff starts from the
-// actual holdings — and a fully realised target still has its routing
-// state re-asserted and is adopted as the deployed plan (epoch, view).
+// ResumeMigration finishes a migration interrupted by a crash by
+// migrating to the journaled target plan. resumed is false when no journal
+// is attached, it holds no plan, or the target is rejected before a step
+// runs. Only the remainder runs; a realised target sends nothing and is
+// adopted as the deployed plan (epoch, view).
 func (c *Cluster) ResumeMigration() (*ApplyReport, bool, error) {
 	if c.journal == nil {
 		return nil, false, nil
@@ -397,7 +384,7 @@ func (c *Cluster) ResumeMigration() (*ApplyReport, bool, error) {
 	}
 	root := c.tracer.Root("plan.resume")
 	root.SetAttr("epoch", strconv.Itoa(target.Epoch))
-	rep, err := c.migrate(root, target, true)
+	rep, err := c.migrate(root, target)
 	if rep == nil {
 		return nil, false, fmt.Errorf("netnode: journaled plan: %w", err)
 	}

@@ -3,15 +3,19 @@ package netnode
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	ctrl "drp/internal/cluster"
 	"drp/internal/core"
 	"drp/internal/netsim"
 	"drp/internal/plan"
 	"drp/internal/sra"
 	"drp/internal/store"
+	"drp/internal/workload"
 )
 
 // viewProblem builds a 5-site universe on a line topology
@@ -468,5 +472,491 @@ func TestViewClusterMembershipRejections(t *testing.T) {
 	}
 	if got := one.Members(); !slices.Equal(got, []int{0}) {
 		t.Fatalf("a refused leave moved the members to %v", got)
+	}
+}
+
+// countCommands counts every coordinator command attempt c sends from now
+// on; failAt >= 0 fails the attempt with that index (0-based).
+func countCommands(c *Cluster, failAt int) *int {
+	sent := new(int)
+	c.SetCommandDialer(func(string) error {
+		*sent++
+		if *sent-1 == failAt {
+			return errors.New("injected command failure")
+		}
+		return nil
+	})
+	return sent
+}
+
+// requireHeld checks that each member's holdings, primary record SP_k and
+// replica set R_k equal the deployed plan, and that every holder's version
+// is its primary's — checked before any write, which would bring a stale
+// replica up to date.
+func requireHeld(t *testing.T, c *Cluster, what string) {
+	t.Helper()
+	pl := c.Plan()
+	for _, m := range c.Members() {
+		st := c.Node(m).Store()
+		for k := range pl.Placement {
+			if st.Holds(k) != pl.Has(m, k) || st.PrimaryOf(k) != pl.Primaries[k] || !slices.Equal(st.Replicas(k), pl.Placement[k]) {
+				t.Fatalf("%s: site %d object %d holds %v, primary %d, R_k %v; plan epoch %d places %v, primary %d",
+					what, m, k, st.Holds(k), st.PrimaryOf(k), st.Replicas(k), pl.Epoch, pl.Placement[k], pl.Primaries[k])
+			}
+		}
+	}
+	for k := range pl.Placement {
+		want := c.Node(pl.Primaries[k]).Version(k)
+		for _, h := range pl.Placement[k] {
+			if v := c.Node(h).Version(k); v != want {
+				t.Fatalf("%s: site %d holds object %d at version %d, its primary %d at %d", what, h, k, v, pl.Primaries[k], want)
+			}
+		}
+	}
+}
+
+// requireConverged checks the state every migration must end in: the
+// records and versions requireHeld checks, one measurement period that
+// accounts exactly the plan's eq. 4 serve cost, and every holder at its
+// primary's version again after one write per object.
+func requireConverged(t *testing.T, c *Cluster, what string) {
+	t.Helper()
+	requireHeld(t, c, what+", before any write")
+	got, err := c.DriveTraffic()
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if want := plan.ServeCost(c.p, c.Plan()); got != want {
+		t.Fatalf("%s: driven NTC %d, eq. 4 serve cost %d", what, got, want)
+	}
+	writeEach(t, c)
+	requireHeld(t, c, what+", after one write per object")
+}
+
+// writeEach sends one write per object through the first member, so
+// copies have a version other than 0 to get right.
+func writeEach(t *testing.T, c *Cluster) {
+	t.Helper()
+	for k := 0; k < c.p.Objects(); k++ {
+		if _, err := c.Node(c.Members()[0]).Write(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDeployCommandsPinned pins how many coordinator commands a migration
+// from a converged cluster sends: an SRA Deploy onto a fresh 5×8 cluster
+// per seed, and the plan drpnet's reshape scenario (-sites 6 -objects 12
+// -members 0,1,2,3,5 -join 4) applies after site 4 joins. A refresh that
+// re-sends records every member already holds, or skips ones a member
+// lacks, moves them.
+func TestDeployCommandsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		want int
+	}{{31, 46}, {32, 53}, {41, 47}, {65, 43}} {
+		p := gen(t, 5, 8, 0.2, 0.6, tc.seed)
+		c, err := StartLocal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := countCommands(c, -1)
+		if _, err := c.Deploy(sra.Run(p, sra.Options{}).Scheme); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if *sent != tc.want {
+			t.Errorf("seed %d: the deploy sent %d commands, want %d", tc.seed, *sent, tc.want)
+		}
+	}
+
+	p, err := workload.Generate(workload.NewSpec(6, 12, 0.05, 0.15), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	founding := []int{0, 1, 2, 3, 5}
+	c, err := StartView(p, founding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cp, err := ctrl.NewControlPlane(p, founding, ctrl.ControlOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ApplyPlan(cp.Plan()); err != nil {
+		t.Fatal(err)
+	}
+	view, err := cp.Plan().View.Join(p.Sites(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Join(4); err != nil {
+		t.Fatal(err)
+	}
+	next, err := cp.React(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := countCommands(c, -1)
+	if _, err := c.ApplyPlan(next); err != nil {
+		t.Fatal(err)
+	}
+	if *sent != 46 {
+		t.Errorf("the plan after the join sent %d commands, want 46", *sent)
+	}
+}
+
+// TestViewClusterConvergesAfterInterruptedMigration fails each coordinator
+// command of one migration in turn — copies, a promotion of object 0 from
+// site 4 down to site 0, the routing refresh and a drop — writes once per
+// object, and then carries on the three ways a coordinator can: (a)
+// resume the journaled target,
+// (b) apply a different plan, (c) restart every site from disk and
+// deploy a scheme. Whichever command failed, every member ends holding and
+// recording exactly the deployed plan. A failed promotion leaves members
+// disagreeing on the primary, a failed copy or drop leaves holdings no
+// plan describes, a failed refresh leaves a member's R_k behind its
+// primary's, and a copy whose site the primary's R_k does not yet name
+// misses the writes.
+func TestViewClusterConvergesAfterInterruptedMigration(t *testing.T) {
+	p := viewProblem(t)
+	members := []int{0, 1, 2, 3, 4}
+	view := plan.View{Members: members}
+	mk := func(epoch int, primaries []int, placement ...[]int) *plan.Plan {
+		pl := &plan.Plan{Epoch: epoch, View: view, Primaries: primaries, Placement: placement}
+		if err := pl.Validate(p); err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	from := mk(1, []int{4, 1, 2, 3}, []int{4}, []int{1}, []int{2, 4}, []int{3})
+	// from → to: copy objects 0, 1 and 3 in, promote object 0 from site 4
+	// to site 0, refresh, drop object 2 from site 4.
+	to := mk(2, []int{0, 1, 2, 3}, []int{0, 4}, []int{0, 1}, []int{2}, []int{3, 4})
+	other := mk(3, []int{0, 1, 2, 3}, []int{0}, []int{1}, []int{2}, []int{3})
+	scheme := sra.Run(p, sra.Options{}).Scheme
+
+	// setup boots a journaled durable cluster on root, deploys from and
+	// stamps a version on every object.
+	setup := func(root string) *Cluster {
+		c, err := StartDurableView(p, root, testStoreOpts(), members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := store.OpenJournal(filepath.Join(root, "coord"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.AttachJournal(j)
+		if _, err := c.ApplyPlan(from); err != nil {
+			t.Fatal(err)
+		}
+		writeEach(t, c)
+		return c
+	}
+	c := setup(t.TempDir())
+	commands := countCommands(c, -1)
+	if _, err := c.ApplyPlan(to); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	continuations := []struct {
+		name string
+		run  func(c *Cluster, root string) (*Cluster, error)
+	}{
+		{"resume", func(c *Cluster, _ string) (*Cluster, error) {
+			_, resumed, err := c.ResumeMigration()
+			if err == nil && !resumed {
+				err = errors.New("nothing resumed")
+			}
+			return c, err
+		}},
+		{"apply another plan", func(c *Cluster, _ string) (*Cluster, error) {
+			_, err := c.ApplyPlan(other)
+			return c, err
+		}},
+		{"restart and deploy", func(c *Cluster, root string) (*Cluster, error) {
+			c.Close()
+			r, err := StartDurableView(p, root, testStoreOpts(), members)
+			if err != nil {
+				return nil, err
+			}
+			_, err = r.Deploy(scheme)
+			return r, err
+		}},
+	}
+	for fail := 0; fail < *commands; fail++ {
+		for _, cont := range continuations {
+			what := fmt.Sprintf("command %d failed, then %s", fail, cont.name)
+			root := t.TempDir()
+			c := setup(root)
+			countCommands(c, fail)
+			if _, err := c.ApplyPlan(to); err == nil {
+				t.Fatalf("%s: the migration survived its failure", what)
+			}
+			c.SetCommandDialer(nil)
+			writeEach(t, c)
+			r, err := cont.run(c, root)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			requireConverged(t, r, what)
+			r.Close()
+		}
+	}
+}
+
+// copyDir copies the regular files of src into a fresh dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	if err := os.RemoveAll(dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestViewClusterRejoinFromStaleDisk: site 4 is drained and leaves, but
+// rejoins from the directory it had before the drain — it still holds its
+// replicas, records the old replica sets and names itself object 3's
+// primary. Whichever of the join's commands fails, the next plan converges
+// every member, the rejoined site included.
+func TestViewClusterRejoinFromStaleDisk(t *testing.T) {
+	p := viewProblem(t)
+	mk := func(epoch int, members, primaries []int, placement ...[]int) *plan.Plan {
+		pl := &plan.Plan{Epoch: epoch, View: plan.View{Members: members}, Primaries: primaries, Placement: placement}
+		if err := pl.Validate(p); err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	all, four := []int{0, 1, 2, 3, 4}, []int{0, 1, 2, 3}
+	before := mk(1, all, []int{0, 1, 2, 4}, []int{0, 4}, []int{1, 4}, []int{2}, []int{3, 4})
+	// Object 2 never touches site 4, but its replica set grows while the
+	// site is away: only the rejoiner's R_2 is behind.
+	drained := mk(2, four, []int{0, 1, 2, 3}, []int{0}, []int{1}, []int{1, 2}, []int{3})
+	after := mk(3, all, []int{0, 1, 2, 3}, []int{0, 4}, []int{1}, []int{1, 2}, []int{3, 4})
+
+	// setup leaves a cluster of sites 0-3 whose site 4 left drained, with
+	// the pre-drain directory back in site 4's place.
+	setup := func(root string) *Cluster {
+		c, err := StartDurableView(p, root, testStoreOpts(), all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ApplyPlan(before); err != nil {
+			t.Fatal(err)
+		}
+		writeEach(t, c)
+		c.Close()
+		stale := filepath.Join(root, "stale-site-4")
+		copyDir(t, siteDir(root, 4), stale)
+		if c, err = StartDurableView(p, root, testStoreOpts(), all); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ApplyPlan(drained); err != nil {
+			t.Fatal(err)
+		}
+		writeEach(t, c)
+		if err := c.Leave(4); err != nil {
+			t.Fatal(err)
+		}
+		copyDir(t, stale, siteDir(root, 4))
+		return c
+	}
+	c := setup(t.TempDir())
+	sent := countCommands(c, -1)
+	if _, err := c.Join(4); err != nil {
+		t.Fatal(err)
+	}
+	commands := *sent
+	if _, err := c.ApplyPlan(after); err != nil {
+		t.Fatal(err)
+	}
+	requireConverged(t, c, "undisturbed join")
+	c.Close()
+
+	for fail := 0; fail < commands; fail++ {
+		what := fmt.Sprintf("join command %d failed", fail)
+		c := setup(t.TempDir())
+		countCommands(c, fail)
+		if _, err := c.Join(4); err == nil {
+			t.Fatalf("%s: the join survived its failure", what)
+		}
+		c.SetCommandDialer(nil)
+		if _, err := c.ApplyPlan(after); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		requireConverged(t, c, what)
+		c.Close()
+	}
+}
+
+// TestViewClusterCopyFollowsMajorityPrimary: one member still names object
+// 0's old primary, site 0, which has since dropped it. A copy must take its
+// version from site 1, the primary every other member routes writes to,
+// not from the lowest site any member names.
+func TestViewClusterCopyFollowsMajorityPrimary(t *testing.T) {
+	p := viewProblem(t)
+	c, err := StartView(p, []int{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	moved := c.Plan()
+	moved.Epoch = 1
+	moved.Primaries[0], moved.Placement[0] = 1, []int{1}
+	if _, err := c.ApplyPlan(moved); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if _, err := c.Node(1).Write(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.command(4, message{Op: "primary", Object: 0, Site: 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	next := c.Plan()
+	next.Epoch = 2
+	next.Placement[0] = []int{1, 2}
+	if _, err := c.ApplyPlan(next); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Node(2).Version(0), c.Node(1).Version(0); got != want || want != 3 {
+		t.Fatalf("the copy at site 2 has version %d, its primary %d", got, want)
+	}
+	requireConverged(t, c, "after the copy")
+}
+
+// TestViewClusterRecopiesReplicaThatMissedWrites: a migration copies
+// object 0 onto site 3 and fails at its first routing command, so the
+// primary's R_0 does not name site 3 and the next write never reaches it.
+// Retrying the plan must copy the replica afresh: site 3 serves reads, so
+// it has to hold the primary's version before any further write.
+func TestViewClusterRecopiesReplicaThatMissedWrites(t *testing.T) {
+	p := viewProblem(t)
+	c, err := StartView(p, []int{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	next := c.Plan()
+	next.Epoch = 1
+	next.Placement[0] = []int{0, 3}
+	countCommands(c, 1)
+	if _, err := c.ApplyPlan(next); err == nil {
+		t.Fatal("the migration survived its failed refresh")
+	}
+	c.SetCommandDialer(nil)
+	if !c.Node(3).Store().Holds(0) || slices.Contains(c.Node(0).Store().Replicas(0), 3) {
+		t.Fatalf("site 3 holds object 0: %v; the primary's R_0 is %v", c.Node(3).Store().Holds(0), c.Node(0).Store().Replicas(0))
+	}
+	writeEach(t, c)
+	rep, err := c.ApplyPlan(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Steps != 1 || rep.MigrationNTC == 0 {
+		t.Fatalf("the retry ran %d steps at migration NTC %d, want the one copy", rep.Steps, rep.MigrationNTC)
+	}
+	if got, want := c.Node(3).Version(0), c.Node(0).Version(0); got != want {
+		t.Fatalf("site 3 serves object 0 at version %d, its primary at %d", got, want)
+	}
+	requireConverged(t, c, "after the retry")
+}
+
+// TestViewClusterJoinAfterFailedMigration: a migration fails part-way, and
+// before anyone resumes it a site joins. The join migrates to the plan the
+// cluster last adopted, so it rolls back whatever prefix of the failed
+// migration landed; the journal keeps the newer target (a lower epoch is
+// never recorded over it), and resuming then converges to that target.
+func TestViewClusterJoinAfterFailedMigration(t *testing.T) {
+	p := viewProblem(t)
+	four := plan.View{Members: []int{0, 1, 2, 3}}
+	mk := func(epoch int, primaries []int, placement ...[]int) *plan.Plan {
+		pl := &plan.Plan{Epoch: epoch, View: four, Primaries: primaries, Placement: placement}
+		if err := pl.Validate(p); err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	from := mk(1, []int{0, 1, 2, 3}, []int{0}, []int{1}, []int{2}, []int{3})
+	// from → to: copy objects 0, 1 and 3, promote objects 0 and 3, refresh,
+	// drop the old primaries' replicas of objects 0 and 3.
+	to := mk(2, []int{1, 1, 2, 2}, []int{1}, []int{0, 1}, []int{2}, []int{2})
+	spread := &plan.Plan{Epoch: 3, View: plan.View{Members: []int{0, 1, 2, 3, 4}},
+		Primaries: []int{1, 1, 2, 2}, Placement: [][]int{{1, 4}, {0, 1}, {2}, {2, 4}}}
+	if err := spread.Validate(p); err != nil {
+		t.Fatal(err)
+	}
+
+	setup := func() *Cluster {
+		c, err := StartView(p, four.Members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := store.OpenJournal(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.AttachJournal(j)
+		if _, err := c.ApplyPlan(from); err != nil {
+			t.Fatal(err)
+		}
+		writeEach(t, c)
+		return c
+	}
+	c := setup()
+	commands := countCommands(c, -1)
+	if _, err := c.ApplyPlan(to); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	for fail := 0; fail < *commands; fail++ {
+		what := fmt.Sprintf("command %d failed", fail)
+		c := setup()
+		countCommands(c, fail)
+		if _, err := c.ApplyPlan(to); err == nil {
+			t.Fatalf("%s: the migration survived its failure", what)
+		}
+		c.SetCommandDialer(nil)
+		if _, err := c.Join(4); err != nil {
+			t.Fatalf("%s: join: %v", what, err)
+		}
+		if got := c.Plan().Epoch; got != from.Epoch {
+			t.Fatalf("%s: the join left plan epoch %d deployed, want %d", what, got, from.Epoch)
+		}
+		requireHeld(t, c, what+", then site 4 joined")
+		if _, resumed, err := c.ResumeMigration(); err != nil || !resumed {
+			t.Fatalf("%s: resume after the join: resumed %v, %v", what, resumed, err)
+		}
+		if got := c.Plan().Epoch; got != to.Epoch {
+			t.Fatalf("%s: the resume left plan epoch %d deployed, want %d", what, got, to.Epoch)
+		}
+		requireHeld(t, c, what+", then site 4 joined, then resumed")
+		// Eq. 4 prices a plan over its own view: spread onto the joiner.
+		if _, err := c.ApplyPlan(spread); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		requireConverged(t, c, what+", then site 4 joined, resumed and took replicas")
+		c.Close()
 	}
 }

@@ -399,6 +399,17 @@ func (s *Store) PrimaryOf(k int) int {
 	return s.curPrimary[k]
 }
 
+// Records calls fn once per object, ascending, with the site's holding
+// flag, version, routing primary SP_k and replica set R_k, all read under
+// one lock. fn must not retain replicas or call back into the store.
+func (s *Store) Records(fn func(k int, holds bool, version int64, primary int, replicas []int)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, held := range s.holds {
+		fn(k, held, s.versions[k], s.curPrimary[k], s.replicas[k])
+	}
+}
+
 // NTC returns the transfer cost accounted to this site.
 func (s *Store) NTC() int64 {
 	s.mu.Lock()
