@@ -166,6 +166,24 @@ func BenchmarkGRAGeneration(b *testing.B) { benchGRAGeneration(b, 1) }
 // realised speedup of the parallel evaluation layer (≈1 on one core).
 func BenchmarkGRAGenerationParallel(b *testing.B) { benchGRAGeneration(b, 0) }
 
+// BenchmarkGRARun measures one default GRA run (Np 50, Ng 80, SRA-seeded)
+// on the paper's adaptive test case, the night instance of the benchmark's
+// solve_dense workload, at Parallelism 1. Unlike BenchmarkGRAGeneration,
+// whose one generation is dominated by pricing the seed population, it
+// shows the steady state: 80 generations of children priced for what they
+// changed. Run it with -benchmem for the allocations of a run.
+func BenchmarkGRARun(b *testing.B) {
+	p := benchProblem(b, 50, 200, 0.05)
+	params := drp.DefaultGRAParams()
+	params.Parallelism = 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := drp.GRA(p, params); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAGRAObject measures one per-object micro-GA (Ap=10, Ag=50), the
 // unit of adaptive work.
 func BenchmarkAGRAObject(b *testing.B) {

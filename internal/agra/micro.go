@@ -202,7 +202,7 @@ func (mg *microGA) runObject(k int, current []int, graPop []*bitset.Set, rng *xr
 		mg.evaluate(&pop[c])
 	}
 
-	copyInto(&mg.elite, pop[ga.Best(pop)])
+	mg.elite.CopyFrom(pop[ga.Best(pop)])
 	stop := solver.StopCompleted
 	lastGen := 0
 	for gen := 1; gen <= params.Generations; gen++ {
@@ -216,7 +216,7 @@ func (mg *microGA) runObject(k int, current []int, graPop []*bitset.Set, rng *xr
 		mg.sel = ga.StochasticRemainder(mg.sel[:0], pop, params.PopSize, rng)
 		next := mg.next
 		for i, j := range mg.sel {
-			copyInto(&next[i], pop[j])
+			next[i].CopyFrom(pop[j])
 		}
 		for i := range mg.order {
 			mg.order[i] = i
@@ -242,10 +242,10 @@ func (mg *microGA) runObject(k int, current []int, graPop []*bitset.Set, rng *xr
 		mg.pop, mg.next = next, pop
 		pop = next
 		if b := ga.Best(pop); pop[b].Fitness > mg.elite.Fitness {
-			copyInto(&mg.elite, pop[b])
+			mg.elite.CopyFrom(pop[b])
 		}
 		if gen%params.EliteEvery == 0 {
-			copyInto(&pop[ga.Worst(pop)], mg.elite)
+			pop[ga.Worst(pop)].CopyFrom(mg.elite)
 		}
 		lastGen = gen
 		mg.c.Observe(gen, mg.elite.Fitness, ga.MeanFitness(pop), mg.elite.Cost)
@@ -266,13 +266,6 @@ func (mg *microGA) runObject(k int, current []int, graPop []*bitset.Set, rng *xr
 		res.Population[i] = pop[i].Bits.Clone()
 	}
 	return res
-}
-
-// copyInto overwrites dst's chromosome and evaluation with src's, keeping
-// dst's storage.
-func copyInto(dst *ga.Individual, src ga.Individual) {
-	dst.Bits.CopyFrom(src.Bits)
-	dst.Cost, dst.Fitness = src.Cost, src.Fitness
 }
 
 // evaluate sets ind's cost and fitness fA = (V′ − V_k)/V′, resetting a

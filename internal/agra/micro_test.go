@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"drp/internal/bitset"
@@ -165,6 +166,19 @@ func minMallocs(runs int, fn func()) uint64 {
 	return fewest
 }
 
+// raceBuild reports whether the test binary was built with -race, whose
+// runtime makes allocations of its own during a run.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
 // TestMicroAllocsIndependentOfGenerations: a micro-GA evolves its
 // population in the two slabs it was built with, so ten times the
 // generations allocate nothing more — at one word per chromosome and at
@@ -206,5 +220,30 @@ func TestAdaptRejectsMisshapenInput(t *testing.T) {
 				t.Errorf("par=%d: %s accepted", par, name)
 			}
 		}
+	}
+}
+
+// TestAdaptAllocsPinnedOnAdaptiveTestCase pins the allocations of one
+// agra.Adapt on the paper's adaptive test case at GOMAXPROCS 1 — the
+// micro-GAs of 40 changed objects, transcription and a 20×5 mini-GRA:
+// 2 683 before the mini-GRA bred its children into recycled buffers.
+func TestAdaptAllocsPinnedOnAdaptiveTestCase(t *testing.T) {
+	if testing.Short() || raceBuild() {
+		t.Skip("a full-size GRA run and adaptations, counted without the race detector")
+	}
+	in := adaptiveTestCase(t)
+	params := DefaultParams()
+	params.Parallelism = 1
+	mini := gra.DefaultParams()
+	mini.PopSize = 20
+	mini.Parallelism = 1
+	const recorded = 1705
+	got := minMallocs(3, func() {
+		if _, err := Adapt(in, params, mini, 5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != recorded {
+		t.Fatalf("one Adapt allocates %d times, recorded %d", got, recorded)
 	}
 }

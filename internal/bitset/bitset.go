@@ -2,7 +2,8 @@
 //
 // It backs the genetic-algorithm chromosomes and the replication matrices of
 // the DRP solvers, where the hot operations are single-bit tests, flips,
-// range copies (crossover) and population-sized clones.
+// range copies (crossover), copies between recycled chromosomes and 64-bit
+// windows at any offset (column diffs and gathers over site-major genes).
 package bitset
 
 import (
@@ -174,36 +175,31 @@ func (s *Set) NextSet(i int) int {
 	return -1
 }
 
-// NextDiff returns the index of the first bit at or after i in which s and
-// other differ, or -1 if there is none. Both sets must have the same length.
-// It compares a word at a time, so walking the differences of two similar
-// sets costs one XOR per word plus one step per differing bit.
-func (s *Set) NextDiff(other *Set, i int) int {
-	if s.n != other.n {
-		panic("bitset: length mismatch in NextDiff")
+// Word returns the 64 bits of s starting at bit i, bit i in the lowest
+// position; bits past Len read as zero. i need not be word-aligned, so a
+// caller can read any 64-bit window of a row-major matrix — a gene of a
+// chromosome — with one shift and two loads. i must be in [0, Len).
+func (s *Set) Word(i int) uint64 {
+	w, off := i/wordBits, uint(i)%wordBits
+	x := s.words[w] >> off
+	if off != 0 && w+1 < len(s.words) {
+		x |= s.words[w+1] << (wordBits - off)
 	}
-	if i < 0 {
-		i = 0
+	return x
+}
+
+// SetWord overwrites the 64 bits of s starting at bit i with x, bit i from
+// x's lowest bit. Bits of x that would land past Len are dropped, so the
+// set stays well-formed whatever x holds. i must be in [0, Len).
+func (s *Set) SetWord(i int, x uint64) {
+	if rem := s.n - i; rem < wordBits {
+		x &= 1<<uint(rem) - 1
 	}
-	if i >= s.n {
-		return -1
+	w, off := i/wordBits, uint(i)%wordBits
+	s.words[w] = s.words[w]&(1<<off-1) | x<<off
+	if off != 0 && w+1 < len(s.words) {
+		s.words[w+1] = s.words[w+1]&^(1<<off-1) | x>>(wordBits-off)
 	}
-	w := i / wordBits
-	if x := (s.words[w] ^ other.words[w]) >> (uint(i) % wordBits); x != 0 {
-		if idx := i + bits.TrailingZeros64(x); idx < s.n {
-			return idx
-		}
-		return -1
-	}
-	for w++; w < len(s.words); w++ {
-		if x := s.words[w] ^ other.words[w]; x != 0 {
-			if idx := w*wordBits + bits.TrailingZeros64(x); idx < s.n {
-				return idx
-			}
-			return -1
-		}
-	}
-	return -1
 }
 
 // OnesInto appends the indices of all set bits in [from, to) to dst and

@@ -219,60 +219,6 @@ func TestNextSetEnumeratesAll(t *testing.T) {
 	}
 }
 
-func TestNextDiff(t *testing.T) {
-	a, b := New(200), New(200)
-	for _, i := range []int{3, 64, 130, 199} {
-		a.Set(i)
-	}
-	for _, i := range []int{3, 70, 199} {
-		b.Set(i)
-	}
-	tests := []struct{ from, want int }{
-		{0, 64}, {-5, 64}, {64, 64}, {65, 70}, {71, 130}, {131, -1}, {200, -1},
-	}
-	for _, tt := range tests {
-		if got := a.NextDiff(b, tt.from); got != tt.want {
-			t.Errorf("NextDiff(%d) = %d, want %d", tt.from, got, tt.want)
-		}
-	}
-	if got := a.NextDiff(a.Clone(), 0); got != -1 {
-		t.Errorf("NextDiff of equal sets = %d, want -1", got)
-	}
-}
-
-func TestNextDiffEnumeratesXOR(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const n = 333
-		a, b := New(n), New(n)
-		var want []int
-		for i := 0; i < n; i++ {
-			x, y := rng.Intn(3) == 0, rng.Intn(3) == 0
-			a.SetTo(i, x)
-			b.SetTo(i, y)
-			if x != y {
-				want = append(want, i)
-			}
-		}
-		var got []int
-		for i := a.NextDiff(b, 0); i >= 0; i = a.NextDiff(b, i+1) {
-			got = append(got, i)
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFromBoolsAndString(t *testing.T) {
 	s := FromBools([]bool{true, false, true, true})
 	if got := s.String(); got != "1011" {
@@ -297,5 +243,4 @@ func TestPanics(t *testing.T) {
 	assertPanics("SwapRange length mismatch", func() { New(10).SwapRange(New(11), 0, 5) })
 	assertPanics("CopyFrom length mismatch", func() { New(10).CopyFrom(New(11)) })
 	assertPanics("SwapRange out of bounds", func() { New(10).SwapRange(New(10), 0, 11) })
-	assertPanics("NextDiff length mismatch", func() { New(10).NextDiff(New(11), 0) })
 }

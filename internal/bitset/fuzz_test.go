@@ -3,8 +3,8 @@ package bitset
 // FuzzBitsetOps drives two Sets through an arbitrary op stream while
 // mirroring every mutation in plain []bool models, then compares the whole
 // observable API surface. The word-packed arithmetic (masks at word
-// boundaries, spans, trailing-zero scans) is exactly the code a table-driven
-// test tends to under-exercise.
+// boundaries, spans, trailing-zero scans, unaligned word windows) is
+// exactly the code a table-driven test tends to under-exercise.
 
 import (
 	"testing"
@@ -14,12 +14,13 @@ func FuzzBitsetOps(f *testing.F) {
 	f.Add(uint8(63), []byte{0, 5, 0, 2, 9, 0, 4, 10, 60})
 	f.Add(uint8(1), []byte{2, 0, 0})
 	f.Add(uint8(130), []byte{0, 64, 0, 4, 0, 129, 3, 65, 1})
+	f.Add(uint8(129), []byte{8, 60, 200, 8, 127, 3, 8, 0, 255})
 	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
 		n := int(size)%130 + 1 // spans one, two and three words
 		a, b := New(n), New(n)
 		ma, mb := make([]bool, n), make([]bool, n)
 		for j := 0; j+2 < len(ops); j += 3 {
-			op, x, y := ops[j]%8, int(ops[j+1]), int(ops[j+2])
+			op, x, y := ops[j]%9, int(ops[j+1]), int(ops[j+2])
 			i := x % n
 			switch op {
 			case 0:
@@ -58,6 +59,13 @@ func FuzzBitsetOps(f *testing.F) {
 			case 7:
 				b.SetTo(i, y%2 == 0)
 				mb[i] = y%2 == 0
+			case 8:
+				// A multiplicative hash spreads the byte over the word.
+				w := uint64(y+1) * 0x9E3779B97F4A7C15
+				a.SetWord(i, w)
+				for p := i; p < n && p < i+64; p++ {
+					ma[p] = w>>uint(p-i)&1 == 1
+				}
 			}
 		}
 		for name, pair := range map[string]struct {
@@ -97,6 +105,18 @@ func FuzzBitsetOps(f *testing.F) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%s: OnesInto[%d]=%d, model says %d", name, i, got[i], want[i])
+				}
+			}
+			// Word reads the model's 64-bit window at every offset.
+			for i := 0; i < n; i++ {
+				var want uint64
+				for p := i; p < n && p < i+64; p++ {
+					if m[p] {
+						want |= 1 << uint(p-i)
+					}
+				}
+				if got := s.Word(i); got != want {
+					t.Fatalf("%s: Word(%d) = %#x, model says %#x", name, i, got, want)
 				}
 			}
 			if idx := s.NextSet(n - 1); count > 0 && m[n-1] {

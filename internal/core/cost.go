@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"drp/internal/bitset"
@@ -66,6 +67,9 @@ type Evaluator struct {
 	// holds the M·N words.
 	repl  []int32
 	nrepl []int32
+	// dirty holds the ⌈N/64⌉ words of the objects the last gather
+	// bucketed, which Reprice then prices.
+	dirty []uint64
 	// objects is Cost's scratch vector of V_k.
 	objects []int64
 	// meter, when set, is incremented once per Cost/Reprice/ObjectCost call
@@ -89,6 +93,7 @@ func (e *Evaluator) replicaLists() {
 	if e.repl == nil {
 		e.repl = make([]int32, e.p.n*e.p.m)
 		e.nrepl = make([]int32, e.p.n)
+		e.dirty = make([]uint64, (e.p.n+63)/64)
 	}
 }
 
@@ -98,35 +103,40 @@ func (e *Evaluator) replicaLists() {
 func (e *Evaluator) SetMeter(meter *atomic.Int64) { e.meter = meter }
 
 // gather buckets the set bits of x into per-object replicator lists, for
-// the objects set in dirty (nil: every object). A full gather walks the set
-// bits once; a partial one walks only the dirty objects' columns, M bits
-// each, and leaves the other lists stale.
+// the objects set in dirty (nil: every object), and leaves the other lists
+// stale. It reads each gene 64 objects at a time, ANDed with the matching
+// word of the mask: M·⌈N/64⌉ word reads plus one step per replica gathered.
+// Sites are visited in ascending order, so every list is ascending.
 func (e *Evaluator) gather(x, dirty *bitset.Set) {
 	e.replicaLists()
 	m, n := e.p.m, e.p.n
-	if dirty != nil {
-		for k := dirty.NextSet(0); k >= 0; k = dirty.NextSet(k + 1) {
-			repl, cnt := e.repl[k*m:][:m], int32(0)
-			for i := range repl {
-				repl[cnt] = int32(i)
-				if x.Test(i*n + k) {
-					cnt++
-				}
-			}
-			e.nrepl[k] = cnt
+	for jw := range e.dirty {
+		j := jw * 64
+		switch {
+		case dirty != nil:
+			e.dirty[jw] = dirty.Word(j)
+		case n-j < 64:
+			e.dirty[jw] = 1<<uint(n-j) - 1
+		default:
+			e.dirty[jw] = ^uint64(0)
 		}
-		return
+		for d := e.dirty[jw]; d != 0; d &= d - 1 {
+			e.nrepl[j+bits.TrailingZeros64(d)] = 0
+		}
 	}
-	clear(e.nrepl)
-	site, base := int32(0), 0
-	for pos := x.NextSet(0); pos >= 0; pos = x.NextSet(pos + 1) {
-		for pos >= base+n {
-			site++
-			base += n
+	for i := 0; i < m; i++ {
+		gene := i * n
+		for jw, d := range e.dirty {
+			if d == 0 {
+				continue
+			}
+			j := jw * 64
+			for w := x.Word(gene+j) & d; w != 0; w &= w - 1 {
+				k := j + bits.TrailingZeros64(w)
+				e.repl[k*m+int(e.nrepl[k])] = int32(i)
+				e.nrepl[k]++
+			}
 		}
-		k := pos - base
-		e.repl[k*m+int(e.nrepl[k])] = site
-		e.nrepl[k]++
 	}
 }
 
@@ -153,12 +163,15 @@ func (e *Evaluator) Reprice(x, dirty *bitset.Set, v []int64) int64 {
 		e.meter.Add(1)
 	}
 	e.gather(x, dirty)
-	var d int64
-	for k := range v[:e.p.n] {
-		if dirty == nil || dirty.Test(k) {
+	for jw, w := range e.dirty {
+		for ; w != 0; w &= w - 1 {
+			k := jw*64 + bits.TrailingZeros64(w)
 			v[k] = e.objectTerms(k, e.replicators(k)).Total()
 		}
-		d += v[k]
+	}
+	var d int64
+	for _, vk := range v[:e.p.n] {
+		d += vk
 	}
 	return d
 }

@@ -316,3 +316,98 @@ func TestObjectCostReplicaListIsASet(t *testing.T) {
 		}
 	}
 }
+
+// TestRepriceWordBoundariesEveryDegree prices chromosomes whose object k
+// has every degree 1…M in turn, at N either side of one, two and three
+// 64-bit words and M from one site to just past one word, under dirty
+// masks that are empty, one object, every object (and nil) and random.
+// Each Reprice starts from a vector whose clean entries hold the new
+// chromosome's V_k and whose dirty ones hold garbage: the result must be
+// Scheme.ObjectCost for every entry and a full Cost for the sum. A second
+// pass fills the clean entries with a sentinel, which Reprice must leave
+// alone. One evaluator serves every call, so a partial gather always
+// follows one of another chromosome.
+func TestRepriceWordBoundariesEveryDegree(t *testing.T) {
+	const garbage, sentinel = -1 << 40, -7
+	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 200} {
+		for _, m := range []int{1, 2, 3, 50, 64, 65} {
+			p, err := core.NewProblem(shapeConfig(m, n, uint64(m*1000+n), nil, nil))
+			if err != nil {
+				t.Fatalf("M=%d N=%d: %v", m, n, err)
+			}
+			rng := xrand.New(uint64(7*m + n))
+			ev := core.NewEvaluator(p)
+			v := make([]int64, n)
+			for shift := 0; shift < 3; shift++ {
+				// Object k is held by its primary and 1+(k+shift) mod M
+				// sites in all.
+				x := bitset.New(m * n)
+				for k := 0; k < n; k++ {
+					sp := p.Primary(k)
+					x.Set(sp*n + k)
+					extra := (k + shift) % m
+					for _, i := range rng.Perm(m) {
+						if extra > 0 && i != sp {
+							x.Set(i*n + k)
+							extra--
+						}
+					}
+				}
+				s, err := core.SchemeFromBits(p, x)
+				if err != nil {
+					t.Fatalf("M=%d N=%d: %v", m, n, err)
+				}
+				want := make([]int64, n)
+				var total int64
+				for k := range want {
+					want[k] = s.ObjectCost(k)
+					total += want[k]
+				}
+				if d := ev.Cost(x); d != total || d != s.Cost() {
+					t.Fatalf("M=%d N=%d shift %d: Cost = %d, Σ ObjectCost = %d, Scheme.Cost = %d", m, n, shift, d, total, s.Cost())
+				}
+				single, full, random := bitset.New(n), bitset.New(n), bitset.New(n)
+				single.Set(rng.Intn(n))
+				for k := 0; k < n; k++ {
+					full.Set(k)
+					random.SetTo(k, rng.Bool(0.5))
+				}
+				for _, mask := range []struct {
+					what  string
+					dirty *bitset.Set
+				}{{"empty", bitset.New(n)}, {"single", single}, {"full", full}, {"nil", nil}, {"random", random}} {
+					dirty := func(k int) bool { return mask.dirty == nil || mask.dirty.Test(k) }
+					for k := range v {
+						v[k] = want[k]
+						if dirty(k) {
+							v[k] = garbage
+						}
+					}
+					if d := ev.Reprice(x, mask.dirty, v); d != total {
+						t.Fatalf("M=%d N=%d shift %d, %s mask: Reprice = %d, Cost = %d", m, n, shift, mask.what, d, total)
+					}
+					for k := range v {
+						if v[k] != want[k] {
+							t.Fatalf("M=%d N=%d shift %d, %s mask: v[%d] = %d, ObjectCost = %d", m, n, shift, mask.what, k, v[k], want[k])
+						}
+					}
+					var sum int64
+					for k := range v {
+						if !dirty(k) {
+							v[k] = sentinel
+						}
+						sum += v[k]
+					}
+					if d := ev.Reprice(x, mask.dirty, v); d != sum {
+						t.Fatalf("M=%d N=%d shift %d, %s mask: Reprice over sentinels = %d, want %d", m, n, shift, mask.what, d, sum)
+					}
+					for k := range v {
+						if dirty(k) && v[k] != want[k] || !dirty(k) && v[k] != sentinel {
+							t.Fatalf("M=%d N=%d shift %d, %s mask: v[%d] = %d after the sentinel pass", m, n, shift, mask.what, k, v[k])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -22,11 +22,26 @@ type Individual struct {
 	// terms V_k whose sum is Cost, so offspring can inherit the terms of the
 	// objects they did not change; nil otherwise.
 	Objects []int64
+	// Usage, when the solver keeps it (GRA does), holds the storage each
+	// site's gene of Bits consumes, so offspring check capacity from their
+	// parents' usage instead of walking every set bit; nil otherwise.
+	Usage []int64
 }
 
 // Clone deep-copies the individual.
 func (ind Individual) Clone() Individual {
-	return Individual{Bits: ind.Bits.Clone(), Cost: ind.Cost, Fitness: ind.Fitness, Objects: slices.Clone(ind.Objects)}
+	return Individual{Bits: ind.Bits.Clone(), Cost: ind.Cost, Fitness: ind.Fitness,
+		Objects: slices.Clone(ind.Objects), Usage: slices.Clone(ind.Usage)}
+}
+
+// CopyFrom overwrites ind's chromosome and evaluation with src's, keeping
+// ind's storage: the two must have the same shape (Objects and Usage both
+// nil, or as long as src's).
+func (ind *Individual) CopyFrom(src Individual) {
+	ind.Bits.CopyFrom(src.Bits)
+	ind.Cost, ind.Fitness = src.Cost, src.Fitness
+	copy(ind.Objects, src.Objects)
+	copy(ind.Usage, src.Usage)
 }
 
 // Best returns the index of the highest-fitness individual, or -1 for an
@@ -151,9 +166,9 @@ type CrossSpan struct {
 
 // TwoPoint performs the paper's two-point crossover on a and b in place:
 // two cut points are drawn, and with equal probability either the segment
-// between them or the two outer fractions are swapped. It returns the
-// swapped spans (one or two).
-func TwoPoint(a, b *bitset.Set, rng *xrand.Source) []CrossSpan {
+// between them or the two outer fractions are swapped. It appends the
+// swapped spans (one or two) to dst and returns the extended slice.
+func TwoPoint(dst []CrossSpan, a, b *bitset.Set, rng *xrand.Source) []CrossSpan {
 	n := a.Len()
 	c1 := rng.Intn(n + 1)
 	c2 := rng.Intn(n + 1)
@@ -162,11 +177,11 @@ func TwoPoint(a, b *bitset.Set, rng *xrand.Source) []CrossSpan {
 	}
 	if rng.Bool(0.5) {
 		a.SwapRange(b, c1, c2)
-		return []CrossSpan{{From: c1, To: c2}}
+		return append(dst, CrossSpan{From: c1, To: c2})
 	}
 	a.SwapRange(b, 0, c1)
 	a.SwapRange(b, c2, n)
-	return []CrossSpan{{From: 0, To: c1}, {From: c2, To: n}}
+	return append(dst, CrossSpan{From: 0, To: c1}, CrossSpan{From: c2, To: n})
 }
 
 // OnePoint performs single-point crossover in place, swapping with equal

@@ -43,15 +43,24 @@ func TestBestWorstMean(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	ind := Individual{Bits: bitset.New(4), Cost: 7, Fitness: 0.5, Objects: []int64{3, 4}}
+	ind := Individual{Bits: bitset.New(4), Cost: 7, Fitness: 0.5, Objects: []int64{3, 4}, Usage: []int64{6}}
 	c := ind.Clone()
 	c.Bits.Set(0)
 	c.Objects[0] = 5
+	c.Usage[0] = 8
 	if ind.Bits.Test(0) {
 		t.Fatal("clone shares bits with original")
 	}
 	if ind.Objects[0] != 3 {
 		t.Fatal("clone shares its per-object costs with original")
+	}
+	if ind.Usage[0] != 6 {
+		t.Fatal("clone shares its per-site usage with original")
+	}
+	// CopyFrom brings the original back into the clone's storage.
+	c.CopyFrom(ind)
+	if c.Bits.Test(0) || c.Objects[0] != 3 || c.Usage[0] != 6 || c.Cost != 7 || c.Fitness != 0.5 {
+		t.Fatalf("CopyFrom left %+v, want the original's chromosome and evaluation", c)
 	}
 	if c.Cost != 7 || c.Fitness != 0.5 || c.Objects[1] != 4 {
 		t.Fatal("clone lost metadata")
@@ -235,7 +244,7 @@ func TestTwoPointPreservesMultiset(t *testing.T) {
 				wantPerBit[i]++
 			}
 		}
-		spans := TwoPoint(a, b, rng)
+		spans := TwoPoint(nil, a, b, rng)
 		if len(spans) == 0 || len(spans) > 2 {
 			t.Fatalf("TwoPoint returned %d spans", len(spans))
 		}

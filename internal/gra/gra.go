@@ -11,13 +11,20 @@
 // points, and validity is restored by swapping the uncrossed remainder of
 // those genes (after which each gene comes whole from one valid parent).
 // Every evaluated individual carries its per-object costs V_k (eq. 4 is
-// their sum): a child copies V_k of each object whose column — its bits at
-// all M sites — it shares with a parent, and re-prices only the objects
-// whose column matches neither; seeds are priced in full.
+// their sum) and its per-site storage usage: a child copies V_k of each
+// object whose column — its bits at all M sites — it shares with a parent,
+// and re-prices only the objects whose column matches neither; it checks
+// capacity from its parents' usage, updated by the flips and cut genes it
+// changed. The columns that differ are found 64 at a time, so a child's
+// bookkeeping costs M·⌈N/64⌉ words plus the bits that differ. Seeds are
+// priced and walked in full. Selection moves the chosen individuals into
+// the next generation without cloning, and the next children are bred into
+// the buffers of those it dropped.
 package gra
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"drp/internal/bitset"
@@ -207,12 +214,13 @@ func Perturb(s *core.Scheme, fraction float64, rng *xrand.Source) {
 }
 
 // evolve runs the generational loop over an initial population of bitsets,
-// priced in full (seeds have no parents to inherit V_k from). Every random
-// draw of variation is made on this goroutine; breeding the mutants from
-// those draws and the cost evaluations fan out across ev's worker pool. The
-// controller is consulted exactly once per generation, at the top of the
-// loop, before any randomness is drawn — so breaking there leaves the run in
-// precisely the state a shorter Generations setting would have produced.
+// which it takes over, priced in full (seeds have no parents to inherit V_k
+// from). Every random draw of variation is made on this goroutine; breeding
+// the mutants from those draws and the cost evaluations fan out across ev's
+// worker pool. The controller is consulted exactly once per generation, at
+// the top of the loop, before any randomness is drawn — so breaking there
+// leaves the run in precisely the state a shorter Generations setting would
+// have produced.
 func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source, c *solver.Controller) (*Result, error) {
 	p := ev.p
 	ev.pool.SetMeter(c.Meter())
@@ -220,11 +228,12 @@ func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source,
 
 	seeds := make([]child, len(init))
 	for i, bits := range init {
-		seeds[i] = child{bits: bits}
+		seeds[i] = child{Individual: ev.individual(bits)}
 	}
-	pop := ev.evaluateAll(seeds)
+	pop := ev.evaluateAll(nil, seeds)
 
-	elite := pop[ga.Best(pop)].Clone()
+	// The elite has buffers of its own, which no selection recycles.
+	elite := ev.copyOf(pop[ga.Best(pop)])
 	record := func(gen int) {
 		mean := ga.MeanFitness(pop)
 		res.History = append(res.History, GenStats{
@@ -239,29 +248,26 @@ func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source,
 
 	stop := solver.StopCompleted
 	lastGen := 0
+	var pool, spare []ga.Individual
 	for gen := 1; gen <= params.Generations; gen++ {
 		if reason, halt := c.Check(); halt {
 			stop = reason
 			break
 		}
-		crossPop := ev.crossoverSubpop(pop, params, rng)
-		mutPop := ev.mutationSubpop(pop, params, rng)
-
 		// (µ+λ): parents and both offspring subpopulations compete for the
 		// Np slots of the next generation.
-		pool := make([]ga.Individual, 0, len(pop)+len(crossPop)+len(mutPop))
-		pool = append(pool, pop...)
-		pool = append(pool, crossPop...)
-		pool = append(pool, mutPop...)
+		pool = append(pool[:0], pop...)
+		pool = ev.crossoverSubpop(pool, pop, params, rng)
+		pool = ev.mutationSubpop(pool, pop, params, rng)
 
 		if b := ga.Best(pool); pool[b].Fitness > elite.Fitness {
-			elite = pool[b].Clone()
+			elite.CopyFrom(pool[b])
 		}
-		pop = selectNext(pool, params.PopSize, rng)
+		pop, spare = ev.selectNext(spare, pool, params.PopSize, rng), pop
 
 		// Elitism with delayed re-injection to avoid premature convergence.
 		if gen%params.EliteEvery == 0 {
-			pop[ga.Worst(pop)] = elite.Clone()
+			pop[ga.Worst(pop)].CopyFrom(elite)
 		}
 		record(gen)
 		lastGen = gen
@@ -274,9 +280,11 @@ func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source,
 	res.Scheme = scheme
 	res.Cost = elite.Cost
 	res.Fitness = elite.Fitness
+	// No two members of a population share a chromosome, and the run is
+	// done with them.
 	res.Population = make([]*bitset.Set, len(pop))
 	for i := range pop {
-		res.Population[i] = pop[i].Bits.Clone()
+		res.Population[i] = pop[i].Bits
 	}
 	res.Stats = c.Finish(lastGen, stop)
 	res.Evaluations = res.Stats.Evaluations
@@ -284,13 +292,34 @@ func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source,
 	return res, nil
 }
 
-// selectNext draws the next generation from pool by stochastic remainder.
-// Every selected individual is a clone, safe for in-place variation.
-func selectNext(pool []ga.Individual, count int, rng *xrand.Source) []ga.Individual {
-	sel := ga.StochasticRemainder(make([]int, 0, count), pool, count, rng)
-	pop := make([]ga.Individual, len(sel))
-	for i, j := range sel {
-		pop[i] = pool[j].Clone()
+// selectNext draws count individuals from pool by stochastic remainder and
+// appends them to dst[:0]. Nothing varies a selected individual in place,
+// so one selected once moves over as it is; one selected again is copied
+// into recycled buffers, so no two members of a population share a
+// chromosome. The buffers of every member not selected go to the free list
+// for the next generation's children. pool must not share buffers either.
+func (ev *evaluator) selectNext(dst, pool []ga.Individual, count int, rng *xrand.Source) []ga.Individual {
+	sel := ga.StochasticRemainder(ev.sel[:0], pool, count, rng)
+	kept := slices.Grow(ev.kept[:0], len(pool))[:len(pool)]
+	clear(kept)
+	for _, j := range sel {
+		kept[j] = true
 	}
-	return pop
+	for j := range pool {
+		if !kept[j] {
+			ev.free = append(ev.free, pool[j])
+		}
+	}
+	clear(kept)
+	dst = dst[:0]
+	for _, j := range sel {
+		if kept[j] {
+			dst = append(dst, ev.copyOf(pool[j]))
+			continue
+		}
+		kept[j] = true
+		dst = append(dst, pool[j])
+	}
+	ev.sel, ev.kept = sel, kept
+	return dst
 }

@@ -1,7 +1,8 @@
 package gra
 
 import (
-	"sync"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"drp/internal/bitset"
@@ -13,22 +14,36 @@ import (
 // evaluator wraps the cost model with the GRA fitness rules: f = (D′−D)/D′,
 // and chromosomes with negative fitness are overwritten with the initial
 // (primaries-only) allocation at fitness zero. Every individual it scores
-// carries its per-object costs V_k, and a child re-prices only the objects
-// whose column differs from every parent's. Batched evaluations fan out
-// across a pool of per-goroutine core.Evaluators; each task touches only its
-// own chromosome — a mutant's is bred in the task from its parent and its
-// drawn flips — plus its read-only parents and the primal template, so any
-// worker count produces the same individuals as a serial pass.
+// carries its per-object costs V_k and per-site usage, and a child
+// re-prices only the objects whose column differs from every parent's.
+// Batched evaluations fan out across a pool of per-goroutine
+// core.Evaluators; each task touches only its own child — a mutant is bred
+// in the task from its parent and its drawn flips — and its own dirty mask,
+// plus its read-only parents and the primal template, so any worker count
+// produces the same individuals as a serial pass. Children are bred into
+// the buffers of individuals the last selection dropped.
 type evaluator struct {
 	p       *core.Problem
 	pool    *core.EvalPool
 	primal  *bitset.Set // the primaries-only chromosome, read-only
 	geneLen int
-	// masks pools the N-bit scratch masks of inherit, two per evaluation.
-	masks sync.Pool
-	// flips is the slab of one mutation subpopulation's drawn flip
-	// positions, reused every generation.
-	flips []int
+	// masks holds one N-bit dirty mask per task of a batch.
+	masks []*bitset.Set
+	// free holds the buffers (bits, V_k, usage) of the individuals the last
+	// selection dropped, which the next children are bred into.
+	free []ga.Individual
+	// cand, parents, spans and flips are the coordinator's per-batch
+	// scratch, reused every generation: the children, the crossover
+	// children's parent pairs, one crossover's spans and one mutation
+	// subpopulation's drawn flip positions.
+	cand    []child
+	parents []ga.Individual
+	spans   []ga.CrossSpan
+	flips   []int
+	// sel and kept are the selection's scratch: the pool indices drawn, and
+	// which pool members were.
+	sel  []int
+	kept []bool
 	// priced counts the objects the kernel priced, for tests.
 	priced atomic.Int64
 }
@@ -39,46 +54,70 @@ func newEvaluator(p *core.Problem, parallelism int) *evaluator {
 	for k := 0; k < n; k++ {
 		primal.Set(p.Primary(k)*n + k)
 	}
-	ev := &evaluator{
+	return &evaluator{
 		p:       p,
 		pool:    core.NewEvalPool(p, parallelism),
 		primal:  primal,
 		geneLen: n,
 	}
-	ev.masks.New = func() any { return &[2]*bitset.Set{bitset.New(n), bitset.New(n)} }
-	return ev
 }
 
-// child is a chromosome awaiting evaluation with the evaluated individuals
-// it was bred from: two for a crossover child, one for a mutant, none for a
-// seed. A mutant arrives unbred: bits is nil and flips holds the positions
-// drawn for its parent.
+// individual returns an individual of chromosome x with buffers of its own
+// for V_k and the per-site usage.
+func (ev *evaluator) individual(x *bitset.Set) ga.Individual {
+	return ga.Individual{Bits: x, Objects: make([]int64, ev.geneLen), Usage: make([]int64, ev.p.Sites())}
+}
+
+// take returns the buffers to breed a child into: a dropped individual's,
+// or new ones. Their contents are stale.
+func (ev *evaluator) take() ga.Individual {
+	if last := len(ev.free) - 1; last >= 0 {
+		ind := ev.free[last]
+		ev.free = ev.free[:last]
+		return ind
+	}
+	return ev.individual(bitset.New(ev.p.Sites() * ev.geneLen))
+}
+
+// copyOf returns a copy of ind in taken buffers.
+func (ev *evaluator) copyOf(ind ga.Individual) ga.Individual {
+	c := ev.take()
+	c.CopyFrom(ind)
+	return c
+}
+
+// child is a chromosome awaiting evaluation, in buffers of its own, with
+// the evaluated individuals it was bred from: two for a crossover child,
+// one for a mutant, none for a seed. A crossover child arrives bred and
+// with its usage; a mutant arrives unbred, with flips holding the positions
+// drawn for its parent; a seed's usage is yet to be walked.
 type child struct {
-	bits    *bitset.Set
+	ga.Individual
 	parents []ga.Individual
 	flips   []int
 }
 
-// evaluateWith breeds a mutant and scores one chromosome using the given
-// (worker-private) cost evaluator. The child inherits V_k from a parent
-// whose column k it shares and prices the remaining objects — all of them
-// without a parent — in one metered evaluation. It makes no RNG calls,
-// which is what lets callers split variation from evaluation without
-// perturbing the random streams.
-func (ev *evaluator) evaluateWith(cost *core.Evaluator, c child) ga.Individual {
-	if c.bits == nil {
-		c.bits = ev.mutant(c.parents[0].Bits, c.flips)
+// evaluateWith breeds a mutant and scores one child using the given
+// (worker-private) cost evaluator and dirty mask. The child inherits V_k
+// from a parent whose column k it shares and prices the remaining objects
+// — all of them without a parent — in one metered evaluation. It makes no
+// RNG calls, which is what lets callers split variation from evaluation
+// without perturbing the random streams.
+func (ev *evaluator) evaluateWith(cost *core.Evaluator, c child, mask *bitset.Set) ga.Individual {
+	ind := c.Individual
+	switch len(c.parents) {
+	case 0:
+		chromosomeUsage(ev.p, ind.Bits, ind.Usage)
+	case 1:
+		ev.mutant(ind, c.parents[0], c.flips)
 	}
-	v := make([]int64, ev.geneLen)
-	masks := ev.masks.Get().(*[2]*bitset.Set)
-	dirty := ev.inherit(v, c, masks[0], masks[1])
-	d := cost.Reprice(c.bits, dirty, v)
+	dirty := ev.inherit(ind.Objects, c, mask)
+	d := cost.Reprice(ind.Bits, dirty, ind.Objects)
 	if dirty == nil {
 		ev.priced.Add(int64(ev.geneLen))
 	} else {
 		ev.priced.Add(int64(dirty.Count()))
 	}
-	ev.masks.Put(masks)
 	dPrime := ev.p.DPrime()
 	f := 0.0
 	if dPrime > 0 {
@@ -87,115 +126,135 @@ func (ev *evaluator) evaluateWith(cost *core.Evaluator, c child) ga.Individual {
 	if f < 0 {
 		// Rare: a scheme worse than no replication. Reset to the initial
 		// allocation, per the paper.
-		c.bits.CopyFrom(ev.primal)
-		for k := range v {
-			v[k] = ev.p.VPrime(k)
+		ind.Bits.CopyFrom(ev.primal)
+		for k := range ind.Objects {
+			ind.Objects[k] = ev.p.VPrime(k)
 		}
+		chromosomeUsage(ev.p, ind.Bits, ind.Usage)
 		d = dPrime
 		f = 0
 	}
-	return ga.Individual{Bits: c.bits, Cost: d, Fitness: f, Objects: v}
+	ind.Cost, ind.Fitness = d, f
+	return ind
 }
 
 // inherit copies into v the V_k of every object whose column — its bits at
 // all M sites — the child shares with a parent, and returns the N-bit mask
-// of the objects it shares with none: the ones left to price. Without
-// parents it returns nil, every object. dirty and differs are scratch
-// masks; the result is dirty.
-func (ev *evaluator) inherit(v []int64, c child, dirty, differs *bitset.Set) *bitset.Set {
+// of the objects it shares with none: the ones left to price. It takes the
+// first parent's whole vector, then narrows the objects that differ from
+// it against each further parent, 64 at a time. Without parents it returns
+// nil, every object. dirty is scratch; the result is dirty.
+func (ev *evaluator) inherit(v []int64, c child, dirty *bitset.Set) *bitset.Set {
 	if len(c.parents) == 0 {
 		return nil
 	}
 	n := ev.geneLen
-	dirty.Reset()
-	foldDiff(dirty, c.bits, c.parents[0].Bits, n)
-	for k, vk := range c.parents[0].Objects {
-		if !dirty.Test(k) {
-			v[k] = vk
-		}
-	}
-	if len(c.parents) == 1 || dirty.NextSet(0) < 0 {
-		return dirty
-	}
+	foldDiff(dirty, c.Bits, c.parents[0].Bits, n)
+	copy(v, c.parents[0].Objects)
 	for _, par := range c.parents[1:] {
-		differs.Reset()
-		foldDiff(differs, c.bits, par.Bits, n)
-		for k := dirty.NextSet(0); k >= 0; k = dirty.NextSet(k + 1) {
-			if !differs.Test(k) {
-				v[k] = par.Objects[k]
-				dirty.Clear(k)
+		for j := 0; j < n; j += 64 {
+			d := dirty.Word(j)
+			if d == 0 {
+				continue
 			}
+			shared := d &^ diffWord(c.Bits, par.Bits, j, n)
+			for w := shared; w != 0; w &= w - 1 {
+				k := j + bits.TrailingZeros64(w)
+				v[k] = par.Objects[k]
+			}
+			dirty.SetWord(j, d&^shared)
 		}
 	}
 	return dirty
 }
 
-// foldDiff sets bit k of mask for every object k whose column differs
-// between the site-major chromosomes a and b (genes of n bits).
+// foldDiff sets bit k of the N-bit mask for every object k whose column
+// differs between the site-major chromosomes a and b (genes of n bits), and
+// clears the others: M·⌈N/64⌉ word reads.
 func foldDiff(mask, a, b *bitset.Set, n int) {
-	base := 0
-	for pos := a.NextDiff(b, 0); pos >= 0; pos = a.NextDiff(b, pos+1) {
-		for pos >= base+n {
-			base += n
-		}
-		mask.Set(pos - base)
+	for j := 0; j < n; j += 64 {
+		mask.SetWord(j, diffWord(a, b, j, n))
 	}
 }
 
-// evaluateAll scores a batch of chromosomes across the worker pool and
-// returns the individuals in input order.
-func (ev *evaluator) evaluateAll(cand []child) []ga.Individual {
-	out := make([]ga.Individual, len(cand))
+// diffWord returns, in bit k−j, whether the columns k ∈ [j, j+64) differ
+// between a and b at some site: the OR of a ⊕ b over every gene's 64-bit
+// window at j. In a gene's last window, the bits past N are the next
+// gene's; SetWord's clip drops them from the mask and ANDing with a mask
+// word drops them from the result.
+func diffWord(a, b *bitset.Set, j, n int) uint64 {
+	var x uint64
+	for pos := j; pos < a.Len(); pos += n {
+		x |= a.Word(pos) ^ b.Word(pos)
+	}
+	return x
+}
+
+// evaluateAll scores a batch of children across the worker pool and
+// appends the individuals to dst in input order.
+func (ev *evaluator) evaluateAll(dst []ga.Individual, cand []child) []ga.Individual {
+	for len(ev.masks) < len(cand) {
+		ev.masks = append(ev.masks, bitset.New(ev.geneLen))
+	}
+	from := len(dst)
+	dst = slices.Grow(dst, len(cand))[:from+len(cand)]
+	out := dst[from:]
 	ev.pool.Each(len(cand), func(cost *core.Evaluator, i int) {
-		out[i] = ev.evaluateWith(cost, cand[i])
+		out[i] = ev.evaluateWith(cost, cand[i], ev.masks[i])
 	})
-	return out
+	return dst
 }
 
 // geneUsage returns the storage consumed by gene (site) g of the chromosome.
-func (ev *evaluator) geneUsage(bits *bitset.Set, g int) int64 {
+func (ev *evaluator) geneUsage(x *bitset.Set, g int) int64 {
 	n := ev.geneLen
 	var used int64
-	for pos := bits.NextSet(g * n); pos >= 0 && pos < (g+1)*n; pos = bits.NextSet(pos + 1) {
+	for pos := x.NextSet(g * n); pos >= 0 && pos < (g+1)*n; pos = x.NextSet(pos + 1) {
 		used += ev.p.Size(pos - g*n)
 	}
 	return used
 }
 
-func (ev *evaluator) geneValid(bits *bitset.Set, g int) bool {
-	return ev.geneUsage(bits, g) <= ev.p.Capacity(g)
-}
-
-// crossoverSubpop builds the λ/2 crossover offspring: parents are paired at
-// random; each pair is crossed with probability µc (otherwise copied), and
-// cut-point genes are repaired to validity. All variation runs on the
-// coordinator; the offspring are then batch-evaluated across the pool.
-func (ev *evaluator) crossoverSubpop(pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
+// crossoverSubpop appends the λ/2 crossover offspring to dst: parents are
+// paired at random; each pair is crossed with probability µc (otherwise
+// copied), and cut-point genes are repaired to validity. All variation runs
+// on the coordinator; the offspring are then batch-evaluated across the
+// pool.
+func (ev *evaluator) crossoverSubpop(dst, pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
 	order := rng.Perm(len(pop))
-	cand := make([]child, 0, len(pop))
+	cand := ev.cand[:0]
+	// Four parents a pair, in one slab that never grows mid-loop.
+	parents := slices.Grow(ev.parents[:0], 2*len(pop))
 	for idx := 0; idx+1 < len(order); idx += 2 {
 		pa, pb := pop[order[idx]], pop[order[idx+1]]
-		a, b := pa.Bits.Clone(), pb.Bits.Clone()
+		a, b := ev.copyOf(pa), ev.copyOf(pb)
 		if rng.Bool(params.CrossoverRate) {
-			ev.repairCrossover(a, b, ga.TwoPoint(a, b, rng))
+			ev.spans = ga.TwoPoint(ev.spans[:0], a.Bits, b.Bits, rng)
+			ev.repairCrossover(a, b, ev.spans)
 		}
+		parents = append(parents, pa, pb, pb, pa)
+		at := len(parents) - 4
 		cand = append(cand,
-			child{bits: a, parents: []ga.Individual{pa, pb}},
-			child{bits: b, parents: []ga.Individual{pb, pa}})
+			child{Individual: a, parents: parents[at : at+2]},
+			child{Individual: b, parents: parents[at+2 : at+4]})
 	}
-	out := ev.evaluateAll(cand)
+	ev.cand, ev.parents = cand, parents
+	dst = ev.evaluateAll(dst, cand)
 	if len(order)%2 == 1 {
 		// Odd population: the unpaired parent passes through unchanged.
-		out = append(out, pop[order[len(order)-1]].Clone())
+		dst = append(dst, ev.copyOf(pop[order[len(order)-1]]))
 	}
-	return out
+	return dst
 }
 
-// repairCrossover restores gene validity after a two-point crossover. Only
-// the genes containing cut points can be invalid; for each such gene that
-// is, the uncrossed remainder of the gene is swapped too, after which the
-// gene comes whole from one (valid) parent.
-func (ev *evaluator) repairCrossover(a, b *bitset.Set, spans []ga.CrossSpan) {
+// repairCrossover restores gene validity after a two-point crossover and
+// brings the children's usage, copied from their own parents, up to date.
+// A gene wholly inside a swapped span came whole from the other parent, and
+// so does its usage. Only the genes containing cut points can be invalid;
+// their usage is walked, and for each such gene that is invalid, the
+// uncrossed remainder of the gene is swapped too, after which the gene —
+// and its usage — comes whole from one (valid) parent.
+func (ev *evaluator) repairCrossover(a, b ga.Individual, spans []ga.CrossSpan) {
 	n := ev.geneLen
 	seen := [4]int{-1, -1, -1, -1}
 	cnt := 0
@@ -212,6 +271,9 @@ func (ev *evaluator) repairCrossover(a, b *bitset.Set, spans []ga.CrossSpan) {
 		if sp.From >= sp.To {
 			continue
 		}
+		for g := (sp.From + n - 1) / n; (g+1)*n <= sp.To; g++ {
+			a.Usage[g], b.Usage[g] = b.Usage[g], a.Usage[g]
+		}
 		if sp.From%n != 0 {
 			addGene(sp.From / n)
 		}
@@ -220,10 +282,14 @@ func (ev *evaluator) repairCrossover(a, b *bitset.Set, spans []ga.CrossSpan) {
 		}
 	}
 	for _, g := range seen[:cnt] {
-		if ev.geneValid(a, g) && ev.geneValid(b, g) {
+		ua, ub := ev.geneUsage(a.Bits, g), ev.geneUsage(b.Bits, g)
+		if capacity := ev.p.Capacity(g); ua <= capacity && ub <= capacity {
+			a.Usage[g], b.Usage[g] = ua, ub
 			continue
 		}
-		swapGeneComplement(a, b, g, n, spans)
+		// The cut gene's usage is still its own parent's.
+		swapGeneComplement(a.Bits, b.Bits, g, n, spans)
+		a.Usage[g], b.Usage[g] = b.Usage[g], a.Usage[g]
 	}
 }
 
@@ -255,57 +321,54 @@ func swapGeneComplement(a, b *bitset.Set, g, n int, spans []ga.CrossSpan) {
 	}
 }
 
-// mutationSubpop builds the λ/2 mutation offspring: the coordinator draws
-// every bit flip (probability µm per bit) for each parent, and the pool
-// breeds and evaluates the mutants.
-func (ev *evaluator) mutationSubpop(pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
-	flips, ends := ev.flips[:0], make([]int, len(pop))
+// mutationSubpop appends the λ/2 mutation offspring to dst: the
+// coordinator draws every bit flip (probability µm per bit) for each
+// parent, and the pool breeds and evaluates the mutants.
+func (ev *evaluator) mutationSubpop(dst, pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
+	flips, cand := ev.flips[:0], ev.cand[:0]
 	for idx := range pop {
+		from := len(flips)
 		ga.MutateBits(pop[idx].Bits.Len(), params.MutationRate, rng, func(pos int) { flips = append(flips, pos) })
-		ends[idx] = len(flips)
+		// A later append may move the slab; this mutant keeps its own
+		// positions either way.
+		mine := flips[from:len(flips):len(flips)]
+		cand = append(cand, child{Individual: ev.take(), parents: pop[idx : idx+1], flips: mine})
 	}
-	ev.flips = flips
-	cand := make([]child, len(pop))
-	from := 0
-	for idx, end := range ends {
-		cand[idx] = child{parents: pop[idx : idx+1], flips: flips[from:end]}
-		from = end
-	}
-	return ev.evaluateAll(cand)
+	ev.flips, ev.cand = flips, cand
+	return ev.evaluateAll(dst, cand)
 }
 
-// mutant returns a copy of parent with the bits at flips flipped in order,
+// mutant breeds ind from parent with the bits at flips flipped in order,
 // skipping a flip that would drop a primary copy or overflow a site (the
-// paper's constraint check).
-func (ev *evaluator) mutant(parent *bitset.Set, flips []int) *bitset.Set {
+// paper's constraint check). Its usage starts as the parent's and follows
+// each flip it applies.
+func (ev *evaluator) mutant(ind, parent ga.Individual, flips []int) {
 	p := ev.p
 	n := ev.geneLen
-	bits := parent.Clone()
-	if len(flips) == 0 {
-		return bits
-	}
-	usage := chromosomeUsage(p, bits)
+	ind.Bits.CopyFrom(parent.Bits)
+	copy(ind.Usage, parent.Usage)
+	usage := ind.Usage
 	for _, pos := range flips {
 		site, obj := pos/n, pos%n
-		if bits.Test(pos) {
+		if ind.Bits.Test(pos) {
 			if p.Primary(obj) != site { // primary-copy constraint
-				bits.Clear(pos)
+				ind.Bits.Clear(pos)
 				usage[site] -= p.Size(obj)
 			}
 		} else if usage[site]+p.Size(obj) <= p.Capacity(site) { // storage constraint
-			bits.Set(pos)
+			ind.Bits.Set(pos)
 			usage[site] += p.Size(obj)
 		}
 	}
-	return bits
 }
 
-// chromosomeUsage computes per-site storage usage of a chromosome.
-func chromosomeUsage(p *core.Problem, bits *bitset.Set) []int64 {
+// chromosomeUsage writes the per-site storage usage of a chromosome into
+// usage: one step per set bit. Only seeds and reset individuals need it;
+// every other individual carries its usage from its parents.
+func chromosomeUsage(p *core.Problem, x *bitset.Set, usage []int64) {
 	n := p.Objects()
-	usage := make([]int64, p.Sites())
-	for pos := bits.NextSet(0); pos >= 0; pos = bits.NextSet(pos + 1) {
+	clear(usage)
+	for pos := x.NextSet(0); pos >= 0; pos = x.NextSet(pos + 1) {
 		usage[pos/n] += p.Size(pos % n)
 	}
-	return usage
 }
