@@ -131,15 +131,17 @@ func BenchmarkSRALarge(b *testing.B) {
 	}
 }
 
-// benchGRAGeneration measures one GRA generation (population 50) from an
+// BenchmarkGRAGeneration measures one GRA generation (population 50) from an
 // SRA-seeded population built once, outside the timer: an iteration is the
 // seed population's evaluation plus one generation's variation, offspring
-// evaluation and selection — no SRA runs.
-func benchGRAGeneration(b *testing.B, parallelism int) {
+// evaluation and selection — no SRA runs. The evaluation pool takes
+// GOMAXPROCS workers: -cpu 1 is the serial generation, and the ratio of
+// -cpu 1 to -cpu N is the realised speedup of the parallel evaluation
+// layer (≈1 on one core).
+func BenchmarkGRAGeneration(b *testing.B) {
 	p := benchProblem(b, 50, 200, 0.05)
 	params := drp.DefaultGRAParams()
 	params.Generations = 1
-	params.Parallelism = parallelism
 	// A zero-generation run returns its SRA-seeded population.
 	seedParams := params
 	seedParams.Generations = 0
@@ -158,24 +160,15 @@ func benchGRAGeneration(b *testing.B, parallelism int) {
 	}
 }
 
-// BenchmarkGRAGeneration is the serial generation.
-func BenchmarkGRAGeneration(b *testing.B) { benchGRAGeneration(b, 1) }
-
-// BenchmarkGRAGenerationParallel is BenchmarkGRAGeneration with the
-// evaluation pool set to every core; the ratio of the two is the
-// realised speedup of the parallel evaluation layer (≈1 on one core).
-func BenchmarkGRAGenerationParallel(b *testing.B) { benchGRAGeneration(b, 0) }
-
 // BenchmarkGRARun measures one default GRA run (Np 50, Ng 80, SRA-seeded)
 // on the paper's adaptive test case, the night instance of the benchmark's
-// solve_dense workload, at Parallelism 1. Unlike BenchmarkGRAGeneration,
+// solve_dense workload, serial with -cpu 1. Unlike BenchmarkGRAGeneration,
 // whose one generation is dominated by pricing the seed population, it
 // shows the steady state: 80 generations of children priced for what they
 // changed. Run it with -benchmem for the allocations of a run.
 func BenchmarkGRARun(b *testing.B) {
 	p := benchProblem(b, 50, 200, 0.05)
 	params := drp.DefaultGRAParams()
-	params.Parallelism = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := drp.GRA(p, params); err != nil {

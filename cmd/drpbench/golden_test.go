@@ -4,28 +4,37 @@ package main
 // deterministic figure of a two-network tiny campaign are pinned byte for
 // byte. Any change to the generator, the solvers, the parallel sweep
 // reduction or the CSV renderer that moves a single digit fails here — and
-// the comparisons across -par settings pin that the worker fan-out is pure
-// plumbing, not a source of nondeterminism.
+// the comparisons across GOMAXPROCS settings pin that the worker fan-out is
+// pure plumbing, not a source of nondeterminism.
 
 import (
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"drp/internal/metrics"
 )
 
-// benchCSV runs the quick fig-1a campaign at the given parallelism and
-// returns the CSV bytes plus the JSON of the run's deterministic metric
-// snapshot (counters and histograms, minus wall-clock series).
-func benchCSV(t *testing.T, par string) ([]byte, string) {
+// setProcs sets GOMAXPROCS, which sizes every worker pool of a campaign, to
+// n until the test ends.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// benchCSV runs the quick fig-1a campaign at GOMAXPROCS procs and returns
+// the CSV bytes plus the JSON of the run's deterministic metric snapshot
+// (counters and histograms, minus wall-clock series).
+func benchCSV(t *testing.T, procs int) ([]byte, string) {
 	t.Helper()
+	setProcs(t, procs)
 	metricsPath := filepath.Join(t.TempDir(), "metrics.json")
 	var out, errOut bytes.Buffer
-	args := []string{"-preset", "quick", "-fig", "1a", "-csv", "-q", "-par", par, "-metrics-out", metricsPath}
+	args := []string{"-preset", "quick", "-fig", "1a", "-csv", "-q", "-metrics-out", metricsPath}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
@@ -49,18 +58,18 @@ func TestQuickFig1aMatchesGoldenAtAnyParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, serialMetrics := benchCSV(t, "1")
+	serial, serialMetrics := benchCSV(t, 1)
 	if !bytes.Equal(serial, golden) {
-		t.Errorf("-par 1 output deviates from %s:\ngot:\n%s\nwant:\n%s", goldenPath, serial, golden)
+		t.Errorf("GOMAXPROCS=1 output deviates from %s:\ngot:\n%s\nwant:\n%s", goldenPath, serial, golden)
 	}
-	wide, wideMetrics := benchCSV(t, "8")
+	wide, wideMetrics := benchCSV(t, 8)
 	if !bytes.Equal(wide, serial) {
-		t.Errorf("-par 8 output differs from -par 1:\n-par 8:\n%s\n-par 1:\n%s", wide, serial)
+		t.Errorf("GOMAXPROCS=8 output differs from GOMAXPROCS=1:\n8:\n%s\n1:\n%s", wide, serial)
 	}
 	// The parity extends to telemetry: the instrumented campaign's
 	// deterministic metric snapshot is identical at any worker count.
 	if wideMetrics != serialMetrics {
-		t.Errorf("-par 8 metric snapshot differs from -par 1:\n-par 8:\n%s\n-par 1:\n%s", wideMetrics, serialMetrics)
+		t.Errorf("GOMAXPROCS=8 metric snapshot differs from GOMAXPROCS=1:\n8:\n%s\n1:\n%s", wideMetrics, serialMetrics)
 	}
 	if serialMetrics == `{"instruments":null}` || serialMetrics == `{"instruments":[]}` {
 		t.Error("instrumented campaign produced an empty deterministic snapshot")
@@ -84,34 +93,35 @@ sites,GRA U=2%,GRA U=10%
 
 // TestTinyFiguresMatchGoldenAtAnyParallelism runs every sweep of the tiny
 // preset on two networks (Tiny's one would leave the cell fan-out idle) at
-// -par 1, 8 and 0 (GOMAXPROCS).
+// GOMAXPROCS 1, 2 and 8.
 func TestTinyFiguresMatchGoldenAtAnyParallelism(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "tiny-figs.golden.csv")
 	golden, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csvAt := func(par, figs string) string {
+	csvAt := func(figs string) string {
 		var out, errOut bytes.Buffer
-		if err := run([]string{"-preset", "tiny", "-networks", "2", "-fig", figs, "-csv", "-q", "-par", par}, &out, &errOut); err != nil {
+		if err := run([]string{"-preset", "tiny", "-networks", "2", "-fig", figs, "-csv", "-q"}, &out, &errOut); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
 	}
-	for _, par := range []string{"1", "8", "0"} {
-		if got := csvAt(par, "1a,1b,1c,1d,3a,3b,4a,4b,4c,conv"); got != string(golden) {
-			t.Errorf("-par %s output deviates from %s:\ngot:\n%s\nwant:\n%s", par, goldenPath, got, golden)
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		if got := csvAt("1a,1b,1c,1d,3a,3b,4a,4b,4c,conv"); got != string(golden) {
+			t.Errorf("GOMAXPROCS=%d output deviates from %s:\ngot:\n%s\nwant:\n%s", procs, goldenPath, got, golden)
 		}
 		// A line after a blank one is a figure's header; every other line
 		// keeps only its x value.
-		lines := strings.Split(csvAt(par, "2a,2b,4d"), "\n")
+		lines := strings.Split(csvAt("2a,2b,4d"), "\n")
 		for i := 1; i < len(lines); i++ {
 			if lines[i-1] != "" {
 				lines[i], _, _ = strings.Cut(lines[i], ",")
 			}
 		}
 		if got := strings.Join(lines, "\n"); got != tinyTimeAxes {
-			t.Errorf("-par %s runtime figures' headers and x columns:\ngot:\n%s\nwant:\n%s", par, got, tinyTimeAxes)
+			t.Errorf("GOMAXPROCS=%d runtime figures' headers and x columns:\ngot:\n%s\nwant:\n%s", procs, got, tinyTimeAxes)
 		}
 	}
 }

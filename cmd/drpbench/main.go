@@ -14,7 +14,11 @@
 // Observability: -metrics-out writes a JSON snapshot of the campaign's
 // solver instruments (drp_solver_* families) after all figures render;
 // -events streams per-iteration solver progress as JSONL. The deterministic
-// part of the snapshot is identical at any -par setting.
+// part of the snapshot is identical at any GOMAXPROCS.
+//
+// Sweep cells and the solvers inside them run on GOMAXPROCS workers, and
+// every figure but the run times of 2a, 2b and 4d is identical at any
+// setting; take 2a/2b with GOMAXPROCS=1 for the paper's serial timings.
 package main
 
 import (
@@ -47,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		gens     = fs.Int("gens", 0, "override: GRA generations")
 		pop      = fs.Int("pop", 0, "override: GRA population size")
 		seed     = fs.Uint64("seed", 0, "override: campaign seed")
-		par      = fs.Int("par", 0, "worker count for sweep cells (0 = all cores, 1 = serial); results are identical at any setting")
 		csv      = fs.Bool("csv", false, "emit CSV instead of tables")
 		svgDir   = fs.String("svg", "", "also write each figure as an SVG chart into this directory")
 		quiet    = fs.Bool("q", false, "suppress progress output")
@@ -55,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		sparseBench   = fs.Bool("sparse-bench", false, "run the sparse-core scaling benchmark instead of the figure campaign")
 		sparseSites   = fs.Int("sparse-sites", 100, "sparse bench: site count M")
 		sparseObjects = fs.Int("sparse-objects", 1_000_000, "sparse bench: object count N")
-		sparseShards  = fs.Int("sparse-shards", 0, "sparse bench: shard count (0 = all cores); results are identical at any setting")
 		sparseSeed    = fs.Uint64("sparse-seed", 1, "sparse bench: workload seed")
 		sparseAdapt   = fs.Float64("sparse-adapt", 0.01, "sparse bench: fraction of accessed objects perturbed for the adaptive round (0 = skip)")
 		sparseOut     = fs.String("sparse-out", "", "sparse bench: write the JSON report to this file (default: stdout)")
@@ -67,14 +69,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return runSparseBench(sparseBenchOpts{
 			sites:   *sparseSites,
 			objects: *sparseObjects,
-			shards:  *sparseShards,
 			seed:    *sparseSeed,
 			adapt:   *sparseAdapt,
 			out:     *sparseOut,
 		}, stdout, stderr)
 	}
 	// Overrides apply when the flag was given, not when its value is
-	// truthy — "-seed 0" and "-par 0" are meaningful settings, and an
+	// truthy — "-seed 0" is a meaningful setting, and an
 	// explicit "-networks 0" should fail validation loudly rather than be
 	// silently dropped.
 	set := make(map[string]bool)
@@ -102,9 +103,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	if set["seed"] {
 		cfg.Seed = *seed
-	}
-	if set["par"] {
-		cfg.Parallelism = *par
 	}
 	// Cells run concurrently: the -progress observer is synchronized and
 	// the telemetry bridge is concurrency-safe by construction.

@@ -82,18 +82,20 @@ func TestBenchExplicitZeroNetworksRejected(t *testing.T) {
 }
 
 // TestBenchParallelMatchesSerial runs the deterministic capacity sweep at
-// two worker counts end to end through the CLI and compares the CSV bytes.
+// two GOMAXPROCS settings end to end through the CLI and compares the CSV
+// bytes.
 func TestBenchParallelMatchesSerial(t *testing.T) {
-	csvAt := func(par string) string {
+	csvAt := func(procs int) string {
+		setProcs(t, procs)
 		var out, errOut bytes.Buffer
-		if err := run([]string{"-preset", "tiny", "-fig", "3b", "-csv", "-q", "-par", par}, &out, &errOut); err != nil {
+		if err := run([]string{"-preset", "tiny", "-fig", "3b", "-csv", "-q"}, &out, &errOut); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
 	}
-	serial := csvAt("1")
-	if parallel := csvAt("3"); parallel != serial {
-		t.Fatalf("-par 3 CSV diverged from -par 1:\n%s\nvs\n%s", parallel, serial)
+	serial := csvAt(1)
+	if parallel := csvAt(3); parallel != serial {
+		t.Fatalf("GOMAXPROCS=3 CSV diverged from GOMAXPROCS=1:\n%s\nvs\n%s", parallel, serial)
 	}
 }
 
@@ -110,10 +112,10 @@ func TestBenchRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestBenchSparseRejectsBadFlags: a NaN adapt fraction and a negative
-// shard count fail the run instead of being reported.
+// TestBenchSparseRejectsBadFlags: a NaN or negative adapt fraction fails
+// the run instead of being reported.
 func TestBenchSparseRejectsBadFlags(t *testing.T) {
-	for _, flags := range [][]string{{"-sparse-adapt", "NaN"}, {"-sparse-adapt", "-0.5"}, {"-sparse-shards", "-3"}} {
+	for _, flags := range [][]string{{"-sparse-adapt", "NaN"}, {"-sparse-adapt", "-0.5"}} {
 		var out, errOut bytes.Buffer
 		args := append([]string{"-sparse-bench", "-sparse-sites", "6", "-sparse-objects", "40"}, flags...)
 		if err := run(args, &out, &errOut); err == nil {
@@ -174,15 +176,16 @@ func TestBenchSVGOutput(t *testing.T) {
 	}
 }
 
-// The -sparse-shards help promises identical results at any setting; this is
-// also the one place sparse.Adapt runs at more than one worker count.
+// The sparse bench reports the same result at any GOMAXPROCS; this is also
+// where sparse.Adapt runs end to end at more than one worker count.
 func TestBenchSparseMode(t *testing.T) {
 	var ref sparseBenchReport
-	for _, shards := range []string{"2", "1", "8"} {
+	for _, procs := range []int{2, 1, 8} {
+		setProcs(t, procs)
 		outPath := filepath.Join(t.TempDir(), "BENCH_sparse.json")
 		var out, errOut bytes.Buffer
 		err := run([]string{"-sparse-bench", "-sparse-sites", "12", "-sparse-objects", "400",
-			"-sparse-shards", shards, "-sparse-out", outPath}, &out, &errOut)
+			"-sparse-out", outPath}, &out, &errOut)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +219,7 @@ func TestBenchSparseMode(t *testing.T) {
 			ref = rep
 		} else if rep.SolveCost != ref.SolveCost || rep.SolveReplicas != ref.SolveReplicas || rep.SolveEvals != ref.SolveEvals ||
 			rep.AdaptCost != ref.AdaptCost || rep.AdaptEvals != ref.AdaptEvals {
-			t.Fatalf("-sparse-shards %s changed the result:\n%+v\nvs\n%+v", shards, rep, ref)
+			t.Fatalf("GOMAXPROCS=%d changed the result:\n%+v\nvs\n%+v", procs, rep, ref)
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 type sparseBenchOpts struct {
 	sites   int
 	objects int
-	shards  int
 	seed    uint64
 	adapt   float64
 	out     string
@@ -37,7 +36,6 @@ type sparseBenchReport struct {
 	Schema     string `json:"schema"`
 	M          int    `json:"m"`
 	N          int    `json:"n"`
-	Shards     int    `json:"shards"`
 	Seed       uint64 `json:"seed"`
 	ReadNNZ    int    `json:"read_nnz"`
 	WriteNNZ   int    `json:"write_nnz"`
@@ -76,9 +74,9 @@ func runSparseBench(opts sparseBenchOpts, stdout, stderr io.Writer) error {
 	logf("generated in %v: %d read entries, %d write entries, %d candidate sites",
 		genElapsed.Round(time.Millisecond), readNNZ, writeNNZ, candidates)
 
-	logf("solving with %d shards…", opts.shards)
+	logf("solving on %d workers…", runtime.GOMAXPROCS(0))
 	solveStart := time.Now()
-	res, err := sparse.Solve(mo, sparse.SolveParams{Shards: opts.shards}, solver.Run{})
+	res, err := sparse.Solve(mo, sparse.SolveParams{}, solver.Run{})
 	if err != nil {
 		return fmt.Errorf("solve: %w", err)
 	}
@@ -91,7 +89,6 @@ func runSparseBench(opts sparseBenchOpts, stdout, stderr io.Writer) error {
 		Schema:        "drp-bench-sparse/1",
 		M:             opts.sites,
 		N:             opts.objects,
-		Shards:        opts.shards,
 		Seed:          opts.seed,
 		ReadNNZ:       readNNZ,
 		WriteNNZ:      writeNNZ,
@@ -119,7 +116,7 @@ func runSparseBench(opts sparseBenchOpts, stdout, stderr io.Writer) error {
 		}
 		logf("adapting %d changed objects…", len(changed))
 		adaptStart := time.Now()
-		ares, err := sparse.Adapt(shifted, carried, changed, sparse.SolveParams{Shards: opts.shards}, solver.Run{})
+		ares, err := sparse.Adapt(shifted, carried, changed, sparse.SolveParams{}, solver.Run{})
 		if err != nil {
 			return fmt.Errorf("adapt: %w", err)
 		}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	drpsolve -algo gra -in problem.json -out scheme.json
-//	drpsolve -algo sparse -par 4 -in problem.json
+//	GOMAXPROCS=4 drpsolve -algo sparse -in problem.json
 //	drpsolve -algo gra -timeout 2s -budget 100000 -progress -in problem.json
 //
 // Algorithms are flagsFor's keys (-h lists them); optimal takes tiny instances only.
@@ -45,8 +45,8 @@ func main() { cli.Main("drpsolve", run) }
 // (any other is an error, not a silent no-op); its keys are the only name list.
 var flagsFor = map[string]map[string]bool{
 	"sra":      {"timeout": true, "budget": true, "progress": true},
-	"gra":      {"seed": true, "pop": true, "gens": true, "par": true, "timeout": true, "budget": true, "progress": true},
-	"sparse":   {"par": true, "timeout": true, "budget": true, "progress": true},
+	"gra":      {"seed": true, "pop": true, "gens": true, "timeout": true, "budget": true, "progress": true},
+	"sparse":   {"timeout": true, "budget": true, "progress": true},
 	"hill":     {"timeout": true, "budget": true, "progress": true},
 	"optimal":  {"maxbits": true, "timeout": true, "budget": true},
 	"random":   {"seed": true},
@@ -100,7 +100,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		out      = fs.String("out", "", "write the scheme as JSON to this file")
 		pop      = fs.Int("pop", 50, "GRA population size Np")
 		gens     = fs.Int("gens", 80, "GRA generations Ng")
-		par      = fs.Int("par", 0, "GRA evaluation workers / sparse proposal workers (0 = all cores, 1 = serial); results identical at any setting")
 		maxBits  = fs.Int("maxbits", 24, "optimal: maximum free placement bits")
 		replay   = fs.String("replay", "", "price each request of a drpgen -trace schedule (\"<offset-ns> <site> <obj> <r|w>\" lines) under the solved scheme")
 		manifest = fs.String("manifest", "", "write a run manifest (JSON) to this file")
@@ -145,7 +144,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		params.PopSize = *pop
 		params.Generations = *gens
 		params.Seed = prob.Seed
-		params.Parallelism = *par
 		res, err := drp.GRAWith(p, params, runOpts)
 		if err != nil {
 			return err
@@ -153,7 +151,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		scheme, stats = res.Scheme, &res.Stats
 	case "sparse":
 		stats = new(drp.SolverStats)
-		if scheme, *stats, err = drp.SparseGreedy(p, *par, runOpts); err != nil {
+		if scheme, *stats, err = drp.SparseGreedy(p, runOpts); err != nil {
 			return err
 		}
 	case "random":

@@ -10,11 +10,19 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"drp"
 )
+
+// setProcs sets GOMAXPROCS, which sizes the solvers' worker pools, to n
+// until the test ends.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func writeProblem(t *testing.T) string { return writeProblemOf(t, 6, 8, 0.2) }
 
@@ -133,7 +141,7 @@ func TestSolveRejectsInapplicableFlags(t *testing.T) {
 	// A value for every algorithm-specific flag; each (algorithm, flag) pair
 	// outside flagsFor must be refused by name.
 	values := map[string]string{
-		"seed": "2", "pop": "10", "gens": "3", "par": "2", "maxbits": "10",
+		"seed": "2", "pop": "10", "gens": "3", "maxbits": "10",
 		"timeout": "1s", "budget": "5", "progress": "true",
 	}
 	for algo, spec := range flagsFor {
@@ -192,18 +200,21 @@ func TestSolveAnytimeFlags(t *testing.T) {
 	}
 }
 
+// TestSolveParFlagDeterministic: a GRA run prints the same report at
+// GOMAXPROCS 1 and 4, the worker counts its evaluation pool takes.
 func TestSolveParFlagDeterministic(t *testing.T) {
 	path := writeProblem(t)
 	outputs := make([]string, 0, 2)
-	for _, par := range []string{"1", "4"} {
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
 		var out bytes.Buffer
-		if err := run([]string{"-algo", "gra", "-pop", "8", "-gens", "5", "-par", par, "-in", path}, &out); err != nil {
+		if err := run([]string{"-algo", "gra", "-pop", "8", "-gens", "5", "-in", path}, &out); err != nil {
 			t.Fatal(err)
 		}
 		outputs = append(outputs, stable(out.String()))
 	}
 	if outputs[0] != outputs[1] {
-		t.Fatalf("-par changed the result:\n%s\nvs\n%s", outputs[0], outputs[1])
+		t.Fatalf("GOMAXPROCS changed the result:\n%s\nvs\n%s", outputs[0], outputs[1])
 	}
 }
 
@@ -341,15 +352,17 @@ func stable(out string) string {
 }
 
 // -algo sparse on drpgen's defaults (M=50, N=200, seed 1) prints what the
-// removed `-algo gra -sparse` printed, under its own name, at any -par, and
-// the scheme it writes re-prices to the same D on the dense evaluator.
+// removed `-algo gra -sparse` printed, under its own name, at GOMAXPROCS 1,
+// 2 and 8, and the scheme it writes re-prices to the same D on the dense
+// evaluator.
 func TestSolveGRASparse(t *testing.T) {
 	path := writeProblemOf(t, 50, 200, 0.15)
 	schemePath := filepath.Join(t.TempDir(), "scheme.json")
 	var ref string
-	for _, par := range []string{"1", "2", "8"} {
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
 		var out bytes.Buffer
-		if err := run([]string{"-algo", "sparse", "-par", par, "-in", path, "-out", schemePath}, &out); err != nil {
+		if err := run([]string{"-algo", "sparse", "-in", path, "-out", schemePath}, &out); err != nil {
 			t.Fatal(err)
 		}
 		for _, want := range []string{
@@ -357,13 +370,13 @@ func TestSolveGRASparse(t *testing.T) {
 			"evaluations: 1407\n", "stopped:     completed\n",
 		} {
 			if !strings.Contains(out.String(), want) {
-				t.Fatalf("-par %s: output missing %q:\n%s", par, want, out.String())
+				t.Fatalf("GOMAXPROCS=%d: output missing %q:\n%s", procs, want, out.String())
 			}
 		}
 		if ref == "" {
 			ref = stable(out.String())
 		} else if got := stable(out.String()); got != ref {
-			t.Fatalf("-par %s changed the report:\n%s\nvs\n%s", par, got, ref)
+			t.Fatalf("GOMAXPROCS=%d changed the report:\n%s\nvs\n%s", procs, got, ref)
 		}
 	}
 	if got := readScheme(t, path, schemePath).Cost(); got != 16492911 {
@@ -371,8 +384,8 @@ func TestSolveGRASparse(t *testing.T) {
 	}
 }
 
-// The anytime flags act on -algo sparse and a negative worker count is an
-// error (TestSolveRejectsInapplicableFlags covers the GA's flags).
+// The anytime flags act on -algo sparse (TestSolveRejectsInapplicableFlags
+// covers the GA's flags).
 func TestSolveSparseFlagValidation(t *testing.T) {
 	path := writeProblem(t)
 	var out bytes.Buffer
@@ -381,9 +394,6 @@ func TestSolveSparseFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "stopped:     budget") || !strings.Contains(out.String(), "NTC savings") {
 		t.Fatalf("budget-stopped sparse run printed no stop reason or scheme:\n%s", out.String())
-	}
-	if err := run([]string{"-algo", "sparse", "-par", "-1", "-in", path}, &out); err == nil {
-		t.Error("-par -1 accepted")
 	}
 }
 

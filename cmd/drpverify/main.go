@@ -6,7 +6,7 @@
 // Usage:
 //
 //	drpverify -duration 30s -seed 1
-//	drpverify -iters 200 -checks eq4-oracle,delta-eval -par 4
+//	GOMAXPROCS=4 drpverify -iters 200 -checks eq4-oracle,delta-eval
 //	drpverify -list
 //
 // On a violation, the failing instance is delta-debugged down to a minimal
@@ -42,7 +42,6 @@ func run(args []string, stdout io.Writer) error {
 		iters    = fs.Int("iters", 0, "instance cap (0 = unbounded; set -duration instead)")
 		checks   = fs.String("checks", "", "comma-separated check subset (default: all; see -list)")
 		seed     = fs.Uint64("seed", 1, "soak seed; identical seeds replay identical soaks")
-		par      = fs.Int("par", 1, "instances verified concurrently (0 = GOMAXPROCS)")
 		maxM     = fs.Int("max-sites", 0, "largest generated site count (0 = default 12)")
 		maxN     = fs.Int("max-objects", 0, "largest generated object count (0 = default 10)")
 		out      = fs.String("out", "", "write a failing reproducer as problem JSON to this file")
@@ -70,13 +69,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	opts := verify.Options{
-		Seed:        *seed,
-		Iterations:  *iters,
-		Parallelism: *par,
-		MaxSites:    *maxM,
-		MaxObjects:  *maxN,
-		Cost:        testCost,
-		Run:         solver.Run{Timeout: *duration},
+		Seed:       *seed,
+		Iterations: *iters,
+		MaxSites:   *maxM,
+		MaxObjects: *maxN,
+		Cost:       testCost,
+		Run:        solver.Run{Timeout: *duration},
 	}
 	if *checks != "" {
 		opts.Checks = strings.Split(*checks, ",")

@@ -29,7 +29,7 @@ func TestVerifyBoundedSoakPasses(t *testing.T) {
 
 func TestVerifyDurationOnly(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-duration", "300ms", "-seed", "2", "-par", "2", "-quiet"}, &out); err != nil {
+	if err := run([]string{"-duration", "300ms", "-seed", "2", "-quiet"}, &out); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "stopped:   deadline") {

@@ -31,12 +31,11 @@
 //
 // # Parallelism
 //
-// GRAParams, AGRAParams and the experiment harness expose a Parallelism
-// knob that fans cost evaluation (and, for Adapt, whole per-object
-// micro-GAs) out across a pool of worker goroutines: 0 uses every core,
-// 1 runs fully serial. All randomness stays on the coordinating
-// goroutine — workers only evaluate — so for a fixed seed the results are
-// bit-for-bit identical at every worker count.
+// GRA, Adapt, SparseGreedy and the experiment harness fan cost evaluation
+// out across GOMAXPROCS worker goroutines; GOMAXPROCS=1 runs fully serial.
+// All randomness stays on the coordinating goroutine, so for a fixed seed
+// results are bit-identical at every worker count — except that an Adapt
+// or SparseGreedy run stopped by its Budget depends on the core count.
 //
 // # Anytime runs
 //
@@ -113,14 +112,11 @@ type (
 	SRAOptions = sra.Options
 	// SRAResult is the greedy's scheme plus run accounting.
 	SRAResult = sra.Result
-	// GRAParams are the genetic algorithm's control parameters, including
-	// the Parallelism worker count (0 = all cores, 1 = serial; results are
-	// identical either way).
+	// GRAParams are the genetic algorithm's control parameters.
 	GRAParams = gra.Params
 	// GRAResult is the genetic algorithm's outcome.
 	GRAResult = gra.Result
-	// AGRAParams are the adaptive micro-GA's control parameters, including
-	// the Parallelism worker count for the per-object fan-out.
+	// AGRAParams are the adaptive micro-GA's control parameters.
 	AGRAParams = agra.Params
 	// AdaptInput bundles one adaptation event.
 	AdaptInput = agra.Input
@@ -162,7 +158,7 @@ const (
 )
 
 // SynchronizedObserver wraps an observer with a mutex for solvers that emit
-// progress from concurrent workers (AdaptWith with Parallelism != 1, the
+// progress from concurrent workers (AdaptWith with GOMAXPROCS > 1, the
 // experiment harness).
 func SynchronizedObserver(o SolverObserver) SolverObserver { return solver.Synchronized(o) }
 
@@ -315,17 +311,16 @@ func AdaptWith(in AdaptInput, params AGRAParams, mini GRAParams, miniGenerations
 }
 
 // SparseGreedy solves p with the sharded greedy of internal/sparse over the
-// candidate-pruned CSR form of p. Objects propose replica moves on workers
-// goroutines (0 = all cores, 1 = serial; a run that finishes returns the
-// same scheme at any setting) and a capacity ledger merges them; an
-// interrupted run returns the valid scheme merged so far. A *Problem is already dense, so this door is
-// for comparing algorithms: drpbench -sparse-bench builds the large instances.
-func SparseGreedy(p *Problem, workers int, run RunOptions) (*Scheme, SolverStats, error) {
+// candidate-pruned CSR form of p. Objects propose replica moves in parallel
+// and a capacity ledger merges them; an interrupted run returns the valid
+// scheme merged so far. A *Problem is already dense, so this door is for
+// comparing algorithms: drpbench -sparse-bench builds the large instances.
+func SparseGreedy(p *Problem, run RunOptions) (*Scheme, SolverStats, error) {
 	mo, err := sparse.FromProblem(p)
 	if err != nil {
 		return nil, SolverStats{}, err
 	}
-	res, err := sparse.Solve(mo, sparse.SolveParams{Shards: workers}, run)
+	res, err := sparse.Solve(mo, sparse.SolveParams{}, run)
 	if err != nil {
 		return nil, SolverStats{}, err
 	}

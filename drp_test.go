@@ -208,7 +208,7 @@ func TestHillClimbFacade(t *testing.T) {
 
 func TestSparseGreedyFacade(t *testing.T) {
 	p := facadeProblem(t, 10, 30, 0.05, 0.15, 9)
-	scheme, stats, err := drp.SparseGreedy(p, 2, drp.RunOptions{})
+	scheme, stats, err := drp.SparseGreedy(p, drp.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +222,12 @@ func TestSparseGreedyFacade(t *testing.T) {
 	// A run cancelled before it starts still returns a valid scheme.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	scheme, stats, err = drp.SparseGreedy(p, 2, drp.RunOptions{Context: ctx})
+	scheme, stats, err = drp.SparseGreedy(p, drp.RunOptions{Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Stopped != drp.StopCancelled || scheme.Validate() != nil {
 		t.Fatalf("cancelled run: stopped %v, valid %v", stats.Stopped, scheme.Validate() == nil)
-	}
-
-	if _, _, err := drp.SparseGreedy(p, -1, drp.RunOptions{}); err == nil {
-		t.Fatal("negative worker count accepted")
 	}
 }
 

@@ -103,11 +103,11 @@ func Adapt(in Input, params Params, miniParams gra.Params, miniGenerations int) 
 // transcription realised directly (the polish is skipped), so an
 // interrupted adaptation always returns a valid scheme; otherwise the
 // mini-GRA inherits the remaining deadline and budget. Uninterrupted runs
-// are bit-identical to Adapt at every Parallelism setting; when the budget
+// are bit-identical to Adapt at every GOMAXPROCS setting; when the budget
 // trips mid-fan-out, which micro-GAs have already passed their last
 // boundary may vary with scheduling, so interrupted parallel runs are
 // best-effort rather than reproducible. Observers are invoked from worker
-// goroutines when Parallelism != 1 — wrap with solver.Synchronized.
+// goroutines when GOMAXPROCS > 1 — wrap with solver.Synchronized.
 func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations int, run solver.Run) (*Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
@@ -124,7 +124,7 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 
 	res := &Result{}
 	// The micro-GAs are independent by construction, so they fan out
-	// across params.Parallelism workers. Every RNG fork happens here on
+	// across GOMAXPROCS workers. Every RNG fork happens here on
 	// the coordinator, in input order, before any goroutine starts; each
 	// worker reuses one microGA (evaluator, population slabs, memo) across
 	// its objects, reads the shared problem and GRA population (both
@@ -139,7 +139,7 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 		tasks[i] = microTask{current: in.Current.Replicators(k), rng: rng.Split()}
 	}
 	res.Objects = make([]ObjectResult, len(tasks))
-	workers := parallel.Workers(params.Parallelism)
+	workers := parallel.Workers(0)
 	micro := make([]*microGA, workers)
 	parallel.ForWorker(len(tasks), workers, func(w, i int) {
 		if micro[w] == nil {

@@ -51,9 +51,8 @@ func TestAdaptCancelledStillReturnsValidScheme(t *testing.T) {
 // same meter, and the pipeline reports StopBudget once it is exhausted.
 func TestAdaptBudgetSharedAcrossMicroGAs(t *testing.T) {
 	in, _ := anytimeFixture(t, 51)
-	params := microParams(3)
-	params.Parallelism = 1 // deterministic budget interception
-	res, err := AdaptWith(in, params, miniParams(3), 5, solver.Run{Budget: 1})
+	setProcs(t, 1) // deterministic budget interception
+	res, err := AdaptWith(in, microParams(3), miniParams(3), 5, solver.Run{Budget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

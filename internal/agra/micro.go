@@ -31,13 +31,6 @@ type Params struct {
 	MutationRate  float64 // constant 0.01 in the paper
 	EliteEvery    int     // elite re-injection period (as in GRA)
 	Seed          uint64
-
-	// Parallelism caps how many per-object micro-GAs Adapt runs
-	// concurrently. The micro-GAs are independent by construction (each
-	// owns an RNG split off the coordinator stream before the fan-out),
-	// so results are bit-identical at any setting. 0 means GOMAXPROCS;
-	// 1 runs fully serial.
-	Parallelism int
 }
 
 // DefaultParams returns the paper's micro-GA parameters.
@@ -63,8 +56,6 @@ func (pr Params) validate() error {
 		return fmt.Errorf("agra: mutation rate %v outside [0,1]", pr.MutationRate)
 	case pr.EliteEvery < 1:
 		return fmt.Errorf("agra: elite period %d < 1", pr.EliteEvery)
-	case pr.Parallelism < 0:
-		return fmt.Errorf("agra: negative parallelism %d", pr.Parallelism)
 	}
 	return nil
 }

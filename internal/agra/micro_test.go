@@ -100,15 +100,15 @@ func TestMicroResultsPinnedOnAdaptiveTestCase(t *testing.T) {
 		{"M=130", changedInput(t, gen(t, 130, 40, 0.05, 0.15, 3), workload.ChangeSpec{Ch: 6, ObjectShare: 0.3, ReadShare: 0.7}, small), 0x0ceef47daffe58da},
 	}
 	for _, tc := range cases {
-		for _, par := range []int{1, 2, 8} {
+		for _, procs := range []int{1, 2, 8} {
+			setProcs(t, procs)
 			params := DefaultParams()
-			params.Parallelism = par
 			res, err := Adapt(tc.in, params, miniParams(1), 0)
 			if err != nil {
-				t.Fatalf("%s par=%d: %v", tc.name, par, err)
+				t.Fatalf("%s GOMAXPROCS=%d: %v", tc.name, procs, err)
 			}
 			if got := microDigest(res.Objects); got != tc.digest {
-				t.Errorf("%s par=%d: micro-GA results digest %#x, recorded %#x", tc.name, par, got, tc.digest)
+				t.Errorf("%s GOMAXPROCS=%d: micro-GA results digest %#x, recorded %#x", tc.name, procs, got, tc.digest)
 			}
 		}
 	}
@@ -124,15 +124,14 @@ func TestMicroPricingsPinnedOnAdaptiveTestCase(t *testing.T) {
 		t.Skip("a full-size GRA run and three adaptations")
 	}
 	in := adaptiveTestCase(t)
-	for _, par := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
 		params := DefaultParams()
-		params.Parallelism = par
 		mini := gra.DefaultParams()
 		mini.PopSize = 20
-		mini.Parallelism = par
 		res, err := Adapt(in, params, mini, 5)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		evals, pricings := 0, 0
 		for _, or := range res.Objects {
@@ -140,8 +139,8 @@ func TestMicroPricingsPinnedOnAdaptiveTestCase(t *testing.T) {
 			pricings += or.pricings
 		}
 		if evals != 20400 || pricings != 13052 || res.Stats.Evaluations != 20620 {
-			t.Fatalf("par=%d: %d micro evaluations, %d pricings, %d in all; recorded 20400, 13052, 20620",
-				par, evals, pricings, res.Stats.Evaluations)
+			t.Fatalf("GOMAXPROCS=%d: %d micro evaluations, %d pricings, %d in all; recorded 20400, 13052, 20620",
+				procs, evals, pricings, res.Stats.Evaluations)
 		}
 	}
 }
@@ -203,21 +202,21 @@ func TestMicroAllocsIndependentOfGenerations(t *testing.T) {
 
 // TestAdaptRejectsMisshapenInput: a GRA chromosome that is not M·N bits, or
 // a current scheme of another shape, is an error before any micro-GA runs —
-// not an index panic, which at Parallelism ≠ 1 would kill the process from
+// not an index panic, which at GOMAXPROCS > 1 would kill the process from
 // a worker goroutine.
 func TestAdaptRejectsMisshapenInput(t *testing.T) {
 	_, newP, current, changed := adaptFixture(t, workload.ChangeSpec{Ch: 6, ObjectShare: 0.3, ReadShare: 0.5}, 80)
 	row := bitset.New(newP.Objects())
 	other := core.NewScheme(gen(t, newP.Sites()+1, newP.Objects(), 0.05, 0.15, 80))
-	for _, par := range []int{1, 8} {
+	for _, procs := range []int{1, 8} {
+		setProcs(t, procs)
 		params := microParams(3)
-		params.Parallelism = par
 		for name, in := range map[string]Input{
 			"one-row GRA chromosome": {Problem: newP, Current: current, GRAPopulation: []*bitset.Set{current.Bits(), row}, Changed: changed},
 			"current of M+1 sites":   {Problem: newP, Current: other, Changed: changed},
 		} {
 			if _, err := Adapt(in, params, miniParams(3), 0); err == nil {
-				t.Errorf("par=%d: %s accepted", par, name)
+				t.Errorf("GOMAXPROCS=%d: %s accepted", procs, name)
 			}
 		}
 	}
@@ -233,10 +232,8 @@ func TestAdaptAllocsPinnedOnAdaptiveTestCase(t *testing.T) {
 	}
 	in := adaptiveTestCase(t)
 	params := DefaultParams()
-	params.Parallelism = 1
 	mini := gra.DefaultParams()
 	mini.PopSize = 20
-	mini.Parallelism = 1
 	const recorded = 1705
 	got := minMallocs(3, func() {
 		if _, err := Adapt(in, params, mini, 5); err != nil {

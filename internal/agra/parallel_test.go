@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"drp/internal/bitset"
@@ -13,8 +14,15 @@ import (
 	"drp/internal/workload"
 )
 
+// setProcs sets GOMAXPROCS, which sizes every worker pool, to n until the
+// test ends.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestAdaptParallelBitIdentical asserts the adaptive pipeline's determinism
-// guarantee: worker counts 1, 2 and 8 all reproduce the serial result —
+// guarantee: GOMAXPROCS 1, 2 and 8 all reproduce the serial result —
 // same adapted scheme, cost, per-object winners and retained population.
 // The fixture is built once and shared (Scheme.Equal requires the same
 // *Problem); Adapt only reads it.
@@ -24,47 +32,44 @@ func TestAdaptParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runAdaptAt := func(par int) *Result {
-		params := microParams(11)
-		params.Parallelism = par
-		mini := miniParams(11)
-		mini.Parallelism = par
-		res, err := Adapt(Input{Problem: newP, Current: cur, Changed: changed}, params, mini, 4)
+	runAdaptAt := func(procs int) *Result {
+		setProcs(t, procs)
+		res, err := Adapt(Input{Problem: newP, Current: cur, Changed: changed}, microParams(11), miniParams(11), 4)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		return res
 	}
 	ref := runAdaptAt(1)
-	for _, par := range []int{2, 8} {
-		res := runAdaptAt(par)
+	for _, procs := range []int{2, 8} {
+		res := runAdaptAt(procs)
 		if res.Cost != ref.Cost || res.Savings != ref.Savings {
-			t.Fatalf("par=%d: cost/savings %d/%v diverged from serial %d/%v",
-				par, res.Cost, res.Savings, ref.Cost, ref.Savings)
+			t.Fatalf("GOMAXPROCS=%d: cost/savings %d/%v diverged from serial %d/%v",
+				procs, res.Cost, res.Savings, ref.Cost, ref.Savings)
 		}
 		if !res.Scheme.Equal(ref.Scheme) {
-			t.Fatalf("par=%d: adapted scheme bits diverged from serial", par)
+			t.Fatalf("GOMAXPROCS=%d: adapted scheme bits diverged from serial", procs)
 		}
 		if len(res.Objects) != len(ref.Objects) {
-			t.Fatalf("par=%d: %d object results, want %d", par, len(res.Objects), len(ref.Objects))
+			t.Fatalf("GOMAXPROCS=%d: %d object results, want %d", procs, len(res.Objects), len(ref.Objects))
 		}
 		for i := range res.Objects {
 			a, b := res.Objects[i], ref.Objects[i]
 			if a.Object != b.Object || a.Fitness != b.Fitness || a.Evaluations != b.Evaluations {
-				t.Fatalf("par=%d: object %d result diverged (%+v vs %+v)", par, i, a, b)
+				t.Fatalf("GOMAXPROCS=%d: object %d result diverged (%+v vs %+v)", procs, i, a, b)
 			}
 			if len(a.Best) != len(b.Best) {
-				t.Fatalf("par=%d: object %d best scheme size diverged", par, i)
+				t.Fatalf("GOMAXPROCS=%d: object %d best scheme size diverged", procs, i)
 			}
 			for j := range a.Best {
 				if a.Best[j] != b.Best[j] {
-					t.Fatalf("par=%d: object %d best scheme diverged", par, i)
+					t.Fatalf("GOMAXPROCS=%d: object %d best scheme diverged", procs, i)
 				}
 			}
 		}
 		for i := range res.Population {
 			if !res.Population[i].Equal(ref.Population[i]) {
-				t.Fatalf("par=%d: retained population member %d diverged", par, i)
+				t.Fatalf("GOMAXPROCS=%d: retained population member %d diverged", procs, i)
 			}
 		}
 	}
@@ -87,8 +92,8 @@ func TestAdaptParallelHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setProcs(t, 8)
 	params := microParams(17)
-	params.Parallelism = 8
 	res, err := Adapt(Input{
 		Problem:       newP,
 		Current:       cur,
@@ -103,41 +108,27 @@ func TestAdaptParallelHammer(t *testing.T) {
 	}
 }
 
-func TestAdaptRejectsNegativeParallelism(t *testing.T) {
-	_, newP, current, changed := adaptFixture(t, workload.ChangeSpec{Ch: 6, ObjectShare: 0.2, ReadShare: 0.5}, 70)
-	cur, err := core.SchemeFromBits(newP, current.Bits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := microParams(1)
-	params.Parallelism = -2
-	if _, err := Adapt(Input{Problem: newP, Current: cur, Changed: changed}, params, miniParams(1), 0); err == nil {
-		t.Fatal("negative parallelism accepted")
-	}
-}
-
 // TestTrajectoryPinnedOnAdaptiveTestCase pins the adaptation the benchmark's
 // solve_dense workload times (adaptiveTestCase) with default micro-GA
 // parameters and a 20×5 mini-GRA. It ends at cost 21 727 410 after exactly 20 620 evaluations at
-// every worker count — the evaluator may change how it computes eq. 4, not
+// GOMAXPROCS 1, 2 and 8 — the evaluator may change how it computes eq. 4, not
 // what, nor how many meter ticks a priced object costs.
 func TestTrajectoryPinnedOnAdaptiveTestCase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full-size GRA run and three adaptations")
 	}
 	in := adaptiveTestCase(t)
-	for _, par := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
 		params := DefaultParams()
-		params.Parallelism = par
 		mini := gra.DefaultParams()
 		mini.PopSize = 20
-		mini.Parallelism = par
 		res, err := Adapt(in, params, mini, 5)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if res.Cost != 21727410 || res.Stats.Evaluations != 20620 {
-			t.Fatalf("par=%d: cost %d after %d evaluations, recorded 21727410 after 20620", par, res.Cost, res.Stats.Evaluations)
+			t.Fatalf("GOMAXPROCS=%d: cost %d after %d evaluations, recorded 21727410 after 20620", procs, res.Cost, res.Stats.Evaluations)
 		}
 	}
 }
@@ -145,18 +136,17 @@ func TestTrajectoryPinnedOnAdaptiveTestCase(t *testing.T) {
 // TestHistoryPinnedOnAdaptiveTestCase pins the mini-GRA of the adaptation
 // above beyond its elite: every generation's progress event (generation,
 // best cost, the bit patterns of best and mean fitness) and the retained
-// population's bits, as one FNV-1a digest, at every worker count.
+// population's bits, as one FNV-1a digest, at GOMAXPROCS 1, 2 and 8.
 func TestHistoryPinnedOnAdaptiveTestCase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full-size GRA run and three adaptations")
 	}
 	in := adaptiveTestCase(t)
-	for _, par := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
 		params := DefaultParams()
-		params.Parallelism = par
 		mini := gra.DefaultParams()
 		mini.PopSize = 20
-		mini.Parallelism = par
 		// The micro-GAs report as "agra" from worker goroutines; the
 		// mini-GRA reports as "gra", in order, from the coordinator.
 		var rows []solver.Progress
@@ -167,13 +157,13 @@ func TestHistoryPinnedOnAdaptiveTestCase(t *testing.T) {
 		}))
 		res, err := AdaptWith(in, params, mini, 5, solver.Run{Observer: observer})
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if len(rows) != 6 {
-			t.Fatalf("par=%d: %d mini-GRA progress events, want 6", par, len(rows))
+			t.Fatalf("GOMAXPROCS=%d: %d mini-GRA progress events, want 6", procs, len(rows))
 		}
 		if got := historyDigest(rows, res.Population); got != 0xcd3de5cea3e4c3ae {
-			t.Fatalf("par=%d: mini-GRA history and population digest %#x, recorded %#x", par, got, uint64(0xcd3de5cea3e4c3ae))
+			t.Fatalf("GOMAXPROCS=%d: mini-GRA history and population digest %#x, recorded %#x", procs, got, uint64(0xcd3de5cea3e4c3ae))
 		}
 	}
 }

@@ -38,17 +38,14 @@ type ControlPlane struct {
 	current *plan.Plan // last emitted plan
 }
 
-// ControlOptions configure the control plane's solvers.
+// ControlOptions configure the control plane. The founding solve is SRA
+// and every membership event re-optimises with AGRA, both at the paper's
+// parameters.
 type ControlOptions struct {
-	// Static configures the initial full solve over the founding view.
-	Static sra.Options
-	// Micro / Mini / MiniGenerations configure the AGRA re-optimisation
-	// run on every membership event. Zero values take the paper defaults
-	// (agra.DefaultParams, gra.DefaultParams, 5 generations); a negative
-	// MiniGenerations disables the mini-GRA polish, leaving untouched
-	// objects' placements bit-for-bit intact across a replan.
-	Micro           agra.Params
-	Mini            gra.Params
+	// MiniGenerations is the mini-GRA polish after each AGRA
+	// re-optimisation: zero takes the paper's 5 generations, and a negative
+	// value disables the polish, leaving untouched objects' placements
+	// bit-for-bit intact across a replan.
 	MiniGenerations int
 	// Tracer, when non-nil, records a span per control-plane decision:
 	// a control.found root for the founding solve and a control.replan
@@ -65,12 +62,6 @@ func NewControlPlane(p *core.Problem, members []int, opts ControlOptions) (*Cont
 	view, err := plan.NewView(p.Sites(), members)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Micro.PopSize == 0 {
-		opts.Micro = agra.DefaultParams()
-	}
-	if opts.Mini.PopSize == 0 {
-		opts.Mini = gra.DefaultParams()
 	}
 	switch {
 	case opts.MiniGenerations == 0:
@@ -94,7 +85,7 @@ func NewControlPlane(p *core.Problem, members []int, opts ControlOptions) (*Cont
 		return nil, err
 	}
 	root := opts.Tracer.Root("control.found")
-	res := sra.Run(rp, opts.Static)
+	res := sra.Run(rp, sra.Options{})
 	pl := plan.Lift(view, res.Scheme)
 	if err := cp.emit(pl); err != nil {
 		root.SetErr(err)
@@ -279,7 +270,7 @@ func (cp *ControlPlane) solve(v plan.View, changed []int) (*plan.Plan, error) {
 		Problem: rp,
 		Current: cur,
 		Changed: changed,
-	}, cp.opts.Micro, cp.opts.Mini, cp.opts.MiniGenerations)
+	}, agra.DefaultParams(), gra.DefaultParams(), cp.opts.MiniGenerations)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ type NearestTable struct {
 }
 
 // NewNearestTable builds the table for the scheme's current placements in
-// O(M · Σ_k |R_k|).
+// O(M · Σ_k |R_k|). One replica-list buffer serves every object.
 func NewNearestTable(s *Scheme) *NearestTable {
 	p := s.p
 	t := &NearestTable{
@@ -21,8 +21,20 @@ func NewNearestTable(s *Scheme) *NearestTable {
 		site: make([]int32, p.m*p.n),
 		dist: make([]int64, p.m*p.n),
 	}
+	repl := make([]int32, 0, p.m)
 	for k := 0; k < p.n; k++ {
-		t.recomputeObject(s, k)
+		repl = s.appendReplicators(repl[:0], k)
+		for i := 0; i < p.m; i++ {
+			row := p.dist.Row(i)
+			best, bestD := repl[0], row[repl[0]]
+			for _, j := range repl[1:] {
+				if d := row[j]; d < bestD {
+					best, bestD = j, d
+				}
+			}
+			t.site[i*p.n+k] = best
+			t.dist[i*p.n+k] = bestD
+		}
 	}
 	return t
 }
@@ -131,23 +143,5 @@ func sortReplicas(sites []int, row []int64) {
 			x--
 		}
 		sites[x+1] = j
-	}
-}
-
-func (t *NearestTable) recomputeObject(s *Scheme, k int) {
-	p := t.s.p
-	repl := s.Replicators(k)
-	for i := 0; i < p.m; i++ {
-		row := p.dist.Row(i)
-		best := int32(repl[0])
-		bestD := row[repl[0]]
-		for _, j := range repl[1:] {
-			if d := row[j]; d < bestD {
-				bestD = d
-				best = int32(j)
-			}
-		}
-		t.site[i*p.n+k] = best
-		t.dist[i*p.n+k] = bestD
 	}
 }

@@ -25,12 +25,6 @@ type Config struct {
 	// Seed derives every workload and algorithm seed; campaigns are fully
 	// reproducible.
 	Seed uint64
-	// Parallelism caps how many (point, network) cells of a sweep run
-	// concurrently. Every cell derives its seeds from pointSeed alone and
-	// writes its measurements into an index-addressed slot reduced in input
-	// order, so campaign results are bit-identical at any setting (timings,
-	// of course, vary). 0 means GOMAXPROCS; 1 runs fully serial.
-	Parallelism int
 
 	// GRAPop/GRAGens parameterise the static GRA (paper: 50/80).
 	GRAPop  int
@@ -77,9 +71,10 @@ type Config struct {
 	// gets at most this much wall-clock and this many cost-model
 	// evaluations, returning its best scheme so far when the cap fires.
 	// They let `-preset paper` finish in bounded time at the price of
-	// truncated GA runs (which the figures then reflect); budgeted results
-	// stay reproducible, timed-out ones inherently do not. Zero values
-	// leave runs unbounded.
+	// truncated GA runs (which the figures then reflect). Budgeted results
+	// stay reproducible at GOMAXPROCS=1 (an AGRA budget that trips
+	// mid-fan-out depends on scheduling otherwise); timed-out ones
+	// inherently do not. Zero values leave runs unbounded.
 	CellTimeout time.Duration
 	CellBudget  int
 	// Observer, when set, receives every solver's per-generation progress
@@ -175,8 +170,6 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("experiments: bad GRA budget %d/%d", cfg.GRAPop, cfg.GRAGens)
 	case cfg.AGRAPop < 2 || cfg.AGRAGens < 0:
 		return fmt.Errorf("experiments: bad AGRA budget %d/%d", cfg.AGRAPop, cfg.AGRAGens)
-	case cfg.Parallelism < 0:
-		return fmt.Errorf("experiments: negative parallelism %d", cfg.Parallelism)
 	case cfg.CellTimeout < 0:
 		return fmt.Errorf("experiments: negative cell timeout %v", cfg.CellTimeout)
 	case cfg.CellBudget < 0:
@@ -190,16 +183,12 @@ func (cfg Config) cellRun() solver.Run {
 	return solver.Run{Timeout: cfg.CellTimeout, Budget: cfg.CellBudget, Observer: cfg.Observer}
 }
 
-// graParams and agraParams pin the inner algorithms to serial evaluation:
-// campaigns parallelise across (point, network) cells, and nesting a second
-// worker pool inside each cell would only oversubscribe the machine. The
-// single-run entry points in extra.go override this with cfg.Parallelism.
+// graParams and agraParams size the inner algorithms from the campaign.
 func (cfg Config) graParams(seed uint64) gra.Params {
 	p := gra.DefaultParams()
 	p.PopSize = cfg.GRAPop
 	p.Generations = cfg.GRAGens
 	p.Seed = seed
-	p.Parallelism = 1
 	return p
 }
 
@@ -208,7 +197,6 @@ func (cfg Config) agraParams(seed uint64) agra.Params {
 	p.PopSize = cfg.AGRAPop
 	p.Generations = cfg.AGRAGens
 	p.Seed = seed
-	p.Parallelism = 1
 	return p
 }
 

@@ -66,10 +66,7 @@ func RunSummary(cfg Config, log func(format string, args ...interface{})) (*Summ
 	add("hill climb", hc.Scheme.Savings(), hc.Scheme.TotalReplicas(), hc.Stats.Elapsed)
 
 	log("summary: GRA (%d gens)", cfg.GRAGens)
-	// A single run, so the campaign's worker budget goes to the GA itself.
-	params := cfg.graParams(cfg.Seed + 1)
-	params.Parallelism = cfg.Parallelism
-	graRes, err := gra.RunWith(p, params, cfg.cellRun())
+	graRes, err := gra.RunWith(p, cfg.graParams(cfg.Seed+1), cfg.cellRun())
 	if err != nil {
 		return nil, err
 	}
@@ -119,9 +116,7 @@ func RunConvergence(cfg Config, log func(format string, args ...interface{})) (*
 		if err != nil {
 			return nil, err
 		}
-		params := cfg.graParams(cfg.Seed + 7)
-		params.Parallelism = cfg.Parallelism
-		res, err := gra.RunWith(p, params, cfg.cellRun())
+		res, err := gra.RunWith(p, cfg.graParams(cfg.Seed+7), cfg.cellRun())
 		if err != nil {
 			return nil, err
 		}

@@ -100,7 +100,7 @@ type curve struct {
 }
 
 // run measures every cell of the sweep on cfg.Networks random networks.
-// The (cell, network) instances fan out over the campaign worker pool, each
+// The (cell, network) instances fan out over GOMAXPROCS workers, each
 // writing its own slot, and their seeds are pure functions of the slot.
 // Every series is then averaged over the networks in network order, so the
 // result is bit-identical at any worker count.
@@ -138,7 +138,7 @@ func (row sweepRow) run(cfg Config, log logf) (*sweep, error) {
 	nets := cfg.Networks
 	samples := make([][]measure, len(cells)*nets)
 	errs := make([]error, len(samples))
-	parallel.For(len(samples), parallel.Workers(cfg.Parallelism), func(ti int) {
+	parallel.For(len(samples), parallel.Workers(0), func(ti int) {
 		ci, net := ti/nets, ti%nets
 		if net == 0 {
 			log("%s", descs[ci])

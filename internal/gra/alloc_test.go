@@ -47,14 +47,15 @@ func raceBuild() bool {
 
 // TestRunAllocsPinnedOnAdaptiveTestCase pins the allocations of a default
 // GRA run (Np 50, Ng 80) on the paper's adaptive test case at
-// GOMAXPROCS 1: 60 488 before children were bred into recycled buffers.
-// Most of what is left is the 50 SRA runs that seed the population.
+// GOMAXPROCS 1: 60 488 before children were bred into recycled buffers,
+// 14 375 while each seeding SRA run's nearest-replica table allocated a
+// replica list per object.
 func TestRunAllocsPinnedOnAdaptiveTestCase(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		t.Skip("full-size GRA runs, counted without the race detector")
 	}
 	p := gen(t, 50, 200, 0.05, 0.15, 1)
-	const recorded = 14375
+	const recorded = 4425
 	got := minMallocs(2, func() {
 		if _, err := Run(p, DefaultParams()); err != nil {
 			t.Fatal(err)

@@ -49,9 +49,9 @@ func expectSame(t *testing.T, got, want *Result) {
 func TestCancelledAtGenEqualsShorterRun(t *testing.T) {
 	p := gen(t, 10, 15, 0.05, 0.15, 21)
 	const cutGen = 6
-	for _, par := range []int{1, 8} {
+	for _, procs := range []int{1, 8} {
+		setProcs(t, procs)
 		params := smallParams(31)
-		params.Parallelism = par
 
 		ctx, cancel := context.WithCancel(context.Background())
 		run := solver.Run{
@@ -68,10 +68,10 @@ func TestCancelledAtGenEqualsShorterRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cancelled.Stats.Stopped != solver.StopCancelled {
-			t.Fatalf("par %d: stopped %v, want cancelled", par, cancelled.Stats.Stopped)
+			t.Fatalf("GOMAXPROCS %d: stopped %v, want cancelled", procs, cancelled.Stats.Stopped)
 		}
 		if cancelled.Stats.Iterations != cutGen {
-			t.Fatalf("par %d: stopped after %d generations, want %d", par, cancelled.Stats.Iterations, cutGen)
+			t.Fatalf("GOMAXPROCS %d: stopped after %d generations, want %d", procs, cancelled.Stats.Iterations, cutGen)
 		}
 
 		short := params
@@ -81,7 +81,7 @@ func TestCancelledAtGenEqualsShorterRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ref.Stats.Stopped != solver.StopCompleted {
-			t.Fatalf("par %d: reference run stopped %v", par, ref.Stats.Stopped)
+			t.Fatalf("GOMAXPROCS %d: reference run stopped %v", procs, ref.Stats.Stopped)
 		}
 		expectSame(t, cancelled, ref)
 	}

@@ -73,19 +73,19 @@ func checkUnshared(t *testing.T, ev *evaluator, pop []ga.Individual, elite ga.In
 }
 
 // TestCarriedObjectCostsMatchKernel runs GRA's generational loop with
-// aggressive variation (every pair crossed, 5% mutation) at Parallelism 2
+// aggressive variation (every pair crossed, 5% mutation) at GOMAXPROCS 2
 // and checks, after every generation, that every parent, crossover child,
 // mutant and the elite carries exactly the V_k the kernel prices and the
 // usage a walk finds for its chromosome, and that no two of them, nor the
 // recycled buffers, share storage.
 func TestCarriedObjectCostsMatchKernel(t *testing.T) {
 	p := gen(t, 10, 15, 0.05, 0.10, 24)
+	setProcs(t, 2)
 	params := smallParams(43)
-	params.Parallelism = 2
 	params.Generations = 25
 	params.CrossoverRate = 1.0
 	params.MutationRate = 0.05
-	ev := newEvaluator(p, params.Parallelism)
+	ev := newEvaluator(p)
 	rng := xrand.New(params.Seed)
 	init := seedSRA(p, params.PopSize, rng)
 	seeds := make([]child, len(init))
@@ -135,7 +135,7 @@ func TestCarriedObjectCostsAfterNegativeFitnessReset(t *testing.T) {
 		t.Fatalf("fixture: full replication costs %d, not above D′ = %d", d, p.DPrime())
 	}
 
-	ev := newEvaluator(p, 1)
+	ev := newEvaluator(p)
 	var meter atomic.Int64
 	ev.pool.SetMeter(&meter)
 	got := ev.evaluateAll(nil, []child{{Individual: ev.individual(full.Clone())}})[0]
@@ -175,7 +175,7 @@ func TestObjectsPricedPinnedOnAdaptiveTestCase(t *testing.T) {
 	}
 	p := gen(t, 50, 200, 0.05, 0.15, 1)
 	params := DefaultParams()
-	ev := newEvaluator(p, params.Parallelism)
+	ev := newEvaluator(p)
 	rng := xrand.New(params.Seed)
 	res, err := evolve(ev, params, seedSRA(p, params.PopSize, rng), rng, solver.Start("gra", solver.Run{}))
 	if err != nil {
@@ -281,7 +281,7 @@ func TestInheritEveryWordBoundary(t *testing.T) {
 func TestSelectNextCopiesRepeats(t *testing.T) {
 	p := gen(t, 6, 10, 0.05, 0.15, 5)
 	for _, fitness := range [][]float64{{9, 0.1, 0.1, 0.2, 0.1, 0.1}, {0, 0, 0, 0, 0, 0}} {
-		ev := newEvaluator(p, 1)
+		ev := newEvaluator(p)
 		rng := xrand.New(3)
 		pool := make([]ga.Individual, len(fitness))
 		for i, f := range fitness {

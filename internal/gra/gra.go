@@ -47,15 +47,6 @@ type Params struct {
 	MutationRate  float64 // µm
 	EliteEvery    int     // elite re-injection period, in generations
 	Seed          uint64  // RNG seed; identical seeds reproduce runs exactly
-
-	// Parallelism sizes the evaluation worker pool. Chromosome cost
-	// evaluations — the dominant work unit — fan out across this many
-	// goroutines, each with a private core.Evaluator, and so does applying
-	// a mutant's flips to a copy of its parent. Every random draw
-	// (selection, crossover, the flip positions) stays on the coordinator
-	// goroutine and results are reduced in input order; runs are therefore
-	// bit-identical at any setting. 0 means GOMAXPROCS; 1 runs fully serial.
-	Parallelism int
 }
 
 // DefaultParams returns the paper's tuned parameters.
@@ -81,8 +72,6 @@ func (pr Params) validate() error {
 		return fmt.Errorf("gra: mutation rate %v outside [0,1]", pr.MutationRate)
 	case pr.EliteEvery < 1:
 		return fmt.Errorf("gra: elite period %d < 1", pr.EliteEvery)
-	case pr.Parallelism < 0:
-		return fmt.Errorf("gra: negative parallelism %d", pr.Parallelism)
 	}
 	return nil
 }
@@ -139,7 +128,7 @@ func RunWith(p *core.Problem, params Params, run solver.Run) (*Result, error) {
 	}
 	rng := xrand.New(params.Seed)
 	c := solver.Start("gra", run)
-	return evolve(newEvaluator(p, params.Parallelism), params, seedSRA(p, params.PopSize, rng), rng, c)
+	return evolve(newEvaluator(p), params, seedSRA(p, params.PopSize, rng), rng, c)
 }
 
 // ContinueWith executes GRA from a caller-supplied initial population (AGRA
@@ -178,7 +167,7 @@ func ContinueWith(p *core.Problem, params Params, init []*bitset.Set, run solver
 	for i, s := range seeds {
 		pop[i] = s.Bits()
 	}
-	return evolve(newEvaluator(p, params.Parallelism), params, pop, rng, c)
+	return evolve(newEvaluator(p), params, pop, rng, c)
 }
 
 // seedSRA builds the paper's initial population: PopSize SRA runs with

@@ -16,7 +16,7 @@ import (
 // (primaries-only) allocation at fitness zero. Every individual it scores
 // carries its per-object costs V_k and per-site usage, and a child
 // re-prices only the objects whose column differs from every parent's.
-// Batched evaluations fan out across a pool of per-goroutine
+// Batched evaluations fan out across GOMAXPROCS per-goroutine
 // core.Evaluators; each task touches only its own child — a mutant is bred
 // in the task from its parent and its drawn flips — and its own dirty mask,
 // plus its read-only parents and the primal template, so any worker count
@@ -48,7 +48,7 @@ type evaluator struct {
 	priced atomic.Int64
 }
 
-func newEvaluator(p *core.Problem, parallelism int) *evaluator {
+func newEvaluator(p *core.Problem) *evaluator {
 	n := p.Objects()
 	primal := bitset.New(p.Sites() * n)
 	for k := 0; k < n; k++ {
@@ -56,7 +56,7 @@ func newEvaluator(p *core.Problem, parallelism int) *evaluator {
 	}
 	return &evaluator{
 		p:       p,
-		pool:    core.NewEvalPool(p, parallelism),
+		pool:    core.NewEvalPool(p, 0),
 		primal:  primal,
 		geneLen: n,
 	}

@@ -90,34 +90,6 @@ func TestRecordClamps(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesSingleHistogram splits one sample across eight
-// histograms and checks the merge is indistinguishable from recording
-// into one.
-func TestMergeMatchesSingleHistogram(t *testing.T) {
-	rng := xrand.New(3)
-	single, merged := NewHist(), NewHist()
-	parts := make([]Hist, 8)
-	for i := range parts {
-		parts[i] = NewHist()
-	}
-	for i := 0; i < 10_000; i++ {
-		v := int64(rng.Float64() * 5e7)
-		single.Record(v)
-		parts[i%len(parts)].Record(v)
-	}
-	for _, p := range parts {
-		merged.Merge(p.Histogram)
-	}
-	if merged.Count() != single.Count() || merged.Sum() != single.Sum() || merged.Max() != single.Max() {
-		t.Fatalf("merge diverged: count %d/%d sum %g/%g", merged.Count(), single.Count(), merged.Sum(), single.Sum())
-	}
-	for _, p := range []float64{0.5, 0.9, 0.99, 0.999} {
-		if merged.Quantile(p) != single.Quantile(p) {
-			t.Fatalf("p%g: merged %d != single %d", p*100, merged.Quantile(p), single.Quantile(p))
-		}
-	}
-}
-
 // TestEmptyHistogram checks the zero-observation edge cases.
 func TestEmptyHistogram(t *testing.T) {
 	if h := NewHist(); h.Quantile(0.99) != 0 || h.Max() != 0 {

@@ -36,9 +36,6 @@ type Options struct {
 	// start on time still count their queue delay, because latency is
 	// measured from the schedule's intended send time.
 	Workers int
-	// Hook, when set, runs once per request at dispatch time, in schedule
-	// order — the seam a fault injector's logical clock advances through.
-	Hook func()
 }
 
 // errSample caps how many distinct unexpected error strings a result keeps.
@@ -180,9 +177,6 @@ func Run(target Target, sched *Schedule, opts Options) (*Result, error) {
 	for _, req := range sched.Requests {
 		if d := time.Until(start.Add(req.At)); d > 0 {
 			time.Sleep(d)
-		}
-		if opts.Hook != nil {
-			opts.Hook()
 		}
 		queue <- timed{req: req, intended: start.Add(req.At)}
 	}

@@ -147,9 +147,9 @@ func TestQuantileNeverExceedsMax(t *testing.T) {
 	}
 }
 
-// TestConcurrentAndMergedEqualSerial records one sample three ways — one
-// goroutine, eight goroutines into one histogram, eight per-worker
-// histograms merged — and wants all three equal bucket for bucket.
+// TestConcurrentAndMergedEqualSerial records one sample two ways — one
+// goroutine, and eight goroutines into one histogram — and wants both equal
+// bucket for bucket.
 func TestConcurrentAndMergedEqualSerial(t *testing.T) {
 	const workers, n = 8, 40_000
 	rng := xrand.New(3)
@@ -157,11 +157,10 @@ func TestConcurrentAndMergedEqualSerial(t *testing.T) {
 	for i := range values {
 		values[i] = math.Floor(rng.Float64() * 5e7)
 	}
-	var serial, shared, merged Histogram
+	var serial, shared Histogram
 	for _, v := range values {
 		serial.Observe(v)
 	}
-	parts := make([]Histogram, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -169,24 +168,17 @@ func TestConcurrentAndMergedEqualSerial(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < n; i += workers {
 				shared.Observe(values[i])
-				parts[w].Observe(values[i])
 			}
 		}(w)
 	}
 	wg.Wait()
-	for w := range parts {
-		merged.Merge(&parts[w])
+	if shared.Count() != serial.Count() || shared.Sum() != serial.Sum() || shared.Max() != serial.Max() {
+		t.Errorf("count/sum/max %d/%g/%g, serial %d/%g/%g",
+			shared.Count(), shared.Sum(), shared.Max(), serial.Count(), serial.Sum(), serial.Max())
 	}
-	merged.Merge(new(Histogram)) // an empty merge is a no-op
-	for name, h := range map[string]*Histogram{"shared": &shared, "merged": &merged} {
-		if h.Count() != serial.Count() || h.Sum() != serial.Sum() || h.Max() != serial.Max() {
-			t.Errorf("%s: count/sum/max %d/%g/%g, serial %d/%g/%g", name,
-				h.Count(), h.Sum(), h.Max(), serial.Count(), serial.Sum(), serial.Max())
-		}
-		for idx := range h.counts {
-			if got, want := h.counts[idx].Load(), serial.counts[idx].Load(); got != want {
-				t.Fatalf("%s: bucket %d holds %d, serial %d", name, idx, got, want)
-			}
+	for idx := range shared.counts {
+		if got, want := shared.counts[idx].Load(), serial.counts[idx].Load(); got != want {
+			t.Fatalf("bucket %d holds %d, serial %d", idx, got, want)
 		}
 	}
 }

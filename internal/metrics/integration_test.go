@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,6 +22,13 @@ import (
 	"drp/internal/sra"
 	"drp/internal/workload"
 )
+
+// setProcs sets GOMAXPROCS, which sizes the solvers' worker pools, to n
+// until the test ends.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // deterministicJSON renders the comparable part of a registry: counters and
 // histograms minus wall-clock series.
@@ -38,23 +46,23 @@ func TestInstrumentedGRASnapshotsIdenticalAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runAt := func(par int) string {
+	runAt := func(procs int) string {
+		setProcs(t, procs)
 		reg := metrics.NewRegistry()
 		params := gra.DefaultParams()
 		params.PopSize = 16
 		params.Generations = 10
 		params.Seed = 3
-		params.Parallelism = par
 		res, err := gra.RunWith(p, params, solver.Run{Observer: metrics.BridgeObserver(reg, nil, nil)})
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		metrics.RecordStats(reg, "gra", res.Stats, nil)
 		return deterministicJSON(t, reg)
 	}
 	serial := runAt(1)
 	if wide := runAt(8); wide != serial {
-		t.Fatalf("-par 8 deterministic snapshot diverged from -par 1:\npar8: %s\npar1: %s", wide, serial)
+		t.Fatalf("GOMAXPROCS=8 deterministic snapshot diverged from GOMAXPROCS=1:\n8: %s\n1: %s", wide, serial)
 	}
 	if !strings.Contains(serial, "drp_solver_iterations_total") {
 		t.Fatalf("snapshot missing solver instruments: %s", serial)
@@ -67,21 +75,20 @@ func TestInstrumentedClusterSnapshotsIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	initial := sra.Run(p, sra.Options{}).Scheme
-	runAt := func(par int) string {
+	runAt := func(procs int) string {
+		setProcs(t, procs)
 		reg := metrics.NewRegistry()
 		graParams := gra.DefaultParams()
 		graParams.PopSize = 10
 		graParams.Generations = 6
-		graParams.Parallelism = par
-		cfg := clusterConfig(par, graParams, reg)
-		if _, err := cluster.Run(p, initial, cfg); err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+		if _, err := cluster.Run(p, initial, clusterConfig(graParams, reg)); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		return deterministicJSON(t, reg)
 	}
 	serial := runAt(1)
 	if wide := runAt(8); wide != serial {
-		t.Fatalf("-par 8 deterministic snapshot diverged from -par 1:\npar8: %s\npar1: %s", wide, serial)
+		t.Fatalf("GOMAXPROCS=8 deterministic snapshot diverged from GOMAXPROCS=1:\n8: %s\n1: %s", wide, serial)
 	}
 	for _, family := range []string{"drp_cluster_epochs_total", "drp_cluster_serve_ntc_total", "drp_solver_iterations_total"} {
 		if !strings.Contains(serial, family) {
@@ -106,7 +113,7 @@ func TestMetricsEndpointServesAllFamilies(t *testing.T) {
 	graParams := gra.DefaultParams()
 	graParams.PopSize = 8
 	graParams.Generations = 4
-	if _, err := cluster.Run(p, initial, clusterConfig(1, graParams, reg)); err != nil {
+	if _, err := cluster.Run(p, initial, clusterConfig(graParams, reg)); err != nil {
 		t.Fatal(err)
 	}
 	net, err := netnode.StartLocal(p)
@@ -163,16 +170,14 @@ func httpGet(t *testing.T, url string) string {
 }
 
 // clusterConfig builds a small adaptive simulation wired to reg.
-func clusterConfig(par int, graParams gra.Params, reg *metrics.Registry) cluster.Config {
-	agraParams := agra.DefaultParams()
-	agraParams.Parallelism = par
+func clusterConfig(graParams gra.Params, reg *metrics.Registry) cluster.Config {
 	return cluster.Config{
 		Epochs:     3,
 		Policy:     cluster.PolicyAGRAMini,
 		Drift:      &workload.ChangeSpec{Ch: 6, ObjectShare: 0.3, ReadShare: 0.5},
 		Threshold:  2.0,
 		GRAParams:  graParams,
-		AGRAParams: agraParams,
+		AGRAParams: agra.DefaultParams(),
 		Seed:       1,
 		Metrics:    reg,
 	}

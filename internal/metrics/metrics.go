@@ -212,19 +212,6 @@ func (h *Histogram) Quantile(p float64) float64 {
 	return h.Max()
 }
 
-// Merge adds other's observations into h. other must not be observed
-// into during the call.
-func (h *Histogram) Merge(other *Histogram) {
-	for idx := range other.counts {
-		if c := other.counts[idx].Load(); c > 0 {
-			h.counts[idx].Add(c)
-		}
-	}
-	h.raiseMax(other.Max())
-	h.addSum(other.Sum())
-	h.count.Add(other.count.Load())
-}
-
 // cumulative projects the buckets onto a ladder of ascending bucket edges:
 // out[i] is the number of observations ≤ ladder[i], exactly.
 func (h *Histogram) cumulative(ladder []float64) []uint64 {

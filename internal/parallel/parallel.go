@@ -16,9 +16,8 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a Parallelism knob to a concrete worker count: 0 (or any
-// non-positive value) means GOMAXPROCS, anything else is used as-is. 1 is
-// the fully serial setting.
+// Workers resolves a worker count: 0 (or any non-positive value) means
+// GOMAXPROCS, which every solver passes; anything else is used as-is.
 func Workers(parallelism int) int {
 	if parallelism <= 0 {
 		return runtime.GOMAXPROCS(0)

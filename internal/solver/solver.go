@@ -89,8 +89,7 @@ type Progress struct {
 
 // Observer receives Progress events. Implementations must be cheap — they
 // run on the solver's coordinator goroutine — and, when a solver fans out
-// (AGRA's per-object micro-GAs under Parallelism != 1), safe for concurrent
-// use; wrap with Synchronized when unsure.
+// (AGRA's micro-GAs), safe for concurrent use; wrap with Synchronized.
 type Observer interface {
 	Progress(Progress)
 }

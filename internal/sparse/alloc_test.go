@@ -59,7 +59,7 @@ func TestSolveAllocsPerObject(t *testing.T) {
 	allocs := func(n int) uint64 {
 		mo := testModel(t, 64, n, 1)
 		return minMallocs(3, func() {
-			if _, err := Solve(mo, SolveParams{Shards: 1}, solver.Run{}); err != nil {
+			if _, err := Solve(mo, SolveParams{}, solver.Run{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -82,7 +82,7 @@ func TestAdaptAllocsIndependentOfN(t *testing.T) {
 		mo := testModel(t, 64, n, 1)
 		a := NewAssignment(mo)
 		return minMallocs(3, func() {
-			if _, err := Adapt(mo, a, changed, SolveParams{Shards: 1}, solver.Run{}); err != nil {
+			if _, err := Adapt(mo, a, changed, SolveParams{}, solver.Run{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -104,7 +104,7 @@ func TestMergeAllocsNothingPerStep(t *testing.T) {
 	}
 	props := make([]proposal, len(objects))
 	c := solver.Start("sparse", solver.Run{})
-	propose(mo, objects, props, SolveParams{Shards: 1}, c)
+	propose(mo, objects, props, c)
 	a := NewAssignment(mo)
 	applied := 0
 	allocs := minMallocs(3, func() {

@@ -49,7 +49,7 @@ func FuzzCandidates(f *testing.F) {
 			all[k] = k
 		}
 		props := make([]proposal, len(all))
-		propose(mo, all, props, SolveParams{Shards: 1}, solver.Start("sparse", solver.Run{}))
+		propose(mo, all, props, solver.Start("sparse", solver.Run{}))
 		for k, p := range props {
 			for _, x := range p.sites[:p.n] {
 				if _, found := search(cands[k], x); !found || x == mo.Primary(k) {

@@ -91,7 +91,7 @@ func BenchmarkEvalDenseFormOnCSR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := Solve(mo, SolveParams{Shards: 1}, solver.Run{})
+		res, err := Solve(mo, SolveParams{}, solver.Run{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -73,13 +73,13 @@ func referenceAdapt(t *testing.T, mo *Model, a *Assignment, changed []int) (*Ass
 		}
 	}
 	props := make([]proposal, len(objects))
-	propose(mo, objects, props, SolveParams{Shards: 1}, solver.Start("sparse", solver.Run{}))
+	propose(mo, objects, props, solver.Start("sparse", solver.Run{}))
 	cost, counts := referenceMerge(t, mo, ref, NewEvaluator(mo).Cost(ref), objects, props)
 	return ref, cost, counts
 }
 
 // TestMergeMatchesReferenceLedger holds Solve and Adapt to referenceMerge —
-// placement, cost and step counts — at shard counts 1, 2 and 8, on sparse
+// placement, cost and step counts — at GOMAXPROCS 1, 2 and 8, on sparse
 // instances with one-, two- and three-word candidate masks at roomy and
 // tight capacity, on dense workload instances, and on Adapt of a perturbed
 // day whose changed list comes in descending order with a repeat, so the
@@ -106,15 +106,16 @@ func TestMergeMatchesReferenceLedger(t *testing.T) {
 			objects[k] = k
 		}
 		props := make([]proposal, len(objects))
-		propose(mo, objects, props, SolveParams{Shards: 1}, solver.Start("sparse", solver.Run{}))
+		propose(mo, objects, props, solver.Start("sparse", solver.Run{}))
 		ref := NewAssignment(mo)
 		cost, counts := referenceMerge(t, mo, ref, mo.DPrime(), objects, props)
 		truncated += counts[2]
 		var res *Result
-		for _, shards := range []int{1, 2, 8} {
+		for _, procs := range []int{1, 2, 8} {
+			setProcs(t, procs)
 			var err error
-			if res, err = Solve(mo, SolveParams{Shards: shards}, solver.Run{}); err != nil {
-				t.Fatalf("%s shards %d: solve: %v", name, shards, err)
+			if res, err = Solve(mo, SolveParams{}, solver.Run{}); err != nil {
+				t.Fatalf("%s GOMAXPROCS %d: solve: %v", name, procs, err)
 			}
 			check(name+" solve", res, ref, cost, counts)
 		}
@@ -152,10 +153,11 @@ func TestMergeMatchesReferenceLedger(t *testing.T) {
 			slices.Reverse(order)
 			ref, cost, counts := referenceAdapt(t, day, carried, order)
 			truncated += counts[2]
-			for _, shards := range []int{1, 2, 8} {
-				res, err := Adapt(day, carried.Clone(), order, SolveParams{Shards: shards}, solver.Run{})
+			for _, procs := range []int{1, 2, 8} {
+				setProcs(t, procs)
+				res, err := Adapt(day, carried.Clone(), order, SolveParams{}, solver.Run{})
 				if err != nil {
-					t.Fatalf("%s shards %d: adapt: %v", name, shards, err)
+					t.Fatalf("%s GOMAXPROCS %d: adapt: %v", name, procs, err)
 				}
 				check(name+" adapt", res, ref, cost, counts)
 			}

@@ -23,11 +23,11 @@ import (
 //     candidate in O(1). Within one descent the nearest-replica distances
 //     only fall, so a candidate's delta only rises: a candidate whose delta
 //     is already non-negative can never win a later step and leaves the
-//     scan. Objects fan out across shard workers via parallel.ForWorker;
-//     proposals are pure functions of the object written into fixed-size,
-//     index-addressed slots, so in an uninterrupted run the shard count
-//     only groups work and never changes any result, and no step
-//     allocates.
+//     scan. Objects fan out across GOMAXPROCS workers via
+//     parallel.ForWorker; proposals are pure functions of the object
+//     written into fixed-size, index-addressed slots, so in an
+//     uninterrupted run the worker count only groups work and never
+//     changes any result, and no step allocates.
 //
 //  2. Merge — a single deterministic capacity-ledger pass reconciles the
 //     proposals: every proposed step becomes a self-contained ledger entry
@@ -48,7 +48,7 @@ import (
 // charges the evaluation meter — so budgets, deadlines and observers work
 // exactly as they do for the dense solvers. An interrupted run keeps the
 // proposals finished before the stop, and which ones those are depends on
-// the shard count.
+// the worker count.
 
 // defaultMaxReplicas caps the greedy descent per object at this many
 // replicas, primary included. Unlimited descent on a million-object
@@ -57,20 +57,10 @@ import (
 // degrees.
 const defaultMaxReplicas = 8
 
-// SolveParams configures the sharded solve.
-type SolveParams struct {
-	// Shards is the worker count for the proposal fan-out: 0 means
-	// GOMAXPROCS, 1 is serial. Uninterrupted runs are bit-identical at
-	// any value.
-	Shards int
-}
-
-func (p SolveParams) validate() error {
-	if p.Shards < 0 {
-		return fmt.Errorf("sparse: negative shard count %d", p.Shards)
-	}
-	return nil
-}
+// SolveParams configures the sharded solve. It has no fields: the proposal
+// fan-out runs on GOMAXPROCS workers, and an uninterrupted run is
+// bit-identical at any setting.
+type SolveParams struct{}
 
 // Result is a sharded solve's outcome.
 type Result struct {
@@ -100,17 +90,14 @@ type proposal struct {
 }
 
 // Solve runs the sharded greedy from the primaries-only allocation.
-func Solve(mo *Model, params SolveParams, run solver.Run) (*Result, error) {
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
+func Solve(mo *Model, _ SolveParams, run solver.Run) (*Result, error) {
 	c := solver.Start("sparse", run)
 	props := make([]proposal, mo.n)
 	objects := make([]int, mo.n)
 	for k := range objects {
 		objects[k] = k
 	}
-	propose(mo, objects, props, params, c)
+	propose(mo, objects, props, c)
 	a := newAssignment(mo, func(k int) int { return props[k].n })
 	steps := ledger(mo, objects, props)
 	c.Observe(0, 0, 0, mo.dPrime)
@@ -126,17 +113,14 @@ func Solve(mo *Model, params SolveParams, run solver.Run) (*Result, error) {
 // to mo: an assignment of another model, even a same-shaped one, is
 // refused and must first be rebound (NewAssignment(mo), then one Add per
 // non-primary replica). a is mutated in place and returned in the result.
-func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solver.Run) (*Result, error) {
-	return NewEvaluator(mo).adapt(a, changed, params, run)
+func Adapt(mo *Model, a *Assignment, changed []int, _ SolveParams, run solver.Run) (*Result, error) {
+	return NewEvaluator(mo).adapt(a, changed, run)
 }
 
 // adapt is Adapt with the evaluator that prices the start cost, so tests
 // can read how many V_k it priced.
-func (e *Evaluator) adapt(a *Assignment, changed []int, params SolveParams, run solver.Run) (*Result, error) {
+func (e *Evaluator) adapt(a *Assignment, changed []int, run solver.Run) (*Result, error) {
 	mo := e.mo
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
 	if a.mo != mo {
 		return nil, fmt.Errorf("sparse: adapt: the assignment belongs to another model (%d objects); rebind its replicas onto this one first", a.mo.n)
 	}
@@ -155,7 +139,7 @@ func (e *Evaluator) adapt(a *Assignment, changed []int, params SolveParams, run 
 		}
 	}
 	// One pass over every object, in fixed chunks summed into
-	// index-addressed slots so the total is the same at any shard count.
+	// index-addressed slots so the total is the same at any worker count.
 	// An unchanged object adds its V_k. A changed one adds V′_k and is
 	// stripped to primary-only by truncation — its list keeps its room for
 	// the merge — with the storage it releases tallied per chunk, as
@@ -163,7 +147,7 @@ func (e *Evaluator) adapt(a *Assignment, changed []int, params SolveParams, run 
 	// of the stripped assignment.
 	sums := make([]int64, (mo.n+objectChunk-1)/objectChunk)
 	released := make([]int64, len(sums)*mo.m)
-	parallel.For(len(sums), parallel.Workers(params.Shards), func(ch int) {
+	parallel.For(len(sums), parallel.Workers(0), func(ch int) {
 		lo, hi := ch*objectChunk, min((ch+1)*objectChunk, mo.n)
 		free := released[ch*mo.m : (ch+1)*mo.m]
 		var sum int64
@@ -197,7 +181,7 @@ func (e *Evaluator) adapt(a *Assignment, changed []int, params SolveParams, run 
 	// the pass read.
 	c.Charge(1 + len(objects))
 	props := make([]proposal, len(objects))
-	propose(mo, objects, props, params, c)
+	propose(mo, objects, props, c)
 	steps := ledger(mo, objects, props)
 	c.Observe(0, 0, 0, cost)
 	return merge(mo, a, cost, objects, steps, c), nil
@@ -218,9 +202,9 @@ func lineWords(n int) []uint64 { return make([]uint64, n, (n+7)&^7) }
 // props[idx] (parallel, index-addressed, RNG-free). Capacity is not
 // consulted here — proposals are optimistic and the merge settles them
 // against the shared ledger — so a proposal is a pure function of its
-// object and the shard count cannot influence it.
-func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *solver.Controller) {
-	workers := parallel.Workers(params.Shards)
+// object and the worker count cannot influence it.
+func propose(mo *Model, objects []int, props []proposal, c *solver.Controller) {
+	workers := parallel.Workers(0)
 	type scratch struct {
 		dmin []int64  // per-reader nearest-replica distance
 		gain []int64  // per site: δ's saving term, kept current for the candidates

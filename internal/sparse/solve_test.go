@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -14,10 +15,17 @@ import (
 	"drp/internal/workload"
 )
 
+// setProcs sets GOMAXPROCS, which sizes the proposal fan-out, to n until
+// the test ends.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestSolveValid(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		mo := testModel(t, 14, 120, seed)
-		res, err := Solve(mo, SolveParams{Shards: 1}, solver.Run{})
+		res, err := Solve(mo, SolveParams{}, solver.Run{})
 		if err != nil {
 			t.Fatalf("seed %d: solve: %v", seed, err)
 		}
@@ -43,27 +51,29 @@ func TestSolveValid(t *testing.T) {
 }
 
 // TestSolveShardDeterminism is the seed-determinism satellite for the raw
-// sharded solver: shard counts 1, 2 and 8 yield bit-identical assignments.
+// sharded solver: GOMAXPROCS 1, 2 and 8 yield bit-identical assignments.
 func TestSolveShardDeterminism(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		mo := testModel(t, 16, 200, seed)
-		base, err := Solve(mo, SolveParams{Shards: 1}, solver.Run{})
+		setProcs(t, 1)
+		base, err := Solve(mo, SolveParams{}, solver.Run{})
 		if err != nil {
 			t.Fatalf("seed %d: solve: %v", seed, err)
 		}
-		for _, shards := range []int{2, 8} {
-			res, err := Solve(mo, SolveParams{Shards: shards}, solver.Run{})
+		for _, procs := range []int{2, 8} {
+			setProcs(t, procs)
+			res, err := Solve(mo, SolveParams{}, solver.Run{})
 			if err != nil {
-				t.Fatalf("seed %d shards %d: solve: %v", seed, shards, err)
+				t.Fatalf("seed %d GOMAXPROCS %d: solve: %v", seed, procs, err)
 			}
 			if res.Cost != base.Cost {
-				t.Fatalf("seed %d shards %d: cost %d, serial %d", seed, shards, res.Cost, base.Cost)
+				t.Fatalf("seed %d GOMAXPROCS %d: cost %d, serial %d", seed, procs, res.Cost, base.Cost)
 			}
 			if !res.Assignment.Equal(base.Assignment) {
-				t.Fatalf("seed %d shards %d: assignment diverges from serial", seed, shards)
+				t.Fatalf("seed %d GOMAXPROCS %d: assignment diverges from serial", seed, procs)
 			}
 			if res.Stats.Evaluations != base.Stats.Evaluations {
-				t.Fatalf("seed %d shards %d: evaluations %d, serial %d", seed, shards,
+				t.Fatalf("seed %d GOMAXPROCS %d: evaluations %d, serial %d", seed, procs,
 					res.Stats.Evaluations, base.Stats.Evaluations)
 			}
 		}
@@ -81,7 +91,7 @@ func assignmentDigest(a *Assignment) string {
 }
 
 // TestSolvePinned pins the sparse trajectory — night Solve, then Adapt of
-// the night placement on a 5 % perturbation — at shard counts 1, 2 and 8:
+// the night placement on a 5 % perturbation — at GOMAXPROCS 1, 2 and 8:
 // costs, evaluation counts, merge counters and the placement itself. Any
 // change to candidate pruning, the greedy's tie rule, proposal bookkeeping
 // or the merge order moves at least one of these numbers.
@@ -95,39 +105,39 @@ func TestSolvePinned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("perturb: %v", err)
 	}
-	for _, shards := range []int{1, 2, 8} {
-		params := SolveParams{Shards: shards}
-		solved, err := Solve(night, params, solver.Run{})
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		solved, err := Solve(night, SolveParams{}, solver.Run{})
 		if err != nil {
-			t.Fatalf("shards %d: solve: %v", shards, err)
+			t.Fatalf("GOMAXPROCS %d: solve: %v", procs, err)
 		}
 		got := [...]int{int(solved.Cost), solved.Stats.Evaluations, solved.Proposed, solved.Applied, solved.Truncated}
 		if want := [...]int{5793614, 18572, 13532, 13474, 58}; got != want {
-			t.Errorf("shards %d: Solve cost/evals/proposed/applied/truncated %v, want %v", shards, got, want)
+			t.Errorf("GOMAXPROCS %d: Solve cost/evals/proposed/applied/truncated %v, want %v", procs, got, want)
 		}
 		if d := assignmentDigest(solved.Assignment); d != "b8ce4e7203c903df" {
-			t.Errorf("shards %d: Solve placement digest %s", shards, d)
+			t.Errorf("GOMAXPROCS %d: Solve placement digest %s", procs, d)
 		}
 		carried := NewAssignment(day)
 		for k := 0; k < day.Objects(); k++ {
 			for _, i := range solved.Assignment.Replicators(k) {
 				if i != day.Primary(k) {
 					if err := carried.Add(int(i), k); err != nil {
-						t.Fatalf("shards %d: rebind object %d: %v", shards, k, err)
+						t.Fatalf("GOMAXPROCS %d: rebind object %d: %v", procs, k, err)
 					}
 				}
 			}
 		}
-		adapted, err := Adapt(day, carried, changed, params, solver.Run{})
+		adapted, err := Adapt(day, carried, changed, SolveParams{}, solver.Run{})
 		if err != nil {
-			t.Fatalf("shards %d: adapt: %v", shards, err)
+			t.Fatalf("GOMAXPROCS %d: adapt: %v", procs, err)
 		}
 		got2 := [...]int{int(adapted.Cost), adapted.Stats.Evaluations, adapted.Applied, adapted.Truncated}
 		if want := [...]int{5839885, 1125, 660, 26}; got2 != want {
-			t.Errorf("shards %d: Adapt cost/evals/applied/truncated %v, want %v", shards, got2, want)
+			t.Errorf("GOMAXPROCS %d: Adapt cost/evals/applied/truncated %v, want %v", procs, got2, want)
 		}
 		if d := assignmentDigest(adapted.Assignment); d != "37bc79c5c778d633" {
-			t.Errorf("shards %d: Adapt placement digest %s", shards, d)
+			t.Errorf("GOMAXPROCS %d: Adapt placement digest %s", procs, d)
 		}
 	}
 }
@@ -191,7 +201,7 @@ func TestProposeMatchesNaiveGreedy(t *testing.T) {
 			objects[k] = k
 		}
 		props := make([]proposal, len(objects))
-		propose(mo, objects, props, SolveParams{}, solver.Start("sparse", solver.Run{}))
+		propose(mo, objects, props, solver.Start("sparse", solver.Run{}))
 		ev := NewEvaluator(mo)
 		steps := 0
 		for k, got := range props {
@@ -215,8 +225,8 @@ func TestProposeMatchesNaiveGreedy(t *testing.T) {
 // TestSolveInterruptedPinned pins what an interrupted merge leaves behind:
 // a cancel at the 65 536th applied step (the first Observe), on an instance
 // whose sites have room and on one whose sites have already rejected
-// steps by then, at shard counts 1 and 2; and a budget spent during the
-// propose phase. The cost stays exact.
+// steps by then, at GOMAXPROCS 1 and 2; and a budget spent during the
+// propose phase, at GOMAXPROCS 1. The cost stays exact.
 func TestSolveInterruptedPinned(t *testing.T) {
 	tight := NewWorkloadSpec(64, 20000)
 	tight.CapacityRatio = 0.08
@@ -228,33 +238,35 @@ func TestSolveInterruptedPinned(t *testing.T) {
 		mo   *Model
 		cost int
 	}{{testModel(t, 64, 20000, 1), 47523242}, {crowded, 51272939}} {
-		for _, shards := range []int{1, 2} {
+		for _, procs := range []int{1, 2} {
+			setProcs(t, procs)
 			ctx, cancel := context.WithCancel(context.Background())
 			stopAt := solver.ObserverFunc(func(p solver.Progress) {
 				if p.Iteration >= 65536 {
 					cancel()
 				}
 			})
-			res, err := Solve(tc.mo, SolveParams{Shards: shards}, solver.Run{Context: ctx, Observer: stopAt})
+			res, err := Solve(tc.mo, SolveParams{}, solver.Run{Context: ctx, Observer: stopAt})
 			cancel()
 			if err != nil {
-				t.Fatalf("shards %d: solve: %v", shards, err)
+				t.Fatalf("GOMAXPROCS %d: solve: %v", procs, err)
 			}
 			if res.Stats.Stopped != solver.StopCancelled {
-				t.Fatalf("shards %d: stopped %v, want cancelled", shards, res.Stats.Stopped)
+				t.Fatalf("GOMAXPROCS %d: stopped %v, want cancelled", procs, res.Stats.Stopped)
 			}
 			got := [...]int{int(res.Cost), res.Proposed, res.Applied, res.Truncated}
 			if want := [...]int{tc.cost, 90115, 65536, 24579}; got != want {
-				t.Errorf("shards %d: cost/proposed/applied/truncated %v, want %v", shards, got, want)
+				t.Errorf("GOMAXPROCS %d: cost/proposed/applied/truncated %v, want %v", procs, got, want)
 			}
 			if full := NewEvaluator(tc.mo).Cost(res.Assignment); full != res.Cost {
-				t.Errorf("shards %d: cost %d, full re-eval %d", shards, res.Cost, full)
+				t.Errorf("GOMAXPROCS %d: cost %d, full re-eval %d", procs, res.Cost, full)
 			}
 		}
 	}
 
 	small := testModel(t, 12, 150, 4)
-	res, err := Solve(small, SolveParams{Shards: 1}, solver.Run{Budget: 20})
+	setProcs(t, 1)
+	res, err := Solve(small, SolveParams{}, solver.Run{Budget: 20})
 	if err != nil {
 		t.Fatalf("budget: solve: %v", err)
 	}
@@ -266,7 +278,7 @@ func TestSolveInterruptedPinned(t *testing.T) {
 
 func TestSolveBudget(t *testing.T) {
 	mo := testModel(t, 12, 150, 4)
-	res, err := Solve(mo, SolveParams{Shards: 1}, solver.Run{Budget: 20})
+	res, err := Solve(mo, SolveParams{}, solver.Run{Budget: 20})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -285,7 +297,8 @@ func TestSolveCancelled(t *testing.T) {
 	mo := testModel(t, 10, 60, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Solve(mo, SolveParams{Shards: 4}, solver.Run{Context: ctx})
+	setProcs(t, 4)
+	res, err := Solve(mo, SolveParams{}, solver.Run{Context: ctx})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -309,7 +322,8 @@ func TestAdapt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		first, err := Solve(mo, SolveParams{Shards: 2}, solver.Run{})
+		setProcs(t, 2)
+		first, err := Solve(mo, SolveParams{}, solver.Run{})
 		if err != nil {
 			t.Fatalf("seed %d: solve: %v", seed, err)
 		}
@@ -341,7 +355,7 @@ func TestAdapt(t *testing.T) {
 			}
 		}
 		before := carried.Clone()
-		res, err := Adapt(shifted, carried, changed, SolveParams{Shards: 2}, solver.Run{})
+		res, err := Adapt(shifted, carried, changed, SolveParams{}, solver.Run{})
 		if err != nil {
 			t.Fatalf("seed %d: adapt: %v", seed, err)
 		}
@@ -366,13 +380,14 @@ func TestAdapt(t *testing.T) {
 				}
 			}
 		}
-		// Adapt must also be shard-deterministic.
-		again, err := Adapt(shifted, before.Clone(), changed, SolveParams{Shards: 8}, solver.Run{})
+		// Adapt must also be deterministic across worker counts.
+		setProcs(t, 8)
+		again, err := Adapt(shifted, before.Clone(), changed, SolveParams{}, solver.Run{})
 		if err != nil {
 			t.Fatalf("seed %d: re-adapt: %v", seed, err)
 		}
 		if !again.Assignment.Equal(res.Assignment) || again.Cost != res.Cost || again.Stats.Evaluations != res.Stats.Evaluations {
-			t.Fatalf("seed %d: adapt diverges across shard counts", seed)
+			t.Fatalf("seed %d: adapt diverges across worker counts", seed)
 		}
 	}
 }
@@ -381,18 +396,6 @@ func TestAdaptRejectsBadObject(t *testing.T) {
 	mo := testModel(t, 8, 10, 1)
 	if _, err := Adapt(mo, NewAssignment(mo), []int{10}, SolveParams{}, solver.Run{}); err == nil {
 		t.Fatal("out-of-range changed object accepted")
-	}
-}
-
-// TestSolveRejectsNegativeShards: a negative shard count is an error from
-// Solve and Adapt alike, as a negative Parallelism is from gra and agra.
-func TestSolveRejectsNegativeShards(t *testing.T) {
-	mo := testModel(t, 8, 10, 1)
-	if _, err := Solve(mo, SolveParams{Shards: -3}, solver.Run{}); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("Solve with -3 shards: %v", err)
-	}
-	if _, err := Adapt(mo, NewAssignment(mo), []int{1}, SolveParams{Shards: -1}, solver.Run{}); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("Adapt with -1 shards: %v", err)
 	}
 }
 
@@ -410,7 +413,7 @@ func TestAdaptRejectsForeignAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solved, err := Solve(night, SolveParams{Shards: 1}, solver.Run{})
+	solved, err := Solve(night, SolveParams{}, solver.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,17 +442,18 @@ func TestAdaptRejectsForeignAssignment(t *testing.T) {
 
 // TestAdaptPricesEachUnchangedObjectOnce: the start pass prices V_k of every
 // object not listed in changed, once, and no changed object at all — over
-// two chunks at two shards, with a repeated entry in changed — and the cost
+// two chunks on two workers, with a repeated entry in changed — and the cost
 // it starts from is still exact.
 func TestAdaptPricesEachUnchangedObjectOnce(t *testing.T) {
 	mo := testModel(t, 8, objectChunk+37, 5)
-	solved, err := Solve(mo, SolveParams{Shards: 2}, solver.Run{})
+	setProcs(t, 2)
+	solved, err := Solve(mo, SolveParams{}, solver.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	changed := []int{3, objectChunk + 1, 3, 17, objectChunk + 36, 17}
 	ev := NewEvaluator(mo)
-	res, err := ev.adapt(solved.Assignment, changed, SolveParams{Shards: 2}, solver.Run{})
+	res, err := ev.adapt(solved.Assignment, changed, solver.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +573,7 @@ func TestPerturbRejectsBadFraction(t *testing.T) {
 // prediction for the same (site, object) in the same order.
 func TestSolveCostAgainstDeltaEvaluator(t *testing.T) {
 	mo := testModel(t, 10, 40, 6)
-	res, err := Solve(mo, SolveParams{Shards: 1}, solver.Run{})
+	res, err := Solve(mo, SolveParams{}, solver.Run{})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}

@@ -142,7 +142,6 @@ func soakGRAParams(seed uint64) gra.Params {
 	pr.PopSize = 10
 	pr.Generations = 8
 	pr.Seed = seed
-	pr.Parallelism = 1
 	return pr
 }
 
@@ -151,7 +150,6 @@ func soakAGRAParams(seed uint64) agra.Params {
 	pr.PopSize = 6
 	pr.Generations = 6
 	pr.Seed = seed
-	pr.Parallelism = 1
 	return pr
 }
 

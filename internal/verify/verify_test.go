@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 // TestSoakPassesOnHealthyCode is the package's own smoke soak: every
 // registered check holds on a seeded instance stream.
 func TestSoakPassesOnHealthyCode(t *testing.T) {
-	report, err := Soak(Options{Seed: 1, Iterations: 8, Parallelism: 1})
+	report, err := Soak(Options{Seed: 1, Iterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +29,15 @@ func TestSoakPassesOnHealthyCode(t *testing.T) {
 }
 
 // TestSoakDeterministicAcrossParallelism: the same seed verifies the same
-// instances and produces the same counters at any worker count.
+// instances and produces the same counters at GOMAXPROCS 1 and 4.
 func TestSoakDeterministicAcrossParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	opts := Options{Seed: 7, Iterations: 6, Checks: []string{"eq4-oracle", "delta-eval", "optimal-gap"}}
-	opts.Parallelism = 1
 	serial, err := Soak(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Parallelism = 4
+	runtime.GOMAXPROCS(4)
 	wide, err := Soak(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +50,7 @@ func TestSoakDeterministicAcrossParallelism(t *testing.T) {
 	}
 	for name, n := range serial.Runs {
 		if wide.Runs[name] != n {
-			t.Errorf("check %q: %d serial runs vs %d at par 4", name, n, wide.Runs[name])
+			t.Errorf("check %q: %d serial runs vs %d at GOMAXPROCS 4", name, n, wide.Runs[name])
 		}
 	}
 }
