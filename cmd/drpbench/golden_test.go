@@ -125,3 +125,26 @@ func TestTinyFiguresMatchGoldenAtAnyParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetedTinyFiguresMatchAtAnyGOMAXPROCS: a -budget that stops GA
+// cells midway, AGRA's inside its micro-GA fan-out, still gives the same CSV
+// at GOMAXPROCS 1 and 8. The GOMAXPROCS=8 campaign runs three times, since
+// a scheduling-dependent stop would show in some runs only.
+func TestBudgetedTinyFiguresMatchAtAnyGOMAXPROCS(t *testing.T) {
+	args := []string{"-preset", "tiny", "-networks", "2", "-fig", "1a,3b,4a,4b,4c,conv", "-budget", "200", "-csv", "-q"}
+	var ref string
+	for _, procs := range []int{1, 8, 8, 8} {
+		setProcs(t, procs)
+		var out, errOut bytes.Buffer
+		if err := run(args, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		if ref == "" {
+			ref = out.String()
+			continue
+		}
+		if got := out.String(); got != ref {
+			t.Fatalf("GOMAXPROCS=%d budgeted output differs from GOMAXPROCS=1:\n%d:\n%s\n1:\n%s", procs, procs, got, ref)
+		}
+	}
+}

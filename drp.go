@@ -34,8 +34,9 @@
 // GRA, Adapt, SparseGreedy and the experiment harness fan cost evaluation
 // out across GOMAXPROCS worker goroutines; GOMAXPROCS=1 runs fully serial.
 // All randomness stays on the coordinating goroutine, so for a fixed seed
-// results are bit-identical at every worker count — except that an Adapt
-// or SparseGreedy run stopped by its Budget depends on the core count.
+// results are bit-identical at every worker count — except that a
+// SparseGreedy run stopped by its Budget depends on the core count. Adapt
+// under a Budget runs its micro-GAs one at a time, so it does not.
 //
 // # Anytime runs
 //
@@ -303,9 +304,10 @@ func Adapt(in AdaptInput, params AGRAParams, mini GRAParams, miniGenerations int
 }
 
 // AdaptWith is Adapt under anytime controls: the micro-GAs share one
-// evaluation budget, the mini-GRA inherits whatever deadline and budget
-// remain, and an interrupted adaptation still returns a valid scheme built
-// from the per-object results computed so far.
+// evaluation budget and run one at a time under it, so a budgeted run is
+// reproducible at any GOMAXPROCS; the mini-GRA inherits whatever deadline
+// and budget remain, and an interrupted adaptation still returns a valid
+// scheme built from the per-object results computed so far.
 func AdaptWith(in AdaptInput, params AGRAParams, mini GRAParams, miniGenerations int, run RunOptions) (*AdaptResult, error) {
 	return agra.AdaptWith(in, params, mini, miniGenerations, run)
 }

@@ -103,11 +103,13 @@ func Adapt(in Input, params Params, miniParams gra.Params, miniGenerations int) 
 // transcription realised directly (the polish is skipped), so an
 // interrupted adaptation always returns a valid scheme; otherwise the
 // mini-GRA inherits the remaining deadline and budget. Uninterrupted runs
-// are bit-identical to Adapt at every GOMAXPROCS setting; when the budget
-// trips mid-fan-out, which micro-GAs have already passed their last
-// boundary may vary with scheduling, so interrupted parallel runs are
-// best-effort rather than reproducible. Observers are invoked from worker
-// goroutines when GOMAXPROCS > 1 — wrap with solver.Synchronized.
+// are bit-identical to Adapt at every GOMAXPROCS setting. Under a budget
+// the micro-GAs run one after another in input order: were they concurrent,
+// which of them had passed their last boundary when the shared meter ran
+// out would vary with scheduling. Budgeted runs are therefore reproducible
+// at any GOMAXPROCS; cancelled and timed-out ones inherently are not.
+// Observers are invoked from worker goroutines when GOMAXPROCS > 1 — wrap
+// with solver.Synchronized.
 func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations int, run solver.Run) (*Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
@@ -124,7 +126,8 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 
 	res := &Result{}
 	// The micro-GAs are independent by construction, so they fan out
-	// across GOMAXPROCS workers. Every RNG fork happens here on
+	// across GOMAXPROCS workers (one under a budget, see the doc comment
+	// above). Every RNG fork happens here on
 	// the coordinator, in input order, before any goroutine starts; each
 	// worker reuses one microGA (evaluator, population slabs, memo) across
 	// its objects, reads the shared problem and GRA population (both
@@ -140,6 +143,9 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 	}
 	res.Objects = make([]ObjectResult, len(tasks))
 	workers := parallel.Workers(0)
+	if run.Budget > 0 {
+		workers = 1
+	}
 	micro := make([]*microGA, workers)
 	parallel.ForWorker(len(tasks), workers, func(w, i int) {
 		if micro[w] == nil {

@@ -51,7 +51,6 @@ func TestAdaptCancelledStillReturnsValidScheme(t *testing.T) {
 // same meter, and the pipeline reports StopBudget once it is exhausted.
 func TestAdaptBudgetSharedAcrossMicroGAs(t *testing.T) {
 	in, _ := anytimeFixture(t, 51)
-	setProcs(t, 1) // deterministic budget interception
 	res, err := AdaptWith(in, microParams(3), miniParams(3), 5, solver.Run{Budget: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +70,56 @@ func TestAdaptBudgetSharedAcrossMicroGAs(t *testing.T) {
 	}
 	if res.Stats.Evaluations <= 1 {
 		t.Fatal("soft budget should still charge the in-flight work")
+	}
+}
+
+// A budget that runs out partway through the micro-GAs stops the same ones
+// at the same boundaries at any GOMAXPROCS: budgeted runs are reproducible,
+// not merely valid.
+func TestAdaptBudgetedReproducibleAtAnyGOMAXPROCS(t *testing.T) {
+	in, _ := anytimeFixture(t, 54)
+	full, err := Adapt(in, microParams(13), miniParams(13), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	microEvals := 0
+	for _, or := range full.Objects {
+		microEvals += or.Evaluations
+	}
+	budget := solver.Run{Budget: microEvals / 2}
+	var ref *Result
+	for _, procs := range []int{1, 2, 8, 8, 8} {
+		setProcs(t, procs)
+		res, err := AdaptWith(in, microParams(13), miniParams(13), 5, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Stopped != solver.StopBudget {
+			t.Fatalf("GOMAXPROCS %d: stopped %v, want budget", procs, res.Stats.Stopped)
+		}
+		if ref == nil {
+			ref = res
+			// The budget must trip inside the fan-out: some micro-GA ran
+			// generations, and a later one got fewer than its full run.
+			ran, cut := false, false
+			for i, or := range res.Objects {
+				ran = ran || or.Generations > 0
+				cut = cut || or.Generations < full.Objects[i].Generations
+			}
+			if !ran || !cut {
+				t.Fatalf("budget %d did not stop the fan-out midway", budget.Budget)
+			}
+			continue
+		}
+		if microDigest(res.Objects) != microDigest(ref.Objects) {
+			t.Fatalf("GOMAXPROCS %d: micro-GA results differ from GOMAXPROCS 1", procs)
+		}
+		if !res.Scheme.Equal(ref.Scheme) || res.Cost != ref.Cost {
+			t.Fatalf("GOMAXPROCS %d: scheme or cost %d differs from GOMAXPROCS 1 (%d)", procs, res.Cost, ref.Cost)
+		}
+		if res.Stats.Evaluations != ref.Stats.Evaluations || res.Stats.Iterations != ref.Stats.Iterations {
+			t.Fatalf("GOMAXPROCS %d: stats %+v differ from GOMAXPROCS 1 (%+v)", procs, res.Stats, ref.Stats)
+		}
 	}
 }
 

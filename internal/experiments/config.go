@@ -71,10 +71,9 @@ type Config struct {
 	// gets at most this much wall-clock and this many cost-model
 	// evaluations, returning its best scheme so far when the cap fires.
 	// They let `-preset paper` finish in bounded time at the price of
-	// truncated GA runs (which the figures then reflect). Budgeted results
-	// stay reproducible at GOMAXPROCS=1 (an AGRA budget that trips
-	// mid-fan-out depends on scheduling otherwise); timed-out ones
-	// inherently do not. Zero values leave runs unbounded.
+	// truncated GA runs (which the figures then reflect); budgeted results
+	// stay reproducible at any GOMAXPROCS, timed-out ones inherently do
+	// not. Zero values leave runs unbounded.
 	CellTimeout time.Duration
 	CellBudget  int
 	// Observer, when set, receives every solver's per-generation progress

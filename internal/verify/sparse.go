@@ -4,7 +4,8 @@ package verify
 // Wherever the dense and sparse paths both apply they must agree
 // bit-for-bit: full evaluation and delta evaluation are compared against
 // the dense implementations on random schemes and mutation walks, the
-// sharded solve is held shard-count-invariant, and the candidate
+// sharded solve is held to one result run to run (and, in this package's
+// tests, at GOMAXPROCS 1, 2 and 8), and the candidate
 // pruning is checked against the exhaustive optimum (soundness) and under
 // site relabelling (equivariance). Registering the checks here puts the
 // sparse core under the same drpverify soak + ddmin shrinker as eq. 4
@@ -109,47 +110,49 @@ func checkSparseDelta(cx *Ctx) error {
 // bit-identical run to run, its reported cost matches the dense evaluator,
 // and it never loses to the no-replication allocation. A result that
 // depended on how the workers were scheduled would differ between the two
-// runs; sparse's own tests pin the result at GOMAXPROCS 1, 2 and 8.
+// runs; TestSparseShardsMatchAcrossGOMAXPROCS holds each instance of a soak
+// stream to one result at GOMAXPROCS 1, 2 and 8.
 func checkSparseShards(cx *Ctx) error {
-	p := cx.P
-	mo, err := sparse.FromProblem(p)
+	mo, err := sparse.FromProblem(cx.P)
 	if err != nil {
 		return fmt.Errorf("sparse conversion: %w", err)
 	}
-	var first *sparse.Result
-	for run := 1; run <= 2; run++ {
-		res, err := sparse.Solve(mo, sparse.SolveParams{}, solver.Run{})
-		if err != nil {
-			return fmt.Errorf("solve %d: %w", run, err)
-		}
-		if err := res.Assignment.Validate(); err != nil {
-			return fmt.Errorf("solve %d: invalid assignment: %w", run, err)
-		}
-		if res.Cost > p.DPrime() {
-			return fmt.Errorf("solve %d: cost %d exceeds no-replication D′ %d", run, res.Cost, p.DPrime())
-		}
-		s, err := res.Assignment.ToScheme(p)
-		if err != nil {
-			return fmt.Errorf("solve %d: result does not convert: %w", run, err)
-		}
-		if c := cx.schemeCost(s); c != res.Cost {
-			return fmt.Errorf("solve %d: reported cost %d but dense evaluator says %d", run, res.Cost, c)
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if res.Cost != first.Cost {
-			return fmt.Errorf("solve %d vs 1: cost %d != %d", run, res.Cost, first.Cost)
-		}
-		if !res.Assignment.Equal(first.Assignment) {
-			return fmt.Errorf("solve %d vs 1: assignments differ", run)
-		}
-		if res.Stats.Evaluations != first.Stats.Evaluations {
-			return fmt.Errorf("solve %d vs 1: evaluation count %d != %d", run, res.Stats.Evaluations, first.Stats.Evaluations)
+	var res [2]*sparse.Result
+	for run := range res {
+		if res[run], err = solveSparseChecked(cx, mo); err != nil {
+			return fmt.Errorf("solve %d: %w", run+1, err)
 		}
 	}
+	if a, b := res[0], res[1]; a.Cost != b.Cost || a.Stats.Evaluations != b.Stats.Evaluations || !a.Assignment.Equal(b.Assignment) {
+		return fmt.Errorf("two solves differ: cost %d vs %d, evaluations %d vs %d, equal assignments %v",
+			a.Cost, b.Cost, a.Stats.Evaluations, b.Stats.Evaluations, a.Assignment.Equal(b.Assignment))
+	}
 	return nil
+}
+
+// solveSparseChecked runs the sharded sparse solve on mo, the sparse form
+// of cx.P, and checks its result: a valid assignment, no costlier than no
+// replication, whose reported cost the dense evaluator confirms.
+func solveSparseChecked(cx *Ctx, mo *sparse.Model) (*sparse.Result, error) {
+	p := cx.P
+	res, err := sparse.Solve(mo, sparse.SolveParams{}, solver.Run{})
+	if err != nil {
+		return nil, err
+	}
+	if err := res.Assignment.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid assignment: %w", err)
+	}
+	if res.Cost > p.DPrime() {
+		return nil, fmt.Errorf("cost %d exceeds no-replication D′ %d", res.Cost, p.DPrime())
+	}
+	s, err := res.Assignment.ToScheme(p)
+	if err != nil {
+		return nil, fmt.Errorf("result does not convert: %w", err)
+	}
+	if c := cx.schemeCost(s); c != res.Cost {
+		return nil, fmt.Errorf("reported cost %d but dense evaluator says %d", res.Cost, c)
+	}
+	return res, nil
 }
 
 // checkSparsePrune (small instances): candidate pruning is sound — every
