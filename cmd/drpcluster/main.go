@@ -22,9 +22,9 @@
 // or -snapshot-every (those tune drpnet's site logs).
 //
 // Observability: -listen-metrics serves live Prometheus text at /metrics
-// (plus /debug/vars and /debug/pprof) while the simulation runs; -serve-for
-// keeps the endpoint up after the last epoch so a scraper can collect the
-// final state. -metrics-out snapshots the same registry to a JSON file and
+// (plus /debug/pprof) while the simulation runs; -serve-for keeps the
+// endpoint up after the last epoch so a scraper can collect the final
+// state. -metrics-out snapshots the same registry to a JSON file and
 // -events streams per-epoch and per-adaptation JSONL events.
 package main
 
@@ -55,7 +55,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	prob := cli.Problem{Sites: 20, Objects: 60}
 	prob.Register(fs, "sites", "objects", "update", "capacity", "seed")
 	tel := cli.Telemetry{Noun: "epoch"}
-	tel.Register(fs, "listen-metrics", "serve-for", "metrics-out", "events", "block-profile-rate", "mutex-profile-fraction", "trace-out", "trace-sample", "trace-clock")
+	tel.Register(fs, "listen-metrics", "serve-for", "metrics-out", "events", "trace-out", "trace-sample", "trace-clock")
 	var dur cli.Durability
 	dur.Register(fs, "data-dir")
 	var (
@@ -77,9 +77,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	// Reject flag combinations that would otherwise be silently ignored or
 	// quietly do something other than what was asked.
 	switch {
-	case *drift < 0 || *drift > 1:
+	case !(*drift >= 0 && *drift <= 1):
 		return fmt.Errorf("-drift %g: the share of drifting objects must be within [0, 1]", *drift)
-	case *driftR < 0 || *driftR > 1:
+	case !(*driftR >= 0 && *driftR <= 1):
 		return fmt.Errorf("-drift-reads %g: the read share must be within [0, 1]", *driftR)
 	case *compare && dur.Dir != "":
 		return fmt.Errorf("-compare runs every policy on the same traffic and cannot journal a single scheme history; drop -data-dir")

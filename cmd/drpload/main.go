@@ -51,8 +51,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	tel := cli.Telemetry{Noun: "request"}
 	tel.Register(fs, "metrics-out", "trace-out")
 	var (
-		algo   = fs.String("algo", "sra", "placement algorithm: none | sra | gra")
-		scheme = fs.String("scheme", "", "replication scheme JSON (overrides -algo)")
+		algo = fs.String("algo", "sra", "placement: none | sra | gra, or the path of a replication scheme JSON file")
 
 		rate      = fs.Float64("rate", 500, "offered arrival rate in requests per second")
 		duration  = fs.Duration("duration", 2*time.Second, "schedule length")
@@ -81,13 +80,11 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	// -compare drives two clusters; one scheme, one span file or one
-	// registry snapshot cannot describe both.
+	// -compare drives two clusters; one span file or one registry
+	// snapshot cannot describe both.
 	switch {
 	case *workers < 0:
 		return fmt.Errorf("-workers %d cannot be negative", *workers)
-	case *compare != "" && *scheme != "":
-		return fmt.Errorf("-compare names its own placements; drop -scheme")
 	case *compare != "" && tel.TraceOut != "":
 		return fmt.Errorf("-compare runs two clusters; -trace-out needs a single-placement run")
 	case *compare != "" && tel.MetricsOut != "":
@@ -172,11 +169,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	defer cli.CloseInto(&err, tel.Close)
 
-	schemeName := *algo
-	if *scheme != "" {
-		schemeName = *scheme
-	}
-	rep, err := runScheme(p, schemeName, prob.Seed, pr, sched, *workers, slo, tel.Tracer, tel.Reg, stdout)
+	rep, err := runScheme(p, *algo, prob.Seed, pr, sched, *workers, slo, tel.Tracer, tel.Reg, stdout)
 	if err != nil {
 		return err
 	}

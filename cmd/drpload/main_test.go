@@ -166,7 +166,6 @@ func TestLoadRejectsBadFlags(t *testing.T) {
 		{"-slo", "p42<1ms"},
 		{"-compare", "none"},
 		{"-compare", "none,sra,gra"},
-		{"-compare", "none,sra", "-scheme", "s.json"},
 		{"-arrival", "chaotic"},
 		{"-rate", "0"},
 		{"-workers", "-5"},

@@ -38,8 +38,9 @@
 //
 // Observability: -listen-metrics serves the nodes' shared drp_net_* request
 // instruments (latency histograms, replica-hit and NTC counters) as
-// Prometheus text at /metrics, plus /debug/vars and /debug/pprof;
-// -serve-for keeps the endpoint up after the traffic finishes.
+// Prometheus text at /metrics, plus /debug/pprof; -serve-for keeps the
+// endpoint up after the traffic finishes. Latency SLOs are gated by
+// drpload's -slo over its open-loop runs.
 package main
 
 import (
@@ -56,7 +57,6 @@ import (
 	"drp/internal/cli"
 	ctrl "drp/internal/cluster"
 	"drp/internal/fault"
-	"drp/internal/load"
 	"drp/internal/metrics"
 	"drp/internal/netnode"
 	"drp/internal/plan"
@@ -71,15 +71,13 @@ func run(args []string, stdout io.Writer) (err error) {
 	prob := cli.Problem{Sites: 10, Objects: 20}
 	prob.Register(fs, "sites", "objects", "update", "capacity", "seed", "in")
 	tel := cli.Telemetry{Noun: "request"}
-	tel.Register(fs, "listen-metrics", "serve-for", "block-profile-rate", "mutex-profile-fraction", "trace-out", "trace-sample", "trace-clock")
+	tel.Register(fs, "listen-metrics", "serve-for", "trace-out", "trace-sample", "trace-clock")
 	var dur cli.Durability
 	dur.Register(fs, "data-dir", "fsync", "snapshot-every")
 	var (
 		algo = fs.String("algo", "sra", "placement algorithm: none | sra | gra")
 		pop  = fs.Int("pop", 16, "GRA population size")
 		gens = fs.Int("gens", 15, "GRA generations")
-
-		sloExpr = fs.String("slo", "", `gate the run on client-observed wire latency, e.g. "p99<5ms" (latency terms of the drpload SLO grammar; exits non-zero when unmet)`)
 
 		faultPlan  = fs.String("fault-plan", "", "inject faults from this plan JSON (see internal/fault); degraded requests are reported, then queued writes flush and stale replicas reconcile")
 		retries    = fs.Int("retry", 1, "transport attempts per request (1 = no retrying)")
@@ -96,15 +94,7 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	// Reject flag combinations that would otherwise be silently ignored.
 	reshaping := *members != "" || *join != "" || *leave != ""
-	slo, err := load.ParseSLO(*sloExpr)
-	if err != nil {
-		return err
-	}
 	switch {
-	case slo.HasNonLatency():
-		return fmt.Errorf("-slo on drpnet supports latency terms only; err/tput gates need drpload's open-loop accounting")
-	case slo != nil && reshaping:
-		return fmt.Errorf("-slo cannot combine with the membership scenario; gate a separate drpload run instead")
 	case *retries < 1:
 		return fmt.Errorf("-retry %d: a request needs at least one transport attempt", *retries)
 	case *reqTimeout < 0:
@@ -125,11 +115,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	// The registry exists before the cluster so durable stores can record
-	// drp_store_* counters from their very first replayed record. An SLO
-	// gate needs the latency instruments even without an endpoint.
-	if slo != nil {
-		tel.Reg = metrics.NewRegistry()
-	}
+	// drp_store_* counters from their very first replayed record.
 	if err := tel.Open(stdout, netnode.RegisterMetricFamilies, store.RegisterMetricFamilies); err != nil {
 		return err
 	}
@@ -255,43 +241,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		printLatency(reg, stdout)
 	}
-	if err := gateSLO(slo, reg, stdout); err != nil {
-		return err
-	}
 	return writePlanFile(cluster, *planOut, stdout)
-}
-
-// wireLatency returns the drp_net_request_seconds histograms the nodes
-// observe client requests into.
-func wireLatency(reg *metrics.Registry) (read, write *metrics.Histogram) {
-	return reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": "read"}),
-		reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": "write"})
-}
-
-// gateSLO evaluates a latency SLO against the drp_net_request_seconds
-// histograms and fails the run when it is unmet.
-func gateSLO(slo *load.SLO, reg *metrics.Registry, stdout io.Writer) error {
-	if slo == nil {
-		return nil
-	}
-	read, write := wireLatency(reg)
-	out := slo.Eval(&load.Result{ReadHist: read, WriteHist: write})
-	verdict := "PASS"
-	if !out.Pass {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(stdout, "  slo %q: %s\n", out.Expr, verdict)
-	for _, t := range out.Terms {
-		mark := "ok"
-		if !t.Pass {
-			mark = "VIOLATED"
-		}
-		fmt.Fprintf(stdout, "    %-16s actual=%.3fms bound=%.3fms %s\n", t.Term, t.Actual, t.Bound, mark)
-	}
-	if !out.Pass {
-		return fmt.Errorf("SLO %q not met", out.Expr)
-	}
-	return nil
 }
 
 // printLatency reports the client-observed wire latency quantiles when the
@@ -300,7 +250,8 @@ func printLatency(reg *metrics.Registry, stdout io.Writer) {
 	if reg == nil {
 		return
 	}
-	read, write := wireLatency(reg)
+	read := reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": "read"})
+	write := reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": "write"})
 	if read.Count()+write.Count() == 0 {
 		return
 	}

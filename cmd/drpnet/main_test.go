@@ -156,31 +156,6 @@ func TestNetRunFaultPlanRejectsBadPlan(t *testing.T) {
 	}
 }
 
-func TestNetRunSLOGate(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-sites", "4", "-objects", "6", "-slo", "p99<5s"}, &out); err != nil {
-		t.Fatalf("generous latency gate failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), `slo "p99<5s": PASS`) {
-		t.Fatalf("gate verdict missing:\n%s", out.String())
-	}
-
-	out.Reset()
-	err := run([]string{"-sites", "4", "-objects", "6", "-slo", "p50<1ns"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "SLO") {
-		t.Fatalf("unmeetable gate did not fail the run: %v", err)
-	}
-
-	// err/tput terms need drpload's open-loop accounting.
-	if err := run([]string{"-sites", "4", "-objects", "6", "-slo", "err<1%"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("err gate accepted by drpnet")
-	}
-	// The membership scenario has no single measurement period to gate.
-	if err := run([]string{"-sites", "4", "-objects", "6", "-members", "0,1,2,3", "-slo", "p99<5s"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-slo with membership scenario accepted")
-	}
-}
-
 // TestNetRejectsIgnoredValues: values the parent accepted and ignored.
 func TestNetRejectsIgnoredValues(t *testing.T) {
 	for _, c := range []struct {

@@ -203,17 +203,16 @@ func (c *Caps) Run(stderr io.Writer) solver.Run {
 }
 
 // Telemetry is the sinks a run reports to: -metrics-out -events
-// -listen-metrics -serve-for -block-profile-rate -mutex-profile-fraction
-// and the span file -trace-out -trace-sample -trace-clock. Noun names what
-// one trace covers ("request", "epoch"); a command that does not register
-// -trace-clock may set TraceClock after Parse. Open fills Reg (kept if the
-// command already set one, else nil unless -metrics-out or -listen-metrics
-// asked for a registry), Events (nil without -events) and Tracer (nil
-// without -trace-out); every instrumented package accepts nil as "off".
+// -listen-metrics -serve-for and the span file -trace-out -trace-sample
+// -trace-clock. Noun names what one trace covers ("request", "epoch"); a
+// command that does not register -trace-clock may set TraceClock after
+// Parse. Open fills Reg (kept if the command already set one, else nil
+// unless -metrics-out or -listen-metrics asked for a registry), Events
+// (nil without -events) and Tracer (nil without -trace-out); every
+// instrumented package accepts nil as "off".
 type Telemetry struct {
 	MetricsOut, EventsOut, Listen string
 	ServeFor                      time.Duration
-	BlockRate, MutexFrac          int
 	TraceOut, TraceClock, Noun    string
 	TraceSample                   int64
 
@@ -230,10 +229,8 @@ func (t *Telemetry) Register(dst *flag.FlagSet, names ...string) {
 	fs := flag.NewFlagSet("telemetry", flag.ContinueOnError)
 	fs.StringVar(&t.MetricsOut, "metrics-out", "", "write a JSON snapshot of the run's metrics registry to this file")
 	fs.StringVar(&t.EventsOut, "events", "", "write structured JSONL events to this file")
-	fs.StringVar(&t.Listen, "listen-metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:0)")
+	fs.StringVar(&t.Listen, "listen-metrics", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:0)")
 	fs.DurationVar(&t.ServeFor, "serve-for", 0, "keep the metrics endpoint up this long after the run (0 = exit immediately; requires -listen-metrics)")
-	fs.IntVar(&t.BlockRate, "block-profile-rate", 0, "sample goroutine blocking events at this rate (ns) for /debug/pprof/block (0 = off; requires -listen-metrics)")
-	fs.IntVar(&t.MutexFrac, "mutex-profile-fraction", 0, "sample 1/N mutex contention events for /debug/pprof/mutex (0 = off; requires -listen-metrics)")
 	fs.StringVar(&t.TraceOut, "trace-out", "", "record one JSON span per line to this file, a trace per "+t.Noun+" (analyse with drptrace)")
 	fs.Int64Var(&t.TraceSample, "trace-sample", 1, "trace every nth "+t.Noun+" (deterministic counter, not probability; requires -trace-out)")
 	fs.StringVar(&t.TraceClock, "trace-clock", "logical", `span timestamp source: "logical" (deterministic ticks) or "wall" (real durations; requires -trace-out)`)
@@ -245,12 +242,8 @@ func (t *Telemetry) Check() error {
 	switch {
 	case t.ServeFor < 0:
 		return fmt.Errorf("-serve-for %v cannot be negative", t.ServeFor)
-	case t.BlockRate < 0 || t.MutexFrac < 0:
-		return fmt.Errorf("profile sampling rates cannot be negative")
 	case t.Listen == "" && t.ServeFor > 0:
 		return fmt.Errorf("-serve-for keeps the metrics endpoint alive and needs -listen-metrics")
-	case t.Listen == "" && (t.BlockRate > 0 || t.MutexFrac > 0):
-		return fmt.Errorf("-block-profile-rate/-mutex-profile-fraction feed /debug/pprof and need -listen-metrics")
 	case t.TraceOut == "" && t.TraceSample != 1:
 		return fmt.Errorf("-trace-sample selects the traced %ss and needs -trace-out", t.Noun)
 	case t.TraceOut == "" && t.TraceClock != "logical":
@@ -264,11 +257,11 @@ func (t *Telemetry) Check() error {
 }
 
 // Open creates the sinks the flags ask for and announces the span file and
-// the endpoint's address on stdout. With -events and -trace-out both set,
-// spans also interleave into the event sink as "span" records. With
-// -listen-metrics each families function runs on the registry before the
-// endpoint starts, so the first scrape already shows every family, at
-// zero. After a nil return the caller must Close.
+// the endpoint's address on stdout. Spans go to the -trace-out file only,
+// never to the -events sink. With -listen-metrics each families function
+// runs on the registry before the endpoint starts, so the first scrape
+// already shows every family, at zero. After a nil return the caller must
+// Close.
 func (t *Telemetry) Open(stdout io.Writer, families ...func(*metrics.Registry)) (err error) {
 	if t.Reg == nil && (t.MetricsOut != "" || t.Listen != "") {
 		t.Reg = metrics.NewRegistry()
@@ -280,7 +273,7 @@ func (t *Telemetry) Open(stdout io.Writer, families ...func(*metrics.Registry)) 
 		t.Events = metrics.NewEventLog(t.file)
 	}
 	if t.TraceOut != "" {
-		t.Tracer, t.closeTrace, err = spans.OpenFile(t.TraceOut, t.TraceSample, t.TraceClock, spans.NewEventExporter(t.Events))
+		t.Tracer, t.closeTrace, err = spans.OpenFile(t.TraceOut, t.TraceSample, t.TraceClock)
 		if err != nil {
 			t.closeFiles()
 			return err
@@ -288,7 +281,6 @@ func (t *Telemetry) Open(stdout io.Writer, families ...func(*metrics.Registry)) 
 		fmt.Fprintf(stdout, "tracing %ss to %s (sample 1/%d, %s clock)\n", t.Noun, t.TraceOut, t.TraceSample, t.TraceClock)
 	}
 	if t.Listen != "" {
-		metrics.EnableRuntimeProfiles(t.BlockRate, t.MutexFrac)
 		for _, register := range families {
 			register(t.Reg)
 		}

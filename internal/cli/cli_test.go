@@ -29,8 +29,7 @@ func (g *groups) parse(args ...string) error {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	g.tel.Noun = "request"
-	g.tel.Register(fs, "metrics-out", "events", "listen-metrics", "serve-for", "block-profile-rate", "mutex-profile-fraction",
-		"trace-out", "trace-sample", "trace-clock")
+	g.tel.Register(fs, "metrics-out", "events", "listen-metrics", "serve-for", "trace-out", "trace-sample", "trace-clock")
 	g.dur.Register(fs, "data-dir", "fsync", "snapshot-every")
 	g.caps.Register(fs)
 	return Parse(fs, args, g.tel.Check, g.dur.Check, g.caps.Check)
@@ -46,11 +45,7 @@ func TestGroupRules(t *testing.T) {
 		fix  []string
 	}{
 		{[]string{"-serve-for", "1s"}, "-serve-for", []string{"-listen-metrics", "127.0.0.1:0"}},
-		{[]string{"-block-profile-rate", "1"}, "-block-profile-rate", []string{"-listen-metrics", "127.0.0.1:0"}},
-		{[]string{"-mutex-profile-fraction", "1"}, "-mutex-profile-fraction", []string{"-listen-metrics", "127.0.0.1:0"}},
 		{[]string{"-serve-for", "-1s", "-listen-metrics", "127.0.0.1:0"}, "negative", nil},
-		{[]string{"-block-profile-rate", "-1", "-listen-metrics", "127.0.0.1:0"}, "negative", nil},
-		{[]string{"-mutex-profile-fraction", "-1", "-listen-metrics", "127.0.0.1:0"}, "negative", nil},
 		{[]string{"-trace-sample", "2"}, "-trace-sample", []string{"-trace-out", "t.jsonl"}},
 		{[]string{"-trace-clock", "wall"}, "-trace-clock", []string{"-trace-out", "t.jsonl"}},
 		{[]string{"-trace-out", "t.jsonl", "-trace-sample", "0"}, "-trace-sample 0", nil},
@@ -269,8 +264,8 @@ func TestTelemetryTraceFile(t *testing.T) {
 	if data, _ := os.ReadFile(tel.TraceOut); !strings.Contains(string(data), `"epoch"`) {
 		t.Errorf("span file: %q", data)
 	}
-	if data, _ := os.ReadFile(tel.EventsOut); !strings.Contains(string(data), `"event":"span"`) {
-		t.Errorf("span not bridged into -events: %q", data)
+	if data, err := os.ReadFile(tel.EventsOut); err != nil || len(data) != 0 {
+		t.Errorf("-events holds %q (%v), want nothing: spans go to the span file only", data, err)
 	}
 	if want := "tracing epochs to " + tel.TraceOut + " (sample 1/1, logical clock)\n"; out.String() != want {
 		t.Errorf("announced %q, want %q", out.String(), want)

@@ -134,27 +134,10 @@ type SLOResult struct {
 	Terms []TermResult `json:"terms"`
 }
 
-// HasNonLatency reports whether the expression contains err or tput
-// terms — gates that need the open-loop runner's own accounting and
-// cannot be evaluated from latency instruments alone.
-func (s *SLO) HasNonLatency() bool {
-	if s == nil {
-		return false
-	}
-	for _, t := range s.terms {
-		if t.kind != "latency" {
-			return true
-		}
-	}
-	return false
-}
-
-// Eval checks every term against the result. Latency terms read only
-// res.ReadHist and res.WriteHist (seconds; an unprefixed term takes the
-// worse of the two ops), so a tool holding just the registry's
-// drp_net_request_seconds histograms passes those in a Result — its
-// err/tput terms it rejects up front via HasNonLatency. A nil SLO passes
-// vacuously with no terms.
+// Eval checks every term against the result of an open-loop run. Latency
+// terms read res.ReadHist and res.WriteHist (seconds; an unprefixed term
+// takes the worse of the two ops). A nil SLO passes vacuously with no
+// terms.
 func (s *SLO) Eval(res *Result) SLOResult {
 	if s == nil {
 		return SLOResult{Pass: true}

@@ -1,13 +1,11 @@
 package metrics
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // writePrometheus renders every registered instrument in the Prometheus
@@ -68,21 +66,4 @@ func (r *Registry) handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.writePrometheus(w)
 	})
-}
-
-// expvarMu serialises publication checks: expvar.Publish panics on
-// duplicate names, and CLI tests run several instrumented runs per process.
-var expvarMu sync.Mutex
-
-// publishExpvar publishes the registry under the given expvar name (it then
-// appears in /debug/vars as a JSON snapshot). Publishing the same name
-// twice is a no-op — the first registry wins — because expvar's global
-// namespace cannot be unpublished.
-func (r *Registry) publishExpvar(name string) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

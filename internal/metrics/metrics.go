@@ -1,9 +1,8 @@
 // Package metrics is the repository's zero-dependency telemetry layer: a
 // concurrency-safe registry of named instruments (monotonic counters,
 // last-value gauges, log-linear histograms) with Prometheus text-format
-// exposition, expvar publication, deterministic JSON snapshots, a JSONL
-// structured-event sink and a bridge from the solver runtime's progress
-// events.
+// exposition, deterministic JSON snapshots, a JSONL structured-event sink
+// and a bridge from the solver runtime's progress events.
 //
 // The determinism contract mirrors the solver runtime's boundary-only
 // discipline (DESIGN.md §7): instrumentation never draws randomness and
@@ -264,8 +263,8 @@ type entry struct {
 
 // Registry holds named instruments. Instrument getters are get-or-create:
 // the first call registers, later calls with the same (name, labels) return
-// the same instrument; a kind conflict panics (programmer error, as with
-// expvar). The zero Registry is not usable — call NewRegistry.
+// the same instrument; a kind conflict panics (a programmer error). The
+// zero Registry is not usable — call NewRegistry.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*entry

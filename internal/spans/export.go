@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-
-	"drp/internal/metrics"
 )
 
 // Exporter receives each span exactly once, at Finish time. Finish
@@ -94,90 +92,4 @@ func (c *Collector) Reset() {
 	c.mu.Lock()
 	c.spans = nil
 	c.mu.Unlock()
-}
-
-// EventExporter bridges spans into a metrics.EventLog, so a run's
-// -events JSONL stream interleaves "span" records with the existing
-// solver/cluster events under one sink.
-type EventExporter struct{ log *metrics.EventLog }
-
-// NewEventExporter wraps an event log; nil yields a nil exporter, which
-// composes with newMulti.
-func NewEventExporter(l *metrics.EventLog) *EventExporter {
-	if l == nil {
-		return nil
-	}
-	return &EventExporter{log: l}
-}
-
-// Export emits the span as an "span" event with flattened fields.
-func (e *EventExporter) Export(s *Span) {
-	fields := map[string]any{
-		"trace": s.Trace,
-		"span":  s.ID,
-		"name":  s.Name,
-		"start": s.Start,
-		"end":   s.End,
-		"ntc":   s.NTC,
-	}
-	if s.Parent != "" {
-		fields["parent"] = s.Parent
-	}
-	if s.Site >= 0 {
-		fields["site"] = s.Site
-	}
-	if s.Peer >= 0 {
-		fields["peer"] = s.Peer
-	}
-	if s.Object >= 0 {
-		fields["obj"] = s.Object
-	}
-	if s.Err != "" {
-		fields["err"] = s.Err
-	}
-	if s.Verdict != "" {
-		fields["verdict"] = s.Verdict
-	}
-	e.log.Emit("span", fields)
-}
-
-// multi fans spans out to several exporters in order.
-type multi struct{ exps []Exporter }
-
-// newMulti composes exporters; nils are dropped. Returns nil when nothing
-// remains, which disables tracing cleanly.
-func newMulti(exps ...Exporter) Exporter {
-	var kept []Exporter
-	for _, e := range exps {
-		switch v := e.(type) {
-		case nil:
-			continue
-		case *writer:
-			if v == nil {
-				continue
-			}
-		case *Collector:
-			if v == nil {
-				continue
-			}
-		case *EventExporter:
-			if v == nil {
-				continue
-			}
-		}
-		kept = append(kept, e)
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return &multi{exps: kept}
-}
-
-func (m *multi) Export(s *Span) {
-	for _, e := range m.exps {
-		e.Export(s)
-	}
 }

@@ -11,10 +11,8 @@ import (
 // clock selects the timestamp source — "logical" (the default, empty
 // string included) yields byte-deterministic files for seeded runs,
 // "wall" real durations. sample keeps every nth root request; values
-// below 1 are rejected rather than silently clamped. Extra exporters
-// (e.g. an EventExporter bridging into the -events sink) receive every
-// span the file does; nils are dropped.
-func OpenFile(path string, sample int64, clock string, extra ...Exporter) (*Tracer, func() error, error) {
+// below 1 are rejected rather than silently clamped.
+func OpenFile(path string, sample int64, clock string) (*Tracer, func() error, error) {
 	if sample < 1 {
 		return nil, nil, fmt.Errorf("spans: sample must be >= 1, got %d", sample)
 	}
@@ -32,7 +30,7 @@ func OpenFile(path string, sample int64, clock string, extra ...Exporter) (*Trac
 		return nil, nil, err
 	}
 	w := newWriter(f)
-	tr := New(newMulti(append([]Exporter{w}, extra...)...))
+	tr := New(w)
 	tr.SetClock(ck)
 	tr.SetSample(sample)
 	cl := func() error {

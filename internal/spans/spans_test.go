@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"drp/internal/metrics"
 )
 
 func TestNilTracerAndSpanAreNoOps(t *testing.T) {
@@ -266,22 +264,6 @@ func TestAssembleOrphansBecomeRoots(t *testing.T) {
 	}
 	if traces[0].Root().Name != "root" {
 		t.Fatalf("primary root should be earliest start, got %s", traces[0].Root().Name)
-	}
-}
-
-func TestEventExporterEmitsSpans(t *testing.T) {
-	var buf bytes.Buffer
-	// metrics.NewEventLog without timestamps gives deterministic lines.
-	tr := New(NewEventExporter(metrics.NewEventLog(&buf)))
-	sp := tr.Root("read")
-	sp.SetSite(1)
-	sp.SetNTC(4)
-	sp.Finish()
-	out := buf.String()
-	for _, want := range []string{`"event":"span"`, `"name":"read"`, `"ntc":4`, `"site":1`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("event line missing %s:\n%s", want, out)
-		}
 	}
 }
 

@@ -48,16 +48,21 @@ type ChangeSpec struct {
 	ReadShare   float64 // R: fraction of changing objects whose *reads* increase
 }
 
-func (c ChangeSpec) validate() error {
+// validate rejects a share outside [0,1] (NaN included) and, by
+// checkRatio's rule, a change ratio Ch whose added requests for p's
+// busiest object are not a non-negative int64.
+func (c ChangeSpec) validate(p *core.Problem) error {
 	switch {
-	case c.Ch < 0:
-		return fmt.Errorf("workload: negative change ratio %v", c.Ch)
-	case c.ObjectShare < 0 || c.ObjectShare > 1:
-		return fmt.Errorf("workload: object share %v outside [0,1]", c.ObjectShare)
-	case c.ReadShare < 0 || c.ReadShare > 1:
-		return fmt.Errorf("workload: read share %v outside [0,1]", c.ReadShare)
+	case !(c.ObjectShare >= 0 && c.ObjectShare <= 1):
+		return fmt.Errorf("workload: ObjectShare %v outside [0,1]", c.ObjectShare)
+	case !(c.ReadShare >= 0 && c.ReadShare <= 1):
+		return fmt.Errorf("workload: ReadShare %v outside [0,1]", c.ReadShare)
 	}
-	return nil
+	var busiest int64
+	for k := 0; k < p.Objects(); k++ {
+		busiest = max(busiest, p.TotalReads(k), p.TotalWrites(k))
+	}
+	return checkRatio("Ch", c.Ch, busiest)
 }
 
 // ApplyChange perturbs p's read/write patterns per spec and returns the new
@@ -69,7 +74,7 @@ func (c ChangeSpec) validate() error {
 // M/5, simulating objects updated from a specific cluster of nodes (wrapped
 // around the site ring).
 func ApplyChange(p *core.Problem, spec ChangeSpec, seed uint64) (*core.Problem, []Change, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.validate(p); err != nil {
 		return nil, nil, err
 	}
 	rng := xrand.New(seed)

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"drp/internal/core"
@@ -137,17 +139,31 @@ func TestApplyChangeSortsByObject(t *testing.T) {
 	}
 }
 
+// TestApplyChangeValidation: a share outside [0,1], NaN included, and a
+// change ratio that is negative, not finite or whose added requests
+// overflow an int64 are each rejected by field name. The NaN and overflow
+// rows used to panic or return changes that added nothing.
 func TestApplyChangeValidation(t *testing.T) {
 	p := changeBase(t)
-	bad := []ChangeSpec{
-		{Ch: -1, ObjectShare: 0.1, ReadShare: 0.5},
-		{Ch: 1, ObjectShare: -0.1, ReadShare: 0.5},
-		{Ch: 1, ObjectShare: 1.5, ReadShare: 0.5},
-		{Ch: 1, ObjectShare: 0.1, ReadShare: 2},
-	}
-	for _, spec := range bad {
-		if _, _, err := ApplyChange(p, spec, 1); err == nil {
-			t.Fatalf("invalid spec %+v accepted", spec)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		spec  ChangeSpec
+		field string
+	}{
+		{ChangeSpec{Ch: -1, ObjectShare: 0.1, ReadShare: 0.5}, "Ch"},
+		{ChangeSpec{Ch: nan, ObjectShare: 0.1, ReadShare: 0.5}, "Ch"},
+		{ChangeSpec{Ch: inf, ObjectShare: 0.1, ReadShare: 0.5}, "Ch"},
+		{ChangeSpec{Ch: 1e300, ObjectShare: 0.1, ReadShare: 0.5}, "Ch"},
+		{ChangeSpec{Ch: 1, ObjectShare: -0.1, ReadShare: 0.5}, "ObjectShare"},
+		{ChangeSpec{Ch: 1, ObjectShare: 1.5, ReadShare: 0.5}, "ObjectShare"},
+		{ChangeSpec{Ch: 1, ObjectShare: nan, ReadShare: 0.5}, "ObjectShare"},
+		{ChangeSpec{Ch: 1, ObjectShare: 0.1, ReadShare: 2}, "ReadShare"},
+		{ChangeSpec{Ch: 1, ObjectShare: 0.1, ReadShare: nan}, "ReadShare"},
+		{ChangeSpec{Ch: 1, ObjectShare: 0.1, ReadShare: -inf}, "ReadShare"},
+	} {
+		next, changes, err := ApplyChange(p, c.spec, 1)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: error %v, want one naming %s (%d changes, next %v)", c.spec, err, c.field, len(changes), next != nil)
 		}
 	}
 }

@@ -68,3 +68,74 @@ func FuzzGenerate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzApplyChange drives ApplyChange with arbitrary ratios and shares over
+// one small instance. It must never panic. An accepted spec must have both
+// shares in [0,1] and a ratio checkRatio accepts for the busiest object;
+// each change must add Added ≥ 0 requests, all to its object's reads
+// (reads-up) or writes (writes-up), no site losing any, and every other
+// object's pattern must stay as it was.
+func FuzzApplyChange(f *testing.F) {
+	f.Add(6.0, 0.3, 0.8, uint64(1))
+	f.Add(0.0, 1.0, 0.0, uint64(2))
+	f.Add(math.NaN(), 0.3, 0.8, uint64(3))
+	f.Add(6.0, math.NaN(), 0.8, uint64(4))
+	f.Add(6.0, 0.3, math.NaN(), uint64(5))
+	f.Add(math.Inf(1), 0.3, 0.8, uint64(6))
+	f.Add(1e300, 0.5, 0.5, uint64(7))
+	p, err := Generate(NewSpec(5, 12, 0.05, 0.15), 11)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var busiest int64
+	for k := 0; k < p.Objects(); k++ {
+		busiest = max(busiest, p.TotalReads(k), p.TotalWrites(k))
+	}
+	reads, writes := p.ReadMatrix(), p.WriteMatrix()
+	f.Fuzz(func(t *testing.T, ch, objShare, readShare float64, seed uint64) {
+		share := func(x float64) bool { return x >= 0 && x <= 1 }
+		fits := ch >= 0 && 1.5*ch*float64(busiest) < 0x1p63
+		if fits && ch*float64(busiest)*float64(p.Objects()) > 1e6 {
+			t.Skip("too many requests to add")
+		}
+		next, changes, err := ApplyChange(p, ChangeSpec{Ch: ch, ObjectShare: objShare, ReadShare: readShare}, seed)
+		valid := fits && share(objShare) && share(readShare)
+		if err != nil {
+			if valid {
+				t.Fatalf("Ch=%v ObjectShare=%v ReadShare=%v rejected: %v", ch, objShare, readShare, err)
+			}
+			return
+		}
+		if !valid {
+			t.Fatalf("Ch=%v ObjectShare=%v ReadShare=%v accepted", ch, objShare, readShare)
+		}
+		byObject := make(map[int]Change, len(changes))
+		for _, c := range changes {
+			if c.Added < 0 {
+				t.Fatalf("object %d: Added %d", c.Object, c.Added)
+			}
+			byObject[c.Object] = c
+		}
+		nr, nw := next.ReadMatrix(), next.WriteMatrix()
+		for k := 0; k < p.Objects(); k++ {
+			c, changed := byObject[k]
+			var grownReads, grownWrites int64
+			for i := range reads {
+				dr, dw := nr[i][k]-reads[i][k], nw[i][k]-writes[i][k]
+				if dr < 0 || dw < 0 {
+					t.Fatalf("object %d, site %d: reads %+d, writes %+d", k, i, dr, dw)
+				}
+				grownReads += dr
+				grownWrites += dw
+			}
+			switch {
+			case !changed && grownReads+grownWrites != 0:
+				t.Fatalf("unchanged object %d gained %d reads, %d writes", k, grownReads, grownWrites)
+			case changed && c.Direction == readsUp && (grownReads != c.Added || grownWrites != 0):
+				t.Fatalf("reads-up object %d: reads +%d, writes +%d, Added %d", k, grownReads, grownWrites, c.Added)
+			case changed && c.Direction == writesUp && (grownWrites != c.Added || grownReads != 0):
+				t.Fatalf("writes-up object %d: reads +%d, writes +%d, Added %d", k, grownReads, grownWrites, c.Added)
+			}
+		}
+	})
+}
