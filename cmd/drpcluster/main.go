@@ -113,7 +113,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	cfg := cluster.Config{
 		Epochs:       *epochs,
 		Policy:       pol,
-		Threshold:    2.0,
 		GRAParams:    graParams,
 		AGRAParams:   agra.DefaultParams(),
 		Seed:         prob.Seed,

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,14 +62,12 @@ func TestClusterFailureInjection(t *testing.T) {
 }
 
 // eventFields lists, per -events record name, the fields a seeded run
-// fixes. solver.progress keeps only its algorithm: AGRA's micro-GAs run
-// concurrently, so their iteration and evaluation counts interleave in
-// scheduling order.
+// fixes at any GOMAXPROCS.
 var eventFields = map[string][]string{
 	"cluster.epoch": {"epoch", "reads", "writes", "failed_reads", "failed_writes", "serve_ntc", "read_ntc", "write_ntc",
 		"model_ntc", "migration_ntc", "migrations", "changed", "adapt_evaluations", "adapt_stopped"},
 	"solver.finished": {"algorithm", "evaluations", "iterations", "stopped"},
-	"solver.progress": {"algorithm"},
+	"solver.progress": {"algorithm", "iteration", "evaluations", "best_ntc"},
 }
 
 // projectEvents renders an -events file as one line per record other
@@ -145,6 +144,31 @@ func TestClusterEventsAndTraceFilesPinned(t *testing.T) {
 	}
 }
 
+// TestClusterEventsIdenticalAtAnyGOMAXPROCS: the seeded run's -events
+// records, projected to their fixed fields, do not depend on the worker
+// count. AGRA's micro-GAs run concurrently; their progress must still
+// reach the log in input order with the evaluation counts of a serial
+// run.
+func TestClusterEventsIdenticalAtAnyGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	var want string
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		path := filepath.Join(dir, fmt.Sprintf("ev%d.jsonl", procs))
+		err := run([]string{"-sites", "6", "-objects", "12", "-epochs", "3", "-seed", "7", "-events", path}, io.Discard)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := projectEvents(t, path)
+		if procs == 1 {
+			want = got
+		} else if got != want {
+			t.Fatalf("GOMAXPROCS=%d -events records differ from GOMAXPROCS=1:\n%s", procs, got)
+		}
+	}
+}
+
 func TestClusterUnknownPolicy(t *testing.T) {
 	if err := run([]string{"-policy", "chaos"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown policy accepted")
@@ -159,7 +183,8 @@ func TestClusterBadWorkload(t *testing.T) {
 
 // TestClusterRejectsBadDrift: a drift share outside [0, 1], NaN included,
 // and a change ratio the pattern change rejects each fail the run. A NaN
-// -drift used to disable drift silently.
+// -drift used to disable drift silently, and -drift-ch 1e9 drew its
+// requests one by one for hours.
 func TestClusterRejectsBadDrift(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -172,6 +197,7 @@ func TestClusterRejectsBadDrift(t *testing.T) {
 		{[]string{"-drift-ch", "NaN"}, "Ch"},
 		{[]string{"-drift-ch", "+Inf"}, "Ch"},
 		{[]string{"-drift-ch", "1e300"}, "Ch"},
+		{[]string{"-drift-ch", "1e9"}, "Ch"},
 	} {
 		err := run(append([]string{"-sites", "6", "-objects", "8", "-epochs", "2"}, c.args...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

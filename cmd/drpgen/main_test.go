@@ -45,6 +45,7 @@ func TestRunRejectsBadSpec(t *testing.T) {
 		{"-sites", "0"},
 		{"-update", "-1"},
 		{"-update", "1e300"},
+		{"-update", "1e9"},
 		{"-capacity", "NaN"},
 		{"-capacity", "1e300"},
 		{"-zipf", "-1"},

@@ -359,7 +359,7 @@ func runMembership(p *drp.Problem, founding, joins, leaves []int, dataDir string
 	fmt.Fprintf(stdout, "booted %d-member view %v over a %d-site universe (e.g. site %d at %s)\n",
 		len(founding), founding, p.Sites(), founding[0], c.Node(founding[0]).Addr())
 
-	cp, err := ctrl.NewControlPlane(p, founding, ctrl.ControlOptions{Tracer: tracer})
+	cp, err := ctrl.NewControlPlane(p, founding, tracer)
 	if err != nil {
 		return err
 	}

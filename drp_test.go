@@ -102,7 +102,6 @@ func TestEndToEndClusterSimulation(t *testing.T) {
 	cfg := drp.ClusterConfig{
 		Epochs:     2,
 		Policy:     drp.PolicyAGRAMini,
-		Threshold:  2.0,
 		Drift:      &drp.ChangeSpec{Ch: 4, ObjectShare: 0.2, ReadShare: 0.5},
 		GRAParams:  graParams,
 		AGRAParams: drp.DefaultAGRAParams(),

@@ -237,7 +237,6 @@ func Example_zipfweb() {
 	gra.Generations = 12
 	cfg := drp.ClusterConfig{
 		Epochs:     6,
-		Threshold:  2.0,
 		Drift:      &drp.ChangeSpec{Ch: 5, ObjectShare: 0.15, ReadShare: 0.6},
 		GRAParams:  gra,
 		AGRAParams: drp.DefaultAGRAParams(),

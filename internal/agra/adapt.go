@@ -108,8 +108,10 @@ func Adapt(in Input, params Params, miniParams gra.Params, miniGenerations int) 
 // which of them had passed their last boundary when the shared meter ran
 // out would vary with scheduling. Budgeted runs are therefore reproducible
 // at any GOMAXPROCS; cancelled and timed-out ones inherently are not.
-// Observers are invoked from worker goroutines when GOMAXPROCS > 1 — wrap
-// with solver.Synchronized.
+// The observer sees the micro-GAs' progress after the fan-out, object by
+// object in input order, with the evaluation counts a serial run reports,
+// so an uninterrupted run's progress stream is the same at every
+// GOMAXPROCS too.
 func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations int, run solver.Run) (*Result, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
@@ -147,14 +149,24 @@ func AdaptWith(in Input, params Params, miniParams gra.Params, miniGenerations i
 		workers = 1
 	}
 	micro := make([]*microGA, workers)
+	evals := int(c.Meter().Load())
 	parallel.ForWorker(len(tasks), workers, func(w, i int) {
 		if micro[w] == nil {
 			micro[w] = newMicroGA(p, params, c)
+			micro[w].record = run.Observer != nil
 		}
 		res.Objects[i] = micro[w].runObject(in.Changed[i], tasks[i].current, in.GRAPopulation, tasks[i].rng)
 	})
+	// Replay the recorded progress as a serial run emits it: each object's
+	// events count the evaluations of the objects before it.
 	iterations := 0
 	for _, or := range res.Objects {
+		for _, pr := range or.progress {
+			pr.Algorithm = "agra"
+			pr.Evaluations += evals
+			run.Observer.Progress(pr)
+		}
+		evals += or.Evaluations
 		iterations += or.Generations
 	}
 	res.MicroElapsed = c.Elapsed()

@@ -37,7 +37,7 @@ const (
 	PolicySRA
 	// PolicyAGRA adapts only changed objects (micro-GAs + transcription).
 	PolicyAGRA
-	// PolicyAGRAMini is PolicyAGRA followed by 5 mini-GRA generations.
+	// PolicyAGRAMini is PolicyAGRA followed by the mini-GRA polish.
 	PolicyAGRAMini
 	// PolicyGRA re-runs the full genetic algorithm every epoch.
 	PolicyGRA
@@ -60,6 +60,17 @@ func (p Policy) String() string {
 	}
 }
 
+const (
+	// changeFactor is the pattern-change detection factor of the AGRA
+	// policies: an object is reported to the adaptive monitor when its
+	// observed read or write total grew or shrank by at least this factor
+	// since the scheme was last tuned for it (agra.DetectChanges).
+	changeFactor = 2.0
+	// miniGenerations is the paper's mini-GRA polish after an AGRA
+	// re-optimisation, in generations.
+	miniGenerations = 5
+)
+
 // Failure takes a site offline for a span of epochs [From, To).
 type Failure struct {
 	Site     int
@@ -75,13 +86,6 @@ type Config struct {
 	// Drift, if non-nil, perturbs the read/write patterns at the start of
 	// every epoch after the first (Section 6.3 style).
 	Drift *workload.ChangeSpec
-	// Threshold is the pattern-change detection factor: an object is
-	// reported to the adaptive monitor when its observed read or write
-	// total grew or shrank by at least this factor since the scheme was
-	// last tuned for it (e.g. 2.0; agra.DetectChanges). 0 means never,
-	// at or below 1 any moved total counts. Only used by the AGRA
-	// policies.
-	Threshold float64
 	// Failures lists injected site outages.
 	Failures []Failure
 	// GRA and AGRA budgets for the adapting policies.
@@ -124,8 +128,6 @@ func (cfg Config) validate(p *core.Problem) error {
 		return fmt.Errorf("cluster: need at least one epoch, got %d", cfg.Epochs)
 	case cfg.Policy < PolicyNone || cfg.Policy > PolicyGRA:
 		return fmt.Errorf("cluster: unknown policy %d", int(cfg.Policy))
-	case cfg.Threshold < 0:
-		return fmt.Errorf("cluster: negative threshold %v", cfg.Threshold)
 	case cfg.EpochTimeout < 0:
 		return fmt.Errorf("cluster: negative epoch timeout %v", cfg.EpochTimeout)
 	case cfg.AdaptBudget < 0:

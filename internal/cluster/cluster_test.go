@@ -32,7 +32,6 @@ func testConfig(policy Policy) Config {
 	return Config{
 		Epochs:     3,
 		Policy:     policy,
-		Threshold:  2.0,
 		GRAParams:  graParams,
 		AGRAParams: agraParams,
 		Seed:       7,
@@ -111,22 +110,40 @@ func TestPolicyNoneStableAcrossEpochs(t *testing.T) {
 }
 
 // TestNoDriftNoChange: a pattern that never moved is never reported to the
-// adaptive monitor, at any detection threshold.
+// adaptive monitor.
 func TestNoDriftNoChange(t *testing.T) {
 	p := gen(t, 8, 12, 0.05, 0.15, 3)
 	scheme := sra.Run(p, sra.Options{}).Scheme
-	for _, threshold := range []float64{0.5, 1, 2} {
+	res, err := Run(p, scheme, testConfig(PolicyAGRA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range res.Epochs {
+		if e.Changed != 0 || e.Migrations != 0 {
+			t.Fatalf("epoch %d: %d objects changed, %d migrations under static patterns", e.Epoch, e.Changed, e.Migrations)
+		}
+	}
+}
+
+// TestChangeFactorIsTwo pins the AGRA monitor's detection factor: a drift
+// that grows half the objects' reads 2.5-fold reports each of them, one
+// that grows them 1.5-fold reports none.
+func TestChangeFactorIsTwo(t *testing.T) {
+	p := gen(t, 8, 12, 0.05, 0.15, 3)
+	scheme := sra.Run(p, sra.Options{}).Scheme
+	for _, c := range []struct {
+		ch   float64
+		want int
+	}{{1.5, 6}, {0.5, 0}} {
 		cfg := testConfig(PolicyAGRA)
-		cfg.Threshold = threshold
+		cfg.Epochs = 2
+		cfg.Drift = &workload.ChangeSpec{Ch: c.ch, ObjectShare: 0.5, ReadShare: 1}
 		res, err := Run(p, scheme, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range res.Epochs {
-			if e.Changed != 0 || e.Migrations != 0 {
-				t.Fatalf("threshold %v epoch %d: %d objects changed, %d migrations under static patterns",
-					threshold, e.Epoch, e.Changed, e.Migrations)
-			}
+		if got := res.Epochs[1].Changed; got != c.want {
+			t.Errorf("Ch=%v: %d objects reported, want %d", c.ch, got, c.want)
 		}
 	}
 }
@@ -271,7 +288,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Epochs: 0, Policy: PolicyNone},
 		{Epochs: 1, Policy: Policy(0)},
-		{Epochs: 1, Policy: PolicyNone, Threshold: -1},
 		{Epochs: 1, Policy: PolicyNone, Failures: []Failure{{Site: 9, From: 0, To: 1}}},
 		{Epochs: 1, Policy: PolicyNone, Failures: []Failure{{Site: 0, From: 2, To: 1}}},
 	}

@@ -29,50 +29,34 @@ import (
 // realises each plan (netnode.Cluster.ApplyPlan), whose coordinator
 // journal records it before the first migration step.
 type ControlPlane struct {
-	mu   sync.Mutex
-	p    *core.Problem
-	opts ControlOptions
+	mu     sync.Mutex
+	p      *core.Problem
+	tracer *spans.Tracer
 
 	epoch   int        // plan epoch counter (plans emitted so far)
 	prim    []int      // universe-indexed current primary assignment
 	current *plan.Plan // last emitted plan
 }
 
-// ControlOptions configure the control plane. The founding solve is SRA
-// and every membership event re-optimises with AGRA, both at the paper's
-// parameters.
-type ControlOptions struct {
-	// MiniGenerations is the mini-GRA polish after each AGRA
-	// re-optimisation: zero takes the paper's 5 generations, and a negative
-	// value disables the polish, leaving untouched objects' placements
-	// bit-for-bit intact across a replan.
-	MiniGenerations int
-	// Tracer, when non-nil, records a span per control-plane decision:
-	// a control.found root for the founding solve and a control.replan
-	// root (with reassign and solve children) per membership event.
-	Tracer *spans.Tracer
-}
-
 // NewControlPlane founds the view of the given members (plan.NewView
 // over p's sites), solves it with the static greedy and returns a control
 // plane holding plan epoch 1 over view epoch 0. Every universe primary
 // must be a member. Derive later views from Plan().View with Join and
-// Leave and hand each to React.
-func NewControlPlane(p *core.Problem, members []int, opts ControlOptions) (*ControlPlane, error) {
+// Leave and hand each to React. The founding solve is SRA and every
+// membership event re-optimises with AGRA and the mini-GRA polish, all at
+// the paper's parameters. tracer, when non-nil, records a span per
+// decision: a control.found root for the founding solve and a
+// control.replan root (with reassign and solve children) per membership
+// event.
+func NewControlPlane(p *core.Problem, members []int, tracer *spans.Tracer) (*ControlPlane, error) {
 	view, err := plan.NewView(p.Sites(), members)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case opts.MiniGenerations == 0:
-		opts.MiniGenerations = 5
-	case opts.MiniGenerations < 0:
-		opts.MiniGenerations = 0
-	}
 	cp := &ControlPlane{
-		p:    p,
-		opts: opts,
-		prim: make([]int, p.Objects()),
+		p:      p,
+		tracer: tracer,
+		prim:   make([]int, p.Objects()),
 	}
 	for k := 0; k < p.Objects(); k++ {
 		cp.prim[k] = p.Primary(k)
@@ -84,7 +68,7 @@ func NewControlPlane(p *core.Problem, members []int, opts ControlOptions) (*Cont
 	if err != nil {
 		return nil, err
 	}
-	root := opts.Tracer.Root("control.found")
+	root := tracer.Root("control.found")
 	res := sra.Run(rp, sra.Options{})
 	pl := plan.Lift(view, res.Scheme)
 	if err := cp.emit(pl); err != nil {
@@ -111,7 +95,7 @@ func (cp *ControlPlane) Plan() *plan.Plan {
 func (cp *ControlPlane) React(v plan.View) (pl *plan.Plan, err error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	root := cp.opts.Tracer.Root("control.replan")
+	root := cp.tracer.Root("control.replan")
 	root.SetAttr("view", strconv.Itoa(v.Epoch))
 	prim := slices.Clone(cp.prim)
 	defer func() {
@@ -270,7 +254,7 @@ func (cp *ControlPlane) solve(v plan.View, changed []int) (*plan.Plan, error) {
 		Problem: rp,
 		Current: cur,
 		Changed: changed,
-	}, agra.DefaultParams(), gra.DefaultParams(), cp.opts.MiniGenerations)
+	}, agra.DefaultParams(), gra.DefaultParams(), miniGenerations)
 	if err != nil {
 		return nil, err
 	}

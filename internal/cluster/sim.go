@@ -244,11 +244,7 @@ func (s *sim) adapt(epoch int, stats *EpochStats) error {
 		st = res.Stats
 
 	case PolicyAGRA, PolicyAGRAMini:
-		// Threshold 0 means the detector never fires.
-		var changed []int
-		if s.cfg.Threshold > 0 {
-			changed = agra.DetectChanges(s.tuned, s.problem, s.cfg.Threshold)
-		}
+		changed := agra.DetectChanges(s.tuned, s.problem, changeFactor)
 		stats.Changed = len(changed)
 		if len(changed) == 0 {
 			stats.AdaptTime = time.Since(start)
@@ -256,7 +252,7 @@ func (s *sim) adapt(epoch int, stats *EpochStats) error {
 		}
 		miniGens := 0
 		if s.cfg.Policy == PolicyAGRAMini {
-			miniGens = 5
+			miniGens = miniGenerations
 		}
 		params := s.cfg.AGRAParams
 		params.Seed = s.cfg.Seed + uint64(epoch)*257

@@ -72,9 +72,8 @@ func checkUnshared(t *testing.T, ev *evaluator, pop []ga.Individual, elite ga.In
 	}
 }
 
-// TestCarriedObjectCostsMatchKernel runs GRA's generational loop with
-// aggressive variation (every pair crossed, 5% mutation) at GOMAXPROCS 2
-// and checks, after every generation, that every parent, crossover child,
+// TestCarriedObjectCostsMatchKernel runs GRA's generational loop at
+// GOMAXPROCS 2 and checks, after every generation, that every parent, crossover child,
 // mutant and the elite carries exactly the V_k the kernel prices and the
 // usage a walk finds for its chromosome, and that no two of them, nor the
 // recycled buffers, share storage.
@@ -83,8 +82,6 @@ func TestCarriedObjectCostsMatchKernel(t *testing.T) {
 	setProcs(t, 2)
 	params := smallParams(43)
 	params.Generations = 25
-	params.CrossoverRate = 1.0
-	params.MutationRate = 0.05
 	ev := newEvaluator(p)
 	rng := xrand.New(params.Seed)
 	init := seedSRA(p, params.PopSize, rng)
@@ -98,16 +95,16 @@ func TestCarriedObjectCostsMatchKernel(t *testing.T) {
 	var pool, spare []ga.Individual
 	for gen := 1; gen <= params.Generations; gen++ {
 		pool = append(pool[:0], pop...)
-		pool = ev.crossoverSubpop(pool, pop, params, rng)
+		pool = ev.crossoverSubpop(pool, pop, rng)
 		crossEnd := len(pool)
-		pool = ev.mutationSubpop(pool, pop, params, rng)
+		pool = ev.mutationSubpop(pool, pop, rng)
 		checkCarried(t, p, "crossover child", pool[len(pop):crossEnd])
 		checkCarried(t, p, "mutant", pool[crossEnd:])
 		if b := ga.Best(pool); pool[b].Fitness > elite.Fitness {
 			elite.CopyFrom(pool[b])
 		}
 		pop, spare = ev.selectNext(spare, pool, params.PopSize, rng), pop
-		if gen%params.EliteEvery == 0 {
+		if gen%eliteEvery == 0 {
 			pop[ga.Worst(pop)].CopyFrom(elite)
 		}
 		checkCarried(t, p, "individual", pop)

@@ -35,29 +35,27 @@ import (
 	"drp/internal/xrand"
 )
 
-// Params are the GRA control parameters. The paper fixes Np=50, Ng=80,
-// µc=0.9, µm=0.01 after tuning, with the elite copied back every 5
-// generations. The operators themselves are not parameters: seeding is
-// always SRA-based, selection (µ+λ) stochastic remainder and crossover
-// two-point with gene repair, as in the paper.
+// The paper's tuned variation rates and elite period, fixed for every run.
+const (
+	crossoverRate = 0.9  // µc
+	mutationRate  = 0.01 // µm
+	eliteEvery    = 5    // elite re-injection period, in generations
+)
+
+// Params are the GRA control parameters. The paper fixes Np=50, Ng=80
+// after tuning; the rates and the elite period are the constants above.
+// The operators themselves are not parameters: seeding is always
+// SRA-based, selection (µ+λ) stochastic remainder and crossover two-point
+// with gene repair, as in the paper.
 type Params struct {
-	PopSize       int     // Np
-	Generations   int     // Ng
-	CrossoverRate float64 // µc
-	MutationRate  float64 // µm
-	EliteEvery    int     // elite re-injection period, in generations
-	Seed          uint64  // RNG seed; identical seeds reproduce runs exactly
+	PopSize     int    // Np
+	Generations int    // Ng
+	Seed        uint64 // RNG seed; identical seeds reproduce runs exactly
 }
 
 // DefaultParams returns the paper's tuned parameters.
 func DefaultParams() Params {
-	return Params{
-		PopSize:       50,
-		Generations:   80,
-		CrossoverRate: 0.9,
-		MutationRate:  0.01,
-		EliteEvery:    5,
-	}
+	return Params{PopSize: 50, Generations: 80}
 }
 
 func (pr Params) validate() error {
@@ -66,12 +64,6 @@ func (pr Params) validate() error {
 		return fmt.Errorf("gra: population size %d < 2", pr.PopSize)
 	case pr.Generations < 0:
 		return fmt.Errorf("gra: negative generation count %d", pr.Generations)
-	case pr.CrossoverRate < 0 || pr.CrossoverRate > 1:
-		return fmt.Errorf("gra: crossover rate %v outside [0,1]", pr.CrossoverRate)
-	case pr.MutationRate < 0 || pr.MutationRate > 1:
-		return fmt.Errorf("gra: mutation rate %v outside [0,1]", pr.MutationRate)
-	case pr.EliteEvery < 1:
-		return fmt.Errorf("gra: elite period %d < 1", pr.EliteEvery)
 	}
 	return nil
 }
@@ -176,7 +168,7 @@ func ContinueWith(p *core.Problem, params Params, init []*bitset.Set, run solver
 func seedSRA(p *core.Problem, popSize int, rng *xrand.Source) []*bitset.Set {
 	pop := make([]*bitset.Set, popSize)
 	for c := 0; c < popSize; c++ {
-		res := sra.Run(p, sra.Options{RandomOrder: true, RNG: rng.Split()})
+		res := sra.Run(p, sra.Options{RNG: rng.Split()})
 		if c >= popSize/2 {
 			Perturb(res.Scheme, 0.25, rng)
 		}
@@ -246,8 +238,8 @@ func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source,
 		// (µ+λ): parents and both offspring subpopulations compete for the
 		// Np slots of the next generation.
 		pool = append(pool[:0], pop...)
-		pool = ev.crossoverSubpop(pool, pop, params, rng)
-		pool = ev.mutationSubpop(pool, pop, params, rng)
+		pool = ev.crossoverSubpop(pool, pop, rng)
+		pool = ev.mutationSubpop(pool, pop, rng)
 
 		if b := ga.Best(pool); pool[b].Fitness > elite.Fitness {
 			elite.CopyFrom(pool[b])
@@ -255,7 +247,7 @@ func evolve(ev *evaluator, params Params, init []*bitset.Set, rng *xrand.Source,
 		pop, spare = ev.selectNext(spare, pool, params.PopSize, rng), pop
 
 		// Elitism with delayed re-injection to avoid premature convergence.
-		if gen%params.EliteEvery == 0 {
+		if gen%eliteEvery == 0 {
 			pop[ga.Worst(pop)].CopyFrom(elite)
 		}
 		record(gen)

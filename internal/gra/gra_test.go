@@ -33,7 +33,7 @@ func smallParams(seed uint64) Params {
 
 func TestDefaultParamsMatchPaper(t *testing.T) {
 	p := DefaultParams()
-	if p.PopSize != 50 || p.Generations != 80 || p.CrossoverRate != 0.9 || p.MutationRate != 0.01 || p.EliteEvery != 5 {
+	if p.PopSize != 50 || p.Generations != 80 {
 		t.Fatalf("defaults %+v do not match the paper", p)
 	}
 }
@@ -41,11 +41,8 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 func TestParamsValidation(t *testing.T) {
 	p := gen(t, 5, 5, 0.05, 0.15, 1)
 	bad := []Params{
-		{PopSize: 1, Generations: 1, CrossoverRate: 0.5, MutationRate: 0.01, EliteEvery: 5},
-		{PopSize: 10, Generations: -1, CrossoverRate: 0.5, MutationRate: 0.01, EliteEvery: 5},
-		{PopSize: 10, Generations: 1, CrossoverRate: 1.5, MutationRate: 0.01, EliteEvery: 5},
-		{PopSize: 10, Generations: 1, CrossoverRate: 0.5, MutationRate: -0.1, EliteEvery: 5},
-		{PopSize: 10, Generations: 1, CrossoverRate: 0.5, MutationRate: 0.01, EliteEvery: 0},
+		{PopSize: 1, Generations: 1},
+		{PopSize: 10, Generations: -1},
 	}
 	for i, params := range bad {
 		if _, err := Run(p, params); err == nil {
@@ -230,20 +227,23 @@ func TestZeroGenerationsReturnsBestSeed(t *testing.T) {
 	}
 }
 
+// TestCrossoverRepairChecksEveryGeneration: on a tight-capacity problem
+// every chromosome of every generation's population is valid. A run of g
+// generations ends in generation g's population, so one run per g checks
+// them all.
 func TestCrossoverRepairChecksEveryGeneration(t *testing.T) {
-	// Run with aggressive crossover and mutation on a tight-capacity
-	// problem; every chromosome of the final population must be valid.
-	p := gen(t, 10, 15, 0.05, 0.08, 12)
+	p := gen(t, 20, 20, 0.05, 0.08, 12)
 	params := smallParams(23)
-	params.CrossoverRate = 1.0
-	params.MutationRate = 0.05
-	res, err := Run(p, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, bits := range res.Population {
-		if _, err := core.SchemeFromBits(p, bits); err != nil {
-			t.Fatalf("final chromosome %d invalid: %v", i, err)
+	for g := 1; g <= 30; g++ {
+		params.Generations = g
+		res, err := Run(p, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, bits := range res.Population {
+			if _, err := core.SchemeFromBits(p, bits); err != nil {
+				t.Fatalf("generation %d: chromosome %d invalid: %v", g, i, err)
+			}
 		}
 	}
 }

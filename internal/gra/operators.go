@@ -220,7 +220,7 @@ func (ev *evaluator) geneUsage(x *bitset.Set, g int) int64 {
 // copied), and cut-point genes are repaired to validity. All variation runs
 // on the coordinator; the offspring are then batch-evaluated across the
 // pool.
-func (ev *evaluator) crossoverSubpop(dst, pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
+func (ev *evaluator) crossoverSubpop(dst, pop []ga.Individual, rng *xrand.Source) []ga.Individual {
 	order := rng.Perm(len(pop))
 	cand := ev.cand[:0]
 	// Four parents a pair, in one slab that never grows mid-loop.
@@ -228,7 +228,7 @@ func (ev *evaluator) crossoverSubpop(dst, pop []ga.Individual, params Params, rn
 	for idx := 0; idx+1 < len(order); idx += 2 {
 		pa, pb := pop[order[idx]], pop[order[idx+1]]
 		a, b := ev.copyOf(pa), ev.copyOf(pb)
-		if rng.Bool(params.CrossoverRate) {
+		if rng.Bool(crossoverRate) {
 			ev.spans = ga.TwoPoint(ev.spans[:0], a.Bits, b.Bits, rng)
 			ev.repairCrossover(a, b, ev.spans)
 		}
@@ -324,11 +324,11 @@ func swapGeneComplement(a, b *bitset.Set, g, n int, spans []ga.CrossSpan) {
 // mutationSubpop appends the λ/2 mutation offspring to dst: the
 // coordinator draws every bit flip (probability µm per bit) for each
 // parent, and the pool breeds and evaluates the mutants.
-func (ev *evaluator) mutationSubpop(dst, pop []ga.Individual, params Params, rng *xrand.Source) []ga.Individual {
+func (ev *evaluator) mutationSubpop(dst, pop []ga.Individual, rng *xrand.Source) []ga.Individual {
 	flips, cand := ev.flips[:0], ev.cand[:0]
 	for idx := range pop {
 		from := len(flips)
-		ga.MutateBits(pop[idx].Bits.Len(), params.MutationRate, rng, func(pos int) { flips = append(flips, pos) })
+		ga.MutateBits(pop[idx].Bits.Len(), mutationRate, rng, func(pos int) { flips = append(flips, pos) })
 		// A later append may move the slab; this mutant keeps its own
 		// positions either way.
 		mine := flips[from:len(flips):len(flips)]

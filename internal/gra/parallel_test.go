@@ -84,15 +84,13 @@ func TestRunWithPopulationParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunParallelHammer is the -race workhorse: a wide pool, aggressive
-// variation rates and enough generations to push many batches through it.
+// TestRunParallelHammer is the -race workhorse: a wide pool and enough
+// generations to push many batches through it.
 func TestRunParallelHammer(t *testing.T) {
 	p := gen(t, 10, 15, 0.05, 0.10, 24)
 	setProcs(t, 8)
 	params := smallParams(43)
-	params.Generations = 25
-	params.CrossoverRate = 1.0
-	params.MutationRate = 0.05
+	params.Generations = 50
 	res, err := Run(p, params)
 	if err != nil {
 		t.Fatal(err)

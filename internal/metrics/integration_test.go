@@ -170,7 +170,6 @@ func clusterConfig(graParams gra.Params, reg *metrics.Registry) cluster.Config {
 		Epochs:     3,
 		Policy:     cluster.PolicyAGRAMini,
 		Drift:      &workload.ChangeSpec{Ch: 6, ObjectShare: 0.3, ReadShare: 0.5},
-		Threshold:  2.0,
 		GRAParams:  graParams,
 		AGRAParams: agra.DefaultParams(),
 		Seed:       1,

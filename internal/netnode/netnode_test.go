@@ -93,7 +93,6 @@ func TestDeployMigrationCostMatchesModel(t *testing.T) {
 			cfg := cluster.Config{
 				Epochs:     4,
 				Policy:     policy,
-				Threshold:  2.0,
 				Drift:      &workload.ChangeSpec{Ch: 6, ObjectShare: 0.3, ReadShare: 0.5},
 				GRAParams:  graParams,
 				AGRAParams: agra.DefaultParams(),

@@ -580,7 +580,7 @@ func TestDeployCommandsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	cp, err := ctrl.NewControlPlane(p, founding, ctrl.ControlOptions{})
+	cp, err := ctrl.NewControlPlane(p, founding, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,8 +88,10 @@ type Progress struct {
 }
 
 // Observer receives Progress events. Implementations must be cheap — they
-// run on the solver's coordinator goroutine — and, when a solver fans out
-// (AGRA's micro-GAs), safe for concurrent use; wrap with Synchronized.
+// run on the solver's coordinator goroutine; a solver that fans out (AGRA's
+// micro-GAs) replays its workers' events there afterwards, in input order.
+// An observer that concurrent runs share must be safe for concurrent use;
+// wrap it with Synchronized.
 type Observer interface {
 	Progress(Progress)
 }

@@ -50,13 +50,13 @@ func NewWorkloadSpec(sites, objects int) WorkloadSpec {
 		Objects:       objects,
 		ReaderSites:   readers,
 		WriterSites:   writers,
-		ReadMin:       1,
-		ReadMax:       40,
+		ReadMin:       workload.ReadMin,
+		ReadMax:       workload.ReadMax,
 		WriteMin:      1,
 		WriteMax:      4,
-		LinkMin:       1,
-		LinkMax:       10,
-		SizeMean:      35,
+		LinkMin:       workload.LinkMin,
+		LinkMax:       workload.LinkMax,
+		SizeMean:      workload.SizeMean,
 		CapacityRatio: 0.15,
 	}
 }

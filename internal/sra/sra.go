@@ -22,10 +22,8 @@ import (
 // round-robin; the GRA seeds its population with SRA runs that pick sites
 // uniformly at random for diversity.
 type Options struct {
-	// RandomOrder picks the next site uniformly from the remaining
-	// candidates instead of round-robin. Requires RNG.
-	RandomOrder bool
-	// RNG drives random site picks. Ignored unless RandomOrder is set.
+	// RNG, when non-nil, picks the next site uniformly from the remaining
+	// candidates instead of round-robin.
 	RNG *xrand.Source
 	// Run carries the anytime controls (context, deadline, budget,
 	// observer). SRA's budget unit is benefit scans — the greedy never
@@ -92,11 +90,9 @@ func Run(p *core.Problem, opts Options) *Result {
 			stop = reason
 			break
 		}
-		var idx int
-		if opts.RandomOrder {
+		idx := cursor % len(active)
+		if opts.RNG != nil {
 			idx = opts.RNG.Intn(len(active))
-		} else {
-			idx = cursor % len(active)
 		}
 		site := active[idx]
 
@@ -122,7 +118,7 @@ func Run(p *core.Problem, opts Options) *Result {
 			active = active[:len(active)-1]
 			// Round-robin continues from the same position, which now holds
 			// the next site.
-		} else if !opts.RandomOrder {
+		} else if opts.RNG == nil {
 			cursor = idx + 1
 		}
 		c.Observe(visits, 0, 0, 0)

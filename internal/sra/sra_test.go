@@ -63,7 +63,7 @@ func TestRandomOrderStillValid(t *testing.T) {
 	p := gen(t, 10, 15, 0.05, 0.15, 5)
 	seen := make(map[int64]bool)
 	for s := uint64(0); s < 5; s++ {
-		res := Run(p, Options{RandomOrder: true, RNG: xrand.New(s)})
+		res := Run(p, Options{RNG: xrand.New(s)})
 		if err := res.Scheme.Validate(); err != nil {
 			t.Fatalf("random-order scheme invalid: %v", err)
 		}

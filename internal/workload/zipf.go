@@ -50,7 +50,7 @@ func GenerateZipf(spec ZipfSpec, seed uint64) (*core.Problem, error) {
 			weightSum += weights[k]
 		}
 
-		totalVolume := float64(m) * float64(n) * float64(spec.ReadMin+spec.ReadMax) / 2
+		totalVolume := float64(m) * float64(n) * float64(ReadMin+ReadMax) / 2
 		reads := make([][]int64, m)
 		for i := range reads {
 			reads[i] = make([]int64, n)
