@@ -4,17 +4,14 @@ import "drp/internal/core"
 
 // DetectChanges compares two pattern snapshots of the same system and
 // returns the objects whose total reads or writes moved by at least the
-// given factor (>1) in either direction — the paper's trigger: AGRA runs
-// "each time the R/W pattern of an object changes above a threshold value
-// either in favour of reads, or updates". Objects whose totals went from
-// zero to non-zero always qualify.
+// given factor in either direction (at or below 1, any move counts) — the
+// paper's trigger: AGRA runs "each time the R/W pattern of an object
+// changes above a threshold value either in favour of reads, or updates".
+// Objects whose totals went from zero to non-zero always qualify.
 //
 // The problems must have the same shape (it is the same network, observed
 // at two times).
 func DetectChanges(before, after *core.Problem, factor float64) []int {
-	if factor <= 1 {
-		factor = 1
-	}
 	n := before.Objects()
 	if after.Objects() < n {
 		n = after.Objects()

@@ -140,8 +140,8 @@ func TestApplyChangeSortsByObject(t *testing.T) {
 }
 
 // TestApplyChangeValidation: a share outside [0,1], NaN included, and a
-// change ratio that is negative, not finite or whose added requests
-// overflow an int64 are each rejected by field name. The NaN and overflow
+// change ratio that is negative, not finite or that would add more than
+// maxDraws requests are each rejected by field name. The NaN and 1e300
 // rows used to panic or return changes that added nothing.
 func TestApplyChangeValidation(t *testing.T) {
 	p := changeBase(t)
