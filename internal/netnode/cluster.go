@@ -269,20 +269,6 @@ func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
 	return rep.MigrationNTC, nil
 }
 
-// command sends one coordinator request to a site and turns a rejection
-// into an error. parent, when non-nil, receives one rpc child span per
-// attempt.
-func (c *Cluster) command(site int, msg message, parent *spans.Span) error {
-	resp, err := c.exchange(site, msg, parent)
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("netnode: site %d rejected %s: %w", site, msg.Op, &replyError{Code: resp.Code, Msg: resp.Err})
-	}
-	return nil
-}
-
 // exchange runs one coordinator request against a member site under the
 // coordinator's gate, retry policy and deadline.
 func (c *Cluster) exchange(site int, msg message, parent *spans.Span) (reply, error) {

@@ -47,6 +47,7 @@ type codecCase struct {
 	closeWrite bool
 	wantCode   string
 	wantClosed bool // stream closes with no reply at all
+	applied    int  // the batch records the site applied
 }
 
 // codecCases is the table for a problem whose object 0 is primaried at
@@ -70,6 +71,10 @@ func codecCases(prim, other int) []codecCase {
 		{name: "update to a non-primary", site: other, payload: `{"op":"update","obj":0}` + "\n", wantCode: codeNotPrimary},
 		{name: "reconcile to a non-primary", site: other, payload: `{"op":"reconcile","obj":0}` + "\n", wantCode: codeNotPrimary},
 		{name: "drop of a primary copy", site: prim, payload: `{"op":"drop","obj":0}` + "\n", wantCode: codeNotPrimary},
+		{name: "empty batch", payload: `{"op":"batch","obj":0,"batch":[]}` + "\n", wantCode: codeBadOp},
+		{name: "nested batch", payload: `{"op":"batch","obj":0,"batch":[{"op":"batch","obj":0,"batch":[{"op":"drop","obj":1}]}]}` + "\n", wantCode: codeBadOp},
+		{name: "data-path op in a batch", site: other, payload: `{"op":"batch","obj":0,"batch":[{"op":"primary","obj":1,"site":1},{"op":"read","obj":0}]}` + "\n", wantCode: codeBadOp},
+		{name: "batch rejected at record 1", site: prim, payload: `{"op":"batch","obj":0,"batch":[{"op":"replicas","obj":1,"sites":[0]},{"op":"drop","obj":0},{"op":"primary","obj":1,"site":0}]}` + "\n", wantCode: codeNotPrimary, applied: 1},
 	}
 }
 
@@ -94,8 +99,8 @@ func TestWireCodecEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("no reply: %v", err)
 			}
-			if resp.Code != tc.wantCode {
-				t.Fatalf("reply code %q, want %q (reply %+v)", resp.Code, tc.wantCode, resp)
+			if resp.Code != tc.wantCode || resp.Applied != tc.applied {
+				t.Fatalf("reply code %q with %d applied, want %q with %d (reply %+v)", resp.Code, resp.Applied, tc.wantCode, tc.applied, resp)
 			}
 			if tc.wantCode != "" && resp.OK {
 				t.Fatalf("error reply claims OK: %+v", resp)
@@ -134,6 +139,7 @@ func TestWireCodecEdgeCases(t *testing.T) {
 		{other, message{Op: "drop", Object: 0}},
 		{other, message{Op: "replicas", Object: 0, Sites: []int{prim}}},
 		{other, message{Op: "primary", Object: 0, Site: other}},
+		{other, message{Op: opBatch, Batch: []message{{Op: "primary", Object: 0, Site: other}}}},
 	} {
 		n := c.Node(tc.site)
 		if err := n.Kill(); err != nil {

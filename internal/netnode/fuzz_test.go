@@ -21,7 +21,10 @@ var replyCodes = map[string]bool{
 // site whose peer table spans the universe with every address empty, so a
 // broadcast or reconcile degrades to stale marks instead of erroring.
 // Oracles: no panic; every reply is OK or carries one of the documented
-// codes; a rejected line leaves the site's state and NTC byte-identical.
+// codes; after every line the site's state and NTC are byte-identical to
+// a twin site's that was sent, one request at a time, only what the site
+// acknowledged — an OK line whole, a batch's first applied records, a
+// rejected line nothing.
 func FuzzNodeLine(f *testing.F) {
 	p := gen(f, 4, 6, 0.3, 0.5, 1)
 	site := p.Primary(0)
@@ -41,6 +44,7 @@ func FuzzNodeLine(f *testing.F) {
 		`{"op":"place","obj":1,"version":2}`,
 		`{"op":"drop","obj":1}`,
 		fmt.Sprintf(`{"op":"primary","obj":1,"site":%d}`, site),
+		fmt.Sprintf(`{"op":"batch","obj":0,"batch":[{"op":"place","obj":1,"version":3},{"op":"replicas","obj":1,"sites":[%d,%d]},{"op":"primary","obj":1,"site":%d},{"op":"drop","obj":1}]}`, site, other, other),
 	}
 	for _, line := range valid {
 		f.Add([]byte(line + "\n"))
@@ -55,6 +59,12 @@ func FuzzNodeLine(f *testing.F) {
 		}
 		defer n.close()
 		n.setPeers(make([]string, p.Sites()))
+		twin, err := Listen(p, site, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.close()
+		twin.setPeers(make([]string, p.Sites()))
 
 		client, server := net.Pipe()
 		defer client.Close()
@@ -88,8 +98,12 @@ func FuzzNodeLine(f *testing.F) {
 				t.Fatalf("line %s: reply %+v is neither OK nor a documented rejection", brief(line), resp)
 			}
 		}
-		// state and ntc are the site as of the last handled line.
-		state, ntc := n.Store().EncodeState(), n.NTC()
+		// same fails unless the site equals the twin.
+		same := func(what string) {
+			if got, want := n.Store().EncodeState(), twin.Store().EncodeState(); !bytes.Equal(got, want) || n.NTC() != twin.NTC() {
+				t.Fatalf("%s moved the site off its twin:\nsite %s (ntc %d)\ntwin %s (ntc %d)", what, got, n.NTC(), want, twin.NTC())
+			}
+		}
 	lines:
 		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
 			if len(line) == 0 {
@@ -123,23 +137,36 @@ func FuzzNodeLine(f *testing.F) {
 			}
 			<-wrote
 			check(line, resp)
-			got := n.Store().EncodeState()
-			if !resp.OK && (!bytes.Equal(got, state) || n.NTC() != ntc) {
-				t.Fatalf("line %s rejected (%s) but moved the site:\nbefore %s (ntc %d)\nafter  %s (ntc %d)", brief(line), resp.Code, state, ntc, got, n.NTC())
-			}
-			state, ntc = got, n.NTC()
 			if resp.Code == codeBadJSON || resp.Code == codeOversized {
+				same(fmt.Sprintf("line %s, rejected (%s),", brief(line), resp.Code))
 				break // serve closes a stream it can no longer frame
 			}
+			var msg message
+			if err := json.Unmarshal(line, &msg); err != nil {
+				t.Fatalf("line %s: serve decoded what the test cannot: %v", brief(line), err)
+			}
+			var acked []message
+			switch {
+			case msg.Op == opBatch && (resp.Applied > len(msg.Batch) || resp.OK && resp.Applied != len(msg.Batch)):
+				t.Fatalf("line %s: reply %+v for a batch of %d records", brief(line), resp, len(msg.Batch))
+			case msg.Op == opBatch:
+				acked = msg.Batch[:resp.Applied]
+			case resp.OK:
+				acked = []message{msg}
+			}
+			for _, r := range acked {
+				if tr := twin.handle(r); !tr.OK {
+					t.Fatalf("line %s: the twin rejected %s: %+v", brief(line), r.Op, tr)
+				}
+			}
+			same(fmt.Sprintf("line %s, answered %+v,", brief(line), resp))
 		}
 		client.Close()
 		for resp := range replies {
 			check(nil, resp)
 		}
 		<-served
-		if got := n.Store().EncodeState(); !bytes.Equal(got, state) || n.NTC() != ntc {
-			t.Fatalf("the end of the stream moved the site:\nbefore %s (ntc %d)\nafter  %s (ntc %d)", state, ntc, got, n.NTC())
-		}
+		same("the end of the stream")
 	})
 }
 

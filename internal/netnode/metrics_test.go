@@ -108,7 +108,8 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 // Regression: the served-message counter used to take its op label
 // straight from the wire, so every distinct bogus op minted a new series.
 // Unrecognised ops share one "unknown" series, each still refused with
-// codeBadOp, and known ops keep their own counts.
+// codeBadOp, and known ops keep their own counts. A batch adds no series:
+// each of its records counts under its own op.
 func TestUnknownOpsShareOneSeries(t *testing.T) {
 	p := gen(t, 2, 2, 0.05, 0.5, 41)
 	c := startCluster(t, p)
@@ -130,14 +131,18 @@ func TestUnknownOpsShareOneSeries(t *testing.T) {
 	if _, err := callOnce(addr, message{Op: "read", Object: 0}, 0); err != nil {
 		t.Fatal(err)
 	}
+	batch := []message{{Op: "replicas", Object: 0, Sites: []int{p.Primary(0)}}, {Op: "primary", Object: 0, Site: p.Primary(0)}}
+	if resp, err := callOnce(addr, message{Op: opBatch, Batch: batch}, 0); err != nil || !resp.OK {
+		t.Fatalf("batch: %+v, %v", resp, err)
+	}
 	series := map[string]float64{}
 	for _, in := range reg.Snapshot().Instruments {
 		if in.Name == "drp_net_messages_total" {
 			series[in.Labels["op"]] = in.Value
 		}
 	}
-	if len(series) != 2 || series["unknown"] != bogus || series["read"] != 1 {
-		t.Fatalf("served-message series = %v, want unknown=%d and read=1 only", series, bogus)
+	if len(series) != 4 || series["unknown"] != bogus || series["read"] != 1 || series["replicas"] != 1 || series["primary"] != 1 {
+		t.Fatalf("served-message series = %v, want unknown=%d, read=1, replicas=1 and primary=1 only", series, bogus)
 	}
 }
 

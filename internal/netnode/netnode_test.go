@@ -11,6 +11,7 @@ import (
 	"drp/internal/core"
 	"drp/internal/gra"
 	"drp/internal/plan"
+	"drp/internal/spans"
 	"drp/internal/sra"
 	"drp/internal/store"
 	"drp/internal/workload"
@@ -33,6 +34,19 @@ func Listen(p *core.Problem, site int, addr string) (*Node, error) {
 		return nil, err
 	}
 	return listenStore(p, site, addr, st)
+}
+
+// command sends one coordinator request to a site, outside any batch, and
+// turns a rejection into an error.
+func (c *Cluster) command(site int, msg message, parent *spans.Span) error {
+	resp, err := c.exchange(site, msg, parent)
+	if err != nil {
+		return err
+	}
+	if !resp.OK {
+		return fmt.Errorf("netnode: site %d rejected %s: %w", site, msg.Op, &replyError{Code: resp.Code, Msg: resp.Err})
+	}
+	return nil
 }
 
 func startCluster(t *testing.T, p *core.Problem) *Cluster {

@@ -55,19 +55,22 @@ import (
 // carry the caller's trace context (the trace ID and the exact rpc
 // attempt span that sent this message), so server-side spans stitch
 // into the caller's tree; both are empty — and absent from the wire —
-// when the request is untraced or unsampled.
+// when the request is untraced or unsampled. A batch message carries
+// coordinator records in Batch and nothing else.
 type message struct {
-	Op      string `json:"op"`
-	Object  int    `json:"obj"`
-	From    int    `json:"from,omitempty"`
-	Site    int    `json:"site,omitempty"`
-	Sites   []int  `json:"sites,omitempty"`
-	Version int64  `json:"version,omitempty"`
-	Trace   string `json:"trace,omitempty"`
-	Span    string `json:"span,omitempty"`
+	Op      string    `json:"op"`
+	Object  int       `json:"obj"`
+	From    int       `json:"from,omitempty"`
+	Site    int       `json:"site,omitempty"`
+	Sites   []int     `json:"sites,omitempty"`
+	Version int64     `json:"version,omitempty"`
+	Batch   []message `json:"batch,omitempty"`
+	Trace   string    `json:"trace,omitempty"`
+	Span    string    `json:"span,omitempty"`
 }
 
-// reply is the wire response.
+// reply is the wire response. Applied counts the records of a batch the
+// site applied, all of them or those before the one it rejected.
 type reply struct {
 	OK      bool   `json:"ok"`
 	Err     string `json:"err,omitempty"`
@@ -76,7 +79,12 @@ type reply struct {
 	Holds   bool   `json:"holds,omitempty"`
 	Version int64  `json:"version,omitempty"`
 	Stale   []int  `json:"stale,omitempty"`
+	Applied int    `json:"applied,omitempty"`
 }
+
+// opBatch is the coordinator's one command: a list of place, primary,
+// replicas and drop records that a site applies in order.
+const opBatch = "batch"
 
 // Typed protocol rejection codes carried in reply.Code, so clients can
 // distinguish coordination bugs from transport faults without parsing
@@ -455,15 +463,26 @@ func storageReply(err error) reply {
 func (n *Node) handle(msg message) reply {
 	cfg := n.cfg.Load()
 	if cfg.metrics != nil {
-		cfg.metrics.served(msg.Op)
+		if msg.Op == opBatch {
+			for _, r := range msg.Batch {
+				cfg.metrics.served(r.Op)
+			}
+		} else {
+			cfg.metrics.served(msg.Op)
+		}
 	}
 	var sv *spans.Span
 	if msg.Trace != "" { // an untraced request does not pay for the name
 		sv = cfg.tracer.StartRemote(msg.Trace, msg.Span, "serve."+msg.Op)
 	}
 	sv.SetSite(n.site)
-	sv.SetObject(msg.Object)
-	resp := n.serveOp(msg, sv)
+	var resp reply
+	if msg.Op == opBatch {
+		resp = n.serveBatch(msg.Batch, sv)
+	} else {
+		sv.SetObject(msg.Object)
+		resp = n.serveOp(msg, sv)
+	}
 	if !resp.OK {
 		sv.SetErrText(resp.Err)
 	}
@@ -575,6 +594,33 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 	default:
 		return reply{Code: codeBadOp, Err: fmt.Sprintf("unknown op %q", msg.Op)}
 	}
+}
+
+// serveBatch applies a coordinator batch. The whole list is checked
+// first — an empty batch, a nested batch or any op but place, primary,
+// replicas and drop is refused with nothing applied — then each record
+// runs through serveOp in order, each writing its own store call and log
+// record, up to the first rejection. The reply says how many applied and
+// carries the rejected record's code.
+func (n *Node) serveBatch(records []message, sv *spans.Span) reply {
+	if len(records) == 0 {
+		return reply{Code: codeBadOp, Err: "empty batch"}
+	}
+	for i, r := range records {
+		switch r.Op {
+		case "place", "primary", "replicas", "drop":
+		default:
+			return reply{Code: codeBadOp, Err: fmt.Sprintf("batch record %d: op %q is not a coordinator record", i, r.Op)}
+		}
+	}
+	for i, r := range records {
+		if resp := n.serveOp(r, sv); !resp.OK {
+			resp.Applied = i
+			resp.Err = fmt.Sprintf("batch record %d (%s object %d): %s", i, r.Op, r.Object, resp.Err)
+			return resp
+		}
+	}
+	return reply{OK: true, Applied: len(records)}
 }
 
 // checkSites validates a site list from the wire.
