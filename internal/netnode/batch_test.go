@@ -14,7 +14,6 @@ import (
 	"drp/internal/netsim"
 	"drp/internal/plan"
 	"drp/internal/store"
-	"drp/internal/xrand"
 )
 
 // dirBytes reads every file of a site directory, by name.
@@ -190,36 +189,6 @@ func TestMigrationCountsOnlyAppliedRecords(t *testing.T) {
 		t.Fatalf("the retry's report %+v, want the one remaining drop", *rep)
 	}
 	requireConverged(t, c, "after the retry")
-}
-
-// TestRecordBytesIsTheEncodedLength: fitLine's arithmetic matches
-// encoding/json for every coordinator record shape, at the extremes of
-// each field and at random values.
-func TestRecordBytesIsTheEncodedLength(t *testing.T) {
-	records := []message{
-		{Op: "place"}, {Op: "drop", Object: 7},
-		{Op: "place", Object: 1 << 40, Version: -1 << 63},
-		{Op: "primary", Object: 3, Site: -12},
-		{Op: "replicas", Object: 9, Sites: []int{}},
-		{Op: "replicas", Object: 9, Sites: []int{0, -1, 1 << 62}},
-	}
-	rng := xrand.New(7)
-	for range 200 {
-		r := message{Op: "replicas", Object: rng.Intn(1 << 20), Site: rng.Intn(100), Version: int64(rng.Intn(1 << 30))}
-		for range rng.Intn(12) {
-			r.Sites = append(r.Sites, rng.Intn(1000))
-		}
-		records = append(records, r)
-	}
-	for _, r := range records {
-		data, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := recordBytes(r); got != len(data) {
-			t.Errorf("recordBytes(%s) = %d, encoded length %d", data, got, len(data))
-		}
-	}
 }
 
 // TestRefreshSplitsAtTheLineCap deploys a placement whose refresh sends

@@ -75,6 +75,19 @@ func codecCases(prim, other int) []codecCase {
 		{name: "nested batch", payload: `{"op":"batch","obj":0,"batch":[{"op":"batch","obj":0,"batch":[{"op":"drop","obj":1}]}]}` + "\n", wantCode: codeBadOp},
 		{name: "data-path op in a batch", site: other, payload: `{"op":"batch","obj":0,"batch":[{"op":"primary","obj":1,"site":1},{"op":"read","obj":0}]}` + "\n", wantCode: codeBadOp},
 		{name: "batch rejected at record 1", site: prim, payload: `{"op":"batch","obj":0,"batch":[{"op":"replicas","obj":1,"sites":[0]},{"op":"drop","obj":0},{"op":"primary","obj":1,"site":0}]}` + "\n", wantCode: codeNotPrimary, applied: 1},
+		// The decoder is strict: it accepts what json.Unmarshal accepts in
+		// the schema's own spelling and refuses the rest.
+		{name: "any key order, spacing and escapes", site: prim, payload: ` { "obj" : 0 ,` + "\t" + `"op" : "re\u0061d" } ` + "\n"},
+		{name: "repeated key, the last wins", site: prim, payload: `{"op":"read","obj":0,"obj":3}` + "\n", wantCode: codeBadObject},
+		{name: "unknown key", site: prim, payload: `{"op":"read","obj":0,"x":1}` + "\n", wantCode: codeBadJSON},
+		{name: "case-variant key", site: prim, payload: `{"OP":"read","obj":0}` + "\n", wantCode: codeBadJSON},
+		{name: "null line", site: prim, payload: "null\n", wantCode: codeBadJSON},
+		{name: "null value", site: prim, payload: `{"op":"read","obj":null}` + "\n", wantCode: codeBadJSON},
+		{name: "fractional object", site: prim, payload: `{"op":"read","obj":1.0}` + "\n", wantCode: codeBadJSON},
+		{name: "exponent object", site: prim, payload: `{"op":"read","obj":1e2}` + "\n", wantCode: codeBadJSON},
+		{name: "quoted object", site: prim, payload: `{"op":"read","obj":"0"}` + "\n", wantCode: codeBadJSON},
+		{name: "invalid UTF-8 in a string", site: prim, payload: "{\"op\":\"read\xff\",\"obj\":0}\n", wantCode: codeBadJSON},
+		{name: "repeated batch key", site: other, payload: `{"op":"batch","batch":[{"op":"drop","obj":1}],"batch":[{"op":"place"}]}` + "\n", wantCode: codeBadJSON},
 	}
 }
 

@@ -120,7 +120,8 @@ func TestSendReplyHonoursDeadline(t *testing.T) {
 	defer server.Close()
 	done := make(chan error, 1)
 	go func() {
-		done <- n.sendReply(server, json.NewEncoder(server), &reply{Code: codeBadJSON, Err: "x"})
+		_, err := n.sendReply(server, nil, &reply{Code: codeBadJSON, Err: "x"})
+		done <- err
 	}()
 	select {
 	case err := <-done:

@@ -1,7 +1,7 @@
 package netnode
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -18,8 +18,9 @@ import (
 // link of their own, which is closed after its exchange.
 const maxIdleLinks = 4
 
-// linkBufBytes sizes the read buffer of an accepted connection. Request
-// lines are tens of bytes; readLine collects a longer one piecewise.
+// linkBufBytes sizes the read buffer of either end of a connection.
+// Requests and replies are tens of bytes; lineReader gathers a longer
+// line in a buffer of its own.
 const linkBufBytes = 512
 
 // Dialer is the per-attempt gate on outbound calls: it is asked once
@@ -37,27 +38,22 @@ type callOpts struct {
 	timeout time.Duration // per attempt: the dial, then the round trip; 0 = none
 }
 
-// link is one persistent connection to a peer with the codec state that is
+// link is one persistent connection to a peer with the buffers that are
 // reused across exchanges. It carries one exchange at a time: whoever took
 // it from the pool owns it until it is put back or closed.
 type link struct {
 	addr  string
 	gen   uint64 // the transport's generation when the link was opened
 	conn  net.Conn
-	enc   *json.Encoder
-	dec   *json.Decoder
-	timed bool // conn carries a deadline from the previous exchange
-
-	// The encoder and decoder take pointers; pointing them at the link's
-	// own fields keeps the request and the reply off the heap.
-	msg  message
-	resp reply
+	in    lineReader
+	out   []byte // the request line being sent
+	timed bool   // conn carries a deadline from the previous exchange
 }
 
 // roundTrip sends one request and reads its reply under an optional
 // deadline. Any error leaves the stream unframed: the caller closes the
 // link.
-func (l *link) roundTrip(msg message, timeout time.Duration) (reply, error) {
+func (l *link) roundTrip(msg *message, timeout time.Duration) (reply, error) {
 	if timeout > 0 || l.timed {
 		var deadline time.Time
 		if timeout > 0 {
@@ -66,15 +62,19 @@ func (l *link) roundTrip(msg message, timeout time.Duration) (reply, error) {
 		_ = l.conn.SetDeadline(deadline)
 		l.timed = timeout > 0
 	}
-	l.msg = msg
-	if err := l.enc.Encode(&l.msg); err != nil {
+	l.out = append(appendMessage(l.out[:0], msg), '\n')
+	if _, err := l.conn.Write(l.out); err != nil {
 		return reply{}, fmt.Errorf("netnode: send: %w", err)
 	}
-	l.resp = reply{}
-	if err := l.dec.Decode(&l.resp); err != nil {
+	var resp reply
+	line, err := l.in.next(maxLineBytes)
+	if err == nil {
+		err = decodeReply(line, &resp)
+	}
+	if err != nil {
 		return reply{}, fmt.Errorf("netnode: recv: %w", err)
 	}
-	return l.resp, nil
+	return resp, nil
 }
 
 // transport is the outbound half of a Node or of the Cluster coordinator:
@@ -107,7 +107,7 @@ func (t *transport) get(addr string, timeout time.Duration) (*link, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &link{addr: addr, gen: gen, conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, nil
+	return &link{addr: addr, gen: gen, conn: conn, in: lineReader{r: bufio.NewReaderSize(conn, linkBufBytes)}}, nil
 }
 
 // put returns a link whose exchange completed. It is closed instead when
@@ -178,7 +178,7 @@ func (t *transport) attempt(o callOpts, addr string, msg message) (reply, error)
 		// A verdict of the gate reads like the failed dial it once was.
 		return reply{}, fmt.Errorf("netnode: dial %s: %w", addr, err)
 	}
-	resp, err := l.roundTrip(msg, o.timeout)
+	resp, err := l.roundTrip(&msg, o.timeout)
 	if err != nil || resp.Code == codeOversized || resp.Code == codeBadJSON {
 		// A framing rejection is a reply, but the peer closes the stream
 		// after sending it.

@@ -36,7 +36,6 @@ package netnode
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -110,7 +109,7 @@ const maxLineBytes = 1 << 20
 // goroutine (and therefore Close) forever.
 const defaultReplyTimeout = 5 * time.Second
 
-// errOversized is returned by readLine when the cap is exceeded.
+// errOversized is returned by lineReader.next when the cap is exceeded.
 var errOversized = errors.New("netnode: request line exceeds limit")
 
 // replyError is a protocol-level rejection from a peer: the transport
@@ -374,16 +373,19 @@ func (n *Node) replyTimeout() time.Duration {
 	return defaultReplyTimeout
 }
 
-// sendReply writes one reply under a write deadline. Error replies and
-// normal replies get the same treatment: a stalled client makes the write
-// miss its deadline and the connection dies, instead of pinning the
-// handler goroutine past Close.
-func (n *Node) sendReply(conn net.Conn, enc *json.Encoder, resp *reply) error {
+// sendReply encodes resp as a line into buf and writes it under a write
+// deadline, returning buf for the next reply. Error replies and normal
+// replies get the same treatment: a stalled client makes the write miss
+// its deadline and the connection dies, instead of pinning the handler
+// goroutine past Close.
+func (n *Node) sendReply(conn net.Conn, buf []byte, resp *reply) ([]byte, error) {
+	buf = append(appendReply(buf[:0], resp), '\n')
 	if d := n.replyTimeout(); d > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(d))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	return enc.Encode(resp)
+	_, err := conn.Write(buf)
+	return buf, err
 }
 
 // serve handles one connection: a sequence of JSON-line requests, one
@@ -397,17 +399,15 @@ func (n *Node) serve(conn net.Conn) {
 		n.mu.Unlock()
 		conn.Close()
 	}()
-	r := bufio.NewReaderSize(conn, linkBufBytes)
-	enc := json.NewEncoder(conn)
-	// The codec takes pointers; one request and one reply per connection,
-	// reset per line, keep them off the heap.
+	in := lineReader{r: bufio.NewReaderSize(conn, linkBufBytes)}
+	var out []byte // the reply line, reused
 	var msg message
 	var resp reply
 	for {
-		line, err := readLine(r, maxLineBytes)
+		line, err := in.next(maxLineBytes)
 		if err == errOversized {
 			resp = reply{Code: codeOversized, Err: "request line exceeds limit"}
-			_ = n.sendReply(conn, enc, &resp)
+			_, _ = n.sendReply(conn, out, &resp)
 			return
 		}
 		if err != nil {
@@ -416,39 +416,16 @@ func (n *Node) serve(conn net.Conn) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		msg = message{}
-		if err := json.Unmarshal(line, &msg); err != nil {
+		if err := decodeMessage(line, &msg); err != nil {
 			resp = reply{Code: codeBadJSON, Err: fmt.Sprintf("malformed request: %v", err)}
-			_ = n.sendReply(conn, enc, &resp)
+			_, _ = n.sendReply(conn, out, &resp)
 			return
 		}
 		resp = n.handle(msg)
-		if err := n.sendReply(conn, enc, &resp); err != nil {
+		if out, err = n.sendReply(conn, out, &resp); err != nil {
 			return
 		}
 	}
-}
-
-// readLine reads one newline-terminated line of at most max bytes. A line
-// exceeding the cap returns errOversized; EOF before any byte returns the
-// underlying error. A line that fits the reader's buffer is returned in
-// place and is valid until the next read.
-func readLine(r *bufio.Reader, max int) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		line = append([]byte(nil), line...)
-		for err == bufio.ErrBufferFull && len(line) <= max {
-			var chunk []byte
-			chunk, err = r.ReadSlice('\n')
-			line = append(line, chunk...)
-		}
-	}
-	if len(line) > max {
-		return nil, errOversized
-	}
-	// io.EOF with a partial line is a truncated request: surface it as a
-	// plain read error so the connection closes without a reply.
-	return line, err
 }
 
 // storageReply converts a store append failure into a typed rejection: the

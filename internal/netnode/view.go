@@ -397,38 +397,15 @@ const batchReserve = 128
 // its own is sent, and refused, rather than never sent.
 func fitLine(records []message) int {
 	size := batchReserve
-	for i, r := range records {
-		size += recordBytes(r) + 1 // and its comma
+	var buf []byte
+	for i := range records {
+		buf = appendMessage(buf[:0], &records[i])
+		size += len(buf) + 1 // and its comma
 		if size > maxLineBytes {
 			return max(i, 1)
 		}
 	}
 	return len(records)
-}
-
-// recordBytes is the length of a coordinator record's JSON encoding: a
-// message of op, object, site, sites and version only.
-func recordBytes(m message) int {
-	n := len(`{"op":"","obj":}`) + len(m.Op) + digits(int64(m.Object))
-	if m.Site != 0 {
-		n += len(`,"site":`) + digits(int64(m.Site))
-	}
-	if len(m.Sites) > 0 {
-		n += len(`,"sites":[]`) + len(m.Sites) - 1
-		for _, j := range m.Sites {
-			n += digits(int64(j))
-		}
-	}
-	if m.Version != 0 {
-		n += len(`,"version":`) + digits(m.Version)
-	}
-	return n
-}
-
-// digits is the length of v in decimal.
-func digits(v int64) int {
-	var b [20]byte
-	return len(strconv.AppendInt(b[:0], v, 10))
 }
 
 // drift lists, per object, the members whose routing records differ from
