@@ -377,12 +377,12 @@ func (n *Node) replyTimeout() time.Duration {
 // deadline, returning buf for the next reply. Error replies and normal
 // replies get the same treatment: a stalled client makes the write miss
 // its deadline and the connection dies, instead of pinning the handler
-// goroutine past Close.
+// goroutine past Close. The deadline is left set: only sendReply writes
+// on the connection, and it sets a fresh one before every reply.
 func (n *Node) sendReply(conn net.Conn, buf []byte, resp *reply) ([]byte, error) {
 	buf = append(appendReply(buf[:0], resp), '\n')
 	if d := n.replyTimeout(); d > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(d))
-		defer conn.SetWriteDeadline(time.Time{})
 	}
 	_, err := conn.Write(buf)
 	return buf, err
