@@ -67,7 +67,7 @@ func TestRemoteReadAllocsPinned(t *testing.T) {
 		})
 	}
 	slices.Sort(runs)
-	if got := runs[len(runs)/2]; got != 2 {
-		t.Errorf("a remote read allocates %v times (runs %v), pinned at 2", got, runs)
+	if got := runs[len(runs)/2]; got != 1 {
+		t.Errorf("a remote read allocates %v times (runs %v), pinned at 1", got, runs)
 	}
 }

@@ -346,11 +346,13 @@ func (s *Store) Replica(k int) (bool, int64) {
 	return s.holds[k], s.versions[k]
 }
 
-// Replicas returns a copy of object k's replica set R_k.
+// Replicas returns object k's replica set R_k. The slice is the store's
+// own and is read-only: a change to R_k installs a fresh slice, so the
+// one returned never changes.
 func (s *Store) Replicas(k int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]int(nil), s.replicas[k]...)
+	return s.replicas[k]
 }
 
 // StaleSites returns the sites marked stale for object k, sorted.
