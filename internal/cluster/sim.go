@@ -306,37 +306,37 @@ func (s *sim) adapt(epoch int, stats *EpochStats) error {
 
 // serveTraffic serves every read and write of the epoch's patterns, each
 // charged what core prices it at with the epoch's failed sites down; a
-// write's ship and broadcast both count as WriteNTC. The order requests
-// arrive in cannot matter: the scheme and the set of failed sites are fixed
-// within an epoch and every statistic is a sum of integer costs (the float
-// sum behind the mean is exact below 2^53).
+// write's ship and broadcast both count as WriteNTC. The scheme and the set
+// of failed sites are fixed within an epoch, so every request of one (site,
+// object, kind) costs the same: each is priced once and charged by its
+// count. Every statistic is a sum of integer costs (the float sum behind
+// the mean is exact below 2^53), so this equals serving them one by one.
 func (s *sim) serveTraffic(stats *EpochStats) {
 	p, nearest := s.problem, core.NewNearestTable(s.scheme)
-	serve := func(site, obj int, write bool) {
+	serve := func(site, obj int, write bool, n int64) {
+		if n <= 0 {
+			return
+		}
 		c, ok := nearest.Price(site, obj, write, s.down)
 		switch {
 		case !ok && write:
-			stats.FailedWrites++
+			stats.FailedWrites += n
 		case !ok:
-			stats.FailedReads++
+			stats.FailedReads += n
 		case write:
-			stats.Writes++
-			stats.WriteNTC += c.Total()
+			stats.Writes += n
+			stats.WriteNTC += n * c.Total()
 		default:
-			stats.Reads++
-			stats.ReadNTC += c.ReadNTC
-			s.readCosts.Observe(float64(c.ReadNTC))
+			stats.Reads += n
+			stats.ReadNTC += n * c.ReadNTC
+			s.readCosts.ObserveN(float64(c.ReadNTC), uint64(n))
 		}
-		stats.ServeNTC += c.Total()
+		stats.ServeNTC += n * c.Total()
 	}
 	for i := 0; i < p.Sites(); i++ {
 		for k := 0; k < p.Objects(); k++ {
-			for r := p.Reads(i, k); r > 0; r-- {
-				serve(i, k, false)
-			}
-			for w := p.Writes(i, k); w > 0; w-- {
-				serve(i, k, true)
-			}
+			serve(i, k, false, p.Reads(i, k))
+			serve(i, k, true, p.Writes(i, k))
 		}
 	}
 }
