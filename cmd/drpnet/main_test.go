@@ -103,6 +103,40 @@ func TestNetRunFaultPlan(t *testing.T) {
 	}
 }
 
+// TestNetWriterCatchesUpThroughOwnWrite: site 3 is down for the whole
+// measurement period (6 369 requests), so every broadcast misses it and
+// its own writes queue. Flushing them ships each to its primary, and site
+// 3 adopts the new version on the way back: objects 5 and 26, which it
+// replicates, end at their primary's version with nothing left to re-ship.
+// Reconcile must charge nothing for them (896 while missed broadcasts were
+// logged as stale marks that a catch-up did not clear).
+func TestNetWriterCatchesUpThroughOwnWrite(t *testing.T) {
+	plan := `{"seed":3,"events":[
+		{"kind":"crash","site":3,"step":1,"until":6370},
+		{"kind":"drop","site":3,"peer":-1,"step":1,"until":6370,"prob":0.3},
+		{"kind":"blackhole","site":0,"peer":2,"step":200,"until":2000}
+	]}`
+	path := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{"-sites", "8", "-objects", "30", "-seed", "3", "-update", "0.3", "-capacity", "0.5",
+		"-retry", "2", "-fault-plan", path}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"writes served/queued:    1035/427",
+		"reconciled replicas:     cost 0 (0 still stale)",
+		"cluster fully reconverged",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestNetRunDurableRecovers(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-sites", "5", "-objects", "8",

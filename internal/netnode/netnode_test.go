@@ -244,9 +244,10 @@ func TestReadFromNonHolderFails(t *testing.T) {
 	}
 }
 
-// A stale replica that no longer holds its object rejects the re-sync:
-// Reconcile fails with that rejection's code, as a write's broadcast
-// does, instead of counting the site as still stale.
+// A reconcile naming a site that no longer holds the object fails with
+// that site's rejection code, as a write's broadcast does, instead of
+// counting the site as unreachable. Reconcile itself names only holders
+// behind their primary, so it ships nothing to such a site.
 func TestReconcileRejectedByNonHolder(t *testing.T) {
 	p := gen(t, 3, 2, 0.05, 2, 7)
 	c := startCluster(t, p)
@@ -260,17 +261,20 @@ func TestReconcileRejectedByNonHolder(t *testing.T) {
 	if _, err := c.Deploy(scheme); err != nil {
 		t.Fatal(err)
 	}
-	// Site j missed a broadcast, then lost its copy behind the primary's back.
-	if err := c.Node(sp).Store().MarkStale(k, []int{j}); err != nil {
+	// Site j misses a write, then loses its copy behind the primary's back.
+	if _, err := c.Node(sp).Store().BumpVersion(k); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.command(j, message{Op: "drop", Object: k}, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, remaining, err := c.Reconcile()
+	if cost, remaining, err := c.Reconcile(); err != nil || cost != 0 || remaining != 0 {
+		t.Fatalf("Reconcile with no holder behind: cost %d, remaining %d, err %v; want 0, 0, nil", cost, remaining, err)
+	}
+	err := c.command(sp, message{Op: "reconcile", Object: k, Sites: []int{j}}, nil)
 	var re *replyError
 	if !errors.As(err, &re) || re.Code != codeNotHolder {
-		t.Fatalf("reconcile of a non-holder: remaining %d, err %v; want a %q rejection", remaining, err, codeNotHolder)
+		t.Fatalf("reconcile naming a non-holder: %v; want a %q rejection", err, codeNotHolder)
 	}
 }
 

@@ -181,7 +181,7 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan) (rep *ApplyReport
 			return nil, fmt.Errorf("netnode: plan epoch %d places on site %d which has not joined", target.Epoch, m)
 		}
 	}
-	from, d := c.holdings(target)
+	from, rec := c.holdings(target)
 	steps, err := plan.Diff(from, target, c.p)
 	if err != nil {
 		return nil, err
@@ -189,9 +189,9 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan) (rep *ApplyReport
 	// An object with a step has its replica set refreshed at every member;
 	// a Promote step broadcasts the primary itself.
 	for _, s := range steps {
-		d.replicas[s.Object] = c.view.Members
+		rec.replicas[s.Object] = c.view.Members
 		if s.Kind == plan.Promote {
-			d.primary[s.Object] = nil
+			rec.primary[s.Object] = nil
 		}
 	}
 	if c.journal != nil {
@@ -204,7 +204,7 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan) (rep *ApplyReport
 		}
 	}
 	rep = &ApplyReport{Steps: len(steps)}
-	if err := c.runSteps(steps, d, from, target, rep, root); err != nil {
+	if err := c.runSteps(steps, rec.drift, from, target, rep, root); err != nil {
 		return rep, err
 	}
 	c.plan = target
@@ -413,6 +413,28 @@ func fitLine(records []message) int {
 // records the routing refresh sends them.
 type drift struct{ replicas, primary [][]int }
 
+// records is what holdings reads beside the placement: each holder's
+// version, the replica set R_k each object's primary records, and the
+// drift from a migration's target.
+type records struct {
+	drift
+	sites    int
+	versions []int64 // [k*sites+m]: member m's version of k, 0 where m holds none
+	primaryR [][]int // R_k as recorded by a member whose record names itself SP_k
+}
+
+// behind lists the holders of k in primary sp's R_k whose version is below
+// sp's: the replicas that missed a write and have not caught up since.
+func (r *records) behind(k, sp int, holders []int) []int {
+	var out []int
+	for _, j := range r.primaryR[k] {
+		if j != sp && slices.Contains(holders, j) && r.versions[k*r.sites+j] < r.versions[k*r.sites+sp] {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 // holdings reads every member's records once, each member's under one
 // store lock, into the placement the data plane actually holds: replica
 // sets from the holdings and primaries from the routing records. Where
@@ -424,21 +446,28 @@ type drift struct{ replicas, primary [][]int }
 // (a copy the primary's R_k did not name yet, a rejoiner's pre-drain
 // replica) counts as held only where the target drops it: where the target
 // keeps it, the diff copies it afresh.
-func (c *Cluster) holdings(target *plan.Plan) (*plan.Plan, drift) {
+func (c *Cluster) holdings(target *plan.Plan) (*plan.Plan, *records) {
 	n, sites := c.p.Objects(), c.p.Sites()
 	pl := &plan.Plan{
 		View:      plan.View{Members: append([]int(nil), c.view.Members...)},
 		Primaries: make([]int, n),
 		Placement: make([][]int, n),
 	}
-	d := drift{replicas: make([][]int, n), primary: make([][]int, n)}
+	r := &records{
+		drift:    drift{replicas: make([][]int, n), primary: make([][]int, n)},
+		sites:    sites,
+		versions: make([]int64, n*sites),
+		primaryR: make([][]int, n),
+	}
 	votes := make([]int, n)
-	versions := make([]int64, n*sites) // [k*sites+m]: site m's version of k
 	for _, m := range c.view.Members {
 		c.nodes[m].st.Records(func(k int, holds bool, ver int64, sp int, replicas []int) {
 			if holds {
 				pl.Placement[k] = append(pl.Placement[k], m)
-				versions[k*sites+m] = ver
+				r.versions[k*sites+m] = ver
+			}
+			if sp == m {
+				r.primaryR[k] = replicas
 			}
 			switch {
 			case votes[k] == 0:
@@ -452,21 +481,21 @@ func (c *Cluster) holdings(target *plan.Plan) (*plan.Plan, drift) {
 				return
 			}
 			if sp != target.Primaries[k] {
-				d.primary[k] = append(d.primary[k], m)
+				r.primary[k] = append(r.primary[k], m)
 			}
 			if !slices.Equal(replicas, target.Placement[k]) {
-				d.replicas[k] = append(d.replicas[k], m)
+				r.replicas[k] = append(r.replicas[k], m)
 			}
 		})
 	}
 	for k, held := range pl.Placement {
 		if sp := pl.Primaries[k]; target != nil && slices.Contains(held, sp) {
 			pl.Placement[k] = slices.DeleteFunc(held, func(m int) bool {
-				return versions[k*sites+m] != versions[k*sites+sp] && target.Has(m, k)
+				return r.versions[k*sites+m] != r.versions[k*sites+sp] && target.Has(m, k)
 			})
 		}
 	}
-	return pl, d
+	return pl, r
 }
 
 // ResumeMigration finishes a migration interrupted by a crash by

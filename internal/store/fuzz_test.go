@@ -18,7 +18,7 @@ func buildSeedWAL(tb testing.TB) []byte {
 	}
 	for _, err := range []error{
 		s.Place(1, 2),
-		s.MarkStale(0, []int{1, 3}),
+		s.SetPrimary(2, 3),
 		s.AddNTC(41),
 		s.Queue(2),
 		s.SetReplicas(1, []int{0, 1, 2}),

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"drp/internal/metrics"
@@ -28,10 +27,11 @@ type Options struct {
 }
 
 // Store is one site's replication state: replica holdings, primary-stamped
-// versions, each object's current primary and replica set R_k, the
-// primary's stale marks, queued writes and accounted NTC. R_k is the one
-// record reads and broadcasts route by: a read walks it nearest first
-// (core.RankReplicas) and the primary broadcasts a write over it.
+// versions, each object's current primary and replica set R_k, queued
+// writes and accounted NTC. R_k is the one record reads and broadcasts
+// route by: a read walks it nearest first (core.RankReplicas) and the
+// primary broadcasts a write over it. A version is the one staleness
+// record: a replica behind its primary's version missed a write.
 //
 // In durable mode (Open with a directory) every mutation appends one WAL
 // record before it is visible to the caller, so an acknowledgement implies
@@ -58,7 +58,6 @@ type Store struct {
 	holds    []bool
 	versions []int64
 	replicas [][]int
-	stale    [][]int // per object, sorted
 	pending  []int
 	ntc      int64
 	// curPrimary is the routing primary per object; it starts at the
@@ -79,7 +78,6 @@ func (s *Store) bootstrap() {
 	s.holds = make([]bool, n)
 	s.versions = make([]int64, n)
 	s.replicas = make([][]int, n)
-	s.stale = make([][]int, n)
 	s.pending = make([]int, n)
 	s.ntc = 0
 	s.curPrimary = append([]int(nil), s.primary...)
@@ -197,8 +195,8 @@ func (s *Store) applyPayload(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", errCorruptRecord, err)
 	}
-	if rec.op == opRetiredNearest || rec.op == opRetiredRegistry {
-		return fmt.Errorf("store: %s holds a record with retired opcode %d (it predates the single replica-set routing record); start from a fresh directory", s.dir, rec.op)
+	if name, retired := retiredOps[rec.op]; retired {
+		return fmt.Errorf("store: %s holds a record with retired opcode %d, a %s; start from a fresh directory", s.dir, rec.op, name)
 	}
 	if rec.op == opNTC {
 		if rec.obj != -1 {
@@ -225,16 +223,6 @@ func (s *Store) apply(rec record) {
 		s.versions[k] = 0
 	case opSetVer:
 		s.versions[k] = rec.arg
-	case opStale:
-		for _, j := range rec.sites {
-			if i, found := slices.BinarySearch(s.stale[k], int(j)); !found {
-				s.stale[k] = slices.Insert(s.stale[k], i, int(j))
-			}
-		}
-	case opClear:
-		if i, found := slices.BinarySearch(s.stale[k], int(rec.arg)); found {
-			s.stale[k] = slices.Delete(s.stale[k], i, i+1)
-		}
 	case opQueue:
 		s.pending[k] += int(rec.arg)
 		if s.pending[k] < 0 {
@@ -246,12 +234,6 @@ func (s *Store) apply(rec record) {
 		s.curPrimary[k] = int(rec.arg)
 	case opReplicas:
 		s.replicas[k] = intsOf(rec.sites)
-		// A site no longer replicating the object has nothing left to
-		// reconcile: trim its stale mark with the replica-set update, in
-		// one record, so replay and live execution agree.
-		s.stale[k] = slices.DeleteFunc(s.stale[k], func(j int) bool {
-			return !slices.Contains(s.replicas[k], j)
-		})
 	}
 }
 
@@ -355,13 +337,6 @@ func (s *Store) Replicas(k int) []int {
 	return s.replicas[k]
 }
 
-// StaleSites returns the sites marked stale for object k, sorted.
-func (s *Store) StaleSites(k int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int(nil), s.stale[k]...)
-}
-
 // PendingCount returns the queued-write count for object k.
 func (s *Store) PendingCount(k int) int {
 	s.mu.Lock()
@@ -403,7 +378,8 @@ func (s *Store) PrimaryOf(k int) int {
 
 // Records calls fn once per object, ascending, with the site's holding
 // flag, version, routing primary SP_k and replica set R_k, all read under
-// one lock. fn must not retain replicas or call back into the store.
+// one lock. replicas is read-only, as Replicas returns it; fn must not
+// call back into the store.
 func (s *Store) Records(fn func(k int, holds bool, version int64, primary int, replicas []int)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -465,26 +441,6 @@ func (s *Store) AdoptVersion(k int, ver int64) (held, adopted bool, err error) {
 	return true, true, nil
 }
 
-// MarkStale records that sites missed a sync broadcast of k.
-func (s *Store) MarkStale(k int, sites []int) error {
-	if len(sites) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.commit(record{op: opStale, obj: int32(k), sites: int32sOf(sites)})
-}
-
-// ClearStale drops the stale mark for one site (a sync landed).
-func (s *Store) ClearStale(k, site int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, found := slices.BinarySearch(s.stale[k], site); !found {
-		return nil // nothing marked: no record
-	}
-	return s.commit(record{op: opClear, obj: int32(k), arg: int64(site)})
-}
-
 // Queue records one write waiting for an unreachable primary.
 func (s *Store) Queue(k int) error {
 	s.mu.Lock()
@@ -512,8 +468,7 @@ func (s *Store) AddNTC(d int64) error {
 	return s.commit(record{op: opNTC, obj: -1, arg: d})
 }
 
-// SetReplicas replaces object k's replica set R_k and trims stale marks for
-// sites that left it (one record covers both).
+// SetReplicas replaces object k's replica set R_k.
 func (s *Store) SetReplicas(k int, sites []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -539,8 +494,7 @@ const stateHeaderLen = 8
 // encodeStateLocked is the canonical full-state encoding, and a snapshot's
 // payload: the header, then the WAL records that rebuild the state from
 // bootstrap. Per object, ascending, it emits only what differs from
-// bootstrap: place or drop, the version, the replica set, the primary,
-// the stale marks (after the replica set, whose record trims them) and
+// bootstrap: place or drop, the version, the replica set, the primary and
 // the pending count as one queue record. One ntc record ends it.
 func (s *Store) encodeStateLocked() []byte {
 	buf := make([]byte, stateHeaderLen, stateHeaderLen+len(s.primary)*recordFixedLen)
@@ -563,9 +517,6 @@ func (s *Store) encodeStateLocked() []byte {
 		}
 		if p := s.curPrimary[k]; p != sp {
 			emit(record{op: opPrimary, obj: obj, arg: int64(p)})
-		}
-		if len(s.stale[k]) > 0 {
-			emit(record{op: opStale, obj: obj, sites: int32sOf(s.stale[k])})
 		}
 		if c := s.pending[k]; c != 0 {
 			emit(record{op: opQueue, obj: obj, arg: int64(c)})

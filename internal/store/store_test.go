@@ -41,8 +41,6 @@ func driveOps(t *testing.T, s *Store) {
 	if _, _, err := s.AdoptVersion(1, 7); err != nil {
 		t.Fatal(err)
 	}
-	must(s.MarkStale(0, []int{2, 4}))
-	must(s.ClearStale(0, 4))
 	must(s.Queue(3))
 	must(s.Queue(3))
 	must(s.Dequeue(3))
@@ -61,8 +59,8 @@ func observe(s *Store) string {
 	var b strings.Builder
 	for k := 0; k < s.Objects(); k++ {
 		held, ver := s.Replica(k)
-		fmt.Fprintf(&b, "%d: held %v v%d R%v primary %d stale %v pending %d\n",
-			k, held, ver, s.Replicas(k), s.PrimaryOf(k), s.StaleSites(k), s.PendingCount(k))
+		fmt.Fprintf(&b, "%d: held %v v%d R%v primary %d pending %d\n",
+			k, held, ver, s.Replicas(k), s.PrimaryOf(k), s.PendingCount(k))
 	}
 	fmt.Fprintf(&b, "ntc %d\n", s.NTC())
 	return b.String()
@@ -84,24 +82,6 @@ func TestMemoryBootstrap(t *testing.T) {
 	}
 	if s.Recovered() {
 		t.Error("fresh memory store claims to be recovered")
-	}
-}
-
-// A site that leaves R_k has nothing left to reconcile: the replica-set
-// record trims its stale mark and keeps the others.
-func TestSetReplicasTrimsStaleMarks(t *testing.T) {
-	s, err := Open("", 0, primariesRR(4, 4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MarkStale(0, []int{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetReplicas(0, []int{0, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.StaleSites(0); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("stale sites after R_0 = [0 2]: %v, want [2]", got)
 	}
 }
 
@@ -166,15 +146,23 @@ func TestReplayIsDeterministic(t *testing.T) {
 }
 
 // A log written before the replica set became the only routing record
-// holds opcodes 8 and 10. Replay must refuse it loudly — Open fails and
-// names the format change — and must not truncate the record away as if
-// it were a torn tail: the file stays byte-for-byte as it was.
+// holds opcodes 8 and 10, and one written while the primary logged stale
+// marks holds opcodes 4 and 5. Replay must refuse either loudly — Open
+// fails and names the record — and must not truncate it away as if it
+// were a torn tail: the file stays byte-for-byte as it was. A snapshot
+// holding one is refused the same way.
 func TestReplayRefusesRetiredOpcodes(t *testing.T) {
 	prim := primariesRR(4, 6)
-	for _, rec := range []record{
-		{op: opRetiredNearest, obj: 2, arg: 1},
-		{op: opRetiredRegistry, obj: 0, sites: []int32{0, 3}},
+	for _, tc := range []struct {
+		rec  record
+		name string
+	}{
+		{record{op: 4, obj: 0, sites: []int32{1, 3}}, "stale mark"},
+		{record{op: 5, obj: 0, arg: 3}, "stale-mark clear"},
+		{record{op: 8, obj: 2, arg: 1}, "nearest-replica record"},
+		{record{op: 10, obj: 0, sites: []int32{0, 3}}, "replicator list"},
 	} {
+		rec := tc.rec
 		dir := t.TempDir()
 		s, err := Open(dir, 0, prim, Options{Sync: SyncNever})
 		if err != nil {
@@ -206,8 +194,8 @@ func TestReplayRefusesRetiredOpcodes(t *testing.T) {
 			r.Close()
 			t.Fatalf("opcode %d: a log with a retired record opened", rec.op)
 		}
-		if errors.Is(err, errCorruptRecord) || !strings.Contains(err.Error(), "retired opcode") {
-			t.Fatalf("opcode %d: error does not name the format change: %v", rec.op, err)
+		if errors.Is(err, errCorruptRecord) || !strings.Contains(err.Error(), "retired opcode") || !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("opcode %d: error does not name the %s: %v", rec.op, tc.name, err)
 		}
 		after, err := os.ReadFile(walPath(dir, 1))
 		if err != nil {
@@ -215,6 +203,27 @@ func TestReplayRefusesRetiredOpcodes(t *testing.T) {
 		}
 		if !bytes.Equal(after, before) {
 			t.Fatalf("opcode %d: the refused open rewrote the log (%d -> %d bytes)", rec.op, len(before), len(after))
+		}
+
+		// The same record in a snapshot whose segment is retired.
+		dir = t.TempDir()
+		payload := make([]byte, stateHeaderLen)
+		payload[4] = byte(len(prim)) // site 0, len(prim) objects
+		if _, err := writeSnapshotFile(snapPath(dir, 1), append(payload, rec.encode()...)); err != nil {
+			t.Fatal(err)
+		}
+		if w, err = openWAL(walPath(dir, 2), SyncNever, 0, nil, func([]byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		if r, err = Open(dir, 0, prim, Options{Sync: SyncNever}); err == nil {
+			r.Close()
+			t.Fatalf("opcode %d: a snapshot with a retired record opened", rec.op)
+		}
+		if !strings.Contains(err.Error(), "retired opcode") || !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("opcode %d: snapshot error does not name the %s: %v", rec.op, tc.name, err)
 		}
 	}
 }
@@ -259,10 +268,9 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 
 // TestSnapshotRoundTripEveryOpcode: a snapshot is the record stream that
 // rebuilds the state from bootstrap, so what it omits or orders wrongly is
-// lost. The history drops an object held at bootstrap, marks a site stale
-// outside R_k (the replica-set record trims such marks, so it must come
-// first), queues two writes and moves a primary away and back; the
-// reopened store must serve the same state, getter by getter.
+// lost. The history drops an object held at bootstrap, sets a replica
+// set, queues two writes and moves a primary away and back; the reopened
+// store must serve the same state, getter by getter.
 func TestSnapshotRoundTripEveryOpcode(t *testing.T) {
 	dir := t.TempDir()
 	prim := primariesRR(5, 8) // site 0 holds objects 0 and 5 at bootstrap
@@ -274,7 +282,6 @@ func TestSnapshotRoundTripEveryOpcode(t *testing.T) {
 	for _, err := range []error{
 		s.Drop(5),
 		s.SetReplicas(1, []int{1, 0}),
-		s.MarkStale(1, []int{3, 0}),
 		s.Queue(3),
 		s.SetPrimary(4, 0),
 		s.SetPrimary(4, 4),
@@ -283,7 +290,7 @@ func TestSnapshotRoundTripEveryOpcode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.PendingCount(3) != 2 || s.Holds(5) || len(s.StaleSites(1)) != 2 {
+	if s.PendingCount(3) != 2 || s.Holds(5) {
 		t.Fatalf("history did not reach the state under test:\n%s", observe(s))
 	}
 	if err := s.Snapshot(); err != nil {

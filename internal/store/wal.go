@@ -1,8 +1,9 @@
 // Package store is the durable data plane under drp/internal/netnode: an
 // append-only write-ahead log with CRC-framed records and replay-on-open,
 // periodic full-state snapshots with log truncation, and the per-site
-// replication state (replica holdings, primary-stamped versions, stale
-// marks, queued writes, accounted NTC) materialised from them.
+// replication state (replica holdings, primary-stamped versions, replica
+// sets and primaries, queued writes, accounted NTC) materialised from them.
+// A replica's version is the one record of whether it missed a write.
 //
 // Every state mutation appends one WAL record before the caller observes
 // the new state, so a site killed at any instant recovers, by replaying
