@@ -43,6 +43,36 @@ func TestDurableTrafficCostEqualsEq4(t *testing.T) {
 // reached the OS, so SyncNever still exercises the full recovery path.
 func testStoreOpts() store.Options { return store.Options{Sync: store.SyncNever} }
 
+// TestReconcileCostEntersLedger: the copy Reconcile ships to a replica
+// behind its primary is accounted in the primary's store, so TotalNTC
+// grows by exactly the cost Reconcile returns, and the amount is logged:
+// it survives the primary's kill and restart.
+func TestReconcileCostEntersLedger(t *testing.T) {
+	p := viewProblem(t)
+	c := startDurable(t, p, t.TempDir(), testStoreOpts())
+	leaveBehind(t, c)
+	before := c.TotalNTC()
+	cost, remaining, err := c.Reconcile()
+	if err != nil || remaining != 0 {
+		t.Fatalf("reconcile: remaining %d, err %v", remaining, err)
+	}
+	if want := p.Size(0) * p.Cost(0, 3); cost != want {
+		t.Fatalf("reconcile cost %d, want the one copy %d", cost, want)
+	}
+	if got := c.TotalNTC() - before; got != cost {
+		t.Fatalf("TotalNTC grew by %d, reconcile returned %d", got, cost)
+	}
+	if err := c.Node(0).Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.TotalNTC() - before; got != cost {
+		t.Fatalf("after the primary's restart TotalNTC is %d past the reconcile's start, want %d", got, cost)
+	}
+}
+
 // Kill one node mid-cluster and restart it from its directory: the
 // recovered state must be byte-identical to what the node had acknowledged
 // at the instant of the kill, and the cluster must serve correctly again.
