@@ -25,6 +25,7 @@ type tracedChaos struct {
 	rep          *netnode.TrafficReport
 	flushNTC     int64
 	reconcileNTC int64
+	behind       int // objects with a holder behind its primary before Reconcile
 	spans        []spans.Span
 }
 
@@ -43,6 +44,7 @@ func runTracedChaos(t *testing.T, p *core.Problem, scheme *core.Scheme, plan Pla
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, objects := behind(c, p)
 	recNTC, remaining, err := c.Reconcile()
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +52,7 @@ func runTracedChaos(t *testing.T, p *core.Problem, scheme *core.Scheme, plan Pla
 	if remaining != 0 {
 		t.Fatalf("%d replicas still stale after reconcile", remaining)
 	}
-	return &tracedChaos{rep: rep, flushNTC: flushNTC, reconcileNTC: recNTC, spans: col.Spans()}
+	return &tracedChaos{rep: rep, flushNTC: flushNTC, reconcileNTC: recNTC, behind: objects, spans: col.Spans()}
 }
 
 func chaosSpanPlan(p *core.Problem) Plan {
@@ -102,8 +104,8 @@ func TestChaosSpanTreeInvariants(t *testing.T) {
 	if got, want := roots["write"], rep.Writes+rep.QueuedWrites; got != want {
 		t.Errorf("write roots %d, want one per issued write %d", got, want)
 	}
-	if got, want := roots["reconcile"], int64(p.Objects()); got != want {
-		t.Errorf("reconcile roots %d, want one per object %d", got, want)
+	if got, want := roots["reconcile"], int64(res.behind); got != want {
+		t.Errorf("reconcile roots %d, want one per object with a holder behind its primary, %d", got, want)
 	}
 	if rep.QueuedWrites == 0 {
 		t.Error("plan queued no writes; the flush phase is vacuous")
