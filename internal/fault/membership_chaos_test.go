@@ -127,7 +127,7 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 	}
 	in := NewInjector(fp)
 	Attach(c, in)
-	c.SetRetry(netnode.RetryPolicy{Attempts: 3, Base: 200 * time.Microsecond, Cap: time.Millisecond, Jitter: 0.5})
+	c.SetRetry(3)
 	c.SetRequestTimeout(2 * time.Second)
 
 	pl4, _ := churnSolve(t, p, []int{0, 1, 2, 3}, 1)

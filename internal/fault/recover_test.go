@@ -103,7 +103,7 @@ func runKillRecover(t *testing.T, p *core.Problem, scheme *core.Scheme, victim i
 	}
 	in := NewInjector(plan)
 	Attach(c, in)
-	c.SetRetry(netnode.RetryPolicy{Attempts: 3, Base: 200 * time.Microsecond, Cap: time.Millisecond, Jitter: 0.5})
+	c.SetRetry(3)
 	c.SetRequestTimeout(2 * time.Second)
 
 	out := &recoverOutcome{}
@@ -289,7 +289,7 @@ func TestKillAndRecoverWithSnapshots(t *testing.T) {
 		}
 		in := NewInjector(plan)
 		Attach(c, in)
-		c.SetRetry(netnode.RetryPolicy{Attempts: 3, Base: 200 * time.Microsecond, Cap: time.Millisecond, Jitter: 0.5})
+		c.SetRetry(3)
 		c.SetRequestTimeout(2 * time.Second)
 		var killed []byte
 		var step int64

@@ -54,49 +54,31 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// Property test for the backoff schedule over attempt ∈ [0, 64]: never
-// negative, never past the cap, monotone non-decreasing without jitter,
-// and positive whenever Base is. Attempt 62+ with Cap 0 used to overflow
-// the doubling into a negative sleep.
+// Property test for the backoff schedule over retry ∈ [0, 64]: 200 µs
+// doubling to the 1 ms cap, never negative, never past the cap, monotone
+// non-decreasing without jitter. Retry 62+ used to overflow the doubling
+// into a negative sleep when the cap was 0.
 func TestBackoffProperties(t *testing.T) {
-	policies := []RetryPolicy{
-		{Base: time.Millisecond},                              // uncapped: the overflow case
-		{Base: time.Millisecond, Cap: 50 * time.Millisecond},  // capped
-		{Base: time.Second, Cap: 0},                           // large base, uncapped
-		{Base: 3 * time.Nanosecond, Cap: 7 * time.Nanosecond}, // tiny, cap not a power of two
-		{Base: 0, Cap: time.Second},                           // zero base: always 0
-	}
-	for pi, rp := range policies {
-		prev := time.Duration(-1)
-		for attempt := 0; attempt <= 64; attempt++ {
-			d := rp.backoff(attempt, nil)
-			if d < 0 {
-				t.Fatalf("policy %d attempt %d: negative backoff %v", pi, attempt, d)
-			}
-			if rp.Cap > 0 && d > rp.Cap {
-				t.Fatalf("policy %d attempt %d: backoff %v exceeds cap %v", pi, attempt, d, rp.Cap)
-			}
-			if rp.Base > 0 && d == 0 {
-				t.Fatalf("policy %d attempt %d: zero backoff with positive base", pi, attempt)
-			}
-			if d < prev {
-				t.Fatalf("policy %d attempt %d: backoff %v < previous %v (not monotone)", pi, attempt, d, prev)
-			}
-			prev = d
+	want := []time.Duration{200 * time.Microsecond, 400 * time.Microsecond, 800 * time.Microsecond, time.Millisecond}
+	prev := time.Duration(-1)
+	for retry := 0; retry <= 64; retry++ {
+		d := backoff(retry, nil)
+		if d != want[min(retry, len(want)-1)] {
+			t.Fatalf("retry %d: backoff %v, want %v", retry, d, want[min(retry, len(want)-1)])
 		}
+		if d < prev {
+			t.Fatalf("retry %d: backoff %v < previous %v (not monotone)", retry, d, prev)
+		}
+		prev = d
 	}
-	// Jitter stays within [d·(1-j), d]: never negative, never above the
+	// Jitter stays within [d/2, d]: never negative, never above the
 	// unjittered schedule.
 	rng := xrand.New(99)
-	rp := RetryPolicy{Base: time.Millisecond, Jitter: 0.5}
-	for attempt := 0; attempt <= 64; attempt++ {
-		full := rp.backoff(attempt, nil)
-		got := rp.backoff(attempt, rng)
-		if got < 0 || got > full {
-			t.Fatalf("attempt %d: jittered backoff %v outside [0, %v]", attempt, got, full)
-		}
-		if full > 0 && got < full/2 {
-			t.Fatalf("attempt %d: jittered backoff %v below half of %v", attempt, got, full)
+	for retry := 0; retry <= 64; retry++ {
+		full := backoff(retry, nil)
+		got := backoff(retry, rng)
+		if got < full/2 || got > full {
+			t.Fatalf("retry %d: jittered backoff %v outside [%v, %v]", retry, got, full/2, full)
 		}
 	}
 }

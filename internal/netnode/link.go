@@ -33,9 +33,34 @@ type Dialer func(addr string) error
 
 // callOpts is what an owner's outbound calls run under.
 type callOpts struct {
-	gate    Dialer
-	retry   RetryPolicy
-	timeout time.Duration // per attempt: the dial, then the round trip; 0 = none
+	gate     Dialer
+	attempts int           // transport attempts per exchange; ≤ 1 tries once
+	timeout  time.Duration // per attempt: the dial, then the round trip; 0 = none
+}
+
+// Retry backoff: retry r (0-based) sleeps retryBase·2^r, capped at
+// retryCap, less up to retryJitter of it drawn from the owner's jitter
+// source so synchronised callers fan out. Only transport failures (dial
+// errors, IO errors, deadline misses) are retried; protocol rejections
+// never are.
+const (
+	retryBase   = 200 * time.Microsecond
+	retryCap    = time.Millisecond
+	retryJitter = 0.5
+)
+
+// backoff returns the sleep before retry number retry (0-based). The rng,
+// when non-nil, feeds only the jitter; accounting never observes it.
+func backoff(retry int, rng *xrand.Source) time.Duration {
+	d := retryBase
+	for i := 0; i < retry && d < retryCap; i++ {
+		d *= 2
+	}
+	d = min(d, retryCap)
+	if rng != nil {
+		d -= time.Duration(retryJitter * rng.Float64() * float64(d))
+	}
+	return d
 }
 
 // link is one persistent connection to a peer with the buffers that are
@@ -155,16 +180,16 @@ func (t *transport) close() {
 
 // backoff draws the sleep before retry number retry from the shared
 // jitter source.
-func (t *transport) backoff(rp RetryPolicy, retry int) time.Duration {
+func (t *transport) backoff(retry int) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return rp.backoff(retry, t.rng)
+	return backoff(retry, t.rng)
 }
 
 // attempt is one try of one exchange: the gate's verdict, a link, one
 // round trip. There is no transparent resend — "update" is not idempotent
 // — so a pooled link that turns out dead is a failed attempt like any
-// other and the retry policy decides what happens next.
+// other and the owner's attempt count decides what happens next.
 func (t *transport) attempt(o callOpts, addr string, msg message) (reply, error) {
 	var l *link
 	var err error
@@ -191,7 +216,7 @@ func (t *transport) attempt(o callOpts, addr string, msg message) (reply, error)
 
 // exchange is the one RPC loop, shared by nodes and the coordinator: send
 // one request to addr and read one reply, retrying transport failures up
-// to the policy's attempts with its backoff. Protocol rejections are
+// to the owner's attempts with the retry backoff. Protocol rejections are
 // returned as replies, never retried. Each attempt gets its own rpc span
 // under parent (labelled with peer when that is a site index), and the
 // attempt's span IDs ride the wire so the peer's serve span nests under
@@ -199,14 +224,12 @@ func (t *transport) attempt(o callOpts, addr string, msg message) (reply, error)
 // deadline misses.
 func (t *transport) exchange(o callOpts, nm *nodeMetrics, addr string, peer int, msg message, parent *spans.Span) (reply, error) {
 	var lastErr error
-	for a := 0; a < max(o.retry.Attempts, 1); a++ {
+	for a := 0; a < max(o.attempts, 1); a++ {
 		if a > 0 {
 			if nm != nil {
 				nm.retry(msg.Op)
 			}
-			if d := t.backoff(o.retry, a-1); d > 0 {
-				time.Sleep(d)
-			}
+			time.Sleep(t.backoff(a - 1))
 		}
 		var att *spans.Span
 		if parent != nil { // an untraced request does not pay for the name

@@ -343,7 +343,7 @@ func TestSettersDuringTraffic(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		for i := 0; i < p.Sites(); i++ {
 			n := c.Node(i)
-			n.setRetry(RetryPolicy{Attempts: 1 + round%3})
+			n.setRetry(1 + round%3)
 			n.setRequestTimeout(time.Duration(round%2) * 10 * time.Second)
 			n.setMetrics([]*metrics.Registry{nil, reg}[round%2])
 			n.SetDialer([]Dialer{nil, pass}[round%2])
