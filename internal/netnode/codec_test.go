@@ -61,7 +61,7 @@ func codecCases(prim, other int) []codecCase {
 		{name: "truncated request", payload: `{"op":"read","obj`, closeWrite: true, wantClosed: true},
 		{name: "object out of range", payload: `{"op":"read","obj":99}` + "\n", wantCode: codeBadObject},
 		{name: "negative object", payload: `{"op":"read","obj":-1}` + "\n", wantCode: codeBadObject},
-		{name: "empty line then valid request", site: prim, payload: "\n" + `{"op":"read","obj":0}` + "\n"},
+		{name: "empty line then valid request", site: prim, payload: "\n" + `{"op":"read","obj":0}` + "\n", wantCode: codeBadJSON},
 		{name: "retired op nearest", payload: `{"op":"nearest","obj":0,"site":1}` + "\n", wantCode: codeBadOp},
 		{name: "retired op registry", site: prim, payload: `{"op":"registry","obj":0,"sites":[0]}` + "\n", wantCode: codeBadOp},
 		{name: "retired op version", site: prim, payload: `{"op":"version","obj":0}` + "\n", wantCode: codeBadOp},
