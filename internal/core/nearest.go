@@ -79,7 +79,7 @@ func (t *NearestTable) Price(site, obj int, write bool, down []bool) (CostTerms,
 	if !write {
 		d := t.dist[site*p.n+obj]
 		if down != nil && down[t.site[site*p.n+obj]] {
-			live := RankReplicas(p, site, s.Replicators(obj), func(j int) bool { return !down[j] })
+			live := RankReplicas(nil, p, site, s.Replicators(obj), func(j int) bool { return !down[j] })
 			if len(live) == 0 {
 				return CostTerms{}, false
 			}
@@ -114,9 +114,11 @@ func (t *NearestTable) Price(site, obj int, write bool, down []bool) (CostTerms,
 // so the order over the surviving sites is deterministic and identical
 // to ranking the restricted view directly. A nil inView keeps every
 // site. The reader's own site is ranked like any other; callers serving
-// locally should check Holds first.
-func RankReplicas(p *Problem, from int, replicas []int, inView func(int) bool) []int {
-	ranked := make([]int, 0, len(replicas))
+// locally should check Holds first. The ranking is appended to dst and
+// the extended slice returned, so a caller that passes a buffer with room
+// for it allocates nothing.
+func RankReplicas(dst []int, p *Problem, from int, replicas []int, inView func(int) bool) []int {
+	start := len(dst)
 	for _, j := range replicas {
 		if j < 0 || j >= p.m {
 			continue
@@ -124,11 +126,10 @@ func RankReplicas(p *Problem, from int, replicas []int, inView func(int) bool) [
 		if inView != nil && !inView(j) {
 			continue
 		}
-		ranked = append(ranked, j)
+		dst = append(dst, j)
 	}
-	row := p.dist.Row(from)
-	sortReplicas(ranked, row)
-	return ranked
+	sortReplicas(dst[start:], p.dist.Row(from))
+	return dst
 }
 
 // sortReplicas is an insertion sort by (distance, site index) — replica

@@ -35,13 +35,13 @@ func TestRankReplicasOrdersByCostThenIndex(t *testing.T) {
 	replicas := []int{4, 0, 3, 2}
 	// From site 1: C = {0:1, 2:1, 3:2, 4:3}; the 0/2 tie breaks on the
 	// lower site index.
-	got := RankReplicas(p, 1, replicas, nil)
+	got := RankReplicas(nil, p, 1, replicas, nil)
 	want := []int{0, 2, 3, 4}
 	if !equalInts(got, want) {
 		t.Fatalf("rank from site 1 = %v, want %v", got, want)
 	}
 	// Input order must not matter.
-	got = RankReplicas(p, 1, []int{2, 3, 0, 4}, nil)
+	got = RankReplicas(nil, p, 1, []int{2, 3, 0, 4}, nil)
 	if !equalInts(got, want) {
 		t.Fatalf("rank is input-order sensitive: %v", got)
 	}
@@ -53,26 +53,26 @@ func TestRankReplicasSkipsDepartedSites(t *testing.T) {
 	// Sites 0 and 3 have left the view: the ranking must skip them
 	// entirely, not push them to the back.
 	view := map[int]bool{1: true, 2: true, 4: true}
-	got := RankReplicas(p, 1, replicas, func(j int) bool { return view[j] })
+	got := RankReplicas(nil, p, 1, replicas, func(j int) bool { return view[j] })
 	want := []int{2, 4}
 	if !equalInts(got, want) {
 		t.Fatalf("view-masked rank = %v, want %v", got, want)
 	}
 	// The order over surviving sites is identical to ranking them alone:
 	// departures never reshuffle survivors.
-	alone := RankReplicas(p, 1, []int{2, 4}, nil)
+	alone := RankReplicas(nil, p, 1, []int{2, 4}, nil)
 	if !equalInts(got, alone) {
 		t.Fatalf("masking reshuffled survivors: %v vs %v", got, alone)
 	}
 	// Every site departed: the ranking is empty, not a panic.
-	if got := RankReplicas(p, 1, replicas, func(int) bool { return false }); len(got) != 0 {
+	if got := RankReplicas(nil, p, 1, replicas, func(int) bool { return false }); len(got) != 0 {
 		t.Fatalf("empty view ranked %v", got)
 	}
 }
 
 func TestRankReplicasDropsOutOfRangeSites(t *testing.T) {
 	p := rankFixture(t)
-	got := RankReplicas(p, 0, []int{3, -1, 99, 2}, nil)
+	got := RankReplicas(nil, p, 0, []int{3, -1, 99, 2}, nil)
 	if !equalInts(got, []int{2, 3}) {
 		t.Fatalf("rank with junk sites = %v, want [2 3]", got)
 	}
@@ -88,7 +88,7 @@ func TestRankReplicasMatchesNearestTable(t *testing.T) {
 	for k := 0; k < p.Objects(); k++ {
 		repl := s.Replicators(k)
 		for i := 0; i < p.Sites(); i++ {
-			ranked := RankReplicas(p, i, repl, nil)
+			ranked := RankReplicas(nil, p, i, repl, nil)
 			if len(ranked) == 0 {
 				t.Fatalf("object %d has no ranked replicas", k)
 			}

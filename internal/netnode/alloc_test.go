@@ -44,8 +44,9 @@ func TestLocalReadAllocatesNothing(t *testing.T) {
 // TestRemoteReadAllocsPinned pins the allocations of one remote read on a
 // warm link, counted across both ends of the hop (both run in this
 // process): the request and the reply are encoded into buffers the link
-// and the connection keep, and decoded without reflection. The hop runs
-// a second goroutine, so the count is the median of five runs.
+// and the connection keep, decoded without reflection, and the replica
+// set is ranked into a buffer on the reader's stack. The hop runs a
+// second goroutine, so the count is the median of five runs.
 func TestRemoteReadAllocsPinned(t *testing.T) {
 	p := gen(t, 6, 24, 0.05, 0.5, 7)
 	c, err := StartLocal(p)
@@ -67,7 +68,7 @@ func TestRemoteReadAllocsPinned(t *testing.T) {
 		})
 	}
 	slices.Sort(runs)
-	if got := runs[len(runs)/2]; got != 1 {
-		t.Errorf("a remote read allocates %v times (runs %v), pinned at 1", got, runs)
+	if got := runs[len(runs)/2]; got != 0 {
+		t.Errorf("a remote read allocates %v times (runs %v), pinned at 0", got, runs)
 	}
 }

@@ -35,11 +35,11 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestBatchAppliesPrefixUpToRejection sends one durable site a batch whose
-// record 3 drops the site's primary copy, and a twin site records 0..2 one
-// command each. The batch reply says 3 records applied with the drop's
-// code, and the two sites end with the same state and the same log bytes:
-// a batch writes exactly the store calls and log records of the commands
-// it carries, up to the one it rejects, and nothing after it.
+// record 3 drops the site's primary copy, and a twin site records 0..2 as
+// a batch of one each. The batch reply says 3 records applied with the
+// drop's code, and the two sites end with the same state and the same log
+// bytes: a batch logs exactly the records it carries, up to the one it
+// rejects, and nothing after it.
 func TestBatchAppliesPrefixUpToRejection(t *testing.T) {
 	p := gen(t, 4, 6, 0.3, 0.5, 1)
 	site := p.Primary(0)
@@ -83,7 +83,7 @@ func TestBatchAppliesPrefixUpToRejection(t *testing.T) {
 		t.Fatalf("batch reply %+v, want %d applied and code %q", resp, k, codeNotPrimary)
 	}
 	for _, r := range records[:k] {
-		if resp, err := callOnce(twin.Addr(), r, 0); err != nil || !resp.OK {
+		if resp, err := callOnce(twin.Addr(), message{Op: opBatch, Batch: []message{r}}, 0); err != nil || !resp.OK {
 			t.Fatalf("%s one at a time: %+v, %v", r.Op, resp, err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestMigrationCountsOnlyAppliedRecords(t *testing.T) {
 	drained := mk(2, []int{0}, []int{1}, []int{2}, []int{3})
 	c.SetStepHook(func(s plan.Step) {
 		if s.Kind == plan.Drop && s.Object == 2 {
-			if err := c.command(4, message{Op: "primary", Object: 2, Site: 4}, nil); err != nil {
+			if err := c.record(4, message{Op: "primary", Object: 2, Site: 4}); err != nil {
 				t.Error(err)
 			}
 		}

@@ -65,12 +65,13 @@ func codecCases(prim, other int) []codecCase {
 		{name: "retired op nearest", payload: `{"op":"nearest","obj":0,"site":1}` + "\n", wantCode: codeBadOp},
 		{name: "retired op registry", site: prim, payload: `{"op":"registry","obj":0,"sites":[0]}` + "\n", wantCode: codeBadOp},
 		{name: "retired op version", site: prim, payload: `{"op":"version","obj":0}` + "\n", wantCode: codeBadOp},
-		{name: "primary site out of range", payload: `{"op":"primary","obj":0,"site":3}` + "\n", wantCode: codeBadSite},
-		{name: "replicas site out of range", payload: `{"op":"replicas","obj":0,"sites":[0,3]}` + "\n", wantCode: codeBadSite},
-		{name: "replicas site negative", site: prim, payload: `{"op":"replicas","obj":0,"sites":[-1]}` + "\n", wantCode: codeBadSite},
+		{name: "primary site out of range", payload: `{"op":"batch","obj":0,"batch":[{"op":"primary","obj":0,"site":3}]}` + "\n", wantCode: codeBadSite},
+		{name: "replicas site out of range", payload: `{"op":"batch","obj":0,"batch":[{"op":"replicas","obj":0,"sites":[0,3]}]}` + "\n", wantCode: codeBadSite},
+		{name: "replicas site negative", site: prim, payload: `{"op":"batch","obj":0,"batch":[{"op":"replicas","obj":0,"sites":[-1]}]}` + "\n", wantCode: codeBadSite},
 		{name: "update to a non-primary", site: other, payload: `{"op":"update","obj":0}` + "\n", wantCode: codeNotPrimary},
 		{name: "reconcile to a non-primary", site: other, payload: `{"op":"reconcile","obj":0}` + "\n", wantCode: codeNotPrimary},
-		{name: "drop of a primary copy", site: prim, payload: `{"op":"drop","obj":0}` + "\n", wantCode: codeNotPrimary},
+		{name: "drop of a primary copy", site: prim, payload: `{"op":"batch","obj":0,"batch":[{"op":"drop","obj":0}]}` + "\n", wantCode: codeNotPrimary},
+		{name: "coordinator record outside a batch", site: other, payload: `{"op":"place","obj":0,"version":1}` + "\n", wantCode: codeBadOp},
 		{name: "empty batch", payload: `{"op":"batch","obj":0}` + "\n", wantCode: codeBadOp},
 		{name: "nested batch", payload: `{"op":"batch","obj":0,"batch":[{"op":"batch","obj":0,"batch":[{"op":"drop","obj":1}]}]}` + "\n", wantCode: codeBadOp},
 		{name: "data-path op in a batch", site: other, payload: `{"op":"batch","obj":0,"batch":[{"op":"primary","obj":1,"site":1},{"op":"read","obj":0}]}` + "\n", wantCode: codeBadOp},
@@ -157,18 +158,17 @@ func TestWireCodecEdgeCases(t *testing.T) {
 	}{
 		{prim, message{Op: "update", Object: 0, From: other}},
 		{prim, message{Op: "sync", Object: 0, Version: 1}},
-		{other, message{Op: "place", Object: 0, Version: 1}},
-		{other, message{Op: "drop", Object: 0}},
-		{other, message{Op: "replicas", Object: 0, Sites: []int{prim}}},
-		{other, message{Op: "primary", Object: 0, Site: other}},
+		{other, message{Op: opBatch, Batch: []message{{Op: "place", Object: 0, Version: 1}}}},
+		{other, message{Op: opBatch, Batch: []message{{Op: "drop", Object: 0}}}},
+		{other, message{Op: opBatch, Batch: []message{{Op: "replicas", Object: 0, Sites: []int{prim}}}}},
 		{other, message{Op: opBatch, Batch: []message{{Op: "primary", Object: 0, Site: other}}}},
 	} {
 		n := c.Node(tc.site)
 		if err := n.Kill(); err != nil {
 			t.Fatal(err)
 		}
-		if resp := n.handle(tc.msg); resp.OK || resp.Code != codeStorage {
-			t.Errorf("%s at crash-stopped site %d: reply %+v, want code %q", tc.msg.Op, tc.site, resp, codeStorage)
+		if resp := n.handle(tc.msg); resp.OK || resp.Code != codeStorage || resp.Applied != 0 {
+			t.Errorf("%s at crash-stopped site %d: reply %+v, want code %q with nothing applied", tc.msg.Op, tc.site, resp, codeStorage)
 		}
 	}
 }

@@ -24,8 +24,9 @@ var replyCodes = map[string]bool{
 // Oracles: no panic; every reply is OK or carries one of the documented
 // codes; after every line the site's state and NTC are byte-identical to
 // a twin site's that was sent, one request at a time, only what the site
-// acknowledged — an OK line whole, a batch's first applied records, a
-// rejected line nothing.
+// acknowledged — an OK line whole, a batch's first applied records as a
+// batch of one each, a rejected line nothing. A coordinator record outside
+// a batch is refused.
 func FuzzNodeLine(f *testing.F) {
 	p := gen(f, 4, 6, 0.3, 0.5, 1)
 	site := p.Primary(0)
@@ -38,20 +39,21 @@ func FuzzNodeLine(f *testing.F) {
 	}
 	valid := []string{
 		`{"op":"read","obj":0}`,
-		fmt.Sprintf(`{"op":"replicas","obj":0,"sites":[%d,%d]}`, site, other),
+		fmt.Sprintf(`{"op":"batch","obj":0,"batch":[{"op":"replicas","obj":0,"sites":[%d,%d]}]}`, site, other),
 		fmt.Sprintf(`{"op":"update","obj":0,"from":%d,"trace":"t1","span":"s1"}`, other),
 		fmt.Sprintf(`{"op":"reconcile","obj":0,"sites":[%d]}`, other),
 		`{"op":"sync","obj":0,"version":7}`,
+		`{"op":"batch","obj":0,"batch":[{"op":"place","obj":1,"version":2}]}`,
+		`{"op":"batch","obj":0,"batch":[{"op":"drop","obj":1}]}`,
+		fmt.Sprintf(`{"op":"batch","obj":0,"batch":[{"op":"primary","obj":1,"site":%d}]}`, site),
 		`{"op":"place","obj":1,"version":2}`,
-		`{"op":"drop","obj":1}`,
-		fmt.Sprintf(`{"op":"primary","obj":1,"site":%d}`, site),
 		fmt.Sprintf(`{"op":"batch","obj":0,"batch":[{"op":"place","obj":1,"version":3},{"op":"replicas","obj":1,"sites":[%d,%d]},{"op":"primary","obj":1,"site":%d},{"op":"drop","obj":1}]}`, site, other, other),
 	}
 	for _, line := range valid {
 		f.Add([]byte(line + "\n"))
 	}
-	// A session: every op in turn, a second reconcile, then a blank line,
-	// which the encoder never writes.
+	// A session: every op in turn, a coordinator record outside a batch, a
+	// second reconcile, then a blank line, which the encoder never writes.
 	f.Add([]byte(strings.Join(valid, "\n") + "\n" + valid[3] + "\n\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -151,13 +153,15 @@ func FuzzNodeLine(f *testing.F) {
 			case msg.Op == opBatch && (resp.Applied > len(msg.Batch) || resp.OK && resp.Applied != len(msg.Batch)):
 				t.Fatalf("line %s: reply %+v for a batch of %d records", brief(line), resp, len(msg.Batch))
 			case msg.Op == opBatch:
-				acked = msg.Batch[:resp.Applied]
+				for _, r := range msg.Batch[:resp.Applied] {
+					acked = append(acked, message{Op: opBatch, Batch: []message{r}})
+				}
 			case resp.OK:
 				acked = []message{msg}
 			}
 			for _, r := range acked {
 				if tr := twin.handle(r); !tr.OK {
-					t.Fatalf("line %s: the twin rejected %s: %+v", brief(line), r.Op, tr)
+					t.Fatalf("line %s: the twin rejected %+v: %+v", brief(line), r, tr)
 				}
 			}
 			same(fmt.Sprintf("line %s, answered %+v,", brief(line), resp))

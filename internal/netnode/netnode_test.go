@@ -36,8 +36,8 @@ func Listen(p *core.Problem, site int, addr string) (*Node, error) {
 	return listenStore(p, site, addr, st)
 }
 
-// command sends one coordinator request to a site, outside any batch, and
-// turns a rejection into an error.
+// command sends one request to a site and turns a rejection into an
+// error.
 func (c *Cluster) command(site int, msg message, parent *spans.Span) error {
 	resp, err := c.exchange(site, msg, parent)
 	if err != nil {
@@ -47,6 +47,13 @@ func (c *Cluster) command(site int, msg message, parent *spans.Span) error {
 		return fmt.Errorf("netnode: site %d rejected %s: %w", site, msg.Op, &replyError{Code: resp.Code, Msg: resp.Err})
 	}
 	return nil
+}
+
+// record sends one coordinator record to a site as a batch of one and
+// turns a rejection into an error.
+func (c *Cluster) record(site int, msg message) error {
+	_, err := c.batch(site, []message{msg}, nil)
+	return err
 }
 
 func startCluster(t *testing.T, p *core.Problem) *Cluster {
@@ -210,7 +217,7 @@ func TestDropPrimaryRejected(t *testing.T) {
 	p := gen(t, 3, 3, 0.05, 0.5, 5)
 	c := startCluster(t, p)
 	k := 0
-	if err := c.command(p.Primary(k), message{Op: "drop", Object: k}, nil); err == nil {
+	if err := c.record(p.Primary(k), message{Op: "drop", Object: k}); err == nil {
 		t.Fatal("primary drop accepted")
 	}
 }
@@ -234,7 +241,7 @@ func TestReadFromNonHolderFails(t *testing.T) {
 	// Give the third site a replica set naming only the non-holder and
 	// read: must error loudly, not silently serve from the primary.
 	reader := (nonHolder + 1) % p.Sites()
-	if err := c.command(reader, message{Op: "replicas", Object: k, Sites: []int{nonHolder}}, nil); err != nil {
+	if err := c.record(reader, message{Op: "replicas", Object: k, Sites: []int{nonHolder}}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := c.Node(reader).Read(k)
@@ -265,7 +272,7 @@ func TestReconcileRejectedByNonHolder(t *testing.T) {
 	if _, err := c.Node(sp).Store().BumpVersion(k); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.command(j, message{Op: "drop", Object: k}, nil); err != nil {
+	if err := c.record(j, message{Op: "drop", Object: k}); err != nil {
 		t.Fatal(err)
 	}
 	if cost, remaining, err := c.Reconcile(); err != nil || cost != 0 || remaining != 0 {

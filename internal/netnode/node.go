@@ -452,7 +452,7 @@ func (n *Node) handle(msg message) reply {
 	sv.SetSite(n.site)
 	var resp reply
 	if msg.Op == opBatch {
-		resp = n.serveBatch(msg.Batch, sv)
+		resp = n.serveBatch(msg.Batch)
 	} else {
 		sv.SetObject(msg.Object)
 		resp = n.serveOp(msg, sv)
@@ -510,46 +510,6 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		}
 		return reply{OK: true}
 
-	case "place":
-		if err := n.st.Place(msg.Object, msg.Version); err != nil {
-			return storageReply(err)
-		}
-		return reply{OK: true}
-
-	case "drop":
-		if n.st.PrimaryOf(msg.Object) == n.site {
-			return reply{Code: codeNotPrimary, Err: "cannot drop a primary copy"}
-		}
-		if err := n.st.Drop(msg.Object); err != nil {
-			return storageReply(err)
-		}
-		return reply{OK: true}
-
-	case "replicas":
-		// The coordinator pushes the object's replica set R_k to every
-		// member, the primary last. Reads rank it; the primary broadcasts
-		// over it.
-		if code, err := checkSites(msg.Sites, n.p.Sites()); err != nil {
-			return reply{Code: code, Err: err.Error()}
-		}
-		if err := n.st.SetReplicas(msg.Object, msg.Sites); err != nil {
-			return storageReply(err)
-		}
-		return reply{OK: true}
-
-	case "primary":
-		// The coordinator promotes a new primary for the object; every
-		// member learns the same routing record, and the promotion hits the
-		// log before it is acknowledged. Re-asserting the current primary
-		// is a no-op, which makes plan resume idempotent.
-		if msg.Site < 0 || msg.Site >= n.p.Sites() {
-			return reply{Code: codeBadSite, Err: "primary site out of range"}
-		}
-		if err := n.st.SetPrimary(msg.Object, msg.Site); err != nil {
-			return storageReply(err)
-		}
-		return reply{OK: true}
-
 	case "reconcile":
 		// The coordinator asks the primary to re-sync the sites it names:
 		// the holders behind the primary's version. Each successful
@@ -579,11 +539,12 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 
 // serveBatch applies a coordinator batch. The whole list is checked
 // first — an empty batch, a nested batch or any op but place, primary,
-// replicas and drop is refused with nothing applied — then each record
-// runs through serveOp in order, each writing its own store call and log
-// record, up to the first rejection. The reply says how many applied and
-// carries the rejected record's code.
-func (n *Node) serveBatch(records []message, sv *spans.Span) reply {
+// replicas and drop is refused with nothing applied — then the records
+// apply in order through one store batch, up to the first rejection, and
+// the ones before it are one log commit. The reply says how many applied
+// and carries the rejected record's code, or codeStorage when the commit
+// failed.
+func (n *Node) serveBatch(records []message) reply {
 	if len(records) == 0 {
 		return reply{Code: codeBadOp, Err: "empty batch"}
 	}
@@ -594,14 +555,60 @@ func (n *Node) serveBatch(records []message, sv *spans.Span) reply {
 			return reply{Code: codeBadOp, Err: fmt.Sprintf("batch record %d: op %q is not a coordinator record", i, r.Op)}
 		}
 	}
-	for i, r := range records {
-		if resp := n.serveOp(r, sv); !resp.OK {
-			resp.Applied = i
-			resp.Err = fmt.Sprintf("batch record %d (%s object %d): %s", i, r.Op, r.Object, resp.Err)
-			return resp
-		}
+	var rejected reply
+	applied, err := n.st.Batch(len(records), func(i int, tx store.Tx) bool {
+		rejected = n.applyRecord(records[i], tx)
+		return rejected.OK
+	})
+	if err != nil {
+		resp := storageReply(err)
+		resp.Applied = applied
+		return resp
+	}
+	if applied < len(records) {
+		r := records[applied]
+		rejected.Applied = applied
+		rejected.Err = fmt.Sprintf("batch record %d (%s object %d): %s", applied, r.Op, r.Object, rejected.Err)
+		return rejected
 	}
 	return reply{OK: true, Applied: len(records)}
+}
+
+// applyRecord checks one coordinator record and applies it through tx,
+// or rejects it with nothing applied.
+func (n *Node) applyRecord(r message, tx store.Tx) reply {
+	if r.Object < 0 || r.Object >= n.p.Objects() {
+		return reply{Code: codeBadObject, Err: fmt.Sprintf("object %d out of range", r.Object)}
+	}
+	switch r.Op {
+	case "place":
+		tx.Place(r.Object, r.Version)
+
+	case "drop":
+		if tx.PrimaryOf(r.Object) == n.site {
+			return reply{Code: codeNotPrimary, Err: "cannot drop a primary copy"}
+		}
+		tx.Drop(r.Object)
+
+	case "replicas":
+		// The coordinator pushes the object's replica set R_k to every
+		// member, the primary last. Reads rank it; the primary broadcasts
+		// over it.
+		if code, err := checkSites(r.Sites, n.p.Sites()); err != nil {
+			return reply{Code: code, Err: err.Error()}
+		}
+		tx.SetReplicas(r.Object, r.Sites)
+
+	case "primary":
+		// The coordinator promotes a new primary for the object; every
+		// member learns the same routing record. Re-asserting the current
+		// primary is a no-op, which makes plan resume idempotent.
+		if r.Site < 0 || r.Site >= n.p.Sites() {
+			return reply{Code: codeBadSite, Err: "primary site out of range"}
+		}
+		tx.SetPrimary(r.Object, r.Site)
+	}
+	return reply{OK: true}
 }
 
 // checkSites validates a site list from the wire.
@@ -744,7 +751,8 @@ func (n *Node) Read(obj int) (cost int64, err error) {
 	// skipped, so the failover order over the survivors is deterministic.
 	inView := func(j int) bool { return j != n.site && j < len(peers) && peers[j] != "" }
 	var lastErr error
-	for idx, j := range core.RankReplicas(n.p, n.site, n.st.Replicas(obj), inView) {
+	var ranked [8]int // a replica set this small ranks without allocating
+	for idx, j := range core.RankReplicas(ranked[:0], n.p, n.site, n.st.Replicas(obj), inView) {
 		hop := root.Child("read.hop")
 		hop.SetPeer(j)
 		hop.SetHop(idx)

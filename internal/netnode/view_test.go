@@ -852,7 +852,7 @@ func TestViewClusterCopyFollowsMajorityPrimary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.command(4, message{Op: "primary", Object: 0, Site: 0}, nil); err != nil {
+	if err := c.record(4, message{Op: "primary", Object: 0, Site: 0}); err != nil {
 		t.Fatal(err)
 	}
 	next := c.Plan()

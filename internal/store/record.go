@@ -40,20 +40,19 @@ type record struct {
 // recordFixedLen is a record's size before its sites.
 const recordFixedLen = 17
 
-// encode lays the record out as op(1) | obj(4) | arg(8) | nsites(4) |
-// sites(4·n), little-endian throughout. The layout is fixed-width so the
-// same mutation always produces the same bytes (byte-identical logs for
-// identical histories).
-func (r record) encode() []byte {
-	buf := make([]byte, recordFixedLen+4*len(r.sites))
-	buf[0] = r.op
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(r.obj))
-	binary.LittleEndian.PutUint64(buf[5:13], uint64(r.arg))
-	binary.LittleEndian.PutUint32(buf[13:17], uint32(len(r.sites)))
-	for i, s := range r.sites {
-		binary.LittleEndian.PutUint32(buf[recordFixedLen+4*i:], uint32(s))
+// appendTo appends the record's layout to dst: op(1) | obj(4) | arg(8) |
+// nsites(4) | sites(4·n), little-endian throughout. The layout is
+// fixed-width so the same mutation always produces the same bytes
+// (byte-identical logs for identical histories).
+func (r record) appendTo(dst []byte) []byte {
+	dst = append(dst, r.op)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.obj))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.arg))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.sites)))
+	for _, s := range r.sites {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
 	}
-	return buf
+	return dst
 }
 
 // recordLen returns the length of the record that b starts with, read
