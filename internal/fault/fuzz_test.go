@@ -21,7 +21,9 @@ import (
 )
 
 // fuzzSeeds is FuzzFaultPlan's seed corpus: one plan per event kind, a
-// crash ended by a restart and overlapping windows.
+// crash ended by a restart, overlapping windows, and a crash of site 0,
+// the one non-primary replica site, after its own requests, so that other
+// sites' writes leave it behind for Reconcile to re-sync.
 var fuzzSeeds = []string{
 	`{"seed":1,"events":[]}`,
 	`{"seed":7,"events":[{"kind":"crash","site":1,"step":1,"until":9}]}`,
@@ -30,6 +32,7 @@ var fuzzSeeds = []string{
 	`{"seed":11,"events":[{"kind":"drop","site":2,"peer":-1,"step":1,"prob":0.5}]}`,
 	`{"seed":13,"events":[{"kind":"linklat","site":0,"peer":2,"delay_ms":2},{"kind":"linklat","site":1,"peer":2,"step":3,"until":8,"delay_ms":1}]}`,
 	`{"seed":2,"events":[{"kind":"crash","site":1,"step":1,"until":2},{"kind":"crash","site":2,"step":2,"until":3},{"kind":"blackhole","site":-1,"peer":0,"step":3,"until":4}]}`,
+	`{"seed":17,"events":[{"kind":"crash","site":0,"step":134,"until":300}]}`,
 }
 
 func FuzzFaultPlan(f *testing.F) {

@@ -14,18 +14,40 @@ import (
 	"time"
 
 	"drp/internal/core"
+	"drp/internal/metrics"
 	"drp/internal/netnode"
 	"drp/internal/sra"
 	"drp/internal/xrand"
 )
 
+// primaryOf returns the member whose record names itself k's primary:
+// the site writes to k reach, whose version and R_k say which holders are
+// behind. It fails the test where no member's record does, or more than
+// one does.
+func primaryOf(t testing.TB, c *netnode.Cluster, k int) int {
+	t.Helper()
+	sp := -1
+	for _, m := range c.Members() {
+		if c.Node(m).Store().PrimaryOf(k) != m {
+			continue
+		}
+		if sp >= 0 {
+			t.Fatalf("sites %d and %d both record themselves as object %d's primary", sp, m, k)
+		}
+		sp = m
+	}
+	if sp < 0 {
+		t.Fatalf("no member records itself as object %d's primary", k)
+	}
+	return sp
+}
+
 // behind returns B = Σ o_k·C(SP_k,j) over the holders j in the primary's
 // R_k whose version is below the primary's, how many such holders there
 // are, and over how many objects.
-func behind(c *netnode.Cluster, p *core.Problem) (cost int64, holders, objects int) {
-	pl := c.Plan()
+func behind(t testing.TB, c *netnode.Cluster, p *core.Problem) (cost int64, holders, objects int) {
 	for k := 0; k < p.Objects(); k++ {
-		sp := pl.Primaries[k]
+		sp := primaryOf(t, c, k)
 		primary := c.Node(sp)
 		v, was := primary.Version(k), holders
 		for _, j := range primary.Store().Replicas(k) {
@@ -67,7 +89,9 @@ func oracleCases(t *testing.T) []oracleCase {
 	for _, np := range seededPlans(chaos) {
 		add("chaos/"+np.name, chaos, np.plan)
 	}
-	add("chaos/spans", chaos, chaosSpanPlan(chaos))
+	for _, sc := range spanCases(chaos) {
+		add("chaos/"+sc.name, chaos, sc.plan)
+	}
 	restart := genProblem(t, 5, 6, 0.25, 1.0, 7)
 	if plan, ok := restartPlan(restart, sra.Run(restart, sra.Options{}).Scheme); ok {
 		add("chaos/restart", restart, plan)
@@ -146,6 +170,8 @@ func TestReconcileOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			scheme := sra.Run(tc.p, sra.Options{}).Scheme
 			c, in := chaosCluster(t, tc.p, scheme, tc.plan)
+			reg := metrics.NewRegistry()
+			c.EnableMetrics(reg)
 			if _, err := c.DriveTrafficReport(); err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +182,7 @@ func TestReconcileOracle(t *testing.T) {
 			if left := c.PendingWrites(); left != 0 {
 				t.Fatalf("%d writes still queued after flush", left)
 			}
-			b, n, _ := behind(c, tc.p)
+			b, n, _ := behind(t, c, tc.p)
 			cost, remaining, err := c.Reconcile()
 			if err != nil {
 				t.Fatal(err)
@@ -164,9 +190,8 @@ func TestReconcileOracle(t *testing.T) {
 			if remaining != 0 {
 				t.Errorf("%d replicas left behind after reconcile", remaining)
 			}
-			pl := c.Plan()
 			for k := 0; k < tc.p.Objects(); k++ {
-				sp := pl.Primaries[k]
+				sp := primaryOf(t, c, k)
 				v := c.Node(sp).Version(k)
 				for _, j := range c.Node(sp).Store().Replicas(k) {
 					if node := c.Node(j); node.Holds(k) && node.Version(k) != v {
@@ -178,10 +203,78 @@ func TestReconcileOracle(t *testing.T) {
 			if cost != b {
 				t.Errorf("reconcile cost %d, want B = %d for the %d holders behind", cost, b, n)
 			}
+			if terms, ledger := ntcTerms(reg).sum(), c.TotalNTC(); terms != ledger {
+				t.Errorf("drp_net_ntc_total terms sum to %d, the sites' ledgers to %d", terms, ledger)
+			}
 			reshipped += n
 		})
 	}
 	if reshipped == 0 {
 		t.Error("no case left a holder behind its primary; the oracle is vacuous")
+	}
+}
+
+// terms is one reading of drp_net_ntc_total, by term.
+type terms struct{ read, readFailover, write, writeFlush, reconcile int64 }
+
+func ntcTerms(reg *metrics.Registry) terms {
+	term := func(name string) int64 {
+		return reg.Counter("drp_net_ntc_total", "", metrics.Labels{"term": name}).Value()
+	}
+	return terms{term("read"), term("read_failover"), term("write"), term("write_flush"), term("reconcile")}
+}
+
+func (tm terms) sum() int64 {
+	return tm.read + tm.readFailover + tm.write + tm.writeFlush + tm.reconcile
+}
+
+// TestNTCTermsSumToLedger: the terms of drp_net_ntc_total partition the
+// ledger the sites keep (Cluster.TotalNTC). Over the span plan that leaves
+// a holder behind, they sum to it after the traffic, after the flush and
+// after Reconcile; the traffic's terms sum to the report's NTC, and the
+// flush and reconcile terms hold exactly what those calls returned.
+func TestNTCTermsSumToLedger(t *testing.T) {
+	p := genProblem(t, 6, 8, 0.15, 0.9, 21)
+	plan := chaosBehindSpanPlan(p)
+	c, in := chaosCluster(t, p, sra.Run(p, sra.Options{}).Scheme, plan)
+	reg := metrics.NewRegistry()
+	c.EnableMetrics(reg)
+	ledger := func(phase string) terms {
+		t.Helper()
+		tm := ntcTerms(reg)
+		if got, want := tm.sum(), c.TotalNTC(); got != want {
+			t.Errorf("after the %s the terms %+v sum to %d, the ledgers to %d", phase, tm, got, want)
+		}
+		return tm
+	}
+
+	rep, err := c.DriveTrafficReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := ledger("traffic")
+	if got := tm.read + tm.readFailover + tm.write; got != rep.NTC {
+		t.Errorf("read, read_failover and write sum to %d, the traffic accounted %d", got, rep.NTC)
+	}
+	if tm.readFailover == 0 || rep.QueuedWrites == 0 {
+		t.Errorf("the plan failed over no read (%d) or queued no write (%d); the terms are vacuous", tm.readFailover, rep.QueuedWrites)
+	}
+
+	in.AdvanceTo(plan.MaxStep())
+	flush, err := c.FlushPending()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm = ledger("flush"); tm.writeFlush != flush {
+		t.Errorf("write_flush term %d, FlushPending returned %d", tm.writeFlush, flush)
+	}
+
+	b, _, _ := behind(t, c, p)
+	rec, _, err := c.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm = ledger("reconcile"); tm.reconcile != rec || rec != b || b == 0 {
+		t.Errorf("reconcile term %d, Reconcile returned %d, B = %d (want all equal and above 0)", tm.reconcile, rec, b)
 	}
 }
