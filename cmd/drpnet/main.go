@@ -34,7 +34,7 @@
 // atomically replaced record (coordinator/journal.snap); a rerun on the
 // same directory boots the reshaped member set recorded in the journal and
 // resumes any unfinished migration instead of replaying the scenario.
-// -plan-out writes the final deployed plan as canonical JSON.
+// -plan-out writes the final adopted plan as canonical JSON.
 //
 // Observability: -listen-metrics serves the nodes' shared drp_net_* request
 // instruments (latency histograms, replica-hit and NTC counters) as
@@ -427,15 +427,12 @@ func serveViewTraffic(p *drp.Problem, c *netnode.Cluster, planOut string, stdout
 	return writePlanFile(c, planOut, stdout)
 }
 
-// writePlanFile writes the deployed plan's canonical JSON encoding.
+// writePlanFile writes the adopted plan's canonical JSON encoding.
 func writePlanFile(c *netnode.Cluster, path string, stdout io.Writer) error {
 	if path == "" {
 		return nil
 	}
 	pl := c.Plan()
-	if pl == nil {
-		return fmt.Errorf("-plan-out: no plan deployed")
-	}
 	data, err := pl.Marshal()
 	if err != nil {
 		return err

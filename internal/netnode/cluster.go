@@ -22,10 +22,10 @@ import (
 // slot. A full-membership cluster is simply the view cluster whose view
 // is every site.
 type Cluster struct {
-	p     *core.Problem
-	nodes []*Node
-	view  plan.View  // member sites; Join and Leave move it on
-	plan  *plan.Plan // deployed placement plan
+	p      *core.Problem
+	nodes  []*Node
+	view   plan.View  // member sites; Join and Leave move it on
+	target *plan.Plan // the last adopted migration target, not what the members hold
 
 	opts  callOpts  // coordinator commands: gate (fault seam), retries, deadline
 	links transport // the coordinator's own links to the member sites
@@ -55,7 +55,7 @@ func StartLocal(p *core.Problem) (*Cluster, error) {
 // therefore replaying — a WAL-backed store in root/site-NNN. On a fresh
 // root this is StartLocal with persistence; on a root that has seen a
 // crash, every node restarts with exactly the state it had acknowledged,
-// and the deployed plan is read back from the recovered holdings.
+// and the adopted target is read back from the recovered holdings.
 func StartDurable(p *core.Problem, root string, opts store.Options) (*Cluster, error) {
 	return StartDurableView(p, root, opts, allSites(p))
 }
@@ -91,7 +91,7 @@ func allSites(p *core.Problem) []int {
 }
 
 // start is the one boot path: a node per member (memory-backed when root
-// is ""), the address tables, and the deployed plan read back from what
+// is ""), the address tables, and the adopted target read back from what
 // the nodes hold — the primaries-only placement on a fresh boot, the
 // recovered placement after a replay. A site left over capacity by an
 // interrupted migration is tolerated: the next migration drops the
@@ -116,15 +116,15 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 		}
 	}
 	c.rewirePeers()
-	c.plan, _ = c.holdings(nil)
+	c.target, _ = c.holdings(nil)
 	for k := 0; k < p.Objects(); k++ {
-		if len(c.plan.Placement[k]) == 0 {
+		if len(c.target.Placement[k]) == 0 {
 			c.Close()
 			return nil, fmt.Errorf("netnode: no member holds object %d; its primary site %d must be in the member set or the object migrated before it left", k, p.Primary(k))
 		}
-		if !view.Has(c.plan.Primaries[k]) {
+		if !view.Has(c.target.Primaries[k]) {
 			c.Close()
-			return nil, fmt.Errorf("netnode: recovered primary of object %d is site %d, which is not a member", k, c.plan.Primaries[k])
+			return nil, fmt.Errorf("netnode: recovered primary of object %d is site %d, which is not a member", k, c.target.Primaries[k])
 		}
 	}
 	return c, nil
@@ -202,11 +202,12 @@ func (c *Cluster) TotalNTC() int64 {
 	return total
 }
 
-// Scheme returns the deployed plan as a scheme, or nil when it has no
-// scheme form — a primary moved off (or drained from) its universe site,
-// or an interrupted migration left a site over capacity. Use Plan then.
+// Scheme returns the placement the members hold as a scheme, or nil when
+// it has no scheme form — a primary moved off (or drained from) its
+// universe site, or an interrupted migration left a site over capacity.
 func (c *Cluster) Scheme() *core.Scheme {
-	s, _ := c.plan.Scheme(c.p) // the error only says why there is none
+	held, _ := c.holdings(nil)
+	s, _ := held.Scheme(c.p) // the error only says why there is none
 	return s
 }
 
@@ -261,7 +262,7 @@ func (c *Cluster) Close() {
 // transfer cost (each new replica fetched from the nearest prior holder).
 func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
 	target := plan.FromScheme(next)
-	target.Epoch, target.View = c.plan.Epoch, plan.View{Epoch: c.plan.View.Epoch, Members: c.view.Members}.Clone()
+	target.Epoch, target.View = c.target.Epoch, plan.View{Epoch: c.target.View.Epoch, Members: c.view.Members}.Clone()
 	rep, err := c.migrate(c.tracer.Root("deploy"), target)
 	if err != nil {
 		return 0, err
@@ -380,20 +381,32 @@ func (c *Cluster) PendingWrites() int {
 	return total
 }
 
+// errSplitPrimary reports objects Reconcile skipped: no member's record
+// names itself their primary, or more than one does.
+var errSplitPrimary = errors.New("netnode: no single member's record names itself the primary")
+
 // Reconcile re-syncs the replicas that missed a write (crashed or
 // partitioned during its broadcast) and have not caught up since: it
-// reads every member's version in the one pass holdings makes and, for
+// reads every member's records in the one pass holdings makes and, for
 // each object with a holder in its primary's R_k below the primary's
-// version, asks the primary to re-sync those holders. An object with none
-// costs no round trip. It returns the transfer cost of the re-shipped
-// copies and the number of those holders still unreachable. Run it after
-// a failed site rejoins to restore version convergence.
+// version, asks the primary — the member whose record names itself SP_k
+// — to re-sync those holders. An object with none costs no round trip;
+// one whose records name no such member, or several, is skipped and named
+// in the errSplitPrimary returned once the rest are done. It returns the
+// transfer cost of the re-shipped copies and the number of those holders
+// still unreachable. Run it after a failed site rejoins to restore
+// version convergence.
 func (c *Cluster) Reconcile() (int64, int, error) {
 	held, rec := c.holdings(nil)
 	var total int64
 	remaining := 0
+	var split []int
 	for k := 0; k < c.p.Objects(); k++ {
-		sp := c.plan.Primaries[k]
+		sp, ok := rec.primaryOf(k, c.view.Members)
+		if !ok {
+			split = append(split, k)
+			continue
+		}
 		behind := rec.behind(k, sp, held.Placement[k])
 		if len(behind) == 0 {
 			continue
@@ -417,6 +430,9 @@ func (c *Cluster) Reconcile() (int64, int, error) {
 		root.Finish()
 		total += resp.Cost
 		remaining += len(resp.Stale)
+	}
+	if len(split) > 0 {
+		return total, remaining, fmt.Errorf("%w of objects %v; reconcile skipped them", errSplitPrimary, split)
 	}
 	return total, remaining, nil
 }

@@ -15,8 +15,11 @@ import (
 // Cluster whose member set changes at runtime (Join/Leave) and whose
 // placement moves through one migration engine (migrate), entered with a
 // versioned plan (ApplyPlan), the journaled plan after a crash
-// (ResumeMigration), a scheme (Deploy) or the deployed plan when a site
-// joins (Join). The node slice stays universe-indexed — a non-member site
+// (ResumeMigration), a scheme (Deploy) or the last adopted target when a
+// site joins (Join). Every decision about the current data plane —
+// a migration's diff, Reconcile, Leave, Scheme — reads the members' own
+// records (holdings); the adopted target serves only Join, Deploy's epochs
+// and Plan. The node slice stays universe-indexed — a non-member site
 // is simply a nil slot — so site indices on the wire never need
 // translation.
 //
@@ -47,9 +50,9 @@ type ApplyReport struct {
 	MigrationNTC int64
 }
 
-// errNotDrained reports a Leave of a site the current plan still places
-// replicas (or a primary) on. Apply a plan that migrates the site empty
-// first.
+// errNotDrained reports a Leave of a site that still holds a replica, or
+// that some member's record still names as an object's primary. Apply a
+// plan that migrates the site empty first.
 var errNotDrained = errors.New("netnode: site not drained")
 
 // rewirePeers rebuilds the universe-indexed address table and pushes it
@@ -76,13 +79,11 @@ func (c *Cluster) Members() []int {
 	return append([]int(nil), c.view.Members...)
 }
 
-// Plan returns the currently deployed placement plan.
-func (c *Cluster) Plan() *plan.Plan {
-	if c.plan == nil {
-		return nil
-	}
-	return c.plan.Clone()
-}
+// Plan returns the last adopted migration target: the plan the last
+// successful migration realised, or the placement read back at boot. After
+// a failed migration the members may hold something else; Scheme reads
+// what they hold.
+func (c *Cluster) Plan() *plan.Plan { return c.target.Clone() }
 
 // AttachJournal wires the coordinator journal in: every migration records
 // its target plan before executing a single step, and ResumeMigration
@@ -98,9 +99,10 @@ func (c *Cluster) AttachJournal(j *store.Journal) { c.journal = j }
 func (c *Cluster) SetStepHook(fn func(plan.Step)) { c.stepHook = fn }
 
 // Join adds a site to the cluster: boot its node (replaying its WAL in
-// durable mode), rewire the address tables, and migrate to the deployed
-// plan, which converges the joiner's records and drops what a rejoiner
-// still holds from before its drain; a later plan places onto the joiner.
+// durable mode), rewire the address tables, and migrate to the last
+// adopted target, which converges the joiner's records and drops what a
+// rejoiner still holds from before its drain; a later plan places onto
+// the joiner.
 // After a failed migration that is the last plan adopted, so a join rolls
 // back what the failed run moved; ResumeMigration redoes the journaled
 // target.
@@ -118,26 +120,29 @@ func (c *Cluster) Join(site int) (*Node, error) {
 	c.rewirePeers()
 	root := c.tracer.Root("join.sync")
 	root.SetPeer(site)
-	if _, err := c.migrate(root, c.plan); err != nil {
+	if _, err := c.migrate(root, c.target); err != nil {
 		return node, fmt.Errorf("netnode: join sync for site %d: %w", site, err)
 	}
 	return node, nil
 }
 
-// Leave removes a drained site: the deployed plan must place nothing on
-// it and route no primary to it. The node shuts down cleanly (flushing
-// its log, which in durable mode preserves its directory for a later
-// rejoin) and its slot goes nil.
+// Leave removes a drained site: it must hold nothing, and no member's
+// record may name it an object's primary. The node shuts down cleanly
+// (flushing its log, which in durable mode preserves its directory for a
+// later rejoin) and its slot goes nil.
 func (c *Cluster) Leave(site int) error {
 	view, err := c.view.Leave(site)
 	if err != nil {
 		return err
 	}
-	for k := 0; k < c.p.Objects(); k++ {
-		if c.plan.Primaries[k] == site {
-			return fmt.Errorf("%w: site %d is still the primary of object %d", errNotDrained, site, k)
+	held, rec := c.holdings(nil)
+	for k := range held.Placement {
+		for _, m := range c.view.Members {
+			if rec.routes[k*rec.sites+m] == site {
+				return fmt.Errorf("%w: site %d's record names site %d the primary of object %d", errNotDrained, m, site, k)
+			}
 		}
-		if c.plan.Has(site, k) {
+		if slices.Contains(held.Placement[k], site) {
 			return fmt.Errorf("%w: site %d still holds object %d", errNotDrained, site, k)
 		}
 	}
@@ -164,7 +169,7 @@ func (c *Cluster) ApplyPlan(next *plan.Plan) (*ApplyReport, error) {
 // ResumeMigration and Join: validate the target, read every member's
 // records, diff the holdings against the target, journal it, run the
 // ordered steps under root as waves of batch commands (runSteps) and
-// adopt the target (which the cluster then owns) as the deployed plan. It
+// adopt the target (which the cluster then owns). It
 // finishes root. A target the members already hold and record sends
 // nothing; on error the report counts the steps whose records the sites
 // acknowledged.
@@ -207,7 +212,7 @@ func (c *Cluster) migrate(root *spans.Span, target *plan.Plan) (rep *ApplyReport
 	if err := c.runSteps(steps, rec.drift, from, target, rep, root); err != nil {
 		return rep, err
 	}
-	c.plan = target
+	c.target = target
 	return rep, nil
 }
 
@@ -414,17 +419,36 @@ func fitLine(records []message) int {
 type drift struct{ replicas, primary [][]int }
 
 // records is what holdings reads beside the placement: each holder's
-// version, the replica set R_k each object's primary records, and the
-// drift from a migration's target.
+// version, each member's SP_k, the replica set R_k each object's primary
+// records, and the drift from a migration's target.
 type records struct {
 	drift
 	sites    int
 	versions []int64 // [k*sites+m]: member m's version of k, 0 where m holds none
+	routes   []int   // [k*sites+m]: the SP_k member m's record names
 	primaryR [][]int // R_k as recorded by a member whose record names itself SP_k
+}
+
+// primaryOf returns the one member whose record names itself SP_k: the
+// only site that accepts a write of k or a reconcile of it. ok is false
+// where no member's record does, or more than one does (a promotion that
+// reached only some members).
+func (r *records) primaryOf(k int, members []int) (sp int, ok bool) {
+	sp = -1
+	for _, m := range members {
+		if r.routes[k*r.sites+m] == m {
+			if sp >= 0 {
+				return -1, false
+			}
+			sp = m
+		}
+	}
+	return sp, sp >= 0
 }
 
 // behind lists the holders of k in primary sp's R_k whose version is below
 // sp's: the replicas that missed a write and have not caught up since.
+// sp must be primaryOf's answer, whose R_k primaryR holds.
 func (r *records) behind(k, sp int, holders []int) []int {
 	var out []int
 	for _, j := range r.primaryR[k] {
@@ -457,6 +481,7 @@ func (c *Cluster) holdings(target *plan.Plan) (*plan.Plan, *records) {
 		drift:    drift{replicas: make([][]int, n), primary: make([][]int, n)},
 		sites:    sites,
 		versions: make([]int64, n*sites),
+		routes:   make([]int, n*sites),
 		primaryR: make([][]int, n),
 	}
 	votes := make([]int, n)
@@ -466,6 +491,7 @@ func (c *Cluster) holdings(target *plan.Plan) (*plan.Plan, *records) {
 				pl.Placement[k] = append(pl.Placement[k], m)
 				r.versions[k*sites+m] = ver
 			}
+			r.routes[k*sites+m] = sp
 			if sp == m {
 				r.primaryR[k] = replicas
 			}
@@ -502,7 +528,7 @@ func (c *Cluster) holdings(target *plan.Plan) (*plan.Plan, *records) {
 // migrating to the journaled target plan. resumed is false when no journal
 // is attached, it holds no plan, or the target is rejected before a step
 // runs. Only the remainder runs; a realised target sends nothing and is
-// adopted as the deployed plan (epoch, view).
+// adopted (epoch, view).
 func (c *Cluster) ResumeMigration() (*ApplyReport, bool, error) {
 	if c.journal == nil {
 		return nil, false, nil
