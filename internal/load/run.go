@@ -230,12 +230,12 @@ type deltaCheck struct {
 	Cluster int64 `json:"cluster"`
 }
 
-// netCounters freezes the drp_net_* counters a load run moves.
+// NetCounters freezes the drp_net_* counters a load run moves.
 type NetCounters struct {
-	readsLocal, readsRemote   int64
-	writesPrimary, writesRem  int64
-	readFailed, writeQueued   int64
-	ntcRead, ntcWrite, ntcTot int64
+	readsLocal, readsRemote  int64
+	writesPrimary, writesRem int64
+	readFailed, writeQueued  int64
+	ntc                      int64 // the read, read_failover and write terms
 }
 
 // CaptureNetCounters snapshots the cluster counters CrossCheck diffs.
@@ -251,10 +251,12 @@ func CaptureNetCounters(reg *metrics.Registry) NetCounters {
 		writesRem:     c("drp_net_writes_total", metrics.Labels{"role": "remote"}),
 		readFailed:    c("drp_net_degraded_total", metrics.Labels{"kind": "read_failed"}),
 		writeQueued:   c("drp_net_degraded_total", metrics.Labels{"kind": "write_queued"}),
-		ntcRead:       c("drp_net_ntc_total", metrics.Labels{"op": "read"}),
-		ntcWrite:      c("drp_net_ntc_total", metrics.Labels{"op": "write"}),
 	}
-	nc.ntcTot = nc.ntcRead + nc.ntcWrite
+	// A run's requests add to these three terms only: the flush and
+	// reconcile terms move outside it.
+	for _, term := range []string{"read", "read_failover", "write"} {
+		nc.ntc += c("drp_net_ntc_total", metrics.Labels{"term": term})
+	}
 	return nc
 }
 
@@ -268,7 +270,7 @@ func CrossCheck(res *Result, reg *metrics.Registry, before NetCounters) MetricsC
 		Writes:       deltaCheck{Load: res.WritesOK, Cluster: after.writesPrimary + after.writesRem - before.writesPrimary - before.writesRem},
 		ReadsFailed:  deltaCheck{Load: res.ReadsFailed, Cluster: after.readFailed - before.readFailed},
 		WritesQueued: deltaCheck{Load: res.WritesQueued, Cluster: after.writeQueued - before.writeQueued},
-		NTC:          deltaCheck{Load: res.ntc(), Cluster: after.ntcTot - before.ntcTot},
+		NTC:          deltaCheck{Load: res.ntc(), Cluster: after.ntc - before.ntc},
 	}
 	mc.Match = mc.Reads.Load == mc.Reads.Cluster &&
 		mc.Writes.Load == mc.Writes.Cluster &&

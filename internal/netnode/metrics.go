@@ -20,17 +20,28 @@ type nodeMetrics struct {
 	readsRemote   *metrics.Counter
 	writesPrimary *metrics.Counter
 	writesRemote  *metrics.Counter
-	ntcRead       *metrics.Counter
-	ntcWrite      *metrics.Counter
+	ntc           [len(ntcTerms)]*metrics.Counter
 	failovers     *metrics.Counter
-	ntcFailover   *metrics.Counter
-	ntcFlush      *metrics.Counter
 	dials         *metrics.Counter
 }
 
+// ntcTerms are drp_net_ntc_total's term labels, indexed by the term
+// constants. They partition the ledger the sites keep (Store.AddNTC,
+// summed by Cluster.TotalNTC): every cost a node adds to its ledger it
+// records under exactly one term, so the terms sum to the ledger.
+var ntcTerms = [...]string{"read", "read_failover", "write", "write_flush", "reconcile"}
+
+const (
+	termRead = iota
+	termReadFailover
+	termWrite
+	termWriteFlush
+	termReconcile
+)
+
 func newNodeMetrics(reg *metrics.Registry) *nodeMetrics {
 	latency := metrics.LatencyBuckets()
-	return &nodeMetrics{
+	nm := &nodeMetrics{
 		reg:           reg,
 		readSeconds:   reg.Histogram("drp_net_request_seconds", "Client-observed request latency over the wire.", latency, metrics.Labels{"op": "read"}),
 		writeSeconds:  reg.Histogram("drp_net_request_seconds", "Client-observed request latency over the wire.", latency, metrics.Labels{"op": "write"}),
@@ -38,13 +49,13 @@ func newNodeMetrics(reg *metrics.Registry) *nodeMetrics {
 		readsRemote:   reg.Counter("drp_net_replica_reads_total", "Reads by serving replica location.", metrics.Labels{"source": "remote"}),
 		writesPrimary: reg.Counter("drp_net_writes_total", "Writes by the writer's role for the object.", metrics.Labels{"role": "primary"}),
 		writesRemote:  reg.Counter("drp_net_writes_total", "Writes by the writer's role for the object.", metrics.Labels{"role": "remote"}),
-		ntcRead:       reg.Counter("drp_net_ntc_total", "Transfer cost accounted to client requests.", metrics.Labels{"op": "read"}),
-		ntcWrite:      reg.Counter("drp_net_ntc_total", "Transfer cost accounted to client requests.", metrics.Labels{"op": "write"}),
 		failovers:     reg.Counter("drp_net_read_failovers_total", "Reads served by a farther replica after the nearest was unreachable.", nil),
-		ntcFailover:   reg.Counter("drp_net_ntc_degraded_total", "Transfer cost accounted to degraded-path requests.", metrics.Labels{"op": "read_failover"}),
-		ntcFlush:      reg.Counter("drp_net_ntc_degraded_total", "Transfer cost accounted to degraded-path requests.", metrics.Labels{"op": "write_flush"}),
 		dials:         reg.Counter("drp_net_dials_total", "Connections nodes accepted: every dial by a peer, the coordinator or a client. Link reuse is 1 - dials/messages.", nil),
 	}
+	for t, term := range ntcTerms {
+		nm.ntc[t] = reg.Counter("drp_net_ntc_total", "Transfer cost the sites' ledgers accounted, by term; the terms sum to the ledger.", metrics.Labels{"term": term})
+	}
+	return nm
 }
 
 // wireOps are the protocol's ops, and so the only values the served-message
@@ -78,16 +89,10 @@ func (nm *nodeMetrics) degraded(kind string) {
 	nm.reg.Counter("drp_net_degraded_total", "Requests that left the happy path, by outcome.", metrics.Labels{"kind": kind}).Inc()
 }
 
-// failover records a read served by a farther replica and its cost.
-func (nm *nodeMetrics) failover(cost int64) {
-	nm.failovers.Inc()
-	nm.ntcFailover.Add(cost)
-}
-
 // flushed records one queued write replayed successfully.
 func (nm *nodeMetrics) flushed(cost int64) {
 	nm.degraded("write_flushed")
-	nm.ntcFlush.Add(cost)
+	nm.ntc[termWriteFlush].Add(cost)
 }
 
 // RegisterMetricFamilies pre-creates the drp_net_* families in reg at zero,
@@ -109,13 +114,21 @@ func RegisterMetricFamilies(reg *metrics.Registry) {
 	}
 }
 
-func (nm *nodeMetrics) read(local bool, cost int64, elapsed time.Duration) {
+// read records a served read: a remote one's cost goes to the read term,
+// or, when a farther replica served it after the nearest was unreachable,
+// to read_failover.
+func (nm *nodeMetrics) read(local, failover bool, cost int64, elapsed time.Duration) {
 	if local {
 		nm.readsLocal.Inc()
 	} else {
 		nm.readsRemote.Inc()
 	}
-	nm.ntcRead.Add(cost)
+	term := termRead
+	if failover {
+		nm.failovers.Inc()
+		term = termReadFailover
+	}
+	nm.ntc[term].Add(cost)
 	nm.readSeconds.Observe(elapsed.Seconds())
 }
 
@@ -125,7 +138,7 @@ func (nm *nodeMetrics) write(primary bool, cost int64, elapsed time.Duration) {
 	} else {
 		nm.writesRemote.Inc()
 	}
-	nm.ntcWrite.Add(cost)
+	nm.ntc[termWrite].Add(cost)
 	nm.writeSeconds.Observe(elapsed.Seconds())
 }
 

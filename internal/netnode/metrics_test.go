@@ -58,8 +58,8 @@ func TestNodeMetricsAccountTraffic(t *testing.T) {
 	if gotWrites != wantWrites {
 		t.Errorf("writes counter = %d, want %d", gotWrites, wantWrites)
 	}
-	gotNTC := counter("drp_net_ntc_total", metrics.Labels{"op": "read"}) +
-		counter("drp_net_ntc_total", metrics.Labels{"op": "write"})
+	gotNTC := counter("drp_net_ntc_total", metrics.Labels{"term": "read"}) +
+		counter("drp_net_ntc_total", metrics.Labels{"term": "write"})
 	if gotNTC != total {
 		t.Errorf("NTC counters = %d, want accounted total %d", gotNTC, total)
 	}
@@ -156,7 +156,7 @@ func TestRequestSecondsResolvesMicroseconds(t *testing.T) {
 	nm := newNodeMetrics(reg)
 	const lat = 14 * time.Microsecond
 	for i := 0; i < 1000; i++ {
-		nm.read(false, 0, lat)
+		nm.read(false, false, 0, lat)
 	}
 	p50 := nm.readSeconds.Quantile(0.50)
 	if p50 < lat.Seconds() || p50 > lat.Seconds()*(1+1.0/128) {

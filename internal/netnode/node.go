@@ -530,6 +530,9 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		if err := n.st.AddNTC(cost); err != nil {
 			return storageReply(err)
 		}
+		if nm := n.cfg.Load().metrics; nm != nil {
+			nm.ntc[termReconcile].Add(cost)
+		}
 		return reply{OK: true, Cost: cost, Stale: missed}
 
 	default:
@@ -741,7 +744,7 @@ func (n *Node) Read(obj int) (cost int64, err error) {
 	if local {
 		root.SetAttr("source", "local")
 		if nm != nil {
-			nm.read(true, 0, time.Since(start))
+			nm.read(true, false, 0, time.Since(start))
 		}
 		return 0, nil
 	}
@@ -779,10 +782,7 @@ func (n *Node) Read(obj int) (cost int64, err error) {
 		hop.SetNTC(cost)
 		hop.Finish()
 		if nm != nil {
-			nm.read(false, cost, time.Since(start))
-			if idx > 0 {
-				nm.failover(cost)
-			}
+			nm.read(false, idx > 0, cost, time.Since(start))
 		}
 		return cost, nil
 	}
@@ -915,6 +915,11 @@ func (n *Node) flushPending() (int64, error) {
 			root.SetPeer(sp)
 			cost, reached, err := n.shipWrite(obj, sp, peers[sp], root)
 			if err == nil {
+				// The cost is in the ledger now, dequeued or not.
+				total += cost
+				if nm != nil {
+					nm.flushed(cost)
+				}
 				err = n.st.Dequeue(obj)
 			}
 			root.SetErr(err)
@@ -924,10 +929,6 @@ func (n *Node) flushPending() (int64, error) {
 			}
 			if err != nil {
 				return total, err
-			}
-			total += cost
-			if nm != nil {
-				nm.flushed(cost)
 			}
 		}
 	}
