@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -415,41 +416,61 @@ func TestClusterJournalFlagConflicts(t *testing.T) {
 }
 
 func TestClusterFaultPlanMapsCrashesToEpochOutages(t *testing.T) {
-	plan := `{"seed":1,"events":[
-		{"kind":"crash","site":0,"step":1,"until":2},
-		{"kind":"crash","site":2,"step":0},
-		{"kind":"restart","site":2,"step":1},
-		{"kind":"latency","site":1,"step":0,"until":2,"delay_ms":5}
-	]}`
-	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	err := run([]string{
-		"-sites", "6", "-objects", "8", "-epochs", "2", "-policy", "none",
-		"-drift", "0", "-fault-plan", path,
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The crash windows must surface as failed requests: site 0 is down in
-	// epoch 1 and site 2 in epoch 0 (its restart at step 1 closes the
-	// open-ended crash), so both epoch rows end with a nonzero failure count.
-	rows := regexp.MustCompile(`(?m)^\s+(\d+)\s+.*?(\d+)\s*$`).FindAllStringSubmatch(out.String(), -1)
-	var totalFailures int64
-	for _, row := range rows {
-		n, err := strconv.ParseInt(row[2], 10, 64)
-		if err != nil {
-			t.Fatalf("unparseable failures column %q", row[2])
-		}
-		totalFailures += n
-	}
-	if len(rows) != 2 {
-		t.Fatalf("expected 2 epoch rows, got %d:\n%s", len(rows), out.String())
-	}
-	if totalFailures == 0 {
-		t.Fatalf("fault plan crashes produced no failed requests:\n%s", out.String())
+	for _, tc := range []struct {
+		name string
+		plan string
+		args []string
+		// failing says, per epoch row, whether the epoch fails requests.
+		failing []bool
+	}{{
+		// Site 0 is down in epoch 1 and site 2 in epoch 0: its restart at
+		// step 1 closes the open-ended crash.
+		name: "bounded and restarted crashes",
+		plan: `{"seed":1,"events":[
+			{"kind":"crash","site":0,"step":1,"until":2},
+			{"kind":"crash","site":2,"step":0},
+			{"kind":"restart","site":2,"step":1},
+			{"kind":"latency","site":1,"step":0,"until":2,"delay_ms":5}
+		]}`,
+		args:    []string{"-objects", "8", "-epochs", "2"},
+		failing: []bool{true, true},
+	}, {
+		// A restart inside a bounded crash ends it: site 0 is down in
+		// epoch 1 only, not until the crash's own end at epoch 5.
+		name: "restart inside a bounded crash",
+		plan: `{"seed":1,"events":[
+			{"kind":"crash","site":0,"step":1,"until":5},
+			{"kind":"restart","site":0,"step":2}
+		]}`,
+		args:    []string{"-objects", "12", "-epochs", "6"},
+		failing: []bool{false, true, false, false, false, false},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "plan.json")
+			if err := os.WriteFile(path, []byte(tc.plan), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			args := append([]string{"-sites", "6", "-policy", "none", "-drift", "0", "-fault-plan", path}, tc.args...)
+			if err := run(args, &out); err != nil {
+				t.Fatal(err)
+			}
+			rows := regexp.MustCompile(`(?m)^\s+(\d+)\s+.*?(\d+)\s*$`).FindAllStringSubmatch(out.String(), -1)
+			if len(rows) != len(tc.failing) {
+				t.Fatalf("expected %d epoch rows, got %d:\n%s", len(tc.failing), len(rows), out.String())
+			}
+			failing := make([]bool, len(rows))
+			for epoch, row := range rows {
+				n, err := strconv.ParseInt(row[2], 10, 64)
+				if err != nil {
+					t.Fatalf("unparseable failures column %q", row[2])
+				}
+				failing[epoch] = n > 0
+			}
+			if !slices.Equal(failing, tc.failing) {
+				t.Fatalf("epochs failing requests %v, want %v:\n%s", failing, tc.failing, out.String())
+			}
+		})
 	}
 }
 
