@@ -140,7 +140,6 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.register(4, node4.Addr())
 	node4.SetDialer(in.dialerFor(4))
 
 	target, targetCost := churnSolve(t, p, []int{0, 1, 2, 3, 4}, 2)
@@ -184,8 +183,6 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 	if got := node.Store().EncodeState(); !bytes.Equal(got, killed) {
 		t.Fatalf("victim %d replayed to different state:\n  %s\n  %s", victim, killed, got)
 	}
-	in.register(victim, node.Addr())
-	node.SetDialer(in.dialerFor(victim))
 
 	// Resume from the journaled plan: the remainder is the diff against
 	// the actual holdings, executed exactly once.

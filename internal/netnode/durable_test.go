@@ -290,7 +290,7 @@ func TestDurableRestartAfterFailedRefresh(t *testing.T) {
 	// One undisturbed Deploy counts the commands to fail.
 	c := startDurable(t, p, t.TempDir(), testStoreOpts())
 	commands := 0
-	c.SetCommandDialer(func(string) error { commands++; return nil })
+	c.SetCommandDialer(func(int) error { commands++; return nil })
 	if _, err := c.Deploy(scheme); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestDurableRestartAfterFailedRefresh(t *testing.T) {
 		root := t.TempDir()
 		c := startDurable(t, p, root, testStoreOpts())
 		sent := 0
-		c.SetCommandDialer(func(string) error {
+		c.SetCommandDialer(func(int) error {
 			sent++
 			if sent-1 == fail {
 				return errors.New("injected command failure")
@@ -355,12 +355,7 @@ func TestDurableTornBatchRecoversPrefix(t *testing.T) {
 		state []byte
 	}
 	before := make(map[int]mark)
-	siteOf := make(map[string]int)
-	for _, m := range c.Members() {
-		siteOf[c.Node(m).Addr()] = m
-	}
-	c.SetCommandDialer(func(addr string) error {
-		s := siteOf[addr]
+	c.SetCommandDialer(func(s int) error {
 		fi, err := os.Stat(segment(root, s))
 		if err != nil {
 			return err

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,7 @@ import (
 func callOnce(addr string, msg message, timeout time.Duration) (reply, error) {
 	var t transport
 	defer t.close()
-	return t.attempt(callOpts{timeout: timeout}, addr, msg)
+	return t.attempt(callOpts{timeout: timeout}, 0, addr, msg)
 }
 
 // idleLinks counts the links a transport holds idle.
@@ -191,6 +192,34 @@ func TestWarmLinksOpenNoConnections(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsGate: RestartNode gives the restarted site's node the
+// gate the old node had, and the gate is asked with the peer site of each
+// attempt.
+func TestRestartKeepsGate(t *testing.T) {
+	p := gen(t, 4, 5, 0.2, 0.6, 64)
+	c := startDurable(t, p, t.TempDir(), testStoreOpts())
+	const site = 1
+	// Object k is held by its primary alone, which is not site.
+	k := 0
+	for p.Primary(k) == site {
+		k++
+	}
+	var asked []int
+	c.Node(site).SetDialer(func(peer int) error {
+		asked = append(asked, peer)
+		return errors.New("gate closed")
+	})
+	if _, err := c.RestartNode(site); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Node(site).Read(k); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("read of object %d through a closed gate: %v, want %v", k, err, ErrNoReplica)
+	}
+	if want := []int{p.Primary(k)}; !slices.Equal(asked, want) {
+		t.Fatalf("the gate was asked for sites %v, want %v", asked, want)
+	}
+}
+
 // (b) A node is killed and restarted between two requests of a running
 // measurement period, with links to it warm everywhere. Its port stays
 // occupied by a listener that counts: nothing may ever connect to the old
@@ -339,7 +368,7 @@ func TestSettersDuringTraffic(t *testing.T) {
 		}(w)
 	}
 	reg := metrics.NewRegistry()
-	pass := Dialer(func(string) error { return nil })
+	pass := Dialer(func(int) error { return nil })
 	for round := 0; round < 40; round++ {
 		for i := 0; i < p.Sites(); i++ {
 			n := c.Node(i)
@@ -397,7 +426,7 @@ func TestFramingViolationDropsLink(t *testing.T) {
 	defer tr.close()
 	opts := callOpts{timeout: 10 * time.Second}
 
-	if resp, err := tr.exchange(opts, nil, n.Addr(), 0, message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
+	if resp, err := tr.exchange(opts, nil, 0, n.Addr(), 0, message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
 		t.Fatalf("well-formed request: %+v, %v", resp, err)
 	}
 	if idleLinks(&tr) != 1 || accepted(n) != 1 {
@@ -406,7 +435,7 @@ func TestFramingViolationDropsLink(t *testing.T) {
 	// A line just past the cap: the server has read every byte of it when
 	// it replies, so its close cannot reset the reply away.
 	huge := message{Op: strings.Repeat("x", maxLineBytes)}
-	resp, err := tr.exchange(opts, nil, n.Addr(), 0, huge, nil)
+	resp, err := tr.exchange(opts, nil, 0, n.Addr(), 0, huge, nil)
 	if err != nil {
 		t.Fatalf("no typed reply: %v", err)
 	}
@@ -417,7 +446,7 @@ func TestFramingViolationDropsLink(t *testing.T) {
 		t.Fatalf("the client kept %d links after a framing rejection", got)
 	}
 	eventually(t, "the server dropping the connection", func() bool { return accepted(n) == 0 })
-	if resp, err := tr.exchange(opts, nil, n.Addr(), 0, message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
+	if resp, err := tr.exchange(opts, nil, 0, n.Addr(), 0, message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
 		t.Fatalf("request after the rejection: %+v, %v", resp, err)
 	}
 }
@@ -460,7 +489,7 @@ func TestTimedOutExchangeClosesLink(t *testing.T) {
 	defer tr.close()
 	const short = 50 * time.Millisecond
 	call := func(timeout time.Duration) error {
-		_, err := tr.exchange(callOpts{timeout: timeout}, nil, ln.Addr().String(), 0, message{Op: "read"}, nil)
+		_, err := tr.exchange(callOpts{timeout: timeout}, nil, 0, ln.Addr().String(), 0, message{Op: "read"}, nil)
 		return err
 	}
 
