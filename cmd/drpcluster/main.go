@@ -6,7 +6,7 @@
 // Usage:
 //
 //	drpcluster -sites 20 -objects 60 -epochs 6 -policy agra+mini -drift 0.2
-//	drpcluster -policy none -fault-plan plan.json   # crash events become epoch outages
+//	drpcluster -policy none -fault-plan plan.json   # the plan's crash rule, read per epoch
 //	drpcluster -data-dir /var/lib/drp   # journal the scheme, resume on rerun
 //
 // It prints one row per epoch: measured serving cost versus the analytic
@@ -66,7 +66,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		driftR    = fs.Float64("drift-reads", 0.5, "share of drifting objects whose reads (vs updates) grow")
 		adaptTO   = fs.Duration("adapt-timeout", 0, "wall-clock cap per epoch re-optimisation; a missed deadline keeps the current scheme (0 = none)")
 		adaptBud  = fs.Int("adapt-budget", 0, "cost-model evaluation cap per epoch re-optimisation (0 = none)")
-		faultPlan = fs.String("fault-plan", "", "derive site outages from this fault plan JSON (crash events map to epoch windows; other kinds are wire-level and ignored here)")
+		faultPlan = fs.String("fault-plan", "", "derive site outages from this fault plan JSON: a site is down in every epoch the plan's crash and restart events put it down at that step; other kinds are wire-level and ignored here")
 		compare   = fs.Bool("compare", false, "run every policy on identical traffic and print a comparison table")
 		planOut   = fs.String("plan-out", "", "write the scheme in force after the last epoch as a canonical placement-plan JSON to this file")
 	)
@@ -154,25 +154,9 @@ func run(args []string, stdout io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		// The epoch simulator's unit of time is the epoch, not the request
-		// step, so crash windows translate directly: [Step, Until) epochs.
-		// An open-ended crash (Until 0) lasts to the end of the run unless a
-		// restart event closes it.
-		for _, e := range fp.Events {
-			if e.Kind != fault.KindCrash {
-				continue
-			}
-			to := int(e.Until)
-			if to == 0 {
-				to = *epochs
-				for _, r := range fp.Events {
-					if r.Kind == fault.KindRestart && r.Site == e.Site && r.Step >= e.Step && int(r.Step) < to {
-						to = int(r.Step)
-					}
-				}
-			}
-			cfg.Failures = append(cfg.Failures, cluster.Failure{Site: e.Site, From: int(e.Step), To: to})
-		}
+		// The epoch simulator's unit of time is the epoch: a site is down
+		// in an epoch when the plan's crash rule says so at that step.
+		cfg.Down = func(site, epoch int) bool { return fp.Down(site, int64(epoch)) }
 	}
 
 	// A live endpoint exposes the full metric surface from the first scrape:

@@ -169,8 +169,6 @@ type (
 	ClusterConfig = cluster.Config
 	// ClusterPolicy selects the simulated monitor's adaptation strategy.
 	ClusterPolicy = cluster.Policy
-	// ClusterFailure injects a site outage over a span of epochs.
-	ClusterFailure = cluster.Failure
 	// ClusterResult reports per-epoch simulation statistics.
 	ClusterResult = cluster.Result
 	// EpochStats is one epoch of simulated traffic.

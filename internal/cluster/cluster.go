@@ -71,12 +71,6 @@ const (
 	miniGenerations = 5
 )
 
-// Failure takes a site offline for a span of epochs [From, To).
-type Failure struct {
-	Site     int
-	From, To int
-}
-
 // Config drives a cluster simulation.
 type Config struct {
 	// Epochs is the number of measurement periods to simulate.
@@ -86,8 +80,10 @@ type Config struct {
 	// Drift, if non-nil, perturbs the read/write patterns at the start of
 	// every epoch after the first (Section 6.3 style).
 	Drift *workload.ChangeSpec
-	// Failures lists injected site outages.
-	Failures []Failure
+	// Down, when non-nil, reports whether a site is offline in an epoch.
+	// drpcluster feeds it from a fault plan's own crash rule (fault.Plan.Down
+	// with the epoch as the step).
+	Down func(site, epoch int) bool
 	// GRA and AGRA budgets for the adapting policies.
 	GRAParams  gra.Params
 	AGRAParams agra.Params
@@ -122,7 +118,7 @@ type Config struct {
 	OnEpoch func(epoch int, scheme *core.Scheme, stats *EpochStats) error
 }
 
-func (cfg Config) validate(p *core.Problem) error {
+func (cfg Config) validate() error {
 	switch {
 	case cfg.Epochs < 1:
 		return fmt.Errorf("cluster: need at least one epoch, got %d", cfg.Epochs)
@@ -132,14 +128,6 @@ func (cfg Config) validate(p *core.Problem) error {
 		return fmt.Errorf("cluster: negative epoch timeout %v", cfg.EpochTimeout)
 	case cfg.AdaptBudget < 0:
 		return fmt.Errorf("cluster: negative adapt budget %d", cfg.AdaptBudget)
-	}
-	for _, f := range cfg.Failures {
-		if f.Site < 0 || f.Site >= p.Sites() {
-			return fmt.Errorf("cluster: failure site %d out of range", f.Site)
-		}
-		if f.From < 0 || f.To < f.From {
-			return fmt.Errorf("cluster: bad failure window [%d,%d)", f.From, f.To)
-		}
 	}
 	return nil
 }

@@ -228,6 +228,21 @@ func TestPolicyGRARuns(t *testing.T) {
 	}
 }
 
+// outage takes a site offline over the epochs [from, to).
+type outage struct{ site, from, to int }
+
+// downDuring is a Config.Down that reports the outages.
+func downDuring(outages ...outage) func(site, epoch int) bool {
+	return func(site, epoch int) bool {
+		for _, o := range outages {
+			if o.site == site && epoch >= o.from && epoch < o.to {
+				return true
+			}
+		}
+		return false
+	}
+}
+
 func TestFailureRoutesAroundDownSite(t *testing.T) {
 	p := gen(t, 8, 10, 0.05, 0.30, 8)
 	scheme := sra.Run(p, sra.Options{}).Scheme
@@ -246,7 +261,7 @@ func TestFailureRoutesAroundDownSite(t *testing.T) {
 	}
 	cfg := testConfig(PolicyNone)
 	cfg.Epochs = 2
-	cfg.Failures = []Failure{{Site: victim, From: 1, To: 2}}
+	cfg.Down = downDuring(outage{victim, 1, 2})
 	res, err := Run(p, scheme, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +288,7 @@ func TestFailedPrimaryWithSoleReplicaFailsReads(t *testing.T) {
 	// object's reads entirely.
 	cfg := testConfig(PolicyNone)
 	cfg.Epochs = 1
-	cfg.Failures = []Failure{{Site: p.Primary(0), From: 0, To: 1}}
+	cfg.Down = downDuring(outage{p.Primary(0), 0, 1})
 	res, err := Run(p, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -288,8 +303,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Epochs: 0, Policy: PolicyNone},
 		{Epochs: 1, Policy: Policy(0)},
-		{Epochs: 1, Policy: PolicyNone, Failures: []Failure{{Site: 9, From: 0, To: 1}}},
-		{Epochs: 1, Policy: PolicyNone, Failures: []Failure{{Site: 0, From: 2, To: 1}}},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(p, nil, cfg); err == nil {

@@ -22,10 +22,7 @@ func TestEpochTimeoutDegradedPathUnderInjectedFaults(t *testing.T) {
 	cfg.Epochs = 4
 	cfg.Drift = &workload.ChangeSpec{Ch: 5, ObjectShare: 0.3, ReadShare: 0.5}
 	cfg.EpochTimeout = 1 // one nanosecond: every re-optimisation misses
-	cfg.Failures = []Failure{
-		{Site: 1, From: 1, To: 3},
-		{Site: 4, From: 2, To: 4},
-	}
+	cfg.Down = downDuring(outage{1, 1, 3}, outage{4, 2, 4})
 	reg := metrics.NewRegistry()
 	cfg.Metrics = reg
 
@@ -85,9 +82,9 @@ func TestDegradedEpochsUnaffectedByFaultInjection(t *testing.T) {
 	base.Epochs = 3
 	base.EpochTimeout = 1
 
-	run := func(failures []Failure) []bool {
+	run := func(down func(site, epoch int) bool) []bool {
 		cfg := base
-		cfg.Failures = failures
+		cfg.Down = down
 		res, err := Run(p, initial, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +97,7 @@ func TestDegradedEpochsUnaffectedByFaultInjection(t *testing.T) {
 	}
 
 	calm := run(nil)
-	faulted := run([]Failure{{Site: 2, From: 0, To: 3}})
+	faulted := run(downDuring(outage{2, 0, 3}))
 	if len(calm) != len(faulted) {
 		t.Fatalf("epoch counts differ: %d vs %d", len(calm), len(faulted))
 	}

@@ -36,14 +36,12 @@ func TestServeByCountMatchesPerRequest(t *testing.T) {
 	cfg := testConfig(PolicyAGRA)
 	cfg.Epochs = 4
 	cfg.Drift = &workload.ChangeSpec{Ch: 6, ObjectShare: 0.3, ReadShare: 0.5}
-	cfg.Failures = []Failure{{Site: p.Primary(0), From: 1, To: 3}, {Site: holder, From: 2, To: 4}}
+	cfg.Down = downDuring(outage{p.Primary(0), 1, 3}, outage{holder, 2, 4})
 	var failedReads, failedWrites int64
 	cfg.OnEpoch = func(epoch int, scheme *core.Scheme, stats *EpochStats) error {
 		down := make([]bool, p.Sites())
-		for _, f := range cfg.Failures {
-			if epoch >= f.From && epoch < f.To {
-				down[f.Site] = true
-			}
+		for i := range down {
+			down[i] = cfg.Down(i, epoch)
 		}
 		if got, want := served(*stats), serveEach(scheme, down); got != want {
 			t.Errorf("epoch %d served\n%+v\nthe per-request reference\n%+v", epoch, got, want)

@@ -19,7 +19,7 @@ import (
 // Run simulates cfg.Epochs measurement periods of the distributed system
 // starting from the given problem and scheme.
 func Run(p *core.Problem, initial *core.Scheme, cfg Config) (*Result, error) {
-	if err := cfg.validate(p); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if initial == nil {
@@ -125,14 +125,9 @@ func (s *sim) runEpoch(epoch int) (*EpochStats, error) {
 		as.Finish()
 	}
 
-	// 3. Failures for this epoch.
+	// 3. The sites down this epoch.
 	for i := range s.down {
-		s.down[i] = false
-	}
-	for _, f := range s.cfg.Failures {
-		if epoch >= f.From && epoch < f.To {
-			s.down[f.Site] = true
-		}
+		s.down[i] = s.cfg.Down != nil && s.cfg.Down(i, epoch)
 	}
 
 	// 4. Generate and serve the epoch's traffic.
