@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"drp/internal/netsim"
@@ -146,13 +147,11 @@ func addNonNeg(a, b int64) (int64, bool) {
 }
 
 // mulNonNeg returns a·b and whether the product of the two non-negative
-// values stayed within int64.
+// values stayed within int64: its 128-bit form has no high word and no
+// sign bit.
 func mulNonNeg(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	prod := a * b
-	return prod, prod/a == b && prod >= 0
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	return int64(lo), hi == 0 && int64(lo) >= 0
 }
 
 // NTCBoundOverflow is the worst-case NTC gate every problem model passes at

@@ -20,18 +20,26 @@ import (
 // heap); such foreign allocations only ever add, so the minimum is fn's own
 // count.
 func minMallocs(runs int, fn func()) uint64 {
+	mallocs, _ := minAllocs(runs, fn)
+	return mallocs
+}
+
+// minAllocs is minMallocs that also returns the fewest bytes one call
+// allocates, measured the same way.
+func minAllocs(runs int, fn func()) (mallocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fn()
-	fewest := uint64(math.MaxUint64)
+	mallocs, bytes = math.MaxUint64, math.MaxUint64
 	var before, after runtime.MemStats
 	for range runs {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		fn()
 		runtime.ReadMemStats(&after)
-		fewest = min(fewest, after.Mallocs-before.Mallocs)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	return fewest
+	return mallocs, bytes
 }
 
 // TestNewModelAllocsIndependentOfN: building the caches and the candidate
@@ -48,6 +56,59 @@ func TestNewModelAllocsIndependentOfN(t *testing.T) {
 	}
 	if small, large := allocs(1000), allocs(8000); small != large {
 		t.Fatalf("NewModel allocates %v times at N=1000 but %v at N=8000", small, large)
+	}
+}
+
+// builtBytes returns the bytes of the arrays a model built for itself: its
+// access patterns and derived caches and, unless they are shared with the
+// model it was perturbed from, its sizes, primaries, capacities and
+// distances.
+func builtBytes(mo *Model, shared bool) uint64 {
+	bytes := 4*(len(mo.reads.Off)+len(mo.writes.Off)+len(mo.reads.Site)+len(mo.writes.Site)) +
+		8*(len(mo.reads.Cnt)+len(mo.writes.Cnt)+len(mo.totalReads)+len(mo.totalWrites)+len(mo.vPrime)+len(mo.primaryLoad)+len(mo.slack))
+	if !shared {
+		bytes += 8*(len(mo.size)+len(mo.cap)+mo.m*mo.m) + 4*len(mo.primary)
+	}
+	return uint64(bytes)
+}
+
+// TestGenerateAllocsLedger: generating an instance and perturbing 5 % of
+// it allocate as often at N = 8 000 as at N = 1 000 — the pattern arrays
+// are reserved once, not grown by doubling — and at N = 8 000 each
+// allocates at most 1.1× the bytes of the arrays its model holds.
+func TestGenerateAllocsLedger(t *testing.T) {
+	type ledger struct{ genMallocs, genBytes, genModel, perMallocs, perBytes, perModel uint64 }
+	measure := func(n int) ledger {
+		spec := NewWorkloadSpec(64, n)
+		var l ledger
+		var night, day *Model
+		l.genMallocs, l.genBytes = minAllocs(3, func() {
+			var err error
+			if night, err = GenerateWorkload(spec, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		l.perMallocs, l.perBytes = minAllocs(3, func() {
+			var err error
+			if day, _, err = PerturbWorkload(night, spec, 0.05, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		l.genModel, l.perModel = builtBytes(night, false), builtBytes(day, true)
+		return l
+	}
+	small, large := measure(1000), measure(8000)
+	if small.genMallocs != large.genMallocs {
+		t.Errorf("GenerateWorkload allocates %d times at N=1000 but %d at N=8000", small.genMallocs, large.genMallocs)
+	}
+	if small.perMallocs != large.perMallocs {
+		t.Errorf("PerturbWorkload allocates %d times at N=1000 but %d at N=8000", small.perMallocs, large.perMallocs)
+	}
+	if 10*large.genBytes > 11*large.genModel {
+		t.Errorf("GenerateWorkload allocates %d bytes for a model of %d", large.genBytes, large.genModel)
+	}
+	if 10*large.perBytes > 11*large.perModel {
+		t.Errorf("PerturbWorkload allocates %d bytes for a model of %d", large.perBytes, large.perModel)
 	}
 }
 

@@ -2,7 +2,8 @@ package sparse
 
 import (
 	"fmt"
-	"slices"
+	"math"
+	"math/bits"
 
 	"drp/internal/netsim"
 	"drp/internal/workload"
@@ -87,28 +88,36 @@ func (s WorkloadSpec) validate() error {
 // reusable permutation — O(k) per draw with no per-object allocation. The
 // permutation is never reset: a partial shuffle of any permutation yields
 // uniform distinct samples, and the evolving state is a deterministic
-// function of the RNG stream.
+// function of the RNG stream. The drawn sites are marked in a ⌈M/64⌉-word
+// bitmask and read back from it in ascending order, which sorts them
+// without comparing.
 type sampler struct {
 	perm []int32
+	mask []uint64
 }
 
 func newSampler(m int) *sampler {
-	s := &sampler{perm: make([]int32, m)}
+	s := &sampler{perm: make([]int32, m), mask: make([]uint64, (m+63)/64)}
 	for i := range s.perm {
 		s.perm[i] = int32(i)
 	}
 	return s
 }
 
-// draw writes k distinct sites into out, ascending, and returns it.
+// draw appends k distinct sites to out, ascending, and returns it.
 func (s *sampler) draw(k int, rng *xrand.Source, out []int32) []int32 {
-	out = out[:0]
 	for idx := 0; idx < k; idx++ {
 		swap := idx + rng.Intn(len(s.perm)-idx)
 		s.perm[idx], s.perm[swap] = s.perm[swap], s.perm[idx]
-		out = append(out, s.perm[idx])
+		site := s.perm[idx]
+		s.mask[site>>6] |= 1 << (site & 63)
 	}
-	slices.Sort(out)
+	for wi, word := range s.mask {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(wi<<6|bits.TrailingZeros64(word)))
+		}
+		s.mask[wi] = 0
+	}
 	return out
 }
 
@@ -117,31 +126,48 @@ func (s *sampler) draw(k int, rng *xrand.Source, out []int32) []int32 {
 // U(0, WriterSites) distinct writer sites writing U(WriteMin, WriteMax)
 // times each.
 type patterns struct {
-	spec    WorkloadSpec
-	smp     *sampler
-	scratch []int32
+	spec WorkloadSpec
+	smp  *sampler
 }
 
 func newPatterns(spec WorkloadSpec) *patterns {
-	return &patterns{spec: spec, smp: newSampler(spec.Sites), scratch: make([]int32, 0, spec.ReaderSites+spec.WriterSites)}
+	return &patterns{spec: spec, smp: newSampler(spec.Sites)}
 }
 
-// draw appends one object's read and write entries to cfg.
+// draw appends one object's read and write entries, and their end
+// offsets, to cfg.
 func (p *patterns) draw(cfg *config, rng *xrand.Source) {
-	p.scratch = p.smp.draw(rng.IntRange(1, p.spec.ReaderSites), rng, p.scratch)
-	for _, site := range p.scratch {
-		cfg.Reads.Site = append(cfg.Reads.Site, site)
-		cfg.Reads.Cnt = append(cfg.Reads.Cnt, int64(rng.IntRange(p.spec.ReadMin, p.spec.ReadMax)))
+	r := &cfg.Reads
+	at := len(r.Site)
+	r.Site = p.smp.draw(rng.IntRange(1, p.spec.ReaderSites), rng, r.Site)
+	for range r.Site[at:] {
+		r.Cnt = append(r.Cnt, int64(rng.IntRange(p.spec.ReadMin, p.spec.ReadMax)))
 	}
+	r.Off = append(r.Off, int32(len(r.Site)))
 	writers := 0
 	if p.spec.WriterSites > 0 {
 		writers = rng.IntRange(0, p.spec.WriterSites)
 	}
-	p.scratch = p.smp.draw(writers, rng, p.scratch)
-	for _, site := range p.scratch {
-		cfg.Writes.Site = append(cfg.Writes.Site, site)
-		cfg.Writes.Cnt = append(cfg.Writes.Cnt, int64(rng.IntRange(p.spec.WriteMin, p.spec.WriteMax)))
+	w := &cfg.Writes
+	at = len(w.Site)
+	w.Site = p.smp.draw(writers, rng, w.Site)
+	for range w.Site[at:] {
+		w.Cnt = append(w.Cnt, int64(rng.IntRange(p.spec.WriteMin, p.spec.WriteMax)))
 	}
+	w.Off = append(w.Off, int32(len(w.Site)))
+}
+
+// reserveCSR returns an empty pattern with room for the offsets of objects
+// objects and for the entries they each draw U(lo, hi) of: the sum's mean
+// plus four standard deviations and one object's most, capped at every
+// object's most. A draw passes that with odds under 1 in 10⁴, and the
+// arrays grow then; otherwise they never do, and their slack is a few
+// percent.
+func reserveCSR(objects, lo, hi int) csr {
+	n, span := float64(objects), float64(hi-lo+1)
+	sd := math.Sqrt(n * (span*span - 1) / 12)
+	entries := min(objects*hi, int(n*float64(lo+hi)/2+4*sd)+hi)
+	return csr{Off: make([]int32, 1, objects+1), Site: make([]int32, 0, entries), Cnt: make([]int64, 0, entries)}
 }
 
 // GenerateWorkload builds one random sparse instance. Identical seeds
@@ -161,21 +187,15 @@ func GenerateWorkload(spec WorkloadSpec, seed uint64) (*Model, error) {
 	cfg := config{
 		Sizes:     make([]int64, n),
 		Primaries: make([]int32, n),
+		Reads:     reserveCSR(n, 1, spec.ReaderSites),
+		Writes:    reserveCSR(n, 0, spec.WriterSites),
 		Dist:      dist,
 	}
-	cfg.Reads.Off = make([]int32, n+1)
-	cfg.Writes.Off = make([]int32, n+1)
-	avgNnz := spec.ReaderSites/2 + spec.WriterSites/2 + 2
-	cfg.Reads.Site = make([]int32, 0, n*avgNnz)
-	cfg.Reads.Cnt = make([]int64, 0, n*avgNnz)
-
 	pat := newPatterns(spec)
 	for k := 0; k < n; k++ {
 		cfg.Sizes[k] = int64(rng.IntRange(1, 2*spec.SizeMean-1))
 		cfg.Primaries[k] = int32(rng.Intn(m))
 		pat.draw(&cfg, rng)
-		cfg.Reads.Off[k+1] = int32(len(cfg.Reads.Site))
-		cfg.Writes.Off[k+1] = int32(len(cfg.Writes.Site))
 	}
 	if cfg.Capacities, err = workload.Capacities(m, spec.CapacityRatio, cfg.Sizes, cfg.Primaries, rng); err != nil {
 		return nil, fmt.Errorf("sparse: %w", err)
@@ -200,35 +220,65 @@ func PerturbWorkload(mo *Model, spec WorkloadSpec, frac float64, seed uint64) (*
 		return nil, nil, fmt.Errorf("sparse: spec is %d×%d, model is %d×%d", spec.Sites, spec.Objects, mo.m, mo.n)
 	}
 	rng := xrand.New(seed)
-	cfg := config{
-		Sizes:      mo.size,
-		Capacities: mo.cap,
-		Primaries:  mo.primary,
-		Dist:       mo.dist,
-	}
-	cfg.Reads.Off = make([]int32, mo.n+1)
-	cfg.Writes.Off = make([]int32, mo.n+1)
-
-	var changed []int
+	// The changed objects' new patterns are drawn first, in object order,
+	// into arrays reserved for the changed count's mean plus four standard
+	// deviations; then both patterns are spliced at their exact size.
+	n := float64(mo.n)
+	expect := min(mo.n, int(n*frac+4*math.Sqrt(n*frac*(1-frac)))+1)
+	changed := make([]int, 0, expect)
+	drawn := config{Reads: reserveCSR(expect, 1, spec.ReaderSites), Writes: reserveCSR(expect, 0, spec.WriterSites)}
 	pat := newPatterns(spec)
 	for k := 0; k < mo.n; k++ {
 		if rng.Float64() < frac {
 			changed = append(changed, k)
-			pat.draw(&cfg, rng)
-		} else {
-			rs, rc := mo.readEntries(k)
-			cfg.Reads.Site = append(cfg.Reads.Site, rs...)
-			cfg.Reads.Cnt = append(cfg.Reads.Cnt, rc...)
-			ws, wc := mo.writeEntries(k)
-			cfg.Writes.Site = append(cfg.Writes.Site, ws...)
-			cfg.Writes.Cnt = append(cfg.Writes.Cnt, wc...)
+			pat.draw(&drawn, rng)
 		}
-		cfg.Reads.Off[k+1] = int32(len(cfg.Reads.Site))
-		cfg.Writes.Off[k+1] = int32(len(cfg.Writes.Site))
 	}
-	shifted, err := newModel(cfg)
+	shifted, err := newModel(config{
+		Sizes:      mo.size,
+		Capacities: mo.cap,
+		Primaries:  mo.primary,
+		Reads:      splice(&mo.reads, &drawn.Reads, changed),
+		Writes:     splice(&mo.writes, &drawn.Writes, changed),
+		Dist:       mo.dist,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return shifted, changed, nil
+}
+
+// splice returns src with the entries of object changed[i] replaced by
+// object i of repl, in arrays of exactly the entries it holds. Each run of
+// unchanged objects between two changed ones is one copy per array, its
+// offsets shifted by what the changed objects before it grew or shrank.
+func splice(src, repl *csr, changed []int) csr {
+	n := len(src.Off) - 1
+	entries := len(src.Site) + len(repl.Site)
+	for _, k := range changed {
+		entries -= int(src.Off[k+1] - src.Off[k])
+	}
+	out := csr{Off: make([]int32, n+1), Site: make([]int32, entries), Cnt: make([]int64, entries)}
+	at := int32(0) // entries placed in out
+	place := func(from *csr, lo, hi int32) {
+		copy(out.Site[at:], from.Site[lo:hi])
+		copy(out.Cnt[at:], from.Cnt[lo:hi])
+		at += hi - lo
+	}
+	run := 0 // first object of the pending unchanged run
+	keep := func(end int) {
+		lo := src.Off[run]
+		for k := run; k < end; k++ {
+			out.Off[k+1] = src.Off[k+1] - lo + at
+		}
+		place(src, lo, src.Off[end])
+	}
+	for i, k := range changed {
+		keep(k)
+		place(repl, repl.Off[i], repl.Off[i+1])
+		out.Off[k+1] = at
+		run = k + 1
+	}
+	keep(n)
+	return out
 }

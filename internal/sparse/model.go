@@ -39,6 +39,7 @@ import (
 
 	"drp/internal/core"
 	"drp/internal/netsim"
+	"drp/internal/parallel"
 )
 
 // csr is a compressed sparse row (CSR) access pattern over objects:
@@ -55,8 +56,9 @@ type csr struct {
 // bounds returns object k's entry range.
 func (c *csr) bounds(k int) (int32, int32) { return c.Off[k], c.Off[k+1] }
 
-// validate checks CSR well-formedness for n objects over m sites.
-func (c *csr) validate(kind string, m, n int) error {
+// validateShape checks the array lengths and the end offsets of a CSR
+// pattern over n objects; object checks each object's entries.
+func (c *csr) validateShape(kind string, n int) error {
 	if len(c.Off) != n+1 {
 		return fmt.Errorf("sparse: %s offsets have length %d, want %d", kind, len(c.Off), n+1)
 	}
@@ -69,27 +71,42 @@ func (c *csr) validate(kind string, m, n int) error {
 	if int(c.Off[n]) != len(c.Site) {
 		return fmt.Errorf("sparse: %s offsets end at %d but %d entries exist", kind, c.Off[n], len(c.Site))
 	}
-	for k := 0; k < n; k++ {
-		lo, hi := c.Off[k], c.Off[k+1]
-		if hi < lo {
-			return fmt.Errorf("sparse: %s offsets decrease at object %d", kind, k)
-		}
-		prev := int32(-1)
-		for idx := lo; idx < hi; idx++ {
-			site := c.Site[idx]
-			if site < 0 || int(site) >= m {
-				return fmt.Errorf("sparse: %s object %d references site %d of %d", kind, k, site, m)
-			}
-			if site <= prev {
-				return fmt.Errorf("sparse: %s object %d sites not strictly ascending at entry %d", kind, k, idx-lo)
-			}
-			prev = site
-			if c.Cnt[idx] < 0 {
-				return fmt.Errorf("sparse: %s object %d has negative count at site %d", kind, k, site)
-			}
-		}
-	}
 	return nil
+}
+
+// object checks object k's entries of a well-shaped pattern over m sites
+// — sites strictly ascending in [0, m), counts non-negative — and returns
+// their count total, whether that total passed MaxInt64, and Σ cnt·row[site]
+// (wrapping on overflow, which the magnitude gate then rejects). Offsets
+// that start below zero follow an earlier decrease, which is reported
+// first; offsets that run past the entries are checked up to their end.
+func (c *csr) object(kind string, k, m int, row []int64) (total, cost int64, overflow bool, err error) {
+	lo, hi := c.Off[k], c.Off[k+1]
+	if hi < lo || lo < 0 {
+		return 0, 0, false, fmt.Errorf("sparse: %s offsets decrease at object %d", kind, k)
+	}
+	end := int32(len(c.Site))
+	prev := int32(-1)
+	for idx, stop := lo, min(hi, end); idx < stop; idx++ {
+		site, cnt := c.Site[idx], c.Cnt[idx]
+		if site < 0 || int(site) >= m {
+			return 0, 0, false, fmt.Errorf("sparse: %s object %d references site %d of %d", kind, k, site, m)
+		}
+		if site <= prev {
+			return 0, 0, false, fmt.Errorf("sparse: %s object %d sites not strictly ascending at entry %d", kind, k, idx-lo)
+		}
+		prev = site
+		if cnt < 0 {
+			return 0, 0, false, fmt.Errorf("sparse: %s object %d has negative count at site %d", kind, k, site)
+		}
+		total += cnt
+		overflow = overflow || total < 0
+		cost += cnt * row[site]
+	}
+	if hi > end {
+		return 0, 0, false, fmt.Errorf("sparse: %s offsets of object %d run past the %d entries", kind, k, end)
+	}
+	return total, cost, overflow, nil
 }
 
 // config carries the raw inputs of a sparse DRP instance into newModel.
@@ -189,12 +206,6 @@ func newModel(cfg config) (*Model, error) {
 			return nil, fmt.Errorf("sparse: infeasible instance: primaries at site %d need %d units, capacity is %d", i, use, mo.cap[i])
 		}
 	}
-	if err := mo.reads.validate("read pattern", m, n); err != nil {
-		return nil, err
-	}
-	if err := mo.writes.validate("write pattern", m, n); err != nil {
-		return nil, err
-	}
 	if err := mo.buildCaches(); err != nil {
 		return nil, err
 	}
@@ -206,46 +217,96 @@ func newModel(cfg config) (*Model, error) {
 	return mo, nil
 }
 
+// chunkBuild is what one object chunk of buildCaches' pass found: the
+// first error of each kind at its lowest object, and the chunk's share of
+// D′.
+type chunkBuild struct {
+	readErr, writeErr, totalErr error
+	dPrime                      int64
+}
+
+// buildCaches checks both access patterns and fills the per-object caches
+// in one pass over chunks of objectChunk objects, run across workers into
+// index-addressed slots. Each object's entries are read once: checked,
+// summed into the traffic totals and priced into V′_k. The chunks are then
+// reduced in order, so the error is the one the checks return run one
+// after another: the read pattern's, the write pattern's, a traffic total
+// past int64, the magnitude gate — each at its lowest object.
 func (mo *Model) buildCaches() error {
+	if err := mo.reads.validateShape("read pattern", mo.n); err != nil {
+		return err
+	}
+	// A write pattern of the wrong shape is reported after every read
+	// error, so the pass still checks the reads.
+	writeShape := mo.writes.validateShape("write pattern", mo.n)
 	mo.totalReads = make([]int64, mo.n)
 	mo.totalWrites = make([]int64, mo.n)
-	for k := 0; k < mo.n; k++ {
-		ro, re := mo.reads.bounds(k)
-		for idx := ro; idx < re; idx++ {
-			if mo.totalReads[k] += mo.reads.Cnt[idx]; mo.totalReads[k] < 0 {
-				return fmt.Errorf("sparse: read total for object %d overflows int64", k)
-			}
+	mo.vPrime = make([]int64, mo.n)
+	chunks := make([]chunkBuild, (mo.n+objectChunk-1)/objectChunk)
+	parallel.For(len(chunks), parallel.Workers(0), func(ch int) {
+		chunks[ch] = mo.buildChunk(ch, writeShape == nil)
+	})
+	for _, ch := range chunks {
+		if ch.readErr != nil {
+			return ch.readErr
 		}
-		wo, we := mo.writes.bounds(k)
-		for idx := wo; idx < we; idx++ {
-			if mo.totalWrites[k] += mo.writes.Cnt[idx]; mo.totalWrites[k] < 0 {
-				return fmt.Errorf("sparse: write total for object %d overflows int64", k)
-			}
+	}
+	if writeShape != nil {
+		return writeShape
+	}
+	for _, ch := range chunks {
+		if ch.writeErr != nil {
+			return ch.writeErr
+		}
+	}
+	for _, ch := range chunks {
+		if ch.totalErr != nil {
+			return ch.totalErr
 		}
 	}
 	// core's worst-case NTC gate: past it the hot paths never need per-term
 	// overflow checks, even at N=1e6 where a 53-bit float mantissa or an
-	// unchecked product would silently wrap.
+	// unchecked product would silently wrap. It reads only the totals.
 	if k := core.NTCBoundOverflow(mo.dist, mo.size, mo.totalReads, mo.totalWrites); k >= 0 {
 		return errMagnitude(k)
 	}
-	mo.vPrime = make([]int64, mo.n)
-	for k := 0; k < mo.n; k++ {
-		sp := int(mo.primary[k])
-		spRow := mo.dist.Row(sp)
-		var v int64
-		ro, re := mo.reads.bounds(k)
-		for idx := ro; idx < re; idx++ {
-			v += mo.reads.Cnt[idx] * mo.size[k] * spRow[mo.reads.Site[idx]]
-		}
-		wo, we := mo.writes.bounds(k)
-		for idx := wo; idx < we; idx++ {
-			v += mo.writes.Cnt[idx] * mo.size[k] * spRow[mo.writes.Site[idx]]
-		}
-		mo.vPrime[k] = v
-		mo.dPrime += v
+	for _, ch := range chunks {
+		mo.dPrime += ch.dPrime
 	}
 	return nil
+}
+
+// buildChunk runs buildCaches' pass over chunk ch; with checkWrites false
+// it checks only the reads. V′_k = o_k·Σ cnt·C(site, SP_k) over both
+// patterns, which int64 arithmetic makes equal term for term to the sum of
+// the o_k·cnt·C products, wrapping or not.
+func (mo *Model) buildChunk(ch int, checkWrites bool) chunkBuild {
+	var out chunkBuild
+	for k := ch * objectChunk; k < min((ch+1)*objectChunk, mo.n); k++ {
+		row := mo.dist.Row(int(mo.primary[k]))
+		rTot, rCost, rOver, err := mo.reads.object("read pattern", k, mo.m, row)
+		if err != nil {
+			out.readErr = err
+			return out // every later error of the chunk ranks below it
+		}
+		if !checkWrites || out.writeErr != nil {
+			continue // only a read error can still outrank what is found
+		}
+		wTot, wCost, wOver, err := mo.writes.object("write pattern", k, mo.m, row)
+		if err != nil {
+			out.writeErr = err
+			continue
+		}
+		if out.totalErr == nil && rOver {
+			out.totalErr = fmt.Errorf("sparse: read total for object %d overflows int64", k)
+		} else if out.totalErr == nil && wOver {
+			out.totalErr = fmt.Errorf("sparse: write total for object %d overflows int64", k)
+		}
+		mo.totalReads[k], mo.totalWrites[k] = rTot, wTot
+		mo.vPrime[k] = mo.size[k] * (rCost + wCost)
+		out.dPrime += mo.vPrime[k]
+	}
+	return out
 }
 
 func errMagnitude(k int) error {
@@ -395,16 +456,33 @@ func (mo *Model) Candidates(k int) []int32 {
 
 // CandidateCount returns the total candidate count across objects (the
 // solver's search-space size after pruning). It runs the greedy's first
-// round for every object, serially, so callers keep the result.
+// round for every object, in chunks of objectChunk objects across workers,
+// and sums the chunks' counts in chunk order, so callers keep the result.
 func (mo *Model) CandidateCount() int {
-	scratch := make([]int64, 2*mo.m)
-	left := make([]uint64, mo.candWords)
-	total := mo.n // the primaries
-	for k := range mo.n {
-		mo.firstRound(k, scratch[:mo.m], scratch[mo.m:], left)
-		for _, word := range left {
-			total += bits.OnesCount64(word)
+	workers := parallel.Workers(0)
+	type scratch struct {
+		dmin, gain []int64
+		left       []uint64
+	}
+	scratches := make([]scratch, workers)
+	counts := make([]int, (mo.n+objectChunk-1)/objectChunk)
+	parallel.ForWorker(len(counts), workers, func(w, ch int) {
+		sc := &scratches[w]
+		if sc.left == nil {
+			*sc = scratch{dmin: make([]int64, mo.m), gain: make([]int64, mo.m), left: lineWords(mo.candWords)}
 		}
+		count := 0
+		for k := ch * objectChunk; k < min((ch+1)*objectChunk, mo.n); k++ {
+			mo.firstRound(k, sc.dmin, sc.gain, sc.left)
+			for _, word := range sc.left {
+				count += bits.OnesCount64(word)
+			}
+		}
+		counts[ch] = count
+	})
+	total := mo.n // the primaries
+	for _, count := range counts {
+		total += count
 	}
 	return total
 }
