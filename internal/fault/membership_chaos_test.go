@@ -13,6 +13,7 @@ package fault
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -229,4 +230,67 @@ func TestMembershipChurnKillMidMigration(t *testing.T) {
 	if got != targetCost {
 		t.Fatalf("post-churn driven NTC %d, solver cost %d", got, targetCost)
 	}
+}
+
+// TestJoinedSiteStaysUnderPlan: a site that joins after Attach — and
+// again after it leaves and rejoins — is under the plan with nothing
+// installed by hand. Its read of object 0, whose nearest replica is
+// crashed, fails over to the farther one, and while it is crashed itself
+// its own reads are refused.
+func TestJoinedSiteStaysUnderPlan(t *testing.T) {
+	p := churnProblem(t)
+	c, err := netnode.StartDurableView(p, t.TempDir(), store.Options{Sync: store.SyncNever}, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	// Object 0 is held at its primary, site 0, and at site 2, which is the
+	// nearer one to the joiner, site 4.
+	const joiner, near, far = 4, 2, 0
+	if p.Cost(joiner, near) >= p.Cost(joiner, far) {
+		t.Fatalf("site %d is not nearer to site %d than site %d", near, joiner, far)
+	}
+	deployed := &plan.Plan{
+		View:      plan.View{Epoch: 1, Members: []int{0, 1, 2, 3}},
+		Primaries: []int{0, 1, 2, 3},
+		Placement: [][]int{{far, near}, {1}, {2}, {3}},
+	}
+	if _, err := c.ApplyPlan(deployed); err != nil {
+		t.Fatal(err)
+	}
+	fp := Plan{Events: []Event{
+		{Kind: KindCrash, Site: near, Step: 1, Until: 2},
+		{Kind: KindCrash, Site: joiner, Step: 2, Until: 3},
+		{Kind: KindCrash, Site: near, Step: 4, Until: 5},
+	}}
+	if err := fp.validate(p.Sites()); err != nil {
+		t.Fatal(err)
+	}
+	in := NewInjector(fp)
+	Attach(c, in)
+
+	readsUnderPlan := func(what string, from int64) {
+		t.Helper()
+		in.AdvanceTo(from)
+		cost, err := c.Node(joiner).Read(0)
+		if want := p.Size(0) * p.Cost(joiner, far); err != nil || cost != want {
+			t.Fatalf("%s: read of object 0 with site %d down: cost %d, %v; want %d, the failover to site %d", what, near, cost, err, want, far)
+		}
+	}
+	if _, err := c.Join(joiner); err != nil {
+		t.Fatal(err)
+	}
+	readsUnderPlan("joined", 1)
+	in.AdvanceTo(2)
+	if _, err := c.Node(joiner).Read(1); !errors.Is(err, netnode.ErrNoReplica) {
+		t.Fatalf("read of object 1 from crashed site %d: %v, want %v", joiner, err, netnode.ErrNoReplica)
+	}
+	in.AdvanceTo(3)
+	if err := c.Leave(joiner); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Join(joiner); err != nil {
+		t.Fatal(err)
+	}
+	readsUnderPlan("rejoined", 4)
 }
