@@ -6,20 +6,16 @@ import (
 
 // Attach wires an injector into a running netnode cluster: every attempt
 // of every node's outbound calls and of the coordinator's commands asks
-// the injector first, naming the site it goes to, and the traffic driver
-// advances the injector's logical clock once per request. A node's gate
-// outlives a RestartNode of its site; a site that joins later needs its
-// own (node.SetDialer).
+// the injector first, naming the sites it comes from and goes to, and the
+// traffic driver advances the injector's logical clock once per request.
+// The gate is the cluster's, so it reaches the nodes the cluster boots
+// later too: a site that joins or rejoins, from its join sync on, and a
+// restarted one.
 //
 // Attach only installs middleware — retry policy and per-request timeouts
 // stay the cluster's to configure (netnode.Cluster.SetRetry /
 // SetRequestTimeout).
 func Attach(c *netnode.Cluster, in *Injector) {
-	for i := 0; i < c.Sites(); i++ {
-		if node := c.Node(i); node != nil {
-			node.SetDialer(in.dialerFor(i))
-		}
-	}
-	c.SetCommandDialer(in.dialerFor(coordinator))
+	c.SetCommandDialer(in.gate)
 	c.SetRequestHook(in.advance)
 }

@@ -191,8 +191,8 @@ func TestMaxStep(t *testing.T) {
 // while the window is open, and pass once it closes.
 func TestInjectorRefusesCrashedEndpoints(t *testing.T) {
 	in := NewInjector(Plan{Events: []Event{{Kind: KindCrash, Site: 1, Step: 1, Until: 3}}})
-	gateTo1 := in.dialerFor(0)
-	gateFrom1 := in.dialerFor(1)
+	gateTo1 := func(to int) error { return in.gate(0, to) }
+	gateFrom1 := func(to int) error { return in.gate(1, to) }
 
 	in.advance() // step 1: window open
 	if err := gateTo1(1); err == nil {
@@ -223,7 +223,7 @@ func TestInjectorDropsAreSeeded(t *testing.T) {
 	plan := Plan{Seed: 1234, Events: []Event{{Kind: KindDrop, Site: 1, Peer: coordinator, Step: 1, Prob: 0.5}}}
 	run := func() []bool {
 		in := NewInjector(plan)
-		gate := in.dialerFor(0)
+		gate := func(to int) error { return in.gate(0, to) }
 		in.advance()
 		var outcomes []bool
 		for i := 0; i < 32; i++ {

@@ -5,15 +5,13 @@ import (
 	"sync"
 	"time"
 
-	"drp/internal/netnode"
 	"drp/internal/xrand"
 )
 
 // Injector realises a Plan as a gate on call attempts. One injector is
-// shared by every node of a cluster (and the coordinator); each
-// participant gets its own gate from dialerFor, and the gate is asked
-// with the site an attempt goes to, so every fault decision names both
-// endpoints by site, the plan's own vocabulary. The unit a fault acts on
+// shared by every node of a cluster (and the coordinator), and its gate is
+// asked with the sites an attempt comes from and goes to, so every fault
+// decision names both endpoints by site, the plan's own vocabulary. The unit a fault acts on
 // is the attempt, not the connection: the nodes keep persistent links to
 // each other, and a modelled crash, blackhole or drop fails the attempt
 // before a link is picked, however healthy the pooled link to that peer
@@ -79,44 +77,41 @@ func (e *faultError) Error() string   { return e.msg }
 func (e *faultError) Timeout() bool   { return false }
 func (e *faultError) Temporary() bool { return true }
 
-// dialerFor returns the gate for one participant: a site index, or
-// coordinator for the cluster coordinator. The participant calls it once
-// before each attempt with the target site (netnode.Dialer); a fault
-// verdict fails the attempt, a latency verdict delays it. The returned
-// function is safe for concurrent use.
-func (in *Injector) dialerFor(client int) netnode.Dialer {
-	return func(target int) error {
-		in.mu.Lock()
-		step := in.step
-		in.dials++
-		var verdict error
-		var delay time.Duration
-		switch {
-		case in.plan.Down(client, step):
-			in.refused++
-			verdict = &faultError{fmt.Sprintf("fault: site %d is down (step %d)", client, step)}
-		case in.plan.Down(target, step):
-			in.refused++
-			verdict = &faultError{fmt.Sprintf("fault: site %d is down (step %d)", target, step)}
-		case in.plan.blackholed(client, target, step):
-			in.severed++
-			verdict = &faultError{fmt.Sprintf("fault: link %d↔%d blackholed (step %d)", client, target, step)}
-		default:
-			if p := in.plan.dropProb(client, target, step); p > 0 && in.rng.Float64() < p {
-				in.dropped++
-				verdict = &faultError{fmt.Sprintf("fault: message %d→%d dropped (step %d)", client, target, step)}
-			} else {
-				delay = in.plan.LatencyAt(client, target, step)
-				if delay > 0 {
-					in.delayed++
-				}
+// gate is the injector as a netnode.Dialer: a participant — a site, or
+// coordinator for the cluster coordinator — asks it once before each
+// attempt with its own site and the target's; a fault verdict fails the
+// attempt, a latency verdict delays it. It is safe for concurrent use.
+func (in *Injector) gate(client, target int) error {
+	in.mu.Lock()
+	step := in.step
+	in.dials++
+	var verdict error
+	var delay time.Duration
+	switch {
+	case in.plan.Down(client, step):
+		in.refused++
+		verdict = &faultError{fmt.Sprintf("fault: site %d is down (step %d)", client, step)}
+	case in.plan.Down(target, step):
+		in.refused++
+		verdict = &faultError{fmt.Sprintf("fault: site %d is down (step %d)", target, step)}
+	case in.plan.blackholed(client, target, step):
+		in.severed++
+		verdict = &faultError{fmt.Sprintf("fault: link %d↔%d blackholed (step %d)", client, target, step)}
+	default:
+		if p := in.plan.dropProb(client, target, step); p > 0 && in.rng.Float64() < p {
+			in.dropped++
+			verdict = &faultError{fmt.Sprintf("fault: message %d→%d dropped (step %d)", client, target, step)}
+		} else {
+			delay = in.plan.LatencyAt(client, target, step)
+			if delay > 0 {
+				in.delayed++
 			}
 		}
-		in.mu.Unlock()
-
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		return verdict
 	}
+	in.mu.Unlock()
+
+	if delay > 0 {
+		time.Sleep(delay)
+	}
+	return verdict
 }

@@ -102,6 +102,7 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 		return nil, err
 	}
 	c := &Cluster{
+		opts:      callOpts{from: -1},
 		p:         p,
 		nodes:     make([]*Node, p.Sites()),
 		view:      view,
@@ -133,8 +134,8 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 // bootNode starts site i's node: its store is opened from the site's data
 // directory — replaying the log — or, when the cluster has none, in
 // memory (store.Open's empty-dir case), a fresh listener starts, and the
-// cluster's attempt count, request timeout, metrics registry and tracer
-// are applied.
+// cluster's gate, attempt count, request timeout, metrics registry and
+// tracer are applied.
 func (c *Cluster) bootNode(i int) (*Node, error) {
 	dir := ""
 	if c.dataDir != "" {
@@ -149,6 +150,7 @@ func (c *Cluster) bootNode(i int) (*Node, error) {
 		_ = st.Close()
 		return nil, err
 	}
+	node.SetDialer(c.opts.gate)
 	node.setRetry(c.opts.attempts)
 	node.setRequestTimeout(c.opts.timeout)
 	node.setMetrics(c.metricsReg)
@@ -212,12 +214,22 @@ func (c *Cluster) Scheme() *core.Scheme {
 	return s
 }
 
-// SetCommandDialer installs d as the gate every attempt of the
-// coordinator's own commands must pass (nil removes it); it names the
-// member each command goes to. Fault middleware hooks in here. Like
-// Node.SetDialer it kept its name when the seam moved from the dial to
-// the attempt, for its callers outside this module.
-func (c *Cluster) SetCommandDialer(d Dialer) { c.opts.gate = d }
+// SetCommandDialer installs d as the cluster's gate (nil removes it):
+// every attempt of the coordinator's commands and of every member's calls
+// must pass it, and so must those of every node the cluster boots later —
+// a joiner from its first call, the join sync's included; a restarted node
+// keeps the gate its site had. Node.SetDialer overrides one node's. Fault
+// middleware hooks in here. Like Node.SetDialer it kept its name when the
+// seam moved from the dial to the attempt, for its callers outside this
+// module.
+func (c *Cluster) SetCommandDialer(d Dialer) {
+	c.opts.gate = d
+	for _, node := range c.nodes {
+		if node != nil {
+			node.SetDialer(d)
+		}
+	}
+}
 
 // SetRequestHook installs fn to run immediately before every request
 // driven by DriveTraffic / DriveTrafficReport. Fault injectors use it to

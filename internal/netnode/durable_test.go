@@ -290,7 +290,7 @@ func TestDurableRestartAfterFailedRefresh(t *testing.T) {
 	// One undisturbed Deploy counts the commands to fail.
 	c := startDurable(t, p, t.TempDir(), testStoreOpts())
 	commands := 0
-	c.SetCommandDialer(func(int) error { commands++; return nil })
+	c.SetCommandDialer(commandGate(func(int) error { commands++; return nil }))
 	if _, err := c.Deploy(scheme); err != nil {
 		t.Fatal(err)
 	}
@@ -303,13 +303,13 @@ func TestDurableRestartAfterFailedRefresh(t *testing.T) {
 		root := t.TempDir()
 		c := startDurable(t, p, root, testStoreOpts())
 		sent := 0
-		c.SetCommandDialer(func(int) error {
+		c.SetCommandDialer(commandGate(func(int) error {
 			sent++
 			if sent-1 == fail {
 				return errors.New("injected command failure")
 			}
 			return nil
-		})
+		}))
 		if _, err := c.Deploy(scheme); err == nil {
 			t.Fatalf("command %d: the deploy survived its failure", fail)
 		}
@@ -355,14 +355,14 @@ func TestDurableTornBatchRecoversPrefix(t *testing.T) {
 		state []byte
 	}
 	before := make(map[int]mark)
-	c.SetCommandDialer(func(s int) error {
+	c.SetCommandDialer(commandGate(func(s int) error {
 		fi, err := os.Stat(segment(root, s))
 		if err != nil {
 			return err
 		}
 		before[s] = mark{fi.Size(), c.Node(s).Store().EncodeState()}
 		return nil
-	})
+	}))
 	if _, err := c.Deploy(scheme); err != nil {
 		t.Fatal(err)
 	}

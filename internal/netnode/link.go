@@ -23,18 +23,20 @@ const maxIdleLinks = 4
 // line in a buffer of its own.
 const linkBufBytes = 512
 
-// Dialer is the per-attempt gate on outbound calls: it is asked, with the
-// index of the site the call goes to, once before every attempt, before a
-// link is picked or opened, and an error fails the attempt — even when a
-// healthy pooled link to that site exists. It may sleep to model latency.
+// Dialer is the per-attempt gate on outbound calls: it is asked once
+// before every attempt, before a link is picked or opened, with the site
+// the attempt comes from — -1 for the coordinator's commands — and the
+// site it goes to, and an error fails the attempt, even when a healthy
+// pooled link to that site exists. It may sleep to model latency.
 // drp/internal/fault installs one to inject crashes, blackholes, drops and
 // delays without the node code changing. The name predates persistent
 // links, when the seam was the dial itself.
-type Dialer func(site int) error
+type Dialer func(from, to int) error
 
 // callOpts is what an owner's outbound calls run under.
 type callOpts struct {
 	gate     Dialer
+	from     int           // the owner's site, -1 for the coordinator: the gate's first argument
 	attempts int           // transport attempts per exchange; ≤ 1 tries once
 	timeout  time.Duration // per attempt: the dial, then the round trip; 0 = none
 }
@@ -195,7 +197,7 @@ func (t *transport) attempt(o callOpts, site int, addr string, msg message) (rep
 	var l *link
 	var err error
 	if o.gate != nil {
-		err = o.gate(site)
+		err = o.gate(o.from, site)
 	}
 	if err == nil {
 		l, err = t.get(addr, o.timeout)

@@ -193,8 +193,8 @@ func TestWarmLinksOpenNoConnections(t *testing.T) {
 }
 
 // TestRestartKeepsGate: RestartNode gives the restarted site's node the
-// gate the old node had, and the gate is asked with the peer site of each
-// attempt.
+// gate the old node had, and the gate is asked with the node's own site
+// and the peer site of each attempt.
 func TestRestartKeepsGate(t *testing.T) {
 	p := gen(t, 4, 5, 0.2, 0.6, 64)
 	c := startDurable(t, p, t.TempDir(), testStoreOpts())
@@ -204,9 +204,9 @@ func TestRestartKeepsGate(t *testing.T) {
 	for p.Primary(k) == site {
 		k++
 	}
-	var asked []int
-	c.Node(site).SetDialer(func(peer int) error {
-		asked = append(asked, peer)
+	var asked [][2]int
+	c.Node(site).SetDialer(func(from, peer int) error {
+		asked = append(asked, [2]int{from, peer})
 		return errors.New("gate closed")
 	})
 	if _, err := c.RestartNode(site); err != nil {
@@ -215,8 +215,8 @@ func TestRestartKeepsGate(t *testing.T) {
 	if _, err := c.Node(site).Read(k); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("read of object %d through a closed gate: %v, want %v", k, err, ErrNoReplica)
 	}
-	if want := []int{p.Primary(k)}; !slices.Equal(asked, want) {
-		t.Fatalf("the gate was asked for sites %v, want %v", asked, want)
+	if want := [][2]int{{site, p.Primary(k)}}; !slices.Equal(asked, want) {
+		t.Fatalf("the gate was asked for the attempts %v, want %v", asked, want)
 	}
 }
 
@@ -368,7 +368,7 @@ func TestSettersDuringTraffic(t *testing.T) {
 		}(w)
 	}
 	reg := metrics.NewRegistry()
-	pass := Dialer(func(int) error { return nil })
+	pass := Dialer(func(int, int) error { return nil })
 	for round := 0; round < 40; round++ {
 		for i := 0; i < p.Sites(); i++ {
 			n := c.Node(i)

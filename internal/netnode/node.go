@@ -15,8 +15,9 @@
 //
 // The serving path tolerates faults. Every outbound call travels on a
 // persistent link to the peer (link.go), passes an injectable per-attempt
-// gate first, asked with the peer's site index and kept across a
-// RestartNode (see drp/internal/fault), and runs under a per-request
+// gate first, asked with both endpoints' sites, which the cluster hands
+// every node it boots and a RestartNode keeps (see drp/internal/fault), and
+// runs under a per-request
 // deadline with capped, jittered exponential backoff. A read walks the
 // object's replica set in cost order (core.RankReplicas), so it lands on
 // the nearest live replica exactly as eq. 4's min C(i,j) would with the
@@ -218,7 +219,7 @@ func listenStore(p *core.Problem, site int, addr string, st *store.Store) (*Node
 		links:  transport{rng: xrand.New(uint64(site) + 1)},
 		closed: make(chan struct{}),
 	}
-	n.cfg.Store(&nodeConfig{})
+	n.cfg.Store(&nodeConfig{callOpts: callOpts{from: site}})
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -241,11 +242,11 @@ func (n *Node) setPeers(addrs []string) {
 }
 
 // SetDialer installs d as the gate every outbound attempt of the node must
-// pass (nil removes it); it names the peer site each attempt goes to.
-// Fault-injection middleware hooks in here, and the gate outlives a
-// RestartNode of the site. The method kept its name when the seam moved
-// from the dial to the attempt — calls no longer dial — because callers
-// outside this module use it.
+// pass (nil removes it), in place of the cluster's (Cluster.SetCommandDialer)
+// until the cluster's is set again; the gate outlives a RestartNode of the
+// site. The method kept its name when the seam moved from the dial to the
+// attempt — calls no longer dial — because callers outside this module use
+// it.
 func (n *Node) SetDialer(d Dialer) {
 	n.configure(func(c *nodeConfig) { c.gate = d })
 }

@@ -481,14 +481,25 @@ func TestViewClusterMembershipRejections(t *testing.T) {
 // on; failAt >= 0 fails the attempt with that index (0-based).
 func countCommands(c *Cluster, failAt int) *int {
 	sent := new(int)
-	c.SetCommandDialer(func(int) error {
+	c.SetCommandDialer(commandGate(func(int) error {
 		*sent++
 		if *sent-1 == failAt {
 			return errors.New("injected command failure")
 		}
 		return nil
-	})
+	}))
 	return sent
+}
+
+// commandGate makes gate a cluster gate that asks gate about the
+// coordinator's commands alone and passes every member's calls.
+func commandGate(gate func(to int) error) Dialer {
+	return func(from, to int) error {
+		if from >= 0 {
+			return nil
+		}
+		return gate(to)
+	}
 }
 
 // requireHeld checks that each member's holdings, primary record SP_k and
@@ -947,7 +958,7 @@ func leaveBehind(t *testing.T, c *Cluster) {
 	if _, err := c.ApplyPlan(next); err != nil {
 		t.Fatal(err)
 	}
-	c.Node(0).SetDialer(func(site int) error {
+	c.Node(0).SetDialer(func(_, site int) error {
 		if site == 3 {
 			return errors.New("link 0→3 cut")
 		}
@@ -1008,7 +1019,7 @@ func applyHalf(t *testing.T, c *Cluster, next *plan.Plan, failAt int, routes map
 // the write's broadcast leaves site cut behind w's version.
 func writeAround(t *testing.T, c *Cluster, w, k, cut int) {
 	t.Helper()
-	c.Node(w).SetDialer(func(site int) error {
+	c.Node(w).SetDialer(func(_, site int) error {
 		if site == cut {
 			return fmt.Errorf("link %d→%d cut", w, cut)
 		}
