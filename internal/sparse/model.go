@@ -7,10 +7,10 @@
 //
 //   - CSR-style access vectors: per-object (site, count) lists for reads and
 //     writes, pooled into four flat arrays, so an N=1e6 × M=100 instance
-//     with ~7 access entries per object holds ~153 MiB of live heap, where
+//     with ~7 access entries per object holds ~122 MiB of live heap, where
 //     two dense int64 matrices alone would need 1.5 GiB; `drpbench
 //     -sparse-bench` (that instance plus its 1 % perturbation, solved and
-//     adapted) peaks at ~600 MiB RSS;
+//     adapted) peaks at ~441 MiB RSS;
 //   - candidate-site pruning: per object, the sites at which a replica could
 //     ever pay for its update fan-in (plus the primary), computed from a
 //     sound upper bound on the achievable saving and from capacity
