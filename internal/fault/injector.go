@@ -11,11 +11,11 @@ import (
 // Injector realises a Plan as a gate on call attempts. One injector is
 // shared by every node of a cluster (and the coordinator), and its gate is
 // asked with the sites an attempt comes from and goes to, so every fault
-// decision names both endpoints by site, the plan's own vocabulary. The unit a fault acts on
-// is the attempt, not the connection: the nodes keep persistent links to
-// each other, and a modelled crash, blackhole or drop fails the attempt
-// before a link is picked, however healthy the pooled link to that peer
-// is.
+// decision names both endpoints by site, the plan's own vocabulary. The
+// unit a fault acts on is the attempt, not the connection: the nodes keep
+// persistent links to each other, and a modelled crash, blackhole or drop
+// fails the attempt before a link is picked, however healthy the pooled
+// link to that peer is.
 //
 // The injector holds a logical step clock, advanced by the traffic driver
 // once per request (Advance). All fault decisions are pure functions of

@@ -17,14 +17,14 @@
 // persistent link to the peer (link.go), passes an injectable per-attempt
 // gate first, asked with both endpoints' sites, which the cluster hands
 // every node it boots and a RestartNode keeps (see drp/internal/fault), and
-// runs under a per-request
-// deadline with capped, jittered exponential backoff. A read walks the
-// object's replica set in cost order (core.RankReplicas), so it lands on
-// the nearest live replica exactly as eq. 4's min C(i,j) would with the
-// dead sites excluded. Writes degrade instead of failing: an
-// unreachable primary queues the write locally (flushed with
-// FlushPending), and a replica a broadcast misses stays behind its
-// primary's version until the coordinator names it in a "reconcile" op.
+// runs under a per-request deadline with capped, jittered exponential
+// backoff. A read walks the object's replica set in cost order
+// (core.RankReplicas), so it lands on the nearest live replica exactly as
+// eq. 4's min C(i,j) would with the dead sites excluded. Writes degrade
+// instead of failing: an unreachable primary queues the write locally
+// (flushed with FlushPending), and a replica a broadcast misses stays
+// behind its primary's version until the coordinator names it in a
+// "reconcile" op.
 //
 // Site state lives in a drp/internal/store.Store — in-memory by default,
 // or backed by a write-ahead log and snapshots when the node is opened on

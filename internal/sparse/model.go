@@ -460,17 +460,10 @@ func (mo *Model) Candidates(k int) []int32 {
 // and sums the chunks' counts in chunk order, so callers keep the result.
 func (mo *Model) CandidateCount() int {
 	workers := parallel.Workers(0)
-	type scratch struct {
-		dmin, gain []int64
-		left       []uint64
-	}
-	scratches := make([]scratch, workers)
+	scratches := newScratches(mo, workers)
 	counts := make([]int, (mo.n+objectChunk-1)/objectChunk)
 	parallel.ForWorker(len(counts), workers, func(w, ch int) {
 		sc := &scratches[w]
-		if sc.left == nil {
-			*sc = scratch{dmin: make([]int64, mo.m), gain: make([]int64, mo.m), left: lineWords(mo.candWords)}
-		}
 		count := 0
 		for k := ch * objectChunk; k < min((ch+1)*objectChunk, mo.n); k++ {
 			mo.firstRound(k, sc.dmin, sc.gain, sc.left)

@@ -198,6 +198,22 @@ const objectChunk = 4096
 // and every bit set would bounce it between cores.
 func lineWords(n int) []uint64 { return make([]uint64, n, (n+7)&^7) }
 
+// scratch is one worker's buffers for firstRound and the descent after it.
+type scratch struct {
+	dmin []int64  // per-reader nearest-replica distance
+	gain []int64  // per site: δ's saving term, kept current for the candidates
+	left []uint64 // candidate bitmask minus the sites placed or out of the running
+}
+
+// newScratches returns one scratch per worker, sized for mo.
+func newScratches(mo *Model, workers int) []scratch {
+	scratches := make([]scratch, workers)
+	for w := range scratches {
+		scratches[w] = scratch{dmin: make([]int64, mo.m), gain: make([]int64, mo.m), left: lineWords(mo.candWords)}
+	}
+	return scratches
+}
+
 // propose computes the greedy descent of every listed object into
 // props[idx] (parallel, index-addressed, RNG-free). Capacity is not
 // consulted here — proposals are optimistic and the merge settles them
@@ -205,15 +221,7 @@ func lineWords(n int) []uint64 { return make([]uint64, n, (n+7)&^7) }
 // object and the worker count cannot influence it.
 func propose(mo *Model, objects []int, props []proposal, c *solver.Controller) {
 	workers := parallel.Workers(0)
-	type scratch struct {
-		dmin []int64  // per-reader nearest-replica distance
-		gain []int64  // per site: δ's saving term, kept current for the candidates
-		left []uint64 // candidate bitmask minus the sites placed or out of the running
-	}
-	scratches := make([]scratch, workers)
-	for w := range scratches {
-		scratches[w] = scratch{dmin: make([]int64, mo.m), gain: make([]int64, mo.m), left: lineWords(mo.candWords)}
-	}
+	scratches := newScratches(mo, workers)
 	parallel.ForWorker(len(objects), workers, func(w, idx int) {
 		if _, stop := c.Check(); stop {
 			return // remaining objects keep empty proposals
