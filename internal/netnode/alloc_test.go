@@ -72,3 +72,37 @@ func TestRemoteReadAllocsPinned(t *testing.T) {
 		t.Errorf("a remote read allocates %v times (runs %v), pinned at 0", got, runs)
 	}
 }
+
+// TestSettersAllocsFlatInSites: a cluster setter publishes one settings
+// record, whatever the number of sites, so EnableMetrics and SetRetry
+// allocate as often on a 12-site cluster as on a 4-site one. A setter that
+// copied the settings per node, or built the metric handles per node,
+// grows with the sites.
+func TestSettersAllocsFlatInSites(t *testing.T) {
+	setters := []struct {
+		name string
+		set  func(c *Cluster, reg *metrics.Registry)
+	}{
+		{"EnableMetrics", func(c *Cluster, reg *metrics.Registry) { c.EnableMetrics(reg) }},
+		{"SetRetry", func(c *Cluster, _ *metrics.Registry) { c.SetRetry(3) }},
+	}
+	allocs := func(sites int, set func(*Cluster, *metrics.Registry)) float64 {
+		c, err := StartLocal(gen(t, sites, 6, 0.05, 0.5, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		reg := metrics.NewRegistry()
+		runs := make([]float64, 5)
+		for i := range runs {
+			runs[i] = testing.AllocsPerRun(50, func() { set(c, reg) })
+		}
+		slices.Sort(runs)
+		return runs[len(runs)/2]
+	}
+	for _, s := range setters {
+		if small, large := allocs(4, s.set), allocs(12, s.set); large != small {
+			t.Errorf("%s allocates %v times on 12 sites, %v on 4", s.name, large, small)
+		}
+	}
+}

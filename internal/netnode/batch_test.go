@@ -66,7 +66,7 @@ func TestBatchAppliesPrefixUpToRejection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := listenStore(p, site, "127.0.0.1:0", st)
+		n, err := listenStore(p, site, "127.0.0.1:0", st, newConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

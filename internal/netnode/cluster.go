@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"drp/internal/core"
-	"drp/internal/metrics"
 	"drp/internal/plan"
 	"drp/internal/spans"
 	"drp/internal/store"
@@ -27,17 +28,63 @@ type Cluster struct {
 	view   plan.View  // member sites; Join and Leave move it on
 	target *plan.Plan // the last adopted migration target, not what the members hold
 
-	opts  callOpts  // coordinator commands: gate (fault seam), retries, deadline
+	cfg   *config   // the settings the coordinator and every node run under
 	links transport // the coordinator's own links to the member sites
 	hook  func()    // called before every driven request
 
 	journal  *store.Journal  // coordinator journal (plan persistence)
 	stepHook func(plan.Step) // chaos seam: runs before each migration step
 
-	dataDir    string            // "" for a memory cluster
-	storeOpts  store.Options     // per-site store options (durable clusters)
-	metricsReg *metrics.Registry // re-applied to restarted nodes
-	tracer     *spans.Tracer     // shared request tracer; re-applied to restarted nodes
+	dataDir   string        // "" for a memory cluster
+	storeOpts store.Options // per-site store options (durable clusters)
+}
+
+// settings is what the calls of a cluster run under: every outbound
+// attempt of the coordinator and of each node, and each node's replies,
+// served-message counters and serve spans. A cluster has one record and
+// its nodes hold no copy of it, so a node booted at any time runs under
+// the current one. It is immutable: a setter publishes an edited copy, so
+// a request loads one pointer and takes no lock.
+type settings struct {
+	peers    []string      // listen address per universe site; "" for a non-member
+	gate     Dialer        // the cluster's gate; nil passes every attempt
+	siteGate []Dialer      // per site, the gate Node.SetDialer set in place of gate; nil = none
+	attempts int           // transport attempts per exchange; ≤ 1 tries once
+	timeout  time.Duration // per attempt: the dial, then the round trip; 0 = none
+	metrics  *nodeMetrics  // the cluster's instruments; nil when disabled
+	tracer   *spans.Tracer // request tracing; nil when disabled
+}
+
+// gateOf returns the gate of the calls from site from, −1 for the
+// coordinator.
+func (s *settings) gateOf(from int) Dialer {
+	if from >= 0 && from < len(s.siteGate) && s.siteGate[from] != nil {
+		return s.siteGate[from]
+	}
+	return s.gate
+}
+
+// config publishes a cluster's settings record.
+type config struct {
+	mu  sync.Mutex // serialises edits
+	cur atomic.Pointer[settings]
+}
+
+func newConfig() *config {
+	c := new(config)
+	c.cur.Store(new(settings))
+	return c
+}
+
+func (c *config) load() *settings { return c.cur.Load() }
+
+// edit publishes a copy of the settings with fn applied.
+func (c *config) edit(fn func(*settings)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := *c.cur.Load()
+	fn(&s)
+	c.cur.Store(&s)
 }
 
 // siteDir returns the data directory of site i under a cluster root.
@@ -46,7 +93,7 @@ func siteDir(root string, i int) string {
 }
 
 // StartLocal boots one memory-backed node per site on 127.0.0.1 ephemeral
-// ports, wires the address tables and deploys the primaries-only scheme.
+// ports, publishes the address table and deploys the primaries-only scheme.
 func StartLocal(p *core.Problem) (*Cluster, error) {
 	return StartView(p, allSites(p))
 }
@@ -91,7 +138,7 @@ func allSites(p *core.Problem) []int {
 }
 
 // start is the one boot path: a node per member (memory-backed when root
-// is ""), the address tables, and the adopted target read back from what
+// is ""), the address table, and the adopted target read back from what
 // the nodes hold — the primaries-only placement on a fresh boot, the
 // recovered placement after a replay. A site left over capacity by an
 // interrupted migration is tolerated: the next migration drops the
@@ -102,10 +149,10 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 		return nil, err
 	}
 	c := &Cluster{
-		opts:      callOpts{from: -1},
 		p:         p,
 		nodes:     make([]*Node, p.Sites()),
 		view:      view,
+		cfg:       newConfig(),
 		links:     transport{rng: xrand.New(0x10ad)},
 		dataDir:   root,
 		storeOpts: opts,
@@ -133,9 +180,8 @@ func start(p *core.Problem, members []int, root string, opts store.Options) (*Cl
 
 // bootNode starts site i's node: its store is opened from the site's data
 // directory — replaying the log — or, when the cluster has none, in
-// memory (store.Open's empty-dir case), a fresh listener starts, and the
-// cluster's gate, attempt count, request timeout, metrics registry and
-// tracer are applied.
+// memory (store.Open's empty-dir case), and a fresh listener starts under
+// the cluster's settings.
 func (c *Cluster) bootNode(i int) (*Node, error) {
 	dir := ""
 	if c.dataDir != "" {
@@ -145,22 +191,17 @@ func (c *Cluster) bootNode(i int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node, err := listenStore(c.p, i, "127.0.0.1:0", st)
+	node, err := listenStore(c.p, i, "127.0.0.1:0", st, c.cfg)
 	if err != nil {
 		_ = st.Close()
 		return nil, err
 	}
-	node.SetDialer(c.opts.gate)
-	node.setRetry(c.opts.attempts)
-	node.setRequestTimeout(c.opts.timeout)
-	node.setMetrics(c.metricsReg)
-	node.setTracer(c.tracer)
 	return node, nil
 }
 
 // RestartNode brings site i back after a Kill (or Close): its store is
-// reopened from the site's data directory, a fresh listener starts with
-// the gate the old node had, and every node's address table is rewired.
+// reopened from the site's data directory, a fresh listener starts, and
+// the new address is published to every node.
 func (c *Cluster) RestartNode(i int) (*Node, error) {
 	if c.dataDir == "" {
 		return nil, errors.New("netnode: RestartNode needs a durable cluster")
@@ -177,7 +218,6 @@ func (c *Cluster) RestartNode(i int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node.SetDialer(old.cfg.Load().gate)
 	c.nodes[i] = node
 	c.rewirePeers()
 	return node, nil
@@ -214,21 +254,12 @@ func (c *Cluster) Scheme() *core.Scheme {
 	return s
 }
 
-// SetCommandDialer installs d as the cluster's gate (nil removes it):
-// every attempt of the coordinator's commands and of every member's calls
-// must pass it, and so must those of every node the cluster boots later —
-// a joiner from its first call, the join sync's included; a restarted node
-// keeps the gate its site had. Node.SetDialer overrides one node's. Fault
-// middleware hooks in here. Like Node.SetDialer it kept its name when the
-// seam moved from the dial to the attempt, for its callers outside this
-// module.
+// SetCommandDialer installs d as the cluster's gate (nil removes it) and
+// clears every site's own (Node.SetDialer): every attempt of the
+// coordinator's commands and of every site's calls must pass it, on the
+// nodes booted later too. Fault middleware hooks in here.
 func (c *Cluster) SetCommandDialer(d Dialer) {
-	c.opts.gate = d
-	for _, node := range c.nodes {
-		if node != nil {
-			node.SetDialer(d)
-		}
-	}
+	c.cfg.edit(func(s *settings) { s.gate, s.siteGate = d, nil })
 }
 
 // SetRequestHook installs fn to run immediately before every request
@@ -236,27 +267,19 @@ func (c *Cluster) SetCommandDialer(d Dialer) {
 // advance their deterministic logical clock in lockstep with the traffic.
 func (c *Cluster) SetRequestHook(fn func()) { c.hook = fn }
 
-// SetRetry sets the transport attempts per request (1 = no retrying) of
-// every node's client calls and of the coordinator's commands. A retry
-// backs off 200 µs, doubling up to 1 ms, half of it jittered.
+// SetRetry sets the transport attempts per request (≤ 1 = no retrying) of
+// every node's calls and of the coordinator's commands. A retry backs off
+// 200 µs, doubling up to 1 ms, half of it jittered.
 func (c *Cluster) SetRetry(attempts int) {
-	c.opts.attempts = attempts
-	for _, node := range c.nodes {
-		if node != nil {
-			node.setRetry(attempts)
-		}
-	}
+	c.cfg.edit(func(s *settings) { s.attempts = attempts })
 }
 
-// SetRequestTimeout applies one per-request deadline to every node's
-// client calls and to the coordinator's commands.
+// SetRequestTimeout bounds each attempt of every node's calls and of the
+// coordinator's commands (opening a link when none is idle, then the round
+// trip) and each reply write; 0 removes the outbound deadline, and reply
+// writes then fall back to a conservative default.
 func (c *Cluster) SetRequestTimeout(d time.Duration) {
-	c.opts.timeout = d
-	for _, node := range c.nodes {
-		if node != nil {
-			node.setRequestTimeout(d)
-		}
-	}
+	c.cfg.edit(func(s *settings) { s.timeout = d })
 }
 
 // Close shuts every node down, after the coordinator's links to them.
@@ -277,7 +300,7 @@ func (c *Cluster) Close() {
 func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
 	target := plan.FromScheme(next)
 	target.Epoch, target.View = c.target.Epoch, plan.View{Epoch: c.target.View.Epoch, Members: c.view.Members}.Clone()
-	rep, err := c.migrate(c.tracer.Root("deploy"), target)
+	rep, err := c.migrate(c.cfg.load().tracer.Root("deploy"), target)
 	if err != nil {
 		return 0, err
 	}
@@ -285,12 +308,12 @@ func (c *Cluster) Deploy(next *core.Scheme) (int64, error) {
 }
 
 // exchange runs one coordinator request against a member site under the
-// coordinator's gate, attempt count and deadline.
+// cluster's gate, attempt count and deadline.
 func (c *Cluster) exchange(site int, msg message, parent *spans.Span) (reply, error) {
 	if c.nodes[site] == nil {
 		return reply{}, fmt.Errorf("netnode: site %d is not a member", site)
 	}
-	return c.links.exchange(c.opts, nil, site, c.nodes[site].Addr(), site, msg, parent)
+	return c.links.exchange(c.cfg.load(), -1, site, c.nodes[site].Addr(), msg, parent)
 }
 
 // TrafficReport summarises one measurement period driven under faults.
@@ -427,7 +450,7 @@ func (c *Cluster) Reconcile() (int64, int, error) {
 		}
 		// One root span per object re-synced: the transfers themselves
 		// are recorded primary-side and stitch in over the wire context.
-		root := c.tracer.Root("reconcile")
+		root := c.cfg.load().tracer.Root("reconcile")
 		root.SetObject(k)
 		root.SetPeer(sp)
 		resp, err := c.exchange(sp, message{Op: "reconcile", Object: k, Sites: behind}, root)

@@ -62,13 +62,13 @@ func FuzzNodeLine(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer n.close()
-		n.setPeers(make([]string, p.Sites()))
+		n.cfg.edit(func(s *settings) { s.peers = make([]string, p.Sites()) })
 		twin, err := Listen(p, site, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer twin.close()
-		twin.setPeers(make([]string, p.Sites()))
+		twin.cfg.edit(func(s *settings) { s.peers = make([]string, p.Sites()) })
 
 		client, server := net.Pipe()
 		defer client.Close()

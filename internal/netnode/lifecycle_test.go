@@ -93,7 +93,7 @@ func TestSendReplyHonoursDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.close()
-	n.setRequestTimeout(50 * time.Millisecond)
+	n.cfg.edit(func(s *settings) { s.timeout = 50 * time.Millisecond })
 
 	// net.Pipe is fully synchronous: a write blocks until the far end
 	// reads, which nothing ever does here. Only the deadline can free it.
@@ -135,7 +135,7 @@ func TestServeRejectsBadFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.close()
-	n.setRequestTimeout(time.Second)
+	n.cfg.edit(func(s *settings) { s.timeout = time.Second })
 
 	for _, tc := range badFrames {
 		t.Run(tc.name, func(t *testing.T) {

@@ -29,17 +29,8 @@ const linkBufBytes = 512
 // site it goes to, and an error fails the attempt, even when a healthy
 // pooled link to that site exists. It may sleep to model latency.
 // drp/internal/fault installs one to inject crashes, blackholes, drops and
-// delays without the node code changing. The name predates persistent
-// links, when the seam was the dial itself.
+// delays without the node code changing.
 type Dialer func(from, to int) error
-
-// callOpts is what an owner's outbound calls run under.
-type callOpts struct {
-	gate     Dialer
-	from     int           // the owner's site, -1 for the coordinator: the gate's first argument
-	attempts int           // transport attempts per exchange; ≤ 1 tries once
-	timeout  time.Duration // per attempt: the dial, then the round trip; 0 = none
-}
 
 // Retry backoff: retry r (0-based) sleeps retryBase·2^r, capped at
 // retryCap, less up to retryJitter of it drawn from the owner's jitter
@@ -189,24 +180,25 @@ func (t *transport) backoff(retry int) time.Duration {
 	return backoff(retry, t.rng)
 }
 
-// attempt is one try of one exchange: the gate's verdict, a link, one
-// round trip. There is no transparent resend — "update" is not idempotent
-// — so a pooled link that turns out dead is a failed attempt like any
-// other and the owner's attempt count decides what happens next.
-func (t *transport) attempt(o callOpts, site int, addr string, msg message) (reply, error) {
+// attempt is one try of one exchange from site from: the gate's verdict,
+// a link, one round trip under timeout. There is no transparent resend —
+// "update" is not idempotent — so a pooled link that turns out dead is a
+// failed attempt like any other and the attempt count decides what
+// happens next.
+func (t *transport) attempt(gate Dialer, timeout time.Duration, from, site int, addr string, msg message) (reply, error) {
 	var l *link
 	var err error
-	if o.gate != nil {
-		err = o.gate(o.from, site)
+	if gate != nil {
+		err = gate(from, site)
 	}
 	if err == nil {
-		l, err = t.get(addr, o.timeout)
+		l, err = t.get(addr, timeout)
 	}
 	if err != nil {
 		// A verdict of the gate reads like the failed dial it once was.
 		return reply{}, fmt.Errorf("netnode: dial %s: %w", addr, err)
 	}
-	resp, err := l.roundTrip(&msg, o.timeout)
+	resp, err := l.roundTrip(&msg, timeout)
 	if err != nil || resp.Code == codeOversized || resp.Code == codeBadJSON {
 		// A framing rejection is a reply, but the peer closes the stream
 		// after sending it.
@@ -218,16 +210,22 @@ func (t *transport) attempt(o callOpts, site int, addr string, msg message) (rep
 }
 
 // exchange is the one RPC loop, shared by nodes and the coordinator: send
-// one request to site, listening at addr, and read one reply, retrying
-// transport failures up to the owner's attempts with the retry backoff.
-// Protocol rejections are returned as replies, never retried. Each
-// attempt gets its own rpc span under parent (labelled with peer when
-// that is a site index), and the attempt's span IDs ride the wire so the
-// peer's serve span nests under the exact attempt that reached it. nm,
-// when non-nil, counts retries and deadline misses.
-func (t *transport) exchange(o callOpts, nm *nodeMetrics, site int, addr string, peer int, msg message, parent *spans.Span) (reply, error) {
+// one request from site from (−1 for the coordinator) to site, listening
+// at addr, and read one reply under settings s, retrying transport
+// failures up to its attempts with the retry backoff. Protocol rejections
+// are returned as replies, never retried. Each attempt gets its own rpc
+// span under parent, and the attempt's span IDs ride the wire so the
+// peer's serve span nests under the exact attempt that reached it. A
+// node's caller span (hop, ship, sync) already names the peer and its
+// retries and deadline misses are counted; the coordinator's attempt
+// spans name the site they command, and its calls are not counted.
+func (t *transport) exchange(s *settings, from, site int, addr string, msg message, parent *spans.Span) (reply, error) {
+	gate, nm, peer := s.gateOf(from), s.metrics, -1
+	if from < 0 {
+		nm, peer = nil, site
+	}
 	var lastErr error
-	for a := 0; a < max(o.attempts, 1); a++ {
+	for a := 0; a < max(s.attempts, 1); a++ {
 		if a > 0 {
 			if nm != nil {
 				nm.retry(msg.Op)
@@ -241,7 +239,7 @@ func (t *transport) exchange(o callOpts, nm *nodeMetrics, site int, addr string,
 		att.SetPeer(peer)
 		att.SetAttempt(a)
 		msg.Trace, msg.Span = att.Context()
-		resp, err := t.attempt(o, site, addr, msg)
+		resp, err := t.attempt(gate, s.timeout, from, site, addr, msg)
 		if err == nil {
 			att.Finish()
 			return resp, nil

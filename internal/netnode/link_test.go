@@ -18,13 +18,14 @@ import (
 
 	"drp/internal/metrics"
 	"drp/internal/sra"
+	"drp/internal/store"
 )
 
 // callOnce performs one exchange on a link of its own.
 func callOnce(addr string, msg message, timeout time.Duration) (reply, error) {
 	var t transport
 	defer t.close()
-	return t.attempt(callOpts{timeout: timeout}, 0, addr, msg)
+	return t.attempt(nil, timeout, -1, 0, addr, msg)
 }
 
 // idleLinks counts the links a transport holds idle.
@@ -192,9 +193,9 @@ func TestWarmLinksOpenNoConnections(t *testing.T) {
 	}
 }
 
-// TestRestartKeepsGate: RestartNode gives the restarted site's node the
-// gate the old node had, and the gate is asked with the node's own site
-// and the peer site of each attempt.
+// TestRestartKeepsGate: the gate set through the old node is the site's,
+// so the node RestartNode boots runs under it, and the gate is asked with
+// the node's own site and the peer site of each attempt.
 func TestRestartKeepsGate(t *testing.T) {
 	p := gen(t, 4, 5, 0.2, 0.6, 64)
 	c := startDurable(t, p, t.TempDir(), testStoreOpts())
@@ -291,59 +292,51 @@ func TestRestartMidTrafficAbandonsOldLinks(t *testing.T) {
 
 // A peer that restarts on the very port it had leaves the address table
 // unchanged, so the table cannot tell that the links to it are dead:
-// SetPeers drops them all.
+// republishing the table drops them all.
 func TestSetPeersDropsLinksToRestartedPeer(t *testing.T) {
 	p := gen(t, 2, 2, 0.05, 0.5, 65)
 	k := 0
 	holder := p.Primary(k)
 	reader := 1 - holder
-	a, err := Listen(p, reader, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.close()
-	b, err := Listen(p, holder, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := make([]string, 2)
-	table[reader], table[holder] = a.Addr(), b.Addr()
-	a.setPeers(table)
+	c := startCluster(t, p)
+	a := c.Node(reader)
 	if _, err := a.Read(k); err != nil {
 		t.Fatal(err)
 	}
 	if got := idleLinks(&a.links); got != 1 {
 		t.Fatalf("%d idle links after one read, want 1", got)
 	}
-	if err := b.close(); err != nil {
+	addr := c.Node(holder).Addr()
+	if err := c.Node(holder).close(); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := Listen(p, holder, table[holder])
+	st, err := store.Open("", holder, primaries(p), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := listenStore(p, holder, addr, st, c.cfg)
 	if err != nil {
 		t.Skipf("the port was not free again: %v", err)
 	}
-	defer b2.close()
-	a.setPeers(table)
+	c.nodes[holder] = b2 // c.Close closes it
+	c.rewirePeers()
 	if got := idleLinks(&a.links); got != 0 {
-		t.Fatalf("SetPeers kept %d idle links", got)
+		t.Fatalf("the republished table kept %d idle links", got)
 	}
 	if _, err := a.Read(k); err != nil {
 		t.Fatalf("read after the peer restarted on its old port: %v", err)
 	}
 }
 
-// The request path reads its configuration from one atomic snapshot while
-// the setters replace it — SetPeers also dropping the idle links under
-// the requests' feet. Every request must still succeed at its exact price.
+// The request path reads the cluster's settings from one atomic snapshot
+// while the cluster's setters replace it — the peer-table republish also
+// dropping the idle links under the requests' feet. Every request must
+// still succeed at its exact price.
 func TestSettersDuringTraffic(t *testing.T) {
 	p := gen(t, 4, 6, 0.2, 0.6, 68)
 	c := startCluster(t, p)
 	if _, err := c.Deploy(sra.Run(p, sra.Options{}).Scheme); err != nil {
 		t.Fatal(err)
-	}
-	table := make([]string, p.Sites())
-	for i := range table {
-		table[i] = c.Node(i).Addr()
 	}
 	before := c.TotalNTC()
 	var tally atomic.Int64
@@ -367,20 +360,31 @@ func TestSettersDuringTraffic(t *testing.T) {
 			}
 		}(w)
 	}
+	traffic := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(traffic)
+	}()
 	reg := metrics.NewRegistry()
 	pass := Dialer(func(int, int) error { return nil })
-	for round := 0; round < 40; round++ {
-		for i := 0; i < p.Sites(); i++ {
-			n := c.Node(i)
-			n.setRetry(1 + round%3)
-			n.setRequestTimeout(time.Duration(round%2) * 10 * time.Second)
-			n.setMetrics([]*metrics.Registry{nil, reg}[round%2])
-			n.SetDialer([]Dialer{nil, pass}[round%2])
-			n.setTracer(nil)
-			n.setPeers(table)
+	// At least 40 rounds, and on until the traffic is done.
+rounds:
+	for round := 0; ; round++ {
+		if round >= 40 {
+			select {
+			case <-traffic:
+				break rounds
+			default:
+			}
 		}
+		c.SetRetry(1 + round%3)
+		c.SetRequestTimeout(time.Duration(round%2) * 10 * time.Second)
+		c.EnableMetrics([]*metrics.Registry{nil, reg}[round%2])
+		c.SetCommandDialer([]Dialer{nil, pass}[round%2])
+		c.Node(round % p.Sites()).SetDialer([]Dialer{pass, nil}[round%2])
+		c.EnableTracing(nil)
+		c.rewirePeers()
 	}
-	wg.Wait()
 	if got := c.TotalNTC() - before; got != tally.Load() {
 		t.Fatalf("ledger moved %d, requests returned %d", got, tally.Load())
 	}
@@ -424,9 +428,9 @@ func TestFramingViolationDropsLink(t *testing.T) {
 	defer n.close()
 	var tr transport
 	defer tr.close()
-	opts := callOpts{timeout: 10 * time.Second}
+	s := &settings{timeout: 10 * time.Second}
 
-	if resp, err := tr.exchange(opts, nil, 0, n.Addr(), 0, message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
+	if resp, err := tr.exchange(s, -1, 0, n.Addr(), message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
 		t.Fatalf("well-formed request: %+v, %v", resp, err)
 	}
 	if idleLinks(&tr) != 1 || accepted(n) != 1 {
@@ -435,7 +439,7 @@ func TestFramingViolationDropsLink(t *testing.T) {
 	// A line just past the cap: the server has read every byte of it when
 	// it replies, so its close cannot reset the reply away.
 	huge := message{Op: strings.Repeat("x", maxLineBytes)}
-	resp, err := tr.exchange(opts, nil, 0, n.Addr(), 0, huge, nil)
+	resp, err := tr.exchange(s, -1, 0, n.Addr(), huge, nil)
 	if err != nil {
 		t.Fatalf("no typed reply: %v", err)
 	}
@@ -446,7 +450,7 @@ func TestFramingViolationDropsLink(t *testing.T) {
 		t.Fatalf("the client kept %d links after a framing rejection", got)
 	}
 	eventually(t, "the server dropping the connection", func() bool { return accepted(n) == 0 })
-	if resp, err := tr.exchange(opts, nil, 0, n.Addr(), 0, message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
+	if resp, err := tr.exchange(s, -1, 0, n.Addr(), message{Op: "read", Object: 0}, nil); err != nil || !resp.OK {
 		t.Fatalf("request after the rejection: %+v, %v", resp, err)
 	}
 }
@@ -489,7 +493,7 @@ func TestTimedOutExchangeClosesLink(t *testing.T) {
 	defer tr.close()
 	const short = 50 * time.Millisecond
 	call := func(timeout time.Duration) error {
-		_, err := tr.exchange(callOpts{timeout: timeout}, nil, 0, ln.Addr().String(), 0, message{Op: "read"}, nil)
+		_, err := tr.exchange(&settings{timeout: timeout}, -1, 0, ln.Addr().String(), message{Op: "read"}, nil)
 		return err
 	}
 

@@ -7,8 +7,8 @@ import (
 	"drp/internal/metrics"
 )
 
-// nodeMetrics caches the instrument handles one node records into. All
-// nodes of a cluster share one registry, so the drp_net_* families
+// nodeMetrics caches the instrument handles the nodes of a cluster record
+// into: one set per cluster, in its settings, so the drp_net_* families
 // aggregate across sites (per-site series would multiply cardinality for
 // no operational value on a single host).
 type nodeMetrics struct {
@@ -142,24 +142,14 @@ func (nm *nodeMetrics) write(primary bool, cost int64, elapsed time.Duration) {
 	nm.writeSeconds.Observe(elapsed.Seconds())
 }
 
-// setMetrics attaches a registry to the node: client-side Read/Write
-// latency histograms, replica-hit and NTC counters, and server-side
-// message counters. Call before driving traffic; nil detaches.
-func (n *Node) setMetrics(reg *metrics.Registry) {
+// EnableMetrics attaches reg to the cluster, and so to every node it has
+// or boots later: client-side Read/Write latency histograms, replica-hit
+// and NTC counters, and server-side message counters. Call before driving
+// traffic; nil detaches.
+func (c *Cluster) EnableMetrics(reg *metrics.Registry) {
 	var nm *nodeMetrics
 	if reg != nil {
 		nm = newNodeMetrics(reg)
 	}
-	n.configure(func(c *nodeConfig) { c.metrics = nm })
-}
-
-// EnableMetrics attaches one shared registry to every node of the cluster
-// (and to nodes later brought back by RestartNode).
-func (c *Cluster) EnableMetrics(reg *metrics.Registry) {
-	c.metricsReg = reg
-	for _, node := range c.nodes {
-		if node != nil {
-			node.setMetrics(reg)
-		}
-	}
+	c.cfg.edit(func(s *settings) { s.metrics = nm })
 }

@@ -78,8 +78,8 @@ func TestNodeMetricsAccountTraffic(t *testing.T) {
 	}
 }
 
-// TestSetMetricsNilDetaches pins that detaching stops recording without
-// breaking serving.
+// TestSetMetricsNilDetaches pins that EnableMetrics(nil) stops recording
+// without breaking serving.
 func TestSetMetricsNilDetaches(t *testing.T) {
 	p, err := workload.Generate(workload.NewSpec(4, 6, 0.05, 0.2), 5)
 	if err != nil {
@@ -92,9 +92,7 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 	defer c.Close()
 	reg := metrics.NewRegistry()
 	c.EnableMetrics(reg)
-	for i := 0; i < p.Sites(); i++ {
-		c.Node(i).setMetrics(nil)
-	}
+	c.EnableMetrics(nil)
 	if _, err := c.DriveTraffic(); err != nil {
 		t.Fatal(err)
 	}

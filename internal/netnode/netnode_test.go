@@ -27,13 +27,14 @@ func gen(t testing.TB, m, n int, u, c float64, seed uint64) *core.Problem {
 }
 
 // Listen starts a memory-backed node for the site on addr, holding exactly
-// the objects primaried at it; peers are wired with SetPeers.
+// the objects primaried at it, under a settings record of its own with no
+// peers.
 func Listen(p *core.Problem, site int, addr string) (*Node, error) {
 	st, err := store.Open("", site, primaries(p), store.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return listenStore(p, site, addr, st)
+	return listenStore(p, site, addr, st, newConfig())
 }
 
 // command sends one request to a site and turns a rejection into an

@@ -13,11 +13,16 @@
 // traffic the cluster's accounted NTC equals eq. 4's D exactly; the tests
 // assert it.
 //
+// Every call runs under one settings record per cluster — the peer
+// address table, the gate, the attempt count, the per-attempt deadline,
+// the metrics and the tracer — which the coordinator and every node load
+// per request; a node keeps no copy, so one booted later (a joiner, a
+// rejoiner, a restarted site) cannot miss a setting.
+//
 // The serving path tolerates faults. Every outbound call travels on a
 // persistent link to the peer (link.go), passes an injectable per-attempt
-// gate first, asked with both endpoints' sites, which the cluster hands
-// every node it boots and a RestartNode keeps (see drp/internal/fault), and
-// runs under a per-request deadline with capped, jittered exponential
+// gate first, asked with both endpoints' sites (see drp/internal/fault),
+// and runs under a per-request deadline with capped, jittered exponential
 // backoff. A read walks the object's replica set in cost order
 // (core.RankReplicas), so it lands on the nearest live replica exactly as
 // eq. 4's min C(i,j) would with the dead sites excluded. Writes degrade
@@ -42,7 +47,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"drp/internal/core"
@@ -151,35 +155,16 @@ type Node struct {
 	ln   net.Listener
 	st   *store.Store
 
-	cfg   atomic.Pointer[nodeConfig] // what requests run under; never nil
-	links transport                  // persistent links to the peers
+	cfg   *config   // the cluster's settings, shared with its other nodes
+	links transport // persistent links to the peers
 
-	mu    sync.Mutex            // serialises the setters and guards conns
+	mu    sync.Mutex            // guards conns
 	conns map[net.Conn]struct{} // accepted connections, for shutdown
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// nodeConfig is everything the request path reads that a setter can
-// change. It is immutable: a setter publishes a modified copy, so a
-// request loads one pointer and takes no lock.
-type nodeConfig struct {
-	peers   []string
-	metrics *nodeMetrics  // telemetry instruments; nil when disabled
-	tracer  *spans.Tracer // request tracing; nil when disabled
-	callOpts
-}
-
-// configure publishes a copy of the configuration with edit applied.
-func (n *Node) configure(edit func(*nodeConfig)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cfg := *n.cfg.Load()
-	edit(&cfg)
-	n.cfg.Store(&cfg)
 }
 
 // primaries returns the primary site of every object, the store's
@@ -193,10 +178,11 @@ func primaries(p *core.Problem) []int {
 }
 
 // listenStore starts a node whose state lives in st — typically a durable
-// store opened (and therefore replayed) from the site's data directory.
-// The lifecycle is open → replay → serve: by the time the listener accepts
-// its first connection the state is exactly what the log prescribes.
-func listenStore(p *core.Problem, site int, addr string, st *store.Store) (*Node, error) {
+// store opened (and therefore replayed) from the site's data directory —
+// and whose calls run under cfg. The lifecycle is open → replay → serve:
+// by the time the listener accepts its first connection the state is
+// exactly what the log prescribes.
+func listenStore(p *core.Problem, site int, addr string, st *store.Store, cfg *config) (*Node, error) {
 	if site < 0 || site >= p.Sites() {
 		return nil, fmt.Errorf("netnode: site %d out of range", site)
 	}
@@ -216,10 +202,10 @@ func listenStore(p *core.Problem, site int, addr string, st *store.Store) (*Node
 		site:   site,
 		ln:     ln,
 		st:     st,
+		cfg:    cfg,
 		links:  transport{rng: xrand.New(uint64(site) + 1)},
 		closed: make(chan struct{}),
 	}
-	n.cfg.Store(&nodeConfig{callOpts: callOpts{from: site}})
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -231,38 +217,21 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 // Store returns the node's state store.
 func (n *Node) Store() *store.Store { return n.st }
 
-// setPeers wires the full address table (indexed by site) and closes the
-// node's idle links: a new table starts without any, so no link to an
-// address that left it — or to a peer that restarted on the port it had —
-// is used again.
-func (n *Node) setPeers(addrs []string) {
-	peers := append([]string(nil), addrs...)
-	n.configure(func(c *nodeConfig) { c.peers = peers })
-	n.links.reset()
-}
-
-// SetDialer installs d as the gate every outbound attempt of the node must
-// pass (nil removes it), in place of the cluster's (Cluster.SetCommandDialer)
-// until the cluster's is set again; the gate outlives a RestartNode of the
-// site. The method kept its name when the seam moved from the dial to the
-// attempt — calls no longer dial — because callers outside this module use
-// it.
+// SetDialer installs d as the gate of every outbound attempt from the
+// node's site, in place of the cluster's, until Cluster.SetCommandDialer
+// clears it; nil clears it now. The gate is the site's, held in the
+// cluster's settings, not the node's: the node a RestartNode or a rejoin
+// boots for the site runs under it, and setting it through the handle of
+// a killed or departed node still sets the site's. SetDialer and
+// SetCommandDialer keep their names while bench/ calls them; ROADMAP item
+// 1(d) renames both.
 func (n *Node) SetDialer(d Dialer) {
-	n.configure(func(c *nodeConfig) { c.gate = d })
-}
-
-// setRetry sets the transport attempts of each of the node's outbound
-// calls; ≤ 1 disables retrying.
-func (n *Node) setRetry(attempts int) {
-	n.configure(func(c *nodeConfig) { c.attempts = attempts })
-}
-
-// setRequestTimeout bounds each outbound attempt (opening a link when
-// none is idle, then the round trip) and each reply write; 0 disables the
-// outbound deadline (reply writes then fall back to a conservative
-// default).
-func (n *Node) setRequestTimeout(d time.Duration) {
-	n.configure(func(c *nodeConfig) { c.timeout = d })
+	n.cfg.edit(func(s *settings) {
+		gates := make([]Dialer, n.p.Sites())
+		copy(gates, s.siteGate)
+		gates[n.site] = d
+		s.siteGate = gates
+	})
 }
 
 // Version returns the local version of object k (0 if not held). Versions
@@ -340,7 +309,7 @@ func (n *Node) acceptLoop() {
 			conn.Close()
 			continue
 		}
-		if nm := n.cfg.Load().metrics; nm != nil {
+		if nm := n.cfg.load().metrics; nm != nil {
 			nm.dials.Inc()
 		}
 		go func() {
@@ -371,7 +340,7 @@ func (n *Node) track(conn net.Conn) bool {
 // replyTimeout bounds one reply write: the configured request timeout, or
 // a conservative default so no reply write can stall unboundedly.
 func (n *Node) replyTimeout() time.Duration {
-	if d := n.cfg.Load().timeout; d > 0 {
+	if d := n.cfg.load().timeout; d > 0 {
 		return d
 	}
 	return defaultReplyTimeout
@@ -439,19 +408,19 @@ func storageReply(err error) reply {
 // carries wire trace context and this node has a tracer attached; the
 // span nests under the caller's exact rpc attempt span.
 func (n *Node) handle(msg message) reply {
-	cfg := n.cfg.Load()
-	if cfg.metrics != nil {
+	s := n.cfg.load()
+	if s.metrics != nil {
 		if msg.Op == opBatch {
 			for _, r := range msg.Batch {
-				cfg.metrics.served(r.Op)
+				s.metrics.served(r.Op)
 			}
 		} else {
-			cfg.metrics.served(msg.Op)
+			s.metrics.served(msg.Op)
 		}
 	}
 	var sv *spans.Span
 	if msg.Trace != "" { // an untraced request does not pay for the name
-		sv = cfg.tracer.StartRemote(msg.Trace, msg.Span, "serve."+msg.Op)
+		sv = s.tracer.StartRemote(msg.Trace, msg.Span, "serve."+msg.Op)
 	}
 	sv.SetSite(n.site)
 	var resp reply
@@ -459,7 +428,7 @@ func (n *Node) handle(msg message) reply {
 		resp = n.serveBatch(msg.Batch)
 	} else {
 		sv.SetObject(msg.Object)
-		resp = n.serveOp(msg, sv)
+		resp = n.serveOp(s, msg, sv)
 	}
 	if !resp.OK {
 		sv.SetErrText(resp.Err)
@@ -468,10 +437,10 @@ func (n *Node) handle(msg message) reply {
 	return resp
 }
 
-// serveOp dispatches one request. sv is the server-side span (nil when
-// the request is untraced); ops that fan out — update's broadcast,
-// reconcile's re-syncs — hang their transfer spans under it.
-func (n *Node) serveOp(msg message, sv *spans.Span) reply {
+// serveOp dispatches one request under settings s. sv is the server-side
+// span (nil when the request is untraced); ops that fan out — update's
+// broadcast, reconcile's re-syncs — hang their transfer spans under it.
+func (n *Node) serveOp(s *settings, msg message, sv *spans.Span) reply {
 	if msg.Object < 0 || msg.Object >= n.p.Objects() {
 		return reply{Code: codeBadObject, Err: fmt.Sprintf("object %d out of range", msg.Object)}
 	}
@@ -494,7 +463,7 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		if n.st.PrimaryOf(msg.Object) != n.site {
 			return reply{Code: codeNotPrimary, Err: fmt.Sprintf("site %d is not the primary of object %d", n.site, msg.Object)}
 		}
-		version, cost, err := n.applyWrite(msg.Object, msg.From, sv)
+		version, cost, err := n.applyWrite(s, msg.Object, msg.From, sv)
 		switch {
 		case err != nil && version == 0:
 			return storageReply(err)
@@ -527,15 +496,15 @@ func (n *Node) serveOp(msg message, sv *spans.Span) reply {
 		if code, err := checkSites(msg.Sites, n.p.Sites()); err != nil {
 			return reply{Code: code, Err: err.Error()}
 		}
-		cost, missed, err := n.syncReplicas(msg.Object, n.site, msg.Sites, n.st.Version(msg.Object), sv)
+		cost, missed, err := n.syncReplicas(s, msg.Object, n.site, msg.Sites, n.st.Version(msg.Object), sv)
 		if err != nil {
 			return errorReply(err)
 		}
 		if err := n.st.AddNTC(cost); err != nil {
 			return storageReply(err)
 		}
-		if nm := n.cfg.Load().metrics; nm != nil {
-			nm.ntc[termReconcile].Add(cost)
+		if s.metrics != nil {
+			s.metrics.ntc[termReconcile].Add(cost)
 		}
 		return reply{OK: true, Cost: cost, Stale: missed}
 
@@ -643,7 +612,7 @@ func errorReply(err error) reply {
 // broadcast, then the new version goes to every replicator but the
 // writer. A zero version with an error means the stamp itself failed —
 // nothing was logged, nothing was sent.
-func (n *Node) applyWrite(obj, writer int, parent *spans.Span) (version, cost int64, err error) {
+func (n *Node) applyWrite(s *settings, obj, writer int, parent *spans.Span) (version, cost int64, err error) {
 	ws := walSpan(parent, n.st, "bump_version")
 	version, err = n.st.BumpVersion(obj)
 	ws.SetErr(err)
@@ -651,7 +620,7 @@ func (n *Node) applyWrite(obj, writer int, parent *spans.Span) (version, cost in
 	if err != nil {
 		return 0, 0, err
 	}
-	cost, err = n.broadcast(obj, writer, version, parent)
+	cost, err = n.broadcast(s, obj, writer, version, parent)
 	return version, cost, err
 }
 
@@ -659,13 +628,13 @@ func (n *Node) applyWrite(obj, writer int, parent *spans.Span) (version, cost in
 // own sync span and returns the transfer cost once the replica has
 // acknowledged. The error is either a transport failure — the replica is,
 // or stays, behind — or the peer's typed rejection (*replyError).
-func (n *Node) syncReplica(obj, j int, version int64, addr string, parent *spans.Span) (int64, error) {
+func (n *Node) syncReplica(s *settings, obj, j int, version int64, parent *spans.Span) (int64, error) {
 	ss := parent.Child("sync")
 	ss.SetSite(n.site)
 	ss.SetPeer(j)
 	ss.SetObject(obj)
 	defer ss.Finish()
-	resp, err := n.call(j, addr, message{Op: "sync", Object: obj, Version: version}, ss)
+	resp, err := n.call(s, j, message{Op: "sync", Object: obj, Version: version}, ss)
 	if err != nil {
 		ss.SetErr(err)
 		ss.SetVerdict("stale")
@@ -685,10 +654,10 @@ func (n *Node) syncReplica(obj, j int, version int64, addr string, parent *spans
 // reached stays behind the primary's version, which is all the record
 // Reconcile needs, instead of failing the write; the returned cost covers
 // only the syncs that landed.
-func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (int64, error) {
-	cost, missed, err := n.syncReplicas(obj, writer, n.st.Replicas(obj), version, parent)
-	if nm := n.cfg.Load().metrics; nm != nil && err == nil && len(missed) > 0 {
-		nm.degraded("broadcast_partial")
+func (n *Node) broadcast(s *settings, obj, writer int, version int64, parent *spans.Span) (int64, error) {
+	cost, missed, err := n.syncReplicas(s, obj, writer, n.st.Replicas(obj), version, parent)
+	if s.metrics != nil && err == nil && len(missed) > 0 {
+		s.metrics.degraded("broadcast_partial")
 	}
 	return cost, err
 }
@@ -699,19 +668,18 @@ func (n *Node) broadcast(obj, writer int, version int64, parent *spans.Span) (in
 // dead site.
 // A typed rejection from a live replica is a coordination bug (a replica
 // set naming a non-holder) and fails the call.
-func (n *Node) syncReplicas(obj, skip int, targets []int, version int64, parent *spans.Span) (int64, []int, error) {
-	peers := n.cfg.Load().peers
+func (n *Node) syncReplicas(s *settings, obj, skip int, targets []int, version int64, parent *spans.Span) (int64, []int, error) {
 	var cost int64
 	var missed []int
 	for _, j := range targets {
 		if j == skip || j == n.site {
 			continue
 		}
-		if j < 0 || j >= len(peers) {
+		if j < 0 || j >= len(s.peers) {
 			missed = append(missed, j)
 			continue
 		}
-		c, err := n.syncReplica(obj, j, version, peers[j], parent)
+		c, err := n.syncReplica(s, obj, j, version, parent)
 		var rejected *replyError
 		if errors.As(err, &rejected) {
 			return 0, nil, err
@@ -736,9 +704,9 @@ func (n *Node) Read(obj int) (cost int64, err error) {
 		return 0, fmt.Errorf("netnode: object %d out of range", obj)
 	}
 	local := n.st.Holds(obj)
-	cfg := n.cfg.Load()
-	peers, nm := cfg.peers, cfg.metrics
-	root := cfg.tracer.Root("read")
+	s := n.cfg.load()
+	peers, nm := s.peers, s.metrics
+	root := s.tracer.Root("read")
 	root.SetSite(n.site)
 	root.SetObject(obj)
 	defer func() {
@@ -763,7 +731,7 @@ func (n *Node) Read(obj int) (cost int64, err error) {
 		hop := root.Child("read.hop")
 		hop.SetPeer(j)
 		hop.SetHop(idx)
-		resp, err := n.call(j, peers[j], message{Op: "read", Object: obj}, hop)
+		resp, err := n.call(s, j, message{Op: "read", Object: obj}, hop)
 		if err != nil {
 			hop.SetErr(err)
 			hop.Finish()
@@ -811,10 +779,10 @@ func (n *Node) Write(obj int) (cost int64, err error) {
 	if obj < 0 || obj >= n.p.Objects() {
 		return 0, fmt.Errorf("netnode: object %d out of range", obj)
 	}
-	cfg := n.cfg.Load()
-	peers, nm := cfg.peers, cfg.metrics
+	s := n.cfg.load()
+	nm := s.metrics
 	sp := n.st.PrimaryOf(obj)
-	root := cfg.tracer.Root("write")
+	root := s.tracer.Root("write")
 	root.SetSite(n.site)
 	root.SetObject(obj)
 	root.SetPeer(sp)
@@ -824,18 +792,18 @@ func (n *Node) Write(obj int) (cost int64, err error) {
 	}()
 	if sp == n.site {
 		// Local primary: no shipping.
-		if _, cost, err = n.applyWrite(obj, n.site, root); err != nil {
+		if _, cost, err = n.applyWrite(s, obj, n.site, root); err != nil {
 			return 0, err
 		}
 		if err := n.st.AddNTC(cost); err != nil {
 			return 0, err
 		}
 	} else {
-		if sp >= len(peers) {
+		if sp >= len(s.peers) {
 			return 0, fmt.Errorf("netnode: no address for primary site %d", sp)
 		}
 		var reached bool
-		if cost, reached, err = n.shipWrite(obj, sp, peers[sp], root); !reached {
+		if cost, reached, err = n.shipWrite(s, obj, sp, root); !reached {
 			// Primary unreachable: queue-and-flag. The write is not lost —
 			// it is logged before ErrWriteQueued is returned, and
 			// FlushPending replays it once the primary is back.
@@ -873,10 +841,10 @@ func (n *Node) Write(obj int) (cost int64, err error) {
 // when the primary could not be reached — nothing happened and err is the
 // transport failure; otherwise err is the primary's typed rejection or a
 // local storage failure.
-func (n *Node) shipWrite(obj, sp int, addr string, root *spans.Span) (cost int64, reached bool, err error) {
+func (n *Node) shipWrite(s *settings, obj, sp int, root *spans.Span) (cost int64, reached bool, err error) {
 	ship := root.Child("write.ship")
 	ship.SetPeer(sp)
-	resp, err := n.call(sp, addr, message{Op: "update", Object: obj, From: n.site}, ship)
+	resp, err := n.call(s, sp, message{Op: "update", Object: obj, From: n.site}, ship)
 	if err != nil {
 		ship.SetErr(err)
 		ship.Finish()
@@ -903,26 +871,25 @@ func (n *Node) shipWrite(obj, sp int, addr string, root *spans.Span) (cost int64
 // flushing that object and moves on to the next.
 func (n *Node) flushPending() (int64, error) {
 	objs := n.st.PendingObjects()
-	cfg := n.cfg.Load()
-	peers, nm, tr := cfg.peers, cfg.metrics, cfg.tracer
+	s := n.cfg.load()
 	sort.Ints(objs)
 	var total int64
 	for _, obj := range objs {
 		sp := n.st.PrimaryOf(obj)
-		if sp >= len(peers) {
+		if sp >= len(s.peers) {
 			return total, fmt.Errorf("netnode: no address for primary site %d", sp)
 		}
 		for n.st.PendingCount(obj) > 0 {
-			root := tr.Root("write.flush")
+			root := s.tracer.Root("write.flush")
 			root.SetSite(n.site)
 			root.SetObject(obj)
 			root.SetPeer(sp)
-			cost, reached, err := n.shipWrite(obj, sp, peers[sp], root)
+			cost, reached, err := n.shipWrite(s, obj, sp, root)
 			if err == nil {
 				// The cost is in the ledger now, dequeued or not.
 				total += cost
-				if nm != nil {
-					nm.flushed(cost)
+				if s.metrics != nil {
+					s.metrics.flushed(cost)
 				}
 				err = n.st.Dequeue(obj)
 			}
@@ -939,10 +906,9 @@ func (n *Node) flushPending() (int64, error) {
 	return total, nil
 }
 
-// call runs one outbound exchange with site, listening at addr, under the
-// node's gate, attempt count, deadline and metrics. The caller's span
-// (hop, ship, sync) already names the peer, so the attempts carry none.
-func (n *Node) call(site int, addr string, msg message, parent *spans.Span) (reply, error) {
-	cfg := n.cfg.Load()
-	return n.links.exchange(cfg.callOpts, cfg.metrics, site, addr, -1, msg, parent)
+// call runs one outbound exchange with site under settings s: its
+// address, the site's gate, the attempt count, the deadline and the
+// metrics.
+func (n *Node) call(s *settings, site int, msg message, parent *spans.Span) (reply, error) {
+	return n.links.exchange(s, n.site, site, s.peers[site], msg, parent)
 }

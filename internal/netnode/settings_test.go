@@ -244,3 +244,33 @@ func TestBootedNodesRunUnderClusterSettings(t *testing.T) {
 		}
 	}
 }
+
+// TestSiteGateOutlivesItsNode: the gate Node.SetDialer sets is the
+// site's, so the node a Join boots after Leave runs under it, set though
+// it was through the departed node; nil and SetCommandDialer clear it,
+// handing the site's calls back to the cluster's gate.
+func TestSiteGateOutlivesItsNode(t *testing.T) {
+	p := viewProblem(t)
+	const s = 4
+	c, err := StartDurableView(p, t.TempDir(), store.Options{Sync: store.SyncNever}, []int{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	gates, asked := recordingGates(s)
+	c.SetCommandDialer(gates[2])
+	old := c.Node(s)
+	if err := c.Leave(s); err != nil {
+		t.Fatal(err)
+	}
+	old.SetDialer(gates[1])
+	if _, err := c.Join(s); err != nil {
+		t.Fatal(err)
+	}
+	checkGates(t, c, s, asked, 1)
+	c.Node(s).SetDialer(nil)
+	checkGates(t, c, s, asked, 2)
+	c.Node(s).SetDialer(gates[1])
+	c.SetCommandDialer(gates[2])
+	checkGates(t, c, s, asked, 2)
+}

@@ -5,27 +5,16 @@ import (
 	"drp/internal/store"
 )
 
-// setTracer attaches a tracer to this node: client requests issued here
-// (Read, Write, FlushPending) mint root spans, outbound calls mint
-// per-attempt rpc spans whose IDs ride the wire, and inbound traced
-// requests mint serve spans stitched under the caller's attempt. A nil
-// tracer disables tracing (the default).
-func (n *Node) setTracer(tr *spans.Tracer) {
-	n.configure(func(c *nodeConfig) { c.tracer = tr })
-}
-
-// EnableTracing attaches one shared tracer to every node and to the
-// coordinator, so coordinator-driven operations (deploys, plan steps,
-// reconciliation) trace alongside client requests and all span IDs are
-// globally consistent. Like EnableMetrics, the attachment survives
-// RestartNode and Join.
+// EnableTracing attaches tr to the cluster: to the coordinator and to
+// every node it has or boots later, so coordinator-driven operations
+// (deploys, plan steps, reconciliation) trace alongside client requests
+// and all span IDs are globally consistent. Client requests (Read, Write,
+// FlushPending) mint root spans, outbound calls per-attempt rpc spans
+// whose IDs ride the wire, and inbound traced requests serve spans
+// stitched under the caller's attempt. A nil tracer disables tracing
+// (the default).
 func (c *Cluster) EnableTracing(tr *spans.Tracer) {
-	c.tracer = tr
-	for _, n := range c.nodes {
-		if n != nil {
-			n.setTracer(tr)
-		}
-	}
+	c.cfg.edit(func(s *settings) { s.tracer = tr })
 }
 
 // walSpan opens a wal.append child span when the store is durable —

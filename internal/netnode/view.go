@@ -57,21 +57,23 @@ type ApplyReport struct {
 // plan that migrates the site empty first.
 var errNotDrained = errors.New("netnode: site not drained")
 
-// rewirePeers rebuilds the universe-indexed address table and pushes it
-// to every live node. Absent sites keep an empty address, which dials
-// fail on — exactly like a dead site. Nodes drop their idle links with
-// the old table, and so does the coordinator.
+// rewirePeers publishes the universe-indexed address table. Absent sites
+// keep an empty address, which dials fail on — exactly like a dead site.
+// Then every node and the coordinator drop their idle links: a restarted
+// peer may come back on the very port it had, so an address that is
+// still in the table does not prove that a link to it is alive.
 func (c *Cluster) rewirePeers() {
-	c.links.reset()
 	addrs := make([]string, len(c.nodes))
 	for i, n := range c.nodes {
 		if n != nil {
 			addrs[i] = n.Addr()
 		}
 	}
+	c.cfg.edit(func(s *settings) { s.peers = addrs })
+	c.links.reset()
 	for _, n := range c.nodes {
 		if n != nil {
-			n.setPeers(addrs)
+			n.links.reset()
 		}
 	}
 }
@@ -103,7 +105,7 @@ func (c *Cluster) AttachJournal(j *store.Journal) { c.journal = j }
 func (c *Cluster) SetStepHook(fn func(plan.Step)) { c.stepHook = fn }
 
 // Join adds a site to the cluster: boot its node (replaying its WAL in
-// durable mode), rewire the address tables, and migrate to the last
+// durable mode), publish the address table, and migrate to the last
 // adopted target, which converges the joiner's records and drops what a
 // rejoiner still holds from before its drain; a later plan places onto
 // the joiner.
@@ -122,7 +124,7 @@ func (c *Cluster) Join(site int) (*Node, error) {
 	c.nodes[site] = node
 	c.view = view
 	c.rewirePeers()
-	root := c.tracer.Root("join.sync")
+	root := c.cfg.load().tracer.Root("join.sync")
 	root.SetPeer(site)
 	if _, err := c.migrate(root, c.target); err != nil {
 		return node, fmt.Errorf("netnode: join sync for site %d: %w", site, err)
@@ -164,7 +166,7 @@ func (c *Cluster) Leave(site int) error {
 // Reads keep serving throughout. On error the report covers the completed
 // prefix, and the next migration starts from what that prefix left.
 func (c *Cluster) ApplyPlan(next *plan.Plan) (*ApplyReport, error) {
-	root := c.tracer.Root("plan.apply")
+	root := c.cfg.load().tracer.Root("plan.apply")
 	root.SetAttr("epoch", strconv.Itoa(next.Epoch))
 	return c.migrate(root, next.Clone())
 }
@@ -560,7 +562,7 @@ func (c *Cluster) ResumeMigration() (*ApplyReport, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("netnode: journaled plan: %w", err)
 	}
-	root := c.tracer.Root("plan.resume")
+	root := c.cfg.load().tracer.Root("plan.resume")
 	root.SetAttr("epoch", strconv.Itoa(target.Epoch))
 	rep, err := c.migrate(root, target)
 	if rep == nil {
