@@ -195,7 +195,7 @@ func (t *transport) attempt(gate Dialer, timeout time.Duration, from, site int, 
 		l, err = t.get(addr, timeout)
 	}
 	if err != nil {
-		// A verdict of the gate reads like the failed dial it once was.
+		// A verdict of the gate fails the attempt like a failed dial.
 		return reply{}, fmt.Errorf("netnode: dial %s: %w", addr, err)
 	}
 	resp, err := l.roundTrip(&msg, timeout)
