@@ -1,9 +1,9 @@
 // Package fault injects deterministic, seed-driven failures into the TCP
 // replication cluster of drp/internal/netnode without the node code
 // changing: the injector is a gate every call attempt asks first
-// (netnode.Dialer), naming the site it goes to, so the happy path is an
-// attempt on the node's persistent link and every fault is an error or
-// delay a real network would produce.
+// (netnode.Dialer), naming the sites it comes from and goes to, so the
+// happy path is an attempt on the node's persistent link and every fault
+// is an error or delay a real network would produce.
 //
 // A Plan is a list of events — site crash/restart windows, link
 // blackholes, latency spikes, probabilistic message drops — stated in

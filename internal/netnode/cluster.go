@@ -212,8 +212,7 @@ func (c *Cluster) RestartNode(i int) (*Node, error) {
 	if c.nodes[i] == nil {
 		return nil, fmt.Errorf("netnode: site %d is not a member", i)
 	}
-	old := c.nodes[i]
-	_ = old.Kill() // idempotent: a no-op after Kill or Close
+	_ = c.nodes[i].Kill() // idempotent: a no-op after Kill or Close
 	node, err := c.bootNode(i)
 	if err != nil {
 		return nil, err
